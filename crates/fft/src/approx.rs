@@ -20,7 +20,7 @@
 //!   normalization with one rounding shift per stage;
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
 
-use crate::engine::{FftEngine, Spectrum};
+use crate::engine::{for_each_source_chunk, FftEngine, Spectrum};
 use crate::lifting::LiftingRotation;
 use crate::tables::bit_reverse_permute_pair;
 use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
@@ -35,7 +35,7 @@ pub const MAX_DIGIT: i64 = 1 << 10;
 /// external product itself.
 pub const MONO_FRAC_BITS: u32 = 30;
 
-/// Fractional bits dropped when opening a bundle accumulator, creating
+/// Fractional bits dropped from `H` when a bundle row starts, creating
 /// headroom for summing up to `2^m − 1` scaled key terms.
 pub const BUNDLE_DROP_BITS: u32 = 4;
 
@@ -437,100 +437,88 @@ impl FftEngine for ApproxIntFft {
         }
     }
 
-    /// TGSW-scale factor table: `ε_k^e − 1` quantized to 30 fractional bits
+    /// TGSW-scale factor tables: `ε_k^e − 1` quantized to 30 fractional bits
     /// so its components fit the 32-bit integer multipliers of MATCHA's
     /// TGSW clusters (§4.3) — the FFT butterflies stay multiplication-less,
     /// but TGSW scaling legitimately uses the cluster's multipliers.
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut Vec<(i32, i32)>) {
+    fn monomial_factors_into(
+        &self,
+        exponents: impl Iterator<Item = i64>,
+        out: &mut Vec<(i32, i32)>,
+    ) {
         let m = self.n / 2;
         let base = std::f64::consts::PI / self.n as f64;
-        let e = exponent.rem_euclid(2 * self.n as i64) as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
-        let step = crate::cplx::Cplx::from_angle(4.0 * base * e);
-        let mut cur = crate::cplx::Cplx::from_angle(base * e);
         out.clear();
-        out.reserve(m);
-        for _ in 0..m {
-            out.push((
-                ((cur.re - 1.0) * quant).round() as i32,
-                (cur.im * quant).round() as i32,
-            ));
-            cur *= step;
+        for exponent in exponents {
+            let e = exponent.rem_euclid(2 * self.n as i64) as f64;
+            let step = crate::cplx::Cplx::from_angle(4.0 * base * e);
+            let mut cur = crate::cplx::Cplx::from_angle(base * e);
+            for _ in 0..m {
+                out.push((
+                    ((cur.re - 1.0) * quant).round() as i32,
+                    (cur.im * quant).round() as i32,
+                ));
+                cur *= step;
+            }
         }
     }
 
-    fn scale_accumulate(
+    /// The bundle row over the integer spectra. `h` first drops
+    /// [`BUNDLE_DROP_BITS`] fractional bits (round half up) to make
+    /// headroom for the sum, then every term adds its 128-bit product
+    /// rounded back by `MONO_FRAC_BITS + BUNDLE_DROP_BITS` — the same
+    /// shifts, in the same order, whatever the number of terms.
+    fn bundle_row_into<'a>(
         &self,
-        acc: &mut FixedSpectrum,
-        src: &FixedSpectrum,
+        h: &FixedSpectrum,
+        srcs: impl Iterator<Item = &'a FixedSpectrum>,
         factors: &Vec<(i32, i32)>,
+        out: &mut FixedSpectrum,
     ) {
-        assert_eq!(acc.re.len(), src.re.len(), "spectrum size mismatch");
-        assert_eq!(acc.re.len(), factors.len(), "factor table size mismatch");
-        assert_eq!(
-            acc.frac_bits + BUNDLE_DROP_BITS,
-            src.frac_bits,
-            "accumulator must come from bundle_accumulator"
-        );
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-        let round = 1i128 << (shift - 1);
-        for (k, &(fr32, fi32)) in factors.iter().enumerate() {
-            let (ar, ai) = (fr32 as i128, fi32 as i128);
-            let (sr, si) = (src.re[k] as i128, src.im[k] as i128);
-            acc.re[k] += ((sr * ar - si * ai + round) >> shift) as i64;
-            acc.im[k] += ((sr * ai + si * ar + round) >> shift) as i64;
-        }
-    }
-
-    fn scale_accumulate_pair(
-        &self,
-        acc_a: &mut FixedSpectrum,
-        acc_b: &mut FixedSpectrum,
-        src_a: &FixedSpectrum,
-        src_b: &FixedSpectrum,
-        factors: &Vec<(i32, i32)>,
-    ) {
-        let m = factors.len();
-        assert_eq!(acc_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(src_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(src_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(
-            acc_a.frac_bits + BUNDLE_DROP_BITS,
-            src_a.frac_bits,
-            "accumulator must come from bundle_accumulator"
-        );
-        assert_eq!(
-            acc_b.frac_bits + BUNDLE_DROP_BITS,
-            src_b.frac_bits,
-            "accumulator must come from bundle_accumulator"
-        );
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-        let round = 1i128 << (shift - 1);
-        for (k, &(fr32, fi32)) in factors.iter().enumerate() {
-            let (fr, fi) = (fr32 as i128, fi32 as i128);
-            let (ar, ai) = (src_a.re[k] as i128, src_a.im[k] as i128);
-            acc_a.re[k] += ((ar * fr - ai * fi + round) >> shift) as i64;
-            acc_a.im[k] += ((ar * fi + ai * fr + round) >> shift) as i64;
-            let (br, bi) = (src_b.re[k] as i128, src_b.im[k] as i128);
-            acc_b.re[k] += ((br * fr - bi * fi + round) >> shift) as i64;
-            acc_b.im[k] += ((br * fi + bi * fr + round) >> shift) as i64;
-        }
-    }
-
-    fn bundle_accumulator_into(&self, from: &FixedSpectrum, out: &mut FixedSpectrum) {
+        let m = self.n / 2;
+        assert_eq!(h.re.len(), m, "spectrum size mismatch");
         assert!(
-            from.frac_bits >= BUNDLE_DROP_BITS,
+            h.frac_bits >= BUNDLE_DROP_BITS,
             "source spectrum lacks fractional headroom"
         );
+        out.re.resize(m, 0);
+        out.im.resize(m, 0);
+        out.frac_bits = h.frac_bits - BUNDLE_DROP_BITS;
         let half = 1i64 << (BUNDLE_DROP_BITS - 1);
-        out.re.clear();
-        out.im.clear();
-        out.re
-            .extend(from.re.iter().map(|&v| (v + half) >> BUNDLE_DROP_BITS));
-        out.im
-            .extend(from.im.iter().map(|&v| (v + half) >> BUNDLE_DROP_BITS));
-        out.frac_bits = from.frac_bits - BUNDLE_DROP_BITS;
+        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+        let round = 1i128 << (shift - 1);
+        let srcs = srcs.map(|s| {
+            assert_eq!(s.re.len(), m, "spectrum size mismatch");
+            assert_eq!(
+                s.frac_bits, h.frac_bits,
+                "bundle terms must share h's scale"
+            );
+            (&s.re[..], &s.im[..])
+        });
+        let terms = for_each_source_chunk(srcs, |done, table| {
+            let factors = &factors[done * m..(done + table.len()) * m];
+            for k in 0..m {
+                let (mut acc_re, mut acc_im) = if done == 0 {
+                    (
+                        (h.re[k] + half) >> BUNDLE_DROP_BITS,
+                        (h.im[k] + half) >> BUNDLE_DROP_BITS,
+                    )
+                } else {
+                    (out.re[k], out.im[k])
+                };
+                for (p, (s_re, s_im)) in table.iter().enumerate() {
+                    let (fr32, fi32) = factors[p * m + k];
+                    let (fr, fi) = (fr32 as i128, fi32 as i128);
+                    let (sr, si) = (s_re[k] as i128, s_im[k] as i128);
+                    acc_re += ((sr * fr - si * fi + round) >> shift) as i64;
+                    acc_im += ((sr * fi + si * fr + round) >> shift) as i64;
+                }
+                out.re[k] = acc_re;
+                out.im[k] = acc_im;
+            }
+        });
+        assert_eq!(factors.len(), terms * m, "one factor table per source");
     }
 }
 
@@ -659,8 +647,15 @@ mod tests {
         let base = random_torus_poly(n, 31);
         let src = random_torus_poly(n, 32);
         for e in [0i64, 1, 5, 63, 64, 127, -3] {
-            let mut acc = engine.bundle_accumulator(&engine.forward_torus(&base));
-            engine.scale_monomial_accumulate(&mut acc, &engine.forward_torus(&src), e);
+            let mut factors = Vec::new();
+            engine.monomial_factors_into([e].into_iter(), &mut factors);
+            let mut acc = engine.zero_spectrum();
+            engine.bundle_row_into(
+                &engine.forward_torus(&base),
+                [&engine.forward_torus(&src)].into_iter(),
+                &factors,
+                &mut acc,
+            );
             let got = engine.backward_torus(&acc);
             let mut expected = base.clone();
             expected.add_rotate_minus_one(&src, e);

@@ -21,7 +21,6 @@ use crate::simd;
 use crate::tables::{StageTwiddles, TwiddleTables};
 use crate::twist;
 use matcha_math::{IntPolynomial, TorusPolynomial};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Depth-first conjugate-pair double-precision engine with twiddle-read
@@ -81,7 +80,8 @@ impl DepthFirstFft {
 
     /// Depth-first transform with conjugate-pair twiddle sharing, using the
     /// caller's recursion workspace (`2·M` entries per component, sized on
-    /// first use).
+    /// first use). The inverse is unnormalized: its `1/M` is applied by
+    /// [`twist::unfold_torus_into`].
     fn transform_with(
         &self,
         re: &mut [f64],
@@ -103,29 +103,6 @@ impl DepthFirstFft {
             self.tables.forward_stages()
         };
         self.recurse(re, im, stack_re, stack_im, stages);
-        if inverse {
-            let scale = 1.0 / m as f64;
-            for v in re.iter_mut() {
-                *v *= scale;
-            }
-            for v in im.iter_mut() {
-                *v *= scale;
-            }
-        }
-    }
-
-    /// Allocating convenience over [`Self::transform_with`] for callers
-    /// without a scratch (uses a thread-local workspace).
-    fn transform(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        thread_local! {
-            static STACK: RefCell<(Vec<f64>, Vec<f64>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
-        }
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let (sre, sim) = &mut *s;
-            self.transform_with(re, im, sre, sim, inverse)
-        });
     }
 
     /// Recursive decimation-in-time: `(re, im)` hold the sub-sequence
@@ -258,30 +235,8 @@ impl FftEngine for DepthFirstFft {
             stack_im,
         } = scratch;
         self.transform_with(buf_re, buf_im, stack_re, stack_im, true);
-        twist::unfold_torus_into(buf_re, buf_im, &self.tables, out);
-    }
-
-    fn forward_int(&self, p: &IntPolynomial) -> CplxSpectrum {
-        let mut re = Vec::new();
-        let mut im = Vec::new();
-        twist::fold_int(p, &self.tables, &mut re, &mut im);
-        self.transform(&mut re, &mut im, false);
-        CplxSpectrum { re, im }
-    }
-
-    fn forward_torus(&self, p: &TorusPolynomial) -> CplxSpectrum {
-        let mut re = Vec::new();
-        let mut im = Vec::new();
-        twist::fold_torus(p, &self.tables, &mut re, &mut im);
-        self.transform(&mut re, &mut im, false);
-        CplxSpectrum { re, im }
-    }
-
-    fn backward_torus(&self, s: &CplxSpectrum) -> TorusPolynomial {
-        let mut re = s.re.clone();
-        let mut im = s.im.clone();
-        self.transform(&mut re, &mut im, true);
-        twist::unfold_torus(&re, &im, &self.tables)
+        let inv_len = 1.0 / buf_re.len() as f64;
+        twist::unfold_torus_into(buf_re, buf_im, inv_len, &self.tables, out);
     }
 
     fn mul_accumulate(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
@@ -303,28 +258,18 @@ impl FftEngine for DepthFirstFft {
         ref_fft::add_assign_cplx(acc, a);
     }
 
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut SplitFactors) {
-        ref_fft::monomial_minus_one_cplx_into(self.n, exponent, out);
+    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
+        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, out);
     }
 
-    fn scale_accumulate(&self, acc: &mut CplxSpectrum, src: &CplxSpectrum, factors: &SplitFactors) {
-        ref_fft::scale_accumulate_cplx(acc, src, factors);
-    }
-
-    fn scale_accumulate_pair(
+    fn bundle_row_into<'a>(
         &self,
-        acc_a: &mut CplxSpectrum,
-        acc_b: &mut CplxSpectrum,
-        src_a: &CplxSpectrum,
-        src_b: &CplxSpectrum,
+        h: &CplxSpectrum,
+        srcs: impl Iterator<Item = &'a CplxSpectrum>,
         factors: &SplitFactors,
+        out: &mut CplxSpectrum,
     ) {
-        ref_fft::scale_accumulate_pair_cplx(acc_a, acc_b, src_a, src_b, factors);
-    }
-
-    fn bundle_accumulator_into(&self, from: &CplxSpectrum, out: &mut CplxSpectrum) {
-        out.re.clone_from(&from.re);
-        out.im.clone_from(&from.im);
+        ref_fft::bundle_row_cplx(h, srcs, factors, out);
     }
 }
 

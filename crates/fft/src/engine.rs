@@ -70,7 +70,8 @@ pub trait FftEngine {
     type Spectrum: Spectrum;
 
     /// Pointwise factors `(X^e − 1)` evaluated at the engine's Lagrange
-    /// points, reusable across the `2ℓ·(k+1)` polynomials of a TGSW sample.
+    /// points, one table per exponent, concatenated; reusable across the
+    /// `2ℓ·(k+1)` polynomials of a TGSW sample.
     type MonomialFactors: Clone + Debug + Default + Send + Sync;
 
     /// Reusable per-caller workspace for the `*_into` transforms. A
@@ -212,9 +213,23 @@ pub trait FftEngine {
     /// `acc += a` (pointwise addition, used to fuse accumulator updates).
     fn add_assign(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum);
 
-    /// `acc += (X^exponent − 1) ⊙ src`, evaluated directly in the Lagrange
-    /// domain: at evaluation point `ε_k = e^{iπ(4k+1)/N}` the monomial
-    /// `X^e` is the scalar `ε_k^e`.
+    /// Writes the pointwise factor tables `ε_k^e − 1` (`k < N/2`), one per
+    /// exponent in iteration order, back to back into `out`: at evaluation
+    /// point `ε_k = e^{iπ(4k+1)/N}` the monomial `X^e` is the scalar
+    /// `ε_k^e`. One table serves every row of a TGSW sample, so bundle
+    /// construction fills `out` once per blind-rotation step — all of the
+    /// step's patterns in one call — and reuses its capacity afterwards.
+    fn monomial_factors_into(
+        &self,
+        exponents: impl Iterator<Item = i64>,
+        out: &mut Self::MonomialFactors,
+    );
+
+    /// One bundle row in a single pass:
+    /// `out = h + Σ_p factors[p] ⊙ srcs[p]`, the `p`-th source paired with
+    /// the `p`-th table of [`FftEngine::monomial_factors_into`] (with
+    /// exponents `e_p`, this is `h + Σ_p (X^{e_p} − 1)·src_p` in the
+    /// Lagrange domain).
     ///
     /// This is the *TGSW scale* operation of MATCHA's TGSW clusters
     /// (paper Fig. 5/7b): bootstrapping-key bundles are linear combinations
@@ -223,77 +238,65 @@ pub trait FftEngine {
     /// additional FFTs** — the property that makes aggressive key unrolling
     /// reduce FFT counts.
     ///
-    /// `acc` must come from [`FftEngine::bundle_accumulator`] (or another
-    /// call with the same provenance); `src` must be a `forward_torus`
-    /// spectrum.
-    fn scale_monomial_accumulate(
-        &self,
-        acc: &mut Self::Spectrum,
-        src: &Self::Spectrum,
-        exponent: i64,
-    ) {
-        let factors = self.monomial_minus_one(exponent);
-        self.scale_accumulate(acc, src, &factors);
-    }
-
-    /// Writes the pointwise factors `ε_k^e − 1` for
-    /// [`FftEngine::scale_accumulate`] into `out`. One factor table serves
-    /// every row of a TGSW sample, so bundle construction computes it once
-    /// per pattern per blind-rotation step.
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut Self::MonomialFactors);
-
-    /// Precomputes the pointwise factors `ε_k^e − 1` (allocating wrapper
-    /// over [`FftEngine::monomial_minus_one_into`]).
-    fn monomial_minus_one(&self, exponent: i64) -> Self::MonomialFactors {
-        let mut out = Self::MonomialFactors::default();
-        self.monomial_minus_one_into(exponent, &mut out);
-        out
-    }
-
-    /// `acc += factors ⊙ src` — the TGSW scale inner loop.
-    fn scale_accumulate(
-        &self,
-        acc: &mut Self::Spectrum,
-        src: &Self::Spectrum,
-        factors: &Self::MonomialFactors,
-    );
-
-    /// `acc_a += factors ⊙ src_a` and `acc_b += factors ⊙ src_b` in one
-    /// logical step — the per-row bundle update, sharing one factor-table
-    /// read. Must be bit-identical to two [`FftEngine::scale_accumulate`]
-    /// calls.
-    fn scale_accumulate_pair(
-        &self,
-        acc_a: &mut Self::Spectrum,
-        acc_b: &mut Self::Spectrum,
-        src_a: &Self::Spectrum,
-        src_b: &Self::Spectrum,
-        factors: &Self::MonomialFactors,
-    ) {
-        self.scale_accumulate(acc_a, src_a, factors);
-        self.scale_accumulate(acc_b, src_b, factors);
-    }
-
-    /// Copies a `forward_torus` spectrum into `out` as an accumulator
-    /// suitable for [`FftEngine::scale_monomial_accumulate`].
+    /// `h` and every source must be `forward_torus` spectra; each output
+    /// element is accumulated over the terms in order and written once.
+    /// Fixed-point engines drop a few fractional bits of `h` first so that
+    /// summing up to `2^m − 1` scaled terms (`|X^e − 1| ≤ 2` each) cannot
+    /// overflow.
     ///
-    /// Fixed-point engines drop a few fractional bits here so that summing
-    /// up to `2^m − 1` scaled terms (`|X^e − 1| ≤ 2` each) cannot overflow.
-    fn bundle_accumulator_into(&self, from: &Self::Spectrum, out: &mut Self::Spectrum);
-
-    /// Copies a `forward_torus` spectrum into a fresh bundle accumulator
-    /// (allocating wrapper over [`FftEngine::bundle_accumulator_into`]).
-    fn bundle_accumulator(&self, from: &Self::Spectrum) -> Self::Spectrum {
-        let mut out = self.zero_spectrum();
-        self.bundle_accumulator_into(from, &mut out);
-        out
-    }
+    /// # Panics
+    ///
+    /// Implementations panic if the number of sources differs from the
+    /// number of factor tables, or on mismatched spectrum sizes.
+    fn bundle_row_into<'a>(
+        &self,
+        h: &Self::Spectrum,
+        srcs: impl Iterator<Item = &'a Self::Spectrum>,
+        factors: &Self::MonomialFactors,
+        out: &mut Self::Spectrum,
+    ) where
+        Self::Spectrum: 'a;
 
     /// Convenience: the full negacyclic product `p · q`.
     fn poly_mul(&self, p: &TorusPolynomial, q: &IntPolynomial) -> TorusPolynomial {
         let mut acc = self.zero_spectrum();
         self.mul_accumulate(&mut acc, &self.forward_torus(p), &self.forward_int(q));
         self.backward_torus(&acc)
+    }
+}
+
+/// Sources one bundle-row kernel call takes. The kernels read their
+/// sources through a table of component slices that lives on the caller's
+/// stack; eight entries hold every pattern of unroll factors up to 3 in one
+/// call, and larger bundles continue the sum over further calls.
+pub(crate) const BUNDLE_CHUNK: usize = 8;
+
+/// Feeds `srcs` to `kernel` in tables of at most [`BUNDLE_CHUNK`] component
+/// pairs and returns how many sources there were. `kernel(done, table)`
+/// receives the number of sources consumed by earlier calls; the call with
+/// `done == 0` starts the row from its base and is made even when there
+/// are no sources at all.
+pub(crate) fn for_each_source_chunk<'a, T: 'a>(
+    mut srcs: impl Iterator<Item = (&'a [T], &'a [T])>,
+    mut kernel: impl FnMut(usize, &[(&'a [T], &'a [T])]),
+) -> usize {
+    let mut table: [(&[T], &[T]); BUNDLE_CHUNK] = [(&[], &[]); BUNDLE_CHUNK];
+    let mut done = 0;
+    loop {
+        let mut n = 0;
+        // `table` is the zip's first half: a full table stops the zip
+        // before it pulls a source it has no slot for.
+        for (slot, src) in table.iter_mut().zip(srcs.by_ref()) {
+            *slot = src;
+            n += 1;
+        }
+        if n > 0 || done == 0 {
+            kernel(done, &table[..n]);
+        }
+        done += n;
+        if n < BUNDLE_CHUNK {
+            return done;
+        }
     }
 }
 
@@ -372,42 +375,22 @@ impl<E: FftEngine + ?Sized> FftEngine for &E {
     fn add_assign(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum) {
         (**self).add_assign(acc, a)
     }
-    fn scale_monomial_accumulate(
+    fn monomial_factors_into(
         &self,
-        acc: &mut Self::Spectrum,
-        src: &Self::Spectrum,
-        exponent: i64,
+        exponents: impl Iterator<Item = i64>,
+        out: &mut Self::MonomialFactors,
     ) {
-        (**self).scale_monomial_accumulate(acc, src, exponent)
+        (**self).monomial_factors_into(exponents, out)
     }
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut Self::MonomialFactors) {
-        (**self).monomial_minus_one_into(exponent, out)
-    }
-    fn monomial_minus_one(&self, exponent: i64) -> Self::MonomialFactors {
-        (**self).monomial_minus_one(exponent)
-    }
-    fn scale_accumulate(
+    fn bundle_row_into<'a>(
         &self,
-        acc: &mut Self::Spectrum,
-        src: &Self::Spectrum,
+        h: &Self::Spectrum,
+        srcs: impl Iterator<Item = &'a Self::Spectrum>,
         factors: &Self::MonomialFactors,
-    ) {
-        (**self).scale_accumulate(acc, src, factors)
-    }
-    fn scale_accumulate_pair(
-        &self,
-        acc_a: &mut Self::Spectrum,
-        acc_b: &mut Self::Spectrum,
-        src_a: &Self::Spectrum,
-        src_b: &Self::Spectrum,
-        factors: &Self::MonomialFactors,
-    ) {
-        (**self).scale_accumulate_pair(acc_a, acc_b, src_a, src_b, factors)
-    }
-    fn bundle_accumulator_into(&self, from: &Self::Spectrum, out: &mut Self::Spectrum) {
-        (**self).bundle_accumulator_into(from, out)
-    }
-    fn bundle_accumulator(&self, from: &Self::Spectrum) -> Self::Spectrum {
-        (**self).bundle_accumulator(from)
+        out: &mut Self::Spectrum,
+    ) where
+        Self::Spectrum: 'a,
+    {
+        (**self).bundle_row_into(h, srcs, factors, out)
     }
 }

@@ -71,7 +71,8 @@ impl Radix4Fft {
     }
 
     /// Depth-first radix-4 transform using the caller's recursion workspace
-    /// (`2·M` entries per component, sized on first use).
+    /// (`2·M` entries per component, sized on first use). The inverse is
+    /// unnormalized: its `1/M` is applied by [`twist::unfold_torus_into`].
     fn transform_with(
         &self,
         re: &mut [f64],
@@ -94,15 +95,6 @@ impl Radix4Fft {
             self.tables.forward_stages()
         };
         self.recurse(re, im, stack_re, stack_im, stages, !inverse);
-        if inverse {
-            let scale = 1.0 / m as f64;
-            for v in re.iter_mut() {
-                *v *= scale;
-            }
-            for v in im.iter_mut() {
-                *v *= scale;
-            }
-        }
     }
 
     fn recurse(
@@ -251,7 +243,8 @@ impl FftEngine for Radix4Fft {
             stack_im,
         } = scratch;
         self.transform_with(buf_re, buf_im, stack_re, stack_im, true);
-        twist::unfold_torus_into(buf_re, buf_im, &self.tables, out);
+        let inv_len = 1.0 / buf_re.len() as f64;
+        twist::unfold_torus_into(buf_re, buf_im, inv_len, &self.tables, out);
     }
 
     fn mul_accumulate(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
@@ -273,28 +266,18 @@ impl FftEngine for Radix4Fft {
         ref_fft::add_assign_cplx(acc, a);
     }
 
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut SplitFactors) {
-        ref_fft::monomial_minus_one_cplx_into(self.n, exponent, out);
+    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
+        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, out);
     }
 
-    fn scale_accumulate(&self, acc: &mut CplxSpectrum, src: &CplxSpectrum, factors: &SplitFactors) {
-        ref_fft::scale_accumulate_cplx(acc, src, factors);
-    }
-
-    fn scale_accumulate_pair(
+    fn bundle_row_into<'a>(
         &self,
-        acc_a: &mut CplxSpectrum,
-        acc_b: &mut CplxSpectrum,
-        src_a: &CplxSpectrum,
-        src_b: &CplxSpectrum,
+        h: &CplxSpectrum,
+        srcs: impl Iterator<Item = &'a CplxSpectrum>,
         factors: &SplitFactors,
+        out: &mut CplxSpectrum,
     ) {
-        ref_fft::scale_accumulate_pair_cplx(acc_a, acc_b, src_a, src_b, factors);
-    }
-
-    fn bundle_accumulator_into(&self, from: &CplxSpectrum, out: &mut CplxSpectrum) {
-        out.re.clone_from(&from.re);
-        out.im.clone_from(&from.im);
+        ref_fft::bundle_row_cplx(h, srcs, factors, out);
     }
 }
 
@@ -366,8 +349,15 @@ mod tests {
         let engine = Radix4Fft::new(n);
         let base = random_torus_poly(n, 11);
         let src = random_torus_poly(n, 12);
-        let mut acc = engine.bundle_accumulator(&engine.forward_torus(&base));
-        engine.scale_monomial_accumulate(&mut acc, &engine.forward_torus(&src), 9);
+        let mut factors = SplitFactors::default();
+        engine.monomial_factors_into([9].into_iter(), &mut factors);
+        let mut acc = engine.zero_spectrum();
+        engine.bundle_row_into(
+            &engine.forward_torus(&base),
+            [&engine.forward_torus(&src)].into_iter(),
+            &factors,
+            &mut acc,
+        );
         let got = engine.backward_torus(&acc);
         let mut expected = base.clone();
         expected.add_rotate_minus_one(&src, 9);

@@ -7,9 +7,9 @@
 //! [`crate::simd`] kernels, which take an AVX2+FMA leg when the CPU has one
 //! and an order-preserving scalar leg otherwise.
 
-use crate::engine::{FftEngine, Spectrum};
+use crate::engine::{for_each_source_chunk, FftEngine, Spectrum};
 use crate::simd;
-use crate::tables::{bit_reverse_permute_pair, TwiddleTables};
+use crate::tables::{bit_reverse_copy_pair, bit_reverse_permute_pair, TwiddleTables};
 use crate::twist;
 use matcha_math::{IntPolynomial, TorusPolynomial};
 
@@ -35,8 +35,9 @@ impl Spectrum for CplxSpectrum {
     }
 }
 
-/// Pointwise factors `ε_k^e − 1` for the double-precision engines, stored
-/// split like the spectra they multiply.
+/// Pointwise factor tables `ε_k^e − 1` for the double-precision engines,
+/// stored split like the spectra they multiply: one length-`M` table per
+/// exponent, back to back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SplitFactors {
     /// Real parts.
@@ -47,15 +48,15 @@ pub struct SplitFactors {
 
 /// Reusable workspace shared by the double-precision engines.
 ///
-/// `buf_*` hold the inverse-transform copy of a spectrum; `stack_*` are the
+/// `buf_*` hold the inverse transform's working data; `stack_*` are the
 /// depth-first recursion workspace (2·M entries per component). All are
 /// sized on first use and reused afterwards, so warmed transforms allocate
 /// nothing.
 #[derive(Debug, Default)]
 pub struct CplxScratch {
-    /// Backward-transform working copy, real parts (`M` entries warmed).
+    /// Backward-transform working buffer, real parts (`M` entries warmed).
     pub(crate) buf_re: Vec<f64>,
-    /// Backward-transform working copy, imaginary parts.
+    /// Backward-transform working buffer, imaginary parts.
     pub(crate) buf_im: Vec<f64>,
     /// Depth-first recursion workspace, real parts (`2·M` entries warmed).
     pub(crate) stack_re: Vec<f64>,
@@ -68,43 +69,40 @@ pub struct CplxScratch {
 pub enum Direction {
     /// Kernel `e^{+2πijk/M}` (coefficients → evaluations).
     Forward,
-    /// Kernel `e^{-2πijk/M}` with `1/M` normalization.
+    /// Kernel `e^{-2πijk/M}`, *unnormalized*: the `1/M` belongs to the
+    /// caller, which folds it into the multiply its next pass makes anyway
+    /// ([`twist::unfold_torus_into`]).
     Inverse,
 }
 
 /// Iterative radix-2 transform with the requested kernel sign, on
-/// split-complex data.
+/// split-complex data, in place.
+///
+/// Exposed so the depth-first engine's tests can compare flows; library
+/// users should go through [`FftEngine`].
+pub fn dft_in_place(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
+    debug_assert_eq!(re.len(), im.len());
+    debug_assert_eq!(re.len(), tables.size());
+    bit_reverse_permute_pair(re, im);
+    butterfly_stages(re, im, tables, dir);
+}
+
+/// The `log2 M` butterfly stages over bit-reversed data.
 ///
 /// The direction decides the twiddle tables (forward or pre-conjugated)
 /// once, before the butterfly loops; every stage then runs through
 /// [`simd::radix2_stage`], which walks the stage's contiguous twiddle slice
 /// with unit stride — four butterflies per AVX2 iteration when available.
-///
-/// Exposed so the depth-first engine's tests can compare flows; library
-/// users should go through [`FftEngine`].
-pub fn dft_in_place(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
-    let m = re.len();
-    debug_assert_eq!(m, im.len());
-    debug_assert_eq!(m, tables.size());
-    bit_reverse_permute_pair(re, im);
+fn butterfly_stages(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
     let stages = match dir {
         Direction::Forward => tables.forward_stages(),
         Direction::Inverse => tables.inverse_stages(),
     };
     let mut len = 2;
-    while len <= m {
+    while len <= re.len() {
         let (wre, wim) = stages.stage_split(len);
         simd::radix2_stage(re, im, wre, wim, len);
         len *= 2;
-    }
-    if dir == Direction::Inverse {
-        let scale = 1.0 / m as f64;
-        for v in re.iter_mut() {
-            *v *= scale;
-        }
-        for v in im.iter_mut() {
-            *v *= scale;
-        }
     }
 }
 
@@ -206,15 +204,16 @@ impl FftEngine for F64Fft {
         out: &mut TorusPolynomial,
         scratch: &mut CplxScratch,
     ) {
-        scratch.buf_re.clone_from(&s.re);
-        scratch.buf_im.clone_from(&s.im);
-        dft_in_place(
-            &mut scratch.buf_re,
-            &mut scratch.buf_im,
-            &self.tables,
-            Direction::Inverse,
-        );
-        twist::unfold_torus_into(&mut scratch.buf_re, &mut scratch.buf_im, &self.tables, out);
+        let m = self.n / 2;
+        assert_eq!(s.len(), m, "spectrum size mismatch");
+        let CplxScratch { buf_re, buf_im, .. } = scratch;
+        buf_re.resize(m, 0.0);
+        buf_im.resize(m, 0.0);
+        // The input is read once: the bit reversal doubles as the copy out
+        // of the caller's spectrum.
+        bit_reverse_copy_pair(&s.re, &s.im, buf_re, buf_im);
+        butterfly_stages(buf_re, buf_im, &self.tables, Direction::Inverse);
+        twist::unfold_torus_into(buf_re, buf_im, 1.0 / m as f64, &self.tables, out);
     }
 
     fn mul_accumulate(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
@@ -236,28 +235,18 @@ impl FftEngine for F64Fft {
         add_assign_cplx(acc, a);
     }
 
-    fn monomial_minus_one_into(&self, exponent: i64, out: &mut SplitFactors) {
-        monomial_minus_one_cplx_into(self.n, exponent, out);
+    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
+        monomial_factors_cplx_into(&self.tables, exponents, out);
     }
 
-    fn scale_accumulate(&self, acc: &mut CplxSpectrum, src: &CplxSpectrum, factors: &SplitFactors) {
-        scale_accumulate_cplx(acc, src, factors);
-    }
-
-    fn scale_accumulate_pair(
+    fn bundle_row_into<'a>(
         &self,
-        acc_a: &mut CplxSpectrum,
-        acc_b: &mut CplxSpectrum,
-        src_a: &CplxSpectrum,
-        src_b: &CplxSpectrum,
+        h: &CplxSpectrum,
+        srcs: impl Iterator<Item = &'a CplxSpectrum>,
         factors: &SplitFactors,
+        out: &mut CplxSpectrum,
     ) {
-        scale_accumulate_pair_cplx(acc_a, acc_b, src_a, src_b, factors);
-    }
-
-    fn bundle_accumulator_into(&self, from: &CplxSpectrum, out: &mut CplxSpectrum) {
-        out.re.clone_from(&from.re);
-        out.im.clone_from(&from.im);
+        bundle_row_cplx(h, srcs, factors, out);
     }
 }
 
@@ -281,25 +270,31 @@ pub(crate) fn add_assign_cplx(acc: &mut CplxSpectrum, a: &CplxSpectrum) {
     }
 }
 
-/// Factor table `ε_k^e − 1` for the double-precision engines, computed with
-/// one `sin_cos` pair and an iterative rotation: `ε_k = e^{iπ(4k+1)/N}`, so
-/// consecutive factors differ by the fixed rotation `e^{i4πe/N}`.
-pub(crate) fn monomial_minus_one_cplx_into(n: usize, exponent: i64, out: &mut SplitFactors) {
-    use crate::cplx::Cplx;
-    let m = n / 2;
-    // Reduce e mod 2N first: X has order 2N in the negacyclic ring.
-    let e = exponent.rem_euclid(2 * n as i64) as f64;
-    let base = std::f64::consts::PI / n as f64;
-    let mut cur = Cplx::from_angle(base * e);
-    let step = Cplx::from_angle(4.0 * base * e);
+/// Factor tables `ε_k^e − 1` for the double-precision engines, one per
+/// exponent, gathered from the `2N`-th roots of unity:
+/// `ε_k = e^{iπ(4k+1)/N}`, so `ε_k^e` is root number `(4k+1)·e mod 2N` and
+/// consecutive points step the index by `4e`. Every factor is a table
+/// entry (as accurate as `sin_cos` makes it, independent of `k`) and the
+/// loads are independent of one another.
+pub(crate) fn monomial_factors_cplx_into(
+    tables: &TwiddleTables,
+    exponents: impl Iterator<Item = i64>,
+    out: &mut SplitFactors,
+) {
+    let m = tables.size();
+    let (unit_re, unit_im) = tables.unit_roots_split();
+    // 2N is a power of two: `& mask` is `mod 2N`, also for negative `e`.
+    let mask = unit_re.len() - 1;
     out.re.clear();
     out.im.clear();
-    out.re.reserve(m);
-    out.im.reserve(m);
-    for _ in 0..m {
-        out.re.push(cur.re - 1.0);
-        out.im.push(cur.im);
-        cur *= step;
+    for e in exponents {
+        let e = e as usize & mask;
+        let mut idx = e;
+        for _ in 0..m {
+            out.re.push(unit_re[idx] - 1.0);
+            out.im.push(unit_im[idx]);
+            idx = (idx + 4 * e) & mask;
+        }
     }
 }
 
@@ -339,51 +334,29 @@ pub(crate) fn mul_accumulate_pair_cplx(
     );
 }
 
-/// Shared `acc += factors ⊙ src` for the double-precision engines.
-pub(crate) fn scale_accumulate_cplx(
-    acc: &mut CplxSpectrum,
-    src: &CplxSpectrum,
+/// Shared single-pass bundle row for the double-precision engines:
+/// `out = h + Σ_p factors[p] ⊙ srcs[p]` through [`simd::bundle_row`].
+pub(crate) fn bundle_row_cplx<'a>(
+    h: &CplxSpectrum,
+    srcs: impl Iterator<Item = &'a CplxSpectrum>,
     factors: &SplitFactors,
+    out: &mut CplxSpectrum,
 ) {
-    assert_eq!(acc.len(), src.len(), "spectrum size mismatch");
-    assert_eq!(acc.len(), factors.re.len(), "factor table size mismatch");
-    simd::mul_acc(
-        &mut acc.re,
-        &mut acc.im,
-        &factors.re,
-        &factors.im,
-        &src.re,
-        &src.im,
-    );
-}
-
-/// Fused bundle-row update for the double-precision engines: one pass over
-/// the factor table updates both rows, bit-identical to two
-/// [`scale_accumulate_cplx`] calls on either kernel leg.
-pub(crate) fn scale_accumulate_pair_cplx(
-    acc_a: &mut CplxSpectrum,
-    acc_b: &mut CplxSpectrum,
-    src_a: &CplxSpectrum,
-    src_b: &CplxSpectrum,
-    factors: &SplitFactors,
-) {
-    let m = factors.re.len();
-    assert_eq!(acc_a.len(), m, "spectrum size mismatch");
-    assert_eq!(acc_b.len(), m, "spectrum size mismatch");
-    assert_eq!(src_a.len(), m, "spectrum size mismatch");
-    assert_eq!(src_b.len(), m, "spectrum size mismatch");
-    simd::mul_acc_pair(
-        &mut acc_a.re,
-        &mut acc_a.im,
-        &mut acc_b.re,
-        &mut acc_b.im,
-        &factors.re,
-        &factors.im,
-        &src_a.re,
-        &src_a.im,
-        &src_b.re,
-        &src_b.im,
-    );
+    let m = h.len();
+    out.re.resize(m, 0.0);
+    out.im.resize(m, 0.0);
+    let terms = for_each_source_chunk(srcs.map(|s| (&s.re[..], &s.im[..])), |done, table| {
+        let tables = done * m..(done + table.len()) * m;
+        simd::bundle_row(
+            &mut out.re,
+            &mut out.im,
+            (done == 0).then_some((&h.re[..], &h.im[..])),
+            table,
+            &factors.re[tables.clone()],
+            &factors.im[tables],
+        );
+    });
+    assert_eq!(factors.re.len(), terms * m, "one factor table per source");
 }
 
 #[cfg(test)]
@@ -421,7 +394,8 @@ mod tests {
         dft_in_place(&mut re, &mut im, &tables, Direction::Forward);
         dft_in_place(&mut re, &mut im, &tables, Direction::Inverse);
         for k in 0..16 {
-            let d = Cplx::new(re[k] - orig_re[k], im[k] - orig_im[k]);
+            // The inverse kernel is unnormalized: divide by M here.
+            let d = Cplx::new(re[k] / 16.0 - orig_re[k], im[k] / 16.0 - orig_im[k]);
             assert!(d.abs() < 1e-9);
         }
     }
@@ -499,8 +473,15 @@ mod tests {
         let base = random_torus_poly(n, 31);
         let src = random_torus_poly(n, 32);
         for e in [0i64, 1, 7, 31, 32, 63, -5] {
-            let mut acc = engine.bundle_accumulator(&engine.forward_torus(&base));
-            engine.scale_monomial_accumulate(&mut acc, &engine.forward_torus(&src), e);
+            let mut factors = SplitFactors::default();
+            engine.monomial_factors_into([e].into_iter(), &mut factors);
+            let mut acc = engine.zero_spectrum();
+            engine.bundle_row_into(
+                &engine.forward_torus(&base),
+                [&engine.forward_torus(&src)].into_iter(),
+                &factors,
+                &mut acc,
+            );
             let got = engine.backward_torus(&acc);
             let mut expected = base.clone();
             expected.add_rotate_minus_one(&src, e);

@@ -23,11 +23,23 @@
 //!   order bit-for-bit, taken everywhere else (non-x86_64 targets, CPUs
 //!   without AVX2/FMA, `MATCHA_SIMD=0`, or a [`force_simd`] override).
 //!
-//! The two legs agree to bounded ulp, not bitwise: the vector leg contracts
-//! `a·b ± c·d` into fused multiply-adds (one rounding instead of two).
-//! Within either leg, the fused pair kernels ([`mul_acc_pair`]) are
-//! bit-identical to two single-accumulator calls — the external product
-//! relies on that to swap freely between them.
+//! # What the two legs agree on
+//!
+//! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
+//!   [`radix2_combine`], [`radix4_combine`]), the twist ([`twist_apply`] and
+//!   the untwist inside [`untwist_to_torus`]) and the pointwise accumulates
+//!   ([`mul_acc`], [`mul_acc_pair`], [`bundle_row`]) — the vector leg
+//!   contracts `a·b ± c·d` into fused multiply-adds (one rounding instead
+//!   of two).
+//! * **Bitwise:** the reduction mod `2^32` at the end of
+//!   [`untwist_to_torus`] — on identical untwisted values both legs store
+//!   the same `Torus32` ([`reduce_turns`] states the rule) — and the narrow
+//!   `len = 2` butterfly stage, which has no multiplies.
+//! * **Within either leg** the fused pair kernel [`mul_acc_pair`] is
+//!   bit-identical to two [`mul_acc`] calls (the external product swaps
+//!   freely between them), and [`bundle_row`] accumulates its terms in
+//!   argument order with [`mul_acc`]'s element operations, so one call over
+//!   `p` terms is bit-identical to a copy followed by `p` [`mul_acc`]s.
 //!
 //! # Integer (i64) kernels
 //!
@@ -40,6 +52,7 @@
 //! and give the autovectorizer the same unit-stride shape.
 
 use crate::lifting::LiftingRotation;
+use matcha_math::Torus32;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Explicit override state: 0 = auto, 1 = forced scalar, 2 = forced SIMD
@@ -775,7 +788,7 @@ pub fn twist_apply(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
     #[cfg(target_arch = "x86_64")]
     if m >= 4 && simd_active() {
         // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { twist_apply_avx(re, im, twre, twim, false) };
+        unsafe { twist_apply_avx(re, im, twre, twim) };
         return;
     }
     for k in 0..m {
@@ -785,30 +798,9 @@ pub fn twist_apply(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
     }
 }
 
-/// In-place multiply by the *conjugated* twist table — the untwist of every
-/// backward transform.
-#[inline]
-pub fn untwist_apply(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
-    let m = re.len();
-    assert_eq!(im.len(), m, "component length mismatch");
-    assert_eq!(twre.len(), m, "twist table length mismatch");
-    assert_eq!(twim.len(), m, "twist table length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { twist_apply_avx(re, im, twre, twim, true) };
-        return;
-    }
-    for k in 0..m {
-        let (r, i) = (re[k], im[k]);
-        re[k] = r * twre[k] + i * twim[k];
-        im[k] = i * twre[k] - r * twim[k];
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64], conj: bool) {
+unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
     use std::arch::x86_64::*;
     let m = re.len();
     let mut k = 0;
@@ -818,17 +810,8 @@ unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[
             let i = _mm256_loadu_pd(im.as_ptr().add(k));
             let tr = _mm256_loadu_pd(twre.as_ptr().add(k));
             let ti = _mm256_loadu_pd(twim.as_ptr().add(k));
-            let (nr, ni) = if conj {
-                (
-                    _mm256_fmadd_pd(r, tr, _mm256_mul_pd(i, ti)),
-                    _mm256_fmsub_pd(i, tr, _mm256_mul_pd(r, ti)),
-                )
-            } else {
-                (
-                    _mm256_fmsub_pd(r, tr, _mm256_mul_pd(i, ti)),
-                    _mm256_fmadd_pd(r, ti, _mm256_mul_pd(i, tr)),
-                )
-            };
+            let nr = _mm256_fmsub_pd(r, tr, _mm256_mul_pd(i, ti));
+            let ni = _mm256_fmadd_pd(r, ti, _mm256_mul_pd(i, tr));
             _mm256_storeu_pd(re.as_mut_ptr().add(k), nr);
             _mm256_storeu_pd(im.as_mut_ptr().add(k), ni);
         }
@@ -836,6 +819,227 @@ unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[
     }
     // Transform sizes are powers of two, and the dispatcher only takes this
     // leg for m ≥ 4, so the whole buffer vectorized.
+    debug_assert_eq!(k, m);
+}
+
+const TWO_32: f64 = 4294967296.0;
+/// The largest double below one half. `trunc(y + copysign(HALF_BELOW, y))`
+/// rounds `y` to the nearest integer, ties away from zero, with no libm
+/// call; a plain `0.5` would round `0.49999999999999994` up to one.
+const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
+
+/// Reduces a value given in *turns* (`t = x / 2^32`) onto the torus:
+/// `round(2^32 · (t − round(t)))` with the outer rounding half away from
+/// zero — i.e. the centred residue of `x` modulo `2^32`, rounded to an
+/// integer, ties of *the residue* going away from zero (not ties of `x`:
+/// `round(x) mod 2^32` differs on residues of the form `−(k+½)` reached
+/// from a positive `x`).
+///
+/// Exact for `|t| < 2^30` (`|x| < 2^62`): `t − round(t)` and its product
+/// with `2^32` are exact there, so the only rounding is the final one. The
+/// inner rounding's tie rule does not matter — a residue of `±2^31` is
+/// `0x8000_0000` either way — which is what lets the vector leg use
+/// `roundpd` (ties to even) for it. No libm on either leg: the scalar
+/// roundings are an add and a truncating cast.
+#[inline]
+pub fn reduce_turns(t: f64) -> u32 {
+    let whole = (t + HALF_BELOW.copysign(t)) as i64 as f64;
+    let y = (t - whole) * TWO_32;
+    (y + HALF_BELOW.copysign(y)) as i64 as u32
+}
+
+/// The fused tail of every backward transform, one pass over the inverse
+/// DFT's output: multiply by the *conjugated* twist table, apply the
+/// `1/M` normalization, reduce modulo `2^32` and store torus coefficients
+/// — real parts to `lo`, imaginary parts to `hi`.
+///
+/// `inv_len` must be a power of two: it is folded into the `2⁻³²` multiply
+/// that [`reduce_turns`] needs anyway, which is exact, so the result equals
+/// normalizing first, then untwisting, then reducing.
+///
+/// # Panics
+///
+/// Panics on mismatched slice lengths or an `inv_len` that is not a power
+/// of two.
+pub fn untwist_to_torus(
+    re: &[f64],
+    im: &[f64],
+    twre: &[f64],
+    twim: &[f64],
+    inv_len: f64,
+    lo: &mut [Torus32],
+    hi: &mut [Torus32],
+) {
+    let m = re.len();
+    assert_eq!(im.len(), m, "component length mismatch");
+    assert_eq!(twre.len(), m, "twist table length mismatch");
+    assert_eq!(twim.len(), m, "twist table length mismatch");
+    assert_eq!(lo.len(), m, "output length mismatch");
+    assert_eq!(hi.len(), m, "output length mismatch");
+    assert!(
+        inv_len.is_normal() && inv_len > 0.0 && inv_len.to_bits() << 12 == 0,
+        "normalization {inv_len} is not a power of two"
+    );
+    let to_turns = inv_len / TWO_32;
+    #[cfg(target_arch = "x86_64")]
+    if m >= 4 && simd_active() {
+        // SAFETY: simd_active() implies AVX2+FMA are present.
+        unsafe { untwist_to_torus_avx(re, im, twre, twim, to_turns, lo, hi) };
+        return;
+    }
+    for k in 0..m {
+        let (r, i) = (re[k], im[k]);
+        lo[k] = Torus32::from_raw(reduce_turns((r * twre[k] + i * twim[k]) * to_turns));
+        hi[k] = Torus32::from_raw(reduce_turns((i * twre[k] - r * twim[k]) * to_turns));
+    }
+}
+
+/// [`reduce_turns`] of `x · to_turns` on four lanes. `cvttpd` answers
+/// `0x8000_0000` for anything outside `i32`, which is the right residue
+/// for the one value that can land there (`+2^31`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn reduce_turns_avx(
+    x: std::arch::x86_64::__m256d,
+    to_turns: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    let t = _mm256_mul_pd(x, to_turns);
+    let whole = _mm256_round_pd::<NEAREST>(t);
+    let y = _mm256_mul_pd(_mm256_sub_pd(t, whole), _mm256_set1_pd(TWO_32));
+    let bump = _mm256_or_pd(
+        _mm256_and_pd(y, _mm256_set1_pd(-0.0)),
+        _mm256_set1_pd(HALF_BELOW),
+    );
+    _mm256_cvttpd_epi32(_mm256_add_pd(y, bump))
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn untwist_to_torus_avx(
+    re: &[f64],
+    im: &[f64],
+    twre: &[f64],
+    twim: &[f64],
+    to_turns: f64,
+    lo: &mut [Torus32],
+    hi: &mut [Torus32],
+) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    let scale = _mm256_set1_pd(to_turns);
+    let mut k = 0;
+    while k + 4 <= m {
+        unsafe {
+            let r = _mm256_loadu_pd(re.as_ptr().add(k));
+            let i = _mm256_loadu_pd(im.as_ptr().add(k));
+            let tr = _mm256_loadu_pd(twre.as_ptr().add(k));
+            let ti = _mm256_loadu_pd(twim.as_ptr().add(k));
+            let nr = _mm256_fmadd_pd(r, tr, _mm256_mul_pd(i, ti));
+            let ni = _mm256_fmsub_pd(i, tr, _mm256_mul_pd(r, ti));
+            // `Torus32` is `repr(transparent)` over `u32`: four of them are
+            // one unaligned 128-bit store.
+            _mm_storeu_si128(lo.as_mut_ptr().add(k).cast(), reduce_turns_avx(nr, scale));
+            _mm_storeu_si128(hi.as_mut_ptr().add(k).cast(), reduce_turns_avx(ni, scale));
+        }
+        k += 4;
+    }
+    debug_assert_eq!(k, m);
+}
+
+// ---------------------------------------------------------------------------
+// f64 bundle-row kernel
+// ---------------------------------------------------------------------------
+
+/// One bundle row in a single pass: `out = base + Σ_p f_p ⊙ src_p`, where
+/// `f_p` is the `p`-th length-`m` table of the concatenated factor slices
+/// `(f_re, f_im)`. Each output element is accumulated in registers over
+/// the terms in order, with [`mul_acc`]'s element operations, and stored
+/// once. `base = None` continues a sum already in `out` (callers with more
+/// terms than fit one source table feed them in several calls).
+///
+/// # Panics
+///
+/// Panics on mismatched slice lengths.
+pub fn bundle_row(
+    out_re: &mut [f64],
+    out_im: &mut [f64],
+    base: Option<(&[f64], &[f64])>,
+    srcs: &[(&[f64], &[f64])],
+    f_re: &[f64],
+    f_im: &[f64],
+) {
+    let m = out_re.len();
+    assert_eq!(out_im.len(), m, "component length mismatch");
+    if let Some((b_re, b_im)) = base {
+        assert_eq!(b_re.len(), m, "component length mismatch");
+        assert_eq!(b_im.len(), m, "component length mismatch");
+    }
+    for (s_re, s_im) in srcs {
+        assert_eq!(s_re.len(), m, "component length mismatch");
+        assert_eq!(s_im.len(), m, "component length mismatch");
+    }
+    assert_eq!(f_re.len(), srcs.len() * m, "one factor table per source");
+    assert_eq!(f_im.len(), srcs.len() * m, "one factor table per source");
+    #[cfg(target_arch = "x86_64")]
+    if m >= 4 && m.is_multiple_of(4) && simd_active() {
+        // SAFETY: simd_active() implies AVX2+FMA are present.
+        unsafe { bundle_row_avx(out_re, out_im, base, srcs, f_re, f_im) };
+        return;
+    }
+    for k in 0..m {
+        let (mut acc_re, mut acc_im) = match base {
+            Some((b_re, b_im)) => (b_re[k], b_im[k]),
+            None => (out_re[k], out_im[k]),
+        };
+        for (p, (s_re, s_im)) in srcs.iter().enumerate() {
+            let (fr, fi) = (f_re[p * m + k], f_im[p * m + k]);
+            acc_re += fr * s_re[k] - fi * s_im[k];
+            acc_im += fr * s_im[k] + fi * s_re[k];
+        }
+        out_re[k] = acc_re;
+        out_im[k] = acc_im;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn bundle_row_avx(
+    out_re: &mut [f64],
+    out_im: &mut [f64],
+    base: Option<(&[f64], &[f64])>,
+    srcs: &[(&[f64], &[f64])],
+    f_re: &[f64],
+    f_im: &[f64],
+) {
+    use std::arch::x86_64::*;
+    let m = out_re.len();
+    let (b_re, b_im) = match base {
+        Some((b_re, b_im)) => (b_re.as_ptr(), b_im.as_ptr()),
+        None => (out_re.as_ptr(), out_im.as_ptr()),
+    };
+    let mut k = 0;
+    while k + 4 <= m {
+        unsafe {
+            let mut x = _mm256_loadu_pd(b_re.add(k));
+            let mut y = _mm256_loadu_pd(b_im.add(k));
+            for (p, (s_re, s_im)) in srcs.iter().enumerate() {
+                let fr = _mm256_loadu_pd(f_re.as_ptr().add(p * m + k));
+                let fi = _mm256_loadu_pd(f_im.as_ptr().add(p * m + k));
+                let sr = _mm256_loadu_pd(s_re.as_ptr().add(k));
+                let si = _mm256_loadu_pd(s_im.as_ptr().add(k));
+                x = _mm256_fmadd_pd(fr, sr, x);
+                x = _mm256_fnmadd_pd(fi, si, x);
+                y = _mm256_fmadd_pd(fr, si, y);
+                y = _mm256_fmadd_pd(fi, sr, y);
+            }
+            _mm256_storeu_pd(out_re.as_mut_ptr().add(k), x);
+            _mm256_storeu_pd(out_im.as_mut_ptr().add(k), y);
+        }
+        k += 4;
+    }
     debug_assert_eq!(k, m);
 }
 
@@ -918,6 +1122,127 @@ mod tests {
         radix2_stage_scalar(&mut re, &mut im, &[1.0], &[0.0], 2);
         assert_eq!(re, vec![3.0, -1.0, 8.0, -2.0]);
         assert_eq!(im, vec![0.0, 1.0, 0.0, 3.0]);
+    }
+
+    /// The reduction as it was written before it lost its libm calls —
+    /// `twist::f64_to_torus_mod` up to PR 13 — kept as the contract:
+    /// the centred residue's ties go away from zero.
+    fn reference_reduce(x: f64) -> u32 {
+        const SCALE: f64 = 4294967296.0;
+        let turns = x / SCALE;
+        let frac = turns - turns.round();
+        (frac * SCALE).round() as i64 as u32
+    }
+
+    /// Both legs of the reduction on `xs`: the scalar one through
+    /// `twist::f64_to_torus_mod`, the vector one (where the CPU has it) by
+    /// calling the AVX tail directly with an identity twist, so no
+    /// process-global override is touched.
+    fn assert_reduction_matches_reference(xs: &[f64]) {
+        for &x in xs {
+            assert_eq!(
+                crate::twist::f64_to_torus_mod(x).raw(),
+                reference_reduce(x),
+                "scalar leg, x = {x:e} ({:#018x})",
+                x.to_bits()
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        if simd_detected() {
+            let m = xs.len().next_multiple_of(4);
+            let mut re = xs.to_vec();
+            re.resize(m, 0.0);
+            let im: Vec<f64> = re.iter().rev().copied().collect();
+            let (ones, zeros) = (vec![1.0; m], vec![0.0; m]);
+            let mut lo = vec![Torus32::ZERO; m];
+            let mut hi = vec![Torus32::ZERO; m];
+            // SAFETY: simd_detected() says AVX2+FMA are present.
+            unsafe {
+                untwist_to_torus_avx(&re, &im, &ones, &zeros, 1.0 / TWO_32, &mut lo, &mut hi)
+            };
+            for k in 0..m {
+                assert_eq!(
+                    lo[k].raw(),
+                    reference_reduce(re[k]),
+                    "vector leg, x = {:e}",
+                    re[k]
+                );
+                assert_eq!(
+                    hi[k].raw(),
+                    reference_reduce(im[k]),
+                    "vector leg, x = {:e}",
+                    im[k]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_matches_reference_on_integers_ties_and_edges() {
+        let two_32 = TWO_32;
+        let mut xs = vec![0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 0.499_999_999_999_999_94];
+        // Exact integers and half-integers k + ½ around every power of two
+        // (half-integers exist up to 2^52; integers are tested to 2^61).
+        for j in 0..=61u32 {
+            let p = (1u64 << j) as f64;
+            for d in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+                let k = p + d;
+                xs.extend([k, -k]);
+                if j < 52 {
+                    xs.extend([k + 0.5, -(k + 0.5), k - 0.5, -(k - 0.5)]);
+                }
+            }
+        }
+        // Residues at and around ±2^31 — the tie of the *turn* rounding —
+        // reached from both signs and many wrap counts, and half-integer
+        // residues reached from the other sign (where rounding `x` itself
+        // and then wrapping would go the wrong way).
+        for wraps in [0.0, 1.0, 2.0, 3.0, 1024.0, 65_537.0, 1_048_575.0] {
+            for r in [
+                2_147_483_648.0,
+                2_147_483_647.5,
+                2_147_483_648.5,
+                2_147_483_647.0,
+                0.5,
+                1.5,
+                2.5,
+                1_000_000.5,
+            ] {
+                for x in [wraps * two_32 + r, wraps * two_32 - r] {
+                    xs.extend([x, -x]);
+                }
+            }
+        }
+        assert_reduction_matches_reference(&xs);
+    }
+
+    #[test]
+    fn reduction_matches_reference_on_a_million_samples() {
+        // Magnitudes 2^-2 … 2^60 (every exponent equally likely), random
+        // mantissas and signs; every 16th sample is snapped to a
+        // half-integer so ties stay well represented at all magnitudes.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let xs: Vec<f64> = (0..1_000_000)
+            .map(|i| {
+                let bits = next();
+                let exponent = (bits % 63) as i32 - 2;
+                let mantissa = 1.0 + (bits >> 12) as f64 / (1u64 << 52) as f64;
+                let x = mantissa * 2f64.powi(exponent);
+                let x = if i % 16 == 0 { x.floor() + 0.5 } else { x };
+                if bits & (1 << 11) != 0 {
+                    -x
+                } else {
+                    x
+                }
+            })
+            .collect();
+        assert_reduction_matches_reference(&xs);
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl StageTwiddles {
 
 /// Twiddle factors `e^{+2πik/M}` for `k ∈ [0, M/2)` — forward and
 /// pre-conjugated inverse, both in per-stage contiguous layout — plus the
-/// twist factors `e^{+iπj/N}` for `j ∈ [0, M)`.
+/// twist factors `e^{+iπj/N}` for `j ∈ [0, M)` and every power of the
+/// primitive `2N`-th root (the monomial evaluations of the bundle path).
 #[derive(Clone, Debug)]
 pub struct TwiddleTables {
     m: usize,
@@ -123,6 +124,11 @@ pub struct TwiddleTables {
     twist_re: Vec<f64>,
     /// Imaginary components of `twist`, split.
     twist_im: Vec<f64>,
+    /// `e^{iπj/N}` for `j < 2N`, real parts: the monomial `X^e` evaluates
+    /// to entry `(4k+1)·e mod 2N` at Lagrange point `k`.
+    unit_re: Vec<f64>,
+    /// Imaginary parts of the `2N`-th roots.
+    unit_im: Vec<f64>,
 }
 
 impl TwiddleTables {
@@ -146,6 +152,20 @@ impl TwiddleTables {
             .collect();
         let twist_re = twist.iter().map(|w| w.re).collect();
         let twist_im = twist.iter().map(|w| w.im).collect();
+        // One `sin_cos` per first-quadrant angle, the other three quadrants
+        // by exact symmetry: `unit[N] = −1` and `unit[N/2] = i` hold to the
+        // bit, and no entry carries argument-reduction error.
+        let (mut unit_re, mut unit_im) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
+        for j in 0..m {
+            let w = twist[j];
+            for (q, (re, im)) in [(w.re, w.im), (-w.im, w.re), (-w.re, -w.im), (w.im, -w.re)]
+                .into_iter()
+                .enumerate()
+            {
+                unit_re[q * m + j] = re;
+                unit_im[q * m + j] = im;
+            }
+        }
         Self {
             m,
             fwd: StageTwiddles::from_full(&roots, m),
@@ -153,6 +173,8 @@ impl TwiddleTables {
             twist,
             twist_re,
             twist_im,
+            unit_re,
+            unit_im,
         }
     }
 
@@ -204,6 +226,14 @@ impl TwiddleTables {
     pub fn twist_split(&self) -> (&[f64], &[f64]) {
         (&self.twist_re, &self.twist_im)
     }
+
+    /// `e^{iπj/N}` for `j < 2N` in split-component form (`2N` entries
+    /// each). At Lagrange point `ε_k = e^{iπ(4k+1)/N}` the monomial `X^e`
+    /// evaluates to entry `(4k+1)·e mod 2N`.
+    #[inline]
+    pub fn unit_roots_split(&self) -> (&[f64], &[f64]) {
+        (&self.unit_re, &self.unit_im)
+    }
 }
 
 /// Applies the bit-reversal permutation in place (the "irregular memory
@@ -217,6 +247,28 @@ pub fn bit_reverse_permute<T>(buf: &mut [T]) {
         if j > i {
             buf.swap(i, j);
         }
+    }
+}
+
+/// Out-of-place [`bit_reverse_permute_pair`]: `dst[i] = src[rev(i)]` for
+/// both components in one index walk. A transform that must not clobber
+/// its input reads it exactly once this way, instead of copying it and
+/// then swapping the copy in place.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+pub fn bit_reverse_copy_pair<T: Copy>(src_a: &[T], src_b: &[T], dst_a: &mut [T], dst_b: &mut [T]) {
+    let n = src_a.len();
+    assert_eq!(src_b.len(), n, "component length mismatch");
+    assert_eq!(dst_a.len(), n, "destination length mismatch");
+    assert_eq!(dst_b.len(), n, "destination length mismatch");
+    debug_assert!(n.is_power_of_two());
+    let shift = (n.leading_zeros() + 1) % usize::BITS;
+    for (i, (a, b)) in dst_a.iter_mut().zip(dst_b.iter_mut()).enumerate() {
+        let j = i.reverse_bits() >> shift;
+        *a = src_a[j];
+        *b = src_b[j];
     }
 }
 
@@ -357,6 +409,39 @@ mod tests {
         let mut v: Vec<usize> = (0..8).collect();
         bit_reverse_permute(&mut v);
         assert_eq!(v, vec![0, 4, 2, 6, 1, 5, 3, 7]);
+    }
+
+    #[test]
+    fn bit_reverse_copy_matches_in_place() {
+        let a: Vec<u32> = (0..32).collect();
+        let b: Vec<u32> = (100..132).collect();
+        let (mut da, mut db) = (vec![0; 32], vec![0; 32]);
+        bit_reverse_copy_pair(&a, &b, &mut da, &mut db);
+        let (mut ia, mut ib) = (a.clone(), b.clone());
+        bit_reverse_permute_pair(&mut ia, &mut ib);
+        assert_eq!(da, ia);
+        assert_eq!(db, ib);
+    }
+
+    #[test]
+    fn unit_roots_are_the_2n_th_roots() {
+        let n = 64;
+        let t = TwiddleTables::new(n);
+        let (re, im) = t.unit_roots_split();
+        assert_eq!(re.len(), 2 * n);
+        for j in 0..2 * n {
+            let w = Cplx::from_angle(std::f64::consts::PI * j as f64 / n as f64);
+            assert!((Cplx::new(re[j], im[j]) - w).abs() < 1e-15, "j={j}");
+        }
+        // The quadrant symmetries are exact, not merely close.
+        assert_eq!((re[0], im[0]), (1.0, 0.0));
+        assert_eq!((re[n / 2], im[n / 2]), (0.0, 1.0));
+        assert_eq!((re[n], im[n]), (-1.0, 0.0));
+        // ... and they agree with the twist table on the shared range.
+        for j in 0..n / 2 {
+            assert_eq!(re[j].to_bits(), t.twist(j).re.to_bits(), "j={j}");
+            assert_eq!(im[j].to_bits(), t.twist(j).im.to_bits(), "j={j}");
+        }
     }
 
     #[test]

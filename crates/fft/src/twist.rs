@@ -19,7 +19,8 @@
 //! All folds produce *split-complex* buffers (separate `re[]`/`im[]`
 //! slices): each fold fills the components with a load/convert pass, then
 //! hands the complex twist multiply to [`crate::simd::twist_apply`], which
-//! vectorizes it when AVX2+FMA are available.
+//! vectorizes it when AVX2+FMA are available. The unfold is one fused pass,
+//! [`crate::simd::untwist_to_torus`].
 
 use crate::simd;
 use crate::tables::TwiddleTables;
@@ -105,33 +106,39 @@ pub fn fold_torus(
     simd::twist_apply(re, im, twre, twim);
 }
 
-/// Unfolds an inverse-transformed split buffer back into torus coefficients.
-///
-/// The buffer must already carry the `1/M` normalization; this routine
-/// applies the untwist and reduces each real coefficient modulo `2^32`.
+/// Unfolds an inverse-transformed split buffer back into torus
+/// coefficients: normalizes by `inv_len` (the `1/M` of an unnormalized
+/// inverse DFT, or `1.0`; a power of two), untwists, and reduces each real
+/// coefficient modulo `2^32` (allocating wrapper over
+/// [`unfold_torus_into`]).
 ///
 /// # Panics
 ///
 /// Panics if `re.len() != tables.size()` or `re.len() != im.len()`.
-pub fn unfold_torus(re: &[f64], im: &[f64], tables: &TwiddleTables) -> TorusPolynomial {
+pub fn unfold_torus(
+    re: &[f64],
+    im: &[f64],
+    inv_len: f64,
+    tables: &TwiddleTables,
+) -> TorusPolynomial {
     let mut out = TorusPolynomial::zero(2 * tables.size());
-    let mut re = re.to_vec();
-    let mut im = im.to_vec();
-    unfold_torus_into(&mut re, &mut im, tables, &mut out);
+    unfold_torus_into(re, im, inv_len, tables, &mut out);
     out
 }
 
 /// [`unfold_torus`] into a caller-owned polynomial — the zero-allocation
-/// tail of every backward transform. The split buffer is untwisted in
-/// place (it is backward-transform scratch, consumed afterwards anyway).
+/// tail of every backward transform, a single pass
+/// ([`simd::untwist_to_torus`]) that reads the buffer once and stores
+/// torus coefficients.
 ///
 /// # Panics
 ///
-/// Panics if `re.len() != tables.size()`, `re.len() != im.len()`, or
-/// `out.len() != 2 * re.len()`.
+/// Panics if `re.len() != tables.size()`, `re.len() != im.len()`,
+/// `out.len() != 2 * re.len()`, or `inv_len` is not a power of two.
 pub fn unfold_torus_into(
-    re: &mut [f64],
-    im: &mut [f64],
+    re: &[f64],
+    im: &[f64],
+    inv_len: f64,
     tables: &TwiddleTables,
     out: &mut TorusPolynomial,
 ) {
@@ -140,25 +147,23 @@ pub fn unfold_torus_into(
     assert_eq!(im.len(), m, "buffer length mismatch");
     assert_eq!(out.len(), 2 * m, "output polynomial length mismatch");
     let (twre, twim) = tables.twist_split();
-    simd::untwist_apply(re, im, twre, twim);
-    let coeffs = out.coeffs_mut();
-    for j in 0..m {
-        coeffs[j] = f64_to_torus_mod(re[j]);
-        coeffs[j + m] = f64_to_torus_mod(im[j]);
-    }
+    let (lo, hi) = out.coeffs_mut().split_at_mut(m);
+    simd::untwist_to_torus(re, im, twre, twim, inv_len, lo, hi);
 }
 
-/// Reduces an arbitrary-magnitude real value modulo `2^32` onto the torus.
+/// Reduces a real value modulo `2^32` onto the torus: the centred residue
+/// `x − 2^32·round(x / 2^32)`, rounded to the nearest integer with ties of
+/// *the residue* away from zero (see [`simd::reduce_turns`], which this
+/// wraps and which every backward transform applies per coefficient).
 ///
-/// Values after a pointwise-product round trip can reach `≈ 2^58`; double
-/// precision then carries ≈ 2⁻²⁶ torus units of rounding error, which is the
-/// accuracy floor of the reference engine (the "double" line in Figure 8).
+/// Exact for `|x| < 2^62`. Values after a pointwise-product round trip
+/// reach `≈ 2^58`; double precision then carries ≈ 2⁻²⁶ torus units of
+/// rounding error, which is the accuracy floor of the reference engine
+/// (the "double" line in Figure 8).
 #[inline]
 pub fn f64_to_torus_mod(x: f64) -> Torus32 {
-    const SCALE: f64 = 4294967296.0; // 2^32
-    let turns = x / SCALE;
-    let frac = turns - turns.round();
-    Torus32::from_raw((frac * SCALE).round() as i64 as u32)
+    const TO_TURNS: f64 = 1.0 / 4294967296.0; // 2^-32
+    Torus32::from_raw(simd::reduce_turns(x * TO_TURNS))
 }
 
 #[cfg(test)]
@@ -197,7 +202,7 @@ mod tests {
         fold_torus(&p, &tables, &mut re, &mut im);
         // Undo only the twist (no transform): unfold expects untwisted data,
         // so compose manually.
-        let q = unfold_torus(&re, &im, &tables);
+        let q = unfold_torus(&re, &im, 1.0, &tables);
         assert_eq!(p, q);
     }
 
@@ -239,10 +244,8 @@ mod tests {
         // The documented panic is a real assert, not a debug_assert: release
         // builds reject mis-sized buffers too.
         let tables = TwiddleTables::new(8);
-        let mut re = vec![0.0; 3];
-        let mut im = vec![0.0; 3];
         let mut out = TorusPolynomial::zero(8);
-        unfold_torus_into(&mut re, &mut im, &tables, &mut out);
+        unfold_torus_into(&[0.0; 3], &[0.0; 3], 1.0, &tables, &mut out);
     }
 
     #[test]

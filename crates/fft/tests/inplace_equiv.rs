@@ -3,7 +3,9 @@
 //! order, same rounding. Any divergence is an ordering bug, not a tolerance
 //! question, so everything here compares exact representations.
 
-use matcha_fft::{ApproxIntFft, DepthFirstFft, F64Fft, FftEngine, Radix4Fft};
+use matcha_fft::{
+    ApproxIntFft, CplxSpectrum, DepthFirstFft, F64Fft, FftEngine, Radix4Fft, SplitFactors,
+};
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use proptest::prelude::*;
 
@@ -89,45 +91,103 @@ fn check_fused_decompose<E: FftEngine>(engine: &E, p: &TorusPolynomial) {
     }
 }
 
-/// Bundle-path surface: `monomial_minus_one_into`, `bundle_accumulator_into`
-/// and `scale_accumulate_pair` against their allocating/sequential forms.
-fn check_bundle_path<E: FftEngine>(
-    engine: &E,
-    base: &TorusPolynomial,
-    src: &TorusPolynomial,
-    e: i64,
-) where
-    E::MonomialFactors: PartialEq + std::fmt::Debug,
+/// Exponents for a bundle of `terms` patterns: spread over `[-N, 2N)`, with
+/// a zero (an all-zero factor table) among them.
+fn bundle_exponents(terms: usize, e: i64) -> Vec<i64> {
+    (0..terms as i64)
+        .map(|p| if p == 1 { 0 } else { e + 37 * p })
+        .collect()
+}
+
+/// The single-pass bundle row of the double-precision engines against the
+/// copy-then-accumulate it replaced: `H` copied, then one
+/// `mul_accumulate` per term with the term's factor table as the left
+/// operand. Term counts cover the empty bundle, `m = 1, 2, 3` and both
+/// sides of the kernels' source-table size.
+fn check_bundle_row_f64<E>(engine: &E, h: &TorusPolynomial, src: &TorusPolynomial, e: i64)
+where
+    E: FftEngine<Spectrum = CplxSpectrum, MonomialFactors = SplitFactors>,
 {
-    let mut scratch = engine.make_scratch();
-    let fb = engine.forward_torus(base);
-    let fs = engine.forward_torus(src);
+    let m = N / 2;
+    let fh = engine.forward_torus(h);
+    let keys: Vec<CplxSpectrum> = (0..11)
+        .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
+        .collect();
+    // A dirty, wrongly sized factor buffer and output must not leak through.
+    let mut factors = SplitFactors {
+        re: vec![7.0; 5],
+        im: vec![7.0; 3],
+    };
+    let mut row = engine.forward_torus(src);
+    for terms in [0usize, 1, 3, 7, 8, 9, 11] {
+        let exponents = bundle_exponents(terms, e);
+        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        prop_assert_eq!(factors.re.len(), terms * m);
+        engine.bundle_row_into(&fh, keys[..terms].iter(), &factors, &mut row);
 
-    let alloc_factors = engine.monomial_minus_one(e);
-    let mut into_factors = E::MonomialFactors::default();
-    engine.monomial_minus_one_into(e, &mut into_factors);
-    prop_assert_eq!(&alloc_factors, &into_factors);
+        let mut expected = fh.clone();
+        for (p, (key, &e_p)) in keys.iter().zip(&exponents).enumerate() {
+            // One table alone equals its slice of the concatenation.
+            let mut single = SplitFactors::default();
+            engine.monomial_factors_into([e_p].into_iter(), &mut single);
+            prop_assert_eq!(&single.re[..], &factors.re[p * m..(p + 1) * m]);
+            prop_assert_eq!(&single.im[..], &factors.im[p * m..(p + 1) * m]);
+            let table = CplxSpectrum {
+                re: single.re,
+                im: single.im,
+            };
+            engine.mul_accumulate(&mut expected, &table, key);
+        }
+        prop_assert_eq!(&row, &expected, "terms = {}", terms);
+    }
+}
 
-    let alloc_bundle = engine.bundle_accumulator(&fb);
-    let mut into_bundle = engine.zero_spectrum();
-    engine.bundle_accumulator_into(&fb, &mut into_bundle);
+/// The integer engine's bundle row against the three steps it replaced,
+/// written out with their rounding shifts: drop `BUNDLE_DROP_BITS` of `H`
+/// (round half up), then per term add the 128-bit product rounded back by
+/// `MONO_FRAC_BITS + BUNDLE_DROP_BITS`.
+fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
+    use matcha_fft::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
+    let engine = ApproxIntFft::new(N, 50);
+    let m = N / 2;
+    let fh = engine.forward_torus(h);
+    let keys: Vec<_> = (0..11)
+        .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
+        .collect();
+    let mut factors = vec![(1, 1); 5];
+    let mut row = engine.forward_torus(src);
+    for terms in [0usize, 1, 3, 7, 8, 9, 11] {
+        let exponents = bundle_exponents(terms, e);
+        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        prop_assert_eq!(factors.len(), terms * m);
+        engine.bundle_row_into(&fh, keys[..terms].iter(), &factors, &mut row);
 
-    let mut seq_a = alloc_bundle.clone();
-    let mut seq_b = alloc_bundle.clone();
-    engine.scale_accumulate(&mut seq_a, &fs, &alloc_factors);
-    engine.scale_accumulate(&mut seq_b, &fs, &alloc_factors);
-    let mut pair_a = into_bundle.clone();
-    let mut pair_b = into_bundle;
-    engine.scale_accumulate_pair(&mut pair_a, &mut pair_b, &fs, &fs, &into_factors);
-
-    let mut back_pair = TorusPolynomial::zero(N);
-    let mut back_seq = TorusPolynomial::zero(N);
-    engine.backward_torus_into(&pair_a, &mut back_pair, &mut scratch);
-    engine.backward_torus_into(&seq_a, &mut back_seq, &mut scratch);
-    prop_assert_eq!(&back_pair, &back_seq);
-    engine.backward_torus_into(&pair_b, &mut back_pair, &mut scratch);
-    engine.backward_torus_into(&seq_b, &mut back_seq, &mut scratch);
-    prop_assert_eq!(&back_pair, &back_seq);
+        let half = 1i64 << (BUNDLE_DROP_BITS - 1);
+        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+        let round = 1i128 << (shift - 1);
+        let mut re: Vec<i64> = fh
+            .re
+            .iter()
+            .map(|&v| (v + half) >> BUNDLE_DROP_BITS)
+            .collect();
+        let mut im: Vec<i64> = fh
+            .im
+            .iter()
+            .map(|&v| (v + half) >> BUNDLE_DROP_BITS)
+            .collect();
+        for (p, key) in keys[..terms].iter().enumerate() {
+            for k in 0..m {
+                let (fr, fi) = factors[p * m + k];
+                let (fr, fi) = (fr as i128, fi as i128);
+                let (sr, si) = (key.re[k] as i128, key.im[k] as i128);
+                re[k] += ((sr * fr - si * fi + round) >> shift) as i64;
+                im[k] += ((sr * fi + si * fr + round) >> shift) as i64;
+            }
+        }
+        prop_assert_eq!(&row.re, &re, "terms = {}", terms);
+        prop_assert_eq!(&row.im, &im, "terms = {}", terms);
+        prop_assert_eq!(row.frac_bits, fh.frac_bits - BUNDLE_DROP_BITS);
+    }
 }
 
 proptest! {
@@ -175,12 +235,14 @@ proptest! {
 
     #[test]
     fn f64_bundle_path_matches(base in torus_poly(), src in torus_poly(), e in -128i64..256) {
-        check_bundle_path(&F64Fft::new(N), &base, &src, e);
+        check_bundle_row_f64(&F64Fft::new(N), &base, &src, e);
+        check_bundle_row_f64(&DepthFirstFft::new(N), &base, &src, e);
+        check_bundle_row_f64(&Radix4Fft::new(N), &base, &src, e);
     }
 
     #[test]
     fn approx_bundle_path_matches(base in torus_poly(), src in torus_poly(), e in -128i64..256) {
-        check_bundle_path(&ApproxIntFft::new(N, 50), &base, &src, e);
+        check_bundle_row_approx(&base, &src, e);
     }
 
     #[test]

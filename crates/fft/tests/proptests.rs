@@ -139,14 +139,26 @@ fn for_each_engine_monomial(
     let mut expected = base.clone();
     expected.add_rotate_minus_one(src, e);
 
-    let f = F64Fft::new(N);
-    let mut acc = f.bundle_accumulator(&f.forward_torus(base));
-    f.scale_monomial_accumulate(&mut acc, &f.forward_torus(src), e);
-    prop_assert!(f.backward_torus(&acc).max_distance(&expected) < 1e-6);
-
-    let a = ApproxIntFft::new(N, 50);
-    let mut acc = a.bundle_accumulator(&a.forward_torus(base));
-    a.scale_monomial_accumulate(&mut acc, &a.forward_torus(src), e);
-    prop_assert!(a.backward_torus(&acc).max_distance(&expected) < 1e-5);
+    prop_assert!(scaled(&F64Fft::new(N), base, src, e).max_distance(&expected) < 1e-6);
+    prop_assert!(scaled(&ApproxIntFft::new(N, 50), base, src, e).max_distance(&expected) < 1e-5);
     Ok(())
+}
+
+/// `base + (X^e − 1)·src` through the engine's bundle-row path.
+fn scaled<E: FftEngine>(
+    engine: &E,
+    base: &TorusPolynomial,
+    src: &TorusPolynomial,
+    e: i64,
+) -> TorusPolynomial {
+    let mut factors = E::MonomialFactors::default();
+    engine.monomial_factors_into([e].into_iter(), &mut factors);
+    let mut acc = engine.zero_spectrum();
+    engine.bundle_row_into(
+        &engine.forward_torus(base),
+        [&engine.forward_torus(src)].into_iter(),
+        &factors,
+        &mut acc,
+    );
+    engine.backward_torus(&acc)
 }

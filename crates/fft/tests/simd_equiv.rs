@@ -3,8 +3,10 @@
 //! The kernel legs in `matcha_fft::simd` must agree:
 //!
 //! * **bit-identical** where the operation order is preserved — the integer
-//!   engine (scalar kernels on both legs), and the fused pair kernels
-//!   against two single calls *within* one leg;
+//!   engine (scalar kernels on both legs), the fused pair kernels against
+//!   two single calls *within* one leg, and the reduction mod `2^32` at the
+//!   end of the fused backward tail *across* legs (on identical untwisted
+//!   values);
 //! * **bounded-ulp** where the vector leg contracts `a·b ± c·d` into FMAs —
 //!   the three double-precision engines, compared here through exact
 //!   backward-transformed torus coefficients with a tolerance far below
@@ -16,8 +18,8 @@
 //! both ways for the same reason).
 
 use matcha_fft::{
-    force_simd, simd_active, simd_detected, ApproxIntFft, DepthFirstFft, F64Fft, FftEngine,
-    Radix4Fft,
+    force_simd, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft, F64Fft,
+    FftEngine, Radix4Fft,
 };
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial};
 use std::sync::{Mutex, MutexGuard};
@@ -69,13 +71,11 @@ fn pipeline<E: FftEngine>(engine: &E, seed: u32) -> (TorusPolynomial, TorusPolyn
         engine.forward_decomposed_into(&p, &decomp, level, &mut fd, &mut scratch);
         engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, &fd, &fq, &fq);
     }
-    // Bundle path: scale by (X^e - 1) factors on top of the accumulators.
-    let factors = engine.monomial_minus_one(7);
-    let mut bundle_a = engine.zero_spectrum();
+    // Bundle path: one row `fq + Σ (X^e − 1)·fq` over three patterns.
+    let mut factors = E::MonomialFactors::default();
+    engine.monomial_factors_into([7, n as i64 + 3, -5].into_iter(), &mut factors);
     let mut bundle_b = engine.zero_spectrum();
-    engine.bundle_accumulator_into(&fq, &mut bundle_a);
-    engine.bundle_accumulator_into(&fq, &mut bundle_b);
-    engine.scale_accumulate_pair(&mut bundle_a, &mut bundle_b, &fq, &fq, &factors);
+    engine.bundle_row_into(&fq, [&fq, &fq, &fq].into_iter(), &factors, &mut bundle_b);
 
     let mut out_a = TorusPolynomial::zero(n);
     let mut out_b = TorusPolynomial::zero(n);
@@ -151,6 +151,102 @@ fn forward_roundtrip_matches_across_legs() {
         assert!(scalar.max_distance(&p) < 1e-7, "n={n} scalar roundtrip");
         assert!(simd.max_distance(&p) < 1e-7, "n={n} simd roundtrip");
         assert!(scalar.max_distance(&simd) < TOL, "n={n} leg divergence");
+    }
+}
+
+#[test]
+fn fused_tail_reduction_is_bitwise_across_legs() {
+    // With the identity twist both legs reduce the very same values, so the
+    // stored coefficients must agree bit for bit — with each other and with
+    // the scalar `f64_to_torus_mod` — including ties of the residue and the
+    // wrap at ±2^31. `inv_len` exercises the folded normalization.
+    let _g = ForceGuard::lock();
+    let m = 512usize;
+    let inv_len = 1.0 / m as f64;
+    let specials = [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        2_147_483_648.0,
+        -2_147_483_648.0,
+        2_147_483_647.5,
+        -2_147_483_648.5,
+        6_442_450_944.5,
+        -6_442_450_943.5,
+        (1u64 << 58) as f64 + 1024.0,
+        -((1u64 << 58) as f64) - 512.0,
+    ];
+    let re: Vec<f64> = (0..m)
+        .map(|k| {
+            let raw = (k as u64 ^ 0x5bd1_e995).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let x = if k < specials.len() {
+                specials[k]
+            } else if k % 3 == 0 {
+                // Half-integer residues at growing magnitude.
+                (raw >> (12 + k % 40)) as f64 + 0.5
+            } else {
+                (raw >> 6) as f64 / 64.0 - (1u64 << 57) as f64 / 64.0
+            };
+            // Pre-multiply by M so the normalization lands on `x` exactly.
+            x * m as f64
+        })
+        .collect();
+    let im: Vec<f64> = re.iter().rev().map(|&x| -x).collect();
+    let (ones, zeros) = (vec![1.0; m], vec![0.0; m]);
+    let run = |force: bool| {
+        force_simd(Some(force));
+        let mut lo = vec![Torus32::ZERO; m];
+        let mut hi = vec![Torus32::ZERO; m];
+        simd::untwist_to_torus(&re, &im, &ones, &zeros, inv_len, &mut lo, &mut hi);
+        (lo, hi)
+    };
+    let (scalar_lo, scalar_hi) = run(false);
+    let (simd_lo, simd_hi) = run(true);
+    assert_eq!(scalar_lo, simd_lo);
+    assert_eq!(scalar_hi, simd_hi);
+    for k in 0..m {
+        assert_eq!(
+            scalar_lo[k],
+            twist::f64_to_torus_mod(re[k] * inv_len),
+            "k={k}"
+        );
+        assert_eq!(
+            scalar_hi[k],
+            twist::f64_to_torus_mod(im[k] * inv_len),
+            "k={k}"
+        );
+    }
+}
+
+#[test]
+fn bundle_row_matches_copy_then_singles_on_either_leg() {
+    // Within one leg the single-pass row is bit-identical to what it
+    // replaced — copy `H`, then one `mul_accumulate` per term with the
+    // factor table as left operand — because it keeps that element order.
+    // Eleven terms also cross the kernel's source-table size.
+    let _g = ForceGuard::lock();
+    for force in [Some(false), Some(true)] {
+        force_simd(force);
+        let engine = F64Fft::new(256);
+        let h = engine.forward_torus(&random_torus_poly(256, 61));
+        let keys: Vec<_> = (0..11)
+            .map(|p| engine.forward_torus(&random_torus_poly(256, 70 + p)))
+            .collect();
+        let exponents: Vec<i64> = (0..11).map(|p| 19 * p - 40).collect();
+        let mut factors = Default::default();
+        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        let mut row = engine.zero_spectrum();
+        engine.bundle_row_into(&h, keys.iter(), &factors, &mut row);
+        let mut expected = h.clone();
+        for (p, key) in keys.iter().enumerate() {
+            let table = matcha_fft::CplxSpectrum {
+                re: factors.re[p * 128..(p + 1) * 128].to_vec(),
+                im: factors.im[p * 128..(p + 1) * 128].to_vec(),
+            };
+            engine.mul_accumulate(&mut expected, &table, key);
+        }
+        assert_eq!(row, expected, "force={force:?}");
     }
 }
 

@@ -24,6 +24,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(half * 3, half);             // 1.5 ≡ 0.5 (mod 1)
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Torus32(u32);
 
 impl Torus32 {

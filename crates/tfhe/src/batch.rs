@@ -28,10 +28,10 @@ use matcha_fft::FftEngine;
 use matcha_math::Torus32;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A write-once slab of ciphertext values shared between a dispatcher and
 /// the pool workers — one slot per circuit node. Operands are passed **by
@@ -343,7 +343,45 @@ struct Job {
     node: usize,
     task: GateTask,
     index: usize,
-    reply: mpsc::Sender<(usize, Result<(), String>)>,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// What a worker says about a job on its round's reply channel.
+enum Reply {
+    /// Task `index` ran — to completion, or to a panic caught by the
+    /// per-task isolation.
+    Done(usize, Result<(), String>),
+    /// The worker in this slot died holding a job (which is thereby lost:
+    /// it is never answered with [`Reply::Done`]).
+    WorkerDied(usize),
+}
+
+/// A worker's hold on the job it is executing. However the worker lets go
+/// of it — answering, returning, unwinding — the job's round hears about
+/// it, and hears about a death *before* the job's reply sender is dropped:
+/// the dispatcher can therefore never observe "job lost" without having
+/// been told which worker to respawn.
+struct InFlight {
+    worker: usize,
+    reply: Option<mpsc::Sender<Reply>>,
+}
+
+impl InFlight {
+    /// Answers the job. The receiver may have given up (`run()` panicked);
+    /// dropping the result is then the right behavior.
+    fn done(mut self, index: usize, result: Result<(), String>) {
+        if let Some(reply) = self.reply.take() {
+            let _ = reply.send(Reply::Done(index, result));
+        }
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            let _ = reply.send(Reply::WorkerDied(self.worker));
+        }
+    }
 }
 
 /// A persistent gate-evaluation worker pool sharing one [`ServerKey`].
@@ -383,8 +421,8 @@ where
     /// (a) sending never fails even if every worker died, and (b) healed
     /// workers can be attached to the same queue.
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    /// Interior mutability so [`GateBatchPool::heal`] can respawn dead
-    /// workers from `&self` (dispatchers hold the pool by shared ref).
+    /// Interior mutability so a dispatcher can respawn a dead worker from
+    /// `&self` (dispatchers hold the pool by shared ref).
     workers: Mutex<Vec<JoinHandle<()>>>,
     threads: usize,
     server: Arc<ServerKey<E>>,
@@ -392,11 +430,12 @@ where
     restarts: AtomicU64,
 }
 
-/// One persistent worker: pulls jobs off the shared queue, evaluates them
-/// into its warmed scratch, stores results in the job's slab and replies.
-/// Extracted as a free function so [`GateBatchPool::heal`] can respawn a
-/// replacement attached to the same queue.
+/// One persistent worker, occupying `slot` of the pool: pulls jobs off the
+/// shared queue, evaluates them into its warmed scratch, stores results in
+/// the job's slab and replies. Extracted as a free function so the pool can
+/// respawn a replacement attached to the same queue.
 fn spawn_worker<E>(
+    slot: usize,
     server: Arc<ServerKey<E>>,
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     faults: Option<Arc<FaultPlan>>,
@@ -421,14 +460,17 @@ where
                 index,
                 reply,
             } = job;
+            let in_flight = InFlight {
+                worker: slot,
+                reply: Some(reply),
+            };
             // Scripted fault sites, consumed one-shot per (tag, node).
             let injected = faults.as_ref().and_then(|plan| plan.take(slab.tag(), node));
             match injected {
                 // Death *outside* the per-task catch_unwind: the thread
-                // exits holding the job, so its reply sender is dropped
-                // unanswered — exactly what a stack overflow or foreign
-                // abort looks like from the dispatcher's side. run_tasks
-                // detects the lost reply, heals the pool and retries.
+                // exits holding the job, as a panic in this loop itself
+                // would make it. `in_flight` reports the death on its way
+                // out; run_tasks respawns the slot and retries the job.
                 Some(FaultAction::KillWorker) => return,
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
                 Some(FaultAction::Panic) | None => {}
@@ -456,9 +498,7 @@ where
             // dispatcher has received every reply of a batch,
             // its own Arc over each slab is unique again.
             drop(slab);
-            // The receiver may have given up (run() panicked);
-            // dropping the result is then the right behavior.
-            let _ = reply.send((index, result));
+            in_flight.done(index, result);
         }
     })
 }
@@ -494,7 +534,7 @@ where
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
-            .map(|_| spawn_worker(Arc::clone(&server), Arc::clone(&rx), faults.clone()))
+            .map(|slot| spawn_worker(slot, Arc::clone(&server), Arc::clone(&rx), faults.clone()))
             .collect();
         Self {
             tx: Some(tx),
@@ -512,39 +552,29 @@ where
         self.threads
     }
 
-    /// Workers respawned after dying outside the per-task panic isolation
-    /// (see [`GateBatchPool::heal`]). 0 in healthy operation.
+    /// Workers respawned after dying outside the per-task panic isolation.
+    /// 0 in healthy operation.
     pub fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
     }
 
-    /// Self-healing: joins every worker thread that has exited (death
-    /// outside the per-task `catch_unwind` — in production a stack
-    /// overflow or foreign abort, in tests [`FaultAction::KillWorker`])
-    /// and respawns a replacement with a fresh scratch on the same job
-    /// queue, so the pool never silently loses capacity. Returns how many
-    /// workers were respawned; each bumps [`GateBatchPool::restarts`].
-    /// Called automatically by [`GateBatchPool::run_tasks`] when a reply
-    /// goes missing; cheap (a `JoinHandle::is_finished` scan) otherwise.
-    pub fn heal(&self) -> usize {
+    /// Self-healing: replaces the worker in `slot`, which has announced
+    /// its own death (outside the per-task `catch_unwind` — a panic in the
+    /// worker loop itself; in tests [`FaultAction::KillWorker`]), with a
+    /// fresh one — new scratch, same job queue — so the pool never
+    /// silently loses capacity. Bumps [`GateBatchPool::restarts`].
+    fn respawn(&self, slot: usize) {
         let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut respawned = 0;
-        for slot in workers.iter_mut() {
-            if slot.is_finished() {
-                let dead = std::mem::replace(
-                    slot,
-                    spawn_worker(
-                        Arc::clone(&self.server),
-                        Arc::clone(&self.rx),
-                        self.faults.clone(),
-                    ),
-                );
-                let _ = dead.join();
-                self.restarts.fetch_add(1, Ordering::Relaxed);
-                respawned += 1;
-            }
-        }
-        respawned
+        let replacement = spawn_worker(
+            slot,
+            Arc::clone(&self.server),
+            Arc::clone(&self.rx),
+            self.faults.clone(),
+        );
+        // The announcement is the last thing the dying thread does with the
+        // job; all that is left of it is unwinding its own stack.
+        let _ = std::mem::replace(&mut workers[slot], replacement).join();
+        self.restarts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The shared server key the workers evaluate under.
@@ -625,10 +655,12 @@ where
     /// faults.
     ///
     /// A worker that *dies* mid-batch (exit outside the per-task panic
-    /// isolation) is detected by its lost reply, respawned via
-    /// [`GateBatchPool::heal`], and the lost task retried once on the
-    /// healed pool; only a task lost twice is reported as a failure. The
-    /// batch therefore still completes after any single worker death.
+    /// isolation) announces it on the reply channel as its last act; the
+    /// dispatcher respawns it on the spot and retries the lost task once
+    /// on the healed pool; only a task lost twice is reported as a failure.
+    /// The batch therefore still completes after any single worker death,
+    /// and every death has been counted in [`GateBatchPool::restarts`] by
+    /// the time this returns.
     pub fn run_tasks(&self, tasks: &[SlabTask]) -> DispatchResult {
         let t0 = Instant::now();
         if tasks.is_empty() {
@@ -641,14 +673,13 @@ where
         let mut done = vec![false; tasks.len()];
         let mut failures: Vec<(usize, String)> = Vec::new();
         self.dispatch_round(tasks, 0..tasks.len(), &mut done, &mut failures);
-        // An index with no reply lost its job inside a dying worker (the
-        // job — and its reply sender — were dropped unanswered). Heal the
-        // pool and retry those tasks once: a scripted KillWorker was
-        // consumed when it fired, so the retry runs clean, and a genuine
-        // repeat offender is reported instead of retried forever.
+        // An index with no reply lost its job inside a dying worker, which
+        // the round has already replaced. Retry those tasks once: a
+        // scripted KillWorker was consumed when it fired, so the retry
+        // runs clean, and a genuine repeat offender is reported instead of
+        // retried forever.
         let missing: Vec<usize> = (0..tasks.len()).filter(|&i| !done[i]).collect();
         if !missing.is_empty() {
-            self.heal();
             self.dispatch_round(tasks, missing.into_iter(), &mut done, &mut failures);
             for index in (0..tasks.len()).filter(|&i| !done[i]) {
                 failures.push((
@@ -666,14 +697,13 @@ where
     }
 
     /// Sends the tasks at `indices` and drains their replies until every
-    /// job of this round is accounted for: answered, or dropped by a dying
+    /// job of this round is accounted for: answered, or lost with a dying
     /// worker (each job holds a reply sender, so the reply channel
     /// disconnects exactly when no job of the round is queued or running
-    /// any more). The timeout arm covers the one case disconnection cannot:
-    /// every worker dead with jobs still sitting in the queue — those
-    /// queued jobs keep the reply channel open forever, so a quiet stretch
-    /// triggers a heal, which is a cheap `is_finished` scan when nothing
-    /// died and restarts the drain when something did.
+    /// any more). A death is a message like any other, so it is acted on
+    /// even while the round's other jobs keep the channel open — including
+    /// the case where the dead worker was the only one and the rest of the
+    /// round is still sitting in the queue, waiting for its replacement.
     fn dispatch_round(
         &self,
         tasks: &[SlabTask],
@@ -695,18 +725,15 @@ where
             .expect("pool holds the queue receiver, sends cannot fail");
         }
         drop(reply_tx);
-        loop {
-            match reply_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((index, result)) => {
+        for reply in reply_rx {
+            match reply {
+                Reply::Done(index, result) => {
                     done[index] = true;
                     if let Err(msg) = result {
                         failures.push((index, msg));
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    self.heal();
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
+                Reply::WorkerDied(slot) => self.respawn(slot),
             }
         }
     }
@@ -734,6 +761,7 @@ mod tests {
     use matcha_fft::{ApproxIntFft, F64Fft};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
     type EncryptedPairs = Vec<(crate::LweCiphertext, crate::LweCiphertext)>;
 
@@ -1156,8 +1184,8 @@ mod tests {
         // The nastiest liveness case: one worker, killed while the rest
         // of the batch is still *queued*. Those queued jobs hold reply
         // senders, so the reply channel never disconnects on its own —
-        // the timeout arm of the drain must heal the pool to get the
-        // queue moving again.
+        // the death notice must arrive as a message on the open channel
+        // for the respawn to get the queue moving again.
         let mut rng = StdRng::seed_from_u64(96);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
@@ -1205,8 +1233,8 @@ mod tests {
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 2);
         let (slab, batch) = staged_and_batch(&enc);
-        // Longer than the 25 ms drain timeout, to prove a slow task is
-        // not mistaken for a dead worker (heal is a no-op, no restart).
+        // A slow task is not mistaken for a dead worker: however long the
+        // drain waits, only a death notice triggers a respawn.
         let plan = Arc::new(FaultPlan::new().inject(
             0,
             2 * enc.len(),

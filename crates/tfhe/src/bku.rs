@@ -21,7 +21,6 @@ use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
 use crate::secret::{LweSecretKey, RingSecretKey};
 use crate::tgsw::{TgswCiphertext, TgswSpectrum};
-use crate::tlwe::TrlweSpectrum;
 use matcha_fft::FftEngine;
 use matcha_math::TorusSampler;
 use rand::Rng;
@@ -143,7 +142,8 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
     ///
     /// evaluated entirely in the Lagrange domain with TGSW scale operations
     /// — no FFTs. `exponents[i]` is the mod-switched `ā` of the group's
-    /// `i`-th secret bit.
+    /// `i`-th secret bit. Allocating wrapper over
+    /// [`Self::build_bundle_into`].
     ///
     /// # Panics
     ///
@@ -155,46 +155,21 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
         exponents: &[u32],
         two_n: u32,
     ) -> TgswSpectrum<E> {
-        assert_eq!(
-            exponents.len(),
-            group.len,
-            "one exponent per grouped secret bit"
-        );
-        profile::timed(Phase::TgswScale, || {
-            let rows = self
-                .h
-                .rows()
-                .iter()
-                .enumerate()
-                .map(|(r, h_row)| {
-                    let mut acc_a = engine.bundle_accumulator(&h_row.a);
-                    let mut acc_b = engine.bundle_accumulator(&h_row.b);
-                    for pattern in 1u32..(1 << group.len) {
-                        let Some(e) = pattern_exponent(pattern, exponents, two_n) else {
-                            continue;
-                        };
-                        let key_row = &group.keys[pattern as usize - 1].rows()[r];
-                        engine.scale_monomial_accumulate(&mut acc_a, &key_row.a, e);
-                        engine.scale_monomial_accumulate(&mut acc_b, &key_row.b, e);
-                    }
-                    TrlweSpectrum { a: acc_a, b: acc_b }
-                })
-                .collect();
-            TgswSpectrum::from_rows(rows, self.h.levels())
-        })
+        let mut bundle = self.h.clone();
+        let mut factors = E::MonomialFactors::default();
+        self.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
+        bundle
     }
 
     /// [`Self::build_bundle`] into a caller-owned bundle — the
-    /// zero-allocation form, with two structural optimizations over the
-    /// allocating path:
-    ///
-    /// * the factor table `ε^e − 1` is computed **once per pattern** and
-    ///   shared across all `2ℓ` rows (the allocating path recomputes it
-    ///   `2·2ℓ` times per pattern), and
-    /// * each row's mask/body pair is updated in one fused pass.
-    ///
-    /// Both changes are exact reorderings: the result is bit-identical to
-    /// [`Self::build_bundle`].
+    /// zero-allocation form blind rotation runs. Each of the bundle's
+    /// `2·2ℓ` spectra is written in one pass,
+    /// `row = H_row + Σ_p f_p ⊙ K_p,row` ([`FftEngine::bundle_row_into`]):
+    /// the sum over the patterns is carried in registers, so a row is read
+    /// from `H` and the keys once and stored once, never read back. The
+    /// factor tables `f_p = ε^{e_p} − 1` of all patterns are computed once
+    /// per call into `factors` and shared by every row; patterns whose
+    /// exponent is `0` (factor identically zero) are skipped.
     ///
     /// # Panics
     ///
@@ -220,22 +195,23 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
             "bundle buffer has the wrong row count"
         );
         profile::timed(Phase::TgswScale, || {
-            let rows = bundle.rows_mut();
-            for (row, h_row) in rows.iter_mut().zip(self.h.rows().iter()) {
-                engine.bundle_accumulator_into(&h_row.a, &mut row.a);
-                engine.bundle_accumulator_into(&h_row.b, &mut row.b);
-            }
-            for pattern in 1u32..(1 << group.len) {
-                let Some(e) = pattern_exponent(pattern, exponents, two_n) else {
-                    continue;
-                };
-                engine.monomial_minus_one_into(e, factors);
-                let key = &group.keys[pattern as usize - 1];
-                for (row, key_row) in rows.iter_mut().zip(key.rows().iter()) {
-                    engine.scale_accumulate_pair(
-                        &mut row.a, &mut row.b, &key_row.a, &key_row.b, factors,
-                    );
-                }
+            // The patterns with a nonzero factor, in pattern order: the
+            // order of the factor tables and of every row's sum.
+            let active = (1u32..(1 << group.len)).filter_map(|pattern| {
+                let e = pattern_exponent(pattern, exponents, two_n)?;
+                Some((&group.keys[pattern as usize - 1], e))
+            });
+            engine.monomial_factors_into(active.clone().map(|(_, e)| e), factors);
+            let rows = bundle.rows_mut().iter_mut().zip(self.h.rows());
+            for (r, (row, h_row)) in rows.enumerate() {
+                let key_rows = active.clone().map(|(key, _)| &key.rows()[r]);
+                engine.bundle_row_into(
+                    &h_row.a,
+                    key_rows.clone().map(|k| &k.a),
+                    factors,
+                    &mut row.a,
+                );
+                engine.bundle_row_into(&h_row.b, key_rows.map(|k| &k.b), factors, &mut row.b);
             }
         })
     }

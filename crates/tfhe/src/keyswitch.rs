@@ -15,11 +15,15 @@ use rand::Rng;
 
 /// A key-switching key `KS_{s′→s}`.
 ///
-/// Stores `N × t × (2^γ − 1)` LWE samples: entry `(i, j, v)` encrypts
-/// `v · s′_i / 2^{(j+1)γ}` under the target key.
+/// Holds `N × t × (2^γ − 1)` LWE samples: entry `(i, j, v)` encrypts
+/// `v · s′_i / 2^{(j+1)γ}` under the target key. The samples live in one
+/// flat array, `n + 1` torus elements each (mask, then body), in `(i, j, v)`
+/// order — a switch subtracts up to `N·t` of them, and one allocation with
+/// computable addresses is what lets it prefetch the next coefficient's
+/// picks while it subtracts the current ones.
 #[derive(Clone, Debug)]
 pub struct KeySwitchKey {
-    entries: Vec<LweCiphertext>,
+    entries: Vec<Torus32>,
     from_dimension: usize,
     to_dimension: usize,
     base_log: u32,
@@ -27,7 +31,10 @@ pub struct KeySwitchKey {
 }
 
 impl KeySwitchKey {
-    /// Generates a key-switching key from `from_key` to `to_key`.
+    /// Generates a key-switching key from `from_key` to `to_key`, every
+    /// sample encrypted straight into its place in the flat array (the key
+    /// is the largest object a server holds after the bootstrapping key;
+    /// it is never held twice).
     ///
     /// # Panics
     ///
@@ -57,26 +64,28 @@ impl KeySwitchKey {
         );
         let base = 1u32 << base_log;
         let n_from = from_key.dimension();
-        let mut entries = Vec::with_capacity(n_from * levels * (base as usize - 1));
+        let n_to = to_key.dimension();
+        let mut entries = Vec::with_capacity(n_from * levels * (base as usize - 1) * (n_to + 1));
         for i in 0..n_from {
             let s_bit = u32::from(from_key.bits()[i]);
             for j in 0..levels {
                 let unit = Torus32::from_raw(1u32 << (32 - (j as u32 + 1) * base_log));
                 for v in 1..base {
                     let mu = unit * (v * s_bit) as i32;
-                    entries.push(LweCiphertext::encrypt(
-                        mu,
-                        to_key,
-                        params.lwe_noise_stdev,
-                        sampler,
-                    ));
+                    // `LweCiphertext::encrypt`, in place: same draws in the
+                    // same order (mask, then the body's noise).
+                    let start = entries.len();
+                    entries.extend((0..n_to).map(|_| sampler.uniform()));
+                    let body = to_key.dot(&entries[start..])
+                        + sampler.gaussian_around(mu, params.lwe_noise_stdev);
+                    entries.push(body);
                 }
             }
         }
         Self {
             entries,
             from_dimension: n_from,
-            to_dimension: to_key.dimension(),
+            to_dimension: n_to,
             base_log,
             levels,
         }
@@ -94,7 +103,7 @@ impl KeySwitchKey {
 
     /// Size of the key in LWE samples (for memory-traffic models).
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.entries.len() / (self.to_dimension + 1)
     }
 
     /// Switches `c` (under the source key) to the target key.
@@ -120,9 +129,9 @@ impl KeySwitchKey {
 
     fn switch_inner(&self, c: &LweCiphertext, out: &mut LweCiphertext) {
         assert_eq!(c.dimension(), self.from_dimension, "dimension mismatch");
+        let n = self.to_dimension;
         let base = 1u32 << self.base_log;
-        let mask = base - 1;
-        let per_i = self.levels * (base as usize - 1);
+        let per_level = base as usize - 1;
         // Round each coefficient to t·γ bits before decomposing.
         let precision_bits = self.base_log * self.levels as u32;
         let round_bump = if precision_bits < 32 {
@@ -130,19 +139,56 @@ impl KeySwitchKey {
         } else {
             0
         };
-        out.assign_trivial(c.body(), self.to_dimension);
-        for (i, &ai) in c.mask().iter().enumerate() {
+        // The entries coefficient `i` selects, one per nonzero digit.
+        let selected = |i: usize, ai: Torus32| {
             let t = ai.raw().wrapping_add(round_bump);
-            for j in 0..self.levels {
+            (0..self.levels).filter_map(move |j| {
                 let shift = 32 - (j as u32 + 1) * self.base_log;
-                let digit = (t >> shift) & mask;
-                if digit != 0 {
-                    let idx = i * per_i + j * (base as usize - 1) + (digit as usize - 1);
-                    out.sub_assign(&self.entries[idx]);
+                let digit = ((t >> shift) & (base - 1)) as usize;
+                let index = (i * self.levels + j) * per_level + digit.checked_sub(1)?;
+                Some(&self.entries[index * (n + 1)..(index + 1) * (n + 1)])
+            })
+        };
+        out.assign_trivial(c.body(), n);
+        let (mask, body) = out.parts_mut();
+        let coeffs = c.mask();
+        for (i, &ai) in coeffs.iter().enumerate() {
+            // Which entries a coefficient picks depends on its digits, so
+            // the walk through the key is a random one the hardware cannot
+            // predict: ask for the next coefficient's entries now, and they
+            // arrive while this coefficient's are being subtracted.
+            if let Some(&next) = coeffs.get(i + 1) {
+                selected(i + 1, next).for_each(prefetch);
+            }
+            for entry in selected(i, ai) {
+                for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
+                    *x -= y;
                 }
+                *body -= entry[n];
             }
         }
     }
+}
+
+/// Bytes per cache line on every x86_64 part this runs on.
+#[cfg(target_arch = "x86_64")]
+const CACHE_LINE: usize = 64;
+
+/// Hints the cache to fetch all of `entry` (a no-op where there is no such
+/// hint).
+#[inline]
+fn prefetch(entry: &[Torus32]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in entry.chunks(CACHE_LINE / std::mem::size_of::<Torus32>()) {
+        // SAFETY: prefetching has no architectural effect, and the address
+        // is inside a live slice anyway.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = entry;
 }
 
 #[cfg(test)]
@@ -190,8 +236,76 @@ mod tests {
 
     #[test]
     fn entry_count_matches_formula() {
-        let (_, _, ksk, _) = setup();
+        let (_, to, ksk, _) = setup();
         assert_eq!(ksk.entry_count(), 128 * 8 * 3);
+        assert_eq!(ksk.to_dimension(), to.dimension());
+        assert_eq!(ksk.from_dimension(), 128);
+    }
+
+    #[test]
+    fn flat_key_matches_per_entry_reference() {
+        // The same sampler stream through the per-entry construction the
+        // flat layout replaced (one `LweCiphertext::encrypt` per entry, a
+        // `sub_assign` per nonzero digit) must give the same key material
+        // and bit-identical switches.
+        let params = ParameterSet::TEST_FAST;
+        let keys = |sampler: &mut TorusSampler<StdRng>| {
+            let from = LweSecretKey::generate(128, sampler);
+            let to = LweSecretKey::generate(params.lwe_dimension, sampler);
+            (from, to)
+        };
+        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
+        let (from, to) = keys(&mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+
+        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
+        let (from_again, to_again) = keys(&mut sampler);
+        assert_eq!(from.bits(), from_again.bits());
+        let (base_log, levels) = (params.ks_base_log, params.ks_levels);
+        let base = 1u32 << base_log;
+        let mut reference = Vec::new();
+        for i in 0..128 {
+            let s_bit = u32::from(from.bits()[i]);
+            for j in 0..levels {
+                let unit = Torus32::from_raw(1u32 << (32 - (j as u32 + 1) * base_log));
+                for v in 1..base {
+                    let mu = unit * (v * s_bit) as i32;
+                    reference.push(LweCiphertext::encrypt(
+                        mu,
+                        &to_again,
+                        params.lwe_noise_stdev,
+                        &mut sampler,
+                    ));
+                }
+            }
+        }
+        assert_eq!(ksk.entry_count(), reference.len());
+        let n = to.dimension();
+        for (entry, lwe) in ksk.entries.chunks(n + 1).zip(&reference) {
+            assert_eq!(&entry[..n], lwe.mask());
+            assert_eq!(entry[n], lwe.body());
+        }
+
+        let mut out = LweCiphertext::default();
+        for message in [0.125, -0.25, 0.0] {
+            let c = LweCiphertext::encrypt(Torus32::from_f64(message), &from, 1e-8, &mut sampler);
+            let mut expected = LweCiphertext::trivial(c.body(), n);
+            let round_bump = 1u32 << (31 - base_log * levels as u32);
+            for (i, &ai) in c.mask().iter().enumerate() {
+                let t = ai.raw().wrapping_add(round_bump);
+                for j in 0..levels {
+                    let digit = (t >> (32 - (j as u32 + 1) * base_log)) & (base - 1);
+                    if digit != 0 {
+                        let per_i = levels * (base as usize - 1);
+                        let idx = i * per_i + j * (base as usize - 1) + digit as usize - 1;
+                        expected.sub_assign(&reference[idx]);
+                    }
+                }
+            }
+            ksk.switch_into(&c, &mut out);
+            assert_eq!(out, expected, "message {message}");
+            assert_eq!(ksk.switch(&c), expected);
+        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub struct BootstrapScratch<E: FftEngine> {
     pub(crate) ep: EpScratch<E>,
     /// Reusable bundle (initialized to the gadget TGSW's shape).
     pub(crate) bundle: TgswSpectrum<E>,
-    /// Factor table `ε_k^e − 1`, recomputed per pattern.
+    /// Factor tables `ε_k^e − 1` of the current key group's patterns,
+    /// concatenated; refilled once per blind-rotation step.
     pub(crate) factors: E::MonomialFactors,
     /// Blind-rotation accumulator.
     pub(crate) acc: TrlweCiphertext,

@@ -42,7 +42,8 @@
 //!   only the circuit that owns it — its ticket resolves to
 //!   [`CircuitOutcome::Faulted`] while every other in-flight circuit,
 //!   the scheduler, and the pool keep going. A worker that *dies* is
-//!   respawned by the pool ([`GateBatchPool::heal`]) and surfaced in
+//!   respawned by the pool inside the dispatch that lost it (see
+//!   [`GateBatchPool::run_tasks`]) and surfaced in
 //!   [`SchedulerStats::restarts`].
 //!
 //! Every guarantee above is pinned by deterministic tests driving the

@@ -195,9 +195,11 @@ impl<E: FftEngine> TgswSpectrum<E> {
     /// Bit-identical to [`TgswSpectrum::external_product`].
     ///
     /// Being generic over [`FftEngine`], this loop picks up the engines'
-    /// split-complex AVX2+FMA butterfly and `mul_accumulate_pair` kernels
-    /// (PR 3) with no code here changing — the transform and the pointwise
-    /// accumulate, ~95% of this kernel's cost, both vectorize.
+    /// split-complex AVX2+FMA kernels with no code here changing. The
+    /// eight transforms are most of this kernel's cost (a backward
+    /// transform, fused untwist-and-reduce tail included, costs what a
+    /// forward one does) and the six pair accumulates most of the rest;
+    /// the benchmark ledger's `tgsw.nonfft_share.*` rows measure the split.
     ///
     /// # Panics
     ///

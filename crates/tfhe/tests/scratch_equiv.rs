@@ -117,6 +117,70 @@ fn cmux_assign_is_bit_identical() {
     assert_eq!(allocating, acc);
 }
 
+/// `build_bundle` (fresh buffers every call) against `build_bundle_into`
+/// through one bundle buffer and one factor buffer carried, dirty, from
+/// group to group — at unroll 1, 2 and 3, where 16 = 5·3 + 1 ends in a
+/// short group, with one exponent vector that zeroes a pattern's exponent
+/// (its term is skipped and the factor tables close ranks) and one that
+/// zeroes them all (the bundle is `H`). Spectra are engine-specific types
+/// without `PartialEq`; their `Debug` output prints every component
+/// exactly, so equal strings mean equal bundles.
+fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u64) {
+    let p = params();
+    let two_n = p.two_n();
+    for unroll in 1..=3usize {
+        let mut rng = StdRng::seed_from_u64(seed + unroll as u64);
+        let client = ClientKey::generate(p, &mut rng);
+        let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
+        let bk = kit.bootstrapping_key();
+        let last = bk.groups().last().expect("at least one group");
+        assert_eq!(last.len() < unroll, unroll == 3, "only m = 3 ends short");
+        let mut bundle = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
+        let mut factors = E::MonomialFactors::default();
+        for (g, group) in bk.groups().iter().enumerate() {
+            let spread: Vec<u32> = (0..group.len())
+                .map(|i| (5 + 11 * g as u32 + 29 * i as u32) % two_n)
+                .collect();
+            // ā₀ + ā₁ ≡ 0 (mod 2N): pattern 0b11 contributes nothing.
+            let mut cancelling = spread.clone();
+            if let [a0, a1, ..] = cancelling[..] {
+                cancelling[1] = (two_n - a0) % two_n;
+                assert_ne!(a1, cancelling[1]);
+            }
+            let zeros = vec![0; group.len()];
+            for exponents in [&spread, &cancelling, &zeros] {
+                let fresh = bk.build_bundle(engine, group, exponents, two_n);
+                bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
+                assert_eq!(
+                    format!("{:?}", fresh.rows()),
+                    format!("{:?}", bundle.rows()),
+                    "unroll={unroll} group={g} exponents={exponents:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn build_bundle_into_is_bit_identical_f64() {
+    check_bundle_equivalence(&F64Fft::new(params().ring_degree), 171);
+}
+
+#[test]
+fn build_bundle_into_is_bit_identical_depth_first() {
+    check_bundle_equivalence(&DepthFirstFft::new(params().ring_degree), 172);
+}
+
+#[test]
+fn build_bundle_into_is_bit_identical_radix4() {
+    check_bundle_equivalence(&Radix4Fft::new(params().ring_degree), 173);
+}
+
+#[test]
+fn build_bundle_into_is_bit_identical_approx() {
+    check_bundle_equivalence(&ApproxIntFft::new(params().ring_degree, 45), 174);
+}
+
 fn check_bootstrap_equivalence<E: FftEngine>(engine: &E, unroll: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);

@@ -172,6 +172,64 @@ fn warmed_bootstrap_allocates_nothing_approx_m2() {
     assert_zero_alloc_bootstrap(&ApproxIntFft::new(256, 45), 2, 75);
 }
 
+/// Bundle construction on its own: once the factor buffer has held a full
+/// group's tables (`2^m − 1` of them, concatenated) and the bundle buffer
+/// has its shape, walking every group — the short last one included —
+/// allocates nothing.
+fn assert_zero_alloc_bundle<E: FftEngine>(engine: &E, unroll: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
+    let params = *kit.params();
+    let bk = kit.bootstrapping_key();
+    let mut bundle = TgswCiphertext::trivial_one(&params).to_spectrum(engine);
+    let mut factors = E::MonomialFactors::default();
+    let exponents = [3u32, 41, 170];
+    let walk = |bundle: &mut _, factors: &mut _| {
+        for group in bk.groups() {
+            let e = &exponents[..group.len()];
+            bk.build_bundle_into(engine, group, e, params.two_n(), bundle, factors);
+        }
+    };
+    walk(&mut bundle, &mut factors);
+    let before = allocations();
+    walk(&mut bundle, &mut factors);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "warmed bundle build (unroll={unroll}) allocated {delta} times"
+    );
+}
+
+#[test]
+fn warmed_bundle_build_allocates_nothing() {
+    assert_zero_alloc_bundle(&F64Fft::new(256), 3, 81);
+    assert_zero_alloc_bundle(&ApproxIntFft::new(256, 45), 2, 82);
+}
+
+#[test]
+fn warmed_key_switch_allocates_nothing() {
+    let mut rng = StdRng::seed_from_u64(83);
+    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let engine = F64Fft::new(256);
+    let kit = BootstrapKit::generate(&client, &engine, 1, &mut rng);
+    let ksk = kit.key_switch_key();
+    let mut sampler = TorusSampler::new(&mut rng);
+    let mask = (0..ksk.from_dimension())
+        .map(|_| sampler.uniform())
+        .collect();
+    let extracted = matcha_tfhe::LweCiphertext::from_parts(mask, Torus32::from_f64(0.125));
+    let mut out = matcha_tfhe::LweCiphertext::default();
+    ksk.switch_into(&extracted, &mut out);
+    let before = allocations();
+    for _ in 0..4 {
+        ksk.switch_into(&extracted, &mut out);
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "warmed key switch allocated {delta} times");
+    assert_eq!(out.dimension(), ksk.to_dimension());
+}
+
 #[test]
 fn warmed_heterogeneous_tasks_allocate_nothing() {
     // The pool's worker inner loop is the by-index `GateTask::apply_into`:
