@@ -20,9 +20,10 @@
 //!   normalization with one rounding shift per stage;
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
 
-use crate::engine::{for_each_source_chunk, FftEngine, Spectrum};
-use crate::lifting::LiftingRotation;
-use crate::tables::bit_reverse_permute_pair;
+use crate::cplx::Cplx;
+use crate::engine::{for_each_source_chunk, FftEngine, Spectrum, BUNDLE_CHUNK};
+use crate::lifting::{LiftingRotation, LiftingTable, Lifts};
+use crate::tables::{bit_reverse_copy_pair, bit_reverse_permute_pair};
 use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
 
 /// Largest digit magnitude [`ApproxIntFft::forward_int`] accepts.
@@ -65,53 +66,52 @@ pub struct FixedScratch {
     im: Vec<i64>,
 }
 
-/// One direction's lifting rotations in per-stage contiguous layout (the
-/// integer-engine mirror of [`crate::tables::StageTwiddles`]): stage `s`
-/// serves butterflies of length `len = 2^{s+1}` and stores the `len/2`
-/// rotations by `±2πk/len` back to back, so the butterfly loop reads its
-/// stage with unit stride instead of the stride-`M/len` walk over one big
-/// table.
+/// One direction's rotations in struct-of-arrays layout, in the order the
+/// transform meets them with unit stride: the butterfly stages back to back
+/// (stage `len = 2, 4, …, M` holds the `len/2` rotations by `±2πk/len`, so
+/// it starts at entry `len/2 − 1`), then the `M` rotations of the
+/// negacyclic twist (`+πj/N`, forward) or untwist (`−πj/N`, inverse).
 #[derive(Clone, Debug)]
-struct LiftingStages {
-    /// All stages back to back (`M − 1` entries).
-    flat: Vec<LiftingRotation>,
-    /// `offsets[s]` = start of the stage for `len = 2^{s+1}`.
-    offsets: Vec<usize>,
+struct DirectionTable {
+    table: LiftingTable,
     /// Transform size `M`.
     m: usize,
 }
 
-impl LiftingStages {
-    /// Copies per-stage slices out of the full table
-    /// (`full[k]` = rotation by `±2πk/M`, `k < M/2`), so every entry is
-    /// bit-identical to the strided access it replaces.
-    fn from_full(full: &[LiftingRotation], m: usize) -> Self {
-        debug_assert_eq!(full.len(), m / 2);
-        let mut flat = Vec::with_capacity(m.saturating_sub(1));
-        let mut offsets = Vec::new();
-        let mut len = 2;
-        while len <= m {
-            offsets.push(flat.len());
-            let step = m / len;
-            flat.extend((0..len / 2).map(|k| full[k * step]));
-            len *= 2;
+impl DirectionTable {
+    /// `sign = +1.0` builds the forward direction, `−1.0` the inverse.
+    /// Every entry is [`LiftingRotation::from_angle`] of the angle the
+    /// full-size table would hold at that position (`2π·(k·M/len)/M`, not
+    /// the algebraically equal `2πk/len`), so the coefficients do not
+    /// depend on the layout.
+    fn new(sign: f64, n: usize, twiddle_bits: u32) -> Self {
+        let m = n / 2;
+        let tau = sign * std::f64::consts::TAU;
+        let pi = sign * std::f64::consts::PI;
+        let stages = std::iter::successors(Some(2usize), |len| Some(len * 2))
+            .take_while(|&len| len <= m)
+            .flat_map(|len| (0..len / 2).map(move |k| tau * (k * (m / len)) as f64 / m as f64));
+        let twist = (0..m).map(|j| pi * j as f64 / n as f64);
+        let rotations = stages
+            .chain(twist)
+            .map(|theta| LiftingRotation::from_angle(theta, twiddle_bits));
+        Self {
+            table: LiftingTable::new(rotations, twiddle_bits),
+            m,
         }
-        Self { flat, offsets, m }
     }
 
-    /// The contiguous rotation slice for butterflies of length `len`.
+    /// The rotations for butterflies of length `len`.
     #[inline]
-    fn stage(&self, len: usize) -> &[LiftingRotation] {
+    fn stage(&self, len: usize) -> Lifts<'_> {
         debug_assert!(len.is_power_of_two() && len >= 2 && len <= self.m);
-        let s = len.trailing_zeros() as usize - 1;
-        let start = self.offsets[s];
-        &self.flat[start..start + len / 2]
+        self.table.slice(len / 2 - 1..len - 1)
     }
 
-    /// The full-size table (the last stage).
+    /// The twist (or untwist) rotations, one per evaluation point.
     #[inline]
-    fn full(&self) -> &[LiftingRotation] {
-        self.stage(self.m)
+    fn twist(&self) -> Lifts<'_> {
+        self.table.slice(self.m - 1..2 * self.m - 1)
     }
 }
 
@@ -142,14 +142,12 @@ pub struct ApproxIntFft {
     int_frac_bits: u32,
     /// Fractional pre-scale for torus polynomials.
     torus_frac_bits: u32,
-    /// Rotations by `+2πk/len` per stage, contiguous.
-    fwd_stages: LiftingStages,
-    /// Rotations by `-2πk/len` per stage, contiguous.
-    inv_stages: LiftingStages,
-    /// Twist rotations `+πj/N`, `j < M`.
-    twist: Vec<LiftingRotation>,
-    /// Untwist rotations `-πj/N`.
-    untwist: Vec<LiftingRotation>,
+    /// Stage rotations by `+2πk/len` and the twist `+πj/N`.
+    fwd: DirectionTable,
+    /// Stage rotations by `−2πk/len` and the untwist `−πj/N`.
+    inv: DirectionTable,
+    /// Mean [`LiftingRotation::adder_ops`] over the full-size forward stage.
+    mean_rotation_adders: f64,
 }
 
 impl ApproxIntFft {
@@ -170,22 +168,17 @@ impl ApproxIntFft {
             "twiddle_bits {twiddle_bits} outside supported range 4..=62"
         );
         let m = n / 2;
-        let tau = std::f64::consts::TAU;
-        let pi = std::f64::consts::PI;
-        let fwd_twiddles: Vec<LiftingRotation> = (0..m / 2)
-            .map(|k| LiftingRotation::from_angle(tau * k as f64 / m as f64, twiddle_bits))
-            .collect();
-        let inv_twiddles: Vec<LiftingRotation> = (0..m / 2)
-            .map(|k| LiftingRotation::from_angle(-tau * k as f64 / m as f64, twiddle_bits))
-            .collect();
-        let twist = (0..m)
-            .map(|j| LiftingRotation::from_angle(pi * j as f64 / n as f64, twiddle_bits))
-            .collect();
-        let untwist = (0..m)
-            .map(|j| LiftingRotation::from_angle(-pi * j as f64 / n as f64, twiddle_bits))
-            .collect();
+        let full_stage = (0..m / 2).map(|k| {
+            LiftingRotation::from_angle(std::f64::consts::TAU * k as f64 / m as f64, twiddle_bits)
+        });
+        let mean_rotation_adders =
+            full_stage.map(|r| r.adder_ops() as f64).sum::<f64>() / (m / 2).max(1) as f64;
         // Leave headroom so forward buffers stay below 2^61·√2: a signed
         // value of `b` bits grows to at most `b + frac + log2(M)` bits.
+        // The vector legs of the kernels need that bound, not just `i64`
+        // range (`simd::I64_LANE_BOUND`); how they take a `twiddle_bits`-bit
+        // lift apart is fixed here too, inside the tables
+        // (`simd::LiftSplit`).
         let log2m = m.trailing_zeros();
         let int_frac_bits = (61 - 11 - log2m).min(42);
         let torus_frac_bits = (61 - 32 - log2m).min(26);
@@ -194,10 +187,9 @@ impl ApproxIntFft {
             twiddle_bits,
             int_frac_bits,
             torus_frac_bits,
-            fwd_stages: LiftingStages::from_full(&fwd_twiddles, m),
-            inv_stages: LiftingStages::from_full(&inv_twiddles, m),
-            twist,
-            untwist,
+            fwd: DirectionTable::new(1.0, n, twiddle_bits),
+            inv: DirectionTable::new(-1.0, n, twiddle_bits),
+            mean_rotation_adders,
         }
     }
 
@@ -213,43 +205,34 @@ impl ApproxIntFft {
         let stages = m.trailing_zeros() as u64;
         // Each stage performs M/2 rotations; approximate with the mean cost
         // over the full twiddle table plus 2 butterfly adds per butterfly.
-        let full = self.fwd_stages.full();
-        let mean_rot: f64 =
-            full.iter().map(|r| r.adder_ops() as f64).sum::<f64>() / full.len().max(1) as f64;
-        ((m / 2) as f64 * stages as f64 * (mean_rot + 2.0)) as u64
+        ((m / 2) as f64 * stages as f64 * (self.mean_rotation_adders + 2.0)) as u64
     }
 
     /// Stage loops run through the shared [`crate::simd`] kernels: the same
-    /// split-component, unit-stride shape as the f64 engines, though the
-    /// lifting rotations keep these stages scalar (no 64-bit lane multiply
-    /// or arithmetic shift before AVX-512 — see the kernel module docs).
+    /// split-component, unit-stride shape as the f64 engines. The AVX2 leg
+    /// builds each lift from 32-bit partial products and agrees with the
+    /// scalar `i128` leg bit for bit (see the kernel module docs).
     fn dft_forward(&self, re: &mut [i64], im: &mut [i64]) {
         let m = re.len();
-        bit_reverse_pairs(re, im);
+        bit_reverse_permute_pair(re, im);
         let mut len = 2;
         while len <= m {
-            crate::simd::i64_radix2_stage(re, im, self.fwd_stages.stage(len), len);
+            crate::simd::i64_radix2_stage(re, im, self.fwd.stage(len), len);
             len *= 2;
         }
     }
 
-    fn dft_inverse_halving(&self, re: &mut [i64], im: &mut [i64]) {
+    /// The inverse stages over a buffer already in bit-reversed order.
+    fn inverse_stages_halving(&self, re: &mut [i64], im: &mut [i64]) {
         let m = re.len();
-        bit_reverse_pairs(re, im);
         let mut len = 2;
         while len <= m {
             // Halve every stage output: log2(M) halvings realize the 1/M
             // inverse normalization without any multiplier.
-            crate::simd::i64_radix2_stage_halving(re, im, self.inv_stages.stage(len), len);
+            crate::simd::i64_radix2_stage_halving(re, im, self.inv.stage(len), len);
             len *= 2;
         }
     }
-}
-
-/// Bit-reversal permutation applied to both component arrays coherently.
-fn bit_reverse_pairs(re: &mut [i64], im: &mut [i64]) {
-    debug_assert_eq!(re.len(), im.len());
-    bit_reverse_permute_pair(re, im);
 }
 
 impl ApproxIntFft {
@@ -258,20 +241,16 @@ impl ApproxIntFft {
         let m = self.n / 2;
         out.re.clear();
         out.im.clear();
-        out.re.reserve(m);
-        out.im.reserve(m);
-        for j in 0..m {
-            let (x, y) = self.twist[j].apply(value(j) << frac_bits, value(j + m) << frac_bits);
-            out.re.push(x);
-            out.im.push(y);
-        }
+        out.re.extend((0..m).map(|j| value(j) << frac_bits));
+        out.im.extend((m..2 * m).map(|j| value(j) << frac_bits));
+        crate::simd::i64_rotate(&mut out.re, &mut out.im, self.fwd.twist());
         out.frac_bits = frac_bits;
     }
 }
 
 impl FftEngine for ApproxIntFft {
     type Spectrum = FixedSpectrum;
-    type MonomialFactors = Vec<(i32, i32)>;
+    type MonomialFactors = Vec<[i32; 2]>;
     type Scratch = FixedScratch;
 
     fn ring_degree(&self) -> usize {
@@ -355,9 +334,14 @@ impl FftEngine for ApproxIntFft {
         let m = self.n / 2;
         assert_eq!(s.re.len(), m, "spectrum size mismatch");
         assert_eq!(out.len(), self.n, "output polynomial length mismatch");
-        scratch.re.clone_from(&s.re);
-        scratch.im.clone_from(&s.im);
-        self.dft_inverse_halving(&mut scratch.re, &mut scratch.im);
+        assert_eq!(s.im.len(), m, "spectrum size mismatch");
+        // The working copy is made in bit-reversed order: one pass over the
+        // input instead of a copy and an in-place permutation.
+        scratch.re.resize(m, 0);
+        scratch.im.resize(m, 0);
+        bit_reverse_copy_pair(&s.re, &s.im, &mut scratch.re, &mut scratch.im);
+        self.inverse_stages_halving(&mut scratch.re, &mut scratch.im);
+        crate::simd::i64_rotate(&mut scratch.re, &mut scratch.im, self.inv.twist());
         let frac = s.frac_bits;
         let descale = |v: i64| -> i64 {
             if frac == 0 {
@@ -366,12 +350,11 @@ impl FftEngine for ApproxIntFft {
                 (v + (1 << (frac - 1))) >> frac
             }
         };
-        let coeffs = out.coeffs_mut();
+        let (lo, hi) = out.coeffs_mut().split_at_mut(m);
         for j in 0..m {
-            let (x, y) = self.untwist[j].apply(scratch.re[j], scratch.im[j]);
             // Two's-complement truncation is the exact reduction mod 2^32.
-            coeffs[j] = Torus32::from_raw(descale(x) as u32);
-            coeffs[j + m] = Torus32::from_raw(descale(y) as u32);
+            lo[j] = Torus32::from_raw(descale(scratch.re[j]) as u32);
+            hi[j] = Torus32::from_raw(descale(scratch.im[j]) as u32);
         }
     }
 
@@ -441,39 +424,56 @@ impl FftEngine for ApproxIntFft {
     /// so its components fit the 32-bit integer multipliers of MATCHA's
     /// TGSW clusters (§4.3) — the FFT butterflies stay multiplication-less,
     /// but TGSW scaling legitimately uses the cluster's multipliers.
+    ///
+    /// Each table is a serial chain `ε_{k+1}^e = ε_k^e · ε^{4e}` in doubles;
+    /// up to `BUNDLE_CHUNK` (8) chains advance side by side (they are
+    /// independent, so every value is what one chain alone computes) to
+    /// hide the complex multiply's latency.
     fn monomial_factors_into(
         &self,
-        exponents: impl Iterator<Item = i64>,
-        out: &mut Vec<(i32, i32)>,
+        mut exponents: impl Iterator<Item = i64>,
+        out: &mut Vec<[i32; 2]>,
     ) {
         let m = self.n / 2;
         let base = std::f64::consts::PI / self.n as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
+        // `ε^N − 1 = −2` lands on `i32::MIN` exactly; nothing is larger.
+        let quantize = |v: f64| crate::simd::round_half_away(v * quant) as i32;
         out.clear();
-        for exponent in exponents {
-            let e = exponent.rem_euclid(2 * self.n as i64) as f64;
-            let step = crate::cplx::Cplx::from_angle(4.0 * base * e);
-            let mut cur = crate::cplx::Cplx::from_angle(base * e);
-            for _ in 0..m {
-                out.push((
-                    ((cur.re - 1.0) * quant).round() as i32,
-                    (cur.im * quant).round() as i32,
-                ));
-                cur *= step;
+        let mut chains = [(Cplx::ZERO, Cplx::ZERO); BUNDLE_CHUNK];
+        loop {
+            let mut n = 0;
+            // A full set stops the zip before it pulls an exponent it has
+            // no chain for.
+            for (chain, exponent) in chains.iter_mut().zip(exponents.by_ref()) {
+                let e = exponent.rem_euclid(2 * self.n as i64) as f64;
+                *chain = (Cplx::from_angle(base * e), Cplx::from_angle(4.0 * base * e));
+                n += 1;
+            }
+            let start = out.len();
+            out.resize(start + n * m, [0; 2]);
+            for k in 0..m {
+                for (p, (cur, step)) in chains[..n].iter_mut().enumerate() {
+                    out[start + p * m + k] = [quantize(cur.re - 1.0), quantize(cur.im)];
+                    *cur *= *step;
+                }
+            }
+            if n < BUNDLE_CHUNK {
+                return;
             }
         }
     }
 
-    /// The bundle row over the integer spectra. `h` first drops
-    /// [`BUNDLE_DROP_BITS`] fractional bits (round half up) to make
-    /// headroom for the sum, then every term adds its 128-bit product
+    /// The bundle row over the integer spectra ([`crate::simd::i64_bundle_row`]).
+    /// `h` first drops [`BUNDLE_DROP_BITS`] fractional bits (round half up)
+    /// to make headroom for the sum, then every term adds its product
     /// rounded back by `MONO_FRAC_BITS + BUNDLE_DROP_BITS` — the same
     /// shifts, in the same order, whatever the number of terms.
     fn bundle_row_into<'a>(
         &self,
         h: &FixedSpectrum,
         srcs: impl Iterator<Item = &'a FixedSpectrum>,
-        factors: &Vec<(i32, i32)>,
+        factors: &Vec<[i32; 2]>,
         out: &mut FixedSpectrum,
     ) {
         let m = self.n / 2;
@@ -485,11 +485,7 @@ impl FftEngine for ApproxIntFft {
         out.re.resize(m, 0);
         out.im.resize(m, 0);
         out.frac_bits = h.frac_bits - BUNDLE_DROP_BITS;
-        let half = 1i64 << (BUNDLE_DROP_BITS - 1);
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-        let round = 1i128 << (shift - 1);
         let srcs = srcs.map(|s| {
-            assert_eq!(s.re.len(), m, "spectrum size mismatch");
             assert_eq!(
                 s.frac_bits, h.frac_bits,
                 "bundle terms must share h's scale"
@@ -497,26 +493,13 @@ impl FftEngine for ApproxIntFft {
             (&s.re[..], &s.im[..])
         });
         let terms = for_each_source_chunk(srcs, |done, table| {
-            let factors = &factors[done * m..(done + table.len()) * m];
-            for k in 0..m {
-                let (mut acc_re, mut acc_im) = if done == 0 {
-                    (
-                        (h.re[k] + half) >> BUNDLE_DROP_BITS,
-                        (h.im[k] + half) >> BUNDLE_DROP_BITS,
-                    )
-                } else {
-                    (out.re[k], out.im[k])
-                };
-                for (p, (s_re, s_im)) in table.iter().enumerate() {
-                    let (fr32, fi32) = factors[p * m + k];
-                    let (fr, fi) = (fr32 as i128, fi32 as i128);
-                    let (sr, si) = (s_re[k] as i128, s_im[k] as i128);
-                    acc_re += ((sr * fr - si * fi + round) >> shift) as i64;
-                    acc_im += ((sr * fi + si * fr + round) >> shift) as i64;
-                }
-                out.re[k] = acc_re;
-                out.im[k] = acc_im;
-            }
+            crate::simd::i64_bundle_row(
+                &mut out.re,
+                &mut out.im,
+                (done == 0).then_some((&h.re[..], &h.im[..])),
+                table,
+                &factors[done * m..(done + table.len()) * m],
+            );
         });
         assert_eq!(factors.len(), terms * m, "one factor table per source");
     }
@@ -665,6 +648,40 @@ mod tests {
                 got.max_distance(&expected)
             );
         }
+    }
+
+    #[test]
+    fn factor_quantizer_matches_round_for_every_exponent() {
+        // The factor chain as it was written with libm's `round`, one
+        // exponent at a time: the interleaved, libm-free chains must
+        // produce the same tables for every exponent mod 2N — `e = N`
+        // included, where `ε^N − 1 = −2` quantizes to exactly `i32::MIN`.
+        let n = 256usize;
+        let m = n / 2;
+        let engine = ApproxIntFft::new(n, 38);
+        let base = std::f64::consts::PI / n as f64;
+        let quant = (1i64 << MONO_FRAC_BITS) as f64;
+        let mut factors = Vec::new();
+        engine.monomial_factors_into(0..2 * n as i64, &mut factors);
+        assert_eq!(factors.len(), 2 * n * m);
+        for e in 0..2 * n {
+            let step = Cplx::from_angle(4.0 * base * e as f64);
+            let mut cur = Cplx::from_angle(base * e as f64);
+            for k in 0..m {
+                let expected = [
+                    ((cur.re - 1.0) * quant).round() as i32,
+                    (cur.im * quant).round() as i32,
+                ];
+                assert_eq!(factors[e * m + k], expected, "e={e} k={k}");
+                cur *= step;
+            }
+        }
+        assert_eq!(factors[n * m], [i32::MIN, 0]);
+        // Exponents are taken mod 2N, negative ones too.
+        let mut wrapped = vec![[1, 1]; 3];
+        engine.monomial_factors_into([-3, 2 * n as i64 + 5].into_iter(), &mut wrapped);
+        assert_eq!(wrapped[..m], factors[(2 * n - 3) * m..(2 * n - 2) * m]);
+        assert_eq!(wrapped[m..], factors[5 * m..6 * m]);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! so every lifting coefficient lies in `[-1, 1]` and the shift-add expansion
 //! stays short and numerically tame.
 
+use crate::simd::LiftSplit;
+
 /// A dyadic fixed-point coefficient `α / 2^β`.
 ///
 /// # Examples
@@ -81,8 +83,7 @@ impl DyadicCoeff {
     /// shift-add form, software uses this faster equivalent.
     #[inline]
     pub fn apply(self, x: i64) -> i64 {
-        let prod = x as i128 * self.alpha as i128;
-        round_shift(prod, self.beta)
+        lift(x, self.alpha, self.beta)
     }
 
     /// `round(x · α/2^β)` computed with additions and binary shifts only —
@@ -107,6 +108,16 @@ impl DyadicCoeff {
 #[inline]
 fn round_shift(v: i128, beta: u32) -> i64 {
     ((v + (1i128 << (beta - 1))) >> beta) as i64
+}
+
+/// One lifting step's scaled copy, `⌊(x·α + 2^{β−1}) / 2^β⌋`, with one wide
+/// multiply: the definition every software leg of the integer engine
+/// reproduces bit for bit ([`DyadicCoeff::apply`], the scalar
+/// [`crate::simd`] kernels directly, the vector kernels through 32-bit
+/// partial products).
+#[inline]
+pub(crate) fn lift(x: i64, alpha: i64, beta: u32) -> i64 {
+    round_shift(x as i128 * alpha as i128, beta)
 }
 
 /// How a rotation is realized after angle reduction.
@@ -215,6 +226,19 @@ impl LiftingRotation {
         }
     }
 
+    /// The rotation as the integer engine's tables store it: the numerators
+    /// of `t` and `s` and whether the result is negated. `Identity` and
+    /// `Negation` come out as zero lifts: `⌊(x·0 + 2^{β−1}) / 2^β⌋ = 0`, so
+    /// the three steps leave them unchanged and one loop with no case
+    /// analysis serves every entry of a table.
+    pub fn lifts(self) -> (i64, i64, bool) {
+        match self.kind {
+            RotationKind::Identity => (0, 0, false),
+            RotationKind::Negation => (0, 0, true),
+            RotationKind::Lifting { t, s, negate } => (t.alpha(), s.alpha(), negate),
+        }
+    }
+
     /// Number of adder operations the shift-add realization needs
     /// (used by the accelerator cost model).
     pub fn adder_ops(self) -> u32 {
@@ -224,6 +248,112 @@ impl LiftingRotation {
                 2 * t.alpha().unsigned_abs().count_ones() + s.alpha().unsigned_abs().count_ones()
             }
         }
+    }
+}
+
+/// A run of rotations in struct-of-arrays layout — what the integer
+/// engine's kernels read. Entry `i` is `rotations[i]` taken apart by
+/// [`LiftingRotation::lifts`]: `t[i]`, `s[i]` are the numerators over
+/// `2^β`, `neg[i]` is `0` or `−1` (all ones), so that `(v ^ neg) − neg`
+/// negates exactly the entries that ask for it. [`LiftingRotation`] stays
+/// the definition; this is its storage.
+#[derive(Clone, Debug)]
+pub struct LiftingTable {
+    t: Vec<i64>,
+    s: Vec<i64>,
+    neg: Vec<i64>,
+    beta: u32,
+    split: Option<LiftSplit>,
+}
+
+impl LiftingTable {
+    /// Lays `rotations` out as arrays. All of them must have been built
+    /// with `twiddle_bits` fractional bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `twiddle_bits ∉ [1, 62]`.
+    pub fn new(rotations: impl IntoIterator<Item = LiftingRotation>, twiddle_bits: u32) -> Self {
+        assert!(
+            (1..=62).contains(&twiddle_bits),
+            "twiddle_bits {twiddle_bits} out of supported range 1..=62"
+        );
+        let (mut t, mut s, mut neg) = (Vec::new(), Vec::new(), Vec::new());
+        for rot in rotations {
+            let (rt, rs, negate) = rot.lifts();
+            debug_assert!(rt.unsigned_abs() <= 1 << twiddle_bits);
+            debug_assert!(rs.unsigned_abs() <= 1 << twiddle_bits);
+            t.push(rt);
+            s.push(rs);
+            neg.push(-i64::from(negate));
+        }
+        Self {
+            t,
+            s,
+            neg,
+            beta: twiddle_bits,
+            split: LiftSplit::new(twiddle_bits),
+        }
+    }
+
+    /// The rotations `range` as the kernels take them.
+    #[inline]
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Lifts<'_> {
+        Lifts {
+            t: &self.t[range.clone()],
+            s: &self.s[range.clone()],
+            neg: &self.neg[range],
+            beta: self.beta,
+            split: self.split,
+        }
+    }
+}
+
+/// A borrowed run of a [`LiftingTable`]: three equally long slices, the
+/// shared `β`, and how the vector leg takes a lift apart (`None`: this `β`
+/// stays scalar).
+#[derive(Clone, Copy, Debug)]
+pub struct Lifts<'a> {
+    pub(crate) t: &'a [i64],
+    pub(crate) s: &'a [i64],
+    pub(crate) neg: &'a [i64],
+    pub(crate) beta: u32,
+    pub(crate) split: Option<LiftSplit>,
+}
+
+impl Lifts<'_> {
+    /// Number of rotations.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    /// Whether the run is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+
+    /// Rotation `k` applied to `(x, y)`: the three lifts and the masked
+    /// negation, bit-identical to [`LiftingRotation::apply`] of the entry
+    /// it was built from. The scalar leg of every integer kernel. Zero
+    /// lifts add zero, so they are not multiplied out: every stage's first
+    /// rotation is one, and the whole `len = 2` stage.
+    #[inline]
+    pub(crate) fn rotate(&self, k: usize, mut x: i64, mut y: i64) -> (i64, i64) {
+        let (t, s, neg) = (self.t[k], self.s[k], self.neg[k]);
+        if t | s != 0 {
+            x += lift(y, t, self.beta);
+            y += lift(x, s, self.beta);
+            x += lift(y, t, self.beta);
+        }
+        ((x ^ neg) - neg, (y ^ neg) - neg)
+    }
+
+    /// Whether rotation `k` changes nothing (angle `0`).
+    #[inline]
+    pub(crate) fn is_identity(&self, k: usize) -> bool {
+        self.t[k] | self.s[k] | self.neg[k] == 0
     }
 }
 

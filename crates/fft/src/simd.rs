@@ -43,16 +43,30 @@
 //!
 //! # Integer (i64) kernels
 //!
-//! The integer engine's butterfly stages are routed through this module
-//! too ([`i64_radix2_stage`], [`i64_radix2_stage_halving`]) but have no
-//! vector leg: each lifting step needs a 64×64→128-bit multiply with a
-//! rounding arithmetic shift, and AVX2 offers neither 64-bit lane
-//! multiplies nor 64-bit arithmetic shifts (both arrive with AVX-512).
-//! The shared scalar kernels keep the four engines structurally uniform
-//! and give the autovectorizer the same unit-stride shape.
+//! The integer engine's rotations ([`i64_radix2_stage`],
+//! [`i64_radix2_stage_halving`], [`i64_rotate`]) and its bundle row
+//! ([`i64_bundle_row`]) have both legs too, and here the legs agree
+//! **bitwise**, not within ulps: integer arithmetic has one right answer.
+//! The scalar leg is the definition — each lift
+//! `⌊(x·α + 2^{β−1}) / 2^β⌋` and each bundle product through one `i128`
+//! multiply. AVX2 has no 64×64-bit multiply and no 64-bit arithmetic
+//! shift, so the vector leg splits every 64-bit operand at bit 31, forms
+//! the signed 32×32→64-bit partial products `vpmuldq` does offer, and
+//! recombines them with nested floors; arithmetic shifts are logical
+//! shifts of a value biased by `2⁶³`. [`LiftSplit`] and [`i64_bundle_row`]
+//! derive the two recombinations and the bounds that keep every partial
+//! sum exact; the one precondition they add to the scalar leg's is
+//! [`I64_LANE_BOUND`] (`|v| < 2⁶²`), which the engine's scaling already
+//! guaranteed. Twiddle widths the split does not reach (`β = 62`) run the
+//! scalar loop on both legs. The engine's 64×64-bit pointwise products
+//! (`mul_accumulate`, `mul_accumulate_pair`) stay scalar `i128` on purpose:
+//! the native `mul` is the right tool for a full-width product.
 
-use crate::lifting::LiftingRotation;
+use crate::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
+use crate::lifting::Lifts;
 use matcha_math::Torus32;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m128i, __m256i};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Explicit override state: 0 = auto, 1 = forced scalar, 2 = forced SIMD
@@ -828,6 +842,14 @@ const TWO_32: f64 = 4294967296.0;
 /// call; a plain `0.5` would round `0.49999999999999994` up to one.
 const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
 
+/// `y.round()` for `|y| < 2^52` without the libm call: an add and a
+/// truncating cast. The rounding of [`reduce_turns`] and of the integer
+/// engine's factor quantizer.
+#[inline]
+pub(crate) fn round_half_away(y: f64) -> i64 {
+    (y + HALF_BELOW.copysign(y)) as i64
+}
+
 /// Reduces a value given in *turns* (`t = x / 2^32`) onto the torus:
 /// `round(2^32 · (t − round(t)))` with the outer rounding half away from
 /// zero — i.e. the centred residue of `x` modulo `2^32`, rounded to an
@@ -843,9 +865,8 @@ const HALF_BELOW: f64 = 0.499_999_999_999_999_94;
 /// roundings are an add and a truncating cast.
 #[inline]
 pub fn reduce_turns(t: f64) -> u32 {
-    let whole = (t + HALF_BELOW.copysign(t)) as i64 as f64;
-    let y = (t - whole) * TWO_32;
-    (y + HALF_BELOW.copysign(y)) as i64 as u32
+    let y = (t - round_half_away(t) as f64) * TWO_32;
+    round_half_away(y) as u32
 }
 
 /// The fused tail of every backward transform, one pass over the inverse
@@ -1047,48 +1068,192 @@ unsafe fn bundle_row_avx(
 // i64 kernels (integer engine)
 // ---------------------------------------------------------------------------
 
-/// One radix-2 butterfly stage of the integer engine: the stage's lifting
-/// rotations applied with unit stride, then `u ± v`. Scalar only — the
-/// lifting steps need 64×64→128-bit multiplies with rounding arithmetic
-/// shifts, which AVX2 cannot express (see the module docs).
-pub fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: &[LiftingRotation], len: usize) {
-    let m = re.len();
-    let half = len / 2;
-    assert_eq!(im.len(), m, "component length mismatch");
-    assert_eq!(rots.len(), half, "rotation table length mismatch");
-    for start in (0..m).step_by(len) {
-        for (k, &rot) in rots.iter().enumerate() {
-            let (vr, vi) = rot.apply(re[start + half + k], im[start + half + k]);
-            let (ur, ui) = (re[start + k], im[start + k]);
-            re[start + k] = ur + vr;
-            im[start + k] = ui + vi;
-            re[start + half + k] = ur - vr;
-            im[start + half + k] = ui - vi;
+/// Exclusive magnitude bound on everything the integer vector legs read:
+/// lift inputs (the values a butterfly stage, the twist or the untwist
+/// rotates, *and* the intermediate `x`/`y` between the three lifts) and
+/// the key spectra of a bundle row. The legs take a value apart as
+/// `v = v_h·2³¹ + v_l` and multiply the halves with the signed 32-bit
+/// `vpmuldq`; `v_h` fits 32 bits exactly when `|v| < 2⁶²`.
+///
+/// The engine's own scaling keeps forward buffers within `2⁶¹·√2` in
+/// complex magnitude ([`crate::ApproxIntFft`] picks its pre-scales for
+/// that), a lift's intermediate is at most `√2` times its input's
+/// magnitude (`|t| ≤ 1`), and the halving inverse stages never grow a
+/// value — so transforms of valid inputs stay inside on every stage. The
+/// scalar legs accept the full `i64` range; outside this bound the two
+/// legs may disagree (no memory unsafety, only different integers).
+pub const I64_LANE_BOUND: u64 = 1 << 62;
+
+/// `debug_assert`s the [`I64_LANE_BOUND`] precondition on kernel inputs.
+#[inline]
+fn debug_assert_lane_bound(vs: &[i64]) {
+    debug_assert!(
+        vs.iter().all(|v| v.unsigned_abs() < I64_LANE_BOUND),
+        "integer kernel input outside ±2^62"
+    );
+}
+
+/// How the vector leg evaluates one lift `⌊(x·α + 2^{β−1}) / 2^β⌋` without a
+/// 64×64-bit multiply: with `x = x_h·2³¹ + x_l` (`0 ≤ x_l < 2³¹`) and
+/// `α = α_h·2^c + α_l` (`0 ≤ α_l < 2^c`),
+///
+/// ```text
+/// x·α + 2^{β−1} = x_h·α_h·2^{31+c} + (x_h·α_l·2³¹ + x_l·α_h·2^c + x_l·α_l + 2^{β−1})
+/// ```
+///
+/// and, dividing by `2^β` with nested floors (`x_l·α_l ≥ 0`),
+///
+/// ```text
+/// lift = (x_h·α_h ≪ hh) + ((x_h·α_l ≪ hl) + x_l·α_h + (x_l·α_l ≫ c) + 2^{β−1−c}) ≫ₐ out
+/// hh = 31 + c − β,   hl = 31 − c,   out = β − c.
+/// ```
+///
+/// `c = min(31, β − 1)` satisfies every bound this needs for `β ≤ 61`:
+///
+/// * four signed 32-bit operands: `|x_h| ≤ 2³¹` from `|x| < 2⁶²`
+///   ([`I64_LANE_BOUND`]); `x_l < 2³¹`; `α_l < 2^c ≤ 2³¹`;
+///   `|α_h| ≤ 2^{β−c} ≤ 2³⁰` from `|α| ≤ 2^β` (lifting coefficients lie
+///   in `[−1, 1]`) and `β − c ≤ 30`;
+/// * all three shift counts non-negative: `c ≥ β − 31`, `c ≤ 31`,
+///   `c ≤ β − 1`;
+/// * the inner sum is exact, so its arithmetic shift is too:
+///   `|x_h·α_l ≪ hl| < 2³¹·2^c·2^{31−c} = 2⁶²`, `|x_l·α_h| < 2³¹·2³⁰`,
+///   `x_l·α_l ≫ c < 2³¹`, rounding term `≤ 2²⁹` — below `2⁶³` together;
+/// * the outer sum may wrap on the way: it is taken modulo `2⁶⁴` and its
+///   true value, the lift, fits.
+///
+/// `β = 62` would need `|α_h| ≤ 2³¹`, one bit too many: that width keeps
+/// the scalar leg. The arithmetic shift `v ≫ₐ k` is
+/// `((v + 2⁶³) ≫ k) − 2^{63−k}` with a logical shift; the `2⁶³` rides in
+/// the rounding constant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LiftSplit {
+    /// Width `c` of `α_l`.
+    c: u32,
+    /// `31 + c − β`.
+    hh: u32,
+    /// `31 − c`.
+    hl: u32,
+    /// `β − c`.
+    out: u32,
+    /// `2^{β−1−c} + 2⁶³` (wrapped).
+    round: i64,
+    /// `2^{63−out}`.
+    bias: i64,
+}
+
+impl LiftSplit {
+    /// The split for `beta`-bit coefficients, or `None` where the vector
+    /// leg does not reach (`beta = 62`; anything outside `1..=62` is not a
+    /// coefficient width at all).
+    pub fn new(beta: u32) -> Option<Self> {
+        if !(1..=61).contains(&beta) {
+            return None;
         }
+        let c = (beta - 1).min(31);
+        let out = beta - c;
+        debug_assert!((1..=30).contains(&out) && 31 + c >= beta);
+        Some(Self {
+            c,
+            hh: 31 + c - beta,
+            hl: 31 - c,
+            out,
+            round: (1i64 << (beta - 1 - c)).wrapping_add(i64::MIN),
+            bias: 1 << (63 - out),
+        })
     }
+}
+
+/// In-place rotation of every point `(re[k], im[k])` by rotation `k` of
+/// `rots` — the negacyclic twist after the fold and the untwist before the
+/// store, with the same lift as the butterflies.
+///
+/// # Panics
+///
+/// Panics on mismatched lengths.
+pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>) {
+    let m = re.len();
+    assert_eq!(im.len(), m, "component length mismatch");
+    assert_eq!(rots.len(), m, "rotation table length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(split), true) = (rots.split, m.is_multiple_of(4) && simd_active()) {
+        debug_assert_lane_bound(re);
+        debug_assert_lane_bound(im);
+        // SAFETY: simd_active() implies AVX2; the lengths were checked.
+        unsafe { i64_rotate_avx(re, im, rots, split) };
+        return;
+    }
+    for k in 0..m {
+        (re[k], im[k]) = rots.rotate(k, re[k], im[k]);
+    }
+}
+
+/// One radix-2 butterfly stage of the integer engine: the stage's lifting
+/// rotations applied with unit stride, then `u ± v`.
+///
+/// Both legs read the same [`Lifts`] and produce the same integers: the
+/// scalar leg multiplies in `i128` ([`crate::lifting`]'s definition), the
+/// AVX2 leg recombines four 32-bit partial products per lift
+/// ([`LiftSplit`]) for inputs below [`I64_LANE_BOUND`].
+///
+/// # Panics
+///
+/// Panics on mismatched lengths.
+pub fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
+    i64_stage::<false>(re, im, rots, len);
 }
 
 /// [`i64_radix2_stage`] with a round-half-up halving of every output —
 /// `log2(M)` of these realize the `1/M` inverse normalization without a
 /// multiplier.
-pub fn i64_radix2_stage_halving(
-    re: &mut [i64],
-    im: &mut [i64],
-    rots: &[LiftingRotation],
-    len: usize,
-) {
+pub fn i64_radix2_stage_halving(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
+    i64_stage::<true>(re, im, rots, len);
+}
+
+fn i64_stage<const HALVE: bool>(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
     let m = re.len();
     let half = len / 2;
     assert_eq!(im.len(), m, "component length mismatch");
+    assert!(
+        len >= 2 && m.is_multiple_of(len),
+        "buffer not a multiple of the stage length"
+    );
     assert_eq!(rots.len(), half, "rotation table length mismatch");
-    for start in (0..m).step_by(len) {
-        for (k, &rot) in rots.iter().enumerate() {
-            let (vr, vi) = rot.apply(re[start + half + k], im[start + half + k]);
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(split), true) = (rots.split, m >= 8 && simd_active()) {
+        debug_assert_lane_bound(re);
+        debug_assert_lane_bound(im);
+        // SAFETY (all three): simd_active() implies AVX2; the lengths were
+        // checked, and `m` is a multiple of 8 (a multiple of `len`, a
+        // power of two, and at least 8).
+        if half >= 4 {
+            unsafe { i64_stage_avx::<HALVE>(re, im, rots, split, len) };
+            return;
+        }
+        // The two narrow stages have in-register butterflies, like their
+        // f64 counterparts. `len = 2` rotates by angle 0 only, so its
+        // vector form is the bare butterfly; a table that says otherwise
+        // takes the scalar loop.
+        if len == 2 && rots.is_identity(0) {
+            unsafe { i64_stage2_avx::<HALVE>(re, im) };
+            return;
+        }
+        if len == 4 {
+            unsafe { i64_stage4_avx::<HALVE>(re, im, rots, split) };
+            return;
+        }
+    }
+    let scale = |v: i64| if HALVE { half_round(v) } else { v };
+    // Rotation outside, blocks inside: the coefficients (and whether they
+    // are a zero lift) are fixed along the inner loop.
+    for k in 0..half {
+        for start in (0..m).step_by(len) {
+            let (vr, vi) = rots.rotate(k, re[start + half + k], im[start + half + k]);
             let (ur, ui) = (re[start + k], im[start + k]);
-            re[start + k] = half_round(ur + vr);
-            im[start + k] = half_round(ui + vi);
-            re[start + half + k] = half_round(ur - vr);
-            im[start + half + k] = half_round(ui - vi);
+            re[start + k] = scale(ur + vr);
+            im[start + k] = scale(ui + vi);
+            re[start + half + k] = scale(ur - vr);
+            im[start + half + k] = scale(ui - vi);
         }
     }
 }
@@ -1097,6 +1262,466 @@ pub fn i64_radix2_stage_halving(
 #[inline]
 pub(crate) fn half_round(v: i64) -> i64 {
     (v + 1) >> 1
+}
+
+/// A coefficient vector taken apart for `vpmuldq`: `(α_h, α_l)`.
+#[cfg(target_arch = "x86_64")]
+type SplitLanes = (__m256i, __m256i);
+
+/// The lift and the rotation on four 64-bit lanes: [`LiftSplit`]'s
+/// constants broadcast once per kernel call.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct LiftLanes {
+    low31: __m256i,
+    low_c: __m256i,
+    round: __m256i,
+    bias: __m256i,
+    c: __m128i,
+    hh: __m128i,
+    hl: __m128i,
+    out: __m128i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LiftLanes {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn new(split: LiftSplit) -> Self {
+        use std::arch::x86_64::*;
+        let count = |n: u32| _mm_cvtsi32_si128(n as i32);
+        Self {
+            low31: _mm256_set1_epi64x((1 << 31) - 1),
+            low_c: _mm256_set1_epi64x((1 << split.c) - 1),
+            round: _mm256_set1_epi64x(split.round),
+            bias: _mm256_set1_epi64x(split.bias),
+            c: count(split.c),
+            hh: count(split.hh),
+            hl: count(split.hl),
+            out: count(split.out),
+        }
+    }
+
+    /// `(α_h, α_l)` in the low halves of the lanes, where `vpmuldq` reads
+    /// its operands: bits `c..c+32` of `α` are `α ≫ₐ c` as an `i32`
+    /// because that quotient fits one.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn split(&self, alpha: __m256i) -> SplitLanes {
+        use std::arch::x86_64::*;
+        (
+            _mm256_srl_epi64(alpha, self.c),
+            _mm256_and_si256(alpha, self.low_c),
+        )
+    }
+
+    /// Rotations `k..k + 4` of `rots`: `t` and `s` split, and the negation
+    /// masks.
+    ///
+    /// # Safety
+    ///
+    /// `k + 4 <= rots.len()`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(&self, rots: Lifts<'_>, k: usize) -> (SplitLanes, SplitLanes, __m256i) {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller keeps the four entries in bounds of all three
+        // (equally long) slices.
+        unsafe {
+            (
+                self.split(_mm256_loadu_si256(rots.t.as_ptr().add(k).cast())),
+                self.split(_mm256_loadu_si256(rots.s.as_ptr().add(k).cast())),
+                _mm256_loadu_si256(rots.neg.as_ptr().add(k).cast()),
+            )
+        }
+    }
+
+    /// `⌊(x·α + 2^{β−1}) / 2^β⌋` per lane, for `|x| < 2⁶²`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lift(&self, x: __m256i, (a_h, a_l): SplitLanes) -> __m256i {
+        use std::arch::x86_64::*;
+        // Bits 31..63 of x: x_h as an i32 in the low half of the lane.
+        let x_h = _mm256_srli_epi64::<31>(x);
+        let x_l = _mm256_and_si256(x, self.low31);
+        let hh = _mm256_mul_epi32(x_h, a_h);
+        let hl = _mm256_mul_epi32(x_h, a_l);
+        let lh = _mm256_mul_epi32(x_l, a_h);
+        let ll = _mm256_mul_epi32(x_l, a_l);
+        let inner = _mm256_add_epi64(
+            _mm256_add_epi64(_mm256_sll_epi64(hl, self.hl), lh),
+            _mm256_add_epi64(_mm256_srl_epi64(ll, self.c), self.round),
+        );
+        _mm256_add_epi64(
+            _mm256_sll_epi64(hh, self.hh),
+            _mm256_sub_epi64(_mm256_srl_epi64(inner, self.out), self.bias),
+        )
+    }
+
+    /// The three lifts and the masked negation of [`Lifts::rotate`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn rotate(
+        &self,
+        mut x: __m256i,
+        mut y: __m256i,
+        t: SplitLanes,
+        s: SplitLanes,
+        neg: __m256i,
+    ) -> (__m256i, __m256i) {
+        use std::arch::x86_64::*;
+        x = _mm256_add_epi64(x, self.lift(y, t));
+        y = _mm256_add_epi64(y, self.lift(x, s));
+        x = _mm256_add_epi64(x, self.lift(y, t));
+        (
+            _mm256_sub_epi64(_mm256_xor_si256(x, neg), neg),
+            _mm256_sub_epi64(_mm256_xor_si256(y, neg), neg),
+        )
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_rotate_avx(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, split: LiftSplit) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    let lanes = LiftLanes::new(split);
+    let mut k = 0;
+    while k + 4 <= m {
+        unsafe {
+            let (t, s, neg) = lanes.load(rots, k);
+            let x = _mm256_loadu_si256(re.as_ptr().add(k).cast());
+            let y = _mm256_loadu_si256(im.as_ptr().add(k).cast());
+            let (x, y) = lanes.rotate(x, y, t, s, neg);
+            _mm256_storeu_si256(re.as_mut_ptr().add(k).cast(), x);
+            _mm256_storeu_si256(im.as_mut_ptr().add(k).cast(), y);
+        }
+        k += 4;
+    }
+    debug_assert_eq!(k, m);
+}
+
+/// `(v + 1) ≫ₐ 1` on four lanes when `HALVE`, the identity otherwise:
+/// `((v + 1 + 2⁶³) ≫ 1) − 2⁶²` with a logical shift.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn half_round_avx<const HALVE: bool>(v: __m256i) -> __m256i {
+    use std::arch::x86_64::*;
+    if HALVE {
+        let sum = _mm256_add_epi64(v, _mm256_set1_epi64x(i64::MIN + 1));
+        _mm256_sub_epi64(_mm256_srli_epi64::<1>(sum), _mm256_set1_epi64x(1 << 62))
+    } else {
+        v
+    }
+}
+
+/// Wide stages (`half ≥ 4`), four butterflies per iteration. The `k` loop
+/// is the outer one so a group of four coefficients is split once and
+/// serves every block of the stage; the buffer is L1-resident either way.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_stage_avx<const HALVE: bool>(
+    re: &mut [i64],
+    im: &mut [i64],
+    rots: Lifts<'_>,
+    split: LiftSplit,
+    len: usize,
+) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    let half = len / 2;
+    let lanes = LiftLanes::new(split);
+    let mut k = 0;
+    while k + 4 <= half {
+        unsafe {
+            let (t, s, neg) = lanes.load(rots, k);
+            let mut start = k;
+            while start < m {
+                let (ur_p, ui_p) = (re.as_mut_ptr().add(start), im.as_mut_ptr().add(start));
+                let (xr_p, xi_p) = (ur_p.add(half), ui_p.add(half));
+                let (vr, vi) = lanes.rotate(
+                    _mm256_loadu_si256(xr_p.cast()),
+                    _mm256_loadu_si256(xi_p.cast()),
+                    t,
+                    s,
+                    neg,
+                );
+                let ur = _mm256_loadu_si256(ur_p.cast());
+                let ui = _mm256_loadu_si256(ui_p.cast());
+                _mm256_storeu_si256(
+                    ur_p.cast(),
+                    half_round_avx::<HALVE>(_mm256_add_epi64(ur, vr)),
+                );
+                _mm256_storeu_si256(
+                    ui_p.cast(),
+                    half_round_avx::<HALVE>(_mm256_add_epi64(ui, vi)),
+                );
+                _mm256_storeu_si256(
+                    xr_p.cast(),
+                    half_round_avx::<HALVE>(_mm256_sub_epi64(ur, vr)),
+                );
+                _mm256_storeu_si256(
+                    xi_p.cast(),
+                    half_round_avx::<HALVE>(_mm256_sub_epi64(ui, vi)),
+                );
+                start += len;
+            }
+        }
+        k += 4;
+    }
+    // `half` is a power of two ≥ 4 here (the dispatcher's condition).
+    debug_assert_eq!(k, half);
+}
+
+/// Length-2 stage without its (identity) rotation: adjacent-pair
+/// butterflies `(u, v) → (u+v, u−v)`, four per iteration via 64-bit
+/// unpacks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_stage2_avx<const HALVE: bool>(re: &mut [i64], im: &mut [i64]) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    for comp in [re, im] {
+        let p = comp.as_mut_ptr();
+        let mut k = 0;
+        while k + 8 <= m {
+            unsafe {
+                let a = _mm256_loadu_si256(p.add(k).cast()); // [u0, v0, u1, v1]
+                let b = _mm256_loadu_si256(p.add(k + 4).cast()); // [u2, v2, u3, v3]
+                let u = _mm256_unpacklo_epi64(a, b); // [u0, u2, u1, u3]
+                let v = _mm256_unpackhi_epi64(a, b); // [v0, v2, v1, v3]
+                let sum = half_round_avx::<HALVE>(_mm256_add_epi64(u, v));
+                let dif = half_round_avx::<HALVE>(_mm256_sub_epi64(u, v));
+                _mm256_storeu_si256(p.add(k).cast(), _mm256_unpacklo_epi64(sum, dif));
+                _mm256_storeu_si256(p.add(k + 4).cast(), _mm256_unpackhi_epi64(sum, dif));
+            }
+            k += 8;
+        }
+        debug_assert_eq!(k, m);
+    }
+}
+
+/// Length-4 stage (`half = 2`): two blocks per iteration, lane-split with
+/// 128-bit permutes so each block's two butterflies meet the broadcast
+/// pair of rotations.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_stage4_avx<const HALVE: bool>(
+    re: &mut [i64],
+    im: &mut [i64],
+    rots: Lifts<'_>,
+    split: LiftSplit,
+) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    let lanes = LiftLanes::new(split);
+    unsafe {
+        let pair = |p: *const i64| _mm256_broadcastsi128_si256(_mm_loadu_si128(p.cast()));
+        let t = lanes.split(pair(rots.t.as_ptr()));
+        let s = lanes.split(pair(rots.s.as_ptr()));
+        let neg = pair(rots.neg.as_ptr());
+        let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
+        let mut k = 0;
+        while k + 8 <= m {
+            let ar = _mm256_loadu_si256(rp.add(k).cast()); // block A [u0, u1, x0, x1]
+            let br = _mm256_loadu_si256(rp.add(k + 4).cast()); // block B
+            let ai = _mm256_loadu_si256(ip.add(k).cast());
+            let bi = _mm256_loadu_si256(ip.add(k + 4).cast());
+            let ur = _mm256_permute2x128_si256::<0x20>(ar, br); // [uA0, uA1, uB0, uB1]
+            let ui = _mm256_permute2x128_si256::<0x20>(ai, bi);
+            let (vr, vi) = lanes.rotate(
+                _mm256_permute2x128_si256::<0x31>(ar, br), // [xA0, xA1, xB0, xB1]
+                _mm256_permute2x128_si256::<0x31>(ai, bi),
+                t,
+                s,
+                neg,
+            );
+            let sr = half_round_avx::<HALVE>(_mm256_add_epi64(ur, vr));
+            let dr = half_round_avx::<HALVE>(_mm256_sub_epi64(ur, vr));
+            let si = half_round_avx::<HALVE>(_mm256_add_epi64(ui, vi));
+            let di = half_round_avx::<HALVE>(_mm256_sub_epi64(ui, vi));
+            _mm256_storeu_si256(rp.add(k).cast(), _mm256_permute2x128_si256::<0x20>(sr, dr));
+            _mm256_storeu_si256(
+                rp.add(k + 4).cast(),
+                _mm256_permute2x128_si256::<0x31>(sr, dr),
+            );
+            _mm256_storeu_si256(ip.add(k).cast(), _mm256_permute2x128_si256::<0x20>(si, di));
+            _mm256_storeu_si256(
+                ip.add(k + 4).cast(),
+                _mm256_permute2x128_si256::<0x31>(si, di),
+            );
+            k += 8;
+        }
+        debug_assert_eq!(k, m);
+    }
+}
+
+/// One bundle row of the integer engine in a single pass:
+/// `out = (base ≫ drop) + Σ_p ⌊(src_p ⊙ f_p + 2^{S−1}) / 2^S⌋`, the
+/// `drop = ` [`BUNDLE_DROP_BITS`] and `S = ` [`MONO_FRAC_BITS`]` + drop`
+/// of [`crate::ApproxIntFft`], each shift rounding half up, every output
+/// element summed over the terms in order and stored once. `factors` holds
+/// one length-`m` table of `[re, im]` pairs per source, back to back.
+/// `base = None` continues a sum already in `out`.
+///
+/// Both legs produce the same integers. The scalar leg forms the complex
+/// product in `i128`. The AVX2 leg splits `s = s_h·2³¹ + s_l` (so the key
+/// spectra must lie below [`I64_LANE_BOUND`]): the real part is
+/// `D_A·2³¹ + D_B` with `D_A = sr_h·fr − si_h·fi`, `D_B = sr_l·fr − si_l·fi`
+/// — each a difference of two signed 32×32-bit products, so it fits 64
+/// bits — and `⌊(D_A·2³¹ + D_B + 2^{S−1}) / 2^S⌋ =
+/// (D_A + (D_B ≫ₐ 31) + 2^{S−32}) ≫ₐ (S − 31)`; the imaginary part
+/// likewise with sums. `|D_A| ≤ |s_h|·|f|` in complex magnitudes, at most
+/// `(2^{30.5} + 1)·2^{31.5}` for spectra within the engine's `2⁶¹·√2`
+/// forward bound and any `i32` factors, so the bracket stays exact.
+///
+/// # Panics
+///
+/// Panics on mismatched lengths.
+pub fn i64_bundle_row(
+    out_re: &mut [i64],
+    out_im: &mut [i64],
+    base: Option<(&[i64], &[i64])>,
+    srcs: &[(&[i64], &[i64])],
+    factors: &[[i32; 2]],
+) {
+    let m = out_re.len();
+    assert_eq!(out_im.len(), m, "component length mismatch");
+    if let Some((b_re, b_im)) = base {
+        assert_eq!(b_re.len(), m, "component length mismatch");
+        assert_eq!(b_im.len(), m, "component length mismatch");
+    }
+    for (s_re, s_im) in srcs {
+        assert_eq!(s_re.len(), m, "component length mismatch");
+        assert_eq!(s_im.len(), m, "component length mismatch");
+    }
+    assert_eq!(factors.len(), srcs.len() * m, "one factor table per source");
+    #[cfg(target_arch = "x86_64")]
+    if m.is_multiple_of(4) && simd_active() {
+        for (s_re, s_im) in srcs {
+            debug_assert_lane_bound(s_re);
+            debug_assert_lane_bound(s_im);
+        }
+        // SAFETY: simd_active() implies AVX2; the lengths were checked.
+        unsafe { i64_bundle_row_avx(out_re, out_im, base, srcs, factors) };
+        return;
+    }
+    let half = 1i64 << (BUNDLE_DROP_BITS - 1);
+    let round = 1i128 << (BUNDLE_SHIFT - 1);
+    for k in 0..m {
+        let (mut acc_re, mut acc_im) = match base {
+            Some((b_re, b_im)) => (
+                (b_re[k] + half) >> BUNDLE_DROP_BITS,
+                (b_im[k] + half) >> BUNDLE_DROP_BITS,
+            ),
+            None => (out_re[k], out_im[k]),
+        };
+        for (p, (s_re, s_im)) in srcs.iter().enumerate() {
+            let [fr, fi] = factors[p * m + k];
+            let (fr, fi) = (fr as i128, fi as i128);
+            let (sr, si) = (s_re[k] as i128, s_im[k] as i128);
+            acc_re += ((sr * fr - si * fi + round) >> BUNDLE_SHIFT) as i64;
+            acc_im += ((sr * fi + si * fr + round) >> BUNDLE_SHIFT) as i64;
+        }
+        out_re[k] = acc_re;
+        out_im[k] = acc_im;
+    }
+}
+
+/// Bits a bundle term's product is rounded back by.
+const BUNDLE_SHIFT: u32 = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+/// What is left of [`BUNDLE_SHIFT`] after the `2³¹` of the operand split.
+#[cfg(target_arch = "x86_64")]
+const BUNDLE_OUTER: i32 = BUNDLE_SHIFT as i32 - 31;
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(BUNDLE_OUTER >= 1 && BUNDLE_DROP_BITS >= 1);
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_bundle_row_avx(
+    out_re: &mut [i64],
+    out_im: &mut [i64],
+    base: Option<(&[i64], &[i64])>,
+    srcs: &[(&[i64], &[i64])],
+    factors: &[[i32; 2]],
+) {
+    use std::arch::x86_64::*;
+    const DROP: i32 = BUNDLE_DROP_BITS as i32;
+    let m = out_re.len();
+    let sign = _mm256_set1_epi64x(i64::MIN);
+    let low31 = _mm256_set1_epi64x((1 << 31) - 1);
+    // Every `v ≫ₐ k` below is `((v + 2⁶³) ≫ k) − 2^{63−k}`; the constants
+    // fold what can be folded. `base`: round, then undo the bias.
+    let drop_round = _mm256_set1_epi64x((1i64 << (DROP - 1)).wrapping_add(i64::MIN));
+    let drop_bias = _mm256_set1_epi64x(1 << (63 - DROP));
+    // A term: `D_B ≫ₐ 31` leaves `−2³²`, which joins the rounding term and
+    // the outer shift's `2⁶³`; the outer shift's own `−2^{63−outer}` is the
+    // same for every term, so the row subtracts it once per source.
+    let inner = _mm256_set1_epi64x(
+        (1i64 << (BUNDLE_OUTER - 1))
+            .wrapping_sub(1 << 32)
+            .wrapping_add(i64::MIN),
+    );
+    let outer_bias =
+        _mm256_set1_epi64x((1i64 << (63 - BUNDLE_OUTER)).wrapping_mul(srcs.len() as i64));
+    let term = |d_a: __m256i, d_b: __m256i| {
+        let low = _mm256_srli_epi64::<31>(_mm256_xor_si256(d_b, sign));
+        _mm256_srli_epi64::<BUNDLE_OUTER>(_mm256_add_epi64(_mm256_add_epi64(d_a, low), inner))
+    };
+    let mut k = 0;
+    while k + 4 <= m {
+        unsafe {
+            let (mut x, mut y) = match base {
+                Some((b_re, b_im)) => {
+                    let dropped = |p: *const i64| {
+                        let v = _mm256_add_epi64(_mm256_loadu_si256(p.cast()), drop_round);
+                        _mm256_sub_epi64(_mm256_srli_epi64::<DROP>(v), drop_bias)
+                    };
+                    (dropped(b_re.as_ptr().add(k)), dropped(b_im.as_ptr().add(k)))
+                }
+                None => (
+                    _mm256_loadu_si256(out_re.as_ptr().add(k).cast()),
+                    _mm256_loadu_si256(out_im.as_ptr().add(k).cast()),
+                ),
+            };
+            for (p, (s_re, s_im)) in srcs.iter().enumerate() {
+                // Four `[re, im]` pairs: `fr` is the low half of each lane
+                // as loaded (`vpmuldq` ignores the high half), `fi` moves
+                // down.
+                let fr = _mm256_loadu_si256(factors.as_ptr().add(p * m + k).cast());
+                let fi = _mm256_srli_epi64::<32>(fr);
+                let sr = _mm256_loadu_si256(s_re.as_ptr().add(k).cast());
+                let si = _mm256_loadu_si256(s_im.as_ptr().add(k).cast());
+                let (sr_h, sr_l) = (_mm256_srli_epi64::<31>(sr), _mm256_and_si256(sr, low31));
+                let (si_h, si_l) = (_mm256_srli_epi64::<31>(si), _mm256_and_si256(si, low31));
+                x = _mm256_add_epi64(
+                    x,
+                    term(
+                        _mm256_sub_epi64(_mm256_mul_epi32(sr_h, fr), _mm256_mul_epi32(si_h, fi)),
+                        _mm256_sub_epi64(_mm256_mul_epi32(sr_l, fr), _mm256_mul_epi32(si_l, fi)),
+                    ),
+                );
+                y = _mm256_add_epi64(
+                    y,
+                    term(
+                        _mm256_add_epi64(_mm256_mul_epi32(sr_h, fi), _mm256_mul_epi32(si_h, fr)),
+                        _mm256_add_epi64(_mm256_mul_epi32(sr_l, fi), _mm256_mul_epi32(si_l, fr)),
+                    ),
+                );
+            }
+            _mm256_storeu_si256(
+                out_re.as_mut_ptr().add(k).cast(),
+                _mm256_sub_epi64(x, outer_bias),
+            );
+            _mm256_storeu_si256(
+                out_im.as_mut_ptr().add(k).cast(),
+                _mm256_sub_epi64(y, outer_bias),
+            );
+        }
+        k += 4;
+    }
+    debug_assert_eq!(k, m);
 }
 
 #[cfg(test)]
@@ -1243,6 +1868,120 @@ mod tests {
             })
             .collect();
         assert_reduction_matches_reference(&xs);
+    }
+
+    #[test]
+    fn lift_split_covers_every_width_but_62() {
+        assert_eq!(LiftSplit::new(0), None);
+        assert_eq!(LiftSplit::new(62), None);
+        assert_eq!(LiftSplit::new(63), None);
+        for beta in 1..=61u32 {
+            let split = LiftSplit::new(beta).expect("covered width");
+            // The bounds the type's documentation derives the formula from.
+            assert!(split.c <= 31 && split.c < beta, "beta={beta}");
+            assert!((1..=30).contains(&split.out), "beta={beta}");
+            assert_eq!(split.hh + beta, 31 + split.c, "beta={beta}");
+            assert_eq!(split.hl + split.c, 31, "beta={beta}");
+            assert_eq!(split.out + split.c, beta, "beta={beta}");
+        }
+        // The widths the paper and the benchmark use.
+        assert_eq!(
+            LiftSplit::new(38).map(|s| (s.c, s.hh, s.out)),
+            Some((31, 24, 7))
+        );
+    }
+
+    /// The vector lift against the `i128` definition, lane by lane, with no
+    /// process-global override: every covered `β`, coefficients at and
+    /// around `0`, `±1` and `±2^β` (the lifting range's ends), inputs at and
+    /// around `0`, `±2³¹` (the split point) and `±(2⁶² − 1)` (the bound).
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn vector_lift_matches_i128_definition() {
+        use std::arch::x86_64::*;
+        if !simd_detected() {
+            return;
+        }
+        #[target_feature(enable = "avx2")]
+        fn lift4(split: LiftSplit, x: [i64; 4], alpha: [i64; 4]) -> [i64; 4] {
+            let lanes = LiftLanes::new(split);
+            let mut out = [0i64; 4];
+            // SAFETY: three 32-byte arrays, unaligned accesses.
+            unsafe {
+                let a = lanes.split(_mm256_loadu_si256(alpha.as_ptr().cast()));
+                let r = lanes.lift(_mm256_loadu_si256(x.as_ptr().cast()), a);
+                _mm256_storeu_si256(out.as_mut_ptr().cast(), r);
+            }
+            out
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let bound = I64_LANE_BOUND as i64;
+        for beta in 1..=61u32 {
+            let split = LiftSplit::new(beta).expect("covered width");
+            let one = 1i64 << beta;
+            let mut alphas = vec![0, 1, -1, one, -one, one - 1, 1 - one, one / 2, -(one / 2)];
+            let mut xs = vec![0, 1, -1, bound - 1, 1 - bound, bound / 2, -(bound / 2)];
+            for d in [-2i64, -1, 0, 1, 2] {
+                xs.extend([(1 << 31) + d, -(1 << 31) + d, (1 << 32) + d]);
+            }
+            for _ in 0..64 {
+                // Uniform in [−2^β, 2^β] and in (−2⁶², 2⁶²), at every scale.
+                alphas.push((next() % (2 * one as u64 + 1)) as i64 - one);
+                xs.push((next() as i64 >> 1) >> (next() % 60));
+            }
+            for &alpha in &alphas {
+                for chunk in xs.chunks(4) {
+                    let mut x = [0i64; 4];
+                    x[..chunk.len()].copy_from_slice(chunk);
+                    // SAFETY: simd_detected() says AVX2 is present.
+                    let got = unsafe { lift4(split, x, [alpha; 4]) };
+                    for lane in 0..4 {
+                        assert_eq!(
+                            got[lane],
+                            crate::lifting::lift(x[lane], alpha, beta),
+                            "beta={beta} alpha={alpha} x={}",
+                            x[lane]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_half_away_is_round_without_libm() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+        ];
+        for j in 0..=40u32 {
+            let p = (1u64 << j) as f64;
+            for d in [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5] {
+                xs.extend([p + d, -(p + d)]);
+            }
+        }
+        // The factor quantizer's corner: (ε^N − 1)·2³⁰ = −2³¹.
+        xs.extend([-2_147_483_648.0, -2_147_483_648.4, -2_147_483_647.5]);
+        for x in xs {
+            assert_eq!(round_half_away(x), x.round() as i64, "x = {x:e}");
+            // Narrowing wraps where `f64 as i32` saturates; they agree on
+            // everything that rounds into `i32`, the quantizer's range.
+            if (-2_147_483_648.4..2_147_483_647.4).contains(&x) {
+                assert_eq!(round_half_away(x) as i32, x.round() as i32, "x = {x:e}");
+            }
+        }
     }
 
     #[test]

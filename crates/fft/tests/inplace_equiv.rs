@@ -154,7 +154,7 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
     let keys: Vec<_> = (0..11)
         .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
         .collect();
-    let mut factors = vec![(1, 1); 5];
+    let mut factors = vec![[1, 1]; 5];
     let mut row = engine.forward_torus(src);
     for terms in [0usize, 1, 3, 7, 8, 9, 11] {
         let exponents = bundle_exponents(terms, e);
@@ -177,7 +177,7 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
             .collect();
         for (p, key) in keys[..terms].iter().enumerate() {
             for k in 0..m {
-                let (fr, fi) = factors[p * m + k];
+                let [fr, fi] = factors[p * m + k];
                 let (fr, fi) = (fr as i128, fi as i128);
                 let (sr, si) = (key.re[k] as i128, key.im[k] as i128);
                 re[k] += ((sr * fr - si * fi + round) >> shift) as i64;

@@ -3,10 +3,12 @@
 //! The kernel legs in `matcha_fft::simd` must agree:
 //!
 //! * **bit-identical** where the operation order is preserved — the integer
-//!   engine (scalar kernels on both legs), the fused pair kernels against
-//!   two single calls *within* one leg, and the reduction mod `2^32` at the
-//!   end of the fused backward tail *across* legs (on identical untwisted
-//!   values);
+//!   engine *across* legs (its AVX2 lifts and bundle rows recombine 32-bit
+//!   partial products into exactly the scalar leg's `i128` results, and
+//!   both equal a reference written with `LiftingRotation::apply`), the
+//!   fused pair kernels against two single calls *within* one leg, and the
+//!   reduction mod `2^32` at the end of the fused backward tail *across*
+//!   legs (on identical untwisted values);
 //! * **bounded-ulp** where the vector leg contracts `a·b ± c·d` into FMAs —
 //!   the three double-precision engines, compared here through exact
 //!   backward-transformed torus coefficients with a tolerance far below
@@ -17,6 +19,7 @@
 //! hold trivially (the CI matrix runs the suite with `MATCHA_SIMD` forced
 //! both ways for the same reason).
 
+use matcha_fft::approx::FixedSpectrum;
 use matcha_fft::{
     force_simd, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft, F64Fft,
     FftEngine, Radix4Fft,
@@ -122,18 +125,335 @@ fn radix4_simd_matches_scalar() {
     check_f64_engine(&Radix4Fft::new(64), 32);
 }
 
+/// The integer engine's transforms as they were written before the tables
+/// became arrays: [`LiftingRotation::apply`] — the `i128` definition, with
+/// its `Identity`/`Negation`/`Lifting` cases — in plain stage loops. Both
+/// kernel legs must reproduce it bit for bit.
+mod approx_reference {
+    use matcha_fft::LiftingRotation;
+    use std::f64::consts::{PI, TAU};
+
+    fn bit_reverse(re: &mut [i64], im: &mut [i64]) {
+        let m = re.len();
+        let bits = m.trailing_zeros();
+        for i in 0..m {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                re.swap(i, j);
+                im.swap(i, j);
+            }
+        }
+    }
+
+    /// Radix-2 stages with rotations by `sign·2πk/len`, optionally halving
+    /// every output (round half up).
+    fn stages(re: &mut [i64], im: &mut [i64], sign: f64, bits: u32, halve: bool) {
+        let m = re.len();
+        bit_reverse(re, im);
+        let scale = |v: i64| if halve { (v + 1) >> 1 } else { v };
+        let mut len = 2;
+        while len <= m {
+            let half = len / 2;
+            for start in (0..m).step_by(len) {
+                for k in 0..half {
+                    // The angle the engine's full-size table holds at
+                    // index k·M/len.
+                    let theta = sign * TAU * (k * (m / len)) as f64 / m as f64;
+                    let rot = LiftingRotation::from_angle(theta, bits);
+                    let (vr, vi) = rot.apply(re[start + half + k], im[start + half + k]);
+                    let (ur, ui) = (re[start + k], im[start + k]);
+                    re[start + k] = scale(ur + vr);
+                    im[start + k] = scale(ui + vi);
+                    re[start + half + k] = scale(ur - vr);
+                    im[start + half + k] = scale(ui - vi);
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    /// Forward transform of the pre-scaled values `v[0..n]`.
+    pub fn forward(v: &[i64], bits: u32) -> (Vec<i64>, Vec<i64>) {
+        let n = v.len();
+        let m = n / 2;
+        let (mut re, mut im) = (Vec::new(), Vec::new());
+        for j in 0..m {
+            let rot = LiftingRotation::from_angle(PI * j as f64 / n as f64, bits);
+            let (x, y) = rot.apply(v[j], v[j + m]);
+            re.push(x);
+            im.push(y);
+        }
+        stages(&mut re, &mut im, 1.0, bits, false);
+        (re, im)
+    }
+
+    /// Backward transform to raw torus coefficients.
+    pub fn backward(re: &[i64], im: &[i64], frac_bits: u32, bits: u32) -> Vec<u32> {
+        let m = re.len();
+        let n = 2 * m;
+        let (mut re, mut im) = (re.to_vec(), im.to_vec());
+        stages(&mut re, &mut im, -1.0, bits, true);
+        let descale = |v: i64| match frac_bits {
+            0 => v,
+            f => (v + (1 << (f - 1))) >> f,
+        };
+        let mut out = vec![0u32; n];
+        for j in 0..m {
+            let rot = LiftingRotation::from_angle(-PI * j as f64 / n as f64, bits);
+            let (x, y) = rot.apply(re[j], im[j]);
+            out[j] = descale(x) as u32;
+            out[j + m] = descale(y) as u32;
+        }
+        out
+    }
+}
+
+/// Runs `f` on the scalar leg, then on the vector leg.
+fn on_both_legs<T>(mut f: impl FnMut() -> T) -> (T, T) {
+    force_simd(Some(false));
+    assert!(!simd_active());
+    let scalar = f();
+    force_simd(Some(true));
+    (scalar, f())
+}
+
 #[test]
 fn approx_simd_leg_is_bit_identical() {
-    // The integer engine's kernels are scalar on both legs (no 64-bit lane
-    // multiply in AVX2), so the flag must change *nothing*.
+    // 61 | 62 is the vector leg's range boundary (`simd::LiftSplit`): up to
+    // 61 bits the AVX2 leg runs the lifts, at 62 both legs are the scalar
+    // loop. 4 is the narrowest width the engine accepts.
     let _g = ForceGuard::lock();
-    let engine = ApproxIntFft::new(256, 45);
-    force_simd(Some(false));
-    let (sa, sb) = pipeline(&engine, 41);
-    force_simd(Some(true));
-    let (va, vb) = pipeline(&engine, 41);
-    assert_eq!(sa, va);
-    assert_eq!(sb, vb);
+    let decomp = GadgetDecomposer::new(10, 3);
+    for n in [8usize, 64, 1024] {
+        for bits in [4u32, 20, 38, 45, 50, 61, 62] {
+            let engine = ApproxIntFft::new(n, bits);
+            let p = random_torus_poly(n, 41 + bits);
+            let ctx = format!("n={n} bits={bits}");
+            let mut scratch = engine.make_scratch();
+
+            // forward_torus_into
+            let (scalar, vector) = on_both_legs(|| {
+                let mut s = engine.zero_spectrum();
+                engine.forward_torus_into(&p, &mut s, &mut scratch);
+                s
+            });
+            let frac = scalar.frac_bits;
+            let values: Vec<i64> = p
+                .coeffs()
+                .iter()
+                .map(|c| (c.raw() as i32 as i64) << frac)
+                .collect();
+            let (re, im) = approx_reference::forward(&values, bits);
+            for (leg, s) in [("scalar", &scalar), ("vector", &vector)] {
+                assert_eq!(s.re, re, "forward_torus re, {leg}, {ctx}");
+                assert_eq!(s.im, im, "forward_torus im, {leg}, {ctx}");
+                assert_eq!(s.frac_bits, frac);
+            }
+
+            // forward_decomposed_into, every level, into a dirty spectrum
+            for level in 0..decomp.levels() {
+                let (scalar, vector) = on_both_legs(|| {
+                    let mut s = vector.clone();
+                    engine.forward_decomposed_into(&p, &decomp, level, &mut s, &mut scratch);
+                    s
+                });
+                let frac = scalar.frac_bits;
+                let digits: Vec<i64> = p
+                    .coeffs()
+                    .iter()
+                    .map(|&c| (decomp.digit(decomp.shift(c), level) as i64) << frac)
+                    .collect();
+                let (re, im) = approx_reference::forward(&digits, bits);
+                for (leg, s) in [("scalar", &scalar), ("vector", &vector)] {
+                    assert_eq!(
+                        s.re, re,
+                        "forward_decomposed re, level {level}, {leg}, {ctx}"
+                    );
+                    assert_eq!(
+                        s.im, im,
+                        "forward_decomposed im, level {level}, {leg}, {ctx}"
+                    );
+                }
+            }
+
+            // backward_torus_into, from a scaled spectrum (the descale
+            // path) and from an unscaled one (what bootstrapping feeds it)
+            let mut unscaled = vector.clone();
+            unscaled.frac_bits = 0;
+            for spectrum in [&vector, &unscaled] {
+                let (scalar, vector) = on_both_legs(|| {
+                    let mut out = random_torus_poly(n, 1);
+                    engine.backward_torus_into(spectrum, &mut out, &mut scratch);
+                    out
+                });
+                let expected = approx_reference::backward(
+                    &spectrum.re,
+                    &spectrum.im,
+                    spectrum.frac_bits,
+                    bits,
+                );
+                for (leg, out) in [("scalar", &scalar), ("vector", &vector)] {
+                    let raw: Vec<u32> = out.coeffs().iter().map(|c| c.raw()).collect();
+                    assert_eq!(raw, expected, "backward_torus, {leg}, {ctx}");
+                }
+            }
+
+            // and the whole external-product-shaped pipeline
+            let (scalar, vector) = on_both_legs(|| pipeline(&engine, 41));
+            assert_eq!(scalar, vector, "pipeline, {ctx}");
+        }
+    }
+}
+
+/// One bundle row written out in `i128`, the form both legs must equal:
+/// `(h + 8) ≫ 4`, then per term the complex product rounded back by
+/// `MONO_FRAC_BITS + BUNDLE_DROP_BITS`.
+fn bundle_row_i128(
+    h: &FixedSpectrum,
+    keys: &[FixedSpectrum],
+    factors: &[[i32; 2]],
+) -> (Vec<i64>, Vec<i64>) {
+    use matcha_fft::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
+    let m = h.re.len();
+    let half = 1i64 << (BUNDLE_DROP_BITS - 1);
+    let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+    let round = 1i128 << (shift - 1);
+    let drop = |v: &i64| (v + half) >> BUNDLE_DROP_BITS;
+    let mut re: Vec<i64> = h.re.iter().map(drop).collect();
+    let mut im: Vec<i64> = h.im.iter().map(drop).collect();
+    for (p, key) in keys.iter().enumerate() {
+        for k in 0..m {
+            let [fr, fi] = factors[p * m + k];
+            let (fr, fi) = (fr as i128, fi as i128);
+            let (sr, si) = (key.re[k] as i128, key.im[k] as i128);
+            re[k] += ((sr * fr - si * fi + round) >> shift) as i64;
+            im[k] += ((sr * fi + si * fr + round) >> shift) as i64;
+        }
+    }
+    (re, im)
+}
+
+#[test]
+fn approx_bundle_row_matches_i128_on_both_legs() {
+    // 0 terms (the row is H dropped), 1, a full unroll-3 group (7), exactly
+    // one source table (8), and 9 and 11, which continue the sum in a
+    // second kernel call. The output buffer arrives dirty and mis-sized.
+    let _g = ForceGuard::lock();
+    for n in [8usize, 1024] {
+        let engine = ApproxIntFft::new(n, 38);
+        let h = engine.forward_torus(&random_torus_poly(n, 61));
+        let keys: Vec<_> = (0..11)
+            .map(|p| engine.forward_torus(&random_torus_poly(n, 70 + p)))
+            .collect();
+        for terms in [0usize, 1, 7, 8, 9, 11] {
+            let exponents = (0..terms as i64).map(|p| 19 * p * p - 40 * p + 1);
+            let mut factors = vec![[7, -7]; 3];
+            engine.monomial_factors_into(exponents, &mut factors);
+            let (scalar, vector) = on_both_legs(|| {
+                let mut row = keys[0].clone();
+                row.re.truncate(n / 4);
+                engine.bundle_row_into(&h, keys[..terms].iter(), &factors, &mut row);
+                row
+            });
+            let (re, im) = bundle_row_i128(&h, &keys[..terms], &factors);
+            for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
+                assert_eq!(row.re, re, "re, {leg}, n={n} terms={terms}");
+                assert_eq!(row.im, im, "im, {leg}, n={n} terms={terms}");
+                assert_eq!(row.frac_bits + 4, h.frac_bits);
+            }
+        }
+    }
+}
+
+#[test]
+fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
+    // The inputs that drive the integer engine's values as high as its
+    // scaling allows — what `simd::I64_LANE_BOUND` has to leave room for.
+    // In a debug build the scalar leg's arithmetic is overflow-checked, so
+    // passing there shows the headroom is real; in a release build (where
+    // both legs wrap) equality shows the vector leg's modular
+    // recombination lands on the same integers.
+    use matcha_fft::approx::MAX_DIGIT;
+    use matcha_math::IntPolynomial;
+    let _g = ForceGuard::lock();
+    let n = 1024usize;
+    let m = n / 2;
+    let engine = ApproxIntFft::new(n, 38);
+    let mut scratch = engine.make_scratch();
+
+    // Every torus coefficient −2³¹.
+    let torus = TorusPolynomial::from_coeffs(vec![Torus32::from_raw(0x8000_0000); n]);
+    let (key_s, key_v) = on_both_legs(|| {
+        let mut s = engine.zero_spectrum();
+        engine.forward_torus_into(&torus, &mut s, &mut scratch);
+        s
+    });
+    assert_eq!((&key_s.re, &key_s.im), (&key_v.re, &key_v.im));
+
+    // Digits ±MAX_DIGIT with signs chosen so that all M terms of one bin
+    // point the same way: X_k = Σ_j (c_j + i·c_{j+M})·e^{iψ_j} with
+    // ψ_j = πj/N + 2πjk/M, so c_j = D·sgn(cos ψ_j), c_{j+M} = −D·sgn(sin ψ_j)
+    // makes every term's real part D·(|cos ψ_j| + |sin ψ_j|) ≥ D.
+    for bin in [0usize, 1, m / 2, m - 1] {
+        let mut coeffs = vec![0i32; n];
+        for j in 0..m {
+            let psi = std::f64::consts::PI * j as f64 / n as f64
+                + std::f64::consts::TAU * (j * bin) as f64 / m as f64;
+            let sign = |v: f64| if v >= 0.0 { 1 } else { -1 };
+            coeffs[j] = MAX_DIGIT as i32 * sign(psi.cos());
+            coeffs[j + m] = -(MAX_DIGIT as i32) * sign(psi.sin());
+        }
+        let digits = IntPolynomial::from_coeffs(coeffs);
+        let (scalar, vector) = on_both_legs(|| {
+            let mut s = engine.zero_spectrum();
+            engine.forward_int_into(&digits, &mut s, &mut scratch);
+            s
+        });
+        assert_eq!(
+            (&scalar.re, &scalar.im),
+            (&vector.re, &vector.im),
+            "bin {bin}"
+        );
+        // The alignment worked: the bin holds at least M·D·2^frac.
+        let peak = scalar
+            .re
+            .iter()
+            .map(|v| v.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        let floor = (m as u64 * MAX_DIGIT as u64) << scalar.frac_bits;
+        assert!(peak >= floor, "bin {bin}: peak {peak:#x} below {floor:#x}");
+        assert!(peak < simd::I64_LANE_BOUND, "bin {bin}: peak {peak:#x}");
+        // Back through the halving inverse and the descale.
+        let (back_s, back_v) = on_both_legs(|| {
+            let mut out = TorusPolynomial::zero(n);
+            engine.backward_torus_into(&scalar, &mut out, &mut scratch);
+            out
+        });
+        assert_eq!(back_s, back_v, "bin {bin}");
+    }
+
+    // A full unroll-3 bundle row of the largest key spectra, every factor
+    // component i32::MIN (no ε^e − 1 is that large in both components).
+    let keys = vec![key_s.clone(); 7];
+    let factors = vec![[i32::MIN; 2]; 7 * m];
+    let (scalar, vector) = on_both_legs(|| {
+        let mut row = engine.zero_spectrum();
+        engine.bundle_row_into(&key_s, keys.iter(), &factors, &mut row);
+        row
+    });
+    let (re, im) = bundle_row_i128(&key_s, &keys, &factors);
+    for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
+        assert_eq!(row.re, re, "bundle re, {leg}");
+        assert_eq!(row.im, im, "bundle im, {leg}");
+    }
+    let (back_s, back_v) = on_both_legs(|| {
+        let mut out = TorusPolynomial::zero(n);
+        engine.backward_torus_into(&key_s, &mut out, &mut scratch);
+        out
+    });
+    assert_eq!(back_s, back_v);
+    assert!(back_s.max_distance(&torus) < 1e-6);
 }
 
 #[test]

@@ -92,23 +92,34 @@ fn warmed_external_product_allocates_nothing_radix4() {
     assert_zero_alloc_external_product(&Radix4Fft::new(256), 8);
 }
 
+/// Pins a kernel leg for one test. `force_simd` is process-global: the
+/// lock keeps the tests that pin a leg from un-pinning each other's, and
+/// the drop restores auto mode even if an assertion fails. Tests that do
+/// not care run concurrently on whatever leg is current — both legs are
+/// allocation-free with identical buffer sizes, so they are unaffected.
+struct ForcedLeg(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+impl ForcedLeg {
+    fn lock() -> Self {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        Self(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+impl Drop for ForcedLeg {
+    fn drop(&mut self) {
+        matcha_fft::force_simd(None);
+    }
+}
+
 #[test]
 fn warmed_external_product_allocates_nothing_with_simd_forced() {
     // The AVX2+FMA kernel leg must stay allocation-free too: the runtime
     // dispatch is a cached atomic load, and the split-complex spectra reuse
     // the same warmed buffers as the scalar leg. Forcing SIMD on is a no-op
     // on CPUs without it (the kernels fall back to scalar), so this test is
-    // meaningful exactly where the vector leg actually runs. The override is
-    // process-global but both legs are allocation-free with identical buffer
-    // sizes, so concurrently running tests in this binary are unaffected; a
-    // drop guard restores auto mode even if an assertion fails.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            matcha_fft::force_simd(None);
-        }
-    }
-    let _restore = Restore;
+    // meaningful exactly where the vector leg actually runs.
+    let _leg = ForcedLeg::lock();
     matcha_fft::force_simd(Some(true));
     assert_zero_alloc_external_product(&F64Fft::new(256), 9);
     assert_zero_alloc_external_product(&Radix4Fft::new(256), 10);
@@ -170,6 +181,22 @@ fn warmed_bootstrap_allocates_nothing_f64_m3() {
 #[test]
 fn warmed_bootstrap_allocates_nothing_approx_m2() {
     assert_zero_alloc_bootstrap(&ApproxIntFft::new(256, 45), 2, 75);
+}
+
+#[test]
+fn warmed_approx_m3_allocates_nothing_on_either_leg() {
+    // The shape of the benchmark's `gate_approx38_m3`: the integer engine
+    // with 38-bit twiddles at unroll 3 — seven patterns a group, their
+    // factor chains advanced side by side, and a short last group
+    // (16 = 5·3 + 1). The vector leg's tables, splits and constants live in
+    // the engine and in registers; neither leg may touch the heap.
+    let _leg = ForcedLeg::lock();
+    let engine = ApproxIntFft::new(256, 38);
+    for leg in [false, true] {
+        matcha_fft::force_simd(Some(leg));
+        assert_zero_alloc_bootstrap(&engine, 3, 85);
+        assert_zero_alloc_bundle(&engine, 3, 86);
+    }
 }
 
 /// Bundle construction on its own: once the factor buffer has held a full
