@@ -1,31 +1,34 @@
 //! Batched gate evaluation across OS threads.
 //!
 //! The paper's throughput metric (Figure 10) assumes many independent
-//! gates in flight — MATCHA runs 8 bootstrapping pipelines, the GPU
-//! batches ciphertexts, and the CPU baseline uses its 8 cores. This module
-//! is the software counterpart, in two forms:
+//! gates in flight — MATCHA runs 8 bootstrapping pipelines that share one
+//! key stream, the GPU batches ciphertexts, and the CPU baseline uses its 8
+//! cores. This module is the software counterpart, in two forms over the
+//! one batched gate entry, [`ServerKey::apply_lanes_into`] (a wave of gates
+//! carried through each key group together, then key-switched together):
 //!
-//! * [`run_gate_batch`] shards one batch over scoped workers, each holding
-//!   a private [`BootstrapScratch`](crate::scratch::BootstrapScratch) so
-//!   every gate after its first runs allocation-free;
-//! * [`GateBatchPool`] keeps those workers (and their warmed scratches)
-//!   **alive across batches** — the software analogue of MATCHA's eight
-//!   always-resident bootstrapping pipelines, and the fix for the seed
-//!   implementation's spawn-per-call sharding.
+//! * [`run_gate_batch`] shards one batch over scoped workers, each calling
+//!   the batched entry on its share with a private
+//!   [`BootstrapScratch`](crate::scratch::BootstrapScratch);
+//! * [`GateBatchPool`] keeps workers (and their warmed scratches) **alive
+//!   across batches** — the software analogue of MATCHA's eight
+//!   always-resident bootstrapping pipelines.
 //!
 //! Pool tasks pass operands **by index** into a shared [`ValueSlab`]
 //! rather than cloning ciphertexts into every task: a [`SlabTask`] binds a
 //! [`GateTask`] (node indices only) to the slab it reads from and the slot
 //! it writes to, and one [`GateBatchPool::run_tasks`] dispatch may mix
 //! tasks over several circuits' slabs — which is how the circuit server
-//! interleaves every in-flight circuit's ready wave into one batch.
+//! interleaves every in-flight circuit's ready wave into one batch. A
+//! dispatch is cut into contiguous **chunks** of at most [`MAX_LANES`]
+//! blind rotations, one queued job per chunk: a worker streams the
+//! bootstrapping key once per chunk, not once per task.
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::gates::{Gate, ServerKey};
+use crate::gates::{lane_prefix, Gate, LaneGate, ServerKey};
 use crate::lwe::LweCiphertext;
-use crate::scratch::BootstrapScratch;
+use crate::scratch::{BootstrapScratch, MAX_LANES};
 use matcha_fft::FftEngine;
-use matcha_math::Torus32;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -150,10 +153,21 @@ pub enum GateTask {
 }
 
 impl GateTask {
-    /// Evaluates the task into `out` through `scratch`, reading operands
-    /// from `slab` by index — the worker inner loop of the pool.
-    /// Allocation-free once the scratch and `out` are warmed, for every
-    /// variant: operands are borrowed from the slab, never cloned.
+    /// Blind rotations the task runs: the lanes it takes in a chunk.
+    pub fn lanes(&self) -> usize {
+        match self {
+            GateTask::Binary { .. } => 1,
+            GateTask::Not { .. } => 0,
+            GateTask::Mux { .. } => 2,
+        }
+    }
+
+    /// Evaluates the one task into `out` through `scratch`, reading
+    /// operands from `slab` by index — what a pool worker does for every
+    /// task of a chunk at once, and the reference the chunked path is
+    /// tested against. Allocation-free once the scratch and `out` are
+    /// warmed, for every variant: operands are borrowed from the slab,
+    /// never cloned.
     ///
     /// # Panics
     ///
@@ -196,10 +210,12 @@ pub struct SlabTask {
 /// result in its slab slot.
 #[derive(Clone, Debug)]
 pub struct DispatchResult {
-    /// `(batch index, panic message)` for every task that panicked in a
-    /// worker, ascending by index. Failures are *per task*: the rest of
-    /// the batch still completes, so a dispatcher interleaving several
-    /// circuits can fault only the circuit that owns the failing task.
+    /// `(batch index, panic message)` for every task that failed in a
+    /// worker, ascending by index. A task that panics on its own — bad
+    /// operands, its linear part — fails alone and the rest of the batch
+    /// still completes, so a dispatcher interleaving several circuits can
+    /// fault only the circuit that owns it; a panic in the loops a chunk
+    /// shares fails every task of that chunk, each listed here.
     pub failures: Vec<(usize, String)>,
     /// Wall-clock seconds for the whole batch.
     pub elapsed_s: f64,
@@ -261,8 +277,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Evaluates the same two-input gate over a batch of independent operand
 /// pairs, sharded across `threads` scoped workers. Each worker owns one
-/// bootstrap scratch for the whole batch, so per-gate heap traffic is
-/// limited to the output ciphertexts.
+/// bootstrap scratch and runs its share through
+/// [`ServerKey::apply_lanes_into`], a wave of [`MAX_LANES`] gates at a time.
 ///
 /// For repeated batches against the same key, prefer [`GateBatchPool`],
 /// which keeps workers and warmed scratches alive between calls.
@@ -305,74 +321,69 @@ where
         return finish_batch(Vec::new(), t0, 0);
     }
     let threads = threads.min(pairs.len());
-    let chunk = pairs.len().div_ceil(threads);
-    let mut outputs: Vec<Option<LweCiphertext>> = vec![None; pairs.len()];
+    let share = pairs.len().div_ceil(threads);
+    let mut outputs = vec![LweCiphertext::default(); pairs.len()];
 
     std::thread::scope(|scope| {
-        let mut remaining: &mut [Option<LweCiphertext>] = &mut outputs;
-        for work in pairs.chunks(chunk) {
-            let (slot, rest) = remaining.split_at_mut(work.len());
+        let mut remaining: &mut [LweCiphertext] = &mut outputs;
+        for work in pairs.chunks(share) {
+            let (outs, rest) = remaining.split_at_mut(work.len());
             remaining = rest;
             scope.spawn(move || {
-                // One scratch and one output buffer per worker: the first
-                // gate warms them, the rest of the chunk reuses them.
-                let mut scratch = server.make_scratch();
-                let mut out = LweCiphertext::trivial(Torus32::ZERO, server.params().lwe_dimension);
-                for ((a, b), out_slot) in work.iter().zip(slot.iter_mut()) {
-                    server.apply_into(gate, a, b, &mut out, &mut scratch);
-                    *out_slot = Some(out.clone());
-                }
+                let gates: Vec<LaneGate<'_>> = work
+                    .iter()
+                    .map(|(a, b)| LaneGate::Binary { gate, a, b })
+                    .collect();
+                server.apply_lanes_into(&gates, outs, &mut server.make_scratch());
             });
         }
     });
-
-    let outputs: Vec<LweCiphertext> = outputs
-        .into_iter()
-        .map(|o| o.expect("worker filled every slot"))
-        .collect();
     finish_batch(outputs, t0, threads)
 }
 
-/// One queued unit of pool work: a by-index task, the slab it reads from
-/// and writes to, and a reply channel. The reply carries `Err(panic
-/// message)` when the task panicked in the worker, so the failure is
+/// One queued unit of pool work: a **chunk** of a dispatch — contiguous
+/// tasks, each with its batch index, the slab it reads from and writes to
+/// — and the round's reply channel. Every task is answered on its own:
+/// `Err(panic message)` when it failed in the worker, so the failure is
 /// reported on the dispatching thread instead of killing the worker; on
 /// `Ok` the result is already stored in `slab[node]`.
 struct Job {
-    slab: Arc<ValueSlab>,
-    node: usize,
-    task: GateTask,
-    index: usize,
+    tasks: Vec<(usize, SlabTask)>,
     reply: mpsc::Sender<Reply>,
 }
 
 /// What a worker says about a job on its round's reply channel.
 enum Reply {
     /// Task `index` ran — to completion, or to a panic caught by the
-    /// per-task isolation.
+    /// worker's isolation.
     Done(usize, Result<(), String>),
-    /// The worker in this slot died holding a job (which is thereby lost:
-    /// it is never answered with [`Reply::Done`]).
+    /// The worker in this slot died holding a job (whose unanswered tasks
+    /// are thereby lost: they never get a [`Reply::Done`]).
     WorkerDied(usize),
 }
 
 /// A worker's hold on the job it is executing. However the worker lets go
-/// of it — answering, returning, unwinding — the job's round hears about
-/// it, and hears about a death *before* the job's reply sender is dropped:
-/// the dispatcher can therefore never observe "job lost" without having
-/// been told which worker to respawn.
+/// of it — releasing it answered, returning, unwinding — the job's round
+/// hears about it, and hears about a death *before* the job's reply sender
+/// is dropped: the dispatcher can therefore never observe "tasks lost"
+/// without having been told which worker to respawn.
 struct InFlight {
     worker: usize,
     reply: Option<mpsc::Sender<Reply>>,
 }
 
 impl InFlight {
-    /// Answers the job. The receiver may have given up (`run()` panicked);
-    /// dropping the result is then the right behavior.
-    fn done(mut self, index: usize, result: Result<(), String>) {
-        if let Some(reply) = self.reply.take() {
+    /// Answers one task of the job. The receiver may have given up
+    /// (`run()` panicked); dropping the result is then the right behavior.
+    fn done(&self, index: usize, result: Result<(), String>) {
+        if let Some(reply) = &self.reply {
             let _ = reply.send(Reply::Done(index, result));
         }
+    }
+
+    /// Lets go of the job with every task answered.
+    fn release(mut self) {
+        self.reply = None;
     }
 }
 
@@ -388,9 +399,9 @@ impl Drop for InFlight {
 ///
 /// Workers are spawned once and hold their warmed
 /// [`BootstrapScratch`](crate::scratch::BootstrapScratch) across an
-/// arbitrary number of [`GateBatchPool::run`] calls; jobs are pulled from a
-/// shared queue, so uneven gate latencies balance automatically. Dropping
-/// the pool shuts the workers down.
+/// arbitrary number of [`GateBatchPool::run`] calls; chunks of a dispatch
+/// are pulled from a shared queue. Dropping the pool shuts the workers
+/// down.
 ///
 /// # Examples
 ///
@@ -430,10 +441,11 @@ where
     restarts: AtomicU64,
 }
 
-/// One persistent worker, occupying `slot` of the pool: pulls jobs off the
-/// shared queue, evaluates them into its warmed scratch, stores results in
-/// the job's slab and replies. Extracted as a free function so the pool can
-/// respawn a replacement attached to the same queue.
+/// One persistent worker, occupying `slot` of the pool: pulls chunks off
+/// the shared queue, runs each through its warmed scratch
+/// ([`run_chunk`]), stores results in the tasks' slabs and replies per
+/// task. Extracted as a free function so the pool can respawn a
+/// replacement attached to the same queue.
 fn spawn_worker<E>(
     slot: usize,
     server: Arc<ServerKey<E>>,
@@ -445,62 +457,132 @@ where
 {
     std::thread::spawn(move || {
         let mut scratch = server.make_scratch();
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, server.params().lwe_dimension);
+        let mut outs: Vec<LweCiphertext> = Vec::new();
         loop {
             // Hold the lock only to pull the next job. A
             // poisoned lock is recovered rather than cascaded:
             // the queue itself is never left in a torn state by
             // a panicking worker (jobs are popped whole).
             let job = { rx.lock().unwrap_or_else(PoisonError::into_inner).recv() };
-            let Ok(job) = job else { break };
-            let Job {
-                slab,
-                node,
-                task,
-                index,
-                reply,
-            } = job;
+            let Ok(Job { tasks, reply }) = job else { break };
             let in_flight = InFlight {
                 worker: slot,
                 reply: Some(reply),
             };
-            // Scripted fault sites, consumed one-shot per (tag, node).
-            let injected = faults.as_ref().and_then(|plan| plan.take(slab.tag(), node));
-            match injected {
-                // Death *outside* the per-task catch_unwind: the thread
-                // exits holding the job, as a panic in this loop itself
-                // would make it. `in_flight` reports the death on its way
-                // out; run_tasks respawns the slot and retries the job.
-                Some(FaultAction::KillWorker) => return,
-                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                Some(FaultAction::Panic) | None => {}
+            // Scripted fault sites, consumed one-shot per (tag, node) —
+            // the whole chunk's before any of it runs, so that a death
+            // takes the chunk with nothing stored and nothing answered.
+            let injected: Vec<Option<FaultAction>> = tasks
+                .iter()
+                .map(|(_, st)| faults.as_ref()?.take(st.slab.tag(), st.node))
+                .collect();
+            // Death *outside* every catch_unwind: the thread exits holding
+            // the job, as a panic in this loop itself would make it.
+            // `in_flight` reports the death on its way out; run_tasks
+            // respawns the slot and retries the chunk, whose sites are all
+            // spent, so the retry runs clean.
+            if injected.contains(&Some(FaultAction::KillWorker)) {
+                return;
             }
-            // Panic isolation: a malformed job (e.g. a
-            // mismatched-dimension operand) must not kill the
-            // worker or poison anything — the error is shipped
-            // back and reported on the dispatcher's thread,
-            // and this worker keeps serving. The scratch stays
-            // structurally valid across an unwind — every
-            // apply re-sizes its buffers — hence the
-            // AssertUnwindSafe; the one cost is that buffers
-            // mem::take'n by the panicking apply are left
-            // empty, so this worker's next task re-warms them
-            // (a few allocations, correctness unaffected).
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(injected, Some(FaultAction::Panic)) {
-                    panic!("injected fault: task for node {node} panicked in its worker");
-                }
-                task.apply_into(&server, &slab, &mut out, &mut scratch);
-                slab.set(node, out.clone());
-            }))
-            .map_err(panic_message);
-            // Drop our slab handle *before* replying: once the
-            // dispatcher has received every reply of a batch,
-            // its own Arc over each slab is unique again.
-            drop(slab);
-            in_flight.done(index, result);
+            run_chunk(
+                &server,
+                &tasks,
+                &injected,
+                &mut scratch,
+                &mut outs,
+                |i, r| in_flight.done(i, r),
+            );
+            // Drop our slab handles *before* letting go of the job: once
+            // the dispatcher sees the round's reply channel close, its own
+            // Arc over each slab is unique again.
+            drop(tasks);
+            in_flight.release();
         }
     })
+}
+
+/// Runs one chunk on the calling worker: every bootstrapped task becomes
+/// one or two lanes of a single [`ServerKey`] wave, a `Not` is answered on
+/// the spot, and `done` hears about each task exactly once.
+///
+/// Panic isolation is per task wherever the work is: fetching operands,
+/// the dimension checks, the linear part and staging the lane all run
+/// under the task's own `catch_unwind`, so a malformed task (e.g. a
+/// mismatched-dimension operand, or a scripted [`FaultAction::Panic`])
+/// fails only its own index and its lane is dropped from the wave, and so
+/// does storing its result. The blind rotation, extraction and key switch
+/// are shared loops: a panic there fails every task staged in the chunk,
+/// each reported. Either way the worker keeps serving and nothing is
+/// poisoned. The scratch stays structurally valid across an unwind —
+/// every wave re-sizes its buffers — hence the AssertUnwindSafe; the one
+/// cost is that a buffer mem::take'n by the panicking call is left empty,
+/// so this worker's next chunk re-warms it (an allocation, correctness
+/// unaffected).
+fn run_chunk<E: FftEngine>(
+    server: &ServerKey<E>,
+    tasks: &[(usize, SlabTask)],
+    injected: &[Option<FaultAction>],
+    scratch: &mut BootstrapScratch<E>,
+    outs: &mut Vec<LweCiphertext>,
+    mut done: impl FnMut(usize, Result<(), String>),
+) {
+    if outs.len() < tasks.len() {
+        outs.resize_with(tasks.len(), LweCiphertext::default);
+    }
+    // The staged gates, in lane order: (position in `tasks`, lanes taken).
+    // Gate `k` of them is switched into `outs[k]`.
+    let mut staged: Vec<(usize, usize)> = Vec::with_capacity(tasks.len());
+    let mut lanes = 0;
+    for (position, ((index, st), fault)) in tasks.iter().zip(injected).enumerate() {
+        if let Some(FaultAction::Delay(d)) = fault {
+            std::thread::sleep(*d);
+        }
+        let SlabTask { slab, node, task } = st;
+        let stage = catch_unwind(AssertUnwindSafe(|| {
+            if matches!(fault, Some(FaultAction::Panic)) {
+                panic!("injected fault: task for node {node} panicked in its worker");
+            }
+            let gate = match *task {
+                GateTask::Binary { gate, a, b } => LaneGate::Binary {
+                    gate,
+                    a: slab.get(a),
+                    b: slab.get(b),
+                },
+                GateTask::Mux { sel, a, b } => LaneGate::Mux {
+                    sel: slab.get(sel),
+                    a: slab.get(a),
+                    b: slab.get(b),
+                },
+                GateTask::Not { a } => {
+                    slab.set(*node, server.not(slab.get(a)));
+                    return 0;
+                }
+            };
+            server.stage_lanes(&gate, lanes, scratch);
+            gate.lanes()
+        }));
+        match stage {
+            Ok(0) => done(*index, Ok(())),
+            Ok(width) => {
+                staged.push((position, width));
+                lanes += width;
+            }
+            Err(payload) => done(*index, Err(panic_message(payload))),
+        }
+    }
+    let outs = &mut outs[..staged.len()];
+    let widths = staged.iter().map(|&(_, width)| width);
+    let shared = catch_unwind(AssertUnwindSafe(|| {
+        server.finish_lanes(widths, outs, scratch)
+    }))
+    .map_err(panic_message);
+    for (&(position, _), out) in staged.iter().zip(outs.iter()) {
+        let (index, SlabTask { slab, node, .. }) = &tasks[position];
+        let stored = shared.clone().and_then(|()| {
+            catch_unwind(AssertUnwindSafe(|| slab.set(*node, out.clone()))).map_err(panic_message)
+        });
+        done(*index, stored);
+    }
 }
 
 impl<E> GateBatchPool<E>
@@ -552,14 +634,14 @@ where
         self.threads
     }
 
-    /// Workers respawned after dying outside the per-task panic isolation.
+    /// Workers respawned after dying outside the panic isolation.
     /// 0 in healthy operation.
     pub fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
     }
 
     /// Self-healing: replaces the worker in `slot`, which has announced
-    /// its own death (outside the per-task `catch_unwind` — a panic in the
+    /// its own death (outside every `catch_unwind` — a panic in the
     /// worker loop itself; in tests [`FaultAction::KillWorker`]), with a
     /// fresh one — new scratch, same job queue — so the pool never
     /// silently loses capacity. Bumps [`GateBatchPool::restarts`].
@@ -642,22 +724,31 @@ where
     /// stores its result at `node`; nothing is cloned per operand. This is
     /// the form circuit waves are dispatched in: the server fills one
     /// `run_tasks` call with the ready frontier of every in-flight
-    /// circuit, and the warmed per-worker scratches keep each task
-    /// allocation-free.
+    /// circuit.
+    ///
+    /// The batch is cut into contiguous **chunks**, one queued job each,
+    /// of at most `min(MAX_LANES, ⌈lanes / threads⌉)` blind rotations (a
+    /// binary gate is one, a mux two, a `Not` none — for a wave of binary
+    /// gates that is so many tasks): every worker gets a share, and a
+    /// worker carries its chunk through each key group together and
+    /// key-switches it together ([`ServerKey::apply_lanes_into`]), so the
+    /// keys stream once per chunk rather than once per task, with each
+    /// task's result bit-identical to running it alone.
     ///
     /// Operands must already be present in their slabs when the batch is
     /// dispatched — tasks within one batch must not depend on each other.
     ///
-    /// A task that panics in a worker (e.g. mismatched operand dimensions)
-    /// is reported in [`DispatchResult::failures`] rather than raised:
-    /// workers survive, nothing is poisoned, the rest of the batch still
-    /// completes, and the dispatcher decides which circuit the failure
-    /// faults.
+    /// A task that panics in a worker on its own (e.g. mismatched operand
+    /// dimensions) is reported in [`DispatchResult::failures`] rather than
+    /// raised: workers survive, nothing is poisoned, the rest of its chunk
+    /// and of the batch still completes, and the dispatcher decides which
+    /// circuit the failure faults. Only a panic inside the loops a chunk
+    /// shares fails the whole chunk, one failure per task.
     ///
-    /// A worker that *dies* mid-batch (exit outside the per-task panic
-    /// isolation) announces it on the reply channel as its last act; the
-    /// dispatcher respawns it on the spot and retries the lost task once
-    /// on the healed pool; only a task lost twice is reported as a failure.
+    /// A worker that *dies* mid-batch (exit outside the panic isolation)
+    /// announces it on the reply channel as its last act; the dispatcher
+    /// respawns it on the spot and retries the lost chunk's tasks once on
+    /// the healed pool; only a task lost twice is reported as a failure.
     /// The batch therefore still completes after any single worker death,
     /// and every death has been counted in [`GateBatchPool::restarts`] by
     /// the time this returns.
@@ -672,15 +763,16 @@ where
         }
         let mut done = vec![false; tasks.len()];
         let mut failures: Vec<(usize, String)> = Vec::new();
-        self.dispatch_round(tasks, 0..tasks.len(), &mut done, &mut failures);
-        // An index with no reply lost its job inside a dying worker, which
-        // the round has already replaced. Retry those tasks once: a
-        // scripted KillWorker was consumed when it fired, so the retry
-        // runs clean, and a genuine repeat offender is reported instead of
-        // retried forever.
+        let all: Vec<usize> = (0..tasks.len()).collect();
+        self.dispatch_round(tasks, &all, &mut done, &mut failures);
+        // An index with no reply was lost with its chunk inside a dying
+        // worker, which the round has already replaced. Retry those tasks
+        // once: a scripted KillWorker was consumed when it fired, so the
+        // retry runs clean, and a genuine repeat offender is reported
+        // instead of retried forever.
         let missing: Vec<usize> = (0..tasks.len()).filter(|&i| !done[i]).collect();
         if !missing.is_empty() {
-            self.dispatch_round(tasks, missing.into_iter(), &mut done, &mut failures);
+            self.dispatch_round(tasks, &missing, &mut done, &mut failures);
             for index in (0..tasks.len()).filter(|&i| !done[i]) {
                 failures.push((
                     index,
@@ -696,30 +788,33 @@ where
         }
     }
 
-    /// Sends the tasks at `indices` and drains their replies until every
-    /// job of this round is accounted for: answered, or lost with a dying
-    /// worker (each job holds a reply sender, so the reply channel
-    /// disconnects exactly when no job of the round is queued or running
-    /// any more). A death is a message like any other, so it is acted on
-    /// even while the round's other jobs keep the channel open — including
-    /// the case where the dead worker was the only one and the rest of the
-    /// round is still sitting in the queue, waiting for its replacement.
+    /// Cuts the tasks at `indices` into chunks, queues one job per chunk
+    /// and drains the replies until every job of this round is accounted
+    /// for: released with its tasks answered, or lost with a dying worker
+    /// (each job holds a reply sender, so the reply channel disconnects
+    /// exactly when no job of the round is queued or running any more). A
+    /// death is a message like any other, so it is acted on even while the
+    /// round's other jobs keep the channel open — including the case where
+    /// the dead worker was the only one and the rest of the round is still
+    /// sitting in the queue, waiting for its replacement.
     fn dispatch_round(
         &self,
         tasks: &[SlabTask],
-        indices: impl Iterator<Item = usize>,
+        indices: &[usize],
         done: &mut [bool],
         failures: &mut Vec<(usize, String)>,
     ) {
         let (reply_tx, reply_rx) = mpsc::channel();
         let tx = self.tx.as_ref().expect("pool is live");
-        for index in indices {
-            let st = &tasks[index];
+        let lanes = |&index: &usize| tasks[index].task.lanes();
+        let total: usize = indices.iter().map(lanes).sum();
+        let cap = MAX_LANES.min(total.div_ceil(self.threads));
+        let mut rest = indices;
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(lane_prefix(rest.iter().map(lanes), cap));
+            rest = tail;
             tx.send(Job {
-                slab: Arc::clone(&st.slab),
-                node: st.node,
-                task: st.task,
-                index,
+                tasks: chunk.iter().map(|&i| (i, tasks[i].clone())).collect(),
                 reply: reply_tx.clone(),
             })
             .expect("pool holds the queue receiver, sends cannot fail");
@@ -759,6 +854,7 @@ mod tests {
     use crate::params::ParameterSet;
     use crate::secret::ClientKey;
     use matcha_fft::{ApproxIntFft, F64Fft};
+    use matcha_math::Torus32;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
@@ -1189,9 +1285,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(96);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let (plain, enc) = inputs(&client, &mut rng, 3);
+        // One worker: chunks of MAX_LANES, MAX_LANES and 2 tasks.
+        let (plain, enc) = inputs(&client, &mut rng, 2 * MAX_LANES + 2);
         let (slab, batch) = staged_and_batch(&enc);
-        // Kill on the *first* task so jobs 1 and 2 are still queued.
+        // Kill in the *first* chunk so the other two are still queued.
         let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len(), FaultAction::KillWorker));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, plan);
         let result = pool.run_tasks(&batch);
@@ -1199,6 +1296,131 @@ mod tests {
         assert_eq!(pool.restarts(), 1);
         for (i, (a, b)) in plain.iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
+        }
+    }
+
+    /// One full chunk on a one-worker pool with `action` scripted at task
+    /// 7, in the middle of it. Returns the pool, the dispatch result and
+    /// each output slot as the dispatch left it; the references are the
+    /// one-at-a-time results.
+    fn mid_chunk_fault(
+        seed: u64,
+        action: FaultAction,
+    ) -> (
+        GateBatchPool<F64Fft>,
+        DispatchResult,
+        Vec<Option<LweCiphertext>>,
+        Vec<LweCiphertext>,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let (_, enc) = inputs(&client, &mut rng, MAX_LANES);
+        let (slab, batch) = staged_and_batch(&enc);
+        let plan = Arc::new(FaultPlan::new().inject(0, 2 * MAX_LANES + 7, action));
+        let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
+        let result = pool.run_tasks(&batch);
+        assert!(plan.is_spent(), "the fault fired");
+        let outputs = (0..MAX_LANES)
+            .map(|i| slab.try_get(2 * MAX_LANES + i).cloned())
+            .collect();
+        let alone = enc.iter().map(|(a, b)| server.apply(Gate::And, a, b));
+        (pool, result, outputs, alone.collect())
+    }
+
+    #[test]
+    fn panic_mid_chunk_fails_its_task_and_spares_its_fifteen_chunk_mates() {
+        let (pool, result, outputs, alone) = mid_chunk_fault(99, FaultAction::Panic);
+        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+        assert_eq!(result.failures[0].0, 7);
+        assert!(result.failures[0].1.contains("injected fault"));
+        assert_eq!(pool.restarts(), 0, "a caught panic is not a death");
+        for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+            if i == 7 {
+                assert!(out.is_none(), "failed task stores nothing");
+            } else {
+                // Its lane was dropped from the wave; the survivors' lanes
+                // closed up and still compute what they compute alone.
+                assert_eq!(out.as_ref(), Some(want), "task {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn kill_mid_chunk_loses_the_chunk_once_and_the_retry_completes_it() {
+        let (pool, result, outputs, alone) = mid_chunk_fault(100, FaultAction::KillWorker);
+        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        assert_eq!(pool.restarts(), 1, "one death, one respawn");
+        for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+            assert_eq!(out.as_ref(), Some(want), "task {i}");
+        }
+    }
+
+    #[test]
+    fn delay_mid_chunk_completes_the_chunk() {
+        let delay = FaultAction::Delay(Duration::from_millis(40));
+        let (pool, result, outputs, alone) = mid_chunk_fault(101, delay);
+        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        assert_eq!(pool.restarts(), 0, "slow is not dead");
+        for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+            assert_eq!(out.as_ref(), Some(want), "task {i}");
+        }
+    }
+
+    #[test]
+    fn malformed_task_mid_chunk_fails_alone() {
+        // Not a scripted panic but a real one, in the task's own linear
+        // part: a wrong-dimension operand in the middle of a chunk.
+        let mut rng = StdRng::seed_from_u64(102);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let (plain, mut enc) = inputs(&client, &mut rng, 5);
+        enc[2].1 = LweCiphertext::trivial(Torus32::ZERO, 3);
+        let (slab, batch) = staged_and_batch(&enc);
+        let pool = GateBatchPool::new(Arc::clone(&server), 1);
+        let result = pool.run_tasks(&batch);
+        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+        assert_eq!(result.failures[0].0, 2);
+        for (i, (a, b)) in plain.iter().enumerate() {
+            match slab.try_get(2 * enc.len() + i) {
+                Some(out) => assert_eq!(client.decrypt(out), a & b, "task {i}"),
+                None => assert_eq!(i, 2, "only the malformed task stores nothing"),
+            }
+        }
+    }
+
+    #[test]
+    fn panic_in_the_shared_loops_fails_every_task_of_the_chunk() {
+        // A scratch built for another ring degree stages fine (lanes are
+        // sized from it) and breaks inside the blind rotation, the part of
+        // a chunk its tasks share.
+        let mut rng = StdRng::seed_from_u64(103);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = ServerKey::new(&client, F64Fft::new(256), &mut rng);
+        let small = ParameterSet {
+            ring_degree: 128,
+            ..ParameterSet::TEST_FAST
+        };
+        let other_client = ClientKey::generate(small, &mut rng);
+        let other = ServerKey::new(&other_client, F64Fft::new(128), &mut rng);
+        let (_, enc) = inputs(&client, &mut rng, 3);
+        let (slab, batch) = staged_and_batch(&enc);
+        let tasks: Vec<(usize, SlabTask)> = batch.into_iter().enumerate().collect();
+        let mut replies = Vec::new();
+        run_chunk(
+            &server,
+            &tasks,
+            &[None; 3],
+            &mut other.make_scratch(),
+            &mut Vec::new(),
+            |index, result| replies.push((index, result)),
+        );
+        assert_eq!(replies.len(), 3, "each task reported");
+        for (position, (index, result)) in replies.iter().enumerate() {
+            assert_eq!(*index, position);
+            assert!(result.is_err(), "task {index} shares the failed loops");
+            assert_eq!(*result, replies[0].1, "one panic, reported per task");
+            assert!(slab.try_get(2 * enc.len() + index).is_none());
         }
     }
 

@@ -12,7 +12,7 @@ use crate::keyswitch::KeySwitchKey;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
-use crate::scratch::BootstrapScratch;
+use crate::scratch::{BootstrapScratch, Lane};
 use crate::secret::ClientKey;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
@@ -143,9 +143,82 @@ impl<E: FftEngine> BootstrapKit<E> {
         BootstrapScratch::with_bundle(engine, &self.params, self.bk.gadget_spectrum().clone())
     }
 
+    /// Stages `input` as lane `lane` of a blind rotation: the accumulator
+    /// is set to `X^{b̄}·testv` (the test vector read from
+    /// `scratch.test_vector_mut()`) and the mask is mod-switched to the
+    /// lane's bundle exponents. The lane is built on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s dimension is not the parameter set's `n`.
+    pub fn stage_lane(
+        &self,
+        input: &LweCiphertext,
+        lane: usize,
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        assert_eq!(
+            input.dimension(),
+            self.params.lwe_dimension,
+            "dimension mismatch"
+        );
+        let two_n = self.params.two_n();
+        scratch.reserve_lanes(lane + 1);
+        let Lane { acc, exponents } = &mut scratch.lanes[lane];
+        profile::timed(Phase::Other, || {
+            acc.mask_mut().fill_zero();
+            let b_bar = mod_switch_from_torus(input.body(), two_n);
+            acc.body_mut().rotate_from(&scratch.testv, b_bar as i64);
+            exponents.clear();
+            exponents.extend(
+                input
+                    .mask()
+                    .iter()
+                    .map(|&a| mod_switch_from_torus(a, two_n)),
+            );
+        });
+    }
+
+    /// Blind-rotates the staged lanes `0..lanes` in **one pass over the
+    /// key**: the key groups are walked once, and inside each group every
+    /// lane builds its bundle and takes its external product while that
+    /// group's keys are cache-resident (Figure 6a's two pipeline steps,
+    /// with the key stream shared by the bootstraps in flight as MATCHA's
+    /// pipelines share it). The bundle buffer, factor table and
+    /// external-product workspace are shared across lanes exactly as they
+    /// are shared across steps, so each lane's arithmetic — and every
+    /// output bit — is what [`BootstrapKit::blind_rotate`] computes for it
+    /// alone. Zero allocations once warmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `lanes` lanes were ever staged.
+    pub fn blind_rotate_lanes(&self, engine: &E, lanes: usize, scratch: &mut BootstrapScratch<E>) {
+        let two_n = self.params.two_n();
+        let BootstrapScratch {
+            ep,
+            bundle,
+            factors,
+            lanes: staged,
+            ..
+        } = scratch;
+        let mut index = 0;
+        for group in self.bk.groups() {
+            let bits = index..index + group.len();
+            for Lane { acc, exponents } in &mut staged[..lanes] {
+                let exponents = &exponents[bits.clone()];
+                self.bk
+                    .build_bundle_into(engine, group, exponents, two_n, bundle, factors);
+                bundle.external_product_assign(engine, acc, &self.decomp, ep);
+            }
+            index = bits.end;
+        }
+    }
+
     /// Blind rotation through the scratch: reads the test vector from
     /// `scratch.test_vector_mut()` and leaves `TRLWE(X^{b̄ − ⟨ā, s⟩}·testv)`
-    /// in `scratch.accumulator()`. Bit-identical to
+    /// in `scratch.accumulator()` — the one-lane call of
+    /// [`BootstrapKit::blind_rotate_lanes`]. Bit-identical to
     /// [`BootstrapKit::blind_rotate`]; zero allocations once warmed.
     pub fn blind_rotate_assign(
         &self,
@@ -153,51 +226,8 @@ impl<E: FftEngine> BootstrapKit<E> {
         input: &LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        let two_n = self.params.two_n();
-        let b_bar = mod_switch_from_torus(input.body(), two_n);
-        let BootstrapScratch {
-            ep,
-            bundle,
-            factors,
-            acc,
-            testv,
-            exponents,
-            ..
-        } = scratch;
-        profile::timed(Phase::Other, || {
-            acc.mask_mut().fill_zero();
-            acc.body_mut().rotate_from(testv, b_bar as i64);
-        });
-        let mask = input.mask();
-        let mut index = 0;
-        for group in self.bk.groups() {
-            exponents.clear();
-            exponents.extend(
-                mask[index..index + group.len()]
-                    .iter()
-                    .map(|&a| mod_switch_from_torus(a, two_n)),
-            );
-            index += group.len();
-            self.bk
-                .build_bundle_into(engine, group, exponents, two_n, bundle, factors);
-            bundle.external_product_assign(engine, acc, &self.decomp, ep);
-        }
-    }
-
-    /// [`BootstrapKit::bootstrap_to_extracted`] into a caller-owned output
-    /// through the scratch — zero allocations once warmed.
-    pub fn bootstrap_to_extracted_into(
-        &self,
-        engine: &E,
-        input: &LweCiphertext,
-        mu: Torus32,
-        out: &mut LweCiphertext,
-        scratch: &mut BootstrapScratch<E>,
-    ) {
-        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
-        scratch.testv.coeffs_mut().fill(-mu);
-        self.blind_rotate_assign(engine, input, scratch);
-        profile::timed(Phase::Other, || scratch.acc.sample_extract_into(out));
+        self.stage_lane(input, 0, scratch);
+        self.blind_rotate_lanes(engine, 1, scratch);
     }
 
     /// [`BootstrapKit::bootstrap`] into a caller-owned output through the
@@ -211,11 +241,16 @@ impl<E: FftEngine> BootstrapKit<E> {
         out: &mut LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        // Split borrow: extract into `scratch.extracted`, then key-switch.
-        let mut extracted = std::mem::take(&mut scratch.extracted);
-        self.bootstrap_to_extracted_into(engine, input, mu, &mut extracted, scratch);
-        self.ksk.switch_into(&extracted, out);
-        scratch.extracted = extracted;
+        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
+        scratch.testv.coeffs_mut().fill(-mu);
+        self.blind_rotate_assign(engine, input, scratch);
+        let BootstrapScratch {
+            lanes, extracted, ..
+        } = scratch;
+        profile::timed(Phase::Other, || {
+            lanes[0].acc.sample_extract_into(&mut extracted[0])
+        });
+        self.ksk.switch_into(&extracted[0], out);
     }
 }
 

@@ -37,8 +37,12 @@ pub enum FaultAction {
     Delay(Duration),
     /// The worker thread exits *without* executing or answering the task —
     /// death outside the per-task `catch_unwind` (a stack overflow, an
-    /// abort in foreign code, an OS kill). The pool must detect the lost
-    /// reply, respawn the worker, and retry the task.
+    /// abort in foreign code, an OS kill) — and with it the rest of the
+    /// chunk the task was dispatched in, none of it stored or answered.
+    /// The pool must detect the lost replies, respawn the worker, and
+    /// retry the chunk's tasks. A worker takes a chunk's sites together
+    /// before running any of it, so the retry finds them all spent and
+    /// runs clean.
     KillWorker,
 }
 

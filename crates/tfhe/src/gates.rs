@@ -10,6 +10,7 @@ use crate::bootstrap::BootstrapKit;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
+use crate::scratch::{BootstrapScratch, MAX_LANES};
 use crate::secret::ClientKey;
 use matcha_fft::FftEngine;
 use matcha_math::Torus32;
@@ -90,6 +91,52 @@ impl fmt::Display for Gate {
         };
         f.write_str(name)
     }
+}
+
+/// One bootstrapped gate of a wave, operands by reference: what
+/// [`ServerKey::apply_lanes_into`] evaluates a slice of.
+#[derive(Clone, Copy, Debug)]
+pub enum LaneGate<'a> {
+    /// A two-input gate: one bootstrap, one lane.
+    Binary {
+        /// The gate to evaluate.
+        gate: Gate,
+        /// Left operand.
+        a: &'a LweCiphertext,
+        /// Right operand.
+        b: &'a LweCiphertext,
+    },
+    /// `sel ? a : b`: two bootstraps side by side, two lanes.
+    Mux {
+        /// The selector.
+        sel: &'a LweCiphertext,
+        /// Taken when `sel` is true.
+        a: &'a LweCiphertext,
+        /// Taken when `sel` is false.
+        b: &'a LweCiphertext,
+    },
+}
+
+impl LaneGate<'_> {
+    /// Blind rotations the gate runs, i.e. lanes it occupies in a wave.
+    pub fn lanes(&self) -> usize {
+        match self {
+            LaneGate::Binary { .. } => 1,
+            LaneGate::Mux { .. } => 2,
+        }
+    }
+}
+
+/// Length of the longest prefix of gates, given by their lane counts, that
+/// fits `cap` lanes — at least one gate, so cutting always makes progress
+/// (`cap ≥ 2` fits any single gate).
+pub(crate) fn lane_prefix(lanes: impl Iterator<Item = usize>, cap: usize) -> usize {
+    let mut used = 0;
+    let fits = lanes.take_while(|&l| {
+        used += l;
+        used <= cap
+    });
+    fits.count().max(1)
 }
 
 /// The evaluator's key: bootstrapping + key-switching keys bound to an FFT
@@ -239,27 +286,125 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// Builds a reusable workspace for [`ServerKey::apply_into`].
-    pub fn make_scratch(&self) -> crate::scratch::BootstrapScratch<E> {
+    pub fn make_scratch(&self) -> BootstrapScratch<E> {
         self.kit.make_scratch(&self.engine)
     }
 
     /// [`ServerKey::apply`] into a caller-owned output through the scratch:
     /// a warmed call evaluates the whole gate — linear part, blind
     /// rotation, sample extraction, key switch — with zero heap
-    /// allocations, and produces bit-identical results.
+    /// allocations, and produces bit-identical results. The one-gate call
+    /// of [`ServerKey::apply_lanes_into`].
     pub fn apply_into(
         &self,
         gate: Gate,
         a: &LweCiphertext,
         b: &LweCiphertext,
         out: &mut LweCiphertext,
-        scratch: &mut crate::scratch::BootstrapScratch<E>,
+        scratch: &mut BootstrapScratch<E>,
     ) {
+        let gates = [LaneGate::Binary { gate, a, b }];
+        self.apply_lanes_into(&gates, std::slice::from_mut(out), scratch);
+    }
+
+    /// Evaluates a slice of independent gates into `outs`, a wave of up to
+    /// [`MAX_LANES`] blind rotations at a time: linear parts, then **one
+    /// pass over the bootstrapping key** carrying every lane through each
+    /// key group ([`BootstrapKit::blind_rotate_lanes`]), sample extraction
+    /// (with the mux recombination), and one coefficient-major key switch
+    /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)).
+    /// Each gate's arithmetic is what [`ServerKey::apply`] /
+    /// [`ServerKey::mux`] does for it alone, so every output is
+    /// bit-identical to theirs; a warmed call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs` is not one output per gate, or on a mismatched
+    /// operand dimension.
+    pub fn apply_lanes_into(
+        &self,
+        gates: &[LaneGate<'_>],
+        outs: &mut [LweCiphertext],
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        assert_eq!(gates.len(), outs.len(), "one output per gate");
+        let (mut gates, mut outs) = (gates, outs);
+        while !gates.is_empty() {
+            let take = lane_prefix(gates.iter().map(LaneGate::lanes), MAX_LANES);
+            let (wave, rest) = gates.split_at(take);
+            let (wave_outs, rest_outs) = outs.split_at_mut(take);
+            let mut lane = 0;
+            for gate in wave {
+                self.stage_lanes(gate, lane, scratch);
+                lane += gate.lanes();
+            }
+            self.finish_lanes(wave.iter().map(LaneGate::lanes), wave_outs, scratch);
+            (gates, outs) = (rest, rest_outs);
+        }
+    }
+
+    /// The per-gate half of a wave: checks `gate`'s operands, takes its
+    /// linear part(s) and stages the bootstrap input(s) as lanes
+    /// `lane..lane + gate.lanes()`. Touches nothing another lane owns, so
+    /// a gate that panics here can be dropped from its wave.
+    pub(crate) fn stage_lanes(
+        &self,
+        gate: &LaneGate<'_>,
+        lane: usize,
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        // All-(−μ) test vector, as in `BootstrapKit::bootstrap_to_extracted`.
+        scratch.testv.coeffs_mut().fill(-GATE_MU);
         let mut lin = std::mem::take(&mut scratch.lin);
-        self.linear_part_into(gate, a, b, &mut lin);
-        self.kit
-            .bootstrap_into(&self.engine, &lin, GATE_MU, out, scratch);
+        match *gate {
+            LaneGate::Binary { gate, a, b } => {
+                self.linear_part_into(gate, a, b, &mut lin);
+                self.kit.stage_lane(&lin, lane, scratch);
+            }
+            // u1 = AND(sel, a), u2 = AND(¬sel, b), as in `mux`.
+            LaneGate::Mux { sel, a, b } => {
+                self.linear_part_into(Gate::And, sel, a, &mut lin);
+                self.kit.stage_lane(&lin, lane, scratch);
+                self.linear_part_into(Gate::AndNY, sel, b, &mut lin);
+                self.kit.stage_lane(&lin, lane + 1, scratch);
+            }
+        }
         scratch.lin = lin;
+    }
+
+    /// The shared half of a wave: blind-rotates the staged lanes in one
+    /// pass over the key, extracts one sample per gate (`widths` gives
+    /// each staged gate's lane count, in lane order) and key-switches them
+    /// together into `outs`.
+    pub(crate) fn finish_lanes(
+        &self,
+        widths: impl Iterator<Item = usize> + Clone,
+        outs: &mut [LweCiphertext],
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        let lanes = widths.clone().sum();
+        self.kit.blind_rotate_lanes(&self.engine, lanes, scratch);
+        let BootstrapScratch {
+            lanes: staged,
+            extracted,
+            extracted2,
+            ..
+        } = scratch;
+        let extracted = &mut extracted[..outs.len()];
+        profile::timed(Phase::Other, || {
+            let mut lane = 0;
+            for (u1, width) in extracted.iter_mut().zip(widths) {
+                staged[lane].acc.sample_extract_into(u1);
+                if width == 2 {
+                    // u1 + u2 + (0, 1/8): same wrapping adds as `mux`.
+                    staged[lane + 1].acc.sample_extract_into(extracted2);
+                    u1.add_assign(extracted2);
+                    u1.add_body(EIGHTH);
+                }
+                lane += width;
+            }
+        });
+        self.kit.key_switch_key().switch_slice_into(extracted, outs);
     }
 
     /// Logical AND.
@@ -327,36 +472,21 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// [`ServerKey::mux`] into a caller-owned output through the scratch:
-    /// both bootstraps, the recombination and the key switch run with zero
-    /// heap allocations once warmed, and the result is bit-identical to the
-    /// allocating path.
+    /// both bootstraps (side by side, as two lanes of one pass over the
+    /// key), the recombination and the key switch run with zero heap
+    /// allocations once warmed, and the result is bit-identical to the
+    /// allocating path. The one-gate call of
+    /// [`ServerKey::apply_lanes_into`].
     pub fn mux_into(
         &self,
         sel: &LweCiphertext,
         a: &LweCiphertext,
         b: &LweCiphertext,
         out: &mut LweCiphertext,
-        scratch: &mut crate::scratch::BootstrapScratch<E>,
+        scratch: &mut BootstrapScratch<E>,
     ) {
-        let mut lin = std::mem::take(&mut scratch.lin);
-        let mut u1 = std::mem::take(&mut scratch.extracted);
-        let mut u2 = std::mem::take(&mut scratch.extracted2);
-        // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the extracted key.
-        self.linear_part_into(Gate::And, sel, a, &mut lin);
-        self.kit
-            .bootstrap_to_extracted_into(&self.engine, &lin, GATE_MU, &mut u1, scratch);
-        self.linear_part_into(Gate::AndNY, sel, b, &mut lin);
-        self.kit
-            .bootstrap_to_extracted_into(&self.engine, &lin, GATE_MU, &mut u2, scratch);
-        // u1 + u2 + (0, 1/8): same wrapping adds as the allocating `mux`.
-        profile::timed(Phase::Other, || {
-            u1.add_assign(&u2);
-            u1.add_body(EIGHTH);
-        });
-        self.kit.key_switch_key().switch_into(&u1, out);
-        scratch.lin = lin;
-        scratch.extracted = u1;
-        scratch.extracted2 = u2;
+        let gates = [LaneGate::Mux { sel, a, b }];
+        self.apply_lanes_into(&gates, std::slice::from_mut(out), scratch);
     }
 }
 
@@ -446,6 +576,53 @@ mod tests {
                 assert_eq!(out, eager, "sel={sel} a={a} b={b}");
             }
         }
+    }
+
+    #[test]
+    fn lanes_are_built_on_first_use_only() {
+        // A one-gate caller's scratch holds one lane, whatever the cap: its
+        // footprint is what it was before a bootstrap became a slice
+        // operation.
+        let (client, server, mut rng) = setup(2);
+        let bits: Vec<LweCiphertext> = (0..MAX_LANES + 1)
+            .map(|i| client.encrypt_with(i % 2 == 0, &mut rng))
+            .collect();
+        let mut scratch = server.make_scratch();
+        let mut outs = vec![LweCiphertext::default(); MAX_LANES + 1];
+        server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut outs[0], &mut scratch);
+        assert_eq!((scratch.lanes.len(), scratch.extracted.len()), (1, 1));
+        server.mux_into(&bits[0], &bits[1], &bits[2], &mut outs[0], &mut scratch);
+        assert_eq!((scratch.lanes.len(), scratch.extracted.len()), (2, 2));
+        // More gates than lanes: two passes, and no lane past the cap.
+        let gates: Vec<LaneGate<'_>> = bits
+            .windows(2)
+            .map(|w| LaneGate::Binary {
+                gate: Gate::Xor,
+                a: &w[0],
+                b: &w[1],
+            })
+            .chain([LaneGate::Mux {
+                sel: &bits[0],
+                a: &bits[1],
+                b: &bits[2],
+            }])
+            .collect();
+        server.apply_lanes_into(&gates, &mut outs, &mut scratch);
+        assert_eq!(scratch.lanes.len(), MAX_LANES);
+        for (out, w) in outs.iter().zip(bits.windows(2)) {
+            assert_eq!(*out, server.apply(Gate::Xor, &w[0], &w[1]));
+        }
+        assert_eq!(outs[MAX_LANES], server.mux(&bits[0], &bits[1], &bits[2]));
+    }
+
+    #[test]
+    fn lane_prefix_cuts_at_the_cap_and_always_advances() {
+        assert_eq!(lane_prefix([1, 1, 1].into_iter(), 2), 2);
+        assert_eq!(lane_prefix([1, 2, 1].into_iter(), 2), 1);
+        assert_eq!(lane_prefix([1, 0, 0, 1].into_iter(), 1), 3);
+        assert_eq!(lane_prefix([2, 1].into_iter(), 1), 1, "a mux alone");
+        assert_eq!(lane_prefix([0, 0].into_iter(), 0), 2, "negations are free");
+        assert_eq!(lane_prefix([1; 40].into_iter(), MAX_LANES), MAX_LANES);
     }
 
     #[test]

@@ -118,17 +118,34 @@ impl KeySwitchKey {
     }
 
     /// [`KeySwitchKey::switch`] into a caller-owned output — no allocation
-    /// once `out`'s mask has capacity `n`.
+    /// once `out`'s mask has capacity `n`. The one-sample call of
+    /// [`KeySwitchKey::switch_slice_into`].
     ///
     /// # Panics
     ///
     /// Panics if `c`'s dimension does not match the source key.
     pub fn switch_into(&self, c: &LweCiphertext, out: &mut LweCiphertext) {
-        profile::timed(Phase::KeySwitch, || self.switch_inner(c, out))
+        self.switch_slice_into(std::slice::from_ref(c), std::slice::from_mut(out))
     }
 
-    fn switch_inner(&self, c: &LweCiphertext, out: &mut LweCiphertext) {
-        assert_eq!(c.dimension(), self.from_dimension, "dimension mismatch");
+    /// Switches every sample of `inputs` into the matching entry of
+    /// `outs`, **coefficient-major**: coefficient `i` of all samples before
+    /// coefficient `i + 1` of any, so the samples share one walk through
+    /// the key's `N` coefficient blocks instead of taking one each. Every
+    /// sample sees the wrapping subtractions [`KeySwitchKey::switch`] makes
+    /// for it alone, in the same order, so the outputs are bit-identical.
+    /// No allocation once every output's mask has capacity `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or an input's dimension does
+    /// not match the source key.
+    pub fn switch_slice_into(&self, inputs: &[LweCiphertext], outs: &mut [LweCiphertext]) {
+        profile::timed(Phase::KeySwitch, || self.switch_inner(inputs, outs))
+    }
+
+    fn switch_inner(&self, inputs: &[LweCiphertext], outs: &mut [LweCiphertext]) {
+        assert_eq!(inputs.len(), outs.len(), "one output per input");
         let n = self.to_dimension;
         let base = 1u32 << self.base_log;
         let per_level = base as usize - 1;
@@ -149,22 +166,29 @@ impl KeySwitchKey {
                 Some(&self.entries[index * (n + 1)..(index + 1) * (n + 1)])
             })
         };
-        out.assign_trivial(c.body(), n);
-        let (mask, body) = out.parts_mut();
-        let coeffs = c.mask();
-        for (i, &ai) in coeffs.iter().enumerate() {
+        for (c, out) in inputs.iter().zip(outs.iter_mut()) {
+            assert_eq!(c.dimension(), self.from_dimension, "dimension mismatch");
+            out.assign_trivial(c.body(), n);
+        }
+        for i in 0..self.from_dimension {
             // Which entries a coefficient picks depends on its digits, so
             // the walk through the key is a random one the hardware cannot
-            // predict: ask for the next coefficient's entries now, and they
-            // arrive while this coefficient's are being subtracted.
-            if let Some(&next) = coeffs.get(i + 1) {
-                selected(i + 1, next).for_each(prefetch);
-            }
-            for entry in selected(i, ai) {
-                for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
-                    *x -= y;
+            // predict: ask for the next coefficient's entries now, for
+            // every sample, and they arrive while this coefficient's are
+            // being subtracted.
+            if i + 1 < self.from_dimension {
+                for c in inputs {
+                    selected(i + 1, c.mask()[i + 1]).for_each(prefetch);
                 }
-                *body -= entry[n];
+            }
+            for (c, out) in inputs.iter().zip(outs.iter_mut()) {
+                let (mask, body) = out.parts_mut();
+                for entry in selected(i, c.mask()[i]) {
+                    for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
+                        *x -= y;
+                    }
+                    *body -= entry[n];
+                }
             }
         }
     }

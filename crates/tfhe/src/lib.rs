@@ -88,12 +88,12 @@ pub use circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};
 pub use codec::Codec;
 pub use encode::BucketEncoding;
 pub use faults::{FaultAction, FaultPlan};
-pub use gates::{Gate, ServerKey};
+pub use gates::{Gate, LaneGate, ServerKey};
 pub use keyswitch::KeySwitchKey;
 pub use lwe::LweCiphertext;
 pub use params::ParameterSet;
 pub use pbs::Lut;
-pub use scratch::{BootstrapScratch, EpScratch};
+pub use scratch::{BootstrapScratch, EpScratch, MAX_LANES};
 pub use secret::{ClientKey, LweSecretKey, RingSecretKey};
 pub use server::{
     CircuitClient, CircuitOutcome, CircuitServer, ClientTally, PendingCircuit, RejectReason,

@@ -10,6 +10,7 @@
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
+use crate::scratch::MAX_LANES;
 use crate::secret::ClientKey;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
@@ -94,6 +95,53 @@ pub fn extract_bit(
     ksk: &KeySwitchKey,
     params: &ParameterSet,
 ) -> LweCiphertext {
+    check_packed(packed, ksk, params);
+    assert!(index < params.ring_degree, "index {index} out of range");
+    let extracted = packed.sample_extract_at(index);
+    ksk.switch(&extracted)
+}
+
+/// Server-side unpack of a whole upload: slots `0..count`, slot `s` being
+/// coefficient `s % N` of `samples[s / N]`, as gate-level LWE samples in
+/// slot order. Every slot is bit-identical to its [`extract_bit`]; the
+/// slots are extracted first and key-switched [`MAX_LANES`] at a time
+/// through [`KeySwitchKey::switch_slice_into`], so an upload walks the
+/// key-switching key once per sixteen bits instead of once per bit.
+///
+/// # Panics
+///
+/// Panics with [`extract_bit`]'s messages on a mismatched sample or key,
+/// and if `samples` holds fewer than `count` slots.
+pub fn extract_bits(
+    samples: &[TrlweCiphertext],
+    count: usize,
+    ksk: &KeySwitchKey,
+    params: &ParameterSet,
+) -> Vec<LweCiphertext> {
+    let n = params.ring_degree;
+    for packed in samples {
+        check_packed(packed, ksk, params);
+    }
+    assert!(
+        count <= samples.len() * n,
+        "{count} slots asked of {} packed samples",
+        samples.len()
+    );
+    let mut bits = vec![LweCiphertext::default(); count];
+    let mut extracted = vec![LweCiphertext::default(); count.min(MAX_LANES)];
+    for (chunk, outs) in bits.chunks_mut(MAX_LANES).enumerate() {
+        let extracted = &mut extracted[..outs.len()];
+        for (i, e) in extracted.iter_mut().enumerate() {
+            let slot = chunk * MAX_LANES + i;
+            samples[slot / n].sample_extract_at_into(slot % n, e);
+        }
+        ksk.switch_slice_into(extracted, outs);
+    }
+    bits
+}
+
+/// The boundary checks of a server-side unpack (see [`extract_bit`]).
+fn check_packed(packed: &TrlweCiphertext, ksk: &KeySwitchKey, params: &ParameterSet) {
     assert_eq!(
         packed.ring_degree(),
         params.ring_degree,
@@ -108,9 +156,6 @@ pub fn extract_bit(
         ksk.from_dimension(),
         params.ring_degree
     );
-    assert!(index < params.ring_degree, "index {index} out of range");
-    let extracted = packed.sample_extract_at(index);
-    ksk.switch(&extracted)
 }
 
 #[cfg(test)]
@@ -146,6 +191,28 @@ mod tests {
             let lwe = extract_bit(&packed, i, kit.key_switch_key(), client.params());
             assert_eq!(client.decrypt(&lwe), expected, "bit {i}");
         }
+    }
+
+    #[test]
+    fn extract_bits_matches_extract_bit_slot_by_slot() {
+        // Two samples, a count that crosses both the sample boundary and
+        // the lane cap, with a short last pass.
+        let (client, engine, kit, mut rng) = setup();
+        let n = client.params().ring_degree;
+        let bits: Vec<bool> = (0..n + 21).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+        let samples = [
+            pack_bits(&client, &bits[..n], &engine, &mut rng),
+            pack_bits(&client, &bits[n..], &engine, &mut rng),
+        ];
+        let ksk = kit.key_switch_key();
+        let unpacked = extract_bits(&samples, bits.len(), ksk, client.params());
+        assert_eq!(unpacked.len(), bits.len());
+        for (slot, (lwe, &bit)) in unpacked.iter().zip(&bits).enumerate() {
+            let alone = extract_bit(&samples[slot / n], slot % n, ksk, client.params());
+            assert_eq!(*lwe, alone, "slot {slot}");
+            assert_eq!(client.decrypt(lwe), bit, "slot {slot}");
+        }
+        assert!(extract_bits(&samples, 0, ksk, client.params()).is_empty());
     }
 
     #[test]

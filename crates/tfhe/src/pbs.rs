@@ -128,12 +128,11 @@ impl<E: FftEngine> BootstrapKit<E> {
         );
         scratch.test_vector_mut().copy_from(&lut.testv);
         self.blind_rotate_assign(engine, input, scratch);
-        let mut extracted = std::mem::take(&mut scratch.extracted);
+        let extracted = &mut scratch.extracted[0];
         profile::timed(Phase::Other, || {
-            scratch.accumulator().sample_extract_into(&mut extracted)
+            scratch.lanes[0].acc.sample_extract_into(extracted)
         });
-        self.key_switch_key().switch_into(&extracted, out);
-        scratch.extracted = extracted;
+        self.key_switch_key().switch_into(extracted, out);
     }
 }
 

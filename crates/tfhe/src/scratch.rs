@@ -9,8 +9,10 @@
 //! provisioned on-chip buffers.
 //!
 //! [`EpScratch`] covers a bare external product; [`BootstrapScratch`] adds
-//! the blind-rotation accumulator, bundle buffers and key-switch buffers
-//! needed by a full gate bootstrap. Both are created from
+//! the blind-rotation lanes, bundle buffers and key-switch buffers needed
+//! by a full gate bootstrap — or by a wave of them: a bootstrap is a slice
+//! operation over lanes, and the one bundle buffer, factor table and
+//! [`EpScratch`] are shared by every lane. Both are created from
 //! [`BootstrapKit::make_scratch`](crate::bootstrap::BootstrapKit::make_scratch)
 //! or their `new` constructors.
 
@@ -19,7 +21,7 @@ use crate::tgsw::TgswSpectrum;
 use crate::tlwe::TrlweCiphertext;
 use crate::LweCiphertext;
 use matcha_fft::FftEngine;
-use matcha_math::TorusPolynomial;
+use matcha_math::{Torus32, TorusPolynomial};
 
 /// Workspace for one in-place external product: the digit spectrum, the
 /// two spectral accumulators and the engine scratch.
@@ -51,8 +53,29 @@ impl<E: FftEngine> EpScratch<E> {
     }
 }
 
-/// Workspace for a full gate bootstrap (blind rotation + sample extraction
-/// + key switch), including the per-group bundle buffers.
+/// The most blind rotations one pass over the bootstrapping key carries.
+///
+/// Sixteen is the wave the batching gain was measured on (README "…and a
+/// wave's"): a key group, the bundle and 16 × 8 KB accumulators are
+/// ≈ 0.55 MB on the f64 engine at `m = 2` and ≈ 1 MB on the integer engine
+/// at `m = 3`, inside L2, so every lane after the first finds the group's
+/// key cache-resident. Callers with more work cut it into passes.
+pub const MAX_LANES: usize = 16;
+
+/// One blind rotation in flight: what a bootstrap owns alone while it
+/// shares the key walk with the other lanes of its wave.
+#[derive(Debug)]
+pub(crate) struct Lane {
+    /// Blind-rotation accumulator.
+    pub(crate) acc: TrlweCiphertext,
+    /// The input's mask, mod-switched to `Z_{2N}`: the bundle exponents of
+    /// every key group, in secret-bit order.
+    pub(crate) exponents: Vec<u32>,
+}
+
+/// Workspace for gate bootstraps (blind rotation + sample extraction + key
+/// switch), one at a time or a wave at once, including the per-group
+/// bundle buffers.
 #[derive(Debug)]
 pub struct BootstrapScratch<E: FftEngine> {
     /// External-product workspace.
@@ -62,19 +85,18 @@ pub struct BootstrapScratch<E: FftEngine> {
     /// Factor tables `ε_k^e − 1` of the current key group's patterns,
     /// concatenated; refilled once per blind-rotation step.
     pub(crate) factors: E::MonomialFactors,
-    /// Blind-rotation accumulator.
-    pub(crate) acc: TrlweCiphertext,
+    /// The blind rotations in flight. Lane 0 is built with the scratch;
+    /// the others on first use, so a one-gate caller holds one.
+    pub(crate) lanes: Vec<Lane>,
     /// CMux difference buffer.
     pub(crate) diff: TrlweCiphertext,
     /// Test-vector buffer (set by the caller before blind rotation).
     pub(crate) testv: TorusPolynomial,
-    /// Mod-switched exponents of the current key group.
-    pub(crate) exponents: Vec<u32>,
-    /// Sample-extraction output (dimension `N`).
-    pub(crate) extracted: LweCiphertext,
-    /// Second extraction buffer: [`ServerKey::mux_into`]
-    /// (crate::gates::ServerKey::mux_into) holds both of its bootstrap
-    /// outputs live at once.
+    /// Sample-extraction outputs (dimension `N`), one per gate of a wave:
+    /// the inputs of the batched key switch. Grown like `lanes`.
+    pub(crate) extracted: Vec<LweCiphertext>,
+    /// Extraction buffer for the second bootstrap of a mux, added into the
+    /// first one's entry of `extracted`.
     pub(crate) extracted2: LweCiphertext,
     /// Gate linear-part buffer (dimension `n`).
     pub(crate) lin: LweCiphertext,
@@ -90,17 +112,34 @@ impl<E: FftEngine> BootstrapScratch<E> {
         bundle_seed: TgswSpectrum<E>,
     ) -> Self {
         let n = params.ring_degree;
-        Self {
+        let mut scratch = Self {
             ep: EpScratch::new(engine, params),
             bundle: bundle_seed,
             factors: E::MonomialFactors::default(),
-            acc: TrlweCiphertext::zero(n),
+            lanes: Vec::new(),
             diff: TrlweCiphertext::zero(n),
             testv: TorusPolynomial::zero(n),
-            exponents: Vec::with_capacity(8),
-            extracted: LweCiphertext::trivial(matcha_math::Torus32::ZERO, n),
-            extracted2: LweCiphertext::trivial(matcha_math::Torus32::ZERO, n),
-            lin: LweCiphertext::trivial(matcha_math::Torus32::ZERO, params.lwe_dimension),
+            extracted: Vec::new(),
+            extracted2: LweCiphertext::trivial(Torus32::ZERO, n),
+            lin: LweCiphertext::trivial(Torus32::ZERO, params.lwe_dimension),
+        };
+        scratch.reserve_lanes(1);
+        scratch
+    }
+
+    /// Makes sure lanes `0..count` (and as many extraction buffers) exist.
+    /// Allocates only the first time a caller asks for that many.
+    pub(crate) fn reserve_lanes(&mut self, count: usize) {
+        let n = self.testv.len();
+        while self.lanes.len() < count {
+            self.lanes.push(Lane {
+                acc: TrlweCiphertext::zero(n),
+                exponents: Vec::new(),
+            });
+        }
+        while self.extracted.len() < count {
+            self.extracted
+                .push(LweCiphertext::trivial(Torus32::ZERO, n));
         }
     }
 
@@ -111,9 +150,10 @@ impl<E: FftEngine> BootstrapScratch<E> {
         &mut self.testv
     }
 
-    /// The blind-rotation accumulator holding the last rotation result.
+    /// The blind-rotation accumulator holding the last rotation result
+    /// (lane 0's).
     pub fn accumulator(&self) -> &TrlweCiphertext {
-        &self.acc
+        &self.lanes[0].acc
     }
 
     /// The external-product workspace (for composing custom pipelines).

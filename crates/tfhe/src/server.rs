@@ -609,12 +609,13 @@ fn admit<E>(
 /// Builds the frontier for an admitted job, moving or unpacking its
 /// inputs straight into the run's [`ValueSlab`](crate::batch::ValueSlab):
 /// per-LWE inputs are *moved* out of the submission (no clone), and
-/// packed TRLWE inputs are unpacked on the fly — sample `slot / N`,
-/// coefficient `slot % N`, sample-extracted and key-switched directly
-/// into the slot's slab cell, with no intermediate ciphertext vector.
-/// Dimension mismatches panic (with the [`packing::extract_bit`]
-/// boundary messages) and surface as [`CircuitOutcome::Faulted`] through
-/// the caller's `catch_unwind`; validated submissions never hit them.
+/// packed TRLWE inputs are unpacked together ([`packing::extract_bits`]:
+/// slot `s` is coefficient `s % N` of sample `s / N`; all slots are
+/// sample-extracted, then key-switched through the slice form) and moved
+/// into their slab cells. Dimension mismatches panic (with the
+/// [`packing::extract_bit`] boundary messages) and surface as
+/// [`CircuitOutcome::Faulted`] through the caller's `catch_unwind`;
+/// validated submissions never hit them.
 fn build_frontier<E: FftEngine>(
     netlist: CircuitNetlist,
     inputs: CircuitInputs,
@@ -648,9 +649,8 @@ fn build_frontier<E: FftEngine>(
                 net.num_inputs()
             );
             let ksk = server.kit().key_switch_key();
-            CircuitFrontier::with_tag_from(net, server, tag, |slot| {
-                packing::extract_bit(&samples[slot / n], slot % n, ksk, &params)
-            })
+            let mut bits = packing::extract_bits(&samples, net.num_inputs(), ksk, &params);
+            CircuitFrontier::with_tag_from(net, server, tag, |slot| std::mem::take(&mut bits[slot]))
         }
     }
 }

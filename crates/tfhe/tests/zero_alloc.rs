@@ -6,8 +6,8 @@
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Radix4Fft};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
-    BootstrapKit, ClientKey, EpScratch, Gate, ParameterSet, RingSecretKey, ServerKey,
-    TgswCiphertext, TrlweCiphertext,
+    BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, ParameterSet, RingSecretKey,
+    ServerKey, TgswCiphertext, TrlweCiphertext, MAX_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -308,6 +308,66 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
     for (task, want) in tasks.iter().zip(expected) {
         task.apply_into(&server, &slab, &mut out, &mut scratch);
         assert_eq!(client.decrypt(&out), want);
+    }
+}
+
+/// A wave through the batched entry: once a scratch has held
+/// `MAX_LANES` lanes it keeps them, so full waves, a narrower wave in
+/// between and a mux's two lanes all run without touching the heap.
+fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let server = ServerKey::with_unrolling(&client, engine, unroll, &mut rng);
+    let bits: Vec<LweCiphertext> = (0..MAX_LANES + 1)
+        .map(|i| client.encrypt_with(i % 3 == 0, &mut rng))
+        .collect();
+    let mut gates: Vec<LaneGate<'_>> = (0..MAX_LANES)
+        .map(|i| LaneGate::Binary {
+            gate: Gate::ALL[i % Gate::ALL.len()],
+            a: &bits[i],
+            b: &bits[i + 1],
+        })
+        .collect();
+    gates[1] = LaneGate::Mux {
+        sel: &bits[0],
+        a: &bits[1],
+        b: &bits[2],
+    };
+    let full = &gates[..MAX_LANES - 1]; // 14 gates and a mux: MAX_LANES lanes
+    let mut outs = vec![LweCiphertext::default(); MAX_LANES];
+    let mut scratch = server.make_scratch();
+
+    // Warm-up: the first call grows the lanes and sizes every output, the
+    // second finds every buffer at its size.
+    for _ in 0..2 {
+        server.apply_lanes_into(&gates, &mut outs, &mut scratch);
+    }
+
+    let before = allocations();
+    server.apply_lanes_into(full, &mut outs[..full.len()], &mut scratch);
+    server.apply_lanes_into(&gates[..3], &mut outs[..3], &mut scratch);
+    server.apply_lanes_into(full, &mut outs[..full.len()], &mut scratch);
+    // Past the cap: a second pass inside the one call.
+    server.apply_lanes_into(&gates, &mut outs, &mut scratch);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "warmed waves (unroll={unroll}) allocated {delta} times"
+    );
+    assert_eq!(
+        client.decrypt(&outs[1]),
+        client.decrypt(&bits[1]),
+        "mux(true, b1, b2) = b1"
+    );
+}
+
+#[test]
+fn warmed_wave_allocates_nothing_on_either_leg() {
+    let _leg = ForcedLeg::lock();
+    for leg in [false, true] {
+        matcha_fft::force_simd(Some(leg));
+        assert_zero_alloc_wave(F64Fft::new(256), 2, 87);
+        assert_zero_alloc_wave(ApproxIntFft::new(256, 38), 3, 88);
     }
 }
 
