@@ -1,1 +1,1 @@
-//! Benchmark harness crate: see src/bin for table/figure regenerators.
+//! Regenerators for the paper's tables and figures: see `src/bin`.

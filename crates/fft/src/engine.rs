@@ -350,15 +350,6 @@ impl<E: FftEngine + ?Sized> FftEngine for &E {
     ) {
         (**self).backward_torus_into(s, out, scratch)
     }
-    fn forward_int(&self, p: &IntPolynomial) -> Self::Spectrum {
-        (**self).forward_int(p)
-    }
-    fn forward_torus(&self, p: &TorusPolynomial) -> Self::Spectrum {
-        (**self).forward_torus(p)
-    }
-    fn backward_torus(&self, s: &Self::Spectrum) -> TorusPolynomial {
-        (**self).backward_torus(s)
-    }
     fn mul_accumulate(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum, b: &Self::Spectrum) {
         (**self).mul_accumulate(acc, a, b)
     }

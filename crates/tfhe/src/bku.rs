@@ -136,34 +136,15 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
         &self.h
     }
 
-    /// Builds the bootstrapping-key bundle for one group (Figure 5):
+    /// Builds the bootstrapping-key bundle for one group (Figure 5) into a
+    /// caller-owned bundle:
     ///
     /// `BKB = H + Σ_{p≠0} (X^{-⟨ā, p⟩} − 1) · K_p`,
     ///
     /// evaluated entirely in the Lagrange domain with TGSW scale operations
-    /// — no FFTs. `exponents[i]` is the mod-switched `ā` of the group's
-    /// `i`-th secret bit. Allocating wrapper over
-    /// [`Self::build_bundle_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exponents.len()` differs from the group length.
-    pub fn build_bundle(
-        &self,
-        engine: &E,
-        group: &KeyGroup<E>,
-        exponents: &[u32],
-        two_n: u32,
-    ) -> TgswSpectrum<E> {
-        let mut bundle = self.h.clone();
-        let mut factors = E::MonomialFactors::default();
-        self.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
-        bundle
-    }
-
-    /// [`Self::build_bundle`] into a caller-owned bundle — the
-    /// zero-allocation form blind rotation runs. Each of the bundle's
-    /// `2·2ℓ` spectra is written in one pass,
+    /// — no FFTs, no allocation once `factors` has held a group's tables.
+    /// `exponents[i]` is the mod-switched `ā` of the group's `i`-th secret
+    /// bit. Each of the bundle's `2·2ℓ` spectra is written in one pass,
     /// `row = H_row + Σ_p f_p ⊙ K_p,row` ([`FftEngine::bundle_row_into`]):
     /// the sum over the patterns is carried in registers, so a row is read
     /// from `H` and the keys once and stored once, never read back. The
@@ -274,6 +255,20 @@ mod tests {
         (p, lwe_key, ring_key, engine, bk, sampler)
     }
 
+    /// A group's bundle in fresh buffers.
+    fn build_bundle(
+        bk: &UnrolledBootstrappingKey<F64Fft>,
+        engine: &F64Fft,
+        group: &KeyGroup<F64Fft>,
+        exponents: &[u32],
+        two_n: u32,
+    ) -> TgswSpectrum<F64Fft> {
+        let mut bundle = bk.gadget_spectrum().clone();
+        let mut factors = Default::default();
+        bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
+        bundle
+    }
+
     #[test]
     fn key_counts_follow_formula() {
         for (m, n, expected) in [(1usize, 6usize, 6usize), (2, 6, 9), (3, 6, 14), (2, 5, 7)] {
@@ -310,7 +305,7 @@ mod tests {
 
             let group = &bk.groups()[0];
             let exponents: Vec<u32> = (0..group.len()).map(|i| (7 + 13 * i) as u32).collect();
-            let bundle = bk.build_bundle(&engine, group, &exponents, two_n);
+            let bundle = build_bundle(&bk, &engine, group, &exponents, two_n);
             let out = bundle.external_product(&engine, &acc, &decomp);
 
             // Expected rotation: -Σ ā_i s_i over the group's true key bits.
@@ -333,7 +328,7 @@ mod tests {
         let msg = TorusPolynomial::constant(Torus32::from_f64(0.125), p.ring_degree);
         let acc =
             TrlweCiphertext::encrypt(&msg, &ring_key, p.ring_noise_stdev, &engine, &mut sampler);
-        let bundle = bk.build_bundle(&engine, &bk.groups()[0], &[0, 0], p.two_n());
+        let bundle = build_bundle(&bk, &engine, &bk.groups()[0], &[0, 0], p.two_n());
         let out = bundle.external_product(&engine, &acc, &decomp);
         assert!(out.phase(&ring_key, &engine).max_distance(&msg) < 5e-3);
     }

@@ -14,11 +14,8 @@ use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
 use crate::scratch::{BootstrapScratch, Lane};
 use crate::secret::ClientKey;
-use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
-use matcha_math::{
-    mod_switch_from_torus, GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler,
-};
+use matcha_math::{mod_switch_from_torus, GadgetDecomposer, Torus32, TorusSampler};
 use rand::Rng;
 
 /// Everything the (untrusted) evaluator needs to bootstrap: the unrolled
@@ -83,57 +80,15 @@ impl<E: FftEngine> BootstrapKit<E> {
         &self.ksk
     }
 
-    /// Blind rotation: returns `TRLWE(X^{b̄ − ⟨ā, s⟩} · testv)`.
-    ///
-    /// One bundle construction + external product per key group
-    /// (Figure 6a's two pipeline steps, executed sequentially in software).
-    pub fn blind_rotate(
-        &self,
-        engine: &E,
-        input: &LweCiphertext,
-        testv: TorusPolynomial,
-    ) -> TrlweCiphertext {
-        let two_n = self.params.two_n();
-        let b_bar = mod_switch_from_torus(input.body(), two_n);
-        let mut acc = profile::timed(Phase::Other, || {
-            TrlweCiphertext::trivial(testv).rotate(b_bar as i64)
-        });
-        let mask = input.mask();
-        let mut index = 0;
-        for group in self.bk.groups() {
-            let exponents: Vec<u32> = mask[index..index + group.len()]
-                .iter()
-                .map(|&a| mod_switch_from_torus(a, two_n))
-                .collect();
-            index += group.len();
-            let bundle = self.bk.build_bundle(engine, group, &exponents, two_n);
-            acc = bundle.external_product(engine, &acc, &self.decomp);
-        }
-        acc
-    }
-
-    /// Bootstraps `input` to a fresh sample of message `±mu` under the
-    /// *extracted* (dimension-`N`) key — Algorithm 1 without the final
-    /// key switch. Output message is `+mu` when the input phase is in
-    /// `(0, 1/2)` and `−mu` otherwise.
-    pub fn bootstrap_to_extracted(
-        &self,
-        engine: &E,
-        input: &LweCiphertext,
-        mu: Torus32,
-    ) -> LweCiphertext {
-        // All-(−μ) test vector: rotating by a positive phase δ̄ ∈ [1, N]
-        // wraps the top coefficient negacyclically into +μ at position 0.
-        let testv = TorusPolynomial::from_coeffs(vec![-mu; self.params.ring_degree]);
-        let acc = self.blind_rotate(engine, input, testv);
-        profile::timed(Phase::Other, || acc.sample_extract())
-    }
-
-    /// Full gate bootstrap: noise-reset to `±mu` and key-switch back to the
-    /// gate-level key.
+    /// Full gate bootstrap (Algorithm 1): noise-reset to `±mu` and
+    /// key-switch back to the gate-level key. The output message is `+mu`
+    /// when the input phase is in `(0, 1/2)` and `−mu` otherwise.
+    /// [`BootstrapKit::bootstrap_into`] through a scratch built for the
+    /// call.
     pub fn bootstrap(&self, engine: &E, input: &LweCiphertext, mu: Torus32) -> LweCiphertext {
-        let extracted = self.bootstrap_to_extracted(engine, input, mu);
-        self.ksk.switch(&extracted)
+        let mut out = LweCiphertext::default();
+        self.bootstrap_into(engine, input, mu, &mut out, &mut self.make_scratch(engine));
+        out
     }
 
     /// Builds a reusable workspace for the zero-allocation bootstrap path.
@@ -187,8 +142,8 @@ impl<E: FftEngine> BootstrapKit<E> {
     /// pipelines share it). The bundle buffer, factor table and
     /// external-product workspace are shared across lanes exactly as they
     /// are shared across steps, so each lane's arithmetic — and every
-    /// output bit — is what [`BootstrapKit::blind_rotate`] computes for it
-    /// alone. Zero allocations once warmed.
+    /// output bit — is what a one-lane call computes for it alone. Zero
+    /// allocations once warmed.
     ///
     /// # Panics
     ///
@@ -218,8 +173,7 @@ impl<E: FftEngine> BootstrapKit<E> {
     /// Blind rotation through the scratch: reads the test vector from
     /// `scratch.test_vector_mut()` and leaves `TRLWE(X^{b̄ − ⟨ā, s⟩}·testv)`
     /// in `scratch.accumulator()` — the one-lane call of
-    /// [`BootstrapKit::blind_rotate_lanes`]. Bit-identical to
-    /// [`BootstrapKit::blind_rotate`]; zero allocations once warmed.
+    /// [`BootstrapKit::blind_rotate_lanes`]. Zero allocations once warmed.
     pub fn blind_rotate_assign(
         &self,
         engine: &E,
@@ -231,8 +185,7 @@ impl<E: FftEngine> BootstrapKit<E> {
     }
 
     /// [`BootstrapKit::bootstrap`] into a caller-owned output through the
-    /// scratch — zero allocations once warmed. Bit-identical to the
-    /// allocating path.
+    /// scratch — zero allocations once warmed.
     pub fn bootstrap_into(
         &self,
         engine: &E,
@@ -241,7 +194,8 @@ impl<E: FftEngine> BootstrapKit<E> {
         out: &mut LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        // All-(−μ) test vector, as in `bootstrap_to_extracted`.
+        // All-(−μ) test vector: rotating by a positive phase δ̄ ∈ [1, N]
+        // wraps the top coefficient negacyclically into +μ at position 0.
         scratch.testv.coeffs_mut().fill(-mu);
         self.blind_rotate_assign(engine, input, scratch);
         let BootstrapScratch {

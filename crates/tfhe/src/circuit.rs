@@ -430,8 +430,9 @@ impl CircuitNetlist {
     }
 
     /// Eager sequential reference evaluation: every op runs in netlist
-    /// order on the calling thread through the allocating
-    /// [`ServerKey::apply`]/[`ServerKey::not`]/[`ServerKey::mux`] path.
+    /// order on the calling thread through the one-gate
+    /// [`ServerKey::apply`]/[`ServerKey::not`]/[`ServerKey::mux`] calls,
+    /// a scratch built per gate.
     /// The equivalence oracle for [`CircuitNetlist::execute`].
     ///
     /// # Panics
@@ -741,7 +742,7 @@ impl CircuitFrontier {
 }
 
 /// The outcome of one circuit execution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CircuitRun {
     /// Ciphertexts of the marked outputs, in marking order.
     pub outputs: Vec<LweCiphertext>,

@@ -6,7 +6,6 @@
 //! of CMuxes; MATCHA's bundle formulation generalizes it (see
 //! [`crate::bku`]).
 
-use crate::scratch::BootstrapScratch;
 use crate::tgsw::TgswSpectrum;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
@@ -30,24 +29,6 @@ pub fn cmux<E: FftEngine>(
     let mut out = control.external_product(engine, &diff, decomp);
     out.add_assign(d0);
     out
-}
-
-/// `acc ← acc + C ⊡ (d1 − acc)` — the blind-rotation CMux step, evaluated
-/// through the caller's scratch with zero allocations once warmed.
-/// Bit-identical to [`cmux`] applied to `(acc, d1)`.
-pub fn cmux_assign<E: FftEngine>(
-    engine: &E,
-    control: &TgswSpectrum<E>,
-    acc: &mut TrlweCiphertext,
-    d1: &TrlweCiphertext,
-    decomp: &GadgetDecomposer,
-    scratch: &mut BootstrapScratch<E>,
-) {
-    let diff = &mut scratch.diff;
-    diff.copy_from(d1);
-    diff.sub_assign(acc);
-    control.external_product_assign(engine, diff, decomp, &mut scratch.ep);
-    acc.add_assign(diff);
 }
 
 #[cfg(test)]

@@ -222,13 +222,6 @@ impl<E: FftEngine> ServerKey<E> {
         LweCiphertext::trivial(Torus32::from_bool(value), self.params().lwe_dimension)
     }
 
-    fn linear_part(&self, gate: Gate, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        let n = self.params().lwe_dimension;
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, n);
-        self.linear_part_into(gate, a, b, &mut out);
-        out
-    }
-
     /// The gate's linear part written into a caller-owned buffer — no
     /// allocation once `out`'s mask has capacity `n`.
     fn linear_part_into(
@@ -280,9 +273,11 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// Applies any two-input gate: linear part + bootstrap + key switch.
+    /// [`ServerKey::apply_into`] through a scratch built for the call.
     pub fn apply(&self, gate: Gate, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        let lin = self.linear_part(gate, a, b);
-        self.kit.bootstrap(&self.engine, &lin, GATE_MU)
+        let mut out = LweCiphertext::default();
+        self.apply_into(gate, a, b, &mut out, &mut self.make_scratch());
+        out
     }
 
     /// Builds a reusable workspace for [`ServerKey::apply_into`].
@@ -293,8 +288,7 @@ impl<E: FftEngine> ServerKey<E> {
     /// [`ServerKey::apply`] into a caller-owned output through the scratch:
     /// a warmed call evaluates the whole gate — linear part, blind
     /// rotation, sample extraction, key switch — with zero heap
-    /// allocations, and produces bit-identical results. The one-gate call
-    /// of [`ServerKey::apply_lanes_into`].
+    /// allocations. The one-gate call of [`ServerKey::apply_lanes_into`].
     pub fn apply_into(
         &self,
         gate: Gate,
@@ -313,9 +307,9 @@ impl<E: FftEngine> ServerKey<E> {
     /// key group ([`BootstrapKit::blind_rotate_lanes`]), sample extraction
     /// (with the mux recombination), and one coefficient-major key switch
     /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)).
-    /// Each gate's arithmetic is what [`ServerKey::apply`] /
-    /// [`ServerKey::mux`] does for it alone, so every output is
-    /// bit-identical to theirs; a warmed call allocates nothing.
+    /// Each gate's arithmetic is what a one-gate call does for it alone,
+    /// so every output is bit-identical to that call's; a warmed call
+    /// allocates nothing.
     ///
     /// # Panics
     ///
@@ -353,7 +347,7 @@ impl<E: FftEngine> ServerKey<E> {
         lane: usize,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        // All-(−μ) test vector, as in `BootstrapKit::bootstrap_to_extracted`.
+        // All-(−μ) test vector, as in `BootstrapKit::bootstrap_into`.
         scratch.testv.coeffs_mut().fill(-GATE_MU);
         let mut lin = std::mem::take(&mut scratch.lin);
         match *gate {
@@ -361,7 +355,8 @@ impl<E: FftEngine> ServerKey<E> {
                 self.linear_part_into(gate, a, b, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
             }
-            // u1 = AND(sel, a), u2 = AND(¬sel, b), as in `mux`.
+            // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the
+            // extracted key.
             LaneGate::Mux { sel, a, b } => {
                 self.linear_part_into(Gate::And, sel, a, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
@@ -396,7 +391,7 @@ impl<E: FftEngine> ServerKey<E> {
             for (u1, width) in extracted.iter_mut().zip(widths) {
                 staged[lane].acc.sample_extract_into(u1);
                 if width == 2 {
-                    // u1 + u2 + (0, 1/8): same wrapping adds as `mux`.
+                    // sel ? a : b = u1 + u2 + (0, 1/8).
                     staged[lane + 1].acc.sample_extract_into(extracted2);
                     u1.add_assign(extracted2);
                     u1.add_body(EIGHTH);
@@ -440,7 +435,9 @@ impl<E: FftEngine> ServerKey<E> {
     /// Logical NOT — a free negation, no bootstrap (paper §5: "NOT has no
     /// bootstrapping at all").
     pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {
-        profile::timed(Phase::Other, || -a.clone())
+        let mut out = LweCiphertext::default();
+        self.not_into(a, &mut out);
+        out
     }
 
     /// [`ServerKey::not`] into a caller-owned output — no allocation once
@@ -454,28 +451,17 @@ impl<E: FftEngine> ServerKey<E> {
 
     /// Homomorphic multiplexer `sel ? a : b`, built from two bootstraps and
     /// one key switch as in the TFHE reference library.
+    /// [`ServerKey::mux_into`] through a scratch built for the call.
     pub fn mux(&self, sel: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the extracted key.
-        let lin1 = self.linear_part(Gate::And, sel, a);
-        let u1 = self
-            .kit
-            .bootstrap_to_extracted(&self.engine, &lin1, GATE_MU);
-        let lin2 = self.linear_part(Gate::AndNY, sel, b);
-        let u2 = self
-            .kit
-            .bootstrap_to_extracted(&self.engine, &lin2, GATE_MU);
-        let n_extract = u1.dimension();
-        let sum = profile::timed(Phase::Other, || {
-            u1 + &u2 + &LweCiphertext::trivial(EIGHTH, n_extract)
-        });
-        self.kit.key_switch_key().switch(&sum)
+        let mut out = LweCiphertext::default();
+        self.mux_into(sel, a, b, &mut out, &mut self.make_scratch());
+        out
     }
 
     /// [`ServerKey::mux`] into a caller-owned output through the scratch:
     /// both bootstraps (side by side, as two lanes of one pass over the
     /// key), the recombination and the key switch run with zero heap
-    /// allocations once warmed, and the result is bit-identical to the
-    /// allocating path. The one-gate call of
+    /// allocations once warmed. The one-gate call of
     /// [`ServerKey::apply_lanes_into`].
     pub fn mux_into(
         &self,

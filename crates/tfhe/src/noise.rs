@@ -70,11 +70,13 @@ pub fn bootstrap_noise<E: FftEngine, R: Rng>(
     rng: &mut R,
 ) -> NoiseStats {
     let mu = Torus32::from_dyadic(1, 3);
+    let mut scratch = kit.make_scratch(engine);
+    let mut out = LweCiphertext::default();
     let errors: Vec<f64> = (0..trials)
         .map(|i| {
             let msg = i % 2 == 0;
             let c = client.encrypt_with(msg, rng);
-            let out = kit.bootstrap(engine, &c, mu);
+            kit.bootstrap_into(engine, &c, mu, &mut out, &mut scratch);
             client.noise_of(&out, msg)
         })
         .collect();
@@ -93,11 +95,17 @@ pub fn extracted_noise<E: FftEngine, R: Rng>(
 ) -> NoiseStats {
     let mu = Torus32::from_dyadic(1, 3);
     let extracted_key = client.ring_key().extract_lwe_key();
+    let mut scratch = kit.make_scratch(engine);
+    let mut out = LweCiphertext::default();
     let errors: Vec<f64> = (0..trials)
         .map(|i| {
             let msg = i % 2 == 0;
             let c = client.encrypt_with(msg, rng);
-            let out = kit.bootstrap_to_extracted(engine, &c, mu);
+            // The gate bootstrap's all-(−μ) test vector, without the key
+            // switch that follows it.
+            scratch.test_vector_mut().coeffs_mut().fill(-mu);
+            kit.blind_rotate_assign(engine, &c, &mut scratch);
+            scratch.accumulator().sample_extract_into(&mut out);
             let expected = Torus32::from_bool(msg);
             out.phase(&extracted_key).signed_diff(expected)
         })
@@ -118,6 +126,8 @@ pub fn failure_count<E: FftEngine, R: Rng>(
     let mu = Torus32::from_dyadic(1, 3);
     let n = client.params().lwe_dimension;
     let eighth = LweCiphertext::trivial(mu, n);
+    let mut scratch = kit.make_scratch(engine);
+    let mut out = LweCiphertext::default();
     (0..trials)
         .filter(|&i| {
             let a = i % 2 == 0;
@@ -125,7 +135,7 @@ pub fn failure_count<E: FftEngine, R: Rng>(
             let ca = client.encrypt_with(a, rng);
             let cb = client.encrypt_with(b, rng);
             let lin = eighth.clone() - &ca - &cb;
-            let out = kit.bootstrap(engine, &lin, mu);
+            kit.bootstrap_into(engine, &lin, mu, &mut out, &mut scratch);
             client.decrypt(&out) == (a && b)
         })
         .count()

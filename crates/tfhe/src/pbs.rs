@@ -87,6 +87,8 @@ impl Lut {
 impl<E: FftEngine> BootstrapKit<E> {
     /// Programmable bootstrap: applies `lut` to the input phase and
     /// returns a fresh, key-switched sample of the result.
+    /// [`Self::bootstrap_with_lut_into`] through a scratch built for the
+    /// call.
     ///
     /// # Panics
     ///
@@ -97,18 +99,13 @@ impl<E: FftEngine> BootstrapKit<E> {
         input: &LweCiphertext,
         lut: &Lut,
     ) -> LweCiphertext {
-        assert_eq!(
-            lut.ring_degree(),
-            self.params().ring_degree,
-            "LUT ring degree mismatch"
-        );
-        let acc = self.blind_rotate(engine, input, lut.testv.clone());
-        let extracted = profile::timed(Phase::Other, || acc.sample_extract());
-        self.key_switch_key().switch(&extracted)
+        let mut out = LweCiphertext::default();
+        self.bootstrap_with_lut_into(engine, input, lut, &mut out, &mut self.make_scratch(engine));
+        out
     }
 
     /// [`Self::bootstrap_with_lut`] into a caller-owned output through the
-    /// scratch — zero allocations once warmed, bit-identical results.
+    /// scratch — zero allocations once warmed.
     ///
     /// # Panics
     ///

@@ -1,12 +1,13 @@
 //! Reusable workspaces for the zero-allocation bootstrap hot path.
 //!
 //! A bootstrap touches `~2ℓ·⌈n/m⌉` transforms, one bundle build per key
-//! group and one key switch; the seed implementation allocated every
-//! spectrum, digit vector and FFT buffer on each of them. These scratch
-//! types own all of that memory instead: construct once (per worker
+//! group and one key switch. These scratch types own every spectrum,
+//! accumulator and FFT buffer those need: construct once (per worker
 //! thread), warm up with one call, and every subsequent bootstrap performs
 //! zero heap allocations — the software counterpart of MATCHA's statically
-//! provisioned on-chip buffers.
+//! provisioned on-chip buffers. The allocating conveniences
+//! (`ServerKey::apply`, `BootstrapKit::bootstrap`, …) run the same code
+//! through a scratch built for the one call.
 //!
 //! [`EpScratch`] covers a bare external product; [`BootstrapScratch`] adds
 //! the blind-rotation lanes, bundle buffers and key-switch buffers needed
@@ -44,6 +45,11 @@ pub struct EpScratch<E: FftEngine> {
 impl<E: FftEngine> EpScratch<E> {
     /// Builds a workspace sized for `params` (ring degree).
     pub fn new(engine: &E, _params: &ParameterSet) -> Self {
+        Self::for_engine(engine)
+    }
+
+    /// Builds a workspace sized for `engine`'s ring degree.
+    pub(crate) fn for_engine(engine: &E) -> Self {
         Self {
             engine: engine.make_scratch(),
             fd: engine.zero_spectrum(),
@@ -88,8 +94,6 @@ pub struct BootstrapScratch<E: FftEngine> {
     /// The blind rotations in flight. Lane 0 is built with the scratch;
     /// the others on first use, so a one-gate caller holds one.
     pub(crate) lanes: Vec<Lane>,
-    /// CMux difference buffer.
-    pub(crate) diff: TrlweCiphertext,
     /// Test-vector buffer (set by the caller before blind rotation).
     pub(crate) testv: TorusPolynomial,
     /// Sample-extraction outputs (dimension `N`), one per gate of a wave:
@@ -117,7 +121,6 @@ impl<E: FftEngine> BootstrapScratch<E> {
             bundle: bundle_seed,
             factors: E::MonomialFactors::default(),
             lanes: Vec::new(),
-            diff: TrlweCiphertext::zero(n),
             testv: TorusPolynomial::zero(n),
             extracted: Vec::new(),
             extracted2: LweCiphertext::trivial(Torus32::ZERO, n),

@@ -228,7 +228,7 @@ enum Msg {
 
 /// How one submitted circuit ended. Every ticket resolves to exactly one
 /// of these.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CircuitOutcome {
     /// The circuit ran to completion.
     Completed(CircuitRun),

@@ -79,7 +79,7 @@
 
 use crate::analyze::equiv::{self, Counterexample};
 use crate::analyze::LintKind;
-use crate::circuit::CircuitNetlist;
+use crate::circuit::{CircuitNetlist, CircuitRun};
 use crate::codec::{
     self, read_bytes_exact, read_count, read_f64, read_u32, read_u64, write_f64, write_u32,
     write_u64, Codec,
@@ -292,66 +292,14 @@ impl Codec for Ticket {
     }
 }
 
-/// A completed run as it crosses the wire: the output ciphertexts plus
-/// the run statistics of [`CircuitRun`](crate::circuit::CircuitRun).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionRun {
-    /// Ciphertexts of the marked outputs, in marking order.
-    pub outputs: Vec<LweCiphertext>,
-    /// Wave-front levels dispatched.
-    pub waves: usize,
-    /// Ops evaluated (everything but inputs/constants).
-    pub scheduled_ops: usize,
-    /// Total gate bootstraps performed.
-    pub bootstraps: usize,
-    /// Server-side wall-clock seconds for the whole circuit.
-    pub elapsed_s: f64,
-}
+/// A completed run as it crosses the wire: the scheduler's own
+/// [`CircuitRun`], under the name wire callers know it by.
+pub type SessionRun = CircuitRun;
 
-/// How one wire submission ended — [`CircuitOutcome`], one structured
-/// frame arm per taxonomy arm, reject reasons intact.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SessionOutcome {
-    /// The circuit ran to completion.
-    Completed(SessionRun),
-    /// The circuit panicked during execution (the message is the panic
-    /// payload).
-    Faulted(String),
-    /// The circuit was turned away without running.
-    Rejected(RejectReason),
-    /// The circuit's deadline passed before it finished.
-    Expired,
-    /// The circuit was cancelled before finishing.
-    Cancelled,
-}
-
-impl SessionOutcome {
-    /// The completed run, if any — `None` for every other arm.
-    pub fn completed(self) -> Option<SessionRun> {
-        match self {
-            SessionOutcome::Completed(run) => Some(run),
-            _ => None,
-        }
-    }
-}
-
-impl From<CircuitOutcome> for SessionOutcome {
-    fn from(outcome: CircuitOutcome) -> Self {
-        match outcome {
-            CircuitOutcome::Completed(run) => SessionOutcome::Completed(SessionRun {
-                outputs: run.outputs,
-                waves: run.waves,
-                scheduled_ops: run.scheduled_ops,
-                bootstraps: run.bootstraps,
-                elapsed_s: run.elapsed_s,
-            }),
-            CircuitOutcome::Faulted(msg) => SessionOutcome::Faulted(msg),
-            CircuitOutcome::Rejected(reason) => SessionOutcome::Rejected(reason),
-            CircuitOutcome::Expired => SessionOutcome::Expired,
-            CircuitOutcome::Cancelled => SessionOutcome::Cancelled,
-        }
-    }
-}
+/// How one wire submission ended — the scheduler's own
+/// [`CircuitOutcome`], one structured frame arm per taxonomy arm, reject
+/// reasons intact.
+pub type SessionOutcome = CircuitOutcome;
 
 /// Stable wire codes for [`LintKind`] (appendix of the outcome frame).
 /// Append-only: existing codes never change meaning.
@@ -478,7 +426,7 @@ pub struct OutcomeFrame {
     /// The [`Ticket::id`] this outcome resolves.
     pub id: u64,
     /// How the circuit ended.
-    pub outcome: SessionOutcome,
+    pub outcome: CircuitOutcome,
 }
 
 impl Codec for OutcomeFrame {
@@ -487,7 +435,7 @@ impl Codec for OutcomeFrame {
     fn encode_body<W: Write>(&self, mut w: W) -> io::Result<()> {
         write_u64(&mut w, self.id)?;
         match &self.outcome {
-            SessionOutcome::Completed(run) => {
+            CircuitOutcome::Completed(run) => {
                 w.write_all(&[0])?;
                 write_u32(&mut w, run.outputs.len() as u32)?;
                 for c in &run.outputs {
@@ -498,18 +446,18 @@ impl Codec for OutcomeFrame {
                 write_u32(&mut w, run.bootstraps as u32)?;
                 write_f64(&mut w, run.elapsed_s)
             }
-            SessionOutcome::Faulted(msg) => {
+            CircuitOutcome::Faulted(msg) => {
                 w.write_all(&[1])?;
                 let bytes = msg.as_bytes();
                 write_u32(&mut w, bytes.len() as u32)?;
                 w.write_all(bytes)
             }
-            SessionOutcome::Rejected(reason) => {
+            CircuitOutcome::Rejected(reason) => {
                 w.write_all(&[2])?;
                 encode_reason(&mut w, reason)
             }
-            SessionOutcome::Expired => w.write_all(&[3]),
-            SessionOutcome::Cancelled => w.write_all(&[4]),
+            CircuitOutcome::Expired => w.write_all(&[3]),
+            CircuitOutcome::Cancelled => w.write_all(&[4]),
         }
     }
 
@@ -524,7 +472,7 @@ impl Codec for OutcomeFrame {
                 for _ in 0..count {
                     outputs.push(LweCiphertext::decode(&mut r)?);
                 }
-                SessionOutcome::Completed(SessionRun {
+                CircuitOutcome::Completed(CircuitRun {
                     outputs,
                     waves: read_u32(&mut r)? as usize,
                     scheduled_ops: read_u32(&mut r)? as usize,
@@ -535,13 +483,13 @@ impl Codec for OutcomeFrame {
             1 => {
                 let len = read_count(&mut r, codec::MAX_LEN)?;
                 let bytes = read_bytes_exact(&mut r, len)?;
-                SessionOutcome::Faulted(
+                CircuitOutcome::Faulted(
                     String::from_utf8(bytes).map_err(|_| bad("fault message is not UTF-8"))?,
                 )
             }
-            2 => SessionOutcome::Rejected(decode_reason(&mut r)?),
-            3 => SessionOutcome::Expired,
-            4 => SessionOutcome::Cancelled,
+            2 => CircuitOutcome::Rejected(decode_reason(&mut r)?),
+            3 => CircuitOutcome::Expired,
+            4 => CircuitOutcome::Cancelled,
             t => return Err(bad(format!("unknown outcome tag {t}"))),
         };
         Ok(Self { id, outcome })
@@ -609,13 +557,7 @@ impl SessionServer {
             let id = served;
             write_frame(&mut conn, &Ticket { id })?;
             let outcome = pending.wait();
-            write_frame(
-                &mut conn,
-                &OutcomeFrame {
-                    id,
-                    outcome: outcome.into(),
-                },
-            )?;
+            write_frame(&mut conn, &OutcomeFrame { id, outcome })?;
             served += 1;
         }
     }

@@ -158,32 +158,25 @@ impl<E: FftEngine> TgswSpectrum<E> {
         &mut self.rows
     }
 
-    /// The external product `self ⊡ c` (paper §2).
+    /// The external product `self ⊡ c` (paper §2), as a fresh ciphertext:
+    /// [`TgswSpectrum::external_product_assign`] on a copy of `c` through
+    /// a scratch built for the call.
     ///
     /// If `self` encrypts `μ` and `c` encrypts `m`, the result encrypts
     /// `μ·m` with additive noise `O(ℓ·N·(Bg/2)·σ_TGSW) + ‖μ‖·ε_decomp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decomp.levels()` differs from this sample's `ℓ`.
     pub fn external_product(
         &self,
         engine: &E,
         c: &TrlweCiphertext,
         decomp: &GadgetDecomposer,
     ) -> TrlweCiphertext {
-        debug_assert_eq!(decomp.levels(), self.levels);
-        let digits_a = profile::timed(Phase::Other, || decomp.decompose_poly(c.mask()));
-        let digits_b = profile::timed(Phase::Other, || decomp.decompose_poly(c.body()));
-        let mut acc_a = engine.zero_spectrum();
-        let mut acc_b = engine.zero_spectrum();
-        for (j, digit) in digits_a.iter().chain(digits_b.iter()).enumerate() {
-            let fd = profile::timed(Phase::Ifft, || engine.forward_int(digit));
-            let row = &self.rows[j];
-            profile::timed(Phase::Other, || {
-                engine.mul_accumulate(&mut acc_a, &fd, &row.a);
-                engine.mul_accumulate(&mut acc_b, &fd, &row.b);
-            });
-        }
-        let a = profile::timed(Phase::Fft, || engine.backward_torus(&acc_a));
-        let b = profile::timed(Phase::Fft, || engine.backward_torus(&acc_b));
-        TrlweCiphertext::from_parts(a, b)
+        let mut out = c.clone();
+        self.external_product_assign(engine, &mut out, decomp, &mut EpScratch::for_engine(engine));
+        out
     }
 
     /// The external product `c ← self ⊡ c`, evaluated entirely through the
@@ -192,7 +185,6 @@ impl<E: FftEngine> TgswSpectrum<E> {
     /// [`FftEngine::forward_decomposed_into`]'s twist fold, so digit
     /// polynomials are never written to memory, and spectra and FFT buffers
     /// are reused, so a warmed call performs zero heap allocations.
-    /// Bit-identical to [`TgswSpectrum::external_product`].
     ///
     /// Being generic over [`FftEngine`], this loop picks up the engines'
     /// split-complex AVX2+FMA kernels with no code here changing. The
@@ -203,9 +195,9 @@ impl<E: FftEngine> TgswSpectrum<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `decomp.levels()` differs from this sample's `ℓ` (the old
-    /// materializing path enforced this through its digit buffers; the
-    /// fused path would otherwise extract garbage digit levels silently).
+    /// Panics if `decomp.levels()` differs from this sample's `ℓ` (the
+    /// fused transforms would otherwise extract garbage digit levels, or
+    /// multiply the wrong key rows, silently).
     pub fn external_product_assign(
         &self,
         engine: &E,
@@ -227,8 +219,8 @@ impl<E: FftEngine> TgswSpectrum<E> {
         } = scratch;
         engine.clear_spectrum(acc_a);
         engine.clear_spectrum(acc_b);
-        // Mask rows first, then body rows — the same accumulation order as
-        // the materializing path, so rounding histories agree exactly.
+        // Mask rows first, then body rows: the accumulation order is part
+        // of the result (floating-point engines round at every add).
         for (half, poly) in [c.mask(), c.body()].into_iter().enumerate() {
             for level in 0..levels {
                 profile::timed(Phase::Ifft, || {
@@ -351,10 +343,17 @@ mod tests {
             .to_spectrum(&engine);
         let mu = message_poly(p.ring_degree);
         let mut c = TrlweCiphertext::encrypt(&mu, &key, p.ring_noise_stdev, &engine, &mut sampler);
-        let mut scratch = crate::scratch::EpScratch::new(&engine, &p);
+        let mut scratch = EpScratch::new(&engine, &p);
         // One level fewer than the sample's ℓ: must panic, not extract
-        // garbage digit levels.
+        // garbage digit levels — in the allocating form too, whose refusal
+        // is caught here so that the in-place form still gets its turn.
         let wrong = GadgetDecomposer::new(p.decomp_base_log, p.decomp_levels - 1);
+        let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tgsw.external_product(&engine, &c, &wrong)
+        }))
+        .expect_err("the allocating form accepted a shorter decomposer");
+        let message = refusal.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("must match the TGSW sample"), "{message}");
         tgsw.external_product_assign(&engine, &mut c, &wrong, &mut scratch);
     }
 

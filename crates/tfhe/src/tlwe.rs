@@ -101,15 +101,6 @@ impl TrlweCiphertext {
         self.b.clone() - &sa
     }
 
-    /// Multiplies the ciphertext (and its message) by the monomial
-    /// `X^power` — noise-free, used by blind rotation.
-    pub fn rotate(&self, power: i64) -> Self {
-        Self {
-            a: self.a.mul_by_monomial(power),
-            b: self.b.mul_by_monomial(power),
-        }
-    }
-
     /// In-place homomorphic addition.
     pub fn add_assign(&mut self, other: &Self) {
         self.a += &other.a;
@@ -252,7 +243,11 @@ mod tests {
         let (key, engine, mut sampler) = setup();
         let mu = message(7);
         let c = TrlweCiphertext::encrypt(&mu, &key, 1e-9, &engine, &mut sampler);
-        let rotated = c.rotate(5);
+        // The way blind rotation stages an accumulator: each polynomial
+        // rotated into a caller-owned buffer.
+        let mut rotated = TrlweCiphertext::zero(N);
+        rotated.mask_mut().rotate_from(c.mask(), 5);
+        rotated.body_mut().rotate_from(c.body(), 5);
         let expected = mu.mul_by_monomial(5);
         assert!(rotated.phase(&key, &engine).max_distance(&expected) < 1e-4);
     }

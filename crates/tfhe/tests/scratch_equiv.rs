@@ -1,15 +1,16 @@
-//! The scratch-based (zero-allocation) pipeline must be **bit-identical**
-//! to the allocating seed pipeline at every level: external product,
-//! bundle construction, CMux, blind rotation and the full gate bootstrap —
-//! plus the regression the issue asks for: a *warmed* scratch still
-//! decrypts correctly.
+//! The bootstrap pipeline runs through caller-owned scratch buffers, and
+//! what it computes must not depend on them: a *warmed* scratch (dirty
+//! with an earlier call's spectra, factor tables and test vector) gives
+//! the bits a cold one does, at every level — external product, bundle
+//! construction, the full gate bootstrap and the programmable one — and
+//! keeps decrypting correctly. The external product is also held against
+//! the textbook one, written here from the engines' public primitives.
 
 use matcha_fft::{ApproxIntFft, DepthFirstFft, F64Fft, FftEngine, Radix4Fft};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
-use matcha_tfhe::cmux::{cmux, cmux_assign};
 use matcha_tfhe::{
-    BootstrapKit, ClientKey, EpScratch, ParameterSet, RingSecretKey, TgswCiphertext,
-    TrlweCiphertext,
+    BootstrapKit, ClientKey, EpScratch, LweCiphertext, ParameterSet, RingSecretKey, TgswCiphertext,
+    TgswSpectrum, TrlweCiphertext,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,40 +24,32 @@ fn params() -> ParameterSet {
     }
 }
 
-#[test]
-fn external_product_assign_is_bit_identical() {
-    for seed in [3u64, 17, 99] {
-        let p = params();
-        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
-        let key = RingSecretKey::generate(p.ring_degree, &mut sampler);
-        let engine = F64Fft::new(p.ring_degree);
-        let decomp = GadgetDecomposer::new(p.decomp_base_log, p.decomp_levels);
-        let tgsw = TgswCiphertext::encrypt_constant(1, &key, &p, &engine, &mut sampler)
-            .to_spectrum(&engine);
-        let mu = TorusPolynomial::constant(Torus32::from_f64(0.25), p.ring_degree);
-        let c = TrlweCiphertext::encrypt(&mu, &key, p.ring_noise_stdev, &engine, &mut sampler);
-
-        let allocating = tgsw.external_product(&engine, &c, &decomp);
-
-        let mut scratch = EpScratch::new(&engine, &p);
-        let mut inplace = c.clone();
-        tgsw.external_product_assign(&engine, &mut inplace, &decomp, &mut scratch);
-        assert_eq!(
-            allocating, inplace,
-            "seed {seed}: first (cold) call diverged"
-        );
-
-        // Warmed scratch: run again from the same input.
-        let mut inplace2 = c.clone();
-        tgsw.external_product_assign(&engine, &mut inplace2, &decomp, &mut scratch);
-        assert_eq!(allocating, inplace2, "seed {seed}: warmed call diverged");
+/// The external product as the paper's §2 states it: materialize the `2ℓ`
+/// digit polynomials, transform each, accumulate it against its key row,
+/// transform the two sums back. The reference the fused, in-place
+/// `external_product_assign` is checked against.
+fn textbook_external_product<E: FftEngine>(
+    engine: &E,
+    tgsw: &TgswSpectrum<E>,
+    c: &TrlweCiphertext,
+    decomp: &GadgetDecomposer,
+) -> TrlweCiphertext {
+    let mut digits = decomp.decompose_poly(c.mask());
+    digits.extend(decomp.decompose_poly(c.body()));
+    let mut acc_a = engine.zero_spectrum();
+    let mut acc_b = engine.zero_spectrum();
+    for (digit, row) in digits.iter().zip(tgsw.rows()) {
+        let fd = engine.forward_int(digit);
+        engine.mul_accumulate(&mut acc_a, &fd, &row.a);
+        engine.mul_accumulate(&mut acc_b, &fd, &row.b);
     }
+    TrlweCiphertext::from_parts(engine.backward_torus(&acc_a), engine.backward_torus(&acc_b))
 }
 
-/// The fused decompose→twist external product must match the allocating
-/// path — which still materializes digit polynomials via
-/// `decompose_poly` + `forward_int` — bit for bit, on any engine.
-fn check_fused_external_product<E: FftEngine>(engine: &E, seed: u64) {
+/// The fused decompose→twist external product must match the textbook one
+/// bit for bit, through a cold scratch and through a warmed one, on any
+/// engine.
+fn check_external_product<E: FftEngine>(engine: &E, seed: u64) {
     let p = params();
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
     let key = RingSecretKey::generate(p.ring_degree, &mut sampler);
@@ -66,68 +59,49 @@ fn check_fused_external_product<E: FftEngine>(engine: &E, seed: u64) {
     let mu = TorusPolynomial::constant(Torus32::from_f64(0.25), p.ring_degree);
     let c = TrlweCiphertext::encrypt(&mu, &key, p.ring_noise_stdev, engine, &mut sampler);
 
-    let allocating = tgsw.external_product(engine, &c, &decomp);
+    let textbook = textbook_external_product(engine, &tgsw, &c, &decomp);
     let mut scratch = EpScratch::new(engine, &p);
-    let mut inplace = c.clone();
-    tgsw.external_product_assign(engine, &mut inplace, &decomp, &mut scratch);
-    assert_eq!(allocating, inplace, "cold fused call diverged");
+    for state in ["cold", "warmed"] {
+        let mut inplace = c.clone();
+        tgsw.external_product_assign(engine, &mut inplace, &decomp, &mut scratch);
+        assert_eq!(textbook, inplace, "seed {seed}: {state} call diverged");
+    }
+}
 
-    // Warmed scratch, same input: still bit-identical.
-    let mut inplace2 = c.clone();
-    tgsw.external_product_assign(engine, &mut inplace2, &decomp, &mut scratch);
-    assert_eq!(allocating, inplace2, "warmed fused call diverged");
+#[test]
+fn external_product_assign_is_bit_identical() {
+    for seed in [3u64, 17, 99] {
+        check_external_product(&F64Fft::new(params().ring_degree), seed);
+    }
 }
 
 #[test]
 fn external_product_assign_matches_on_integer_engine() {
-    check_fused_external_product(&ApproxIntFft::new(params().ring_degree, 45), 23);
+    check_external_product(&ApproxIntFft::new(params().ring_degree, 45), 23);
 }
 
 #[test]
 fn fused_external_product_matches_on_depth_first_engine() {
-    check_fused_external_product(&DepthFirstFft::new(params().ring_degree), 24);
+    check_external_product(&DepthFirstFft::new(params().ring_degree), 24);
 }
 
 #[test]
 fn fused_external_product_matches_on_radix4_engine() {
-    check_fused_external_product(&Radix4Fft::new(params().ring_degree), 25);
+    check_external_product(&Radix4Fft::new(params().ring_degree), 25);
 }
 
-#[test]
-fn cmux_assign_is_bit_identical() {
-    let p = params();
-    let mut rng = StdRng::seed_from_u64(29);
-    let client = ClientKey::generate(p, &mut rng);
-    let engine = F64Fft::new(p.ring_degree);
-    let kit = BootstrapKit::generate(&client, &engine, 1, &mut rng);
-    let decomp = GadgetDecomposer::new(p.decomp_base_log, p.decomp_levels);
-    let mut sampler = TorusSampler::new(StdRng::seed_from_u64(31));
-    let key = client.ring_key();
-    let m0 = TorusPolynomial::constant(Torus32::from_f64(0.125), p.ring_degree);
-    let m1 = TorusPolynomial::constant(Torus32::from_f64(-0.25), p.ring_degree);
-    let d0 = TrlweCiphertext::encrypt(&m0, key, p.ring_noise_stdev, &engine, &mut sampler);
-    let d1 = TrlweCiphertext::encrypt(&m1, key, p.ring_noise_stdev, &engine, &mut sampler);
-    let control =
-        TgswCiphertext::encrypt_constant(1, key, &p, &engine, &mut sampler).to_spectrum(&engine);
-
-    let allocating = cmux(&engine, &control, &d0, &d1, &decomp);
-    let mut scratch = kit.make_scratch(&engine);
-    let mut acc = d0.clone();
-    cmux_assign(&engine, &control, &mut acc, &d1, &decomp, &mut scratch);
-    assert_eq!(allocating, acc);
-}
-
-/// `build_bundle` (fresh buffers every call) against `build_bundle_into`
-/// through one bundle buffer and one factor buffer carried, dirty, from
-/// group to group — at unroll 1, 2 and 3, where 16 = 5·3 + 1 ends in a
-/// short group, with one exponent vector that zeroes a pattern's exponent
-/// (its term is skipped and the factor tables close ranks) and one that
-/// zeroes them all (the bundle is `H`). Spectra are engine-specific types
-/// without `PartialEq`; their `Debug` output prints every component
-/// exactly, so equal strings mean equal bundles.
+/// `build_bundle_into` through fresh buffers every call against one bundle
+/// buffer and one factor buffer carried, dirty, from group to group — at
+/// unroll 1, 2 and 3, where 16 = 5·3 + 1 ends in a short group, with one
+/// exponent vector that zeroes a pattern's exponent (its term is skipped
+/// and the factor tables close ranks) and one that zeroes them all (the
+/// bundle is `H`). Spectra are engine-specific types without `PartialEq`;
+/// their `Debug` output prints every component exactly, so equal strings
+/// mean equal bundles.
 fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u64) {
     let p = params();
     let two_n = p.two_n();
+    let gadget = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
     for unroll in 1..=3usize {
         let mut rng = StdRng::seed_from_u64(seed + unroll as u64);
         let client = ClientKey::generate(p, &mut rng);
@@ -135,7 +109,7 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
         let bk = kit.bootstrapping_key();
         let last = bk.groups().last().expect("at least one group");
         assert_eq!(last.len() < unroll, unroll == 3, "only m = 3 ends short");
-        let mut bundle = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
+        let mut bundle = gadget.clone();
         let mut factors = E::MonomialFactors::default();
         for (g, group) in bk.groups().iter().enumerate() {
             let spread: Vec<u32> = (0..group.len())
@@ -149,7 +123,15 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
             }
             let zeros = vec![0; group.len()];
             for exponents in [&spread, &cancelling, &zeros] {
-                let fresh = bk.build_bundle(engine, group, exponents, two_n);
+                let (mut fresh, mut fresh_factors) = (gadget.clone(), Default::default());
+                bk.build_bundle_into(
+                    engine,
+                    group,
+                    exponents,
+                    two_n,
+                    &mut fresh,
+                    &mut fresh_factors,
+                );
                 bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
                 assert_eq!(
                     format!("{:?}", fresh.rows()),
@@ -187,16 +169,16 @@ fn check_bootstrap_equivalence<E: FftEngine>(engine: &E, unroll: usize, seed: u6
     let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
     let mu = Torus32::from_f64(MU);
     let mut scratch = kit.make_scratch(engine);
-    let mut out = matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1);
+    let (mut cold, mut out) = (LweCiphertext::default(), LweCiphertext::default());
 
     for (round, message) in [true, false, true, false].into_iter().enumerate() {
         let c = client.encrypt_with(message, &mut rng);
-        let allocating = kit.bootstrap(engine, &c, mu);
+        kit.bootstrap_into(engine, &c, mu, &mut cold, &mut kit.make_scratch(engine));
         // The same scratch is reused across rounds: rounds ≥ 1 run warmed.
         kit.bootstrap_into(engine, &c, mu, &mut out, &mut scratch);
         assert_eq!(
-            allocating, out,
-            "unroll={unroll} round={round}: scratch bootstrap diverged"
+            cold, out,
+            "unroll={unroll} round={round}: warmed bootstrap diverged"
         );
         assert_eq!(
             client.decrypt(&out),
@@ -237,7 +219,7 @@ fn warmed_scratch_keeps_decrypting_correctly() {
     let kit = BootstrapKit::generate(&client, &engine, 2, &mut rng);
     let mu = Torus32::from_f64(MU);
     let mut scratch = kit.make_scratch(&engine);
-    let mut out = matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1);
+    let mut out = LweCiphertext::default();
     for i in 0..8 {
         let message = i % 3 == 0;
         let c = client.encrypt_with(message, &mut rng);
@@ -258,11 +240,15 @@ fn lut_bootstrap_into_is_bit_identical() {
     let eighth = Torus32::from_dyadic(1, 3);
     let lut = Lut::from_fn(256, |k| if k < 128 { eighth } else { -eighth });
     let mut scratch = kit.make_scratch(&engine);
-    let mut out = matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1);
+    let mut out = LweCiphertext::default();
+    // The scratch arrives dirty with a gate bootstrap's test vector.
+    let c = client.encrypt_with(true, &mut rng);
+    kit.bootstrap_into(&engine, &c, eighth, &mut out, &mut scratch);
+    let mut cold = LweCiphertext::default();
     for message in [true, false, true] {
         let c = client.encrypt_with(message, &mut rng);
-        let allocating = kit.bootstrap_with_lut(&engine, &c, &lut);
+        kit.bootstrap_with_lut_into(&engine, &c, &lut, &mut cold, &mut kit.make_scratch(&engine));
         kit.bootstrap_with_lut_into(&engine, &c, &lut, &mut out, &mut scratch);
-        assert_eq!(allocating, out);
+        assert_eq!(cold, out);
     }
 }

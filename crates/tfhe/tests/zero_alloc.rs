@@ -392,3 +392,58 @@ fn warmed_full_gate_allocates_only_for_outputs() {
     let delta = allocations() - before;
     assert_eq!(delta, 0, "warmed gate evaluation allocated {delta} times");
 }
+
+#[test]
+fn allocating_gates_cost_one_scratch_whatever_the_group_count() {
+    // `apply` and `mux` are the `_into` forms through a scratch built for
+    // the call: what they allocate is that scratch and the output, so the
+    // count is the same over four key groups and over eight, and the
+    // transforms they run are the ones a warmed `apply_into` runs.
+    use matcha_tfhe::profile;
+    let counts = [8usize, 16].map(|lwe_dimension| {
+        let params = ParameterSet {
+            lwe_dimension,
+            ..ParameterSet::TEST_FAST
+        };
+        let mut rng = StdRng::seed_from_u64(89);
+        let client = ClientKey::generate(params, &mut rng);
+        let server = ServerKey::with_unrolling(&client, F64Fft::new(256), 2, &mut rng);
+        let bits = [true, false, true].map(|b| client.encrypt_with(b, &mut rng));
+
+        let before = allocations();
+        let nand = server.apply(Gate::Nand, &bits[0], &bits[1]);
+        let apply_allocations = allocations() - before;
+        let before = allocations();
+        let mux = server.mux(&bits[0], &bits[1], &bits[2]);
+        let mux_allocations = allocations() - before;
+        assert!(client.decrypt(&nand) && !client.decrypt(&mux));
+
+        let groups = server.kit().bootstrapping_key().groups().len() as u64;
+        let transforms = (
+            groups * 2 * server.params().decomp_levels as u64,
+            groups * 2,
+        );
+        let mut out = LweCiphertext::default();
+        let mut scratch = server.make_scratch();
+        server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut out, &mut scratch);
+        profile::start();
+        server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut out, &mut scratch);
+        let warmed = profile::snapshot();
+        profile::start();
+        let _ = server.apply(Gate::Nand, &bits[0], &bits[1]);
+        let cold = profile::snapshot();
+        profile::stop();
+        for snap in [warmed, cold] {
+            assert_eq!(
+                (snap.ifft_calls, snap.fft_calls),
+                transforms,
+                "n={lwe_dimension}"
+            );
+        }
+        (apply_allocations, mux_allocations)
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "(apply, mux) allocations at n = 8 and 16"
+    );
+}
