@@ -23,7 +23,8 @@
 use crate::cplx::Cplx;
 use crate::engine::{for_each_source_chunk, FftEngine, Spectrum, BUNDLE_CHUNK};
 use crate::lifting::{LiftingRotation, LiftingTable, Lifts};
-use crate::tables::{bit_reverse_copy_pair, bit_reverse_permute_pair};
+use crate::simd::{self, FoldDigit};
+use crate::tables::BitReversal;
 use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
 
 /// Largest digit magnitude [`ApproxIntFft::forward_int`] accepts.
@@ -146,6 +147,9 @@ pub struct ApproxIntFft {
     fwd: DirectionTable,
     /// Stage rotations by `−2πk/len` and the untwist `−πj/N`.
     inv: DirectionTable,
+    /// `rev[i]` for `i < M`: where the forward fold stores point `i`, and
+    /// where the backward transform's working copy reads slot `i` from.
+    rev: BitReversal,
     /// Mean [`LiftingRotation::adder_ops`] over the full-size forward stage.
     mean_rotation_adders: f64,
 }
@@ -189,6 +193,7 @@ impl ApproxIntFft {
             torus_frac_bits,
             fwd: DirectionTable::new(1.0, n, twiddle_bits),
             inv: DirectionTable::new(-1.0, n, twiddle_bits),
+            rev: BitReversal::new(m),
             mean_rotation_adders,
         }
     }
@@ -208,43 +213,55 @@ impl ApproxIntFft {
         ((m / 2) as f64 * stages as f64 * (self.mean_rotation_adders + 2.0)) as u64
     }
 
-    /// Stage loops run through the shared [`crate::simd`] kernels: the same
-    /// split-component, unit-stride shape as the f64 engines. The AVX2 leg
-    /// builds each lift from 32-bit partial products and agrees with the
-    /// scalar `i128` leg bit for bit (see the kernel module docs).
-    fn dft_forward(&self, re: &mut [i64], im: &mut [i64]) {
-        let m = re.len();
-        bit_reverse_permute_pair(re, im);
+    /// The `log2 M` butterfly stages of one direction over a buffer already
+    /// in bit-reversed order, through the shared [`crate::simd`] kernels:
+    /// the same split-component, unit-stride shape as the f64 engines. The
+    /// AVX2 leg builds each lift from 32-bit partial products and agrees
+    /// with the scalar `i128` leg bit for bit (see the kernel module docs).
+    /// `HALVE` halves every stage output — `log2(M)` halvings realize the
+    /// inverse's `1/M` without a multiplier.
+    ///
+    /// One stage a pass, unlike the f64 engine's two: an integer stage is
+    /// bound by its lifts (~70 vector operations per four butterflies), not
+    /// by its loads and stores, and a two-stage kernel measured slower
+    /// (README, "Where the approx38 gate's time goes").
+    fn stages<const HALVE: bool>(table: &DirectionTable, re: &mut [i64], im: &mut [i64]) {
         let mut len = 2;
-        while len <= m {
-            crate::simd::i64_radix2_stage(re, im, self.fwd.stage(len), len);
+        while len <= table.m {
+            if HALVE {
+                simd::i64_radix2_stage_halving(re, im, table.stage(len), len);
+            } else {
+                simd::i64_radix2_stage(re, im, table.stage(len), len);
+            }
             len *= 2;
         }
     }
 
-    /// The inverse stages over a buffer already in bit-reversed order.
-    fn inverse_stages_halving(&self, re: &mut [i64], im: &mut [i64]) {
-        let m = re.len();
-        let mut len = 2;
-        while len <= m {
-            // Halve every stage output: log2(M) halvings realize the 1/M
-            // inverse normalization without any multiplier.
-            crate::simd::i64_radix2_stage_halving(re, im, self.inv.stage(len), len);
-            len *= 2;
-        }
-    }
-}
-
-impl ApproxIntFft {
-    /// Shared twist-and-prescale fold for the forward transforms.
-    fn fold_into(&self, out: &mut FixedSpectrum, frac_bits: u32, value: impl Fn(usize) -> i64) {
+    /// One forward transform: the fold pre-scales, twists and stores every
+    /// point at its bit-reversed slot in one pass
+    /// ([`simd::i64_fold_rotate`]), and the stages follow — no permutation
+    /// pass in between.
+    fn forward(&self, c: &[u32], digit: FoldDigit, frac_bits: u32, out: &mut FixedSpectrum) {
         let m = self.n / 2;
-        out.re.clear();
-        out.im.clear();
-        out.re.extend((0..m).map(|j| value(j) << frac_bits));
-        out.im.extend((m..2 * m).map(|j| value(j) << frac_bits));
-        crate::simd::i64_rotate(&mut out.re, &mut out.im, self.fwd.twist());
+        assert_eq!(c.len(), self.n, "polynomial length mismatch");
+        // Every slot is written: the resize only ever fills a buffer's
+        // first use.
+        out.re.resize(m, 0);
+        out.im.resize(m, 0);
         out.frac_bits = frac_bits;
+        let (lo, hi) = c.split_at(m);
+        let (re, im) = (&mut out.re[..], &mut out.im[..]);
+        simd::i64_fold_rotate(
+            lo,
+            hi,
+            digit,
+            frac_bits,
+            self.fwd.twist(),
+            &self.rev,
+            re,
+            im,
+        );
+        Self::stages::<false>(&self.fwd, re, im);
     }
 }
 
@@ -281,15 +298,13 @@ impl FftEngine for ApproxIntFft {
         out: &mut FixedSpectrum,
         _scratch: &mut FixedScratch,
     ) {
-        debug_assert_eq!(p.len(), self.n);
         debug_assert!(
             p.norm_inf() <= MAX_DIGIT,
             "digit magnitude {} exceeds supported bound {MAX_DIGIT}",
             p.norm_inf()
         );
-        let c = p.coeffs();
-        self.fold_into(out, self.int_frac_bits, |j| c[j] as i64);
-        self.dft_forward(&mut out.re, &mut out.im);
+        let words = simd::int_words(p.coeffs());
+        self.forward(words, FoldDigit::WHOLE, self.int_frac_bits, out);
     }
 
     fn forward_torus_into(
@@ -298,10 +313,8 @@ impl FftEngine for ApproxIntFft {
         out: &mut FixedSpectrum,
         _scratch: &mut FixedScratch,
     ) {
-        debug_assert_eq!(p.len(), self.n);
-        let c = p.coeffs();
-        self.fold_into(out, self.torus_frac_bits, |j| c[j].raw() as i32 as i64);
-        self.dft_forward(&mut out.re, &mut out.im);
+        let words = simd::torus_words(p.coeffs());
+        self.forward(words, FoldDigit::WHOLE, self.torus_frac_bits, out);
     }
 
     fn forward_decomposed_into(
@@ -312,17 +325,14 @@ impl FftEngine for ApproxIntFft {
         out: &mut FixedSpectrum,
         _scratch: &mut FixedScratch,
     ) {
-        debug_assert_eq!(p.len(), self.n);
         debug_assert!(
             i64::from(decomp.base() / 2) <= MAX_DIGIT,
             "digit magnitude bound {} exceeds supported bound {MAX_DIGIT}",
             decomp.base() / 2
         );
-        let c = p.coeffs();
-        self.fold_into(out, self.int_frac_bits, |j| {
-            decomp.digit(decomp.shift(c[j]), level) as i64
-        });
-        self.dft_forward(&mut out.re, &mut out.im);
+        let words = simd::torus_words(p.coeffs());
+        let digit = FoldDigit::level(decomp, level);
+        self.forward(words, digit, self.int_frac_bits, out);
     }
 
     fn backward_torus_into(
@@ -335,13 +345,15 @@ impl FftEngine for ApproxIntFft {
         assert_eq!(s.re.len(), m, "spectrum size mismatch");
         assert_eq!(out.len(), self.n, "output polynomial length mismatch");
         assert_eq!(s.im.len(), m, "spectrum size mismatch");
-        // The working copy is made in bit-reversed order: one pass over the
-        // input instead of a copy and an in-place permutation.
+        // The working copy is made in bit-reversed order, through the
+        // plan's table: one pass over the input instead of a copy and an
+        // in-place permutation.
         scratch.re.resize(m, 0);
         scratch.im.resize(m, 0);
-        bit_reverse_copy_pair(&s.re, &s.im, &mut scratch.re, &mut scratch.im);
-        self.inverse_stages_halving(&mut scratch.re, &mut scratch.im);
-        crate::simd::i64_rotate(&mut scratch.re, &mut scratch.im, self.inv.twist());
+        simd::bit_reverse_copy(&s.re, &mut scratch.re, &self.rev);
+        simd::bit_reverse_copy(&s.im, &mut scratch.im, &self.rev);
+        Self::stages::<true>(&self.inv, &mut scratch.re, &mut scratch.im);
+        simd::i64_rotate(&mut scratch.re, &mut scratch.im, self.inv.twist());
         let frac = s.frac_bits;
         let descale = |v: i64| -> i64 {
             if frac == 0 {
@@ -438,7 +450,7 @@ impl FftEngine for ApproxIntFft {
         let base = std::f64::consts::PI / self.n as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
         // `ε^N − 1 = −2` lands on `i32::MIN` exactly; nothing is larger.
-        let quantize = |v: f64| crate::simd::round_half_away(v * quant) as i32;
+        let quantize = |v: f64| simd::round_half_away(v * quant) as i32;
         out.clear();
         let mut chains = [(Cplx::ZERO, Cplx::ZERO); BUNDLE_CHUNK];
         loop {
@@ -493,7 +505,7 @@ impl FftEngine for ApproxIntFft {
             (&s.re[..], &s.im[..])
         });
         let terms = for_each_source_chunk(srcs, |done, table| {
-            crate::simd::i64_bundle_row(
+            simd::i64_bundle_row(
                 &mut out.re,
                 &mut out.im,
                 (done == 0).then_some((&h.re[..], &h.im[..])),

@@ -15,7 +15,7 @@ use crate::engine::FftEngine;
 use crate::ref_fft::{self, CplxScratch, CplxSpectrum, SplitFactors};
 use crate::simd;
 use crate::tables::{StageTwiddles, TwiddleTables};
-use crate::twist;
+use crate::twist::{self, Order};
 use matcha_math::{IntPolynomial, TorusPolynomial};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -184,7 +184,7 @@ impl FftEngine for Radix4Fft {
         out: &mut CplxSpectrum,
         scratch: &mut CplxScratch,
     ) {
-        twist::fold_int(p, &self.tables, &mut out.re, &mut out.im);
+        twist::fold_int(p, &self.tables, Order::Natural, &mut out.re, &mut out.im);
         self.transform_with(
             &mut out.re,
             &mut out.im,
@@ -200,7 +200,7 @@ impl FftEngine for Radix4Fft {
         out: &mut CplxSpectrum,
         scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus(p, &self.tables, &mut out.re, &mut out.im);
+        twist::fold_torus(p, &self.tables, Order::Natural, &mut out.re, &mut out.im);
         self.transform_with(
             &mut out.re,
             &mut out.im,
@@ -218,7 +218,15 @@ impl FftEngine for Radix4Fft {
         out: &mut CplxSpectrum,
         scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus_digit(p, decomp, level, &self.tables, &mut out.re, &mut out.im);
+        twist::fold_torus_digit(
+            p,
+            decomp,
+            level,
+            &self.tables,
+            Order::Natural,
+            &mut out.re,
+            &mut out.im,
+        );
         self.transform_with(
             &mut out.re,
             &mut out.im,

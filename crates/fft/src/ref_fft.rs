@@ -6,11 +6,28 @@
 //! vectors) and every stage loop and pointwise accumulate runs through the
 //! [`crate::simd`] kernels, which take an AVX2+FMA leg when the CPU has one
 //! and an order-preserving scalar leg otherwise.
+//!
+//! # The flow of one transform
+//!
+//! Forward: the fold ([`crate::twist`], [`Order::BitReversed`]) converts,
+//! twists and stores each point at its bit-reversed slot in one pass —
+//! running the two narrow stages (`len = 2`, `4`) on the way, between the
+//! rows of the 4×4 blocks it stores — then the wide stages run two to a
+//! pass from [`simd::FIRST_WIDE_STAGE`] on ([`simd::radix2_stage_pair`]).
+//! Backward: the working copy of the caller's spectrum is made in
+//! bit-reversed order through the plan's table, with the same two narrow
+//! stages on the way ([`simd::bit_reverse_copy_pair`]), the same wide
+//! stages run with the conjugated twiddles, and one fused pass untwists,
+//! normalizes and reduces. No pass only permutes and nothing recomputes a
+//! reversed index: at `N = 1024` a transform is five passes over its 8 KB
+//! buffer (in, three stage pairs, the last stage — which the backward
+//! transform follows with its pass out), where it used to be twelve (fold
+//! in two, a permutation, nine stages).
 
 use crate::engine::{for_each_source_chunk, FftEngine, Spectrum};
 use crate::simd;
-use crate::tables::{bit_reverse_copy_pair, bit_reverse_permute_pair, TwiddleTables};
-use crate::twist;
+use crate::tables::TwiddleTables;
+use crate::twist::{self, Order};
 use matcha_math::{IntPolynomial, TorusPolynomial};
 
 /// Lagrange half-complex spectrum in double precision, split-complex:
@@ -76,33 +93,56 @@ pub enum Direction {
 }
 
 /// Iterative radix-2 transform with the requested kernel sign, on
-/// split-complex data, in place.
+/// split-complex data, in place, natural order in and out.
 ///
-/// Exposed so the depth-first engine's tests can compare flows; library
-/// users should go through [`FftEngine`].
+/// The engine itself never calls this: its folds and its working copy
+/// deliver bit-reversed data to the butterfly stages directly. Exposed as
+/// the plain DFT the tests compare flows against; library users should go
+/// through [`FftEngine`].
+///
+/// # Panics
+///
+/// Panics if either component's length is not `tables.size()`.
 pub fn dft_in_place(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
-    debug_assert_eq!(re.len(), im.len());
-    debug_assert_eq!(re.len(), tables.size());
-    bit_reverse_permute_pair(re, im);
-    butterfly_stages(re, im, tables, dir);
+    tables.bit_reversal().permute_pair(re, im);
+    butterfly_stages(re, im, tables, dir, 2);
 }
 
 /// The `log2 M` butterfly stages over bit-reversed data.
 ///
 /// The direction decides the twiddle tables (forward or pre-conjugated)
-/// once, before the butterfly loops; every stage then runs through
-/// [`simd::radix2_stage`], which walks the stage's contiguous twiddle slice
-/// with unit stride — four butterflies per AVX2 iteration when available.
-fn butterfly_stages(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
+/// once, before the butterfly loops. Stages run two to a pass through
+/// [`simd::radix2_stage_pair`] — each walks its contiguous twiddle slice
+/// with unit stride, four butterflies per AVX2 iteration when available —
+/// and an odd `log2 M` leaves the last stage to [`simd::radix2_stage`].
+///
+/// # Panics
+///
+/// Panics if either component's length is not `tables.size()`.
+fn butterfly_stages(
+    re: &mut [f64],
+    im: &mut [f64],
+    tables: &TwiddleTables,
+    dir: Direction,
+    first: usize,
+) {
+    let m = tables.size();
+    assert_eq!(re.len(), m, "buffer length is not the tables'");
+    assert_eq!(im.len(), m, "buffer length is not the tables'");
     let stages = match dir {
         Direction::Forward => tables.forward_stages(),
         Direction::Inverse => tables.inverse_stages(),
     };
-    let mut len = 2;
-    while len <= re.len() {
+    let mut len = first;
+    while 2 * len <= m {
+        let (w1re, w1im) = stages.stage_split(len);
+        let (w2re, w2im) = stages.stage_split(2 * len);
+        simd::radix2_stage_pair(re, im, w1re, w1im, w2re, w2im, len);
+        len *= 4;
+    }
+    if len <= m {
         let (wre, wim) = stages.stage_split(len);
         simd::radix2_stage(re, im, wre, wim, len);
-        len *= 2;
     }
 }
 
@@ -144,6 +184,18 @@ impl F64Fft {
     pub fn tables(&self) -> &TwiddleTables {
         &self.tables
     }
+
+    /// What follows every forward fold: the stages the fold has not run.
+    fn wide_stages_forward(&self, out: &mut CplxSpectrum) {
+        let first = simd::FIRST_WIDE_STAGE;
+        butterfly_stages(
+            &mut out.re,
+            &mut out.im,
+            &self.tables,
+            Direction::Forward,
+            first,
+        );
+    }
 }
 
 impl FftEngine for F64Fft {
@@ -172,8 +224,14 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_int(p, &self.tables, &mut out.re, &mut out.im);
-        dft_in_place(&mut out.re, &mut out.im, &self.tables, Direction::Forward);
+        twist::fold_int(
+            p,
+            &self.tables,
+            Order::BitReversed,
+            &mut out.re,
+            &mut out.im,
+        );
+        self.wide_stages_forward(out);
     }
 
     fn forward_torus_into(
@@ -182,8 +240,14 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus(p, &self.tables, &mut out.re, &mut out.im);
-        dft_in_place(&mut out.re, &mut out.im, &self.tables, Direction::Forward);
+        twist::fold_torus(
+            p,
+            &self.tables,
+            Order::BitReversed,
+            &mut out.re,
+            &mut out.im,
+        );
+        self.wide_stages_forward(out);
     }
 
     fn forward_decomposed_into(
@@ -194,8 +258,16 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus_digit(p, decomp, level, &self.tables, &mut out.re, &mut out.im);
-        dft_in_place(&mut out.re, &mut out.im, &self.tables, Direction::Forward);
+        twist::fold_torus_digit(
+            p,
+            decomp,
+            level,
+            &self.tables,
+            Order::BitReversed,
+            &mut out.re,
+            &mut out.im,
+        );
+        self.wide_stages_forward(out);
     }
 
     fn backward_torus_into(
@@ -211,8 +283,13 @@ impl FftEngine for F64Fft {
         buf_im.resize(m, 0.0);
         // The input is read once: the bit reversal doubles as the copy out
         // of the caller's spectrum.
-        bit_reverse_copy_pair(&s.re, &s.im, buf_re, buf_im);
-        butterfly_stages(buf_re, buf_im, &self.tables, Direction::Inverse);
+        let reversed = simd::Reversed {
+            order: self.tables.bit_reversal(),
+            stages: self.tables.inverse_stages(),
+        };
+        simd::bit_reverse_copy_pair(&s.re, &s.im, reversed, buf_re, buf_im);
+        let first = simd::FIRST_WIDE_STAGE;
+        butterfly_stages(buf_re, buf_im, &self.tables, Direction::Inverse, first);
         twist::unfold_torus_into(buf_re, buf_im, 1.0 / m as f64, &self.tables, out);
     }
 

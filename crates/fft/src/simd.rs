@@ -12,6 +12,38 @@
 //! [`crate::ApproxIntFft`], has stored its spectra split from the start;
 //! this module brings the double-precision engines onto the same layout.)
 //!
+//! # The passes of a breadth-first transform
+//!
+//! A transform is one pass in, its butterflies, and one pass out — no pass
+//! only permutes, and no kernel computes an index (the plan's
+//! [`crate::tables::BitReversal`] is handed to the ones that need it):
+//!
+//! * **In.** Forward, the fold ([`fold_twist`]; [`i64_fold_rotate`] for the
+//!   integer engine) loads coefficients, converts them or extracts a
+//!   gadget digit ([`FoldDigit`]), twists, and stores every point at its
+//!   bit-reversed slot. Backward, the working copy of the caller's
+//!   read-only spectrum is made in bit-reversed order
+//!   ([`bit_reverse_copy_pair`], [`bit_reverse_copy`]). The vector legs
+//!   move 4×4 blocks — four vector loads, a transpose, four vector stores
+//!   — and the f64 ones run the two narrow stages (`len = 2` and `4`)
+//!   between a block's rows before transposing it, where they are
+//!   whole-vector butterflies and cost no shuffle ([`Reversed`]).
+//! * **Butterflies.** The f64 stage loop starts at [`FIRST_WIDE_STAGE`]
+//!   and runs two stages to a pass ([`radix2_stage_pair`]: a block's four
+//!   quarter-vectors stay in registers between stage `len` and `2·len`);
+//!   an odd stage count leaves the last to [`radix2_stage`]. The integer
+//!   loop runs [`i64_radix2_stage`] from `len = 2`, one stage a pass: its
+//!   stages are bound by the lifts, not by loads and stores, and pairing
+//!   them measured slower.
+//! * **Out.** Forward, nothing: the last stage leaves the spectrum.
+//!   Backward, one fused pass untwists, normalizes, reduces and stores
+//!   torus coefficients ([`untwist_to_torus`]; [`i64_rotate`] and a descale
+//!   for the integer engine).
+//!
+//! Every element meets the same operations in the same order as in the
+//! pass-by-pass flow (natural-order fold, permutation, one stage a pass),
+//! so on either leg the results are bit-identical to it.
+//!
 //! # Dispatch
 //!
 //! Each public kernel picks one of two legs per call:
@@ -26,8 +58,9 @@
 //! # What the two legs agree on
 //!
 //! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
-//!   [`radix2_combine`], [`radix4_combine`]), the twist ([`twist_apply`] and
-//!   the untwist inside [`untwist_to_torus`]) and the pointwise accumulates
+//!   [`radix2_stage_pair`], [`radix2_combine`], [`radix4_combine`]), the
+//!   twist (inside [`fold_twist`]; the untwist inside
+//!   [`untwist_to_torus`]) and the pointwise accumulates
 //!   ([`mul_acc`], [`mul_acc_pair`], [`bundle_row`]) — the vector leg
 //!   contracts `a·b ± c·d` into fused multiply-adds (one rounding instead
 //!   of two).
@@ -44,7 +77,8 @@
 //! # Integer (i64) kernels
 //!
 //! The integer engine's rotations ([`i64_radix2_stage`],
-//! [`i64_radix2_stage_halving`], [`i64_rotate`]) and its bundle row
+//! [`i64_radix2_stage_halving`], [`i64_rotate`], [`i64_fold_rotate`]) and
+//! its bundle row
 //! ([`i64_bundle_row`]) have both legs too, and here the legs agree
 //! **bitwise**, not within ulps: integer arithmetic has one right answer.
 //! The scalar leg is the definition — each lift
@@ -61,16 +95,17 @@
 //! scalar loop on both legs. The engine's 64×64-bit pointwise products
 //! (`mul_accumulate`, `mul_accumulate_pair`) stay scalar `i128` on purpose:
 //! the native `mul` is the right tool for a full-width product. The bundle
-//! row's vector leg is the one kernel here that prefetches: with the
-//! products in vector lanes a row is done before its key arrives, and the
-//! time the key takes is the part of a gate that a busy neighbour sets
-//! (`BUNDLE_PREFETCH_AHEAD`).
+//! rows' vector legs (this one and [`bundle_row`]'s) are the kernels here
+//! that prefetch: with the products in vector lanes a row is done before
+//! its key arrives, and the time the key takes is the part of a gate that
+//! a busy neighbour sets (`BUNDLE_PREFETCH_AHEAD`).
 
 use crate::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
 use crate::lifting::Lifts;
-use matcha_math::Torus32;
+use crate::tables::{BitReversal, StageTwiddles};
+use matcha_math::{GadgetDecomposer, Torus32};
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::{__m128i, __m256i};
+use std::arch::x86_64::{__m128i, __m256d, __m256i};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Explicit override state: 0 = auto, 1 = forced scalar, 2 = forced SIMD
@@ -217,8 +252,27 @@ fn radix2_stage_scalar(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64],
     }
 }
 
-/// AVX2+FMA leg: four butterflies per iteration, `v = x·w` contracted to
-/// `fmsub`/`fmadd` (one rounding fewer than the scalar leg per component).
+/// Four complex doubles, split: `(re, im)`.
+#[cfg(target_arch = "x86_64")]
+type CplxLanes = (__m256d, __m256d);
+
+/// `v = x·w` contracted to `fmsub`/`fmadd` (one rounding fewer than the
+/// scalar leg per component), then `(u + v, u − v)`, on four lanes: the
+/// butterfly of every wide stage, single or paired.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn butterfly_avx((ur, ui): CplxLanes, (xr, xi): CplxLanes, (wr, wi): CplxLanes) -> [CplxLanes; 2] {
+    use std::arch::x86_64::*;
+    let vr = _mm256_fmsub_pd(xr, wr, _mm256_mul_pd(xi, wi));
+    let vi = _mm256_fmadd_pd(xr, wi, _mm256_mul_pd(xi, wr));
+    [
+        (_mm256_add_pd(ur, vr), _mm256_add_pd(ui, vi)),
+        (_mm256_sub_pd(ur, vr), _mm256_sub_pd(ui, vi)),
+    ]
+}
+
+/// AVX2+FMA leg: four butterflies per iteration.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn radix2_stage_avx(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64], len: usize) {
@@ -232,18 +286,16 @@ unsafe fn radix2_stage_avx(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f
         let mut k = 0;
         while k + 4 <= half {
             unsafe {
-                let wr = _mm256_loadu_pd(wre.as_ptr().add(k));
-                let wi = _mm256_loadu_pd(wim.as_ptr().add(k));
-                let xr = _mm256_loadu_pd(rp.add(half + k));
-                let xi = _mm256_loadu_pd(ip.add(half + k));
-                let vr = _mm256_fmsub_pd(xr, wr, _mm256_mul_pd(xi, wi));
-                let vi = _mm256_fmadd_pd(xr, wi, _mm256_mul_pd(xi, wr));
-                let ur = _mm256_loadu_pd(rp.add(k));
-                let ui = _mm256_loadu_pd(ip.add(k));
-                _mm256_storeu_pd(rp.add(k), _mm256_add_pd(ur, vr));
-                _mm256_storeu_pd(ip.add(k), _mm256_add_pd(ui, vi));
-                _mm256_storeu_pd(rp.add(half + k), _mm256_sub_pd(ur, vr));
-                _mm256_storeu_pd(ip.add(half + k), _mm256_sub_pd(ui, vi));
+                let at = |q: usize| (_mm256_loadu_pd(rp.add(q)), _mm256_loadu_pd(ip.add(q)));
+                let w = (
+                    _mm256_loadu_pd(wre.as_ptr().add(k)),
+                    _mm256_loadu_pd(wim.as_ptr().add(k)),
+                );
+                let [(sr, si), (dr, di)] = butterfly_avx(at(k), at(half + k), w);
+                _mm256_storeu_pd(rp.add(k), sr);
+                _mm256_storeu_pd(ip.add(k), si);
+                _mm256_storeu_pd(rp.add(half + k), dr);
+                _mm256_storeu_pd(ip.add(half + k), di);
             }
             k += 4;
         }
@@ -308,12 +360,7 @@ unsafe fn radix2_stage4_avx(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[
             let xr = _mm256_permute2f128_pd(ar, br, 0x31); // [xA0, xA1, xB0, xB1]
             let ui = _mm256_permute2f128_pd(ai, bi, 0x20);
             let xi = _mm256_permute2f128_pd(ai, bi, 0x31);
-            let vr = _mm256_fmsub_pd(xr, wr, _mm256_mul_pd(xi, wi));
-            let vi = _mm256_fmadd_pd(xr, wi, _mm256_mul_pd(xi, wr));
-            let sr = _mm256_add_pd(ur, vr);
-            let dr = _mm256_sub_pd(ur, vr);
-            let si = _mm256_add_pd(ui, vi);
-            let di = _mm256_sub_pd(ui, vi);
+            let [(sr, si), (dr, di)] = butterfly_avx((ur, ui), (xr, xi), (wr, wi));
             _mm256_storeu_pd(rp.add(k), _mm256_permute2f128_pd(sr, dr, 0x20));
             _mm256_storeu_pd(rp.add(k + 4), _mm256_permute2f128_pd(sr, dr, 0x31));
             _mm256_storeu_pd(ip.add(k), _mm256_permute2f128_pd(si, di, 0x20));
@@ -321,6 +368,98 @@ unsafe fn radix2_stage4_avx(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[
             k += 8;
         }
         debug_assert_eq!(k, m);
+    }
+}
+
+/// Two consecutive breadth-first stages, `len` and `2·len`, in one pass over
+/// the buffer: `(w1re, w1im)` are stage `len`'s `len/2` twiddles,
+/// `(w2re, w2im)` stage `2·len`'s `len`. Bit-identical, on either leg, to
+/// [`radix2_stage`] at `len` followed by [`radix2_stage`] at `2·len`: every
+/// element meets the same two butterflies in the same order, only the store
+/// and reload between them is gone. The vector leg holds a block's four
+/// quarter-vectors `a, b, c, d` in registers — two `w_len[k]` butterflies
+/// (`a·b`, `c·d`), then `a·c` with `w_{2len}[k]` and `b·d` with
+/// `w_{2len}[k + len/2]`; stages too narrow for that (`len < 8`) and the
+/// scalar leg run the two single stages.
+///
+/// # Panics
+///
+/// Panics on mismatched slice lengths.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn radix2_stage_pair(
+    re: &mut [f64],
+    im: &mut [f64],
+    w1re: &[f64],
+    w1im: &[f64],
+    w2re: &[f64],
+    w2im: &[f64],
+    len: usize,
+) {
+    assert_eq!(re.len(), im.len(), "component length mismatch");
+    assert_eq!(
+        re.len() % (2 * len),
+        0,
+        "buffer not a multiple of the stage length"
+    );
+    assert_eq!(w1re.len(), len / 2, "twiddle table length mismatch");
+    assert_eq!(w1im.len(), len / 2, "twiddle table length mismatch");
+    assert_eq!(w2re.len(), len, "twiddle table length mismatch");
+    assert_eq!(w2im.len(), len, "twiddle table length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if len >= 8 && simd_active() {
+        // SAFETY: simd_active() implies AVX2+FMA; the lengths were checked.
+        unsafe { radix2_stage_pair_avx(re, im, w1re, w1im, w2re, w2im, len) };
+        return;
+    }
+    radix2_stage(re, im, w1re, w1im, len);
+    radix2_stage(re, im, w2re, w2im, 2 * len);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn radix2_stage_pair_avx(
+    re: &mut [f64],
+    im: &mut [f64],
+    w1re: &[f64],
+    w1im: &[f64],
+    w2re: &[f64],
+    w2im: &[f64],
+    len: usize,
+) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    let half = len / 2;
+    let mut start = 0;
+    while start < m {
+        let mut k = 0;
+        while k + 4 <= half {
+            unsafe {
+                let rp = re.as_mut_ptr().add(start + k);
+                let ip = im.as_mut_ptr().add(start + k);
+                let at = |q: usize| (_mm256_loadu_pd(rp.add(q)), _mm256_loadu_pd(ip.add(q)));
+                let twiddle = |wre: &[f64], wim: &[f64], k: usize| {
+                    (
+                        _mm256_loadu_pd(wre.as_ptr().add(k)),
+                        _mm256_loadu_pd(wim.as_ptr().add(k)),
+                    )
+                };
+                let w = twiddle(w1re, w1im, k);
+                let [a, b] = butterfly_avx(at(0), at(half), w);
+                let [c, d] = butterfly_avx(at(len), at(len + half), w);
+                let [a, c] = butterfly_avx(a, c, twiddle(w2re, w2im, k));
+                let [b, d] = butterfly_avx(b, d, twiddle(w2re, w2im, k + half));
+                for (q, (xr, xi)) in [(0, a), (half, b), (len, c), (len + half, d)] {
+                    _mm256_storeu_pd(rp.add(q), xr);
+                    _mm256_storeu_pd(ip.add(q), xi);
+                }
+            }
+            k += 4;
+        }
+        // `half` is a power of two ≥ 4 (the dispatcher's condition).
+        debug_assert_eq!(k, half);
+        start += 2 * len;
     }
 }
 
@@ -795,49 +934,427 @@ unsafe fn mul_acc_pair_avx(
 // f64 twist kernels
 // ---------------------------------------------------------------------------
 
-/// In-place complex multiply by the twist table: `(re, im) ⊙= (twre, twim)`
-/// — the tail of every negacyclic fold.
+/// What a fold makes of a stored 32-bit coefficient before twisting it:
+/// `((x + offset) ≫ shift & mask) − half`, as a signed integer. One gadget
+/// digit of a torus coefficient is that expression
+/// ([`FoldDigit::level`]); so is the coefficient itself
+/// ([`FoldDigit::WHOLE`]), which lets every fold of both breadth-first
+/// engines be one kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FoldDigit {
+    offset: u32,
+    shift: u32,
+    mask: u32,
+    half: i32,
+}
+
+impl FoldDigit {
+    /// The coefficient as it stands: an `i32`, or a torus element's centred
+    /// representative.
+    pub const WHOLE: Self = Self {
+        offset: 0,
+        shift: 0,
+        mask: u32::MAX,
+        half: 0,
+    };
+
+    /// Digit `level` of `decomp` (`0` = most significant): bit-identical to
+    /// `decomp.digit(decomp.shift(x), level)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is not one of `decomp`'s.
+    pub fn level(decomp: &GadgetDecomposer, level: usize) -> Self {
+        assert!(level < decomp.levels(), "digit level out of range");
+        Self {
+            offset: decomp.shift(Torus32::ZERO),
+            shift: 32 - (level as u32 + 1) * decomp.bg_bits(),
+            mask: decomp.base() - 1,
+            half: (decomp.base() / 2) as i32,
+        }
+    }
+
+    /// The integer the fold twists for stored word `x`.
+    #[inline]
+    pub fn of(self, x: u32) -> i32 {
+        ((x.wrapping_add(self.offset) >> self.shift) & self.mask) as i32 - self.half
+    }
+
+    /// [`FoldDigit::of`] on four 32-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn of_lanes(self, x: __m128i) -> __m128i {
+        use std::arch::x86_64::*;
+        let shifted = _mm_srl_epi32(
+            _mm_add_epi32(x, _mm_set1_epi32(self.offset as i32)),
+            _mm_cvtsi32_si128(self.shift as i32),
+        );
+        _mm_sub_epi32(
+            _mm_and_si128(shifted, _mm_set1_epi32(self.mask as i32)),
+            _mm_set1_epi32(self.half),
+        )
+    }
+}
+
+/// An integer polynomial's coefficients as the raw words the folds read.
 #[inline]
-pub fn twist_apply(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
+pub fn int_words(c: &[i32]) -> &[u32] {
+    // SAFETY: `i32` and `u32` have the same size, alignment and validity.
+    unsafe { std::slice::from_raw_parts(c.as_ptr().cast(), c.len()) }
+}
+
+/// A torus polynomial's coefficients as the raw words the folds read.
+#[inline]
+pub fn torus_words(c: &[Torus32]) -> &[u32] {
+    // SAFETY: `Torus32` is `repr(transparent)` over `u32`.
+    unsafe { std::slice::from_raw_parts(c.as_ptr().cast(), c.len()) }
+}
+
+/// The 4×4 transpose between the vector loads and the vector stores of a
+/// bit-reversed block ([`BitReversal`]): rows in, columns out.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose_avx(rows: [__m256d; 4]) -> [__m256d; 4] {
+    use std::arch::x86_64::*;
+    let lo01 = _mm256_unpacklo_pd(rows[0], rows[1]); // [r0[0], r1[0], r0[2], r1[2]]
+    let hi01 = _mm256_unpackhi_pd(rows[0], rows[1]); // [r0[1], r1[1], r0[3], r1[3]]
+    let lo23 = _mm256_unpacklo_pd(rows[2], rows[3]);
+    let hi23 = _mm256_unpackhi_pd(rows[2], rows[3]);
+    [
+        _mm256_permute2f128_pd(lo01, lo23, 0x20),
+        _mm256_permute2f128_pd(hi01, hi23, 0x20),
+        _mm256_permute2f128_pd(lo01, lo23, 0x31),
+        _mm256_permute2f128_pd(hi01, hi23, 0x31),
+    ]
+}
+
+/// Offsets, in quarters of the buffer, of the four rows a bit-reversed
+/// block loads and of the four columns it stores: lane `j` of a column is
+/// row `j` of the block, and `rev2` of `0, 1, 2, 3` is `0, 2, 1, 3`.
+#[cfg(target_arch = "x86_64")]
+const REV2: [usize; 4] = [0, 2, 1, 3];
+
+/// Smallest transform the 4×4 block form fits: two high and two low index
+/// bits around at least nothing.
+#[cfg(target_arch = "x86_64")]
+const MIN_BLOCKED: usize = 16;
+
+/// Butterfly length of the first stage the breadth-first stage loops run:
+/// the two narrow stages before it (`len = 2` and `4`, four neighbouring
+/// slots of bit-reversed data — one point from each quarter of the natural
+/// order) belong to the pass that produces the bit-reversed buffer.
+pub const FIRST_WIDE_STAGE: usize = 8;
+
+/// What the pass that feeds the breadth-first butterflies — a forward
+/// fold, or a backward transform's working copy — needs besides its data:
+/// the plan's bit-reversal table and the direction's stage twiddles, whose
+/// two narrow stages it runs on the way.
+#[derive(Clone, Copy, Debug)]
+pub struct Reversed<'a> {
+    /// Where point `k` goes.
+    pub order: &'a BitReversal,
+    /// The direction's twiddles; stages `2` and `4` are read.
+    pub stages: &'a StageTwiddles,
+}
+
+impl Reversed<'_> {
+    /// The two narrow stages over a buffer already in bit-reversed order:
+    /// what the blocked vector legs do in registers, for the legs that do
+    /// not block.
+    fn narrow_stages(&self, re: &mut [f64], im: &mut [f64]) {
+        let mut len = 2;
+        while len < FIRST_WIDE_STAGE && len <= re.len() {
+            let (wre, wim) = self.stages.stage_split(len);
+            radix2_stage(re, im, wre, wim, len);
+            len *= 2;
+        }
+    }
+}
+
+/// Stages `len = 2` and `len = 4` of one 4×4 block still in row form: row
+/// `j` holds lane `j` of four destination vectors, so both stages are
+/// whole-vector butterflies between rows — `(0, 1)`, `(2, 3)` without a
+/// multiply (`w = 1`, as [`radix2_stage2_avx`] has it), then `(0, 2)` by
+/// `w4[0]` and `(1, 3)` by `w4[1]` with [`radix2_stage4_avx`]'s
+/// operations — and cost no shuffle.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+fn narrow_stages_avx(rows: [CplxLanes; 4], w4re: &[f64], w4im: &[f64]) -> [CplxLanes; 4] {
+    use std::arch::x86_64::*;
+    let [(r0, i0), (r1, i1), (r2, i2), (r3, i3)] = rows;
+    let a0 = (_mm256_add_pd(r0, r1), _mm256_add_pd(i0, i1));
+    let a1 = (_mm256_sub_pd(r0, r1), _mm256_sub_pd(i0, i1));
+    let a2 = (_mm256_add_pd(r2, r3), _mm256_add_pd(i2, i3));
+    let a3 = (_mm256_sub_pd(r2, r3), _mm256_sub_pd(i2, i3));
+    let w = |k: usize| (_mm256_set1_pd(w4re[k]), _mm256_set1_pd(w4im[k]));
+    let [b0, b2] = butterfly_avx(a0, a2, w(0));
+    let [b1, b3] = butterfly_avx(a1, a3, w(1));
+    [b0, b1, b2, b3]
+}
+
+/// Stores a block's four rows as the four columns they are in bit-reversed
+/// order: column `l` at `slot + rev2(l)·M/4`.
+///
+/// # Safety
+///
+/// `slot + 3·quarter + 4` is within both buffers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_columns_avx(
+    rows: [CplxLanes; 4],
+    re: *mut f64,
+    im: *mut f64,
+    slot: usize,
+    quarter: usize,
+) {
+    use std::arch::x86_64::*;
+    let cols_re = transpose_avx(rows.map(|(r, _)| r));
+    let cols_im = transpose_avx(rows.map(|(_, i)| i));
+    for (l, (c_re, c_im)) in cols_re.into_iter().zip(cols_im).enumerate() {
+        unsafe {
+            _mm256_storeu_pd(re.add(slot + REV2[l] * quarter), c_re);
+            _mm256_storeu_pd(im.add(slot + REV2[l] * quarter), c_im);
+        }
+    }
+}
+
+/// The whole negacyclic fold of the double-precision engines, one pass:
+/// point `k` is `(digit.of(lo[k]) + i·digit.of(hi[k])) · (twre[k] +
+/// i·twim[k])`.
+///
+/// `reversed = None` stores it at slot `k`, what the depth-first engines
+/// consume. `Some(..)` produces what the breadth-first stage loop consumes
+/// from [`FIRST_WIDE_STAGE`] on: every point at its bit-reversed slot and
+/// the two narrow stages done — no permutation pass follows, and the
+/// vector leg, which twists four coefficients at a time, runs those two
+/// stages between the rows of a 4×4 block before it transposes the block
+/// so that its stores stay vector stores. Either way every point sees the
+/// multiply, and then the butterflies, it would see pass by pass.
+///
+/// # Panics
+///
+/// Panics on mismatched slice lengths, or tables built for another size.
+#[allow(clippy::too_many_arguments)]
+pub fn fold_twist(
+    lo: &[u32],
+    hi: &[u32],
+    digit: FoldDigit,
+    twre: &[f64],
+    twim: &[f64],
+    reversed: Option<Reversed<'_>>,
+    re: &mut [f64],
+    im: &mut [f64],
+) {
     let m = re.len();
     assert_eq!(im.len(), m, "component length mismatch");
+    assert_eq!(lo.len(), m, "coefficient half length mismatch");
+    assert_eq!(hi.len(), m, "coefficient half length mismatch");
     assert_eq!(twre.len(), m, "twist table length mismatch");
     assert_eq!(twim.len(), m, "twist table length mismatch");
+    if let Some(reversed) = reversed {
+        assert_eq!(reversed.order.len(), m, "tables built for another size");
+        assert_eq!(reversed.stages.size(), m, "tables built for another size");
+    }
     #[cfg(target_arch = "x86_64")]
     if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { twist_apply_avx(re, im, twre, twim) };
+        // A transform too small for a 4×4 block folds in natural order and
+        // is permuted through the table.
+        let blocked = reversed.filter(|_| m >= MIN_BLOCKED);
+        // SAFETY: simd_active() implies AVX2+FMA; the lengths were checked,
+        // and a `BitReversal` of length `m` holds the reversal of `0..m`.
+        unsafe { fold_twist_avx(lo, hi, digit, twre, twim, blocked, re, im) };
+        if let (Some(reversed), None) = (reversed, blocked) {
+            reversed.order.permute_pair(re, im);
+            reversed.narrow_stages(re, im);
+        }
         return;
     }
     for k in 0..m {
-        let (r, i) = (re[k], im[k]);
-        re[k] = r * twre[k] - i * twim[k];
-        im[k] = r * twim[k] + i * twre[k];
+        let (r, i) = (digit.of(lo[k]) as f64, digit.of(hi[k]) as f64);
+        let slot = reversed.map_or(k, |reversed| reversed.order.index()[k] as usize);
+        re[slot] = r * twre[k] - i * twim[k];
+        im[slot] = r * twim[k] + i * twre[k];
     }
+    if let Some(reversed) = reversed {
+        reversed.narrow_stages(re, im);
+    }
+}
+
+/// Natural order: four points a step. Reversed (`M ≥ 16`): a 4×4 block a
+/// step — rows `k + {0, 2, 1, 3}·M/4` of four points each, the narrow
+/// stages between them, stored as columns at `rev[k] + {0, 2, 1, 3}·M/4`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fold_twist_avx(
+    lo: &[u32],
+    hi: &[u32],
+    digit: FoldDigit,
+    twre: &[f64],
+    twim: &[f64],
+    reversed: Option<Reversed<'_>>,
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let m = re.len();
+    // SAFETY (the loads): `k + 4 <= m`, every slice's length.
+    let twisted = |k: usize| unsafe {
+        let r = _mm256_cvtepi32_pd(digit.of_lanes(_mm_loadu_si128(lo.as_ptr().add(k).cast())));
+        let i = _mm256_cvtepi32_pd(digit.of_lanes(_mm_loadu_si128(hi.as_ptr().add(k).cast())));
+        let tr = _mm256_loadu_pd(twre.as_ptr().add(k));
+        let ti = _mm256_loadu_pd(twim.as_ptr().add(k));
+        (
+            _mm256_fmsub_pd(r, tr, _mm256_mul_pd(i, ti)),
+            _mm256_fmadd_pd(r, ti, _mm256_mul_pd(i, tr)),
+        )
+    };
+    if let Some(reversed) = reversed {
+        let quarter = m / 4;
+        let rev = reversed.order.index();
+        let (w4re, w4im) = reversed.stages.stage_split(4);
+        for k in (0..quarter).step_by(4) {
+            let rows = narrow_stages_avx(REV2.map(|h| twisted(k + h * quarter)), w4re, w4im);
+            // SAFETY: `rev[k] ≤ M/4 − 4` for a 4-aligned `k < M/4`.
+            unsafe {
+                store_columns_avx(
+                    rows,
+                    re.as_mut_ptr(),
+                    im.as_mut_ptr(),
+                    rev[k] as usize,
+                    quarter,
+                )
+            };
+        }
+    } else {
+        // Transform sizes are powers of two, and the dispatcher only takes
+        // this leg for m ≥ 4, so the whole buffer vectorizes.
+        for k in (0..m).step_by(4) {
+            let (r, i) = twisted(k);
+            unsafe {
+                _mm256_storeu_pd(re.as_mut_ptr().add(k), r);
+                _mm256_storeu_pd(im.as_mut_ptr().add(k), i);
+            }
+        }
+    }
+}
+
+/// The reversed working copy of a double-precision backward transform,
+/// which reads the caller's spectrum exactly once: `dst[i] = src[rev[i]]`
+/// for both components, then the two narrow stages — on the vector leg
+/// between the rows of each 4×4 block, before it is stored. What the
+/// backward stage loop consumes from [`FIRST_WIDE_STAGE`] on.
+///
+/// # Panics
+///
+/// Panics if a slice's length is not the tables'.
+pub fn bit_reverse_copy_pair(
+    src_re: &[f64],
+    src_im: &[f64],
+    reversed: Reversed<'_>,
+    dst_re: &mut [f64],
+    dst_im: &mut [f64],
+) {
+    let m = reversed.order.len();
+    assert_eq!(reversed.stages.size(), m, "tables built for another size");
+    assert_eq!(src_re.len(), m, "buffer length is not the table's");
+    assert_eq!(src_im.len(), m, "buffer length is not the table's");
+    assert_eq!(dst_re.len(), m, "buffer length is not the table's");
+    assert_eq!(dst_im.len(), m, "buffer length is not the table's");
+    #[cfg(target_arch = "x86_64")]
+    if m >= MIN_BLOCKED && simd_active() {
+        // SAFETY: simd_active() implies AVX2+FMA; all four buffers hold `m`
+        // elements and `order` holds the reversal of `0..m`.
+        unsafe { bit_reverse_copy_pair_avx(src_re, src_im, reversed, dst_re, dst_im) };
+        return;
+    }
+    bit_reverse_copy(src_re, dst_re, reversed.order);
+    bit_reverse_copy(src_im, dst_im, reversed.order);
+    reversed.narrow_stages(dst_re, dst_im);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn twist_apply_avx(re: &mut [f64], im: &mut [f64], twre: &[f64], twim: &[f64]) {
+unsafe fn bit_reverse_copy_pair_avx(
+    src_re: &[f64],
+    src_im: &[f64],
+    reversed: Reversed<'_>,
+    dst_re: &mut [f64],
+    dst_im: &mut [f64],
+) {
     use std::arch::x86_64::*;
-    let m = re.len();
-    let mut k = 0;
-    while k + 4 <= m {
+    let quarter = src_re.len() / 4;
+    let rev = reversed.order.index();
+    let (w4re, w4im) = reversed.stages.stage_split(4);
+    for k in (0..quarter).step_by(4) {
+        // SAFETY: rows `k + h·M/4 + 0..4` and columns `rev[k] + h·M/4 +
+        // 0..4` lie inside the `M`-element buffers (`rev[k] ≤ M/4 − 4`).
         unsafe {
-            let r = _mm256_loadu_pd(re.as_ptr().add(k));
-            let i = _mm256_loadu_pd(im.as_ptr().add(k));
-            let tr = _mm256_loadu_pd(twre.as_ptr().add(k));
-            let ti = _mm256_loadu_pd(twim.as_ptr().add(k));
-            let nr = _mm256_fmsub_pd(r, tr, _mm256_mul_pd(i, ti));
-            let ni = _mm256_fmadd_pd(r, ti, _mm256_mul_pd(i, tr));
-            _mm256_storeu_pd(re.as_mut_ptr().add(k), nr);
-            _mm256_storeu_pd(im.as_mut_ptr().add(k), ni);
+            let rows = REV2.map(|h| {
+                (
+                    _mm256_loadu_pd(src_re.as_ptr().add(k + h * quarter)),
+                    _mm256_loadu_pd(src_im.as_ptr().add(k + h * quarter)),
+                )
+            });
+            let rows = narrow_stages_avx(rows, w4re, w4im);
+            store_columns_avx(
+                rows,
+                dst_re.as_mut_ptr(),
+                dst_im.as_mut_ptr(),
+                rev[k] as usize,
+                quarter,
+            );
         }
-        k += 4;
     }
-    // Transform sizes are powers of two, and the dispatcher only takes this
-    // leg for m ≥ 4, so the whole buffer vectorized.
-    debug_assert_eq!(k, m);
+}
+
+/// `dst[i] = src[rev[i]]` for one component: the reversed working copy of
+/// a backward transform, which reads the caller's spectrum exactly once.
+/// Elements are moved, never computed on, so the vector leg (4×4 blocks of
+/// 64-bit elements — both engines' spectra) serves `f64` and `i64` alike.
+///
+/// # Panics
+///
+/// Panics if either slice's length is not the table's.
+pub fn bit_reverse_copy<T: Copy>(src: &[T], dst: &mut [T], order: &BitReversal) {
+    let m = order.len();
+    assert_eq!(src.len(), m, "buffer length is not the table's");
+    assert_eq!(dst.len(), m, "buffer length is not the table's");
+    #[cfg(target_arch = "x86_64")]
+    if std::mem::size_of::<T>() == 8 && m >= MIN_BLOCKED && simd_active() {
+        // SAFETY: simd_active() implies AVX2; both buffers hold `m` 64-bit
+        // elements, moved as bit patterns by unaligned loads, shuffles and
+        // stores; `order` holds the reversal of `0..m`.
+        unsafe {
+            bit_reverse_copy_avx(src.as_ptr().cast(), dst.as_mut_ptr().cast(), order.index())
+        };
+        return;
+    }
+    for (d, &j) in dst.iter_mut().zip(order.index()) {
+        *d = src[j as usize];
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn bit_reverse_copy_avx(src: *const f64, dst: *mut f64, rev: &[u32]) {
+    use std::arch::x86_64::*;
+    let quarter = rev.len() / 4;
+    for k in (0..quarter).step_by(4) {
+        // SAFETY: rows `k + h·M/4 + 0..4` and columns `rev[k] + h·M/4 +
+        // 0..4` lie inside the `M`-element buffers (`rev[k] ≤ M/4 − 4`).
+        unsafe {
+            let cols = transpose_avx(REV2.map(|h| _mm256_loadu_pd(src.add(k + h * quarter))));
+            let slot = rev[k] as usize;
+            for (l, col) in cols.into_iter().enumerate() {
+                _mm256_storeu_pd(dst.add(slot + REV2[l] * quarter), col);
+            }
+        }
+    }
 }
 
 const TWO_32: f64 = 4294967296.0;
@@ -925,10 +1442,7 @@ pub fn untwist_to_torus(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[inline]
-unsafe fn reduce_turns_avx(
-    x: std::arch::x86_64::__m256d,
-    to_turns: std::arch::x86_64::__m256d,
-) -> std::arch::x86_64::__m128i {
+unsafe fn reduce_turns_avx(x: __m256d, to_turns: __m256d) -> std::arch::x86_64::__m128i {
     use std::arch::x86_64::*;
     const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
     let t = _mm256_mul_pd(x, to_turns);
@@ -978,12 +1492,67 @@ unsafe fn untwist_to_torus_avx(
 // f64 bundle-row kernel
 // ---------------------------------------------------------------------------
 
+/// Elements the AVX2 bundle rows (both engines') prefetch ahead of their
+/// loads in each source: every source's first eight lines before the loop,
+/// then the line this far ahead whenever the loop enters a new one. A
+/// bootstrapping key streams from memory (109 MB at `m = 3`, 70 MB at
+/// `m = 2`) as 4 KB spectra, each its own allocation, `2·(2^m − 1)` of
+/// them read side by side — streams too short for the hardware prefetcher
+/// to get ahead of, so without the hints a row waits at the head of every
+/// line, for as long as the host's neighbours make memory take. Measured
+/// on the integer row, a 7-term group, quietest 1 % of steps: 53 → 43 µs
+/// on a quiet host, 93 → 61 µs on a loaded one; 32 elements measure the
+/// same, 128 and a whole row ahead slower, the hints without the burst
+/// over each head half as good, a burst over the whole row worse than no
+/// hint. On the f64 row (3 terms, less arithmetic to hide behind):
+/// `bku.bundle_us.f64_m2` 36 → 31 µs.
+#[cfg(target_arch = "x86_64")]
+const BUNDLE_PREFETCH_AHEAD: usize = 64;
+/// 64-bit words (`i64`s, `f64`s) to a cache line.
+#[cfg(target_arch = "x86_64")]
+const WORDS_PER_LINE: usize = 8;
+
+/// Asks for the line holding `s[at]`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch<T>(s: &[T], at: usize) {
+    debug_assert!(at < s.len());
+    // SAFETY: a hint, not an access — and the address is inside `s`.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+            s.as_ptr().add(at).cast(),
+        );
+    }
+}
+
+/// The burst before a bundle row's loop: the head of every source.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch_heads<T>(srcs: &[(&[T], &[T])], m: usize) {
+    for (s_re, s_im) in srcs {
+        for at in (0..BUNDLE_PREFETCH_AHEAD.min(m)).step_by(WORDS_PER_LINE) {
+            prefetch(s_re, at);
+            prefetch(s_im, at);
+        }
+    }
+}
+
+/// Whether the loop, at element `k` of `m`, has just entered a line whose
+/// counterpart [`BUNDLE_PREFETCH_AHEAD`] elements on exists.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch_due(k: usize, m: usize) -> bool {
+    k.is_multiple_of(WORDS_PER_LINE) && k + BUNDLE_PREFETCH_AHEAD < m
+}
+
 /// One bundle row in a single pass: `out = base + Σ_p f_p ⊙ src_p`, where
 /// `f_p` is the `p`-th length-`m` table of the concatenated factor slices
 /// `(f_re, f_im)`. Each output element is accumulated in registers over
 /// the terms in order, with [`mul_acc`]'s element operations, and stored
 /// once. `base = None` continues a sum already in `out` (callers with more
-/// terms than fit one source table feed them in several calls).
+/// terms than fit one source table feed them in several calls). The AVX2
+/// leg prefetches its sources as the integer row's does
+/// (`BUNDLE_PREFETCH_AHEAD`): a row is a wait for the key.
 ///
 /// # Panics
 ///
@@ -1045,8 +1614,10 @@ unsafe fn bundle_row_avx(
         Some((b_re, b_im)) => (b_re.as_ptr(), b_im.as_ptr()),
         None => (out_re.as_ptr(), out_im.as_ptr()),
     };
+    prefetch_heads(srcs, m);
     let mut k = 0;
     while k + 4 <= m {
+        let hint = prefetch_due(k, m);
         unsafe {
             let mut x = _mm256_loadu_pd(b_re.add(k));
             let mut y = _mm256_loadu_pd(b_im.add(k));
@@ -1055,6 +1626,10 @@ unsafe fn bundle_row_avx(
                 let fi = _mm256_loadu_pd(f_im.as_ptr().add(p * m + k));
                 let sr = _mm256_loadu_pd(s_re.as_ptr().add(k));
                 let si = _mm256_loadu_pd(s_im.as_ptr().add(k));
+                if hint {
+                    prefetch(s_re, k + BUNDLE_PREFETCH_AHEAD);
+                    prefetch(s_im, k + BUNDLE_PREFETCH_AHEAD);
+                }
                 x = _mm256_fmadd_pd(fr, sr, x);
                 x = _mm256_fnmadd_pd(fi, si, x);
                 y = _mm256_fmadd_pd(fr, si, y);
@@ -1189,6 +1764,96 @@ pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>) {
     }
     for k in 0..m {
         (re[k], im[k]) = rots.rotate(k, re[k], im[k]);
+    }
+}
+
+/// The whole negacyclic fold of the integer engine, one pass: point `k` is
+/// `(digit.of(lo[k]) ≪ frac_bits, digit.of(hi[k]) ≪ frac_bits)` rotated by
+/// rotation `k` of `rots` (the twist, the same lift as the butterflies) and
+/// stored straight at its bit-reversed slot `order.index()[k]`, where the
+/// forward stages want it. Both legs produce the same integers as
+/// pre-scaling into natural order, [`i64_rotate`] and a permutation.
+///
+/// # Panics
+///
+/// Panics on mismatched lengths, or an `order` built for another size.
+#[allow(clippy::too_many_arguments)]
+pub fn i64_fold_rotate(
+    lo: &[u32],
+    hi: &[u32],
+    digit: FoldDigit,
+    frac_bits: u32,
+    rots: Lifts<'_>,
+    order: &BitReversal,
+    re: &mut [i64],
+    im: &mut [i64],
+) {
+    let m = re.len();
+    assert_eq!(im.len(), m, "component length mismatch");
+    assert_eq!(lo.len(), m, "coefficient half length mismatch");
+    assert_eq!(hi.len(), m, "coefficient half length mismatch");
+    assert_eq!(rots.len(), m, "rotation table length mismatch");
+    assert_eq!(order.len(), m, "bit-reversal table built for another size");
+    assert!(frac_bits < 64, "pre-scale wider than a lane");
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(split), true) = (rots.split, m >= MIN_BLOCKED && simd_active()) {
+        // SAFETY: simd_active() implies AVX2; the lengths were checked, and
+        // a `BitReversal` of length `m` holds the reversal of `0..m`.
+        unsafe {
+            i64_fold_rotate_avx(lo, hi, digit, frac_bits, rots, split, order.index(), re, im)
+        };
+        return;
+    }
+    for (k, &slot) in order.index().iter().enumerate() {
+        let x = (digit.of(lo[k]) as i64) << frac_bits;
+        let y = (digit.of(hi[k]) as i64) << frac_bits;
+        (re[slot as usize], im[slot as usize]) = rots.rotate(k, x, y);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_fold_rotate_avx(
+    lo: &[u32],
+    hi: &[u32],
+    digit: FoldDigit,
+    frac_bits: u32,
+    rots: Lifts<'_>,
+    split: LiftSplit,
+    rev: &[u32],
+    re: &mut [i64],
+    im: &mut [i64],
+) {
+    use std::arch::x86_64::*;
+    let quarter = re.len() / 4;
+    let lanes = LiftLanes::new(split);
+    let frac = _mm_cvtsi32_si128(frac_bits as i32);
+    // SAFETY (the loads): `k + 4 <= m`, every slice's length.
+    let rotated = |k: usize| unsafe {
+        let scaled = |c: &[u32]| {
+            let words = _mm_loadu_si128(c.as_ptr().add(k).cast());
+            _mm256_sll_epi64(_mm256_cvtepi32_epi64(digit.of_lanes(words)), frac)
+        };
+        let (t, s, neg) = lanes.load(rots, k);
+        lanes.rotate(scaled(lo), scaled(hi), t, s, neg)
+    };
+    for k in (0..quarter).step_by(4) {
+        // The transpose moves bit patterns: the f64 shuffles serve.
+        let rows = REV2.map(|h| {
+            let (x, y) = rotated(k + h * quarter);
+            (_mm256_castsi256_pd(x), _mm256_castsi256_pd(y))
+        });
+        // SAFETY: `rev[k] ≤ M/4 − 4` for a 4-aligned `k < M/4`.
+        unsafe {
+            store_columns_avx(
+                rows,
+                re.as_mut_ptr().cast(),
+                im.as_mut_ptr().cast(),
+                rev[k] as usize,
+                quarter,
+            )
+        };
     }
 }
 
@@ -1420,6 +2085,31 @@ fn half_round_avx<const HALVE: bool>(v: __m256i) -> __m256i {
     }
 }
 
+/// `v = rot(x)`, then `(u + v, u − v)` (halved when `HALVE`), on four lanes:
+/// the butterfly of the vector stages.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn i64_butterfly_avx<const HALVE: bool>(
+    lanes: &LiftLanes,
+    (ur, ui): (__m256i, __m256i),
+    (xr, xi): (__m256i, __m256i),
+    (t, s, neg): (SplitLanes, SplitLanes, __m256i),
+) -> [(__m256i, __m256i); 2] {
+    use std::arch::x86_64::*;
+    let (vr, vi) = lanes.rotate(xr, xi, t, s, neg);
+    [
+        (
+            half_round_avx::<HALVE>(_mm256_add_epi64(ur, vr)),
+            half_round_avx::<HALVE>(_mm256_add_epi64(ui, vi)),
+        ),
+        (
+            half_round_avx::<HALVE>(_mm256_sub_epi64(ur, vr)),
+            half_round_avx::<HALVE>(_mm256_sub_epi64(ui, vi)),
+        ),
+    ]
+}
+
 /// Wide stages (`half ≥ 4`), four butterflies per iteration. The `k` loop
 /// is the outer one so a group of four coefficients is split once and
 /// serves every block of the stage; the buffer is L1-resident either way.
@@ -1439,36 +2129,21 @@ unsafe fn i64_stage_avx<const HALVE: bool>(
     let mut k = 0;
     while k + 4 <= half {
         unsafe {
-            let (t, s, neg) = lanes.load(rots, k);
+            let w = lanes.load(rots, k);
             let mut start = k;
             while start < m {
-                let (ur_p, ui_p) = (re.as_mut_ptr().add(start), im.as_mut_ptr().add(start));
-                let (xr_p, xi_p) = (ur_p.add(half), ui_p.add(half));
-                let (vr, vi) = lanes.rotate(
-                    _mm256_loadu_si256(xr_p.cast()),
-                    _mm256_loadu_si256(xi_p.cast()),
-                    t,
-                    s,
-                    neg,
-                );
-                let ur = _mm256_loadu_si256(ur_p.cast());
-                let ui = _mm256_loadu_si256(ui_p.cast());
-                _mm256_storeu_si256(
-                    ur_p.cast(),
-                    half_round_avx::<HALVE>(_mm256_add_epi64(ur, vr)),
-                );
-                _mm256_storeu_si256(
-                    ui_p.cast(),
-                    half_round_avx::<HALVE>(_mm256_add_epi64(ui, vi)),
-                );
-                _mm256_storeu_si256(
-                    xr_p.cast(),
-                    half_round_avx::<HALVE>(_mm256_sub_epi64(ur, vr)),
-                );
-                _mm256_storeu_si256(
-                    xi_p.cast(),
-                    half_round_avx::<HALVE>(_mm256_sub_epi64(ui, vi)),
-                );
+                let (rp, ip) = (re.as_mut_ptr().add(start), im.as_mut_ptr().add(start));
+                let at = |q: usize| {
+                    (
+                        _mm256_loadu_si256(rp.add(q).cast()),
+                        _mm256_loadu_si256(ip.add(q).cast()),
+                    )
+                };
+                let [sum, dif] = i64_butterfly_avx::<HALVE>(&lanes, at(0), at(half), w);
+                for (q, (xr, xi)) in [(0, sum), (half, dif)] {
+                    _mm256_storeu_si256(rp.add(q).cast(), xr);
+                    _mm256_storeu_si256(ip.add(q).cast(), xi);
+                }
                 start += len;
             }
         }
@@ -1522,9 +2197,11 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
     let lanes = LiftLanes::new(split);
     unsafe {
         let pair = |p: *const i64| _mm256_broadcastsi128_si256(_mm_loadu_si128(p.cast()));
-        let t = lanes.split(pair(rots.t.as_ptr()));
-        let s = lanes.split(pair(rots.s.as_ptr()));
-        let neg = pair(rots.neg.as_ptr());
+        let w = (
+            lanes.split(pair(rots.t.as_ptr())),
+            lanes.split(pair(rots.s.as_ptr())),
+            pair(rots.neg.as_ptr()),
+        );
         let (rp, ip) = (re.as_mut_ptr(), im.as_mut_ptr());
         let mut k = 0;
         while k + 8 <= m {
@@ -1532,19 +2209,15 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
             let br = _mm256_loadu_si256(rp.add(k + 4).cast()); // block B
             let ai = _mm256_loadu_si256(ip.add(k).cast());
             let bi = _mm256_loadu_si256(ip.add(k + 4).cast());
-            let ur = _mm256_permute2x128_si256::<0x20>(ar, br); // [uA0, uA1, uB0, uB1]
-            let ui = _mm256_permute2x128_si256::<0x20>(ai, bi);
-            let (vr, vi) = lanes.rotate(
+            let u = (
+                _mm256_permute2x128_si256::<0x20>(ar, br), // [uA0, uA1, uB0, uB1]
+                _mm256_permute2x128_si256::<0x20>(ai, bi),
+            );
+            let x = (
                 _mm256_permute2x128_si256::<0x31>(ar, br), // [xA0, xA1, xB0, xB1]
                 _mm256_permute2x128_si256::<0x31>(ai, bi),
-                t,
-                s,
-                neg,
             );
-            let sr = half_round_avx::<HALVE>(_mm256_add_epi64(ur, vr));
-            let dr = half_round_avx::<HALVE>(_mm256_sub_epi64(ur, vr));
-            let si = half_round_avx::<HALVE>(_mm256_add_epi64(ui, vi));
-            let di = half_round_avx::<HALVE>(_mm256_sub_epi64(ui, vi));
+            let [(sr, si), (dr, di)] = i64_butterfly_avx::<HALVE>(&lanes, u, x, w);
             _mm256_storeu_si256(rp.add(k).cast(), _mm256_permute2x128_si256::<0x20>(sr, dr));
             _mm256_storeu_si256(
                 rp.add(k + 4).cast(),
@@ -1644,24 +2317,6 @@ const BUNDLE_SHIFT: u32 = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
 const BUNDLE_OUTER: i32 = BUNDLE_SHIFT as i32 - 31;
 #[cfg(target_arch = "x86_64")]
 const _: () = assert!(BUNDLE_OUTER >= 1 && BUNDLE_DROP_BITS >= 1);
-/// Elements the AVX2 bundle row prefetches ahead of its loads in each
-/// source: every source's first eight lines before the loop, then the
-/// line this far ahead whenever the loop enters a new one. A bootstrapping
-/// key streams from memory (109 MB at `m = 3`) as 4 KB spectra, each its
-/// own allocation, `2·(2^m − 1)` of them read side by side — streams too
-/// short for the hardware prefetcher to get ahead of, so without the hints
-/// a row waits at the head of every line, for as long as the host's
-/// neighbours make memory take. Measured on a 7-term group, quietest 1 %
-/// of steps: 53 → 43 µs on a quiet host, 93 → 61 µs on a loaded one; 32
-/// elements measure the same, 128 and a whole row ahead slower, the hints
-/// without the burst over each head half as good, a burst over the whole
-/// row worse than no hint.
-#[cfg(target_arch = "x86_64")]
-const BUNDLE_PREFETCH_AHEAD: usize = 64;
-/// `i64`s to a cache line.
-#[cfg(target_arch = "x86_64")]
-const I64_PER_LINE: usize = 8;
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn i64_bundle_row_avx(
@@ -1694,20 +2349,10 @@ unsafe fn i64_bundle_row_avx(
         let low = _mm256_srli_epi64::<31>(_mm256_xor_si256(d_b, sign));
         _mm256_srli_epi64::<BUNDLE_OUTER>(_mm256_add_epi64(_mm256_add_epi64(d_a, low), inner))
     };
-    // SAFETY (both prefetches): the addresses lie inside the source slices.
-    let prefetch = |s: &[i64], at: usize| unsafe {
-        _mm_prefetch::<_MM_HINT_T0>(s.as_ptr().add(at).cast());
-    };
-    for (s_re, s_im) in srcs {
-        for at in (0..BUNDLE_PREFETCH_AHEAD.min(m)).step_by(I64_PER_LINE) {
-            prefetch(s_re, at);
-            prefetch(s_im, at);
-        }
-    }
+    prefetch_heads(srcs, m);
     let mut k = 0;
     while k + 4 <= m {
-        let ahead = k + BUNDLE_PREFETCH_AHEAD;
-        let hint = k.is_multiple_of(I64_PER_LINE) && ahead < m;
+        let hint = prefetch_due(k, m);
         unsafe {
             let (mut x, mut y) = match base {
                 Some((b_re, b_im)) => {
@@ -1731,8 +2376,8 @@ unsafe fn i64_bundle_row_avx(
                 let sr = _mm256_loadu_si256(s_re.as_ptr().add(k).cast());
                 let si = _mm256_loadu_si256(s_im.as_ptr().add(k).cast());
                 if hint {
-                    prefetch(s_re, ahead);
-                    prefetch(s_im, ahead);
+                    prefetch(s_re, k + BUNDLE_PREFETCH_AHEAD);
+                    prefetch(s_im, k + BUNDLE_PREFETCH_AHEAD);
                 }
                 let (sr_h, sr_l) = (_mm256_srli_epi64::<31>(sr), _mm256_and_si256(sr, low31));
                 let (si_h, si_l) = (_mm256_srli_epi64::<31>(si), _mm256_and_si256(si, low31));

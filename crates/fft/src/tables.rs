@@ -1,7 +1,18 @@
-//! Precomputed twiddle-factor tables and the bit-reversal permutation.
+//! Precomputed twiddle-factor tables and the bit-reversal table: everything
+//! a transform looks up, built once in the plan's constructor and handed to
+//! every kernel, so the hot path computes no index and allocates nothing.
 //!
 //! The transform size used throughout is `M = N/2` complex points for a ring
 //! of degree `N` (Lagrange half-complex folding, see [`crate::twist`]).
+//!
+//! # No permutation pass
+//!
+//! A breadth-first Cooley–Tukey flow runs its butterflies over bit-reversed
+//! data. The engines never reorder a buffer for that: [`BitReversal`] is the
+//! plan's `rev[i]` array, the forward folds store each twisted element at
+//! its reversed slot, and the backward transforms' working copy — which has
+//! to be made anyway, the caller's spectrum is read-only — is made through
+//! the same table.
 //!
 //! # Per-stage contiguous layout
 //!
@@ -99,6 +110,12 @@ impl StageTwiddles {
         (&self.flat_re[start..end], &self.flat_im[start..end])
     }
 
+    /// Transform size `M`.
+    #[inline]
+    pub fn size(&self) -> usize {
+        self.m
+    }
+
     /// The full-size table `w^k`, `k < M/2` (the last stage).
     #[inline]
     pub fn full(&self) -> &[Cplx] {
@@ -109,10 +126,13 @@ impl StageTwiddles {
 /// Twiddle factors `e^{+2πik/M}` for `k ∈ [0, M/2)` — forward and
 /// pre-conjugated inverse, both in per-stage contiguous layout — plus the
 /// twist factors `e^{+iπj/N}` for `j ∈ [0, M)` and every power of the
-/// primitive `2N`-th root (the monomial evaluations of the bundle path).
+/// primitive `2N`-th root (the monomial evaluations of the bundle path), and
+/// the bit-reversal table of the breadth-first flow.
 #[derive(Clone, Debug)]
 pub struct TwiddleTables {
     m: usize,
+    /// `rev[i]` for `i < M`.
+    rev: BitReversal,
     /// Forward kernel `e^{+2πik/M}`, per-stage contiguous.
     fwd: StageTwiddles,
     /// Inverse kernel `e^{-2πik/M}` (pre-conjugated so butterfly loops
@@ -168,6 +188,7 @@ impl TwiddleTables {
         }
         Self {
             m,
+            rev: BitReversal::new(m),
             fwd: StageTwiddles::from_full(&roots, m),
             inv: StageTwiddles::from_full(&roots_conj, m),
             twist,
@@ -182,6 +203,12 @@ impl TwiddleTables {
     #[inline]
     pub fn size(&self) -> usize {
         self.m
+    }
+
+    /// The bit-reversal table for `M` points.
+    #[inline]
+    pub fn bit_reversal(&self) -> &BitReversal {
+        &self.rev
     }
 
     /// `e^{2πik/M}` for `k < M/2`.
@@ -236,59 +263,84 @@ impl TwiddleTables {
     }
 }
 
-/// Applies the bit-reversal permutation in place (the "irregular memory
-/// access" stage the paper attributes to breadth-first Cooley–Tukey flows).
-pub fn bit_reverse_permute<T>(buf: &mut [T]) {
-    let n = buf.len();
-    debug_assert!(n.is_power_of_two());
-    let shift = (n.leading_zeros() + 1) % usize::BITS;
-    for i in 0..n {
-        let j = i.reverse_bits() >> shift;
-        if j > i {
-            buf.swap(i, j);
+/// The bit-reversal permutation of `0..M` as a table: `index()[i]` is `i`
+/// with its `log2 M` bits reversed — the "irregular memory access" stage the
+/// paper attributes to breadth-first Cooley–Tukey flows, computed once.
+///
+/// A plan builds one in its constructor and every transform indexes it: the
+/// forward folds write element `k` straight to slot `index()[k]`
+/// ([`crate::simd::fold_twist`], [`crate::simd::i64_fold_rotate`]), the
+/// backward transforms make their working copy through it
+/// ([`crate::simd::bit_reverse_copy_pair`],
+/// [`crate::simd::bit_reverse_copy`]). Nothing on a transform path
+/// recomputes a reversed index or makes a pass that only permutes.
+///
+/// The vector legs of those kernels move 4×4 blocks: with
+/// `k = [h | mid | l]` (two high bits, the middle, two low bits) the
+/// reversal is `[rev2(l) | rev(mid) | rev2(h)]`, so for a 4-aligned `k < M/4`
+/// the four lanes `k..k + 4` land at `index()[k] + {0, M/2, M/4, 3M/4}` and
+/// the four rows `k + {0, M/2, M/4, 3M/4}` fill those four destinations'
+/// lanes — a transpose between vector loads and vector stores.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitReversal {
+    rev: Vec<u32>,
+}
+
+impl BitReversal {
+    /// The table for `m` points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not a power of two or does not fit 32-bit indices.
+    pub fn new(m: usize) -> Self {
+        assert!(
+            m.is_power_of_two() && m <= 1 << 31,
+            "transform size {m} must be a power of two ≤ 2^31"
+        );
+        // `rev(i)` is `rev(i / 2)` moved down one place, with `i`'s low bit
+        // entering at the top.
+        let mut rev = vec![0u32; m];
+        for i in 1..m {
+            rev[i] = rev[i / 2] / 2 + (i % 2 * (m / 2)) as u32;
         }
+        Self { rev }
     }
-}
 
-/// Out-of-place [`bit_reverse_permute_pair`]: `dst[i] = src[rev(i)]` for
-/// both components in one index walk. A transform that must not clobber
-/// its input reads it exactly once this way, instead of copying it and
-/// then swapping the copy in place.
-///
-/// # Panics
-///
-/// Panics if the four slices differ in length.
-pub fn bit_reverse_copy_pair<T: Copy>(src_a: &[T], src_b: &[T], dst_a: &mut [T], dst_b: &mut [T]) {
-    let n = src_a.len();
-    assert_eq!(src_b.len(), n, "component length mismatch");
-    assert_eq!(dst_a.len(), n, "destination length mismatch");
-    assert_eq!(dst_b.len(), n, "destination length mismatch");
-    debug_assert!(n.is_power_of_two());
-    let shift = (n.leading_zeros() + 1) % usize::BITS;
-    for (i, (a, b)) in dst_a.iter_mut().zip(dst_b.iter_mut()).enumerate() {
-        let j = i.reverse_bits() >> shift;
-        *a = src_a[j];
-        *b = src_b[j];
+    /// Transform size `M`.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.rev.len()
     }
-}
 
-/// [`bit_reverse_permute`] applied coherently to both components of a
-/// split-complex buffer in one index walk — the reversed index is computed
-/// once per position instead of once per component.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if the slices differ in length.
-pub fn bit_reverse_permute_pair<T, U>(a: &mut [T], b: &mut [U]) {
-    let n = a.len();
-    debug_assert_eq!(n, b.len());
-    debug_assert!(n.is_power_of_two());
-    let shift = (n.leading_zeros() + 1) % usize::BITS;
-    for i in 0..n {
-        let j = i.reverse_bits() >> shift;
-        if j > i {
-            a.swap(i, j);
-            b.swap(i, j);
+    /// Whether the table is empty (never: `M ≥ 1`).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.rev.is_empty()
+    }
+
+    /// `index()[i]` = `i` bit-reversed; an involution on `0..M`.
+    #[inline]
+    pub fn index(&self) -> &[u32] {
+        &self.rev
+    }
+
+    /// Permutes both components of a split buffer in place. Not on any
+    /// engine's transform path at the sizes TFHE uses: it serves
+    /// [`crate::ref_fft::dft_in_place`] and the folds of transforms too
+    /// small for a 4×4 block (`M < 16`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice's length is not the table's.
+    pub fn permute_pair<T, U>(&self, a: &mut [T], b: &mut [U]) {
+        assert_eq!(a.len(), self.len(), "buffer length is not the table's");
+        assert_eq!(b.len(), self.len(), "buffer length is not the table's");
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
+            if j > i {
+                a.swap(i, j);
+                b.swap(i, j);
+            }
         }
     }
 }
@@ -396,31 +448,68 @@ mod tests {
         }
     }
 
+    /// The permutation as it was computed per element before the plan owned
+    /// a table.
+    fn reversed(i: usize, m: usize) -> usize {
+        i.reverse_bits() >> ((m.leading_zeros() + 1) % usize::BITS)
+    }
+
     #[test]
     fn bit_reverse_involution() {
-        let mut v: Vec<usize> = (0..64).collect();
-        bit_reverse_permute(&mut v);
-        bit_reverse_permute(&mut v);
-        assert_eq!(v, (0..64).collect::<Vec<_>>());
+        for log in 1..=11 {
+            let m = 1usize << log;
+            let rev = BitReversal::new(m);
+            assert_eq!(rev.len(), m);
+            for (i, &j) in rev.index().iter().enumerate() {
+                assert_eq!(j as usize, reversed(i, m), "m={m} i={i}");
+                assert_eq!(rev.index()[j as usize] as usize, i, "m={m} i={i}");
+            }
+        }
+        assert_eq!(BitReversal::new(1).index(), &[0]);
+        assert_eq!(TwiddleTables::new(64).bit_reversal(), &BitReversal::new(32));
     }
 
     #[test]
     fn bit_reverse_known_order() {
-        let mut v: Vec<usize> = (0..8).collect();
-        bit_reverse_permute(&mut v);
-        assert_eq!(v, vec![0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(BitReversal::new(8).index(), &[0, 4, 2, 6, 1, 5, 3, 7]);
+        let (mut a, mut b): (Vec<usize>, Vec<u8>) = ((0..8).collect(), (10..18).collect());
+        BitReversal::new(8).permute_pair(&mut a, &mut b);
+        assert_eq!(a, vec![0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(b, vec![10, 14, 12, 16, 11, 15, 13, 17]);
     }
 
     #[test]
     fn bit_reverse_copy_matches_in_place() {
-        let a: Vec<u32> = (0..32).collect();
-        let b: Vec<u32> = (100..132).collect();
-        let (mut da, mut db) = (vec![0; 32], vec![0; 32]);
-        bit_reverse_copy_pair(&a, &b, &mut da, &mut db);
-        let (mut ia, mut ib) = (a.clone(), b.clone());
-        bit_reverse_permute_pair(&mut ia, &mut ib);
-        assert_eq!(da, ia);
-        assert_eq!(db, ib);
+        // Reading through the table is the in-place permutation, and the
+        // 4-aligned blocks land where the vector legs put them.
+        for m in [16usize, 32, 512] {
+            let rev = BitReversal::new(m);
+            let a: Vec<u32> = (0..m as u32).collect();
+            let b: Vec<u32> = (100..100 + m as u32).collect();
+            let da: Vec<u32> = rev.index().iter().map(|&j| a[j as usize]).collect();
+            let db: Vec<u32> = rev.index().iter().map(|&j| b[j as usize]).collect();
+            let (mut ia, mut ib) = (a.clone(), b.clone());
+            rev.permute_pair(&mut ia, &mut ib);
+            assert_eq!(da, ia);
+            assert_eq!(db, ib);
+            for k in (0..m / 4).step_by(4) {
+                let base = rev.index()[k] as usize;
+                assert!(base + 3 * m / 4 + 4 <= m, "m={m} k={k}");
+                for (lane, offset) in [0, m / 2, m / 4, 3 * m / 4].into_iter().enumerate() {
+                    assert_eq!(rev.index()[k + lane] as usize, base + offset);
+                    assert_eq!(rev.index()[k + offset] as usize, base + lane);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length is not the table's")]
+    fn permutation_rejects_a_buffer_of_another_size() {
+        // A real assert: the table was built for one `M`, in release builds
+        // too.
+        let (mut a, mut b) = ([0u8; 16], [0u8; 8]);
+        BitReversal::new(8).permute_pair(&mut a, &mut b);
     }
 
     #[test]

@@ -17,14 +17,57 @@
 //! multiplications inside external products.
 //!
 //! All folds produce *split-complex* buffers (separate `re[]`/`im[]`
-//! slices): each fold fills the components with a load/convert pass, then
-//! hands the complex twist multiply to [`crate::simd::twist_apply`], which
-//! vectorizes it when AVX2+FMA are available. The unfold is one fused pass,
-//! [`crate::simd::untwist_to_torus`].
+//! slices) in one pass, [`crate::simd::fold_twist`]: load, convert (or
+//! extract a gadget digit), multiply by the twist, store — in natural
+//! order for the depth-first engines, or with every point written straight
+//! to its bit-reversed slot for the breadth-first one ([`Order`]), whose
+//! butterflies then start without a permutation pass — and start at the
+//! third stage, the fold having run the two narrow ones on the way. The
+//! unfold is one fused pass too, [`crate::simd::untwist_to_torus`].
 
-use crate::simd;
+use crate::simd::{self, FoldDigit, Reversed};
 use crate::tables::TwiddleTables;
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
+
+/// Where a fold leaves evaluation-order point `k`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Order {
+    /// Slot `k`: the input of a depth-first (decimating) flow.
+    Natural,
+    /// Slot `rev(k)` of the plan's [`crate::tables::BitReversal`], and the
+    /// forward stages `len = 2` and `len = 4` done (they combine four
+    /// neighbouring slots, which the fold has in hand): the input of the
+    /// breadth-first stage loop from [`simd::FIRST_WIDE_STAGE`] on.
+    BitReversed,
+}
+
+/// The fold every entry point below is: coefficient words `c`, what to make
+/// of each (`digit`), and where the twisted points go.
+fn fold(
+    c: &[u32],
+    digit: FoldDigit,
+    tables: &TwiddleTables,
+    order: Order,
+    re: &mut Vec<f64>,
+    im: &mut Vec<f64>,
+) {
+    let m = tables.size();
+    assert_eq!(c.len(), 2 * m, "polynomial length mismatch");
+    // Every slot is written: the resize only ever fills a buffer's first
+    // use.
+    re.resize(m, 0.0);
+    im.resize(m, 0.0);
+    let (lo, hi) = c.split_at(m);
+    let (twre, twim) = tables.twist_split();
+    let reversed = match order {
+        Order::Natural => None,
+        Order::BitReversed => Some(Reversed {
+            order: tables.bit_reversal(),
+            stages: tables.forward_stages(),
+        }),
+    };
+    simd::fold_twist(lo, hi, digit, twre, twim, reversed, re, im);
+}
 
 /// Folds an integer polynomial into the twisted split-complex buffer
 /// (the input of the forward transform).
@@ -32,16 +75,15 @@ use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 /// # Panics
 ///
 /// Panics if `p.len() != 2 * tables.size()`.
-pub fn fold_int(p: &IntPolynomial, tables: &TwiddleTables, re: &mut Vec<f64>, im: &mut Vec<f64>) {
-    let m = tables.size();
-    assert_eq!(p.len(), 2 * m, "polynomial length mismatch");
-    let c = p.coeffs();
-    re.clear();
-    im.clear();
-    re.extend(c[..m].iter().map(|&x| x as f64));
-    im.extend(c[m..].iter().map(|&x| x as f64));
-    let (twre, twim) = tables.twist_split();
-    simd::twist_apply(re, im, twre, twim);
+pub fn fold_int(
+    p: &IntPolynomial,
+    tables: &TwiddleTables,
+    order: Order,
+    re: &mut Vec<f64>,
+    im: &mut Vec<f64>,
+) {
+    let words = simd::int_words(p.coeffs());
+    fold(words, FoldDigit::WHOLE, tables, order, re, im);
 }
 
 /// Folds one gadget-digit level of a torus polynomial into the twisted
@@ -55,32 +97,26 @@ pub fn fold_int(p: &IntPolynomial, tables: &TwiddleTables, re: &mut Vec<f64>, im
 ///
 /// # Panics
 ///
-/// Panics if `p.len() != 2 * tables.size()`.
+/// Panics if `p.len() != 2 * tables.size()` or `level` is not one of
+/// `decomp`'s.
 pub fn fold_torus_digit(
     p: &TorusPolynomial,
     decomp: &GadgetDecomposer,
     level: usize,
     tables: &TwiddleTables,
+    order: Order,
     re: &mut Vec<f64>,
     im: &mut Vec<f64>,
 ) {
-    let m = tables.size();
-    assert_eq!(p.len(), 2 * m, "polynomial length mismatch");
-    let c = p.coeffs();
-    re.clear();
-    im.clear();
-    re.extend(
-        c[..m]
-            .iter()
-            .map(|&x| decomp.digit(decomp.shift(x), level) as f64),
+    let words = simd::torus_words(p.coeffs());
+    fold(
+        words,
+        FoldDigit::level(decomp, level),
+        tables,
+        order,
+        re,
+        im,
     );
-    im.extend(
-        c[m..]
-            .iter()
-            .map(|&x| decomp.digit(decomp.shift(x), level) as f64),
-    );
-    let (twre, twim) = tables.twist_split();
-    simd::twist_apply(re, im, twre, twim);
 }
 
 /// Folds a torus polynomial (centered representatives) into the twisted
@@ -92,18 +128,12 @@ pub fn fold_torus_digit(
 pub fn fold_torus(
     p: &TorusPolynomial,
     tables: &TwiddleTables,
+    order: Order,
     re: &mut Vec<f64>,
     im: &mut Vec<f64>,
 ) {
-    let m = tables.size();
-    assert_eq!(p.len(), 2 * m, "polynomial length mismatch");
-    let c = p.coeffs();
-    re.clear();
-    im.clear();
-    re.extend(c[..m].iter().map(|&x| x.raw() as i32 as f64));
-    im.extend(c[m..].iter().map(|&x| x.raw() as i32 as f64));
-    let (twre, twim) = tables.twist_split();
-    simd::twist_apply(re, im, twre, twim);
+    let words = simd::torus_words(p.coeffs());
+    fold(words, FoldDigit::WHOLE, tables, order, re, im);
 }
 
 /// Unfolds an inverse-transformed split buffer back into torus
@@ -199,7 +229,7 @@ mod tests {
         );
         let mut re = Vec::new();
         let mut im = Vec::new();
-        fold_torus(&p, &tables, &mut re, &mut im);
+        fold_torus(&p, &tables, Order::Natural, &mut re, &mut im);
         // Undo only the twist (no transform): unfold expects untwisted data,
         // so compose manually.
         let q = unfold_torus(&re, &im, 1.0, &tables);
@@ -208,21 +238,28 @@ mod tests {
 
     #[test]
     fn fold_torus_digit_matches_materialized_digits() {
-        let tables = TwiddleTables::new(8);
-        let decomp = GadgetDecomposer::new(8, 3);
-        let p = TorusPolynomial::from_coeffs(
-            (0..8u32)
-                .map(|i| Torus32::from_raw(i.wrapping_mul(0x9e37_79b9).wrapping_add(11)))
-                .collect(),
-        );
-        let digits = decomp.decompose_poly(&p);
-        let (mut fre, mut fim) = (Vec::new(), Vec::new());
-        let (mut ure, mut uim) = (Vec::new(), Vec::new());
-        for (level, digit_poly) in digits.iter().enumerate() {
-            fold_torus_digit(&p, &decomp, level, &tables, &mut fre, &mut fim);
-            fold_int(digit_poly, &tables, &mut ure, &mut uim);
-            assert_eq!(fre, ure, "level {level}");
-            assert_eq!(fim, uim, "level {level}");
+        // Below and above the size where the vector leg stores whole blocks,
+        // in both orders, with a decomposition that uses all 32 bits (its
+        // last level shifts by zero) and one that leaves some.
+        for (n, bg_bits, levels) in [(8usize, 8, 3), (64, 8, 4), (128, 10, 3)] {
+            let tables = TwiddleTables::new(n);
+            let decomp = GadgetDecomposer::new(bg_bits, levels);
+            let p = TorusPolynomial::from_coeffs(
+                (0..n as u32)
+                    .map(|i| Torus32::from_raw(i.wrapping_mul(0x9e37_79b9).wrapping_add(11)))
+                    .collect(),
+            );
+            let digits = decomp.decompose_poly(&p);
+            let (mut fre, mut fim) = (Vec::new(), Vec::new());
+            let (mut ure, mut uim) = (Vec::new(), Vec::new());
+            for order in [Order::Natural, Order::BitReversed] {
+                for (level, digit_poly) in digits.iter().enumerate() {
+                    fold_torus_digit(&p, &decomp, level, &tables, order, &mut fre, &mut fim);
+                    fold_int(digit_poly, &tables, order, &mut ure, &mut uim);
+                    assert_eq!(fre, ure, "n={n} level {level} {order:?}");
+                    assert_eq!(fim, uim, "n={n} level {level} {order:?}");
+                }
+            }
         }
     }
 
@@ -234,7 +271,7 @@ mod tests {
         p.coeffs_mut()[4] = 7;
         let mut re = Vec::new();
         let mut im = Vec::new();
-        fold_int(&p, &tables, &mut re, &mut im);
+        fold_int(&p, &tables, Order::Natural, &mut re, &mut im);
         assert!((Cplx::new(re[0], im[0]) - Cplx::new(3.0, 7.0)).abs() < 1e-12);
     }
 
@@ -254,6 +291,6 @@ mod tests {
         let tables = TwiddleTables::new(8);
         let p = TorusPolynomial::zero(16);
         let (mut re, mut im) = (Vec::new(), Vec::new());
-        fold_torus(&p, &tables, &mut re, &mut im);
+        fold_torus(&p, &tables, Order::Natural, &mut re, &mut im);
     }
 }

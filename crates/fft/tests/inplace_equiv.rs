@@ -3,6 +3,8 @@
 //! order, same rounding. Any divergence is an ordering bug, not a tolerance
 //! question, so everything here compares exact representations.
 
+use matcha_fft::ref_fft::{dft_in_place, Direction};
+use matcha_fft::twist::{self, Order};
 use matcha_fft::{
     ApproxIntFft, CplxSpectrum, DepthFirstFft, F64Fft, FftEngine, Radix4Fft, SplitFactors,
 };
@@ -190,8 +192,57 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
     }
 }
 
+/// The breadth-first engine's forward transforms — fold to bit-reversed
+/// slots with the narrow stages on the way, wide stages two to a pass —
+/// against the flow they replaced, one pass per step: natural-order fold,
+/// then `dft_in_place` (a permutation pass, then the stage loop from
+/// `len = 2`). Bit-identical on whatever leg is active.
+fn check_f64_forward_flow(p: &TorusPolynomial, q: &IntPolynomial) {
+    let engine = F64Fft::new(N);
+    let tables = engine.tables();
+    let decomp = GadgetDecomposer::new(8, 3);
+    let mut scratch = engine.make_scratch();
+    let mut got = engine.zero_spectrum();
+    let mut want = CplxSpectrum::default();
+    let forward = |s: &mut CplxSpectrum| {
+        dft_in_place(&mut s.re, &mut s.im, tables, Direction::Forward);
+    };
+
+    engine.forward_torus_into(p, &mut got, &mut scratch);
+    twist::fold_torus(p, tables, Order::Natural, &mut want.re, &mut want.im);
+    forward(&mut want);
+    prop_assert_eq!(&got, &want);
+
+    engine.forward_int_into(q, &mut got, &mut scratch);
+    twist::fold_int(q, tables, Order::Natural, &mut want.re, &mut want.im);
+    forward(&mut want);
+    prop_assert_eq!(&got, &want);
+
+    for level in 0..decomp.levels() {
+        engine.forward_decomposed_into(p, &decomp, level, &mut got, &mut scratch);
+        let order = Order::Natural;
+        twist::fold_torus_digit(p, &decomp, level, tables, order, &mut want.re, &mut want.im);
+        forward(&mut want);
+        prop_assert_eq!(&got, &want, "level {}", level);
+    }
+
+    // Backward: the working copy through the table and the paired stages
+    // against the same plain DFT and the unfold.
+    let mut out = TorusPolynomial::zero(N);
+    engine.backward_torus_into(&got, &mut out, &mut scratch);
+    let mut work = got.clone();
+    dft_in_place(&mut work.re, &mut work.im, tables, Direction::Inverse);
+    let plain = twist::unfold_torus(&work.re, &work.im, 2.0 / N as f64, tables);
+    prop_assert_eq!(&out, &plain);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn f64_transforms_match_the_pass_by_pass_flow(p in torus_poly(), q in digit_poly()) {
+        check_f64_forward_flow(&p, &q);
+    }
 
     #[test]
     fn f64_into_matches_allocating(p in torus_poly(), q in digit_poly()) {

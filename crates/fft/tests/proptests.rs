@@ -10,24 +10,42 @@ use proptest::prelude::*;
 
 const N: usize = 32;
 
-fn torus_poly() -> impl Strategy<Value = TorusPolynomial> {
-    proptest::collection::vec(any::<u32>().prop_map(Torus32::from_raw), N)
+/// A second ring degree for the round-trip and naive-product properties:
+/// `log2 M` is even at [`N`] (`M = 16`) and odd here (`M = 32`), so the
+/// stage loops end once on a pair of stages and once on a single one.
+const N_ODD: usize = 64;
+
+fn torus_poly_of(n: usize) -> impl Strategy<Value = TorusPolynomial> {
+    proptest::collection::vec(any::<u32>().prop_map(Torus32::from_raw), n)
         .prop_map(TorusPolynomial::from_coeffs)
 }
 
+fn digit_poly_of(n: usize) -> impl Strategy<Value = IntPolynomial> {
+    proptest::collection::vec(-512i32..512, n).prop_map(IntPolynomial::from_coeffs)
+}
+
+fn torus_poly() -> impl Strategy<Value = TorusPolynomial> {
+    torus_poly_of(N)
+}
+
 fn digit_poly() -> impl Strategy<Value = IntPolynomial> {
-    proptest::collection::vec(-512i32..512, N).prop_map(IntPolynomial::from_coeffs)
+    digit_poly_of(N)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn f64_engine_matches_naive(p in torus_poly(), q in digit_poly()) {
-        let engine = F64Fft::new(N);
-        let fast = engine.poly_mul(&p, &q);
-        let exact = p.naive_mul_int(&q);
-        prop_assert!(fast.max_distance(&exact) < 1e-6);
+    fn f64_engine_matches_naive(
+        p in torus_poly(),
+        q in digit_poly(),
+        p_odd in torus_poly_of(N_ODD),
+        q_odd in digit_poly_of(N_ODD),
+    ) {
+        for (p, q) in [(&p, &q), (&p_odd, &q_odd)] {
+            let fast = F64Fft::new(p.len()).poly_mul(p, q);
+            prop_assert!(fast.max_distance(&p.naive_mul_int(q)) < 1e-6, "n={}", p.len());
+        }
     }
 
     #[test]
@@ -45,11 +63,16 @@ proptest! {
     }
 
     #[test]
-    fn approx_engine_matches_naive_at_high_precision(p in torus_poly(), q in digit_poly()) {
-        let engine = ApproxIntFft::new(N, 50);
-        let fast = engine.poly_mul(&p, &q);
-        let exact = p.naive_mul_int(&q);
-        prop_assert!(fast.max_distance(&exact) < 1e-6);
+    fn approx_engine_matches_naive_at_high_precision(
+        p in torus_poly(),
+        q in digit_poly(),
+        p_odd in torus_poly_of(N_ODD),
+        q_odd in digit_poly_of(N_ODD),
+    ) {
+        for (p, q) in [(&p, &q), (&p_odd, &q_odd)] {
+            let fast = ApproxIntFft::new(p.len(), 50).poly_mul(p, q);
+            prop_assert!(fast.max_distance(&p.naive_mul_int(q)) < 1e-6, "n={}", p.len());
+        }
     }
 
     #[test]
@@ -103,13 +126,16 @@ proptest! {
     }
 
     #[test]
-    fn roundtrip_identity_for_all_engines(p in torus_poly()) {
-        let f = F64Fft::new(N);
-        prop_assert!(f.backward_torus(&f.forward_torus(&p)).max_distance(&p) < 1e-7);
-        let d = DepthFirstFft::new(N);
-        prop_assert!(d.backward_torus(&d.forward_torus(&p)).max_distance(&p) < 1e-7);
-        let a = ApproxIntFft::new(N, 50);
-        prop_assert!(a.backward_torus(&a.forward_torus(&p)).max_distance(&p) < 1e-6);
+    fn roundtrip_identity_for_all_engines(p in torus_poly(), p_odd in torus_poly_of(N_ODD)) {
+        for p in [&p, &p_odd] {
+            let n = p.len();
+            let f = F64Fft::new(n);
+            prop_assert!(f.backward_torus(&f.forward_torus(p)).max_distance(p) < 1e-7, "n={n}");
+            let d = DepthFirstFft::new(n);
+            prop_assert!(d.backward_torus(&d.forward_torus(p)).max_distance(p) < 1e-7, "n={n}");
+            let a = ApproxIntFft::new(n, 50);
+            prop_assert!(a.backward_torus(&a.forward_torus(p)).max_distance(p) < 1e-6, "n={n}");
+        }
     }
 
     #[test]

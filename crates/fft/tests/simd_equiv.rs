@@ -14,17 +14,29 @@
 //!   backward-transformed torus coefficients with a tolerance far below
 //!   TFHE's noise floor but far above any legitimate ulp drift.
 //!
+//! The transforms make no permutation pass: the folds store straight to
+//! bit-reversed slots, the backward working copy reads through the plan's
+//! table, both run the two narrow stages on the way, and the wide f64
+//! stages run two to a pass. Each of those is compared here, **bit for
+//! bit on either leg**, with the pass-by-pass flow it replaced — natural
+//! fold, `bit_reverse_permute_pair`, one stage at a time — whose
+//! permutation functions live on below as the test's reference.
+//!
 //! `force_simd` is process-global, so every test takes a mutex; on CPUs
 //! without AVX2+FMA both sides force to the scalar leg and the comparisons
 //! hold trivially (the CI matrix runs the suite with `MATCHA_SIMD` forced
 //! both ways for the same reason).
 
 use matcha_fft::approx::FixedSpectrum;
+use matcha_fft::lifting::{LiftingRotation, LiftingTable};
+use matcha_fft::simd::{FoldDigit, Reversed};
+use matcha_fft::tables::BitReversal;
+use matcha_fft::twist::Order;
 use matcha_fft::{
     force_simd, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft, F64Fft,
-    FftEngine, Radix4Fft,
+    FftEngine, Radix4Fft, TwiddleTables,
 };
-use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial};
+use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use std::sync::{Mutex, MutexGuard};
 
 static SIMD_LOCK: Mutex<()> = Mutex::new(());
@@ -125,6 +137,34 @@ fn radix4_simd_matches_scalar() {
     check_f64_engine(&Radix4Fft::new(64), 32);
 }
 
+/// The in-place permutation every forward transform made before the folds
+/// stored to reversed slots (`tables::bit_reverse_permute_pair` up to PR 19):
+/// the reversed index recomputed per element, a swap where it is larger.
+fn bit_reverse_permute_pair<T, U>(a: &mut [T], b: &mut [U]) {
+    let n = a.len();
+    assert_eq!(n, b.len());
+    let shift = (n.leading_zeros() + 1) % usize::BITS;
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        if j > i {
+            a.swap(i, j);
+            b.swap(i, j);
+        }
+    }
+}
+
+/// The out-of-place form the backward transforms used for their working
+/// copy (`tables::bit_reverse_copy_pair` up to PR 19).
+fn bit_reverse_copy_pair<T: Copy>(src_a: &[T], src_b: &[T], dst_a: &mut [T], dst_b: &mut [T]) {
+    let n = src_a.len();
+    let shift = (n.leading_zeros() + 1) % usize::BITS;
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        dst_a[i] = src_a[j];
+        dst_b[i] = src_b[j];
+    }
+}
+
 /// The integer engine's transforms as they were written before the tables
 /// became arrays: [`LiftingRotation::apply`] — the `i128` definition, with
 /// its `Identity`/`Negation`/`Lifting` cases — in plain stage loops. Both
@@ -133,23 +173,11 @@ mod approx_reference {
     use matcha_fft::LiftingRotation;
     use std::f64::consts::{PI, TAU};
 
-    fn bit_reverse(re: &mut [i64], im: &mut [i64]) {
-        let m = re.len();
-        let bits = m.trailing_zeros();
-        for i in 0..m {
-            let j = i.reverse_bits() >> (usize::BITS - bits);
-            if i < j {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-    }
-
     /// Radix-2 stages with rotations by `sign·2πk/len`, optionally halving
     /// every output (round half up).
     fn stages(re: &mut [i64], im: &mut [i64], sign: f64, bits: u32, halve: bool) {
         let m = re.len();
-        bit_reverse(re, im);
+        super::bit_reverse_permute_pair(re, im);
         let scale = |v: i64| if halve { (v + 1) >> 1 } else { v };
         let mut len = 2;
         while len <= m {
@@ -605,4 +633,275 @@ fn detection_reporting_is_consistent() {
     );
     force_simd(Some(false));
     assert!(!simd_active());
+}
+
+/// Ring degrees whose transform sizes cover both parities of `log2 M`, the
+/// sizes too small for a 4×4 block (`M < 16`) or for a stage pair, and the
+/// paper's.
+const DEGREES: [usize; 10] = [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+
+fn random_f64s(m: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..m)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 40) as f64 - 4096.0
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn stage_pair_matches_two_single_stages_on_either_leg() {
+    // Every `len` a pair can start at, at every size from the smallest that
+    // holds one: `len < 8` and the scalar leg run the two single stages
+    // anyway, `len ≥ 8` on the vector leg is the in-register kernel. Both
+    // directions' twiddles.
+    let _g = ForceGuard::lock();
+    for n in DEGREES {
+        let m = n / 2;
+        let tables = TwiddleTables::new(n);
+        for force in [false, true] {
+            force_simd(Some(force));
+            for stages in [tables.forward_stages(), tables.inverse_stages()] {
+                let mut len = 2;
+                while 2 * len <= m {
+                    let (w1re, w1im) = stages.stage_split(len);
+                    let (w2re, w2im) = stages.stage_split(2 * len);
+                    let (re, im) = (random_f64s(m, len as u64), random_f64s(m, 77 + len as u64));
+                    let (mut pre, mut pim) = (re.clone(), im.clone());
+                    simd::radix2_stage_pair(&mut pre, &mut pim, w1re, w1im, w2re, w2im, len);
+                    let (mut sre, mut sim) = (re, im);
+                    simd::radix2_stage(&mut sre, &mut sim, w1re, w1im, len);
+                    simd::radix2_stage(&mut sre, &mut sim, w2re, w2im, 2 * len);
+                    assert_eq!(bits(&pre), bits(&sre), "re, n={n} len={len} simd={force}");
+                    assert_eq!(bits(&pim), bits(&sim), "im, n={n} len={len} simd={force}");
+                    len *= 2;
+                }
+            }
+        }
+    }
+}
+
+/// The two narrow stages, one pass each, over bit-reversed data.
+fn narrow_stages(re: &mut [f64], im: &mut [f64], stages: &matcha_fft::StageTwiddles) {
+    for len in [2usize, 4] {
+        if len <= re.len() {
+            let (wre, wim) = stages.stage_split(len);
+            simd::radix2_stage(re, im, wre, wim, len);
+        }
+    }
+}
+
+#[test]
+fn reversed_folds_match_natural_fold_permutation_and_narrow_stages() {
+    // All three folds, on either leg: one pass to bit-reversed slots with
+    // the narrow stages done == natural fold, the old permutation pass, a
+    // pass for `len = 2` and a pass for `len = 4`.
+    let _g = ForceGuard::lock();
+    let decomp = GadgetDecomposer::new(10, 3);
+    for n in DEGREES {
+        let tables = TwiddleTables::new(n);
+        let p = random_torus_poly(n, 5 + n as u32);
+        let q = IntPolynomial::from_coeffs(
+            p.coeffs()
+                .iter()
+                .map(|c| (c.raw() >> 21) as i32 - 1024)
+                .collect(),
+        );
+        for force in [false, true] {
+            force_simd(Some(force));
+            type Fold<'a> = Box<dyn Fn(Order, &mut Vec<f64>, &mut Vec<f64>) + 'a>;
+            let mut folds: Vec<(String, Fold)> = vec![
+                (
+                    "fold_torus".into(),
+                    Box::new(|order, re, im| twist::fold_torus(&p, &tables, order, re, im)),
+                ),
+                (
+                    "fold_int".into(),
+                    Box::new(|order, re, im| twist::fold_int(&q, &tables, order, re, im)),
+                ),
+            ];
+            for level in 0..decomp.levels() {
+                let (p, tables, decomp) = (&p, &tables, &decomp);
+                folds.push((
+                    format!("fold_torus_digit level {level}"),
+                    Box::new(move |order, re, im| {
+                        twist::fold_torus_digit(p, decomp, level, tables, order, re, im)
+                    }),
+                ));
+            }
+            for (name, fold) in &folds {
+                // Dirty, mis-sized outputs must not leak through.
+                let (mut rre, mut rim) = (vec![7.0; 3], vec![7.0; 2 * n]);
+                fold(Order::BitReversed, &mut rre, &mut rim);
+                let (mut nre, mut nim) = (Vec::new(), vec![7.0; n]);
+                fold(Order::Natural, &mut nre, &mut nim);
+                bit_reverse_permute_pair(&mut nre, &mut nim);
+                narrow_stages(&mut nre, &mut nim, tables.forward_stages());
+                assert_eq!(bits(&rre), bits(&nre), "{name} re, n={n} simd={force}");
+                assert_eq!(bits(&rim), bits(&nim), "{name} im, n={n} simd={force}");
+            }
+        }
+    }
+}
+
+#[test]
+fn reversed_copies_match_the_per_element_copy() {
+    // The backward transforms' working copy: through the table (4×4 blocks
+    // on the vector leg) == the reversed index recomputed per element, for
+    // both engines' element types; and the f64 copy that runs the narrow
+    // stages on the way == copy, then a pass per stage.
+    let _g = ForceGuard::lock();
+    for n in DEGREES {
+        let m = n / 2;
+        let tables = TwiddleTables::new(n);
+        let order = tables.bit_reversal();
+        assert_eq!(order, &BitReversal::new(m));
+        let (re, im) = (random_f64s(m, 3), random_f64s(m, 4));
+        let (ire, iim): (Vec<i64>, Vec<i64>) = (
+            re.iter().map(|x| x.to_bits() as i64).collect(),
+            im.iter().map(|x| x.to_bits() as i64).collect(),
+        );
+        for force in [false, true] {
+            force_simd(Some(force));
+            let (mut ere, mut eim) = (vec![0.0; m], vec![0.0; m]);
+            bit_reverse_copy_pair(&re, &im, &mut ere, &mut eim);
+            let (mut gre, mut gim) = (vec![1.0; m], vec![1.0; m]);
+            simd::bit_reverse_copy(&re, &mut gre, order);
+            simd::bit_reverse_copy(&im, &mut gim, order);
+            assert_eq!(
+                (bits(&gre), bits(&gim)),
+                (bits(&ere), bits(&eim)),
+                "f64, n={n}"
+            );
+
+            let (mut eire, mut eiim) = (vec![0i64; m], vec![0i64; m]);
+            bit_reverse_copy_pair(&ire, &iim, &mut eire, &mut eiim);
+            let (mut gire, mut giim) = (vec![1i64; m], vec![1i64; m]);
+            simd::bit_reverse_copy(&ire, &mut gire, order);
+            simd::bit_reverse_copy(&iim, &mut giim, order);
+            assert_eq!((gire, giim), (eire, eiim), "i64, n={n} simd={force}");
+
+            for stages in [tables.forward_stages(), tables.inverse_stages()] {
+                let (mut sre, mut sim) = (ere.clone(), eim.clone());
+                narrow_stages(&mut sre, &mut sim, stages);
+                let reversed = Reversed { order, stages };
+                simd::bit_reverse_copy_pair(&re, &im, reversed, &mut gre, &mut gim);
+                assert_eq!(bits(&gre), bits(&sre), "staged re, n={n} simd={force}");
+                assert_eq!(bits(&gim), bits(&sim), "staged im, n={n} simd={force}");
+            }
+        }
+    }
+}
+
+#[test]
+fn integer_reversed_fold_matches_prescale_rotate_and_permutation() {
+    // `i64_fold_rotate` == pre-scale into natural order, `i64_rotate`, the
+    // old permutation pass — the same integers on either leg, at the
+    // paper's width and at the one the vector lift does not reach.
+    let _g = ForceGuard::lock();
+    let decomp = GadgetDecomposer::new(10, 3);
+    for n in DEGREES {
+        let m = n / 2;
+        let order = BitReversal::new(m);
+        let p = random_torus_poly(n, 9 + n as u32);
+        let words = simd::torus_words(p.coeffs());
+        let (lo, hi) = words.split_at(m);
+        for beta in [38u32, 62] {
+            let twist = (0..m).map(|j| {
+                LiftingRotation::from_angle(std::f64::consts::PI * j as f64 / n as f64, beta)
+            });
+            let table = LiftingTable::new(twist, beta);
+            let rots = table.slice(0..m);
+            for (digit, frac) in [
+                (FoldDigit::WHOLE, 20),
+                (FoldDigit::level(&decomp, 0), 41),
+                (FoldDigit::level(&decomp, 2), 41),
+            ] {
+                let (scalar, vector) = on_both_legs(|| {
+                    let (mut re, mut im) = (vec![5i64; m], vec![5i64; m]);
+                    simd::i64_fold_rotate(lo, hi, digit, frac, rots, &order, &mut re, &mut im);
+                    (re, im)
+                });
+                let mut re: Vec<i64> = lo.iter().map(|&x| (digit.of(x) as i64) << frac).collect();
+                let mut im: Vec<i64> = hi.iter().map(|&x| (digit.of(x) as i64) << frac).collect();
+                force_simd(Some(false));
+                simd::i64_rotate(&mut re, &mut im, rots);
+                bit_reverse_permute_pair(&mut re, &mut im);
+                assert_eq!(
+                    scalar,
+                    (re.clone(), im.clone()),
+                    "scalar, n={n} beta={beta}"
+                );
+                assert_eq!(vector, (re, im), "vector, n={n} beta={beta}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fold_digit_is_the_decomposers_digit() {
+    // Including a decomposition that uses all 32 bits (last level: shift 0).
+    for (bg_bits, levels) in [(10u32, 3usize), (8, 4), (2, 8), (1, 1), (16, 2), (31, 1)] {
+        let decomp = GadgetDecomposer::new(bg_bits, levels);
+        let mut x = 0x1234_5678u32;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(0x9e37_79b9).wrapping_add(0x7f4a_7c15);
+            assert_eq!(FoldDigit::WHOLE.of(x), x as i32);
+            for level in 0..levels {
+                assert_eq!(
+                    FoldDigit::level(&decomp, level).of(x),
+                    decomp.digit(decomp.shift(Torus32::from_raw(x)), level),
+                    "bg_bits={bg_bits} level={level} x={x:#x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "tables built for another size")]
+fn reversed_copy_rejects_a_table_of_another_size() {
+    // Real asserts, release builds included: the table indexes the buffers.
+    let (small, large) = (TwiddleTables::new(32), TwiddleTables::new(64));
+    let reversed = Reversed {
+        order: small.bit_reversal(),
+        stages: large.inverse_stages(),
+    };
+    let (src, mut dst) = (vec![0.0; 16], vec![0.0; 16]);
+    let mut dst2 = dst.clone();
+    simd::bit_reverse_copy_pair(&src, &src, reversed, &mut dst, &mut dst2);
+}
+
+#[test]
+#[should_panic(expected = "buffer length is not the table's")]
+fn table_copy_rejects_a_buffer_of_another_size() {
+    let (src, mut dst) = (vec![0i64; 32], vec![0i64; 32]);
+    simd::bit_reverse_copy(&src, &mut dst, &BitReversal::new(16));
+}
+
+#[test]
+#[should_panic(expected = "buffer length is not the table's")]
+fn dft_rejects_a_buffer_of_another_size() {
+    let tables = TwiddleTables::new(32);
+    let (mut re, mut im) = (vec![0.0; 32], vec![0.0; 32]);
+    let forward = matcha_fft::ref_fft::Direction::Forward;
+    matcha_fft::ref_fft::dft_in_place(&mut re, &mut im, &tables, forward);
+}
+
+#[test]
+#[should_panic(expected = "buffer not a multiple of the stage length")]
+fn stage_pair_rejects_a_buffer_shorter_than_its_second_stage() {
+    let tables = TwiddleTables::new(32);
+    let stages = tables.forward_stages();
+    let (w1re, w1im) = stages.stage_split(8);
+    let (w2re, w2im) = stages.stage_split(16);
+    let (mut re, mut im) = (vec![0.0; 8], vec![0.0; 8]);
+    simd::radix2_stage_pair(&mut re, &mut im, w1re, w1im, w2re, w2im, 8);
 }

@@ -142,6 +142,36 @@ fn streaming_error_db_allocates_nothing() {
     );
 }
 
+/// The bit-reversal table is plan state, built with the engine: the very
+/// first transforms through a fresh scratch allocate the buffers they fill
+/// — the backward working copy's two components — and nothing
+/// table-shaped; from the second round on, nothing at all.
+fn assert_first_transform_allocates_only_buffers<E: FftEngine>(engine: &E) {
+    let n = engine.ring_degree();
+    let p = TorusPolynomial::constant(Torus32::from_f64(0.25), n);
+    let mut spectrum = engine.zero_spectrum();
+    let mut out = TorusPolynomial::zero(n);
+    let mut scratch = engine.make_scratch();
+    for (round, expected) in [(1, 2), (2, 0)] {
+        let before = allocations();
+        engine.forward_torus_into(&p, &mut spectrum, &mut scratch);
+        engine.backward_torus_into(&spectrum, &mut out, &mut scratch);
+        let delta = allocations() - before;
+        assert_eq!(delta, expected, "round {round} allocated {delta} times");
+    }
+    assert!(out.max_distance(&p) < 1e-6);
+}
+
+#[test]
+fn first_transform_allocates_buffers_not_tables() {
+    let _leg = ForcedLeg::lock();
+    for leg in [false, true] {
+        matcha_fft::force_simd(Some(leg));
+        assert_first_transform_allocates_only_buffers(&F64Fft::new(1024));
+        assert_first_transform_allocates_only_buffers(&ApproxIntFft::new(1024, 38));
+    }
+}
+
 fn assert_zero_alloc_bootstrap<E>(engine: &E, unroll: usize, seed: u64)
 where
     E: matcha_fft::FftEngine,
