@@ -21,7 +21,7 @@
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
 
 use crate::cplx::Cplx;
-use crate::engine::{for_each_source_chunk, FftEngine, Spectrum, BUNDLE_CHUNK};
+use crate::engine::{split_key_row, FftEngine, KeyBlock, Spectrum};
 use crate::lifting::{LiftingRotation, LiftingTable, Lifts};
 use crate::simd::{self, FoldDigit};
 use crate::tables::BitReversal;
@@ -438,12 +438,16 @@ impl FftEngine for ApproxIntFft {
     /// but TGSW scaling legitimately uses the cluster's multipliers.
     ///
     /// Each table is a serial chain `ε_{k+1}^e = ε_k^e · ε^{4e}` in doubles;
-    /// up to `BUNDLE_CHUNK` (8) chains advance side by side (they are
-    /// independent, so every value is what one chain alone computes) to
-    /// hide the complex multiply's latency.
+    /// up to eight chains advance side by side (they are independent, so
+    /// every value is what one chain alone computes) to hide the complex
+    /// multiply's latency.
+    ///
+    /// `key_exp` changes nothing here: the quantized factors have no bits to
+    /// spare for it, and the bundle row's rounding shift takes it for free.
     fn monomial_factors_into(
         &self,
         mut exponents: impl Iterator<Item = i64>,
+        _key_exp: u32,
         out: &mut Vec<[i32; 2]>,
     ) {
         let m = self.n / 2;
@@ -452,7 +456,8 @@ impl FftEngine for ApproxIntFft {
         // `ε^N − 1 = −2` lands on `i32::MIN` exactly; nothing is larger.
         let quantize = |v: f64| simd::round_half_away(v * quant) as i32;
         out.clear();
-        let mut chains = [(Cplx::ZERO, Cplx::ZERO); BUNDLE_CHUNK];
+        const CHAINS: usize = 8;
+        let mut chains = [(Cplx::ZERO, Cplx::ZERO); CHAINS];
         loop {
             let mut n = 0;
             // A full set stops the zip before it pulls an exponent it has
@@ -470,21 +475,70 @@ impl FftEngine for ApproxIntFft {
                     *cur *= *step;
                 }
             }
-            if n < BUNDLE_CHUNK {
+            if n < CHAINS {
                 return;
             }
         }
     }
 
-    /// The bundle row over the integer spectra ([`crate::simd::i64_bundle_row`]).
+    /// Mantissas of the engine's `frac_bits`-scaled words: a value `v` is
+    /// stored as `⌊v / 2^{exp + frac_bits} + ½⌋`. The mask's rounding error
+    /// meets `key` in one [`FftEngine::mul_accumulate`], whose unscaled
+    /// result (torus units — the product's fractional bits are rounded off,
+    /// half a unit against a body step of `2^exp`) is brought back to the
+    /// row's scale and added to the body.
+    fn store_key_row(
+        &self,
+        a: &FixedSpectrum,
+        b: &FixedSpectrum,
+        key: &FixedSpectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    ) {
+        let m = self.n / 2;
+        assert_eq!(a.re.len(), m, "spectrum size mismatch");
+        assert_eq!(b.re.len(), m, "spectrum size mismatch");
+        assert_eq!(a.frac_bits, b.frac_bits, "row spectra must share a scale");
+        let (mask, body, patterns) = split_key_row(row, m, slot);
+        let frac = a.frac_bits;
+        let shift = exp + frac;
+        let narrow = |v: i64| {
+            let word = (v + (1 << (shift - 1))) >> shift;
+            assert!(
+                i32::try_from(word).is_ok(),
+                "key spectrum value {v} does not fit 32-bit words of 2^{exp} at {frac} fractional bits"
+            );
+            word as i32
+        };
+        let at = |k: usize| KeyBlock::word_index(m, patterns, slot, k);
+        let im = KeyBlock::chunk(m);
+        let mut delta = a.clone();
+        for k in 0..m {
+            mask[at(k)] = narrow(a.re[k]);
+            mask[at(k) + im] = narrow(a.im[k]);
+            delta.re[k] = (i64::from(mask[at(k)]) << shift) - a.re[k];
+            delta.im[k] = (i64::from(mask[at(k) + im]) << shift) - a.im[k];
+        }
+        let mut carry = self.zero_spectrum();
+        self.mul_accumulate(&mut carry, &delta, key);
+        for k in 0..m {
+            body[at(k)] = narrow(b.re[k] + (carry.re[k] << frac));
+            body[at(k) + im] = narrow(b.im[k] + (carry.im[k] << frac));
+        }
+    }
+
+    /// The bundle row over a stored key ([`crate::simd::i64_bundle_row`]).
     /// `h` first drops [`BUNDLE_DROP_BITS`] fractional bits (round half up)
-    /// to make headroom for the sum, then every term adds its product
-    /// rounded back by `MONO_FRAC_BITS + BUNDLE_DROP_BITS` — the same
+    /// to make headroom for the sum, then every term adds its product of
+    /// 32-bit mantissa and factor rounded back by
+    /// `MONO_FRAC_BITS + BUNDLE_DROP_BITS − (exp + frac_bits)` — the same
     /// shifts, in the same order, whatever the number of terms.
-    fn bundle_row_into<'a>(
+    fn bundle_row_into(
         &self,
         h: &FixedSpectrum,
-        srcs: impl Iterator<Item = &'a FixedSpectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &Vec<[i32; 2]>,
         out: &mut FixedSpectrum,
     ) {
@@ -497,23 +551,19 @@ impl FftEngine for ApproxIntFft {
         out.re.resize(m, 0);
         out.im.resize(m, 0);
         out.frac_bits = h.frac_bits - BUNDLE_DROP_BITS;
-        let srcs = srcs.map(|s| {
-            assert_eq!(
-                s.frac_bits, h.frac_bits,
-                "bundle terms must share h's scale"
-            );
-            (&s.re[..], &s.im[..])
-        });
-        let terms = for_each_source_chunk(srcs, |done, table| {
-            simd::i64_bundle_row(
-                &mut out.re,
-                &mut out.im,
-                (done == 0).then_some((&h.re[..], &h.im[..])),
-                table,
-                &factors[done * m..(done + table.len()) * m],
-            );
-        });
-        assert_eq!(factors.len(), terms * m, "one factor table per source");
+        // The kernel counts the mantissas' exponent in `h`'s words.
+        let key = KeyBlock {
+            exp: key.exp + h.frac_bits,
+            ..key
+        };
+        simd::i64_bundle_row(
+            &mut out.re,
+            &mut out.im,
+            (&h.re, &h.im),
+            key,
+            slots,
+            factors,
+        );
     }
 }
 
@@ -641,16 +691,18 @@ mod tests {
         let engine = ApproxIntFft::new(n, 50);
         let base = random_torus_poly(n, 31);
         let src = random_torus_poly(n, 32);
+        let exp = crate::key_exponent(n);
         for e in [0i64, 1, 5, 63, 64, 127, -3] {
             let mut factors = Vec::new();
-            engine.monomial_factors_into([e].into_iter(), &mut factors);
+            engine.monomial_factors_into([e].into_iter(), exp, &mut factors);
             let mut acc = engine.zero_spectrum();
-            engine.bundle_row_into(
-                &engine.forward_torus(&base),
-                [&engine.forward_torus(&src)].into_iter(),
-                &factors,
-                &mut acc,
-            );
+            let block = crate::engine::stored_block(&engine, &[engine.forward_torus(&src)], exp);
+            let key = KeyBlock {
+                stream: &block,
+                patterns: 1,
+                exp,
+            };
+            engine.bundle_row_into(&engine.forward_torus(&base), key, &[0], &factors, &mut acc);
             let got = engine.backward_torus(&acc);
             let mut expected = base.clone();
             expected.add_rotate_minus_one(&src, e);
@@ -674,7 +726,7 @@ mod tests {
         let base = std::f64::consts::PI / n as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
         let mut factors = Vec::new();
-        engine.monomial_factors_into(0..2 * n as i64, &mut factors);
+        engine.monomial_factors_into(0..2 * n as i64, 0, &mut factors);
         assert_eq!(factors.len(), 2 * n * m);
         for e in 0..2 * n {
             let step = Cplx::from_angle(4.0 * base * e as f64);
@@ -691,7 +743,7 @@ mod tests {
         assert_eq!(factors[n * m], [i32::MIN, 0]);
         // Exponents are taken mod 2N, negative ones too.
         let mut wrapped = vec![[1, 1]; 3];
-        engine.monomial_factors_into([-3, 2 * n as i64 + 5].into_iter(), &mut wrapped);
+        engine.monomial_factors_into([-3, 2 * n as i64 + 5].into_iter(), 0, &mut wrapped);
         assert_eq!(wrapped[..m], factors[(2 * n - 3) * m..(2 * n - 2) * m]);
         assert_eq!(wrapped[m..], factors[5 * m..6 * m]);
     }

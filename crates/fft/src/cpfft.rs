@@ -15,7 +15,7 @@
 //! AVX2 leg prefers unit-stride twiddle loads over shared ones, but the
 //! *accounting* tracks the paper's buffer-read argument.
 
-use crate::engine::FftEngine;
+use crate::engine::{FftEngine, KeyBlock};
 use crate::ref_fft::{self, CplxScratch, CplxSpectrum, SplitFactors};
 use crate::simd;
 use crate::tables::{StageTwiddles, TwiddleTables};
@@ -266,18 +266,36 @@ impl FftEngine for DepthFirstFft {
         ref_fft::add_assign_cplx(acc, a);
     }
 
-    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
-        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, out);
+    fn monomial_factors_into(
+        &self,
+        exponents: impl Iterator<Item = i64>,
+        key_exp: u32,
+        out: &mut SplitFactors,
+    ) {
+        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, key_exp, out);
     }
 
-    fn bundle_row_into<'a>(
+    fn store_key_row(
+        &self,
+        a: &CplxSpectrum,
+        b: &CplxSpectrum,
+        key: &CplxSpectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    ) {
+        ref_fft::store_key_row_cplx(a, b, key, exp, slot, row);
+    }
+
+    fn bundle_row_into(
         &self,
         h: &CplxSpectrum,
-        srcs: impl Iterator<Item = &'a CplxSpectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &SplitFactors,
         out: &mut CplxSpectrum,
     ) {
-        ref_fft::bundle_row_cplx(h, srcs, factors, out);
+        ref_fft::bundle_row_cplx(h, key, slots, factors, out);
     }
 }
 

@@ -219,17 +219,53 @@ pub trait FftEngine {
     /// `ε_k^e`. One table serves every row of a TGSW sample, so bundle
     /// construction fills `out` once per blind-rotation step — all of the
     /// step's patterns in one call — and reuses its capacity afterwards.
+    ///
+    /// The tables are made for a key stored in words of `2^key_exp` torus
+    /// units ([`KeyBlock::exp`]), and an engine takes that unit where it is
+    /// free: the double-precision engines multiply it into the tables here
+    /// (a power of two, exact), once per step instead of once per stored
+    /// word; the integer engine's quantized tables stay as they are and its
+    /// bundle row takes `key_exp` off its rounding shift.
     fn monomial_factors_into(
         &self,
         exponents: impl Iterator<Item = i64>,
+        key_exp: u32,
         out: &mut Self::MonomialFactors,
     );
 
+    /// Stores one TRLWE key row `(a, b)` — `forward_torus` spectra — as
+    /// pattern `slot` of `row`, the row's mask block followed by its body
+    /// block (`row.len() / 2` words each; see [`KeyBlock`] for a block's
+    /// layout), in words of `2^exp` torus units.
+    ///
+    /// The mask goes first: `Â = round(a / 2^exp)`, and its rounding error
+    /// `Δ = 2^exp·Â − a` moves into the body before that is rounded in its
+    /// turn, `round((b + Δ ⊙ key) / 2^exp)` with `key` the
+    /// [`FftEngine::forward_int`] spectrum of the ring secret. The stored
+    /// row's phase `b′ − a′·s` is then the original row's plus the body's
+    /// own rounding — the mask's error, which the phase would multiply by
+    /// the secret (`‖s‖ ≈ √(N/2)`), cancels. With a zero `key` both
+    /// spectra are rounded as they stand.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic on mismatched sizes, on a `slot` the blocks do
+    /// not hold, and on any value that `exp` does not bring into an `i32`.
+    fn store_key_row(
+        &self,
+        a: &Self::Spectrum,
+        b: &Self::Spectrum,
+        key: &Self::Spectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    );
+
     /// One bundle row in a single pass:
-    /// `out = h + Σ_p factors[p] ⊙ srcs[p]`, the `p`-th source paired with
-    /// the `p`-th table of [`FftEngine::monomial_factors_into`] (with
-    /// exponents `e_p`, this is `h + Σ_p (X^{e_p} − 1)·src_p` in the
-    /// Lagrange domain).
+    /// `out = h + Σ_p factors[p] ⊙ 2^exp·key[slots[p]]`, the stored spectrum
+    /// in pattern slot `slots[p]` of `key` paired with the `p`-th table of
+    /// [`FftEngine::monomial_factors_into`] (with exponents `e_p`, this is
+    /// `h + Σ_p (X^{e_p} − 1)·K_p` in the Lagrange domain).
     ///
     /// This is the *TGSW scale* operation of MATCHA's TGSW clusters
     /// (paper Fig. 5/7b): bootstrapping-key bundles are linear combinations
@@ -238,24 +274,26 @@ pub trait FftEngine {
     /// additional FFTs** — the property that makes aggressive key unrolling
     /// reduce FFT counts.
     ///
-    /// `h` and every source must be `forward_torus` spectra; each output
-    /// element is accumulated over the terms in order and written once.
-    /// Fixed-point engines drop a few fractional bits of `h` first so that
-    /// summing up to `2^m − 1` scaled terms (`|X^e − 1| ≤ 2` each) cannot
-    /// overflow.
+    /// `h` must be a `forward_torus` spectrum and `key` blocks written by
+    /// [`FftEngine::store_key_row`]; each output element is accumulated
+    /// over the terms in order and written once. Fixed-point engines drop a
+    /// few fractional bits of `h` first so that summing up to `2^m − 1`
+    /// scaled terms (`|X^e − 1| ≤ 2` each) cannot overflow.
     ///
     /// # Panics
     ///
-    /// Implementations panic if the number of sources differs from the
-    /// number of factor tables, or on mismatched spectrum sizes.
-    fn bundle_row_into<'a>(
+    /// Implementations panic if the number of slots differs from the number
+    /// of factor tables, if the tables were made for another `key.exp`, if
+    /// a slot is not one of `key.patterns`, if `key.stream` is shorter than
+    /// the block, or on mismatched spectrum sizes.
+    fn bundle_row_into(
         &self,
         h: &Self::Spectrum,
-        srcs: impl Iterator<Item = &'a Self::Spectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &Self::MonomialFactors,
         out: &mut Self::Spectrum,
-    ) where
-        Self::Spectrum: 'a;
+    );
 
     /// Convenience: the full negacyclic product `p · q`.
     fn poly_mul(&self, p: &TorusPolynomial, q: &IntPolynomial) -> TorusPolynomial {
@@ -265,39 +303,129 @@ pub trait FftEngine {
     }
 }
 
-/// Sources one bundle-row kernel call takes. The kernels read their
-/// sources through a table of component slices that lives on the caller's
-/// stack; eight entries hold every pattern of unroll factors up to 3 in one
-/// call, and larger bundles continue the sum over further calls.
-pub(crate) const BUNDLE_CHUNK: usize = 8;
+/// Points of one stored spectrum that lie side by side in a key block:
+/// eight `re` words, then the same points' eight `im` words — 64 bytes, a
+/// cache line, per pattern.
+pub const KEY_CHUNK: usize = 8;
 
-/// Feeds `srcs` to `kernel` in tables of at most [`BUNDLE_CHUNK`] component
-/// pairs and returns how many sources there were. `kernel(done, table)`
-/// receives the number of sources consumed by earlier calls; the call with
-/// `done == 0` starts the row from its base and is made even when there
-/// are no sources at all.
-pub(crate) fn for_each_source_chunk<'a, T: 'a>(
-    mut srcs: impl Iterator<Item = (&'a [T], &'a [T])>,
-    mut kernel: impl FnMut(usize, &[(&'a [T], &'a [T])]),
-) -> usize {
-    let mut table: [(&[T], &[T]); BUNDLE_CHUNK] = [(&[], &[]); BUNDLE_CHUNK];
-    let mut done = 0;
-    loop {
-        let mut n = 0;
-        // `table` is the zip's first half: a full table stops the zip
-        // before it pulls a source it has no slot for.
-        for (slot, src) in table.iter_mut().zip(srcs.by_ref()) {
-            *slot = src;
-            n += 1;
-        }
-        if n > 0 || done == 0 {
-            kernel(done, &table[..n]);
-        }
-        done += n;
-        if n < BUNDLE_CHUNK {
-            return done;
+/// The power of two a bootstrapping key's spectra are stored in units of,
+/// from the ring degree alone: the smallest `e` for which `8σ` of a uniform
+/// torus polynomial's spectrum fits an `i32` word of `2^e` torus units. A
+/// spectrum component is a sum of `N/2` terms of variance `2⁶⁴/12` each, so
+/// `σ = 2³²·√(N/24)` and `e` is the least with `3·4^e ≥ 32·N` (7 at
+/// `N = 1024`). Beyond `8σ` lies `10⁻¹⁵` of a Gaussian; storing asserts it
+/// of every word all the same.
+pub fn key_exponent(ring_degree: usize) -> u32 {
+    (0u32..)
+        .find(|&e| 3u128 << (2 * e) >= 32 * ring_degree as u128)
+        .expect("some power of four exceeds any ring degree")
+}
+
+/// One bundle row's share of a stored bootstrapping key: the spectra of
+/// every pattern key of one group, for one of a TGSW row's two
+/// polynomials, narrowed to 32-bit words and interleaved in the order a
+/// bundle row consumes them —
+///
+/// ```text
+/// [chunk c < M/8][pattern slot][re of points 8c..8c+8 | im of the same]
+/// ```
+///
+/// — so that the row reads its block front to back, one 64-byte line per
+/// pattern and chunk. (Below `M = 8` points a chunk is the whole spectrum.)
+#[derive(Clone, Copy, Debug)]
+pub struct KeyBlock<'a> {
+    /// The key's words from the block's first on: the block itself, then
+    /// whatever follows it in the key, which the kernels never read but do
+    /// prefetch — a row's lookahead runs into the next row's block.
+    pub stream: &'a [i32],
+    /// Pattern spectra interleaved in the block.
+    pub patterns: usize,
+    /// A stored word `w` stands for `w·2^exp` torus units.
+    pub exp: u32,
+}
+
+impl KeyBlock<'_> {
+    /// Words in a block of `patterns` spectra of `m` points.
+    pub const fn words(m: usize, patterns: usize) -> usize {
+        2 * m * patterns
+    }
+
+    /// Points per chunk of a spectrum of `m` points.
+    #[inline]
+    pub const fn chunk(m: usize) -> usize {
+        if m < KEY_CHUNK {
+            m
+        } else {
+            KEY_CHUNK
         }
     }
+
+    /// Index of the `re` word of point `k` of pattern `slot` in a block of
+    /// `patterns` spectra of `m` points; the point's `im` word lies
+    /// [`KeyBlock::chunk`] words further on.
+    #[inline]
+    pub const fn word_index(m: usize, patterns: usize, slot: usize, k: usize) -> usize {
+        // Spectrum sizes are powers of two, so chunks are too: no division.
+        let w = Self::chunk(m);
+        (((k >> w.trailing_zeros()) * patterns + slot) * 2 * w) + (k & (w - 1))
+    }
+
+    /// The checks every bundle-row kernel makes before its loops: the
+    /// block is all there and every slot is one of its patterns.
+    pub(crate) fn assert_holds(&self, m: usize, slots: &[u8]) {
+        assert!(
+            self.stream.len() >= Self::words(m, self.patterns),
+            "key block of {} words, {} patterns of {m} points need {}",
+            self.stream.len(),
+            self.patterns,
+            Self::words(m, self.patterns)
+        );
+        assert!(
+            slots.iter().all(|&s| (s as usize) < self.patterns),
+            "pattern slot outside the block's {} patterns",
+            self.patterns
+        );
+    }
+}
+
+/// Splits a key row into its mask and body blocks and checks that they
+/// hold whole spectra of `m` points, `slot` among them; returns the blocks
+/// and the number of patterns each interleaves.
+pub(crate) fn split_key_row(
+    row: &mut [i32],
+    m: usize,
+    slot: usize,
+) -> (&mut [i32], &mut [i32], usize) {
+    let block = row.len() / 2;
+    let patterns = block / (2 * m);
+    assert!(
+        row.len() == 2 * KeyBlock::words(m, patterns),
+        "a key row of {} words is not two blocks of {m}-point spectra",
+        row.len()
+    );
+    assert!(
+        slot < patterns,
+        "pattern slot {slot} outside the row's {patterns}"
+    );
+    let (mask, body) = row.split_at_mut(block);
+    (mask, body, patterns)
+}
+
+/// One key block holding `spectra` in slot order, each rounded as it
+/// stands to words of `2^exp` (no ring key for a mask's error to meet).
+#[cfg(test)]
+pub(crate) fn stored_block<E: FftEngine>(
+    engine: &E,
+    spectra: &[E::Spectrum],
+    exp: u32,
+) -> Vec<i32> {
+    let words = KeyBlock::words(engine.ring_degree() / 2, spectra.len());
+    let mut row = vec![0; 2 * words];
+    for (slot, s) in spectra.iter().enumerate() {
+        engine.store_key_row(s, s, &engine.zero_spectrum(), exp, slot, &mut row);
+    }
+    row.truncate(words);
+    row
 }
 
 impl<E: FftEngine + ?Sized> FftEngine for &E {
@@ -369,19 +497,30 @@ impl<E: FftEngine + ?Sized> FftEngine for &E {
     fn monomial_factors_into(
         &self,
         exponents: impl Iterator<Item = i64>,
+        key_exp: u32,
         out: &mut Self::MonomialFactors,
     ) {
-        (**self).monomial_factors_into(exponents, out)
+        (**self).monomial_factors_into(exponents, key_exp, out)
     }
-    fn bundle_row_into<'a>(
+    fn store_key_row(
+        &self,
+        a: &Self::Spectrum,
+        b: &Self::Spectrum,
+        key: &Self::Spectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    ) {
+        (**self).store_key_row(a, b, key, exp, slot, row)
+    }
+    fn bundle_row_into(
         &self,
         h: &Self::Spectrum,
-        srcs: impl Iterator<Item = &'a Self::Spectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &Self::MonomialFactors,
         out: &mut Self::Spectrum,
-    ) where
-        Self::Spectrum: 'a,
-    {
-        (**self).bundle_row_into(h, srcs, factors, out)
+    ) {
+        (**self).bundle_row_into(h, key, slots, factors, out)
     }
 }

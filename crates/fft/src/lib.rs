@@ -64,7 +64,7 @@ pub mod twist;
 pub use approx::ApproxIntFft;
 pub use cpfft::DepthFirstFft;
 pub use cplx::Cplx;
-pub use engine::{FftEngine, Spectrum};
+pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
 pub use error::{fft_roundtrip_error_db, poly_mul_error_db};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use radix4::Radix4Fft;

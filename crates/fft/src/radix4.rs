@@ -11,7 +11,7 @@
 //! The combine itself runs through [`crate::simd::radix4_combine`] — four
 //! radix-4 butterflies per AVX2+FMA iteration on split-complex data.
 
-use crate::engine::FftEngine;
+use crate::engine::{FftEngine, KeyBlock};
 use crate::ref_fft::{self, CplxScratch, CplxSpectrum, SplitFactors};
 use crate::simd;
 use crate::tables::{StageTwiddles, TwiddleTables};
@@ -274,18 +274,36 @@ impl FftEngine for Radix4Fft {
         ref_fft::add_assign_cplx(acc, a);
     }
 
-    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
-        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, out);
+    fn monomial_factors_into(
+        &self,
+        exponents: impl Iterator<Item = i64>,
+        key_exp: u32,
+        out: &mut SplitFactors,
+    ) {
+        ref_fft::monomial_factors_cplx_into(&self.tables, exponents, key_exp, out);
     }
 
-    fn bundle_row_into<'a>(
+    fn store_key_row(
+        &self,
+        a: &CplxSpectrum,
+        b: &CplxSpectrum,
+        key: &CplxSpectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    ) {
+        ref_fft::store_key_row_cplx(a, b, key, exp, slot, row);
+    }
+
+    fn bundle_row_into(
         &self,
         h: &CplxSpectrum,
-        srcs: impl Iterator<Item = &'a CplxSpectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &SplitFactors,
         out: &mut CplxSpectrum,
     ) {
-        ref_fft::bundle_row_cplx(h, srcs, factors, out);
+        ref_fft::bundle_row_cplx(h, key, slots, factors, out);
     }
 }
 
@@ -357,15 +375,17 @@ mod tests {
         let engine = Radix4Fft::new(n);
         let base = random_torus_poly(n, 11);
         let src = random_torus_poly(n, 12);
+        let exp = crate::key_exponent(n);
         let mut factors = SplitFactors::default();
-        engine.monomial_factors_into([9].into_iter(), &mut factors);
+        engine.monomial_factors_into([9].into_iter(), exp, &mut factors);
         let mut acc = engine.zero_spectrum();
-        engine.bundle_row_into(
-            &engine.forward_torus(&base),
-            [&engine.forward_torus(&src)].into_iter(),
-            &factors,
-            &mut acc,
-        );
+        let block = crate::engine::stored_block(&engine, &[engine.forward_torus(&src)], exp);
+        let key = KeyBlock {
+            stream: &block,
+            patterns: 1,
+            exp,
+        };
+        engine.bundle_row_into(&engine.forward_torus(&base), key, &[0], &factors, &mut acc);
         let got = engine.backward_torus(&acc);
         let mut expected = base.clone();
         expected.add_rotate_minus_one(&src, 9);

@@ -24,7 +24,7 @@
 //! transform follows with its pass out), where it used to be twelve (fold
 //! in two, a permutation, nine stages).
 
-use crate::engine::{for_each_source_chunk, FftEngine, Spectrum};
+use crate::engine::{split_key_row, FftEngine, KeyBlock, Spectrum};
 use crate::simd;
 use crate::tables::TwiddleTables;
 use crate::twist::{self, Order};
@@ -52,15 +52,18 @@ impl Spectrum for CplxSpectrum {
     }
 }
 
-/// Pointwise factor tables `ε_k^e − 1` for the double-precision engines,
-/// stored split like the spectra they multiply: one length-`M` table per
-/// exponent, back to back.
+/// Pointwise factor tables `(ε_k^e − 1)·2^exp` for the double-precision
+/// engines, stored split like the spectra they multiply: one length-`M`
+/// table per exponent, back to back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SplitFactors {
     /// Real parts.
     pub re: Vec<f64>,
     /// Imaginary parts.
     pub im: Vec<f64>,
+    /// The stored-key unit folded into the tables: they multiply words of
+    /// `2^exp` torus units.
+    pub exp: u32,
 }
 
 /// Reusable workspace shared by the double-precision engines.
@@ -312,18 +315,36 @@ impl FftEngine for F64Fft {
         add_assign_cplx(acc, a);
     }
 
-    fn monomial_factors_into(&self, exponents: impl Iterator<Item = i64>, out: &mut SplitFactors) {
-        monomial_factors_cplx_into(&self.tables, exponents, out);
+    fn monomial_factors_into(
+        &self,
+        exponents: impl Iterator<Item = i64>,
+        key_exp: u32,
+        out: &mut SplitFactors,
+    ) {
+        monomial_factors_cplx_into(&self.tables, exponents, key_exp, out);
     }
 
-    fn bundle_row_into<'a>(
+    fn store_key_row(
+        &self,
+        a: &CplxSpectrum,
+        b: &CplxSpectrum,
+        key: &CplxSpectrum,
+        exp: u32,
+        slot: usize,
+        row: &mut [i32],
+    ) {
+        store_key_row_cplx(a, b, key, exp, slot, row);
+    }
+
+    fn bundle_row_into(
         &self,
         h: &CplxSpectrum,
-        srcs: impl Iterator<Item = &'a CplxSpectrum>,
+        key: KeyBlock<'_>,
+        slots: &[u8],
         factors: &SplitFactors,
         out: &mut CplxSpectrum,
     ) {
-        bundle_row_cplx(h, srcs, factors, out);
+        bundle_row_cplx(h, key, slots, factors, out);
     }
 }
 
@@ -347,31 +368,32 @@ pub(crate) fn add_assign_cplx(acc: &mut CplxSpectrum, a: &CplxSpectrum) {
     }
 }
 
-/// Factor tables `ε_k^e − 1` for the double-precision engines, one per
-/// exponent, gathered from the `2N`-th roots of unity:
+/// Factor tables `(ε_k^e − 1)·2^key_exp` for the double-precision engines,
+/// one per exponent, gathered from the `2N`-th roots of unity:
 /// `ε_k = e^{iπ(4k+1)/N}`, so `ε_k^e` is root number `(4k+1)·e mod 2N` and
 /// consecutive points step the index by `4e`. Every factor is a table
-/// entry (as accurate as `sin_cos` makes it, independent of `k`) and the
-/// loads are independent of one another.
+/// entry (as accurate as `sin_cos` makes it, independent of `k`) times an
+/// exact power of two, and the loads are independent of one another.
 pub(crate) fn monomial_factors_cplx_into(
     tables: &TwiddleTables,
     exponents: impl Iterator<Item = i64>,
+    key_exp: u32,
     out: &mut SplitFactors,
 ) {
     let m = tables.size();
     let (unit_re, unit_im) = tables.unit_roots_split();
     // 2N is a power of two: `& mask` is `mod 2N`, also for negative `e`.
     let mask = unit_re.len() - 1;
+    let unit = f64::from(key_exp).exp2();
     out.re.clear();
     out.im.clear();
+    out.exp = key_exp;
     for e in exponents {
         let e = e as usize & mask;
-        let mut idx = e;
-        for _ in 0..m {
-            out.re.push(unit_re[idx] - 1.0);
-            out.im.push(unit_im[idx]);
-            idx = (idx + 4 * e) & mask;
-        }
+        let root = |k: usize| (4 * k + 1).wrapping_mul(e) & mask;
+        out.re
+            .extend((0..m).map(|k| (unit_re[root(k)] - 1.0) * unit));
+        out.im.extend((0..m).map(|k| unit_im[root(k)] * unit));
     }
 }
 
@@ -411,29 +433,72 @@ pub(crate) fn mul_accumulate_pair_cplx(
     );
 }
 
+/// Shared [`FftEngine::store_key_row`] for the double-precision engines:
+/// the mask rounded to words of `2^exp`, its rounding error times `key`
+/// added to the body in `f64` arithmetic, the body rounded.
+pub(crate) fn store_key_row_cplx(
+    a: &CplxSpectrum,
+    b: &CplxSpectrum,
+    key: &CplxSpectrum,
+    exp: u32,
+    slot: usize,
+    row: &mut [i32],
+) {
+    let m = a.len();
+    assert_eq!(b.len(), m, "spectrum size mismatch");
+    let (mask, body, patterns) = split_key_row(row, m, slot);
+    let unit = f64::from(exp).exp2();
+    let per_unit = unit.recip();
+    // `round(v / 2^exp)` as a word (a power of two's reciprocal is exact),
+    // and what the word is off by: `2^exp·round(v / 2^exp) − v`.
+    let narrow = |v: f64| {
+        let word = simd::round_half_away(v * per_unit);
+        assert!(
+            i32::try_from(word).is_ok(),
+            "key spectrum value {v:e} does not fit 32-bit words of 2^{exp}"
+        );
+        (word as i32, word as f64 * unit - v)
+    };
+    let at = |k: usize| KeyBlock::word_index(m, patterns, slot, k);
+    let im = KeyBlock::chunk(m);
+    let mut delta = a.clone();
+    for k in 0..m {
+        (mask[at(k)], delta.re[k]) = narrow(a.re[k]);
+        (mask[at(k) + im], delta.im[k]) = narrow(a.im[k]);
+    }
+    let mut body_for_stored_mask = b.clone();
+    mul_accumulate_cplx(&mut body_for_stored_mask, &delta, key);
+    for k in 0..m {
+        body[at(k)] = narrow(body_for_stored_mask.re[k]).0;
+        body[at(k) + im] = narrow(body_for_stored_mask.im[k]).0;
+    }
+}
+
 /// Shared single-pass bundle row for the double-precision engines:
-/// `out = h + Σ_p factors[p] ⊙ srcs[p]` through [`simd::bundle_row`].
-pub(crate) fn bundle_row_cplx<'a>(
+/// `out = h + Σ_p factors[p] ⊙ key[slots[p]]` through [`simd::bundle_row`],
+/// the stored words' `2^exp` being in the tables already.
+pub(crate) fn bundle_row_cplx(
     h: &CplxSpectrum,
-    srcs: impl Iterator<Item = &'a CplxSpectrum>,
+    key: KeyBlock<'_>,
+    slots: &[u8],
     factors: &SplitFactors,
     out: &mut CplxSpectrum,
 ) {
     let m = h.len();
+    assert_eq!(
+        factors.exp, key.exp,
+        "factor tables made for a key of another unit"
+    );
     out.re.resize(m, 0.0);
     out.im.resize(m, 0.0);
-    let terms = for_each_source_chunk(srcs.map(|s| (&s.re[..], &s.im[..])), |done, table| {
-        let tables = done * m..(done + table.len()) * m;
-        simd::bundle_row(
-            &mut out.re,
-            &mut out.im,
-            (done == 0).then_some((&h.re[..], &h.im[..])),
-            table,
-            &factors.re[tables.clone()],
-            &factors.im[tables],
-        );
-    });
-    assert_eq!(factors.re.len(), terms * m, "one factor table per source");
+    simd::bundle_row(
+        &mut out.re,
+        &mut out.im,
+        (&h.re, &h.im),
+        key,
+        slots,
+        (&factors.re, &factors.im),
+    );
 }
 
 #[cfg(test)]
@@ -549,16 +614,18 @@ mod tests {
         let engine = F64Fft::new(n);
         let base = random_torus_poly(n, 31);
         let src = random_torus_poly(n, 32);
+        let exp = crate::key_exponent(n);
         for e in [0i64, 1, 7, 31, 32, 63, -5] {
             let mut factors = SplitFactors::default();
-            engine.monomial_factors_into([e].into_iter(), &mut factors);
+            engine.monomial_factors_into([e].into_iter(), exp, &mut factors);
             let mut acc = engine.zero_spectrum();
-            engine.bundle_row_into(
-                &engine.forward_torus(&base),
-                [&engine.forward_torus(&src)].into_iter(),
-                &factors,
-                &mut acc,
-            );
+            let block = crate::engine::stored_block(&engine, &[engine.forward_torus(&src)], exp);
+            let key = KeyBlock {
+                stream: &block,
+                patterns: 1,
+                exp,
+            };
+            engine.bundle_row_into(&engine.forward_torus(&base), key, &[0], &factors, &mut acc);
             let got = engine.backward_torus(&acc);
             let mut expected = base.clone();
             expected.add_rotate_minus_one(&src, e);

@@ -61,18 +61,17 @@
 //!   [`radix2_stage_pair`], [`radix2_combine`], [`radix4_combine`]), the
 //!   twist (inside [`fold_twist`]; the untwist inside
 //!   [`untwist_to_torus`]) and the pointwise accumulates
-//!   ([`mul_acc`], [`mul_acc_pair`], [`bundle_row`]) — the vector leg
-//!   contracts `a·b ± c·d` into fused multiply-adds (one rounding instead
-//!   of two).
+//!   ([`mul_acc`], [`mul_acc_pair`]) — the vector leg contracts
+//!   `a·b ± c·d` into fused multiply-adds (one rounding instead of two).
 //! * **Bitwise:** the reduction mod `2^32` at the end of
 //!   [`untwist_to_torus`] — on identical untwisted values both legs store
-//!   the same `Torus32` ([`reduce_turns`] states the rule) — and the narrow
-//!   `len = 2` butterfly stage, which has no multiplies.
+//!   the same `Torus32` ([`reduce_turns`] states the rule) — the narrow
+//!   `len = 2` butterfly stage, which has no multiplies, and the bundle row
+//!   over a stored key ([`bundle_row`]), whose scalar leg is written with
+//!   the fused multiply-adds the vector leg makes.
 //! * **Within either leg** the fused pair kernel [`mul_acc_pair`] is
 //!   bit-identical to two [`mul_acc`] calls (the external product swaps
-//!   freely between them), and [`bundle_row`] accumulates its terms in
-//!   argument order with [`mul_acc`]'s element operations, so one call over
-//!   `p` terms is bit-identical to a copy followed by `p` [`mul_acc`]s.
+//!   freely between them).
 //!
 //! # Integer (i64) kernels
 //!
@@ -87,20 +86,23 @@
 //! shift, so the vector leg splits every 64-bit operand at bit 31, forms
 //! the signed 32×32→64-bit partial products `vpmuldq` does offer, and
 //! recombines them with nested floors; arithmetic shifts are logical
-//! shifts of a value biased by `2⁶³`. [`LiftSplit`] and [`i64_bundle_row`]
-//! derive the two recombinations and the bounds that keep every partial
-//! sum exact; the one precondition they add to the scalar leg's is
-//! [`I64_LANE_BOUND`] (`|v| < 2⁶²`), which the engine's scaling already
-//! guaranteed. Twiddle widths the split does not reach (`β = 62`) run the
-//! scalar loop on both legs. The engine's 64×64-bit pointwise products
-//! (`mul_accumulate`, `mul_accumulate_pair`) stay scalar `i128` on purpose:
-//! the native `mul` is the right tool for a full-width product. The bundle
-//! rows' vector legs (this one and [`bundle_row`]'s) are the kernels here
-//! that prefetch: with the products in vector lanes a row is done before
-//! its key arrives, and the time the key takes is the part of a gate that
-//! a busy neighbour sets (`BUNDLE_PREFETCH_AHEAD`).
+//! shifts of a value biased by `2⁶³`. [`LiftSplit`] derives the
+//! recombination and the bounds that keep every partial sum exact; the one
+//! precondition it adds to the scalar leg's is [`I64_LANE_BOUND`]
+//! (`|v| < 2⁶²`), which the engine's scaling already guaranteed. Twiddle
+//! widths the split does not reach (`β = 62`) run the scalar loop on both
+//! legs. The bundle row needs no split: a stored key's mantissas and the
+//! factors are 32 bits each, one `vpmuldq` a product ([`i64_bundle_row`]).
+//! The engine's 64×64-bit pointwise products (`mul_accumulate`,
+//! `mul_accumulate_pair`) stay scalar `i128` on purpose: the native `mul`
+//! is the right tool for a full-width product. The bundle rows' vector
+//! legs (this one and [`bundle_row`]'s) are the kernels here that
+//! prefetch: with the products in vector lanes a row is done before its
+//! key arrives, and the time the key takes is the part of a gate that a
+//! busy neighbour sets (`BUNDLE_PREFETCH_AHEAD`).
 
 use crate::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
+use crate::engine::{KeyBlock, KEY_CHUNK};
 use crate::lifting::Lifts;
 use crate::tables::{BitReversal, StageTwiddles};
 use matcha_math::{GadgetDecomposer, Torus32};
@@ -1492,167 +1494,177 @@ unsafe fn untwist_to_torus_avx(
 // f64 bundle-row kernel
 // ---------------------------------------------------------------------------
 
-/// Elements the AVX2 bundle rows (both engines') prefetch ahead of their
-/// loads in each source: every source's first eight lines before the loop,
-/// then the line this far ahead whenever the loop enters a new one. A
-/// bootstrapping key streams from memory (109 MB at `m = 3`, 70 MB at
-/// `m = 2`) as 4 KB spectra, each its own allocation, `2·(2^m − 1)` of
-/// them read side by side — streams too short for the hardware prefetcher
-/// to get ahead of, so without the hints a row waits at the head of every
-/// line, for as long as the host's neighbours make memory take. Measured
-/// on the integer row, a 7-term group, quietest 1 % of steps: 53 → 43 µs
-/// on a quiet host, 93 → 61 µs on a loaded one; 32 elements measure the
-/// same, 128 and a whole row ahead slower, the hints without the burst
-/// over each head half as good, a burst over the whole row worse than no
-/// hint. On the f64 row (3 terms, less arithmetic to hide behind):
-/// `bku.bundle_us.f64_m2` 36 → 31 µs.
+/// Bytes the AVX2 bundle rows (both engines') prefetch ahead of their
+/// loads: one `prefetcht0` per 64-byte line consumed, of the line this far
+/// down the key. A bootstrapping key is one slab in the order blind
+/// rotation reads it ([`KeyBlock`]), 35 MB at `m = 2` and 55 MB at `m = 3`,
+/// so the line 4 KB ahead is the line the row — or the next row, or the
+/// next group's first row: the lookahead runs off a block's end into
+/// whatever the key holds next, which is what hides the wait at the head
+/// of a group — reads 64 lines from now, and the hint stops only at the
+/// key's last word. What it buys depends on how busy memory is. Measured
+/// on a quiet host (gate time in one process, minimum / median of 150):
+/// the integer engine at `m = 3`, whose rows have arithmetic to hide a
+/// fetch behind, 22.6–24.3 / 26 ms with no hint, 20.9–22.7 / 23.5–25 at
+/// 1 KB, 19.4–21.1 / 20.2–22.7 at 2, 4 and 8 KB alike; the f64 engine at
+/// `m = 2` 7.3–7.8 / 7.6–8.3 ms at every distance and with none — one
+/// forward stream is what the hardware prefetcher is good at, and on that
+/// host it kept up by itself. The issue that introduced the slab measured
+/// a busier one (4 KB against none: −26 % on the f64 gate's median).
 #[cfg(target_arch = "x86_64")]
-const BUNDLE_PREFETCH_AHEAD: usize = 64;
-/// 64-bit words (`i64`s, `f64`s) to a cache line.
-#[cfg(target_arch = "x86_64")]
-const WORDS_PER_LINE: usize = 8;
-
-/// Asks for the line holding `s[at]`.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn prefetch<T>(s: &[T], at: usize) {
-    debug_assert!(at < s.len());
-    // SAFETY: a hint, not an access — and the address is inside `s`.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-            s.as_ptr().add(at).cast(),
-        );
-    }
-}
-
-/// The burst before a bundle row's loop: the head of every source.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn prefetch_heads<T>(srcs: &[(&[T], &[T])], m: usize) {
-    for (s_re, s_im) in srcs {
-        for at in (0..BUNDLE_PREFETCH_AHEAD.min(m)).step_by(WORDS_PER_LINE) {
-            prefetch(s_re, at);
-            prefetch(s_im, at);
-        }
-    }
-}
-
-/// Whether the loop, at element `k` of `m`, has just entered a line whose
-/// counterpart [`BUNDLE_PREFETCH_AHEAD`] elements on exists.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn prefetch_due(k: usize, m: usize) -> bool {
-    k.is_multiple_of(WORDS_PER_LINE) && k + BUNDLE_PREFETCH_AHEAD < m
-}
-
-/// One bundle row in a single pass: `out = base + Σ_p f_p ⊙ src_p`, where
-/// `f_p` is the `p`-th length-`m` table of the concatenated factor slices
-/// `(f_re, f_im)`. Each output element is accumulated in registers over
-/// the terms in order, with [`mul_acc`]'s element operations, and stored
-/// once. `base = None` continues a sum already in `out` (callers with more
-/// terms than fit one source table feed them in several calls). The AVX2
-/// leg prefetches its sources as the integer row's does
+const BUNDLE_PREFETCH_AHEAD: usize = 4096;
+/// One bundle row in a single pass: `out = h + Σ_p f_p ⊙ K_{slots[p]}`,
+/// where `f_p` is the `p`-th length-`m` table of the concatenated factor
+/// slices `(f_re, f_im)` and `K_s` the words stored in pattern slot `s` of
+/// `key`, widened as they stand — the `2^exp` they count in is the
+/// tables' business ([`crate::ref_fft::monomial_factors_cplx_into`] folds
+/// it in), so `key.exp` is not read here. Each output element starts from
+/// `h`'s and takes the terms in order, real part `x ← fr·sr + x` then
+/// `x ← −fi·si + x`, imaginary part `y ← fr·si + y` then `y ← fi·sr + y`,
+/// every step one fused multiply-add — [`mul_acc`]'s vector-leg element
+/// operations. The scalar leg is that definition written with
+/// [`f64::mul_add`]; the AVX2 leg widens four words at a time with
+/// `vcvtdq2pd` and makes the same FMAs in the same order, so the two
+/// agree bit for bit, and it prefetches down the key
 /// (`BUNDLE_PREFETCH_AHEAD`): a row is a wait for the key.
 ///
 /// # Panics
 ///
-/// Panics on mismatched slice lengths.
+/// Panics on mismatched slice lengths, on a key stream shorter than the
+/// block, and on a slot outside the block's patterns.
 pub fn bundle_row(
     out_re: &mut [f64],
     out_im: &mut [f64],
-    base: Option<(&[f64], &[f64])>,
-    srcs: &[(&[f64], &[f64])],
-    f_re: &[f64],
-    f_im: &[f64],
+    (h_re, h_im): (&[f64], &[f64]),
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    (f_re, f_im): (&[f64], &[f64]),
 ) {
     let m = out_re.len();
     assert_eq!(out_im.len(), m, "component length mismatch");
-    if let Some((b_re, b_im)) = base {
-        assert_eq!(b_re.len(), m, "component length mismatch");
-        assert_eq!(b_im.len(), m, "component length mismatch");
-    }
-    for (s_re, s_im) in srcs {
-        assert_eq!(s_re.len(), m, "component length mismatch");
-        assert_eq!(s_im.len(), m, "component length mismatch");
-    }
-    assert_eq!(f_re.len(), srcs.len() * m, "one factor table per source");
-    assert_eq!(f_im.len(), srcs.len() * m, "one factor table per source");
+    assert_eq!(h_re.len(), m, "component length mismatch");
+    assert_eq!(h_im.len(), m, "component length mismatch");
+    assert_eq!(f_re.len(), slots.len() * m, "one factor table per slot");
+    assert_eq!(f_im.len(), slots.len() * m, "one factor table per slot");
+    key.assert_holds(m, slots);
     #[cfg(target_arch = "x86_64")]
-    if m >= 4 && m.is_multiple_of(4) && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { bundle_row_avx(out_re, out_im, base, srcs, f_re, f_im) };
+    if m.is_multiple_of(KEY_CHUNK) && simd_active() {
+        // SAFETY: simd_active() implies AVX2+FMA are present; the lengths,
+        // the block and the slots were checked above.
+        unsafe { bundle_row_avx(out_re, out_im, h_re, h_im, key, slots, f_re, f_im) };
         return;
     }
     for k in 0..m {
-        let (mut acc_re, mut acc_im) = match base {
-            Some((b_re, b_im)) => (b_re[k], b_im[k]),
-            None => (out_re[k], out_im[k]),
-        };
-        for (p, (s_re, s_im)) in srcs.iter().enumerate() {
+        let (mut x, mut y) = (h_re[k], h_im[k]);
+        for (p, &slot) in slots.iter().enumerate() {
+            let at = KeyBlock::word_index(m, key.patterns, slot as usize, k);
+            let sr = f64::from(key.stream[at]);
+            let si = f64::from(key.stream[at + KeyBlock::chunk(m)]);
             let (fr, fi) = (f_re[p * m + k], f_im[p * m + k]);
-            acc_re += fr * s_re[k] - fi * s_im[k];
-            acc_im += fr * s_im[k] + fi * s_re[k];
+            x = (-fi).mul_add(si, fr.mul_add(sr, x));
+            y = fi.mul_add(sr, fr.mul_add(si, y));
         }
-        out_re[k] = acc_re;
-        out_im[k] = acc_im;
+        out_re[k] = x;
+        out_im[k] = y;
     }
 }
 
+/// The 64-byte lines of a key block as a bundle row's vector leg meets
+/// them — chunk by chunk, and within a chunk the active slots in order —
+/// each handed to `line(p, words)` with a prefetch of its counterpart
+/// [`BUNDLE_PREFETCH_AHEAD`] bytes down the key already issued.
+///
+/// # Safety
+///
+/// `key.stream` must hold the block of `chunks` chunks and every slot be
+/// one of `key.patterns` ([`KeyBlock::assert_holds`] with `m = 8·chunks`).
 #[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn key_lines_of_chunk(
+    key: KeyBlock<'_>,
+    chunk: usize,
+    slots: &[u8],
+    mut line: impl FnMut(usize, *const i32),
+) {
+    let words = key.stream.as_ptr_range();
+    // SAFETY: chunk `chunk` of the block starts inside the stream.
+    let first = unsafe { words.start.add(chunk * 2 * KEY_CHUNK * key.patterns) };
+    for (p, &slot) in slots.iter().enumerate() {
+        // SAFETY: the slot's line lies inside the block.
+        let at = unsafe { first.add(slot as usize * 2 * KEY_CHUNK) };
+        if words.end as usize - at as usize > BUNDLE_PREFETCH_AHEAD {
+            // SAFETY: a hint, not an access — and the check above puts
+            // the address inside the stream.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                    at.byte_add(BUNDLE_PREFETCH_AHEAD).cast(),
+                );
+            }
+        }
+        line(p, at);
+    }
+}
+
+/// # Safety
+///
+/// AVX2 and FMA must be present; every slice but `key.stream` and `slots`
+/// must hold `m = out_re.len()` elements per factor table or spectrum, `m`
+/// a multiple of [`KEY_CHUNK`]; `key.stream` must hold the block and
+/// every slot be one of `key.patterns` ([`KeyBlock::assert_holds`]).
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn bundle_row_avx(
     out_re: &mut [f64],
     out_im: &mut [f64],
-    base: Option<(&[f64], &[f64])>,
-    srcs: &[(&[f64], &[f64])],
+    h_re: &[f64],
+    h_im: &[f64],
+    key: KeyBlock<'_>,
+    slots: &[u8],
     f_re: &[f64],
     f_im: &[f64],
 ) {
     use std::arch::x86_64::*;
     let m = out_re.len();
-    let (b_re, b_im) = match base {
-        Some((b_re, b_im)) => (b_re.as_ptr(), b_im.as_ptr()),
-        None => (out_re.as_ptr(), out_im.as_ptr()),
-    };
-    prefetch_heads(srcs, m);
-    let mut k = 0;
-    while k + 4 <= m {
-        let hint = prefetch_due(k, m);
+    for k in (0..m).step_by(KEY_CHUNK) {
         unsafe {
-            let mut x = _mm256_loadu_pd(b_re.add(k));
-            let mut y = _mm256_loadu_pd(b_im.add(k));
-            for (p, (s_re, s_im)) in srcs.iter().enumerate() {
-                let fr = _mm256_loadu_pd(f_re.as_ptr().add(p * m + k));
-                let fi = _mm256_loadu_pd(f_im.as_ptr().add(p * m + k));
-                let sr = _mm256_loadu_pd(s_re.as_ptr().add(k));
-                let si = _mm256_loadu_pd(s_im.as_ptr().add(k));
-                if hint {
-                    prefetch(s_re, k + BUNDLE_PREFETCH_AHEAD);
-                    prefetch(s_im, k + BUNDLE_PREFETCH_AHEAD);
+            let mut x = [
+                _mm256_loadu_pd(h_re.as_ptr().add(k)),
+                _mm256_loadu_pd(h_re.as_ptr().add(k + 4)),
+            ];
+            let mut y = [
+                _mm256_loadu_pd(h_im.as_ptr().add(k)),
+                _mm256_loadu_pd(h_im.as_ptr().add(k + 4)),
+            ];
+            key_lines_of_chunk(key, k / KEY_CHUNK, slots, |p, line| {
+                for half in 0..2 {
+                    let words = |at: usize| {
+                        _mm256_cvtepi32_pd(_mm_loadu_si128(line.add(at + 4 * half).cast()))
+                    };
+                    let (sr, si) = (words(0), words(KEY_CHUNK));
+                    let fr = _mm256_loadu_pd(f_re.as_ptr().add(p * m + k + 4 * half));
+                    let fi = _mm256_loadu_pd(f_im.as_ptr().add(p * m + k + 4 * half));
+                    x[half] = _mm256_fnmadd_pd(fi, si, _mm256_fmadd_pd(fr, sr, x[half]));
+                    y[half] = _mm256_fmadd_pd(fi, sr, _mm256_fmadd_pd(fr, si, y[half]));
                 }
-                x = _mm256_fmadd_pd(fr, sr, x);
-                x = _mm256_fnmadd_pd(fi, si, x);
-                y = _mm256_fmadd_pd(fr, si, y);
-                y = _mm256_fmadd_pd(fi, sr, y);
+            });
+            for half in 0..2 {
+                _mm256_storeu_pd(out_re.as_mut_ptr().add(k + 4 * half), x[half]);
+                _mm256_storeu_pd(out_im.as_mut_ptr().add(k + 4 * half), y[half]);
             }
-            _mm256_storeu_pd(out_re.as_mut_ptr().add(k), x);
-            _mm256_storeu_pd(out_im.as_mut_ptr().add(k), y);
         }
-        k += 4;
     }
-    debug_assert_eq!(k, m);
 }
 
 // ---------------------------------------------------------------------------
 // i64 kernels (integer engine)
 // ---------------------------------------------------------------------------
 
-/// Exclusive magnitude bound on everything the integer vector legs read:
-/// lift inputs (the values a butterfly stage, the twist or the untwist
-/// rotates, *and* the intermediate `x`/`y` between the three lifts) and
-/// the key spectra of a bundle row. The legs take a value apart as
-/// `v = v_h·2³¹ + v_l` and multiply the halves with the signed 32-bit
-/// `vpmuldq`; `v_h` fits 32 bits exactly when `|v| < 2⁶²`.
+/// Exclusive magnitude bound on everything the integer lifts' vector legs
+/// read: the values a butterfly stage, the twist or the untwist rotates,
+/// *and* the intermediate `x`/`y` between the three lifts. The legs take a
+/// value apart as `v = v_h·2³¹ + v_l` and multiply the halves with the
+/// signed 32-bit `vpmuldq`; `v_h` fits 32 bits exactly when `|v| < 2⁶²`.
 ///
 /// The engine's own scaling keeps forward buffers within `2⁶¹·√2` in
 /// complex magnitude ([`crate::ApproxIntFft`] picks its pre-scales for
@@ -2235,179 +2247,164 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 }
 
 /// One bundle row of the integer engine in a single pass:
-/// `out = (base ≫ drop) + Σ_p ⌊(src_p ⊙ f_p + 2^{S−1}) / 2^S⌋`, the
-/// `drop = ` [`BUNDLE_DROP_BITS`] and `S = ` [`MONO_FRAC_BITS`]` + drop`
-/// of [`crate::ApproxIntFft`], each shift rounding half up, every output
-/// element summed over the terms in order and stored once. `factors` holds
-/// one length-`m` table of `[re, im]` pairs per source, back to back.
-/// `base = None` continues a sum already in `out`.
+/// `out = (h ≫ drop) + Σ_p ⌊(K_{slots[p]} ⊙ f_p + 2^{S−1}) / 2^S⌋`, with
+/// `drop = ` [`BUNDLE_DROP_BITS`], `K_s` the 32-bit mantissas stored in
+/// pattern slot `s` of `key` and `S = ` [`MONO_FRAC_BITS`]` + drop − key.exp`
+/// — here `key.exp` counts in `h`'s fixed-point words, so a mantissa `w`
+/// stands for the word `w·2^{key.exp}` — each shift rounding half up, every
+/// output element summed over the terms in order and stored once.
+/// `factors` holds one length-`m` table of `[re, im]` pairs per slot, back
+/// to back.
 ///
-/// Both legs produce the same integers. The scalar leg forms the complex
-/// product in `i128`. The AVX2 leg splits `s = s_h·2³¹ + s_l` (so the key
-/// spectra must lie below [`I64_LANE_BOUND`]): the real part is
-/// `D_A·2³¹ + D_B` with `D_A = sr_h·fr − si_h·fi`, `D_B = sr_l·fr − si_l·fi`
-/// — each a difference of two signed 32×32-bit products, so it fits 64
-/// bits — and `⌊(D_A·2³¹ + D_B + 2^{S−1}) / 2^S⌋ =
-/// (D_A + (D_B ≫ₐ 31) + 2^{S−32}) ≫ₐ (S − 31)`; the imaginary part
-/// likewise with sums. `|D_A| ≤ |s_h|·|f|` in complex magnitudes, at most
-/// `(2^{30.5} + 1)·2^{31.5}` for spectra within the engine's `2⁶¹·√2`
-/// forward bound and any `i32` factors, so the bracket stays exact.
+/// Both legs produce the same integers. A mantissa and a factor component
+/// are 32 bits each, so a product is one signed 32×32→64-bit multiply —
+/// the scalar leg's `i64` `*`, the AVX2 leg's `vpmuldq` — and the complex
+/// product's components, sums of two of them, stay below `2⁶³` with their
+/// rounding term: `|K|·|f| ≤ 2^{31.5}·2³¹` in complex magnitudes, the
+/// factors being quantized `ε^e − 1` (`|f| ≤ 2` at [`MONO_FRAC_BITS`]).
+/// One rounding shift follows where the 64-bit spectra this replaced
+/// needed two products and two shifts per component. AVX2 has no 64-bit
+/// arithmetic shift: `v ≫ₐ S` is `((v + 2⁶³) ≫ S) − 2^{63−S}` with a logical
+/// shift, the `2⁶³` riding in the rounding constant and the `2^{63−S}` taken
+/// off once per row for all its terms.
 ///
-/// The AVX2 leg also prefetches its sources (`BUNDLE_PREFETCH_AHEAD`):
+/// The AVX2 leg also prefetches down the key (`BUNDLE_PREFETCH_AHEAD`):
 /// once the products are vector work, fetching the key is what a row waits
 /// for, and how long that takes is the neighbours' doing, not the code's.
 ///
 /// # Panics
 ///
-/// Panics on mismatched lengths.
+/// Panics on mismatched lengths, on a key stream shorter than the block,
+/// on a slot outside the block's patterns, and on a `key.exp` that leaves
+/// no rounding shift (`S < 1`).
 pub fn i64_bundle_row(
     out_re: &mut [i64],
     out_im: &mut [i64],
-    base: Option<(&[i64], &[i64])>,
-    srcs: &[(&[i64], &[i64])],
+    (h_re, h_im): (&[i64], &[i64]),
+    key: KeyBlock<'_>,
+    slots: &[u8],
     factors: &[[i32; 2]],
 ) {
     let m = out_re.len();
     assert_eq!(out_im.len(), m, "component length mismatch");
-    if let Some((b_re, b_im)) = base {
-        assert_eq!(b_re.len(), m, "component length mismatch");
-        assert_eq!(b_im.len(), m, "component length mismatch");
-    }
-    for (s_re, s_im) in srcs {
-        assert_eq!(s_re.len(), m, "component length mismatch");
-        assert_eq!(s_im.len(), m, "component length mismatch");
-    }
-    assert_eq!(factors.len(), srcs.len() * m, "one factor table per source");
+    assert_eq!(h_re.len(), m, "component length mismatch");
+    assert_eq!(h_im.len(), m, "component length mismatch");
+    assert_eq!(factors.len(), slots.len() * m, "one factor table per slot");
+    key.assert_holds(m, slots);
+    assert!(
+        key.exp < BUNDLE_SHIFT,
+        "stored words of 2^{} leave no rounding shift",
+        key.exp
+    );
+    let shift = BUNDLE_SHIFT - key.exp;
     #[cfg(target_arch = "x86_64")]
-    if m.is_multiple_of(4) && simd_active() {
-        for (s_re, s_im) in srcs {
-            debug_assert_lane_bound(s_re);
-            debug_assert_lane_bound(s_im);
-        }
-        // SAFETY: simd_active() implies AVX2; the lengths were checked.
-        unsafe { i64_bundle_row_avx(out_re, out_im, base, srcs, factors) };
+    if m.is_multiple_of(KEY_CHUNK) && simd_active() {
+        // SAFETY: simd_active() implies AVX2; the lengths, the block and
+        // the slots were checked above.
+        unsafe { i64_bundle_row_avx(out_re, out_im, h_re, h_im, key, slots, factors, shift) };
         return;
     }
     let half = 1i64 << (BUNDLE_DROP_BITS - 1);
-    let round = 1i128 << (BUNDLE_SHIFT - 1);
+    let round = 1i64 << (shift - 1);
     for k in 0..m {
-        let (mut acc_re, mut acc_im) = match base {
-            Some((b_re, b_im)) => (
-                (b_re[k] + half) >> BUNDLE_DROP_BITS,
-                (b_im[k] + half) >> BUNDLE_DROP_BITS,
-            ),
-            None => (out_re[k], out_im[k]),
-        };
-        for (p, (s_re, s_im)) in srcs.iter().enumerate() {
-            let [fr, fi] = factors[p * m + k];
-            let (fr, fi) = (fr as i128, fi as i128);
-            let (sr, si) = (s_re[k] as i128, s_im[k] as i128);
-            acc_re += ((sr * fr - si * fi + round) >> BUNDLE_SHIFT) as i64;
-            acc_im += ((sr * fi + si * fr + round) >> BUNDLE_SHIFT) as i64;
+        let mut acc_re = (h_re[k] + half) >> BUNDLE_DROP_BITS;
+        let mut acc_im = (h_im[k] + half) >> BUNDLE_DROP_BITS;
+        for (p, &slot) in slots.iter().enumerate() {
+            let at = KeyBlock::word_index(m, key.patterns, slot as usize, k);
+            let sr = i64::from(key.stream[at]);
+            let si = i64::from(key.stream[at + KeyBlock::chunk(m)]);
+            let [fr, fi] = factors[p * m + k].map(i64::from);
+            acc_re += (sr * fr - si * fi + round) >> shift;
+            acc_im += (sr * fi + si * fr + round) >> shift;
         }
         out_re[k] = acc_re;
         out_im[k] = acc_im;
     }
 }
 
-/// Bits a bundle term's product is rounded back by.
+/// Bits a bundle term's product is rounded back by, before the stored
+/// words' own exponent comes off.
 const BUNDLE_SHIFT: u32 = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
-/// What is left of [`BUNDLE_SHIFT`] after the `2³¹` of the operand split.
 #[cfg(target_arch = "x86_64")]
-const BUNDLE_OUTER: i32 = BUNDLE_SHIFT as i32 - 31;
+const _: () = assert!(BUNDLE_DROP_BITS >= 1);
+
+/// # Safety
+///
+/// AVX2 must be present; `h_re`, `h_im` and `out_im` must hold
+/// `m = out_re.len()` elements, `m` a multiple of [`KEY_CHUNK`], and
+/// `factors` `m` per slot; `key.stream` must hold the block and every slot
+/// be one of `key.patterns` ([`KeyBlock::assert_holds`]);
+/// `1 ≤ shift ≤ 62`.
 #[cfg(target_arch = "x86_64")]
-const _: () = assert!(BUNDLE_OUTER >= 1 && BUNDLE_DROP_BITS >= 1);
-#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 unsafe fn i64_bundle_row_avx(
     out_re: &mut [i64],
     out_im: &mut [i64],
-    base: Option<(&[i64], &[i64])>,
-    srcs: &[(&[i64], &[i64])],
+    h_re: &[i64],
+    h_im: &[i64],
+    key: KeyBlock<'_>,
+    slots: &[u8],
     factors: &[[i32; 2]],
+    shift: u32,
 ) {
     use std::arch::x86_64::*;
     const DROP: i32 = BUNDLE_DROP_BITS as i32;
     let m = out_re.len();
-    let sign = _mm256_set1_epi64x(i64::MIN);
-    let low31 = _mm256_set1_epi64x((1 << 31) - 1);
     // Every `v ≫ₐ k` below is `((v + 2⁶³) ≫ k) − 2^{63−k}`; the constants
-    // fold what can be folded. `base`: round, then undo the bias.
+    // fold what can be folded. `h`: round, then undo the bias.
     let drop_round = _mm256_set1_epi64x((1i64 << (DROP - 1)).wrapping_add(i64::MIN));
     let drop_bias = _mm256_set1_epi64x(1 << (63 - DROP));
-    // A term: `D_B ≫ₐ 31` leaves `−2³²`, which joins the rounding term and
-    // the outer shift's `2⁶³`; the outer shift's own `−2^{63−outer}` is the
-    // same for every term, so the row subtracts it once per source.
-    let inner = _mm256_set1_epi64x(
-        (1i64 << (BUNDLE_OUTER - 1))
-            .wrapping_sub(1 << 32)
-            .wrapping_add(i64::MIN),
-    );
-    let outer_bias =
-        _mm256_set1_epi64x((1i64 << (63 - BUNDLE_OUTER)).wrapping_mul(srcs.len() as i64));
-    let term = |d_a: __m256i, d_b: __m256i| {
-        let low = _mm256_srli_epi64::<31>(_mm256_xor_si256(d_b, sign));
-        _mm256_srli_epi64::<BUNDLE_OUTER>(_mm256_add_epi64(_mm256_add_epi64(d_a, low), inner))
-    };
-    prefetch_heads(srcs, m);
-    let mut k = 0;
-    while k + 4 <= m {
-        let hint = prefetch_due(k, m);
+    // A term: its rounding constant carries the `2⁶³`; the `−2^{63−shift}`
+    // is the same for every term, so the row takes it off once per slot.
+    let round = _mm256_set1_epi64x((1i64 << (shift - 1)).wrapping_add(i64::MIN));
+    let bias = _mm256_set1_epi64x((1i64 << (63 - shift)).wrapping_mul(slots.len() as i64));
+    let count = _mm_cvtsi32_si128(shift as i32);
+    let term = |d: __m256i| _mm256_srl_epi64(_mm256_add_epi64(d, round), count);
+    for k in (0..m).step_by(KEY_CHUNK) {
         unsafe {
-            let (mut x, mut y) = match base {
-                Some((b_re, b_im)) => {
-                    let dropped = |p: *const i64| {
-                        let v = _mm256_add_epi64(_mm256_loadu_si256(p.cast()), drop_round);
-                        _mm256_sub_epi64(_mm256_srli_epi64::<DROP>(v), drop_bias)
-                    };
-                    (dropped(b_re.as_ptr().add(k)), dropped(b_im.as_ptr().add(k)))
-                }
-                None => (
-                    _mm256_loadu_si256(out_re.as_ptr().add(k).cast()),
-                    _mm256_loadu_si256(out_im.as_ptr().add(k).cast()),
-                ),
+            let dropped = |p: *const i64| {
+                let v = _mm256_add_epi64(_mm256_loadu_si256(p.cast()), drop_round);
+                _mm256_sub_epi64(_mm256_srli_epi64::<DROP>(v), drop_bias)
             };
-            for (p, (s_re, s_im)) in srcs.iter().enumerate() {
-                // Four `[re, im]` pairs: `fr` is the low half of each lane
-                // as loaded (`vpmuldq` ignores the high half), `fi` moves
-                // down.
-                let fr = _mm256_loadu_si256(factors.as_ptr().add(p * m + k).cast());
-                let fi = _mm256_srli_epi64::<32>(fr);
-                let sr = _mm256_loadu_si256(s_re.as_ptr().add(k).cast());
-                let si = _mm256_loadu_si256(s_im.as_ptr().add(k).cast());
-                if hint {
-                    prefetch(s_re, k + BUNDLE_PREFETCH_AHEAD);
-                    prefetch(s_im, k + BUNDLE_PREFETCH_AHEAD);
+            let mut x = [
+                dropped(h_re.as_ptr().add(k)),
+                dropped(h_re.as_ptr().add(k + 4)),
+            ];
+            let mut y = [
+                dropped(h_im.as_ptr().add(k)),
+                dropped(h_im.as_ptr().add(k + 4)),
+            ];
+            key_lines_of_chunk(key, k / KEY_CHUNK, slots, |p, line| {
+                for half in 0..2 {
+                    // Four mantissas, one to a 64-bit lane, against four
+                    // `[re, im]` pairs: `fr` is the low half of each lane
+                    // as loaded (`vpmuldq` ignores the high half), `fi`
+                    // moves down.
+                    let words = |at: usize| {
+                        _mm256_cvtepi32_epi64(_mm_loadu_si128(line.add(at + 4 * half).cast()))
+                    };
+                    let (sr, si) = (words(0), words(KEY_CHUNK));
+                    let fr = _mm256_loadu_si256(factors.as_ptr().add(p * m + k + 4 * half).cast());
+                    let fi = _mm256_srli_epi64::<32>(fr);
+                    let re = _mm256_sub_epi64(_mm256_mul_epi32(sr, fr), _mm256_mul_epi32(si, fi));
+                    let im = _mm256_add_epi64(_mm256_mul_epi32(sr, fi), _mm256_mul_epi32(si, fr));
+                    x[half] = _mm256_add_epi64(x[half], term(re));
+                    y[half] = _mm256_add_epi64(y[half], term(im));
                 }
-                let (sr_h, sr_l) = (_mm256_srli_epi64::<31>(sr), _mm256_and_si256(sr, low31));
-                let (si_h, si_l) = (_mm256_srli_epi64::<31>(si), _mm256_and_si256(si, low31));
-                x = _mm256_add_epi64(
-                    x,
-                    term(
-                        _mm256_sub_epi64(_mm256_mul_epi32(sr_h, fr), _mm256_mul_epi32(si_h, fi)),
-                        _mm256_sub_epi64(_mm256_mul_epi32(sr_l, fr), _mm256_mul_epi32(si_l, fi)),
-                    ),
+            });
+            for half in 0..2 {
+                _mm256_storeu_si256(
+                    out_re.as_mut_ptr().add(k + 4 * half).cast(),
+                    _mm256_sub_epi64(x[half], bias),
                 );
-                y = _mm256_add_epi64(
-                    y,
-                    term(
-                        _mm256_add_epi64(_mm256_mul_epi32(sr_h, fi), _mm256_mul_epi32(si_h, fr)),
-                        _mm256_add_epi64(_mm256_mul_epi32(sr_l, fi), _mm256_mul_epi32(si_l, fr)),
-                    ),
+                _mm256_storeu_si256(
+                    out_im.as_mut_ptr().add(k + 4 * half).cast(),
+                    _mm256_sub_epi64(y[half], bias),
                 );
             }
-            _mm256_storeu_si256(
-                out_re.as_mut_ptr().add(k).cast(),
-                _mm256_sub_epi64(x, outer_bias),
-            );
-            _mm256_storeu_si256(
-                out_im.as_mut_ptr().add(k).cast(),
-                _mm256_sub_epi64(y, outer_bias),
-            );
         }
-        k += 4;
     }
-    debug_assert_eq!(k, m);
 }
 
 #[cfg(test)]

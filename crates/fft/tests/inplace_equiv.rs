@@ -6,10 +6,14 @@
 use matcha_fft::ref_fft::{dft_in_place, Direction};
 use matcha_fft::twist::{self, Order};
 use matcha_fft::{
-    ApproxIntFft, CplxSpectrum, DepthFirstFft, F64Fft, FftEngine, Radix4Fft, SplitFactors,
+    key_exponent, ApproxIntFft, CplxSpectrum, DepthFirstFft, F64Fft, FftEngine, KeyBlock,
+    Radix4Fft, SplitFactors,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use proptest::prelude::*;
+
+mod common;
+use common::{stored_block, word};
 
 const N: usize = 64;
 
@@ -101,71 +105,96 @@ fn bundle_exponents(terms: usize, e: i64) -> Vec<i64> {
         .collect()
 }
 
-/// The single-pass bundle row of the double-precision engines against the
-/// copy-then-accumulate it replaced: `H` copied, then one
-/// `mul_accumulate` per term with the term's factor table as the left
-/// operand. Term counts cover the empty bundle, `m = 1, 2, 3` and both
-/// sides of the kernels' source-table size.
+/// The single-pass bundle row of the double-precision engines over a
+/// stored key against its definition written out: `H` copied, then per
+/// term and point the four fused multiply-adds of a complex
+/// multiply-accumulate, factor table (the key's `2^exp` folded in) times
+/// stored word. Term counts cover the empty bundle and `m = 1, 2, 3`; the
+/// terms sit in every other slot of a block that holds twice as many.
 fn check_bundle_row_f64<E>(engine: &E, h: &TorusPolynomial, src: &TorusPolynomial, e: i64)
 where
     E: FftEngine<Spectrum = CplxSpectrum, MonomialFactors = SplitFactors>,
 {
     let m = N / 2;
+    let exp = key_exponent(N);
     let fh = engine.forward_torus(h);
-    let keys: Vec<CplxSpectrum> = (0..11)
+    let keys: Vec<CplxSpectrum> = (0..14)
         .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
         .collect();
+    let block = stored_block(engine, &keys, exp);
+    let key = KeyBlock {
+        stream: &block,
+        patterns: keys.len(),
+        exp,
+    };
     // A dirty, wrongly sized factor buffer and output must not leak through.
     let mut factors = SplitFactors {
         re: vec![7.0; 5],
         im: vec![7.0; 3],
+        exp: 31,
     };
     let mut row = engine.forward_torus(src);
-    for terms in [0usize, 1, 3, 7, 8, 9, 11] {
+    for terms in [0usize, 1, 3, 7] {
         let exponents = bundle_exponents(terms, e);
-        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        let slots: Vec<u8> = (0..terms as u8).map(|p| 2 * p + 1).collect();
+        engine.monomial_factors_into(exponents.iter().copied(), exp, &mut factors);
         prop_assert_eq!(factors.re.len(), terms * m);
-        engine.bundle_row_into(&fh, keys[..terms].iter(), &factors, &mut row);
+        engine.bundle_row_into(&fh, key, &slots, &factors, &mut row);
 
         let mut expected = fh.clone();
-        for (p, (key, &e_p)) in keys.iter().zip(&exponents).enumerate() {
-            // One table alone equals its slice of the concatenation.
+        for (p, (&slot, &e_p)) in slots.iter().zip(&exponents).enumerate() {
+            // One table alone equals its slice of the concatenation, and
+            // is the unit-scale table times the key's power of two.
             let mut single = SplitFactors::default();
-            engine.monomial_factors_into([e_p].into_iter(), &mut single);
+            engine.monomial_factors_into([e_p].into_iter(), exp, &mut single);
             prop_assert_eq!(&single.re[..], &factors.re[p * m..(p + 1) * m]);
             prop_assert_eq!(&single.im[..], &factors.im[p * m..(p + 1) * m]);
-            let table = CplxSpectrum {
-                re: single.re,
-                im: single.im,
-            };
-            engine.mul_accumulate(&mut expected, &table, key);
+            let mut unscaled = SplitFactors::default();
+            engine.monomial_factors_into([e_p].into_iter(), 0, &mut unscaled);
+            for k in 0..m {
+                let (fr, fi) = (single.re[k], single.im[k]);
+                prop_assert_eq!(fr, unscaled.re[k] * f64::from(exp).exp2());
+                prop_assert_eq!(fi, unscaled.im[k] * f64::from(exp).exp2());
+                let [sr, si] = word(key, m, slot as usize, k).map(f64::from);
+                expected.re[k] = (-fi).mul_add(si, fr.mul_add(sr, expected.re[k]));
+                expected.im[k] = fi.mul_add(sr, fr.mul_add(si, expected.im[k]));
+            }
         }
         prop_assert_eq!(&row, &expected, "terms = {}", terms);
     }
 }
 
-/// The integer engine's bundle row against the three steps it replaced,
+/// The integer engine's bundle row over a stored key against its steps
 /// written out with their rounding shifts: drop `BUNDLE_DROP_BITS` of `H`
-/// (round half up), then per term add the 128-bit product rounded back by
-/// `MONO_FRAC_BITS + BUNDLE_DROP_BITS`.
+/// (round half up), then per term add the product of 32-bit mantissa and
+/// factor rounded back by `MONO_FRAC_BITS + BUNDLE_DROP_BITS` less the
+/// mantissas' exponent in `H`'s words.
 fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
     use matcha_fft::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
     let engine = ApproxIntFft::new(N, 50);
     let m = N / 2;
+    let exp = key_exponent(N);
     let fh = engine.forward_torus(h);
-    let keys: Vec<_> = (0..11)
+    let keys: Vec<_> = (0..14)
         .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
         .collect();
+    let block = stored_block(&engine, &keys, exp);
+    let key = KeyBlock {
+        stream: &block,
+        patterns: keys.len(),
+        exp,
+    };
     let mut factors = vec![[1, 1]; 5];
     let mut row = engine.forward_torus(src);
-    for terms in [0usize, 1, 3, 7, 8, 9, 11] {
+    for terms in [0usize, 1, 3, 7] {
         let exponents = bundle_exponents(terms, e);
-        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        let slots: Vec<u8> = (0..terms as u8).map(|p| 2 * p + 1).collect();
+        engine.monomial_factors_into(exponents.iter().copied(), exp, &mut factors);
         prop_assert_eq!(factors.len(), terms * m);
-        engine.bundle_row_into(&fh, keys[..terms].iter(), &factors, &mut row);
+        engine.bundle_row_into(&fh, key, &slots, &factors, &mut row);
 
         let half = 1i64 << (BUNDLE_DROP_BITS - 1);
-        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+        let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS - exp - fh.frac_bits;
         let round = 1i128 << (shift - 1);
         let mut re: Vec<i64> = fh
             .re
@@ -177,11 +206,10 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
             .iter()
             .map(|&v| (v + half) >> BUNDLE_DROP_BITS)
             .collect();
-        for (p, key) in keys[..terms].iter().enumerate() {
+        for (p, &slot) in slots.iter().enumerate() {
             for k in 0..m {
-                let [fr, fi] = factors[p * m + k];
-                let (fr, fi) = (fr as i128, fi as i128);
-                let (sr, si) = (key.re[k] as i128, key.im[k] as i128);
+                let [fr, fi] = factors[p * m + k].map(i128::from);
+                let [sr, si] = word(key, m, slot as usize, k).map(i128::from);
                 re[k] += ((sr * fr - si * fi + round) >> shift) as i64;
                 im[k] += ((sr * fi + si * fr + round) >> shift) as i64;
             }

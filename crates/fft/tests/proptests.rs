@@ -3,10 +3,13 @@
 //! and multiply realizations, and error monotonicity in the twiddle width.
 
 use matcha_fft::{
-    ApproxIntFft, DepthFirstFft, DyadicCoeff, F64Fft, FftEngine, LiftingRotation, Radix4Fft,
+    key_exponent, ApproxIntFft, DepthFirstFft, DyadicCoeff, F64Fft, FftEngine, KeyBlock,
+    LiftingRotation, Radix4Fft,
 };
 use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
 use proptest::prelude::*;
+
+mod common;
 
 const N: usize = 32;
 
@@ -170,21 +173,24 @@ fn for_each_engine_monomial(
     Ok(())
 }
 
-/// `base + (X^e − 1)·src` through the engine's bundle-row path.
+/// `base + (X^e − 1)·src` through the engine's bundle-row path, `src`
+/// stored as a one-pattern key.
 fn scaled<E: FftEngine>(
     engine: &E,
     base: &TorusPolynomial,
     src: &TorusPolynomial,
     e: i64,
 ) -> TorusPolynomial {
+    let exp = key_exponent(N);
+    let block = common::stored_block(engine, &[engine.forward_torus(src)], exp);
+    let key = KeyBlock {
+        stream: &block,
+        patterns: 1,
+        exp,
+    };
     let mut factors = E::MonomialFactors::default();
-    engine.monomial_factors_into([e].into_iter(), &mut factors);
+    engine.monomial_factors_into([e].into_iter(), exp, &mut factors);
     let mut acc = engine.zero_spectrum();
-    engine.bundle_row_into(
-        &engine.forward_torus(base),
-        [&engine.forward_torus(src)].into_iter(),
-        &factors,
-        &mut acc,
-    );
+    engine.bundle_row_into(&engine.forward_torus(base), key, &[0], &factors, &mut acc);
     engine.backward_torus(&acc)
 }

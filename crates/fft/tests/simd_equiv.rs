@@ -3,12 +3,14 @@
 //! The kernel legs in `matcha_fft::simd` must agree:
 //!
 //! * **bit-identical** where the operation order is preserved — the integer
-//!   engine *across* legs (its AVX2 lifts and bundle rows recombine 32-bit
-//!   partial products into exactly the scalar leg's `i128` results, and
-//!   both equal a reference written with `LiftingRotation::apply`), the
-//!   fused pair kernels against two single calls *within* one leg, and the
-//!   reduction mod `2^32` at the end of the fused backward tail *across*
-//!   legs (on identical untwisted values);
+//!   engine *across* legs (its AVX2 lifts recombine 32-bit partial products
+//!   into exactly the scalar leg's `i128` results, and both equal a
+//!   reference written with `LiftingRotation::apply`), the bundle rows over
+//!   a stored key *across* legs for both element types (32-bit mantissas
+//!   against 32-bit factors in one multiply; fused multiply-adds on both
+//!   f64 legs), the fused pair kernels against two single calls *within*
+//!   one leg, and the reduction mod `2^32` at the end of the fused backward
+//!   tail *across* legs (on identical untwisted values);
 //! * **bounded-ulp** where the vector leg contracts `a·b ± c·d` into FMAs —
 //!   the three double-precision engines, compared here through exact
 //!   backward-transformed torus coefficients with a tolerance far below
@@ -33,11 +35,14 @@ use matcha_fft::simd::{FoldDigit, Reversed};
 use matcha_fft::tables::BitReversal;
 use matcha_fft::twist::Order;
 use matcha_fft::{
-    force_simd, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft, F64Fft,
-    FftEngine, Radix4Fft, TwiddleTables,
+    force_simd, key_exponent, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft,
+    F64Fft, FftEngine, KeyBlock, Radix4Fft, TwiddleTables,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
+use common::{stored_block, word};
 
 static SIMD_LOCK: Mutex<()> = Mutex::new(());
 
@@ -64,6 +69,24 @@ fn random_torus_poly(n: usize, seed: u32) -> TorusPolynomial {
     )
 }
 
+/// Coefficients as uniform as key material's (xorshift64*): what
+/// `key_exponent` sizes the stored words for. [`random_torus_poly`]'s
+/// coefficients are an arithmetic progression mod `2³²` — a sawtooth, with
+/// a spectral peak no uniform polynomial has.
+fn uniform_torus_poly(n: usize, seed: u32) -> TorusPolynomial {
+    let mut state = 0x9e37_79b9_7f4a_7c15 ^ (u64::from(seed) << 17);
+    TorusPolynomial::from_coeffs(
+        (0..n)
+            .map(|_| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                Torus32::from_raw((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32)
+            })
+            .collect(),
+    )
+}
+
 /// Runs the full external-product-shaped pipeline on one engine with the
 /// current kernel leg: fused decomposed forwards, pair accumulation, bundle
 /// scale, backward. Returns the two backward-transformed polynomials.
@@ -71,7 +94,7 @@ fn pipeline<E: FftEngine>(engine: &E, seed: u32) -> (TorusPolynomial, TorusPolyn
     let n = engine.ring_degree();
     let decomp = GadgetDecomposer::new(8, 3);
     let p = random_torus_poly(n, seed);
-    let q = random_torus_poly(n, seed ^ 0xdead);
+    let q = uniform_torus_poly(n, seed ^ 0xdead);
     let mut scratch = engine.make_scratch();
 
     let fq = {
@@ -86,11 +109,19 @@ fn pipeline<E: FftEngine>(engine: &E, seed: u32) -> (TorusPolynomial, TorusPolyn
         engine.forward_decomposed_into(&p, &decomp, level, &mut fd, &mut scratch);
         engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, &fd, &fq, &fq);
     }
-    // Bundle path: one row `fq + Σ (X^e − 1)·fq` over three patterns.
+    // Bundle path: one row `fq + Σ (X^e − 1)·fq` over three patterns of a
+    // stored key.
+    let exp = key_exponent(n);
+    let block = stored_block(engine, &[fq.clone(), fq.clone(), fq.clone()], exp);
+    let key = KeyBlock {
+        stream: &block,
+        patterns: 3,
+        exp,
+    };
     let mut factors = E::MonomialFactors::default();
-    engine.monomial_factors_into([7, n as i64 + 3, -5].into_iter(), &mut factors);
+    engine.monomial_factors_into([7, n as i64 + 3, -5].into_iter(), exp, &mut factors);
     let mut bundle_b = engine.zero_spectrum();
-    engine.bundle_row_into(&fq, [&fq, &fq, &fq].into_iter(), &factors, &mut bundle_b);
+    engine.bundle_row_into(&fq, key, &[0, 1, 2], &factors, &mut bundle_b);
 
     let mut out_a = TorusPolynomial::zero(n);
     let mut out_b = TorusPolynomial::zero(n);
@@ -333,27 +364,28 @@ fn approx_simd_leg_is_bit_identical() {
     }
 }
 
-/// One bundle row written out in `i128`, the form both legs must equal:
-/// `(h + 8) ≫ 4`, then per term the complex product rounded back by
-/// `MONO_FRAC_BITS + BUNDLE_DROP_BITS`.
+/// One bundle row over a stored key written out in `i128`, the form both
+/// legs must equal: `(h + 8) ≫ 4`, then per term the product of mantissa
+/// and factor rounded back by `MONO_FRAC_BITS + BUNDLE_DROP_BITS` less the
+/// mantissas' exponent in `h`'s words.
 fn bundle_row_i128(
     h: &FixedSpectrum,
-    keys: &[FixedSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
     factors: &[[i32; 2]],
 ) -> (Vec<i64>, Vec<i64>) {
     use matcha_fft::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
     let m = h.re.len();
     let half = 1i64 << (BUNDLE_DROP_BITS - 1);
-    let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS;
+    let shift = MONO_FRAC_BITS + BUNDLE_DROP_BITS - key.exp - h.frac_bits;
     let round = 1i128 << (shift - 1);
     let drop = |v: &i64| (v + half) >> BUNDLE_DROP_BITS;
     let mut re: Vec<i64> = h.re.iter().map(drop).collect();
     let mut im: Vec<i64> = h.im.iter().map(drop).collect();
-    for (p, key) in keys.iter().enumerate() {
+    for (p, &slot) in slots.iter().enumerate() {
         for k in 0..m {
-            let [fr, fi] = factors[p * m + k];
-            let (fr, fi) = (fr as i128, fi as i128);
-            let (sr, si) = (key.re[k] as i128, key.im[k] as i128);
+            let [fr, fi] = factors[p * m + k].map(i128::from);
+            let [sr, si] = word(key, m, slot as usize, k).map(i128::from);
             re[k] += ((sr * fr - si * fi + round) >> shift) as i64;
             im[k] += ((sr * fi + si * fr + round) >> shift) as i64;
         }
@@ -361,36 +393,188 @@ fn bundle_row_i128(
     (re, im)
 }
 
+/// The slot lists a bundle row is checked with, for a block of `patterns`
+/// spectra: every pattern active, one in the middle skipped (a zeroed
+/// pattern exponent: the factor tables close ranks), only the last, none
+/// (an all-zero exponent vector: the row is `H`).
+fn slot_lists(patterns: usize) -> Vec<Vec<u8>> {
+    let all: Vec<u8> = (0..patterns as u8).collect();
+    let mut skipped = all.clone();
+    skipped.remove(patterns / 2);
+    vec![all, skipped, vec![patterns as u8 - 1], vec![]]
+}
+
+/// Ring degrees of the bundle-row checks: below a chunk (`M < 8`), one
+/// chunk, and up to twice the paper's.
+const ROW_DEGREES: [usize; 9] = [8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+
 #[test]
 fn approx_bundle_row_matches_i128_on_both_legs() {
-    // 0 terms (the row is H dropped), 1, a full unroll-3 group (7), exactly
-    // one source table (8), and 9 and 11, which continue the sum in a
-    // second kernel call. The output buffer arrives dirty and mis-sized.
+    // Blocks of 1 … 31 patterns (unroll factors up to 5), at the paper's
+    // twiddle width and the widest the vector lifts reach; the key stream
+    // once ends with its block (the lookahead has nowhere to go) and once
+    // runs on. The output buffer arrives dirty and mis-sized.
     let _g = ForceGuard::lock();
-    for n in [8usize, 1024] {
-        let engine = ApproxIntFft::new(n, 38);
-        let h = engine.forward_torus(&random_torus_poly(n, 61));
-        let keys: Vec<_> = (0..11)
-            .map(|p| engine.forward_torus(&random_torus_poly(n, 70 + p)))
-            .collect();
-        for terms in [0usize, 1, 7, 8, 9, 11] {
-            let exponents = (0..terms as i64).map(|p| 19 * p * p - 40 * p + 1);
-            let mut factors = vec![[7, -7]; 3];
-            engine.monomial_factors_into(exponents, &mut factors);
-            let (scalar, vector) = on_both_legs(|| {
-                let mut row = keys[0].clone();
-                row.re.truncate(n / 4);
-                engine.bundle_row_into(&h, keys[..terms].iter(), &factors, &mut row);
-                row
-            });
-            let (re, im) = bundle_row_i128(&h, &keys[..terms], &factors);
-            for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
-                assert_eq!(row.re, re, "re, {leg}, n={n} terms={terms}");
-                assert_eq!(row.im, im, "im, {leg}, n={n} terms={terms}");
-                assert_eq!(row.frac_bits + 4, h.frac_bits);
+    for (n, beta) in ROW_DEGREES.into_iter().zip([38, 61].into_iter().cycle()) {
+        let m = n / 2;
+        let engine = ApproxIntFft::new(n, beta);
+        let exp = key_exponent(n);
+        let h = engine.forward_torus(&uniform_torus_poly(n, 61));
+        for patterns in [1usize, 3, 7, 15, 31] {
+            let keys: Vec<_> = (0..patterns as u32)
+                .map(|p| engine.forward_torus(&uniform_torus_poly(n, 70 + p)))
+                .collect();
+            let mut block = stored_block(&engine, &keys, exp);
+            for tail in [0, 5000] {
+                block.resize(KeyBlock::words(m, patterns) + tail, 77);
+                let key = KeyBlock {
+                    stream: &block,
+                    patterns,
+                    exp,
+                };
+                for slots in slot_lists(patterns) {
+                    let exponents = (0..slots.len() as i64).map(|p| 19 * p * p - 40 * p + 1);
+                    let mut factors = vec![[7, -7]; 3];
+                    engine.monomial_factors_into(exponents, exp, &mut factors);
+                    let (scalar, vector) = on_both_legs(|| {
+                        let mut row = keys[0].clone();
+                        row.re.truncate(n / 4);
+                        engine.bundle_row_into(&h, key, &slots, &factors, &mut row);
+                        row
+                    });
+                    let (re, im) = bundle_row_i128(&h, key, &slots, &factors);
+                    for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
+                        let ctx =
+                            format!("{leg}, n={n} β={beta} patterns={patterns} slots={slots:?}");
+                        assert_eq!(row.re, re, "re, {ctx}");
+                        assert_eq!(row.im, im, "im, {ctx}");
+                        assert_eq!(row.frac_bits + 4, h.frac_bits);
+                    }
+                }
             }
         }
     }
+}
+
+#[test]
+fn f64_bundle_row_is_bit_identical_across_legs() {
+    // The same sweep for the double-precision row: the scalar leg is the
+    // definition (fused multiply-adds in term order), the AVX2 leg must
+    // land on the same bits.
+    let _g = ForceGuard::lock();
+    for n in ROW_DEGREES {
+        let m = n / 2;
+        let engine = F64Fft::new(n);
+        let exp = key_exponent(n);
+        let h = engine.forward_torus(&uniform_torus_poly(n, 61));
+        for patterns in [1usize, 3, 7, 15, 31] {
+            let keys: Vec<_> = (0..patterns as u32)
+                .map(|p| engine.forward_torus(&uniform_torus_poly(n, 70 + p)))
+                .collect();
+            let mut block = stored_block(&engine, &keys, exp);
+            for tail in [0, 5000] {
+                block.resize(KeyBlock::words(m, patterns) + tail, 77);
+                let key = KeyBlock {
+                    stream: &block,
+                    patterns,
+                    exp,
+                };
+                for slots in slot_lists(patterns) {
+                    let exponents = (0..slots.len() as i64).map(|p| 19 * p * p - 40 * p + 1);
+                    let mut factors = Default::default();
+                    engine.monomial_factors_into(exponents, exp, &mut factors);
+                    let (scalar, vector) = on_both_legs(|| {
+                        let mut row = keys[0].clone();
+                        row.re.truncate(n / 4);
+                        engine.bundle_row_into(&h, key, &slots, &factors, &mut row);
+                        row
+                    });
+                    assert_eq!(
+                        (bits(&scalar.re), bits(&scalar.im)),
+                        (bits(&vector.re), bits(&vector.im)),
+                        "n={n} patterns={patterns} slots={slots:?}"
+                    );
+                    if slots.is_empty() {
+                        assert_eq!(scalar, h, "an empty bundle row is H");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A bundle row over a key stream one word short of its block, on the leg
+/// `force` selects.
+fn bundle_row_over_a_short_block<E: FftEngine>(engine: &E, force: bool) {
+    let _g = ForceGuard::lock();
+    force_simd(Some(force));
+    let n = engine.ring_degree();
+    let exp = key_exponent(n);
+    let h = engine.forward_torus(&uniform_torus_poly(n, 61));
+    let block = stored_block(engine, &[h.clone(), h.clone(), h.clone()], exp);
+    let key = KeyBlock {
+        stream: &block[..block.len() - 1],
+        patterns: 3,
+        exp,
+    };
+    let mut factors = Default::default();
+    engine.monomial_factors_into([5].into_iter(), exp, &mut factors);
+    engine.bundle_row_into(&h, key, &[0], &factors, &mut engine.zero_spectrum());
+}
+
+// The vector legs index the key through raw pointers: the length check in
+// front of them must be there in release builds too (CI runs this file in
+// both profiles).
+#[test]
+#[should_panic(expected = "3 patterns of 512 points need 3072")]
+fn f64_row_rejects_a_short_block_scalar() {
+    bundle_row_over_a_short_block(&F64Fft::new(1024), false);
+}
+
+#[test]
+#[should_panic(expected = "3 patterns of 512 points need 3072")]
+fn f64_row_rejects_a_short_block_vector() {
+    bundle_row_over_a_short_block(&F64Fft::new(1024), true);
+}
+
+#[test]
+#[should_panic(expected = "3 patterns of 512 points need 3072")]
+fn approx_row_rejects_a_short_block_scalar() {
+    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), false);
+}
+
+#[test]
+#[should_panic(expected = "3 patterns of 512 points need 3072")]
+fn approx_row_rejects_a_short_block_vector() {
+    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), true);
+}
+
+#[test]
+#[should_panic(expected = "pattern slot outside the block's 3 patterns")]
+fn row_rejects_a_slot_the_block_does_not_hold() {
+    let engine = F64Fft::new(64);
+    let exp = key_exponent(64);
+    let h = engine.forward_torus(&uniform_torus_poly(64, 61));
+    let block = stored_block(&engine, &[h.clone(), h.clone(), h.clone()], exp);
+    let key = KeyBlock {
+        stream: &block,
+        patterns: 3,
+        exp,
+    };
+    let mut factors = Default::default();
+    engine.monomial_factors_into([5].into_iter(), exp, &mut factors);
+    engine.bundle_row_into(&h, key, &[3], &factors, &mut engine.zero_spectrum());
+}
+
+#[test]
+#[should_panic(expected = "does not fit 32-bit words")]
+fn storing_rejects_a_value_the_exponent_does_not_cover() {
+    // Every coefficient −2³¹: the spectrum's peak is far outside the 8σ of
+    // a uniform polynomial that the exponent is sized for.
+    let n = 1024;
+    let engine = ApproxIntFft::new(n, 38);
+    let peak = TorusPolynomial::from_coeffs(vec![Torus32::from_raw(0x8000_0000); n]);
+    stored_block(&engine, &[engine.forward_torus(&peak)], key_exponent(n));
 }
 
 #[test]
@@ -461,16 +645,32 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
         assert_eq!(back_s, back_v, "bin {bin}");
     }
 
-    // A full unroll-3 bundle row of the largest key spectra, every factor
-    // component i32::MIN (no ε^e − 1 is that large in both components).
-    let keys = vec![key_s.clone(); 7];
-    let factors = vec![[i32::MIN; 2]; 7 * m];
+    // A full unroll-3 bundle row of the largest stored words against the
+    // largest factors there are: `ε^N − 1 = −2` is `[i32::MIN, 0]`, and
+    // `ε^{N/2} − 1 = i − 1` at the first point has both components at
+    // `±2³⁰`. Mantissas at both ends of their range, in every sign pairing.
+    let exp = key_exponent(n);
+    let patterns = 7;
+    let ends = [i32::MIN, i32::MAX];
+    let block: Vec<i32> = (0..KeyBlock::words(m, patterns))
+        .map(|i| ends[(i / 5 + i / 16) % 2])
+        .collect();
+    let key = KeyBlock {
+        stream: &block,
+        patterns,
+        exp,
+    };
+    let slots: Vec<u8> = (0..patterns as u8).collect();
+    let mut factors = Vec::new();
+    let exponents = (0..patterns as i64).map(|p| if p % 2 == 0 { n as i64 } else { n as i64 / 2 });
+    engine.monomial_factors_into(exponents, exp, &mut factors);
+    assert_eq!(factors[0], [i32::MIN, 0]);
     let (scalar, vector) = on_both_legs(|| {
         let mut row = engine.zero_spectrum();
-        engine.bundle_row_into(&key_s, keys.iter(), &factors, &mut row);
+        engine.bundle_row_into(&key_s, key, &slots, &factors, &mut row);
         row
     });
-    let (re, im) = bundle_row_i128(&key_s, &keys, &factors);
+    let (re, im) = bundle_row_i128(&key_s, key, &slots, &factors);
     for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
         assert_eq!(row.re, re, "bundle re, {leg}");
         assert_eq!(row.im, im, "bundle im, {leg}");
@@ -569,32 +769,52 @@ fn fused_tail_reduction_is_bitwise_across_legs() {
 
 #[test]
 fn bundle_row_matches_copy_then_singles_on_either_leg() {
-    // Within one leg the single-pass row is bit-identical to what it
-    // replaced — copy `H`, then one `mul_accumulate` per term with the
-    // factor table as left operand — because it keeps that element order.
-    // Eleven terms also cross the kernel's source-table size.
+    // On either leg the single-pass row is a copy of `H` followed, per
+    // term, by the fused complex multiply-accumulate of factor table and
+    // widened key — `mul_accumulate`'s vector-leg element order, which the
+    // row keeps on its scalar leg too. On the vector leg that *is* one
+    // `mul_accumulate` per term.
     let _g = ForceGuard::lock();
-    for force in [Some(false), Some(true)] {
-        force_simd(force);
+    for force in [false, true] {
+        force_simd(Some(force));
         let engine = F64Fft::new(256);
-        let h = engine.forward_torus(&random_torus_poly(256, 61));
+        let exp = key_exponent(256);
+        let h = engine.forward_torus(&uniform_torus_poly(256, 61));
         let keys: Vec<_> = (0..11)
-            .map(|p| engine.forward_torus(&random_torus_poly(256, 70 + p)))
+            .map(|p| engine.forward_torus(&uniform_torus_poly(256, 70 + p)))
             .collect();
+        let block = stored_block(&engine, &keys, exp);
+        let key = KeyBlock {
+            stream: &block,
+            patterns: keys.len(),
+            exp,
+        };
+        let slots: Vec<u8> = (0..11).collect();
         let exponents: Vec<i64> = (0..11).map(|p| 19 * p - 40).collect();
         let mut factors = Default::default();
-        engine.monomial_factors_into(exponents.iter().copied(), &mut factors);
+        engine.monomial_factors_into(exponents.iter().copied(), exp, &mut factors);
         let mut row = engine.zero_spectrum();
-        engine.bundle_row_into(&h, keys.iter(), &factors, &mut row);
-        let mut expected = h.clone();
-        for (p, key) in keys.iter().enumerate() {
+        engine.bundle_row_into(&h, key, &slots, &factors, &mut row);
+        let mut fused = h.clone();
+        let mut singles = h.clone();
+        for p in 0..keys.len() {
             let table = matcha_fft::CplxSpectrum {
                 re: factors.re[p * 128..(p + 1) * 128].to_vec(),
                 im: factors.im[p * 128..(p + 1) * 128].to_vec(),
             };
-            engine.mul_accumulate(&mut expected, &table, key);
+            // The stored words as they stand: their `2^exp` is in the table.
+            let words = common::widened_cplx(KeyBlock { exp: 0, ..key }, 128, p);
+            engine.mul_accumulate(&mut singles, &table, &words);
+            for k in 0..128 {
+                let (fr, fi, sr, si) = (table.re[k], table.im[k], words.re[k], words.im[k]);
+                fused.re[k] = (-fi).mul_add(si, fr.mul_add(sr, fused.re[k]));
+                fused.im[k] = fi.mul_add(sr, fr.mul_add(si, fused.im[k]));
+            }
         }
-        assert_eq!(row, expected, "force={force:?}");
+        assert_eq!(row, fused, "force={force}");
+        if simd_active() {
+            assert_eq!(row, singles, "vector leg");
+        }
     }
 }
 

@@ -546,11 +546,17 @@ impl Rewriter {
 ///
 /// * **Blind rotate** ([`NoiseModel::v_blind_rotate`]) — `⌈n/m⌉`
 ///   external products, each against a bundle `1 + Σ_p (X^{e_p} − 1)·BK_p`
-///   over the group's `2^m − 1` pattern keys. Scaling a key by
-///   `X^e − 1` doubles its per-coefficient noise variance, every nonempty
-///   pattern is charged, digits are taken at the worst-case magnitude
-///   `Bg/2`, and the gadget's `ℓ`-level approximation contributes
-///   `(1 + N)·(2^{-ℓ·log Bg})²` per product.
+///   over the group's `2^m − 1` pattern keys. A pattern key's row carries
+///   the ring noise it was encrypted with plus what storing it added: the
+///   key is kept in 32-bit words of `2^e` torus units
+///   ([`matcha_fft::key_exponent`]), narrowed so that only the body's
+///   rounding reaches the phase ([`crate::bku`]) — a uniform step of `2^e`
+///   per spectral component, `(2^e/2³²)²/12` each, which the inverse
+///   transform averages over `N/2` points: `4^e/(6N)` raw units² per
+///   coefficient. Scaling a key by `X^e − 1` doubles its per-coefficient
+///   noise variance, every nonempty pattern is charged, digits are taken at
+///   the worst-case magnitude `Bg/2`, and the gadget's `ℓ`-level
+///   approximation contributes `(1 + N)·(2^{-ℓ·log Bg})²` per product.
 /// * **Key switch** ([`NoiseModel::v_key_switch`]) — digit multiples are
 ///   pre-encrypted (`KeySwitchKey` stores `v·s′_i/2^{(j+1)γ}` entries), so
 ///   each of the `N·t` digits subtracts exactly one fresh-noise sample;
@@ -607,8 +613,14 @@ impl NoiseModel {
         let patterns = ((1usize << unroll) - 1) as f64;
         let bg = (params.decomp_base_log as f64).exp2();
         let ell = params.decomp_levels as f64;
+        // A stored key row: its ring noise, and the body's rounding to
+        // words of `2^e` (step² / 12 per spectral component, averaged over
+        // the N/2 points a coefficient is the mean of).
+        let key_step = (f64::from(matcha_fft::key_exponent(params.ring_degree)) - 32.0).exp2();
+        let v_key_row =
+            params.ring_noise_stdev * params.ring_noise_stdev + key_step * key_step / (6.0 * big_n);
         // `(X^e − 1)` doubles a pattern key's per-coefficient variance.
-        let v_bundle = 2.0 * patterns * params.ring_noise_stdev * params.ring_noise_stdev;
+        let v_bundle = 2.0 * patterns * v_key_row;
         let eps_bg = (-(params.decomp_base_log as f64 * params.decomp_levels as f64)).exp2();
         let v_blind_rotate = groups
             * (2.0 * ell * big_n * (bg * bg / 4.0) * v_bundle + (1.0 + big_n) * eps_bg * eps_bg);
@@ -1329,6 +1341,62 @@ mod tests {
     #[should_panic(expected = "outside 1..=8")]
     fn model_rejects_bad_unroll() {
         let _ = NoiseModel::new(&ParameterSet::TEST_FAST, 0);
+    }
+
+    /// The body rounding of the stored bootstrapping key is in the model,
+    /// and it is small: against the same model with a key row's ring noise
+    /// alone, blind rotation's variance rises by the rounding's share of a
+    /// row (0.3 % at the paper's parameters), and no decision's failure
+    /// bound — a certificate is a sum of these — by as much as a tenth,
+    /// unless it is a bound no certificate can see: the further out in the
+    /// tail, the more a variance moves it, and below `2⁻⁴⁰` (a millionth of
+    /// the default budget) it may move by a fifth.
+    #[test]
+    fn stored_key_rounding_is_charged_and_moves_no_bound_by_a_tenth() {
+        let p = ParameterSet::MATCHA;
+        let ring = p.ring_noise_stdev * p.ring_noise_stdev;
+        let rounding = (2.0 * f64::from(matcha_fft::key_exponent(p.ring_degree)) - 64.0).exp2()
+            / (6.0 * p.ring_degree as f64);
+        assert!((0.001..0.004).contains(&(rounding / ring)), "{rounding:e}");
+        for unroll in 1..=4 {
+            let model = NoiseModel::new(&p, unroll);
+            // What does not scale with a key row's variance: the gadget's
+            // approximation error, once per group.
+            let groups = p.lwe_dimension.div_ceil(unroll) as f64;
+            let eps = (-f64::from(p.decomp_base_log) * p.decomp_levels as f64).exp2();
+            let approximation = groups * (1.0 + p.ring_degree as f64) * eps * eps;
+            let keyed = model.v_blind_rotate - approximation;
+            let unstored = NoiseModel {
+                v_blind_rotate: approximation + keyed * ring / (ring + rounding),
+                ..model
+            };
+            let share = model.v_blind_rotate / unstored.v_blind_rotate - 1.0;
+            assert!(
+                share > 0.0 && share < rounding / ring,
+                "unroll {unroll}: {share}"
+            );
+            let moved = |with: f64, without: f64| {
+                let most = if with < (-40f64).exp2() { 1.2 } else { 1.1 };
+                assert!(
+                    with >= without && with < most * without,
+                    "unroll {unroll}: bound {without:e} became {with:e}"
+                );
+            };
+            let (v, v0) = (model.v_bootstrapped(), unstored.v_bootstrapped());
+            for gate in [Gate::And, Gate::Xor] {
+                moved(
+                    model.gate_failure(gate, v, v),
+                    unstored.gate_failure(gate, v0, v0),
+                );
+            }
+            let (m, m0) = (model.v_mux_output(), unstored.v_mux_output());
+            moved(model.mux_failure(v, m, m), unstored.mux_failure(v0, m0, m0));
+            moved(
+                model.gate_failure(Gate::And, m, m),
+                unstored.gate_failure(Gate::And, m0, m0),
+            );
+            moved(model.decrypt_failure(m), unstored.decrypt_failure(m0));
+        }
     }
 
     #[test]

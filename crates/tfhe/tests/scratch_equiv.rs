@@ -4,7 +4,9 @@
 //! the bits a cold one does, at every level — external product, bundle
 //! construction, the full gate bootstrap and the programmable one — and
 //! keeps decrypting correctly. The external product is also held against
-//! the textbook one, written here from the engines' public primitives.
+//! the textbook one, written here from the engines' public primitives,
+//! and a bundle built on the scalar kernel leg against the same bundle
+//! built on the vector leg: over a stored key the two agree bit for bit.
 
 use matcha_fft::{ApproxIntFft, DepthFirstFft, F64Fft, FftEngine, Radix4Fft};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
@@ -14,8 +16,19 @@ use matcha_tfhe::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{RwLock, RwLockReadGuard};
 
 const MU: f64 = 0.125;
+
+/// `force_simd` is process-global and the f64 transforms differ by ulps
+/// between the legs, so a test that compares two of its own runs must not
+/// have the leg change under it: such tests hold this lock shared, the
+/// bundle tests, which pin each leg in turn, exclusively.
+static LEG: RwLock<()> = RwLock::new(());
+
+fn current_leg() -> RwLockReadGuard<'static, ()> {
+    LEG.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn params() -> ParameterSet {
     ParameterSet {
@@ -50,6 +63,7 @@ fn textbook_external_product<E: FftEngine>(
 /// bit for bit, through a cold scratch and through a warmed one, on any
 /// engine.
 fn check_external_product<E: FftEngine>(engine: &E, seed: u64) {
+    let _leg = current_leg();
     let p = params();
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
     let key = RingSecretKey::generate(p.ring_degree, &mut sampler);
@@ -90,15 +104,25 @@ fn fused_external_product_matches_on_radix4_engine() {
     check_external_product(&Radix4Fft::new(params().ring_degree), 25);
 }
 
-/// `build_bundle_into` through fresh buffers every call against one bundle
-/// buffer and one factor buffer carried, dirty, from group to group — at
-/// unroll 1, 2 and 3, where 16 = 5·3 + 1 ends in a short group, with one
-/// exponent vector that zeroes a pattern's exponent (its term is skipped
-/// and the factor tables close ranks) and one that zeroes them all (the
-/// bundle is `H`). Spectra are engine-specific types without `PartialEq`;
-/// their `Debug` output prints every component exactly, so equal strings
-/// mean equal bundles.
+/// `build_bundle_into` through fresh buffers on the scalar kernel leg,
+/// through fresh buffers on the vector leg, and through one bundle buffer
+/// and one factor buffer carried, dirty, from group to group — at unroll
+/// 1, 2 and 3, where 16 = 5·3 + 1 ends in a short group (and the last
+/// row of the last group in the last words of the key, where the rows'
+/// lookahead has nowhere left to go), with one exponent vector that
+/// zeroes a pattern's exponent (its slot is skipped and the factor tables
+/// close ranks) and one that zeroes them all (the bundle is `H`). Spectra
+/// are engine-specific types without `PartialEq`; their `Debug` output
+/// prints every component exactly, so equal strings mean equal bundles.
 fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u64) {
+    let _legs = LEG.write().unwrap_or_else(|e| e.into_inner());
+    struct Auto;
+    impl Drop for Auto {
+        fn drop(&mut self) {
+            matcha_fft::force_simd(None);
+        }
+    }
+    let _auto = Auto;
     let p = params();
     let two_n = p.two_n();
     let gadget = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
@@ -123,21 +147,24 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
             }
             let zeros = vec![0; group.len()];
             for exponents in [&spread, &cancelling, &zeros] {
-                let (mut fresh, mut fresh_factors) = (gadget.clone(), Default::default());
-                bk.build_bundle_into(
-                    engine,
-                    group,
-                    exponents,
-                    two_n,
-                    &mut fresh,
-                    &mut fresh_factors,
-                );
+                let fresh = |vector_leg: bool| {
+                    matcha_fft::force_simd(Some(vector_leg));
+                    let (mut fresh, mut fresh_factors) = (gadget.clone(), Default::default());
+                    bk.build_bundle_into(
+                        engine,
+                        group,
+                        exponents,
+                        two_n,
+                        &mut fresh,
+                        &mut fresh_factors,
+                    );
+                    format!("{:?}", fresh.rows())
+                };
+                let (scalar, vector) = (fresh(false), fresh(true));
                 bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
-                assert_eq!(
-                    format!("{:?}", fresh.rows()),
-                    format!("{:?}", bundle.rows()),
-                    "unroll={unroll} group={g} exponents={exponents:?}"
-                );
+                let context = format!("unroll={unroll} group={g} exponents={exponents:?}");
+                assert_eq!(scalar, vector, "across legs, {context}");
+                assert_eq!(vector, format!("{:?}", bundle.rows()), "reused, {context}");
             }
         }
     }
@@ -164,6 +191,7 @@ fn build_bundle_into_is_bit_identical_approx() {
 }
 
 fn check_bootstrap_equivalence<E: FftEngine>(engine: &E, unroll: usize, seed: u64) {
+    let _leg = current_leg();
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
     let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
@@ -213,6 +241,7 @@ fn warmed_scratch_bootstrap_is_bit_identical_approx() {
 /// healthy noise margins.
 #[test]
 fn warmed_scratch_keeps_decrypting_correctly() {
+    let _leg = current_leg();
     let mut rng = StdRng::seed_from_u64(151);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
     let engine = F64Fft::new(256);
@@ -232,6 +261,7 @@ fn warmed_scratch_keeps_decrypting_correctly() {
 
 #[test]
 fn lut_bootstrap_into_is_bit_identical() {
+    let _leg = current_leg();
     use matcha_tfhe::pbs::Lut;
     let mut rng = StdRng::seed_from_u64(161);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);

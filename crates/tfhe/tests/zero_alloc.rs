@@ -1,13 +1,15 @@
 //! The headline property of this optimization: a **warmed** scratch
 //! bootstrap performs zero heap allocations. Measured directly with a
 //! counting global allocator (this integration test is its own binary, so
-//! the allocator hook is isolated from the rest of the suite).
+//! the allocator hook is isolated from the rest of the suite). The same
+//! allocator keeps the bytes a thread has live, which is how key
+//! generation is held to "the key and one sample".
 
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Radix4Fft};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
-    BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, ParameterSet, RingSecretKey,
-    ServerKey, TgswCiphertext, TrlweCiphertext, MAX_LANES,
+    BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, LweSecretKey, ParameterSet,
+    RingSecretKey, ServerKey, TgswCiphertext, TrlweCiphertext, UnrolledBootstrappingKey, MAX_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,24 +26,46 @@ thread_local! {
     // const-initialized: accessing it inside the allocator cannot itself
     // allocate (no lazy TLS initialization).
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (signed: a thread may
+    /// free what another allocated), and the highest that has stood since
+    /// [`live_bytes_peak_of`] last reset it.
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+    static THREAD_PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn bump() {
     THREAD_ALLOCATIONS.with(|c| c.set(c.get() + 1));
 }
 
+fn live(delta: i64) {
+    let now = THREAD_LIVE.with(|c| {
+        c.set(c.get() + delta);
+        c.get()
+    });
+    THREAD_PEAK.with(|c| c.set(c.get().max(now)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        live(layout.size() as i64);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,6 +76,51 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations performed by the calling thread so far.
 fn allocations() -> u64 {
     THREAD_ALLOCATIONS.with(|c| c.get())
+}
+
+/// The most bytes the calling thread had live at any moment of `f`, over
+/// what it had live when `f` began.
+fn live_bytes_peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = THREAD_LIVE.with(|c| c.get());
+    THREAD_PEAK.with(|c| c.set(before));
+    let out = f();
+    let peak = THREAD_PEAK.with(|c| c.get());
+    (out, (peak - before) as usize)
+}
+
+/// Generating a bootstrapping key writes each row into the key's slab as
+/// it is produced: beside the key itself no more than one TGSW sample (in
+/// coefficients, `2ℓ` rows of two polynomials) and a few spectra of
+/// working space are ever live — never a second copy of the key, which at
+/// the paper's parameters would be the process's peak.
+fn assert_generation_holds_one_sample_beside_the_key<E: FftEngine>(engine: &E, seed: u64) {
+    // The paper's ring and gadget; 48 key bits make 24 groups, 3.4 MB.
+    let params = ParameterSet {
+        lwe_dimension: 48,
+        ..ParameterSet::MATCHA
+    };
+    let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
+    let lwe_key = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
+    let ring_key = RingSecretKey::generate(params.ring_degree, &mut sampler);
+    let (bk, peak) = live_bytes_peak_of(|| {
+        UnrolledBootstrappingKey::generate(&lwe_key, &ring_key, &params, engine, 2, &mut sampler)
+    });
+    let sample = 2 * params.decomp_levels * 2 * params.ring_degree * 4;
+    let allowance = bk.stored_bytes() + sample + (64 << 10);
+    assert!(
+        peak <= allowance,
+        "generation had {peak} bytes live; the key is {} and a sample {sample}",
+        bk.stored_bytes()
+    );
+    // The meter sees a second copy when there is one.
+    let (_copy, with_copy) = live_bytes_peak_of(|| vec![0u8; bk.stored_bytes()]);
+    assert!(with_copy >= bk.stored_bytes());
+}
+
+#[test]
+fn key_generation_holds_one_sample_beside_the_key() {
+    assert_generation_holds_one_sample_beside_the_key(&F64Fft::new(1024), 31);
+    assert_generation_holds_one_sample_beside_the_key(&ApproxIntFft::new(1024, 38), 32);
 }
 
 /// The fused decompose→twist external product stays allocation-free once

@@ -89,3 +89,54 @@ fn unrolling_does_not_blow_the_noise_budget() {
         assert!(stats.max_abs < 1.0 / 16.0, "m={m}: {}", stats.max_abs);
     }
 }
+
+/// The decrypt-failure sweep at the paper's parameters, on a key stored in
+/// 32-bit words: every NAND and every MUX must decrypt to its truth-table
+/// value, and the bootstrap's measured noise must be what it was when the
+/// key was stored at full width (`recorded`: the parent commit's reading of
+/// the same seed and trials — the draws are the same, so the two readings
+/// differ only by what storing adds).
+///
+/// 200 NANDs, 50 MUXes and 2048 noise trials in an optimized build (CI's
+/// release step); an unoptimized build, where a bootstrap at these
+/// parameters takes most of a second, runs a twenty-fifth of the gates and leaves
+/// the noise reading out.
+fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u64, recorded: f64) {
+    use matcha::{Gate, ServerKey};
+    let scale = if cfg!(debug_assertions) { 25 } else { 1 };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
+    let server = ServerKey::with_unrolling(&client, engine, unroll, &mut rng);
+    let mut failures = 0;
+    for i in 0..200 / scale {
+        let (a, b) = (i % 2 == 0, (i / 2) % 2 == 0);
+        let [ca, cb] = [a, b].map(|bit| client.encrypt_with(bit, &mut rng));
+        let out = server.apply(Gate::Nand, &ca, &cb);
+        failures += usize::from(client.decrypt(&out) == (a && b));
+    }
+    for i in 0..50 / scale {
+        let (s, a, b) = (i % 2 == 0, (i / 2) % 2 == 0, (i / 4) % 2 == 0);
+        let [cs, ca, cb] = [s, a, b].map(|bit| client.encrypt_with(bit, &mut rng));
+        let out = server.mux(&cs, &ca, &cb);
+        failures += usize::from(client.decrypt(&out) != if s { a } else { b });
+    }
+    assert_eq!(failures, 0, "decryption failures among the NANDs and MUXes");
+    if scale == 1 {
+        let stats = noise::bootstrap_noise(&client, server.kit(), server.engine(), 2048, &mut rng);
+        assert!(
+            (stats.stdev / recorded - 1.0).abs() < 0.05,
+            "bootstrap noise σ {:e}, recorded {recorded:e}",
+            stats.stdev
+        );
+    }
+}
+
+#[test]
+fn no_decrypt_failures_at_paper_parameters_f64() {
+    decrypt_failure_sweep(F64Fft::new(1024), 2, 36, 6.625e-3);
+}
+
+#[test]
+fn no_decrypt_failures_at_paper_parameters_approx38() {
+    decrypt_failure_sweep(ApproxIntFft::new(1024, 38), 3, 37, 8.444e-3);
+}
