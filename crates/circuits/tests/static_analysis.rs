@@ -2,13 +2,17 @@
 //! netlists must stay output-equivalent after rewriting, and the rewriter
 //! must actually discharge the lints it claims to fix.
 //!
-//! Case counts are small — every gate in both the original and the
-//! simplified netlist is a full (TEST_FAST) bootstrap.
+//! Case counts are small where every gate in both the original and the
+//! simplified netlist is a full (TEST_FAST) bootstrap, large where the
+//! netlists are evaluated in plaintext.
 
 use matcha_circuits::analysis;
 use matcha_fft::F64Fft;
+use matcha_tfhe::analyze::equiv::eval_netlist;
 use matcha_tfhe::circuit::CircuitNetlist;
-use matcha_tfhe::{lint, simplify, ClientKey, Gate, LintKind, ParameterSet, ServerKey, Severity};
+use matcha_tfhe::{
+    lint, simplify, ClientKey, Gate, Gate3, LintKind, ParameterSet, ServerKey, Severity,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,6 +59,7 @@ fn build(n_inputs: usize, ops: &[RandOp], out_picks: &[u8]) -> CircuitNetlist {
             0 => net.constant(a % 2 == 0),
             1 | 2 => net.not(at(a)),
             3 | 4 => net.mux(at(a), at(b), at(c)),
+            5 => net.ternary(Gate3::ALL[kind as usize / 10 % 2], at(a), at(b), at(c)),
             _ => net.gate(Gate::ALL[a as usize % Gate::ALL.len()], at(b), at(c)),
         };
     }
@@ -125,6 +130,31 @@ proptest! {
                 "surviving lint {} on simplified netlist",
                 l
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The same property in plaintext, where it is cheap enough to hold on
+    /// every input assignment of netlists deep enough to have cones to
+    /// fuse: the simplified netlist computes the same outputs and never
+    /// costs more bootstraps or waves.
+    #[test]
+    fn simplified_netlists_compute_the_same_function(
+        n_inputs in 1usize..6,
+        ops in prop::collection::vec(rand_op(), 3..48),
+        out_picks in prop::collection::vec(any::<u8>(), 1..6),
+    ) {
+        let net = build(n_inputs, &ops, &out_picks);
+        let (small, report) = simplify(&net);
+        prop_assert!(report.bootstraps_after <= report.bootstraps_before);
+        prop_assert!(small.depth() <= net.depth());
+        prop_assert_eq!(report.exact && report.fused > 0, false);
+        for assignment in 0..1u32 << n_inputs {
+            let bits: Vec<bool> = (0..n_inputs).map(|i| assignment >> i & 1 == 1).collect();
+            prop_assert_eq!(eval_netlist(&net, &bits), eval_netlist(&small, &bits));
         }
     }
 }

@@ -27,10 +27,12 @@
 //!
 //! [`simplify`] applies the safe subset of the lint findings as rewrites —
 //! constant folding, double-`NOT` collapse, common-subexpression
-//! elimination, and dead-code removal — and reports whether the result is
-//! bit-identical to the original (CSE/`NOT` rewrites are; folding a
-//! bootstrapped gate into a trivial constant or an alias is
-//! decrypt-equivalent only, and the report says so).
+//! elimination, and dead-code removal — then fuses every cone that
+//! computes a three-input majority or parity into one [`Gate3`] bootstrap,
+//! and reports whether the result is bit-identical to the original
+//! (CSE/`NOT` rewrites are; folding a bootstrapped gate into a trivial
+//! constant or an alias, or fusing a cone, is decrypt-equivalent only, and
+//! the report says so).
 //!
 //! [`AnalysisPolicy`] packages the admission knobs (`CircuitServer`-side):
 //! the minimum lint severity to reject on, the per-output
@@ -41,7 +43,7 @@
 pub mod equiv;
 
 use crate::circuit::{CircuitNetlist, GateOp};
-use crate::gates::Gate;
+use crate::gates::{Gate, Gate3};
 use crate::params::ParameterSet;
 use std::collections::HashMap;
 use std::fmt;
@@ -71,7 +73,7 @@ impl fmt::Display for Severity {
 /// The catalogue of structural findings [`lint`] can report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LintKind {
-    /// A bootstrapped node (binary gate or mux) unreachable from every
+    /// A bootstrapped node (binary or ternary gate, mux) unreachable from every
     /// marked output: the executor still spends its bootstraps.
     DeadNode,
     /// The netlist performs bootstrapped work but marks no outputs — all
@@ -189,10 +191,16 @@ fn commutative(gate: Gate) -> bool {
 }
 
 /// The canonical form of an op for duplicate detection: commutative
-/// binary gates get their operands sorted.
+/// binary gates and the (symmetric) ternary gates get their operands
+/// sorted.
 fn canonical(op: GateOp) -> GateOp {
     match op {
         GateOp::Binary(g, a, b) if commutative(g) && b < a => GateOp::Binary(g, b, a),
+        GateOp::Ternary(g, a, b, c) => {
+            let mut operands = [a, b, c];
+            operands.sort_unstable();
+            GateOp::Ternary(g, operands[0], operands[1], operands[2])
+        }
         other => other,
     }
 }
@@ -220,7 +228,7 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                     kind: LintKind::UnusedInput,
                     node: id,
                 }),
-                GateOp::Binary(..) | GateOp::Mux { .. } => lints.push(Lint {
+                GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Ternary(..) => lints.push(Lint {
                     kind: LintKind::DeadNode,
                     node: id,
                 }),
@@ -228,13 +236,7 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
             }
             continue;
         }
-        let foldable = match op {
-            GateOp::Binary(_, a, b) => is_const(a) || is_const(b),
-            GateOp::Not(a) => is_const(a),
-            GateOp::Mux { sel, a, b } => is_const(sel) || is_const(a) || is_const(b),
-            GateOp::Input(_) | GateOp::Constant(_) => false,
-        };
-        if foldable {
+        if op.operands().into_iter().flatten().any(is_const) {
             lints.push(Lint {
                 kind: LintKind::ConstantFoldable,
                 node: id,
@@ -256,7 +258,7 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                 });
             }
         }
-        if matches!(op, GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Not(_))
+        if !matches!(op, GateOp::Input(_) | GateOp::Constant(_))
             && seen.insert(canonical(op), id).is_some()
         {
             lints.push(Lint {
@@ -285,15 +287,19 @@ pub struct SimplifyReport {
     pub collapsed_nots: usize,
     /// Ops aliased to a structurally identical earlier op (CSE).
     pub deduplicated: usize,
+    /// Bootstrapped gates replaced by one three-input gate over the
+    /// leaves of a cone they were the root of.
+    pub fused: usize,
     /// Dead (output-unreachable, non-input) nodes swept.
     pub dead_removed: usize,
     /// `true` when every rewrite applied was *bit*-exact: outputs of the
     /// simplified netlist are bit-identical ciphertexts to the original's
     /// (CSE, `NOT` collapse, `NOT`-of-constant, constant pooling, and
     /// dead-code removal all are — bootstrapping is deterministic given
-    /// the keys). Folding a *bootstrapped* gate to a constant or an alias
-    /// clears this: the outputs then agree on decryption (same plaintext,
-    /// noise within the gate margins) but not bit-for-bit.
+    /// the keys). Folding a *bootstrapped* gate to a constant or an alias,
+    /// or fusing a cone into a three-input gate, clears this: the outputs
+    /// then agree on decryption (same plaintext, noise within the gate
+    /// margins) but not bit-for-bit.
     pub exact: bool,
 }
 
@@ -302,6 +308,189 @@ impl SimplifyReport {
     pub fn bootstraps_saved(&self) -> usize {
         self.bootstraps_before - self.bootstraps_after
     }
+}
+
+/// Most cuts kept per node: what bounds the enumeration on an adversarial
+/// netlist. A full adder's carry has five.
+const MAX_CUTS: usize = 16;
+
+/// A node as a function of at most three other nodes: `table` bit
+/// `Σ leafᵢ << i` is the node's value when the `leaves[..len]` (ascending)
+/// hold those bits; bits past `1 << len` mean nothing. Holds on every
+/// assignment the netlist can reach, whether or not one leaf lies in
+/// another's cone.
+#[derive(Clone, Copy, Debug)]
+struct Cut {
+    leaves: [usize; 3],
+    len: usize,
+    table: u8,
+}
+
+impl Cut {
+    /// The node itself as its only leaf.
+    fn trivial(id: usize) -> Self {
+        Cut {
+            leaves: [id, 0, 0],
+            len: 1,
+            table: 0b10,
+        }
+    }
+
+    fn leaves(&self) -> &[usize] {
+        &self.leaves[..self.len]
+    }
+
+    /// The cut of `op` that reads operand `i` through `operands[i]`, if it
+    /// has at most three leaves.
+    fn merge(op: GateOp, operands: &[Cut]) -> Option<Cut> {
+        let mut leaves = [0usize; 3];
+        let mut len = 0;
+        for &leaf in operands.iter().flat_map(Cut::leaves) {
+            if !leaves[..len].contains(&leaf) {
+                if len == 3 {
+                    return None;
+                }
+                leaves[len] = leaf;
+                len += 1;
+            }
+        }
+        leaves[..len].sort_unstable();
+        let mut table = 0u8;
+        for row in 0..1u8 << len {
+            // The bit `row` gives a leaf of the union.
+            let bit = |leaf: &usize| {
+                let at = leaves[..len].iter().position(|l| l == leaf);
+                row >> at.expect("a leaf of the union") & 1
+            };
+            let mut values = [false; 3];
+            for (value, cut) in values.iter_mut().zip(operands) {
+                let leaves = cut.leaves().iter().enumerate();
+                let index = leaves.fold(0, |index, (i, leaf)| index | bit(leaf) << i);
+                *value = cut.table >> index & 1 == 1;
+            }
+            let value = op.eval(values).expect("only gates are merged");
+            table |= u8::from(value) << row;
+        }
+        Some(Cut { leaves, len, table })
+    }
+}
+
+/// Every node's cuts of at most three leaves ([`MAX_CUTS`] a node), in
+/// node order. A `NOT` is transparent — its cuts are its operand's,
+/// negated — so no leaf is ever a `NOT` and polarity lives in the tables.
+fn enumerate_cuts(net: &CircuitNetlist) -> Vec<Vec<Cut>> {
+    let mut cuts: Vec<Vec<Cut>> = Vec::with_capacity(net.len());
+    for (id, &op) in net.ops().iter().enumerate() {
+        let own = match op {
+            GateOp::Input(_) => vec![Cut::trivial(id)],
+            GateOp::Constant(v) => vec![Cut {
+                leaves: [0; 3],
+                len: 0,
+                table: u8::from(v),
+            }],
+            GateOp::Not(a) => cuts[a]
+                .iter()
+                .map(|c| Cut {
+                    table: !c.table,
+                    ..*c
+                })
+                .collect(),
+            GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Ternary(..) => {
+                let operands: Vec<usize> = op.operands().into_iter().flatten().collect();
+                let mut own = vec![Cut::trivial(id)];
+                // Every choice of one cut per operand, last operand fastest.
+                let mut pick = [0usize; 3];
+                'choices: loop {
+                    let mut picked = [Cut::trivial(id); 3];
+                    for (i, &operand) in operands.iter().enumerate() {
+                        picked[i] = cuts[operand][pick[i]];
+                    }
+                    if let Some(cut) = Cut::merge(op, &picked[..operands.len()]) {
+                        if !own.iter().any(|c| c.leaves() == cut.leaves()) {
+                            own.push(cut);
+                            if own.len() == MAX_CUTS {
+                                break;
+                            }
+                        }
+                    }
+                    for (i, &operand) in operands.iter().enumerate().rev() {
+                        pick[i] += 1;
+                        if pick[i] < cuts[operand].len() {
+                            continue 'choices;
+                        }
+                        pick[i] = 0;
+                    }
+                    break;
+                }
+                own
+            }
+        };
+        cuts.push(own);
+    }
+    cuts
+}
+
+/// One fusion: the node becomes `gate` over `leaves`, negating (a free
+/// `NOT`) those in `negated`.
+#[derive(Clone, Copy, Debug)]
+struct Fusion {
+    gate: Gate3,
+    leaves: [usize; 3],
+    negated: u8,
+}
+
+/// Which nodes of `net` to fuse: walking back from the outputs, every
+/// binary gate or mux still needed that has a cut computing a [`Gate3`]
+/// under some polarity of its leaves — the one whose leaves sit lowest,
+/// which is the shallowest result and the largest cone orphaned. What a
+/// fused node no longer reads is not visited, so interior gates are left
+/// for the dead-code sweep, not fused on their way out.
+fn choose_fusions(net: &CircuitNetlist) -> Vec<Option<Fusion>> {
+    // Every table a fused gate can realise: each `Gate3` with each subset
+    // of its operands negated.
+    let mut realisable: Vec<(u8, Gate3, u8)> = Vec::new();
+    for gate in Gate3::ALL {
+        for negated in 0..8u8 {
+            let table = (0..8).fold(0u8, |t, row| {
+                t | (gate.desc().table >> (row ^ negated) & 1) << row
+            });
+            realisable.push((table, gate, negated));
+        }
+    }
+    let cuts = enumerate_cuts(net);
+    let mut needed = vec![false; net.len()];
+    for &out in net.outputs() {
+        needed[out] = true;
+    }
+    let mut fusions = vec![None; net.len()];
+    for (id, &op) in net.ops().iter().enumerate().rev() {
+        if !needed[id] {
+            continue;
+        }
+        let root = matches!(op, GateOp::Binary(..) | GateOp::Mux { .. });
+        let fusion = cuts[id]
+            .iter()
+            .filter(|cut| root && cut.len == 3)
+            .filter_map(|cut| {
+                let &(_, gate, negated) = realisable.iter().find(|r| r.0 == cut.table)?;
+                Some(Fusion {
+                    gate,
+                    leaves: cut.leaves,
+                    negated,
+                })
+            })
+            .min_by_key(|f| f.leaves.iter().map(|&l| net.levels()[l]).max());
+        match fusion {
+            Some(f) => f.leaves.iter().for_each(|&l| needed[l] = true),
+            None => op
+                .operands()
+                .into_iter()
+                .flatten()
+                .for_each(|o| needed[o] = true),
+        }
+        fusions[id] = fusion;
+    }
+    fusions
 }
 
 /// Rewrite pass state shared by the op emitters in [`simplify`].
@@ -352,63 +541,101 @@ impl Rewriter {
 
     /// Emits (or aliases) a binary gate with no constant operands.
     fn gate(&mut self, g: Gate, a: usize, b: usize) -> usize {
-        self.dedup_or(canonical(GateOp::Binary(g, a, b)))
+        self.dedup_or(GateOp::Binary(g, a, b))
     }
 
-    /// Emits `op` unless a structurally identical node exists (then
-    /// aliases it — bit-exact, bootstrapping is deterministic).
+    /// Emits `op` (a gate, not a source) in canonical form unless a
+    /// structurally identical node exists (then aliases it — bit-exact,
+    /// bootstrapping is deterministic).
     fn dedup_or(&mut self, op: GateOp) -> usize {
+        let op = canonical(op);
         if let Some(&id) = self.seen.get(&op) {
             self.report.deduplicated += 1;
             return id;
         }
-        let id = match op {
-            GateOp::Not(a) => self.mid.not(a),
-            GateOp::Binary(g, a, b) => self.mid.gate(g, a, b),
-            GateOp::Mux { sel, a, b } => self.mid.mux(sel, a, b),
-            GateOp::Input(_) | GateOp::Constant(_) => unreachable!("sources are not deduped here"),
-        };
+        let id = self.mid.add(op);
         self.seen.insert(op, id);
         id
     }
+
+    /// Records that a bootstrapped gate was folded away on constants.
+    fn folded(&mut self) {
+        self.report.folded_constants += 1;
+        self.report.exact = false;
+    }
+
+    /// Partial evaluation of a gate down to one non-constant operand:
+    /// `f` is the gate as a function of the remaining operand `other`.
+    /// The result is a constant, an alias, or a free `NOT` — never a
+    /// bootstrap. Not bit-exact: the original output was a freshly
+    /// bootstrapped ciphertext.
+    fn fold_half(&mut self, f: impl Fn(bool) -> bool, other: usize) -> usize {
+        self.folded();
+        match (f(false), f(true)) {
+            (v, w) if v == w => self.constant(v),
+            (false, true) => other,
+            _ => self.not(other),
+        }
+    }
+
+    /// A three-input gate over already-rewritten operands: as many
+    /// constants as it has, that many inputs fewer (the gates are
+    /// symmetric, so which operand is constant does not matter).
+    fn ternary(&mut self, g: Gate3, operands: [usize; 3]) -> usize {
+        let (mut free, mut consts) = (Vec::new(), Vec::new());
+        for operand in operands {
+            match self.const_of(operand) {
+                Some(k) => consts.push(k),
+                None => free.push(operand),
+            }
+        }
+        match (free.as_slice(), consts.as_slice()) {
+            (&[a, b, c], _) => self.dedup_or(GateOp::Ternary(g, a, b, c)),
+            (&[a, b], &[k]) => {
+                let rows = [(false, false), (false, true), (true, false), (true, true)];
+                let gate = Gate::ALL
+                    .into_iter()
+                    .find(|h| rows.iter().all(|&(x, y)| h.eval(x, y) == g.eval(x, y, k)))
+                    .expect("a symmetric gate with one operand fixed still reads the other two");
+                self.folded();
+                self.gate(gate, a, b)
+            }
+            (&[a], &[k, l]) => self.fold_half(|x| g.eval(x, k, l), a),
+            _ => {
+                self.folded();
+                self.constant(g.eval(consts[0], consts[1], consts[2]))
+            }
+        }
+    }
 }
 
-/// Rewrites `net` into an output-equivalent netlist with fewer (never
-/// more) bootstraps, applying the safe subset of the [`lint`] findings:
-///
-/// * **Constant folding / partial evaluation** — gates, `NOT`s, and muxes
-///   with constant operands become constants, aliases, free `NOT`s, or
-///   (for one-constant-arm muxes) a single binary gate.
-/// * **Double-`NOT` collapse** — `NOT(NOT(x))` aliases `x`.
-/// * **CSE** — structurally identical ops (up to operand order for the
-///   six commutative gates) are computed once.
-/// * **Dead-code removal** — nodes no output depends on are swept.
-///
-/// Rewrites cascade in one forward pass (folding a gate can make its
-/// consumer foldable). Every input node is preserved in slot order, so
-/// the simplified netlist takes the same input vector; outputs are
-/// remapped and stay in marking order. Muxes with identical (non-constant)
-/// arms are *not* rewritten — aliasing the arm would skip a noise reset —
-/// they are only linted.
-///
-/// The returned [`SimplifyReport`] says what fired and whether the result
-/// is bit-identical to the original ([`SimplifyReport::exact`]) or
-/// decrypt-equivalent only.
-pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
+/// The forward pass of [`simplify`]: `net` re-emitted op by op through the
+/// folding, `NOT`-collapsing and deduplicating emitters, except where
+/// `fusions` puts a three-input gate in a node's place.
+fn rewrite(
+    net: &CircuitNetlist,
+    fusions: &[Option<Fusion>],
+    report: SimplifyReport,
+) -> (CircuitNetlist, SimplifyReport) {
     let mut rw = Rewriter {
         mid: CircuitNetlist::new(),
         const_node: [None, None],
         seen: HashMap::new(),
-        report: SimplifyReport {
-            nodes_before: net.len(),
-            bootstraps_before: net.bootstraps(),
-            exact: true,
-            ..SimplifyReport::default()
-        },
+        report,
     };
-    // Pass 1: forward rewrite with an alias map (old node → mid node).
+    // Old node → new node.
     let mut alias: Vec<usize> = Vec::with_capacity(net.len());
-    for &op in net.ops() {
+    for (id, &op) in net.ops().iter().enumerate() {
+        if let Some(fusion) = fusions.get(id).copied().flatten() {
+            let mut operands = fusion.leaves.map(|leaf| alias[leaf]);
+            for (i, operand) in operands.iter_mut().enumerate() {
+                if fusion.negated >> i & 1 == 1 {
+                    *operand = rw.not(*operand);
+                }
+            }
+            alias.push(rw.ternary(fusion.gate, operands));
+            continue;
+        }
         let new_id = match op {
             GateOp::Input(_) => rw.mid.input(),
             GateOp::Constant(v) => {
@@ -423,8 +650,7 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
                 let (a, b) = (alias[a0], alias[b0]);
                 match (rw.const_of(a), rw.const_of(b)) {
                     (Some(va), Some(vb)) => {
-                        rw.report.folded_constants += 1;
-                        rw.report.exact = false;
+                        rw.folded();
                         rw.constant(g.eval(va, vb))
                     }
                     (Some(va), None) => rw.fold_half(|x| g.eval(va, x), b),
@@ -432,11 +658,11 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
                     (None, None) => rw.gate(g, a, b),
                 }
             }
+            GateOp::Ternary(g, a, b, c) => rw.ternary(g, [alias[a], alias[b], alias[c]]),
             GateOp::Mux { sel, a, b } => {
                 let (s, a, b) = (alias[sel], alias[a], alias[b]);
                 if let Some(vs) = rw.const_of(s) {
-                    rw.report.folded_constants += 1;
-                    rw.report.exact = false;
+                    rw.folded();
                     if vs {
                         a
                     } else {
@@ -444,16 +670,15 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
                     }
                 } else if a == b {
                     // Identical arms: linted, never rewritten — the mux's
-                    // bootstraps reset the arm's noise, and the "safe
-                    // subset" keeps every noise reset in place.
+                    // bootstraps reset the arm's noise, which an alias of
+                    // the arm would not.
                     rw.dedup_or(GateOp::Mux { sel: s, a, b })
                 } else {
                     match (rw.const_of(a), rw.const_of(b)) {
                         // Arms are pooled constants, distinct ⇒ differing
                         // values: `sel ? v : !v` is `sel` or `NOT sel`.
                         (Some(va), Some(_)) => {
-                            rw.report.folded_constants += 1;
-                            rw.report.exact = false;
+                            rw.folded();
                             if va {
                                 s
                             } else {
@@ -463,16 +688,14 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
                         // `sel ? true : b` = `sel OR b`;
                         // `sel ? false : b` = `¬sel AND b`.
                         (Some(va), None) => {
-                            rw.report.folded_constants += 1;
-                            rw.report.exact = false;
+                            rw.folded();
                             let g = if va { Gate::Or } else { Gate::AndNY };
                             rw.gate(g, s, b)
                         }
                         // `sel ? a : true` = `¬sel OR a`;
                         // `sel ? a : false` = `sel AND a`.
                         (None, Some(vb)) => {
-                            rw.report.folded_constants += 1;
-                            rw.report.exact = false;
+                            rw.folded();
                             let g = if vb { Gate::OrNY } else { Gate::And };
                             rw.gate(g, s, a)
                         }
@@ -486,12 +709,67 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
     for &out in net.outputs() {
         rw.mid.mark_output(alias[out]);
     }
-    let Rewriter {
-        mid, mut report, ..
-    } = rw;
+    (rw.mid, rw.report)
+}
 
-    // Pass 2: sweep dead nodes (inputs always stay — the simplified
-    // netlist must take the original input vector positionally).
+/// Rewrites `net` into an output-equivalent netlist with fewer (never
+/// more) bootstraps, applying the safe subset of the [`lint`] findings and
+/// then fusing what one three-input bootstrap can compute:
+///
+/// * **Constant folding / partial evaluation** — gates, `NOT`s, and muxes
+///   with constant operands become constants, aliases, free `NOT`s, or
+///   (for one-constant-arm muxes and one-constant ternary gates) a single
+///   binary gate.
+/// * **Double-`NOT` collapse** — `NOT(NOT(x))` aliases `x`.
+/// * **CSE** — structurally identical ops (up to operand order for the
+///   six commutative gates and the ternary ones) are computed once.
+/// * **Fusion** — over the netlist so rewritten, every node's cuts of at
+///   most three leaves are enumerated with their truth tables; a binary
+///   gate or mux one of whose cuts computes a [`Gate3`] — majority under
+///   any polarity of its leaves, three-input XOR or XNOR — becomes that
+///   gate over the leaves, through free `NOT`s where the polarity asks. A
+///   full adder's sum and carry are one bootstrap each instead of five
+///   together. The fused gate replaces one bootstrap or two by one and
+///   reads nodes that were already there, so bootstraps and depth never
+///   grow; but it decides on a sum of three operands, not two, at the same
+///   margin, so its failure bound is *larger* — a caller with a noise
+///   budget must certify the result ([`analyze`]), as `CircuitServer`'s
+///   admission does.
+/// * **Dead-code removal** — nodes no output depends on are swept,
+///   including the interior gates of fused cones nothing else reads.
+///
+/// Folding rewrites cascade in one forward pass (folding a gate can make
+/// its consumer foldable). Every input node is preserved in slot order, so
+/// the simplified netlist takes the same input vector; outputs are
+/// remapped and stay in marking order. Muxes with identical (non-constant)
+/// arms are *not* folded — aliasing the arm would skip a noise reset —
+/// they are only linted.
+///
+/// The returned [`SimplifyReport`] says what fired and whether the result
+/// is bit-identical to the original ([`SimplifyReport::exact`]) or
+/// decrypt-equivalent only.
+pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
+    let (mut mid, mut report) = rewrite(
+        net,
+        &[],
+        SimplifyReport {
+            nodes_before: net.len(),
+            bootstraps_before: net.bootstraps(),
+            exact: true,
+            ..SimplifyReport::default()
+        },
+    );
+    let fusions = choose_fusions(&mid);
+    report.fused = fusions.iter().flatten().count();
+    if report.fused > 0 {
+        report.exact = false;
+        // `mid` is already folded and deduplicated: all this pass can count
+        // is a `NOT` it introduced meeting one of the netlist's own.
+        (mid, _) = rewrite(&mid, &fusions, SimplifyReport::default());
+    }
+
+    // Sweep dead nodes (inputs always stay — the simplified netlist must
+    // take the original input vector positionally).
     let live = reachable(&mid);
     let mut out = CircuitNetlist::new();
     let mut remap: Vec<Option<usize>> = Vec::with_capacity(mid.len());
@@ -502,15 +780,8 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
             remap.push(None);
             continue;
         }
-        let m = |x: usize| remap[x].expect("live operand kept");
-        let new_id = match op {
-            GateOp::Input(_) => out.input(),
-            GateOp::Constant(v) => out.constant(v),
-            GateOp::Not(a) => out.not(m(a)),
-            GateOp::Binary(g, a, b) => out.gate(g, m(a), m(b)),
-            GateOp::Mux { sel, a, b } => out.mux(m(sel), m(a), m(b)),
-        };
-        remap.push(Some(new_id));
+        let kept = op.map_operands(|x| remap[x].expect("live operand kept"));
+        remap.push(Some(out.add(kept)));
     }
     for &o in mid.outputs() {
         out.mark_output(remap[o].expect("outputs are live"));
@@ -518,23 +789,6 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
     report.nodes_after = out.len();
     report.bootstraps_after = out.bootstraps();
     (out, report)
-}
-
-impl Rewriter {
-    /// Partial evaluation of a binary gate with one constant operand:
-    /// `f` is the gate as a function of the remaining operand `other`.
-    /// The result is a constant, an alias, or a free `NOT` — never a
-    /// bootstrap. Not bit-exact: the original output was a freshly
-    /// bootstrapped ciphertext.
-    fn fold_half(&mut self, f: impl Fn(bool) -> bool, other: usize) -> usize {
-        self.report.folded_constants += 1;
-        self.report.exact = false;
-        match (f(false), f(true)) {
-            (v, w) if v == w => self.constant(v),
-            (false, true) => other,
-            _ => self.not(other),
-        }
-    }
 }
 
 /// The worst-case per-operation noise variances of this crate's gate
@@ -565,7 +819,7 @@ impl Rewriter {
 /// * **Mod switch** ([`NoiseModel::v_mod_switch`]) — rounding `n + 1`
 ///   torus coefficients to multiples of `1/2N`, uniform within a step.
 ///
-/// A bootstrapped gate output carries
+/// A bootstrapped gate output (two inputs or three) carries
 /// [`v_bootstrapped`](NoiseModel::v_bootstrapped) `= v_blind_rotate +
 /// v_key_switch` regardless of its inputs (the reset that makes
 /// gate-level TFHE compose); a mux output carries two blind rotations
@@ -698,6 +952,17 @@ impl NoiseModel {
         Self::tail_bound(margin, scale2 * (va + vb) + self.v_mod_switch)
     }
 
+    /// Failure-probability bound of one three-input gate's bootstrap
+    /// decision, from the gate's descriptor: its margin against the
+    /// operands' variances through its linear part, plus the mod switch.
+    pub fn gate3_failure(&self, gate: Gate3, va: f64, vb: f64, vc: f64) -> f64 {
+        let desc = gate.desc();
+        Self::tail_bound(
+            desc.margin,
+            desc.variance_scale() * (va + vb + vc) + self.v_mod_switch,
+        )
+    }
+
     /// Summed failure bound of a mux's two AND-type bootstrap decisions,
     /// `AND(sel, a)` and `AND(¬sel, b)`.
     pub fn mux_failure(&self, v_sel: f64, va: f64, vb: f64) -> f64 {
@@ -764,6 +1029,10 @@ fn noise_report(net: &CircuitNetlist, model: NoiseModel) -> NoiseReport {
                 decision[id] = model.mux_failure(variance[sel], variance[a], variance[b]);
                 variance[id] = model.v_mux_output();
             }
+            GateOp::Ternary(g, a, b, c) => {
+                decision[id] = model.gate3_failure(g, variance[a], variance[b], variance[c]);
+                variance[id] = model.v_bootstrapped();
+            }
         }
     }
     let mut outputs = Vec::with_capacity(net.outputs().len());
@@ -809,7 +1078,7 @@ pub struct CostReport {
     pub critical_path_units: usize,
     /// Critical-path priority rank per *node*, in bootstrap units: the
     /// length of the longest downstream chain including the node's own
-    /// bootstraps (binary 1, mux 2, free ops 0). A frontier scheduler
+    /// bootstraps (binary and ternary 1, mux 2, free ops 0). A frontier scheduler
     /// dispatching highest-rank-first is critical-path-first; sources and
     /// `NOT`s carry the rank of their longest consumer chain.
     pub node_ranks: Vec<usize>,
@@ -826,13 +1095,13 @@ fn cost_report(net: &CircuitNetlist) -> CostReport {
         }
     }
     // Re-derive the node → unit mapping the skeleton used (mirrors
-    // `CircuitNetlist::schedule_skeleton`'s construction order: binary
-    // gates one unit, muxes two chained units).
+    // `CircuitNetlist::schedule_skeleton`'s construction order: binary and
+    // ternary gates one unit, muxes two chained units).
     let mut next_unit = 0usize;
     let mut node_units: Vec<Option<(usize, usize)>> = Vec::with_capacity(net.len());
     for &op in net.ops() {
         node_units.push(match op {
-            GateOp::Binary(..) => {
+            GateOp::Binary(..) | GateOp::Ternary(..) => {
                 next_unit += 1;
                 Some((next_unit - 1, next_unit - 1))
             }
@@ -941,13 +1210,15 @@ pub struct AnalysisPolicy {
     /// When set, the server runs its rewrite pass (by default
     /// [`simplify`]) on every admitted netlist and **proves** the result
     /// function-identical to the submission with the [`equiv`] BDD engine
-    /// under this budget before scheduling it. A refuted rewrite is
+    /// under this budget, then certifies the result against
+    /// `max_failure_prob`, before scheduling it. A refuted rewrite is
     /// rejected with a structured counterexample
     /// (`RejectReason::NotEquivalent`); a check that exhausts the budget
     /// surfaces as a [`LintKind::EquivUnknown`] warning — rejected only
     /// under a strict `deny`, otherwise the submitted netlist runs
-    /// unrewritten. `None` skips the proof and schedules the submission
-    /// as-is.
+    /// unrewritten, as it does when the proven rewrite is over the noise
+    /// budget (`SchedulerStats::rewrites_refused` counts those). `None`
+    /// skips the proof and schedules the submission as-is.
     pub require_equivalence: Option<equiv::EquivBudget>,
 }
 
@@ -1186,6 +1457,197 @@ mod tests {
         let (s, r) = simplify(&net);
         assert!(r.exact);
         assert_eq!(s.bootstraps(), 2, "the noise reset stays");
+    }
+
+    /// `sum`, `carry` of `a + b + c` in the binary lowering: XOR, XOR, AND,
+    /// AND, OR.
+    fn full_adder(net: &mut CircuitNetlist, a: usize, b: usize, c: usize) -> (usize, usize) {
+        let axb = net.gate(Gate::Xor, a, b);
+        let sum = net.gate(Gate::Xor, axb, c);
+        let and_ab = net.gate(Gate::And, a, b);
+        let and_cx = net.gate(Gate::And, axb, c);
+        (sum, net.gate(Gate::Or, and_ab, and_cx))
+    }
+
+    fn assert_equivalent(net: &CircuitNetlist, simplified: &CircuitNetlist) {
+        let report = equiv::check(net, simplified, equiv::EquivBudget::default());
+        assert!(report.is_equivalent(), "{report}");
+    }
+
+    #[test]
+    fn simplify_fuses_a_full_adder_into_two_bootstraps() {
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let (sum, carry) = full_adder(&mut net, a, b, c);
+        net.mark_output(sum);
+        net.mark_output(carry);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.bootstraps_before, r.bootstraps_after), (5, 2));
+        assert_eq!((r.fused, r.dead_removed), (2, 3));
+        assert!(
+            !r.exact,
+            "a fused gate's output is not the cone's, bit for bit"
+        );
+        assert_eq!(s.depth(), 1);
+        let ops: Vec<GateOp> = s.outputs().iter().map(|&o| s.ops()[o]).collect();
+        assert_eq!(
+            ops,
+            [
+                GateOp::Ternary(Gate3::Xor3, a, b, c),
+                GateOp::Ternary(Gate3::Maj, a, b, c)
+            ]
+        );
+        assert_equivalent(&net, &s);
+        // Nothing left to do on the result.
+        assert_eq!(simplify(&s).0, s);
+    }
+
+    #[test]
+    fn simplify_fuses_through_leaf_polarity() {
+        // A full subtractor's borrow and difference: the majority of
+        // (¬a, b, c) and the parity, with the XOR written as XNOR + NOT.
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let same = net.gate(Gate::Xnor, a, b);
+        let diff = net.gate(Gate::Xnor, same, c);
+        let gen = net.gate(Gate::AndNY, a, b);
+        let pass = net.gate(Gate::And, same, c);
+        let borrow = net.gate(Gate::Or, gen, pass);
+        let nborrow = net.not(borrow);
+        net.mark_output(diff);
+        net.mark_output(nborrow);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.fused, r.bootstraps_after), (2, 2));
+        assert_equivalent(&net, &s);
+        let majority = s
+            .ops()
+            .iter()
+            .find_map(|&op| match op {
+                GateOp::Ternary(Gate3::Maj, x, y, z) => Some([x, y, z]),
+                _ => None,
+            })
+            .expect("the borrow is a majority");
+        let negated = majority
+            .iter()
+            .filter(|&&o| matches!(s.ops()[o], GateOp::Not(_)))
+            .count();
+        assert_eq!(negated, 1, "over one negated leaf: {majority:?}");
+    }
+
+    #[test]
+    fn fusion_keeps_what_others_still_read() {
+        // The cone's interior is an output too: the root fuses (one
+        // bootstrap for one, a wave earlier), the interior stays.
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let axb = net.gate(Gate::Xor, a, b);
+        let sum = net.gate(Gate::Xor, axb, c);
+        net.mark_output(axb);
+        net.mark_output(sum);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.fused, r.dead_removed), (1, 0));
+        assert_eq!((r.bootstraps_before, r.bootstraps_after), (2, 2));
+        assert_eq!((net.depth(), s.depth()), (2, 1));
+        assert_equivalent(&net, &s);
+        // A mux is a root like any other: `sel ? ¬x : x` over an XOR.
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let axb = net.gate(Gate::Xor, a, b);
+        let naxb = net.not(axb);
+        let m = net.mux(c, naxb, axb);
+        net.mark_output(m);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.bootstraps_before, r.bootstraps_after), (3, 1));
+        assert_equivalent(&net, &s);
+    }
+
+    #[test]
+    fn simplify_folds_constant_operands_of_ternary_gates() {
+        let mut net = CircuitNetlist::new();
+        let (a, b) = (net.input(), net.input());
+        let (t, f) = (net.constant(true), net.constant(false));
+        let outs = [
+            net.ternary(Gate3::Maj, a, t, b),  // OR(a, b)
+            net.ternary(Gate3::Maj, f, a, b),  // AND(a, b)
+            net.ternary(Gate3::Xor3, a, b, t), // XNOR(a, b)
+            net.ternary(Gate3::Xor3, t, a, f), // NOT a
+            net.ternary(Gate3::Maj, t, f, b),  // b
+            net.ternary(Gate3::Maj, t, a, t),  // true
+            net.ternary(Gate3::Xor3, t, t, f), // false
+        ];
+        for o in outs {
+            net.mark_output(o);
+        }
+        assert_eq!(
+            lint(&net)
+                .iter()
+                .filter(|l| l.kind == LintKind::ConstantFoldable)
+                .count(),
+            outs.len()
+        );
+        let (s, r) = simplify(&net);
+        assert_eq!(r.folded_constants, outs.len());
+        assert_eq!(r.bootstraps_after, 3);
+        let kinds: Vec<GateOp> = s.outputs().iter().map(|&o| s.ops()[o]).collect();
+        assert!(
+            matches!(kinds[0], GateOp::Binary(Gate::Or, ..)),
+            "{kinds:?}"
+        );
+        assert!(matches!(kinds[1], GateOp::Binary(Gate::And, ..)));
+        assert!(matches!(kinds[2], GateOp::Binary(Gate::Xnor, ..)));
+        assert!(matches!(kinds[3], GateOp::Not(_)));
+        assert!(matches!(kinds[4], GateOp::Input(1)));
+        assert!(matches!(kinds[5], GateOp::Constant(true)));
+        assert!(matches!(kinds[6], GateOp::Constant(false)));
+        assert_equivalent(&net, &s);
+    }
+
+    #[test]
+    fn ternary_gates_lint_dedup_and_rank_like_one_bootstrap() {
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let m1 = net.ternary(Gate3::Maj, a, b, c);
+        let m2 = net.ternary(Gate3::Maj, c, a, b); // the same gate
+        let x = net.ternary(Gate3::Xor3, m1, m2, a);
+        let dead = net.ternary(Gate3::Xor3, a, b, c);
+        net.mark_output(x);
+        let l = lint(&net);
+        assert!(l.contains(&Lint {
+            kind: LintKind::DuplicateGate,
+            node: m2
+        }));
+        assert!(l.contains(&Lint {
+            kind: LintKind::DeadNode,
+            node: dead
+        }));
+        let c = cost_report(&net);
+        assert_eq!((c.bootstraps, c.critical_path_units), (4, 2));
+        assert_eq!(c.node_ranks[m1], 2);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.deduplicated, r.dead_removed, r.fused), (1, 1, 0));
+        assert!(r.exact);
+        assert_eq!(s.bootstraps(), 2);
+    }
+
+    #[test]
+    fn ternary_decisions_are_charged_from_the_descriptor() {
+        let model = NoiseModel::new(&ParameterSet::MATCHA, 3);
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let m = net.ternary(Gate3::Maj, a, b, c);
+        let x = net.ternary(Gate3::Xor3, m, b, c);
+        net.mark_output(x);
+        let r = noise_report(&net, model);
+        assert_eq!(r.node_variance[x], model.v_bootstrapped());
+        let (fresh, reset) = (model.v_fresh(), model.v_bootstrapped());
+        let want = model.decrypt_failure(reset)
+            + NoiseModel::tail_bound(0.125, 3.0 * fresh + model.v_mod_switch())
+            + NoiseModel::tail_bound(0.25, 4.0 * (reset + 2.0 * fresh) + model.v_mod_switch());
+        let got = r.outputs[0].failure_prob;
+        assert!(
+            want > 0.0 && (got - want).abs() <= 1e-12 * want,
+            "{got:e} vs {want:e}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Formal combinational equivalence checking for [`CircuitNetlist`]s on a
 //! small reduced-ordered BDD engine — the proof layer every netlist
-//! rewrite (today's [`simplify`](super::simplify), tomorrow's multi-input
-//! gate fusion) must pass through before the server schedules its output.
+//! rewrite ([`simplify`](super::simplify), its three-input gate fusion
+//! included) must pass through before the server schedules its output.
 //!
 //! # BDD representation
 //!
@@ -21,7 +21,8 @@
 //! All Boolean structure is built through a single memoized [`ite`]
 //! (if-then-else) operator with the standard terminal rules and
 //! complement-edge normalizations, so the op-cache is shared across all
-//! ten binary gates and the mux.
+//! ten binary gates, the mux and the three-input gates (compiled from
+//! their truth tables).
 //!
 //! # Variable order
 //!
@@ -485,6 +486,22 @@ impl Bdd {
         }
     }
 
+    /// The function with truth table `table` over the operand functions
+    /// `ops` (bit `Σ opᵢ << i` of `table` is its value there), by Shannon
+    /// expansion on the last operand.
+    fn table(&mut self, table: u8, ops: &[BddRef]) -> Result<BddRef, NodeLimit> {
+        let Some((&last, rest)) = ops.split_last() else {
+            return Ok(if table & 1 == 1 {
+                Self::TRUE
+            } else {
+                Self::FALSE
+            });
+        };
+        let lo = self.table(table, rest)?;
+        let hi = self.table(table >> (1 << rest.len()), rest)?;
+        self.ite(last, hi, lo)
+    }
+
     /// Evaluates `r` under a per-*variable* assignment (not per input
     /// slot — permute through the static order first).
     fn eval(&self, mut r: BddRef, by_var: &[bool]) -> bool {
@@ -578,6 +595,9 @@ fn compile(net: &CircuitNetlist, order: &[usize], bdd: &mut Bdd) -> Result<Vec<B
             GateOp::Not(a) => funcs[a].not(),
             GateOp::Binary(g, a, b) => bdd.gate(g, funcs[a], funcs[b])?,
             GateOp::Mux { sel, a, b } => bdd.ite(funcs[sel], funcs[a], funcs[b])?,
+            GateOp::Ternary(g, a, b, c) => {
+                bdd.table(g.desc().table, &[funcs[a], funcs[b], funcs[c]])?
+            }
         };
         funcs.push(f);
     }
@@ -604,16 +624,9 @@ pub fn eval_netlist(net: &CircuitNetlist, inputs: &[bool]) -> Vec<bool> {
     for op in net.ops() {
         let v = match *op {
             GateOp::Input(slot) => inputs[slot],
-            GateOp::Constant(c) => c,
-            GateOp::Not(a) => !values[a],
-            GateOp::Binary(g, a, b) => g.eval(values[a], values[b]),
-            GateOp::Mux { sel, a, b } => {
-                if values[sel] {
-                    values[a]
-                } else {
-                    values[b]
-                }
-            }
+            _ => op
+                .eval(op.operands().map(|o| o.is_some_and(|id| values[id])))
+                .expect("every op but an input has a value of its own"),
         };
         values.push(v);
     }
@@ -888,6 +901,26 @@ mod tests {
                     check_spec(&net, &spec, budget()).is_equivalent(),
                     "{g:?} BDD vs truth table"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn ternary_gates_compile_to_their_truth_tables() {
+        use crate::gates::Gate3;
+        for g in Gate3::ALL {
+            let mut net = CircuitNetlist::new();
+            let (a, b, c) = (net.input(), net.input(), net.input());
+            let nb = net.not(b);
+            let o = net.ternary(g, a, nb, c);
+            net.mark_output(o);
+            let spec = Spec::new(vec![3], 1, move |bits| {
+                vec![g.eval(bits[0], !bits[1], bits[2])]
+            });
+            assert!(check_spec(&net, &spec, budget()).is_equivalent(), "{g}");
+            for row in 0..8u8 {
+                let bits = [row & 1 == 1, row & 2 == 2, row & 4 == 4];
+                assert_eq!(eval_netlist(&net, &bits), spec.eval(&bits), "{g}");
             }
         }
     }

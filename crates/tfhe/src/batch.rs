@@ -25,7 +25,7 @@
 //! bootstrapping key once per chunk, not once per task.
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::gates::{lane_prefix, Gate, LaneGate, ServerKey};
+use crate::gates::{lane_prefix, Gate, Gate3, LaneGate, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::scratch::{BootstrapScratch, MAX_LANES};
 use matcha_fft::FftEngine;
@@ -150,13 +150,20 @@ pub enum GateTask {
         /// Node taken when `sel` is false.
         b: usize,
     },
+    /// A three-input bootstrapped gate (one bootstrap + key switch).
+    Ternary {
+        /// The gate to evaluate.
+        gate: Gate3,
+        /// The operand nodes.
+        ops: [usize; 3],
+    },
 }
 
 impl GateTask {
     /// Blind rotations the task runs: the lanes it takes in a chunk.
     pub fn lanes(&self) -> usize {
         match self {
-            GateTask::Binary { .. } => 1,
+            GateTask::Binary { .. } | GateTask::Ternary { .. } => 1,
             GateTask::Not { .. } => 0,
             GateTask::Mux { .. } => 2,
         }
@@ -186,6 +193,9 @@ impl GateTask {
             GateTask::Not { a } => server.not_into(slab.get(a), out),
             GateTask::Mux { sel, a, b } => {
                 server.mux_into(slab.get(sel), slab.get(a), slab.get(b), out, scratch)
+            }
+            GateTask::Ternary { gate, ops } => {
+                server.apply3_into(gate, ops.map(|i| slab.get(i)), out, scratch)
             }
         }
     }
@@ -552,6 +562,10 @@ fn run_chunk<E: FftEngine>(
                     sel: slab.get(sel),
                     a: slab.get(a),
                     b: slab.get(b),
+                },
+                GateTask::Ternary { gate, ops } => LaneGate::Ternary {
+                    gate,
+                    ops: ops.map(|i| slab.get(i)),
                 },
                 GateTask::Not { a } => {
                     slab.set(*node, server.not(slab.get(a)));

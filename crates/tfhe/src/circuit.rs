@@ -4,7 +4,8 @@
 //! gates to *predict* makespan on parallel pipelines; this module is the
 //! executable counterpart. A [`CircuitNetlist`] carries real operands —
 //! encrypted inputs, trivial constants, all ten binary [`Gate`]s, the free
-//! `NOT` and the two-bootstrap `MUX` — with dependency edges validated at
+//! `NOT`, the two-bootstrap `MUX` and the one-bootstrap three-input
+//! [`Gate3`]s — with dependency edges validated at
 //! construction. [`CircuitNetlist::execute`] schedules it level by level:
 //! every wave of ready gates is dispatched as one mixed-gate batch onto a
 //! persistent [`GateBatchPool`], the software analogue of MATCHA's
@@ -16,7 +17,7 @@
 //! makespan/utilization can be cross-checked against measured wall-clock.
 
 use crate::batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
-use crate::gates::{Gate, ServerKey};
+use crate::gates::{Gate, Gate3, ServerKey};
 use crate::lwe::LweCiphertext;
 use matcha_fft::FftEngine;
 use std::sync::Arc;
@@ -43,6 +44,8 @@ pub enum GateOp {
         /// Node taken when the selector is false.
         b: usize,
     },
+    /// A three-input bootstrapped gate — one bootstrap.
+    Ternary(Gate3, usize, usize, usize),
 }
 
 impl GateOp {
@@ -54,15 +57,45 @@ impl GateOp {
             GateOp::Binary(_, a, b) => [Some(a), Some(b), None],
             GateOp::Not(a) => [Some(a), None, None],
             GateOp::Mux { sel, a, b } => [Some(sel), Some(a), Some(b)],
+            GateOp::Ternary(_, a, b, c) => [Some(a), Some(b), Some(c)],
         }
     }
 
-    /// Gate bootstraps this op costs (binary gates one, muxes two,
-    /// sources and free `NOT`s none).
+    /// The same op over renamed operands (`f` maps each operand node).
+    pub fn map_operands(&self, f: impl Fn(usize) -> usize) -> Self {
+        match *self {
+            GateOp::Input(_) | GateOp::Constant(_) => *self,
+            GateOp::Binary(g, a, b) => GateOp::Binary(g, f(a), f(b)),
+            GateOp::Not(a) => GateOp::Not(f(a)),
+            GateOp::Mux { sel, a, b } => GateOp::Mux {
+                sel: f(sel),
+                a: f(a),
+                b: f(b),
+            },
+            GateOp::Ternary(g, a, b, c) => GateOp::Ternary(g, f(a), f(b), f(c)),
+        }
+    }
+
+    /// The op's plaintext value given its operands' (`v[i]` is the bit of
+    /// `self.operands()[i]`); `None` for an input, whose value comes from
+    /// outside the netlist.
+    pub fn eval(&self, v: [bool; 3]) -> Option<bool> {
+        Some(match *self {
+            GateOp::Input(_) => return None,
+            GateOp::Constant(c) => c,
+            GateOp::Binary(g, ..) => g.eval(v[0], v[1]),
+            GateOp::Not(_) => !v[0],
+            GateOp::Mux { .. } => v[if v[0] { 1 } else { 2 }],
+            GateOp::Ternary(g, ..) => g.eval(v[0], v[1], v[2]),
+        })
+    }
+
+    /// Gate bootstraps this op costs (binary and ternary gates one, muxes
+    /// two, sources and free `NOT`s none).
     pub fn bootstraps(&self) -> usize {
         match self {
             GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) => 0,
-            GateOp::Binary(..) => 1,
+            GateOp::Binary(..) | GateOp::Ternary(..) => 1,
             GateOp::Mux { .. } => 2,
         }
     }
@@ -163,23 +196,7 @@ impl CircuitNetlist {
         // in one place.
         let mut net = Self::new();
         for op in ops {
-            match op {
-                GateOp::Input(_) => {
-                    net.input();
-                }
-                GateOp::Constant(v) => {
-                    net.constant(v);
-                }
-                GateOp::Binary(g, a, b) => {
-                    net.gate(g, a, b);
-                }
-                GateOp::Not(a) => {
-                    net.not(a);
-                }
-                GateOp::Mux { sel, a, b } => {
-                    net.mux(sel, a, b);
-                }
-            }
+            net.add(op);
         }
         for o in outputs {
             net.mark_output(o);
@@ -221,8 +238,8 @@ impl CircuitNetlist {
         &self.level
     }
 
-    /// Total gate bootstraps in the circuit (binary gates count one, muxes
-    /// two, `NOT`/sources none).
+    /// Total gate bootstraps in the circuit (binary and ternary gates count
+    /// one, muxes two, `NOT`/sources none).
     pub fn bootstraps(&self) -> usize {
         self.ops.iter().map(GateOp::bootstraps).sum()
     }
@@ -253,6 +270,19 @@ impl CircuitNetlist {
         self.ops.push(op);
         self.level.push(level);
         id
+    }
+
+    /// Adds `op` as the builder methods would (an input takes the next
+    /// slot, whatever slot `op` names) and returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand references a not-yet-added node.
+    pub(crate) fn add(&mut self, op: GateOp) -> usize {
+        match op {
+            GateOp::Input(_) => self.input(),
+            op => self.push(op),
+        }
     }
 
     /// Adds an encrypted-input node and returns its index. Inputs are
@@ -295,6 +325,15 @@ impl CircuitNetlist {
         self.push(GateOp::Mux { sel, a, b })
     }
 
+    /// Adds a three-input bootstrapped gate over earlier nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand references a not-yet-added node.
+    pub fn ternary(&mut self, gate: Gate3, a: usize, b: usize, c: usize) -> usize {
+        self.push(GateOp::Ternary(gate, a, b, c))
+    }
+
     /// Marks node `id` as a circuit output. Outputs are returned in
     /// marking order; a node may be marked more than once.
     ///
@@ -306,7 +345,7 @@ impl CircuitNetlist {
         self.outputs.push(id);
     }
 
-    /// Groups the *bootstrapped* ops (binary gates and muxes) into
+    /// Groups the *bootstrapped* ops (binary and ternary gates, muxes) into
     /// wave-front levels: wave `r` holds every op whose operands are all
     /// available after wave `r − 1`. Each wave is independent work — one
     /// mixed-gate pool batch. Free `NOT`s are not waves: the executor
@@ -324,10 +363,11 @@ impl CircuitNetlist {
 
     /// The dependency skeleton of the *bootstrapped* work, for
     /// [`accel::schedule`]-style analytical models: entry `i` lists the
-    /// unit indices unit `i` consumes. Binary gates are one unit; a mux is
-    /// two chained units (it occupies a worker for two back-to-back
-    /// bootstraps); `NOT` is free and transparent (consumers depend
-    /// directly on its operand's unit); inputs and constants cost nothing.
+    /// unit indices unit `i` consumes. Binary and ternary gates are one
+    /// unit; a mux is two chained units (it occupies a worker for two
+    /// back-to-back bootstraps); `NOT` is free and transparent (consumers
+    /// depend directly on its operand's unit); inputs and constants cost
+    /// nothing.
     ///
     /// [`accel::schedule`]: https://docs.rs/matcha-accel
     pub fn schedule_skeleton(&self) -> Vec<Vec<usize>> {
@@ -339,9 +379,9 @@ impl CircuitNetlist {
             let unit = match *op {
                 GateOp::Input(_) | GateOp::Constant(_) => None,
                 GateOp::Not(a) => unit_of[a],
-                GateOp::Binary(_, a, b) => {
-                    let deps: Vec<usize> = [unit_of[a], unit_of[b]].into_iter().flatten().collect();
-                    units.push(deps);
+                GateOp::Binary(..) | GateOp::Ternary(..) => {
+                    let operands = op.operands().into_iter().flatten();
+                    units.push(operands.filter_map(|o| unit_of[o]).collect());
                     Some(units.len() - 1)
                 }
                 GateOp::Mux { sel, a, b } => {
@@ -458,6 +498,12 @@ impl CircuitNetlist {
                     &Self::value(&values, sel),
                     &Self::value(&values, a),
                     &Self::value(&values, b),
+                ),
+                GateOp::Ternary(gate, a, b, c) => server.apply3(
+                    gate,
+                    &Self::value(&values, a),
+                    &Self::value(&values, b),
+                    &Self::value(&values, c),
                 ),
             };
             scheduled_ops += 1;
@@ -656,6 +702,10 @@ impl CircuitFrontier {
             let task = match self.net.ops[id] {
                 GateOp::Binary(gate, a, b) => GateTask::Binary { gate, a, b },
                 GateOp::Mux { sel, a, b } => GateTask::Mux { sel, a, b },
+                GateOp::Ternary(gate, a, b, c) => GateTask::Ternary {
+                    gate,
+                    ops: [a, b, c],
+                },
                 GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) => {
                     unreachable!("only bootstrapped ops enter the ready set")
                 }

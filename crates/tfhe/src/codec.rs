@@ -12,7 +12,7 @@
 //! [`crate::BootstrapKit::generate`] instead of shipped.
 
 use crate::circuit::{CircuitNetlist, GateOp};
-use crate::gates::Gate;
+use crate::gates::{Gate, Gate3};
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::secret::{LweSecretKey, RingSecretKey};
@@ -382,6 +382,12 @@ impl Codec for CircuitNetlist {
                     write_u32(&mut w, a as u32)?;
                     write_u32(&mut w, b as u32)?;
                 }
+                GateOp::Ternary(gate, a, b, c) => {
+                    w.write_all(&[5, gate.desc().code])?;
+                    for operand in [a, b, c] {
+                        write_u32(&mut w, operand as u32)?;
+                    }
+                }
             }
         }
         write_u32(&mut w, self.outputs().len() as u32)?;
@@ -425,6 +431,15 @@ impl Codec for CircuitNetlist {
                     let a = read_u32(&mut r)? as usize;
                     let b = read_u32(&mut r)? as usize;
                     GateOp::Mux { sel, a, b }
+                }
+                5 => {
+                    r.read_exact(&mut tag)?;
+                    let gate = Gate3::from_code(tag[0])
+                        .ok_or_else(|| bad(format!("unknown three-input gate {}", tag[0])))?;
+                    let a = read_u32(&mut r)? as usize;
+                    let b = read_u32(&mut r)? as usize;
+                    let c = read_u32(&mut r)? as usize;
+                    GateOp::Ternary(gate, a, b, c)
                 }
                 t => return Err(bad(format!("unknown op tag {t}"))),
             };
@@ -586,8 +601,10 @@ mod tests {
         let x = net.gate(Gate::Xor, a, b);
         let nx = net.not(x);
         let m = net.mux(c, nx, a);
+        let s = net.ternary(Gate3::Xor3, a, nx, m);
         net.mark_output(x);
         net.mark_output(m);
+        net.mark_output(s);
         let back = CircuitNetlist::from_bytes(&net.to_bytes()).unwrap();
         assert_eq!(back.ops(), net.ops());
         assert_eq!(back.outputs(), net.outputs());
@@ -622,15 +639,16 @@ mod tests {
 
     #[test]
     fn unknown_gate_and_op_tags_rejected() {
-        for (tag, extra) in [(2u8, vec![99u8]), (7u8, vec![])] {
+        for (tag, extra) in [(2u8, vec![99u8]), (5u8, vec![2u8]), (7u8, vec![])] {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(b"MNET");
             bytes.push(1);
             bytes.extend_from_slice(&1u32.to_le_bytes());
             bytes.push(tag);
             bytes.extend_from_slice(&extra);
-            bytes.extend_from_slice(&[0u8; 8]); // operands
-            assert!(CircuitNetlist::from_bytes(&bytes).is_err(), "tag {tag}");
+            bytes.extend_from_slice(&[0u8; 12]); // operands
+            let err = CircuitNetlist::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}: {err}");
         }
     }
 

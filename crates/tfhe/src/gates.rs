@@ -4,7 +4,8 @@
 //! and a trivial constant, followed by a gate bootstrap that simultaneously
 //! computes the sign decision and resets the noise. `NOT` is a free
 //! negation; `MUX` composes two bootstraps and a key switch as in the TFHE
-//! reference library.
+//! reference library; the three-input [`Gate3`]s (majority and parity, a
+//! full adder's carry and sum) are one bootstrap each.
 
 use crate::bootstrap::BootstrapKit;
 use crate::lwe::LweCiphertext;
@@ -93,6 +94,93 @@ impl fmt::Display for Gate {
     }
 }
 
+/// The three-input gates one sign bootstrap evaluates in the `±1/8`
+/// encoding: with `a, b, c ∈ {−1/8, +1/8}`, `a + b + c` lands on
+/// `{±1/8, ±3/8}` and its sign is the majority, and `2(a + b + c) + 1/2`
+/// lands on `±1/4` with the sign of the parity. (`a + b + c − 1/4` for an
+/// `AND3` would put its all-false row on `−5/8 ≡ +3/8`, the wrong side of
+/// `1/2`: three-input AND and OR stay two gates.) Both are symmetric in
+/// their operands, so one coefficient serves all three.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Gate3 {
+    /// At least two of the three operands are true (a full adder's carry).
+    Maj,
+    /// An odd number of the three operands are true (a full adder's sum).
+    Xor3,
+}
+
+/// What a [`Gate3`] is, stated once: evaluation, the linear part, the BDD
+/// compile, the noise bound and the wire code are all read from here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Gate3Desc {
+    /// Display name.
+    pub name: &'static str,
+    /// Truth table: bit `a | b << 1 | c << 2` is the output.
+    pub table: u8,
+    /// The linear part is `scale · (a + b + c) + offset`.
+    pub scale: i32,
+    /// See [`Gate3Desc::scale`].
+    pub offset: Torus32,
+    /// Distance from every noiseless value of the linear part to the
+    /// nearest sign boundary (`0` or `1/2`).
+    pub margin: f64,
+    /// The gate's code after the MNET `Ternary` tag.
+    pub code: u8,
+}
+
+impl Gate3Desc {
+    /// Factor from an operand's error variance to the linear part's.
+    pub fn variance_scale(&self) -> f64 {
+        f64::from(self.scale * self.scale)
+    }
+}
+
+impl Gate3 {
+    /// All supported three-input gates, in wire-code order.
+    pub const ALL: [Gate3; 2] = [Gate3::Maj, Gate3::Xor3];
+
+    /// The gate's descriptor.
+    pub const fn desc(self) -> &'static Gate3Desc {
+        const MAJ: Gate3Desc = Gate3Desc {
+            name: "MAJ3",
+            table: 0b1110_1000,
+            scale: 1,
+            offset: Torus32::ZERO,
+            margin: 0.125,
+            code: 0,
+        };
+        const XOR3: Gate3Desc = Gate3Desc {
+            name: "XOR3",
+            table: 0b1001_0110,
+            scale: 2,
+            offset: Torus32::from_raw(1 << 31),
+            margin: 0.25,
+            code: 1,
+        };
+        match self {
+            Gate3::Maj => &MAJ,
+            Gate3::Xor3 => &XOR3,
+        }
+    }
+
+    /// The plaintext truth table.
+    pub fn eval(self, a: bool, b: bool, c: bool) -> bool {
+        let row = u8::from(a) | u8::from(b) << 1 | u8::from(c) << 2;
+        self.desc().table >> row & 1 == 1
+    }
+
+    /// The gate with this wire code, if there is one.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|g| g.desc().code == code)
+    }
+}
+
+impl fmt::Display for Gate3 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.desc().name)
+    }
+}
+
 /// One bootstrapped gate of a wave, operands by reference: what
 /// [`ServerKey::apply_lanes_into`] evaluates a slice of.
 #[derive(Clone, Copy, Debug)]
@@ -115,13 +203,20 @@ pub enum LaneGate<'a> {
         /// Taken when `sel` is false.
         b: &'a LweCiphertext,
     },
+    /// A three-input gate: one bootstrap, one lane.
+    Ternary {
+        /// The gate to evaluate.
+        gate: Gate3,
+        /// The operands (the gates are symmetric in them).
+        ops: [&'a LweCiphertext; 3],
+    },
 }
 
 impl LaneGate<'_> {
     /// Blind rotations the gate runs, i.e. lanes it occupies in a wave.
     pub fn lanes(&self) -> usize {
         match self {
-            LaneGate::Binary { .. } => 1,
+            LaneGate::Binary { .. } | LaneGate::Ternary { .. } => 1,
             LaneGate::Mux { .. } => 2,
         }
     }
@@ -272,6 +367,19 @@ impl<E: FftEngine> ServerKey<E> {
         })
     }
 
+    /// A three-input gate's linear part, as its descriptor states it.
+    fn linear_part3_into(&self, gate: Gate3, ops: [&LweCiphertext; 3], out: &mut LweCiphertext) {
+        profile::timed(Phase::Other, || {
+            let desc = gate.desc();
+            out.assign_trivial(Torus32::ZERO, self.params().lwe_dimension);
+            for op in ops {
+                out.add_assign(op);
+            }
+            out.scale_assign(desc.scale);
+            out.add_body(desc.offset);
+        })
+    }
+
     /// Applies any two-input gate: linear part + bootstrap + key switch.
     /// [`ServerKey::apply_into`] through a scratch built for the call.
     pub fn apply(&self, gate: Gate, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
@@ -363,6 +471,10 @@ impl<E: FftEngine> ServerKey<E> {
                 self.linear_part_into(Gate::AndNY, sel, b, &mut lin);
                 self.kit.stage_lane(&lin, lane + 1, scratch);
             }
+            LaneGate::Ternary { gate, ops } => {
+                self.linear_part3_into(gate, ops, &mut lin);
+                self.kit.stage_lane(&lin, lane, scratch);
+            }
         }
         scratch.lin = lin;
     }
@@ -400,6 +512,34 @@ impl<E: FftEngine> ServerKey<E> {
             }
         });
         self.kit.key_switch_key().switch_slice_into(extracted, outs);
+    }
+
+    /// Applies a three-input gate in one bootstrap.
+    /// [`ServerKey::apply3_into`] through a scratch built for the call.
+    pub fn apply3(
+        &self,
+        gate: Gate3,
+        a: &LweCiphertext,
+        b: &LweCiphertext,
+        c: &LweCiphertext,
+    ) -> LweCiphertext {
+        let mut out = LweCiphertext::default();
+        self.apply3_into(gate, [a, b, c], &mut out, &mut self.make_scratch());
+        out
+    }
+
+    /// [`ServerKey::apply3`] into a caller-owned output through the
+    /// scratch, allocation-free once warmed. The one-gate call of
+    /// [`ServerKey::apply_lanes_into`].
+    pub fn apply3_into(
+        &self,
+        gate: Gate3,
+        ops: [&LweCiphertext; 3],
+        out: &mut LweCiphertext,
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        let gates = [LaneGate::Ternary { gate, ops }];
+        self.apply_lanes_into(&gates, std::slice::from_mut(out), scratch);
     }
 
     /// Logical AND.
@@ -518,6 +658,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gate3_descriptors_decide_their_tables_at_their_margins() {
+        for gate in Gate3::ALL {
+            let desc = gate.desc();
+            assert_eq!(Gate3::from_code(desc.code), Some(gate));
+            assert_eq!(desc.variance_scale(), f64::from(desc.scale).powi(2));
+            let mut closest = f64::INFINITY;
+            for row in 0..8u8 {
+                let bits = [row & 1 == 1, row >> 1 & 1 == 1, row >> 2 & 1 == 1];
+                let sum: i32 = bits.iter().map(|&b| if b { 1 } else { -1 }).sum();
+                // The linear part on noiseless ±1/8 operands.
+                let phase = Torus32::from_dyadic(i64::from(desc.scale * sum), 3) + desc.offset;
+                assert_eq!(
+                    phase.to_bool(),
+                    gate.eval(bits[0], bits[1], bits[2]),
+                    "{gate} row {row:03b}"
+                );
+                let to_boundary = phase
+                    .distance_to_zero()
+                    .min((phase + Torus32::from_raw(1 << 31)).distance_to_zero());
+                closest = closest.min(to_boundary);
+            }
+            assert_eq!(closest, desc.margin, "{gate}");
+        }
+        assert_eq!(Gate3::from_code(Gate3::ALL.len() as u8), None);
+    }
+
+    /// Every row of both three-input gates, under every polarity of the
+    /// operands (a negated leaf is a free `NOT` in front of the gate).
+    fn check_gate3_rows<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = ServerKey::with_unrolling(&client, engine, unroll, &mut rng);
+        let mut scratch = server.make_scratch();
+        let mut out = LweCiphertext::default();
+        for row in 0..8u8 {
+            let bits = [0, 1, 2].map(|i| row >> i & 1 == 1);
+            let plain = bits.map(|b| client.encrypt_with(b, &mut rng));
+            let negated = [0, 1, 2].map(|i| server.not(&plain[i]));
+            for polarity in 0..8u8 {
+                let flipped = [0, 1, 2].map(|i| polarity >> i & 1 == 1);
+                let ops = [0, 1, 2].map(|i| if flipped[i] { &negated[i] } else { &plain[i] });
+                let [a, b, c] = [0, 1, 2].map(|i| bits[i] ^ flipped[i]);
+                for gate in Gate3::ALL {
+                    server.apply3_into(gate, ops, &mut out, &mut scratch);
+                    assert_eq!(
+                        client.decrypt(&out),
+                        gate.eval(a, b, c),
+                        "{gate}({a}, {b}, {c}) m={unroll}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ternary_gates_match_truth_tables_f64_m2() {
+        check_gate3_rows(F64Fft::new(256), 2, 1003);
+    }
+
+    #[test]
+    fn ternary_gates_match_truth_tables_approx38_m3() {
+        check_gate3_rows(ApproxIntFft::new(256, 38), 3, 1004);
     }
 
     #[test]

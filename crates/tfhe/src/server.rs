@@ -113,13 +113,15 @@ impl Default for ServerConfig {
 
 /// A netlist rewrite pass the scheduler may substitute for a submission
 /// at admission, returning the rewritten netlist and what it changed.
-/// The default pass is [`analyze::simplify`]; the point of the type is
-/// that **any** pass plugged in here (e.g. a future multi-input-gate
-/// fusion pass) is automatically subject to the
-/// [`AnalysisPolicy::require_equivalence`] BDD proof: the server only
-/// schedules a rewrite it has proven function-identical to the
-/// submission, and an unproven one is either rejected (strict policies)
-/// or ignored in favor of the submitted netlist.
+/// The default pass is [`analyze::simplify`], three-input gate fusion
+/// included; the point of the type is that **any** pass plugged in here is
+/// automatically subject to the [`AnalysisPolicy::require_equivalence`]
+/// BDD proof and to the policy's noise budget: the server only schedules a
+/// rewrite it has proven function-identical to the submission and
+/// certified within [`AnalysisPolicy::max_failure_prob`]; an unproven one
+/// is either rejected (strict policies) or ignored in favor of the
+/// submitted netlist, and one over budget is ignored and counted
+/// ([`SchedulerStats::rewrites_refused`]).
 pub type RewritePass = fn(&CircuitNetlist) -> (CircuitNetlist, SimplifyReport);
 
 /// Why a circuit was turned away without running.
@@ -314,6 +316,7 @@ struct StatsCells {
     expired: AtomicU64,
     cancelled: AtomicU64,
     restarts: AtomicU64,
+    rewrites_refused: AtomicU64,
     per_client: Mutex<BTreeMap<u64, ClientTally>>,
 }
 
@@ -374,6 +377,9 @@ pub struct SchedulerStats {
     /// Pool workers respawned after dying outside the per-task panic
     /// isolation (mirrors [`GateBatchPool::restarts`]).
     pub restarts: u64,
+    /// Circuits whose rewrite was proven equivalent but missed
+    /// [`AnalysisPolicy::max_failure_prob`], and ran as submitted.
+    pub rewrites_refused: u64,
     /// Per-client completed/rejected tallies, ascending by client id.
     pub per_client: Vec<(u64, ClientTally)>,
 }
@@ -426,6 +432,9 @@ impl SchedulerStats {
             expired: self.expired.saturating_sub(earlier.expired),
             cancelled: self.cancelled.saturating_sub(earlier.cancelled),
             restarts: self.restarts.saturating_sub(earlier.restarts),
+            rewrites_refused: self
+                .rewrites_refused
+                .saturating_sub(earlier.rewrites_refused),
             per_client,
         }
     }
@@ -525,7 +534,10 @@ fn admit<E>(
     // Static-analysis admission: certify structure and noise budget
     // before a single bootstrap is spent on this circuit.
     if let Some(policy) = config.analysis {
-        let report = analyze::analyze(&netlist, pool.server().params(), pool.server().unroll());
+        let certify = |net: &CircuitNetlist| {
+            analyze::analyze(net, pool.server().params(), pool.server().unroll())
+        };
+        let report = certify(&netlist);
         if let Some(l) = report.worst_lint_at_least(policy.deny) {
             let reason = RejectReason::Lint {
                 kind: l.kind,
@@ -551,14 +563,23 @@ fn admit<E>(
         }
         // Formal-equivalence gate: run the rewrite pass and schedule its
         // output only under a BDD proof that it computes the submitted
-        // function. A refuted rewrite is rejected with the distinguishing
-        // input; an unprovable one (budget exhausted) surfaces as an
-        // `EquivUnknown` warning — fatal under a strict `deny`, otherwise
-        // the submission runs unrewritten.
+        // function, and only if it too is inside the noise budget — a
+        // rewrite may trade noise resets for bootstraps (a fused
+        // three-input gate decides on three operands' noise), so the
+        // certificate above does not carry over. A refuted rewrite is
+        // rejected with the distinguishing input; one over budget, or
+        // unprovable (`EquivUnknown`, fatal under a strict `deny`), leaves
+        // the submission to run unrewritten.
         if let Some(budget) = policy.require_equivalence {
             let (rewritten, _) = rewrite(&netlist);
             match equiv::check(&netlist, &rewritten, budget).verdict {
-                Verdict::Equivalent => netlist = rewritten,
+                Verdict::Equivalent => {
+                    if certify(&rewritten).max_failure_prob() <= policy.max_failure_prob {
+                        netlist = rewritten;
+                    } else {
+                        stats.rewrites_refused.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
                 Verdict::NotEquivalent {
                     output,
                     counterexample,
@@ -960,6 +981,7 @@ impl CircuitServer {
             expired: self.stats.expired.load(Ordering::Relaxed),
             cancelled: self.stats.cancelled.load(Ordering::Relaxed),
             restarts: self.stats.restarts.load(Ordering::Relaxed),
+            rewrites_refused: self.stats.rewrites_refused.load(Ordering::Relaxed),
             per_client: self
                 .stats
                 .per_client
@@ -1705,6 +1727,7 @@ mod tests {
             expired: 1,
             cancelled: 1,
             restarts: 1,
+            rewrites_refused: 1,
             per_client: vec![(
                 0,
                 ClientTally {
@@ -1724,6 +1747,7 @@ mod tests {
             expired: 0,
             cancelled: 0,
             restarts: 0,
+            rewrites_refused: 0,
             per_client: vec![(
                 0,
                 ClientTally {
@@ -1749,6 +1773,7 @@ mod tests {
         assert_eq!(reversed.expired, 0);
         assert_eq!(reversed.cancelled, 0);
         assert_eq!(reversed.restarts, 0);
+        assert_eq!(reversed.rewrites_refused, 0);
         assert_eq!(reversed.per_client[0].1, ClientTally::default());
     }
 
@@ -1907,16 +1932,21 @@ mod tests {
     }
 
     /// A [`RewritePass`] that runs the real [`analyze::simplify`] and then
-    /// flips the first XOR it finds to XNOR — a deliberately unsound
-    /// rewrite the equivalence gate must refute.
+    /// turns the first XOR it finds into something else (XNOR, or a
+    /// majority where the XORs were fused) — a deliberately unsound rewrite
+    /// the equivalence gate must refute.
     fn broken_pass(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
+        use crate::circuit::GateOp;
+        use crate::gates::Gate3;
         let (simplified, report) = analyze::simplify(net);
         let mut ops = simplified.ops().to_vec();
         for op in ops.iter_mut() {
-            if let crate::circuit::GateOp::Binary(Gate::Xor, a, b) = *op {
-                *op = crate::circuit::GateOp::Binary(Gate::Xnor, a, b);
-                break;
-            }
+            *op = match *op {
+                GateOp::Binary(Gate::Xor, a, b) => GateOp::Binary(Gate::Xnor, a, b),
+                GateOp::Ternary(Gate3::Xor3, a, b, c) => GateOp::Ternary(Gate3::Maj, a, b, c),
+                _ => continue,
+            };
+            break;
         }
         let broken = CircuitNetlist::from_parts(ops, simplified.outputs().to_vec())
             .expect("mutated netlist keeps the canonical shape");
@@ -1961,6 +1991,70 @@ mod tests {
             "the scheduled netlist must be the simplified one"
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn rewrite_over_the_noise_budget_is_refused_and_the_submission_runs() {
+        // One cell of a multiplier: a full adder over three products. As
+        // submitted every decision reads two bootstrapped operands; fused,
+        // its XOR3 and MAJ read three, and the failure bound is larger.
+        let mut net = CircuitNetlist::new();
+        let ins: Vec<usize> = (0..6).map(|_| net.input()).collect();
+        let [x, y, z] = [0, 2, 4].map(|i| net.gate(Gate::And, ins[i], ins[i + 1]));
+        let xy = net.gate(Gate::Xor, x, y);
+        let sum = net.gate(Gate::Xor, xy, z);
+        let generate = net.gate(Gate::And, x, y);
+        let propagate = net.gate(Gate::And, xy, z);
+        let carry = net.gate(Gate::Or, generate, propagate);
+        net.mark_output(sum);
+        net.mark_output(carry);
+        // Key-switch noise large enough for the bounds to be numbers
+        // (`TEST_FAST`'s underflow to zero), small enough to decrypt.
+        let params = ParameterSet {
+            lwe_noise_stdev: 2e-4,
+            ..ParameterSet::TEST_FAST
+        };
+        let mut rng = StdRng::seed_from_u64(183);
+        let client = ClientKey::generate(params, &mut rng);
+        let key = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let bound = |n: &CircuitNetlist| analyze::analyze(n, &params, 1).max_failure_prob();
+        let (fused, _) = analyze::simplify(&net);
+        let (as_submitted, as_fused) = (bound(&net), bound(&fused));
+        assert!(as_submitted > 0.0 && as_submitted * 1e3 < as_fused);
+        assert_eq!((net.bootstraps(), fused.bootstraps()), (8, 5));
+
+        // (budget, bootstraps that ran, rewrites refused): a budget between
+        // the two bounds keeps the submission; the default takes the
+        // rewrite.
+        let tight = (as_submitted * as_fused).sqrt();
+        let loose = crate::analyze::DEFAULT_FAILURE_BUDGET;
+        for (budget, ran, refused) in [(tight, 8, 1), (loose, 5, 0)] {
+            let config = ServerConfig {
+                analysis: Some(AnalysisPolicy {
+                    max_failure_prob: budget,
+                    require_equivalence: Some(equiv::EquivBudget::default()),
+                    ..AnalysisPolicy::default()
+                }),
+                ..ServerConfig::default()
+            };
+            let server = CircuitServer::start_with(Arc::clone(&key), 1, config);
+            let handle = server.client();
+            for row in [0b111111u8, 0b011110, 0b110011] {
+                let bits: Vec<bool> = (0..6).map(|i| row >> i & 1 == 1).collect();
+                let run = handle
+                    .submit(net.clone(), encrypt_bits(&client, &bits, &mut rng))
+                    .wait()
+                    .completed()
+                    .expect("either netlist is inside its budget");
+                assert_eq!(run.bootstraps, ran, "budget {budget:e}");
+                let ones = (0..3).filter(|i| bits[2 * i] && bits[2 * i + 1]).count();
+                assert_eq!(client.decrypt(&run.outputs[0]), ones % 2 == 1);
+                assert_eq!(client.decrypt(&run.outputs[1]), ones >= 2);
+            }
+            let stats = server.stats();
+            assert_eq!((stats.completed, stats.rewrites_refused), (3, 3 * refused));
+            server.shutdown();
+        }
     }
 
     #[test]

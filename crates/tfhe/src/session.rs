@@ -973,17 +973,21 @@ mod tests {
         use crate::analyze::equiv::EquivBudget;
         use crate::analyze::{AnalysisPolicy, SimplifyReport};
         use crate::circuit::GateOp;
+        use crate::gates::Gate3;
 
-        /// An unsound rewrite pass: simplify, then flip the first XOR to
-        /// XNOR — the equivalence gate must refute it at admission.
+        /// An unsound rewrite pass: simplify, then turn the first XOR into
+        /// something else (XNOR, or a majority where the XORs were fused)
+        /// — the equivalence gate must refute it at admission.
         fn broken_pass(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
             let (simplified, report) = crate::analyze::simplify(net);
             let mut ops = simplified.ops().to_vec();
             for op in ops.iter_mut() {
-                if let GateOp::Binary(Gate::Xor, a, b) = *op {
-                    *op = GateOp::Binary(Gate::Xnor, a, b);
-                    break;
-                }
+                *op = match *op {
+                    GateOp::Binary(Gate::Xor, a, b) => GateOp::Binary(Gate::Xnor, a, b),
+                    GateOp::Ternary(Gate3::Xor3, a, b, c) => GateOp::Ternary(Gate3::Maj, a, b, c),
+                    _ => continue,
+                };
+                break;
             }
             let broken = CircuitNetlist::from_parts(ops, simplified.outputs().to_vec())
                 .expect("mutated netlist keeps the canonical shape");

@@ -13,7 +13,7 @@
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::session::{OutcomeFrame, SessionOutcome};
 use matcha_tfhe::{
-    CircuitNetlist, Codec, Counterexample, Gate, LweCiphertext, LweSecretKey, ParameterSet,
+    CircuitNetlist, Codec, Counterexample, Gate, Gate3, LweCiphertext, LweSecretKey, ParameterSet,
     RejectReason, RingSecretKey, TrlweCiphertext,
 };
 use proptest::prelude::*;
@@ -74,7 +74,7 @@ fn arb_netlist(rng: &mut StdRng, nodes: usize) -> CircuitNetlist {
     let mut net = CircuitNetlist::new();
     let mut ids = vec![net.input()];
     for _ in 0..nodes {
-        let id = match rng.gen::<u64>() % 5 {
+        let id = match rng.gen::<u64>() % 6 {
             0 => net.input(),
             1 => net.constant(rng.gen_bool(0.5)),
             2 => {
@@ -85,6 +85,11 @@ fn arb_netlist(rng: &mut StdRng, nodes: usize) -> CircuitNetlist {
             3 => {
                 let a = ids[pick(rng, ids.len())];
                 net.not(a)
+            }
+            4 => {
+                let g = Gate3::ALL[pick(rng, Gate3::ALL.len())];
+                let [a, b, c] = [0; 3].map(|_| ids[pick(rng, ids.len())]);
+                net.ternary(g, a, b, c)
             }
             _ => {
                 let (s, a, b) = (

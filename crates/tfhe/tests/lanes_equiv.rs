@@ -1,14 +1,15 @@
 //! A wave is its gates, one at a time: carrying B bootstraps through each
 //! key group together and key-switching them coefficient-major must give,
-//! for every gate, the bits `apply_into` / `mux_into` give it alone —
-//! whatever B is against the lane cap, whichever engine and unroll factor,
-//! however a dispatch mixes task kinds and slabs, on one worker or two.
+//! for every gate, the bits `apply_into` / `mux_into` / `apply3_into` give
+//! it alone — whatever B is against the lane cap, whichever engine and
+//! unroll factor, however a dispatch mixes task kinds and slabs, on one
+//! worker or two.
 
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::{
-    ClientKey, Gate, GateBatchPool, GateTask, KeySwitchKey, LaneGate, LweCiphertext, LweSecretKey,
-    ParameterSet, ServerKey, SlabTask, ValueSlab, MAX_LANES,
+    ClientKey, Gate, Gate3, GateBatchPool, GateTask, KeySwitchKey, LaneGate, LweCiphertext,
+    LweSecretKey, ParameterSet, ServerKey, SlabTask, ValueSlab, MAX_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,14 +24,19 @@ const INPUTS: usize = 4;
 const SLABS: usize = 3;
 
 /// Task `i` of a batch: every gate of `Gate::ALL` in turn, every fourth
-/// task a mux, every seventh a free negation, operands walking the slab's
-/// inputs.
+/// task a mux, every fifth a three-input gate, every seventh a free
+/// negation, operands walking the slab's inputs.
 fn task(i: usize) -> GateTask {
     let (a, b, sel) = (i % INPUTS, (i / 2 + 1) % INPUTS, (i + 2) % INPUTS);
     if i % 7 == 5 {
         GateTask::Not { a }
     } else if i % 4 == 3 {
         GateTask::Mux { sel, a, b }
+    } else if i % 5 == 1 {
+        GateTask::Ternary {
+            gate: Gate3::ALL[i / 5 % Gate3::ALL.len()],
+            ops: [sel, a, b],
+        }
     } else {
         GateTask::Binary {
             gate: Gate::ALL[i % Gate::ALL.len()],
@@ -136,6 +142,10 @@ where
                         a: v(a),
                         b: v(b),
                     },
+                    GateTask::Ternary { gate, ops } => LaneGate::Ternary {
+                        gate,
+                        ops: ops.map(v),
+                    },
                     GateTask::Not { .. } => return None,
                 };
                 Some((gate, want))
@@ -162,6 +172,7 @@ where
                     bit(b)
                 }
             }
+            GateTask::Ternary { gate, ops } => gate.eval(bit(ops[0]), bit(ops[1]), bit(ops[2])),
         };
         assert_eq!(bit(st.node), want, "{:?}", st.task);
     }

@@ -360,11 +360,11 @@ fn warmed_key_switch_allocates_nothing() {
 fn warmed_heterogeneous_tasks_allocate_nothing() {
     // The pool's worker inner loop is the by-index `GateTask::apply_into`:
     // a warmed scratch must make every task kind — binary gate, free NOT,
-    // and the two-bootstrap MUX — allocation-free, operands *borrowed*
-    // from the shared value slab rather than cloned into the task, so the
-    // heterogeneous interleaved circuit waves keep the zero-alloc
-    // property of the homogeneous batch path.
-    use matcha_tfhe::{GateTask, ValueSlab};
+    // the two-bootstrap MUX and the three-input gate — allocation-free,
+    // operands *borrowed* from the shared value slab rather than cloned
+    // into the task, so the heterogeneous interleaved circuit waves keep
+    // the zero-alloc property of the homogeneous batch path.
+    use matcha_tfhe::{Gate3, GateTask, ValueSlab};
     let mut rng = StdRng::seed_from_u64(79);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
     let server = ServerKey::with_unrolling(&client, F64Fft::new(256), 2, &mut rng);
@@ -381,6 +381,10 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
         },
         GateTask::Not { a: 0 },
         GateTask::Mux { sel: 0, a: 1, b: 0 },
+        GateTask::Ternary {
+            gate: Gate3::Xor3,
+            ops: [0, 1, 0],
+        },
     ];
     let mut out = matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1);
     let mut scratch = server.make_scratch();
@@ -403,7 +407,7 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
         "warmed by-index task batch allocated {delta} times"
     );
     // And the results are still right.
-    let expected = [true, false, false];
+    let expected = [true, false, false, false];
     for (task, want) in tasks.iter().zip(expected) {
         task.apply_into(&server, &slab, &mut out, &mut scratch);
         assert_eq!(client.decrypt(&out), want);
@@ -412,7 +416,8 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
 
 /// A wave through the batched entry: once a scratch has held
 /// `MAX_LANES` lanes it keeps them, so full waves, a narrower wave in
-/// between and a mux's two lanes all run without touching the heap.
+/// between, a mux's two lanes and a three-input gate's one all run
+/// without touching the heap.
 fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
@@ -431,6 +436,10 @@ fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
         sel: &bits[0],
         a: &bits[1],
         b: &bits[2],
+    };
+    gates[2] = LaneGate::Ternary {
+        gate: matcha_tfhe::Gate3::Maj,
+        ops: [&bits[2], &bits[3], &bits[4]],
     };
     let full = &gates[..MAX_LANES - 1]; // 14 gates and a mux: MAX_LANES lanes
     let mut outs = vec![LweCiphertext::default(); MAX_LANES];

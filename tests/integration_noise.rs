@@ -2,10 +2,11 @@
 //! argument of §4.1): approximate-FFT noise stays within the decryption
 //! budget, and key unrolling trades EP noise against BK noise.
 
-use matcha::tfhe::{noise, BootstrapKit};
+use matcha::circuits::{netlist, word};
+use matcha::tfhe::{noise, simplify, BootstrapKit};
 use matcha::{ApproxIntFft, ClientKey, F64Fft, ParameterSet};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn client(seed: u64) -> (ClientKey, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -95,12 +96,15 @@ fn unrolling_does_not_blow_the_noise_budget() {
 /// value, and the bootstrap's measured noise must be what it was when the
 /// key was stored at full width (`recorded`: the parent commit's reading of
 /// the same seed and trials — the draws are the same, so the two readings
-/// differ only by what storing adds).
+/// differ only by what storing adds). Then the three-input gates where
+/// admission puts them: ripple adders as `simplify` fuses them, two
+/// bootstraps a bit, every sum checked on random operands.
 ///
-/// 200 NANDs, 50 MUXes and 2048 noise trials in an optimized build (CI's
-/// release step); an unoptimized build, where a bootstrap at these
-/// parameters takes most of a second, runs a twenty-fifth of the gates and leaves
-/// the noise reading out.
+/// 200 NANDs, 50 MUXes, 2048 noise trials, eight 8-bit and four 32-bit
+/// additions in an optimized build (CI's release step); an unoptimized
+/// build, where a bootstrap at these parameters takes most of a second,
+/// runs a twenty-fifth of the gates, one 4-bit addition, and leaves the
+/// noise reading out.
 fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u64, recorded: f64) {
     use matcha::{Gate, ServerKey};
     let scale = if cfg!(debug_assertions) { 25 } else { 1 };
@@ -128,6 +132,22 @@ fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u
             "bootstrap noise σ {:e}, recorded {recorded:e}",
             stats.stdev
         );
+    }
+    let additions: &[(usize, usize)] = if scale == 1 {
+        &[(8, 8), (32, 4)]
+    } else {
+        &[(4, 1)]
+    };
+    for &(width, rounds) in additions {
+        let (adder, report) = simplify(&netlist::ripple_adder(width));
+        assert_eq!(report.bootstraps_after, 2 * width);
+        for _ in 0..rounds {
+            let [x, y] = [(); 2].map(|()| rng.gen::<u64>() & word::max_value(width));
+            let mut inputs = word::encrypt(&client, x, width, &mut rng);
+            inputs.extend(word::encrypt(&client, y, width, &mut rng));
+            let run = adder.execute_sequential(&server, &inputs);
+            assert_eq!(word::decrypt(&client, &run.outputs), x + y, "{x} + {y}");
+        }
     }
 }
 
