@@ -306,24 +306,26 @@ mod tests {
         // (138 → 118). Then fusion: every full adder left — XOR, XOR, AND,
         // AND, OR over three bits — becomes XOR3 + MAJ, two bootstraps for
         // five, through the free NOTs of the subtractor's inverted operand
-        // as well (adder 37 → 16 = XOR + AND + 7 × 2; subtractor 38 → 17,
-        // its first bit keeping XNOR + OR + the NOT-fed chain head). The
-        // multipliers and the popcount fuse their adder cells but keep the
-        // partial products and half adders; the comparator, mux tree and
-        // shifter have no three-input majority or parity in them.
+        // as well (adder 37 → 16 = XOR + AND + 7 × 2; subtractor 38 → 16,
+        // the first borrow's three gates over two leaves fused into one).
+        // Then every sum rides on its carry's bootstrap, half adders
+        // included (adder and subtractor 16 → 8, a cell a bit). The
+        // multipliers and the popcount keep their partial products; the
+        // comparator, mux tree and shifter have no majority or parity in
+        // them.
         assert_eq!(
             by_name,
             vec![
-                ("adder8", 40, 16),
-                ("subtractor8", 40, 17),
+                ("adder8", 40, 8),
+                ("subtractor8", 40, 8),
                 ("comparator8", 15, 15),
                 ("mux4x4", 24, 24),
-                ("mul8", 320, 197),
-                ("mul_low8", 136, 100),
-                ("alu8", 138, 93),
-                ("popcount16", 63, 41),
+                ("mul8", 320, 147),
+                ("mul_low8", 136, 84),
+                ("alu8", 138, 71),
+                ("popcount16", 63, 29),
                 ("shifter8", 49, 49),
-                ("processor_cycle8", 138, 93),
+                ("processor_cycle8", 138, 71),
             ]
         );
     }

@@ -1,15 +1,17 @@
 //! Formal verification of the circuit library: every shipped lowering is
 //! **proven** — not sampled — equivalent to its simplified form, full
-//! adders fused into three-input gates included (BDD function identity per
-//! output), and to its plaintext arithmetic spec (exhaustive over all
-//! input assignments). A deliberately broken rewrite — a flipped XOR, a
-//! majority cone fused to the wrong gate — must be refuted with a
-//! counterexample that replays, and the proofs must degrade to `Unknown`
-//! (never a wrong verdict, never a blowup) under a starved budget.
+//! adders fused into three-input gates and sums riding on their carries
+//! included (BDD function identity per output), and to its plaintext
+//! arithmetic spec (exhaustive over all input assignments). A deliberately
+//! broken rewrite — a flipped XOR, a majority cone fused to the wrong gate,
+//! a sum riding on the wrong carry — must be refuted with a counterexample
+//! that replays, and the proofs must degrade to `Unknown` (never a wrong
+//! verdict, never a blowup) under a starved budget.
 //!
-//! This is the suite the CI `netlist-equiv` job runs. It spends zero
-//! bootstraps: everything here is plaintext static analysis, and the one
-//! server it starts rejects its submission at admission.
+//! This is the suite the CI `netlist-equiv` job runs. All but one test
+//! spend zero bootstraps — plaintext static analysis, and servers that
+//! reject their submission at admission; the admission ladder's runs the
+//! 4-bit adder six times at test parameters.
 
 use matcha_circuits::analysis::{library, library_specs};
 use matcha_circuits::netlist::{self, NetBit, WordNetlist};
@@ -19,10 +21,10 @@ use matcha_tfhe::analyze::equiv::{
 };
 use matcha_tfhe::analyze::DEFAULT_FAILURE_BUDGET;
 use matcha_tfhe::circuit::{CircuitNetlist, GateOp};
-use matcha_tfhe::server::{CircuitServer, RejectReason, ServerConfig};
+use matcha_tfhe::server::{CircuitServer, RejectReason, RewritePass, ServerConfig};
 use matcha_tfhe::{
-    analyze, simplify, AnalysisPolicy, ClientKey, Gate, Gate3, ParameterSet, ServerKey,
-    SimplifyReport,
+    analyze, demote_sums, simplify, AnalysisPolicy, ClientKey, Gate, Gate3, ParameterSet,
+    ServerKey, SimplifyReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,58 +82,98 @@ fn simplify_is_idempotent_on_the_whole_library() {
     }
 }
 
-/// Bootstraps and waves of every library lowering, as lowered and as
-/// `simplify` leaves it, and whether the result certifies inside the
+/// Which rung of admission's ladder a lowering runs on at a budget: its
+/// `simplify` rewrite as it is, that with every sum demoted to an `XOR3` of
+/// its own, or the lowering as submitted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    Riding,
+    Fused,
+    Submitted,
+    /// Not even that: the submission is over budget before any rewrite.
+    Rejected,
+}
+
+/// Bootstraps and waves of every library lowering as lowered and as the
+/// fusion stage of `simplify` leaves it (`demote_sums` of the result: full
+/// adders as `XOR3` + `MAJ`, two-leaf cones as one gate), bootstraps with
+/// every sum riding on its carry's bootstrap (the waves are the fused
+/// form's), and the rung of the admission ladder that certifies inside the
 /// default `2⁻²⁰` budget at the paper's parameters with unroll 2 and 3 (the
-/// README's table). A full adder is two bootstraps where it was five and
+/// README's table). A full adder is one bootstrap where it was five and
 /// one wave where it was three, wherever one occurs — in the adder, the
 /// subtractor, the ALU's two chains, the multipliers' and the popcount's
-/// cells — and nothing else moves. Where a cell's three operands are all
-/// bootstrapped (multipliers, popcount) the fused gates' bound misses the
-/// budget at unroll 3, and admission there runs the lowering as submitted.
+/// cells; the two-leaf cuts took the subtractor's and the ALU's first
+/// borrow from three gates to one (17 → 16 in 9 → 8 waves, 93 → 91 in
+/// 11 → 10); nothing else moves. A riding sum keeps its operands' noise, so
+/// where it feeds the next row's cells (multipliers, popcount) the whole
+/// netlist demotes even at unroll 2, and a sum with a carry among its
+/// operands misses the budget at unroll 3, where the adders run fused.
+/// Where a cell's three operands are all bootstrapped the fused gates'
+/// bound misses it there too and admission runs the lowering as submitted
+/// — `mul8`'s own 320 decisions are over it before any rewrite.
 #[test]
 fn fusion_count_table() {
-    let table: Vec<(&str, [usize; 4], [bool; 2])> = library()
+    let table: Vec<(&str, [usize; 5], [Rung; 2])> = library()
         .iter()
         .map(|(name, raw)| {
-            let (fused, report) = simplify(raw);
-            assert_eq!(report.bootstraps_after, fused.bootstraps());
+            let (riding, report) = simplify(raw);
+            assert_eq!(report.bootstraps_after, riding.bootstraps());
+            let fused = demote_sums(&riding);
+            assert_eq!(report.riding, fused.bootstraps() - riding.bootstraps());
+            assert_eq!(riding.depth(), fused.depth(), "{name}: a sum is no wave");
+            let demoted = equiv::check(&riding, &fused, EquivBudget::default());
+            assert!(demoted.is_equivalent(), "{name}: {demoted}");
             let counts = [
                 raw.bootstraps(),
                 raw.depth(),
                 fused.bootstraps(),
                 fused.depth(),
+                riding.bootstraps(),
             ];
-            let certified = [2, 3].map(|unroll| {
-                analyze(&fused, &ParameterSet::MATCHA, unroll).max_failure_prob()
-                    <= DEFAULT_FAILURE_BUDGET
+            let rung = [2, 3].map(|unroll| {
+                let within = |net: &CircuitNetlist| {
+                    analyze(net, &ParameterSet::MATCHA, unroll).max_failure_prob()
+                        <= DEFAULT_FAILURE_BUDGET
+                };
+                if within(&riding) {
+                    Rung::Riding
+                } else if within(&fused) {
+                    Rung::Fused
+                } else if within(raw) {
+                    Rung::Submitted
+                } else {
+                    Rung::Rejected
+                }
             });
-            (*name, counts, certified)
+            (*name, counts, rung)
         })
         .collect();
+    use Rung::{Fused, Rejected, Riding, Submitted};
     assert_eq!(
         table,
         vec![
-            ("adder8", [40, 17, 16, 8], [true, true]),
-            ("subtractor8", [40, 17, 17, 9], [true, true]),
-            ("comparator8", [15, 4, 15, 4], [true, true]),
-            ("mux4x4", [24, 2, 24, 2], [true, true]),
-            ("mul8", [320, 40, 197, 21], [true, false]),
-            ("mul_low8", [136, 24, 100, 13], [true, false]),
-            ("alu8", [138, 18, 93, 11], [true, true]),
-            ("popcount16", [63, 26, 41, 15], [true, false]),
-            ("shifter8", [49, 4, 49, 4], [true, true]),
-            ("processor_cycle8", [138, 18, 93, 11], [true, true]),
+            ("adder8", [40, 17, 16, 8, 8], [Riding, Fused]),
+            ("subtractor8", [40, 17, 16, 8, 8], [Riding, Fused]),
+            ("comparator8", [15, 4, 15, 4, 15], [Riding, Riding]),
+            ("mux4x4", [24, 2, 24, 2, 24], [Riding, Riding]),
+            ("mul8", [320, 40, 197, 21, 147], [Fused, Rejected]),
+            ("mul_low8", [136, 24, 100, 13, 84], [Fused, Submitted]),
+            ("alu8", [138, 18, 91, 10, 71], [Riding, Fused]),
+            ("popcount16", [63, 26, 41, 15, 29], [Fused, Submitted]),
+            ("shifter8", [49, 4, 49, 4, 49], [Riding, Riding]),
+            ("processor_cycle8", [138, 18, 91, 10, 71], [Riding, Fused]),
         ]
     );
 }
 
 /// The benchmark's adder: what admission scheduled for `ripple_adder(4)`
 /// when `simplify` only folded (the constant carry-in gone: 17 bootstraps
-/// in 7 waves) and what it schedules now — s₀ = XOR, c₁ = AND, then one
-/// XOR3 and one MAJ per bit, each bit a wave.
+/// in 7 waves), when it fused (s₀ = XOR, c₁ = AND, then one XOR3 and one
+/// MAJ per bit: 8 in 4 waves of two) and what it schedules now — one cell
+/// per bit, the first with a constant carry-in, each bit a wave of one.
 #[test]
-fn adder4_as_admitted_is_eight_bootstraps_in_four_waves() {
+fn adder4_as_admitted_is_four_bootstraps_in_four_waves() {
     let mut w = WordNetlist::new();
     let (a, b) = (w.input_word(4), w.input_word(4));
     let (sums, carry) = w.fold_ripple_add(&a, &b, NetBit::Const(false));
@@ -142,56 +184,226 @@ fn adder4_as_admitted_is_eight_bootstraps_in_four_waves() {
 
     let lowered = netlist::ripple_adder(4);
     let (admitted, report) = simplify(&lowered);
-    assert_eq!((admitted.bootstraps(), admitted.depth()), (8, 4));
-    assert_eq!(report.fused, 6);
+    assert_eq!((admitted.bootstraps(), admitted.depth()), (4, 4));
+    assert_eq!((report.fused, report.riding), (6, 4));
     assert!(!report.exact);
-    let widths: Vec<usize> = admitted.waves().iter().map(Vec::len).collect();
-    assert_eq!(widths, [2, 2, 2, 2]);
+    let widths = |net: &CircuitNetlist| net.waves().iter().map(Vec::len).collect::<Vec<_>>();
+    assert_eq!(widths(&admitted), [1, 1, 1, 1]);
     let gates = |net: &CircuitNetlist, want: fn(&GateOp) -> bool| {
         net.ops().iter().filter(|op| want(op)).count()
     };
+    let majorities = |op: &GateOp| matches!(op, GateOp::Ternary(Gate3::Maj, ..));
+    assert_eq!(gates(&admitted, majorities), 4);
+    assert_eq!(gates(&admitted, |op| matches!(op, GateOp::Sum(..))), 4);
     assert_eq!(
-        gates(&admitted, |op| matches!(
-            op,
-            GateOp::Ternary(Gate3::Maj, ..)
-        )),
-        3
+        gates(&admitted, |op| op.bootstraps() > 0),
+        4,
+        "nothing else"
     );
-    assert_eq!(
-        gates(&admitted, |op| matches!(
-            op,
-            GateOp::Ternary(Gate3::Xor3, ..)
-        )),
-        3
-    );
-    for other in [&folded, &lowered] {
+    // Every sum is an output, every majority hosts one.
+    for (id, op) in admitted.ops().iter().enumerate() {
+        if majorities(op) {
+            let sum = admitted.rider_of(id).expect("a cell");
+            assert!(admitted.outputs().contains(&sum));
+        }
+    }
+    // One rung down the ladder: the fused form, two lanes a wave.
+    let fused = demote_sums(&admitted);
+    assert_eq!((fused.bootstraps(), fused.depth()), (8, 4));
+    assert_eq!(widths(&fused), [2, 2, 2, 2]);
+    for other in [&folded, &lowered, &fused] {
         let report = equiv::check(other, &admitted, EquivBudget::default());
         assert!(report.is_equivalent(), "{report}");
     }
 }
 
 /// The subtractor adds `¬b`: every carry of its chain is a majority over a
-/// negated leaf, and fuses through the free `NOT`.
+/// negated leaf — the first, `a₀ ∨ ¬b₀` with the carry-in `true` folded in,
+/// the two-leaf cell over `(a₀, ¬b₀, true)` — and fuses through the free
+/// `NOT`; every difference bit rides on it.
 #[test]
 fn subtractor_chain_fuses_through_its_free_nots() {
-    let (fused, _) = simplify(&netlist::ripple_subtractor(8));
-    let over_a_not = fused
-        .ops()
+    let lowered = netlist::ripple_subtractor(8);
+    let (fused, report) = simplify(&lowered);
+    let hosts: Vec<usize> = (0..fused.len())
+        .filter(|&id| fused.rider_of(id).is_some())
+        .collect();
+    let over_a_not = hosts
         .iter()
-        .filter(|op| match **op {
-            GateOp::Ternary(Gate3::Maj, a, b, c) => [a, b, c]
-                .iter()
-                .any(|&o| matches!(fused.ops()[o], GateOp::Not(_))),
-            _ => false,
+        .filter(|&&id| {
+            let operands = fused.ops()[id].operands().into_iter().flatten();
+            operands
+                .filter(|&o| matches!(fused.ops()[o], GateOp::Not(_)))
+                .count()
+                == 1
         })
         .count();
-    assert_eq!(over_a_not, 7, "bits 1..8 of the chain");
+    assert_eq!((hosts.len(), over_a_not), (8, 8), "bits 0..8 of the chain");
+    assert_eq!(
+        (report.riding, fused.bootstraps(), fused.depth()),
+        (8, 8, 8)
+    );
+    assert!(matches!(
+        fused.ops()[hosts[0]],
+        GateOp::Ternary(Gate3::Maj, _, _, k) if fused.ops()[k] == GateOp::Constant(true)
+    ));
+    let report = equiv::check(&lowered, &fused, EquivBudget::default());
+    assert!(report.is_equivalent(), "{report}");
 }
 
-/// A fusion pass gone wrong: `simplify`, then the first majority it fused
-/// turned into a three-input XOR.
+/// A pairing pass gone wrong: `simplify`, its sums demoted, then the
+/// second cell's parity riding on the *first* cell's majority — a valid
+/// netlist (the host is there, and free), and the wrong function.
+fn ride_on_the_wrong_carry(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
+    let (riding, report) = simplify(net);
+    let mut ops = demote_sums(&riding).ops().to_vec();
+    let leaves = |op: &GateOp| {
+        let mut operands = op.operands();
+        operands.sort_unstable();
+        operands
+    };
+    let host = ops
+        .iter()
+        .position(|op| matches!(op, GateOp::Ternary(Gate3::Maj, ..)))
+        .expect("the netlist has a carry");
+    let parity = (host..ops.len())
+        .find(|&id| {
+            matches!(ops[id], GateOp::Ternary(Gate3::Xor3, ..))
+                && leaves(&ops[id]) != leaves(&ops[host])
+        })
+        .expect("and a later cell's sum");
+    let GateOp::Ternary(_, a, b, c) = ops[host] else {
+        unreachable!("a majority");
+    };
+    ops[parity] = GateOp::Sum(a, b, c);
+    let broken = CircuitNetlist::from_parts(ops, riding.outputs().to_vec())
+        .expect("a sum over a free majority's operands is a valid netlist");
+    (broken, report)
+}
+
+#[test]
+fn a_sum_without_its_host_is_no_netlist_and_one_on_the_wrong_host_is_refuted() {
+    // No majority over the three nodes: not a netlist at all.
+    let (riding, _) = simplify(&netlist::ripple_adder(4));
+    let mut ops = riding.ops().to_vec();
+    ops.push(GateOp::Sum(0, 1, 2));
+    let err = CircuitNetlist::from_parts(ops.clone(), riding.outputs().to_vec())
+        .expect_err("inputs 0, 1, 2 have no majority over them");
+    assert!(err.contains("no majority"), "{err}");
+    // A second sum on a majority that carries one already: neither.
+    let taken = riding
+        .ops()
+        .iter()
+        .find(|op| matches!(op, GateOp::Sum(..)))
+        .expect("the adder rides");
+    *ops.last_mut().expect("just pushed") = *taken;
+    let err =
+        CircuitNetlist::from_parts(ops, riding.outputs().to_vec()).expect_err("one rider a host");
+    assert!(err.contains("already carries"), "{err}");
+
+    // On a majority over other leaves: a netlist, and not this adder.
+    let adder = netlist::ripple_adder(4);
+    let (broken, _) = ride_on_the_wrong_carry(&adder);
+    assert_eq!(broken.bootstraps(), 7, "it would even be cheaper");
+    match equiv::check(&adder, &broken, EquivBudget::default()).verdict {
+        Verdict::NotEquivalent {
+            output,
+            counterexample,
+        } => {
+            let want = eval_netlist(&adder, &counterexample.bits);
+            let got = eval_netlist(&broken, &counterexample.bits);
+            assert_ne!(want[output], got[output], "on {counterexample}");
+        }
+        other => panic!("expected NotEquivalent, got {other:?}"),
+    }
+}
+
+/// The ladder `server::admit` walks, on the benchmark's adder: the default
+/// budget runs the four cells; a budget between the riding netlist's bound
+/// and the other two's runs the eight fused gates, its sums demoted — each
+/// step counted, every sum decrypting. *This* netlist has no rung where
+/// the twenty gates run as submitted: on fresh operands they bound worse
+/// than the fused eight (their AND/OR decisions read two bootstrapped
+/// values where a fused gate reads one), so a budget the fused form misses
+/// turns the submission away before any rewrite is tried; that rung is
+/// `server::tests::rewrite_over_the_noise_budget…`, on a multiplier's cell.
+#[test]
+fn admission_runs_the_adder_riding_or_demoted_by_its_budget() {
+    // Ring noise large enough for blind rotation to be what the bounds
+    // are made of, as at the paper's parameters (`TEST_FAST`'s underflow
+    // to zero), small enough to decrypt.
+    let params = ParameterSet {
+        lwe_noise_stdev: 1e-5,
+        ring_noise_stdev: 3e-7,
+        ..ParameterSet::TEST_FAST
+    };
+    let mut rng = StdRng::seed_from_u64(0x1ADDE2);
+    let client = ClientKey::generate(params, &mut rng);
+    let engine = F64Fft::new(params.ring_degree);
+    let key = Arc::new(ServerKey::new(&client, engine, &mut rng));
+    let adder = netlist::ripple_adder(4);
+    let (riding, _) = simplify(&adder);
+    let fused = demote_sums(&riding);
+    let [as_submitted, as_fused, as_riding] =
+        [&adder, &fused, &riding].map(|net| analyze(net, &params, 1).max_failure_prob());
+    assert!(
+        0.0 < as_fused && as_fused < as_submitted && as_submitted * 1e3 < as_riding,
+        "{as_fused:e} {as_submitted:e} {as_riding:e}"
+    );
+    assert!(as_riding < DEFAULT_FAILURE_BUDGET);
+    let config = |budget| ServerConfig {
+        analysis: Some(AnalysisPolicy {
+            max_failure_prob: budget,
+            require_equivalence: Some(EquivBudget::default()),
+            ..AnalysisPolicy::default()
+        }),
+        ..ServerConfig::default()
+    };
+    let mut encrypt = |x: u8, y: u8| {
+        let bits = (0..8).map(|i| if i < 4 { x >> i } else { y >> (i - 4) } & 1 == 1);
+        bits.map(|bit| client.encrypt_with(bit, &mut rng)).collect()
+    };
+    let between = (as_submitted * as_riding).sqrt();
+    for (budget, ran, demoted) in [(between, 8, 1), (DEFAULT_FAILURE_BUDGET, 4, 0)] {
+        let server = CircuitServer::start_with(Arc::clone(&key), 1, config(budget));
+        for (x, y) in [(15u8, 15u8), (9, 6), (5, 3)] {
+            let run = server
+                .client()
+                .submit(adder.clone(), encrypt(x, y))
+                .wait()
+                .completed()
+                .expect("inside the budget");
+            assert_eq!((run.bootstraps, run.waves), (ran, 4));
+            let sum = (0..5).fold(0u8, |sum, i| {
+                sum | u8::from(client.decrypt(&run.outputs[i])) << i
+            });
+            assert_eq!(sum, x + y, "{x} + {y} on {ran} bootstraps");
+        }
+        let stats = server.stats();
+        assert_eq!(
+            (stats.completed, stats.sums_demoted, stats.rewrites_refused),
+            (3, 3 * demoted, 0),
+            "budget {budget:e}"
+        );
+        server.shutdown();
+    }
+    // Below the fused form's bound the submission is over budget itself.
+    let server = CircuitServer::start_with(Arc::clone(&key), 1, config(as_fused / 2.0));
+    let ticket = server.client().submit(adder.clone(), encrypt(1, 2));
+    assert!(matches!(
+        ticket.wait().reject_reason(),
+        Some(RejectReason::NoiseBudget { .. })
+    ));
+    assert_eq!(server.stats().dispatches, 0);
+    server.shutdown();
+}
+
+/// A fusion pass gone wrong: `simplify` (its sums demoted: a majority that
+/// hosts one could not change), then the first majority it fused turned
+/// into a three-input XOR.
 fn fuse_carry_as_parity(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
-    let (fused, report) = simplify(net);
+    let (riding, report) = simplify(net);
+    let fused = demote_sums(&riding);
     let mut ops = fused.ops().to_vec();
     let carry = ops
         .iter_mut()
@@ -218,27 +430,29 @@ fn a_wrong_fusion_is_rejected_at_admission_with_a_counterexample() {
         }),
         ..ServerConfig::default()
     };
-    let server = CircuitServer::start_with_rewrite(key, 1, config, fuse_carry_as_parity);
-    let adder = netlist::ripple_adder(4);
-    let inputs = (0..8)
-        .map(|i| client.encrypt_with(i % 3 == 0, &mut rng))
-        .collect();
-    let ticket = server.client().submit(adder.clone(), inputs);
-    match ticket.wait().reject_reason() {
-        Some(RejectReason::NotEquivalent {
-            output,
-            counterexample,
-        }) => {
-            let (broken, _) = fuse_carry_as_parity(&adder);
-            let want = eval_netlist(&adder, &counterexample.bits);
-            let got = eval_netlist(&broken, &counterexample.bits);
-            assert_ne!(want[output], got[output], "on {counterexample}");
+    for pass in [fuse_carry_as_parity as RewritePass, ride_on_the_wrong_carry] {
+        let server = CircuitServer::start_with_rewrite(Arc::clone(&key), 1, config, pass);
+        let adder = netlist::ripple_adder(4);
+        let inputs = (0..8)
+            .map(|i| client.encrypt_with(i % 3 == 0, &mut rng))
+            .collect();
+        let ticket = server.client().submit(adder.clone(), inputs);
+        match ticket.wait().reject_reason() {
+            Some(RejectReason::NotEquivalent {
+                output,
+                counterexample,
+            }) => {
+                let (broken, _) = pass(&adder);
+                let want = eval_netlist(&adder, &counterexample.bits);
+                let got = eval_netlist(&broken, &counterexample.bits);
+                assert_ne!(want[output], got[output], "on {counterexample}");
+            }
+            other => panic!("expected NotEquivalent, got {other:?}"),
         }
-        other => panic!("expected NotEquivalent, got {other:?}"),
+        let stats = server.stats();
+        assert_eq!((stats.rejected, stats.dispatches), (1, 0));
+        server.shutdown();
     }
-    let stats = server.stats();
-    assert_eq!((stats.rejected, stats.dispatches), (1, 0));
-    server.shutdown();
 }
 
 /// Flips the first XOR of a netlist to XNOR — an unsound "rewrite" that

@@ -8,10 +8,11 @@
 
 use matcha_circuits::analysis;
 use matcha_fft::F64Fft;
-use matcha_tfhe::analyze::equiv::eval_netlist;
-use matcha_tfhe::circuit::CircuitNetlist;
+use matcha_tfhe::analyze::equiv::{self, eval_netlist, EquivBudget};
+use matcha_tfhe::circuit::{CircuitNetlist, GateOp};
 use matcha_tfhe::{
-    lint, simplify, ClientKey, Gate, Gate3, LintKind, ParameterSet, ServerKey, Severity,
+    demote_sums, lint, simplify, ClientKey, Gate, Gate3, LintKind, ParameterSet, ServerKey,
+    Severity,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,8 +46,10 @@ fn rand_op() -> impl Strategy<Value = RandOp> {
 }
 
 /// Builds a structurally valid netlist from the random spec: a few inputs,
-/// then the ops with operands folded into range, then a random non-empty
-/// subset of nodes marked as outputs.
+/// then the ops with operands folded into range — every third three-input
+/// op a `Sum` riding on the latest majority that carries none yet, where
+/// there is one — then a random non-empty subset of nodes marked as
+/// outputs.
 fn build(n_inputs: usize, ops: &[RandOp], out_picks: &[u8]) -> CircuitNetlist {
     let mut net = CircuitNetlist::new();
     for _ in 0..n_inputs {
@@ -55,11 +58,19 @@ fn build(n_inputs: usize, ops: &[RandOp], out_picks: &[u8]) -> CircuitNetlist {
     for &(kind, a, b, c) in ops {
         let len = net.len();
         let at = |raw: u8| raw as usize % len;
-        match kind % 10 {
-            0 => net.constant(a % 2 == 0),
-            1 | 2 => net.not(at(a)),
-            3 | 4 => net.mux(at(a), at(b), at(c)),
-            5 => net.ternary(Gate3::ALL[kind as usize / 10 % 2], at(a), at(b), at(c)),
+        // The latest majority a sum can still ride on.
+        let free_host = net.ops().iter().rev().find_map(|op| match *op {
+            GateOp::Ternary(Gate3::Maj, x, y, z) if net.free_host([x, y, z]).is_ok() => {
+                Some([x, y, z])
+            }
+            _ => None,
+        });
+        match (kind % 10, kind as usize / 10 % 3, free_host) {
+            (0, ..) => net.constant(a % 2 == 0),
+            (1 | 2, ..) => net.not(at(a)),
+            (3 | 4, ..) => net.mux(at(a), at(b), at(c)),
+            (5, 2, Some([x, y, z])) => net.sum(x, y, z),
+            (5, gate, _) => net.ternary(Gate3::ALL[gate % 2], at(a), at(b), at(c)),
             _ => net.gate(Gate::ALL[a as usize % Gate::ALL.len()], at(b), at(c)),
         };
     }
@@ -156,6 +167,14 @@ proptest! {
             let bits: Vec<bool> = (0..n_inputs).map(|i| assignment >> i & 1 == 1).collect();
             prop_assert_eq!(eval_netlist(&net, &bits), eval_netlist(&small, &bits));
         }
+        // Its own output is a fixpoint, riding sums and all…
+        let (again, second) = simplify(&small);
+        prop_assert_eq!(&again, &small);
+        prop_assert_eq!(second.riding, report.riding);
+        // …and every sum is the parity it rides as, whatever computes it.
+        let demoted = demote_sums(&small);
+        prop_assert_eq!(demoted.bootstraps(), small.bootstraps() + report.riding);
+        prop_assert!(equiv::check(&small, &demoted, EquivBudget::default()).is_equivalent());
     }
 }
 

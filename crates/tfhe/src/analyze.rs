@@ -27,12 +27,14 @@
 //!
 //! [`simplify`] applies the safe subset of the lint findings as rewrites —
 //! constant folding, double-`NOT` collapse, common-subexpression
-//! elimination, and dead-code removal — then fuses every cone that
+//! elimination, and dead-code removal — then fuses every cone over two
+//! leaves into the one [`Gate`] that computes it and every cone that
 //! computes a three-input majority or parity into one [`Gate3`] bootstrap,
-//! and reports whether the result is bit-identical to the original
-//! (CSE/`NOT` rewrites are; folding a bootstrapped gate into a trivial
-//! constant or an alias, or fusing a cone, is decrypt-equivalent only, and
-//! the report says so).
+//! lets each parity ride on the majority over the same leaves as the free
+//! `Sum` of an adder cell, and reports whether the result is bit-identical
+//! to the original (CSE/`NOT` rewrites are; folding a bootstrapped gate
+//! into a trivial constant or an alias, fusing a cone or riding a sum is
+//! decrypt-equivalent only, and the report says so).
 //!
 //! [`AnalysisPolicy`] packages the admission knobs (`CircuitServer`-side):
 //! the minimum lint severity to reject on, the per-output
@@ -42,7 +44,7 @@
 
 pub mod equiv;
 
-use crate::circuit::{CircuitNetlist, GateOp};
+use crate::circuit::{cell_key, CircuitNetlist, GateOp};
 use crate::gates::{Gate, Gate3};
 use crate::params::ParameterSet;
 use std::collections::HashMap;
@@ -160,7 +162,8 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Nodes reachable (backwards through operands) from any marked output.
+/// Nodes reachable (backwards through operands, and from a `Sum` to the
+/// majority whose bootstrap computes it) from any marked output.
 fn reachable(net: &CircuitNetlist) -> Vec<bool> {
     let mut seen = vec![false; net.len()];
     let mut stack: Vec<usize> = Vec::new();
@@ -171,10 +174,11 @@ fn reachable(net: &CircuitNetlist) -> Vec<bool> {
         }
     }
     while let Some(id) = stack.pop() {
-        for operand in net.ops()[id].operands().into_iter().flatten() {
-            if !seen[operand] {
-                seen[operand] = true;
-                stack.push(operand);
+        let operands = net.ops()[id].operands().into_iter().flatten();
+        for needed in operands.chain(net.host_of(id)) {
+            if !seen[needed] {
+                seen[needed] = true;
+                stack.push(needed);
             }
         }
     }
@@ -191,15 +195,18 @@ fn commutative(gate: Gate) -> bool {
 }
 
 /// The canonical form of an op for duplicate detection: commutative
-/// binary gates and the (symmetric) ternary gates get their operands
+/// binary gates, the (symmetric) ternary gates and sums get their operands
 /// sorted.
 fn canonical(op: GateOp) -> GateOp {
     match op {
         GateOp::Binary(g, a, b) if commutative(g) && b < a => GateOp::Binary(g, b, a),
         GateOp::Ternary(g, a, b, c) => {
-            let mut operands = [a, b, c];
-            operands.sort_unstable();
-            GateOp::Ternary(g, operands[0], operands[1], operands[2])
+            let [a, b, c] = cell_key([a, b, c]);
+            GateOp::Ternary(g, a, b, c)
+        }
+        GateOp::Sum(a, b, c) => {
+            let [a, b, c] = cell_key([a, b, c]);
+            GateOp::Sum(a, b, c)
         }
         other => other,
     }
@@ -232,11 +239,15 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                     kind: LintKind::DeadNode,
                     node: id,
                 }),
-                GateOp::Constant(_) | GateOp::Not(_) => {}
+                GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => {}
             }
             continue;
         }
-        if op.operands().into_iter().flatten().any(is_const) {
+        // A half adder's cell reads its constant-false carry-in on purpose:
+        // folded, the majority would be an AND with nothing to ride on.
+        let constants = op.operands().into_iter().flatten().filter(|&o| is_const(o));
+        let in_a_cell = net.rider_of(id).is_some() || net.host_of(id).is_some();
+        if constants.count() > usize::from(in_a_cell) {
             lints.push(Lint {
                 kind: LintKind::ConstantFoldable,
                 node: id,
@@ -287,9 +298,12 @@ pub struct SimplifyReport {
     pub collapsed_nots: usize,
     /// Ops aliased to a structurally identical earlier op (CSE).
     pub deduplicated: usize,
-    /// Bootstrapped gates replaced by one three-input gate over the
-    /// leaves of a cone they were the root of.
+    /// Bootstrapped gates replaced by one gate — two-input or three — over
+    /// the leaves of a cone they were the root of.
     pub fused: usize,
+    /// `Sum`s of the simplified netlist: parities that cost no bootstrap
+    /// because they ride on the majority over the same leaves.
+    pub riding: usize,
     /// Dead (output-unreachable, non-input) nodes swept.
     pub dead_removed: usize,
     /// `true` when every rewrite applied was *bit*-exact: outputs of the
@@ -297,9 +311,9 @@ pub struct SimplifyReport {
     /// (CSE, `NOT` collapse, `NOT`-of-constant, constant pooling, and
     /// dead-code removal all are — bootstrapping is deterministic given
     /// the keys). Folding a *bootstrapped* gate to a constant or an alias,
-    /// or fusing a cone into a three-input gate, clears this: the outputs
-    /// then agree on decryption (same plaintext, noise within the gate
-    /// margins) but not bit-for-bit.
+    /// fusing a cone into one gate, or letting a parity ride on a majority
+    /// clears this: the outputs then agree on decryption (same plaintext,
+    /// noise within the gate margins) but not bit-for-bit.
     pub exact: bool,
 }
 
@@ -395,7 +409,7 @@ fn enumerate_cuts(net: &CircuitNetlist) -> Vec<Vec<Cut>> {
                     ..*c
                 })
                 .collect(),
-            GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Ternary(..) => {
+            GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Ternary(..) | GateOp::Sum(..) => {
                 let operands: Vec<usize> = op.operands().into_iter().flatten().collect();
                 let mut own = vec![Cut::trivial(id)];
                 // Every choice of one cut per operand, last operand fastest.
@@ -430,32 +444,91 @@ fn enumerate_cuts(net: &CircuitNetlist) -> Vec<Vec<Cut>> {
     cuts
 }
 
-/// One fusion: the node becomes `gate` over `leaves`, negating (a free
-/// `NOT`) those in `negated`.
+/// What one gate computes a fused cone: a three-input gate, or any of the
+/// ten two-input ones.
+#[derive(Clone, Copy, Debug)]
+enum FusedGate {
+    Two(Gate),
+    Three(Gate3),
+}
+
+/// One fusion: the node becomes `gate` over `leaves` (the first two for a
+/// two-input gate), negating (a free `NOT`) those in `negated`.
 #[derive(Clone, Copy, Debug)]
 struct Fusion {
-    gate: Gate3,
+    gate: FusedGate,
     leaves: [usize; 3],
     negated: u8,
 }
 
+impl Fusion {
+    /// The leaves the fused gate reads.
+    fn leaves(&self) -> &[usize] {
+        match self.gate {
+            FusedGate::Two(_) => &self.leaves[..2],
+            FusedGate::Three(_) => &self.leaves,
+        }
+    }
+}
+
+/// An adder cell found in a netlist: the majority of `leaves[..len]`, those
+/// in `negated` through a free `NOT`, and — `len == 2`, a half adder — the
+/// constant `carry_in`; the parity of the same operands rides on it.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    leaves: [usize; 3],
+    len: usize,
+    negated: u8,
+    carry_in: bool,
+}
+
+/// What [`rewrite`] puts in a node's place instead of the node.
+#[derive(Clone, Copy, Debug)]
+enum Override {
+    /// One gate over the leaves of a cone the node was the root of.
+    Fuse(Fusion),
+    /// The majority of `Cell`, kept unfolded so that its sum can ride.
+    Carry(Cell),
+    /// The `Sum` of `Cell`, through a free `NOT` if `negated`.
+    Ride { cell: Cell, negated: bool },
+}
+
+/// `id` with the free negations in front of it taken off: the node under
+/// them, and whether their count is odd.
+fn strip_nots(net: &CircuitNetlist, mut id: usize) -> (usize, bool) {
+    let mut negated = false;
+    while let GateOp::Not(a) = net.ops()[id] {
+        (id, negated) = (a, !negated);
+    }
+    (id, negated)
+}
+
 /// Which nodes of `net` to fuse: walking back from the outputs, every
 /// binary gate or mux still needed that has a cut computing a [`Gate3`]
-/// under some polarity of its leaves — the one whose leaves sit lowest,
-/// which is the shallowest result and the largest cone orphaned. What a
-/// fused node no longer reads is not visited, so interior gates are left
-/// for the dead-code sweep, not fused on their way out.
-fn choose_fusions(net: &CircuitNetlist) -> Vec<Option<Fusion>> {
+/// under some polarity of its leaves, or any two-input [`Gate`] over two
+/// leaves that are not simply its own operands — the one whose leaves sit
+/// lowest, which is the shallowest result and the largest cone orphaned,
+/// two leaves before three. What a fused node no longer reads is not
+/// visited, so interior gates are left for the dead-code sweep, not fused
+/// on their way out.
+fn choose_fusions(net: &CircuitNetlist) -> Vec<Option<Override>> {
     // Every table a fused gate can realise: each `Gate3` with each subset
-    // of its operands negated.
-    let mut realisable: Vec<(u8, Gate3, u8)> = Vec::new();
+    // of its operands negated, and each `Gate` (whose ten cover every
+    // polarity of AND, OR and XOR themselves).
+    let mut realisable: Vec<(usize, u8, FusedGate, u8)> = Vec::new();
     for gate in Gate3::ALL {
         for negated in 0..8u8 {
             let table = (0..8).fold(0u8, |t, row| {
                 t | (gate.desc().table >> (row ^ negated) & 1) << row
             });
-            realisable.push((table, gate, negated));
+            realisable.push((3, table, FusedGate::Three(gate), negated));
         }
+    }
+    for gate in Gate::ALL {
+        let table = (0..4u8).fold(0u8, |t, row| {
+            t | u8::from(gate.eval(row & 1 == 1, row >> 1 == 1)) << row
+        });
+        realisable.push((2, table, FusedGate::Two(gate), 0));
     }
     let cuts = enumerate_cuts(net);
     let mut needed = vec![false; net.len()];
@@ -468,29 +541,140 @@ fn choose_fusions(net: &CircuitNetlist) -> Vec<Option<Fusion>> {
             continue;
         }
         let root = matches!(op, GateOp::Binary(..) | GateOp::Mux { .. });
+        // A cut over the node's own operands is the node, not a cone.
+        let mut own: Vec<usize> = op.operands().into_iter().flatten().collect();
+        own.iter_mut().for_each(|o| *o = strip_nots(net, *o).0);
+        own.sort_unstable();
         let fusion = cuts[id]
             .iter()
-            .filter(|cut| root && cut.len == 3)
+            .filter(|cut| root && cut.len >= 2 && cut.leaves() != own)
             .filter_map(|cut| {
-                let &(_, gate, negated) = realisable.iter().find(|r| r.0 == cut.table)?;
+                let mask = (1u16 << (1 << cut.len)) - 1;
+                let table = (u16::from(cut.table) & mask) as u8;
+                let &(_, _, gate, negated) =
+                    realisable.iter().find(|r| r.0 == cut.len && r.1 == table)?;
                 Some(Fusion {
                     gate,
                     leaves: cut.leaves,
                     negated,
                 })
             })
-            .min_by_key(|f| f.leaves.iter().map(|&l| net.levels()[l]).max());
+            .min_by_key(|f| {
+                let lowest = f.leaves().iter().map(|&l| net.levels()[l]).max();
+                (lowest, f.leaves().len())
+            });
         match fusion {
-            Some(f) => f.leaves.iter().for_each(|&l| needed[l] = true),
+            Some(f) => f.leaves().iter().for_each(|&l| needed[l] = true),
             None => op
                 .operands()
                 .into_iter()
                 .flatten()
+                .chain(net.host_of(id))
                 .for_each(|o| needed[o] = true),
         }
-        fusions[id] = fusion;
+        fusions[id] = fusion.map(Override::Fuse);
     }
     fusions
+}
+
+/// The majority a two-input carry gate is over its own operands and a
+/// constant: `(negate a, negate b, carry-in)` with `gate(a, b) = MAJ(a ⊕ na,
+/// b ⊕ nb, k)`. `None` for XOR and XNOR, which are the sums.
+fn as_majority(gate: Gate) -> Option<(bool, bool, bool)> {
+    let rows = [(false, false), (false, true), (true, false), (true, true)];
+    (0..8u8)
+        .map(|bits| (bits & 1 == 1, bits & 2 == 2, bits & 4 == 4))
+        .find(|&(na, nb, k)| {
+            rows.iter()
+                .all(|&(a, b)| gate.eval(a, b) == Gate3::Maj.eval(a ^ na, b ^ nb, k))
+        })
+}
+
+/// Which nodes of `net` form adder cells: a majority and a parity over the
+/// same leaves, whatever the polarities — `MAJ3` and `XOR3` over three, or
+/// an AND-family gate and an XOR/XNOR over two, the half adder whose
+/// carry-in is a constant. The parity becomes a `Sum` over the majority's
+/// operands (a free `NOT` behind it when the polarities differ by an odd
+/// count), the majority is what it was, kept unfolded. Only nodes an output
+/// needs are paired: a dead majority would cost the bootstrap the parity
+/// saves.
+fn choose_cells(net: &CircuitNetlist) -> Vec<Option<Override>> {
+    let live = reachable(net);
+    // The operands of a node as sorted leaves with their polarities, when
+    // they are distinct non-constant nodes.
+    let leaves_of = |operands: &[usize]| {
+        let mut leaves: Vec<(usize, bool)> = operands.iter().map(|&o| strip_nots(net, o)).collect();
+        leaves.sort_unstable();
+        let distinct = leaves.windows(2).all(|w| w[0].0 != w[1].0);
+        let constant = |&(l, _): &(usize, bool)| matches!(net.ops()[l], GateOp::Constant(_));
+        (distinct && !leaves.iter().any(constant)).then_some(leaves)
+    };
+    let cell_over = |leaves: &[(usize, bool)], flips: [bool; 2], carry_in: bool| {
+        let mut cell = Cell {
+            leaves: [0; 3],
+            len: leaves.len(),
+            negated: 0,
+            carry_in,
+        };
+        for (i, &(leaf, negated)) in leaves.iter().enumerate() {
+            cell.leaves[i] = leaf;
+            let flip = leaves.len() == 2 && flips[i];
+            cell.negated |= u8::from(negated ^ flip) << i;
+        }
+        cell
+    };
+    // What a majority and a parity over the same leaves share.
+    let key = |leaves: &[(usize, bool)]| {
+        let mut key = [usize::MAX; 3];
+        for (slot, &(leaf, _)) in key.iter_mut().zip(leaves) {
+            *slot = leaf;
+        }
+        key
+    };
+    // Leaves → the first live majority over them.
+    let mut carries: HashMap<[usize; 3], (usize, Cell)> = HashMap::new();
+    for (id, &op) in net.ops().iter().enumerate() {
+        let carry = match op {
+            GateOp::Ternary(Gate3::Maj, a, b, c) => {
+                leaves_of(&[a, b, c]).map(|l| (l, [false; 2], false))
+            }
+            GateOp::Binary(gate, a, b) => as_majority(gate).and_then(|(na, nb, k)| {
+                // Sorting the two leaves may have swapped the operands.
+                let swapped = strip_nots(net, a).0 > strip_nots(net, b).0;
+                let flips = if swapped { [nb, na] } else { [na, nb] };
+                leaves_of(&[a, b]).map(|l| (l, flips, k))
+            }),
+            _ => None,
+        };
+        if let Some((leaves, flips, carry_in)) = carry.filter(|_| live[id]) {
+            let cell = cell_over(&leaves, flips, carry_in);
+            carries.entry(key(&leaves)).or_insert((id, cell));
+        }
+    }
+    let mut overrides = vec![None; net.len()];
+    for (id, &op) in net.ops().iter().enumerate() {
+        // The parity's own polarity: its negated operands, and XNOR's.
+        let parity = match op {
+            GateOp::Ternary(Gate3::Xor3, a, b, c) => leaves_of(&[a, b, c]).map(|l| (l, false)),
+            GateOp::Binary(Gate::Xor, a, b) => leaves_of(&[a, b]).map(|l| (l, false)),
+            GateOp::Binary(Gate::Xnor, a, b) => leaves_of(&[a, b]).map(|l| (l, true)),
+            _ => None,
+        };
+        let Some((leaves, inverted)) = parity.filter(|_| live[id]) else {
+            continue;
+        };
+        let Some(&(carry, cell)) = carries.get(&key(&leaves)) else {
+            continue;
+        };
+        let own = leaves.iter().filter(|&&(_, n)| n).count() % 2 == 1;
+        let sum = (cell.negated.count_ones() % 2 == 1) ^ (cell.len == 2 && cell.carry_in);
+        overrides[carry] = Some(Override::Carry(cell));
+        overrides[id] = Some(Override::Ride {
+            cell,
+            negated: own ^ inverted ^ sum,
+        });
+    }
+    overrides
 }
 
 /// Rewrite pass state shared by the op emitters in [`simplify`].
@@ -542,6 +726,64 @@ impl Rewriter {
     /// Emits (or aliases) a binary gate with no constant operands.
     fn gate(&mut self, g: Gate, a: usize, b: usize) -> usize {
         self.dedup_or(GateOp::Binary(g, a, b))
+    }
+
+    /// A binary gate over already-rewritten operands, folded on whichever
+    /// of them are constants.
+    fn binary(&mut self, g: Gate, a: usize, b: usize) -> usize {
+        match (self.const_of(a), self.const_of(b)) {
+            (Some(va), Some(vb)) => {
+                self.folded();
+                self.constant(g.eval(va, vb))
+            }
+            (Some(va), None) => self.fold_half(|x| g.eval(va, x), b),
+            (None, Some(vb)) => self.fold_half(|x| g.eval(x, vb), a),
+            (None, None) => self.gate(g, a, b),
+        }
+    }
+
+    /// The majority of an adder cell over already-rewritten operands: kept
+    /// a three-input gate on one constant (a half adder's carry-in, which
+    /// [`Rewriter::ternary`] would fold into an AND or an OR with nothing
+    /// to ride on), folded on more.
+    fn carry(&mut self, operands: [usize; 3]) -> usize {
+        let constants = operands.iter().filter(|&&o| self.const_of(o).is_some());
+        if constants.count() > 1 {
+            return self.ternary(Gate3::Maj, operands);
+        }
+        let [a, b, c] = operands;
+        self.dedup_or(GateOp::Ternary(Gate3::Maj, a, b, c))
+    }
+
+    /// The parity of already-rewritten operands as a `Sum`, where the
+    /// netlist so far holds a majority over them for it to ride on (or the
+    /// very sum); as an `XOR3` of its own otherwise.
+    fn sum(&mut self, operands: [usize; 3]) -> usize {
+        let [a, b, c] = operands;
+        let op = canonical(GateOp::Sum(a, b, c));
+        if self.seen.contains_key(&op) || self.mid.free_host(operands).is_ok() {
+            self.dedup_or(op)
+        } else {
+            self.ternary(Gate3::Xor3, operands)
+        }
+    }
+
+    /// The operand nodes of `cell`, `alias` mapping its leaves into the
+    /// netlist being emitted.
+    fn cell_operands(&mut self, cell: Cell, alias: &[usize]) -> [usize; 3] {
+        let mut operands = [0; 3];
+        for i in 0..cell.len {
+            let leaf = alias[cell.leaves[i]];
+            operands[i] = if cell.negated >> i & 1 == 1 {
+                self.not(leaf)
+            } else {
+                leaf
+            };
+        }
+        if cell.len == 2 {
+            operands[2] = self.constant(cell.carry_in);
+        }
+        operands
     }
 
     /// Emits `op` (a gate, not a source) in canonical form unless a
@@ -611,10 +853,12 @@ impl Rewriter {
 
 /// The forward pass of [`simplify`]: `net` re-emitted op by op through the
 /// folding, `NOT`-collapsing and deduplicating emitters, except where
-/// `fusions` puts a three-input gate in a node's place.
+/// `overrides` puts a fused gate or a part of an adder cell in a node's
+/// place. A majority that hosts a `Sum` stays its host unless more than
+/// its carry-in folds; a `Sum` whose host did fold is the `XOR3` it was.
 fn rewrite(
     net: &CircuitNetlist,
-    fusions: &[Option<Fusion>],
+    overrides: &[Option<Override>],
     report: SimplifyReport,
 ) -> (CircuitNetlist, SimplifyReport) {
     let mut rw = Rewriter {
@@ -623,43 +867,58 @@ fn rewrite(
         seen: HashMap::new(),
         report,
     };
+    // A majority whose sum no output reads is a gate like any other.
+    let live = reachable(net);
     // Old node → new node.
     let mut alias: Vec<usize> = Vec::with_capacity(net.len());
     for (id, &op) in net.ops().iter().enumerate() {
-        if let Some(fusion) = fusions.get(id).copied().flatten() {
-            let mut operands = fusion.leaves.map(|leaf| alias[leaf]);
-            for (i, operand) in operands.iter_mut().enumerate() {
-                if fusion.negated >> i & 1 == 1 {
-                    *operand = rw.not(*operand);
+        let new_id = match (overrides.get(id).copied().flatten(), op) {
+            (Some(Override::Fuse(fusion)), _) => {
+                let mut operands = fusion.leaves.map(|leaf| alias[leaf]);
+                for (i, operand) in operands.iter_mut().enumerate() {
+                    if fusion.negated >> i & 1 == 1 {
+                        *operand = rw.not(*operand);
+                    }
+                }
+                match fusion.gate {
+                    FusedGate::Two(gate) => rw.binary(gate, operands[0], operands[1]),
+                    FusedGate::Three(gate) => rw.ternary(gate, operands),
                 }
             }
-            alias.push(rw.ternary(fusion.gate, operands));
-            continue;
-        }
-        let new_id = match op {
-            GateOp::Input(_) => rw.mid.input(),
-            GateOp::Constant(v) => {
+            (Some(Override::Carry(cell)), _) => {
+                let operands = rw.cell_operands(cell, &alias);
+                rw.carry(operands)
+            }
+            (Some(Override::Ride { cell, negated }), _) => {
+                let operands = rw.cell_operands(cell, &alias);
+                rw.carry(operands);
+                let sum = rw.sum(operands);
+                if negated {
+                    rw.not(sum)
+                } else {
+                    sum
+                }
+            }
+            (None, GateOp::Input(_)) => rw.mid.input(),
+            (None, GateOp::Constant(v)) => {
                 let pooled = rw.const_node[v as usize].is_some();
                 if pooled {
                     rw.report.deduplicated += 1;
                 }
                 rw.constant(v)
             }
-            GateOp::Not(a0) => rw.not(alias[a0]),
-            GateOp::Binary(g, a0, b0) => {
-                let (a, b) = (alias[a0], alias[b0]);
-                match (rw.const_of(a), rw.const_of(b)) {
-                    (Some(va), Some(vb)) => {
-                        rw.folded();
-                        rw.constant(g.eval(va, vb))
-                    }
-                    (Some(va), None) => rw.fold_half(|x| g.eval(va, x), b),
-                    (None, Some(vb)) => rw.fold_half(|x| g.eval(x, vb), a),
-                    (None, None) => rw.gate(g, a, b),
+            (None, GateOp::Not(a0)) => rw.not(alias[a0]),
+            (None, GateOp::Binary(g, a0, b0)) => rw.binary(g, alias[a0], alias[b0]),
+            (None, GateOp::Ternary(g, a, b, c)) => {
+                let operands = [alias[a], alias[b], alias[c]];
+                if net.rider_of(id).is_some_and(|sum| live[sum]) {
+                    rw.carry(operands)
+                } else {
+                    rw.ternary(g, operands)
                 }
             }
-            GateOp::Ternary(g, a, b, c) => rw.ternary(g, [alias[a], alias[b], alias[c]]),
-            GateOp::Mux { sel, a, b } => {
+            (None, GateOp::Sum(a, b, c)) => rw.sum([alias[a], alias[b], alias[c]]),
+            (None, GateOp::Mux { sel, a, b }) => {
                 let (s, a, b) = (alias[sel], alias[a], alias[b]);
                 if let Some(vs) = rw.const_of(s) {
                     rw.folded();
@@ -713,8 +972,8 @@ fn rewrite(
 }
 
 /// Rewrites `net` into an output-equivalent netlist with fewer (never
-/// more) bootstraps, applying the safe subset of the [`lint`] findings and
-/// then fusing what one three-input bootstrap can compute:
+/// more) bootstraps, applying the safe subset of the [`lint`] findings,
+/// then fusing what one bootstrap can compute, then letting sums ride:
 ///
 /// * **Constant folding / partial evaluation** — gates, `NOT`s, and muxes
 ///   with constant operands become constants, aliases, free `NOT`s, or
@@ -722,19 +981,30 @@ fn rewrite(
 ///   binary gate.
 /// * **Double-`NOT` collapse** — `NOT(NOT(x))` aliases `x`.
 /// * **CSE** — structurally identical ops (up to operand order for the
-///   six commutative gates and the ternary ones) are computed once.
+///   six commutative gates, the ternary ones and sums) are computed once.
 /// * **Fusion** — over the netlist so rewritten, every node's cuts of at
 ///   most three leaves are enumerated with their truth tables; a binary
 ///   gate or mux one of whose cuts computes a [`Gate3`] — majority under
 ///   any polarity of its leaves, three-input XOR or XNOR — becomes that
-///   gate over the leaves, through free `NOT`s where the polarity asks. A
-///   full adder's sum and carry are one bootstrap each instead of five
-///   together. The fused gate replaces one bootstrap or two by one and
+///   gate over the leaves, through free `NOT`s where the polarity asks, and
+///   one with a cut over two leaves (other than its own operands) becomes
+///   the two-input [`Gate`] with that table — all ten non-degenerate ones
+///   exist. A full adder's sum and carry are one bootstrap each instead of
+///   five together. The fused gate replaces one bootstrap or two by one and
 ///   reads nodes that were already there, so bootstraps and depth never
-///   grow; but it decides on a sum of three operands, not two, at the same
-///   margin, so its failure bound is *larger* — a caller with a noise
-///   budget must certify the result ([`analyze`]), as `CircuitServer`'s
-///   admission does.
+///   grow; but a three-input gate decides on a sum of three operands, not
+///   two, at the same margin, so its failure bound is *larger* — a caller
+///   with a noise budget must certify the result ([`analyze`]), as
+///   `CircuitServer`'s admission does.
+/// * **Riding** — a parity and a majority over the same leaves, whatever
+///   their polarities, are an adder cell: the parity becomes the free
+///   `Sum` over the majority's operands (through a free `NOT` when the
+///   polarities differ by an odd count) and costs no bootstrap, the
+///   majority's blind rotation computing both; an XOR/XNOR and an
+///   AND-family gate over two leaves are the cell whose carry-in is a
+///   constant. A `Sum` is not a noise reset — it carries its operands'
+///   variance and two blind rotations' — so this, too, is certified at
+///   admission, and [`demote_sums`] is the way back.
 /// * **Dead-code removal** — nodes no output depends on are swept,
 ///   including the interior gates of fused cones nothing else reads.
 ///
@@ -749,23 +1019,52 @@ fn rewrite(
 /// is bit-identical to the original ([`SimplifyReport::exact`]) or
 /// decrypt-equivalent only.
 pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
-    let (mut mid, mut report) = rewrite(
-        net,
-        &[],
-        SimplifyReport {
-            nodes_before: net.len(),
-            bootstraps_before: net.bootstraps(),
-            exact: true,
-            ..SimplifyReport::default()
-        },
-    );
+    let mut report = SimplifyReport {
+        nodes_before: net.len(),
+        bootstraps_before: net.bootstraps(),
+        exact: true,
+        ..SimplifyReport::default()
+    };
+    // To a fixpoint, so that the result is one: a fused gate reads lower
+    // leaves than what it replaced, which can put a consumer's cone within
+    // three leaves' reach, and a majority whose sum a fusion orphaned is a
+    // gate to fold again. Every step folds a node away, saves a bootstrap or
+    // has a root read strictly deeper into its cone, so this ends — the
+    // round count is bounded all the same.
+    let mut out = simplify_once(net, &mut report);
+    for _ in 0..net.len() {
+        let next = simplify_once(&out, &mut report);
+        if next == out {
+            break;
+        }
+        out = next;
+    }
+    report.nodes_after = out.len();
+    report.bootstraps_after = out.bootstraps();
+    let sums = |op: &&GateOp| matches!(op, GateOp::Sum(..));
+    report.riding = out.ops().iter().filter(sums).count();
+    (out, report)
+}
+
+/// One round of [`simplify`]: fold and deduplicate, fuse, pair, sweep.
+fn simplify_once(net: &CircuitNetlist, report: &mut SimplifyReport) -> CircuitNetlist {
+    let (mut mid, folded) = rewrite(net, &[], *report);
+    *report = folded;
     let fusions = choose_fusions(&mid);
-    report.fused = fusions.iter().flatten().count();
-    if report.fused > 0 {
-        report.exact = false;
+    let fused = fusions.iter().flatten().count();
+    if fused > 0 {
         // `mid` is already folded and deduplicated: all this pass can count
         // is a `NOT` it introduced meeting one of the netlist's own.
         (mid, _) = rewrite(&mid, &fusions, SimplifyReport::default());
+    }
+    let cells = choose_cells(&mid);
+    let paired = cells.iter().any(Option::is_some);
+    if paired {
+        (mid, _) = rewrite(&mid, &cells, SimplifyReport::default());
+    }
+    report.fused += fused;
+    if fused > 0 || paired {
+        report.exact = false;
     }
 
     // Sweep dead nodes (inputs always stay — the simplified netlist must
@@ -786,9 +1085,20 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
     for &o in mid.outputs() {
         out.mark_output(remap[o].expect("outputs are live"));
     }
-    report.nodes_after = out.len();
-    report.bootstraps_after = out.bootstraps();
-    (out, report)
+    out
+}
+
+/// `net` with every riding `Sum` back on a bootstrap of its own — the
+/// three-input XOR over the same operands, node for node: the form that
+/// resets the sum's noise, for when the riding netlist misses a noise
+/// budget. The majorities stay as they are.
+pub fn demote_sums(net: &CircuitNetlist) -> CircuitNetlist {
+    let ops = net.ops().iter().map(|&op| match op {
+        GateOp::Sum(a, b, c) => GateOp::Ternary(Gate3::Xor3, a, b, c),
+        other => other,
+    });
+    CircuitNetlist::from_parts(ops.collect(), net.outputs().to_vec())
+        .expect("replacing a free op by a gate over the same operands keeps a netlist valid")
 }
 
 /// The worst-case per-operation noise variances of this crate's gate
@@ -823,13 +1133,17 @@ pub fn simplify(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
 /// [`v_bootstrapped`](NoiseModel::v_bootstrapped) `= v_blind_rotate +
 /// v_key_switch` regardless of its inputs (the reset that makes
 /// gate-level TFHE compose); a mux output carries two blind rotations
-/// plus one key switch.
+/// plus one key switch; the riding sum of an adder cell is **not** a reset
+/// ([`sum_variance`](NoiseModel::sum_variance)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NoiseModel {
     v_fresh: f64,
     v_blind_rotate: f64,
     v_key_switch: f64,
     v_mod_switch: f64,
+    /// `1/2N`: how far the decision of accumulator coefficient `j` sits
+    /// from coefficient 0's, per `j`.
+    coefficient_step: f64,
 }
 
 /// Margin of the AND-family gate decision: the linear part sits at
@@ -847,6 +1161,9 @@ const XOR_SCALE2: f64 = 4.0;
 /// threshold it checks samples against; the decision margin itself is
 /// 1/8.)
 const DECRYPT_MARGIN: f64 = 0.125;
+/// The highest accumulator coefficient an adder cell's sum reads: it
+/// decides `2/2N` closer to the boundary than coefficient 0 does.
+const SUM_COEFFICIENT: f64 = 2.0;
 
 impl NoiseModel {
     /// Builds the model for `params` at bootstrapping-key unroll `m`.
@@ -889,6 +1206,7 @@ impl NoiseModel {
             v_blind_rotate,
             v_key_switch,
             v_mod_switch,
+            coefficient_step: step,
         }
     }
 
@@ -970,10 +1288,50 @@ impl NoiseModel {
             + Self::tail_bound(AND_MARGIN, v_sel + vb + self.v_mod_switch)
     }
 
-    /// Failure bound of decrypting a value of variance `v` against the
-    /// conservative 1/16 margin.
+    /// Failure bound of decrypting a value of variance `v`: the tail past
+    /// the 1/8 margin. The encoding is `±1/8` and decryption reads the
+    /// sign, so 1/8 toward zero is what flips the bit — every certificate
+    /// is computed at this margin; 1/16 is the stricter threshold the
+    /// empirical [`noise`](crate::noise) harness accepts *samples* against,
+    /// not a bound of this model.
     pub fn decrypt_failure(&self, v: f64) -> f64 {
         Self::tail_bound(DECRYPT_MARGIN, v)
+    }
+
+    /// Variance of an adder cell's riding sum over operands of variances
+    /// `va`, `vb`, `vc`: the linear part it keeps — the operands', at unit
+    /// coefficients — minus the key-switched twin, which is two extracted
+    /// coefficients of the host's accumulator added (two blind rotations'
+    /// worth) through one key switch. Not a reset: the operands' noise
+    /// stays, which is what the next consumer decides on and what the
+    /// client decrypts.
+    ///
+    /// Like [`v_mux_output`](NoiseModel::v_mux_output)'s two lanes, the two
+    /// coefficients are charged as independent. They are distinct
+    /// coefficients of one accumulator, so what could correlate them is a
+    /// structured digit polynomial, and the only one is the body's top
+    /// level (`±128` everywhere, the rotated constant test vector) against
+    /// `Bg²/12` for the other five — 3.6 % of a step's variance — while
+    /// the model's `Bg²/4` digit bound leaves a factor 3 over the measured
+    /// per-coefficient variance (4.0e-5 … 4.6e-5 at the paper's parameters,
+    /// pairwise `|ρ| ≤ 0.064` over coefficients 0, 1, 2 in 600-cell chains). Doubling the key-switched
+    /// carry instead would be `4·v_bootstrapped` on top of the operands,
+    /// which a chained cell misses the default budget with at unroll 2
+    /// (1.19e-5): the dead end this form exists to avoid.
+    pub fn sum_variance(&self, va: f64, vb: f64, vc: f64) -> f64 {
+        va + vb + vc + 2.0 * self.v_blind_rotate + self.v_key_switch
+    }
+
+    /// Failure bound of the two extra decisions an adder cell's sum rests
+    /// on: accumulator coefficient `j` is the sign of the host's linear
+    /// part at a phase shifted by `j/2N`, so coefficients 1 and 2 each
+    /// decide at a margin up to `2/2N` short of the majority's 1/8 — two
+    /// terms of the union bound on top of the host's own
+    /// [`gate3_failure`](NoiseModel::gate3_failure), under the same
+    /// independence as [`sum_variance`](NoiseModel::sum_variance).
+    pub fn sum_failure(&self, va: f64, vb: f64, vc: f64) -> f64 {
+        let margin = Gate3::Maj.desc().margin - SUM_COEFFICIENT * self.coefficient_step;
+        2.0 * Self::tail_bound(margin, va + vb + vc + self.v_mod_switch)
     }
 }
 
@@ -1032,6 +1390,10 @@ fn noise_report(net: &CircuitNetlist, model: NoiseModel) -> NoiseReport {
             GateOp::Ternary(g, a, b, c) => {
                 decision[id] = model.gate3_failure(g, variance[a], variance[b], variance[c]);
                 variance[id] = model.v_bootstrapped();
+            }
+            GateOp::Sum(a, b, c) => {
+                decision[id] = model.sum_failure(variance[a], variance[b], variance[c]);
+                variance[id] = model.sum_variance(variance[a], variance[b], variance[c]);
             }
         }
     }
@@ -1119,6 +1481,10 @@ fn cost_report(net: &CircuitNetlist) -> CostReport {
             ranks[id] = ranks[id].max(unit_rank[first]);
         }
         let own = ranks[id];
+        // What reads a sum waits for the bootstrap it rides on.
+        if let Some(host) = net.host_of(id) {
+            ranks[host] = ranks[host].max(own);
+        }
         for (pos, operand) in op.operands().into_iter().enumerate() {
             let Some(o) = operand else { continue };
             // A mux's `b` arm only feeds its second unit; everything else
@@ -1217,8 +1583,10 @@ pub struct AnalysisPolicy {
     /// surfaces as a [`LintKind::EquivUnknown`] warning — rejected only
     /// under a strict `deny`, otherwise the submitted netlist runs
     /// unrewritten, as it does when the proven rewrite is over the noise
-    /// budget (`SchedulerStats::rewrites_refused` counts those). `None`
-    /// skips the proof and schedules the submission as-is.
+    /// budget even with its riding sums demoted ([`demote_sums`], tried
+    /// first; `SchedulerStats::{sums_demoted, rewrites_refused}` count the
+    /// two steps). `None` skips the proof and schedules the submission
+    /// as-is.
     pub require_equivalence: Option<equiv::EquivBudget>,
 }
 
@@ -1248,6 +1616,19 @@ mod tests {
         let carry = net.gate(Gate::And, a, b);
         net.mark_output(sum);
         net.mark_output(carry);
+        net
+    }
+
+    /// Two gates over the same inputs with no sum among them: nothing
+    /// rides, so exact rewrites stay exact.
+    fn nand_and_or() -> CircuitNetlist {
+        let mut net = CircuitNetlist::new();
+        let a = net.input();
+        let b = net.input();
+        let nand = net.gate(Gate::Nand, a, b);
+        let or = net.gate(Gate::Or, a, b);
+        net.mark_output(nand);
+        net.mark_output(or);
         net
     }
 
@@ -1357,8 +1738,8 @@ mod tests {
         let mut net = CircuitNetlist::new();
         let a = net.input();
         let b = net.input();
-        let g1 = net.gate(Gate::Xor, a, b);
-        let g2 = net.gate(Gate::Xor, b, a);
+        let g1 = net.gate(Gate::Nand, a, b);
+        let g2 = net.gate(Gate::Nand, b, a);
         let g3 = net.gate(Gate::AndYN, a, b);
         let g4 = net.gate(Gate::AndYN, b, a); // NOT a duplicate (order matters)
         net.mark_output(g1);
@@ -1369,7 +1750,7 @@ mod tests {
         assert!(r.exact);
         assert_eq!(r.deduplicated, 1);
         assert_eq!(s.bootstraps(), 3);
-        // Both XOR outputs alias the same node.
+        // Both NAND outputs alias the same node.
         assert_eq!(s.outputs()[0], s.outputs()[1]);
         assert_ne!(s.outputs()[2], s.outputs()[3]);
     }
@@ -1481,13 +1862,15 @@ mod tests {
         let (sum, carry) = full_adder(&mut net, a, b, c);
         net.mark_output(sum);
         net.mark_output(carry);
-        let (s, r) = simplify(&net);
-        assert_eq!((r.bootstraps_before, r.bootstraps_after), (5, 2));
+        let (cell, r) = simplify(&net);
         assert_eq!((r.fused, r.dead_removed), (2, 3));
         assert!(
             !r.exact,
             "a fused gate's output is not the cone's, bit for bit"
         );
+        // The fusion stage's own result, before the sum rides.
+        let s = demote_sums(&cell);
+        assert_eq!((r.bootstraps_before, s.bootstraps()), (5, 2));
         assert_eq!(s.depth(), 1);
         let ops: Vec<GateOp> = s.outputs().iter().map(|&o| s.ops()[o]).collect();
         assert_eq!(
@@ -1498,8 +1881,138 @@ mod tests {
             ]
         );
         assert_equivalent(&net, &s);
+    }
+
+    #[test]
+    fn simplify_rides_a_full_adder_sum_on_its_carry() {
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let (sum, carry) = full_adder(&mut net, a, b, c);
+        net.mark_output(sum);
+        net.mark_output(carry);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.bootstraps_before, r.bootstraps_after), (5, 1));
+        assert_eq!((r.fused, r.riding), (2, 1));
+        assert!(!r.exact, "a riding sum is not a bootstrapped one");
+        assert_eq!(s.depth(), 1);
+        // The host first, whichever of the two the lowering put first.
+        let ops: Vec<GateOp> = s.outputs().iter().map(|&o| s.ops()[o]).collect();
+        assert_eq!(
+            ops,
+            [GateOp::Sum(a, b, c), GateOp::Ternary(Gate3::Maj, a, b, c)]
+        );
+        assert!(s.outputs()[1] < s.outputs()[0]);
+        assert_eq!(s.host_of(s.outputs()[0]), Some(s.outputs()[1]));
+        assert_eq!(s.rider_of(s.outputs()[1]), Some(s.outputs()[0]));
+        assert_equivalent(&net, &s);
         // Nothing left to do on the result.
+        let (again, r) = simplify(&s);
+        assert_eq!(again, s);
+        assert!(r.exact && r.riding == 1);
+    }
+
+    #[test]
+    fn half_adder_is_the_cell_with_a_constant_carry_in() {
+        let (s, r) = simplify(&half_adder());
+        assert_eq!((r.bootstraps_after, r.riding), (1, 1));
+        let (a, b) = (0, 1);
+        let f = s
+            .ops()
+            .iter()
+            .position(|&op| op == GateOp::Constant(false))
+            .expect("the carry-in");
+        let ops: Vec<GateOp> = s.outputs().iter().map(|&o| s.ops()[o]).collect();
+        assert_eq!(
+            ops,
+            [GateOp::Sum(a, b, f), GateOp::Ternary(Gate3::Maj, a, b, f)]
+        );
+        assert!(
+            lint(&s).is_empty(),
+            "the carry-in is not foldable: {:?}",
+            lint(&s)
+        );
+        assert_equivalent(&half_adder(), &s);
         assert_eq!(simplify(&s).0, s);
+        // Every AND-family carry, every polarity of the parity.
+        for carry in Gate::ALL {
+            for parity in [Gate::Xor, Gate::Xnor] {
+                if matches!(carry, Gate::Xor | Gate::Xnor) {
+                    continue;
+                }
+                let mut net = CircuitNetlist::new();
+                let (a, b) = (net.input(), net.input());
+                let nb = net.not(b);
+                let p = net.gate(parity, nb, a);
+                let c = net.gate(carry, a, b);
+                net.mark_output(p);
+                net.mark_output(c);
+                let (s, r) = simplify(&net);
+                assert_eq!((r.bootstraps_after, r.riding), (1, 1), "{carry} {parity}");
+                assert_equivalent(&net, &s);
+                assert_eq!(simplify(&s).0, s, "{carry} {parity}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_leaf_cones_fuse_into_the_one_gate_that_computes_them() {
+        // The subtractor's first borrow-free carry: OR(XOR(a, ¬b), AND(a, ¬b))
+        // is a ∨ ¬b, one bootstrap for three.
+        let mut net = CircuitNetlist::new();
+        let (a, b) = (net.input(), net.input());
+        let nb = net.not(b);
+        let x = net.gate(Gate::Xor, a, nb);
+        let g = net.gate(Gate::And, a, nb);
+        let carry = net.gate(Gate::Or, x, g);
+        net.mark_output(carry);
+        let (s, r) = simplify(&net);
+        assert_eq!(
+            (r.bootstraps_before, r.bootstraps_after, r.fused),
+            (3, 1, 1)
+        );
+        assert_eq!(s.ops()[s.outputs()[0]], GateOp::Binary(Gate::OrYN, a, b));
+        assert_equivalent(&net, &s);
+        // A gate over its own operands, negated or not, is no cone.
+        let mut net = CircuitNetlist::new();
+        let (a, b) = (net.input(), net.input());
+        let na = net.not(a);
+        let g = net.gate(Gate::And, b, na);
+        net.mark_output(g);
+        let (s, r) = simplify(&net);
+        assert!(r.exact && r.fused == 0);
+        assert_eq!(s, net);
+    }
+
+    #[test]
+    fn a_sum_whose_host_folds_is_a_parity_of_its_own_again() {
+        let mut net = CircuitNetlist::new();
+        let (a, b) = (net.input(), net.input());
+        let (t, f) = (net.constant(true), net.constant(false));
+        let m = net.ternary(Gate3::Maj, a, t, f); // a
+        let s = net.sum(a, t, f); // ¬a
+        let m2 = net.ternary(Gate3::Maj, a, b, f); // stays the host it is
+        let s2 = net.sum(b, f, a);
+        for o in [m, s, m2, s2] {
+            net.mark_output(o);
+        }
+        let (small, r) = simplify(&net);
+        assert_eq!((r.bootstraps_after, r.riding), (1, 1));
+        let ops: Vec<GateOp> = small.outputs().iter().map(|&o| small.ops()[o]).collect();
+        assert!(matches!(ops[0], GateOp::Input(0)));
+        assert!(matches!(ops[1], GateOp::Not(0)));
+        assert!(matches!(ops[2], GateOp::Ternary(Gate3::Maj, ..)));
+        assert!(matches!(ops[3], GateOp::Sum(..)));
+        assert_equivalent(&net, &small);
+        // The sweep keeps a host alive for its rider.
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let _host = net.ternary(Gate3::Maj, a, b, c);
+        let s = net.sum(a, b, c);
+        net.mark_output(s);
+        assert!(lint(&net).is_empty());
+        let (small, r) = simplify(&net);
+        assert_eq!((small.len(), r.dead_removed, r.bootstraps_after), (5, 0, 1));
+        assert_equivalent(&demote_sums(&net), &small);
     }
 
     #[test]
@@ -1517,7 +2030,7 @@ mod tests {
         net.mark_output(diff);
         net.mark_output(nborrow);
         let (s, r) = simplify(&net);
-        assert_eq!((r.fused, r.bootstraps_after), (2, 2));
+        assert_eq!((r.fused, r.riding, r.bootstraps_after), (2, 1, 1));
         assert_equivalent(&net, &s);
         let majority = s
             .ops()
@@ -1563,13 +2076,15 @@ mod tests {
 
     #[test]
     fn simplify_folds_constant_operands_of_ternary_gates() {
+        // The parity reads another pair than the majorities do: over the
+        // same two leaves it would ride on one of them.
         let mut net = CircuitNetlist::new();
-        let (a, b) = (net.input(), net.input());
+        let (a, b, c) = (net.input(), net.input(), net.input());
         let (t, f) = (net.constant(true), net.constant(false));
         let outs = [
             net.ternary(Gate3::Maj, a, t, b),  // OR(a, b)
             net.ternary(Gate3::Maj, f, a, b),  // AND(a, b)
-            net.ternary(Gate3::Xor3, a, b, t), // XNOR(a, b)
+            net.ternary(Gate3::Xor3, a, c, t), // XNOR(a, c)
             net.ternary(Gate3::Xor3, t, a, f), // NOT a
             net.ternary(Gate3::Maj, t, f, b),  // b
             net.ternary(Gate3::Maj, t, a, t),  // true
@@ -1651,8 +2166,44 @@ mod tests {
     }
 
     #[test]
+    fn riding_sums_are_charged_what_they_are_and_reset_nothing() {
+        let p = ParameterSet::MATCHA;
+        let model = NoiseModel::new(&p, 2);
+        let mut net = CircuitNetlist::new();
+        let (a, b, c) = (net.input(), net.input(), net.input());
+        let m = net.ternary(Gate3::Maj, a, b, c);
+        let s = net.sum(a, b, c);
+        let x = net.gate(Gate::And, s, m); // reads the sum: decides on its noise
+        net.mark_output(s);
+        net.mark_output(x);
+        let r = noise_report(&net, model);
+        let fresh = model.v_fresh();
+        let kept = 3.0 * fresh + 2.0 * model.v_blind_rotate() + model.v_key_switch();
+        assert_eq!(r.node_variance[s], kept);
+        assert!(kept > model.v_bootstrapped() + 3.0 * fresh, "not a reset");
+        // The sum's own terms: two extractions deciding a step or two off
+        // the host's phase, and the client's decryption of what it keeps.
+        let shifted = 0.125 - 2.0 / (2.0 * p.ring_degree as f64);
+        let extractions = 2.0 * NoiseModel::tail_bound(shifted, 3.0 * fresh + model.v_mod_switch());
+        let want = model.decrypt_failure(kept) + extractions;
+        let got = r.outputs[0].failure_prob;
+        assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");
+        // The AND downstream decides on the sum's variance, and its cone
+        // holds the host's decision beside the sum's.
+        let and = model.gate_failure(Gate::And, kept, model.v_bootstrapped());
+        let host = model.gate3_failure(Gate3::Maj, fresh, fresh, fresh);
+        let want = model.decrypt_failure(model.v_bootstrapped()) + and + host + extractions;
+        let got = r.outputs[1].failure_prob;
+        assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");
+        // Ranks and units: the sum costs none, its readers wait for its host.
+        let cost = cost_report(&net);
+        assert_eq!((cost.bootstraps, cost.critical_path_units), (2, 2));
+        assert_eq!((cost.node_ranks[m], cost.node_ranks[s]), (2, 1));
+    }
+
+    #[test]
     fn simplify_sweeps_dead_nodes_but_keeps_inputs() {
-        let mut net = half_adder();
+        let mut net = nand_and_or();
         let c = net.input(); // unused input: kept
         let dead = net.gate(Gate::Nor, 0, c); // dead gate: swept
         let _ = dead;
@@ -1665,8 +2216,8 @@ mod tests {
 
     #[test]
     fn simplify_preserves_output_multiplicity_and_order() {
-        let mut net = half_adder();
-        net.mark_output(net.outputs()[0]); // sum marked twice
+        let mut net = nand_and_or();
+        net.mark_output(net.outputs()[0]); // the NAND marked twice
         let (s, r) = simplify(&net);
         assert!(r.exact);
         assert_eq!(s.outputs().len(), 3);

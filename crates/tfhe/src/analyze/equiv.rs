@@ -49,7 +49,7 @@
 //! [`LintKind::EquivUnknown`]: super::LintKind::EquivUnknown
 
 use crate::circuit::{CircuitNetlist, GateOp};
-use crate::gates::Gate;
+use crate::gates::{Gate, Gate3};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -598,6 +598,10 @@ fn compile(net: &CircuitNetlist, order: &[usize], bdd: &mut Bdd) -> Result<Vec<B
             GateOp::Ternary(g, a, b, c) => {
                 bdd.table(g.desc().table, &[funcs[a], funcs[b], funcs[c]])?
             }
+            // A riding sum is the parity it computes, whatever computes it.
+            GateOp::Sum(a, b, c) => {
+                bdd.table(Gate3::Xor3.desc().table, &[funcs[a], funcs[b], funcs[c]])?
+            }
         };
         funcs.push(f);
     }
@@ -907,7 +911,6 @@ mod tests {
 
     #[test]
     fn ternary_gates_compile_to_their_truth_tables() {
-        use crate::gates::Gate3;
         for g in Gate3::ALL {
             let mut net = CircuitNetlist::new();
             let (a, b, c) = (net.input(), net.input(), net.input());

@@ -25,7 +25,7 @@
 //! bootstrapping key once per chunk, not once per task.
 
 use crate::faults::{FaultAction, FaultPlan};
-use crate::gates::{lane_prefix, Gate, Gate3, LaneGate, ServerKey};
+use crate::gates::{lane_prefix, Gate, Gate3, LaneGate, ServerKey, Staged};
 use crate::lwe::LweCiphertext;
 use crate::scratch::{BootstrapScratch, MAX_LANES};
 use matcha_fft::FftEngine;
@@ -157,47 +157,87 @@ pub enum GateTask {
         /// The operand nodes.
         ops: [usize; 3],
     },
+    /// An adder cell ([`LaneGate::Cell`]): one bootstrap, two results — the
+    /// majority, stored at the task's own node, and the parity.
+    Cell {
+        /// The operand nodes.
+        ops: [usize; 3],
+        /// Slot the parity is stored at.
+        sum: usize,
+    },
 }
 
 impl GateTask {
     /// Blind rotations the task runs: the lanes it takes in a chunk.
     pub fn lanes(&self) -> usize {
         match self {
-            GateTask::Binary { .. } | GateTask::Ternary { .. } => 1,
+            GateTask::Binary { .. } | GateTask::Ternary { .. } | GateTask::Cell { .. } => 1,
             GateTask::Not { .. } => 0,
             GateTask::Mux { .. } => 2,
         }
     }
 
-    /// Evaluates the one task into `out` through `scratch`, reading
-    /// operands from `slab` by index — what a pool worker does for every
-    /// task of a chunk at once, and the reference the chunked path is
-    /// tested against. Allocation-free once the scratch and `out` are
-    /// warmed, for every variant: operands are borrowed from the slab,
-    /// never cloned.
+    /// Ciphertexts the task produces: one, or a cell's two.
+    pub fn outputs(&self) -> usize {
+        match self {
+            GateTask::Cell { .. } => 2,
+            _ => 1,
+        }
+    }
+
+    /// Evaluates the one task into `outs` ([`GateTask::outputs`] entries: a
+    /// cell's carry, then its sum) through `scratch`, reading operands from
+    /// `slab` by index — what a pool worker does for every task of a chunk
+    /// at once, and the reference the chunked path is tested against.
+    /// Allocation-free once the scratch and `outs` are warmed, for every
+    /// variant: operands are borrowed from the slab, never cloned.
     ///
     /// # Panics
     ///
-    /// Panics if an operand slot has not been computed yet.
+    /// Panics if an operand slot has not been computed yet, or `outs` is
+    /// not [`GateTask::outputs`] long.
     pub fn apply_into<E: FftEngine>(
         &self,
         server: &ServerKey<E>,
         slab: &ValueSlab,
-        out: &mut LweCiphertext,
+        outs: &mut [LweCiphertext],
         scratch: &mut BootstrapScratch<E>,
     ) {
-        match *self {
-            GateTask::Binary { gate, a, b } => {
-                server.apply_into(gate, slab.get(a), slab.get(b), out, scratch)
-            }
-            GateTask::Not { a } => server.not_into(slab.get(a), out),
-            GateTask::Mux { sel, a, b } => {
-                server.mux_into(slab.get(sel), slab.get(a), slab.get(b), out, scratch)
-            }
-            GateTask::Ternary { gate, ops } => {
-                server.apply3_into(gate, ops.map(|i| slab.get(i)), out, scratch)
+        assert_eq!(outs.len(), self.outputs(), "one output, or a cell's two");
+        match self.lane_gate(slab) {
+            Some(gate) => server.apply_lanes_into(&[gate], outs, scratch),
+            None => {
+                let GateTask::Not { a } = *self else {
+                    unreachable!("every task but a negation bootstraps");
+                };
+                server.not_into(slab.get(a), &mut outs[0]);
             }
         }
+    }
+
+    /// The task as a gate of a wave, operands borrowed from `slab`; `None`
+    /// for a free negation.
+    fn lane_gate<'a>(&self, slab: &'a ValueSlab) -> Option<LaneGate<'a>> {
+        Some(match *self {
+            GateTask::Binary { gate, a, b } => LaneGate::Binary {
+                gate,
+                a: slab.get(a),
+                b: slab.get(b),
+            },
+            GateTask::Mux { sel, a, b } => LaneGate::Mux {
+                sel: slab.get(sel),
+                a: slab.get(a),
+                b: slab.get(b),
+            },
+            GateTask::Ternary { gate, ops } => LaneGate::Ternary {
+                gate,
+                ops: ops.map(|i| slab.get(i)),
+            },
+            GateTask::Cell { ops, .. } => LaneGate::Cell {
+                ops: ops.map(|i| slab.get(i)),
+            },
+            GateTask::Not { .. } => return None,
+        })
     }
 }
 
@@ -536,12 +576,13 @@ fn run_chunk<E: FftEngine>(
     outs: &mut Vec<LweCiphertext>,
     mut done: impl FnMut(usize, Result<(), String>),
 ) {
-    if outs.len() < tasks.len() {
-        outs.resize_with(tasks.len(), LweCiphertext::default);
+    let outputs = tasks.iter().map(|(_, st)| st.task.outputs()).sum();
+    if outs.len() < outputs {
+        outs.resize_with(outputs, LweCiphertext::default);
     }
-    // The staged gates, in lane order: (position in `tasks`, lanes taken).
-    // Gate `k` of them is switched into `outs[k]`.
-    let mut staged: Vec<(usize, usize)> = Vec::with_capacity(tasks.len());
+    // The staged gates, in lane order: (position in `tasks`, how the wave
+    // reads it back). Their outputs are switched into `outs` in this order.
+    let mut staged: Vec<(usize, Staged)> = Vec::with_capacity(tasks.len());
     let mut lanes = 0;
     for (position, ((index, st), fault)) in tasks.iter().zip(injected).enumerate() {
         if let Some(FaultAction::Delay(d)) = fault {
@@ -552,48 +593,48 @@ fn run_chunk<E: FftEngine>(
             if matches!(fault, Some(FaultAction::Panic)) {
                 panic!("injected fault: task for node {node} panicked in its worker");
             }
-            let gate = match *task {
-                GateTask::Binary { gate, a, b } => LaneGate::Binary {
-                    gate,
-                    a: slab.get(a),
-                    b: slab.get(b),
-                },
-                GateTask::Mux { sel, a, b } => LaneGate::Mux {
-                    sel: slab.get(sel),
-                    a: slab.get(a),
-                    b: slab.get(b),
-                },
-                GateTask::Ternary { gate, ops } => LaneGate::Ternary {
-                    gate,
-                    ops: ops.map(|i| slab.get(i)),
-                },
-                GateTask::Not { a } => {
-                    slab.set(*node, server.not(slab.get(a)));
-                    return 0;
-                }
+            let Some(gate) = task.lane_gate(slab) else {
+                // A free negation takes no lane: stored on the spot.
+                let mut out = LweCiphertext::default();
+                task.apply_into(server, slab, std::slice::from_mut(&mut out), scratch);
+                slab.set(*node, out);
+                return None;
             };
             server.stage_lanes(&gate, lanes, scratch);
-            gate.lanes()
+            Some(gate.staged())
         }));
         match stage {
-            Ok(0) => done(*index, Ok(())),
-            Ok(width) => {
-                staged.push((position, width));
-                lanes += width;
+            Ok(None) => done(*index, Ok(())),
+            Ok(Some(gate)) => {
+                staged.push((position, gate));
+                lanes += gate.lanes();
             }
             Err(payload) => done(*index, Err(panic_message(payload))),
         }
     }
-    let outs = &mut outs[..staged.len()];
-    let widths = staged.iter().map(|&(_, width)| width);
+    let outputs = staged.iter().map(|&(_, gate)| gate.outputs()).sum();
+    let outs = &mut outs[..outputs];
+    let gates = staged.iter().map(|&(_, gate)| gate);
     let shared = catch_unwind(AssertUnwindSafe(|| {
-        server.finish_lanes(widths, outs, scratch)
+        server.finish_lanes(gates, outs, scratch)
     }))
     .map_err(panic_message);
-    for (&(position, _), out) in staged.iter().zip(outs.iter()) {
-        let (index, SlabTask { slab, node, .. }) = &tasks[position];
+    let mut outs = outs.iter();
+    for &(position, gate) in &staged {
+        let (index, SlabTask { slab, node, task }) = &tasks[position];
+        // A cell's second result goes to the slot its task names.
+        let nodes = match *task {
+            GateTask::Cell { sum, .. } => [Some(*node), Some(sum)],
+            _ => [Some(*node), None],
+        };
+        let results = outs.by_ref().take(gate.outputs());
         let stored = shared.clone().and_then(|()| {
-            catch_unwind(AssertUnwindSafe(|| slab.set(*node, out.clone()))).map_err(panic_message)
+            catch_unwind(AssertUnwindSafe(|| {
+                for (node, out) in nodes.into_iter().flatten().zip(results) {
+                    slab.set(node, out.clone());
+                }
+            }))
+            .map_err(panic_message)
         });
         done(*index, stored);
     }
@@ -1399,6 +1440,103 @@ mod tests {
             match slab.try_get(2 * enc.len() + i) {
                 Some(out) => assert_eq!(client.decrypt(out), a & b, "task {i}"),
                 None => assert_eq!(i, 2, "only the malformed task stores nothing"),
+            }
+        }
+    }
+
+    /// A chunk of three on one worker — an AND, an adder cell, an XOR —
+    /// with `fault` scripted at the cell, or one of its operands malformed.
+    /// Returns the dispatch result, each of the four result slots as the
+    /// dispatch left it, and what the tasks give alone.
+    fn cell_mid_chunk(
+        seed: u64,
+        fault: Option<FaultAction>,
+        malformed: bool,
+    ) -> (
+        DispatchResult,
+        Vec<Option<LweCiphertext>>,
+        Vec<LweCiphertext>,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        // Slots 0..3 hold the operands; 3, 4, 6 the tasks' nodes, 5 the sum.
+        let slab = Arc::new(ValueSlab::new(7));
+        for slot in 0..3 {
+            slab.set(slot, client.encrypt_with(slot != 1, &mut rng));
+        }
+        let reference = [
+            server.and(slab.get(0), slab.get(1)),
+            server.cell(slab.get(0), slab.get(1), slab.get(2))[0].clone(),
+            server.cell(slab.get(0), slab.get(1), slab.get(2))[1].clone(),
+            server.xor(slab.get(1), slab.get(2)),
+        ];
+        let cell_slab = if malformed {
+            // The same slab, but for a second operand of the wrong dimension.
+            let bad = ValueSlab::new(7);
+            bad.set(0, slab.get(0).clone());
+            bad.set(1, LweCiphertext::trivial(Torus32::ZERO, 3));
+            bad.set(2, slab.get(2).clone());
+            Arc::new(bad)
+        } else {
+            Arc::clone(&slab)
+        };
+        let and = GateTask::Binary {
+            gate: Gate::And,
+            a: 0,
+            b: 1,
+        };
+        let cell = GateTask::Cell {
+            ops: [0, 1, 2],
+            sum: 5,
+        };
+        let xor = GateTask::Binary {
+            gate: Gate::Xor,
+            a: 1,
+            b: 2,
+        };
+        let batch: Vec<SlabTask> = [(&slab, 3, and), (&cell_slab, 4, cell), (&slab, 6, xor)]
+            .into_iter()
+            .map(|(slab, node, task)| SlabTask {
+                slab: Arc::clone(slab),
+                node,
+                task,
+            })
+            .collect();
+        let plan = FaultPlan::new();
+        let plan = Arc::new(match fault {
+            Some(action) => plan.inject(0, 4, action),
+            None => plan,
+        });
+        let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
+        let result = pool.run_tasks(&batch);
+        assert!(plan.is_spent());
+        let outputs = [(&slab, 3), (&cell_slab, 4), (&cell_slab, 5), (&slab, 6)]
+            .map(|(slab, node)| slab.try_get(node).cloned());
+        (result, outputs.to_vec(), reference.to_vec())
+    }
+
+    #[test]
+    fn a_cell_task_stores_both_its_results() {
+        let (result, outputs, alone) = cell_mid_chunk(104, None, false);
+        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+            assert_eq!(out.as_ref(), Some(want), "result {i}");
+        }
+    }
+
+    #[test]
+    fn a_cell_that_fails_in_staging_stores_neither_result_and_spares_its_wave_mates() {
+        for (fault, malformed) in [(Some(FaultAction::Panic), false), (None, true)] {
+            let (result, outputs, alone) = cell_mid_chunk(105, fault, malformed);
+            assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+            assert_eq!(result.failures[0].0, 1, "the cell's batch index");
+            for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+                if i == 1 || i == 2 {
+                    assert!(out.is_none(), "neither the carry nor the sum is stored");
+                } else {
+                    assert_eq!(out.as_ref(), Some(want), "wave-mate {i}");
+                }
             }
         }
     }

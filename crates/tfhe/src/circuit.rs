@@ -4,9 +4,9 @@
 //! gates to *predict* makespan on parallel pipelines; this module is the
 //! executable counterpart. A [`CircuitNetlist`] carries real operands —
 //! encrypted inputs, trivial constants, all ten binary [`Gate`]s, the free
-//! `NOT`, the two-bootstrap `MUX` and the one-bootstrap three-input
-//! [`Gate3`]s — with dependency edges validated at
-//! construction. [`CircuitNetlist::execute`] schedules it level by level:
+//! `NOT`, the two-bootstrap `MUX`, the one-bootstrap three-input
+//! [`Gate3`]s and the free `Sum` that rides on a majority's bootstrap —
+//! with dependency edges validated at construction. [`CircuitNetlist::execute`] schedules it level by level:
 //! every wave of ready gates is dispatched as one mixed-gate batch onto a
 //! persistent [`GateBatchPool`], the software analogue of MATCHA's
 //! scheduler keeping its eight resident bootstrapping pipelines busy on
@@ -20,6 +20,7 @@ use crate::batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
 use crate::gates::{Gate, Gate3, ServerKey};
 use crate::lwe::LweCiphertext;
 use matcha_fft::FftEngine;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,6 +47,12 @@ pub enum GateOp {
     },
     /// A three-input bootstrapped gate — one bootstrap.
     Ternary(Gate3, usize, usize, usize),
+    /// `a ⊕ b ⊕ c` at no bootstrap of its own: the sum of an adder cell,
+    /// read off the blind rotation of its *host*, the
+    /// `Ternary(Gate3::Maj, ..)` over the same three nodes that the netlist
+    /// must hold earlier ([`LaneGate::Cell`](crate::gates::LaneGate::Cell)).
+    /// Free, but not a noise reset: the value carries its operands' noise.
+    Sum(usize, usize, usize),
 }
 
 impl GateOp {
@@ -57,7 +64,7 @@ impl GateOp {
             GateOp::Binary(_, a, b) => [Some(a), Some(b), None],
             GateOp::Not(a) => [Some(a), None, None],
             GateOp::Mux { sel, a, b } => [Some(sel), Some(a), Some(b)],
-            GateOp::Ternary(_, a, b, c) => [Some(a), Some(b), Some(c)],
+            GateOp::Ternary(_, a, b, c) | GateOp::Sum(a, b, c) => [Some(a), Some(b), Some(c)],
         }
     }
 
@@ -73,6 +80,7 @@ impl GateOp {
                 b: f(b),
             },
             GateOp::Ternary(g, a, b, c) => GateOp::Ternary(g, f(a), f(b), f(c)),
+            GateOp::Sum(a, b, c) => GateOp::Sum(f(a), f(b), f(c)),
         }
     }
 
@@ -87,14 +95,15 @@ impl GateOp {
             GateOp::Not(_) => !v[0],
             GateOp::Mux { .. } => v[if v[0] { 1 } else { 2 }],
             GateOp::Ternary(g, ..) => g.eval(v[0], v[1], v[2]),
+            GateOp::Sum(..) => Gate3::Xor3.eval(v[0], v[1], v[2]),
         })
     }
 
     /// Gate bootstraps this op costs (binary and ternary gates one, muxes
-    /// two, sources and free `NOT`s none).
+    /// two, sources, free `NOT`s and riding `Sum`s none).
     pub fn bootstraps(&self) -> usize {
         match self {
-            GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) => 0,
+            GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => 0,
             GateOp::Binary(..) | GateOp::Ternary(..) => 1,
             GateOp::Mux { .. } => 2,
         }
@@ -146,6 +155,17 @@ pub struct CircuitNetlist {
     level: Vec<usize>,
     inputs: usize,
     outputs: Vec<usize>,
+    /// Adder cells by operand triple (sorted): the first majority over
+    /// those three nodes — the *host* — and the `Sum` riding on it, once
+    /// there is one.
+    cells: HashMap<[usize; 3], (usize, Option<usize>)>,
+}
+
+/// An operand triple in ascending order: its key in
+/// [`CircuitNetlist::cells`], and a symmetric op's canonical form.
+pub(crate) fn cell_key(mut operands: [usize; 3]) -> [usize; 3] {
+    operands.sort_unstable();
+    operands
 }
 
 impl CircuitNetlist {
@@ -160,8 +180,9 @@ impl CircuitNetlist {
     ///
     /// Validity requires the builder's canonical form: every operand
     /// references an earlier node, input slots are numbered `0, 1, 2, …`
-    /// in node order (each exactly once), and every output marks an
-    /// existing node.
+    /// in node order (each exactly once), every `Sum` has its host — an
+    /// earlier majority over the same three nodes, ridden by nothing else —
+    /// and every output marks an existing node.
     ///
     /// # Errors
     ///
@@ -195,7 +216,11 @@ impl CircuitNetlist {
         // unreachable; replaying through it keeps the level bookkeeping
         // in one place.
         let mut net = Self::new();
-        for op in ops {
+        for (id, op) in ops.into_iter().enumerate() {
+            if let GateOp::Sum(a, b, c) = op {
+                net.free_host([a, b, c])
+                    .map_err(|e| format!("node {id}: {e}"))?;
+            }
             net.add(op);
         }
         for o in outputs {
@@ -238,15 +263,56 @@ impl CircuitNetlist {
         &self.level
     }
 
+    /// The majority whose bootstrap node `id`, a `Sum`, rides on (`None`
+    /// for any other op).
+    pub fn host_of(&self, id: usize) -> Option<usize> {
+        match self.ops[id] {
+            GateOp::Sum(a, b, c) => Some(self.cells[&cell_key([a, b, c])].0),
+            _ => None,
+        }
+    }
+
+    /// The `Sum` riding on node `id`'s bootstrap, if `id` is a majority
+    /// that hosts one.
+    pub fn rider_of(&self, id: usize) -> Option<usize> {
+        match self.ops[id] {
+            GateOp::Ternary(Gate3::Maj, a, b, c) => {
+                let (host, rider) = self.cells[&cell_key([a, b, c])];
+                rider.filter(|_| host == id)
+            }
+            _ => None,
+        }
+    }
+
+    /// The host a new `Sum` over `operands` would ride on: the majority
+    /// over the same three nodes, if nothing rides on it yet — what
+    /// [`CircuitNetlist::sum`] panics without.
+    ///
+    /// # Errors
+    ///
+    /// Says whether the majority is missing or taken.
+    pub fn free_host(&self, operands: [usize; 3]) -> Result<usize, String> {
+        match self.cells.get(&cell_key(operands)) {
+            Some(&(host, None)) => Ok(host),
+            Some(&(host, Some(rider))) => Err(format!(
+                "sum over {operands:?}: majority {host} already carries sum {rider}"
+            )),
+            None => Err(format!(
+                "sum over {operands:?} has no majority over the same nodes to ride on"
+            )),
+        }
+    }
+
     /// Total gate bootstraps in the circuit (binary and ternary gates count
-    /// one, muxes two, `NOT`/sources none).
+    /// one, muxes two, `NOT`/`Sum`/sources none).
     pub fn bootstraps(&self) -> usize {
         self.ops.iter().map(GateOp::bootstraps).sum()
     }
 
     /// Number of scheduled waves (the dependency depth over *bootstrapped*
     /// ops — `NOT` is free, resolved inline between waves, and adds no
-    /// depth, matching [`CircuitNetlist::schedule_skeleton`]'s model).
+    /// depth, nor does a `Sum`, there when its host is; matching
+    /// [`CircuitNetlist::schedule_skeleton`]'s model).
     pub fn depth(&self) -> usize {
         self.level.iter().copied().max().unwrap_or(0)
     }
@@ -261,11 +327,21 @@ impl CircuitNetlist {
             );
             level = level.max(self.level[operand] + 1);
         }
-        // A free negation is transparent: its value is available the
-        // moment its operand is, so it inherits the operand's level
-        // instead of starting a wave of its own.
-        if let GateOp::Not(a) = op {
-            level = self.level[a];
+        match op {
+            // A free negation is transparent: its value is available the
+            // moment its operand is, so it inherits the operand's level
+            // instead of starting a wave of its own.
+            GateOp::Not(a) => level = self.level[a],
+            GateOp::Ternary(Gate3::Maj, a, b, c) => {
+                self.cells.entry(cell_key([a, b, c])).or_insert((id, None));
+            }
+            // A sum is there the moment its host is.
+            GateOp::Sum(a, b, c) => {
+                let host = self.free_host([a, b, c]).unwrap_or_else(|e| panic!("{e}"));
+                level = self.level[host];
+                self.cells.insert(cell_key([a, b, c]), (host, Some(id)));
+            }
+            _ => {}
         }
         self.ops.push(op);
         self.level.push(level);
@@ -334,6 +410,18 @@ impl CircuitNetlist {
         self.push(GateOp::Ternary(gate, a, b, c))
     }
 
+    /// Adds the sum `a ⊕ b ⊕ c` of an adder cell, riding on the bootstrap
+    /// of the earlier [`Gate3::Maj`] over the same three nodes — no
+    /// bootstrap of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand references a not-yet-added node, if no such
+    /// majority exists, or if another `Sum` already rides on it.
+    pub fn sum(&mut self, a: usize, b: usize, c: usize) -> usize {
+        self.push(GateOp::Sum(a, b, c))
+    }
+
     /// Marks node `id` as a circuit output. Outputs are returned in
     /// marking order; a node may be marked more than once.
     ///
@@ -348,13 +436,14 @@ impl CircuitNetlist {
     /// Groups the *bootstrapped* ops (binary and ternary gates, muxes) into
     /// wave-front levels: wave `r` holds every op whose operands are all
     /// available after wave `r − 1`. Each wave is independent work — one
-    /// mixed-gate pool batch. Free `NOT`s are not waves: the executor
-    /// resolves them inline the moment their operand's wave completes.
+    /// mixed-gate pool batch. Free `NOT`s and `Sum`s are not waves: the
+    /// executor resolves them inline the moment their operand's (their
+    /// host's) wave completes.
     pub fn waves(&self) -> Vec<Vec<usize>> {
         let depth = self.depth();
         let mut waves: Vec<Vec<usize>> = vec![Vec::new(); depth];
         for (id, &level) in self.level.iter().enumerate() {
-            if level > 0 && !matches!(self.ops[id], GateOp::Not(_)) {
+            if self.ops[id].bootstraps() > 0 {
                 waves[level - 1].push(id);
             }
         }
@@ -366,8 +455,8 @@ impl CircuitNetlist {
     /// unit indices unit `i` consumes. Binary and ternary gates are one
     /// unit; a mux is two chained units (it occupies a worker for two
     /// back-to-back bootstraps); `NOT` is free and transparent (consumers
-    /// depend directly on its operand's unit); inputs and constants cost
-    /// nothing.
+    /// depend directly on its operand's unit) and so is a `Sum` (consumers
+    /// depend on its host's unit); inputs and constants cost nothing.
     ///
     /// [`accel::schedule`]: https://docs.rs/matcha-accel
     pub fn schedule_skeleton(&self) -> Vec<Vec<usize>> {
@@ -375,10 +464,11 @@ impl CircuitNetlist {
         // The unit whose completion makes each node's value available
         // (None for sources and nots-of-sources: available at time 0).
         let mut unit_of: Vec<Option<usize>> = Vec::with_capacity(self.ops.len());
-        for op in &self.ops {
+        for (id, op) in self.ops.iter().enumerate() {
             let unit = match *op {
                 GateOp::Input(_) | GateOp::Constant(_) => None,
                 GateOp::Not(a) => unit_of[a],
+                GateOp::Sum(..) => unit_of[self.host_of(id).expect("a sum has its host")],
                 GateOp::Binary(..) | GateOp::Ternary(..) => {
                     let operands = op.operands().into_iter().flatten();
                     units.push(operands.filter_map(|o| unit_of[o]).collect());
@@ -499,12 +589,22 @@ impl CircuitNetlist {
                     &Self::value(&values, a),
                     &Self::value(&values, b),
                 ),
-                GateOp::Ternary(gate, a, b, c) => server.apply3(
-                    gate,
-                    &Self::value(&values, a),
-                    &Self::value(&values, b),
-                    &Self::value(&values, c),
-                ),
+                GateOp::Ternary(gate, a, b, c) => {
+                    let [a, b, c] = [a, b, c].map(|operand| Self::value(&values, operand));
+                    match self.rider_of(id) {
+                        Some(rider) => {
+                            let [carry, sum] = server.cell(&a, &b, &c);
+                            values[rider] = Some(sum);
+                            carry
+                        }
+                        None => server.apply3(gate, &a, &b, &c),
+                    }
+                }
+                // Stored by its host.
+                GateOp::Sum(..) => {
+                    scheduled_ops += 1;
+                    continue;
+                }
             };
             scheduled_ops += 1;
             values[id] = Some(out);
@@ -546,7 +646,9 @@ impl CircuitNetlist {
 /// each dispatched node → repeat until [`CircuitFrontier::is_done`], then
 /// [`CircuitFrontier::finish`]. Free `NOT`s never surface as tasks: they
 /// are resolved inline (a local negation) the moment their operand's
-/// value lands, so chains of negations add no waves and no dispatches.
+/// value lands, so chains of negations add no waves and no dispatches. Nor
+/// do `Sum`s: a majority that hosts one is dispatched as an adder cell, its
+/// worker stores both values, and the sum resolves with its host.
 pub struct CircuitFrontier {
     net: Arc<CircuitNetlist>,
     slab: Arc<ValueSlab>,
@@ -634,6 +736,11 @@ impl CircuitFrontier {
                 pending[id] += 1;
                 consumers[operand].push(id);
             }
+            // A sum also waits for the bootstrap it rides on.
+            if let Some(host) = net.host_of(id) {
+                pending[id] += 1;
+                consumers[host].push(id);
+            }
             remaining += usize::from(op.bootstraps() > 0);
         }
         let mut frontier = Self {
@@ -664,7 +771,8 @@ impl CircuitFrontier {
     }
 
     /// Propagates "node `id`'s value is in the slab" to its consumers:
-    /// newly satisfied free `NOT`s resolve inline (cascading), newly
+    /// newly satisfied free `NOT`s resolve inline (cascading), a `Sum` is
+    /// satisfied by its host's completion and already stored, newly
     /// satisfied bootstrapped ops join the ready set.
     fn mark_available(&mut self, id: usize) {
         let mut stack = vec![id];
@@ -674,15 +782,23 @@ impl CircuitFrontier {
             for c in std::mem::take(&mut self.consumers[id]) {
                 self.pending[c] -= 1;
                 if self.pending[c] == 0 {
-                    if let GateOp::Not(a) = self.net.ops[c] {
-                        let mut v = self.slab.get(a).clone();
-                        v.neg_assign();
-                        self.slab.set(c, v);
-                        self.scheduled_ops += 1;
-                        stack.push(c);
-                    } else {
-                        self.ready.push(c);
+                    match self.net.ops[c] {
+                        GateOp::Not(a) => {
+                            let mut v = self.slab.get(a).clone();
+                            v.neg_assign();
+                            self.slab.set(c, v);
+                        }
+                        GateOp::Sum(..) => assert!(
+                            self.slab.try_get(c).is_some(),
+                            "sum {c}'s host completed without storing it"
+                        ),
+                        _ => {
+                            self.ready.push(c);
+                            continue;
+                        }
                     }
+                    self.scheduled_ops += 1;
+                    stack.push(c);
                 }
             }
         }
@@ -702,11 +818,17 @@ impl CircuitFrontier {
             let task = match self.net.ops[id] {
                 GateOp::Binary(gate, a, b) => GateTask::Binary { gate, a, b },
                 GateOp::Mux { sel, a, b } => GateTask::Mux { sel, a, b },
-                GateOp::Ternary(gate, a, b, c) => GateTask::Ternary {
-                    gate,
-                    ops: [a, b, c],
+                GateOp::Ternary(gate, a, b, c) => match self.net.rider_of(id) {
+                    Some(sum) => GateTask::Cell {
+                        ops: [a, b, c],
+                        sum,
+                    },
+                    None => GateTask::Ternary {
+                        gate,
+                        ops: [a, b, c],
+                    },
                 },
-                GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) => {
+                GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => {
                     unreachable!("only bootstrapped ops enter the ready set")
                 }
             };
@@ -928,6 +1050,97 @@ mod tests {
         assert_eq!(skeleton[1], vec![0]);
         assert_eq!(skeleton[2], vec![1]); // mux's first bootstrap: sel=h(1), a=input
         assert_eq!(skeleton[3], vec![2, 1, 0]); // second: chained + sel + g
+    }
+
+    /// A two-bit adder as admission schedules it: a half-adder cell (its
+    /// carry-in the constant `false`), a full-adder cell, and a consumer of
+    /// the second sum through a free `NOT`.
+    fn cell_adder() -> (CircuitNetlist, [usize; 4]) {
+        let mut net = CircuitNetlist::new();
+        let [a0, b0, a1, b1] = [0; 4].map(|_| net.input());
+        let f = net.constant(false);
+        let c1 = net.ternary(Gate3::Maj, a0, b0, f);
+        let s0 = net.sum(a0, b0, f);
+        let c2 = net.ternary(Gate3::Maj, a1, b1, c1);
+        let s1 = net.sum(c1, a1, b1); // any operand order
+        let n = net.not(s1);
+        let g = net.gate(Gate::Xor, n, c2);
+        for out in [s0, s1, c2, g] {
+            net.mark_output(out);
+        }
+        (net, [c1, s0, c2, s1])
+    }
+
+    #[test]
+    fn sums_ride_on_their_hosts_waves_and_cost_nothing() {
+        let (net, [c1, s0, c2, s1]) = cell_adder();
+        assert_eq!((net.bootstraps(), net.depth()), (3, 3));
+        assert_eq!(net.waves(), vec![vec![c1], vec![c2], vec![net.len() - 1]]);
+        assert_eq!(net.levels()[s0], net.levels()[c1]);
+        assert_eq!(net.levels()[s1], net.levels()[c2]);
+        assert_eq!((net.host_of(s0), net.rider_of(c1)), (Some(c1), Some(s0)));
+        assert_eq!((net.host_of(s1), net.rider_of(c2)), (Some(c2), Some(s1)));
+        assert_eq!((net.host_of(c1), net.rider_of(s1)), (None, None));
+        // The XOR reads the sum through a NOT: it waits for the sum's host.
+        assert_eq!(net.schedule_skeleton(), vec![vec![], vec![0], vec![1, 1]]);
+    }
+
+    #[test]
+    fn cells_execute_and_match_sequential_bit_exactly() {
+        let (client, server, mut rng) = setup(125);
+        let (net, _) = cell_adder();
+        let pool = GateBatchPool::new(Arc::clone(&server), 2);
+        for bits in 0u8..16 {
+            let plain = [0, 1, 2, 3].map(|i| bits >> i & 1 == 1);
+            let inputs: Vec<LweCiphertext> = plain
+                .iter()
+                .map(|&bit| client.encrypt_with(bit, &mut rng))
+                .collect();
+            let scheduled = net.execute(&pool, &inputs);
+            let sequential = net.execute_sequential(server.as_ref(), &inputs);
+            assert_eq!(scheduled.outputs, sequential.outputs, "bits={bits:04b}");
+            assert_eq!((scheduled.waves, scheduled.bootstraps), (3, 3));
+            assert_eq!(scheduled.scheduled_ops, sequential.scheduled_ops);
+            let [a0, b0, a1, b1] = plain.map(u8::from);
+            let total = a0 + b0 + 2 * (a1 + b1);
+            let got: Vec<bool> = scheduled
+                .outputs
+                .iter()
+                .map(|o| client.decrypt(o))
+                .collect();
+            let (s1, c2) = (total >> 1 & 1 == 1, total >> 2 & 1 == 1);
+            assert_eq!(got, [total & 1 == 1, s1, c2, !s1 ^ c2], "bits={bits:04b}");
+        }
+    }
+
+    #[test]
+    fn a_sum_needs_a_free_host() {
+        let mut net = CircuitNetlist::new();
+        let [a, b, c] = [0; 3].map(|_| net.input());
+        let hostless = std::panic::catch_unwind(|| {
+            let mut net = CircuitNetlist::new();
+            let [a, b, c] = [0; 3].map(|_| net.input());
+            net.sum(a, b, c)
+        });
+        assert!(hostless.is_err(), "no majority to ride on");
+        let _parity = net.ternary(Gate3::Xor3, a, b, c);
+        let err =
+            CircuitNetlist::from_parts([net.ops(), &[GateOp::Sum(a, b, c)]].concat(), Vec::new());
+        assert!(
+            err.unwrap_err().contains("no majority"),
+            "an XOR3 is no host"
+        );
+        let host = net.ternary(Gate3::Maj, c, a, b);
+        let _duplicate = net.ternary(Gate3::Maj, a, b, c);
+        let sum = net.sum(b, c, a);
+        assert_eq!(net.host_of(sum), Some(host), "the first majority hosts");
+        let err =
+            CircuitNetlist::from_parts([net.ops(), &[GateOp::Sum(a, b, c)]].concat(), Vec::new());
+        assert!(err.unwrap_err().contains("already carries"));
+        // What from_parts accepts is what the builder built.
+        let rebuilt = CircuitNetlist::from_parts(net.ops().to_vec(), vec![sum]);
+        net.mark_output(sum);
+        assert_eq!(rebuilt, Ok(net));
     }
 
     #[test]

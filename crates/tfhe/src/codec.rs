@@ -388,6 +388,12 @@ impl Codec for CircuitNetlist {
                         write_u32(&mut w, operand as u32)?;
                     }
                 }
+                GateOp::Sum(a, b, c) => {
+                    w.write_all(&[6])?;
+                    for operand in [a, b, c] {
+                        write_u32(&mut w, operand as u32)?;
+                    }
+                }
             }
         }
         write_u32(&mut w, self.outputs().len() as u32)?;
@@ -440,6 +446,12 @@ impl Codec for CircuitNetlist {
                     let b = read_u32(&mut r)? as usize;
                     let c = read_u32(&mut r)? as usize;
                     GateOp::Ternary(gate, a, b, c)
+                }
+                6 => {
+                    let a = read_u32(&mut r)? as usize;
+                    let b = read_u32(&mut r)? as usize;
+                    let c = read_u32(&mut r)? as usize;
+                    GateOp::Sum(a, b, c)
                 }
                 t => return Err(bad(format!("unknown op tag {t}"))),
             };

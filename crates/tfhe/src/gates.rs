@@ -5,7 +5,9 @@
 //! computes the sign decision and resets the noise. `NOT` is a free
 //! negation; `MUX` composes two bootstraps and a key switch as in the TFHE
 //! reference library; the three-input [`Gate3`]s (majority and parity, a
-//! full adder's carry and sum) are one bootstrap each.
+//! full adder's carry and sum) are one bootstrap each — and one bootstrap
+//! together, as an adder *cell*: the sum is linear in what the carry's blind
+//! rotation already holds ([`LaneGate::Cell`]).
 
 use crate::bootstrap::BootstrapKit;
 use crate::lwe::LweCiphertext;
@@ -210,14 +212,72 @@ pub enum LaneGate<'a> {
         /// The operands (the gates are symmetric in them).
         ops: [&'a LweCiphertext; 3],
     },
+    /// An adder cell: the majority of the operands and, riding on the same
+    /// blind rotation, their parity — one bootstrap, one lane, **two**
+    /// outputs (carry, then sum).
+    ///
+    /// With `L = a + b + c` the majority's linear part and `c′ = sign(L)/8`
+    /// its bootstrapped value, `L − 2c′` is the encoding of `a ⊕ b ⊕ c`
+    /// (`±3/8 ∓ 2/8`, `±1/8 ∓ 2/8`). The rotated all-`(−μ)` test vector
+    /// holds `sign(L)·μ` at *every* coefficient, so the `2c′` is
+    /// coefficients 1 and 2 of the accumulator, extracted and added: two
+    /// blind-rotation noises where doubling the key-switched carry would
+    /// carry four of everything. The carry is coefficient 0, bit for bit
+    /// the [`Gate3::Maj`] output; the sum is the kept linear part minus the
+    /// key-switched twin, so it carries its operands' noise — it is *not*
+    /// a noise reset ([`NoiseModel::sum_variance`](crate::NoiseModel::sum_variance)).
+    /// A half adder is the cell whose third operand is a trivial `false`.
+    Cell {
+        /// The operands (the cell is symmetric in them).
+        ops: [&'a LweCiphertext; 3],
+    },
 }
 
 impl LaneGate<'_> {
     /// Blind rotations the gate runs, i.e. lanes it occupies in a wave.
     pub fn lanes(&self) -> usize {
+        self.staged().lanes()
+    }
+
+    /// Ciphertexts the gate writes: one, or a cell's two.
+    pub fn outputs(&self) -> usize {
+        self.staged().outputs()
+    }
+
+    pub(crate) fn staged(&self) -> Staged {
         match self {
-            LaneGate::Binary { .. } | LaneGate::Ternary { .. } => 1,
-            LaneGate::Mux { .. } => 2,
+            LaneGate::Binary { .. } | LaneGate::Ternary { .. } => Staged::Gate,
+            LaneGate::Mux { .. } => Staged::Mux,
+            LaneGate::Cell { .. } => Staged::Cell,
+        }
+    }
+}
+
+/// What a staged gate holds of its wave: how [`ServerKey::finish_lanes`]
+/// reads its lanes back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Staged {
+    /// One lane, one output: coefficient 0.
+    Gate,
+    /// Two lanes, one output: both coefficient 0s and `1/8`.
+    Mux,
+    /// One lane, two outputs: coefficient 0, and coefficients 1 + 2 taken
+    /// off the kept linear part.
+    Cell,
+}
+
+impl Staged {
+    pub(crate) fn lanes(self) -> usize {
+        match self {
+            Staged::Gate | Staged::Cell => 1,
+            Staged::Mux => 2,
+        }
+    }
+
+    pub(crate) fn outputs(self) -> usize {
+        match self {
+            Staged::Gate | Staged::Mux => 1,
+            Staged::Cell => 2,
         }
     }
 }
@@ -417,30 +477,36 @@ impl<E: FftEngine> ServerKey<E> {
     /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)).
     /// Each gate's arithmetic is what a one-gate call does for it alone,
     /// so every output is bit-identical to that call's; a warmed call
-    /// allocates nothing.
+    /// allocates nothing. Outputs are in gate order, a [`LaneGate::Cell`]'s
+    /// carry then its sum.
     ///
     /// # Panics
     ///
-    /// Panics if `outs` is not one output per gate, or on a mismatched
-    /// operand dimension.
+    /// Panics if `outs` is not [`LaneGate::outputs`] entries per gate, or
+    /// on a mismatched operand dimension.
     pub fn apply_lanes_into(
         &self,
         gates: &[LaneGate<'_>],
         outs: &mut [LweCiphertext],
         scratch: &mut BootstrapScratch<E>,
     ) {
-        assert_eq!(gates.len(), outs.len(), "one output per gate");
+        let outputs = |gates: &[LaneGate<'_>]| gates.iter().map(LaneGate::outputs).sum::<usize>();
+        assert_eq!(
+            outputs(gates),
+            outs.len(),
+            "one output per gate, two per cell"
+        );
         let (mut gates, mut outs) = (gates, outs);
         while !gates.is_empty() {
             let take = lane_prefix(gates.iter().map(LaneGate::lanes), MAX_LANES);
             let (wave, rest) = gates.split_at(take);
-            let (wave_outs, rest_outs) = outs.split_at_mut(take);
+            let (wave_outs, rest_outs) = outs.split_at_mut(outputs(wave));
             let mut lane = 0;
             for gate in wave {
                 self.stage_lanes(gate, lane, scratch);
                 lane += gate.lanes();
             }
-            self.finish_lanes(wave.iter().map(LaneGate::lanes), wave_outs, scratch);
+            self.finish_lanes(wave.iter().map(LaneGate::staged), wave_outs, scratch);
             (gates, outs) = (rest, rest_outs);
         }
     }
@@ -475,43 +541,83 @@ impl<E: FftEngine> ServerKey<E> {
                 self.linear_part3_into(gate, ops, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
             }
+            // The majority's lane, and its linear part kept for the sum.
+            LaneGate::Cell { ops } => {
+                self.linear_part3_into(Gate3::Maj, ops, &mut lin);
+                self.kit.stage_lane(&lin, lane, scratch);
+                if scratch.cell_lin.len() <= lane {
+                    scratch
+                        .cell_lin
+                        .resize_with(lane + 1, LweCiphertext::default);
+                }
+                scratch.cell_lin[lane].copy_from(&lin);
+            }
         }
         scratch.lin = lin;
     }
 
     /// The shared half of a wave: blind-rotates the staged lanes in one
-    /// pass over the key, extracts one sample per gate (`widths` gives
-    /// each staged gate's lane count, in lane order) and key-switches them
-    /// together into `outs`.
+    /// pass over the key, extracts one sample per output (`staged` says how
+    /// each staged gate reads its lanes, in lane order), key-switches them
+    /// together into `outs` and takes each cell's switched twin off its
+    /// linear part.
     pub(crate) fn finish_lanes(
         &self,
-        widths: impl Iterator<Item = usize> + Clone,
+        staged: impl Iterator<Item = Staged> + Clone,
         outs: &mut [LweCiphertext],
         scratch: &mut BootstrapScratch<E>,
     ) {
-        let lanes = widths.clone().sum();
+        let lanes = staged.clone().map(Staged::lanes).sum();
         self.kit.blind_rotate_lanes(&self.engine, lanes, scratch);
+        scratch.reserve_extracted(outs.len());
         let BootstrapScratch {
-            lanes: staged,
+            lanes: rotated,
             extracted,
             extracted2,
+            cell_lin,
             ..
         } = scratch;
         let extracted = &mut extracted[..outs.len()];
         profile::timed(Phase::Other, || {
-            let mut lane = 0;
-            for (u1, width) in extracted.iter_mut().zip(widths) {
-                staged[lane].acc.sample_extract_into(u1);
-                if width == 2 {
-                    // sel ? a : b = u1 + u2 + (0, 1/8).
-                    staged[lane + 1].acc.sample_extract_into(extracted2);
-                    u1.add_assign(extracted2);
-                    u1.add_body(EIGHTH);
+            let (mut lane, mut out) = (0, 0);
+            for gate in staged.clone() {
+                let acc = &rotated[lane].acc;
+                acc.sample_extract_into(&mut extracted[out]);
+                match gate {
+                    Staged::Gate => {}
+                    Staged::Mux => {
+                        // sel ? a : b = u1 + u2 + (0, 1/8).
+                        rotated[lane + 1].acc.sample_extract_into(extracted2);
+                        extracted[out].add_assign(extracted2);
+                        extracted[out].add_body(EIGHTH);
+                    }
+                    Staged::Cell => {
+                        // Twice the carry, from two coefficients the carry
+                        // did not use: the rotated test vector is constant.
+                        let twin = &mut extracted[out + 1];
+                        acc.sample_extract_at_into(1, twin);
+                        acc.sample_extract_at_into(2, extracted2);
+                        twin.add_assign(extracted2);
+                    }
                 }
-                lane += width;
+                lane += gate.lanes();
+                out += gate.outputs();
             }
         });
         self.kit.key_switch_key().switch_slice_into(extracted, outs);
+        profile::timed(Phase::Other, || {
+            let (mut lane, mut out) = (0, 0);
+            for gate in staged {
+                if gate == Staged::Cell {
+                    // sum = (a + b + c) − 2·carry.
+                    let sum = &mut outs[out + 1];
+                    sum.neg_assign();
+                    sum.add_assign(&cell_lin[lane]);
+                }
+                lane += gate.lanes();
+                out += gate.outputs();
+            }
+        });
     }
 
     /// Applies a three-input gate in one bootstrap.
@@ -540,6 +646,32 @@ impl<E: FftEngine> ServerKey<E> {
     ) {
         let gates = [LaneGate::Ternary { gate, ops }];
         self.apply_lanes_into(&gates, std::slice::from_mut(out), scratch);
+    }
+
+    /// An adder cell in one bootstrap: `[carry, sum]` of `a + b + c`
+    /// ([`LaneGate::Cell`]). [`ServerKey::cell_into`] through a scratch
+    /// built for the call.
+    pub fn cell(
+        &self,
+        a: &LweCiphertext,
+        b: &LweCiphertext,
+        c: &LweCiphertext,
+    ) -> [LweCiphertext; 2] {
+        let mut outs = [LweCiphertext::default(), LweCiphertext::default()];
+        self.cell_into([a, b, c], &mut outs, &mut self.make_scratch());
+        outs
+    }
+
+    /// [`ServerKey::cell`] into caller-owned outputs through the scratch,
+    /// allocation-free once warmed. The one-gate call of
+    /// [`ServerKey::apply_lanes_into`].
+    pub fn cell_into(
+        &self,
+        ops: [&LweCiphertext; 3],
+        outs: &mut [LweCiphertext; 2],
+        scratch: &mut BootstrapScratch<E>,
+    ) {
+        self.apply_lanes_into(&[LaneGate::Cell { ops }], outs, scratch);
     }
 
     /// Logical AND.
@@ -723,6 +855,55 @@ mod tests {
     #[test]
     fn ternary_gates_match_truth_tables_approx38_m3() {
         check_gate3_rows(ApproxIntFft::new(256, 38), 3, 1004);
+    }
+
+    /// Every row of the adder cell under every polarity of the operands,
+    /// carry and sum both, and the carry bit for bit the `MAJ3` gate's.
+    fn check_cell_rows<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+        let server = ServerKey::with_unrolling(&client, engine, unroll, &mut rng);
+        let mut scratch = server.make_scratch();
+        let mut outs = [LweCiphertext::default(), LweCiphertext::default()];
+        let mut majority = LweCiphertext::default();
+        for row in 0..8u8 {
+            let bits = [0, 1, 2].map(|i| row >> i & 1 == 1);
+            let plain = bits.map(|b| client.encrypt_with(b, &mut rng));
+            let negated = [0, 1, 2].map(|i| server.not(&plain[i]));
+            for polarity in 0..8u8 {
+                let flipped = [0, 1, 2].map(|i| polarity >> i & 1 == 1);
+                let ops = [0, 1, 2].map(|i| if flipped[i] { &negated[i] } else { &plain[i] });
+                let [a, b, c] = [0, 1, 2].map(|i| bits[i] ^ flipped[i]);
+                server.cell_into(ops, &mut outs, &mut scratch);
+                let [carry, sum] = outs.each_ref().map(|out| client.decrypt(out));
+                assert_eq!(carry, Gate3::Maj.eval(a, b, c), "carry({a}, {b}, {c})");
+                assert_eq!(sum, Gate3::Xor3.eval(a, b, c), "sum({a}, {b}, {c})");
+                server.apply3_into(Gate3::Maj, ops, &mut majority, &mut scratch);
+                assert_eq!(outs[0], majority, "the carry is the MAJ3 gate's output");
+            }
+        }
+        // A half adder is the cell with a constant-false carry-in.
+        let no_carry = server.trivial(false);
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+            let [ca, cb] = [a, b].map(|bit| client.encrypt_with(bit, &mut rng));
+            let [carry, sum] = server.cell(&ca, &cb, &no_carry);
+            assert_eq!(
+                carry,
+                server.and(&ca, &cb),
+                "MAJ(a, b, 0) is AND, bit for bit"
+            );
+            assert_eq!(client.decrypt(&sum), a ^ b, "{a} ^ {b}");
+        }
+    }
+
+    #[test]
+    fn cell_matches_truth_tables_f64_m2() {
+        check_cell_rows(F64Fft::new(256), 2, 1005);
+    }
+
+    #[test]
+    fn cell_matches_truth_tables_approx38_m3() {
+        check_cell_rows(ApproxIntFft::new(256, 38), 3, 1006);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub mod tlwe;
 
 pub use analyze::equiv::{Counterexample, EquivBudget, EquivReport, Spec, Verdict};
 pub use analyze::{
-    analyze, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind, NetlistReport, NoiseModel,
-    NoiseReport, OutputNoise, Severity, SimplifyReport,
+    analyze, demote_sums, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind,
+    NetlistReport, NoiseModel, NoiseReport, OutputNoise, Severity, SimplifyReport,
 };
 pub use batch::{DispatchResult, GateBatchPool, GateTask, SlabTask, ValueSlab};
 pub use bku::UnrolledBootstrappingKey;

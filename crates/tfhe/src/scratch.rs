@@ -96,14 +96,19 @@ pub struct BootstrapScratch<E: FftEngine> {
     pub(crate) lanes: Vec<Lane>,
     /// Test-vector buffer (set by the caller before blind rotation).
     pub(crate) testv: TorusPolynomial,
-    /// Sample-extraction outputs (dimension `N`), one per gate of a wave:
-    /// the inputs of the batched key switch. Grown like `lanes`.
+    /// Sample-extraction outputs (dimension `N`), one per output of a
+    /// wave: the inputs of the batched key switch. Grown like `lanes`, and
+    /// by one more per adder cell (two outputs from one lane).
     pub(crate) extracted: Vec<LweCiphertext>,
     /// Extraction buffer for the second bootstrap of a mux, added into the
     /// first one's entry of `extracted`.
     pub(crate) extracted2: LweCiphertext,
     /// Gate linear-part buffer (dimension `n`).
     pub(crate) lin: LweCiphertext,
+    /// The linear parts adder cells keep past staging, by lane: a cell's
+    /// sum is its linear part minus what the rotation gives back. Grown on
+    /// a cell's first use of a lane; other gates never touch it.
+    pub(crate) cell_lin: Vec<LweCiphertext>,
 }
 
 impl<E: FftEngine> BootstrapScratch<E> {
@@ -125,6 +130,7 @@ impl<E: FftEngine> BootstrapScratch<E> {
             extracted: Vec::new(),
             extracted2: LweCiphertext::trivial(Torus32::ZERO, n),
             lin: LweCiphertext::trivial(Torus32::ZERO, params.lwe_dimension),
+            cell_lin: Vec::new(),
         };
         scratch.reserve_lanes(1);
         scratch
@@ -140,6 +146,13 @@ impl<E: FftEngine> BootstrapScratch<E> {
                 exponents: Vec::new(),
             });
         }
+        self.reserve_extracted(count);
+    }
+
+    /// Makes sure extraction buffers `0..count` exist (a wave with adder
+    /// cells extracts more samples than it has lanes).
+    pub(crate) fn reserve_extracted(&mut self, count: usize) {
+        let n = self.testv.len();
         while self.extracted.len() < count {
             self.extracted
                 .push(LweCiphertext::trivial(Torus32::ZERO, n));

@@ -60,7 +60,7 @@
 use crate::analyze::equiv::{self, Counterexample, Verdict};
 use crate::analyze::{self, AnalysisPolicy, LintKind, SimplifyReport};
 use crate::batch::{panic_message, GateBatchPool, SlabTask};
-use crate::circuit::{CircuitFrontier, CircuitNetlist, CircuitRun};
+use crate::circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};
 use crate::faults::FaultPlan;
 use crate::gates::ServerKey;
 use crate::lwe::LweCiphertext;
@@ -113,15 +113,17 @@ impl Default for ServerConfig {
 
 /// A netlist rewrite pass the scheduler may substitute for a submission
 /// at admission, returning the rewritten netlist and what it changed.
-/// The default pass is [`analyze::simplify`], three-input gate fusion
+/// The default pass is [`analyze::simplify`], gate fusion and riding sums
 /// included; the point of the type is that **any** pass plugged in here is
 /// automatically subject to the [`AnalysisPolicy::require_equivalence`]
 /// BDD proof and to the policy's noise budget: the server only schedules a
 /// rewrite it has proven function-identical to the submission and
-/// certified within [`AnalysisPolicy::max_failure_prob`]; an unproven one
-/// is either rejected (strict policies) or ignored in favor of the
-/// submitted netlist, and one over budget is ignored and counted
-/// ([`SchedulerStats::rewrites_refused`]).
+/// certified within [`AnalysisPolicy::max_failure_prob`] *as it runs*; an
+/// unproven one is either rejected (strict policies) or ignored in favor
+/// of the submitted netlist, and one over budget steps down a ladder, each
+/// step counted: its sums back on bootstraps of their own
+/// ([`analyze::demote_sums`], [`SchedulerStats::sums_demoted`]), then the
+/// submission ([`SchedulerStats::rewrites_refused`]).
 pub type RewritePass = fn(&CircuitNetlist) -> (CircuitNetlist, SimplifyReport);
 
 /// Why a circuit was turned away without running.
@@ -317,6 +319,7 @@ struct StatsCells {
     cancelled: AtomicU64,
     restarts: AtomicU64,
     rewrites_refused: AtomicU64,
+    sums_demoted: AtomicU64,
     per_client: Mutex<BTreeMap<u64, ClientTally>>,
 }
 
@@ -378,8 +381,14 @@ pub struct SchedulerStats {
     /// isolation (mirrors [`GateBatchPool::restarts`]).
     pub restarts: u64,
     /// Circuits whose rewrite was proven equivalent but missed
-    /// [`AnalysisPolicy::max_failure_prob`], and ran as submitted.
+    /// [`AnalysisPolicy::max_failure_prob`] even with its sums demoted,
+    /// and ran as submitted.
     pub rewrites_refused: u64,
+    /// Circuits whose rewrite missed [`AnalysisPolicy::max_failure_prob`]
+    /// with its sums riding and was certified again with each on a
+    /// bootstrap of its own ([`analyze::demote_sums`]) — whether that form
+    /// then ran or was refused too.
+    pub sums_demoted: u64,
     /// Per-client completed/rejected tallies, ascending by client id.
     pub per_client: Vec<(u64, ClientTally)>,
 }
@@ -435,6 +444,7 @@ impl SchedulerStats {
             rewrites_refused: self
                 .rewrites_refused
                 .saturating_sub(earlier.rewrites_refused),
+            sums_demoted: self.sums_demoted.saturating_sub(earlier.sums_demoted),
             per_client,
         }
     }
@@ -565,19 +575,34 @@ fn admit<E>(
         // output only under a BDD proof that it computes the submitted
         // function, and only if it too is inside the noise budget — a
         // rewrite may trade noise resets for bootstraps (a fused
-        // three-input gate decides on three operands' noise), so the
-        // certificate above does not carry over. A refuted rewrite is
-        // rejected with the distinguishing input; one over budget, or
-        // unprovable (`EquivUnknown`, fatal under a strict `deny`), leaves
-        // the submission to run unrewritten.
+        // three-input gate decides on three operands' noise, a riding sum
+        // keeps its operands'), so the certificate above does not carry
+        // over. A refuted rewrite is rejected with the distinguishing
+        // input; one over budget steps down — its sums demoted to gates
+        // (the same functions node for node, so the proof stands), then the
+        // submission — and an unprovable one (`EquivUnknown`, fatal under a
+        // strict `deny`) leaves the submission to run unrewritten.
         if let Some(budget) = policy.require_equivalence {
             let (rewritten, _) = rewrite(&netlist);
             match equiv::check(&netlist, &rewritten, budget).verdict {
                 Verdict::Equivalent => {
-                    if certify(&rewritten).max_failure_prob() <= policy.max_failure_prob {
+                    let within = |net: &CircuitNetlist| {
+                        certify(net).max_failure_prob() <= policy.max_failure_prob
+                    };
+                    if within(&rewritten) {
                         netlist = rewritten;
                     } else {
-                        stats.rewrites_refused.fetch_add(1, Ordering::Relaxed);
+                        let riders = |op: &GateOp| matches!(op, GateOp::Sum(..));
+                        let demoted = rewritten.ops().iter().any(riders).then(|| {
+                            stats.sums_demoted.fetch_add(1, Ordering::Relaxed);
+                            analyze::demote_sums(&rewritten)
+                        });
+                        match demoted.filter(within) {
+                            Some(demoted) => netlist = demoted,
+                            None => {
+                                stats.rewrites_refused.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
                     }
                 }
                 Verdict::NotEquivalent {
@@ -982,6 +1007,7 @@ impl CircuitServer {
             cancelled: self.stats.cancelled.load(Ordering::Relaxed),
             restarts: self.stats.restarts.load(Ordering::Relaxed),
             rewrites_refused: self.stats.rewrites_refused.load(Ordering::Relaxed),
+            sums_demoted: self.stats.sums_demoted.load(Ordering::Relaxed),
             per_client: self
                 .stats
                 .per_client
@@ -1728,6 +1754,7 @@ mod tests {
             cancelled: 1,
             restarts: 1,
             rewrites_refused: 1,
+            sums_demoted: 2,
             per_client: vec![(
                 0,
                 ClientTally {
@@ -1748,6 +1775,7 @@ mod tests {
             cancelled: 0,
             restarts: 0,
             rewrites_refused: 0,
+            sums_demoted: 1,
             per_client: vec![(
                 0,
                 ClientTally {
@@ -1774,6 +1802,7 @@ mod tests {
         assert_eq!(reversed.cancelled, 0);
         assert_eq!(reversed.restarts, 0);
         assert_eq!(reversed.rewrites_refused, 0);
+        assert_eq!((delta.sums_demoted, reversed.sums_demoted), (1, 0));
         assert_eq!(reversed.per_client[0].1, ClientTally::default());
     }
 
@@ -1997,7 +2026,8 @@ mod tests {
     fn rewrite_over_the_noise_budget_is_refused_and_the_submission_runs() {
         // One cell of a multiplier: a full adder over three products. As
         // submitted every decision reads two bootstrapped operands; fused,
-        // its XOR3 and MAJ read three, and the failure bound is larger.
+        // its XOR3 and MAJ read three, and the failure bound is larger;
+        // riding, its sum leaves with all three's noise, and larger still.
         let mut net = CircuitNetlist::new();
         let ins: Vec<usize> = (0..6).map(|_| net.input()).collect();
         let [x, y, z] = [0, 2, 4].map(|i| net.gate(Gate::And, ins[i], ins[i + 1]));
@@ -2018,17 +2048,24 @@ mod tests {
         let client = ClientKey::generate(params, &mut rng);
         let key = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let bound = |n: &CircuitNetlist| analyze::analyze(n, &params, 1).max_failure_prob();
-        let (fused, _) = analyze::simplify(&net);
-        let (as_submitted, as_fused) = (bound(&net), bound(&fused));
+        let (riding, _) = analyze::simplify(&net);
+        let fused = analyze::demote_sums(&riding);
+        let (as_submitted, as_fused, as_riding) = (bound(&net), bound(&fused), bound(&riding));
         assert!(as_submitted > 0.0 && as_submitted * 1e3 < as_fused);
-        assert_eq!((net.bootstraps(), fused.bootstraps()), (8, 5));
+        assert!(as_fused * 1e3 < as_riding && as_riding < crate::analyze::DEFAULT_FAILURE_BUDGET);
+        let ran = [net.bootstraps(), fused.bootstraps(), riding.bootstraps()];
+        assert_eq!(ran, [8, 5, 4]);
 
-        // (budget, bootstraps that ran, rewrites refused): a budget between
-        // the two bounds keeps the submission; the default takes the
-        // rewrite.
+        // The ladder, one rung a budget — (budget, bootstraps that ran, sums
+        // demoted, rewrites refused): below the fused netlist's bound the
+        // submission runs, between it and the riding one's the sum is back
+        // on a bootstrap of its own, and the default takes the cell.
         let tight = (as_submitted * as_fused).sqrt();
+        let middle = (as_fused * as_riding).sqrt();
         let loose = crate::analyze::DEFAULT_FAILURE_BUDGET;
-        for (budget, ran, refused) in [(tight, 8, 1), (loose, 5, 0)] {
+        for (budget, ran, demoted, refused) in
+            [(tight, 8, 1, 1), (middle, 5, 1, 0), (loose, 4, 0, 0)]
+        {
             let config = ServerConfig {
                 analysis: Some(AnalysisPolicy {
                     max_failure_prob: budget,
@@ -2045,14 +2082,18 @@ mod tests {
                     .submit(net.clone(), encrypt_bits(&client, &bits, &mut rng))
                     .wait()
                     .completed()
-                    .expect("either netlist is inside its budget");
+                    .expect("every rung is inside its budget");
                 assert_eq!(run.bootstraps, ran, "budget {budget:e}");
                 let ones = (0..3).filter(|i| bits[2 * i] && bits[2 * i + 1]).count();
                 assert_eq!(client.decrypt(&run.outputs[0]), ones % 2 == 1);
                 assert_eq!(client.decrypt(&run.outputs[1]), ones >= 2);
             }
             let stats = server.stats();
-            assert_eq!((stats.completed, stats.rewrites_refused), (3, 3 * refused));
+            assert_eq!(
+                (stats.completed, stats.sums_demoted, stats.rewrites_refused),
+                (3, 3 * demoted, 3 * refused),
+                "budget {budget:e}"
+            );
             server.shutdown();
         }
     }

@@ -13,8 +13,8 @@
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::session::{OutcomeFrame, SessionOutcome};
 use matcha_tfhe::{
-    CircuitNetlist, Codec, Counterexample, Gate, Gate3, LweCiphertext, LweSecretKey, ParameterSet,
-    RejectReason, RingSecretKey, TrlweCiphertext,
+    CircuitNetlist, Codec, Counterexample, Gate, Gate3, GateOp, LweCiphertext, LweSecretKey,
+    ParameterSet, RejectReason, RingSecretKey, TrlweCiphertext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,37 +68,47 @@ fn arb_trlwe(rng: &mut StdRng, degree: usize) -> TrlweCiphertext {
 }
 
 /// A random but well-formed netlist: `nodes` extra nodes over one seed
-/// input, every operand drawn from the ids built so far, final node (plus
-/// one mid node) marked as outputs.
+/// input, every operand drawn from the ids built so far — every seventh
+/// draw a `Sum` on the latest majority that carries none, where there is
+/// one — final node (plus one mid node) marked as outputs.
 fn arb_netlist(rng: &mut StdRng, nodes: usize) -> CircuitNetlist {
     let mut net = CircuitNetlist::new();
     let mut ids = vec![net.input()];
     for _ in 0..nodes {
-        let id = match rng.gen::<u64>() % 6 {
-            0 => net.input(),
-            1 => net.constant(rng.gen_bool(0.5)),
-            2 => {
-                let g = Gate::ALL[pick(rng, Gate::ALL.len())];
-                let (a, b) = (ids[pick(rng, ids.len())], ids[pick(rng, ids.len())]);
-                net.gate(g, a, b)
+        let free_host = net.ops().iter().rev().find_map(|op| match *op {
+            GateOp::Ternary(Gate3::Maj, a, b, c) if net.free_host([a, b, c]).is_ok() => {
+                Some([a, b, c])
             }
-            3 => {
-                let a = ids[pick(rng, ids.len())];
-                net.not(a)
-            }
-            4 => {
-                let g = Gate3::ALL[pick(rng, Gate3::ALL.len())];
-                let [a, b, c] = [0; 3].map(|_| ids[pick(rng, ids.len())]);
-                net.ternary(g, a, b, c)
-            }
-            _ => {
-                let (s, a, b) = (
-                    ids[pick(rng, ids.len())],
-                    ids[pick(rng, ids.len())],
-                    ids[pick(rng, ids.len())],
-                );
-                net.mux(s, a, b)
-            }
+            _ => None,
+        });
+        let id = match (rng.gen::<u64>() % 7, free_host) {
+            (6, Some([a, b, c])) => net.sum(a, b, c),
+            (draw, _) => match draw % 6 {
+                0 => net.input(),
+                1 => net.constant(rng.gen_bool(0.5)),
+                2 => {
+                    let g = Gate::ALL[pick(rng, Gate::ALL.len())];
+                    let (a, b) = (ids[pick(rng, ids.len())], ids[pick(rng, ids.len())]);
+                    net.gate(g, a, b)
+                }
+                3 => {
+                    let a = ids[pick(rng, ids.len())];
+                    net.not(a)
+                }
+                4 => {
+                    let g = Gate3::ALL[pick(rng, Gate3::ALL.len())];
+                    let [a, b, c] = [0; 3].map(|_| ids[pick(rng, ids.len())]);
+                    net.ternary(g, a, b, c)
+                }
+                _ => {
+                    let (s, a, b) = (
+                        ids[pick(rng, ids.len())],
+                        ids[pick(rng, ids.len())],
+                        ids[pick(rng, ids.len())],
+                    );
+                    net.mux(s, a, b)
+                }
+            },
         };
         ids.push(id);
     }
@@ -280,4 +290,46 @@ fn exhaustive_single_bit_flips_on_small_messages() {
 #[test]
 fn trivial_lwe_roundtrips() {
     assert_roundtrip(&LweCiphertext::trivial(Torus32::from_dyadic(1, 3), 16));
+}
+
+/// A riding sum is one more op tag, and a frame whose sum has no majority
+/// to ride on — or whose majority already carries one — is malformed
+/// input, refused as `InvalidData` like any other, never a panic.
+#[test]
+fn sums_roundtrip_and_a_sum_without_its_host_is_invalid_data() {
+    let mut net = CircuitNetlist::new();
+    let [a, b, c] = [0; 3].map(|_| net.input());
+    let carry = net.ternary(Gate3::Maj, a, b, c);
+    let sum = net.sum(c, a, b);
+    net.mark_output(sum);
+    net.mark_output(carry);
+    assert_roundtrip(&net);
+    let bytes = net.to_bytes();
+    let decoded = CircuitNetlist::from_bytes(&bytes).expect("a valid frame");
+    assert_eq!(
+        (decoded.host_of(sum), decoded.rider_of(carry)),
+        (Some(carry), Some(sum))
+    );
+
+    // The same frame with the majority's gate code flipped to XOR3.
+    let mut majority = vec![5, Gate3::Maj.desc().code];
+    for operand in [a, b, c] {
+        majority.extend((operand as u32).to_le_bytes());
+    }
+    let code = bytes
+        .windows(majority.len())
+        .position(|w| w == majority)
+        .expect("the majority's op on the wire")
+        + 1;
+    let mut hostless = bytes.clone();
+    hostless[code] = Gate3::Xor3.desc().code;
+    let err = CircuitNetlist::from_bytes(&hostless).expect_err("the sum lost its host");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("no majority"), "{err}");
+
+    // And with a second sum appended on the same majority.
+    let mut ops = net.ops().to_vec();
+    ops.push(GateOp::Sum(a, b, c));
+    let doubled = CircuitNetlist::from_parts(ops, vec![sum]);
+    assert!(doubled.unwrap_err().contains("already carries"));
 }

@@ -1,9 +1,10 @@
 //! A wave is its gates, one at a time: carrying B bootstraps through each
 //! key group together and key-switching them coefficient-major must give,
-//! for every gate, the bits `apply_into` / `mux_into` / `apply3_into` give
-//! it alone — whatever B is against the lane cap, whichever engine and
-//! unroll factor, however a dispatch mixes task kinds and slabs, on one
-//! worker or two.
+//! for every gate, the bits `apply_into` / `mux_into` / `apply3_into` /
+//! `cell_into` give it alone — an adder cell's carry *and* sum, the carry
+//! being the `MAJ3` gate's — whatever B is against the lane cap, whichever
+//! engine and unroll factor, however a dispatch mixes task kinds and slabs,
+//! on one worker or two.
 
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 use matcha_math::{Torus32, TorusSampler};
@@ -25,11 +26,17 @@ const SLABS: usize = 3;
 
 /// Task `i` of a batch: every gate of `Gate::ALL` in turn, every fourth
 /// task a mux, every fifth a three-input gate, every seventh a free
-/// negation, operands walking the slab's inputs.
-fn task(i: usize) -> GateTask {
+/// negation, every ninth an adder cell (its sum stored at `sum`), operands
+/// walking the slab's inputs.
+fn task(i: usize, sum: usize) -> GateTask {
     let (a, b, sel) = (i % INPUTS, (i / 2 + 1) % INPUTS, (i + 2) % INPUTS);
     if i % 7 == 5 {
         GateTask::Not { a }
+    } else if i % 9 == 2 {
+        GateTask::Cell {
+            ops: [a, sel, b],
+            sum,
+        }
     } else if i % 4 == 3 {
         GateTask::Mux { sel, a, b }
     } else if i % 5 == 1 {
@@ -47,12 +54,14 @@ fn task(i: usize) -> GateTask {
 }
 
 /// `count` tasks dealt round-robin over `SLABS` fresh slabs holding
-/// `inputs`; task `i` writes node `INPUTS + i / SLABS` of slab `i % SLABS`.
+/// `inputs`; task `i` writes node `INPUTS + i / SLABS` of slab `i % SLABS`,
+/// and a cell its sum as far again past the slab's last task.
 fn deal(inputs: &[Vec<LweCiphertext>], count: usize) -> Vec<SlabTask> {
+    let per_slab = count.div_ceil(SLABS);
     let slabs: Vec<Arc<ValueSlab>> = inputs
         .iter()
         .map(|values| {
-            let slab = ValueSlab::new(INPUTS + count.div_ceil(SLABS));
+            let slab = ValueSlab::new(INPUTS + 2 * per_slab);
             for (slot, v) in values.iter().enumerate() {
                 slab.set(slot, v.clone());
             }
@@ -63,8 +72,21 @@ fn deal(inputs: &[Vec<LweCiphertext>], count: usize) -> Vec<SlabTask> {
         .map(|i| SlabTask {
             slab: Arc::clone(&slabs[i % SLABS]),
             node: INPUTS + i / SLABS,
-            task: task(i),
+            task: task(i, INPUTS + per_slab + i / SLABS),
         })
+        .collect()
+}
+
+/// Where a dispatched task left its results: its node, and a cell's sum.
+fn stored(st: &SlabTask) -> Vec<&LweCiphertext> {
+    let sum = match st.task {
+        GateTask::Cell { sum, .. } => Some(sum),
+        _ => None,
+    };
+    [Some(st.node), sum]
+        .into_iter()
+        .flatten()
+        .map(|node| st.slab.get(node))
         .collect()
 }
 
@@ -99,13 +121,19 @@ where
         // One at a time, through a scratch that never sees a second lane
         // (but for the mux's own two).
         let reference = deal(&inputs, count);
-        let alone: Vec<LweCiphertext> = reference
+        let alone: Vec<Vec<LweCiphertext>> = reference
             .iter()
             .map(|st| {
-                let mut out = LweCiphertext::default();
+                let mut outs = vec![LweCiphertext::default(); st.task.outputs()];
                 st.task
-                    .apply_into(&server, &st.slab, &mut out, &mut scratch);
-                out
+                    .apply_into(&server, &st.slab, &mut outs, &mut scratch);
+                if let GateTask::Cell { ops, .. } = st.task {
+                    let mut majority = LweCiphertext::default();
+                    let ops = ops.map(|node| st.slab.get(node));
+                    server.apply3_into(Gate3::Maj, ops, &mut majority, &mut scratch);
+                    assert_eq!(outs[0], majority, "a cell's carry is the MAJ3 gate's");
+                }
+                outs
             })
             .collect();
 
@@ -116,8 +144,8 @@ where
             assert!(dispatch.failures.is_empty(), "{:?}", dispatch.failures);
             for (i, (st, want)) in batch.iter().zip(&alone).enumerate() {
                 assert_eq!(
-                    st.slab.get(st.node),
-                    want,
+                    stored(st),
+                    want.iter().collect::<Vec<_>>(),
                     "unroll={unroll} count={count} threads={} task {i} ({:?})",
                     pool.threads(),
                     st.task
@@ -126,7 +154,7 @@ where
         }
 
         // The batched entry itself, on the bootstrapped tasks.
-        let (gates, wanted): (Vec<LaneGate<'_>>, Vec<&LweCiphertext>) = reference
+        let (gates, wanted): (Vec<LaneGate<'_>>, Vec<&Vec<LweCiphertext>>) = reference
             .iter()
             .zip(&alone)
             .filter_map(|(st, want)| {
@@ -146,15 +174,17 @@ where
                         gate,
                         ops: ops.map(v),
                     },
+                    GateTask::Cell { ops, .. } => LaneGate::Cell { ops: ops.map(v) },
                     GateTask::Not { .. } => return None,
                 };
                 Some((gate, want))
             })
             .unzip();
-        let mut outs = vec![LweCiphertext::default(); gates.len()];
+        let wanted: Vec<&LweCiphertext> = wanted.into_iter().flatten().collect();
+        let mut outs = vec![LweCiphertext::default(); wanted.len()];
         server.apply_lanes_into(&gates, &mut outs, &mut wave_scratch);
         for (i, (out, want)) in outs.iter().zip(wanted).enumerate() {
-            assert_eq!(out, want, "unroll={unroll} count={count} gate {i}");
+            assert_eq!(out, want, "unroll={unroll} count={count} output {i}");
         }
     }
     // The waves computed the right thing, not just the same thing.
@@ -173,6 +203,11 @@ where
                 }
             }
             GateTask::Ternary { gate, ops } => gate.eval(bit(ops[0]), bit(ops[1]), bit(ops[2])),
+            GateTask::Cell { ops, sum } => {
+                let [a, b, c] = ops.map(bit);
+                assert_eq!(bit(sum), a ^ b ^ c, "{:?}", st.task);
+                Gate3::Maj.eval(a, b, c)
+            }
         };
         assert_eq!(bit(st.node), want, "{:?}", st.task);
     }

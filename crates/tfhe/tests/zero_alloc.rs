@@ -360,7 +360,8 @@ fn warmed_key_switch_allocates_nothing() {
 fn warmed_heterogeneous_tasks_allocate_nothing() {
     // The pool's worker inner loop is the by-index `GateTask::apply_into`:
     // a warmed scratch must make every task kind — binary gate, free NOT,
-    // the two-bootstrap MUX and the three-input gate — allocation-free,
+    // the two-bootstrap MUX, the three-input gate and the two-output adder
+    // cell — allocation-free,
     // operands *borrowed* from the shared value slab rather than cloned
     // into the task, so the heterogeneous interleaved circuit waves keep
     // the zero-alloc property of the homogeneous batch path.
@@ -385,39 +386,48 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
             gate: Gate3::Xor3,
             ops: [0, 1, 0],
         },
+        GateTask::Cell {
+            ops: [0, 1, 0],
+            sum: usize::MAX, // where a pool worker would store it
+        },
     ];
-    let mut out = matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1);
+    let mut outs = [
+        matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1),
+        matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1),
+    ];
     let mut scratch = server.make_scratch();
 
     // Warm-up: two passes over every task kind size all buffers (the mux
-    // warms the second extraction buffer the binary path never touches).
+    // warms the second extraction buffer the binary path never touches,
+    // the cell its kept linear part and the second output).
     for _ in 0..2 {
         for task in &tasks {
-            task.apply_into(&server, &slab, &mut out, &mut scratch);
+            task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
         }
     }
 
     let before = allocations();
     for task in &tasks {
-        task.apply_into(&server, &slab, &mut out, &mut scratch);
+        task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
     }
     let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "warmed by-index task batch allocated {delta} times"
     );
-    // And the results are still right.
-    let expected = [true, false, false, false];
+    // And the results are still right: the cell's carry and its sum last.
+    let expected = [true, false, false, false, true];
     for (task, want) in tasks.iter().zip(expected) {
-        task.apply_into(&server, &slab, &mut out, &mut scratch);
-        assert_eq!(client.decrypt(&out), want);
+        task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
+        assert_eq!(client.decrypt(&outs[0]), want);
     }
+    assert!(!client.decrypt(&outs[1]), "1 ^ 0 ^ 1");
 }
 
 /// A wave through the batched entry: once a scratch has held
 /// `MAX_LANES` lanes it keeps them, so full waves, a narrower wave in
-/// between, a mux's two lanes and a three-input gate's one all run
-/// without touching the heap.
+/// between, a mux's two lanes, a three-input gate's one and an adder
+/// cell's one lane with two outputs all run without touching the heap.
 fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
@@ -441,8 +451,12 @@ fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
         gate: matcha_tfhe::Gate3::Maj,
         ops: [&bits[2], &bits[3], &bits[4]],
     };
-    let full = &gates[..MAX_LANES - 1]; // 14 gates and a mux: MAX_LANES lanes
-    let mut outs = vec![LweCiphertext::default(); MAX_LANES];
+    gates[0] = LaneGate::Cell {
+        ops: [&bits[0], &bits[1], &bits[2]],
+    };
+    // 13 gates, a cell and a mux: MAX_LANES lanes, one output more.
+    let full = &gates[..MAX_LANES - 1];
+    let mut outs = vec![LweCiphertext::default(); MAX_LANES + 1];
     let mut scratch = server.make_scratch();
 
     // Warm-up: the first call grows the lanes and sizes every output, the
@@ -452,9 +466,9 @@ fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
     }
 
     let before = allocations();
-    server.apply_lanes_into(full, &mut outs[..full.len()], &mut scratch);
-    server.apply_lanes_into(&gates[..3], &mut outs[..3], &mut scratch);
-    server.apply_lanes_into(full, &mut outs[..full.len()], &mut scratch);
+    server.apply_lanes_into(full, &mut outs[..full.len() + 1], &mut scratch);
+    server.apply_lanes_into(&gates[..3], &mut outs[..4], &mut scratch);
+    server.apply_lanes_into(full, &mut outs[..full.len() + 1], &mut scratch);
     // Past the cap: a second pass inside the one call.
     server.apply_lanes_into(&gates, &mut outs, &mut scratch);
     let delta = allocations() - before;
@@ -463,7 +477,12 @@ fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
         "warmed waves (unroll={unroll}) allocated {delta} times"
     );
     assert_eq!(
-        client.decrypt(&outs[1]),
+        [&outs[0], &outs[1]].map(|out| client.decrypt(out)),
+        [false, true],
+        "carry and sum of 1 + 0 + 0"
+    );
+    assert_eq!(
+        client.decrypt(&outs[2]),
         client.decrypt(&bits[1]),
         "mux(true, b1, b2) = b1"
     );

@@ -96,16 +96,23 @@ fn unrolling_does_not_blow_the_noise_budget() {
 /// value, and the bootstrap's measured noise must be what it was when the
 /// key was stored at full width (`recorded`: the parent commit's reading of
 /// the same seed and trials — the draws are the same, so the two readings
-/// differ only by what storing adds). Then the three-input gates where
-/// admission puts them: ripple adders as `simplify` fuses them, two
-/// bootstraps a bit, every sum checked on random operands.
+/// differ only by what storing adds). Then the adder cells where
+/// admission puts them: ripple adders as `simplify` leaves them, one
+/// bootstrap a bit with every sum riding on its carry's, every sum checked
+/// on random operands; and one long chain of cells, each taking the carry
+/// before it and two fresh operands, every carry and sum checked and the
+/// noise of accumulator coefficients 0, 1 and 2 — the carry's, and the two
+/// the sum is made of — measured to be uncorrelated, which is what the
+/// certificate of a riding sum assumes.
 ///
 /// 200 NANDs, 50 MUXes, 2048 noise trials, eight 8-bit and four 32-bit
-/// additions in an optimized build (CI's release step); an unoptimized
-/// build, where a bootstrap at these parameters takes most of a second,
-/// runs a twenty-fifth of the gates, one 4-bit addition, and leaves the
-/// noise reading out.
+/// additions and 512 chained cells in an optimized build (CI's release
+/// step); an unoptimized build, where a bootstrap at these parameters
+/// takes most of a second, runs a twenty-fifth of the gates and cells, one
+/// 4-bit addition, and leaves the noise and correlation readings out.
 fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u64, recorded: f64) {
+    use matcha::math::Torus32;
+    use matcha::tfhe::LweCiphertext;
     use matcha::{Gate, ServerKey};
     let scale = if cfg!(debug_assertions) { 25 } else { 1 };
     let mut rng = StdRng::seed_from_u64(seed);
@@ -140,7 +147,7 @@ fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u
     };
     for &(width, rounds) in additions {
         let (adder, report) = simplify(&netlist::ripple_adder(width));
-        assert_eq!(report.bootstraps_after, 2 * width);
+        assert_eq!((report.bootstraps_after, report.riding), (width, width));
         for _ in 0..rounds {
             let [x, y] = [(); 2].map(|()| rng.gen::<u64>() & word::max_value(width));
             let mut inputs = word::encrypt(&client, x, width, &mut rng);
@@ -149,6 +156,43 @@ fn decrypt_failure_sweep<E: matcha::FftEngine>(engine: E, unroll: usize, seed: u
             assert_eq!(word::decrypt(&client, &run.outputs), x + y, "{x} + {y}");
         }
     }
+
+    let extracted_key = client.ring_key().extract_lwe_key();
+    let mut scratch = server.make_scratch();
+    let mut outs = [LweCiphertext::default(), LweCiphertext::default()];
+    let (mut carry, mut carry_bit) = (server.trivial(false), false);
+    let mut errors: [Vec<f64>; 3] = Default::default();
+    for _ in 0..512 / scale {
+        let [a, b] = [(); 2].map(|()| rng.gen::<bool>());
+        let [ca, cb] = [a, b].map(|bit| client.encrypt_with(bit, &mut rng));
+        server.cell_into([&ca, &cb, &carry], &mut outs, &mut scratch);
+        let ones = usize::from(a) + usize::from(b) + usize::from(carry_bit);
+        assert_eq!(client.decrypt(&outs[1]), ones % 2 == 1, "a chained sum");
+        carry_bit = ones >= 2;
+        assert_eq!(client.decrypt(&outs[0]), carry_bit, "a chained carry");
+        carry.copy_from(&outs[0]);
+        // The cell's accumulator is still in the scratch.
+        for (coefficient, errors) in errors.iter_mut().enumerate() {
+            let sample = scratch.accumulator().sample_extract_at(coefficient);
+            let phase = sample.phase(&extracted_key);
+            errors.push(phase.signed_diff(Torus32::from_bool(carry_bit)));
+        }
+    }
+    if scale == 1 {
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            let rho = correlation(&errors[i], &errors[j]);
+            assert!(rho.abs() < 0.15, "coefficients {i} and {j}: ρ = {rho}");
+        }
+    }
+}
+
+/// Pearson correlation of two equally long samples.
+fn correlation(x: &[f64], y: &[f64]) -> f64 {
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let (mx, my) = (mean(x), mean(y));
+    let cov: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
+    let var = |v: &[f64], m: f64| v.iter().map(|a| (a - m) * (a - m)).sum::<f64>();
+    cov / (var(x, mx) * var(y, my)).sqrt()
 }
 
 #[test]
