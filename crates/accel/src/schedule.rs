@@ -4,10 +4,11 @@
 //! 1.25 Hz, §1). A circuit is a DAG of bootstrapped gates; with `P`
 //! pipelines the achievable latency is bounded below by both the critical
 //! path (`depth × gate latency`) and the total work (`gates/P × gate
-//! latency`). This module builds gate DAGs for the standard circuits of
-//! `matcha-circuits`, list-schedules them onto a platform's pipelines, and
-//! reports circuit-level latency — turning the per-gate numbers of
-//! Figures 9/10 into end-to-end application estimates.
+//! latency`). This module takes the gate DAG of a real lowering — the
+//! `CircuitNetlist::schedule_skeleton()` of a `matcha-circuits` netlist,
+//! through [`Netlist::from_deps`] — list-schedules it onto a platform's
+//! pipelines, and reports circuit-level latency: the per-gate numbers of
+//! Figures 9/10 turned into end-to-end application estimates.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -103,95 +104,6 @@ impl Netlist {
         }
         rank
     }
-
-    /// A `width`-bit ripple-carry adder: 5 gates per full adder, with the
-    /// carry chaining between stages (the circuit of
-    /// `matcha_circuits::adder`).
-    pub fn ripple_adder(width: usize) -> Self {
-        let mut net = Self::new();
-        let mut carry: Option<usize> = None;
-        for _ in 0..width {
-            let axb = net.add_gate(&[]); // XOR(a, b): inputs are primary
-            let and_ab = net.add_gate(&[]);
-            let (sum, and_cx) = match carry {
-                None => {
-                    let sum = net.add_gate(&[axb]);
-                    let and_cx = net.add_gate(&[axb]);
-                    (sum, and_cx)
-                }
-                Some(c) => {
-                    let sum = net.add_gate(&[axb, c]);
-                    let and_cx = net.add_gate(&[axb, c]);
-                    (sum, and_cx)
-                }
-            };
-            let _ = sum;
-            let cout = net.add_gate(&[and_ab, and_cx]);
-            carry = Some(cout);
-        }
-        net
-    }
-
-    /// A `width × width` schoolbook multiplier: `width²` partial-product
-    /// ANDs plus `width − 1` chained ripple additions of width `2·width`.
-    pub fn multiplier(width: usize) -> Self {
-        let mut net = Self::new();
-        // Partial products: all independent.
-        let mut partials: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..width {
-            partials.push((0..width).map(|_| net.add_gate(&[])).collect());
-        }
-        // Chain of additions; each full adder column depends on the two
-        // partial-product bits and the previous carry.
-        let mut acc: Vec<usize> = partials[0].clone();
-        for row in partials.iter().skip(1) {
-            let mut carry: Option<usize> = None;
-            let mut next_acc = Vec::with_capacity(acc.len().max(row.len()) + 1);
-            for col in 0..acc.len().max(row.len()) {
-                let mut deps = Vec::new();
-                if let Some(&a) = acc.get(col) {
-                    deps.push(a);
-                }
-                if let Some(&r) = row.get(col) {
-                    deps.push(r);
-                }
-                if let Some(c) = carry {
-                    deps.push(c);
-                }
-                // Full adder ≈ 5 gates; model as sum gate + carry gate with
-                // three internal gates charged to the sum side.
-                let g1 = net.add_gate(&deps);
-                let g2 = net.add_gate(&deps);
-                let sum = net.add_gate(&[g1, g2]);
-                let g3 = net.add_gate(&deps);
-                let cout = net.add_gate(&[g3]);
-                next_acc.push(sum);
-                carry = Some(cout);
-            }
-            if let Some(c) = carry {
-                next_acc.push(c);
-            }
-            acc = next_acc;
-        }
-        net
-    }
-
-    /// A balanced `width`-bit equality comparator: XNOR leaves + AND tree.
-    pub fn comparator(width: usize) -> Self {
-        let mut net = Self::new();
-        let mut layer: Vec<usize> = (0..width).map(|_| net.add_gate(&[])).collect();
-        while layer.len() > 1 {
-            layer = layer
-                .chunks(2)
-                .map(|pair| match pair {
-                    [a, b] => net.add_gate(&[*a, *b]),
-                    [a] => *a,
-                    _ => unreachable!(),
-                })
-                .collect();
-        }
-        net
-    }
 }
 
 /// The outcome of scheduling a netlist.
@@ -255,89 +167,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ripple_adder_counts() {
-        let net = Netlist::ripple_adder(8);
-        assert_eq!(net.len(), 40); // 5 gates per full adder
-                                   // Critical path: the carry chain, 3 gates deep per stage after
-                                   // the first XOR level.
-        assert!(net.critical_path() >= 8);
-    }
-
-    #[test]
-    fn schedule_respects_bounds() {
-        let net = Netlist::ripple_adder(8);
-        for pipelines in [1usize, 2, 8, 64] {
-            let r = schedule(&net, pipelines, 1.0);
-            let cp_bound = net.critical_path() as f64;
-            let work_bound = net.len() as f64 / pipelines as f64;
-            assert!(r.makespan_s >= cp_bound - 1e-9, "p={pipelines}");
-            assert!(r.makespan_s >= work_bound - 1e-9, "p={pipelines}");
-            assert!(r.makespan_s <= net.len() as f64 + 1e-9);
-            assert!(r.utilization > 0.0 && r.utilization <= 1.0);
-        }
-    }
-
-    #[test]
-    fn single_pipeline_serializes_everything() {
-        let net = Netlist::comparator(8);
-        let r = schedule(&net, 1, 2.0);
-        assert!((r.makespan_s - net.len() as f64 * 2.0).abs() < 1e-9);
-        assert!((r.utilization - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn more_pipelines_never_slower() {
-        let net = Netlist::multiplier(4);
-        let mut prev = f64::INFINITY;
-        for pipelines in [1usize, 2, 4, 8, 16] {
-            let r = schedule(&net, pipelines, 1.0);
-            assert!(r.makespan_s <= prev + 1e-9, "p={pipelines}");
-            prev = r.makespan_s;
-        }
-    }
-
-    #[test]
-    fn comparator_tree_depth_is_logarithmic() {
-        let net = Netlist::comparator(16);
-        // 1 XNOR level + 4 AND-tree levels.
-        assert_eq!(net.critical_path(), 5);
-        assert_eq!(net.len(), 16 + 15);
-    }
-
-    #[test]
-    fn saturating_pipelines_hits_critical_path() {
-        let net = Netlist::ripple_adder(4);
-        let r = schedule(&net, 1000, 1.0);
-        assert!((r.makespan_s - net.critical_path() as f64).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_netlist() {
         let r = schedule(&Netlist::new(), 4, 1.0);
         assert_eq!(r.gates, 0);
         assert_eq!(r.makespan_s, 0.0);
-    }
-
-    #[test]
-    fn ranks_match_critical_path() {
-        for net in [
-            Netlist::ripple_adder(8),
-            Netlist::comparator(16),
-            Netlist::multiplier(4),
-        ] {
-            let ranks = net.ranks();
-            assert_eq!(ranks.len(), net.len());
-            assert_eq!(
-                ranks.iter().copied().max().unwrap_or(0),
-                net.critical_path()
-            );
-            // A gate's rank strictly exceeds every consumer's rank.
-            for (i, deps) in (0..net.len()).map(|i| (i, net.dependencies(i))) {
-                for &d in deps {
-                    assert!(ranks[d] > ranks[i], "dep {d} of {i}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -349,20 +182,6 @@ mod tests {
         let lone = net.add_gate(&[]);
         assert_eq!(net.ranks(), vec![3, 2, 1, 1]);
         let _ = (c, lone);
-    }
-
-    #[test]
-    fn from_deps_roundtrips() {
-        let orig = Netlist::ripple_adder(4);
-        let deps: Vec<Vec<usize>> = (0..orig.len())
-            .map(|i| orig.dependencies(i).to_vec())
-            .collect();
-        let rebuilt = Netlist::from_deps(&deps);
-        assert_eq!(rebuilt.len(), orig.len());
-        assert_eq!(rebuilt.critical_path(), orig.critical_path());
-        let a = schedule(&orig, 4, 1.0);
-        let b = schedule(&rebuilt, 4, 1.0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! kernel that dominates bootstrapping latency (paper Figure 1), and the
 //! kernel MATCHA approximates.
 //!
-//! Three interchangeable engines implement the [`FftEngine`] trait:
+//! Four interchangeable engines implement the [`FftEngine`] trait:
 //!
 //! * [`F64Fft`] — breadth-first Cooley–Tukey in double precision; this is the
 //!   TFHE reference library's choice and the paper's accuracy baseline

@@ -45,7 +45,7 @@
 pub mod equiv;
 
 use crate::circuit::{cell_key, CircuitNetlist, GateOp};
-use crate::gates::{Gate, Gate3};
+use crate::gates::{Gate, Gate3, GateDesc};
 use crate::params::ParameterSet;
 use std::collections::HashMap;
 use std::fmt;
@@ -185,22 +185,12 @@ fn reachable(net: &CircuitNetlist) -> Vec<bool> {
     seen
 }
 
-/// `true` when swapping the gate's operands leaves its value (and its
-/// exact linear part, hence the output ciphertext bits) unchanged.
-fn commutative(gate: Gate) -> bool {
-    matches!(
-        gate,
-        Gate::And | Gate::Or | Gate::Nand | Gate::Nor | Gate::Xor | Gate::Xnor
-    )
-}
-
-/// The canonical form of an op for duplicate detection: commutative
-/// binary gates, the (symmetric) ternary gates and sums get their operands
-/// sorted.
+/// The canonical form of an op for duplicate detection: commutative gates
+/// ([`GateDesc::commutative`]) and sums get their operands sorted.
 fn canonical(op: GateOp) -> GateOp {
     match op {
-        GateOp::Binary(g, a, b) if commutative(g) && b < a => GateOp::Binary(g, b, a),
-        GateOp::Ternary(g, a, b, c) => {
+        GateOp::Binary(g, a, b) if g.desc().commutative() && b < a => GateOp::Binary(g, b, a),
+        GateOp::Ternary(g, a, b, c) if g.desc().commutative() => {
             let [a, b, c] = cell_key([a, b, c]);
             GateOp::Ternary(g, a, b, c)
         }
@@ -235,11 +225,11 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                     kind: LintKind::UnusedInput,
                     node: id,
                 }),
-                GateOp::Binary(..) | GateOp::Mux { .. } | GateOp::Ternary(..) => lints.push(Lint {
+                _ if op.bootstraps() > 0 => lints.push(Lint {
                     kind: LintKind::DeadNode,
                     node: id,
                 }),
-                GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => {}
+                _ => {}
             }
             continue;
         }
@@ -444,19 +434,12 @@ fn enumerate_cuts(net: &CircuitNetlist) -> Vec<Vec<Cut>> {
     cuts
 }
 
-/// What one gate computes a fused cone: a three-input gate, or any of the
-/// ten two-input ones.
-#[derive(Clone, Copy, Debug)]
-enum FusedGate {
-    Two(Gate),
-    Three(Gate3),
-}
-
-/// One fusion: the node becomes `gate` over `leaves` (the first two for a
-/// two-input gate), negating (a free `NOT`) those in `negated`.
+/// One fusion: the node becomes `gate` — a two- or three-input gate whose
+/// operand `i` is `leaves[i]` — reading those in `negated` through a free
+/// `NOT`.
 #[derive(Clone, Copy, Debug)]
 struct Fusion {
-    gate: FusedGate,
+    gate: GateOp,
     leaves: [usize; 3],
     negated: u8,
 }
@@ -464,10 +447,8 @@ struct Fusion {
 impl Fusion {
     /// The leaves the fused gate reads.
     fn leaves(&self) -> &[usize] {
-        match self.gate {
-            FusedGate::Two(_) => &self.leaves[..2],
-            FusedGate::Three(_) => &self.leaves,
-        }
+        let (desc, _) = self.gate.gate().expect("a fusion is a gate");
+        &self.leaves[..desc.arity]
     }
 }
 
@@ -512,23 +493,21 @@ fn strip_nots(net: &CircuitNetlist, mut id: usize) -> (usize, bool) {
 /// visited, so interior gates are left for the dead-code sweep, not fused
 /// on their way out.
 fn choose_fusions(net: &CircuitNetlist) -> Vec<Option<Override>> {
-    // Every table a fused gate can realise: each `Gate3` with each subset
-    // of its operands negated, and each `Gate` (whose ten cover every
-    // polarity of AND, OR and XOR themselves).
-    let mut realisable: Vec<(usize, u8, FusedGate, u8)> = Vec::new();
+    // Every table a fused gate can realise, read off the records, the gate
+    // over leaf positions: each `Gate3` with each subset of its operands
+    // negated, and each `Gate` (whose ten cover every polarity of AND, OR
+    // and XOR themselves).
+    let mut realisable: Vec<(usize, u8, GateOp, u8)> = Vec::new();
     for gate in Gate3::ALL {
         for negated in 0..8u8 {
             let table = (0..8).fold(0u8, |t, row| {
                 t | (gate.desc().table >> (row ^ negated) & 1) << row
             });
-            realisable.push((3, table, FusedGate::Three(gate), negated));
+            realisable.push((3, table, GateOp::Ternary(gate, 0, 1, 2), negated));
         }
     }
     for gate in Gate::ALL {
-        let table = (0..4u8).fold(0u8, |t, row| {
-            t | u8::from(gate.eval(row & 1 == 1, row >> 1 == 1)) << row
-        });
-        realisable.push((2, table, FusedGate::Two(gate), 0));
+        realisable.push((2, gate.desc().table, GateOp::Binary(gate, 0, 1), 0));
     }
     let cuts = enumerate_cuts(net);
     let mut needed = vec![false; net.len()];
@@ -728,31 +707,55 @@ impl Rewriter {
         self.dedup_or(GateOp::Binary(g, a, b))
     }
 
-    /// A binary gate over already-rewritten operands, folded on whichever
-    /// of them are constants.
-    fn binary(&mut self, g: Gate, a: usize, b: usize) -> usize {
-        match (self.const_of(a), self.const_of(b)) {
-            (Some(va), Some(vb)) => {
+    /// A gate over already-rewritten operands, folded on whichever of them
+    /// are constants: its table restricted to the others is one two-input
+    /// gate, an alias, a free `NOT` or a constant.
+    fn fold(&mut self, op: GateOp) -> usize {
+        let (desc, operands) = op.gate().expect("only gates fold");
+        let constant = |o: usize| self.const_of(o);
+        let free: Vec<usize> = operands[..desc.arity]
+            .iter()
+            .copied()
+            .filter(|&o| constant(o).is_none())
+            .collect();
+        if free.len() == desc.arity {
+            return self.dedup_or(op);
+        }
+        // The table over the free operands in order, the constants in place.
+        let table = (0..1u8 << free.len()).fold(0u8, |table, row| {
+            let mut free_bits = (0..).map(|i| row >> i & 1 == 1);
+            let bits =
+                operands.map(|o| constant(o).unwrap_or_else(|| free_bits.next().expect("endless")));
+            table | u8::from(desc.eval(bits)) << row
+        });
+        match *free {
+            [a, b] => {
+                let gate = Gate::from_table(table)
+                    .expect("a symmetric gate with one operand fixed still reads the other two");
                 self.folded();
-                self.constant(g.eval(va, vb))
+                self.gate(gate, a, b)
             }
-            (Some(va), None) => self.fold_half(|x| g.eval(va, x), b),
-            (None, Some(vb)) => self.fold_half(|x| g.eval(x, vb), a),
-            (None, None) => self.gate(g, a, b),
+            [a] => self.fold_half(|x| table >> u8::from(x) & 1 == 1, a),
+            _ => {
+                self.folded();
+                self.constant(table & 1 == 1)
+            }
         }
     }
 
     /// The majority of an adder cell over already-rewritten operands: kept
     /// a three-input gate on one constant (a half adder's carry-in, which
-    /// [`Rewriter::ternary`] would fold into an AND or an OR with nothing
-    /// to ride on), folded on more.
+    /// [`Rewriter::fold`] would fold into an AND or an OR with nothing to
+    /// ride on), folded on more.
     fn carry(&mut self, operands: [usize; 3]) -> usize {
+        let [a, b, c] = operands;
+        let op = GateOp::Ternary(Gate3::Maj, a, b, c);
         let constants = operands.iter().filter(|&&o| self.const_of(o).is_some());
         if constants.count() > 1 {
-            return self.ternary(Gate3::Maj, operands);
+            self.fold(op)
+        } else {
+            self.dedup_or(op)
         }
-        let [a, b, c] = operands;
-        self.dedup_or(GateOp::Ternary(Gate3::Maj, a, b, c))
     }
 
     /// The parity of already-rewritten operands as a `Sum`, where the
@@ -764,7 +767,7 @@ impl Rewriter {
         if self.seen.contains_key(&op) || self.mid.free_host(operands).is_ok() {
             self.dedup_or(op)
         } else {
-            self.ternary(Gate3::Xor3, operands)
+            self.fold(GateOp::Ternary(Gate3::Xor3, a, b, c))
         }
     }
 
@@ -819,36 +822,6 @@ impl Rewriter {
             _ => self.not(other),
         }
     }
-
-    /// A three-input gate over already-rewritten operands: as many
-    /// constants as it has, that many inputs fewer (the gates are
-    /// symmetric, so which operand is constant does not matter).
-    fn ternary(&mut self, g: Gate3, operands: [usize; 3]) -> usize {
-        let (mut free, mut consts) = (Vec::new(), Vec::new());
-        for operand in operands {
-            match self.const_of(operand) {
-                Some(k) => consts.push(k),
-                None => free.push(operand),
-            }
-        }
-        match (free.as_slice(), consts.as_slice()) {
-            (&[a, b, c], _) => self.dedup_or(GateOp::Ternary(g, a, b, c)),
-            (&[a, b], &[k]) => {
-                let rows = [(false, false), (false, true), (true, false), (true, true)];
-                let gate = Gate::ALL
-                    .into_iter()
-                    .find(|h| rows.iter().all(|&(x, y)| h.eval(x, y) == g.eval(x, y, k)))
-                    .expect("a symmetric gate with one operand fixed still reads the other two");
-                self.folded();
-                self.gate(gate, a, b)
-            }
-            (&[a], &[k, l]) => self.fold_half(|x| g.eval(x, k, l), a),
-            _ => {
-                self.folded();
-                self.constant(g.eval(consts[0], consts[1], consts[2]))
-            }
-        }
-    }
 }
 
 /// The forward pass of [`simplify`]: `net` re-emitted op by op through the
@@ -880,10 +853,7 @@ fn rewrite(
                         *operand = rw.not(*operand);
                     }
                 }
-                match fusion.gate {
-                    FusedGate::Two(gate) => rw.binary(gate, operands[0], operands[1]),
-                    FusedGate::Three(gate) => rw.ternary(gate, operands),
-                }
+                rw.fold(fusion.gate.map_operands(|i| operands[i]))
             }
             (Some(Override::Carry(cell)), _) => {
                 let operands = rw.cell_operands(cell, &alias);
@@ -908,14 +878,11 @@ fn rewrite(
                 rw.constant(v)
             }
             (None, GateOp::Not(a0)) => rw.not(alias[a0]),
-            (None, GateOp::Binary(g, a0, b0)) => rw.binary(g, alias[a0], alias[b0]),
-            (None, GateOp::Ternary(g, a, b, c)) => {
-                let operands = [alias[a], alias[b], alias[c]];
-                if net.rider_of(id).is_some_and(|sum| live[sum]) {
-                    rw.carry(operands)
-                } else {
-                    rw.ternary(g, operands)
-                }
+            (None, GateOp::Ternary(_, a, b, c)) if net.rider_of(id).is_some_and(|s| live[s]) => {
+                rw.carry([alias[a], alias[b], alias[c]])
+            }
+            (None, GateOp::Binary(..) | GateOp::Ternary(..)) => {
+                rw.fold(op.map_operands(|o| alias[o]))
             }
             (None, GateOp::Sum(a, b, c)) => rw.sum([alias[a], alias[b], alias[c]]),
             (None, GateOp::Mux { sel, a, b }) => {
@@ -1146,14 +1113,6 @@ pub struct NoiseModel {
     coefficient_step: f64,
 }
 
-/// Margin of the AND-family gate decision: the linear part sits at
-/// distance 1/8 from the sign boundary.
-const AND_MARGIN: f64 = 0.125;
-/// Margin of the XOR/XNOR decision (the `±1/4` encodings)…
-const XOR_MARGIN: f64 = 0.25;
-/// …whose `2·(a + b)` linear part also scales the operand error by 2
-/// (variance by 4).
-const XOR_SCALE2: f64 = 4.0;
 /// Margin charged to the final decryption of each output: the symmetric
 /// ±1/8 encoding decides on the sign, so an error of 1/8 toward the
 /// boundary is what flips a decrypted bit. (The empirical
@@ -1258,34 +1217,22 @@ impl NoiseModel {
         (2.0 * (-z2 / 2.0).exp()).min(1.0)
     }
 
-    /// Failure-probability bound of one binary-gate bootstrap decision
-    /// whose operands carry variances `va` and `vb`. XOR/XNOR place the
-    /// encodings at ±1/4 (margin 1/4) but scale operand error by 2;
-    /// every other gate decides at margin 1/8 with unit coefficients.
-    pub fn gate_failure(&self, gate: Gate, va: f64, vb: f64) -> f64 {
-        let (margin, scale2) = match gate {
-            Gate::Xor | Gate::Xnor => (XOR_MARGIN, XOR_SCALE2),
-            _ => (AND_MARGIN, 1.0),
-        };
-        Self::tail_bound(margin, scale2 * (va + vb) + self.v_mod_switch)
+    /// Failure-probability bound of one gate's bootstrap decision, from
+    /// its record: the margin against `Σ wᵢ²·vᵢ` — operand `i`'s variance
+    /// `variances[i]` through its weight in the linear part — plus the mod
+    /// switch.
+    pub fn decision_failure(&self, desc: &GateDesc, variances: &[f64]) -> f64 {
+        debug_assert_eq!(variances.len(), desc.arity, "{}", desc.name);
+        let terms = desc.weights.iter().zip(variances);
+        let v = terms.fold(0.0, |v, (&w, &vi)| v + f64::from(w * w) * vi);
+        Self::tail_bound(desc.margin, v + self.v_mod_switch)
     }
 
-    /// Failure-probability bound of one three-input gate's bootstrap
-    /// decision, from the gate's descriptor: its margin against the
-    /// operands' variances through its linear part, plus the mod switch.
-    pub fn gate3_failure(&self, gate: Gate3, va: f64, vb: f64, vc: f64) -> f64 {
-        let desc = gate.desc();
-        Self::tail_bound(
-            desc.margin,
-            desc.variance_scale() * (va + vb + vc) + self.v_mod_switch,
-        )
-    }
-
-    /// Summed failure bound of a mux's two AND-type bootstrap decisions,
-    /// `AND(sel, a)` and `AND(¬sel, b)`.
+    /// Summed failure bound of a mux's two bootstrap decisions, one per
+    /// lane: `AND(sel, a)` and `AND(¬sel, b)`.
     pub fn mux_failure(&self, v_sel: f64, va: f64, vb: f64) -> f64 {
-        Self::tail_bound(AND_MARGIN, v_sel + va + self.v_mod_switch)
-            + Self::tail_bound(AND_MARGIN, v_sel + vb + self.v_mod_switch)
+        self.decision_failure(Gate::And.desc(), &[v_sel, va])
+            + self.decision_failure(Gate::AndNY.desc(), &[v_sel, vb])
     }
 
     /// Failure bound of decrypting a value of variance `v`: the tail past
@@ -1327,7 +1274,7 @@ impl NoiseModel {
     /// part at a phase shifted by `j/2N`, so coefficients 1 and 2 each
     /// decide at a margin up to `2/2N` short of the majority's 1/8 — two
     /// terms of the union bound on top of the host's own
-    /// [`gate3_failure`](NoiseModel::gate3_failure), under the same
+    /// [`decision_failure`](NoiseModel::decision_failure), under the same
     /// independence as [`sum_variance`](NoiseModel::sum_variance).
     pub fn sum_failure(&self, va: f64, vb: f64, vc: f64) -> f64 {
         let margin = Gate3::Maj.desc().margin - SUM_COEFFICIENT * self.coefficient_step;
@@ -1379,21 +1326,19 @@ fn noise_report(net: &CircuitNetlist, model: NoiseModel) -> NoiseReport {
             GateOp::Input(_) => variance[id] = model.v_fresh(),
             GateOp::Constant(_) => variance[id] = 0.0,
             GateOp::Not(a) => variance[id] = variance[a],
-            GateOp::Binary(g, a, b) => {
-                decision[id] = model.gate_failure(g, variance[a], variance[b]);
-                variance[id] = model.v_bootstrapped();
-            }
             GateOp::Mux { sel, a, b } => {
                 decision[id] = model.mux_failure(variance[sel], variance[a], variance[b]);
                 variance[id] = model.v_mux_output();
             }
-            GateOp::Ternary(g, a, b, c) => {
-                decision[id] = model.gate3_failure(g, variance[a], variance[b], variance[c]);
-                variance[id] = model.v_bootstrapped();
-            }
             GateOp::Sum(a, b, c) => {
                 decision[id] = model.sum_failure(variance[a], variance[b], variance[c]);
                 variance[id] = model.sum_variance(variance[a], variance[b], variance[c]);
+            }
+            _ => {
+                let (desc, operands) = op.gate().expect("every other op is a gate");
+                let v = operands.map(|o| variance[o]);
+                decision[id] = model.decision_failure(desc, &v[..desc.arity]);
+                variance[id] = model.v_bootstrapped();
             }
         }
     }
@@ -1457,21 +1402,17 @@ fn cost_report(net: &CircuitNetlist) -> CostReport {
         }
     }
     // Re-derive the node → unit mapping the skeleton used (mirrors
-    // `CircuitNetlist::schedule_skeleton`'s construction order: binary and
-    // ternary gates one unit, muxes two chained units).
+    // `CircuitNetlist::schedule_skeleton`'s construction order: one unit per
+    // bootstrap, a mux's two chained).
     let mut next_unit = 0usize;
     let mut node_units: Vec<Option<(usize, usize)>> = Vec::with_capacity(net.len());
-    for &op in net.ops() {
-        node_units.push(match op {
-            GateOp::Binary(..) | GateOp::Ternary(..) => {
-                next_unit += 1;
-                Some((next_unit - 1, next_unit - 1))
+    for op in net.ops() {
+        node_units.push(match op.bootstraps() {
+            0 => None,
+            units => {
+                next_unit += units;
+                Some((next_unit - units, next_unit - 1))
             }
-            GateOp::Mux { .. } => {
-                next_unit += 2;
-                Some((next_unit - 2, next_unit - 1))
-            }
-            _ => None,
         });
     }
     debug_assert_eq!(next_unit, units.len());
@@ -2165,6 +2106,49 @@ mod tests {
         );
     }
 
+    /// The decision bounds as the model wrote them before the records: a
+    /// margin and a variance scale per gate family. `w² ∈ {1, 4}` scales by
+    /// powers of two, which commute with rounding, so the derived sum
+    /// `Σ wᵢ²·vᵢ` is bit for bit the old `scale · Σ vᵢ`.
+    #[test]
+    fn decision_failure_matches_the_hand_written_formulas() {
+        let model = NoiseModel::new(&ParameterSet::MATCHA, 2);
+        let tail = |margin, v| NoiseModel::tail_bound(margin, v + model.v_mod_switch());
+        let grid = [
+            0.0,
+            1e-9,
+            3.7e-7,
+            model.v_fresh(),
+            model.v_bootstrapped(),
+            1.3e-4,
+            2e-3,
+        ];
+        for &va in &grid {
+            for &vb in &grid {
+                for gate in Gate::ALL {
+                    let (margin, scale2) = match gate {
+                        Gate::Xor | Gate::Xnor => (0.25, 4.0),
+                        _ => (0.125, 1.0),
+                    };
+                    let old = tail(margin, scale2 * (va + vb));
+                    let derived = model.decision_failure(gate.desc(), &[va, vb]);
+                    assert_eq!(derived.to_bits(), old.to_bits(), "{gate} {va:e} {vb:e}");
+                }
+                for &vc in &grid {
+                    for (gate, margin, scale) in
+                        [(Gate3::Maj, 0.125, 1.0), (Gate3::Xor3, 0.25, 2.0)]
+                    {
+                        let old = tail(margin, scale * scale * (va + vb + vc));
+                        let derived = model.decision_failure(gate.desc(), &[va, vb, vc]);
+                        assert_eq!(derived.to_bits(), old.to_bits(), "{gate}");
+                    }
+                    let old = tail(0.125, va + vb) + tail(0.125, va + vc);
+                    assert_eq!(model.mux_failure(va, vb, vc).to_bits(), old.to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn riding_sums_are_charged_what_they_are_and_reset_nothing() {
         let p = ParameterSet::MATCHA;
@@ -2190,8 +2174,8 @@ mod tests {
         assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");
         // The AND downstream decides on the sum's variance, and its cone
         // holds the host's decision beside the sum's.
-        let and = model.gate_failure(Gate::And, kept, model.v_bootstrapped());
-        let host = model.gate3_failure(Gate3::Maj, fresh, fresh, fresh);
+        let and = model.decision_failure(Gate::And.desc(), &[kept, model.v_bootstrapped()]);
+        let host = model.decision_failure(Gate3::Maj.desc(), &[fresh; 3]);
         let want = model.decrypt_failure(model.v_bootstrapped()) + and + host + extractions;
         let got = r.outputs[1].failure_prob;
         assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");
@@ -2398,15 +2382,15 @@ mod tests {
             let (v, v0) = (model.v_bootstrapped(), unstored.v_bootstrapped());
             for gate in [Gate::And, Gate::Xor] {
                 moved(
-                    model.gate_failure(gate, v, v),
-                    unstored.gate_failure(gate, v0, v0),
+                    model.decision_failure(gate.desc(), &[v, v]),
+                    unstored.decision_failure(gate.desc(), &[v0, v0]),
                 );
             }
             let (m, m0) = (model.v_mux_output(), unstored.v_mux_output());
             moved(model.mux_failure(v, m, m), unstored.mux_failure(v0, m0, m0));
             moved(
-                model.gate_failure(Gate::And, m, m),
-                unstored.gate_failure(Gate::And, m0, m0),
+                model.decision_failure(Gate::And.desc(), &[m, m]),
+                unstored.decision_failure(Gate::And.desc(), &[m0, m0]),
             );
             moved(model.decrypt_failure(m), unstored.decrypt_failure(m0));
         }

@@ -20,9 +20,8 @@
 //!
 //! All Boolean structure is built through a single memoized [`ite`]
 //! (if-then-else) operator with the standard terminal rules and
-//! complement-edge normalizations, so the op-cache is shared across all
-//! ten binary gates, the mux and the three-input gates (compiled from
-//! their truth tables).
+//! complement-edge normalizations, so the op-cache is shared across the
+//! mux and every gate, each compiled from its record's truth table.
 //!
 //! # Variable order
 //!
@@ -49,7 +48,7 @@
 //! [`LintKind::EquivUnknown`]: super::LintKind::EquivUnknown
 
 use crate::circuit::{CircuitNetlist, GateOp};
-use crate::gates::{Gate, Gate3};
+use crate::gates::Gate3;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -269,6 +268,15 @@ pub struct EquivReport {
 }
 
 impl EquivReport {
+    /// A [`Verdict::Unknown`] report.
+    fn unknown(reason: UnknownReason, nodes: usize, outputs_checked: usize) -> Self {
+        Self {
+            verdict: Verdict::Unknown { reason },
+            nodes,
+            outputs_checked,
+        }
+    }
+
     /// `true` on [`Verdict::Equivalent`].
     pub fn is_equivalent(&self) -> bool {
         matches!(self.verdict, Verdict::Equivalent)
@@ -469,23 +477,6 @@ impl Bdd {
         Ok(out)
     }
 
-    /// One binary netlist gate as an `ite` over operand functions.
-    fn gate(&mut self, g: Gate, a: BddRef, b: BddRef) -> Result<BddRef, NodeLimit> {
-        let (t, f) = (Self::TRUE, Self::FALSE);
-        match g {
-            Gate::And => self.ite(a, b, f),
-            Gate::Or => self.ite(a, t, b),
-            Gate::Nand => Ok(self.ite(a, b, f)?.not()),
-            Gate::Nor => Ok(self.ite(a, t, b)?.not()),
-            Gate::Xor => self.ite(a, b.not(), b),
-            Gate::Xnor => self.ite(a, b, b.not()),
-            Gate::AndYN => self.ite(a, b.not(), f),
-            Gate::AndNY => self.ite(a, f, b),
-            Gate::OrYN => self.ite(a, t, b.not()),
-            Gate::OrNY => self.ite(a, b, t),
-        }
-    }
-
     /// The function with truth table `table` over the operand functions
     /// `ops` (bit `Σ opᵢ << i` of `table` is its value there), by Shannon
     /// expansion on the last operand.
@@ -593,14 +584,14 @@ fn compile(net: &CircuitNetlist, order: &[usize], bdd: &mut Bdd) -> Result<Vec<B
                 }
             }
             GateOp::Not(a) => funcs[a].not(),
-            GateOp::Binary(g, a, b) => bdd.gate(g, funcs[a], funcs[b])?,
             GateOp::Mux { sel, a, b } => bdd.ite(funcs[sel], funcs[a], funcs[b])?,
-            GateOp::Ternary(g, a, b, c) => {
-                bdd.table(g.desc().table, &[funcs[a], funcs[b], funcs[c]])?
-            }
             // A riding sum is the parity it computes, whatever computes it.
             GateOp::Sum(a, b, c) => {
                 bdd.table(Gate3::Xor3.desc().table, &[funcs[a], funcs[b], funcs[c]])?
+            }
+            _ => {
+                let (desc, operands) = op.gate().expect("every other op is a gate");
+                bdd.table(desc.table, &operands.map(|o| funcs[o])[..desc.arity])?
             }
         };
         funcs.push(f);
@@ -659,40 +650,28 @@ pub fn check_with_words(
     widths: &[u8],
 ) -> EquivReport {
     if left.num_inputs() != right.num_inputs() || left.outputs().len() != right.outputs().len() {
-        return EquivReport {
-            verdict: Verdict::Unknown {
-                reason: UnknownReason::ShapeMismatch {
-                    inputs: (left.num_inputs(), right.num_inputs()),
-                    outputs: (left.outputs().len(), right.outputs().len()),
-                },
-            },
-            nodes: 0,
-            outputs_checked: 0,
-        };
+        let inputs = (left.num_inputs(), right.num_inputs());
+        let outputs = (left.outputs().len(), right.outputs().len());
+        return EquivReport::unknown(UnknownReason::ShapeMismatch { inputs, outputs }, 0, 0);
     }
     let n = left.num_inputs();
     if n > budget.max_inputs {
-        return EquivReport {
-            verdict: Verdict::Unknown {
-                reason: UnknownReason::InputBudget {
-                    inputs: n,
-                    max_inputs: budget.max_inputs,
-                },
-            },
-            nodes: 0,
-            outputs_checked: 0,
+        let max_inputs = budget.max_inputs;
+        let reason = UnknownReason::InputBudget {
+            inputs: n,
+            max_inputs,
         };
+        return EquivReport::unknown(reason, 0, 0);
     }
     let order = input_order(left);
     let mut bdd = Bdd::new(budget.max_nodes);
-    let unknown = |bdd: &Bdd, checked: usize| EquivReport {
-        verdict: Verdict::Unknown {
-            reason: UnknownReason::NodeBudget {
-                max_nodes: budget.max_nodes,
-            },
-        },
-        nodes: bdd.nodes.len(),
-        outputs_checked: checked,
+    let unknown = |bdd: &Bdd, checked: usize| {
+        let max_nodes = budget.max_nodes;
+        EquivReport::unknown(
+            UnknownReason::NodeBudget { max_nodes },
+            bdd.nodes.len(),
+            checked,
+        )
     };
     let (lhs, rhs) = match (
         compile(left, &order, &mut bdd),
@@ -791,45 +770,24 @@ impl fmt::Debug for Spec {
 /// guard; every shipped library entry has ≤ 18 inputs.
 pub fn check_spec(net: &CircuitNetlist, spec: &Spec, budget: EquivBudget) -> EquivReport {
     if net.num_inputs() != spec.input_bits() || net.outputs().len() != spec.output_bits {
-        return EquivReport {
-            verdict: Verdict::Unknown {
-                reason: UnknownReason::ShapeMismatch {
-                    inputs: (net.num_inputs(), spec.input_bits()),
-                    outputs: (net.outputs().len(), spec.output_bits),
-                },
-            },
-            nodes: 0,
-            outputs_checked: 0,
-        };
+        let inputs = (net.num_inputs(), spec.input_bits());
+        let outputs = (net.outputs().len(), spec.output_bits);
+        return EquivReport::unknown(UnknownReason::ShapeMismatch { inputs, outputs }, 0, 0);
     }
     let n = net.num_inputs();
     if n > budget.max_inputs || n >= usize::BITS as usize - 1 {
-        return EquivReport {
-            verdict: Verdict::Unknown {
-                reason: UnknownReason::InputBudget {
-                    inputs: n,
-                    max_inputs: budget.max_inputs.min(usize::BITS as usize - 2),
-                },
-            },
-            nodes: 0,
-            outputs_checked: 0,
+        let max_inputs = budget.max_inputs.min(usize::BITS as usize - 2);
+        let reason = UnknownReason::InputBudget {
+            inputs: n,
+            max_inputs,
         };
+        return EquivReport::unknown(reason, 0, 0);
     }
     let order = input_order(net);
     let mut bdd = Bdd::new(budget.max_nodes);
-    let outputs = match compile(net, &order, &mut bdd) {
-        Ok(o) => o,
-        Err(NodeLimit) => {
-            return EquivReport {
-                verdict: Verdict::Unknown {
-                    reason: UnknownReason::NodeBudget {
-                        max_nodes: budget.max_nodes,
-                    },
-                },
-                nodes: bdd.nodes.len(),
-                outputs_checked: 0,
-            }
-        }
+    let Ok(outputs) = compile(net, &order, &mut bdd) else {
+        let max_nodes = budget.max_nodes;
+        return EquivReport::unknown(UnknownReason::NodeBudget { max_nodes }, bdd.nodes.len(), 0);
     };
     let mut bits = vec![false; n];
     let mut by_var = vec![false; n];
@@ -874,6 +832,7 @@ pub fn check_spec(net: &CircuitNetlist, spec: &Spec, budget: EquivBudget) -> Equ
 mod tests {
     use super::*;
     use crate::analyze::simplify;
+    use crate::gates::Gate;
 
     fn budget() -> EquivBudget {
         EquivBudget::default()
@@ -905,6 +864,68 @@ mod tests {
                     check_spec(&net, &spec, budget()).is_equivalent(),
                     "{g:?} BDD vs truth table"
                 );
+            }
+        }
+    }
+
+    /// Each two-input gate as the engine compiled it before the records:
+    /// one `ite` per gate.
+    fn hand_written(bdd: &mut Bdd, g: Gate, a: BddRef, b: BddRef) -> Result<BddRef, NodeLimit> {
+        let (t, f) = (Bdd::TRUE, Bdd::FALSE);
+        match g {
+            Gate::And => bdd.ite(a, b, f),
+            Gate::Or => bdd.ite(a, t, b),
+            Gate::Nand => Ok(bdd.ite(a, b, f)?.not()),
+            Gate::Nor => Ok(bdd.ite(a, t, b)?.not()),
+            Gate::Xor => bdd.ite(a, b.not(), b),
+            Gate::Xnor => bdd.ite(a, b, b.not()),
+            Gate::AndYN => bdd.ite(a, b.not(), f),
+            Gate::AndNY => bdd.ite(a, f, b),
+            Gate::OrYN => bdd.ite(a, t, b.not()),
+            Gate::OrNY => bdd.ite(a, b, t),
+        }
+    }
+
+    /// A fresh manager and operand pairs over three variables in it.
+    fn operand_pairs() -> Result<(Bdd, Vec<(BddRef, BddRef)>), NodeLimit> {
+        let mut bdd = Bdd::new(1 << 16);
+        let [x, y, z] = [bdd.literal(0)?, bdd.literal(1)?, bdd.literal(2)?];
+        let xy = bdd.ite(x, y, Bdd::FALSE)?;
+        let yz = bdd.ite(y, z.not(), z)?;
+        let pairs = vec![
+            (x, y),
+            (y, x),
+            (x, x.not()),
+            (xy, yz),
+            (yz.not(), z),
+            (Bdd::TRUE, z),
+        ];
+        Ok((bdd, pairs))
+    }
+
+    #[test]
+    fn table_compiles_match_the_hand_written_ite_forms() {
+        for g in Gate::ALL {
+            for i in 0..6 {
+                // Whichever form runs first, the other is the same reference
+                // and interns no node of its own.
+                for derived_first in [true, false] {
+                    let (mut bdd, pairs) = operand_pairs().ok().expect("in budget");
+                    let (a, b) = pairs[i];
+                    let derived = |bdd: &mut Bdd| bdd.table(g.desc().table, &[a, b]).ok();
+                    let first = if derived_first {
+                        derived(&mut bdd)
+                    } else {
+                        hand_written(&mut bdd, g, a, b).ok()
+                    };
+                    let nodes = bdd.nodes.len();
+                    let second = if derived_first {
+                        hand_written(&mut bdd, g, a, b).ok()
+                    } else {
+                        derived(&mut bdd)
+                    };
+                    assert_eq!((first, nodes), (second, bdd.nodes.len()), "{g} pair {i}");
+                }
             }
         }
     }

@@ -6,7 +6,8 @@
 //! encrypted inputs, trivial constants, all ten binary [`Gate`]s, the free
 //! `NOT`, the two-bootstrap `MUX`, the one-bootstrap three-input
 //! [`Gate3`]s and the free `Sum` that rides on a majority's bootstrap —
-//! with dependency edges validated at construction. [`CircuitNetlist::execute`] schedules it level by level:
+//! with dependency edges validated at construction.
+//! [`CircuitNetlist::execute`] schedules it level by level:
 //! every wave of ready gates is dispatched as one mixed-gate batch onto a
 //! persistent [`GateBatchPool`], the software analogue of MATCHA's
 //! scheduler keeping its eight resident bootstrapping pipelines busy on
@@ -17,7 +18,7 @@
 //! makespan/utilization can be cross-checked against measured wall-clock.
 
 use crate::batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
-use crate::gates::{Gate, Gate3, ServerKey};
+use crate::gates::{Gate, Gate3, GateDesc, ServerKey};
 use crate::lwe::LweCiphertext;
 use matcha_fft::FftEngine;
 use std::collections::HashMap;
@@ -84,18 +85,26 @@ impl GateOp {
         }
     }
 
+    /// A one-bootstrap gate's record and operands (those past the record's
+    /// arity are `0` and mean nothing); `None` for every other op.
+    pub fn gate(&self) -> Option<(&'static GateDesc, [usize; 3])> {
+        match *self {
+            GateOp::Binary(g, a, b) => Some((g.desc(), [a, b, 0])),
+            GateOp::Ternary(g, a, b, c) => Some((g.desc(), [a, b, c])),
+            _ => None,
+        }
+    }
+
     /// The op's plaintext value given its operands' (`v[i]` is the bit of
     /// `self.operands()[i]`); `None` for an input, whose value comes from
     /// outside the netlist.
     pub fn eval(&self, v: [bool; 3]) -> Option<bool> {
         Some(match *self {
-            GateOp::Input(_) => return None,
             GateOp::Constant(c) => c,
-            GateOp::Binary(g, ..) => g.eval(v[0], v[1]),
             GateOp::Not(_) => !v[0],
             GateOp::Mux { .. } => v[if v[0] { 1 } else { 2 }],
-            GateOp::Ternary(g, ..) => g.eval(v[0], v[1], v[2]),
-            GateOp::Sum(..) => Gate3::Xor3.eval(v[0], v[1], v[2]),
+            GateOp::Sum(..) => Gate3::Xor3.desc().eval(v),
+            _ => return self.gate().map(|(desc, _)| desc.eval(v)),
         })
     }
 
@@ -103,9 +112,8 @@ impl GateOp {
     /// two, sources, free `NOT`s and riding `Sum`s none).
     pub fn bootstraps(&self) -> usize {
         match self {
-            GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => 0,
-            GateOp::Binary(..) | GateOp::Ternary(..) => 1,
             GateOp::Mux { .. } => 2,
+            _ => usize::from(self.gate().is_some()),
         }
     }
 }
@@ -469,11 +477,6 @@ impl CircuitNetlist {
                 GateOp::Input(_) | GateOp::Constant(_) => None,
                 GateOp::Not(a) => unit_of[a],
                 GateOp::Sum(..) => unit_of[self.host_of(id).expect("a sum has its host")],
-                GateOp::Binary(..) | GateOp::Ternary(..) => {
-                    let operands = op.operands().into_iter().flatten();
-                    units.push(operands.filter_map(|o| unit_of[o]).collect());
-                    Some(units.len() - 1)
-                }
                 GateOp::Mux { sel, a, b } => {
                     // First bootstrap AND(sel, a); the second, AND(¬sel, b),
                     // runs after it on the same worker.
@@ -486,6 +489,12 @@ impl CircuitNetlist {
                         .flatten()
                         .collect();
                     units.push(second);
+                    Some(units.len() - 1)
+                }
+                // A gate: one unit.
+                _ => {
+                    let operands = op.operands().into_iter().flatten();
+                    units.push(operands.filter_map(|o| unit_of[o]).collect());
                     Some(units.len() - 1)
                 }
             };
@@ -828,9 +837,7 @@ impl CircuitFrontier {
                         ops: [a, b, c],
                     },
                 },
-                GateOp::Input(_) | GateOp::Constant(_) | GateOp::Not(_) | GateOp::Sum(..) => {
-                    unreachable!("only bootstrapped ops enter the ready set")
-                }
+                _ => unreachable!("only bootstrapped ops enter the ready set"),
             };
             batch.push(SlabTask {
                 slab: Arc::clone(&self.slab),

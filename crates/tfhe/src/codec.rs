@@ -340,19 +340,13 @@ impl Codec for ParameterSet {
     }
 }
 
-/// Stable wire index of a gate: its position in [`Gate::ALL`].
-fn gate_code(gate: Gate) -> u8 {
-    Gate::ALL
-        .iter()
-        .position(|&g| g == gate)
-        .expect("Gate::ALL covers every gate") as u8
-}
-
-fn gate_from_code(code: u8) -> io::Result<Gate> {
-    Gate::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, format!("unknown gate {code}")))
+/// Reads `K` operand node indices.
+fn read_nodes<R: Read, const K: usize>(mut r: R) -> io::Result<[usize; K]> {
+    let mut nodes = [0; K];
+    for node in &mut nodes {
+        *node = read_u32(&mut r)? as usize;
+    }
+    Ok(nodes)
 }
 
 impl Codec for CircuitNetlist {
@@ -361,39 +355,25 @@ impl Codec for CircuitNetlist {
     fn encode_body<W: Write>(&self, mut w: W) -> io::Result<()> {
         write_u32(&mut w, self.len() as u32)?;
         for op in self.ops() {
-            match *op {
-                GateOp::Input(slot) => {
-                    w.write_all(&[0])?;
-                    write_u32(&mut w, slot as u32)?;
-                }
-                GateOp::Constant(v) => w.write_all(&[1, u8::from(v)])?,
-                GateOp::Binary(gate, a, b) => {
-                    w.write_all(&[2, gate_code(gate)])?;
-                    write_u32(&mut w, a as u32)?;
-                    write_u32(&mut w, b as u32)?;
-                }
-                GateOp::Not(a) => {
-                    w.write_all(&[3])?;
-                    write_u32(&mut w, a as u32)?;
-                }
-                GateOp::Mux { sel, a, b } => {
-                    w.write_all(&[4])?;
-                    write_u32(&mut w, sel as u32)?;
-                    write_u32(&mut w, a as u32)?;
-                    write_u32(&mut w, b as u32)?;
-                }
-                GateOp::Ternary(gate, a, b, c) => {
-                    w.write_all(&[5, gate.desc().code])?;
-                    for operand in [a, b, c] {
-                        write_u32(&mut w, operand as u32)?;
-                    }
-                }
-                GateOp::Sum(a, b, c) => {
-                    w.write_all(&[6])?;
-                    for operand in [a, b, c] {
-                        write_u32(&mut w, operand as u32)?;
-                    }
-                }
+            // The op's tag, what it carries besides operands, its operands.
+            let tag = match op {
+                GateOp::Input(_) => 0,
+                GateOp::Constant(_) => 1,
+                GateOp::Binary(..) => 2,
+                GateOp::Not(_) => 3,
+                GateOp::Mux { .. } => 4,
+                GateOp::Ternary(..) => 5,
+                GateOp::Sum(..) => 6,
+            };
+            w.write_all(&[tag])?;
+            match (*op, op.gate()) {
+                (GateOp::Input(slot), _) => write_u32(&mut w, slot as u32)?,
+                (GateOp::Constant(v), _) => w.write_all(&[u8::from(v)])?,
+                (_, Some((desc, _))) => w.write_all(&[desc.code])?,
+                _ => {}
+            }
+            for operand in op.operands().into_iter().flatten() {
+                write_u32(&mut w, operand as u32)?;
             }
         }
         write_u32(&mut w, self.outputs().len() as u32)?;
@@ -426,31 +406,25 @@ impl Codec for CircuitNetlist {
                 }
                 2 => {
                     r.read_exact(&mut tag)?;
-                    let gate = gate_from_code(tag[0])?;
-                    let a = read_u32(&mut r)? as usize;
-                    let b = read_u32(&mut r)? as usize;
+                    let gate = Gate::from_code(tag[0])
+                        .ok_or_else(|| bad(format!("unknown gate {}", tag[0])))?;
+                    let [a, b] = read_nodes(&mut r)?;
                     GateOp::Binary(gate, a, b)
                 }
                 3 => GateOp::Not(read_u32(&mut r)? as usize),
                 4 => {
-                    let sel = read_u32(&mut r)? as usize;
-                    let a = read_u32(&mut r)? as usize;
-                    let b = read_u32(&mut r)? as usize;
+                    let [sel, a, b] = read_nodes(&mut r)?;
                     GateOp::Mux { sel, a, b }
                 }
                 5 => {
                     r.read_exact(&mut tag)?;
                     let gate = Gate3::from_code(tag[0])
                         .ok_or_else(|| bad(format!("unknown three-input gate {}", tag[0])))?;
-                    let a = read_u32(&mut r)? as usize;
-                    let b = read_u32(&mut r)? as usize;
-                    let c = read_u32(&mut r)? as usize;
+                    let [a, b, c] = read_nodes(&mut r)?;
                     GateOp::Ternary(gate, a, b, c)
                 }
                 6 => {
-                    let a = read_u32(&mut r)? as usize;
-                    let b = read_u32(&mut r)? as usize;
-                    let c = read_u32(&mut r)? as usize;
+                    let [a, b, c] = read_nodes(&mut r)?;
                     GateOp::Sum(a, b, c)
                 }
                 t => return Err(bad(format!("unknown op tag {t}"))),

@@ -47,7 +47,7 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// All supported two-input gates.
+    /// All supported two-input gates, in declaration and wire-code order.
     pub const ALL: [Gate; 10] = [
         Gate::And,
         Gate::Or,
@@ -61,38 +61,30 @@ impl Gate {
         Gate::OrNY,
     ];
 
+    /// The gate's record.
+    pub const fn desc(self) -> &'static GateDesc {
+        &RECORDS[self as usize]
+    }
+
     /// The plaintext truth table.
     pub fn eval(self, a: bool, b: bool) -> bool {
-        match self {
-            Gate::And => a && b,
-            Gate::Or => a || b,
-            Gate::Nand => !(a && b),
-            Gate::Nor => !(a || b),
-            Gate::Xor => a ^ b,
-            Gate::Xnor => !(a ^ b),
-            Gate::AndYN => a && !b,
-            Gate::AndNY => !a && b,
-            Gate::OrYN => a || !b,
-            Gate::OrNY => !a || b,
-        }
+        self.desc().eval([a, b, false])
+    }
+
+    /// The gate with this wire code, if there is one.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|g| g.desc().code == code)
+    }
+
+    /// The gate with this truth table (bit `a | b << 1`), if there is one.
+    pub fn from_table(table: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|g| g.desc().table == table)
     }
 }
 
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Gate::And => "AND",
-            Gate::Or => "OR",
-            Gate::Nand => "NAND",
-            Gate::Nor => "NOR",
-            Gate::Xor => "XOR",
-            Gate::Xnor => "XNOR",
-            Gate::AndYN => "ANDYN",
-            Gate::AndNY => "ANDNY",
-            Gate::OrYN => "ORYN",
-            Gate::OrNY => "ORNY",
-        };
-        f.write_str(name)
+        f.write_str(self.desc().name)
     }
 }
 
@@ -102,7 +94,7 @@ impl fmt::Display for Gate {
 /// lands on `±1/4` with the sign of the parity. (`a + b + c − 1/4` for an
 /// `AND3` would put its all-false row on `−5/8 ≡ +3/8`, the wrong side of
 /// `1/2`: three-input AND and OR stay two gates.) Both are symmetric in
-/// their operands, so one coefficient serves all three.
+/// their operands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Gate3 {
     /// At least two of the three operands are true (a full adder's carry).
@@ -111,64 +103,18 @@ pub enum Gate3 {
     Xor3,
 }
 
-/// What a [`Gate3`] is, stated once: evaluation, the linear part, the BDD
-/// compile, the noise bound and the wire code are all read from here.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Gate3Desc {
-    /// Display name.
-    pub name: &'static str,
-    /// Truth table: bit `a | b << 1 | c << 2` is the output.
-    pub table: u8,
-    /// The linear part is `scale · (a + b + c) + offset`.
-    pub scale: i32,
-    /// See [`Gate3Desc::scale`].
-    pub offset: Torus32,
-    /// Distance from every noiseless value of the linear part to the
-    /// nearest sign boundary (`0` or `1/2`).
-    pub margin: f64,
-    /// The gate's code after the MNET `Ternary` tag.
-    pub code: u8,
-}
-
-impl Gate3Desc {
-    /// Factor from an operand's error variance to the linear part's.
-    pub fn variance_scale(&self) -> f64 {
-        f64::from(self.scale * self.scale)
-    }
-}
-
 impl Gate3 {
-    /// All supported three-input gates, in wire-code order.
+    /// All supported three-input gates, in declaration and wire-code order.
     pub const ALL: [Gate3; 2] = [Gate3::Maj, Gate3::Xor3];
 
-    /// The gate's descriptor.
-    pub const fn desc(self) -> &'static Gate3Desc {
-        const MAJ: Gate3Desc = Gate3Desc {
-            name: "MAJ3",
-            table: 0b1110_1000,
-            scale: 1,
-            offset: Torus32::ZERO,
-            margin: 0.125,
-            code: 0,
-        };
-        const XOR3: Gate3Desc = Gate3Desc {
-            name: "XOR3",
-            table: 0b1001_0110,
-            scale: 2,
-            offset: Torus32::from_raw(1 << 31),
-            margin: 0.25,
-            code: 1,
-        };
-        match self {
-            Gate3::Maj => &MAJ,
-            Gate3::Xor3 => &XOR3,
-        }
+    /// The gate's record.
+    pub const fn desc(self) -> &'static GateDesc {
+        &RECORDS[Gate::ALL.len() + self as usize]
     }
 
     /// The plaintext truth table.
     pub fn eval(self, a: bool, b: bool, c: bool) -> bool {
-        let row = u8::from(a) | u8::from(b) << 1 | u8::from(c) << 2;
-        self.desc().table >> row & 1 == 1
+        self.desc().eval([a, b, c])
     }
 
     /// The gate with this wire code, if there is one.
@@ -181,6 +127,110 @@ impl fmt::Display for Gate3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.desc().name)
     }
+}
+
+/// What a bootstrapped gate is, stated once: one sign bootstrap of the
+/// linear part `Σ weights[i]·opᵢ + offset` over `±1/8`-encoded operands.
+/// Evaluation, the linear part, the BDD compile, folding, commutativity,
+/// the noise bound and the wire code are all read from here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GateDesc {
+    /// Display name.
+    pub name: &'static str,
+    /// Operands the gate reads: 2 or 3.
+    pub arity: usize,
+    /// Truth table: bit `Σ opᵢ << i` is the output.
+    pub table: u8,
+    /// The integer weight of each operand in the linear part (`0` past
+    /// [`GateDesc::arity`]).
+    pub weights: [i32; 3],
+    /// The torus constant of the linear part.
+    pub offset: Torus32,
+    /// Distance from every noiseless value of the linear part to the
+    /// nearest sign boundary (`0` or `1/2`).
+    pub margin: f64,
+    /// The gate's code after its MNET tag (`Binary`'s or `Ternary`'s):
+    /// its index in [`Gate::ALL`] or [`Gate3::ALL`].
+    pub code: u8,
+}
+
+impl GateDesc {
+    /// The output on the operand bits `bits[..arity]`.
+    pub fn eval(&self, bits: [bool; 3]) -> bool {
+        let row = (0..self.arity).fold(0, |row, i| row | u8::from(bits[i]) << i);
+        self.table >> row & 1 == 1
+    }
+
+    /// `true` when every operand has the same weight: permuting the
+    /// operands leaves the linear part — hence the output ciphertext, bit
+    /// for bit — unchanged.
+    pub fn commutative(&self) -> bool {
+        let weights = &self.weights[..self.arity];
+        weights.iter().all(|&w| w == weights[0])
+    }
+}
+
+/// `k/8` on the torus.
+const fn eighths(k: i32) -> Torus32 {
+    Torus32::from_raw((k as u32) << 29)
+}
+
+/// A record: three operands when the third weighs anything, two otherwise.
+const fn record(
+    name: &'static str,
+    table: u8,
+    weights: [i32; 3],
+    offset: Torus32,
+    margin: f64,
+    code: u8,
+) -> GateDesc {
+    let arity = if weights[2] == 0 { 2 } else { 3 };
+    GateDesc {
+        name,
+        arity,
+        table,
+        weights,
+        offset,
+        margin,
+        code,
+    }
+}
+
+/// Every bootstrapped gate: the ten [`Gate`]s in [`Gate::ALL`] order, then
+/// the two [`Gate3`]s. A weight of ±1 decides at margin `1/8`, one of ±2
+/// (the parities, whose `±1/4` encodings double the operand error) at
+/// `1/4`.
+const RECORDS: [GateDesc; 12] = [
+    record("AND", 0b1000, [1, 1, 0], eighths(-1), 0.125, 0),
+    record("OR", 0b1110, [1, 1, 0], eighths(1), 0.125, 1),
+    record("NAND", 0b0111, [-1, -1, 0], eighths(1), 0.125, 2),
+    record("NOR", 0b0001, [-1, -1, 0], eighths(-1), 0.125, 3),
+    record("XOR", 0b0110, [2, 2, 0], eighths(2), 0.25, 4),
+    record("XNOR", 0b1001, [-2, -2, 0], eighths(-2), 0.25, 5),
+    record("ANDYN", 0b0010, [1, -1, 0], eighths(-1), 0.125, 6),
+    record("ANDNY", 0b0100, [-1, 1, 0], eighths(-1), 0.125, 7),
+    record("ORYN", 0b1011, [1, -1, 0], eighths(1), 0.125, 8),
+    record("ORNY", 0b1101, [-1, 1, 0], eighths(1), 0.125, 9),
+    record("MAJ3", 0b1110_1000, [1, 1, 1], eighths(0), 0.125, 0),
+    record("XOR3", 0b1001_0110, [2, 2, 2], eighths(4), 0.25, 1),
+];
+
+/// A gate's linear part `Σ wᵢ·opᵢ + offset` of dimension `n`, as its
+/// record states it, written into a caller-owned buffer — no allocation
+/// once `out`'s mask has capacity `n`. Torus arithmetic wraps, so the
+/// order of the terms does not change a bit of the result.
+fn linear_part_into(
+    desc: &GateDesc,
+    operands: &[&LweCiphertext],
+    n: usize,
+    out: &mut LweCiphertext,
+) {
+    profile::timed(Phase::Other, || {
+        out.assign_trivial(desc.offset, n);
+        for (&weight, operand) in desc.weights.iter().zip(operands) {
+            out.add_scaled_assign(operand, weight);
+        }
+    })
 }
 
 /// One bootstrapped gate of a wave, operands by reference: what
@@ -320,10 +370,6 @@ pub struct ServerKey<E: FftEngine> {
 
 /// The gate output plaintext amplitude `1/8`.
 const GATE_MU: Torus32 = Torus32::from_raw(1 << 29);
-/// `1/8` as the constant of gate linear parts.
-const EIGHTH: Torus32 = Torus32::from_raw(1 << 29);
-/// `1/4`, used by XOR/XNOR.
-const QUARTER: Torus32 = Torus32::from_raw(1 << 30);
 
 impl<E: FftEngine> ServerKey<E> {
     /// Builds a server key with the classic (`m = 1`) bootstrapping flow.
@@ -375,69 +421,6 @@ impl<E: FftEngine> ServerKey<E> {
     /// A trivial (noiseless, unkeyed) encryption of a Boolean constant.
     pub fn trivial(&self, value: bool) -> LweCiphertext {
         LweCiphertext::trivial(Torus32::from_bool(value), self.params().lwe_dimension)
-    }
-
-    /// The gate's linear part written into a caller-owned buffer — no
-    /// allocation once `out`'s mask has capacity `n`.
-    fn linear_part_into(
-        &self,
-        gate: Gate,
-        a: &LweCiphertext,
-        b: &LweCiphertext,
-        out: &mut LweCiphertext,
-    ) {
-        profile::timed(Phase::Other, || {
-            let n = self.params().lwe_dimension;
-            match gate {
-                Gate::And | Gate::Or => {
-                    out.assign_trivial(if gate == Gate::And { -EIGHTH } else { EIGHTH }, n);
-                    out.add_assign(a);
-                    out.add_assign(b);
-                }
-                Gate::Nand | Gate::Nor => {
-                    out.assign_trivial(if gate == Gate::Nand { EIGHTH } else { -EIGHTH }, n);
-                    out.sub_assign(a);
-                    out.sub_assign(b);
-                }
-                Gate::Xor => {
-                    out.assign_trivial(Torus32::ZERO, n);
-                    out.add_assign(a);
-                    out.add_assign(b);
-                    out.scale_assign(2);
-                    out.add_body(QUARTER);
-                }
-                Gate::Xnor => {
-                    out.assign_trivial(Torus32::ZERO, n);
-                    out.add_assign(a);
-                    out.add_assign(b);
-                    out.scale_assign(-2);
-                    out.add_body(-QUARTER);
-                }
-                Gate::AndYN | Gate::OrYN => {
-                    out.assign_trivial(if gate == Gate::AndYN { -EIGHTH } else { EIGHTH }, n);
-                    out.add_assign(a);
-                    out.sub_assign(b);
-                }
-                Gate::AndNY | Gate::OrNY => {
-                    out.assign_trivial(if gate == Gate::AndNY { -EIGHTH } else { EIGHTH }, n);
-                    out.sub_assign(a);
-                    out.add_assign(b);
-                }
-            }
-        })
-    }
-
-    /// A three-input gate's linear part, as its descriptor states it.
-    fn linear_part3_into(&self, gate: Gate3, ops: [&LweCiphertext; 3], out: &mut LweCiphertext) {
-        profile::timed(Phase::Other, || {
-            let desc = gate.desc();
-            out.assign_trivial(Torus32::ZERO, self.params().lwe_dimension);
-            for op in ops {
-                out.add_assign(op);
-            }
-            out.scale_assign(desc.scale);
-            out.add_body(desc.offset);
-        })
     }
 
     /// Applies any two-input gate: linear part + bootstrap + key switch.
@@ -524,26 +507,27 @@ impl<E: FftEngine> ServerKey<E> {
         // All-(−μ) test vector, as in `BootstrapKit::bootstrap_into`.
         scratch.testv.coeffs_mut().fill(-GATE_MU);
         let mut lin = std::mem::take(&mut scratch.lin);
+        let n = self.params().lwe_dimension;
         match *gate {
             LaneGate::Binary { gate, a, b } => {
-                self.linear_part_into(gate, a, b, &mut lin);
+                linear_part_into(gate.desc(), &[a, b], n, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
             }
             // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the
             // extracted key.
             LaneGate::Mux { sel, a, b } => {
-                self.linear_part_into(Gate::And, sel, a, &mut lin);
+                linear_part_into(Gate::And.desc(), &[sel, a], n, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
-                self.linear_part_into(Gate::AndNY, sel, b, &mut lin);
+                linear_part_into(Gate::AndNY.desc(), &[sel, b], n, &mut lin);
                 self.kit.stage_lane(&lin, lane + 1, scratch);
             }
             LaneGate::Ternary { gate, ops } => {
-                self.linear_part3_into(gate, ops, &mut lin);
+                linear_part_into(gate.desc(), &ops, n, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
             }
             // The majority's lane, and its linear part kept for the sum.
             LaneGate::Cell { ops } => {
-                self.linear_part3_into(Gate3::Maj, ops, &mut lin);
+                linear_part_into(Gate3::Maj.desc(), &ops, n, &mut lin);
                 self.kit.stage_lane(&lin, lane, scratch);
                 if scratch.cell_lin.len() <= lane {
                     scratch
@@ -589,7 +573,7 @@ impl<E: FftEngine> ServerKey<E> {
                         // sel ? a : b = u1 + u2 + (0, 1/8).
                         rotated[lane + 1].acc.sample_extract_into(extracted2);
                         extracted[out].add_assign(extracted2);
-                        extracted[out].add_body(EIGHTH);
+                        extracted[out].add_body(GATE_MU);
                     }
                     Staged::Cell => {
                         // Twice the carry, from two coefficients the carry
@@ -792,31 +776,90 @@ mod tests {
         }
     }
 
+    /// All twelve records: the table and the margin derived back from the
+    /// weights and the offset on every row, and the code round-trips.
     #[test]
     fn gate3_descriptors_decide_their_tables_at_their_margins() {
-        for gate in Gate3::ALL {
-            let desc = gate.desc();
-            assert_eq!(Gate3::from_code(desc.code), Some(gate));
-            assert_eq!(desc.variance_scale(), f64::from(desc.scale).powi(2));
+        let two = Gate::ALL.map(|g| (g.desc(), Gate::from_code(g.desc().code) == Some(g)));
+        let three = Gate3::ALL.map(|g| (g.desc(), Gate3::from_code(g.desc().code) == Some(g)));
+        for (desc, round_trips) in two.into_iter().chain(three) {
+            let name = desc.name;
+            assert!(round_trips, "{name}");
             let mut closest = f64::INFINITY;
-            for row in 0..8u8 {
-                let bits = [row & 1 == 1, row >> 1 & 1 == 1, row >> 2 & 1 == 1];
-                let sum: i32 = bits.iter().map(|&b| if b { 1 } else { -1 }).sum();
+            for row in 0..1u8 << desc.arity {
+                let bits = [0, 1, 2].map(|i| row >> i & 1 == 1);
                 // The linear part on noiseless ±1/8 operands.
-                let phase = Torus32::from_dyadic(i64::from(desc.scale * sum), 3) + desc.offset;
-                assert_eq!(
-                    phase.to_bool(),
-                    gate.eval(bits[0], bits[1], bits[2]),
-                    "{gate} row {row:03b}"
-                );
+                let phase = (0..desc.arity).fold(desc.offset, |phase, i| {
+                    phase + Torus32::from_bool(bits[i]) * desc.weights[i]
+                });
+                assert_eq!(phase.to_bool(), desc.eval(bits), "{name} row {row:03b}");
+                assert_eq!(desc.eval(bits), desc.table >> row & 1 == 1);
                 let to_boundary = phase
                     .distance_to_zero()
-                    .min((phase + Torus32::from_raw(1 << 31)).distance_to_zero());
+                    .min((phase + Torus32::HALF).distance_to_zero());
                 closest = closest.min(to_boundary);
             }
-            assert_eq!(closest, desc.margin, "{gate}");
+            assert_eq!(closest, desc.margin, "{name}");
+            assert_eq!(u16::from(desc.table) >> (1 << desc.arity), 0, "{name}");
         }
+        assert_eq!(Gate::from_code(Gate::ALL.len() as u8), None);
         assert_eq!(Gate3::from_code(Gate3::ALL.len() as u8), None);
+        for (i, gate) in Gate::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(gate.desc().code), i, "{gate}");
+            assert_eq!(Gate::from_table(gate.desc().table), Some(gate));
+        }
+    }
+
+    /// The linear parts as `ServerKey` wrote them before the records, one
+    /// arm per gate: `±a ± b` (doubled for the parities) and a body in
+    /// eighths.
+    fn hand_written_linear_part(gate: Gate, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
+        let zero = LweCiphertext::trivial(Torus32::ZERO, a.dimension());
+        let (mut out, eighths) = match gate {
+            Gate::And => (zero + a + b, -1),
+            Gate::Or => (zero + a + b, 1),
+            Gate::Nand => (zero - a - b, 1),
+            Gate::Nor => (zero - a - b, -1),
+            Gate::Xor => ((zero + a + b).scale(2), 2),
+            Gate::Xnor => ((zero + a + b).scale(-2), -2),
+            Gate::AndYN => (zero + a - b, -1),
+            Gate::AndNY => (zero - a + b, -1),
+            Gate::OrYN => (zero + a - b, 1),
+            Gate::OrNY => (zero - a + b, 1),
+        };
+        out.add_body(Torus32::from_dyadic(eighths, 3));
+        out
+    }
+
+    #[test]
+    fn derived_linear_parts_match_the_hand_written_ones() {
+        let mut sampler = matcha_math::TorusSampler::new(StdRng::seed_from_u64(1007));
+        let mut random = || {
+            let mask = (0..ParameterSet::MATCHA.lwe_dimension).map(|_| sampler.uniform());
+            LweCiphertext::from_parts(mask.collect(), sampler.uniform())
+        };
+        let n = ParameterSet::MATCHA.lwe_dimension;
+        let mut lin = LweCiphertext::default();
+        for _ in 0..16 {
+            let [sel, a, b, c] = [0; 4].map(|_| random());
+            for gate in Gate::ALL {
+                linear_part_into(gate.desc(), &[&a, &b], n, &mut lin);
+                assert_eq!(lin, hand_written_linear_part(gate, &a, &b), "{gate}");
+            }
+            // Both lanes of a mux.
+            linear_part_into(Gate::And.desc(), &[&sel, &a], n, &mut lin);
+            assert_eq!(lin, hand_written_linear_part(Gate::And, &sel, &a));
+            linear_part_into(Gate::AndNY.desc(), &[&sel, &b], n, &mut lin);
+            assert_eq!(lin, hand_written_linear_part(Gate::AndNY, &sel, &b));
+            // The three-input gates' `scale · (a + b + c) + offset`.
+            for (gate, scale, offset) in [(Gate3::Maj, 1, 0), (Gate3::Xor3, 2, 1)] {
+                linear_part_into(gate.desc(), &[&a, &b, &c], n, &mut lin);
+                let mut want =
+                    (LweCiphertext::trivial(Torus32::ZERO, n) + &a + &b + &c).scale(scale);
+                want.add_body(Torus32::from_dyadic(offset, 1));
+                assert_eq!(lin, want, "{gate}");
+            }
+        }
     }
 
     /// Every row of both three-input gates, under every polarity of the

@@ -88,7 +88,7 @@ pub use circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};
 pub use codec::Codec;
 pub use encode::BucketEncoding;
 pub use faults::{FaultAction, FaultPlan};
-pub use gates::{Gate, Gate3, Gate3Desc, LaneGate, ServerKey};
+pub use gates::{Gate, Gate3, GateDesc, LaneGate, ServerKey};
 pub use keyswitch::KeySwitchKey;
 pub use lwe::LweCiphertext;
 pub use params::ParameterSet;

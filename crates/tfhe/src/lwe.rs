@@ -91,14 +91,6 @@ impl LweCiphertext {
         self.b += delta;
     }
 
-    /// In-place version of [`LweCiphertext::scale`].
-    pub fn scale_assign(&mut self, k: i32) {
-        for x in &mut self.a {
-            *x = *x * k;
-        }
-        self.b = self.b * k;
-    }
-
     /// The phase `b − ⟨a, s⟩ = μ + e`.
     pub fn phase(&self, key: &LweSecretKey) -> Torus32 {
         self.b - key.dot(&self.a)
@@ -113,21 +105,10 @@ impl LweCiphertext {
     ///
     /// # Panics
     ///
-    /// Panics if the mask dimensions differ. (A real assert, not a debug
-    /// one: a mismatched operand in release builds would otherwise
-    /// silently truncate the zip and corrupt the sample — and the batch
-    /// pool's panic-isolation contract relies on misuse panicking
-    /// identically in every build mode.)
+    /// Panics if the mask dimensions differ (see
+    /// [`LweCiphertext::add_scaled_assign`]).
     pub fn add_assign(&mut self, other: &Self) {
-        assert_eq!(
-            self.a.len(),
-            other.a.len(),
-            "LWE dimension mismatch in add_assign"
-        );
-        for (x, &y) in self.a.iter_mut().zip(other.a.iter()) {
-            *x += y;
-        }
-        self.b += other.b;
+        self.add_scaled_assign(other, 1);
     }
 
     /// In-place `self -= other`.
@@ -135,17 +116,26 @@ impl LweCiphertext {
     /// # Panics
     ///
     /// Panics if the mask dimensions differ (see
-    /// [`LweCiphertext::add_assign`]).
+    /// [`LweCiphertext::add_scaled_assign`]).
     pub fn sub_assign(&mut self, other: &Self) {
-        assert_eq!(
-            self.a.len(),
-            other.a.len(),
-            "LWE dimension mismatch in sub_assign"
-        );
+        self.add_scaled_assign(other, -1);
+    }
+
+    /// In-place `self += k·other` (a term of a gate's linear part).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask dimensions differ. (A real assert, not a debug
+    /// one: a mismatched operand in release builds would otherwise
+    /// silently truncate the zip and corrupt the sample — and the batch
+    /// pool's panic-isolation contract relies on misuse panicking
+    /// identically in every build mode.)
+    pub fn add_scaled_assign(&mut self, other: &Self, k: i32) {
+        assert_eq!(self.a.len(), other.a.len(), "LWE dimension mismatch");
         for (x, &y) in self.a.iter_mut().zip(other.a.iter()) {
-            *x -= y;
+            *x += y * k;
         }
-        self.b -= other.b;
+        self.b += other.b * k;
     }
 
     /// In-place negation (the free homomorphic NOT).
@@ -268,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch in add_assign")]
+    #[should_panic(expected = "LWE dimension mismatch")]
     fn add_assign_rejects_mismatched_dimensions() {
         let mut c = LweCiphertext::trivial(Torus32::ZERO, 8);
         let other = LweCiphertext::trivial(Torus32::ZERO, 4);
@@ -276,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch in sub_assign")]
+    #[should_panic(expected = "LWE dimension mismatch")]
     fn sub_assign_rejects_mismatched_dimensions() {
         let mut c = LweCiphertext::trivial(Torus32::ZERO, 8);
         let other = LweCiphertext::trivial(Torus32::ZERO, 4);

@@ -181,10 +181,10 @@ fn three_input_gate_bounds_at_paper_parameters() {
     for (unroll, gate, want) in pinned {
         let model = NoiseModel::new(&ParameterSet::MATCHA, unroll);
         let (fresh, reset) = (model.v_fresh(), model.v_bootstrapped());
-        let p = model.gate3_failure(gate, reset, reset, reset);
+        let p = model.decision_failure(gate.desc(), &[reset, reset, reset]);
         assert!((p / want - 1.0).abs() < 0.02, "{gate} m={unroll}: {p:e}");
         assert_eq!(p > DEFAULT_FAILURE_BUDGET, unroll == 3, "{gate} m={unroll}");
-        let stage = model.gate3_failure(gate, fresh, fresh, reset);
+        let stage = model.decision_failure(gate.desc(), &[fresh, fresh, reset]);
         assert!(stage < 1e-15, "{gate} m={unroll}: adder stage {stage:e}");
     }
     for width in [4, 32] {
@@ -234,7 +234,7 @@ fn riding_sum_bounds_at_paper_parameters() {
         // The two extra extractions decide on the host's operands, a hair
         // closer to the boundary than the host: nowhere near the budget.
         let decisions = model.sum_failure(fresh, fresh, reset);
-        let host = model.gate3_failure(Gate3::Maj, fresh, fresh, reset);
+        let host = model.decision_failure(Gate3::Maj.desc(), &[fresh, fresh, reset]);
         assert!(
             decisions > 2.0 * host && decisions < 10.0 * host && decisions < 1e-15,
             "m={unroll}: {decisions:e} vs {host:e}"

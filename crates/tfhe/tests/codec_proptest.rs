@@ -333,3 +333,38 @@ fn sums_roundtrip_and_a_sum_without_its_host_is_invalid_data() {
     let doubled = CircuitNetlist::from_parts(ops, vec![sum]);
     assert!(doubled.unwrap_err().contains("already carries"));
 }
+
+/// FNV-1a, 64-bit: a fingerprint of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The MNET bytes of one netlist holding every op the wire knows — each
+/// `Gate`, both `Gate3`s, `Not`, `Mux`, `Sum` and both constants — pinned:
+/// a change to how gates are described moves no wire code.
+#[test]
+fn netlist_wire_bytes_are_pinned() {
+    let mut net = CircuitNetlist::new();
+    let [a, b, c] = [0; 3].map(|_| net.input());
+    let (t, f) = (net.constant(true), net.constant(false));
+    let mut last = c;
+    for gate in Gate::ALL {
+        last = net.gate(gate, a, last);
+    }
+    let carry = net.ternary(Gate3::Maj, a, b, last);
+    let sum = net.sum(last, a, b);
+    let parity = net.ternary(Gate3::Xor3, carry, sum, t);
+    let n = net.not(parity);
+    let m = net.mux(n, f, carry);
+    for out in [m, sum, last] {
+        net.mark_output(out);
+    }
+    let bytes = net.to_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (203, 0xec0e_b964_8f06_a8de),
+        "{bytes:02x?}"
+    );
+}

@@ -1,7 +1,9 @@
 //! The accelerator model against the paper's headline evaluation claims
 //! (§6 and Table 2).
 
+use matcha::accel::schedule::{schedule, Netlist};
 use matcha::accel::{area_power, pipeline, platforms::Platform, report};
+use matcha::circuits::netlist;
 use matcha::{MatchaConfig, WorkloadParams};
 
 #[test]
@@ -135,4 +137,116 @@ fn workload_matches_tfhe_parameters() {
     assert_eq!(w.ring_degree, p.ring_degree);
     assert_eq!(w.decomp_levels, p.decomp_levels);
     assert_eq!(w.ks_levels, p.ks_levels);
+}
+
+/// The scheduler's DAG of a real lowering: its bootstrapped work as
+/// `CircuitNetlist::schedule_skeleton` exports it.
+fn dag(net: &matcha::CircuitNetlist) -> Netlist {
+    Netlist::from_deps(&net.schedule_skeleton())
+}
+
+/// The three lowerings the scheduler invariants run over: an 8-bit ripple
+/// adder, a 16-bit equality comparator and a 4×4 multiplier.
+fn lowerings() -> [Netlist; 3] {
+    [
+        dag(&netlist::ripple_adder(8)),
+        dag(&netlist::eq_comparator(16)),
+        dag(&netlist::mul(4)),
+    ]
+}
+
+#[test]
+fn ripple_adder_counts() {
+    // XOR(a, b) for every bit, then an AND and an OR per bit of the carry
+    // chain.
+    let net = dag(&netlist::ripple_adder(8));
+    assert_eq!((net.len(), net.critical_path()), (40, 17));
+}
+
+#[test]
+fn comparator_tree_depth_is_logarithmic() {
+    // 1 XNOR level + 4 AND-tree levels.
+    let net = dag(&netlist::eq_comparator(16));
+    assert_eq!((net.len(), net.critical_path()), (16 + 15, 5));
+}
+
+#[test]
+fn multiplier_counts() {
+    let net = dag(&netlist::mul(4));
+    assert_eq!((net.len(), net.critical_path()), (64, 16));
+}
+
+#[test]
+fn schedule_respects_bounds() {
+    for net in lowerings() {
+        for pipelines in [1usize, 2, 8, 64] {
+            let r = schedule(&net, pipelines, 1.0);
+            let cp_bound = net.critical_path() as f64;
+            let work_bound = net.len() as f64 / pipelines as f64;
+            assert!(r.makespan_s >= cp_bound - 1e-9, "p={pipelines}");
+            assert!(r.makespan_s >= work_bound - 1e-9, "p={pipelines}");
+            assert!(r.makespan_s <= net.len() as f64 + 1e-9);
+            assert!(r.utilization > 0.0 && r.utilization <= 1.0);
+        }
+    }
+}
+
+#[test]
+fn single_pipeline_serializes_everything() {
+    for net in lowerings() {
+        let r = schedule(&net, 1, 2.0);
+        assert!((r.makespan_s - net.len() as f64 * 2.0).abs() < 1e-9);
+        assert!((r.utilization - 1.0).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn more_pipelines_never_slower() {
+    for net in lowerings() {
+        let mut prev = f64::INFINITY;
+        for pipelines in [1usize, 2, 4, 8, 16] {
+            let r = schedule(&net, pipelines, 1.0);
+            assert!(r.makespan_s <= prev + 1e-9, "p={pipelines}");
+            prev = r.makespan_s;
+        }
+    }
+}
+
+#[test]
+fn saturating_pipelines_hits_critical_path() {
+    for net in lowerings() {
+        let r = schedule(&net, 1000, 1.0);
+        assert!((r.makespan_s - net.critical_path() as f64).abs() < 1e-9);
+    }
+}
+
+#[test]
+fn ranks_match_critical_path() {
+    for net in lowerings() {
+        let ranks = net.ranks();
+        assert_eq!(ranks.len(), net.len());
+        assert_eq!(
+            ranks.iter().copied().max().unwrap_or(0),
+            net.critical_path()
+        );
+        // A gate's rank strictly exceeds every consumer's rank.
+        for (i, deps) in (0..net.len()).map(|i| (i, net.dependencies(i))) {
+            for &d in deps {
+                assert!(ranks[d] > ranks[i], "dep {d} of {i}");
+            }
+        }
+    }
+}
+
+#[test]
+fn from_deps_roundtrips() {
+    for orig in lowerings() {
+        let deps: Vec<Vec<usize>> = (0..orig.len())
+            .map(|i| orig.dependencies(i).to_vec())
+            .collect();
+        let rebuilt = Netlist::from_deps(&deps);
+        assert_eq!(rebuilt.len(), orig.len());
+        assert_eq!(rebuilt.critical_path(), orig.critical_path());
+        assert_eq!(schedule(&orig, 4, 1.0), schedule(&rebuilt, 4, 1.0));
+    }
 }
