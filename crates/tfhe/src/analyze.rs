@@ -1096,12 +1096,16 @@ pub fn demote_sums(net: &CircuitNetlist) -> CircuitNetlist {
 /// * **Mod switch** ([`NoiseModel::v_mod_switch`]) — rounding `n + 1`
 ///   torus coefficients to multiples of `1/2N`, uniform within a step.
 ///
-/// A bootstrapped gate output (two inputs or three) carries
-/// [`v_bootstrapped`](NoiseModel::v_bootstrapped) `= v_blind_rotate +
-/// v_key_switch` regardless of its inputs (the reset that makes
-/// gate-level TFHE compose); a mux output carries two blind rotations
-/// plus one key switch; the riding sum of an adder cell is **not** a reset
-/// ([`sum_variance`](NoiseModel::sum_variance)).
+/// A bootstrap switches its input first, so the key switch and the mod
+/// switch are charged to the *decision*
+/// ([`decision_failure`](NoiseModel::decision_failure)), and a value never
+/// carries a switch: a fresh input carries the ring noise it was encrypted
+/// with ([`v_fresh`](NoiseModel::v_fresh)), a bootstrapped gate output
+/// (two inputs or three) [`v_bootstrapped`](NoiseModel::v_bootstrapped)
+/// `= v_blind_rotate` regardless of its inputs (the reset that makes
+/// gate-level TFHE compose), a mux output two blind rotations, and the
+/// riding sum of an adder cell its operands' noise on top of two — **not**
+/// a reset ([`sum_variance`](NoiseModel::sum_variance)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NoiseModel {
     v_fresh: f64,
@@ -1161,7 +1165,7 @@ impl NoiseModel {
         let step = 1.0 / (2.0 * big_n);
         let v_mod_switch = (n + 1.0) * step * step / 12.0;
         Self {
-            v_fresh: params.lwe_noise_stdev * params.lwe_noise_stdev,
+            v_fresh: params.ring_noise_stdev * params.ring_noise_stdev,
             v_blind_rotate,
             v_key_switch,
             v_mod_switch,
@@ -1169,7 +1173,8 @@ impl NoiseModel {
         }
     }
 
-    /// Variance of a fresh client-encrypted input.
+    /// Variance of a fresh input: a client encryption under the extracted
+    /// key, or a bit unpacked from a packed upload — both at the ring noise.
     pub fn v_fresh(&self) -> f64 {
         self.v_fresh
     }
@@ -1180,7 +1185,7 @@ impl NoiseModel {
     }
 
     /// Worst-case variance added by one key switch (including its
-    /// decomposition rounding).
+    /// decomposition rounding), charged to every bootstrap decision.
     pub fn v_key_switch(&self) -> f64 {
         self.v_key_switch
     }
@@ -1191,16 +1196,15 @@ impl NoiseModel {
         self.v_mod_switch
     }
 
-    /// Variance of a bootstrapped binary-gate output (blind rotate + key
-    /// switch) — independent of the inputs: the noise reset.
+    /// Variance of a bootstrapped gate output: one blind rotation,
+    /// extracted — independent of the inputs: the noise reset.
     pub fn v_bootstrapped(&self) -> f64 {
-        self.v_blind_rotate + self.v_key_switch
+        self.v_blind_rotate
     }
 
-    /// Variance of a mux output: two extracted-key bootstraps summed,
-    /// then one key switch.
+    /// Variance of a mux output: two bootstraps' outputs summed.
     pub fn v_mux_output(&self) -> f64 {
-        2.0 * self.v_blind_rotate + self.v_key_switch
+        2.0 * self.v_blind_rotate
     }
 
     /// A Gaussian tail bound on the probability that an error of the
@@ -1219,13 +1223,14 @@ impl NoiseModel {
 
     /// Failure-probability bound of one gate's bootstrap decision, from
     /// its record: the margin against `Σ wᵢ²·vᵢ` — operand `i`'s variance
-    /// `variances[i]` through its weight in the linear part — plus the mod
-    /// switch.
+    /// `variances[i]` through its weight in the linear part — plus the key
+    /// switch and the mod switch the linear part goes through before the
+    /// blind rotation reads it.
     pub fn decision_failure(&self, desc: &GateDesc, variances: &[f64]) -> f64 {
         debug_assert_eq!(variances.len(), desc.arity, "{}", desc.name);
         let terms = desc.weights.iter().zip(variances);
         let v = terms.fold(0.0, |v, (&w, &vi)| v + f64::from(w * w) * vi);
-        Self::tail_bound(desc.margin, v + self.v_mod_switch)
+        Self::tail_bound(desc.margin, v + self.v_key_switch + self.v_mod_switch)
     }
 
     /// Summed failure bound of a mux's two bootstrap decisions, one per
@@ -1247,11 +1252,11 @@ impl NoiseModel {
 
     /// Variance of an adder cell's riding sum over operands of variances
     /// `va`, `vb`, `vc`: the linear part it keeps — the operands', at unit
-    /// coefficients — minus the key-switched twin, which is two extracted
-    /// coefficients of the host's accumulator added (two blind rotations'
-    /// worth) through one key switch. Not a reset: the operands' noise
-    /// stays, which is what the next consumer decides on and what the
-    /// client decrypts.
+    /// coefficients, under the extracted key and never switched — minus the
+    /// twin, two extracted coefficients of the host's accumulator (two
+    /// blind rotations' worth). Not a reset: the operands' noise stays,
+    /// which is what the next consumer decides on and what the client
+    /// decrypts.
     ///
     /// Like [`v_mux_output`](NoiseModel::v_mux_output)'s two lanes, the two
     /// coefficients are charged as independent. They are distinct
@@ -1261,24 +1266,25 @@ impl NoiseModel {
     /// `Bg²/12` for the other five — 3.6 % of a step's variance — while
     /// the model's `Bg²/4` digit bound leaves a factor 3 over the measured
     /// per-coefficient variance (4.0e-5 … 4.6e-5 at the paper's parameters,
-    /// pairwise `|ρ| ≤ 0.064` over coefficients 0, 1, 2 in 600-cell chains). Doubling the key-switched
-    /// carry instead would be `4·v_bootstrapped` on top of the operands,
-    /// which a chained cell misses the default budget with at unroll 2
-    /// (1.19e-5): the dead end this form exists to avoid.
+    /// pairwise `|ρ| ≤ 0.064` over coefficients 0, 1, 2 in 600-cell
+    /// chains). Doubling the carry's output instead would put
+    /// `4·v_bootstrapped` on top of the operands, which a chained cell's
+    /// decryption misses the default budget with at every unroll.
     pub fn sum_variance(&self, va: f64, vb: f64, vc: f64) -> f64 {
-        va + vb + vc + 2.0 * self.v_blind_rotate + self.v_key_switch
+        va + vb + vc + 2.0 * self.v_blind_rotate
     }
 
     /// Failure bound of the two extra decisions an adder cell's sum rests
-    /// on: accumulator coefficient `j` is the sign of the host's linear
-    /// part at a phase shifted by `j/2N`, so coefficients 1 and 2 each
-    /// decide at a margin up to `2/2N` short of the majority's 1/8 — two
-    /// terms of the union bound on top of the host's own
+    /// on: accumulator coefficient `j` is the sign of the host's switched
+    /// linear part at a phase shifted by `j/2N`, so coefficients 1 and 2
+    /// each decide at a margin up to `2/2N` short of the majority's 1/8 —
+    /// two terms of the union bound on top of the host's own
     /// [`decision_failure`](NoiseModel::decision_failure), under the same
     /// independence as [`sum_variance`](NoiseModel::sum_variance).
     pub fn sum_failure(&self, va: f64, vb: f64, vc: f64) -> f64 {
         let margin = Gate3::Maj.desc().margin - SUM_COEFFICIENT * self.coefficient_step;
-        2.0 * Self::tail_bound(margin, va + vb + vc + self.v_mod_switch)
+        let v = va + vb + vc + self.v_key_switch + self.v_mod_switch;
+        2.0 * Self::tail_bound(margin, v)
     }
 }
 
@@ -2096,9 +2102,10 @@ mod tests {
         let r = noise_report(&net, model);
         assert_eq!(r.node_variance[x], model.v_bootstrapped());
         let (fresh, reset) = (model.v_fresh(), model.v_bootstrapped());
+        let switches = model.v_key_switch() + model.v_mod_switch();
         let want = model.decrypt_failure(reset)
-            + NoiseModel::tail_bound(0.125, 3.0 * fresh + model.v_mod_switch())
-            + NoiseModel::tail_bound(0.25, 4.0 * (reset + 2.0 * fresh) + model.v_mod_switch());
+            + NoiseModel::tail_bound(0.125, 3.0 * fresh + switches)
+            + NoiseModel::tail_bound(0.25, 4.0 * (reset + 2.0 * fresh) + switches);
         let got = r.outputs[0].failure_prob;
         assert!(
             want > 0.0 && (got - want).abs() <= 1e-12 * want,
@@ -2109,11 +2116,14 @@ mod tests {
     /// The decision bounds as the model wrote them before the records: a
     /// margin and a variance scale per gate family. `w² ∈ {1, 4}` scales by
     /// powers of two, which commute with rounding, so the derived sum
-    /// `Σ wᵢ²·vᵢ` is bit for bit the old `scale · Σ vᵢ`.
+    /// `Σ wᵢ²·vᵢ` is bit for bit the old `scale · Σ vᵢ`. (Both switches are
+    /// charged to the decision, key switch first.)
     #[test]
     fn decision_failure_matches_the_hand_written_formulas() {
         let model = NoiseModel::new(&ParameterSet::MATCHA, 2);
-        let tail = |margin, v| NoiseModel::tail_bound(margin, v + model.v_mod_switch());
+        let tail = |margin, v| {
+            NoiseModel::tail_bound(margin, v + model.v_key_switch() + model.v_mod_switch())
+        };
         let grid = [
             0.0,
             1e-9,
@@ -2162,13 +2172,15 @@ mod tests {
         net.mark_output(x);
         let r = noise_report(&net, model);
         let fresh = model.v_fresh();
-        let kept = 3.0 * fresh + 2.0 * model.v_blind_rotate() + model.v_key_switch();
+        let kept = 3.0 * fresh + 2.0 * model.v_blind_rotate();
         assert_eq!(r.node_variance[s], kept);
         assert!(kept > model.v_bootstrapped() + 3.0 * fresh, "not a reset");
         // The sum's own terms: two extractions deciding a step or two off
-        // the host's phase, and the client's decryption of what it keeps.
+        // the host's switched phase, and the client's decryption of what it
+        // keeps.
         let shifted = 0.125 - 2.0 / (2.0 * p.ring_degree as f64);
-        let extractions = 2.0 * NoiseModel::tail_bound(shifted, 3.0 * fresh + model.v_mod_switch());
+        let switched = 3.0 * fresh + model.v_key_switch() + model.v_mod_switch();
+        let extractions = 2.0 * NoiseModel::tail_bound(shifted, switched);
         let want = model.decrypt_failure(kept) + extractions;
         let got = r.outputs[0].failure_prob;
         assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");

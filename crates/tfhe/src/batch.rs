@@ -5,7 +5,7 @@
 //! key stream, the GPU batches ciphertexts, and the CPU baseline uses its 8
 //! cores. This module is the software counterpart, in two forms over the
 //! one batched gate entry, [`ServerKey::apply_lanes_into`] (a wave of gates
-//! carried through each key group together, then key-switched together):
+//! key-switched together, then carried through each key group together):
 //!
 //! * [`run_gate_batch`] shards one batch over scoped workers, each calling
 //!   the batched entry on its share with a private
@@ -127,7 +127,7 @@ impl ValueSlab {
 /// mixed batch of these, dispatched with [`GateBatchPool::run_tasks`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GateTask {
-    /// A two-input bootstrapped gate (one bootstrap + key switch).
+    /// A two-input bootstrapped gate (one bootstrap).
     Binary {
         /// The gate to evaluate.
         gate: Gate,
@@ -141,7 +141,7 @@ pub enum GateTask {
         /// The operand node.
         a: usize,
     },
-    /// `sel ? a : b` — two bootstraps + one key switch.
+    /// `sel ? a : b` — two bootstraps, their outputs added.
     Mux {
         /// The selector node.
         sel: usize,
@@ -150,7 +150,7 @@ pub enum GateTask {
         /// Node taken when `sel` is false.
         b: usize,
     },
-    /// A three-input bootstrapped gate (one bootstrap + key switch).
+    /// A three-input bootstrapped gate (one bootstrap).
     Ternary {
         /// The gate to evaluate.
         gate: Gate3,
@@ -560,7 +560,7 @@ where
 /// under the task's own `catch_unwind`, so a malformed task (e.g. a
 /// mismatched-dimension operand, or a scripted [`FaultAction::Panic`])
 /// fails only its own index and its lane is dropped from the wave, and so
-/// does storing its result. The blind rotation, extraction and key switch
+/// does storing its result. The key switch, blind rotation and extraction
 /// are shared loops: a panic there fails every task staged in the chunk,
 /// each reported. Either way the worker keeps serving and nothing is
 /// poisoned. The scratch stays structurally valid across an unwind —
@@ -785,8 +785,8 @@ where
     /// of at most `min(MAX_LANES, ⌈lanes / threads⌉)` blind rotations (a
     /// binary gate is one, a mux two, a `Not` none — for a wave of binary
     /// gates that is so many tasks): every worker gets a share, and a
-    /// worker carries its chunk through each key group together and
-    /// key-switches it together ([`ServerKey::apply_lanes_into`]), so the
+    /// worker key-switches its chunk together and carries it through each
+    /// key group together ([`ServerKey::apply_lanes_into`]), so the
     /// keys stream once per chunk rather than once per task, with each
     /// task's result bit-identical to running it alone.
     ///

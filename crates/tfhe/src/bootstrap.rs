@@ -1,11 +1,16 @@
-//! Gate bootstrapping (Algorithm 1 of the paper).
+//! Gate bootstrapping (Algorithm 1 of the paper, key switch first).
 //!
-//! The pipeline per gate: round the input LWE sample to `Z_{2N}`, blind-
-//! rotate a test vector by the encrypted phase (one bundle build + external
-//! product per key group), extract the constant coefficient, and key-switch
-//! back to the gate-level key. Every TFHE Boolean gate is a cheap linear
-//! combination followed by this procedure, which is why bootstrapping is
-//! 99% of gate latency (paper Figure 1).
+//! The pipeline per gate: key-switch the input from the extracted key `s′`
+//! (dimension `N`) to the LWE key `s` (dimension `n`), round it to
+//! `Z_{2N}`, blind-rotate a test vector by the encrypted phase (one bundle
+//! build + external product per key group), and extract the constant
+//! coefficient — a sample under `s′` again, so an output feeds the next
+//! gate as it is. The paper's Algorithm 1 switches after the extraction
+//! instead; either way a bootstrap runs one key switch and one blind
+//! rotation, but switching first leaves nothing to switch that did not
+//! come out of a bootstrap's own input. Every TFHE Boolean gate is a cheap
+//! linear combination followed by this procedure, which is why
+//! bootstrapping is 99% of gate latency (paper Figure 1).
 
 use crate::bku::UnrolledBootstrappingKey;
 use crate::keyswitch::KeySwitchKey;
@@ -46,7 +51,7 @@ impl<E: FftEngine> BootstrapKit<E> {
             &mut sampler,
         );
         let ksk = KeySwitchKey::generate(
-            &client.ring_key().extract_lwe_key(),
+            client.extracted_key(),
             client.lwe_key(),
             &params,
             &mut sampler,
@@ -80,9 +85,10 @@ impl<E: FftEngine> BootstrapKit<E> {
         &self.ksk
     }
 
-    /// Full gate bootstrap (Algorithm 1): noise-reset to `±mu` and
-    /// key-switch back to the gate-level key. The output message is `+mu`
-    /// when the input phase is in `(0, 1/2)` and `−mu` otherwise.
+    /// Full gate bootstrap (Algorithm 1, key switch first): a noise reset
+    /// of an extracted-key sample to `±mu`, under the extracted key. The
+    /// output message is `+mu` when the input phase is in `(0, 1/2)` and
+    /// `−mu` otherwise.
     /// [`BootstrapKit::bootstrap_into`] through a scratch built for the
     /// call.
     pub fn bootstrap(&self, engine: &E, input: &LweCiphertext, mu: Torus32) -> LweCiphertext {
@@ -98,39 +104,32 @@ impl<E: FftEngine> BootstrapKit<E> {
         BootstrapScratch::with_bundle(engine, &self.params, self.bk.gadget_spectrum().clone())
     }
 
-    /// Stages `input` as lane `lane` of a blind rotation: the accumulator
-    /// is set to `X^{b̄}·testv` (the test vector read from
-    /// `scratch.test_vector_mut()`) and the mask is mod-switched to the
-    /// lane's bundle exponents. The lane is built on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input`'s dimension is not the parameter set's `n`.
-    pub fn stage_lane(
-        &self,
-        input: &LweCiphertext,
-        lane: usize,
-        scratch: &mut BootstrapScratch<E>,
-    ) {
-        assert_eq!(
-            input.dimension(),
-            self.params.lwe_dimension,
-            "dimension mismatch"
-        );
+    /// Stages lanes `0..lanes` of a blind rotation from their key-switched
+    /// inputs (`scratch.switched`): each accumulator is set to
+    /// `X^{b̄}·testv` (the test vector read from
+    /// `scratch.test_vector_mut()`) and each mask is mod-switched to the
+    /// lane's bundle exponents.
+    pub(crate) fn stage_switched(&self, lanes: usize, scratch: &mut BootstrapScratch<E>) {
         let two_n = self.params.two_n();
-        scratch.reserve_lanes(lane + 1);
-        let Lane { acc, exponents } = &mut scratch.lanes[lane];
+        let BootstrapScratch {
+            lanes: staged,
+            switched,
+            testv,
+            ..
+        } = scratch;
         profile::timed(Phase::Other, || {
-            acc.mask_mut().fill_zero();
-            let b_bar = mod_switch_from_torus(input.body(), two_n);
-            acc.body_mut().rotate_from(&scratch.testv, b_bar as i64);
-            exponents.clear();
-            exponents.extend(
-                input
-                    .mask()
-                    .iter()
-                    .map(|&a| mod_switch_from_torus(a, two_n)),
-            );
+            for (Lane { acc, exponents }, input) in staged[..lanes].iter_mut().zip(&*switched) {
+                acc.mask_mut().fill_zero();
+                let b_bar = mod_switch_from_torus(input.body(), two_n);
+                acc.body_mut().rotate_from(testv, b_bar as i64);
+                exponents.clear();
+                exponents.extend(
+                    input
+                        .mask()
+                        .iter()
+                        .map(|&a| mod_switch_from_torus(a, two_n)),
+                );
+            }
         });
     }
 
@@ -170,17 +169,23 @@ impl<E: FftEngine> BootstrapKit<E> {
         }
     }
 
-    /// Blind rotation through the scratch: reads the test vector from
+    /// Key switch and blind rotation through the scratch: switches `input`
+    /// (under the extracted key) to the LWE key, reads the test vector from
     /// `scratch.test_vector_mut()` and leaves `TRLWE(X^{b̄ − ⟨ā, s⟩}·testv)`
-    /// in `scratch.accumulator()` — the one-lane call of
-    /// [`BootstrapKit::blind_rotate_lanes`]. Zero allocations once warmed.
+    /// of the switched sample in `scratch.accumulator()` — the one-lane
+    /// form of a wave. Zero allocations once warmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input`'s dimension is not the ring degree `N`.
     pub fn blind_rotate_assign(
         &self,
         engine: &E,
         input: &LweCiphertext,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        self.stage_lane(input, 0, scratch);
+        self.ksk.switch_into(input, &mut scratch.switched[0]);
+        self.stage_switched(1, scratch);
         self.blind_rotate_lanes(engine, 1, scratch);
     }
 
@@ -198,13 +203,9 @@ impl<E: FftEngine> BootstrapKit<E> {
         // wraps the top coefficient negacyclically into +μ at position 0.
         scratch.testv.coeffs_mut().fill(-mu);
         self.blind_rotate_assign(engine, input, scratch);
-        let BootstrapScratch {
-            lanes, extracted, ..
-        } = scratch;
         profile::timed(Phase::Other, || {
-            lanes[0].acc.sample_extract_into(&mut extracted[0])
+            scratch.lanes[0].acc.sample_extract_into(out)
         });
-        self.ksk.switch_into(&extracted[0], out);
     }
 }
 
@@ -234,7 +235,7 @@ mod tests {
                 message,
                 "unroll={unroll} message={message}"
             );
-            // Bootstrapped noise must be far below the 1/16 margin.
+            // Bootstrapped noise must be far below the 1/8 decision margin.
             let noise = client_key.noise_of(&out, message).abs();
             assert!(noise < 0.03, "unroll={unroll}: noise {noise}");
         }

@@ -37,7 +37,7 @@ pub enum GateOp {
     Binary(Gate, usize, usize),
     /// Free negation — no bootstrap.
     Not(usize),
-    /// `sel ? a : b` — two bootstraps + one key switch.
+    /// `sel ? a : b` — two bootstraps, their outputs added.
     Mux {
         /// Selector node.
         sel: usize,
@@ -719,8 +719,8 @@ impl CircuitFrontier {
 
     /// Like [`CircuitFrontier::with_tag`], but sourcing each input slot
     /// from `fill` instead of cloning out of a slice — the wire-ingest
-    /// path: a packed TRLWE submission sample-extracts and key-switches
-    /// each bit in `fill` and the resulting sample lands in the slab
+    /// path: a packed TRLWE submission sample-extracts each bit in `fill`
+    /// and the resulting sample lands in the slab
     /// directly, with no intermediate ciphertext vector or clone. `fill`
     /// is called exactly once per input slot, in node order.
     ///

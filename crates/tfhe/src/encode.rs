@@ -10,7 +10,7 @@
 use crate::lwe::LweCiphertext;
 use crate::pbs::Lut;
 use crate::secret::ClientKey;
-use matcha_math::{Torus32, TorusSampler};
+use matcha_math::Torus32;
 use rand::Rng;
 
 /// A `2^bits`-bucket message space on the half circle.
@@ -77,24 +77,18 @@ impl BucketEncoding {
         idx.clamp(0.0, buckets - 1.0) as u32
     }
 
-    /// Encrypts a bucket message under the client's LWE key.
+    /// Encrypts a bucket message under the client's extracted key.
     ///
     /// # Panics
     ///
     /// Panics if `msg ≥ 2^bits`.
     pub fn encrypt<R: Rng>(&self, client: &ClientKey, msg: u32, rng: &mut R) -> LweCiphertext {
-        let mut sampler = TorusSampler::new(rng);
-        LweCiphertext::encrypt(
-            self.phase_of(msg),
-            client.lwe_key(),
-            client.params().lwe_noise_stdev,
-            &mut sampler,
-        )
+        client.encrypt_phase(self.phase_of(msg), rng)
     }
 
     /// Decrypts a bucket message.
     pub fn decrypt(&self, client: &ClientKey, c: &LweCiphertext) -> u32 {
-        self.decode_phase(c.phase(client.lwe_key()))
+        self.decode_phase(client.phase(c))
     }
 
     /// Builds a LUT evaluating `f: bucket → bucket` under this encoding:

@@ -2,9 +2,11 @@
 //!
 //! Every two-input gate is a linear combination of the input ciphertexts
 //! and a trivial constant, followed by a gate bootstrap that simultaneously
-//! computes the sign decision and resets the noise. `NOT` is a free
-//! negation; `MUX` composes two bootstraps and a key switch as in the TFHE
-//! reference library; the three-input [`Gate3`]s (majority and parity, a
+//! computes the sign decision and resets the noise. Inputs, linear parts
+//! and outputs are all samples under the extracted key (dimension `N`);
+//! the key switch to dimension `n` is the bootstrap's first step. `NOT` is
+//! a free negation; `MUX` adds the outputs of two bootstraps, one per
+//! lane, as in the TFHE reference library; the three-input [`Gate3`]s (majority and parity, a
 //! full adder's carry and sum) are one bootstrap each — and one bootstrap
 //! together, as an adder *cell*: the sum is linear in what the carry's blind
 //! rotation already holds ([`LaneGate::Cell`]).
@@ -215,7 +217,8 @@ const RECORDS: [GateDesc; 12] = [
     record("XOR3", 0b1001_0110, [2, 2, 2], eighths(4), 0.25, 1),
 ];
 
-/// A gate's linear part `Σ wᵢ·opᵢ + offset` of dimension `n`, as its
+/// A gate's linear part `Σ wᵢ·opᵢ + offset` of dimension `n` (the ring
+/// degree: operands are under the extracted key), as its
 /// record states it, written into a caller-owned buffer — no allocation
 /// once `out`'s mask has capacity `n`. Torus arithmetic wraps, so the
 /// order of the terms does not change a bit of the result.
@@ -270,12 +273,12 @@ pub enum LaneGate<'a> {
     /// its bootstrapped value, `L − 2c′` is the encoding of `a ⊕ b ⊕ c`
     /// (`±3/8 ∓ 2/8`, `±1/8 ∓ 2/8`). The rotated all-`(−μ)` test vector
     /// holds `sign(L)·μ` at *every* coefficient, so the `2c′` is
-    /// coefficients 1 and 2 of the accumulator, extracted and added: two
-    /// blind-rotation noises where doubling the key-switched carry would
-    /// carry four of everything. The carry is coefficient 0, bit for bit
-    /// the [`Gate3::Maj`] output; the sum is the kept linear part minus the
-    /// key-switched twin, so it carries its operands' noise — it is *not*
-    /// a noise reset ([`NoiseModel::sum_variance`](crate::NoiseModel::sum_variance)).
+    /// coefficients 1 and 2 of the accumulator, extracted and taken off
+    /// the kept linear part — both under the extracted key, so nothing is
+    /// switched beyond the majority's own input. The carry is coefficient
+    /// 0, bit for bit the [`Gate3::Maj`] output; the sum carries its
+    /// operands' noise — it is *not* a noise reset
+    /// ([`NoiseModel::sum_variance`](crate::NoiseModel::sum_variance)).
     /// A half adder is the cell whose third operand is a trivial `false`.
     Cell {
         /// The operands (the cell is symmetric in them).
@@ -345,7 +348,8 @@ pub(crate) fn lane_prefix(lanes: impl Iterator<Item = usize>, cap: usize) -> usi
 }
 
 /// The evaluator's key: bootstrapping + key-switching keys bound to an FFT
-/// engine, exposing the Boolean gate API.
+/// engine, exposing the Boolean gate API over samples under the client's
+/// extracted key.
 ///
 /// # Examples
 ///
@@ -418,12 +422,14 @@ impl<E: FftEngine> ServerKey<E> {
         &self.engine
     }
 
-    /// A trivial (noiseless, unkeyed) encryption of a Boolean constant.
+    /// A trivial (noiseless, unkeyed) encryption of a Boolean constant, of
+    /// the dimension gates read (the ring degree `N`).
     pub fn trivial(&self, value: bool) -> LweCiphertext {
-        LweCiphertext::trivial(Torus32::from_bool(value), self.params().lwe_dimension)
+        LweCiphertext::trivial(Torus32::from_bool(value), self.params().ring_degree)
     }
 
-    /// Applies any two-input gate: linear part + bootstrap + key switch.
+    /// Applies any two-input gate: linear part + key switch + blind
+    /// rotation + sample extraction.
     /// [`ServerKey::apply_into`] through a scratch built for the call.
     pub fn apply(&self, gate: Gate, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         let mut out = LweCiphertext::default();
@@ -437,9 +443,8 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// [`ServerKey::apply`] into a caller-owned output through the scratch:
-    /// a warmed call evaluates the whole gate — linear part, blind
-    /// rotation, sample extraction, key switch — with zero heap
-    /// allocations. The one-gate call of [`ServerKey::apply_lanes_into`].
+    /// a warmed call evaluates the whole gate — linear part, key switch,
+    /// blind rotation, sample extraction — with zero heap allocations. The one-gate call of [`ServerKey::apply_lanes_into`].
     pub fn apply_into(
         &self,
         gate: Gate,
@@ -453,11 +458,13 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// Evaluates a slice of independent gates into `outs`, a wave of up to
-    /// [`MAX_LANES`] blind rotations at a time: linear parts, then **one
-    /// pass over the bootstrapping key** carrying every lane through each
-    /// key group ([`BootstrapKit::blind_rotate_lanes`]), sample extraction
-    /// (with the mux recombination), and one coefficient-major key switch
-    /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)).
+    /// [`MAX_LANES`] blind rotations at a time: linear parts, one
+    /// coefficient-major key switch of all of them
+    /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)),
+    /// then **one pass over the bootstrapping key** carrying every lane
+    /// through each key group ([`BootstrapKit::blind_rotate_lanes`]), and
+    /// sample extraction straight into `outs` (with the mux and cell
+    /// recombinations).
     /// Each gate's arithmetic is what a one-gate call does for it alone,
     /// so every output is bit-identical to that call's; a warmed call
     /// allocates nothing. Outputs are in gate order, a [`LaneGate::Cell`]'s
@@ -494,57 +501,39 @@ impl<E: FftEngine> ServerKey<E> {
         }
     }
 
-    /// The per-gate half of a wave: checks `gate`'s operands, takes its
-    /// linear part(s) and stages the bootstrap input(s) as lanes
-    /// `lane..lane + gate.lanes()`. Touches nothing another lane owns, so
-    /// a gate that panics here can be dropped from its wave.
+    /// The per-gate half of a wave: checks `gate`'s operands and takes its
+    /// linear part(s) as the inputs of lanes `lane..lane + gate.lanes()`.
+    /// Touches nothing another lane owns, so a gate that panics here can be
+    /// dropped from its wave.
     pub(crate) fn stage_lanes(
         &self,
         gate: &LaneGate<'_>,
         lane: usize,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        // All-(−μ) test vector, as in `BootstrapKit::bootstrap_into`.
-        scratch.testv.coeffs_mut().fill(-GATE_MU);
-        let mut lin = std::mem::take(&mut scratch.lin);
-        let n = self.params().lwe_dimension;
+        scratch.reserve_lanes(lane + gate.lanes());
+        let n = self.params().ring_degree;
+        let lin = &mut scratch.lin[lane..];
         match *gate {
             LaneGate::Binary { gate, a, b } => {
-                linear_part_into(gate.desc(), &[a, b], n, &mut lin);
-                self.kit.stage_lane(&lin, lane, scratch);
+                linear_part_into(gate.desc(), &[a, b], n, &mut lin[0]);
             }
-            // u1 = AND(sel, a), u2 = AND(¬sel, b) — both under the
-            // extracted key.
+            // u1 = AND(sel, a), u2 = AND(¬sel, b).
             LaneGate::Mux { sel, a, b } => {
-                linear_part_into(Gate::And.desc(), &[sel, a], n, &mut lin);
-                self.kit.stage_lane(&lin, lane, scratch);
-                linear_part_into(Gate::AndNY.desc(), &[sel, b], n, &mut lin);
-                self.kit.stage_lane(&lin, lane + 1, scratch);
+                linear_part_into(Gate::And.desc(), &[sel, a], n, &mut lin[0]);
+                linear_part_into(Gate::AndNY.desc(), &[sel, b], n, &mut lin[1]);
             }
-            LaneGate::Ternary { gate, ops } => {
-                linear_part_into(gate.desc(), &ops, n, &mut lin);
-                self.kit.stage_lane(&lin, lane, scratch);
-            }
-            // The majority's lane, and its linear part kept for the sum.
-            LaneGate::Cell { ops } => {
-                linear_part_into(Gate3::Maj.desc(), &ops, n, &mut lin);
-                self.kit.stage_lane(&lin, lane, scratch);
-                if scratch.cell_lin.len() <= lane {
-                    scratch
-                        .cell_lin
-                        .resize_with(lane + 1, LweCiphertext::default);
-                }
-                scratch.cell_lin[lane].copy_from(&lin);
-            }
+            LaneGate::Ternary { gate, ops } => linear_part_into(gate.desc(), &ops, n, &mut lin[0]),
+            // The majority's lane; its linear part stays for the sum.
+            LaneGate::Cell { ops } => linear_part_into(Gate3::Maj.desc(), &ops, n, &mut lin[0]),
         }
-        scratch.lin = lin;
     }
 
-    /// The shared half of a wave: blind-rotates the staged lanes in one
-    /// pass over the key, extracts one sample per output (`staged` says how
-    /// each staged gate reads its lanes, in lane order), key-switches them
-    /// together into `outs` and takes each cell's switched twin off its
-    /// linear part.
+    /// The shared half of a wave: key-switches every staged lane's linear
+    /// part in one walk through the key-switching key, blind-rotates the
+    /// lanes in one pass over the bootstrapping key, and extracts each
+    /// output into `outs` (`staged` says how each staged gate reads its
+    /// lanes, in lane order).
     pub(crate) fn finish_lanes(
         &self,
         staged: impl Iterator<Item = Staged> + Clone,
@@ -552,51 +541,43 @@ impl<E: FftEngine> ServerKey<E> {
         scratch: &mut BootstrapScratch<E>,
     ) {
         let lanes = staged.clone().map(Staged::lanes).sum();
+        self.kit
+            .key_switch_key()
+            .switch_slice_into(&scratch.lin[..lanes], &mut scratch.switched[..lanes]);
+        // All-(−μ) test vector, as in `BootstrapKit::bootstrap_into`.
+        scratch.testv.coeffs_mut().fill(-GATE_MU);
+        self.kit.stage_switched(lanes, scratch);
         self.kit.blind_rotate_lanes(&self.engine, lanes, scratch);
-        scratch.reserve_extracted(outs.len());
         let BootstrapScratch {
             lanes: rotated,
-            extracted,
-            extracted2,
-            cell_lin,
+            lin,
+            spare,
             ..
         } = scratch;
-        let extracted = &mut extracted[..outs.len()];
         profile::timed(Phase::Other, || {
             let (mut lane, mut out) = (0, 0);
-            for gate in staged.clone() {
+            for gate in staged {
                 let acc = &rotated[lane].acc;
-                acc.sample_extract_into(&mut extracted[out]);
+                acc.sample_extract_into(&mut outs[out]);
                 match gate {
                     Staged::Gate => {}
                     Staged::Mux => {
                         // sel ? a : b = u1 + u2 + (0, 1/8).
-                        rotated[lane + 1].acc.sample_extract_into(extracted2);
-                        extracted[out].add_assign(extracted2);
-                        extracted[out].add_body(GATE_MU);
+                        rotated[lane + 1].acc.sample_extract_into(spare);
+                        outs[out].add_assign(spare);
+                        outs[out].add_body(GATE_MU);
                     }
                     Staged::Cell => {
-                        // Twice the carry, from two coefficients the carry
-                        // did not use: the rotated test vector is constant.
-                        let twin = &mut extracted[out + 1];
-                        acc.sample_extract_at_into(1, twin);
-                        acc.sample_extract_at_into(2, extracted2);
-                        twin.add_assign(extracted2);
+                        // sum = (a + b + c) − 2·carry, twice the carry being
+                        // two coefficients the carry did not use: the
+                        // rotated test vector is constant.
+                        let sum = &mut outs[out + 1];
+                        sum.copy_from(&lin[lane]);
+                        for coefficient in [1, 2] {
+                            acc.sample_extract_at_into(coefficient, spare);
+                            sum.sub_assign(spare);
+                        }
                     }
-                }
-                lane += gate.lanes();
-                out += gate.outputs();
-            }
-        });
-        self.kit.key_switch_key().switch_slice_into(extracted, outs);
-        profile::timed(Phase::Other, || {
-            let (mut lane, mut out) = (0, 0);
-            for gate in staged {
-                if gate == Staged::Cell {
-                    // sum = (a + b + c) − 2·carry.
-                    let sum = &mut outs[out + 1];
-                    sum.neg_assign();
-                    sum.add_assign(&cell_lin[lane]);
                 }
                 lane += gate.lanes();
                 out += gate.outputs();
@@ -705,8 +686,9 @@ impl<E: FftEngine> ServerKey<E> {
         })
     }
 
-    /// Homomorphic multiplexer `sel ? a : b`, built from two bootstraps and
-    /// one key switch as in the TFHE reference library.
+    /// Homomorphic multiplexer `sel ? a : b`: the outputs of two
+    /// bootstraps, `AND(sel, a)` and `AND(¬sel, b)`, added, as in the TFHE
+    /// reference library — each bootstrap switching its own linear part.
     /// [`ServerKey::mux_into`] through a scratch built for the call.
     pub fn mux(&self, sel: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         let mut out = LweCiphertext::default();
@@ -715,8 +697,8 @@ impl<E: FftEngine> ServerKey<E> {
     }
 
     /// [`ServerKey::mux`] into a caller-owned output through the scratch:
-    /// both bootstraps (side by side, as two lanes of one pass over the
-    /// key), the recombination and the key switch run with zero heap
+    /// both bootstraps (side by side, as two lanes of one key switch and
+    /// one pass over the key) and the recombination run with zero heap
     /// allocations once warmed. The one-gate call of
     /// [`ServerKey::apply_lanes_into`].
     pub fn mux_into(
@@ -835,10 +817,10 @@ mod tests {
     fn derived_linear_parts_match_the_hand_written_ones() {
         let mut sampler = matcha_math::TorusSampler::new(StdRng::seed_from_u64(1007));
         let mut random = || {
-            let mask = (0..ParameterSet::MATCHA.lwe_dimension).map(|_| sampler.uniform());
+            let mask = (0..ParameterSet::MATCHA.ring_degree).map(|_| sampler.uniform());
             LweCiphertext::from_parts(mask.collect(), sampler.uniform())
         };
-        let n = ParameterSet::MATCHA.lwe_dimension;
+        let n = ParameterSet::MATCHA.ring_degree;
         let mut lin = LweCiphertext::default();
         for _ in 0..16 {
             let [sel, a, b, c] = [0; 4].map(|_| random());
@@ -901,7 +883,9 @@ mod tests {
     }
 
     /// Every row of the adder cell under every polarity of the operands,
-    /// carry and sum both, and the carry bit for bit the `MAJ3` gate's.
+    /// carry and sum both, the carry bit for bit the `MAJ3` gate's, and the
+    /// sum bit for bit `a + b + c` minus accumulator coefficients 1 and 2:
+    /// nothing on the sum's way out is switched.
     fn check_cell_rows<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
@@ -921,6 +905,11 @@ mod tests {
                 let [carry, sum] = outs.each_ref().map(|out| client.decrypt(out));
                 assert_eq!(carry, Gate3::Maj.eval(a, b, c), "carry({a}, {b}, {c})");
                 assert_eq!(sum, Gate3::Xor3.eval(a, b, c), "sum({a}, {b}, {c})");
+                let acc = scratch.accumulator();
+                let twin = acc.sample_extract_at(1) + &acc.sample_extract_at(2);
+                let n = client.params().ring_degree;
+                let lin = LweCiphertext::trivial(Torus32::ZERO, n) + ops[0] + ops[1] + ops[2];
+                assert_eq!(outs[1], lin - &twin, "the sum is L − twin");
                 server.apply3_into(Gate3::Maj, ops, &mut majority, &mut scratch);
                 assert_eq!(outs[0], majority, "the carry is the MAJ3 gate's output");
             }
@@ -1005,9 +994,9 @@ mod tests {
         let mut scratch = server.make_scratch();
         let mut outs = vec![LweCiphertext::default(); MAX_LANES + 1];
         server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut outs[0], &mut scratch);
-        assert_eq!((scratch.lanes.len(), scratch.extracted.len()), (1, 1));
+        assert_eq!((scratch.lanes.len(), scratch.lin.len()), (1, 1));
         server.mux_into(&bits[0], &bits[1], &bits[2], &mut outs[0], &mut scratch);
-        assert_eq!((scratch.lanes.len(), scratch.extracted.len()), (2, 2));
+        assert_eq!((scratch.lanes.len(), scratch.lin.len()), (2, 2));
         // More gates than lanes: two passes, and no lane past the cap.
         let gates: Vec<LaneGate<'_>> = bits
             .windows(2)

@@ -8,20 +8,21 @@
 //! * [`params`] — parameter sets (the paper's §5 set, TFHE-library default,
 //!   fast test sets).
 //! * [`secret`] / [`lwe`] / [`tlwe`] / [`tgsw`] — the ciphertext tower:
-//!   scalar LWE samples for gates, ring TRLWE samples for the accumulator,
+//!   scalar LWE samples for gates (under the key extracted from the ring
+//!   key), ring TRLWE samples for the accumulator,
 //!   TGSW samples for the bootstrapping keys, and the external product.
 //! * [`bku`] — bootstrapping key unrolling: `2^m − 1` pattern keys per
 //!   group of `m` secret bits, bundles built with Lagrange-domain TGSW
 //!   scale operations (no extra FFTs).
-//! * [`bootstrap`] — Algorithm 1: mod-switch, blind rotation, sample
-//!   extraction, key switch.
+//! * [`bootstrap`] — Algorithm 1, key switch first: key switch,
+//!   mod-switch, blind rotation, sample extraction.
 //! * [`gates`] — the Boolean gate API ([`ServerKey`]).
 //! * [`batch`] / [`circuit`] / [`server`] — the serving stack: persistent
 //!   heterogeneous gate-batch pool, executable netlists wave-scheduled onto
 //!   it, and the multi-client circuit request server.
 //! * [`codec`] / [`packing`] / [`session`] — the wire: versioned
 //!   serialization for every key and ciphertext, packed TRLWE transport
-//!   (2 torus words per bit instead of `n + 1`), and framed sessions
+//!   (2 torus words per bit instead of `N + 1`), and framed sessions
 //!   serving whole circuits over any `Read + Write` transport.
 //! * [`analyze`] — netlist static analysis: structural lints, the
 //!   `simplify` rewriter, analytic worst-case noise certification, and

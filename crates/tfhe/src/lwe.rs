@@ -1,6 +1,9 @@
 //! Gate-level LWE (TLWE scalar) ciphertexts.
 //!
-//! An LWE sample is `(a, b) ∈ T^n × T` with `b = ⟨a, s⟩ + μ + e` (paper §2).
+//! An LWE sample is `(a, b) ∈ T^n × T` with `b = ⟨a, s⟩ + μ + e` (paper §2);
+//! gates read and write samples under the extracted key (`n = N`), and a
+//! bootstrap switches its input to the LWE key (`n = 500` at the paper's
+//! parameters) for the blind rotation.
 //! Boolean gates operate on these samples with cheap linear algebra; the
 //! expensive part — bootstrapping — lives in [`crate::bootstrap`].
 

@@ -59,9 +59,11 @@ pub fn fresh_noise<R: Rng>(client: &ClientKey, trials: usize, rng: &mut R) -> No
 }
 
 /// Measures post-bootstrap noise: encrypt, bootstrap to `±1/8`, compare to
-/// the exact plaintext. This is the end-to-end noise that must stay below
-/// `1/16` for correct decryption, aggregating EP, rounding, key-switch and
-/// (for approximate engines) FFT noise — the rows of Table 3.
+/// the exact plaintext under the extracted key. The bootstrap switches its
+/// input first, so what its output carries is the blind rotation's EP,
+/// rounding, key and (for approximate engines) FFT noise — the rows of
+/// Table 3 — and no key switch; the switch's noise is paid inside the next
+/// decision instead. The harness accepts samples below `1/16`.
 pub fn bootstrap_noise<E: FftEngine, R: Rng>(
     client: &ClientKey,
     kit: &BootstrapKit<E>,
@@ -83,36 +85,6 @@ pub fn bootstrap_noise<E: FftEngine, R: Rng>(
     NoiseStats::from_errors(&errors)
 }
 
-/// Measures blind-rotation (pre-key-switch) noise in isolation, under the
-/// extracted key — the `EP + rounding + BK` part of Table 3 without the
-/// key-switch contribution.
-pub fn extracted_noise<E: FftEngine, R: Rng>(
-    client: &ClientKey,
-    kit: &BootstrapKit<E>,
-    engine: &E,
-    trials: usize,
-    rng: &mut R,
-) -> NoiseStats {
-    let mu = Torus32::from_dyadic(1, 3);
-    let extracted_key = client.ring_key().extract_lwe_key();
-    let mut scratch = kit.make_scratch(engine);
-    let mut out = LweCiphertext::default();
-    let errors: Vec<f64> = (0..trials)
-        .map(|i| {
-            let msg = i % 2 == 0;
-            let c = client.encrypt_with(msg, rng);
-            // The gate bootstrap's all-(−μ) test vector, without the key
-            // switch that follows it.
-            scratch.test_vector_mut().coeffs_mut().fill(-mu);
-            kit.blind_rotate_assign(engine, &c, &mut scratch);
-            scratch.accumulator().sample_extract_into(&mut out);
-            let expected = Torus32::from_bool(msg);
-            out.phase(&extracted_key).signed_diff(expected)
-        })
-        .collect();
-    NoiseStats::from_errors(&errors)
-}
-
 /// Decryption failure probe: runs `trials` NAND-style bootstraps and counts
 /// wrong decryptions (the paper's "no decryption failure in 10⁸ gates"
 /// experiment, scaled down).
@@ -124,8 +96,7 @@ pub fn failure_count<E: FftEngine, R: Rng>(
     rng: &mut R,
 ) -> usize {
     let mu = Torus32::from_dyadic(1, 3);
-    let n = client.params().lwe_dimension;
-    let eighth = LweCiphertext::trivial(mu, n);
+    let eighth = LweCiphertext::trivial(mu, client.params().ring_degree);
     let mut scratch = kit.make_scratch(engine);
     let mut out = LweCiphertext::default();
     (0..trials)
@@ -162,7 +133,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(62);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let stats = fresh_noise(&client, 400, &mut rng);
-        let sigma = client.params().lwe_noise_stdev;
+        let sigma = client.params().ring_noise_stdev;
         assert!(stats.mean.abs() < 3.0 * sigma, "mean {}", stats.mean);
         assert!(
             stats.stdev > sigma / 3.0 && stats.stdev < sigma * 3.0,
@@ -178,20 +149,6 @@ mod tests {
         assert_eq!(stats.samples, 8);
         assert!(stats.max_abs < 1.0 / 16.0, "max noise {}", stats.max_abs);
         assert!(stats.stdev > 0.0);
-    }
-
-    #[test]
-    fn extracted_noise_is_smaller_than_switched() {
-        let (client, kit, engine, mut rng) = setup();
-        let pre = extracted_noise(&client, &kit, &engine, 8, &mut rng);
-        let post = bootstrap_noise(&client, &kit, &engine, 8, &mut rng);
-        // Key switching can only add noise (statistically).
-        assert!(
-            post.stdev + 1e-9 >= pre.stdev * 0.3,
-            "pre {} post {}",
-            pre.stdev,
-            post.stdev
-        );
     }
 
     #[test]

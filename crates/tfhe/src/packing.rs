@@ -1,16 +1,15 @@
 //! Packed TRLWE transport: one ring ciphertext carries up to `N` Booleans.
 //!
-//! A gate-level LWE sample costs `(n+1)·4` bytes per bit; packing the bits
-//! into the coefficients of a single TRLWE sample amortizes that to
-//! `2·4` bytes per bit (512× less upload at the paper's parameters for a
-//! full payload). The evaluator unpacks individual bits with
-//! [`TrlweCiphertext::sample_extract_at`] and a key switch, after which
-//! they are ordinary gate inputs.
+//! A per-bit LWE sample costs `(N+1)·4` bytes; packing the bits into the
+//! coefficients of a single TRLWE sample amortizes that to `2·4` bytes per
+//! bit (512× less upload at the paper's parameters for a full payload).
+//! The evaluator unpacks an individual bit with
+//! [`TrlweCiphertext::sample_extract_at`] and nothing else: the extracted
+//! sample is under the extracted key, the key every gate reads.
 
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
-use crate::scratch::MAX_LANES;
 use crate::secret::ClientKey;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
@@ -78,82 +77,70 @@ pub fn unpack_bits<E: FftEngine>(
         .collect()
 }
 
-/// Server-side unpack: extracts bit `index` as a gate-level LWE sample
-/// (extracted-key sample plus one key switch).
+/// Server-side unpack: extracts bit `index` as a gate input — a sample
+/// under the extracted key, nothing switched.
 ///
 /// # Panics
 ///
 /// Panics if `index` is out of range, if the packed sample's ring degree
 /// does not match `params`, or if the key-switch key does not switch from
-/// that ring degree — each checked here, at the API boundary, so a
-/// mismatched wire submission fails with a message naming the mismatch
-/// instead of indexing the wrong coefficient or tripping an assertion
-/// deep inside [`KeySwitchKey::switch`].
+/// that ring degree (the key the gates this bit feeds will switch it with)
+/// — each checked here, at the API boundary, so a mismatched wire
+/// submission fails with a message naming the mismatch instead of
+/// indexing the wrong coefficient or tripping an assertion deep inside a
+/// bootstrap.
 pub fn extract_bit(
     packed: &TrlweCiphertext,
     index: usize,
     ksk: &KeySwitchKey,
     params: &ParameterSet,
 ) -> LweCiphertext {
-    check_packed(packed, ksk, params);
+    check_packed(packed, params);
+    assert_eq!(
+        ksk.from_dimension(),
+        params.ring_degree,
+        "key-switch key switches from dimension {}, not ring degree {}",
+        ksk.from_dimension(),
+        params.ring_degree
+    );
     assert!(index < params.ring_degree, "index {index} out of range");
-    let extracted = packed.sample_extract_at(index);
-    ksk.switch(&extracted)
+    packed.sample_extract_at(index)
 }
 
 /// Server-side unpack of a whole upload: slots `0..count`, slot `s` being
-/// coefficient `s % N` of `samples[s / N]`, as gate-level LWE samples in
-/// slot order. Every slot is bit-identical to its [`extract_bit`]; the
-/// slots are extracted first and key-switched [`MAX_LANES`] at a time
-/// through [`KeySwitchKey::switch_slice_into`], so an upload walks the
-/// key-switching key once per sixteen bits instead of once per bit.
+/// coefficient `s % N` of `samples[s / N]`, as gate inputs in slot order —
+/// one sample extraction each, bit-identical to its [`extract_bit`].
 ///
 /// # Panics
 ///
-/// Panics with [`extract_bit`]'s messages on a mismatched sample or key,
-/// and if `samples` holds fewer than `count` slots.
+/// Panics with [`extract_bit`]'s message on a mismatched sample, and if
+/// `samples` holds fewer than `count` slots.
 pub fn extract_bits(
     samples: &[TrlweCiphertext],
     count: usize,
-    ksk: &KeySwitchKey,
     params: &ParameterSet,
 ) -> Vec<LweCiphertext> {
     let n = params.ring_degree;
     for packed in samples {
-        check_packed(packed, ksk, params);
+        check_packed(packed, params);
     }
     assert!(
         count <= samples.len() * n,
         "{count} slots asked of {} packed samples",
         samples.len()
     );
-    let mut bits = vec![LweCiphertext::default(); count];
-    let mut extracted = vec![LweCiphertext::default(); count.min(MAX_LANES)];
-    for (chunk, outs) in bits.chunks_mut(MAX_LANES).enumerate() {
-        let extracted = &mut extracted[..outs.len()];
-        for (i, e) in extracted.iter_mut().enumerate() {
-            let slot = chunk * MAX_LANES + i;
-            samples[slot / n].sample_extract_at_into(slot % n, e);
-        }
-        ksk.switch_slice_into(extracted, outs);
-    }
-    bits
+    (0..count)
+        .map(|slot| samples[slot / n].sample_extract_at(slot % n))
+        .collect()
 }
 
-/// The boundary checks of a server-side unpack (see [`extract_bit`]).
-fn check_packed(packed: &TrlweCiphertext, ksk: &KeySwitchKey, params: &ParameterSet) {
+/// The ring-degree check of a server-side unpack (see [`extract_bit`]).
+fn check_packed(packed: &TrlweCiphertext, params: &ParameterSet) {
     assert_eq!(
         packed.ring_degree(),
         params.ring_degree,
         "packed sample ring degree {} does not match parameter ring degree {}",
         packed.ring_degree(),
-        params.ring_degree
-    );
-    assert_eq!(
-        ksk.from_dimension(),
-        params.ring_degree,
-        "key-switch key switches from dimension {}, not ring degree {}",
-        ksk.from_dimension(),
         params.ring_degree
     );
 }
@@ -195,8 +182,9 @@ mod tests {
 
     #[test]
     fn extract_bits_matches_extract_bit_slot_by_slot() {
-        // Two samples, a count that crosses both the sample boundary and
-        // the lane cap, with a short last pass.
+        // Two samples and a count that crosses the sample boundary. Every
+        // slot is the sample extraction of its coefficient, bit for bit:
+        // nothing is switched on the way in.
         let (client, engine, kit, mut rng) = setup();
         let n = client.params().ring_degree;
         let bits: Vec<bool> = (0..n + 21).map(|i| i % 3 == 0 || i % 7 == 2).collect();
@@ -205,14 +193,16 @@ mod tests {
             pack_bits(&client, &bits[n..], &engine, &mut rng),
         ];
         let ksk = kit.key_switch_key();
-        let unpacked = extract_bits(&samples, bits.len(), ksk, client.params());
+        let unpacked = extract_bits(&samples, bits.len(), client.params());
         assert_eq!(unpacked.len(), bits.len());
         for (slot, (lwe, &bit)) in unpacked.iter().zip(&bits).enumerate() {
+            let extracted = samples[slot / n].sample_extract_at(slot % n);
+            assert_eq!(*lwe, extracted, "slot {slot}");
             let alone = extract_bit(&samples[slot / n], slot % n, ksk, client.params());
             assert_eq!(*lwe, alone, "slot {slot}");
             assert_eq!(client.decrypt(lwe), bit, "slot {slot}");
         }
-        assert!(extract_bits(&samples, 0, ksk, client.params()).is_empty());
+        assert!(extract_bits(&samples, 0, client.params()).is_empty());
     }
 
     #[test]
@@ -222,7 +212,7 @@ mod tests {
         let packed = pack_bits(&client, &[true, true], &engine, &mut rng);
         let a = extract_bit(&packed, 0, kit.key_switch_key(), client.params());
         let b = extract_bit(&packed, 1, kit.key_switch_key(), client.params());
-        let n = client.params().lwe_dimension;
+        let n = client.params().ring_degree;
         let lin = LweCiphertext::trivial(Torus32::from_dyadic(1, 3), n) - &a - &b;
         let out = kit.bootstrap(&engine, &lin, Torus32::from_dyadic(1, 3));
         assert!(!client.decrypt(&out), "NAND(true, true) = false");
@@ -230,11 +220,11 @@ mod tests {
 
     #[test]
     fn expansion_ratio_is_large() {
-        // One packed sample: 2N torus words; N LWE samples: N·(n+1) words.
+        // One packed sample: 2N torus words; N LWE samples: N·(N+1) words.
         let p = ParameterSet::MATCHA;
         let packed_words = 2 * p.ring_degree;
-        let lwe_words = p.ring_degree * (p.lwe_dimension + 1);
-        assert!(lwe_words / packed_words >= 250, "packing should save ≥250×");
+        let lwe_words = p.ring_degree * (p.ring_degree + 1);
+        assert!(lwe_words / packed_words >= 512, "packing should save ≥512×");
     }
 
     #[test]

@@ -86,7 +86,8 @@ impl Lut {
 
 impl<E: FftEngine> BootstrapKit<E> {
     /// Programmable bootstrap: applies `lut` to the input phase and
-    /// returns a fresh, key-switched sample of the result.
+    /// returns a fresh sample of the result, under the extracted key like
+    /// its input.
     /// [`Self::bootstrap_with_lut_into`] through a scratch built for the
     /// call.
     ///
@@ -125,11 +126,9 @@ impl<E: FftEngine> BootstrapKit<E> {
         );
         scratch.test_vector_mut().copy_from(&lut.testv);
         self.blind_rotate_assign(engine, input, scratch);
-        let extracted = &mut scratch.extracted[0];
         profile::timed(Phase::Other, || {
-            scratch.lanes[0].acc.sample_extract_into(extracted)
+            scratch.lanes[0].acc.sample_extract_into(out)
         });
-        self.key_switch_key().switch_into(extracted, out);
     }
 }
 
@@ -154,13 +153,7 @@ mod tests {
     }
 
     fn encrypt_phase(client: &ClientKey, phase: f64, rng: &mut StdRng) -> LweCiphertext {
-        let mut sampler = TorusSampler::new(rng);
-        LweCiphertext::encrypt(
-            Torus32::from_f64(phase),
-            client.lwe_key(),
-            client.params().lwe_noise_stdev,
-            &mut sampler,
-        )
+        client.encrypt_phase(Torus32::from_f64(phase), rng)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reusable workspaces for the zero-allocation bootstrap hot path.
 //!
-//! A bootstrap touches `~2ℓ·⌈n/m⌉` transforms, one bundle build per key
-//! group and one key switch. These scratch types own every spectrum,
+//! A bootstrap touches one key switch, `~2ℓ·⌈n/m⌉` transforms and one
+//! bundle build per key group. These scratch types own every spectrum,
 //! accumulator and FFT buffer those need: construct once (per worker
 //! thread), warm up with one call, and every subsequent bootstrap performs
 //! zero heap allocations — the software counterpart of MATCHA's statically
@@ -10,7 +10,7 @@
 //! through a scratch built for the one call.
 //!
 //! [`EpScratch`] covers a bare external product; [`BootstrapScratch`] adds
-//! the blind-rotation lanes, bundle buffers and key-switch buffers needed
+//! the key-switch buffers, blind-rotation lanes and bundle buffers needed
 //! by a full gate bootstrap — or by a wave of them: a bootstrap is a slice
 //! operation over lanes, and the one bundle buffer, factor table and
 //! [`EpScratch`] are shared by every lane. Both are created from
@@ -79,8 +79,8 @@ pub(crate) struct Lane {
     pub(crate) exponents: Vec<u32>,
 }
 
-/// Workspace for gate bootstraps (blind rotation + sample extraction + key
-/// switch), one at a time or a wave at once, including the per-group
+/// Workspace for gate bootstraps (key switch + blind rotation + sample
+/// extraction), one at a time or a wave at once, including the per-group
 /// bundle buffers.
 #[derive(Debug)]
 pub struct BootstrapScratch<E: FftEngine> {
@@ -96,19 +96,16 @@ pub struct BootstrapScratch<E: FftEngine> {
     pub(crate) lanes: Vec<Lane>,
     /// Test-vector buffer (set by the caller before blind rotation).
     pub(crate) testv: TorusPolynomial,
-    /// Sample-extraction outputs (dimension `N`), one per output of a
-    /// wave: the inputs of the batched key switch. Grown like `lanes`, and
-    /// by one more per adder cell (two outputs from one lane).
-    pub(crate) extracted: Vec<LweCiphertext>,
-    /// Extraction buffer for the second bootstrap of a mux, added into the
-    /// first one's entry of `extracted`.
-    pub(crate) extracted2: LweCiphertext,
-    /// Gate linear-part buffer (dimension `n`).
-    pub(crate) lin: LweCiphertext,
-    /// The linear parts adder cells keep past staging, by lane: a cell's
-    /// sum is its linear part minus what the rotation gives back. Grown on
-    /// a cell's first use of a lane; other gates never touch it.
-    pub(crate) cell_lin: Vec<LweCiphertext>,
+    /// Each lane's linear part under the extracted key (dimension `N`):
+    /// the input of the wave's key switch, and still there after the
+    /// rotation for an adder cell's sum. Grown like `lanes`.
+    pub(crate) lin: Vec<LweCiphertext>,
+    /// Each lane's linear part key-switched to dimension `n`: what its
+    /// blind rotation reads. Grown like `lanes`.
+    pub(crate) switched: Vec<LweCiphertext>,
+    /// Extraction buffer (dimension `N`) for what an output adds to its
+    /// coefficient 0: a mux's second lane, a cell's coefficients 1 and 2.
+    pub(crate) spare: LweCiphertext,
 }
 
 impl<E: FftEngine> BootstrapScratch<E> {
@@ -127,17 +124,17 @@ impl<E: FftEngine> BootstrapScratch<E> {
             factors: E::MonomialFactors::default(),
             lanes: Vec::new(),
             testv: TorusPolynomial::zero(n),
-            extracted: Vec::new(),
-            extracted2: LweCiphertext::trivial(Torus32::ZERO, n),
-            lin: LweCiphertext::trivial(Torus32::ZERO, params.lwe_dimension),
-            cell_lin: Vec::new(),
+            lin: Vec::new(),
+            switched: Vec::new(),
+            spare: LweCiphertext::trivial(Torus32::ZERO, n),
         };
         scratch.reserve_lanes(1);
         scratch
     }
 
-    /// Makes sure lanes `0..count` (and as many extraction buffers) exist.
-    /// Allocates only the first time a caller asks for that many.
+    /// Makes sure lanes `0..count` (and their linear-part and switched
+    /// buffers) exist. Allocates only the first time a caller asks for
+    /// that many.
     pub(crate) fn reserve_lanes(&mut self, count: usize) {
         let n = self.testv.len();
         while self.lanes.len() < count {
@@ -145,17 +142,8 @@ impl<E: FftEngine> BootstrapScratch<E> {
                 acc: TrlweCiphertext::zero(n),
                 exponents: Vec::new(),
             });
-        }
-        self.reserve_extracted(count);
-    }
-
-    /// Makes sure extraction buffers `0..count` exist (a wave with adder
-    /// cells extracts more samples than it has lanes).
-    pub(crate) fn reserve_extracted(&mut self, count: usize) {
-        let n = self.testv.len();
-        while self.extracted.len() < count {
-            self.extracted
-                .push(LweCiphertext::trivial(Torus32::ZERO, n));
+            self.lin.push(LweCiphertext::trivial(Torus32::ZERO, n));
+            self.switched.push(LweCiphertext::default());
         }
     }
 

@@ -1,5 +1,5 @@
-//! Secret key material: the gate-level LWE key, the ring (bootstrapping)
-//! key, and the client-side bundle of both.
+//! Secret key material: the LWE key, the ring (bootstrapping) key, and the
+//! client-side bundle of both with the key extracted from the ring key.
 
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
@@ -96,13 +96,22 @@ impl RingSecretKey {
     }
 }
 
-/// The client's secret material: the gate-level LWE key and the ring key
-/// that underlies the bootstrapping and key-switching keys.
+/// The client's secret material: the ring key that underlies the
+/// bootstrapping and key-switching keys, the LWE key `s` the key switch
+/// lands on, and the extracted key `s′ = KeyExtract(s″)` every value the
+/// client sees is under.
+///
+/// A bootstrap runs key switch → blind rotation → sample extraction, so a
+/// gate's output is a sample under `s′` of dimension `N`, and so is
+/// everything that feeds a gate: a fresh encryption, an unpacked packed bit
+/// and a trivial constant. Only the blind rotation's own input, inside a
+/// bootstrap, is under `s`.
 #[derive(Clone, Debug)]
 pub struct ClientKey {
     params: ParameterSet,
     lwe_key: LweSecretKey,
     ring_key: RingSecretKey,
+    extracted_key: LweSecretKey,
 }
 
 impl ClientKey {
@@ -128,10 +137,12 @@ impl ClientKey {
         let mut sampler = TorusSampler::new(rng);
         let lwe_key = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
         let ring_key = RingSecretKey::generate(params.ring_degree, &mut sampler);
+        let extracted_key = ring_key.extract_lwe_key();
         Self {
             params,
             lwe_key,
             ring_key,
+            extracted_key,
         }
     }
 
@@ -140,7 +151,8 @@ impl ClientKey {
         &self.params
     }
 
-    /// The gate-level LWE key.
+    /// The LWE key `s` of dimension `n`: what a bootstrap's key switch
+    /// lands on and its blind rotation decrypts with.
     pub fn lwe_key(&self) -> &LweSecretKey {
         &self.lwe_key
     }
@@ -150,8 +162,14 @@ impl ClientKey {
         &self.ring_key
     }
 
-    /// Encrypts one Boolean under the gate-level key
-    /// (plaintext `±1/8`, fresh noise `lwe_noise_stdev`).
+    /// The extracted key `s′` of dimension `N`: the key of every value
+    /// between gates.
+    pub fn extracted_key(&self) -> &LweSecretKey {
+        &self.extracted_key
+    }
+
+    /// Encrypts one Boolean under the extracted key
+    /// (plaintext `±1/8`, fresh noise `ring_noise_stdev`).
     pub fn encrypt(&self, message: bool) -> LweCiphertext {
         // Deterministic key, fresh randomness from the thread RNG.
         self.encrypt_with(message, &mut rand::thread_rng())
@@ -159,25 +177,35 @@ impl ClientKey {
 
     /// Encrypts with caller-provided randomness (for reproducible tests).
     pub fn encrypt_with<R: Rng>(&self, message: bool, rng: &mut R) -> LweCiphertext {
+        self.encrypt_phase(Torus32::from_bool(message), rng)
+    }
+
+    /// Encrypts an arbitrary torus plaintext under the extracted key, at
+    /// the noise of a fresh sample: the input of a programmable bootstrap.
+    pub fn encrypt_phase<R: Rng>(&self, mu: Torus32, rng: &mut R) -> LweCiphertext {
         let mut sampler = TorusSampler::new(rng);
         LweCiphertext::encrypt(
-            Torus32::from_bool(message),
-            &self.lwe_key,
-            self.params.lwe_noise_stdev,
+            mu,
+            &self.extracted_key,
+            self.params.ring_noise_stdev,
             &mut sampler,
         )
     }
 
-    /// Decrypts a gate-level ciphertext to its Boolean message.
+    /// The phase `μ + e` of a sample under the extracted key.
+    pub fn phase(&self, c: &LweCiphertext) -> Torus32 {
+        c.phase(&self.extracted_key)
+    }
+
+    /// Decrypts a sample to its Boolean message.
     pub fn decrypt(&self, c: &LweCiphertext) -> bool {
-        c.phase(&self.lwe_key).to_bool()
+        self.phase(c).to_bool()
     }
 
     /// The signed phase error of a ciphertext relative to the exact
     /// plaintext `±1/8` — the noise quantity Table 3 of the paper tracks.
     pub fn noise_of(&self, c: &LweCiphertext, message: bool) -> f64 {
-        c.phase(&self.lwe_key)
-            .signed_diff(Torus32::from_bool(message))
+        self.phase(c).signed_diff(Torus32::from_bool(message))
     }
 }
 

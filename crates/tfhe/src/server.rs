@@ -203,9 +203,9 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// The input payload of one queued circuit: gate-level samples per slot,
-/// or packed TRLWE transport samples the scheduler unpacks at admission
-/// (sample-extract + key switch straight into the run's slab).
+/// The input payload of one queued circuit: extracted-key samples per
+/// slot, or packed TRLWE transport samples the scheduler unpacks at
+/// admission (sample-extracted straight into the run's slab).
 enum CircuitInputs {
     Lwe(Vec<LweCiphertext>),
     Packed(Vec<TrlweCiphertext>),
@@ -655,10 +655,9 @@ fn admit<E>(
 /// Builds the frontier for an admitted job, moving or unpacking its
 /// inputs straight into the run's [`ValueSlab`](crate::batch::ValueSlab):
 /// per-LWE inputs are *moved* out of the submission (no clone), and
-/// packed TRLWE inputs are unpacked together ([`packing::extract_bits`]:
-/// slot `s` is coefficient `s % N` of sample `s / N`; all slots are
-/// sample-extracted, then key-switched through the slice form) and moved
-/// into their slab cells. Dimension mismatches panic (with the
+/// packed TRLWE inputs are unpacked ([`packing::extract_bits`]: slot `s` is
+/// coefficient `s % N` of sample `s / N`, sample-extracted and nothing
+/// else) and moved into their slab cells. Dimension mismatches panic (with the
 /// [`packing::extract_bit`] boundary messages) and surface as
 /// [`CircuitOutcome::Faulted`] through the caller's `catch_unwind`;
 /// validated submissions never hit them.
@@ -694,8 +693,7 @@ fn build_frontier<E: FftEngine>(
                 samples.len() * n,
                 net.num_inputs()
             );
-            let ksk = server.kit().key_switch_key();
-            let mut bits = packing::extract_bits(&samples, net.num_inputs(), ksk, &params);
+            let mut bits = packing::extract_bits(&samples, net.num_inputs(), &params);
             CircuitFrontier::with_tag_from(net, server, tag, |slot| std::mem::take(&mut bits[slot]))
         }
     }
@@ -1082,9 +1080,9 @@ impl CircuitClient {
     /// Submits a circuit whose inputs arrive as packed TRLWE transport
     /// samples ([`packing::pack_bits`] on the client side): sample `k`
     /// carries input slots `k·N .. (k+1)·N` in its coefficients, at 2
-    /// torus words per bit on the wire instead of `n + 1`. The scheduler
-    /// unpacks each slot at admission — sample-extract plus key switch,
-    /// straight into the run's slab — after which the circuit runs
+    /// torus words per bit on the wire instead of `N + 1`. The scheduler
+    /// unpacks each slot at admission — one sample extraction, straight
+    /// into the run's slab — after which the circuit runs
     /// exactly as a per-LWE submission. Malformed submissions — a sample
     /// count other than `ceil(num_inputs / N)` or a wrong ring degree on
     /// any sample — resolve to [`CircuitOutcome::Rejected`] with
@@ -1142,7 +1140,7 @@ impl CircuitClient {
         inputs.len() == netlist.num_inputs()
             && inputs
                 .iter()
-                .all(|i| i.dimension() == self.params.lwe_dimension)
+                .all(|i| i.dimension() == self.params.ring_degree)
     }
 
     fn valid_packed(&self, netlist: &CircuitNetlist, samples: &[TrlweCiphertext]) -> bool {
@@ -2038,10 +2036,11 @@ mod tests {
         let carry = net.gate(Gate::Or, generate, propagate);
         net.mark_output(sum);
         net.mark_output(carry);
-        // Key-switch noise large enough for the bounds to be numbers
-        // (`TEST_FAST`'s underflow to zero), small enough to decrypt.
+        // Ring noise large enough for a bootstrapped value's variance to
+        // tell the forms apart (`TEST_FAST`'s bounds underflow to zero),
+        // small enough to decrypt.
         let params = ParameterSet {
-            lwe_noise_stdev: 2e-4,
+            ring_noise_stdev: 2.5e-7,
             ..ParameterSet::TEST_FAST
         };
         let mut rng = StdRng::seed_from_u64(183);

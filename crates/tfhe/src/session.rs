@@ -4,9 +4,9 @@
 //! A real deployment of the paper's client/evaluator split talks over a
 //! wire: the client keeps the secret key, packs its Boolean inputs into
 //! TRLWE transport samples ([`packing::pack_bits`], 2 torus words per bit
-//! instead of `n + 1` — ~251× less upload at the paper's parameters), and
+//! instead of `N + 1` — 512× less upload at the paper's parameters), and
 //! ships whole circuits; the evaluator unpacks each bit with a sample
-//! extraction and a key switch straight into the run's value slab and
+//! extraction, nothing more, straight into the run's value slab and
 //! returns the outcome. This module is that wire: a length-prefixed frame
 //! protocol speaking [`Codec`] messages over anything that reads and
 //! writes bytes — a TCP stream, a Unix socket, or the in-memory
@@ -206,8 +206,8 @@ impl Codec for ServerHello {
 /// The input payload of one wire submission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionInputs {
-    /// One gate-level LWE sample per input slot — `(n + 1)` torus words
-    /// per bit on the wire.
+    /// One LWE sample under the extracted key per input slot — `(N + 1)`
+    /// torus words per bit on the wire.
     Lwe(Vec<LweCiphertext>),
     /// Packed TRLWE transport — sample `k` carries input slots
     /// `k·N .. (k+1)·N` in its coefficients, 2 torus words per bit.
@@ -517,7 +517,7 @@ impl SessionServer {
     /// submit → ticket → outcome exchanges until the peer closes its end
     /// between frames. Returns how many circuits the session served.
     /// Packed submissions are unpacked by the scheduler at admission —
-    /// sample-extract plus key switch straight into the run's slab.
+    /// sample-extracted straight into the run's slab.
     ///
     /// Each connection serves one circuit at a time (the protocol is
     /// synchronous); run one `serve` per connection — on its own thread —
@@ -891,7 +891,7 @@ mod tests {
         let over_wire = outcome.completed().expect("completed");
 
         // The same packed samples submitted in-process: the unpack
-        // (sample-extract + key switch) is deterministic, so outputs
+        // (a sample extraction) is deterministic, so outputs
         // must be bit-identical.
         let in_process = server
             .client()

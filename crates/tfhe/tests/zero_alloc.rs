@@ -398,8 +398,8 @@ fn warmed_heterogeneous_tasks_allocate_nothing() {
     let mut scratch = server.make_scratch();
 
     // Warm-up: two passes over every task kind size all buffers (the mux
-    // warms the second extraction buffer the binary path never touches,
-    // the cell its kept linear part and the second output).
+    // warms a second lane and the extraction buffer the binary path never
+    // touches, the cell its second output).
     for _ in 0..2 {
         for task in &tasks {
             task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
@@ -500,7 +500,7 @@ fn warmed_wave_allocates_nothing_on_either_leg() {
 
 #[test]
 fn warmed_full_gate_allocates_only_for_outputs() {
-    // The whole gate path (linear part + bootstrap + key switch) through
+    // The whole gate path (linear part + key switch + bootstrap) through
     // `apply_into` is allocation-free once warmed.
     let mut rng = StdRng::seed_from_u64(77);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);

@@ -48,7 +48,8 @@ fn bootstrap_cannot_rescue_an_already_wrong_phase() {
     let kit = BootstrapKit::generate(&client, &engine, 1, &mut rng);
     let c = client.encrypt_with(true, &mut rng);
     // Shift the phase by -1/4: +1/8 becomes -1/8.
-    let shifted = c - &LweCiphertext::trivial(Torus32::from_dyadic(1, 2), 16);
+    let n = client.params().ring_degree;
+    let shifted = c - &LweCiphertext::trivial(Torus32::from_dyadic(1, 2), n);
     let out = kit.bootstrap(&engine, &shifted, Torus32::from_dyadic(1, 3));
     assert!(
         !client.decrypt(&out),

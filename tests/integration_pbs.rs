@@ -47,7 +47,7 @@ fn gate_lut_equivalence() {
 
 #[test]
 fn packed_transport_feeds_lut_pipeline() {
-    // Pack bits → extract under the ring key → key-switch → bootstrap.
+    // Pack bits → extract under the ring key → bootstrap.
     let (client, mut rng) = client(63);
     let engine = F64Fft::new(256);
     let kit = BootstrapKit::generate(&client, &engine, 2, &mut rng);
@@ -74,7 +74,7 @@ fn wire_roundtrip_through_evaluation() {
     // Server side.
     let a = LweCiphertext::from_bytes(&a_wire).unwrap();
     let b = LweCiphertext::from_bytes(&b_wire).unwrap();
-    let n = client.params().lwe_dimension;
+    let n = client.params().ring_degree;
     let lin = LweCiphertext::trivial(Torus32::from_dyadic(1, 3), n) - &a - &b;
     let out_wire = kit
         .bootstrap(&engine, &lin, Torus32::from_dyadic(1, 3))
