@@ -10,6 +10,11 @@
 //! the paper's sizing — 2 banks suffice for TGSW streams, FFT needs the
 //! wider fan-out, and the depth-first flow (Figure 2b) is gentler on the
 //! banks than breadth-first.
+//!
+//! The same two flows differ in how often they read the twiddle buffer
+//! (§4.1): [`breadth_first_twiddle_reads`] and
+//! [`depth_first_twiddle_reads`] give the counts per transform in closed
+//! form.
 
 /// How addresses map to banks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,6 +139,33 @@ fn depth_first_rec(base: usize, len: usize, lanes: usize, trace: &mut Trace) {
     }
 }
 
+/// Twiddle-buffer reads of one breadth-first radix-2 transform of `m`
+/// points (Figure 2a): one read per butterfly, `(M/2)·log₂M`.
+///
+/// # Panics
+///
+/// Panics if `m` is not a power of two.
+pub fn breadth_first_twiddle_reads(m: usize) -> usize {
+    assert!(m.is_power_of_two());
+    m / 2 * m.trailing_zeros() as usize
+}
+
+/// Twiddle-buffer reads of one depth-first conjugate-pair transform of `m`
+/// points (Figure 2b, §4.1). A combine of `half` butterflies pairs
+/// butterfly `k` with butterfly `half − k`, whose twiddle
+/// `w^{half−k} = −conj(w^k)` comes from the same read, so it costs
+/// `⌊half/2⌋ + 1` reads. Summed over the `M/len` combines of every length
+/// `len = 2 … M` that is `(log₂M − 1)·M/4 + M − 1`: 1535 against
+/// breadth-first's 2304 at the paper's `M = 512`.
+///
+/// # Panics
+///
+/// Panics if `m` is not a power of two of at least 2.
+pub fn depth_first_twiddle_reads(m: usize) -> usize {
+    assert!(m >= 2 && m.is_power_of_two());
+    (m.trailing_zeros() as usize - 1) * m / 4 + m - 1
+}
+
 /// Summary of a kernel/bank-configuration pairing.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BankReport {
@@ -237,6 +269,60 @@ mod tests {
         assert_eq!(accesses, M * M.trailing_zeros() as usize);
         let df_accesses: usize = depth_first_fft_trace(M, LANES).iter().map(Vec::len).sum();
         assert_eq!(df_accesses, accesses);
+    }
+
+    /// Twiddle loads of the breadth-first flow, stage by stage: one per
+    /// butterfly.
+    fn counted_breadth_first_reads(m: usize) -> usize {
+        let mut reads = 0;
+        let mut len = 2;
+        while len <= m {
+            reads += m / len * (len / 2);
+            len *= 2;
+        }
+        reads
+    }
+
+    /// Twiddle loads of the conjugate-pair flow, combine by combine:
+    /// butterfly `k` loads `w^k` and its mirror `half − k` reuses it.
+    fn counted_depth_first_reads(len: usize) -> usize {
+        if len < 2 {
+            return 0;
+        }
+        let half = len / 2;
+        let loads = (0..half).filter(|&k| k <= half - k).count();
+        2 * counted_depth_first_reads(half) + loads
+    }
+
+    #[test]
+    fn twiddle_read_closed_forms_match_the_counted_flows() {
+        for log in 1..=12 {
+            let m = 1usize << log;
+            assert_eq!(
+                breadth_first_twiddle_reads(m),
+                counted_breadth_first_reads(m),
+                "M={m}"
+            );
+            assert_eq!(
+                depth_first_twiddle_reads(m),
+                counted_depth_first_reads(m),
+                "M={m}"
+            );
+        }
+    }
+
+    #[test]
+    fn conjugate_pairs_cut_twiddle_reads() {
+        // (M, depth-first, breadth-first) as a software conjugate-pair
+        // transform with a read counter reported them for one forward
+        // transform at ring degrees 8, 64 and 1024.
+        for (m, depth_first, breadth_first) in [(4, 4, 4), (32, 63, 80), (512, 1535, 2304)] {
+            assert_eq!(depth_first_twiddle_reads(m), depth_first, "M={m}");
+            assert_eq!(breadth_first_twiddle_reads(m), breadth_first, "M={m}");
+        }
+        // §4.1: sharing a read between conjugate butterflies saves a third
+        // of them at the paper's size.
+        assert!(3 * depth_first_twiddle_reads(M) < 2 * breadth_first_twiddle_reads(M));
     }
 
     #[test]

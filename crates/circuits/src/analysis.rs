@@ -30,7 +30,8 @@ pub struct CircuitAnalysis {
     pub predicted: ScheduleResult,
 }
 
-/// Analyzes one netlist end to end: [`matcha_tfhe::analyze`] for
+/// Analyzes one netlist end to end:
+/// [`matcha_tfhe::analyze`](fn@matcha_tfhe::analyze) for
 /// lints/noise/cost, [`matcha_tfhe::simplify`] for the rewrite savings,
 /// and `matcha_accel::schedule` over
 /// [`CircuitNetlist::schedule_skeleton`] for the makespan a

@@ -48,7 +48,7 @@ pub use matcha_math as math;
 pub use matcha_tfhe as tfhe;
 
 pub use matcha_accel::{MatchaConfig, WorkloadParams};
-pub use matcha_fft::{ApproxIntFft, DepthFirstFft, F64Fft, FftEngine};
+pub use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 pub use matcha_math::Torus32;
 pub use matcha_tfhe::{
     CircuitNetlist, CircuitOutcome, CircuitServer, ClientKey, Gate, GateBatchPool, GateTask,

@@ -215,7 +215,7 @@ impl ApproxIntFft {
 
     /// The `log2 M` butterfly stages of one direction over a buffer already
     /// in bit-reversed order, through the shared [`crate::simd`] kernels:
-    /// the same split-component, unit-stride shape as the f64 engines. The
+    /// the same split-component, unit-stride shape as the f64 engine. The
     /// AVX2 leg builds each lift from 32-bit partial products and agrees
     /// with the scalar `i128` leg bit for bit (see the kernel module docs).
     /// `HALVE` halves every stage output — `log2(M)` halvings realize the

@@ -17,16 +17,16 @@
 //! caller-owned spectra/polynomials, threaded through an engine-specific
 //! [`FftEngine::Scratch`] workspace. After a warm-up call the scratch owns
 //! all required capacity and steady-state transforms allocate nothing. The
-//! allocating methods remain as thin wrappers over the `*_into` core.
+//! allocating methods are thin wrappers over the `*_into` core.
 //!
 //! # SIMD
 //!
-//! Every in-tree engine stores spectra split-complex and executes its
-//! butterfly stages and pointwise accumulates through the [`crate::simd`]
-//! kernels, which runtime-detect AVX2+FMA and fall back to an
-//! order-preserving scalar leg elsewhere. Generic callers (the external
-//! product, bootstrapping) pick the vectorized kernels up for free through
-//! this trait — nothing SIMD-specific leaks into the API.
+//! Both engines store spectra split-complex and execute their butterfly
+//! stages and pointwise accumulates through the [`crate::simd`] kernels,
+//! which runtime-detect AVX2+FMA and fall back to a scalar leg elsewhere.
+//! Generic callers (the external product, bootstrapping) pick the
+//! vectorized kernels up for free through this trait — nothing
+//! SIMD-specific leaks into the API.
 
 use matcha_math::{GadgetDecomposer, IntPolynomial, TorusPolynomial};
 use std::fmt::Debug;
@@ -124,11 +124,9 @@ pub trait FftEngine {
     /// Must be bit-identical to materializing the digit polynomial with
     /// [`GadgetDecomposer::decompose_poly_into`] and calling
     /// [`FftEngine::forward_int_into`] on it — the external product relies
-    /// on that equivalence to swap freely between the two paths. The
-    /// default implementation does exactly that (and allocates the
-    /// intermediate digit polynomial); the in-tree engines override it with
-    /// a truly fused, allocation-free fold so digit polynomials are never
-    /// written to memory.
+    /// on that equivalence to swap freely between the two paths — while
+    /// never writing the digit polynomial to memory and, warmed, never
+    /// allocating.
     fn forward_decomposed_into(
         &self,
         p: &TorusPolynomial,
@@ -136,13 +134,7 @@ pub trait FftEngine {
         level: usize,
         out: &mut Self::Spectrum,
         scratch: &mut Self::Scratch,
-    ) {
-        let mut digit = IntPolynomial::zero(p.len());
-        for (d, &c) in digit.coeffs_mut().iter_mut().zip(p.coeffs().iter()) {
-            *d = decomp.digit(decomp.shift(c), level);
-        }
-        self.forward_int_into(&digit, out, scratch);
-    }
+    );
 
     /// Lagrange domain → torus coefficients (with reduction mod 1), writing
     /// into `out`.
@@ -195,9 +187,9 @@ pub trait FftEngine {
     /// `acc_a += x ⊙ a` and `acc_b += x ⊙ b` in one logical step.
     ///
     /// This is the external product's inner loop: each transformed digit
-    /// multiplies both the mask and body rows of a TGSW sample. Engines
-    /// override it with a fused single pass that reads `x` once; results
-    /// must be bit-identical to two [`FftEngine::mul_accumulate`] calls.
+    /// multiplies both the mask and body rows of a TGSW sample, in a single
+    /// pass that reads `x` once. Results must be bit-identical to two
+    /// [`FftEngine::mul_accumulate`] calls.
     fn mul_accumulate_pair(
         &self,
         acc_a: &mut Self::Spectrum,
@@ -205,10 +197,7 @@ pub trait FftEngine {
         x: &Self::Spectrum,
         a: &Self::Spectrum,
         b: &Self::Spectrum,
-    ) {
-        self.mul_accumulate(acc_a, x, a);
-        self.mul_accumulate(acc_b, x, b);
-    }
+    );
 
     /// `acc += a` (pointwise addition, used to fuse accumulator updates).
     fn add_assign(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum);
@@ -222,7 +211,7 @@ pub trait FftEngine {
     ///
     /// The tables are made for a key stored in words of `2^key_exp` torus
     /// units ([`KeyBlock::exp`]), and an engine takes that unit where it is
-    /// free: the double-precision engines multiply it into the tables here
+    /// free: the double-precision engine multiplies it into the tables here
     /// (a power of two, exact), once per step instead of once per stored
     /// word; the integer engine's quantized tables stay as they are and its
     /// bundle row takes `key_exp` off its rounding shift.

@@ -8,31 +8,28 @@
 //! kernel that dominates bootstrapping latency (paper Figure 1), and the
 //! kernel MATCHA approximates.
 //!
-//! Four interchangeable engines implement the [`FftEngine`] trait:
+//! Two interchangeable engines implement the [`FftEngine`] trait:
 //!
 //! * [`F64Fft`] — breadth-first Cooley–Tukey in double precision; this is the
 //!   TFHE reference library's choice and the paper's accuracy baseline
 //!   ("double" in Figure 8).
-//! * [`DepthFirstFft`] — the depth-first conjugate-pair traversal of §4.1
-//!   (Figure 2b): identical numerics to [`F64Fft`] but recursing
-//!   sub-transform-first and sharing conjugate twiddle loads; it counts
-//!   twiddle-buffer reads so the locality claim can be measured.
-//! * [`Radix4Fft`] — the depth-first radix-4 flow: one twiddle-buffer read
-//!   per radix-4 butterfly, with `W^{2k}`/`W^{3k}` derived in registers.
 //! * [`ApproxIntFft`] — MATCHA's engine: 64-bit *integer* arithmetic where
 //!   every twiddle rotation is three lifting steps (Figure 3a) whose
 //!   coefficients are dyadic-value-quantized (`α/2^β`, Figure 3b) and applied
 //!   with additions and binary shifts only.
 //!
-//! All four engines store spectra *split-complex* (separate `re[]`/`im[]`
+//! Both engines store spectra *split-complex* (separate `re[]`/`im[]`
 //! arrays) and run their butterfly stages and pointwise accumulates through
 //! the [`simd`] kernels, which use AVX2+FMA when the CPU supports it
 //! (runtime-detected; `MATCHA_SIMD=0` or [`force_simd`] pin the scalar leg).
+//! The depth-first conjugate-pair flow of §4.1 (Figure 2b) is a claim about
+//! the accelerator's twiddle-buffer reads, and is modelled there:
+//! `matcha_accel::banking`.
 //!
 //! # Examples
 //!
 //! ```
-//! use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, negacyclic};
+//! use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 //! use matcha_math::{IntPolynomial, TorusPolynomial, Torus32};
 //!
 //! let n = 16;
@@ -43,31 +40,26 @@
 //!
 //! let exact = F64Fft::new(n);
 //! let approx = ApproxIntFft::new(n, 40);
-//! let a = negacyclic::poly_mul(&exact, &t, &d);
-//! let b = negacyclic::poly_mul(&approx, &t, &d);
+//! let a = exact.poly_mul(&t, &d);
+//! let b = approx.poly_mul(&t, &d);
 //! assert!(a.max_distance(&b) < 1e-6);
 //! ```
 
 pub mod approx;
-pub mod cpfft;
 pub mod cplx;
 pub mod engine;
 pub mod error;
 pub mod lifting;
-pub mod negacyclic;
-pub mod radix4;
 pub mod ref_fft;
 pub mod simd;
 pub mod tables;
 pub mod twist;
 
 pub use approx::ApproxIntFft;
-pub use cpfft::DepthFirstFft;
 pub use cplx::Cplx;
 pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
 pub use error::{fft_roundtrip_error_db, poly_mul_error_db};
 pub use lifting::{DyadicCoeff, LiftingRotation};
-pub use radix4::Radix4Fft;
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};
 pub use simd::{force_simd, simd_active, simd_detected};
 pub use tables::{StageTwiddles, TwiddleTables};

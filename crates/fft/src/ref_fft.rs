@@ -2,18 +2,18 @@
 //! Cooley–Tukey, matching what the TFHE reference library uses and what the
 //! paper's Figure 8 labels "double".
 //!
-//! Since PR 3 the spectra are stored *split-complex* (separate `re[]`/`im[]`
-//! vectors) and every stage loop and pointwise accumulate runs through the
+//! Spectra are stored *split-complex* (separate `re[]`/`im[]` vectors) and
+//! every stage loop and pointwise accumulate runs through the
 //! [`crate::simd`] kernels, which take an AVX2+FMA leg when the CPU has one
-//! and an order-preserving scalar leg otherwise.
+//! and a scalar leg, every product rounded on its own, otherwise.
 //!
 //! # The flow of one transform
 //!
-//! Forward: the fold ([`crate::twist`], [`Order::BitReversed`]) converts,
-//! twists and stores each point at its bit-reversed slot in one pass —
-//! running the two narrow stages (`len = 2`, `4`) on the way, between the
-//! rows of the 4×4 blocks it stores — then the wide stages run two to a
-//! pass from [`simd::FIRST_WIDE_STAGE`] on ([`simd::radix2_stage_pair`]).
+//! Forward: the fold ([`crate::twist`]) converts, twists and stores each
+//! point at its bit-reversed slot in one pass — running the two narrow
+//! stages (`len = 2`, `4`) on the way, between the rows of the 4×4 blocks
+//! it stores — then the wide stages run two to a pass from
+//! [`simd::FIRST_WIDE_STAGE`] on ([`simd::radix2_stage_pair`]).
 //! Backward: the working copy of the caller's spectrum is made in
 //! bit-reversed order through the plan's table, with the same two narrow
 //! stages on the way ([`simd::bit_reverse_copy_pair`]), the same wide
@@ -21,13 +21,12 @@
 //! normalizes and reduces. No pass only permutes and nothing recomputes a
 //! reversed index: at `N = 1024` a transform is five passes over its 8 KB
 //! buffer (in, three stage pairs, the last stage — which the backward
-//! transform follows with its pass out), where it used to be twelve (fold
-//! in two, a permutation, nine stages).
+//! transform follows with its pass out).
 
 use crate::engine::{split_key_row, FftEngine, KeyBlock, Spectrum};
 use crate::simd;
 use crate::tables::TwiddleTables;
-use crate::twist::{self, Order};
+use crate::twist;
 use matcha_math::{IntPolynomial, TorusPolynomial};
 
 /// Lagrange half-complex spectrum in double precision, split-complex:
@@ -36,8 +35,7 @@ use matcha_math::{IntPolynomial, TorusPolynomial};
 /// The split layout (rather than an array of complex structs) is what the
 /// SIMD butterfly and multiply-accumulate kernels consume directly — four
 /// lanes per component load with unit stride and no shuffles. It mirrors
-/// [`crate::approx::FixedSpectrum`], which has stored its integer spectra
-/// split from the start.
+/// [`crate::approx::FixedSpectrum`], the integer engine's spectrum.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CplxSpectrum {
     /// Real parts of the `M = N/2` evaluation points.
@@ -52,8 +50,7 @@ impl Spectrum for CplxSpectrum {
     }
 }
 
-/// Pointwise factor tables `(ε_k^e − 1)·2^exp` for the double-precision
-/// engines, stored split like the spectra they multiply: one length-`M`
+/// Pointwise factor tables `(ε_k^e − 1)·2^exp` for [`F64Fft`], stored split like the spectra they multiply: one length-`M`
 /// table per exponent, back to back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SplitFactors {
@@ -66,22 +63,15 @@ pub struct SplitFactors {
     pub exp: u32,
 }
 
-/// Reusable workspace shared by the double-precision engines.
-///
-/// `buf_*` hold the inverse transform's working data; `stack_*` are the
-/// depth-first recursion workspace (2·M entries per component). All are
-/// sized on first use and reused afterwards, so warmed transforms allocate
-/// nothing.
+/// Reusable workspace of [`F64Fft`]: the backward transform's working
+/// copy of the caller's spectrum, sized on first use and reused afterwards,
+/// so warmed transforms allocate nothing.
 #[derive(Debug, Default)]
 pub struct CplxScratch {
     /// Backward-transform working buffer, real parts (`M` entries warmed).
     pub(crate) buf_re: Vec<f64>,
     /// Backward-transform working buffer, imaginary parts.
     pub(crate) buf_im: Vec<f64>,
-    /// Depth-first recursion workspace, real parts (`2·M` entries warmed).
-    pub(crate) stack_re: Vec<f64>,
-    /// Depth-first recursion workspace, imaginary parts.
-    pub(crate) stack_im: Vec<f64>,
 }
 
 /// Transform direction / kernel sign.
@@ -183,7 +173,7 @@ impl F64Fft {
         }
     }
 
-    /// The twiddle tables (shared with the depth-first engine).
+    /// The twiddle tables.
     pub fn tables(&self) -> &TwiddleTables {
         &self.tables
     }
@@ -218,7 +208,11 @@ impl FftEngine for F64Fft {
     }
 
     fn clear_spectrum(&self, s: &mut CplxSpectrum) {
-        clear_cplx_spectrum(s, self.n / 2);
+        let m = self.n / 2;
+        s.re.clear();
+        s.re.resize(m, 0.0);
+        s.im.clear();
+        s.im.resize(m, 0.0);
     }
 
     fn forward_int_into(
@@ -227,13 +221,7 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_int(
-            p,
-            &self.tables,
-            Order::BitReversed,
-            &mut out.re,
-            &mut out.im,
-        );
+        twist::fold_int(p, &self.tables, &mut out.re, &mut out.im);
         self.wide_stages_forward(out);
     }
 
@@ -243,13 +231,7 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus(
-            p,
-            &self.tables,
-            Order::BitReversed,
-            &mut out.re,
-            &mut out.im,
-        );
+        twist::fold_torus(p, &self.tables, &mut out.re, &mut out.im);
         self.wide_stages_forward(out);
     }
 
@@ -261,15 +243,7 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus_digit(
-            p,
-            decomp,
-            level,
-            &self.tables,
-            Order::BitReversed,
-            &mut out.re,
-            &mut out.im,
-        );
+        twist::fold_torus_digit(p, decomp, level, &self.tables, &mut out.re, &mut out.im);
         self.wide_stages_forward(out);
     }
 
@@ -281,7 +255,7 @@ impl FftEngine for F64Fft {
     ) {
         let m = self.n / 2;
         assert_eq!(s.len(), m, "spectrum size mismatch");
-        let CplxScratch { buf_re, buf_im, .. } = scratch;
+        let CplxScratch { buf_re, buf_im } = scratch;
         buf_re.resize(m, 0.0);
         buf_im.resize(m, 0.0);
         // The input is read once: the bit reversal doubles as the copy out
@@ -297,7 +271,9 @@ impl FftEngine for F64Fft {
     }
 
     fn mul_accumulate(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
-        mul_accumulate_cplx(acc, a, b);
+        assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
+        assert_eq!(a.len(), b.len(), "spectrum size mismatch");
+        simd::mul_acc(&mut acc.re, &mut acc.im, &a.re, &a.im, &b.re, &b.im);
     }
 
     fn mul_accumulate_pair(
@@ -308,22 +284,66 @@ impl FftEngine for F64Fft {
         a: &CplxSpectrum,
         b: &CplxSpectrum,
     ) {
-        mul_accumulate_pair_cplx(acc_a, acc_b, x, a, b);
+        let m = x.len();
+        assert_eq!(acc_a.len(), m, "spectrum size mismatch");
+        assert_eq!(acc_b.len(), m, "spectrum size mismatch");
+        assert_eq!(a.len(), m, "spectrum size mismatch");
+        assert_eq!(b.len(), m, "spectrum size mismatch");
+        simd::mul_acc_pair(
+            &mut acc_a.re,
+            &mut acc_a.im,
+            &mut acc_b.re,
+            &mut acc_b.im,
+            &x.re,
+            &x.im,
+            &a.re,
+            &a.im,
+            &b.re,
+            &b.im,
+        );
     }
 
     fn add_assign(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum) {
-        add_assign_cplx(acc, a);
+        assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
+        for (dst, &x) in acc.re.iter_mut().zip(a.re.iter()) {
+            *dst += x;
+        }
+        for (dst, &x) in acc.im.iter_mut().zip(a.im.iter()) {
+            *dst += x;
+        }
     }
 
+    /// Gathers the factors from the `2N`-th roots of unity:
+    /// `ε_k = e^{iπ(4k+1)/N}`, so `ε_k^e` is root number `(4k+1)·e mod 2N`
+    /// and consecutive points step the index by `4e`. Every factor is a
+    /// table entry (as accurate as `sin_cos` makes it, independent of `k`)
+    /// times an exact power of two, and the loads are independent of one
+    /// another.
     fn monomial_factors_into(
         &self,
         exponents: impl Iterator<Item = i64>,
         key_exp: u32,
         out: &mut SplitFactors,
     ) {
-        monomial_factors_cplx_into(&self.tables, exponents, key_exp, out);
+        let m = self.tables.size();
+        let (unit_re, unit_im) = self.tables.unit_roots_split();
+        // 2N is a power of two: `& mask` is `mod 2N`, also for negative `e`.
+        let mask = unit_re.len() - 1;
+        let unit = f64::from(key_exp).exp2();
+        out.re.clear();
+        out.im.clear();
+        out.exp = key_exp;
+        for e in exponents {
+            let e = e as usize & mask;
+            let root = |k: usize| (4 * k + 1).wrapping_mul(e) & mask;
+            out.re
+                .extend((0..m).map(|k| (unit_re[root(k)] - 1.0) * unit));
+            out.im.extend((0..m).map(|k| unit_im[root(k)] * unit));
+        }
     }
 
+    /// The mask rounded to words of `2^exp`, its rounding error times `key`
+    /// added to the body in `f64` arithmetic, the body rounded.
     fn store_key_row(
         &self,
         a: &CplxSpectrum,
@@ -333,9 +353,38 @@ impl FftEngine for F64Fft {
         slot: usize,
         row: &mut [i32],
     ) {
-        store_key_row_cplx(a, b, key, exp, slot, row);
+        let m = a.len();
+        assert_eq!(b.len(), m, "spectrum size mismatch");
+        let (mask, body, patterns) = split_key_row(row, m, slot);
+        let unit = f64::from(exp).exp2();
+        let per_unit = unit.recip();
+        // `round(v / 2^exp)` as a word (a power of two's reciprocal is
+        // exact), and what the word is off by: `2^exp·round(v / 2^exp) − v`.
+        let narrow = |v: f64| {
+            let word = simd::round_half_away(v * per_unit);
+            assert!(
+                i32::try_from(word).is_ok(),
+                "key spectrum value {v:e} does not fit 32-bit words of 2^{exp}"
+            );
+            (word as i32, word as f64 * unit - v)
+        };
+        let at = |k: usize| KeyBlock::word_index(m, patterns, slot, k);
+        let im = KeyBlock::chunk(m);
+        let mut delta = a.clone();
+        for k in 0..m {
+            (mask[at(k)], delta.re[k]) = narrow(a.re[k]);
+            (mask[at(k) + im], delta.im[k]) = narrow(a.im[k]);
+        }
+        let mut body_for_stored_mask = b.clone();
+        self.mul_accumulate(&mut body_for_stored_mask, &delta, key);
+        for k in 0..m {
+            body[at(k)] = narrow(body_for_stored_mask.re[k]).0;
+            body[at(k) + im] = narrow(body_for_stored_mask.im[k]).0;
+        }
     }
 
+    /// One pass through [`simd::bundle_row`], the stored words' `2^exp`
+    /// being in the tables already.
     fn bundle_row_into(
         &self,
         h: &CplxSpectrum,
@@ -344,161 +393,22 @@ impl FftEngine for F64Fft {
         factors: &SplitFactors,
         out: &mut CplxSpectrum,
     ) {
-        bundle_row_cplx(h, key, slots, factors, out);
-    }
-}
-
-/// Shared `clear` for the double-precision spectra: resize to `m` and zero
-/// without reallocating once capacity exists.
-pub(crate) fn clear_cplx_spectrum(s: &mut CplxSpectrum, m: usize) {
-    s.re.clear();
-    s.re.resize(m, 0.0);
-    s.im.clear();
-    s.im.resize(m, 0.0);
-}
-
-/// Shared `acc += a` for the double-precision engines.
-pub(crate) fn add_assign_cplx(acc: &mut CplxSpectrum, a: &CplxSpectrum) {
-    assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
-    for (dst, &x) in acc.re.iter_mut().zip(a.re.iter()) {
-        *dst += x;
-    }
-    for (dst, &x) in acc.im.iter_mut().zip(a.im.iter()) {
-        *dst += x;
-    }
-}
-
-/// Factor tables `(ε_k^e − 1)·2^key_exp` for the double-precision engines,
-/// one per exponent, gathered from the `2N`-th roots of unity:
-/// `ε_k = e^{iπ(4k+1)/N}`, so `ε_k^e` is root number `(4k+1)·e mod 2N` and
-/// consecutive points step the index by `4e`. Every factor is a table
-/// entry (as accurate as `sin_cos` makes it, independent of `k`) times an
-/// exact power of two, and the loads are independent of one another.
-pub(crate) fn monomial_factors_cplx_into(
-    tables: &TwiddleTables,
-    exponents: impl Iterator<Item = i64>,
-    key_exp: u32,
-    out: &mut SplitFactors,
-) {
-    let m = tables.size();
-    let (unit_re, unit_im) = tables.unit_roots_split();
-    // 2N is a power of two: `& mask` is `mod 2N`, also for negative `e`.
-    let mask = unit_re.len() - 1;
-    let unit = f64::from(key_exp).exp2();
-    out.re.clear();
-    out.im.clear();
-    out.exp = key_exp;
-    for e in exponents {
-        let e = e as usize & mask;
-        let root = |k: usize| (4 * k + 1).wrapping_mul(e) & mask;
-        out.re
-            .extend((0..m).map(|k| (unit_re[root(k)] - 1.0) * unit));
-        out.im.extend((0..m).map(|k| unit_im[root(k)] * unit));
-    }
-}
-
-/// Shared `acc += a ⊙ b` for the double-precision engines.
-pub(crate) fn mul_accumulate_cplx(acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
-    assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
-    assert_eq!(a.len(), b.len(), "spectrum size mismatch");
-    simd::mul_acc(&mut acc.re, &mut acc.im, &a.re, &a.im, &b.re, &b.im);
-}
-
-/// Fused external-product inner loop for the double-precision engines:
-/// one pass over `x` updates both accumulators, bit-identical to two
-/// [`mul_accumulate_cplx`] calls on either kernel leg.
-pub(crate) fn mul_accumulate_pair_cplx(
-    acc_a: &mut CplxSpectrum,
-    acc_b: &mut CplxSpectrum,
-    x: &CplxSpectrum,
-    a: &CplxSpectrum,
-    b: &CplxSpectrum,
-) {
-    let m = x.len();
-    assert_eq!(acc_a.len(), m, "spectrum size mismatch");
-    assert_eq!(acc_b.len(), m, "spectrum size mismatch");
-    assert_eq!(a.len(), m, "spectrum size mismatch");
-    assert_eq!(b.len(), m, "spectrum size mismatch");
-    simd::mul_acc_pair(
-        &mut acc_a.re,
-        &mut acc_a.im,
-        &mut acc_b.re,
-        &mut acc_b.im,
-        &x.re,
-        &x.im,
-        &a.re,
-        &a.im,
-        &b.re,
-        &b.im,
-    );
-}
-
-/// Shared [`FftEngine::store_key_row`] for the double-precision engines:
-/// the mask rounded to words of `2^exp`, its rounding error times `key`
-/// added to the body in `f64` arithmetic, the body rounded.
-pub(crate) fn store_key_row_cplx(
-    a: &CplxSpectrum,
-    b: &CplxSpectrum,
-    key: &CplxSpectrum,
-    exp: u32,
-    slot: usize,
-    row: &mut [i32],
-) {
-    let m = a.len();
-    assert_eq!(b.len(), m, "spectrum size mismatch");
-    let (mask, body, patterns) = split_key_row(row, m, slot);
-    let unit = f64::from(exp).exp2();
-    let per_unit = unit.recip();
-    // `round(v / 2^exp)` as a word (a power of two's reciprocal is exact),
-    // and what the word is off by: `2^exp·round(v / 2^exp) − v`.
-    let narrow = |v: f64| {
-        let word = simd::round_half_away(v * per_unit);
-        assert!(
-            i32::try_from(word).is_ok(),
-            "key spectrum value {v:e} does not fit 32-bit words of 2^{exp}"
+        let m = h.len();
+        assert_eq!(
+            factors.exp, key.exp,
+            "factor tables made for a key of another unit"
         );
-        (word as i32, word as f64 * unit - v)
-    };
-    let at = |k: usize| KeyBlock::word_index(m, patterns, slot, k);
-    let im = KeyBlock::chunk(m);
-    let mut delta = a.clone();
-    for k in 0..m {
-        (mask[at(k)], delta.re[k]) = narrow(a.re[k]);
-        (mask[at(k) + im], delta.im[k]) = narrow(a.im[k]);
+        out.re.resize(m, 0.0);
+        out.im.resize(m, 0.0);
+        simd::bundle_row(
+            &mut out.re,
+            &mut out.im,
+            (&h.re, &h.im),
+            key,
+            slots,
+            (&factors.re, &factors.im),
+        );
     }
-    let mut body_for_stored_mask = b.clone();
-    mul_accumulate_cplx(&mut body_for_stored_mask, &delta, key);
-    for k in 0..m {
-        body[at(k)] = narrow(body_for_stored_mask.re[k]).0;
-        body[at(k) + im] = narrow(body_for_stored_mask.im[k]).0;
-    }
-}
-
-/// Shared single-pass bundle row for the double-precision engines:
-/// `out = h + Σ_p factors[p] ⊙ key[slots[p]]` through [`simd::bundle_row`],
-/// the stored words' `2^exp` being in the tables already.
-pub(crate) fn bundle_row_cplx(
-    h: &CplxSpectrum,
-    key: KeyBlock<'_>,
-    slots: &[u8],
-    factors: &SplitFactors,
-    out: &mut CplxSpectrum,
-) {
-    let m = h.len();
-    assert_eq!(
-        factors.exp, key.exp,
-        "factor tables made for a key of another unit"
-    );
-    out.re.resize(m, 0.0);
-    out.im.resize(m, 0.0);
-    simd::bundle_row(
-        &mut out.re,
-        &mut out.im,
-        (&h.re, &h.im),
-        key,
-        slots,
-        (&factors.re, &factors.im),
-    );
 }
 
 #[cfg(test)]

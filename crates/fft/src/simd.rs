@@ -7,10 +7,9 @@
 //! slices instead of an interleaved array of complex structs. Split storage
 //! is what makes the butterflies vectorizable without any lane shuffles —
 //! four butterflies load as four contiguous doubles per component, and the
-//! per-stage contiguous [`crate::tables::StageTwiddles`] slices from PR 2
-//! stream the twiddle factors the same way. (MATCHA's integer engine,
-//! [`crate::ApproxIntFft`], has stored its spectra split from the start;
-//! this module brings the double-precision engines onto the same layout.)
+//! per-stage contiguous [`crate::tables::StageTwiddles`] slices stream the
+//! twiddle factors the same way. Both engines, [`crate::F64Fft`] and
+//! [`crate::ApproxIntFft`], store their spectra split.
 //!
 //! # The passes of a breadth-first transform
 //!
@@ -51,16 +50,15 @@
 //! * an explicitly vectorized AVX2+FMA leg (`core::arch::x86_64`
 //!   intrinsics behind `#[target_feature]`), taken when
 //!   [`simd_active`] reports `true`;
-//! * a chunk-friendly scalar leg that preserves the pre-SIMD operation
-//!   order bit-for-bit, taken everywhere else (non-x86_64 targets, CPUs
+//! * a scalar leg that rounds every product before it adds it (no
+//!   contraction), taken everywhere else (non-x86_64 targets, CPUs
 //!   without AVX2/FMA, `MATCHA_SIMD=0`, or a [`force_simd`] override).
 //!
 //! # What the two legs agree on
 //!
 //! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
-//!   [`radix2_stage_pair`], [`radix2_combine`], [`radix4_combine`]), the
-//!   twist (inside [`fold_twist`]; the untwist inside
-//!   [`untwist_to_torus`]) and the pointwise accumulates
+//!   [`radix2_stage_pair`]), the twist (inside [`fold_twist`]; the untwist
+//!   inside [`untwist_to_torus`]) and the pointwise accumulates
 //!   ([`mul_acc`], [`mul_acc_pair`]) — the vector leg contracts
 //!   `a·b ± c·d` into fused multiply-adds (one rounding instead of two).
 //! * **Bitwise:** the reduction mod `2^32` at the end of
@@ -160,7 +158,7 @@ fn auto_active() -> bool {
 /// `true` iff the CPU supports it, `MATCHA_SIMD` does not say `0`, and no
 /// [`force_simd`] override says otherwise. The first call caches the
 /// environment lookup; warmed calls are two relaxed atomic loads and never
-/// allocate (the zero-allocation hot-path property of PR 1 is preserved).
+/// allocate.
 #[inline]
 pub fn simd_active() -> bool {
     match OVERRIDE.load(Ordering::Relaxed) {
@@ -233,8 +231,7 @@ pub fn radix2_stage(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64], le
     radix2_stage_scalar(re, im, wre, wim, len);
 }
 
-/// Scalar leg, same operation order as the pre-SIMD butterfly loop:
-/// `v = x·w` with separately rounded products, then `u ± v`.
+/// Scalar leg: `v = x·w` with separately rounded products, then `u ± v`.
 #[allow(clippy::needless_range_loop)]
 fn radix2_stage_scalar(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64], len: usize) {
     let m = re.len();
@@ -465,297 +462,6 @@ unsafe fn radix2_stage_pair_avx(
     }
 }
 
-/// One depth-first radix-2 combine of a single block: `out[k] = even[k] +
-/// odd[k]·w^k`, `out[k+half] = even[k] − odd[k]·w^k` for `k < half`.
-///
-/// The scalar leg keeps the conjugate-pair order of the depth-first engine
-/// (butterflies `k` and `half−k` share one twiddle via `w^{half−k} =
-/// −conj(w^k)`); the vector leg reads the contiguous stage slice directly —
-/// unit-stride loads beat shared loads on a CPU, while the engine's
-/// twiddle-read *accounting* (a hardware model) stays with the caller.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn radix2_combine(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    even_re: &[f64],
-    even_im: &[f64],
-    odd_re: &[f64],
-    odd_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-) {
-    let half = even_re.len();
-    assert_eq!(even_im.len(), half, "component length mismatch");
-    assert_eq!(odd_re.len(), half, "component length mismatch");
-    assert_eq!(odd_im.len(), half, "component length mismatch");
-    assert_eq!(out_re.len(), 2 * half, "output length mismatch");
-    assert_eq!(out_im.len(), 2 * half, "output length mismatch");
-    assert_eq!(wre.len(), half, "twiddle table length mismatch");
-    assert_eq!(wim.len(), half, "twiddle table length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if half >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { radix2_combine_avx(out_re, out_im, even_re, even_im, odd_re, odd_im, wre, wim) };
-        return;
-    }
-    radix2_combine_scalar(out_re, out_im, even_re, even_im, odd_re, odd_im, wre, wim);
-}
-
-/// Scalar conjugate-pair combine, bit-identical to the pre-SIMD
-/// depth-first loop.
-#[allow(clippy::too_many_arguments)]
-fn radix2_combine_scalar(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    even_re: &[f64],
-    even_im: &[f64],
-    odd_re: &[f64],
-    odd_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-) {
-    let half = even_re.len();
-    let quarter = half / 2;
-    for k in 0..=quarter {
-        let mirror = half - k;
-        let (wr, wi) = (wre[k], wim[k]);
-        // Butterfly k.
-        let vr = odd_re[k] * wr - odd_im[k] * wi;
-        let vi = odd_re[k] * wi + odd_im[k] * wr;
-        out_re[k] = even_re[k] + vr;
-        out_im[k] = even_im[k] + vi;
-        out_re[k + half] = even_re[k] - vr;
-        out_im[k + half] = even_im[k] - vi;
-        // Mirror butterfly reusing the conjugate of the same twiddle:
-        // w^{half-k} = -conj(w^k).
-        if mirror < half && mirror != k {
-            let (wmr, wmi) = (-wr, wi);
-            let vr = odd_re[mirror] * wmr - odd_im[mirror] * wmi;
-            let vi = odd_re[mirror] * wmi + odd_im[mirror] * wmr;
-            out_re[mirror] = even_re[mirror] + vr;
-            out_im[mirror] = even_im[mirror] + vi;
-            out_re[mirror + half] = even_re[mirror] - vr;
-            out_im[mirror + half] = even_im[mirror] - vi;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn radix2_combine_avx(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    even_re: &[f64],
-    even_im: &[f64],
-    odd_re: &[f64],
-    odd_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-) {
-    use std::arch::x86_64::*;
-    let half = even_re.len();
-    let mut k = 0;
-    while k + 4 <= half {
-        unsafe {
-            let wr = _mm256_loadu_pd(wre.as_ptr().add(k));
-            let wi = _mm256_loadu_pd(wim.as_ptr().add(k));
-            let or = _mm256_loadu_pd(odd_re.as_ptr().add(k));
-            let oi = _mm256_loadu_pd(odd_im.as_ptr().add(k));
-            let vr = _mm256_fmsub_pd(or, wr, _mm256_mul_pd(oi, wi));
-            let vi = _mm256_fmadd_pd(or, wi, _mm256_mul_pd(oi, wr));
-            let er = _mm256_loadu_pd(even_re.as_ptr().add(k));
-            let ei = _mm256_loadu_pd(even_im.as_ptr().add(k));
-            _mm256_storeu_pd(out_re.as_mut_ptr().add(k), _mm256_add_pd(er, vr));
-            _mm256_storeu_pd(out_im.as_mut_ptr().add(k), _mm256_add_pd(ei, vi));
-            _mm256_storeu_pd(out_re.as_mut_ptr().add(k + half), _mm256_sub_pd(er, vr));
-            _mm256_storeu_pd(out_im.as_mut_ptr().add(k + half), _mm256_sub_pd(ei, vi));
-        }
-        k += 4;
-    }
-    debug_assert_eq!(k, half);
-}
-
-// ---------------------------------------------------------------------------
-// f64 radix-4 kernel
-// ---------------------------------------------------------------------------
-
-/// One depth-first radix-4 combine: `work` holds the four completed
-/// quarter-transforms back to back; each butterfly loads the single twiddle
-/// `W^k` from the stage slice and derives `W^{2k}`, `W^{3k}`
-/// multiplicatively (the paper's bandwidth-for-multipliers trade).
-/// `forward` selects the rotation sign of the `±i` factor.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn radix4_combine(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    work_re: &[f64],
-    work_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-    forward: bool,
-) {
-    let len = out_re.len();
-    let quarter = len / 4;
-    assert_eq!(out_im.len(), len, "component length mismatch");
-    assert_eq!(work_re.len(), len, "workspace length mismatch");
-    assert_eq!(work_im.len(), len, "workspace length mismatch");
-    assert!(
-        wre.len() >= quarter && wim.len() >= quarter,
-        "twiddle table too short"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if quarter >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { radix4_combine_avx(out_re, out_im, work_re, work_im, wre, wim, forward) };
-        return;
-    }
-    radix4_combine_scalar(out_re, out_im, work_re, work_im, wre, wim, forward);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn radix4_combine_scalar(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    work_re: &[f64],
-    work_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-    forward: bool,
-) {
-    let quarter = out_re.len() / 4;
-    let s = if forward { 1.0 } else { -1.0 };
-    for k in 0..quarter {
-        let (w1r, w1i) = (wre[k], wim[k]);
-        let w2r = w1r * w1r - w1i * w1i;
-        let w2i = w1r * w1i + w1i * w1r;
-        let w3r = w2r * w1r - w2i * w1i;
-        let w3i = w2r * w1i + w2i * w1r;
-
-        let (ar, ai) = (work_re[k], work_im[k]);
-        let (xr, xi) = (work_re[quarter + k], work_im[quarter + k]);
-        let br = xr * w1r - xi * w1i;
-        let bi = xr * w1i + xi * w1r;
-        let (xr, xi) = (work_re[2 * quarter + k], work_im[2 * quarter + k]);
-        let cr = xr * w2r - xi * w2i;
-        let ci = xr * w2i + xi * w2r;
-        let (xr, xi) = (work_re[3 * quarter + k], work_im[3 * quarter + k]);
-        let dr = xr * w3r - xi * w3i;
-        let di = xr * w3i + xi * w3r;
-
-        let (t0r, t0i) = (ar + cr, ai + ci);
-        let (t1r, t1i) = (ar - cr, ai - ci);
-        let (t2r, t2i) = (br + dr, bi + di);
-        // t3 = (b − d) · (±i): a swap-and-negate, exact in either leg.
-        let t3r = -(s * (bi - di));
-        let t3i = s * (br - dr);
-
-        out_re[k] = t0r + t2r;
-        out_im[k] = t0i + t2i;
-        out_re[k + quarter] = t1r + t3r;
-        out_im[k + quarter] = t1i + t3i;
-        out_re[k + 2 * quarter] = t0r - t2r;
-        out_im[k + 2 * quarter] = t0i - t2i;
-        out_re[k + 3 * quarter] = t1r - t3r;
-        out_im[k + 3 * quarter] = t1i - t3i;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn radix4_combine_avx(
-    out_re: &mut [f64],
-    out_im: &mut [f64],
-    work_re: &[f64],
-    work_im: &[f64],
-    wre: &[f64],
-    wim: &[f64],
-    forward: bool,
-) {
-    use std::arch::x86_64::*;
-    let quarter = out_re.len() / 4;
-    let sign = _mm256_set1_pd(-0.0);
-    let mut k = 0;
-    while k + 4 <= quarter {
-        unsafe {
-            let w1r = _mm256_loadu_pd(wre.as_ptr().add(k));
-            let w1i = _mm256_loadu_pd(wim.as_ptr().add(k));
-            // W^{2k} and W^{3k} derived multiplicatively with FMA.
-            let w2r = _mm256_fmsub_pd(w1r, w1r, _mm256_mul_pd(w1i, w1i));
-            let t = _mm256_mul_pd(w1r, w1i);
-            let w2i = _mm256_add_pd(t, t);
-            let w3r = _mm256_fmsub_pd(w2r, w1r, _mm256_mul_pd(w2i, w1i));
-            let w3i = _mm256_fmadd_pd(w2r, w1i, _mm256_mul_pd(w2i, w1r));
-
-            let ar = _mm256_loadu_pd(work_re.as_ptr().add(k));
-            let ai = _mm256_loadu_pd(work_im.as_ptr().add(k));
-            let xr = _mm256_loadu_pd(work_re.as_ptr().add(quarter + k));
-            let xi = _mm256_loadu_pd(work_im.as_ptr().add(quarter + k));
-            let br = _mm256_fmsub_pd(xr, w1r, _mm256_mul_pd(xi, w1i));
-            let bi = _mm256_fmadd_pd(xr, w1i, _mm256_mul_pd(xi, w1r));
-            let xr = _mm256_loadu_pd(work_re.as_ptr().add(2 * quarter + k));
-            let xi = _mm256_loadu_pd(work_im.as_ptr().add(2 * quarter + k));
-            let cr = _mm256_fmsub_pd(xr, w2r, _mm256_mul_pd(xi, w2i));
-            let ci = _mm256_fmadd_pd(xr, w2i, _mm256_mul_pd(xi, w2r));
-            let xr = _mm256_loadu_pd(work_re.as_ptr().add(3 * quarter + k));
-            let xi = _mm256_loadu_pd(work_im.as_ptr().add(3 * quarter + k));
-            let dr = _mm256_fmsub_pd(xr, w3r, _mm256_mul_pd(xi, w3i));
-            let di = _mm256_fmadd_pd(xr, w3i, _mm256_mul_pd(xi, w3r));
-
-            let t0r = _mm256_add_pd(ar, cr);
-            let t0i = _mm256_add_pd(ai, ci);
-            let t1r = _mm256_sub_pd(ar, cr);
-            let t1i = _mm256_sub_pd(ai, ci);
-            let t2r = _mm256_add_pd(br, dr);
-            let t2i = _mm256_add_pd(bi, di);
-            // (b − d)·(±i): swap components, negate one.
-            let (t3r, t3i) = if forward {
-                (
-                    _mm256_xor_pd(_mm256_sub_pd(bi, di), sign),
-                    _mm256_sub_pd(br, dr),
-                )
-            } else {
-                (
-                    _mm256_sub_pd(bi, di),
-                    _mm256_xor_pd(_mm256_sub_pd(br, dr), sign),
-                )
-            };
-
-            _mm256_storeu_pd(out_re.as_mut_ptr().add(k), _mm256_add_pd(t0r, t2r));
-            _mm256_storeu_pd(out_im.as_mut_ptr().add(k), _mm256_add_pd(t0i, t2i));
-            _mm256_storeu_pd(
-                out_re.as_mut_ptr().add(k + quarter),
-                _mm256_add_pd(t1r, t3r),
-            );
-            _mm256_storeu_pd(
-                out_im.as_mut_ptr().add(k + quarter),
-                _mm256_add_pd(t1i, t3i),
-            );
-            _mm256_storeu_pd(
-                out_re.as_mut_ptr().add(k + 2 * quarter),
-                _mm256_sub_pd(t0r, t2r),
-            );
-            _mm256_storeu_pd(
-                out_im.as_mut_ptr().add(k + 2 * quarter),
-                _mm256_sub_pd(t0i, t2i),
-            );
-            _mm256_storeu_pd(
-                out_re.as_mut_ptr().add(k + 3 * quarter),
-                _mm256_sub_pd(t1r, t3r),
-            );
-            _mm256_storeu_pd(
-                out_im.as_mut_ptr().add(k + 3 * quarter),
-                _mm256_sub_pd(t1i, t3i),
-            );
-        }
-        k += 4;
-    }
-    debug_assert_eq!(k, quarter);
-}
-
 // ---------------------------------------------------------------------------
 // f64 pointwise kernels
 // ---------------------------------------------------------------------------
@@ -763,7 +469,7 @@ unsafe fn radix4_combine_avx(
 /// `acc += a ⊙ b` over split-complex slices — the pointwise
 /// multiply-accumulate of the external product (and, with a factor table as
 /// `a`, the TGSW scale). The vector leg uses two FMAs per component; the
-/// scalar leg keeps the product-then-add order of the pre-SIMD code.
+/// scalar leg rounds each product before it adds it.
 #[inline]
 pub fn mul_acc(
     acc_re: &mut [f64],
@@ -940,8 +646,7 @@ unsafe fn mul_acc_pair_avx(
 /// `((x + offset) ≫ shift & mask) − half`, as a signed integer. One gadget
 /// digit of a torus coefficient is that expression
 /// ([`FoldDigit::level`]); so is the coefficient itself
-/// ([`FoldDigit::WHOLE`]), which lets every fold of both breadth-first
-/// engines be one kernel.
+/// ([`FoldDigit::WHOLE`]), which lets each engine's folds be one kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FoldDigit {
     offset: u32,
@@ -1124,12 +829,14 @@ unsafe fn store_columns_avx(
     }
 }
 
-/// The whole negacyclic fold of the double-precision engines, one pass:
+/// The whole negacyclic fold of the double-precision engine, one pass:
 /// point `k` is `(digit.of(lo[k]) + i·digit.of(hi[k])) · (twre[k] +
 /// i·twim[k])`.
 ///
-/// `reversed = None` stores it at slot `k`, what the depth-first engines
-/// consume. `Some(..)` produces what the breadth-first stage loop consumes
+/// `reversed = None` stores it at slot `k`: the natural-order reference the
+/// equivalence suites hold the reversed fold to, and what the vector leg
+/// folds to before it permutes a transform too small for a 4×4 block.
+/// `Some(..)` produces what the breadth-first stage loop consumes
 /// from [`FIRST_WIDE_STAGE`] on: every point at its bit-reversed slot and
 /// the two narrow stages done — no permutation pass follows, and the
 /// vector leg, which twists four coefficients at a time, runs those two
@@ -1517,7 +1224,7 @@ const BUNDLE_PREFETCH_AHEAD: usize = 4096;
 /// where `f_p` is the `p`-th length-`m` table of the concatenated factor
 /// slices `(f_re, f_im)` and `K_s` the words stored in pattern slot `s` of
 /// `key`, widened as they stand — the `2^exp` they count in is the
-/// tables' business ([`crate::ref_fft::monomial_factors_cplx_into`] folds
+/// tables' business ([`crate::FftEngine::monomial_factors_into`] folds
 /// it in), so `key.exp` is not read here. Each output element starts from
 /// `h`'s and takes the terms in order, real part `x ← fr·sr + x` then
 /// `x ← −fi·si + x`, imaginary part `y ← fr·si + y` then `y ← fi·sr + y`,
@@ -2262,8 +1969,7 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 /// product's components, sums of two of them, stay below `2⁶³` with their
 /// rounding term: `|K|·|f| ≤ 2^{31.5}·2³¹` in complex magnitudes, the
 /// factors being quantized `ε^e − 1` (`|f| ≤ 2` at [`MONO_FRAC_BITS`]).
-/// One rounding shift follows where the 64-bit spectra this replaced
-/// needed two products and two shifts per component. AVX2 has no 64-bit
+/// One rounding shift follows per component. AVX2 has no 64-bit
 /// arithmetic shift: `v ≫ₐ S` is `((v + 2⁶³) ≫ S) − 2^{63−S}` with a logical
 /// shift, the `2⁶³` riding in the rounding constant and the `2^{63−S}` taken
 /// off once per row for all its terms.
@@ -2432,8 +2138,7 @@ mod tests {
         assert_eq!(im, vec![0.0, 1.0, 0.0, 3.0]);
     }
 
-    /// The reduction as it was written before it lost its libm calls —
-    /// `twist::f64_to_torus_mod` up to PR 13 — kept as the contract:
+    /// The reduction written with libm's `round`, kept as the contract:
     /// the centred residue's ties go away from zero.
     fn reference_reduce(x: f64) -> u32 {
         const SCALE: f64 = 4294967296.0;

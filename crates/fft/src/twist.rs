@@ -18,39 +18,22 @@
 //!
 //! All folds produce *split-complex* buffers (separate `re[]`/`im[]`
 //! slices) in one pass, [`crate::simd::fold_twist`]: load, convert (or
-//! extract a gadget digit), multiply by the twist, store — in natural
-//! order for the depth-first engines, or with every point written straight
-//! to its bit-reversed slot for the breadth-first one ([`Order`]), whose
-//! butterflies then start without a permutation pass — and start at the
-//! third stage, the fold having run the two narrow ones on the way. The
-//! unfold is one fused pass too, [`crate::simd::untwist_to_torus`].
+//! extract a gadget digit), multiply by the twist, and store every point
+//! straight to its bit-reversed slot of the plan's
+//! [`crate::tables::BitReversal`]. The breadth-first butterflies then start
+//! without a permutation pass, and at [`simd::FIRST_WIDE_STAGE`]: the fold
+//! runs the two narrow stages (`len = 2` and `4`, which combine four
+//! neighbouring slots) on the way. The unfold is one fused pass too,
+//! [`crate::simd::untwist_to_torus`].
 
 use crate::simd::{self, FoldDigit, Reversed};
 use crate::tables::TwiddleTables;
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 
-/// Where a fold leaves evaluation-order point `k`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Order {
-    /// Slot `k`: the input of a depth-first (decimating) flow.
-    Natural,
-    /// Slot `rev(k)` of the plan's [`crate::tables::BitReversal`], and the
-    /// forward stages `len = 2` and `len = 4` done (they combine four
-    /// neighbouring slots, which the fold has in hand): the input of the
-    /// breadth-first stage loop from [`simd::FIRST_WIDE_STAGE`] on.
-    BitReversed,
-}
-
-/// The fold every entry point below is: coefficient words `c`, what to make
-/// of each (`digit`), and where the twisted points go.
-fn fold(
-    c: &[u32],
-    digit: FoldDigit,
-    tables: &TwiddleTables,
-    order: Order,
-    re: &mut Vec<f64>,
-    im: &mut Vec<f64>,
-) {
+/// The fold every entry point below is: coefficient words `c` and what to
+/// make of each (`digit`), twisted into bit-reversed slots with the two
+/// narrow forward stages done.
+fn fold(c: &[u32], digit: FoldDigit, tables: &TwiddleTables, re: &mut Vec<f64>, im: &mut Vec<f64>) {
     let m = tables.size();
     assert_eq!(c.len(), 2 * m, "polynomial length mismatch");
     // Every slot is written: the resize only ever fills a buffer's first
@@ -59,31 +42,22 @@ fn fold(
     im.resize(m, 0.0);
     let (lo, hi) = c.split_at(m);
     let (twre, twim) = tables.twist_split();
-    let reversed = match order {
-        Order::Natural => None,
-        Order::BitReversed => Some(Reversed {
-            order: tables.bit_reversal(),
-            stages: tables.forward_stages(),
-        }),
+    let reversed = Reversed {
+        order: tables.bit_reversal(),
+        stages: tables.forward_stages(),
     };
-    simd::fold_twist(lo, hi, digit, twre, twim, reversed, re, im);
+    simd::fold_twist(lo, hi, digit, twre, twim, Some(reversed), re, im);
 }
 
-/// Folds an integer polynomial into the twisted split-complex buffer
-/// (the input of the forward transform).
+/// Folds an integer polynomial into the twisted split-complex buffer the
+/// forward stage loop starts from (bit-reversed, the narrow stages done).
 ///
 /// # Panics
 ///
 /// Panics if `p.len() != 2 * tables.size()`.
-pub fn fold_int(
-    p: &IntPolynomial,
-    tables: &TwiddleTables,
-    order: Order,
-    re: &mut Vec<f64>,
-    im: &mut Vec<f64>,
-) {
+pub fn fold_int(p: &IntPolynomial, tables: &TwiddleTables, re: &mut Vec<f64>, im: &mut Vec<f64>) {
     let words = simd::int_words(p.coeffs());
-    fold(words, FoldDigit::WHOLE, tables, order, re, im);
+    fold(words, FoldDigit::WHOLE, tables, re, im);
 }
 
 /// Folds one gadget-digit level of a torus polynomial into the twisted
@@ -104,23 +78,15 @@ pub fn fold_torus_digit(
     decomp: &GadgetDecomposer,
     level: usize,
     tables: &TwiddleTables,
-    order: Order,
     re: &mut Vec<f64>,
     im: &mut Vec<f64>,
 ) {
     let words = simd::torus_words(p.coeffs());
-    fold(
-        words,
-        FoldDigit::level(decomp, level),
-        tables,
-        order,
-        re,
-        im,
-    );
+    fold(words, FoldDigit::level(decomp, level), tables, re, im);
 }
 
 /// Folds a torus polynomial (centered representatives) into the twisted
-/// split-complex buffer.
+/// split-complex buffer the forward stage loop starts from.
 ///
 /// # Panics
 ///
@@ -128,12 +94,11 @@ pub fn fold_torus_digit(
 pub fn fold_torus(
     p: &TorusPolynomial,
     tables: &TwiddleTables,
-    order: Order,
     re: &mut Vec<f64>,
     im: &mut Vec<f64>,
 ) {
     let words = simd::torus_words(p.coeffs());
-    fold(words, FoldDigit::WHOLE, tables, order, re, im);
+    fold(words, FoldDigit::WHOLE, tables, re, im);
 }
 
 /// Unfolds an inverse-transformed split buffer back into torus
@@ -219,6 +184,17 @@ mod tests {
         );
     }
 
+    /// The fold in natural order with no stages run: what
+    /// [`unfold_torus`] inverts when no transform comes between.
+    fn fold_natural(c: &[u32], tables: &TwiddleTables) -> (Vec<f64>, Vec<f64>) {
+        let m = tables.size();
+        let (mut re, mut im) = (vec![0.0; m], vec![0.0; m]);
+        let (twre, twim) = tables.twist_split();
+        let (lo, hi) = c.split_at(m);
+        simd::fold_twist(lo, hi, FoldDigit::WHOLE, twre, twim, None, &mut re, &mut im);
+        (re, im)
+    }
+
     #[test]
     fn fold_unfold_identity() {
         let tables = TwiddleTables::new(8);
@@ -227,11 +203,7 @@ mod tests {
                 .map(|i| Torus32::from_raw(i as u32 * 0x0100_0000))
                 .collect(),
         );
-        let mut re = Vec::new();
-        let mut im = Vec::new();
-        fold_torus(&p, &tables, Order::Natural, &mut re, &mut im);
-        // Undo only the twist (no transform): unfold expects untwisted data,
-        // so compose manually.
+        let (re, im) = fold_natural(simd::torus_words(p.coeffs()), &tables);
         let q = unfold_torus(&re, &im, 1.0, &tables);
         assert_eq!(p, q);
     }
@@ -239,8 +211,8 @@ mod tests {
     #[test]
     fn fold_torus_digit_matches_materialized_digits() {
         // Below and above the size where the vector leg stores whole blocks,
-        // in both orders, with a decomposition that uses all 32 bits (its
-        // last level shifts by zero) and one that leaves some.
+        // with a decomposition that uses all 32 bits (its last level shifts
+        // by zero) and one that leaves some.
         for (n, bg_bits, levels) in [(8usize, 8, 3), (64, 8, 4), (128, 10, 3)] {
             let tables = TwiddleTables::new(n);
             let decomp = GadgetDecomposer::new(bg_bits, levels);
@@ -252,13 +224,11 @@ mod tests {
             let digits = decomp.decompose_poly(&p);
             let (mut fre, mut fim) = (Vec::new(), Vec::new());
             let (mut ure, mut uim) = (Vec::new(), Vec::new());
-            for order in [Order::Natural, Order::BitReversed] {
-                for (level, digit_poly) in digits.iter().enumerate() {
-                    fold_torus_digit(&p, &decomp, level, &tables, order, &mut fre, &mut fim);
-                    fold_int(digit_poly, &tables, order, &mut ure, &mut uim);
-                    assert_eq!(fre, ure, "n={n} level {level} {order:?}");
-                    assert_eq!(fim, uim, "n={n} level {level} {order:?}");
-                }
+            for (level, digit_poly) in digits.iter().enumerate() {
+                fold_torus_digit(&p, &decomp, level, &tables, &mut fre, &mut fim);
+                fold_int(digit_poly, &tables, &mut ure, &mut uim);
+                assert_eq!(fre, ure, "n={n} level {level}");
+                assert_eq!(fim, uim, "n={n} level {level}");
             }
         }
     }
@@ -269,9 +239,7 @@ mod tests {
         let mut p = IntPolynomial::zero(8);
         p.coeffs_mut()[0] = 3;
         p.coeffs_mut()[4] = 7;
-        let mut re = Vec::new();
-        let mut im = Vec::new();
-        fold_int(&p, &tables, Order::Natural, &mut re, &mut im);
+        let (re, im) = fold_natural(simd::int_words(p.coeffs()), &tables);
         assert!((Cplx::new(re[0], im[0]) - Cplx::new(3.0, 7.0)).abs() < 1e-12);
     }
 
@@ -291,6 +259,6 @@ mod tests {
         let tables = TwiddleTables::new(8);
         let p = TorusPolynomial::zero(16);
         let (mut re, mut im) = (Vec::new(), Vec::new());
-        fold_torus(&p, &tables, Order::Natural, &mut re, &mut im);
+        fold_torus(&p, &tables, &mut re, &mut im);
     }
 }

@@ -1,13 +1,13 @@
 //! Property tests: the `*_into` (scratch) variants must be **bit-identical**
-//! to the allocating APIs for every engine — same folds, same butterfly
+//! to the allocating APIs for both engines — same folds, same butterfly
 //! order, same rounding. Any divergence is an ordering bug, not a tolerance
 //! question, so everything here compares exact representations.
 
 use matcha_fft::ref_fft::{dft_in_place, Direction};
-use matcha_fft::twist::{self, Order};
+use matcha_fft::simd::{self, FoldDigit};
 use matcha_fft::{
-    key_exponent, ApproxIntFft, CplxSpectrum, DepthFirstFft, F64Fft, FftEngine, KeyBlock,
-    Radix4Fft, SplitFactors,
+    key_exponent, twist, ApproxIntFft, CplxSpectrum, F64Fft, FftEngine, KeyBlock, SplitFactors,
+    TwiddleTables,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use proptest::prelude::*;
@@ -74,9 +74,9 @@ fn check_engine<E: FftEngine>(engine: &E, p: &TorusPolynomial, q: &IntPolynomial
 }
 
 /// The fused decompose→twist transform must be bit-identical, per level, to
-/// materializing the digit polynomial and running `forward_int_into` on it
-/// (the PR 1 scratch path). Compared through exact backward transforms so
-/// engine-specific spectrum types need no `PartialEq`.
+/// materializing the digit polynomial and running `forward_int_into` on it.
+/// Compared through exact backward transforms so engine-specific spectrum
+/// types need no `PartialEq`.
 fn check_fused_decompose<E: FftEngine>(engine: &E, p: &TorusPolynomial) {
     let decomp = GadgetDecomposer::new(8, 3);
     let mut scratch = engine.make_scratch();
@@ -105,23 +105,21 @@ fn bundle_exponents(terms: usize, e: i64) -> Vec<i64> {
         .collect()
 }
 
-/// The single-pass bundle row of the double-precision engines over a
+/// The single-pass bundle row of the double-precision engine over a
 /// stored key against its definition written out: `H` copied, then per
 /// term and point the four fused multiply-adds of a complex
 /// multiply-accumulate, factor table (the key's `2^exp` folded in) times
 /// stored word. Term counts cover the empty bundle and `m = 1, 2, 3`; the
 /// terms sit in every other slot of a block that holds twice as many.
-fn check_bundle_row_f64<E>(engine: &E, h: &TorusPolynomial, src: &TorusPolynomial, e: i64)
-where
-    E: FftEngine<Spectrum = CplxSpectrum, MonomialFactors = SplitFactors>,
-{
+fn check_bundle_row_f64(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
+    let engine = F64Fft::new(N);
     let m = N / 2;
     let exp = key_exponent(N);
     let fh = engine.forward_torus(h);
     let keys: Vec<CplxSpectrum> = (0..14)
         .map(|p| engine.forward_torus(&src.mul_by_monomial(p)))
         .collect();
-    let block = stored_block(engine, &keys, exp);
+    let block = stored_block(&engine, &keys, exp);
     let key = KeyBlock {
         stream: &block,
         patterns: keys.len(),
@@ -220,11 +218,22 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
     }
 }
 
-/// The breadth-first engine's forward transforms — fold to bit-reversed
-/// slots with the narrow stages on the way, wide stages two to a pass —
-/// against the flow they replaced, one pass per step: natural-order fold,
-/// then `dft_in_place` (a permutation pass, then the stage loop from
-/// `len = 2`). Bit-identical on whatever leg is active.
+/// The natural-order fold of `words` into `out`: [`simd::fold_twist`] with
+/// no reversal and no stages.
+fn fold_natural(words: &[u32], digit: FoldDigit, tables: &TwiddleTables, out: &mut CplxSpectrum) {
+    let m = tables.size();
+    out.re.resize(m, 0.0);
+    out.im.resize(m, 0.0);
+    let (twre, twim) = tables.twist_split();
+    let (lo, hi) = words.split_at(m);
+    simd::fold_twist(lo, hi, digit, twre, twim, None, &mut out.re, &mut out.im);
+}
+
+/// The engine's forward transforms — fold to bit-reversed slots with the
+/// narrow stages on the way, wide stages two to a pass — against the
+/// pass-by-pass flow, one pass per step: natural-order fold, then
+/// `dft_in_place` (a permutation pass, then the stage loop from `len = 2`).
+/// Bit-identical on whatever leg is active.
 fn check_f64_forward_flow(p: &TorusPolynomial, q: &IntPolynomial) {
     let engine = F64Fft::new(N);
     let tables = engine.tables();
@@ -236,20 +245,20 @@ fn check_f64_forward_flow(p: &TorusPolynomial, q: &IntPolynomial) {
         dft_in_place(&mut s.re, &mut s.im, tables, Direction::Forward);
     };
 
+    let (torus, int) = (simd::torus_words(p.coeffs()), simd::int_words(q.coeffs()));
     engine.forward_torus_into(p, &mut got, &mut scratch);
-    twist::fold_torus(p, tables, Order::Natural, &mut want.re, &mut want.im);
+    fold_natural(torus, FoldDigit::WHOLE, tables, &mut want);
     forward(&mut want);
     prop_assert_eq!(&got, &want);
 
     engine.forward_int_into(q, &mut got, &mut scratch);
-    twist::fold_int(q, tables, Order::Natural, &mut want.re, &mut want.im);
+    fold_natural(int, FoldDigit::WHOLE, tables, &mut want);
     forward(&mut want);
     prop_assert_eq!(&got, &want);
 
     for level in 0..decomp.levels() {
         engine.forward_decomposed_into(p, &decomp, level, &mut got, &mut scratch);
-        let order = Order::Natural;
-        twist::fold_torus_digit(p, &decomp, level, tables, order, &mut want.re, &mut want.im);
+        fold_natural(torus, FoldDigit::level(&decomp, level), tables, &mut want);
         forward(&mut want);
         prop_assert_eq!(&got, &want, "level {}", level);
     }
@@ -278,16 +287,6 @@ proptest! {
     }
 
     #[test]
-    fn depth_first_into_matches_allocating(p in torus_poly(), q in digit_poly()) {
-        check_engine(&DepthFirstFft::new(N), &p, &q);
-    }
-
-    #[test]
-    fn radix4_into_matches_allocating(p in torus_poly(), q in digit_poly()) {
-        check_engine(&Radix4Fft::new(N), &p, &q);
-    }
-
-    #[test]
     fn approx_into_matches_allocating(p in torus_poly(), q in digit_poly()) {
         check_engine(&ApproxIntFft::new(N, 50), &p, &q);
     }
@@ -298,25 +297,13 @@ proptest! {
     }
 
     #[test]
-    fn depth_first_fused_decompose_matches(p in torus_poly()) {
-        check_fused_decompose(&DepthFirstFft::new(N), &p);
-    }
-
-    #[test]
-    fn radix4_fused_decompose_matches(p in torus_poly()) {
-        check_fused_decompose(&Radix4Fft::new(N), &p);
-    }
-
-    #[test]
     fn approx_fused_decompose_matches(p in torus_poly()) {
         check_fused_decompose(&ApproxIntFft::new(N, 50), &p);
     }
 
     #[test]
     fn f64_bundle_path_matches(base in torus_poly(), src in torus_poly(), e in -128i64..256) {
-        check_bundle_row_f64(&F64Fft::new(N), &base, &src, e);
-        check_bundle_row_f64(&DepthFirstFft::new(N), &base, &src, e);
-        check_bundle_row_f64(&Radix4Fft::new(N), &base, &src, e);
+        check_bundle_row_f64(&base, &src, e);
     }
 
     #[test]

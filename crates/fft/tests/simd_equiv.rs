@@ -1,4 +1,4 @@
-//! SIMD-vs-scalar equivalence for every engine.
+//! SIMD-vs-scalar equivalence for both engines.
 //!
 //! The kernel legs in `matcha_fft::simd` must agree:
 //!
@@ -12,7 +12,7 @@
 //!   one leg, and the reduction mod `2^32` at the end of the fused backward
 //!   tail *across* legs (on identical untwisted values);
 //! * **bounded-ulp** where the vector leg contracts `a·b ± c·d` into FMAs —
-//!   the three double-precision engines, compared here through exact
+//!   the double-precision engine, compared here through exact
 //!   backward-transformed torus coefficients with a tolerance far below
 //!   TFHE's noise floor but far above any legitimate ulp drift.
 //!
@@ -20,9 +20,9 @@
 //! bit-reversed slots, the backward working copy reads through the plan's
 //! table, both run the two narrow stages on the way, and the wide f64
 //! stages run two to a pass. Each of those is compared here, **bit for
-//! bit on either leg**, with the pass-by-pass flow it replaced — natural
-//! fold, `bit_reverse_permute_pair`, one stage at a time — whose
-//! permutation functions live on below as the test's reference.
+//! bit on either leg**, with the pass-by-pass flow — natural-order fold,
+//! `bit_reverse_permute_pair`, one stage at a time — whose permutation
+//! functions are written out below as the test's reference.
 //!
 //! `force_simd` is process-global, so every test takes a mutex; on CPUs
 //! without AVX2+FMA both sides force to the scalar leg and the comparisons
@@ -33,10 +33,9 @@ use matcha_fft::approx::FixedSpectrum;
 use matcha_fft::lifting::{LiftingRotation, LiftingTable};
 use matcha_fft::simd::{FoldDigit, Reversed};
 use matcha_fft::tables::BitReversal;
-use matcha_fft::twist::Order;
 use matcha_fft::{
-    force_simd, key_exponent, simd, simd_active, simd_detected, twist, ApproxIntFft, DepthFirstFft,
-    F64Fft, FftEngine, KeyBlock, Radix4Fft, TwiddleTables,
+    force_simd, key_exponent, simd, simd_active, simd_detected, twist, ApproxIntFft, F64Fft,
+    FftEngine, KeyBlock, TwiddleTables,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use std::sync::{Mutex, MutexGuard};
@@ -156,21 +155,8 @@ fn f64_simd_matches_scalar() {
     check_f64_engine(&F64Fft::new(64), 12);
 }
 
-#[test]
-fn depth_first_simd_matches_scalar() {
-    check_f64_engine(&DepthFirstFft::new(1024), 21);
-    check_f64_engine(&DepthFirstFft::new(64), 22);
-}
-
-#[test]
-fn radix4_simd_matches_scalar() {
-    check_f64_engine(&Radix4Fft::new(1024), 31);
-    check_f64_engine(&Radix4Fft::new(64), 32);
-}
-
-/// The in-place permutation every forward transform made before the folds
-/// stored to reversed slots (`tables::bit_reverse_permute_pair` up to PR 19):
-/// the reversed index recomputed per element, a swap where it is larger.
+/// The in-place bit-reversal permutation of the pass-by-pass flow: the
+/// reversed index recomputed per element, a swap where it is larger.
 fn bit_reverse_permute_pair<T, U>(a: &mut [T], b: &mut [U]) {
     let n = a.len();
     assert_eq!(n, b.len());
@@ -184,8 +170,7 @@ fn bit_reverse_permute_pair<T, U>(a: &mut [T], b: &mut [U]) {
     }
 }
 
-/// The out-of-place form the backward transforms used for their working
-/// copy (`tables::bit_reverse_copy_pair` up to PR 19).
+/// The out-of-place form of the same permutation, per element.
 fn bit_reverse_copy_pair<T: Copy>(src_a: &[T], src_b: &[T], dst_a: &mut [T], dst_b: &mut [T]) {
     let n = src_a.len();
     let shift = (n.leading_zeros() + 1) % usize::BITS;
@@ -196,8 +181,8 @@ fn bit_reverse_copy_pair<T: Copy>(src_a: &[T], src_b: &[T], dst_a: &mut [T], dst
     }
 }
 
-/// The integer engine's transforms as they were written before the tables
-/// became arrays: [`LiftingRotation::apply`] — the `i128` definition, with
+/// The integer engine's transforms written with
+/// [`LiftingRotation::apply`] — the `i128` definition, with
 /// its `Identity`/`Negation`/`Lifting` cases — in plain stage loops. Both
 /// kernel legs must reproduce it bit for bit.
 mod approx_reference {
@@ -921,12 +906,14 @@ fn narrow_stages(re: &mut [f64], im: &mut [f64], stages: &matcha_fft::StageTwidd
 #[test]
 fn reversed_folds_match_natural_fold_permutation_and_narrow_stages() {
     // All three folds, on either leg: one pass to bit-reversed slots with
-    // the narrow stages done == natural fold, the old permutation pass, a
-    // pass for `len = 2` and a pass for `len = 4`.
+    // the narrow stages done == `fold_twist` in natural order, a
+    // permutation pass, a pass for `len = 2` and a pass for `len = 4`.
     let _g = ForceGuard::lock();
     let decomp = GadgetDecomposer::new(10, 3);
     for n in DEGREES {
+        let m = n / 2;
         let tables = TwiddleTables::new(n);
+        let (twre, twim) = tables.twist_split();
         let p = random_torus_poly(n, 5 + n as u32);
         let q = IntPolynomial::from_coeffs(
             p.coeffs()
@@ -934,34 +921,42 @@ fn reversed_folds_match_natural_fold_permutation_and_narrow_stages() {
                 .map(|c| (c.raw() >> 21) as i32 - 1024)
                 .collect(),
         );
+        let (torus, int) = (simd::torus_words(p.coeffs()), simd::int_words(q.coeffs()));
         for force in [false, true] {
             force_simd(Some(force));
-            type Fold<'a> = Box<dyn Fn(Order, &mut Vec<f64>, &mut Vec<f64>) + 'a>;
-            let mut folds: Vec<(String, Fold)> = vec![
+            type Fold<'a> = Box<dyn Fn(&mut Vec<f64>, &mut Vec<f64>) + 'a>;
+            let mut folds: Vec<(String, &[u32], FoldDigit, Fold)> = vec![
                 (
                     "fold_torus".into(),
-                    Box::new(|order, re, im| twist::fold_torus(&p, &tables, order, re, im)),
+                    torus,
+                    FoldDigit::WHOLE,
+                    Box::new(|re, im| twist::fold_torus(&p, &tables, re, im)),
                 ),
                 (
                     "fold_int".into(),
-                    Box::new(|order, re, im| twist::fold_int(&q, &tables, order, re, im)),
+                    int,
+                    FoldDigit::WHOLE,
+                    Box::new(|re, im| twist::fold_int(&q, &tables, re, im)),
                 ),
             ];
             for level in 0..decomp.levels() {
                 let (p, tables, decomp) = (&p, &tables, &decomp);
                 folds.push((
                     format!("fold_torus_digit level {level}"),
-                    Box::new(move |order, re, im| {
-                        twist::fold_torus_digit(p, decomp, level, tables, order, re, im)
+                    torus,
+                    FoldDigit::level(decomp, level),
+                    Box::new(move |re, im| {
+                        twist::fold_torus_digit(p, decomp, level, tables, re, im)
                     }),
                 ));
             }
-            for (name, fold) in &folds {
+            for (name, words, digit, fold) in &folds {
                 // Dirty, mis-sized outputs must not leak through.
                 let (mut rre, mut rim) = (vec![7.0; 3], vec![7.0; 2 * n]);
-                fold(Order::BitReversed, &mut rre, &mut rim);
-                let (mut nre, mut nim) = (Vec::new(), vec![7.0; n]);
-                fold(Order::Natural, &mut nre, &mut nim);
+                fold(&mut rre, &mut rim);
+                let (mut nre, mut nim) = (vec![7.0; m], vec![7.0; m]);
+                let (lo, hi) = words.split_at(m);
+                simd::fold_twist(lo, hi, *digit, twre, twim, None, &mut nre, &mut nim);
                 bit_reverse_permute_pair(&mut nre, &mut nim);
                 narrow_stages(&mut nre, &mut nim, tables.forward_stages());
                 assert_eq!(bits(&rre), bits(&nre), "{name} re, n={n} simd={force}");
@@ -1022,8 +1017,8 @@ fn reversed_copies_match_the_per_element_copy() {
 
 #[test]
 fn integer_reversed_fold_matches_prescale_rotate_and_permutation() {
-    // `i64_fold_rotate` == pre-scale into natural order, `i64_rotate`, the
-    // old permutation pass — the same integers on either leg, at the
+    // `i64_fold_rotate` == pre-scale into natural order, `i64_rotate`, a
+    // permutation pass — the same integers on either leg, at the
     // paper's width and at the one the vector lift does not reach.
     let _g = ForceGuard::lock();
     let decomp = GadgetDecomposer::new(10, 3);

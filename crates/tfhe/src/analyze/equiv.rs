@@ -6,7 +6,7 @@
 //! # BDD representation
 //!
 //! Functions are reduced ordered binary decision diagrams with
-//! **complement edges**: a [`BddRef`] packs a node index and a negation
+//! **complement edges**: a `BddRef` packs a node index and a negation
 //! bit, so `NOT` is free (flip the bit) and a function and its complement
 //! share every node. Canonical form is enforced structurally:
 //!
@@ -16,9 +16,9 @@
 //!   representation,
 //! * a **unique table** interns `(var, then, else)` triples, making
 //!   equivalence checking a pointer comparison: two netlist outputs compute
-//!   the same Boolean function **iff** they compile to the same [`BddRef`].
+//!   the same Boolean function **iff** they compile to the same `BddRef`.
 //!
-//! All Boolean structure is built through a single memoized [`ite`]
+//! All Boolean structure is built through a single memoized `ite`
 //! (if-then-else) operator with the standard terminal rules and
 //! complement-edge normalizations, so the op-cache is shared across the
 //! mux and every gate, each compiled from its record's truth table.

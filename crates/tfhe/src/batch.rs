@@ -9,7 +9,7 @@
 //!
 //! * [`run_gate_batch`] shards one batch over scoped workers, each calling
 //!   the batched entry on its share with a private
-//!   [`BootstrapScratch`](crate::scratch::BootstrapScratch);
+//!   [`BootstrapScratch`];
 //! * [`GateBatchPool`] keeps workers (and their warmed scratches) **alive
 //!   across batches** — the software analogue of MATCHA's eight
 //!   always-resident bootstrapping pipelines.
@@ -448,7 +448,7 @@ impl Drop for InFlight {
 /// A persistent gate-evaluation worker pool sharing one [`ServerKey`].
 ///
 /// Workers are spawned once and hold their warmed
-/// [`BootstrapScratch`](crate::scratch::BootstrapScratch) across an
+/// [`BootstrapScratch`] across an
 /// arbitrary number of [`GateBatchPool::run`] calls; chunks of a dispatch
 /// are pulled from a shared queue. Dropping the pool shuts the workers
 /// down.

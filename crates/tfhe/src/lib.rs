@@ -24,7 +24,7 @@
 //!   serialization for every key and ciphertext, packed TRLWE transport
 //!   (2 torus words per bit instead of `N + 1`), and framed sessions
 //!   serving whole circuits over any `Read + Write` transport.
-//! * [`analyze`] — netlist static analysis: structural lints, the
+//! * [`analyze`](mod@analyze) — netlist static analysis: structural lints, the
 //!   `simplify` rewriter, analytic worst-case noise certification, and
 //!   critical-path cost ranks — run at server admission via
 //!   [`AnalysisPolicy`].

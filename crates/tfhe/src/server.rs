@@ -50,7 +50,7 @@
 //! [`faults`](crate::faults) module through
 //! [`CircuitServer::start_with_faults`]: each admitted circuit's slab is
 //! tagged with its admission sequence number (0, 1, 2, … in queue
-//! order), so a [`FaultPlan`](crate::faults::FaultPlan) can script a
+//! order), so a [`FaultPlan`] can script a
 //! panic, delay, or worker death at an exact `(circuit, node)` point.
 //!
 //! Shutdown is graceful: circuits admitted before [`CircuitServer::shutdown`]

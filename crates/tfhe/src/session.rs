@@ -1,4 +1,4 @@
-//! Framed wire sessions: the [`codec`](crate::codec) over any
+//! Framed wire sessions: the [`codec`] over any
 //! `Read + Write` transport.
 //!
 //! A real deployment of the paper's client/evaluator split talks over a

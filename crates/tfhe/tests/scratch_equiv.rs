@@ -8,7 +8,7 @@
 //! and a bundle built on the scalar kernel leg against the same bundle
 //! built on the vector leg: over a stored key the two agree bit for bit.
 
-use matcha_fft::{ApproxIntFft, DepthFirstFft, F64Fft, FftEngine, Radix4Fft};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
     BootstrapKit, ClientKey, EpScratch, LweCiphertext, ParameterSet, RingSecretKey, TgswCiphertext,
@@ -94,16 +94,6 @@ fn external_product_assign_matches_on_integer_engine() {
     check_external_product(&ApproxIntFft::new(params().ring_degree, 45), 23);
 }
 
-#[test]
-fn fused_external_product_matches_on_depth_first_engine() {
-    check_external_product(&DepthFirstFft::new(params().ring_degree), 24);
-}
-
-#[test]
-fn fused_external_product_matches_on_radix4_engine() {
-    check_external_product(&Radix4Fft::new(params().ring_degree), 25);
-}
-
 /// `build_bundle_into` through fresh buffers on the scalar kernel leg,
 /// through fresh buffers on the vector leg, and through one bundle buffer
 /// and one factor buffer carried, dirty, from group to group — at unroll
@@ -176,16 +166,6 @@ fn build_bundle_into_is_bit_identical_f64() {
 }
 
 #[test]
-fn build_bundle_into_is_bit_identical_depth_first() {
-    check_bundle_equivalence(&DepthFirstFft::new(params().ring_degree), 172);
-}
-
-#[test]
-fn build_bundle_into_is_bit_identical_radix4() {
-    check_bundle_equivalence(&Radix4Fft::new(params().ring_degree), 173);
-}
-
-#[test]
 fn build_bundle_into_is_bit_identical_approx() {
     check_bundle_equivalence(&ApproxIntFft::new(params().ring_degree, 45), 174);
 }
@@ -227,8 +207,8 @@ fn warmed_scratch_bootstrap_is_bit_identical_m3() {
 }
 
 #[test]
-fn warmed_scratch_bootstrap_is_bit_identical_depth_first() {
-    check_bootstrap_equivalence(&DepthFirstFft::new(256), 2, 144);
+fn warmed_scratch_bootstrap_is_bit_identical_m2() {
+    check_bootstrap_equivalence(&F64Fft::new(256), 2, 144);
 }
 
 #[test]

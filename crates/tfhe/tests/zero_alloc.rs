@@ -5,7 +5,7 @@
 //! allocator keeps the bytes a thread has live, which is how key
 //! generation is held to "the key and one sample".
 
-use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Radix4Fft};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
     BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, LweSecretKey, ParameterSet,
@@ -157,8 +157,8 @@ fn warmed_external_product_allocates_nothing() {
 }
 
 #[test]
-fn warmed_external_product_allocates_nothing_radix4() {
-    assert_zero_alloc_external_product(&Radix4Fft::new(256), 8);
+fn warmed_external_product_allocates_nothing_approx() {
+    assert_zero_alloc_external_product(&ApproxIntFft::new(256, 45), 8);
 }
 
 /// Pins a kernel leg for one test. `force_simd` is process-global: the
@@ -191,7 +191,7 @@ fn warmed_external_product_allocates_nothing_with_simd_forced() {
     let _leg = ForcedLeg::lock();
     matcha_fft::force_simd(Some(true));
     assert_zero_alloc_external_product(&F64Fft::new(256), 9);
-    assert_zero_alloc_external_product(&Radix4Fft::new(256), 10);
+    assert_zero_alloc_external_product(&ApproxIntFft::new(256, 45), 10);
 }
 
 #[test]

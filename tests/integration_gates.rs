@@ -1,6 +1,6 @@
 //! End-to-end gate correctness across FFT engines and unroll factors.
 
-use matcha::{ApproxIntFft, ClientKey, DepthFirstFft, F64Fft, Gate, ParameterSet, ServerKey};
+use matcha::{ApproxIntFft, ClientKey, F64Fft, Gate, ParameterSet, ServerKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,19 +44,6 @@ fn every_gate_with_approximate_integer_fft() {
             );
         }
     }
-}
-
-#[test]
-fn nand_with_depth_first_conjugate_pair_engine() {
-    let (client, mut rng) = client(3);
-    let server = ServerKey::new(&client, DepthFirstFft::new(256), &mut rng);
-    for (a, b) in CASES {
-        let ca = client.encrypt_with(a, &mut rng);
-        let cb = client.encrypt_with(b, &mut rng);
-        assert_eq!(client.decrypt(&server.nand(&ca, &cb)), !(a && b));
-    }
-    // The engine actually exercised its twiddle-sharing path.
-    assert!(server.engine().twiddle_reads() > 0);
 }
 
 #[test]
