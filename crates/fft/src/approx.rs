@@ -15,7 +15,8 @@
 //!   per-lifting-step rounding noise (±½ ulp) lands ≈ 2⁻⁴⁰ torus units below
 //!   the signal — twiddle quantization, not rounding, dominates the error;
 //! * forward transforms grow values by at most `×M·√2`;
-//! * pointwise products run in 128-bit and drop both pre-scales;
+//! * pointwise products are exact 64×64-bit products that drop both
+//!   pre-scales ([`simd::i64_mul_acc`]);
 //! * the inverse transform halves after every stage, realizing the `1/M`
 //!   normalization with one rounding shift per stage;
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
@@ -180,9 +181,10 @@ impl ApproxIntFft {
         // Leave headroom so forward buffers stay below 2^61·√2: a signed
         // value of `b` bits grows to at most `b + frac + log2(M)` bits.
         // The vector legs of the kernels need that bound, not just `i64`
-        // range (`simd::I64_LANE_BOUND`); how they take a `twiddle_bits`-bit
-        // lift apart is fixed here too, inside the tables
-        // (`simd::LiftSplit`).
+        // range (`simd::I64_LANE_BOUND`; each component below 2^60.5 for
+        // the pointwise products, `simd::MAC_LANE_BOUND`); how they take a
+        // `twiddle_bits`-bit lift apart is fixed here too, inside the
+        // tables (`simd::LiftSplit`).
         let log2m = m.trailing_zeros();
         let int_frac_bits = (61 - 11 - log2m).min(42);
         let torus_frac_bits = (61 - 32 - log2m).min(26);
@@ -216,7 +218,7 @@ impl ApproxIntFft {
     /// The `log2 M` butterfly stages of one direction over a buffer already
     /// in bit-reversed order, through the shared [`crate::simd`] kernels:
     /// the same split-component, unit-stride shape as the f64 engine. The
-    /// AVX2 leg builds each lift from 32-bit partial products and agrees
+    /// vector legs build each lift from 32-bit partial products and agree
     /// with the scalar `i128` leg bit for bit (see the kernel module docs).
     /// `HALVE` halves every stage output — `log2(M)` halvings realize the
     /// inverse's `1/M` without a multiplier.
@@ -370,26 +372,18 @@ impl FftEngine for ApproxIntFft {
         }
     }
 
+    /// [`simd::i64_mul_acc`] with one row.
     fn mul_accumulate(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum, b: &FixedSpectrum) {
-        assert_eq!(acc.re.len(), a.re.len(), "spectrum size mismatch");
-        assert_eq!(a.re.len(), b.re.len(), "spectrum size mismatch");
         assert_eq!(acc.frac_bits, 0, "accumulator must be unscaled");
-        let shift = a.frac_bits + b.frac_bits;
-        assert!(
-            shift > 0,
-            "at least one operand must be an integer-side spectrum"
+        simd::i64_mul_acc(
+            [(&mut acc.re, &mut acc.im)],
+            (&a.re, &a.im),
+            [(&b.re, &b.im)],
+            a.frac_bits + b.frac_bits,
         );
-        let round = 1i128 << (shift - 1);
-        for k in 0..acc.re.len() {
-            let (ar, ai) = (a.re[k] as i128, a.im[k] as i128);
-            let (br, bi) = (b.re[k] as i128, b.im[k] as i128);
-            let pr = ar * br - ai * bi;
-            let pi = ar * bi + ai * br;
-            acc.re[k] += ((pr + round) >> shift) as i64;
-            acc.im[k] += ((pi + round) >> shift) as i64;
-        }
     }
 
+    /// [`simd::i64_mul_acc`] with two rows.
     fn mul_accumulate_pair(
         &self,
         acc_a: &mut FixedSpectrum,
@@ -398,29 +392,18 @@ impl FftEngine for ApproxIntFft {
         a: &FixedSpectrum,
         b: &FixedSpectrum,
     ) {
-        let m = x.re.len();
-        assert_eq!(acc_a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_b.re.len(), m, "spectrum size mismatch");
-        assert_eq!(a.re.len(), m, "spectrum size mismatch");
-        assert_eq!(b.re.len(), m, "spectrum size mismatch");
         assert_eq!(acc_a.frac_bits, 0, "accumulator must be unscaled");
         assert_eq!(acc_b.frac_bits, 0, "accumulator must be unscaled");
         assert_eq!(a.frac_bits, b.frac_bits, "row spectra must share a scale");
-        let shift = x.frac_bits + a.frac_bits;
-        assert!(
-            shift > 0,
-            "at least one operand must be an integer-side spectrum"
+        simd::i64_mul_acc(
+            [
+                (&mut acc_a.re, &mut acc_a.im),
+                (&mut acc_b.re, &mut acc_b.im),
+            ],
+            (&x.re, &x.im),
+            [(&a.re, &a.im), (&b.re, &b.im)],
+            x.frac_bits + a.frac_bits,
         );
-        let round = 1i128 << (shift - 1);
-        for k in 0..m {
-            let (xr, xi) = (x.re[k] as i128, x.im[k] as i128);
-            let (ar, ai) = (a.re[k] as i128, a.im[k] as i128);
-            acc_a.re[k] += ((xr * ar - xi * ai + round) >> shift) as i64;
-            acc_a.im[k] += ((xr * ai + xi * ar + round) >> shift) as i64;
-            let (br, bi) = (b.re[k] as i128, b.im[k] as i128);
-            acc_b.re[k] += ((xr * br - xi * bi + round) >> shift) as i64;
-            acc_b.im[k] += ((xr * bi + xi * br + round) >> shift) as i64;
-        }
     }
 
     fn add_assign(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum) {

@@ -20,8 +20,10 @@
 //!
 //! Both engines store spectra *split-complex* (separate `re[]`/`im[]`
 //! arrays) and run their butterfly stages and pointwise accumulates through
-//! the [`simd`] kernels, which use AVX2+FMA when the CPU supports it
-//! (runtime-detected; `MATCHA_SIMD=0` or [`force_simd`] pin the scalar leg).
+//! the [`simd`] kernels, which use AVX2+FMA when the CPU supports it and
+//! AVX-512F for the integer engine's widest kernels where it has that too
+//! (runtime-detected, [`active_leg`]; `MATCHA_SIMD=0` or [`force_simd`] pin
+//! the scalar leg).
 //! The depth-first conjugate-pair flow of §4.1 (Figure 2b) is a claim about
 //! the accelerator's twiddle-buffer reads, and is modelled there:
 //! `matcha_accel::banking`.
@@ -61,5 +63,5 @@ pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
 pub use error::{fft_roundtrip_error_db, poly_mul_error_db};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};
-pub use simd::{force_simd, simd_active, simd_detected};
+pub use simd::{active_leg, force_simd, simd_active, simd_detected, Leg};
 pub use tables::{StageTwiddles, TwiddleTables};

@@ -1,7 +1,10 @@
-//! The integer engine's kernels: lifting rotations, butterfly stages and
-//! the bundle row, bit-identical across legs.
+//! The integer engine's kernels: lifting rotations, butterfly stages,
+//! pointwise products and the bundle row, bit-identical across legs.
 
-use super::dispatch::simd_active;
+#[cfg(target_arch = "x86_64")]
+use super::dispatch::{active_leg, Leg};
+#[cfg(target_arch = "x86_64")]
+use super::i64_512;
 use super::movers::FoldDigit;
 #[cfg(target_arch = "x86_64")]
 use super::movers::{key_lines_of_chunk, store_columns_avx, MIN_BLOCKED, REV2};
@@ -123,11 +126,18 @@ pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>) {
     assert_eq!(im.len(), m, "component length mismatch");
     assert_eq!(rots.len(), m, "rotation table length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if let (Some(split), true) = (rots.split, m.is_multiple_of(4) && simd_active()) {
+    if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) =
+        (rots.split, active_leg(), m.is_multiple_of(4))
+    {
         debug_assert_lane_bound(re);
         debug_assert_lane_bound(im);
-        // SAFETY: simd_active() implies AVX2; the lengths were checked.
-        unsafe { i64_rotate_avx(re, im, rots, split) };
+        // SAFETY (both): a vector leg implies AVX2, `Leg::Avx512` AVX-512F
+        // too; the lengths were checked.
+        if leg == Leg::Avx512 && m.is_multiple_of(8) {
+            unsafe { i64_512::i64_rotate(re, im, rots, split) };
+        } else {
+            unsafe { i64_rotate_avx(re, im, rots, split) };
+        }
         return;
     }
     for k in 0..m {
@@ -139,7 +149,7 @@ pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>) {
 /// `(digit.of(lo[k]) ≪ frac_bits, digit.of(hi[k]) ≪ frac_bits)` rotated by
 /// rotation `k` of `rots` (the twist, the same lift as the butterflies) and
 /// stored straight at its bit-reversed slot `order.index()[k]`, where the
-/// forward stages want it. Both legs produce the same integers as
+/// forward stages want it. Every leg produces the same integers as
 /// pre-scaling into natural order, [`i64_rotate`] and a permutation.
 ///
 /// # Panics
@@ -164,12 +174,18 @@ pub fn i64_fold_rotate(
     assert_eq!(order.len(), m, "bit-reversal table built for another size");
     assert!(frac_bits < 64, "pre-scale wider than a lane");
     #[cfg(target_arch = "x86_64")]
-    if let (Some(split), true) = (rots.split, m >= MIN_BLOCKED && simd_active()) {
-        // SAFETY: simd_active() implies AVX2; the lengths were checked, and
-        // a `BitReversal` of length `m` holds the reversal of `0..m`.
-        unsafe {
-            i64_fold_rotate_avx(lo, hi, digit, frac_bits, rots, split, order.index(), re, im)
-        };
+    if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) =
+        (rots.split, active_leg(), m >= MIN_BLOCKED)
+    {
+        let rev = order.index();
+        // SAFETY (both): a vector leg implies AVX2, `Leg::Avx512` AVX-512F
+        // too; the lengths were checked, and a `BitReversal` of length `m`
+        // holds the reversal of `0..m`.
+        if leg == Leg::Avx512 && m >= 2 * MIN_BLOCKED {
+            unsafe { i64_512::i64_fold_rotate(lo, hi, digit, frac_bits, rots, split, rev, re, im) };
+        } else {
+            unsafe { i64_fold_rotate_avx(lo, hi, digit, frac_bits, rots, split, rev, re, im) };
+        }
         return;
     }
     for (k, &slot) in order.index().iter().enumerate() {
@@ -228,10 +244,12 @@ unsafe fn i64_fold_rotate_avx(
 /// One radix-2 butterfly stage of the integer engine: the stage's lifting
 /// rotations applied with unit stride, then `u ± v`.
 ///
-/// Both legs read the same [`Lifts`] and produce the same integers: the
+/// Every leg reads the same [`Lifts`] and produces the same integers: the
 /// scalar leg multiplies in `i128` ([`crate::lifting`]'s definition), the
-/// AVX2 leg recombines four 32-bit partial products per lift
-/// ([`LiftSplit`]) for inputs below [`I64_LANE_BOUND`].
+/// vector legs recombine four 32-bit partial products per lift
+/// ([`LiftSplit`]) for inputs below [`I64_LANE_BOUND`] — on four lanes, or
+/// on eight on [`Leg::Avx512`](super::Leg::Avx512) for every stage but the
+/// multiply-free `len = 2`.
 ///
 /// # Panics
 ///
@@ -257,12 +275,28 @@ fn i64_stage<const HALVE: bool>(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>,
     );
     assert_eq!(rots.len(), half, "rotation table length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if let (Some(split), true) = (rots.split, m >= 8 && simd_active()) {
+    if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) = (rots.split, active_leg(), m >= 8)
+    {
         debug_assert_lane_bound(re);
         debug_assert_lane_bound(im);
-        // SAFETY (all three): simd_active() implies AVX2; the lengths were
-        // checked, and `m` is a multiple of 8 (a multiple of `len`, a
-        // power of two, and at least 8).
+        // SAFETY (every call below): a vector leg implies AVX2,
+        // `Leg::Avx512` AVX-512F too; the lengths were checked, and `m` is a
+        // multiple of 8 (a multiple of `len`, a power of two, and at least
+        // 8). The eight-lane kernels also need `len` a power of two (so
+        // `half` is a multiple of 8 from `len = 16` on) and `m` a multiple
+        // of 16.
+        //
+        // On eight lanes every stage but the multiply-free `len = 2`: the
+        // narrow ones two or four blocks to a vector, the wide ones as on
+        // four lanes.
+        if leg == Leg::Avx512 && len > 2 && len.is_power_of_two() && m.is_multiple_of(16) {
+            match len {
+                4 => unsafe { i64_512::i64_stage_narrow::<HALVE, 4>(re, im, rots, split) },
+                8 => unsafe { i64_512::i64_stage_narrow::<HALVE, 8>(re, im, rots, split) },
+                _ => unsafe { i64_512::i64_stage::<HALVE>(re, im, rots, split, len) },
+            }
+            return;
+        }
         if half >= 4 {
             unsafe { i64_stage_avx::<HALVE>(re, im, rots, split, len) };
             return;
@@ -602,6 +636,119 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
     }
 }
 
+/// Exclusive magnitude bound on the operands of the integer engine's
+/// pointwise products on [`Leg::Avx512`](super::Leg::Avx512) — `x` and every
+/// row of [`i64_mul_acc`] — and how that leg computes them without a
+/// 64×64-bit multiply.
+///
+/// With every lane split at bit 31 (`v = v_h·2³¹ + v_l`, `0 ≤ v_l < 2³¹`), a
+/// real product is `p·q = p_h·q_h·2⁶² + (p_h·q_l + p_l·q_h)·2³¹ + p_l·q_l`,
+/// four signed 32×32→64-bit `vpmuldq`. A component of the complex product
+/// sums two of them (`xr·ar − xi·ai`, `xr·ai + xi·ar`), so it is
+/// `H·2⁶² + M·2³¹ + L` with `H`, `M`, `L` the sums of the matching partial
+/// products — 16 `vpmuldq` per complex product — and, dividing by `2^s`
+/// with nested floors (`s ≥ 31`, so `2³¹` divides the first two terms),
+///
+/// ```text
+/// ⌊(H·2⁶² + M·2³¹ + L + 2^{s−1}) / 2^s⌋ = (H ≪ (62 − s)) + (M + ⌊(L + 2^{s−1}) / 2³¹⌋) ≫ₐ (s − 31)
+/// ```
+///
+/// For `|x|, |a| < 2⁶¹` and `31 ≤ s ≤ 61` ([`MAC_SHIFTS`]):
+///
+/// * `v_h ∈ [−2³⁰, 2³⁰)` and `v_l ∈ [0, 2³¹)` are signed 32-bit operands,
+///   and a product of a high and a low half lies in
+///   `[−2³⁰·(2³¹ − 1), (2³⁰ − 1)·(2³¹ − 1)]`;
+/// * the real part's `L` is a difference of two products in `[0, 2⁶²)`:
+///   `L + 2^{s−1}` is signed and below `2⁶³` in magnitude, its quotient an
+///   arithmetic shift in `[−2³¹, 2³¹ + 2²⁹)`, and `|M| ≤ 2⁶³ − 2³³ + 2`;
+/// * the imaginary part's `L` is a *sum* of two products in `[0, 2⁶²)`:
+///   below `2⁶³`, but with the rounding term added it can pass `2⁶³` and
+///   read negative as an `i64`. It is non-negative, so its quotient is a
+///   logical shift, in `[0, 2³² + 2²⁹)`; its `M` lies in
+///   `[−2⁶³ + 2³², 2⁶³ − 3·2³² + 4]`;
+/// * so `M + ⌊…⌋` stays strictly inside `±2⁶³` on either part: the inner
+///   sum is exact and so is its arithmetic shift. `H` and its shift may
+///   wrap: they are taken modulo `2⁶⁴`, as the scalar leg's truncation of
+///   the quotient to `i64` is.
+///
+/// The engine's operands stay inside. A digit spectrum is at most
+/// `M·√2·2¹⁰` at `int_frac_bits` fractional bits, which
+/// [`crate::ApproxIntFft`] sizes to keep it below `2^{60.5}`. A row
+/// spectrum is one of a torus polynomial (`M·√2·2³¹` at `torus_frac_bits`,
+/// below `2^{60.5}` the same way) or a bundle row, whose `frac_bits` are
+/// the torus polynomial's less [`BUNDLE_DROP_BITS`]: `H`'s `2^{56.5}` plus
+/// `2^m − 1` terms, each a 32-bit mantissa times a factor of magnitude ≤ 2
+/// brought back to those bits (`≤ 2^{55.5}` at `N = 1024`) — below `2⁶⁰` at
+/// `MATCHA`'s `m = 3`, below `2⁶¹` up to `m = 5`. `MATCHA` multiplies at
+/// `s = 41 + 16 = 57`, and stores its key at `s = 41 + 20 = 61`. Shifts
+/// outside the range take the scalar loop, as `β = 62` does for lifts: a
+/// torus spectrum times a digit spectrum below `N = 1024`, where both
+/// pre-scales are wider (`s ≥ 63`).
+pub const MAC_LANE_BOUND: u64 = 1 << 61;
+
+/// The shifts `s` whose products [`i64_mul_acc`]'s
+/// [`Leg::Avx512`](super::Leg::Avx512) leg computes ([`MAC_LANE_BOUND`]).
+pub const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
+
+/// The integer engine's pointwise multiply-accumulate, `ROWS` rows in one
+/// pass over `x`: `acc_r += ⌊(x ⊙ row_r + 2^{shift−1}) / 2^shift⌋` per
+/// component, the complex product taken exactly and the quotient truncated
+/// to 64 bits. One row is [`crate::FftEngine::mul_accumulate`], two the
+/// external product's [`crate::FftEngine::mul_accumulate_pair`]; what a row
+/// gets does not depend on `ROWS`, so on every leg a pair call is
+/// bit-identical to two single calls.
+///
+/// The scalar leg is the definition: one `i128` product per term. The
+/// [`Leg::Avx512`](super::Leg::Avx512) leg builds the products from 32-bit
+/// partial products on eight lanes and agrees with it bit for bit for
+/// shifts in [`MAC_SHIFTS`] and operands below [`MAC_LANE_BOUND`], where
+/// the recombination is derived. Other shifts, and the AVX2 leg, run the
+/// scalar loop: with half the lanes and registers the same partial
+/// products are no faster than the native `mul`.
+///
+/// # Panics
+///
+/// Panics on mismatched lengths or a zero `shift`.
+pub fn i64_mul_acc<const ROWS: usize>(
+    mut accs: [(&mut [i64], &mut [i64]); ROWS],
+    (x_re, x_im): (&[i64], &[i64]),
+    rows: [(&[i64], &[i64]); ROWS],
+    shift: u32,
+) {
+    let m = x_re.len();
+    assert_eq!(x_im.len(), m, "component length mismatch");
+    for ((acc_re, acc_im), (a_re, a_im)) in accs.iter().zip(rows) {
+        for len in [acc_re.len(), acc_im.len(), a_re.len(), a_im.len()] {
+            assert_eq!(len, m, "spectrum size mismatch");
+        }
+    }
+    assert!(
+        shift > 0,
+        "at least one operand must be an integer-side spectrum"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if active_leg() == Leg::Avx512 && MAC_SHIFTS.contains(&shift) && m.is_multiple_of(8) {
+        let within = |v: &[i64]| v.iter().all(|v| v.unsigned_abs() < MAC_LANE_BOUND);
+        debug_assert!(
+            within(x_re) && within(x_im) && rows.iter().all(|(re, im)| within(re) && within(im)),
+            "pointwise product operand outside ±2^61"
+        );
+        // SAFETY: `Leg::Avx512` implies AVX-512F; the lengths and the shift
+        // were checked.
+        unsafe { i64_512::i64_mul_acc(accs, (x_re, x_im), rows, shift) };
+        return;
+    }
+    let round = 1i128 << (shift - 1);
+    for k in 0..m {
+        let (xr, xi) = (i128::from(x_re[k]), i128::from(x_im[k]));
+        for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
+            let (ar, ai) = (i128::from(a_re[k]), i128::from(a_im[k]));
+            acc_re[k] += ((xr * ar - xi * ai + round) >> shift) as i64;
+            acc_im[k] += ((xr * ai + xi * ar + round) >> shift) as i64;
+        }
+    }
+}
+
 /// One bundle row of the integer engine in a single pass:
 /// `out = (h ≫ drop) + Σ_p ⌊(K_{slots[p]} ⊙ f_p + 2^{S−1}) / 2^S⌋`, with
 /// `drop = ` [`BUNDLE_DROP_BITS`], `K_s` the 32-bit mantissas stored in
@@ -612,18 +759,19 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 /// `factors` holds one length-`m` table of `[re, im]` pairs per slot, back
 /// to back.
 ///
-/// Both legs produce the same integers. A mantissa and a factor component
+/// Every leg produces the same integers. A mantissa and a factor component
 /// are 32 bits each, so a product is one signed 32×32→64-bit multiply —
-/// the scalar leg's `i64` `*`, the AVX2 leg's `vpmuldq` — and the complex
+/// the scalar leg's `i64` `*`, the vector legs' `vpmuldq` — and the complex
 /// product's components, sums of two of them, stay below `2⁶³` with their
 /// rounding term: `|K|·|f| ≤ 2^{31.5}·2³¹` in complex magnitudes, the
 /// factors being quantized `ε^e − 1` (`|f| ≤ 2` at [`MONO_FRAC_BITS`]).
 /// One rounding shift follows per component. AVX2 has no 64-bit
 /// arithmetic shift: `v ≫ₐ S` is `((v + 2⁶³) ≫ S) − 2^{63−S}` with a logical
 /// shift, the `2⁶³` riding in the rounding constant and the `2^{63−S}` taken
-/// off once per row for all its terms.
+/// off once per row for all its terms. AVX-512F has one, and takes a chunk
+/// of eight points a vector.
 ///
-/// The AVX2 leg also prefetches down the key (`BUNDLE_PREFETCH_AHEAD`):
+/// The vector legs also prefetch down the key (`BUNDLE_PREFETCH_AHEAD`):
 /// once the products are vector work, fetching the key is what a row waits
 /// for, and how long that takes is the neighbours' doing, not the code's.
 ///
@@ -653,10 +801,16 @@ pub fn i64_bundle_row(
     );
     let shift = BUNDLE_SHIFT - key.exp;
     #[cfg(target_arch = "x86_64")]
-    if m.is_multiple_of(KEY_CHUNK) && simd_active() {
-        // SAFETY: simd_active() implies AVX2; the lengths, the block and
-        // the slots were checked above.
-        unsafe { i64_bundle_row_avx(out_re, out_im, h_re, h_im, key, slots, factors, shift) };
+    if let (leg @ (Leg::Avx2 | Leg::Avx512), true) = (active_leg(), m.is_multiple_of(KEY_CHUNK)) {
+        // SAFETY: a vector leg implies AVX2, `Leg::Avx512` AVX-512F too;
+        // the lengths, the block and the slots were checked above.
+        if leg == Leg::Avx512 {
+            unsafe {
+                i64_512::i64_bundle_row(out_re, out_im, h_re, h_im, key, slots, factors, shift)
+            };
+        } else {
+            unsafe { i64_bundle_row_avx(out_re, out_im, h_re, h_im, key, slots, factors, shift) };
+        }
         return;
     }
     let half = 1i64 << (BUNDLE_DROP_BITS - 1);

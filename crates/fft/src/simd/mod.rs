@@ -1,5 +1,5 @@
 //! Split-complex butterfly and pointwise kernels with runtime-detected
-//! AVX2+FMA vectorization.
+//! AVX2+FMA and AVX-512F vectorization.
 //!
 //! # Layout
 //!
@@ -41,20 +41,34 @@
 //!
 //! Every element meets the same operations in the same order as in the
 //! pass-by-pass flow (natural-order fold, permutation, one stage a pass),
-//! so on either leg the results are bit-identical to it.
+//! so on every leg the results are bit-identical to it.
 //!
 //! # Dispatch
 //!
-//! Each public kernel picks one of two legs per call:
+//! Each public kernel picks its leg per call from [`active_leg`] — the
+//! widest [`Leg`] the CPU runs, detected once and cached in an atomic:
 //!
-//! * an explicitly vectorized AVX2+FMA leg (`core::arch::x86_64`
-//!   intrinsics behind `#[target_feature]`), taken when
-//!   [`simd_active`] reports `true`;
-//! * a scalar leg that rounds every product before it adds it (no
-//!   contraction), taken everywhere else (non-x86_64 targets, CPUs
-//!   without AVX2/FMA, `MATCHA_SIMD=0`, or a [`force_simd`] override).
+//! * [`Leg::Avx512`], where the CPU has AVX-512F (and AVX2+FMA): eight-lane
+//!   forms of the integer engine's kernels — [`i64_radix2_stage`] but for
+//!   `len = 2`, [`i64_fold_rotate`]'s lifts, [`i64_rotate`],
+//!   [`i64_mul_acc`] and [`i64_bundle_row`] — and the AVX2 kernels for
+//!   everything else;
+//! * [`Leg::Avx2`], where it has AVX2+FMA: explicitly vectorized kernels
+//!   (`core::arch::x86_64` intrinsics behind `#[target_feature]`);
+//! * [`Leg::Scalar`] everywhere else (non-x86_64 targets, older CPUs),
+//!   under `MATCHA_SIMD=0`, or under a [`force_simd`] override: loops that
+//!   round every product before they add it (no contraction) and are the
+//!   definition the vector legs reproduce.
 //!
-//! # What the two legs agree on
+//! `MATCHA_SIMD` has two values, `0` (scalar) and anything else (the widest
+//! leg); only the test hook [`force_simd`] pins [`Leg::Avx2`] on a CPU that
+//! has AVX-512F, so that one machine runs all three legs.
+//!
+//! # What the legs agree on
+//!
+//! The double-precision kernels have no AVX-512 form: on [`Leg::Avx512`]
+//! they run their AVX2 leg, and the two vector legs agree bit for bit.
+//! Between the scalar leg and a vector leg:
 //!
 //! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
 //!   [`radix2_stage_pair`]), the twist (inside [`fold_twist`]; the untwist
@@ -67,52 +81,63 @@
 //!   `len = 2` butterfly stage, which has no multiplies, and the bundle row
 //!   over a stored key ([`bundle_row`]), whose scalar leg is written with
 //!   the fused multiply-adds the vector leg makes.
-//! * **Within either leg** the fused pair kernel [`mul_acc_pair`] is
+//! * **Within each leg** the fused pair kernel [`mul_acc_pair`] is
 //!   bit-identical to two [`mul_acc`] calls (the external product swaps
 //!   freely between them).
 //!
 //! # Integer (i64) kernels
 //!
 //! The integer engine's rotations ([`i64_radix2_stage`],
-//! [`i64_radix2_stage_halving`], [`i64_rotate`], [`i64_fold_rotate`]) and
-//! its bundle row
-//! ([`i64_bundle_row`]) have both legs too, and here the legs agree
+//! [`i64_radix2_stage_halving`], [`i64_rotate`], [`i64_fold_rotate`]), its
+//! pointwise products ([`i64_mul_acc`]) and its bundle row
+//! ([`i64_bundle_row`]) have vector legs too, and here every leg agrees
 //! **bitwise**, not within ulps: integer arithmetic has one right answer.
 //! The scalar leg is the definition — each lift
-//! `⌊(x·α + 2^{β−1}) / 2^β⌋` and each bundle product through one `i128`
-//! multiply. AVX2 has no 64×64-bit multiply and no 64-bit arithmetic
-//! shift, so the vector leg splits every 64-bit operand at bit 31, forms
-//! the signed 32×32→64-bit partial products `vpmuldq` does offer, and
-//! recombines them with nested floors; arithmetic shifts are logical
-//! shifts of a value biased by `2⁶³`. [`LiftSplit`] derives the
-//! recombination and the bounds that keep every partial sum exact; the one
-//! precondition it adds to the scalar leg's is [`I64_LANE_BOUND`]
-//! (`|v| < 2⁶²`), which the engine's scaling already guaranteed. Twiddle
-//! widths the split does not reach (`β = 62`) run the scalar loop on both
-//! legs. The bundle row needs no split: a stored key's mantissas and the
-//! factors are 32 bits each, one `vpmuldq` a product ([`i64_bundle_row`]).
-//! The engine's 64×64-bit pointwise products (`mul_accumulate`,
-//! `mul_accumulate_pair`) stay scalar `i128` on purpose: the native `mul`
-//! is the right tool for a full-width product. The bundle rows' vector
-//! legs (this one and [`bundle_row`]'s) are the kernels here that
-//! prefetch: with the products in vector lanes a row is done before its
-//! key arrives, and the time the key takes is the part of a gate that a
-//! busy neighbour sets (`BUNDLE_PREFETCH_AHEAD`).
+//! `⌊(x·α + 2^{β−1}) / 2^β⌋`, each pointwise product and each bundle
+//! product through one `i128` multiply. Neither AVX2 nor AVX-512F has a
+//! 64×64-bit multiply, so the vector legs split every 64-bit operand at
+//! bit 31, form the signed 32×32→64-bit partial products `vpmuldq` does
+//! offer, and recombine them with nested floors; AVX2 also lacks a 64-bit
+//! arithmetic shift and shifts a value biased by `2⁶³` instead, AVX-512F
+//! has one (`vpsraq`). [`LiftSplit`] derives the lifts' recombination and
+//! the bounds that keep every partial sum exact; the one precondition it
+//! adds to the scalar leg's is [`I64_LANE_BOUND`] (`|v| < 2⁶²`), which the
+//! engine's scaling already guaranteed. Twiddle widths the split does not
+//! reach (`β = 62`) run the scalar loop on every leg. [`MAC_LANE_BOUND`]
+//! does the same for the pointwise products (16 partial products a
+//! complex product, operands below `2⁶¹`, shifts in [`MAC_SHIFTS`]); those
+//! run on [`Leg::Avx512`] only — on four lanes and sixteen registers the
+//! split measured no faster than the native `mul`. The bundle row needs no
+//! split: a stored key's mantissas and the factors are 32 bits each, one
+//! `vpmuldq` a product ([`i64_bundle_row`]). The bundle rows' vector legs
+//! (this one and [`bundle_row`]'s) are the kernels here that prefetch:
+//! with the products in vector lanes a row is done before its key arrives,
+//! and the time the key takes is the part of a gate that a busy neighbour
+//! sets (`BUNDLE_PREFETCH_AHEAD`).
+//!
+//! At `N = 1024` on a Xeon with AVX-512F (minimum of 20 rounds of 1000–2000
+//! calls; scalar / AVX2 / AVX-512): a pair of pointwise products 2.35 /
+//! 2.35 / 1.16 µs, a wide stage 1.07–1.22 / 0.55–0.59 / 0.33–0.38 µs, the
+//! fold 2.42 / 1.21 / 0.84 µs, a 7-term bundle row in L1 7.08 / 1.51 /
+//! 1.23 µs, a forward transform of one gadget digit 10.7 / 5.26 / 3.61 µs,
+//! a backward transform 11.4 / 5.81 / 3.91 µs.
 
 mod dispatch;
 mod f64;
 mod i64;
+#[cfg(target_arch = "x86_64")]
+mod i64_512;
 mod movers;
 
-pub use self::dispatch::{force_simd, simd_active, simd_detected};
+pub use self::dispatch::{active_leg, force_simd, simd_active, simd_detected, Leg};
 pub(crate) use self::f64::round_half_away;
 pub use self::f64::{
     bit_reverse_copy_pair, bundle_row, fold_twist, mul_acc, mul_acc_pair, radix2_stage,
     radix2_stage_pair, reduce_turns, untwist_to_torus, Reversed, FIRST_WIDE_STAGE,
 };
 pub use self::i64::{
-    i64_bundle_row, i64_fold_rotate, i64_radix2_stage, i64_radix2_stage_halving, i64_rotate,
-    LiftSplit, I64_LANE_BOUND,
+    i64_bundle_row, i64_fold_rotate, i64_mul_acc, i64_radix2_stage, i64_radix2_stage_halving,
+    i64_rotate, LiftSplit, I64_LANE_BOUND, MAC_LANE_BOUND, MAC_SHIFTS,
 };
 pub use self::movers::{bit_reverse_copy, int_words, torus_words, FoldDigit};
 
@@ -126,10 +151,17 @@ mod tests {
 
     #[test]
     fn force_override_wins() {
-        force_simd(Some(false));
+        force_simd(Some(Leg::Scalar));
         assert!(!simd_active());
-        force_simd(Some(true));
+        force_simd(Some(Leg::Avx2));
         assert_eq!(simd_active(), simd_detected());
+        // A leg the CPU lacks narrows to the widest one it has.
+        force_simd(Some(Leg::Avx512));
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            active_leg() == Leg::Avx512,
+            simd_detected() && is_x86_feature_detected!("avx512f")
+        );
         force_simd(None);
         let _ = simd_active(); // auto path must not panic
         force_simd(None);
@@ -381,7 +413,7 @@ mod tests {
 
     #[test]
     fn pair_kernel_matches_two_singles_scalar_leg() {
-        force_simd(Some(false));
+        force_simd(Some(Leg::Scalar));
         let m = 8;
         let c_re: Vec<f64> = (0..m).map(|k| 0.3 + k as f64).collect();
         let c_im: Vec<f64> = (0..m).map(|k| -0.7 * k as f64).collect();

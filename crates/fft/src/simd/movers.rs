@@ -188,9 +188,9 @@ unsafe fn bit_reverse_copy_avx(src: *const f64, dst: *mut f64, rev: &[u32]) {
     }
 }
 
-/// Bytes the AVX2 bundle rows (both engines') prefetch ahead of their
-/// loads: one `prefetcht0` per 64-byte line consumed, of the line this far
-/// down the key. A bootstrapping key is one slab in the order blind
+/// Bytes the vector bundle rows (both engines', both vector legs) prefetch
+/// ahead of their loads: one `prefetcht0` per 64-byte line consumed, of the
+/// line this far down the key. A bootstrapping key is one slab in the order blind
 /// rotation reads it ([`KeyBlock`]), 35 MB at `m = 2` and 55 MB at `m = 3`,
 /// so the line 4 KB ahead is the line the row — or the next row, or the
 /// next group's first row: the lookahead runs off a block's end into
@@ -203,7 +203,7 @@ unsafe fn bit_reverse_copy_avx(src: *const f64, dst: *mut f64, rev: &[u32]) {
 /// 1 KB, 19.4–21.1 / 20.2–22.7 at 2, 4 and 8 KB alike; the f64 engine at
 /// `m = 2` 7.3–7.8 / 7.6–8.3 ms at every distance and with none — one
 /// forward stream is what the hardware prefetcher is good at, and on that
-/// host it kept up by itself. The issue that introduced the slab measured
+/// host it kept up by itself. The change that introduced the slab measured
 /// a busier one (4 KB against none: −26 % on the f64 gate's median).
 #[cfg(target_arch = "x86_64")]
 const BUNDLE_PREFETCH_AHEAD: usize = 4096;

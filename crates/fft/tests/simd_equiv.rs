@@ -24,18 +24,21 @@
 //! `bit_reverse_permute_pair`, one stage at a time — whose permutation
 //! functions are written out below as the test's reference.
 //!
-//! `force_simd` is process-global, so every test takes a mutex; on CPUs
-//! without AVX2+FMA both sides force to the scalar leg and the comparisons
-//! hold trivially (the CI matrix runs the suite with `MATCHA_SIMD` forced
-//! both ways for the same reason).
+//! The integer kernels have three legs — scalar, AVX2 and AVX-512 — and
+//! the tests that cover them run each in turn through `force_simd`. It is
+//! process-global, so every test takes a mutex; a leg the CPU lacks
+//! narrows to the widest one it has, so on CPUs without AVX-512F the
+//! AVX-512 runs repeat the AVX2 leg and on CPUs without AVX2+FMA every
+//! comparison holds trivially (the CI matrix runs the suite with
+//! `MATCHA_SIMD` forced both ways for the same reason).
 
 use matcha_fft::approx::FixedSpectrum;
 use matcha_fft::lifting::{LiftingRotation, LiftingTable};
 use matcha_fft::simd::{FoldDigit, Reversed};
 use matcha_fft::tables::BitReversal;
 use matcha_fft::{
-    force_simd, key_exponent, simd, simd_active, simd_detected, twist, ApproxIntFft, F64Fft,
-    FftEngine, KeyBlock, TwiddleTables,
+    active_leg, force_simd, key_exponent, simd, simd_active, simd_detected, twist, ApproxIntFft,
+    F64Fft, FftEngine, KeyBlock, Leg, TwiddleTables,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use std::sync::{Mutex, MutexGuard};
@@ -138,10 +141,10 @@ const TOL: f64 = 1e-6;
 
 fn check_f64_engine<E: FftEngine>(engine: &E, seed: u32) {
     let _g = ForceGuard::lock();
-    force_simd(Some(false));
+    force_simd(Some(Leg::Scalar));
     assert!(!simd_active());
     let (scalar_a, scalar_b) = pipeline(engine, seed);
-    force_simd(Some(true));
+    force_simd(Some(Leg::Avx512));
     let (simd_a, simd_b) = pipeline(engine, seed);
     let da = scalar_a.max_distance(&simd_a);
     let db = scalar_b.max_distance(&simd_b);
@@ -252,20 +255,28 @@ mod approx_reference {
     }
 }
 
-/// Runs `f` on the scalar leg, then on the vector leg.
-fn on_both_legs<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    force_simd(Some(false));
-    assert!(!simd_active());
-    let scalar = f();
-    force_simd(Some(true));
-    (scalar, f())
+/// Runs `f` on every leg, in [`Leg::ALL`]'s order: scalar, AVX2, AVX-512.
+fn on_each_leg<T>(mut f: impl FnMut() -> T) -> [T; 3] {
+    Leg::ALL.map(|leg| {
+        force_simd(Some(leg));
+        f()
+    })
+}
+
+/// `outs[i]` came from `Leg::ALL[i]`: every vector leg's equals the scalar
+/// leg's.
+fn assert_same_on_each_leg<T: PartialEq + std::fmt::Debug>(outs: &[T; 3], ctx: &str) {
+    for (leg, out) in Leg::ALL.iter().zip(outs).skip(1) {
+        assert_eq!(out, &outs[0], "{leg:?} against scalar, {ctx}");
+    }
 }
 
 #[test]
 fn approx_simd_leg_is_bit_identical() {
-    // 61 | 62 is the vector leg's range boundary (`simd::LiftSplit`): up to
-    // 61 bits the AVX2 leg runs the lifts, at 62 both legs are the scalar
-    // loop. 4 is the narrowest width the engine accepts.
+    // 61 | 62 is the vector legs' range boundary (`simd::LiftSplit`): up to
+    // 61 bits they run the lifts, at 62 every leg is the scalar loop. 4 is
+    // the narrowest width the engine accepts. n = 8 (M = 4) is too short
+    // for any eight-lane kernel; n = 64 and 1024 run them all.
     let _g = ForceGuard::lock();
     let decomp = GadgetDecomposer::new(10, 3);
     for n in [8usize, 64, 1024] {
@@ -276,56 +287,57 @@ fn approx_simd_leg_is_bit_identical() {
             let mut scratch = engine.make_scratch();
 
             // forward_torus_into
-            let (scalar, vector) = on_both_legs(|| {
+            let forward = on_each_leg(|| {
                 let mut s = engine.zero_spectrum();
                 engine.forward_torus_into(&p, &mut s, &mut scratch);
                 s
             });
-            let frac = scalar.frac_bits;
+            let frac = forward[0].frac_bits;
             let values: Vec<i64> = p
                 .coeffs()
                 .iter()
                 .map(|c| (c.raw() as i32 as i64) << frac)
                 .collect();
             let (re, im) = approx_reference::forward(&values, bits);
-            for (leg, s) in [("scalar", &scalar), ("vector", &vector)] {
-                assert_eq!(s.re, re, "forward_torus re, {leg}, {ctx}");
-                assert_eq!(s.im, im, "forward_torus im, {leg}, {ctx}");
+            for (leg, s) in Leg::ALL.iter().zip(&forward) {
+                assert_eq!(s.re, re, "forward_torus re, {leg:?}, {ctx}");
+                assert_eq!(s.im, im, "forward_torus im, {leg:?}, {ctx}");
                 assert_eq!(s.frac_bits, frac);
             }
+            let spectrum = &forward[0];
 
             // forward_decomposed_into, every level, into a dirty spectrum
             for level in 0..decomp.levels() {
-                let (scalar, vector) = on_both_legs(|| {
-                    let mut s = vector.clone();
+                let decomposed = on_each_leg(|| {
+                    let mut s = spectrum.clone();
                     engine.forward_decomposed_into(&p, &decomp, level, &mut s, &mut scratch);
                     s
                 });
-                let frac = scalar.frac_bits;
+                let frac = decomposed[0].frac_bits;
                 let digits: Vec<i64> = p
                     .coeffs()
                     .iter()
                     .map(|&c| (decomp.digit(decomp.shift(c), level) as i64) << frac)
                     .collect();
                 let (re, im) = approx_reference::forward(&digits, bits);
-                for (leg, s) in [("scalar", &scalar), ("vector", &vector)] {
+                for (leg, s) in Leg::ALL.iter().zip(&decomposed) {
                     assert_eq!(
                         s.re, re,
-                        "forward_decomposed re, level {level}, {leg}, {ctx}"
+                        "forward_decomposed re, level {level}, {leg:?}, {ctx}"
                     );
                     assert_eq!(
                         s.im, im,
-                        "forward_decomposed im, level {level}, {leg}, {ctx}"
+                        "forward_decomposed im, level {level}, {leg:?}, {ctx}"
                     );
                 }
             }
 
             // backward_torus_into, from a scaled spectrum (the descale
             // path) and from an unscaled one (what bootstrapping feeds it)
-            let mut unscaled = vector.clone();
+            let mut unscaled = spectrum.clone();
             unscaled.frac_bits = 0;
-            for spectrum in [&vector, &unscaled] {
-                let (scalar, vector) = on_both_legs(|| {
+            for spectrum in [spectrum, &unscaled] {
+                let backward = on_each_leg(|| {
                     let mut out = random_torus_poly(n, 1);
                     engine.backward_torus_into(spectrum, &mut out, &mut scratch);
                     out
@@ -336,15 +348,17 @@ fn approx_simd_leg_is_bit_identical() {
                     spectrum.frac_bits,
                     bits,
                 );
-                for (leg, out) in [("scalar", &scalar), ("vector", &vector)] {
+                for (leg, out) in Leg::ALL.iter().zip(&backward) {
                     let raw: Vec<u32> = out.coeffs().iter().map(|c| c.raw()).collect();
-                    assert_eq!(raw, expected, "backward_torus, {leg}, {ctx}");
+                    assert_eq!(raw, expected, "backward_torus, {leg:?}, {ctx}");
                 }
             }
 
             // and the whole external-product-shaped pipeline
-            let (scalar, vector) = on_both_legs(|| pipeline(&engine, 41));
-            assert_eq!(scalar, vector, "pipeline, {ctx}");
+            assert_same_on_each_leg(
+                &on_each_leg(|| pipeline(&engine, 41)),
+                &format!("pipeline, {ctx}"),
+            );
         }
     }
 }
@@ -421,16 +435,16 @@ fn approx_bundle_row_matches_i128_on_both_legs() {
                     let exponents = (0..slots.len() as i64).map(|p| 19 * p * p - 40 * p + 1);
                     let mut factors = vec![[7, -7]; 3];
                     engine.monomial_factors_into(exponents, exp, &mut factors);
-                    let (scalar, vector) = on_both_legs(|| {
+                    let rows = on_each_leg(|| {
                         let mut row = keys[0].clone();
                         row.re.truncate(n / 4);
                         engine.bundle_row_into(&h, key, &slots, &factors, &mut row);
                         row
                     });
                     let (re, im) = bundle_row_i128(&h, key, &slots, &factors);
-                    for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
+                    for (leg, row) in Leg::ALL.iter().zip(&rows) {
                         let ctx =
-                            format!("{leg}, n={n} β={beta} patterns={patterns} slots={slots:?}");
+                            format!("{leg:?}, n={n} β={beta} patterns={patterns} slots={slots:?}");
                         assert_eq!(row.re, re, "re, {ctx}");
                         assert_eq!(row.im, im, "im, {ctx}");
                         assert_eq!(row.frac_bits + 4, h.frac_bits);
@@ -468,19 +482,22 @@ fn f64_bundle_row_is_bit_identical_across_legs() {
                     let exponents = (0..slots.len() as i64).map(|p| 19 * p * p - 40 * p + 1);
                     let mut factors = Default::default();
                     engine.monomial_factors_into(exponents, exp, &mut factors);
-                    let (scalar, vector) = on_both_legs(|| {
+                    let rows = on_each_leg(|| {
                         let mut row = keys[0].clone();
                         row.re.truncate(n / 4);
                         engine.bundle_row_into(&h, key, &slots, &factors, &mut row);
-                        row
+                        (bits(&row.re), bits(&row.im))
                     });
-                    assert_eq!(
-                        (bits(&scalar.re), bits(&scalar.im)),
-                        (bits(&vector.re), bits(&vector.im)),
-                        "n={n} patterns={patterns} slots={slots:?}"
+                    assert_same_on_each_leg(
+                        &rows,
+                        &format!("n={n} patterns={patterns} slots={slots:?}"),
                     );
                     if slots.is_empty() {
-                        assert_eq!(scalar, h, "an empty bundle row is H");
+                        assert_eq!(
+                            rows[0],
+                            (bits(&h.re), bits(&h.im)),
+                            "an empty bundle row is H"
+                        );
                     }
                 }
             }
@@ -488,11 +505,10 @@ fn f64_bundle_row_is_bit_identical_across_legs() {
     }
 }
 
-/// A bundle row over a key stream one word short of its block, on the leg
-/// `force` selects.
-fn bundle_row_over_a_short_block<E: FftEngine>(engine: &E, force: bool) {
+/// A bundle row over a key stream one word short of its block, on `leg`.
+fn bundle_row_over_a_short_block<E: FftEngine>(engine: &E, leg: Leg) {
     let _g = ForceGuard::lock();
-    force_simd(Some(force));
+    force_simd(Some(leg));
     let n = engine.ring_degree();
     let exp = key_exponent(n);
     let h = engine.forward_torus(&uniform_torus_poly(n, 61));
@@ -513,25 +529,25 @@ fn bundle_row_over_a_short_block<E: FftEngine>(engine: &E, force: bool) {
 #[test]
 #[should_panic(expected = "3 patterns of 512 points need 3072")]
 fn f64_row_rejects_a_short_block_scalar() {
-    bundle_row_over_a_short_block(&F64Fft::new(1024), false);
+    bundle_row_over_a_short_block(&F64Fft::new(1024), Leg::Scalar);
 }
 
 #[test]
 #[should_panic(expected = "3 patterns of 512 points need 3072")]
 fn f64_row_rejects_a_short_block_vector() {
-    bundle_row_over_a_short_block(&F64Fft::new(1024), true);
+    bundle_row_over_a_short_block(&F64Fft::new(1024), Leg::Avx512);
 }
 
 #[test]
 #[should_panic(expected = "3 patterns of 512 points need 3072")]
 fn approx_row_rejects_a_short_block_scalar() {
-    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), false);
+    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), Leg::Scalar);
 }
 
 #[test]
 #[should_panic(expected = "3 patterns of 512 points need 3072")]
 fn approx_row_rejects_a_short_block_vector() {
-    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), true);
+    bundle_row_over_a_short_block(&ApproxIntFft::new(1024, 38), Leg::Avx512);
 }
 
 #[test]
@@ -565,11 +581,12 @@ fn storing_rejects_a_value_the_exponent_does_not_cover() {
 #[test]
 fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
     // The inputs that drive the integer engine's values as high as its
-    // scaling allows — what `simd::I64_LANE_BOUND` has to leave room for.
-    // In a debug build the scalar leg's arithmetic is overflow-checked, so
-    // passing there shows the headroom is real; in a release build (where
-    // both legs wrap) equality shows the vector leg's modular
-    // recombination lands on the same integers.
+    // scaling allows — what `simd::I64_LANE_BOUND` and, for the pointwise
+    // products, `simd::MAC_LANE_BOUND` have to leave room for. In a debug
+    // build the scalar leg's arithmetic is overflow-checked, so passing
+    // there shows the headroom is real; in a release build (where every leg
+    // wraps) equality shows the vector legs' modular recombinations land on
+    // the same integers.
     use matcha_fft::approx::MAX_DIGIT;
     use matcha_math::IntPolynomial;
     let _g = ForceGuard::lock();
@@ -580,17 +597,23 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
 
     // Every torus coefficient −2³¹.
     let torus = TorusPolynomial::from_coeffs(vec![Torus32::from_raw(0x8000_0000); n]);
-    let (key_s, key_v) = on_both_legs(|| {
+    let keys = on_each_leg(|| {
         let mut s = engine.zero_spectrum();
         engine.forward_torus_into(&torus, &mut s, &mut scratch);
-        s
+        (s.re, s.im)
     });
-    assert_eq!((&key_s.re, &key_s.im), (&key_v.re, &key_v.im));
+    assert_same_on_each_leg(&keys, "torus spectrum");
+    let key_s = FixedSpectrum {
+        re: keys[0].0.clone(),
+        im: keys[0].1.clone(),
+        frac_bits: engine.forward_torus(&torus).frac_bits,
+    };
 
     // Digits ±MAX_DIGIT with signs chosen so that all M terms of one bin
     // point the same way: X_k = Σ_j (c_j + i·c_{j+M})·e^{iψ_j} with
     // ψ_j = πj/N + 2πjk/M, so c_j = D·sgn(cos ψ_j), c_{j+M} = −D·sgn(sin ψ_j)
     // makes every term's real part D·(|cos ψ_j| + |sin ψ_j|) ≥ D.
+    let mut peaks = Vec::new();
     for bin in [0usize, 1, m / 2, m - 1] {
         let mut coeffs = vec![0i32; n];
         for j in 0..m {
@@ -601,16 +624,13 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
             coeffs[j + m] = -(MAX_DIGIT as i32) * sign(psi.sin());
         }
         let digits = IntPolynomial::from_coeffs(coeffs);
-        let (scalar, vector) = on_both_legs(|| {
+        let spectra = on_each_leg(|| {
             let mut s = engine.zero_spectrum();
             engine.forward_int_into(&digits, &mut s, &mut scratch);
-            s
+            (s.re, s.im)
         });
-        assert_eq!(
-            (&scalar.re, &scalar.im),
-            (&vector.re, &vector.im),
-            "bin {bin}"
-        );
+        assert_same_on_each_leg(&spectra, &format!("bin {bin}"));
+        let scalar = engine.forward_int(&digits);
         // The alignment worked: the bin holds at least M·D·2^frac.
         let peak = scalar
             .re
@@ -620,14 +640,15 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
             .unwrap_or(0);
         let floor = (m as u64 * MAX_DIGIT as u64) << scalar.frac_bits;
         assert!(peak >= floor, "bin {bin}: peak {peak:#x} below {floor:#x}");
-        assert!(peak < simd::I64_LANE_BOUND, "bin {bin}: peak {peak:#x}");
+        assert!(peak < simd::MAC_LANE_BOUND, "bin {bin}: peak {peak:#x}");
         // Back through the halving inverse and the descale.
-        let (back_s, back_v) = on_both_legs(|| {
+        let back = on_each_leg(|| {
             let mut out = TorusPolynomial::zero(n);
             engine.backward_torus_into(&scalar, &mut out, &mut scratch);
             out
         });
-        assert_eq!(back_s, back_v, "bin {bin}");
+        assert_same_on_each_leg(&back, &format!("bin {bin}"));
+        peaks.push(scalar);
     }
 
     // A full unroll-3 bundle row of the largest stored words against the
@@ -650,23 +671,111 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
     let exponents = (0..patterns as i64).map(|p| if p % 2 == 0 { n as i64 } else { n as i64 / 2 });
     engine.monomial_factors_into(exponents, exp, &mut factors);
     assert_eq!(factors[0], [i32::MIN, 0]);
-    let (scalar, vector) = on_both_legs(|| {
+    let rows = on_each_leg(|| {
         let mut row = engine.zero_spectrum();
         engine.bundle_row_into(&key_s, key, &slots, &factors, &mut row);
         row
     });
     let (re, im) = bundle_row_i128(&key_s, key, &slots, &factors);
-    for (leg, row) in [("scalar", &scalar), ("vector", &vector)] {
-        assert_eq!(row.re, re, "bundle re, {leg}");
-        assert_eq!(row.im, im, "bundle im, {leg}");
+    for (leg, row) in Leg::ALL.iter().zip(&rows) {
+        assert_eq!(row.re, re, "bundle re, {leg:?}");
+        assert_eq!(row.im, im, "bundle im, {leg:?}");
     }
-    let (back_s, back_v) = on_both_legs(|| {
+    let back = on_each_leg(|| {
         let mut out = TorusPolynomial::zero(n);
         engine.backward_torus_into(&key_s, &mut out, &mut scratch);
         out
     });
-    assert_eq!(back_s, back_v);
-    assert!(back_s.max_distance(&torus) < 1e-6);
+    assert_same_on_each_leg(&back, "torus spectrum, backward");
+    assert!(back[0].max_distance(&torus) < 1e-6);
+
+    // The pointwise products of those operands: each aligned digit spectrum
+    // against the worst bundle row (the external product's shift,
+    // 41 + 16 = 57) and against the torus spectrum (key storage's,
+    // 41 + 20 = 61), every row beside its negation in one pair call.
+    let row = &rows[0];
+    for operand in [row, &key_s] {
+        let peak = operand
+            .re
+            .iter()
+            .chain(&operand.im)
+            .map(|v| v.unsigned_abs());
+        assert!(peak.max().unwrap_or(0) < simd::MAC_LANE_BOUND);
+        for x in &peaks {
+            check_products(&engine, x, operand);
+        }
+    }
+    assert_eq!(peaks[0].frac_bits + row.frac_bits, 57);
+    assert_eq!(peaks[0].frac_bits + key_s.frac_bits, 61);
+
+    // And every operand pattern at the bound itself, at every shift the
+    // vector leg covers and a few it leaves to the scalar loop: high halves
+    // at both ends of `[−2³⁰, 2³⁰)`, low halves at both ends of `[0, 2³¹)`.
+    let bound = simd::MAC_LANE_BOUND as i64;
+    let ends = [
+        bound - 1,
+        1 - bound,
+        1 - bound + (1 << 31) - 2,
+        bound - (1 << 31),
+        -1,
+        0,
+    ];
+    let lanes = |j: u32| -> Vec<i64> {
+        (0..ends.len().pow(4))
+            .map(|i| ends[i / ends.len().pow(j) % ends.len()])
+            .collect()
+    };
+    let spectrum = |re: Vec<i64>, im: Vec<i64>, frac_bits| FixedSpectrum { re, im, frac_bits };
+    for shift in 29..=64 {
+        let x = spectrum(lanes(0), lanes(1), shift);
+        let a = spectrum(lanes(2), lanes(3), 0);
+        check_products(&engine, &x, &a);
+        let a = spectrum(lanes(3), lanes(0), 0);
+        check_products(&engine, &x, &a);
+    }
+}
+
+/// `mul_accumulate_pair(x, a, −a)` and `mul_accumulate(x, a)` on every leg,
+/// against the `i128` definition.
+fn check_products(engine: &ApproxIntFft, x: &FixedSpectrum, a: &FixedSpectrum) {
+    let negated = FixedSpectrum {
+        re: a.re.iter().map(|v| -v).collect(),
+        im: a.im.iter().map(|v| -v).collect(),
+        frac_bits: a.frac_bits,
+    };
+    let shift = x.frac_bits + a.frac_bits;
+    let round = 1i128 << (shift - 1);
+    let product = |a: &FixedSpectrum| -> (Vec<i64>, Vec<i64>) {
+        (0..x.re.len())
+            .map(|k| {
+                let (xr, xi) = (i128::from(x.re[k]), i128::from(x.im[k]));
+                let (ar, ai) = (i128::from(a.re[k]), i128::from(a.im[k]));
+                (
+                    ((xr * ar - xi * ai + round) >> shift) as i64,
+                    ((xr * ai + xi * ar + round) >> shift) as i64,
+                )
+            })
+            .unzip()
+    };
+    let (expected_a, expected_b) = (product(a), product(&negated));
+    let zeros = || FixedSpectrum {
+        re: vec![0; x.re.len()],
+        im: vec![0; x.re.len()],
+        frac_bits: 0,
+    };
+    let outs = on_each_leg(|| {
+        let (mut acc_a, mut acc_b) = (zeros(), zeros());
+        engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, x, a, &negated);
+        let mut single = zeros();
+        engine.mul_accumulate(&mut single, x, a);
+        [acc_a, acc_b, single].map(|s| (s.re, s.im))
+    });
+    for (leg, [pair_a, pair_b, single]) in Leg::ALL.iter().zip(&outs) {
+        let ctx = format!("{leg:?}, shift {shift}");
+        assert_eq!(pair_a, &expected_a, "pair, first row, {ctx}");
+        assert_eq!(pair_b, &expected_b, "pair, second row, {ctx}");
+        assert_eq!(single, &expected_a, "single, {ctx}");
+    }
 }
 
 #[test]
@@ -677,9 +786,9 @@ fn forward_roundtrip_matches_across_legs() {
     for n in [8usize, 64, 1024] {
         let engine = F64Fft::new(n);
         let p = random_torus_poly(n, 5);
-        force_simd(Some(false));
+        force_simd(Some(Leg::Scalar));
         let scalar = engine.backward_torus(&engine.forward_torus(&p));
-        force_simd(Some(true));
+        force_simd(Some(Leg::Avx512));
         let simd = engine.backward_torus(&engine.forward_torus(&p));
         assert!(scalar.max_distance(&p) < 1e-7, "n={n} scalar roundtrip");
         assert!(simd.max_distance(&p) < 1e-7, "n={n} simd roundtrip");
@@ -727,15 +836,15 @@ fn fused_tail_reduction_is_bitwise_across_legs() {
         .collect();
     let im: Vec<f64> = re.iter().rev().map(|&x| -x).collect();
     let (ones, zeros) = (vec![1.0; m], vec![0.0; m]);
-    let run = |force: bool| {
-        force_simd(Some(force));
+    let run = |leg: Leg| {
+        force_simd(Some(leg));
         let mut lo = vec![Torus32::ZERO; m];
         let mut hi = vec![Torus32::ZERO; m];
         simd::untwist_to_torus(&re, &im, &ones, &zeros, inv_len, &mut lo, &mut hi);
         (lo, hi)
     };
-    let (scalar_lo, scalar_hi) = run(false);
-    let (simd_lo, simd_hi) = run(true);
+    let (scalar_lo, scalar_hi) = run(Leg::Scalar);
+    let (simd_lo, simd_hi) = run(Leg::Avx512);
     assert_eq!(scalar_lo, simd_lo);
     assert_eq!(scalar_hi, simd_hi);
     for k in 0..m {
@@ -760,8 +869,8 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
     // row keeps on its scalar leg too. On the vector leg that *is* one
     // `mul_accumulate` per term.
     let _g = ForceGuard::lock();
-    for force in [false, true] {
-        force_simd(Some(force));
+    for leg in Leg::ALL {
+        force_simd(Some(leg));
         let engine = F64Fft::new(256);
         let exp = key_exponent(256);
         let h = engine.forward_torus(&uniform_torus_poly(256, 61));
@@ -796,7 +905,7 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
                 fused.im[k] = fi.mul_add(sr, fr.mul_add(si, fused.im[k]));
             }
         }
-        assert_eq!(row, fused, "force={force}");
+        assert_eq!(row, fused, "{leg:?}");
         if simd_active() {
             assert_eq!(row, singles, "vector leg");
         }
@@ -805,38 +914,56 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
 
 #[test]
 fn pair_calls_match_singles_on_active_leg() {
-    // Whatever leg is active (auto): one fused pair call must be
-    // bit-identical to two single calls — the external product swaps
-    // between them freely.
+    // Whatever leg is active: one fused pair call must be bit-identical to
+    // two single calls — the external product swaps between them freely.
+    // The integer engine at N = 1024 multiplies a digit spectrum by torus
+    // spectra at a shift the AVX-512 products cover (41 + 20).
     let _g = ForceGuard::lock();
-    for force in [Some(false), Some(true)] {
-        force_simd(force);
+    let decomp = GadgetDecomposer::new(10, 3);
+    for leg in Leg::ALL {
+        force_simd(Some(leg));
         let engine = F64Fft::new(256);
         let x = engine.forward_torus(&random_torus_poly(256, 51));
-        let a = engine.forward_torus(&random_torus_poly(256, 52));
-        let b = engine.forward_torus(&random_torus_poly(256, 53));
-        let mut pair_a = engine.zero_spectrum();
-        let mut pair_b = engine.zero_spectrum();
-        engine.mul_accumulate_pair(&mut pair_a, &mut pair_b, &x, &a, &b);
-        let mut single_a = engine.zero_spectrum();
-        let mut single_b = engine.zero_spectrum();
-        engine.mul_accumulate(&mut single_a, &x, &a);
-        engine.mul_accumulate(&mut single_b, &x, &b);
-        assert_eq!(pair_a, single_a, "force={force:?}");
-        assert_eq!(pair_b, single_b, "force={force:?}");
+        check_pair_against_singles(&engine, &x, 52, &format!("f64, {leg:?}"));
+        let engine = ApproxIntFft::new(1024, 38);
+        let mut x = engine.zero_spectrum();
+        let p = uniform_torus_poly(1024, 51);
+        engine.forward_decomposed_into(&p, &decomp, 0, &mut x, &mut engine.make_scratch());
+        check_pair_against_singles(&engine, &x, 52, &format!("approx, {leg:?}"));
     }
+}
+
+/// `mul_accumulate_pair(x, a, b)` against two `mul_accumulate` calls, for
+/// `a` and `b` the spectra of two uniform torus polynomials.
+fn check_pair_against_singles<E: FftEngine>(engine: &E, x: &E::Spectrum, seed: u32, ctx: &str) {
+    let n = engine.ring_degree();
+    let a = engine.forward_torus(&uniform_torus_poly(n, seed));
+    let b = engine.forward_torus(&uniform_torus_poly(n, seed + 1));
+    let mut pair_a = engine.zero_spectrum();
+    let mut pair_b = engine.zero_spectrum();
+    engine.mul_accumulate_pair(&mut pair_a, &mut pair_b, x, &a, &b);
+    let mut single_a = engine.zero_spectrum();
+    let mut single_b = engine.zero_spectrum();
+    engine.mul_accumulate(&mut single_a, x, &a);
+    engine.mul_accumulate(&mut single_b, x, &b);
+    // Spectra print every component exactly: equal text, equal values.
+    assert_eq!(format!("{pair_a:?}"), format!("{single_a:?}"), "{ctx}");
+    assert_eq!(format!("{pair_b:?}"), format!("{single_b:?}"), "{ctx}");
 }
 
 #[test]
 fn detection_reporting_is_consistent() {
     let _g = ForceGuard::lock();
-    force_simd(Some(true));
+    force_simd(Some(Leg::Avx512));
     assert_eq!(
         simd_active(),
         simd_detected(),
         "forcing SIMD on must still respect CPU detection"
     );
-    force_simd(Some(false));
+    force_simd(Some(Leg::Avx2));
+    assert_eq!(simd_active(), simd_detected());
+    assert!(active_leg() <= Leg::Avx2, "pinning AVX2 runs no wider leg");
+    force_simd(Some(Leg::Scalar));
     assert!(!simd_active());
 }
 
@@ -871,8 +998,8 @@ fn stage_pair_matches_two_single_stages_on_either_leg() {
     for n in DEGREES {
         let m = n / 2;
         let tables = TwiddleTables::new(n);
-        for force in [false, true] {
-            force_simd(Some(force));
+        for leg in Leg::ALL {
+            force_simd(Some(leg));
             for stages in [tables.forward_stages(), tables.inverse_stages()] {
                 let mut len = 2;
                 while 2 * len <= m {
@@ -884,8 +1011,8 @@ fn stage_pair_matches_two_single_stages_on_either_leg() {
                     let (mut sre, mut sim) = (re, im);
                     simd::radix2_stage(&mut sre, &mut sim, w1re, w1im, len);
                     simd::radix2_stage(&mut sre, &mut sim, w2re, w2im, 2 * len);
-                    assert_eq!(bits(&pre), bits(&sre), "re, n={n} len={len} simd={force}");
-                    assert_eq!(bits(&pim), bits(&sim), "im, n={n} len={len} simd={force}");
+                    assert_eq!(bits(&pre), bits(&sre), "re, n={n} len={len} {leg:?}");
+                    assert_eq!(bits(&pim), bits(&sim), "im, n={n} len={len} {leg:?}");
                     len *= 2;
                 }
             }
@@ -922,8 +1049,8 @@ fn reversed_folds_match_natural_fold_permutation_and_narrow_stages() {
                 .collect(),
         );
         let (torus, int) = (simd::torus_words(p.coeffs()), simd::int_words(q.coeffs()));
-        for force in [false, true] {
-            force_simd(Some(force));
+        for leg in Leg::ALL {
+            force_simd(Some(leg));
             type Fold<'a> = Box<dyn Fn(&mut Vec<f64>, &mut Vec<f64>) + 'a>;
             let mut folds: Vec<(String, &[u32], FoldDigit, Fold)> = vec![
                 (
@@ -959,8 +1086,8 @@ fn reversed_folds_match_natural_fold_permutation_and_narrow_stages() {
                 simd::fold_twist(lo, hi, *digit, twre, twim, None, &mut nre, &mut nim);
                 bit_reverse_permute_pair(&mut nre, &mut nim);
                 narrow_stages(&mut nre, &mut nim, tables.forward_stages());
-                assert_eq!(bits(&rre), bits(&nre), "{name} re, n={n} simd={force}");
-                assert_eq!(bits(&rim), bits(&nim), "{name} im, n={n} simd={force}");
+                assert_eq!(bits(&rre), bits(&nre), "{name} re, n={n} {leg:?}");
+                assert_eq!(bits(&rim), bits(&nim), "{name} im, n={n} {leg:?}");
             }
         }
     }
@@ -983,8 +1110,8 @@ fn reversed_copies_match_the_per_element_copy() {
             re.iter().map(|x| x.to_bits() as i64).collect(),
             im.iter().map(|x| x.to_bits() as i64).collect(),
         );
-        for force in [false, true] {
-            force_simd(Some(force));
+        for leg in Leg::ALL {
+            force_simd(Some(leg));
             let (mut ere, mut eim) = (vec![0.0; m], vec![0.0; m]);
             bit_reverse_copy_pair(&re, &im, &mut ere, &mut eim);
             let (mut gre, mut gim) = (vec![1.0; m], vec![1.0; m]);
@@ -1001,15 +1128,15 @@ fn reversed_copies_match_the_per_element_copy() {
             let (mut gire, mut giim) = (vec![1i64; m], vec![1i64; m]);
             simd::bit_reverse_copy(&ire, &mut gire, order);
             simd::bit_reverse_copy(&iim, &mut giim, order);
-            assert_eq!((gire, giim), (eire, eiim), "i64, n={n} simd={force}");
+            assert_eq!((gire, giim), (eire, eiim), "i64, n={n} {leg:?}");
 
             for stages in [tables.forward_stages(), tables.inverse_stages()] {
                 let (mut sre, mut sim) = (ere.clone(), eim.clone());
                 narrow_stages(&mut sre, &mut sim, stages);
                 let reversed = Reversed { order, stages };
                 simd::bit_reverse_copy_pair(&re, &im, reversed, &mut gre, &mut gim);
-                assert_eq!(bits(&gre), bits(&sre), "staged re, n={n} simd={force}");
-                assert_eq!(bits(&gim), bits(&sim), "staged im, n={n} simd={force}");
+                assert_eq!(bits(&gre), bits(&sre), "staged re, n={n} {leg:?}");
+                assert_eq!(bits(&gim), bits(&sim), "staged im, n={n} {leg:?}");
             }
         }
     }
@@ -1039,22 +1166,23 @@ fn integer_reversed_fold_matches_prescale_rotate_and_permutation() {
                 (FoldDigit::level(&decomp, 0), 41),
                 (FoldDigit::level(&decomp, 2), 41),
             ] {
-                let (scalar, vector) = on_both_legs(|| {
+                let folds = on_each_leg(|| {
                     let (mut re, mut im) = (vec![5i64; m], vec![5i64; m]);
                     simd::i64_fold_rotate(lo, hi, digit, frac, rots, &order, &mut re, &mut im);
                     (re, im)
                 });
                 let mut re: Vec<i64> = lo.iter().map(|&x| (digit.of(x) as i64) << frac).collect();
                 let mut im: Vec<i64> = hi.iter().map(|&x| (digit.of(x) as i64) << frac).collect();
-                force_simd(Some(false));
+                force_simd(Some(Leg::Scalar));
                 simd::i64_rotate(&mut re, &mut im, rots);
                 bit_reverse_permute_pair(&mut re, &mut im);
-                assert_eq!(
-                    scalar,
-                    (re.clone(), im.clone()),
-                    "scalar, n={n} beta={beta}"
-                );
-                assert_eq!(vector, (re, im), "vector, n={n} beta={beta}");
+                for (leg, fold) in Leg::ALL.iter().zip(&folds) {
+                    assert_eq!(
+                        fold,
+                        &(re.clone(), im.clone()),
+                        "{leg:?}, n={n} beta={beta}"
+                    );
+                }
             }
         }
     }

@@ -6,9 +6,9 @@
 //! keeps decrypting correctly. The external product is also held against
 //! the textbook one, written here from the engines' public primitives,
 //! and a bundle built on the scalar kernel leg against the same bundle
-//! built on the vector leg: over a stored key the two agree bit for bit.
+//! built on each vector leg: over a stored key they agree bit for bit.
 
-use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
     BootstrapKit, ClientKey, EpScratch, LweCiphertext, ParameterSet, RingSecretKey, TgswCiphertext,
@@ -28,6 +28,24 @@ static LEG: RwLock<()> = RwLock::new(());
 
 fn current_leg() -> RwLockReadGuard<'static, ()> {
     LEG.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` on each kernel leg in turn (scalar, AVX2, AVX-512; a leg the
+/// CPU lacks runs the widest one it has), holding the lock exclusively and
+/// restoring auto selection afterwards.
+fn on_each_leg<T>(mut f: impl FnMut(Leg) -> T) -> [T; 3] {
+    let _legs = LEG.write().unwrap_or_else(|e| e.into_inner());
+    struct Auto;
+    impl Drop for Auto {
+        fn drop(&mut self) {
+            matcha_fft::force_simd(None);
+        }
+    }
+    let _auto = Auto;
+    Leg::ALL.map(|leg| {
+        matcha_fft::force_simd(Some(leg));
+        f(leg)
+    })
 }
 
 fn params() -> ParameterSet {
@@ -61,9 +79,8 @@ fn textbook_external_product<E: FftEngine>(
 
 /// The fused decompose→twist external product must match the textbook one
 /// bit for bit, through a cold scratch and through a warmed one, on any
-/// engine.
-fn check_external_product<E: FftEngine>(engine: &E, seed: u64) {
-    let _leg = current_leg();
+/// engine, on the current leg (the caller holds [`LEG`]). Returns it.
+fn check_external_product<E: FftEngine>(engine: &E, seed: u64) -> TrlweCiphertext {
     let p = params();
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
     let key = RingSecretKey::generate(p.ring_degree, &mut sampler);
@@ -80,22 +97,29 @@ fn check_external_product<E: FftEngine>(engine: &E, seed: u64) {
         tgsw.external_product_assign(engine, &mut inplace, &decomp, &mut scratch);
         assert_eq!(textbook, inplace, "seed {seed}: {state} call diverged");
     }
+    textbook
 }
 
 #[test]
 fn external_product_assign_is_bit_identical() {
+    let _leg = current_leg();
     for seed in [3u64, 17, 99] {
         check_external_product(&F64Fft::new(params().ring_degree), seed);
     }
 }
 
+/// On the integer engine the external product is also the same on every
+/// leg: its transforms and pointwise products agree bit for bit.
 #[test]
 fn external_product_assign_matches_on_integer_engine() {
-    check_external_product(&ApproxIntFft::new(params().ring_degree, 45), 23);
+    let engine = ApproxIntFft::new(params().ring_degree, 45);
+    let [scalar, avx2, avx512] = on_each_leg(|_| check_external_product(&engine, 23));
+    assert_eq!(scalar, avx2, "scalar against AVX2");
+    assert_eq!(scalar, avx512, "scalar against AVX-512");
 }
 
-/// `build_bundle_into` through fresh buffers on the scalar kernel leg,
-/// through fresh buffers on the vector leg, and through one bundle buffer
+/// `build_bundle_into` through fresh buffers on each kernel leg (scalar,
+/// AVX2, AVX-512), and through one bundle buffer
 /// and one factor buffer carried, dirty, from group to group — at unroll
 /// 1, 2 and 3, where 16 = 5·3 + 1 ends in a short group (and the last
 /// row of the last group in the last words of the key, where the rows'
@@ -105,14 +129,6 @@ fn external_product_assign_matches_on_integer_engine() {
 /// are engine-specific types without `PartialEq`; their `Debug` output
 /// prints every component exactly, so equal strings mean equal bundles.
 fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u64) {
-    let _legs = LEG.write().unwrap_or_else(|e| e.into_inner());
-    struct Auto;
-    impl Drop for Auto {
-        fn drop(&mut self) {
-            matcha_fft::force_simd(None);
-        }
-    }
-    let _auto = Auto;
     let p = params();
     let two_n = p.two_n();
     let gadget = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
@@ -137,8 +153,7 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
             }
             let zeros = vec![0; group.len()];
             for exponents in [&spread, &cancelling, &zeros] {
-                let fresh = |vector_leg: bool| {
-                    matcha_fft::force_simd(Some(vector_leg));
+                let [scalar, avx2, avx512] = on_each_leg(|_| {
                     let (mut fresh, mut fresh_factors) = (gadget.clone(), Default::default());
                     bk.build_bundle_into(
                         engine,
@@ -149,12 +164,12 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
                         &mut fresh_factors,
                     );
                     format!("{:?}", fresh.rows())
-                };
-                let (scalar, vector) = (fresh(false), fresh(true));
+                });
                 bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
                 let context = format!("unroll={unroll} group={g} exponents={exponents:?}");
-                assert_eq!(scalar, vector, "across legs, {context}");
-                assert_eq!(vector, format!("{:?}", bundle.rows()), "reused, {context}");
+                assert_eq!(scalar, avx2, "scalar against AVX2, {context}");
+                assert_eq!(scalar, avx512, "scalar against AVX-512, {context}");
+                assert_eq!(avx512, format!("{:?}", bundle.rows()), "reused, {context}");
             }
         }
     }

@@ -5,7 +5,7 @@
 //! allocator keeps the bytes a thread has live, which is how key
 //! generation is held to "the key and one sample".
 
-use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
     BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, LweSecretKey, ParameterSet,
@@ -183,15 +183,17 @@ impl Drop for ForcedLeg {
 
 #[test]
 fn warmed_external_product_allocates_nothing_with_simd_forced() {
-    // The AVX2+FMA kernel leg must stay allocation-free too: the runtime
-    // dispatch is a cached atomic load, and the split-complex spectra reuse
-    // the same warmed buffers as the scalar leg. Forcing SIMD on is a no-op
-    // on CPUs without it (the kernels fall back to scalar), so this test is
-    // meaningful exactly where the vector leg actually runs.
+    // The vector legs must stay allocation-free too: the runtime dispatch
+    // is a cached atomic load, and the split-complex spectra reuse the same
+    // warmed buffers as the scalar leg. Pinning a leg the CPU lacks runs the
+    // widest one it has, so this test is meaningful exactly where the
+    // vector legs actually run.
     let _leg = ForcedLeg::lock();
-    matcha_fft::force_simd(Some(true));
-    assert_zero_alloc_external_product(&F64Fft::new(256), 9);
-    assert_zero_alloc_external_product(&ApproxIntFft::new(256, 45), 10);
+    for leg in [Leg::Avx2, Leg::Avx512] {
+        matcha_fft::force_simd(Some(leg));
+        assert_zero_alloc_external_product(&F64Fft::new(256), 9);
+        assert_zero_alloc_external_product(&ApproxIntFft::new(256, 45), 10);
+    }
 }
 
 #[test]
@@ -234,7 +236,7 @@ fn assert_first_transform_allocates_only_buffers<E: FftEngine>(engine: &E) {
 #[test]
 fn first_transform_allocates_buffers_not_tables() {
     let _leg = ForcedLeg::lock();
-    for leg in [false, true] {
+    for leg in Leg::ALL {
         matcha_fft::force_simd(Some(leg));
         assert_first_transform_allocates_only_buffers(&F64Fft::new(1024));
         assert_first_transform_allocates_only_buffers(&ApproxIntFft::new(1024, 38));
@@ -291,7 +293,7 @@ fn warmed_approx_m3_allocates_nothing_on_either_leg() {
     // the engine and in registers; neither leg may touch the heap.
     let _leg = ForcedLeg::lock();
     let engine = ApproxIntFft::new(256, 38);
-    for leg in [false, true] {
+    for leg in Leg::ALL {
         matcha_fft::force_simd(Some(leg));
         assert_zero_alloc_bootstrap(&engine, 3, 85);
         assert_zero_alloc_bundle(&engine, 3, 86);
@@ -491,7 +493,7 @@ fn assert_zero_alloc_wave<E: FftEngine>(engine: E, unroll: usize, seed: u64) {
 #[test]
 fn warmed_wave_allocates_nothing_on_either_leg() {
     let _leg = ForcedLeg::lock();
-    for leg in [false, true] {
+    for leg in Leg::ALL {
         matcha_fft::force_simd(Some(leg));
         assert_zero_alloc_wave(F64Fft::new(256), 2, 87);
         assert_zero_alloc_wave(ApproxIntFft::new(256, 38), 3, 88);
