@@ -3,11 +3,12 @@
 //! A full adder costs 5 bootstrapped gates in the naive XOR/AND/OR
 //! formulation; an n-bit add is therefore ~5n TFHE gates, each dominated by
 //! a bootstrap — exactly the workload MATCHA's throughput numbers
-//! (Figure 10) are about.
+//! (Figure 10) are about. Both functions run their [`netlist`] lowering.
 
+use crate::netlist;
 use crate::word::EncryptedWord;
 use matcha_fft::FftEngine;
-use matcha_tfhe::{LweCiphertext, ServerKey};
+use matcha_tfhe::{CircuitNetlist, LweCiphertext, ServerKey};
 
 /// The outputs of an addition: the sum word and the final carry.
 #[derive(Clone, Debug)]
@@ -18,77 +19,39 @@ pub struct AddResult {
     pub carry: LweCiphertext,
 }
 
-/// One-bit half adder: returns `(sum, carry)`.
-pub fn half_adder<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &LweCiphertext,
-    b: &LweCiphertext,
-) -> (LweCiphertext, LweCiphertext) {
-    (server.xor(a, b), server.and(a, b))
-}
-
-/// One-bit full adder: returns `(sum, carry_out)`.
-pub fn full_adder<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &LweCiphertext,
-    b: &LweCiphertext,
-    carry_in: &LweCiphertext,
-) -> (LweCiphertext, LweCiphertext) {
-    let axb = server.xor(a, b);
-    let sum = server.xor(&axb, carry_in);
-    let and_ab = server.and(a, b);
-    let and_cx = server.and(&axb, carry_in);
-    let carry = server.or(&and_ab, &and_cx);
-    (sum, carry)
-}
-
-/// Ripple-carry addition of two equal-width words.
+/// Ripple-carry addition of two equal-width words
+/// ([`netlist::ripple_adder`]).
 ///
 /// # Panics
 ///
 /// Panics if the words have different widths or are empty.
 pub fn add<E: FftEngine>(server: &ServerKey<E>, a: &EncryptedWord, b: &EncryptedWord) -> AddResult {
-    add_with_carry(server, a, b, &server.trivial(false))
-}
-
-/// Ripple-carry addition with an explicit carry-in.
-///
-/// # Panics
-///
-/// Panics if the words have different widths or are empty.
-pub fn add_with_carry<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &EncryptedWord,
-    b: &EncryptedWord,
-    carry_in: &LweCiphertext,
-) -> AddResult {
-    assert_eq!(a.len(), b.len(), "operand widths differ");
-    assert!(!a.is_empty(), "empty operands");
-    let mut carry = carry_in.clone();
-    let mut sum = Vec::with_capacity(a.len());
-    for (abit, bbit) in a.iter().zip(b.iter()) {
-        let (s, c) = full_adder(server, abit, bbit, &carry);
-        sum.push(s);
-        carry = c;
-    }
-    AddResult { sum, carry }
+    ripple(server, netlist::ripple_adder, a, b)
 }
 
 /// Two's-complement subtraction `a − b`: returns the difference and a
-/// carry that equals `1` when `a ≥ b` (no borrow).
+/// carry that equals `1` when `a ≥ b` (no borrow)
+/// ([`netlist::ripple_subtractor`]).
 ///
 /// # Panics
 ///
 /// Panics if the words have different widths or are empty.
 pub fn sub<E: FftEngine>(server: &ServerKey<E>, a: &EncryptedWord, b: &EncryptedWord) -> AddResult {
-    let not_b: EncryptedWord = b.iter().map(|bit| server.not(bit)).collect();
-    add_with_carry(server, a, &not_b, &server.trivial(true))
+    ripple(server, netlist::ripple_subtractor, a, b)
 }
 
-/// Adds a plaintext constant 1 (increment).
-pub fn increment<E: FftEngine>(server: &ServerKey<E>, a: &EncryptedWord) -> AddResult {
-    let zero: EncryptedWord = (0..a.len()).map(|_| server.trivial(false)).collect();
-    add_with_carry(server, a, &zero, &server.trivial(true))
+/// Runs a ripple chain whose outputs are the word then the carry.
+fn ripple<E: FftEngine>(
+    server: &ServerKey<E>,
+    lowering: fn(usize) -> CircuitNetlist,
+    a: &EncryptedWord,
+    b: &EncryptedWord,
+) -> AddResult {
+    assert_eq!(a.len(), b.len(), "operand widths differ");
+    assert!(!a.is_empty(), "empty operands");
+    let mut sum = crate::run(server, &lowering(a.len()), &[a, b]);
+    let carry = sum.pop().expect("the chain ends in its carry");
+    AddResult { sum, carry }
 }
 
 #[cfg(test)]
@@ -96,24 +59,6 @@ mod tests {
     use super::*;
     use crate::testutil::setup;
     use crate::word;
-
-    #[test]
-    fn full_adder_truth_table() {
-        let (client, server, mut rng) = setup(201);
-        for a in [false, true] {
-            for b in [false, true] {
-                for cin in [false, true] {
-                    let ca = client.encrypt_with(a, &mut rng);
-                    let cb = client.encrypt_with(b, &mut rng);
-                    let cc = client.encrypt_with(cin, &mut rng);
-                    let (s, cout) = full_adder(&server, &ca, &cb, &cc);
-                    let total = u8::from(a) + u8::from(b) + u8::from(cin);
-                    assert_eq!(client.decrypt(&s), total & 1 == 1, "{a} {b} {cin}");
-                    assert_eq!(client.decrypt(&cout), total >= 2, "{a} {b} {cin}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn four_bit_addition() {
@@ -141,15 +86,6 @@ mod tests {
             );
             assert_eq!(client.decrypt(&r.carry), x >= y, "no-borrow {x}-{y}");
         }
-    }
-
-    #[test]
-    fn increment_wraps() {
-        let (client, server, mut rng) = setup(204);
-        let a = word::encrypt(&client, 7, 3, &mut rng);
-        let r = increment(&server, &a);
-        assert_eq!(word::decrypt(&client, &r.sum), 0);
-        assert!(client.decrypt(&r.carry));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! with a mux tree driven by an *encrypted* opcode, so the evaluator learns
 //! neither the operands nor which operation ran.
 
+use crate::netlist;
 use crate::word::EncryptedWord;
-use crate::{adder, mux};
 use matcha_fft::FftEngine;
 use matcha_tfhe::{LweCiphertext, ServerKey};
 
@@ -26,13 +26,13 @@ pub enum AluOp {
 impl AluOp {
     /// The plaintext semantics, for test oracles.
     pub fn eval(self, a: u64, b: u64, width: usize) -> u64 {
-        let mask = crate::word::max_value(width);
-        match self {
-            AluOp::Add => (a.wrapping_add(b)) & mask,
-            AluOp::Sub => (a.wrapping_sub(b)) & mask,
+        let value = match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
             AluOp::And => a & b,
-            AluOp::Xor => (a ^ b) & mask,
-        }
+            AluOp::Xor => a ^ b,
+        };
+        value & crate::word::max_value(width)
     }
 
     /// The two opcode bits, LSB first.
@@ -43,7 +43,9 @@ impl AluOp {
 }
 
 /// Evaluates the ALU under encryption: `opcode` is a 2-bit encrypted
-/// operation selector.
+/// operation selector ([`netlist::alu`]: carry-free add and subtract
+/// chains, word-wise AND and XOR, and a 4-way selection tree — 138
+/// bootstraps at 8 bits).
 ///
 /// # Panics
 ///
@@ -56,12 +58,7 @@ pub fn execute<E: FftEngine>(
 ) -> EncryptedWord {
     assert_eq!(a.len(), b.len(), "operand widths differ");
     assert_eq!(opcode.len(), 2, "the ALU has a 2-bit opcode");
-    let add = adder::add(server, a, b).sum;
-    let sub = adder::sub(server, a, b).sum;
-    let and: EncryptedWord = a.iter().zip(b).map(|(x, y)| server.and(x, y)).collect();
-    let xor: EncryptedWord = a.iter().zip(b).map(|(x, y)| server.xor(x, y)).collect();
-    // Opcode order matches the enum discriminants (Add, Sub, And, Xor).
-    mux::select_one_of(server, opcode, &[add, sub, and, xor])
+    crate::run(server, &netlist::alu(a.len()), &[opcode, a, b])
 }
 
 #[cfg(test)]
@@ -84,6 +81,7 @@ mod tests {
         assert_eq!(AluOp::Sub.eval(3, 5, 4), 14);
         assert_eq!(AluOp::And.eval(0b1100, 0b1010, 4), 0b1000);
         assert_eq!(AluOp::Xor.eval(0b1100, 0b1010, 4), 0b0110);
+        assert_eq!(AluOp::And.eval(0x1F, 0x1F, 4), 0xF);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! every lowering the crate ships stays admissible under the default
 //! [`AnalysisPolicy`](matcha_tfhe::AnalysisPolicy).
 
-use crate::netlist;
+use crate::alu::AluOp;
+use crate::netlist::{self, CycleInstruction};
 use matcha_accel::schedule::{self, ScheduleResult};
 use matcha_tfhe::analyze::equiv::{push_word, word_at, Spec};
 use matcha_tfhe::circuit::CircuitNetlist;
@@ -81,15 +82,7 @@ pub fn library() -> Vec<(&'static str, CircuitNetlist)> {
         ("shifter8", netlist::shl(8, 4)),
         (
             "processor_cycle8",
-            netlist::processor_cycle(
-                2,
-                8,
-                netlist::CycleInstruction::Alu {
-                    dst: 0,
-                    src1: 0,
-                    src2: 1,
-                },
-            ),
+            netlist::processor_cycle(2, 8, LIBRARY_CYCLE),
         ),
     ]
 }
@@ -100,128 +93,169 @@ pub fn library() -> Vec<(&'static str, CircuitNetlist)> {
 /// order, LSB-first within each word). `matcha_tfhe::analyze::equiv`
 /// proves each lowering equal to its spec on **all** inputs — the
 /// word-level layer is verified against textbook arithmetic, not merely
-/// against its own eager evaluation.
+/// against another evaluation of itself.
 pub fn library_specs() -> Vec<(&'static str, Spec)> {
     vec![
-        // ripple_adder(8): a(8), b(8) → the 9-bit sum a + b
-        // (8 sum bits then the final carry).
-        (
-            "adder8",
-            Spec::new(vec![8, 8], 9, |bits| {
-                let (a, b) = (word_at(bits, 0, 8), word_at(bits, 8, 8));
-                let mut out = Vec::new();
-                push_word(&mut out, a + b, 9);
-                out
-            }),
-        ),
-        // ripple_subtractor(8): a + ¬b + 1 — 8 difference bits
-        // (a − b mod 2⁸) then the carry (1 iff a ≥ b).
-        (
-            "subtractor8",
-            Spec::new(vec![8, 8], 9, |bits| {
-                let (a, b) = (word_at(bits, 0, 8), word_at(bits, 8, 8));
-                let mut out = Vec::new();
-                push_word(&mut out, a + (b ^ 0xff) + 1, 9);
-                out
-            }),
-        ),
-        // eq_comparator(8): one bit, [a == b].
-        (
-            "comparator8",
-            Spec::new(vec![8, 8], 1, |bits| {
-                vec![word_at(bits, 0, 8) == word_at(bits, 8, 8)]
-            }),
-        ),
-        // mux_tree(2, 4): a 2-bit index (LSB-first) then four 4-bit
-        // words; the output is words[index].
-        (
-            "mux4x4",
-            Spec::new(vec![2, 4, 4, 4, 4], 4, |bits| {
-                let index = word_at(bits, 0, 2) as usize;
-                bits[2 + 4 * index..2 + 4 * index + 4].to_vec()
-            }),
-        ),
-        // mul(8): the full 16-bit product.
-        (
-            "mul8",
-            Spec::new(vec![8, 8], 16, |bits| {
-                let (a, b) = (word_at(bits, 0, 8), word_at(bits, 8, 8));
-                let mut out = Vec::new();
-                push_word(&mut out, a * b, 16);
-                out
-            }),
-        ),
-        // mul_low(8): the low 8 bits of the product.
-        (
-            "mul_low8",
-            Spec::new(vec![8, 8], 8, |bits| {
-                let (a, b) = (word_at(bits, 0, 8), word_at(bits, 8, 8));
-                let mut out = Vec::new();
-                push_word(&mut out, a * b, 8);
-                out
-            }),
-        ),
-        // alu(8): 2 opcode bits (LSB-first: 0 add, 1 sub, 2 and, 3 xor)
-        // then a(8) then b(8); 8 result bits, add/sub mod 2⁸.
-        (
-            "alu8",
-            Spec::new(vec![2, 8, 8], 8, |bits| {
-                let op = word_at(bits, 0, 2);
-                let (a, b) = (word_at(bits, 2, 8), word_at(bits, 10, 8));
-                let r = match op {
-                    0 => a + b,
-                    1 => a + (b ^ 0xff) + 1,
-                    2 => a & b,
-                    _ => a ^ b,
-                };
-                let mut out = Vec::new();
-                push_word(&mut out, r, 8);
-                out
-            }),
-        ),
-        // popcount(16): the 5-bit count of set inputs, LSB-first.
-        (
-            "popcount16",
-            Spec::new(vec![16], 5, |bits| {
-                let count = bits.iter().filter(|&&b| b).count() as u128;
-                let mut out = Vec::new();
-                push_word(&mut out, count, 5);
-                out
-            }),
-        ),
-        // shl(8, 4): 4 amount bits (LSB-first) then the 8-bit word;
-        // (a << amount) mod 2⁸, so over-shifts flush to zero.
-        (
-            "shifter8",
-            Spec::new(vec![4, 8], 8, |bits| {
-                let amount = word_at(bits, 0, 4) as u32;
-                let a = word_at(bits, 4, 8);
-                let mut out = Vec::new();
-                push_word(&mut out, a << amount, 8);
-                out
-            }),
-        ),
-        // processor_cycle(2, 8, Alu{dst:0, src1:0, src2:1}): r0(8),
-        // r1(8), then 2 opcode bits; the new register file in order —
-        // r0' = alu(op, r0, r1), r1' passes through.
+        ("adder8", adder_spec(8)),
+        ("subtractor8", subtractor_spec(8)),
+        ("comparator8", eq_comparator_spec(8)),
+        ("mux4x4", mux_tree_spec(2, 4)),
+        ("mul8", mul_spec(8)),
+        ("mul_low8", mul_low_spec(8)),
+        ("alu8", alu_spec(8)),
+        ("popcount16", popcount_spec(16)),
+        ("shifter8", shl_spec(8, 4)),
         (
             "processor_cycle8",
-            Spec::new(vec![8, 8, 2], 16, |bits| {
-                let (r0, r1) = (word_at(bits, 0, 8), word_at(bits, 8, 8));
-                let op = word_at(bits, 16, 2);
-                let alu = match op {
-                    0 => r0 + r1,
-                    1 => r0 + (r1 ^ 0xff) + 1,
-                    2 => r0 & r1,
-                    _ => r0 ^ r1,
-                };
-                let mut out = Vec::new();
-                push_word(&mut out, alu, 8);
-                push_word(&mut out, r1, 8);
-                out
-            }),
+            processor_cycle_spec(2, 8, LIBRARY_CYCLE),
         ),
     ]
+}
+
+/// The instruction shape of the library's `processor_cycle8`.
+const LIBRARY_CYCLE: CycleInstruction = CycleInstruction::Alu {
+    dst: 0,
+    src1: 0,
+    src2: 1,
+};
+
+/// A spec over words of `input_widths` bits whose output is the low
+/// `output_bits` bits of `f` applied to the input words.
+fn word_spec(
+    input_widths: Vec<usize>,
+    output_bits: usize,
+    f: impl Fn(&[u128]) -> u128 + Send + Sync + 'static,
+) -> Spec {
+    let widths = input_widths
+        .iter()
+        .map(|&w| u8::try_from(w).expect("word wider than 255 bits"))
+        .collect();
+    Spec::new(widths, output_bits, move |bits| {
+        let mut offset = 0;
+        let words: Vec<u128> = input_widths
+            .iter()
+            .map(|&w| {
+                offset += w;
+                word_at(bits, offset - w, w)
+            })
+            .collect();
+        let mut out = Vec::with_capacity(output_bits);
+        push_word(&mut out, f(&words), output_bits);
+        out
+    })
+}
+
+/// [`netlist::ripple_adder`]`(width)`: `a`, `b` → the `width + 1`-bit sum
+/// `a + b` (the sum bits, then the final carry).
+pub fn adder_spec(width: usize) -> Spec {
+    word_spec(vec![width, width], width + 1, |x| x[0] + x[1])
+}
+
+/// [`netlist::ripple_subtractor`]`(width)`: `a + ¬b + 1` over `width + 1`
+/// bits — the difference `a − b mod 2^width`, then the carry (1 iff
+/// `a ≥ b`).
+pub fn subtractor_spec(width: usize) -> Spec {
+    let mask = (1u128 << width) - 1;
+    word_spec(vec![width, width], width + 1, move |x| {
+        x[0] + (x[1] ^ mask) + 1
+    })
+}
+
+/// [`netlist::eq_comparator`]`(width)`: one bit, `[a == b]`.
+pub fn eq_comparator_spec(width: usize) -> Spec {
+    word_spec(vec![width, width], 1, |x| u128::from(x[0] == x[1]))
+}
+
+/// [`netlist::mux_tree`]`(index_bits, width)`: an `index_bits`-bit index,
+/// then `2^index_bits` words; the output is the indexed word.
+pub fn mux_tree_spec(index_bits: usize, width: usize) -> Spec {
+    let mut widths = vec![index_bits];
+    widths.extend(std::iter::repeat_n(width, 1 << index_bits));
+    word_spec(widths, width, |x| x[1 + x[0] as usize])
+}
+
+/// [`netlist::mul`]`(width)`: the full `2·width`-bit product.
+pub fn mul_spec(width: usize) -> Spec {
+    word_spec(vec![width, width], 2 * width, |x| x[0] * x[1])
+}
+
+/// [`netlist::mul_low`]`(width)`: the low `width` bits of the product.
+pub fn mul_low_spec(width: usize) -> Spec {
+    word_spec(vec![width, width], width, |x| x[0] * x[1])
+}
+
+/// The ALU's opcodes in code order (`Add=00`, `Sub=01`, `And=10`, `Xor=11`).
+const ALU_OPS: [AluOp; 4] = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Xor];
+
+/// [`AluOp::eval`] of a 2-bit opcode on two `width`-bit words.
+fn alu_eval(opcode: u128, a: u128, b: u128, width: usize) -> u128 {
+    u128::from(ALU_OPS[opcode as usize].eval(a as u64, b as u64, width))
+}
+
+/// [`netlist::alu`]`(width)`: 2 opcode bits, then `a`, then `b`; the
+/// `width`-bit result of [`AluOp::eval`].
+pub fn alu_spec(width: usize) -> Spec {
+    word_spec(vec![2, width, width], width, move |x| {
+        alu_eval(x[0], x[1], x[2], width)
+    })
+}
+
+/// [`netlist::popcount`]`(n_bits)`: the `⌈log2(n+1)⌉`-bit count of set
+/// inputs.
+pub fn popcount_spec(n_bits: usize) -> Spec {
+    let out_width = (usize::BITS - n_bits.leading_zeros()) as usize;
+    word_spec(vec![n_bits], out_width, |x| u128::from(x[0].count_ones()))
+}
+
+/// [`netlist::shl`]`(width, amount_bits)`: the amount, then the word;
+/// `(a << amount) mod 2^width`, so over-shifts flush to zero.
+pub fn shl_spec(width: usize, amount_bits: usize) -> Spec {
+    word_spec(vec![amount_bits, width], width, |x| {
+        x[1].checked_shl(x[0] as u32).unwrap_or(0)
+    })
+}
+
+/// [`netlist::shr`]`(width, amount_bits)`: the amount, then the word;
+/// `a >> amount`.
+pub fn shr_spec(width: usize, amount_bits: usize) -> Spec {
+    word_spec(vec![amount_bits, width], width, |x| {
+        x[1].checked_shr(x[0] as u32).unwrap_or(0)
+    })
+}
+
+/// [`netlist::processor_cycle`]`(reg_count, width, instr)`: the register
+/// file, then the control bits (2 opcode bits or 1 flag); the new register
+/// file in order, `r[dst]` replaced by the [`AluOp::eval`] result or the
+/// flag's choice.
+pub fn processor_cycle_spec(reg_count: usize, width: usize, instr: CycleInstruction) -> Spec {
+    let control = match instr {
+        CycleInstruction::Alu { .. } => 2,
+        CycleInstruction::CMov { .. } => 1,
+    };
+    let mut widths = vec![width; reg_count];
+    widths.push(control);
+    word_spec(widths, reg_count * width, move |x| {
+        let (regs, control) = x.split_at(reg_count);
+        let (dst, value) = match instr {
+            CycleInstruction::Alu { dst, src1, src2 } => {
+                (dst, alu_eval(control[0], regs[src1], regs[src2], width))
+            }
+            CycleInstruction::CMov {
+                dst,
+                src_true,
+                src_false,
+            } => {
+                let src = if control[0] == 1 { src_true } else { src_false };
+                (dst, regs[src])
+            }
+        };
+        (0..reg_count)
+            .map(|r| {
+                let reg = if r == dst { value } else { regs[r] };
+                reg << (r * width)
+            })
+            .sum()
+    })
 }
 
 /// Runs [`analyze_netlist`] over the whole [`library`].
@@ -338,7 +372,7 @@ mod tests {
 
         // The naive schoolbook lowering: zero-extend every partial
         // product to 2·width and push it through a full-width raw ripple
-        // chain, trivial zeros and all (the pre-refactor eager shape,
+        // chain, trivial zeros and all (the pre-refactor shape,
         // with its dropped final carries).
         let width = 8;
         let out_width = 2 * width;

@@ -1,11 +1,12 @@
 //! Encrypted comparisons on words.
 
-use crate::adder;
 use crate::word::EncryptedWord;
+use crate::{adder, netlist};
 use matcha_fft::FftEngine;
 use matcha_tfhe::{LweCiphertext, ServerKey};
 
-/// Bitwise equality: one XNOR per bit plus an AND reduction tree.
+/// Bitwise equality: one XNOR per bit plus an AND reduction tree
+/// ([`netlist::eq_comparator`]).
 ///
 /// # Panics
 ///
@@ -17,27 +18,8 @@ pub fn eq<E: FftEngine>(
 ) -> LweCiphertext {
     assert_eq!(a.len(), b.len(), "operand widths differ");
     assert!(!a.is_empty(), "empty operands");
-    let mut layer: Vec<LweCiphertext> = a
-        .iter()
-        .zip(b.iter())
-        .map(|(x, y)| server.xnor(x, y))
-        .collect();
-    // Balanced AND tree keeps the multiplicative depth logarithmic (depth
-    // is free in TFHE thanks to per-gate bootstrapping, but the tree halves
-    // latency on parallel hardware like MATCHA's 8 pipelines).
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        let mut it = layer.chunks(2);
-        for pair in &mut it {
-            match pair {
-                [x, y] => next.push(server.and(x, y)),
-                [x] => next.push(x.clone()),
-                _ => unreachable!(),
-            }
-        }
-        layer = next;
-    }
-    layer.pop().expect("nonempty reduction")
+    let mut out = crate::run(server, &netlist::eq_comparator(a.len()), &[a, b]);
+    out.pop().expect("one output")
 }
 
 /// Unsigned `a < b`, computed as the borrow of `a − b`.
@@ -58,15 +40,6 @@ pub fn ge<E: FftEngine>(
     b: &EncryptedWord,
 ) -> LweCiphertext {
     adder::sub(server, a, b).carry
-}
-
-/// Unsigned `a > b` = `b < a`.
-pub fn gt<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &EncryptedWord,
-    b: &EncryptedWord,
-) -> LweCiphertext {
-    lt(server, b, a)
 }
 
 /// Unsigned `a ≤ b` = `b ≥ a`.
@@ -102,7 +75,6 @@ mod tests {
             let b = word::encrypt(&client, y, 3, &mut rng);
             assert_eq!(client.decrypt(&lt(&server, &a, &b)), x < y, "{x}<{y}");
             assert_eq!(client.decrypt(&ge(&server, &a, &b)), x >= y, "{x}>={y}");
-            assert_eq!(client.decrypt(&gt(&server, &a, &b)), x > y, "{x}>{y}");
             assert_eq!(client.decrypt(&le(&server, &a, &b)), x <= y, "{x}<={y}");
         }
     }

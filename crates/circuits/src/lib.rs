@@ -6,15 +6,17 @@
 //! multi-bit words, ripple-carry arithmetic, comparators, multiplexers, a
 //! barrel shifter, and a small ALU. Every circuit is generic over the FFT
 //! engine, so the whole stack runs identically on the double-precision
-//! reference kernel and on MATCHA's approximate integer kernel. The
-//! [`netlist`] module lowers the *entire* word-level library — adders,
+//! reference kernel and on MATCHA's approximate integer kernel.
+//!
+//! Each circuit is defined once, as a [`netlist`] lowering — adders,
 //! comparators, mux trees, the schoolbook multiplier, the ALU, popcount,
-//! the barrel shifter, and whole [`processor`] cycles — into executable
-//! [`CircuitNetlist`](matcha_tfhe::CircuitNetlist)s for wave-scheduled
-//! execution on the batch pool and the circuit server, each pinned
-//! bit-identical to its eager counterpart; its word-level
-//! [`WordNetlist`](netlist::WordNetlist) builder is how new workloads
-//! compose without hand-threading node indices.
+//! the barrel shifter, and whole [`processor`] cycles — built with the
+//! word-level [`WordNetlist`](netlist::WordNetlist) builder. The
+//! word-level functions ([`adder::add`], [`alu::execute`], …) check their
+//! operands, build that lowering and run it on the calling thread with
+//! [`CircuitNetlist::execute_sequential`]; the same netlists are what the
+//! batch pool and the circuit server wave-schedule, so a circuit computes
+//! the same ciphertexts whichever way it runs.
 //!
 //! # Examples
 //!
@@ -48,6 +50,19 @@ pub mod shifter;
 pub mod word;
 
 pub use word::EncryptedWord;
+
+use matcha_fft::FftEngine;
+use matcha_tfhe::{CircuitNetlist, LweCiphertext, ServerKey};
+
+/// Runs a lowering on the calling thread: `words` fill its input slots in
+/// order, and the result is its outputs in marking order.
+pub(crate) fn run<E: FftEngine>(
+    server: &ServerKey<E>,
+    net: &CircuitNetlist,
+    words: &[&[LweCiphertext]],
+) -> Vec<LweCiphertext> {
+    net.execute_sequential(server, &words.concat()).outputs
+}
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -5,23 +5,22 @@
 //! widths, which is exactly why the paper cares about gate *throughput*
 //! (Figure 10), not just latency.
 //!
-//! The additions only touch positions the shifted partial product can
-//! actually reach: each `width`-bit partial covers a window of the
-//! `2·width`-bit accumulator, so positions below the window pass through,
-//! the window start takes a half adder, positions past the known
-//! accumulator take a half adder on (partial, carry), and the carry lands
-//! one past the window for free. An 8×8 multiply is 320 bootstraps this
-//! way instead of the 624 a naive zero-extended ripple chain would spend —
-//! the same structure [`netlist::mul`](crate::netlist::mul) builds, so the
-//! scheduled path stays bit-identical.
+//! Both functions run their [`netlist`] lowering, whose
+//! additions only touch positions the shifted partial product can actually
+//! reach: each `width`-bit partial covers a window of the `2·width`-bit
+//! accumulator, so positions below the window pass through, the window
+//! start takes a half adder, positions past the known accumulator take a
+//! half adder on (partial, carry), and the carry lands one past the window
+//! for free. An 8×8 multiply is 320 bootstraps this way instead of the 624
+//! a naive zero-extended ripple chain would spend.
 
-use crate::adder;
+use crate::netlist;
 use crate::word::EncryptedWord;
 use matcha_fft::FftEngine;
 use matcha_tfhe::ServerKey;
 
 /// Full-width product of two equal-width words: `a · b` with `2·width`
-/// output bits.
+/// output bits ([`netlist::mul`]).
 ///
 /// # Panics
 ///
@@ -33,44 +32,14 @@ pub fn mul<E: FftEngine>(
 ) -> EncryptedWord {
     assert_eq!(a.len(), b.len(), "operand widths differ");
     assert!(!a.is_empty(), "empty operands");
-    let width = a.len();
-
-    // acc starts as the first partial product (a · b_0); positions above
-    // it are known zero and stay implicit until a carry reaches them.
-    let mut acc: EncryptedWord = a.iter().map(|ai| server.and(ai, &b[0])).collect();
-
-    for (j, bj) in b.iter().enumerate().skip(1) {
-        // Partial product a · b_j, occupying positions j..j+width.
-        let partial: EncryptedWord = a.iter().map(|ai| server.and(ai, bj)).collect();
-        // Window start: carry-in is known zero, a half adder suffices.
-        let (sum, mut carry) = adder::half_adder(server, &acc[j], &partial[0]);
-        acc[j] = sum;
-        for (i, pbit) in partial.iter().enumerate().skip(1) {
-            let pos = j + i;
-            if pos < acc.len() {
-                let (s, c) = adder::full_adder(server, &acc[pos], pbit, &carry);
-                acc[pos] = s;
-                carry = c;
-            } else {
-                // The accumulator is known zero here: partial + carry.
-                let (s, c) = adder::half_adder(server, pbit, &carry);
-                acc.push(s);
-                carry = c;
-            }
-        }
-        // One past the window the partial is zero too: the carry drops in.
-        acc.push(carry);
-    }
-    while acc.len() < 2 * width {
-        acc.push(server.trivial(false));
-    }
-    acc
+    crate::run(server, &netlist::mul(a.len()), &[a, b])
 }
 
-/// Truncated (wrapping) product: only the low `width` bits. Partial
-/// products are truncated to the bits that land below `width` and the
-/// ripple chains never compute their carry out, so this is much cheaper
-/// than truncating [`mul`] (136 vs 320 bootstraps at 8 bits).
+/// Truncated (wrapping) product: only the low `width` bits
+/// ([`netlist::mul_low`]). Partial products are truncated to the bits that
+/// land below `width` and the ripple chains never compute their carry out,
+/// so this is much cheaper than truncating [`mul`] (136 vs 320 bootstraps
+/// at 8 bits).
 ///
 /// # Panics
 ///
@@ -82,35 +51,7 @@ pub fn mul_low<E: FftEngine>(
 ) -> EncryptedWord {
     assert_eq!(a.len(), b.len(), "operand widths differ");
     assert!(!a.is_empty(), "empty operands");
-    let width = a.len();
-    let mut acc: EncryptedWord = a.iter().map(|ai| server.and(ai, &b[0])).collect();
-    for (j, bj) in b.iter().enumerate().skip(1) {
-        // Only the n = width − j low partial bits land below `width`.
-        let n = width - j;
-        let partial: EncryptedWord = a[..n].iter().map(|ai| server.and(ai, bj)).collect();
-        if n == 1 {
-            // Top column: the sum XOR alone (no carry to propagate).
-            acc[j] = server.xor(&acc[j], &partial[0]);
-            continue;
-        }
-        let (sum, mut carry) = adder::half_adder(server, &acc[j], &partial[0]);
-        acc[j] = sum;
-        for i in 1..n - 1 {
-            let (s, c) = adder::full_adder(server, &acc[j + i], &partial[i], &carry);
-            acc[j + i] = s;
-            carry = c;
-        }
-        // Top position: only the two sum XORs, the carry out is unwanted.
-        let axb = server.xor(&acc[width - 1], &partial[n - 1]);
-        acc[width - 1] = server.xor(&axb, &carry);
-    }
-    acc
-}
-
-/// Square of a word (same cost shape as [`mul`]; kept separate so
-/// call sites read naturally).
-pub fn square<E: FftEngine>(server: &ServerKey<E>, a: &EncryptedWord) -> EncryptedWord {
-    mul(server, a, a)
+    crate::run(server, &netlist::mul_low(a.len()), &[a, b])
 }
 
 #[cfg(test)]
@@ -159,12 +100,5 @@ mod tests {
         let b = word::encrypt(&client, 11, 4, &mut rng);
         assert_eq!(word::decrypt(&client, &mul(&server, &a, &b)), 143);
         assert_eq!(word::decrypt(&client, &mul_low(&server, &a, &b)), 143 % 16);
-    }
-
-    #[test]
-    fn square_matches_mul() {
-        let (client, server, mut rng) = setup(704);
-        let a = word::encrypt(&client, 3, 2, &mut rng);
-        assert_eq!(word::decrypt(&client, &square(&server, &a)), 9);
     }
 }

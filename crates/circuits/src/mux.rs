@@ -1,14 +1,17 @@
-//! Word-level multiplexers and selection trees.
+//! Word-level multiplexers and selection trees, run as their
+//! [`netlist::mux_tree`] lowerings.
 
+use crate::netlist;
 use crate::word::EncryptedWord;
 use matcha_fft::FftEngine;
 use matcha_tfhe::{LweCiphertext, ServerKey};
 
-/// Selects `a` when `sel` is true, else `b`, bit by bit.
+/// Selects `a` when `sel` is true, else `b`, bit by bit: a one-level
+/// [`netlist::mux_tree`] over `[b, a]`.
 ///
 /// # Panics
 ///
-/// Panics if the words have different widths.
+/// Panics if the words have different widths or are empty.
 pub fn select_word<E: FftEngine>(
     server: &ServerKey<E>,
     sel: &LweCiphertext,
@@ -16,19 +19,17 @@ pub fn select_word<E: FftEngine>(
     b: &EncryptedWord,
 ) -> EncryptedWord {
     assert_eq!(a.len(), b.len(), "operand widths differ");
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| server.mux(sel, x, y))
-        .collect()
+    let net = netlist::mux_tree(1, a.len());
+    crate::run(server, &net, &[std::slice::from_ref(sel), b, a])
 }
 
 /// Selects one of `2^k` words by an encrypted `k`-bit index (LSB first):
-/// a balanced mux tree of `k` levels.
+/// a balanced mux tree of `k` levels ([`netlist::mux_tree`]).
 ///
 /// # Panics
 ///
-/// Panics if `words.len() != 2^index.len()`, or if the words have unequal
-/// widths.
+/// Panics if `words.len() != 2^index.len()`, if the words have unequal
+/// widths, or if the index or the words are empty.
 pub fn select_one_of<E: FftEngine>(
     server: &ServerKey<E>,
     index: &[LweCiphertext],
@@ -41,16 +42,10 @@ pub fn select_one_of<E: FftEngine>(
     );
     let width = words[0].len();
     assert!(words.iter().all(|w| w.len() == width), "word widths differ");
-    let mut layer: Vec<EncryptedWord> = words.to_vec();
-    for bit in index {
-        let mut next = Vec::with_capacity(layer.len() / 2);
-        for pair in layer.chunks(2) {
-            // bit == 1 selects the odd (higher-index) word.
-            next.push(select_word(server, bit, &pair[1], &pair[0]));
-        }
-        layer = next;
-    }
-    layer.pop().expect("nonempty tree")
+    let inputs: Vec<&[LweCiphertext]> = std::iter::once(index)
+        .chain(words.iter().map(Vec::as_slice))
+        .collect();
+    crate::run(server, &netlist::mux_tree(index.len(), width), &inputs)
 }
 
 #[cfg(test)]

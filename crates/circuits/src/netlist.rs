@@ -1,18 +1,20 @@
-//! Lowering the eager circuit builders into executable netlists.
+//! The word-level circuit library, as executable netlists.
 //!
-//! The functions in the word-level modules ([`adder`](crate::adder),
-//! [`comparator`](crate::comparator), [`mux`](crate::mux),
-//! [`multiplier`](crate::multiplier), [`alu`](crate::alu),
-//! [`popcount`](crate::popcount), [`shifter`](crate::shifter) and
-//! [`processor`](crate::processor)) evaluate gate-by-gate on the calling
-//! thread. These builders lower the *same* gate structures into
-//! [`CircuitNetlist`]s, so whole circuits can be wave-scheduled onto a
-//! persistent [`GateBatchPool`](matcha_tfhe::GateBatchPool) or submitted to
-//! a [`CircuitServer`](matcha_tfhe::CircuitServer). Because each lowering
-//! emits exactly the gate sequence of its eager counterpart and
-//! bootstrapping is deterministic given the keys, scheduled execution is
-//! decrypt-identical (in fact bit-identical) to the eager path — the
-//! equivalence the `netlist_equiv` suite pins.
+//! Every word-level circuit is defined once, here, as a lowering to a
+//! [`CircuitNetlist`]. The functions in the word-level modules
+//! ([`adder`](crate::adder), [`comparator`](crate::comparator),
+//! [`mux`](crate::mux), [`multiplier`](crate::multiplier),
+//! [`alu`](crate::alu), [`popcount`](crate::popcount),
+//! [`shifter`](crate::shifter) and [`processor`](crate::processor)) build
+//! these netlists and run them gate by gate on the calling thread with
+//! [`CircuitNetlist::execute_sequential`]; the same netlists can be
+//! wave-scheduled onto a persistent
+//! [`GateBatchPool`](matcha_tfhe::GateBatchPool) or submitted to a
+//! [`CircuitServer`](matcha_tfhe::CircuitServer). Bootstrapping is
+//! deterministic given the keys, so every way of running a lowering yields
+//! bit-identical ciphertexts — the equivalence the `netlist_equiv` suite
+//! pins — and `equiv_library` proves each lowering against its plaintext
+//! arithmetic on all inputs.
 //!
 //! Rather than hand-threading node indices, lowerings are written against
 //! the word-level [`WordNetlist`] builder: words of [`NetBit`] wires
@@ -104,27 +106,27 @@ impl std::ops::Index<usize> for NetWord {
 
 /// Word-level [`CircuitNetlist`] builder.
 ///
-/// Wraps a netlist under construction and exposes the vocabulary the
-/// eager word-level modules are written in — input words, per-bit gates,
-/// half/full adders, ripple chains, word muxes, selection trees and
-/// reduction trees — so lowerings read like their eager counterparts
-/// instead of hand-threaded node indices.
+/// Wraps a netlist under construction and exposes a word-level
+/// vocabulary — input words, per-bit gates, half/full adders, ripple
+/// chains, word muxes, selection trees and reduction trees — so lowerings
+/// read like arithmetic instead of hand-threaded node indices.
 ///
 /// Two tiers of gate emission:
 ///
 /// * **raw** ([`gate`](Self::gate), [`mux`](Self::mux),
 ///   [`ripple_add`](Self::ripple_add), …) always emits the bootstrapped
-///   gate, materializing constant operands as pooled trivial nodes. Use
-///   these to mirror an eager circuit gate-for-gate (bit-identical
-///   ciphertexts), even where the eager path spends bootstraps on known
-///   bits (e.g. the adder's trivial carry-in).
+///   gate, materializing constant operands as pooled trivial nodes, even
+///   where that spends bootstraps on known bits (e.g. the adder's trivial
+///   carry-in). This fixes the lowered shape: the gates the word-level
+///   functions run, and what [`simplify`](matcha_tfhe::analyze::simplify)
+///   and the pinned lowered → fused → riding count table start from.
 /// * **fold** ([`fold_gate`](Self::fold_gate), [`fold_mux`](Self::fold_mux),
 ///   [`fold_ripple_add`](Self::fold_ripple_add), …) constant-folds at
 ///   build time: gates with two known operands become constants, gates
 ///   with one known operand collapse to an alias, a free NOT, or a
 ///   constant, and muxes with a constant arm drop to a single AND/OR-form
-///   bootstrap. Use these where the eager path never touched the known
-///   bits at all (e.g. zero-extension columns in the multiplier).
+///   bootstrap. Use these where a lowering never needs the known bits at
+///   all (e.g. zero-extension columns in the multiplier).
 pub struct WordNetlist {
     net: CircuitNetlist,
     /// Pooled trivial-false / trivial-true nodes, created on first use so
@@ -270,17 +272,16 @@ impl WordNetlist {
         NetWord::from_bits((0..a.width()).map(|i| self.not(a[i])).collect())
     }
 
-    /// One half adder (raw): `(sum, carry) = (a XOR b, a AND b)`,
-    /// gate-for-gate [`adder::half_adder`](crate::adder::half_adder).
+    /// One half adder (raw): `(sum, carry) = (a XOR b, a AND b)`.
     pub fn half_add(&mut self, a: NetBit, b: NetBit) -> (NetBit, NetBit) {
         let sum = self.gate(Gate::Xor, a, b);
         let carry = self.gate(Gate::And, a, b);
         (sum, carry)
     }
 
-    /// One full adder (raw): the 5-gate XOR/AND/OR form of
-    /// [`adder::full_adder`](crate::adder::full_adder), emitted in the
-    /// same gate order; returns `(sum, carry)`.
+    /// One full adder (raw): the 5-gate XOR/AND/OR form — `a ⊕ b`, the
+    /// sum, `a ∧ b`, `(a ⊕ b) ∧ cin`, the carry's OR, in that order;
+    /// returns `(sum, carry)`.
     pub fn full_add(&mut self, a: NetBit, b: NetBit, cin: NetBit) -> (NetBit, NetBit) {
         let axb = self.gate(Gate::Xor, a, b);
         let sum = self.gate(Gate::Xor, axb, cin);
@@ -396,8 +397,7 @@ impl WordNetlist {
         NetWord::from_bits(sums)
     }
 
-    /// Word-wise `sel ? a : b` (raw muxes), gate-for-gate
-    /// [`mux::select_word`](crate::mux::select_word).
+    /// Word-wise `sel ? a : b` (raw muxes).
     ///
     /// # Panics
     ///
@@ -407,8 +407,7 @@ impl WordNetlist {
         NetWord::from_bits((0..a.width()).map(|i| self.mux(sel, a[i], b[i])).collect())
     }
 
-    /// A `2^k`-way selection tree over `words`, gate-for-gate
-    /// [`mux::select_one_of`](crate::mux::select_one_of): one
+    /// A `2^k`-way selection tree over `words`: one
     /// [`mux_word`](Self::mux_word) level per index bit (LSB first), each
     /// bit selecting the odd (higher-index) word of its pair.
     ///
@@ -433,8 +432,9 @@ impl WordNetlist {
         layer.pop().expect("non-empty selection layer")
     }
 
-    /// Balanced AND-reduction tree (odd layer elements pass through),
-    /// gate-for-gate the reduction in [`comparator::eq`](crate::comparator::eq).
+    /// Balanced AND-reduction tree (odd layer elements pass through): the
+    /// depth stays logarithmic, so the tree halves latency on parallel
+    /// hardware like MATCHA's 8 pipelines.
     ///
     /// # Panics
     ///
@@ -474,9 +474,8 @@ impl WordNetlist {
     }
 }
 
-/// A `width`-bit ripple-carry adder, gate-for-gate the circuit of
-/// [`adder::add`](crate::adder::add): `5·width` bootstrapped gates with a
-/// trivial-false carry-in.
+/// A `width`-bit ripple-carry adder, what [`adder::add`](crate::adder::add)
+/// runs: `5·width` bootstrapped gates with a trivial-false carry-in.
 ///
 /// # Panics
 ///
@@ -492,10 +491,11 @@ pub fn ripple_adder(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A `width`-bit two's-complement subtractor, gate-for-gate
-/// [`adder::sub`](crate::adder::sub): free `NOT` on every `b` bit, then a
-/// ripple add with a trivial-true carry-in. The final carry is `1` when
-/// `a ≥ b`.
+/// A `width`-bit two's-complement subtractor, what
+/// [`adder::sub`](crate::adder::sub) and the orderings in
+/// [`comparator`](crate::comparator) run: free `NOT` on every `b` bit,
+/// then a ripple add with a trivial-true carry-in. The final carry is `1`
+/// when `a ≥ b`.
 ///
 /// # Panics
 ///
@@ -512,8 +512,8 @@ pub fn ripple_subtractor(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A `width`-bit equality comparator, gate-for-gate
-/// [`comparator::eq`](crate::comparator::eq): one XNOR per bit and a
+/// A `width`-bit equality comparator, what
+/// [`comparator::eq`](crate::comparator::eq) runs: one XNOR per bit and a
 /// balanced AND reduction tree (odd layer elements pass through).
 ///
 /// # Panics
@@ -530,10 +530,11 @@ pub fn eq_comparator(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A `2^index_bits`-way, `width`-bit-word selection tree, gate-for-gate
-/// [`mux::select_one_of`](crate::mux::select_one_of): `index_bits` levels
-/// of word-wise muxes, each index bit selecting the odd (higher-index)
-/// half.
+/// A `2^index_bits`-way, `width`-bit-word selection tree, what
+/// [`mux::select_one_of`](crate::mux::select_one_of) runs (and
+/// [`mux::select_word`](crate::mux::select_word) at one index bit):
+/// `index_bits` levels of word-wise muxes, each index bit selecting the
+/// odd (higher-index) half.
 ///
 /// # Panics
 ///
@@ -551,11 +552,11 @@ pub fn mux_tree(index_bits: usize, width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A full `width × width → 2·width` schoolbook multiplier, gate-for-gate
-/// [`multiplier::mul`](crate::multiplier::mul): `width²` partial-product
-/// ANDs and `width−1` folded ripple adds. Constant-zero partial-product
-/// columns (the zero-extension outside each shifted window) never touch a
-/// full adder — the fold builder skips them at build time, so the netlist
+/// A full `width × width → 2·width` schoolbook multiplier, what
+/// [`multiplier::mul`](crate::multiplier::mul) runs: `width²`
+/// partial-product ANDs and `width−1` folded ripple adds. Constant-zero
+/// partial-product columns (the zero-extension outside each shifted
+/// window) never touch a full adder — the fold builder skips them at build time, so the netlist
 /// contains no trivial-zero arithmetic for [`simplify`](matcha_tfhe::analyze::simplify)
 /// to clean up.
 ///
@@ -598,8 +599,8 @@ pub fn mul(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// The low `width` bits of the schoolbook product, gate-for-gate
-/// [`multiplier::mul_low`](crate::multiplier::mul_low): each partial
+/// The low `width` bits of the schoolbook product, what
+/// [`multiplier::mul_low`](crate::multiplier::mul_low) runs: each partial
 /// product is truncated to the bits that land below `width`, and the
 /// ripple chains drop their carry out.
 ///
@@ -630,9 +631,9 @@ pub fn mul_low(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// The shared ALU body: all four ops computed, then an opcode-decoded
-/// selection tree, gate-for-gate [`alu::execute`](crate::alu::execute).
-/// `opcode` is LSB first (`Add=00`, `Sub=01`, `And=10`, `Xor=11`).
+/// The shared ALU body of [`alu`] and [`processor_cycle`]: all four ops
+/// computed, then an opcode-decoded selection tree. `opcode` is LSB first
+/// (`Add=00`, `Sub=01`, `And=10`, `Xor=11`).
 fn alu_word(w: &mut WordNetlist, opcode: &[NetBit], a: &NetWord, b: &NetWord) -> NetWord {
     let add = w.ripple_add_no_carry(a, b, NetBit::Const(false));
     let not_b = w.not_word(b);
@@ -642,8 +643,8 @@ fn alu_word(w: &mut WordNetlist, opcode: &[NetBit], a: &NetWord, b: &NetWord) ->
     w.select_one_of(opcode, &[add, sub, and, xor])
 }
 
-/// A `width`-bit ALU with an encrypted 2-bit opcode, gate-for-gate
-/// [`alu::execute`](crate::alu::execute): adder and subtractor chains
+/// A `width`-bit ALU with an encrypted 2-bit opcode, what
+/// [`alu::execute`](crate::alu::execute) runs: adder and subtractor chains
 /// (carry out dropped), word-wise AND and XOR, and a 4-way opcode
 /// selection tree. Inputs: the 2 opcode bits (LSB first, matching
 /// [`AluOp::opcode_bits`](crate::alu::AluOp::opcode_bits)), then `a`, then
@@ -663,8 +664,8 @@ pub fn alu(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A carry-save population count over `n_bits` inputs, gate-for-gate
-/// [`popcount::popcount`](crate::popcount::popcount): per weight column,
+/// A carry-save population count over `n_bits` inputs, what
+/// [`popcount::popcount`](crate::popcount::popcount) runs: per weight column,
 /// triples compress through full adders and leftover pairs through half
 /// adders; carries feed the next column. Outputs are the
 /// `⌈log2(n+1)⌉`-bit count (missing columns are constant zero).
@@ -725,7 +726,7 @@ fn barrel_level(
 }
 
 /// A `width`-bit left barrel shifter with an encrypted `amount_bits`-bit
-/// shift amount, gate-for-gate [`shifter::shl`](crate::shifter::shl): one
+/// shift amount, what [`shifter::shl`](crate::shifter::shl) runs: one
 /// level per amount bit (LSB first); positions whose shifted source falls
 /// off the word use the collapsed one-bootstrap AND-with-NOT form.
 /// Inputs: the amount bits, then the word.
@@ -748,8 +749,8 @@ pub fn shl(width: usize, amount_bits: usize) -> CircuitNetlist {
 }
 
 /// A `width`-bit logical right barrel shifter with an encrypted
-/// `amount_bits`-bit shift amount, gate-for-gate
-/// [`shifter::shr`](crate::shifter::shr); same level structure and
+/// `amount_bits`-bit shift amount, what
+/// [`shifter::shr`](crate::shifter::shr) runs; same level structure and
 /// collapsed zero-fill form as [`shl`]. Inputs: the amount bits, then the
 /// word.
 ///
@@ -776,8 +777,7 @@ pub fn shr(width: usize, amount_bits: usize) -> CircuitNetlist {
 /// The plaintext *shape* of one processor instruction for
 /// [`processor_cycle`]: which registers are read and written. The
 /// operation itself stays encrypted — the ALU opcode (or CMov flag)
-/// arrives as ciphertext input bits at execution time, exactly as in
-/// [`Processor::step`](crate::processor::Processor::step).
+/// arrives as ciphertext input bits at execution time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CycleInstruction {
     /// `r[dst] ← ALU(opcode, r[src1], r[src2])`; the 2 encrypted opcode
@@ -802,10 +802,10 @@ pub enum CycleInstruction {
     },
 }
 
-/// One full [`Processor::step`](crate::processor::Processor::step) as a
-/// single netlist, gate-for-gate the eager step. Inputs: the entire
-/// register file `r0, r1, …` (each `width` bits, LSB first), then the
-/// instruction's encrypted control bits (2 opcode bits for
+/// One full processor step as a single netlist, what
+/// [`Processor::step`](crate::processor::Processor::step) runs. Inputs:
+/// the entire register file `r0, r1, …` (each `width` bits, LSB first),
+/// then the instruction's encrypted control bits (2 opcode bits for
 /// [`CycleInstruction::Alu`], 1 flag bit for
 /// [`CycleInstruction::CMov`]). Outputs: the *entire* new register file
 /// in order — the destination register carries the computed word, every

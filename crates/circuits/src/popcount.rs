@@ -1,6 +1,6 @@
 //! Population count (Hamming weight) with a carry-save adder tree.
 
-use crate::adder;
+use crate::netlist;
 use crate::word::EncryptedWord;
 use matcha_fft::FftEngine;
 use matcha_tfhe::{LweCiphertext, ServerKey};
@@ -8,60 +8,16 @@ use matcha_tfhe::{LweCiphertext, ServerKey};
 /// Counts the set bits of `bits`, returning a word wide enough to hold the
 /// count (`⌈log2(n+1)⌉` bits).
 ///
-/// Uses full adders as 3:2 compressors: triples of same-weight bits reduce
-/// to one sum and one carry bit until every weight class has a single bit.
+/// Runs [`netlist::popcount`]: full adders as 3:2 compressors, so triples
+/// of same-weight bits reduce to one sum and one carry bit until every
+/// weight class has a single bit.
 ///
 /// # Panics
 ///
 /// Panics if `bits` is empty.
 pub fn popcount<E: FftEngine>(server: &ServerKey<E>, bits: &[LweCiphertext]) -> EncryptedWord {
     assert!(!bits.is_empty(), "empty input");
-    let out_width = (usize::BITS - bits.len().leading_zeros()) as usize;
-    // columns[w] holds the bits of weight 2^w still to be compressed.
-    let mut columns: Vec<Vec<LweCiphertext>> = vec![Vec::new(); out_width + 1];
-    columns[0] = bits.to_vec();
-
-    for w in 0..out_width {
-        while columns[w].len() >= 3 {
-            let a = columns[w].pop().expect("len checked");
-            let b = columns[w].pop().expect("len checked");
-            let c = columns[w].pop().expect("len checked");
-            let (sum, carry) = adder::full_adder(server, &a, &b, &c);
-            columns[w].push(sum);
-            columns[w + 1].push(carry);
-        }
-        if columns[w].len() == 2 {
-            let a = columns[w].pop().expect("len checked");
-            let b = columns[w].pop().expect("len checked");
-            let (sum, carry) = adder::half_adder(server, &a, &b);
-            columns[w].push(sum);
-            columns[w + 1].push(carry);
-        }
-    }
-
-    (0..out_width)
-        .map(|w| {
-            columns[w]
-                .first()
-                .cloned()
-                .unwrap_or_else(|| server.trivial(false))
-        })
-        .collect()
-}
-
-/// Parity (XOR reduction) of a bit slice — cheaper than a full popcount
-/// when only the low bit of the count matters.
-///
-/// # Panics
-///
-/// Panics if `bits` is empty.
-pub fn parity<E: FftEngine>(server: &ServerKey<E>, bits: &[LweCiphertext]) -> LweCiphertext {
-    assert!(!bits.is_empty(), "empty input");
-    let mut acc = bits[0].clone();
-    for b in &bits[1..] {
-        acc = server.xor(&acc, b);
-    }
-    acc
+    crate::run(server, &netlist::popcount(bits.len()), &[bits])
 }
 
 #[cfg(test)]
@@ -90,19 +46,5 @@ mod tests {
         let bits = vec![client.encrypt_with(true, &mut rng)];
         let count = popcount(&server, &bits);
         assert_eq!(word::decrypt(&client, &count), 1);
-    }
-
-    #[test]
-    fn parity_matches_popcount_lsb() {
-        let (client, server, mut rng) = setup(803);
-        for value in [0b110u64, 0b111, 0b000] {
-            let bits = word::encrypt(&client, value, 3, &mut rng);
-            let p = parity(&server, &bits);
-            assert_eq!(
-                client.decrypt(&p),
-                value.count_ones() % 2 == 1,
-                "parity({value:03b})"
-            );
-        }
     }
 }

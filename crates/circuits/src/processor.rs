@@ -8,8 +8,9 @@
 //! touches, never what it computes or what the data is. Conditional moves
 //! give data-dependent control flow without branching on plaintext.
 
+use crate::alu;
+use crate::netlist::{self, CycleInstruction};
 use crate::word::EncryptedWord;
-use crate::{alu, mux};
 use matcha_fft::FftEngine;
 use matcha_tfhe::{ClientKey, LweCiphertext, ServerKey};
 use rand::Rng;
@@ -108,42 +109,40 @@ impl Processor {
         &self.registers[index]
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction: runs [`netlist::processor_cycle`] over the
+    /// register file, with the opcode bits or the flag as its trailing
+    /// inputs.
     ///
     /// # Panics
     ///
     /// Panics if any register index is out of range.
     pub fn step<E: FftEngine>(&mut self, server: &ServerKey<E>, instr: &Instruction) {
-        match instr {
+        let (shape, control) = match *instr {
             Instruction::Alu {
-                op,
+                ref op,
                 dst,
                 src1,
                 src2,
-            } => {
-                let out = alu::execute(
-                    server,
-                    op.bits(),
-                    &self.registers[*src1],
-                    &self.registers[*src2],
-                );
-                self.registers[*dst] = out;
-            }
+            } => (CycleInstruction::Alu { dst, src1, src2 }, &op.bits()[..]),
             Instruction::CMov {
-                flag,
+                ref flag,
                 dst,
                 src_true,
                 src_false,
-            } => {
-                let out = mux::select_word(
-                    server,
-                    flag,
-                    &self.registers[*src_true],
-                    &self.registers[*src_false],
-                );
-                self.registers[*dst] = out;
-            }
-        }
+            } => (
+                CycleInstruction::CMov {
+                    dst,
+                    src_true,
+                    src_false,
+                },
+                std::slice::from_ref(flag),
+            ),
+        };
+        let net = netlist::processor_cycle(self.registers.len(), self.width, shape);
+        let mut words: Vec<&[LweCiphertext]> = self.registers.iter().map(Vec::as_slice).collect();
+        words.push(control);
+        let next = crate::run(server, &net, &words);
+        self.registers = next.chunks(self.width).map(<[_]>::to_vec).collect();
     }
 
     /// Executes a straight-line program.

@@ -1,183 +1,70 @@
 //! Barrel shifter on encrypted words.
 //!
-//! Shifting by a *plaintext* amount is free (bit re-wiring); shifting by an
-//! *encrypted* amount uses one mux layer per index bit, the classic barrel
-//! construction. Positions whose shifted source falls off the word would
-//! mux in a known zero, so the two-bootstrap MUX collapses to a single
-//! `¬bit ∧ cur` there — in particular a whole level collapses once
-//! `2^j ≥ width`. [`netlist::shl`](crate::netlist::shl)/[`shr`](crate::netlist::shr)
-//! build the same shape, so the scheduled path stays bit-identical.
+//! Shifting by an *encrypted* amount uses one mux layer per index bit, the
+//! classic barrel construction. Positions whose shifted source falls off
+//! the word would mux in a known zero, so the two-bootstrap MUX collapses
+//! to a single `¬bit ∧ cur` there — in particular a whole level collapses
+//! once `2^j ≥ width`. Both functions run their
+//! [`netlist::shl`]/[`shr`](netlist::shr) lowering.
 
+use crate::netlist;
 use crate::word::EncryptedWord;
 use matcha_fft::FftEngine;
-use matcha_tfhe::{Gate, LweCiphertext, ServerKey};
-
-/// Logical left shift by a plaintext amount (zero fill, free).
-pub fn shl_const<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &EncryptedWord,
-    amount: usize,
-) -> EncryptedWord {
-    let width = a.len();
-    let mut out = Vec::with_capacity(width);
-    for i in 0..width {
-        if i < amount {
-            out.push(server.trivial(false));
-        } else {
-            out.push(a[i - amount].clone());
-        }
-    }
-    out
-}
-
-/// Logical right shift by a plaintext amount (zero fill, free).
-pub fn shr_const<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &EncryptedWord,
-    amount: usize,
-) -> EncryptedWord {
-    let width = a.len();
-    (0..width)
-        .map(|i| {
-            if i + amount < width {
-                a[i + amount].clone()
-            } else {
-                server.trivial(false)
-            }
-        })
-        .collect()
-}
+use matcha_tfhe::{LweCiphertext, ServerKey};
 
 /// Barrel left shift by an encrypted amount (LSB-first index bits).
 ///
 /// Level `j` conditionally shifts by `2^j`, so `k` index bits cover shifts
 /// `0..2^k − 1`; shifts ≥ width produce zero.
+///
+/// # Panics
+///
+/// Panics if the word or the amount is empty.
 pub fn shl<E: FftEngine>(
     server: &ServerKey<E>,
     a: &EncryptedWord,
     amount: &[LweCiphertext],
 ) -> EncryptedWord {
-    let width = a.len();
-    let mut cur = a.to_vec();
-    for (j, bit) in amount.iter().enumerate() {
-        let shift = 1usize.checked_shl(j as u32).unwrap_or(usize::MAX);
-        cur = (0..width)
-            .map(|i| {
-                if i >= shift {
-                    server.mux(bit, &cur[i - shift], &cur[i])
-                } else {
-                    // The shifted-in source is a known zero:
-                    // bit ? 0 : cur[i]  =  ¬bit ∧ cur[i], one bootstrap.
-                    server.apply(Gate::AndNY, bit, &cur[i])
-                }
-            })
-            .collect();
-    }
-    cur
+    crate::run(server, &netlist::shl(a.len(), amount.len()), &[amount, a])
 }
 
 /// Barrel right shift by an encrypted amount (LSB-first index bits).
+///
+/// # Panics
+///
+/// Panics if the word or the amount is empty.
 pub fn shr<E: FftEngine>(
     server: &ServerKey<E>,
     a: &EncryptedWord,
     amount: &[LweCiphertext],
 ) -> EncryptedWord {
-    let width = a.len();
-    let mut cur = a.to_vec();
-    for (j, bit) in amount.iter().enumerate() {
-        let shift = 1usize.checked_shl(j as u32).unwrap_or(usize::MAX);
-        cur = (0..width)
-            .map(|i| match i.checked_add(shift).filter(|&src| src < width) {
-                Some(src) => server.mux(bit, &cur[src], &cur[i]),
-                None => server.apply(Gate::AndNY, bit, &cur[i]),
-            })
-            .collect();
-    }
-    cur
+    crate::run(server, &netlist::shr(a.len(), amount.len()), &[amount, a])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mux;
     use crate::testutil::setup;
     use crate::word;
-
-    /// The pre-collapse barrel: a full two-bootstrap `select_word` layer
-    /// per amount bit, muxing against an explicitly built shifted word.
-    fn all_mux_shl<E: matcha_fft::FftEngine>(
-        server: &ServerKey<E>,
-        a: &EncryptedWord,
-        amount: &[LweCiphertext],
-    ) -> EncryptedWord {
-        let mut cur = a.to_vec();
-        for (j, bit) in amount.iter().enumerate() {
-            let shifted = shl_const(
-                server,
-                &cur,
-                1usize.checked_shl(j as u32).unwrap_or(usize::MAX),
-            );
-            cur = mux::select_word(server, bit, &shifted, &cur);
-        }
-        cur
-    }
-
-    fn all_mux_shr<E: matcha_fft::FftEngine>(
-        server: &ServerKey<E>,
-        a: &EncryptedWord,
-        amount: &[LweCiphertext],
-    ) -> EncryptedWord {
-        let mut cur = a.to_vec();
-        for (j, bit) in amount.iter().enumerate() {
-            let shifted = shr_const(
-                server,
-                &cur,
-                1usize.checked_shl(j as u32).unwrap_or(usize::MAX),
-            );
-            cur = mux::select_word(server, bit, &shifted, &cur);
-        }
-        cur
-    }
 
     #[test]
     fn collapsed_levels_match_the_all_mux_barrel() {
         // 3 amount bits over a 4-bit word: the 2^2 = 4 ≥ width level is
-        // entirely zero-fill, and lower levels collapse per position.
+        // entirely zero-fill, and lower levels collapse per position; the
+        // results are what an all-mux barrel computes.
         let (client, server, mut rng) = setup(504);
         let a = word::encrypt(&client, 0b1011, 4, &mut rng);
         for amt in 0..8u64 {
             let enc_amt = word::encrypt(&client, amt, 3, &mut rng);
-            let new_l = shl(&server, &a, &enc_amt);
-            let old_l = all_mux_shl(&server, &a, &enc_amt);
-            assert_eq!(
-                word::decrypt(&client, &new_l),
-                word::decrypt(&client, &old_l),
-                "shl amt={amt}"
-            );
-            let new_r = shr(&server, &a, &enc_amt);
-            let old_r = all_mux_shr(&server, &a, &enc_amt);
-            assert_eq!(
-                word::decrypt(&client, &new_r),
-                word::decrypt(&client, &old_r),
-                "shr amt={amt}"
-            );
+            let left = shl(&server, &a, &enc_amt);
+            let right = shr(&server, &a, &enc_amt);
             let expected_l = if amt >= 4 { 0 } else { (0b1011 << amt) & 0xF };
-            assert_eq!(word::decrypt(&client, &new_l), expected_l);
+            assert_eq!(word::decrypt(&client, &left), expected_l);
             assert_eq!(
-                word::decrypt(&client, &new_r),
+                word::decrypt(&client, &right),
                 0b1011u64.checked_shr(amt as u32).unwrap_or(0)
             );
         }
-    }
-
-    #[test]
-    fn constant_shifts() {
-        let (client, server, mut rng) = setup(501);
-        let a = word::encrypt(&client, 0b0110, 4, &mut rng);
-        assert_eq!(word::decrypt(&client, &shl_const(&server, &a, 1)), 0b1100);
-        assert_eq!(word::decrypt(&client, &shr_const(&server, &a, 1)), 0b0011);
-        assert_eq!(word::decrypt(&client, &shl_const(&server, &a, 4)), 0);
-        assert_eq!(word::decrypt(&client, &shr_const(&server, &a, 0)), 0b0110);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! **proven** — not sampled — equivalent to its simplified form, full
 //! adders fused into three-input gates and sums riding on their carries
 //! included (BDD function identity per output), and to its plaintext
-//! arithmetic spec (exhaustive over all input assignments). A deliberately
+//! arithmetic spec (exhaustive over all input assignments) — at the
+//! library's shapes and, in a width sweep, at every shape the word-level
+//! functions that run these lowerings are tested at. A deliberately
 //! broken rewrite — a flipped XOR, a majority cone fused to the wrong gate,
 //! a sum riding on the wrong carry — must be refuted with a counterexample
 //! that replays, and the proofs must degrade to `Unknown` (never a wrong
@@ -13,11 +15,14 @@
 //! reject their submission at admission; the admission ladder's runs the
 //! 4-bit adder six times at test parameters.
 
-use matcha_circuits::analysis::{library, library_specs};
-use matcha_circuits::netlist::{self, NetBit, WordNetlist};
+use matcha_circuits::analysis::{
+    adder_spec, alu_spec, eq_comparator_spec, library, library_specs, mul_low_spec, mul_spec,
+    mux_tree_spec, popcount_spec, processor_cycle_spec, shl_spec, shr_spec, subtractor_spec,
+};
+use matcha_circuits::netlist::{self, CycleInstruction, NetBit, WordNetlist};
 use matcha_fft::F64Fft;
 use matcha_tfhe::analyze::equiv::{
-    self, check_spec, check_with_words, eval_netlist, EquivBudget, Verdict,
+    self, check_spec, check_with_words, eval_netlist, EquivBudget, Spec, Verdict,
 };
 use matcha_tfhe::analyze::DEFAULT_FAILURE_BUDGET;
 use matcha_tfhe::circuit::{CircuitNetlist, GateOp};
@@ -50,21 +55,92 @@ fn every_library_entry_simplifies_to_a_proven_equivalent() {
     }
 }
 
+/// Proves `net` computes `spec` on every input assignment, every output.
+fn prove(name: &str, net: &CircuitNetlist, spec: &Spec) {
+    let report = check_spec(net, spec, EquivBudget::default());
+    assert!(
+        report.is_equivalent(),
+        "{name}: lowering must compute its spec — {report}"
+    );
+    assert_eq!(
+        report.outputs_checked,
+        net.outputs().len(),
+        "{name}: every output proven"
+    );
+}
+
 #[test]
 fn every_library_entry_matches_its_plaintext_spec_on_all_inputs() {
-    let budget = EquivBudget::default();
     for ((name, raw), (spec_name, spec)) in library().into_iter().zip(library_specs()) {
         assert_eq!(name, spec_name);
-        let report = check_spec(&raw, &spec, budget);
-        assert!(
-            report.is_equivalent(),
-            "{name}: lowering must compute its spec — {report}"
+        prove(name, &raw, &spec);
+    }
+}
+
+// The width sweep. The word-level functions (`adder::add`, `alu::execute`,
+// `Processor::step`, …) run these lowerings, so these proofs are their
+// reference: each lowering against its width-parameterised plaintext spec
+// at every shape the word-level tests run, with no bootstraps spent.
+
+#[test]
+fn arithmetic_lowerings_match_their_specs_at_widths_1_to_5() {
+    for w in 1..=5 {
+        prove("ripple_adder", &netlist::ripple_adder(w), &adder_spec(w));
+        let subtractor = netlist::ripple_subtractor(w);
+        prove("ripple_subtractor", &subtractor, &subtractor_spec(w));
+        prove(
+            "eq_comparator",
+            &netlist::eq_comparator(w),
+            &eq_comparator_spec(w),
         );
-        assert_eq!(
-            report.outputs_checked,
-            raw.outputs().len(),
-            "{name}: every output proven"
-        );
+        prove("alu", &netlist::alu(w), &alu_spec(w));
+        prove("mul", &netlist::mul(w), &mul_spec(w));
+        prove("mul_low", &netlist::mul_low(w), &mul_low_spec(w));
+    }
+}
+
+#[test]
+fn popcount_shifter_and_mux_lowerings_match_their_specs() {
+    for n in 1..=8 {
+        prove("popcount", &netlist::popcount(n), &popcount_spec(n));
+    }
+    for w in 1..=4 {
+        for k in 1..=3 {
+            prove("shl", &netlist::shl(w, k), &shl_spec(w, k));
+            prove("shr", &netlist::shr(w, k), &shr_spec(w, k));
+        }
+    }
+    for k in 1..=2 {
+        for w in 1..=3 {
+            prove("mux_tree", &netlist::mux_tree(k, w), &mux_tree_spec(k, w));
+        }
+    }
+}
+
+#[test]
+fn processor_cycles_match_their_specs_in_both_forms() {
+    for regs in 2..=3 {
+        for w in 1..=4 {
+            // Every (dst, x, y) register routing, aliased ones included.
+            for code in 0..regs * regs * regs {
+                let (dst, x, y) = (code % regs, code / regs % regs, code / (regs * regs));
+                let alu = CycleInstruction::Alu {
+                    dst,
+                    src1: x,
+                    src2: y,
+                };
+                let cmov = CycleInstruction::CMov {
+                    dst,
+                    src_true: x,
+                    src_false: y,
+                };
+                for instr in [alu, cmov] {
+                    let net = netlist::processor_cycle(regs, w, instr);
+                    let spec = processor_cycle_spec(regs, w, instr);
+                    prove(&format!("{instr:?} over {regs}×{w}"), &net, &spec);
+                }
+            }
+        }
     }
 }
 

@@ -572,7 +572,9 @@ impl CircuitNetlist {
     /// order on the calling thread through the one-gate
     /// [`ServerKey::apply`]/[`ServerKey::not`]/[`ServerKey::mux`] calls,
     /// a scratch built per gate.
-    /// The equivalence oracle for [`CircuitNetlist::execute`].
+    /// The equivalence oracle for [`CircuitNetlist::execute`], and how the
+    /// word-level circuits of `matcha-circuits` (adders, comparators, the
+    /// ALU, the processor step, …) run their lowerings.
     ///
     /// # Panics
     ///
