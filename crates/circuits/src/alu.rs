@@ -44,7 +44,7 @@ impl AluOp {
 
 /// Evaluates the ALU under encryption: `opcode` is a 2-bit encrypted
 /// operation selector ([`netlist::alu`]: carry-free add and subtract
-/// chains, word-wise AND and XOR, and a 4-way selection tree — 138
+/// chains, word-wise AND and XOR, and a 4-way selection tree — 133
 /// bootstraps at 8 bits).
 ///
 /// # Panics

@@ -334,15 +334,15 @@ mod tests {
                 )
             })
             .collect();
-        // Folding first: the constant carry-in of the first full adder
-        // folds (the adder 40 → 37, the subtractor's true carry-in 40 → 38),
-        // and the ALU's two chains lose their constant carry-ins and the
-        // word-wise AND/XOR gates that duplicate the add chain's own
-        // (138 → 118). Then fusion: every full adder left — XOR, XOR, AND,
-        // AND, OR over three bits — becomes XOR3 + MAJ, two bootstraps for
-        // five, through the free NOTs of the subtractor's inverted operand
-        // as well (adder 37 → 16 = XOR + AND + 7 × 2; subtractor 38 → 16,
-        // the first borrow's three gates over two leaves fused into one).
+        // The lowerings submit no gate on a constant (the adders' carry-ins
+        // are restricted away as they are built), so nothing folds; the
+        // ALU's word-wise AND/XOR gates that duplicate its add chain's own
+        // are shared (133 → 118). Then fusion: every full adder left — XOR,
+        // XOR, AND, AND, OR over three bits — becomes XOR3 + MAJ, two
+        // bootstraps for five, through the free NOTs of the subtractor's
+        // inverted operand as well (adder 37 → 16 = XOR + AND + 7 × 2;
+        // subtractor 38 → 16, the first borrow's three gates over two
+        // leaves fused into one).
         // Then every sum rides on its carry's bootstrap, half adders
         // included (adder and subtractor 16 → 8, a cell a bit). The
         // multipliers and the popcount keep their partial products; the
@@ -351,84 +351,18 @@ mod tests {
         assert_eq!(
             by_name,
             vec![
-                ("adder8", 40, 8),
-                ("subtractor8", 40, 8),
+                ("adder8", 37, 8),
+                ("subtractor8", 38, 8),
                 ("comparator8", 15, 15),
                 ("mux4x4", 24, 24),
                 ("mul8", 320, 147),
                 ("mul_low8", 136, 84),
-                ("alu8", 138, 71),
+                ("alu8", 133, 71),
                 ("popcount16", 63, 29),
                 ("shifter8", 49, 49),
-                ("processor_cycle8", 138, 71),
+                ("processor_cycle8", 133, 71),
             ]
         );
-    }
-
-    #[test]
-    fn multiplier_lowering_skips_what_the_simplifier_would_fold() {
-        use crate::netlist::{NetBit, NetWord, WordNetlist};
-        use matcha_tfhe::Gate;
-
-        // The naive schoolbook lowering: zero-extend every partial
-        // product to 2·width and push it through a full-width raw ripple
-        // chain, trivial zeros and all (the pre-refactor shape,
-        // with its dropped final carries).
-        let width = 8;
-        let out_width = 2 * width;
-        let mut w = WordNetlist::new();
-        let a = w.input_word(width);
-        let b = w.input_word(width);
-        let mut acc = NetWord::from_bits(
-            (0..out_width)
-                .map(|i| {
-                    if i < width {
-                        w.gate(Gate::And, a[i], b[0])
-                    } else {
-                        NetBit::Const(false)
-                    }
-                })
-                .collect(),
-        );
-        for j in 1..width {
-            let partial = NetWord::from_bits(
-                (0..out_width)
-                    .map(|i| {
-                        if i >= j && i - j < width {
-                            w.gate(Gate::And, a[i - j], b[j])
-                        } else {
-                            NetBit::Const(false)
-                        }
-                    })
-                    .collect(),
-            );
-            let (sums, _dropped_carry) = w.ripple_add(&acc, &partial, NetBit::Const(false));
-            acc = sums;
-        }
-        w.mark_output_word(&acc);
-        let naive = w.finish();
-
-        // 64 partial-product ANDs + 7 full-width ripple adds.
-        assert_eq!(naive.bootstraps(), 64 + 7 * 5 * 16);
-        let (_, naive_report) = simplify(&naive);
-        assert!(
-            naive_report.bootstraps_after < naive_report.bootstraps_before,
-            "the simplifier must fold the trivial-zero columns"
-        );
-        assert!(
-            !naive_report.exact,
-            "folding bootstrapped gates on constants is not bit-exact"
-        );
-
-        // The shipped lowering skips those columns at build time instead:
-        // the simplifier finds nothing to fold or share in it — only adder
-        // cells to fuse — and ends no higher than where it gets from the
-        // naive netlist.
-        let shipped = netlist::mul(8);
-        let (_, report) = simplify(&shipped);
-        assert_eq!(report.bootstraps_before, 320);
-        assert_eq!((report.folded_constants, report.deduplicated), (0, 0));
-        assert!(report.bootstraps_after <= naive_report.bootstraps_after);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! accumulator, so positions below the window pass through, the window
 //! start takes a half adder, positions past the known accumulator take a
 //! half adder on (partial, carry), and the carry lands one past the window
-//! for free. An 8×8 multiply is 320 bootstraps this way instead of the 624
-//! a naive zero-extended ripple chain would spend.
+//! for free. An 8×8 multiply is 320 bootstraps this way.
 
 use crate::netlist;
 use crate::word::EncryptedWord;

@@ -20,11 +20,13 @@
 //! the word-level [`WordNetlist`] builder: words of [`NetBit`] wires
 //! ([`NetWord`], LSB first), per-bit gate application, ripple chains, mux
 //! layers and reduction trees. Builder-known constants stay symbolic
-//! ([`NetBit::Const`]) until a gate actually consumes them, and the
-//! `fold_*` helpers fold gates on constant operands away entirely — that is
-//! how [`mul`] skips the constant-zero partial-product columns of the
-//! schoolbook multiply instead of pushing trivial zeros through full
-//! adders.
+//! ([`NetBit::Const`]), and every gate is restricted to its non-constant
+//! operands as it is emitted — by [`GateOp::restrict`], the rule
+//! [`simplify`](matcha_tfhe::analyze::simplify) folds by — so no lowering
+//! submits a gate on a constant for admission to fold: the adders' constant
+//! carry-ins cost their first full adder two or three gates, and [`mul`]
+//! skips the constant-zero partial-product columns of the schoolbook
+//! multiply instead of pushing trivial zeros through full adders.
 //!
 //! Input-slot conventions (all words LSB first):
 //!
@@ -48,15 +50,14 @@
 //!   [`CycleInstruction::CMov`]; outputs are the *entire* new register
 //!   file in order (non-destination registers pass through).
 
-use matcha_tfhe::circuit::CircuitNetlist;
+use matcha_tfhe::circuit::{CircuitNetlist, GateOp, Restricted};
 use matcha_tfhe::Gate;
 
 /// One wire of a [`WordNetlist`] under construction.
 ///
-/// Constants stay symbolic until something actually consumes them: a
-/// `Const` wire owns no netlist node, and the `fold_*` builder methods
-/// eliminate gates whose operands are `Const` outright. Only when a
-/// constant reaches a raw gate or an output is a (pooled) trivial node
+/// Constants stay symbolic: a `Const` wire owns no netlist node, and the
+/// builder restricts every gate that reads one to its other operands. Only
+/// when a constant reaches an output is a (pooled) trivial node
 /// materialized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetBit {
@@ -73,16 +74,9 @@ pub struct NetWord {
 }
 
 impl NetWord {
-    /// Wraps raw wires (LSB first) as a word.
-    pub fn from_bits(bits: Vec<NetBit>) -> Self {
+    /// Wraps wires (LSB first) as a word.
+    fn from_bits(bits: Vec<NetBit>) -> Self {
         Self { bits }
-    }
-
-    /// An all-constant-zero word of `width` bits (no netlist nodes).
-    pub fn zeros(width: usize) -> Self {
-        Self {
-            bits: vec![NetBit::Const(false); width],
-        }
     }
 
     /// Word width in bits.
@@ -111,22 +105,14 @@ impl std::ops::Index<usize> for NetWord {
 /// chains, word muxes, selection trees and reduction trees — so lowerings
 /// read like arithmetic instead of hand-threaded node indices.
 ///
-/// Two tiers of gate emission:
-///
-/// * **raw** ([`gate`](Self::gate), [`mux`](Self::mux),
-///   [`ripple_add`](Self::ripple_add), …) always emits the bootstrapped
-///   gate, materializing constant operands as pooled trivial nodes, even
-///   where that spends bootstraps on known bits (e.g. the adder's trivial
-///   carry-in). This fixes the lowered shape: the gates the word-level
-///   functions run, and what [`simplify`](matcha_tfhe::analyze::simplify)
-///   and the pinned lowered → fused → riding count table start from.
-/// * **fold** ([`fold_gate`](Self::fold_gate), [`fold_mux`](Self::fold_mux),
-///   [`fold_ripple_add`](Self::fold_ripple_add), …) constant-folds at
-///   build time: gates with two known operands become constants, gates
-///   with one known operand collapse to an alias, a free NOT, or a
-///   constant, and muxes with a constant arm drop to a single AND/OR-form
-///   bootstrap. Use these where a lowering never needs the known bits at
-///   all (e.g. zero-extension columns in the multiplier).
+/// One tier of emission: every gate and mux is restricted to its
+/// non-constant operands as it is emitted ([`GateOp::restrict`], the rule
+/// [`simplify`](matcha_tfhe::analyze::simplify) folds by). A gate on two
+/// known bits is a constant, one on a single known bit an alias, a free
+/// `NOT` or a constant, a mux with a known selector its arm and one with a
+/// known arm a single AND/OR-form bootstrap. So a constant never reaches a
+/// bootstrapped gate: the adder's constant carry-in and the multiplier's
+/// zero-extension columns cost what the live bits do and nothing more.
 pub struct WordNetlist {
     net: CircuitNetlist,
     /// Pooled trivial-false / trivial-true nodes, created on first use so
@@ -167,7 +153,7 @@ impl WordNetlist {
     }
 
     /// Adds one input slot and returns its wire.
-    pub fn input_bit(&mut self) -> NetBit {
+    fn input_bit(&mut self) -> NetBit {
         NetBit::Node(self.net.input())
     }
 
@@ -181,79 +167,54 @@ impl WordNetlist {
         NetWord::from_bits((0..width).map(|_| self.input_bit()).collect())
     }
 
-    /// Emits a bootstrapped binary gate (constants are materialized).
-    pub fn gate(&mut self, gate: Gate, a: NetBit, b: NetBit) -> NetBit {
-        let a = self.materialize(a);
-        let b = self.materialize(b);
-        NetBit::Node(self.net.gate(gate, a, b))
+    /// Emits `op`, whose operands index `wires`, restricted to the wires
+    /// that are not constants.
+    fn emit(&mut self, op: GateOp, wires: &[NetBit]) -> NetBit {
+        let known = |i: usize| match wires[i] {
+            NetBit::Const(v) => Some(v),
+            NetBit::Node(_) => None,
+        };
+        let node = |i: usize| match wires[i] {
+            NetBit::Node(id) => id,
+            NetBit::Const(_) => unreachable!("a restricted op reads free operands only"),
+        };
+        match op.restrict(known) {
+            Restricted::Const(v) => NetBit::Const(v),
+            Restricted::Wire {
+                node,
+                negated: true,
+            } => self.not(wires[node]),
+            Restricted::Wire { node, .. } => wires[node],
+            Restricted::Op(GateOp::Binary(g, a, b)) => {
+                NetBit::Node(self.net.gate(g, node(a), node(b)))
+            }
+            Restricted::Op(GateOp::Mux { sel, a, b }) => {
+                NetBit::Node(self.net.mux(node(sel), node(a), node(b)))
+            }
+            Restricted::Op(op) => unreachable!("{op:?} restricted from a gate or a mux"),
+        }
+    }
+
+    /// A binary gate, restricted to its non-constant operands.
+    fn gate(&mut self, gate: Gate, a: NetBit, b: NetBit) -> NetBit {
+        self.emit(GateOp::Binary(gate, 0, 1), &[a, b])
     }
 
     /// A free NOT: folds constants, emits a transparent NOT node otherwise.
-    pub fn not(&mut self, a: NetBit) -> NetBit {
+    fn not(&mut self, a: NetBit) -> NetBit {
         match a {
             NetBit::Const(v) => NetBit::Const(!v),
             NetBit::Node(id) => NetBit::Node(self.net.not(id)),
         }
     }
 
-    /// Emits a two-bootstrap MUX, `sel ? a : b` (constants materialized).
-    pub fn mux(&mut self, sel: NetBit, a: NetBit, b: NetBit) -> NetBit {
-        let sel = self.materialize(sel);
-        let a = self.materialize(a);
-        let b = self.materialize(b);
-        NetBit::Node(self.net.mux(sel, a, b))
+    /// `sel ? a : b`, restricted to its non-constant operands: two
+    /// bootstraps on three free wires.
+    fn mux(&mut self, sel: NetBit, a: NetBit, b: NetBit) -> NetBit {
+        self.emit(GateOp::Mux { sel: 0, a: 1, b: 2 }, &[sel, a, b])
     }
 
-    /// A binary gate with build-time constant folding: two known operands
-    /// evaluate to a constant, one known operand collapses the gate to an
-    /// alias, a free NOT, or a constant (via the gate's truth table). Only
-    /// gates on two live wires bootstrap.
-    pub fn fold_gate(&mut self, gate: Gate, a: NetBit, b: NetBit) -> NetBit {
-        match (a, b) {
-            (NetBit::Const(x), NetBit::Const(y)) => NetBit::Const(gate.eval(x, y)),
-            (NetBit::Const(x), NetBit::Node(_)) => {
-                match (gate.eval(x, false), gate.eval(x, true)) {
-                    (false, true) => b,
-                    (true, false) => self.not(b),
-                    (v, _) => NetBit::Const(v),
-                }
-            }
-            (NetBit::Node(_), NetBit::Const(y)) => {
-                match (gate.eval(false, y), gate.eval(true, y)) {
-                    (false, true) => a,
-                    (true, false) => self.not(a),
-                    (v, _) => NetBit::Const(v),
-                }
-            }
-            (NetBit::Node(_), NetBit::Node(_)) => self.gate(gate, a, b),
-        }
-    }
-
-    /// `sel ? a : b` with build-time folding: a known selector picks an
-    /// arm for free, a known arm drops the MUX to a single AND/OR-form
-    /// bootstrap, equal constant arms are free.
-    pub fn fold_mux(&mut self, sel: NetBit, a: NetBit, b: NetBit) -> NetBit {
-        match sel {
-            NetBit::Const(true) => a,
-            NetBit::Const(false) => b,
-            NetBit::Node(_) => match (a, b) {
-                (NetBit::Const(x), NetBit::Const(y)) if x == y => NetBit::Const(x),
-                (NetBit::Const(true), NetBit::Const(false)) => sel,
-                (NetBit::Const(false), NetBit::Const(true)) => self.not(sel),
-                // sel ? 0 : b  =  ¬sel ∧ b
-                (NetBit::Const(false), _) => self.gate(Gate::AndNY, sel, b),
-                // sel ? 1 : b  =  sel ∨ b
-                (NetBit::Const(true), _) => self.gate(Gate::Or, sel, b),
-                // sel ? a : 0  =  sel ∧ a
-                (_, NetBit::Const(false)) => self.gate(Gate::And, sel, a),
-                // sel ? a : 1  =  ¬sel ∨ a
-                (_, NetBit::Const(true)) => self.gate(Gate::OrNY, sel, a),
-                _ => self.mux(sel, a, b),
-            },
-        }
-    }
-
-    /// Applies `gate` bit-wise across two equal-width words (raw).
+    /// Applies `gate` bit-wise across two equal-width words.
     ///
     /// # Panics
     ///
@@ -268,21 +229,21 @@ impl WordNetlist {
     }
 
     /// Free bit-wise NOT of a word.
-    pub fn not_word(&mut self, a: &NetWord) -> NetWord {
+    fn not_word(&mut self, a: &NetWord) -> NetWord {
         NetWord::from_bits((0..a.width()).map(|i| self.not(a[i])).collect())
     }
 
-    /// One half adder (raw): `(sum, carry) = (a XOR b, a AND b)`.
-    pub fn half_add(&mut self, a: NetBit, b: NetBit) -> (NetBit, NetBit) {
+    /// One half adder: `(sum, carry) = (a XOR b, a AND b)`.
+    fn half_add(&mut self, a: NetBit, b: NetBit) -> (NetBit, NetBit) {
         let sum = self.gate(Gate::Xor, a, b);
         let carry = self.gate(Gate::And, a, b);
         (sum, carry)
     }
 
-    /// One full adder (raw): the 5-gate XOR/AND/OR form — `a ⊕ b`, the
-    /// sum, `a ∧ b`, `(a ⊕ b) ∧ cin`, the carry's OR, in that order;
-    /// returns `(sum, carry)`.
-    pub fn full_add(&mut self, a: NetBit, b: NetBit, cin: NetBit) -> (NetBit, NetBit) {
+    /// One full adder: the 5-gate XOR/AND/OR form — `a ⊕ b`, the sum,
+    /// `a ∧ b`, `(a ⊕ b) ∧ cin`, the carry's OR, in that order; returns
+    /// `(sum, carry)`. A known operand or carry leaves 3, 2, 1 or 0 of them.
+    fn full_add(&mut self, a: NetBit, b: NetBit, cin: NetBit) -> (NetBit, NetBit) {
         let axb = self.gate(Gate::Xor, a, b);
         let sum = self.gate(Gate::Xor, axb, cin);
         let and_ab = self.gate(Gate::And, a, b);
@@ -291,26 +252,13 @@ impl WordNetlist {
         (sum, carry)
     }
 
-    /// One full adder with constant folding: same gate order as
-    /// [`full_add`](Self::full_add), but every gate goes through
-    /// [`fold_gate`](Self::fold_gate), so positions where an operand or
-    /// the carry is known cost 2, 1 or 0 bootstraps instead of 5.
-    pub fn fold_full_add(&mut self, a: NetBit, b: NetBit, cin: NetBit) -> (NetBit, NetBit) {
-        let axb = self.fold_gate(Gate::Xor, a, b);
-        let sum = self.fold_gate(Gate::Xor, axb, cin);
-        let and_ab = self.fold_gate(Gate::And, a, b);
-        let and_cx = self.fold_gate(Gate::And, axb, cin);
-        let carry = self.fold_gate(Gate::Or, and_ab, and_cx);
-        (sum, carry)
-    }
-
-    /// A ripple-carry chain of raw [`full_add`](Self::full_add)s over two
+    /// A ripple-carry chain of [`full_add`](Self::full_add)s over two
     /// equal-width words; returns `(sums, carry_out)`.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ or the words are empty.
-    pub fn ripple_add(&mut self, a: &NetWord, b: &NetWord, carry_in: NetBit) -> (NetWord, NetBit) {
+    fn ripple_add(&mut self, a: &NetWord, b: &NetWord, carry_in: NetBit) -> (NetWord, NetBit) {
         assert_eq!(a.width(), b.width(), "word width mismatch");
         assert!(a.width() > 0, "empty operands");
         let mut carry = carry_in;
@@ -330,7 +278,7 @@ impl WordNetlist {
     /// # Panics
     ///
     /// Panics if the widths differ or the words are empty.
-    pub fn ripple_add_no_carry(&mut self, a: &NetWord, b: &NetWord, carry_in: NetBit) -> NetWord {
+    fn ripple_add_no_carry(&mut self, a: &NetWord, b: &NetWord, carry_in: NetBit) -> NetWord {
         assert_eq!(a.width(), b.width(), "word width mismatch");
         assert!(a.width() > 0, "empty operands");
         let top = a.width() - 1;
@@ -346,63 +294,12 @@ impl WordNetlist {
         NetWord::from_bits(sums)
     }
 
-    /// Constant-folding ripple-carry chain ([`fold_full_add`](Self::fold_full_add)
-    /// per position); returns `(sums, carry_out)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ or the words are empty.
-    pub fn fold_ripple_add(
-        &mut self,
-        a: &NetWord,
-        b: &NetWord,
-        carry_in: NetBit,
-    ) -> (NetWord, NetBit) {
-        assert_eq!(a.width(), b.width(), "word width mismatch");
-        assert!(a.width() > 0, "empty operands");
-        let mut carry = carry_in;
-        let mut sums = Vec::with_capacity(a.width());
-        for i in 0..a.width() {
-            let (sum, cout) = self.fold_full_add(a[i], b[i], carry);
-            sums.push(sum);
-            carry = cout;
-        }
-        (NetWord::from_bits(sums), carry)
-    }
-
-    /// Constant-folding ripple chain without a carry out (the top position
-    /// emits at most its two sum XORs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ or the words are empty.
-    pub fn fold_ripple_add_no_carry(
-        &mut self,
-        a: &NetWord,
-        b: &NetWord,
-        carry_in: NetBit,
-    ) -> NetWord {
-        assert_eq!(a.width(), b.width(), "word width mismatch");
-        assert!(a.width() > 0, "empty operands");
-        let top = a.width() - 1;
-        let mut carry = carry_in;
-        let mut sums = Vec::with_capacity(a.width());
-        for i in 0..top {
-            let (sum, cout) = self.fold_full_add(a[i], b[i], carry);
-            sums.push(sum);
-            carry = cout;
-        }
-        let axb = self.fold_gate(Gate::Xor, a[top], b[top]);
-        sums.push(self.fold_gate(Gate::Xor, axb, carry));
-        NetWord::from_bits(sums)
-    }
-
-    /// Word-wise `sel ? a : b` (raw muxes).
+    /// Word-wise `sel ? a : b`.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
-    pub fn mux_word(&mut self, sel: NetBit, a: &NetWord, b: &NetWord) -> NetWord {
+    fn mux_word(&mut self, sel: NetBit, a: &NetWord, b: &NetWord) -> NetWord {
         assert_eq!(a.width(), b.width(), "word width mismatch");
         NetWord::from_bits((0..a.width()).map(|i| self.mux(sel, a[i], b[i])).collect())
     }
@@ -415,7 +312,7 @@ impl WordNetlist {
     ///
     /// Panics unless `words.len() == 2^index.len()` and `words` is
     /// non-empty.
-    pub fn select_one_of(&mut self, index: &[NetBit], words: &[NetWord]) -> NetWord {
+    fn select_one_of(&mut self, index: &[NetBit], words: &[NetWord]) -> NetWord {
         assert!(!words.is_empty(), "empty selection");
         assert_eq!(
             words.len(),
@@ -439,7 +336,7 @@ impl WordNetlist {
     /// # Panics
     ///
     /// Panics if `bits` is empty.
-    pub fn and_reduce(&mut self, bits: &[NetBit]) -> NetBit {
+    fn and_reduce(&mut self, bits: &[NetBit]) -> NetBit {
         assert!(!bits.is_empty(), "empty reduction");
         let mut layer = bits.to_vec();
         while layer.len() > 1 {
@@ -456,7 +353,7 @@ impl WordNetlist {
     }
 
     /// Marks a wire as a circuit output (constants are materialized).
-    pub fn mark_output(&mut self, bit: NetBit) {
+    fn mark_output(&mut self, bit: NetBit) {
         let id = self.materialize(bit);
         self.net.mark_output(id);
     }
@@ -475,7 +372,8 @@ impl WordNetlist {
 }
 
 /// A `width`-bit ripple-carry adder, what [`adder::add`](crate::adder::add)
-/// runs: `5·width` bootstrapped gates with a trivial-false carry-in.
+/// runs: `5·width − 3` bootstrapped gates, the constant-false carry-in
+/// leaving the first position its XOR and AND.
 ///
 /// # Panics
 ///
@@ -494,8 +392,9 @@ pub fn ripple_adder(width: usize) -> CircuitNetlist {
 /// A `width`-bit two's-complement subtractor, what
 /// [`adder::sub`](crate::adder::sub) and the orderings in
 /// [`comparator`](crate::comparator) run: free `NOT` on every `b` bit,
-/// then a ripple add with a trivial-true carry-in. The final carry is `1`
-/// when `a ≥ b`.
+/// then a ripple add with a constant-true carry-in (the first position's
+/// sum a free `NOT`, its carry an OR: `5·width − 2` gates). The final carry
+/// is `1` when `a ≥ b`.
 ///
 /// # Panics
 ///
@@ -554,11 +453,11 @@ pub fn mux_tree(index_bits: usize, width: usize) -> CircuitNetlist {
 
 /// A full `width × width → 2·width` schoolbook multiplier, what
 /// [`multiplier::mul`](crate::multiplier::mul) runs: `width²`
-/// partial-product ANDs and `width−1` folded ripple adds. Constant-zero
+/// partial-product ANDs and `width−1` ripple adds. Constant-zero
 /// partial-product columns (the zero-extension outside each shifted
-/// window) never touch a full adder — the fold builder skips them at build time, so the netlist
-/// contains no trivial-zero arithmetic for [`simplify`](matcha_tfhe::analyze::simplify)
-/// to clean up.
+/// window) never touch a full adder — the builder restricts them away as
+/// it emits, so the netlist contains no trivial-zero arithmetic for
+/// [`simplify`](matcha_tfhe::analyze::simplify) to clean up.
 ///
 /// # Panics
 ///
@@ -592,7 +491,7 @@ pub fn mul(width: usize) -> CircuitNetlist {
                 })
                 .collect(),
         );
-        let (sums, _carry) = w.fold_ripple_add(&acc, &partial, NetBit::Const(false));
+        let (sums, _carry) = w.ripple_add(&acc, &partial, NetBit::Const(false));
         acc = sums;
     }
     w.mark_output_word(&acc);
@@ -625,7 +524,7 @@ pub fn mul_low(width: usize) -> CircuitNetlist {
                 })
                 .collect(),
         );
-        acc = w.fold_ripple_add_no_carry(&acc, &partial, NetBit::Const(false));
+        acc = w.ripple_add_no_carry(&acc, &partial, NetBit::Const(false));
     }
     w.mark_output_word(&acc);
     w.finish()
@@ -703,11 +602,11 @@ pub fn popcount(n_bits: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// One barrel-shifter level: where the shifted source bit exists, a MUX
-/// between shifted and unshifted; where the source is past the word (a
-/// known zero), the MUX collapses to `¬bit ∧ cur` — one bootstrap instead
-/// of two. `shifted_src(i)` returns the source position for output `i`,
-/// or `None` when the shift pulls in a zero.
+/// One barrel-shifter level: a MUX between shifted and unshifted bit; where
+/// the source is past the word (a known zero), the MUX restricts to
+/// `¬bit ∧ cur` — one bootstrap instead of two. `shifted_src(i)` returns
+/// the source position for output `i`, or `None` when the shift pulls in a
+/// zero.
 fn barrel_level(
     w: &mut WordNetlist,
     bit: NetBit,
@@ -716,10 +615,9 @@ fn barrel_level(
 ) -> NetWord {
     NetWord::from_bits(
         (0..cur.width())
-            .map(|i| match shifted_src(i) {
-                Some(src) => w.mux(bit, cur[src], cur[i]),
-                // bit ? 0 : cur[i]  =  ¬bit ∧ cur[i]
-                None => w.gate(Gate::AndNY, bit, cur[i]),
+            .map(|i| {
+                let shifted = shifted_src(i).map_or(NetBit::Const(false), |src| cur[src]);
+                w.mux(bit, shifted, cur[i])
             })
             .collect(),
     )
@@ -728,7 +626,7 @@ fn barrel_level(
 /// A `width`-bit left barrel shifter with an encrypted `amount_bits`-bit
 /// shift amount, what [`shifter::shl`](crate::shifter::shl) runs: one
 /// level per amount bit (LSB first); positions whose shifted source falls
-/// off the word use the collapsed one-bootstrap AND-with-NOT form.
+/// off the word restrict to the one-bootstrap AND-with-NOT form.
 /// Inputs: the amount bits, then the word.
 ///
 /// # Panics
@@ -751,7 +649,7 @@ pub fn shl(width: usize, amount_bits: usize) -> CircuitNetlist {
 /// A `width`-bit logical right barrel shifter with an encrypted
 /// `amount_bits`-bit shift amount, what
 /// [`shifter::shr`](crate::shifter::shr) runs; same level structure and
-/// collapsed zero-fill form as [`shl`]. Inputs: the amount bits, then the
+/// restricted zero-fill form as [`shl`]. Inputs: the amount bits, then the
 /// word.
 ///
 /// # Panics
@@ -865,23 +763,33 @@ mod tests {
     fn adder_shape_matches_eager_cost() {
         let net = ripple_adder(8);
         assert_eq!(net.num_inputs(), 16);
-        assert_eq!(net.bootstraps(), 5 * 8); // 5 gates per full adder
+        // 5 gates per full adder, but the constant-false carry-in leaves
+        // the first position its XOR (the sum) and AND (the carry).
+        assert_eq!(net.bootstraps(), 5 * 8 - 3);
         assert_eq!(net.outputs().len(), 9); // sum bits + carry
-        assert_eq!(net.schedule_skeleton().len(), 40);
+        assert_eq!(net.schedule_skeleton().len(), 37);
+        // Two waves a carry, and the first carry in the first wave.
+        assert_eq!(net.depth(), 2 * 8 - 1);
+        assert!(net
+            .ops()
+            .iter()
+            .all(|op| !matches!(op, GateOp::Constant(_))));
     }
 
     #[test]
     fn subtractor_shape() {
         let net = ripple_subtractor(4);
         assert_eq!(net.num_inputs(), 8);
-        // NOTs are free: bootstraps identical to the adder's.
-        assert_eq!(net.bootstraps(), 5 * 4);
+        // NOTs are free; the constant-true carry-in leaves the first
+        // position's sum a free NOT of its XOR and its carry an OR.
+        assert_eq!(net.bootstraps(), 5 * 4 - 2);
         assert_eq!(net.outputs().len(), 5);
         // …and transparent in the schedule skeleton…
-        assert_eq!(net.schedule_skeleton().len(), 20);
-        // …and in the wave structure: subtracting is exactly as deep as
-        // adding, because the executor resolves NOT inline between waves.
-        assert_eq!(net.depth(), ripple_adder(4).depth());
+        assert_eq!(net.schedule_skeleton().len(), 18);
+        // …and in the wave structure: the executor resolves NOT inline
+        // between waves, so only that OR makes subtracting one wave deeper
+        // than adding.
+        assert_eq!(net.depth(), ripple_adder(4).depth() + 1);
     }
 
     #[test]
@@ -916,66 +824,69 @@ mod tests {
     }
 
     #[test]
-    fn fold_gate_eliminates_constant_operands() {
+    fn gate_restricts_constant_operands_away() {
         let mut w = WordNetlist::new();
         let a = w.input_bit();
         // Both constant → constant, no node.
         assert_eq!(
-            w.fold_gate(Gate::And, NetBit::Const(true), NetBit::Const(false)),
+            w.gate(Gate::And, NetBit::Const(true), NetBit::Const(false)),
             NetBit::Const(false)
         );
         // Identity operand → alias.
-        assert_eq!(w.fold_gate(Gate::Xor, a, NetBit::Const(false)), a);
-        assert_eq!(w.fold_gate(Gate::And, NetBit::Const(true), a), a);
+        assert_eq!(w.gate(Gate::Xor, a, NetBit::Const(false)), a);
+        assert_eq!(w.gate(Gate::And, NetBit::Const(true), a), a);
         // Inverting operand → free NOT.
         assert!(matches!(
-            w.fold_gate(Gate::Xor, NetBit::Const(true), a),
+            w.gate(Gate::Xor, NetBit::Const(true), a),
             NetBit::Node(_)
         ));
         // Absorbing operand → constant.
         assert_eq!(
-            w.fold_gate(Gate::And, a, NetBit::Const(false)),
+            w.gate(Gate::And, a, NetBit::Const(false)),
             NetBit::Const(false)
         );
         assert_eq!(
-            w.fold_gate(Gate::Or, NetBit::Const(true), a),
+            w.gate(Gate::Or, NetBit::Const(true), a),
             NetBit::Const(true)
         );
         let net = w.finish();
-        assert_eq!(net.bootstraps(), 0, "no fold may bootstrap");
+        assert_eq!(net.bootstraps(), 0, "no restriction may bootstrap");
     }
 
     #[test]
-    fn fold_mux_collapses_constant_arms_to_one_bootstrap() {
+    fn mux_with_a_constant_arm_is_one_bootstrap() {
         let mut w = WordNetlist::new();
         let sel = w.input_bit();
         let a = w.input_bit();
-        assert_eq!(w.fold_mux(NetBit::Const(true), a, sel), a);
+        assert_eq!(w.mux(NetBit::Const(true), a, sel), a);
+        assert_eq!(w.mux(sel, NetBit::Const(true), NetBit::Const(false)), sel);
         assert_eq!(
-            w.fold_mux(sel, NetBit::Const(true), NetBit::Const(false)),
-            sel
+            w.mux(sel, NetBit::Const(true), NetBit::Const(true)),
+            NetBit::Const(true)
         );
-        let before = {
-            let mut probe = WordNetlist::new();
-            probe.input_bit();
-            probe.input_bit();
-            probe.finish().bootstraps()
-        };
-        assert_eq!(before, 0);
         // Each constant-arm form costs exactly one bootstrap.
-        w.fold_mux(sel, NetBit::Const(false), a);
-        w.fold_mux(sel, NetBit::Const(true), a);
-        w.fold_mux(sel, a, NetBit::Const(false));
-        w.fold_mux(sel, a, NetBit::Const(true));
+        w.mux(sel, NetBit::Const(false), a);
+        w.mux(sel, NetBit::Const(true), a);
+        w.mux(sel, a, NetBit::Const(false));
+        w.mux(sel, a, NetBit::Const(true));
         let net = w.finish();
         assert_eq!(net.bootstraps(), 4);
+        let gates = net.ops().iter().filter_map(|op| match op {
+            GateOp::Binary(g, ..) => Some(*g),
+            _ => None,
+        });
+        assert_eq!(
+            gates.collect::<Vec<_>>(),
+            [Gate::AndNY, Gate::Or, Gate::And, Gate::OrNY]
+        );
     }
 
     #[test]
-    fn fold_ripple_add_of_zero_word_is_free() {
+    fn adding_a_zero_word_is_free() {
         let mut w = WordNetlist::new();
         let a = w.input_word(4);
-        let (sums, carry) = w.fold_ripple_add(&a, &NetWord::zeros(4), NetBit::Const(false));
+        let zero = NetWord::from_bits(vec![NetBit::Const(false); 4]);
+        let (sums, carry) = w.ripple_add(&a, &zero, NetBit::Const(false));
         assert_eq!(sums.bits(), a.bits(), "x + 0 aliases x");
         assert_eq!(carry, NetBit::Const(false));
         assert_eq!(w.finish().bootstraps(), 0);
@@ -989,8 +900,8 @@ mod tests {
         assert_eq!(net.num_inputs(), 16);
         assert_eq!(net.outputs().len(), 16);
         assert_eq!(net.bootstraps(), 320);
-        // The fold builder never materialized a constant: every zero
-        // column was skipped at build time, not cleaned up afterwards.
+        // The builder never materialized a constant: every zero column was
+        // skipped at build time, not cleaned up afterwards.
         assert!(net
             .ops()
             .iter()
@@ -1016,9 +927,10 @@ mod tests {
         assert_eq!(net.num_inputs(), 2 + 16);
         assert_eq!(net.outputs().len(), 8);
         // Carry-free adder and subtractor chains (7 full adders + 2 sum
-        // XORs = 37 each), word-wise AND/XOR (8 each), and the 4-way
+        // XORs = 37 each, less the 3 and 2 gates their constant carry-ins
+        // restrict away), word-wise AND/XOR (8 each), and the 4-way
         // selection tree ((2+1) word-muxes × 8 bits × 2 bootstraps = 48).
-        assert_eq!(net.bootstraps(), 37 + 37 + 8 + 8 + 48);
+        assert_eq!(net.bootstraps(), 34 + 35 + 8 + 8 + 48);
     }
 
     #[test]

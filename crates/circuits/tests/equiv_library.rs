@@ -4,7 +4,8 @@
 //! included (BDD function identity per output), and to its plaintext
 //! arithmetic spec (exhaustive over all input assignments) — at the
 //! library's shapes and, in a width sweep, at every shape the word-level
-//! functions that run these lowerings are tested at. A deliberately
+//! functions that run these lowerings are tested at, where it must also
+//! leave `simplify` no constant to fold. A deliberately
 //! broken rewrite — a flipped XOR, a majority cone fused to the wrong gate,
 //! a sum riding on the wrong carry — must be refuted with a counterexample
 //! that replays, and the proofs must degrade to `Unknown` (never a wrong
@@ -19,7 +20,7 @@ use matcha_circuits::analysis::{
     adder_spec, alu_spec, eq_comparator_spec, library, library_specs, mul_low_spec, mul_spec,
     mux_tree_spec, popcount_spec, processor_cycle_spec, shl_spec, shr_spec, subtractor_spec,
 };
-use matcha_circuits::netlist::{self, CycleInstruction, NetBit, WordNetlist};
+use matcha_circuits::netlist::{self, CycleInstruction};
 use matcha_fft::F64Fft;
 use matcha_tfhe::analyze::equiv::{
     self, check_spec, check_with_words, eval_netlist, EquivBudget, Spec, Verdict,
@@ -28,8 +29,8 @@ use matcha_tfhe::analyze::DEFAULT_FAILURE_BUDGET;
 use matcha_tfhe::circuit::{CircuitNetlist, GateOp};
 use matcha_tfhe::server::{CircuitServer, RejectReason, RewritePass, ServerConfig};
 use matcha_tfhe::{
-    analyze, demote_sums, simplify, AnalysisPolicy, ClientKey, Gate, Gate3, ParameterSet,
-    ServerKey, SimplifyReport,
+    analyze, demote_sums, lint, simplify, AnalysisPolicy, ClientKey, Gate, Gate3, LintKind,
+    ParameterSet, ServerKey, SimplifyReport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +56,9 @@ fn every_library_entry_simplifies_to_a_proven_equivalent() {
     }
 }
 
-/// Proves `net` computes `spec` on every input assignment, every output.
+/// Proves `net` computes `spec` on every input assignment, every output,
+/// and that it submits no gate on a constant: nothing for `simplify` to
+/// fold, nothing for `lint` to call foldable.
 fn prove(name: &str, net: &CircuitNetlist, spec: &Spec) {
     let report = check_spec(net, spec, EquivBudget::default());
     assert!(
@@ -67,6 +70,11 @@ fn prove(name: &str, net: &CircuitNetlist, spec: &Spec) {
         net.outputs().len(),
         "{name}: every output proven"
     );
+    let foldable = lint(net)
+        .into_iter()
+        .find(|l| l.kind == LintKind::ConstantFoldable);
+    assert_eq!(foldable, None, "{name}: a gate on a constant");
+    assert_eq!(simplify(net).1.folded_constants, 0, "{name}: folds");
 }
 
 #[test]
@@ -79,8 +87,9 @@ fn every_library_entry_matches_its_plaintext_spec_on_all_inputs() {
 
 // The width sweep. The word-level functions (`adder::add`, `alu::execute`,
 // `Processor::step`, …) run these lowerings, so these proofs are their
-// reference: each lowering against its width-parameterised plaintext spec
-// at every shape the word-level tests run, with no bootstraps spent.
+// reference: each lowering against its width-parameterised plaintext spec,
+// and free of constant operands, at every shape the word-level tests run,
+// with no bootstraps spent.
 
 #[test]
 fn arithmetic_lowerings_match_their_specs_at_widths_1_to_5() {
@@ -170,9 +179,11 @@ enum Rung {
     Rejected,
 }
 
-/// Bootstraps and waves of every library lowering as lowered and as the
-/// fusion stage of `simplify` leaves it (`demote_sums` of the result: full
-/// adders as `XOR3` + `MAJ`, two-leaf cones as one gate), bootstraps with
+/// Bootstraps and waves of every library lowering as lowered (constant
+/// carry-ins restricted away: the adder's first position is its XOR and
+/// AND, the subtractor's its XOR, AND and their OR) and as the fusion stage of
+/// `simplify` leaves it (`demote_sums` of the result: full adders as
+/// `XOR3` + `MAJ`, two-leaf cones as one gate), bootstraps with
 /// every sum riding on its carry's bootstrap (the waves are the fused
 /// form's), and the rung of the admission ladder that certifies inside the
 /// default `2⁻²⁰` budget at the paper's parameters with unroll 2 and 3 (the
@@ -180,11 +191,11 @@ enum Rung {
 /// one wave where it was three, wherever one occurs — in the adder, the
 /// subtractor, the ALU's two chains, the multipliers' and the popcount's
 /// cells; the two-leaf cuts took the subtractor's and the ALU's first
-/// borrow from three gates to one (17 → 16 in 9 → 8 waves, 93 → 91 in
-/// 11 → 10); nothing else moves. A riding sum keeps its operands' noise, so
-/// where it feeds the next row's cells (multipliers, popcount) the whole
-/// netlist demotes even at unroll 2, and a sum with a carry among its
-/// operands misses the budget at unroll 3, where the adders run fused.
+/// borrow from two gates to one; nothing else moves. A riding sum keeps
+/// its operands' noise, so where it feeds the next row's cells
+/// (multipliers, popcount) the whole netlist demotes even at unroll 2, and
+/// a sum with a carry among its operands misses the budget at unroll 3,
+/// where the adders run fused.
 /// Where a cell's three operands are all bootstrapped the fused gates'
 /// bound misses it there too and admission runs the lowering as submitted
 /// — `mul8`'s own 320 decisions are over it before any rewrite.
@@ -229,36 +240,29 @@ fn fusion_count_table() {
     assert_eq!(
         table,
         vec![
-            ("adder8", [40, 17, 16, 8, 8], [Riding, Fused]),
-            ("subtractor8", [40, 17, 16, 8, 8], [Riding, Fused]),
+            ("adder8", [37, 15, 16, 8, 8], [Riding, Fused]),
+            ("subtractor8", [38, 16, 16, 8, 8], [Riding, Fused]),
             ("comparator8", [15, 4, 15, 4, 15], [Riding, Riding]),
             ("mux4x4", [24, 2, 24, 2, 24], [Riding, Riding]),
             ("mul8", [320, 40, 197, 21, 147], [Fused, Rejected]),
             ("mul_low8", [136, 24, 100, 13, 84], [Fused, Submitted]),
-            ("alu8", [138, 18, 91, 10, 71], [Riding, Fused]),
+            ("alu8", [133, 17, 91, 10, 71], [Riding, Fused]),
             ("popcount16", [63, 26, 41, 15, 29], [Fused, Submitted]),
             ("shifter8", [49, 4, 49, 4, 49], [Riding, Riding]),
-            ("processor_cycle8", [138, 18, 91, 10, 71], [Riding, Fused]),
+            ("processor_cycle8", [133, 17, 91, 10, 71], [Riding, Fused]),
         ]
     );
 }
 
-/// The benchmark's adder: what admission scheduled for `ripple_adder(4)`
-/// when `simplify` only folded (the constant carry-in gone: 17 bootstraps
-/// in 7 waves), when it fused (s₀ = XOR, c₁ = AND, then one XOR3 and one
-/// MAJ per bit: 8 in 4 waves of two) and what it schedules now — one cell
-/// per bit, the first with a constant carry-in, each bit a wave of one.
+/// The benchmark's adder: `ripple_adder(4)` as submitted (its constant
+/// carry-in restricted away as it is built: 17 bootstraps in 7 waves),
+/// fused (s₀ = XOR, c₁ = AND, then one XOR3 and one MAJ per bit: 8 in 4
+/// waves of two) and as admission schedules it — one cell per bit, the
+/// first with a constant carry-in, each bit a wave of one.
 #[test]
 fn adder4_as_admitted_is_four_bootstraps_in_four_waves() {
-    let mut w = WordNetlist::new();
-    let (a, b) = (w.input_word(4), w.input_word(4));
-    let (sums, carry) = w.fold_ripple_add(&a, &b, NetBit::Const(false));
-    w.mark_output_word(&sums);
-    w.mark_output(carry);
-    let folded = w.finish();
-    assert_eq!((folded.bootstraps(), folded.depth()), (17, 7));
-
     let lowered = netlist::ripple_adder(4);
+    assert_eq!((lowered.bootstraps(), lowered.depth()), (17, 7));
     let (admitted, report) = simplify(&lowered);
     assert_eq!((admitted.bootstraps(), admitted.depth()), (4, 4));
     assert_eq!((report.fused, report.riding), (6, 4));
@@ -287,7 +291,7 @@ fn adder4_as_admitted_is_four_bootstraps_in_four_waves() {
     let fused = demote_sums(&admitted);
     assert_eq!((fused.bootstraps(), fused.depth()), (8, 4));
     assert_eq!(widths(&fused), [2, 2, 2, 2]);
-    for other in [&folded, &lowered, &fused] {
+    for other in [&lowered, &fused] {
         let report = equiv::check(other, &admitted, EquivBudget::default());
         assert!(report.is_equivalent(), "{report}");
     }
@@ -398,7 +402,7 @@ fn a_sum_without_its_host_is_no_netlist_and_one_on_the_wrong_host_is_refuted() {
 /// budget runs the four cells; a budget between the riding netlist's bound
 /// and the other two's runs the eight fused gates, its sums demoted — each
 /// step counted, every sum decrypting. *This* netlist has no rung where
-/// the twenty gates run as submitted: on fresh operands they bound worse
+/// the seventeen gates run as submitted: on fresh operands they bound worse
 /// than the fused eight (their AND/OR decisions read two bootstrapped
 /// values where a fused gate reads one), so a budget the fused form misses
 /// turns the submission away before any rewrite is tried; that rung is

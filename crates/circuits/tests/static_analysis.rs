@@ -4,7 +4,7 @@
 //!
 //! Case counts are small where every gate in both the original and the
 //! simplified netlist is a full (TEST_FAST) bootstrap, large where the
-//! netlists are evaluated in plaintext.
+//! netlists are evaluated in plaintext or only linted.
 
 use matcha_circuits::analysis;
 use matcha_fft::F64Fft;
@@ -117,32 +117,6 @@ proptest! {
             }
         }
     }
-
-    /// The rewriter discharges every lint it claims to handle: no dead
-    /// nodes, foldable constants, double-NOTs, or duplicate gates survive
-    /// a round of simplification.
-    #[test]
-    fn simplified_netlists_are_free_of_rewritable_lints(
-        n_inputs in 1usize..4,
-        ops in prop::collection::vec(rand_op(), 3..12),
-        out_picks in prop::collection::vec(any::<u8>(), 1..4),
-    ) {
-        let net = build(n_inputs, &ops, &out_picks);
-        let (small, _) = simplify(&net);
-        for l in lint(&small) {
-            prop_assert!(
-                !matches!(
-                    l.kind,
-                    LintKind::DeadNode
-                        | LintKind::ConstantFoldable
-                        | LintKind::DoubleNot
-                        | LintKind::DuplicateGate
-                ),
-                "surviving lint {} on simplified netlist",
-                l
-            );
-        }
-    }
 }
 
 proptest! {
@@ -176,15 +150,47 @@ proptest! {
         prop_assert_eq!(demoted.bootstraps(), small.bootstraps() + report.riding);
         prop_assert!(equiv::check(&small, &demoted, EquivBudget::default()).is_equivalent());
     }
+
+    /// The rewriter discharges every lint it claims to handle: no dead
+    /// nodes, foldable constants, double-NOTs, or duplicate gates survive
+    /// a round of simplification.
+    #[test]
+    fn simplified_netlists_are_free_of_rewritable_lints(
+        n_inputs in 1usize..4,
+        ops in prop::collection::vec(rand_op(), 3..12),
+        out_picks in prop::collection::vec(any::<u8>(), 1..4),
+    ) {
+        let net = build(n_inputs, &ops, &out_picks);
+        let (small, _) = simplify(&net);
+        for l in lint(&small) {
+            prop_assert!(
+                !matches!(
+                    l.kind,
+                    LintKind::DeadNode
+                        | LintKind::ConstantFoldable
+                        | LintKind::DoubleNot
+                        | LintKind::DuplicateGate
+                ),
+                "surviving lint {} on simplified netlist",
+                l
+            );
+        }
+    }
 }
 
+/// Every library lowering is free of error-severity lints, and submits no
+/// gate on a constant: the builder restricts those away, so admission's
+/// `simplify` has nothing to fold.
 #[test]
 fn library_lowerings_are_lint_clean_at_error_severity() {
     for (name, net) in analysis::library() {
         let errors: Vec<_> = lint(&net)
             .into_iter()
-            .filter(|l| l.kind.severity() >= Severity::Error)
+            .filter(|l| {
+                l.kind.severity() >= Severity::Error || l.kind == LintKind::ConstantFoldable
+            })
             .collect();
         assert!(errors.is_empty(), "{name}: {errors:?}");
+        assert_eq!(simplify(&net).1.folded_constants, 0, "{name}");
     }
 }

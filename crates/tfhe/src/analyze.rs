@@ -44,7 +44,7 @@
 
 pub mod equiv;
 
-use crate::circuit::{cell_key, CircuitNetlist, GateOp};
+use crate::circuit::{cell_key, CircuitNetlist, GateOp, Restricted};
 use crate::gates::{Gate, Gate3, GateDesc};
 use crate::params::ParameterSet;
 use std::collections::HashMap;
@@ -686,73 +686,59 @@ impl Rewriter {
         }
     }
 
-    /// Emits (or aliases) `NOT a`, folding constants and collapsing
-    /// double negations. Both rewrites are bit-exact: the `false`/`true`
-    /// encodings are symmetric (±1/8), so negating a trivial constant is
-    /// the other trivial constant, and wrapping negation is an involution.
+    /// `NOT a`, through [`Rewriter::emit`].
     fn not(&mut self, a: usize) -> usize {
-        if let Some(v) = self.const_of(a) {
+        self.emit(GateOp::Not(a))
+    }
+
+    /// Emits (or aliases) an op over already-rewritten operands, restricted
+    /// to those that are not constants ([`GateOp::restrict`]): a constant,
+    /// an alias, a free `NOT` or a cheaper gate wherever one is, a `NOT` of a
+    /// `NOT` collapsed. Restricting a `NOT` is bit-exact — the `false`/`true`
+    /// encodings are symmetric (±1/8), and wrapping negation is an
+    /// involution — restricting a bootstrapped op is not: its output was a
+    /// fresh bootstrap.
+    fn emit(&mut self, op: GateOp) -> usize {
+        let restricted = op.restrict(|o| self.const_of(o));
+        if op
+            .operands()
+            .into_iter()
+            .flatten()
+            .any(|o| self.const_of(o).is_some())
+        {
             self.report.folded_constants += 1;
-            return self.constant(!v);
+            self.report.exact &= op.bootstraps() == 0;
         }
-        if let GateOp::Not(x) = self.mid.ops()[a] {
-            self.report.collapsed_nots += 1;
-            return x;
-        }
-        self.dedup_or(GateOp::Not(a))
-    }
-
-    /// Emits (or aliases) a binary gate with no constant operands.
-    fn gate(&mut self, g: Gate, a: usize, b: usize) -> usize {
-        self.dedup_or(GateOp::Binary(g, a, b))
-    }
-
-    /// A gate over already-rewritten operands, folded on whichever of them
-    /// are constants: its table restricted to the others is one two-input
-    /// gate, an alias, a free `NOT` or a constant.
-    fn fold(&mut self, op: GateOp) -> usize {
-        let (desc, operands) = op.gate().expect("only gates fold");
-        let constant = |o: usize| self.const_of(o);
-        let free: Vec<usize> = operands[..desc.arity]
-            .iter()
-            .copied()
-            .filter(|&o| constant(o).is_none())
-            .collect();
-        if free.len() == desc.arity {
-            return self.dedup_or(op);
-        }
-        // The table over the free operands in order, the constants in place.
-        let table = (0..1u8 << free.len()).fold(0u8, |table, row| {
-            let mut free_bits = (0..).map(|i| row >> i & 1 == 1);
-            let bits =
-                operands.map(|o| constant(o).unwrap_or_else(|| free_bits.next().expect("endless")));
-            table | u8::from(desc.eval(bits)) << row
-        });
-        match *free {
-            [a, b] => {
-                let gate = Gate::from_table(table)
-                    .expect("a symmetric gate with one operand fixed still reads the other two");
-                self.folded();
-                self.gate(gate, a, b)
-            }
-            [a] => self.fold_half(|x| table >> u8::from(x) & 1 == 1, a),
-            _ => {
-                self.folded();
-                self.constant(table & 1 == 1)
-            }
+        match restricted {
+            Restricted::Const(v) => self.constant(v),
+            Restricted::Wire {
+                node,
+                negated: false,
+            } => node,
+            Restricted::Wire {
+                node,
+                negated: true,
+            } => match self.mid.ops()[node] {
+                GateOp::Not(x) => {
+                    self.report.collapsed_nots += 1;
+                    x
+                }
+                _ => self.dedup_or(GateOp::Not(node)),
+            },
+            Restricted::Op(op) => self.dedup_or(op),
         }
     }
 
     /// The majority of an adder cell over already-rewritten operands: kept
     /// a three-input gate on one constant (a half adder's carry-in, which
-    /// [`Rewriter::fold`] would fold into an AND or an OR with nothing to
-    /// ride on), folded on more.
+    /// [`Rewriter::emit`] would restrict to an AND or an OR with nothing to
+    /// ride on), restricted on more.
     fn carry(&mut self, operands: [usize; 3]) -> usize {
         let [a, b, c] = operands;
         let op = GateOp::Ternary(Gate3::Maj, a, b, c);
         let constants = operands.iter().filter(|&&o| self.const_of(o).is_some());
         if constants.count() > 1 {
-            self.fold(op)
+            self.emit(op)
         } else {
             self.dedup_or(op)
         }
@@ -767,7 +753,7 @@ impl Rewriter {
         if self.seen.contains_key(&op) || self.mid.free_host(operands).is_ok() {
             self.dedup_or(op)
         } else {
-            self.fold(GateOp::Ternary(Gate3::Xor3, a, b, c))
+            self.emit(GateOp::Ternary(Gate3::Xor3, a, b, c))
         }
     }
 
@@ -802,26 +788,6 @@ impl Rewriter {
         self.seen.insert(op, id);
         id
     }
-
-    /// Records that a bootstrapped gate was folded away on constants.
-    fn folded(&mut self) {
-        self.report.folded_constants += 1;
-        self.report.exact = false;
-    }
-
-    /// Partial evaluation of a gate down to one non-constant operand:
-    /// `f` is the gate as a function of the remaining operand `other`.
-    /// The result is a constant, an alias, or a free `NOT` — never a
-    /// bootstrap. Not bit-exact: the original output was a freshly
-    /// bootstrapped ciphertext.
-    fn fold_half(&mut self, f: impl Fn(bool) -> bool, other: usize) -> usize {
-        self.folded();
-        match (f(false), f(true)) {
-            (v, w) if v == w => self.constant(v),
-            (false, true) => other,
-            _ => self.not(other),
-        }
-    }
 }
 
 /// The forward pass of [`simplify`]: `net` re-emitted op by op through the
@@ -853,7 +819,7 @@ fn rewrite(
                         *operand = rw.not(*operand);
                     }
                 }
-                rw.fold(fusion.gate.map_operands(|i| operands[i]))
+                rw.emit(fusion.gate.map_operands(|i| operands[i]))
             }
             (Some(Override::Carry(cell)), _) => {
                 let operands = rw.cell_operands(cell, &alias);
@@ -877,58 +843,11 @@ fn rewrite(
                 }
                 rw.constant(v)
             }
-            (None, GateOp::Not(a0)) => rw.not(alias[a0]),
             (None, GateOp::Ternary(_, a, b, c)) if net.rider_of(id).is_some_and(|s| live[s]) => {
                 rw.carry([alias[a], alias[b], alias[c]])
             }
-            (None, GateOp::Binary(..) | GateOp::Ternary(..)) => {
-                rw.fold(op.map_operands(|o| alias[o]))
-            }
             (None, GateOp::Sum(a, b, c)) => rw.sum([alias[a], alias[b], alias[c]]),
-            (None, GateOp::Mux { sel, a, b }) => {
-                let (s, a, b) = (alias[sel], alias[a], alias[b]);
-                if let Some(vs) = rw.const_of(s) {
-                    rw.folded();
-                    if vs {
-                        a
-                    } else {
-                        b
-                    }
-                } else if a == b {
-                    // Identical arms: linted, never rewritten — the mux's
-                    // bootstraps reset the arm's noise, which an alias of
-                    // the arm would not.
-                    rw.dedup_or(GateOp::Mux { sel: s, a, b })
-                } else {
-                    match (rw.const_of(a), rw.const_of(b)) {
-                        // Arms are pooled constants, distinct ⇒ differing
-                        // values: `sel ? v : !v` is `sel` or `NOT sel`.
-                        (Some(va), Some(_)) => {
-                            rw.folded();
-                            if va {
-                                s
-                            } else {
-                                rw.not(s)
-                            }
-                        }
-                        // `sel ? true : b` = `sel OR b`;
-                        // `sel ? false : b` = `¬sel AND b`.
-                        (Some(va), None) => {
-                            rw.folded();
-                            let g = if va { Gate::Or } else { Gate::AndNY };
-                            rw.gate(g, s, b)
-                        }
-                        // `sel ? a : true` = `¬sel OR a`;
-                        // `sel ? a : false` = `sel AND a`.
-                        (None, Some(vb)) => {
-                            rw.folded();
-                            let g = if vb { Gate::OrNY } else { Gate::And };
-                            rw.gate(g, s, a)
-                        }
-                        (None, None) => rw.dedup_or(GateOp::Mux { sel: s, a, b }),
-                    }
-                }
-            }
+            (None, _) => rw.emit(op.map_operands(|o| alias[o])),
         };
         alias.push(new_id);
     }
@@ -945,7 +864,8 @@ fn rewrite(
 /// * **Constant folding / partial evaluation** — gates, `NOT`s, and muxes
 ///   with constant operands become constants, aliases, free `NOT`s, or
 ///   (for one-constant-arm muxes and one-constant ternary gates) a single
-///   binary gate.
+///   binary gate — each op's [`GateOp::restrict`], the rule the circuit
+///   library's builder emits by.
 /// * **Double-`NOT` collapse** — `NOT(NOT(x))` aliases `x`.
 /// * **CSE** — structurally identical ops (up to operand order for the
 ///   six commutative gates, the ternary ones and sums) are computed once.
@@ -1785,6 +1705,19 @@ mod tests {
         let (s, r) = simplify(&net);
         assert!(r.exact);
         assert_eq!(s.bootstraps(), 2, "the noise reset stays");
+    }
+
+    #[test]
+    fn simplify_folds_a_mux_whose_arms_are_one_constant() {
+        let mut net = CircuitNetlist::new();
+        let sel = net.input();
+        let k = net.constant(true);
+        let m = net.mux(sel, k, k);
+        net.mark_output(m);
+        let (s, r) = simplify(&net);
+        assert_eq!((r.bootstraps_before, r.bootstraps_after), (2, 0));
+        assert_eq!(s.ops()[s.outputs()[0]], GateOp::Constant(true));
+        assert_eq!(kinds(&lint(&s)), [LintKind::UnusedInput], "nothing to fold");
     }
 
     /// `sum`, `carry` of `a + b + c` in the binary lowering: XOR, XOR, AND,

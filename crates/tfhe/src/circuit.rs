@@ -116,6 +116,73 @@ impl GateOp {
             _ => usize::from(self.gate().is_some()),
         }
     }
+
+    /// The op with the operands `value` knows substituted: [`eval`]
+    /// tabulated over the free operands, those the table ignores dropped.
+    /// No free operand left is a constant, one is that node or its free
+    /// `NOT`, two are the two-input [`Gate`] with that table. Three come
+    /// back as the op itself — so does a mux whose arms are one free node:
+    /// the bootstraps that reset the arm's noise would be skipped by an
+    /// alias of it. Sources and riding `Sum`s (computed by their host, not
+    /// on their own) come back as they are, a constant as its value.
+    ///
+    /// [`eval`]: Self::eval
+    pub fn restrict(&self, value: impl Fn(usize) -> Option<bool>) -> Restricted {
+        let arity = match *self {
+            GateOp::Constant(v) => return Restricted::Const(v),
+            GateOp::Input(_) | GateOp::Sum(..) => return Restricted::Op(*self),
+            GateOp::Not(_) => 1,
+            GateOp::Binary(..) => 2,
+            GateOp::Mux { .. } | GateOp::Ternary(..) => 3,
+        };
+        let operands = self.operands().map(|o| o.unwrap_or(0));
+        let known = operands.map(&value);
+        // The op's value with the free operands `vars[j]` at bit `j` of `row`.
+        let at = |vars: &[usize], row: usize| {
+            let mut bits = known.map(|k| k.unwrap_or(false));
+            for (j, &i) in vars.iter().enumerate() {
+                bits[i] = row >> j & 1 == 1;
+            }
+            self.eval(bits).expect("an op over operands has a value")
+        };
+        let free: Vec<usize> = (0..arity).filter(|&i| known[i].is_none()).collect();
+        let read: Vec<usize> = (0..free.len())
+            .filter(|&j| (0..1 << free.len()).any(|row| at(&free, row) != at(&free, row ^ 1 << j)))
+            .map(|j| free[j])
+            .collect();
+        let table = (0..1 << read.len()).fold(0u8, |t, row| t | u8::from(at(&read, row)) << row);
+        match *read {
+            [] => Restricted::Const(table & 1 == 1),
+            [i] => Restricted::Wire {
+                node: operands[i],
+                negated: table & 1 == 1,
+            },
+            [i, j] => {
+                let gate = Gate::from_table(table)
+                    .expect("every two-input table that reads both inputs is a gate");
+                Restricted::Op(GateOp::Binary(gate, operands[i], operands[j]))
+            }
+            _ => Restricted::Op(*self),
+        }
+    }
+}
+
+/// What an op is once some of its operands are known
+/// ([`GateOp::restrict`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Restricted {
+    /// A constant: the op reads none of its free operands.
+    Const(bool),
+    /// One operand node, or its free `NOT`.
+    Wire {
+        /// The operand node.
+        node: usize,
+        /// Whether the op is that node's negation.
+        negated: bool,
+    },
+    /// An op over free operands only, costing no more bootstraps than the
+    /// original.
+    Op(GateOp),
 }
 
 /// An executable netlist: a DAG of [`GateOp`]s with designated outputs.
@@ -1059,6 +1126,68 @@ mod tests {
         assert_eq!(skeleton[1], vec![0]);
         assert_eq!(skeleton[2], vec![1]); // mux's first bootstrap: sel=h(1), a=input
         assert_eq!(skeleton[3], vec![2, 1, 0]); // second: chained + sel + g
+    }
+
+    /// Every op form over nodes `0, 1, 2`, each node free, `false` or
+    /// `true`: the restriction computes the op on every assignment of the
+    /// free nodes, costs no more bootstraps, reads only free nodes, and is
+    /// an op only over two free nodes or more — a mux whose arms are one
+    /// free node coming back unchanged.
+    #[test]
+    fn restriction_law_holds_for_every_op_and_every_partial_assignment() {
+        let mut forms: Vec<GateOp> = Gate::ALL.map(|g| GateOp::Binary(g, 0, 1)).to_vec();
+        forms.extend(Gate3::ALL.map(|g| GateOp::Ternary(g, 0, 1, 2)));
+        forms.push(GateOp::Mux { sel: 0, a: 1, b: 2 });
+        forms.push(GateOp::Mux { sel: 0, a: 1, b: 1 });
+        forms.push(GateOp::Not(0));
+        for op in forms {
+            for states in 0..27 {
+                // Per node: 0 free, 1 false, 2 true.
+                let known = |node: usize| match states / 3usize.pow(node as u32) % 3 {
+                    0 => None,
+                    state => Some(state == 2),
+                };
+                let restricted = op.restrict(known);
+                let free: Vec<usize> = (0..3)
+                    .filter(|&n| op.operands().contains(&Some(n)) && known(n).is_none())
+                    .collect();
+                for row in 0..8usize {
+                    let bit = |n: usize| known(n).unwrap_or(row >> n & 1 == 1);
+                    let of = |o: &GateOp| o.operands().map(|x| x.is_some_and(bit));
+                    let want = op.eval(of(&op));
+                    let got = match restricted {
+                        Restricted::Const(v) => Some(v),
+                        Restricted::Wire { node, negated } => Some(bit(node) ^ negated),
+                        Restricted::Op(o) => o.eval(of(&o)),
+                    };
+                    assert_eq!(got, want, "{op:?} at states {states}, row {row}");
+                }
+                let (cost, reads) = match restricted {
+                    Restricted::Const(_) => (0, vec![]),
+                    Restricted::Wire { node, .. } => (0, vec![node]),
+                    Restricted::Op(o) => {
+                        (o.bootstraps(), o.operands().into_iter().flatten().collect())
+                    }
+                };
+                assert!(cost <= op.bootstraps(), "{op:?} → {restricted:?}");
+                for n in reads {
+                    assert!(
+                        free.contains(&n),
+                        "{op:?} → {restricted:?} reads a constant"
+                    );
+                }
+                if let Restricted::Op(o) = restricted {
+                    assert!(free.len() >= 2, "{op:?} → {o:?} over {free:?}");
+                }
+                if matches!(op, GateOp::Mux { a, b, .. } if a == b) && free.len() == 2 {
+                    assert_eq!(
+                        restricted,
+                        Restricted::Op(op),
+                        "the arm's noise reset stays"
+                    );
+                }
+            }
+        }
     }
 
     /// A two-bit adder as admission schedules it: a half-adder cell (its

@@ -664,11 +664,6 @@ impl<E: FftEngine> ServerKey<E> {
         self.apply(Gate::Xor, a, b)
     }
 
-    /// Logical XNOR.
-    pub fn xnor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.apply(Gate::Xnor, a, b)
-    }
-
     /// Logical NOT — a free negation, no bootstrap (paper §5: "NOT has no
     /// bootstrapping at all").
     pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {

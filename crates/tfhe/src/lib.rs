@@ -58,7 +58,6 @@ pub mod batch;
 pub mod bku;
 pub mod bootstrap;
 pub mod circuit;
-pub mod cmux;
 pub mod codec;
 pub mod encode;
 pub mod faults;

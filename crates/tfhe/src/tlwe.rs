@@ -113,13 +113,6 @@ impl TrlweCiphertext {
         self.b -= &other.b;
     }
 
-    /// `SampleExtract` at index 0: the LWE encryption (under the extracted
-    /// key `s′ = KeyExtract(s″)`) of the constant coefficient of the
-    /// message polynomial.
-    pub fn sample_extract(&self) -> LweCiphertext {
-        self.sample_extract_at(0)
-    }
-
     /// `SampleExtract` at an arbitrary coefficient index: the LWE
     /// encryption (under the extracted key) of coefficient `index` of the
     /// message polynomial.
@@ -153,7 +146,9 @@ impl TrlweCiphertext {
         *body = self.b.coeffs()[index];
     }
 
-    /// `SampleExtract` at index 0 into a caller-owned ciphertext.
+    /// `SampleExtract` at index 0 into a caller-owned ciphertext: the LWE
+    /// encryption (under the extracted key `s′ = KeyExtract(s″)`) of the
+    /// constant coefficient of the message polynomial.
     pub fn sample_extract_into(&self, out: &mut LweCiphertext) {
         self.sample_extract_at_into(0, out);
     }
@@ -268,7 +263,8 @@ mod tests {
         let (key, engine, mut sampler) = setup();
         let mu = message(4);
         let c = TrlweCiphertext::encrypt(&mu, &key, 1e-9, &engine, &mut sampler);
-        let lwe = c.sample_extract();
+        let mut lwe = LweCiphertext::default();
+        c.sample_extract_into(&mut lwe);
         let extracted_key = key.extract_lwe_key();
         let phase = lwe.phase(&extracted_key);
         assert!(phase.signed_diff(mu.coeffs()[0]).abs() < 1e-4);
