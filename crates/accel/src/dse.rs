@@ -101,10 +101,10 @@ pub fn evaluate(cfg: &MatchaConfig, w: &WorkloadParams, unrolls: &[usize]) -> De
     }
 }
 
-/// Sweeps the whole space, sharding the candidate configurations over a
-/// pool of scoped worker threads (the `GateBatchPool` chunking pattern
-/// from `matcha_tfhe::batch`, dependency-free). Each worker writes into
-/// its own pre-split slice of the output, so the result order is
+/// Sweeps the whole space, sharding the candidate configurations over
+/// scoped worker threads: the configurations are cut into one contiguous
+/// chunk per worker, and each worker writes into its own pre-split slice
+/// of the output, so the result order is
 /// **deterministic** and identical to the sequential nested-loop order:
 /// pipelines outermost, then butterfly cores, then HBM bandwidth.
 ///

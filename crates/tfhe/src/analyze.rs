@@ -145,7 +145,7 @@ pub struct Lint {
 
 impl Lint {
     /// Shorthand for `self.kind.severity()`.
-    pub fn severity(&self) -> Severity {
+    pub(crate) fn severity(&self) -> Severity {
         self.kind.severity()
     }
 }
@@ -1008,12 +1008,12 @@ pub fn demote_sums(net: &CircuitNetlist) -> CircuitNetlist {
 ///   noise variance, every nonempty pattern is charged, digits are taken at
 ///   the worst-case magnitude `Bg/2`, and the gadget's `ℓ`-level
 ///   approximation contributes `(1 + N)·(2^{-ℓ·log Bg})²` per product.
-/// * **Key switch** ([`NoiseModel::v_key_switch`]) — digit multiples are
+/// * **Key switch** (`v_key_switch`) — digit multiples are
 ///   pre-encrypted (`KeySwitchKey` stores `v·s′_i/2^{(j+1)γ}` entries), so
 ///   each of the `N·t` digits subtracts exactly one fresh-noise sample;
 ///   rounding each coefficient to `t·γ` bits adds a half-step per
 ///   coefficient, all `N` charged.
-/// * **Mod switch** ([`NoiseModel::v_mod_switch`]) — rounding `n + 1`
+/// * **Mod switch** (`v_mod_switch`) — rounding `n + 1`
 ///   torus coefficients to multiples of `1/2N`, uniform within a step.
 ///
 /// A bootstrap switches its input first, so the key switch and the mod
@@ -1104,18 +1104,6 @@ impl NoiseModel {
         self.v_blind_rotate
     }
 
-    /// Worst-case variance added by one key switch (including its
-    /// decomposition rounding), charged to every bootstrap decision.
-    pub fn v_key_switch(&self) -> f64 {
-        self.v_key_switch
-    }
-
-    /// Worst-case variance of the mod-switch rounding, charged to every
-    /// bootstrap decision.
-    pub fn v_mod_switch(&self) -> f64 {
-        self.v_mod_switch
-    }
-
     /// Variance of a bootstrapped gate output: one blind rotation,
     /// extracted — independent of the inputs: the noise reset.
     pub fn v_bootstrapped(&self) -> f64 {
@@ -1133,7 +1121,7 @@ impl NoiseModel {
     /// `erfc(margin/σ√2)` for every useful margin (z ≳ 0.8), so the
     /// certificate stays a true upper bound. Zero variance means zero
     /// failure probability (trivial ciphertexts).
-    pub fn tail_bound(margin: f64, variance: f64) -> f64 {
+    fn tail_bound(margin: f64, variance: f64) -> f64 {
         if variance <= 0.0 {
             return 0.0;
         }
@@ -1155,7 +1143,7 @@ impl NoiseModel {
 
     /// Summed failure bound of a mux's two bootstrap decisions, one per
     /// lane: `AND(sel, a)` and `AND(¬sel, b)`.
-    pub fn mux_failure(&self, v_sel: f64, va: f64, vb: f64) -> f64 {
+    fn mux_failure(&self, v_sel: f64, va: f64, vb: f64) -> f64 {
         self.decision_failure(Gate::And.desc(), &[v_sel, va])
             + self.decision_failure(Gate::AndNY.desc(), &[v_sel, vb])
     }
@@ -1234,7 +1222,7 @@ pub struct NoiseReport {
 
 impl NoiseReport {
     /// The largest per-output failure bound (0 when nothing is marked).
-    pub fn max_failure_prob(&self) -> f64 {
+    pub(crate) fn max_failure_prob(&self) -> f64 {
         self.outputs
             .iter()
             .map(|o| o.failure_prob)
@@ -1383,11 +1371,6 @@ pub struct NetlistReport {
 }
 
 impl NetlistReport {
-    /// The severest lint severity present, if any lint fired.
-    pub fn worst_severity(&self) -> Option<Severity> {
-        self.lints.iter().map(Lint::severity).max()
-    }
-
     /// `true` when no lint at or above `deny` fired.
     pub fn is_clean(&self, deny: Severity) -> bool {
         self.lints.iter().all(|l| l.severity() < deny)
@@ -1395,7 +1378,7 @@ impl NetlistReport {
 
     /// The severest lint at or above `deny`, if any — what an admission
     /// policy rejects on.
-    pub fn worst_lint_at_least(&self, deny: Severity) -> Option<&Lint> {
+    pub(crate) fn worst_lint_at_least(&self, deny: Severity) -> Option<&Lint> {
         self.lints
             .iter()
             .filter(|l| l.severity() >= deny)
@@ -2035,7 +2018,7 @@ mod tests {
         let r = noise_report(&net, model);
         assert_eq!(r.node_variance[x], model.v_bootstrapped());
         let (fresh, reset) = (model.v_fresh(), model.v_bootstrapped());
-        let switches = model.v_key_switch() + model.v_mod_switch();
+        let switches = model.v_key_switch + model.v_mod_switch;
         let want = model.decrypt_failure(reset)
             + NoiseModel::tail_bound(0.125, 3.0 * fresh + switches)
             + NoiseModel::tail_bound(0.25, 4.0 * (reset + 2.0 * fresh) + switches);
@@ -2054,9 +2037,8 @@ mod tests {
     #[test]
     fn decision_failure_matches_the_hand_written_formulas() {
         let model = NoiseModel::new(&ParameterSet::MATCHA, 2);
-        let tail = |margin, v| {
-            NoiseModel::tail_bound(margin, v + model.v_key_switch() + model.v_mod_switch())
-        };
+        let tail =
+            |margin, v| NoiseModel::tail_bound(margin, v + model.v_key_switch + model.v_mod_switch);
         let grid = [
             0.0,
             1e-9,
@@ -2112,7 +2094,7 @@ mod tests {
         // the host's switched phase, and the client's decryption of what it
         // keeps.
         let shifted = 0.125 - 2.0 / (2.0 * p.ring_degree as f64);
-        let switched = 3.0 * fresh + model.v_key_switch() + model.v_mod_switch();
+        let switched = 3.0 * fresh + model.v_key_switch + model.v_mod_switch;
         let extractions = 2.0 * NoiseModel::tail_bound(shifted, switched);
         let want = model.decrypt_failure(kept) + extractions;
         let got = r.outputs[0].failure_prob;
@@ -2252,7 +2234,7 @@ mod tests {
         let net = half_adder();
         let report = analyze(&net, &ParameterSet::TEST_FAST, 2);
         assert!(report.is_clean(Severity::Info));
-        assert_eq!(report.worst_severity(), None);
+        assert_eq!(report.lints.iter().map(Lint::severity).max(), None);
         assert_eq!(report.cost.bootstraps, 2);
         assert_eq!(report.noise.outputs.len(), 2);
         assert!(report.max_failure_prob() < DEFAULT_FAILURE_BUDGET);
@@ -2276,7 +2258,10 @@ mod tests {
         warn.mark_output(g);
         let warn_report = analyze(&warn, &ParameterSet::TEST_FAST, 2);
         assert!(warn_report.worst_lint_at_least(policy.deny).is_none());
-        assert_eq!(warn_report.worst_severity(), Some(Severity::Warning));
+        assert_eq!(
+            warn_report.lints.iter().map(Lint::severity).max(),
+            Some(Severity::Warning)
+        );
     }
 
     #[test]
@@ -2345,7 +2330,6 @@ mod tests {
     fn model_variances_are_positive_and_ordered() {
         for p in [
             ParameterSet::MATCHA,
-            ParameterSet::TFHE_DEFAULT,
             ParameterSet::TEST_FAST,
             ParameterSet::TEST_MEDIUM,
         ] {
@@ -2353,8 +2337,8 @@ mod tests {
                 let m = NoiseModel::new(&p, unroll);
                 assert!(m.v_fresh() > 0.0);
                 assert!(m.v_blind_rotate() > 0.0);
-                assert!(m.v_key_switch() > 0.0);
-                assert!(m.v_mod_switch() > 0.0);
+                assert!(m.v_key_switch > 0.0);
+                assert!(m.v_mod_switch > 0.0);
                 assert!(m.v_mux_output() > m.v_bootstrapped());
             }
         }

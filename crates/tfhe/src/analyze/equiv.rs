@@ -139,7 +139,7 @@ pub struct Counterexample {
 }
 
 /// The widest word [`Counterexample`] rendering supports (a `u128`).
-pub const MAX_WORD_WIDTH: usize = 128;
+pub(crate) const MAX_WORD_WIDTH: usize = 128;
 
 /// Splits `n` bits into byte-sized words with a trailing remainder — the
 /// rendering fallback when no word structure is known.
@@ -180,7 +180,7 @@ impl Counterexample {
     }
 
     /// The assignment's words as values, LSB-first within each word.
-    pub fn words(&self) -> Vec<u128> {
+    pub(crate) fn words(&self) -> Vec<u128> {
         let mut out = Vec::with_capacity(self.widths.len());
         let mut offset = 0;
         for &w in &self.widths {
@@ -541,7 +541,7 @@ impl Bdd {
 /// position, then by slot — so operand words that meet early interleave
 /// (the order that keeps carry-chain BDDs small) and the order is a pure
 /// function of the netlist's structure.
-pub fn input_order(net: &CircuitNetlist) -> Vec<usize> {
+fn input_order(net: &CircuitNetlist) -> Vec<usize> {
     let n = net.num_inputs();
     // Earliest consumer per input slot: (consumer level, consumer node).
     let mut first_use = vec![(usize::MAX, usize::MAX); n];
@@ -744,12 +744,12 @@ impl Spec {
     }
 
     /// Total input bits the spec expects.
-    pub fn input_bits(&self) -> usize {
+    fn input_bits(&self) -> usize {
         self.input_widths.iter().map(|&w| w as usize).sum()
     }
 
     /// Evaluates the spec on one assignment.
-    pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
+    pub(crate) fn eval(&self, inputs: &[bool]) -> Vec<bool> {
         (self.eval)(inputs)
     }
 }

@@ -3,18 +3,14 @@
 //! The paper's throughput metric (Figure 10) assumes many independent
 //! gates in flight — MATCHA runs 8 bootstrapping pipelines that share one
 //! key stream, the GPU batches ciphertexts, and the CPU baseline uses its 8
-//! cores. This module is the software counterpart, in two forms over the
-//! one batched gate entry, [`ServerKey::apply_lanes_into`] (a wave of gates
-//! key-switched together, then carried through each key group together):
+//! cores. The software counterpart is [`GateBatchPool`]: workers that keep
+//! their warmed [`BootstrapScratch`] **alive across dispatches** — the
+//! analogue of MATCHA's eight always-resident bootstrapping pipelines —
+//! each running its share through the one batched gate entry,
+//! [`ServerKey::apply_lanes_into`] (a wave of gates key-switched together,
+//! then carried through each key group together).
 //!
-//! * [`run_gate_batch`] shards one batch over scoped workers, each calling
-//!   the batched entry on its share with a private
-//!   [`BootstrapScratch`];
-//! * [`GateBatchPool`] keeps workers (and their warmed scratches) **alive
-//!   across batches** — the software analogue of MATCHA's eight
-//!   always-resident bootstrapping pipelines.
-//!
-//! Pool tasks pass operands **by index** into a shared [`ValueSlab`]
+//! Tasks pass operands **by index** into a shared [`ValueSlab`]
 //! rather than cloning ciphertexts into every task: a [`SlabTask`] binds a
 //! [`GateTask`] (node indices only) to the slab it reads from and the slot
 //! it writes to, and one [`GateBatchPool::run_tasks`] dispatch may mix
@@ -34,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// A write-once slab of ciphertext values shared between a dispatcher and
 /// the pool workers — one slot per circuit node. Operands are passed **by
@@ -61,7 +56,7 @@ impl ValueSlab {
 
     /// A slab of `len` empty slots carrying a circuit `tag` — the key
     /// [`FaultPlan`] sites match on.
-    pub fn tagged(len: usize, tag: u64) -> Self {
+    pub(crate) fn tagged(len: usize, tag: u64) -> Self {
         Self {
             slots: (0..len).map(|_| OnceLock::new()).collect(),
             tag,
@@ -69,18 +64,8 @@ impl ValueSlab {
     }
 
     /// The circuit tag fault sites are keyed by.
-    pub fn tag(&self) -> u64 {
+    fn tag(&self) -> u64 {
         self.tag
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns `true` when the slab has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Stores the value of node `index`.
@@ -109,14 +94,8 @@ impl ValueSlab {
     }
 
     /// The value of node `index`, if already computed.
-    pub fn try_get(&self, index: usize) -> Option<&LweCiphertext> {
+    pub(crate) fn try_get(&self, index: usize) -> Option<&LweCiphertext> {
         self.slots[index].get()
-    }
-
-    /// Moves the value out of slot `index` (requires unique ownership of
-    /// the slab, i.e. after every worker dropped its handle).
-    pub fn take(&mut self, index: usize) -> Option<LweCiphertext> {
-        self.slots[index].take()
     }
 }
 
@@ -169,7 +148,7 @@ pub enum GateTask {
 
 impl GateTask {
     /// Blind rotations the task runs: the lanes it takes in a chunk.
-    pub fn lanes(&self) -> usize {
+    fn lanes(&self) -> usize {
         match self {
             GateTask::Binary { .. } | GateTask::Ternary { .. } | GateTask::Cell { .. } => 1,
             GateTask::Not { .. } => 0,
@@ -255,65 +234,6 @@ pub struct SlabTask {
     pub task: GateTask,
 }
 
-/// Per-batch outcome of [`GateBatchPool::run_tasks`]. Successes are not
-/// listed — a task that does not appear in `failures` has stored its
-/// result in its slab slot.
-#[derive(Clone, Debug)]
-pub struct DispatchResult {
-    /// `(batch index, panic message)` for every task that failed in a
-    /// worker, ascending by index. A task that panics on its own — bad
-    /// operands, its linear part — fails alone and the rest of the batch
-    /// still completes, so a dispatcher interleaving several circuits can
-    /// fault only the circuit that owns it; a panic in the loops a chunk
-    /// shares fails every task of that chunk, each listed here.
-    pub failures: Vec<(usize, String)>,
-    /// Wall-clock seconds for the whole batch.
-    pub elapsed_s: f64,
-    /// Worker threads serving the batch.
-    pub threads: usize,
-}
-
-/// The result of a batched run.
-#[derive(Clone, Debug)]
-pub struct BatchResult {
-    /// Gate outputs, in input order.
-    pub outputs: Vec<LweCiphertext>,
-    /// Wall-clock seconds for the whole batch.
-    pub elapsed_s: f64,
-    /// Achieved throughput in gates per second.
-    pub gates_per_second: f64,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
-impl BatchResult {
-    /// Throughput of `gates` outputs over `elapsed_s` seconds.
-    ///
-    /// Well-defined on the whole domain: an empty batch is 0 gates/s, and a
-    /// zero (or sub-tick) elapsed time — possible on coarse clocks when the
-    /// batch is trivially small — is clamped to one nanosecond, the
-    /// resolution of [`Instant`], so the result is finite ("at least this
-    /// fast") instead of `f64::INFINITY`.
-    pub fn throughput(gates: usize, elapsed_s: f64) -> f64 {
-        if gates == 0 {
-            0.0
-        } else {
-            gates as f64 / elapsed_s.max(1e-9)
-        }
-    }
-}
-
-fn finish_batch(outputs: Vec<LweCiphertext>, t0: Instant, threads: usize) -> BatchResult {
-    let elapsed_s = t0.elapsed().as_secs_f64();
-    let gates_per_second = BatchResult::throughput(outputs.len(), elapsed_s);
-    BatchResult {
-        outputs,
-        elapsed_s,
-        gates_per_second,
-        threads,
-    }
-}
-
 /// Renders a worker panic payload for re-raising on the submitter's thread.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -323,72 +243,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Evaluates the same two-input gate over a batch of independent operand
-/// pairs, sharded across `threads` scoped workers. Each worker owns one
-/// bootstrap scratch and runs its share through
-/// [`ServerKey::apply_lanes_into`], a wave of [`MAX_LANES`] gates at a time.
-///
-/// For repeated batches against the same key, prefer [`GateBatchPool`],
-/// which keeps workers and warmed scratches alive between calls.
-///
-/// # Panics
-///
-/// Panics if `threads` is 0.
-///
-/// # Examples
-///
-/// ```no_run
-/// use matcha_tfhe::{batch, ClientKey, Gate, ParameterSet, ServerKey};
-/// use matcha_fft::F64Fft;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
-/// let server = ServerKey::new(&client, F64Fft::new(1024), &mut rng);
-/// let pairs: Vec<_> = (0..16)
-///     .map(|i| (client.encrypt(i % 2 == 0), client.encrypt(i % 3 == 0)))
-///     .collect();
-/// let result = batch::run_gate_batch(&server, Gate::Nand, &pairs, 8);
-/// println!("{:.0} gates/s", result.gates_per_second);
-/// ```
-pub fn run_gate_batch<E>(
-    server: &ServerKey<E>,
-    gate: Gate,
-    pairs: &[(LweCiphertext, LweCiphertext)],
-    threads: usize,
-) -> BatchResult
-where
-    E: FftEngine + Sync,
-    E::Spectrum: Sync,
-{
-    assert!(threads > 0, "need at least one worker");
-    let t0 = Instant::now();
-    if pairs.is_empty() {
-        // No work: `pairs.chunks(0)` below would panic, and spawning
-        // workers for nothing is pointless. Report an empty batch.
-        return finish_batch(Vec::new(), t0, 0);
-    }
-    let threads = threads.min(pairs.len());
-    let share = pairs.len().div_ceil(threads);
-    let mut outputs = vec![LweCiphertext::default(); pairs.len()];
-
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [LweCiphertext] = &mut outputs;
-        for work in pairs.chunks(share) {
-            let (outs, rest) = remaining.split_at_mut(work.len());
-            remaining = rest;
-            scope.spawn(move || {
-                let gates: Vec<LaneGate<'_>> = work
-                    .iter()
-                    .map(|(a, b)| LaneGate::Binary { gate, a, b })
-                    .collect();
-                server.apply_lanes_into(&gates, outs, &mut server.make_scratch());
-            });
-        }
-    });
-    finish_batch(outputs, t0, threads)
 }
 
 /// One queued unit of pool work: a **chunk** of a dispatch — contiguous
@@ -424,7 +278,8 @@ struct InFlight {
 
 impl InFlight {
     /// Answers one task of the job. The receiver may have given up
-    /// (`run()` panicked); dropping the result is then the right behavior.
+    /// (`run_tasks` panicked); dropping the result is then the right
+    /// behavior.
     fn done(&self, index: usize, result: Result<(), String>) {
         if let Some(reply) = &self.reply {
             let _ = reply.send(Reply::Done(index, result));
@@ -449,14 +304,15 @@ impl Drop for InFlight {
 ///
 /// Workers are spawned once and hold their warmed
 /// [`BootstrapScratch`] across an
-/// arbitrary number of [`GateBatchPool::run`] calls; chunks of a dispatch
-/// are pulled from a shared queue. Dropping the pool shuts the workers
-/// down.
+/// arbitrary number of [`GateBatchPool::run_tasks`] calls; chunks of a
+/// dispatch are pulled from a shared queue. Dropping the pool shuts the
+/// workers down.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use matcha_tfhe::{batch::GateBatchPool, ClientKey, Gate, ParameterSet, ServerKey};
+/// use matcha_tfhe::{ClientKey, Gate, GateBatchPool, GateTask, ParameterSet, ServerKey};
+/// use matcha_tfhe::{SlabTask, ValueSlab};
 /// use matcha_fft::F64Fft;
 /// use rand::SeedableRng;
 /// use std::sync::Arc;
@@ -465,13 +321,19 @@ impl Drop for InFlight {
 /// let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
 /// let server = Arc::new(ServerKey::new(&client, F64Fft::new(1024), &mut rng));
 /// let pool = GateBatchPool::new(server, 8);
-/// let pairs: Vec<_> = (0..16)
-///     .map(|i| (client.encrypt(i % 2 == 0), client.encrypt(i % 3 == 0)))
-///     .collect();
-/// // Both batches reuse the same warmed workers.
-/// let nand = pool.run(Gate::Nand, &pairs);
-/// let xor = pool.run(Gate::Xor, &pairs);
-/// println!("{:.0} / {:.0} gates/s", nand.gates_per_second, xor.gates_per_second);
+/// // Slots 0 and 1 hold the operands, 2 and 3 receive a NAND and an XOR.
+/// let slab = Arc::new(ValueSlab::new(4));
+/// slab.set(0, client.encrypt_with(true, &mut rng));
+/// slab.set(1, client.encrypt_with(false, &mut rng));
+/// let tasks: Vec<SlabTask> = [(2, Gate::Nand), (3, Gate::Xor)]
+///     .map(|(node, gate)| SlabTask {
+///         slab: Arc::clone(&slab),
+///         node,
+///         task: GateTask::Binary { gate, a: 0, b: 1 },
+///     })
+///     .to_vec();
+/// assert!(pool.run_tasks(&tasks).is_empty(), "no task failed");
+/// assert!(client.decrypt(slab.get(2)) && client.decrypt(slab.get(3)));
 /// ```
 pub struct GateBatchPool<E>
 where
@@ -662,7 +524,11 @@ where
     /// # Panics
     ///
     /// Panics if `threads` is 0.
-    pub fn with_faults(server: Arc<ServerKey<E>>, threads: usize, faults: Arc<FaultPlan>) -> Self {
+    pub(crate) fn with_faults(
+        server: Arc<ServerKey<E>>,
+        threads: usize,
+        faults: Arc<FaultPlan>,
+    ) -> Self {
         Self::build(server, threads, Some(faults))
     }
 
@@ -691,7 +557,7 @@ where
 
     /// Workers respawned after dying outside the panic isolation.
     /// 0 in healthy operation.
-    pub fn restarts(&self) -> u64 {
+    pub(crate) fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
     }
 
@@ -715,61 +581,8 @@ where
     }
 
     /// The shared server key the workers evaluate under.
-    pub fn server(&self) -> &ServerKey<E> {
+    pub(crate) fn server(&self) -> &ServerKey<E> {
         &self.server
-    }
-
-    /// Evaluates `gate` over all pairs on the persistent workers, returning
-    /// outputs in input order. A convenience wrapper over
-    /// [`GateBatchPool::run_tasks`] for the homogeneous binary-gate case:
-    /// operands are staged into a throwaway [`ValueSlab`] and the outputs
-    /// moved back out of it.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on this thread, with the pool left healthy) if any job
-    /// panicked in a worker.
-    pub fn run(&self, gate: Gate, pairs: &[(LweCiphertext, LweCiphertext)]) -> BatchResult {
-        let t0 = Instant::now();
-        if pairs.is_empty() {
-            // Same contract as `run_gate_batch`: an empty batch is a valid
-            // request that produces an empty result, not a panic.
-            return finish_batch(Vec::new(), t0, 0);
-        }
-        let n = pairs.len();
-        // Slots 0..n hold the left operands, n..2n the right, 2n..3n the
-        // outputs.
-        let slab = ValueSlab::new(3 * n);
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            slab.set(i, a.clone());
-            slab.set(n + i, b.clone());
-        }
-        let slab = Arc::new(slab);
-        let batch: Vec<SlabTask> = (0..n)
-            .map(|i| SlabTask {
-                slab: Arc::clone(&slab),
-                node: 2 * n + i,
-                task: GateTask::Binary {
-                    gate,
-                    a: i,
-                    b: n + i,
-                },
-            })
-            .collect();
-        let dispatch = self.run_tasks(&batch);
-        // The batch has fully drained either way; re-raise the
-        // lowest-index failure so the panic is deterministic.
-        if let Some((index, msg)) = dispatch.failures.first() {
-            panic!("pool task {index} panicked in a worker: {msg}");
-        }
-        drop(batch);
-        let mut slab = Arc::try_unwrap(slab)
-            .ok()
-            .expect("batch drained: no worker still holds the slab");
-        let outputs: Vec<LweCiphertext> = (0..n)
-            .map(|i| slab.take(2 * n + i).expect("worker stored every output"))
-            .collect();
-        finish_batch(outputs, t0, self.threads)
     }
 
     /// Dispatches a heterogeneous batch — any mix of binary gates, free
@@ -793,8 +606,10 @@ where
     /// Operands must already be present in their slabs when the batch is
     /// dispatched — tasks within one batch must not depend on each other.
     ///
-    /// A task that panics in a worker on its own (e.g. mismatched operand
-    /// dimensions) is reported in [`DispatchResult::failures`] rather than
+    /// Returns `(batch index, panic message)` for every task that failed in
+    /// a worker, ascending by index; a task not listed has stored its
+    /// result in its slab slot. A task that panics in a worker on its own
+    /// (e.g. mismatched operand dimensions) is reported there rather than
     /// raised: workers survive, nothing is poisoned, the rest of its chunk
     /// and of the batch still completes, and the dispatcher decides which
     /// circuit the failure faults. Only a panic inside the loops a chunk
@@ -805,16 +620,12 @@ where
     /// respawns it on the spot and retries the lost chunk's tasks once on
     /// the healed pool; only a task lost twice is reported as a failure.
     /// The batch therefore still completes after any single worker death,
-    /// and every death has been counted in [`GateBatchPool::restarts`] by
-    /// the time this returns.
-    pub fn run_tasks(&self, tasks: &[SlabTask]) -> DispatchResult {
-        let t0 = Instant::now();
+    /// and every death has been counted in the pool's restart tally (what
+    /// [`SchedulerStats::restarts`](crate::server::SchedulerStats::restarts)
+    /// reports) by the time this returns.
+    pub fn run_tasks(&self, tasks: &[SlabTask]) -> Vec<(usize, String)> {
         if tasks.is_empty() {
-            return DispatchResult {
-                failures: Vec::new(),
-                elapsed_s: t0.elapsed().as_secs_f64(),
-                threads: 0,
-            };
+            return Vec::new();
         }
         let mut done = vec![false; tasks.len()];
         let mut failures: Vec<(usize, String)> = Vec::new();
@@ -836,11 +647,7 @@ where
             }
         }
         failures.sort_unstable_by_key(|&(index, _)| index);
-        DispatchResult {
-            failures,
-            elapsed_s: t0.elapsed().as_secs_f64(),
-            threads: self.threads,
-        }
+        failures
     }
 
     /// Cuts the tasks at `indices` into chunks, queues one job per chunk
@@ -908,13 +715,15 @@ mod tests {
     use super::*;
     use crate::params::ParameterSet;
     use crate::secret::ClientKey;
-    use matcha_fft::{ApproxIntFft, F64Fft};
+    use matcha_fft::F64Fft;
     use matcha_math::Torus32;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;
 
     type EncryptedPairs = Vec<(crate::LweCiphertext, crate::LweCiphertext)>;
+    /// What [`GateBatchPool::run_tasks`] returns.
+    type Failures = Vec<(usize, String)>;
 
     fn inputs(
         client: &ClientKey,
@@ -929,30 +738,45 @@ mod tests {
         (plain, enc)
     }
 
-    #[test]
-    fn batch_outputs_match_sequential() {
-        let mut rng = StdRng::seed_from_u64(81);
-        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = ServerKey::new(&client, F64Fft::new(256), &mut rng);
-        let (plain, enc) = inputs(&client, &mut rng, 10);
-        let result = run_gate_batch(&server, Gate::Nand, &enc, 4);
-        assert_eq!(result.outputs.len(), 10);
-        for ((a, b), out) in plain.iter().zip(result.outputs.iter()) {
-            assert_eq!(client.decrypt(out), !(a & b));
+    /// Stages `pairs` as a manual batch of `gate` on a tag-0 slab and
+    /// returns `(slab, tasks)`; output for pair `i` lands at node
+    /// `2 * len + i` — the node fault sites target.
+    fn staged_and_batch(gate: Gate, enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
+        let n = enc.len();
+        let slab = Arc::new(ValueSlab::new(3 * n));
+        for (i, (a, b)) in enc.iter().enumerate() {
+            slab.set(i, a.clone());
+            slab.set(n + i, b.clone());
         }
-        assert!(result.gates_per_second > 0.0);
+        let batch = (0..n)
+            .map(|i| SlabTask {
+                slab: Arc::clone(&slab),
+                node: 2 * n + i,
+                task: GateTask::Binary {
+                    gate,
+                    a: i,
+                    b: n + i,
+                },
+            })
+            .collect();
+        (slab, batch)
     }
 
-    #[test]
-    fn single_thread_equals_multi_thread_results() {
-        let mut rng = StdRng::seed_from_u64(82);
-        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = ServerKey::with_unrolling(&client, ApproxIntFft::new(256, 40), 2, &mut rng);
-        let (_, enc) = inputs(&client, &mut rng, 6);
-        let seq = run_gate_batch(&server, Gate::Xor, &enc, 1);
-        let par = run_gate_batch(&server, Gate::Xor, &enc, 3);
-        for (s, p) in seq.outputs.iter().zip(par.outputs.iter()) {
-            assert_eq!(client.decrypt(s), client.decrypt(p));
+    /// Dispatches `gate` over `enc` on `pool` and checks every output
+    /// against `want` on the plaintexts.
+    fn dispatch_and_check(
+        pool: &GateBatchPool<F64Fft>,
+        client: &ClientKey,
+        gate: Gate,
+        plain: &[(bool, bool)],
+        enc: &EncryptedPairs,
+    ) {
+        let (slab, batch) = staged_and_batch(gate, enc);
+        let failures = pool.run_tasks(&batch);
+        assert!(failures.is_empty(), "{failures:?}");
+        for (i, &(a, b)) in plain.iter().enumerate() {
+            let out = client.decrypt(slab.get(2 * enc.len() + i));
+            assert_eq!(out, gate.eval(a, b), "{gate:?}({a},{b})");
         }
     }
 
@@ -960,22 +784,21 @@ mod tests {
     fn more_threads_than_work_is_fine() {
         let mut rng = StdRng::seed_from_u64(83);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = ServerKey::new(&client, F64Fft::new(256), &mut rng);
-        let (_, enc) = inputs(&client, &mut rng, 2);
-        let result = run_gate_batch(&server, Gate::And, &enc, 16);
-        assert_eq!(result.outputs.len(), 2);
-        assert!(result.threads <= 2);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let (plain, enc) = inputs(&client, &mut rng, 2);
+        let pool = GateBatchPool::new(Arc::clone(&server), 8);
+        dispatch_and_check(&pool, &client, Gate::And, &plain, &enc);
+        assert_eq!(pool.threads(), 8);
     }
 
     #[test]
     fn empty_batch_returns_empty_result() {
         let mut rng = StdRng::seed_from_u64(88);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = ServerKey::new(&client, F64Fft::new(256), &mut rng);
-        let result = run_gate_batch(&server, Gate::Nand, &[], 4);
-        assert!(result.outputs.is_empty());
-        assert_eq!(result.threads, 0);
-        assert_eq!(result.gates_per_second, 0.0);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let pool = GateBatchPool::new(server, 2);
+        assert!(pool.run_tasks(&[]).is_empty());
+        assert_eq!(pool.restarts(), 0);
     }
 
     #[test]
@@ -984,15 +807,10 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let pool = GateBatchPool::new(Arc::clone(&server), 2);
-        let empty = pool.run(Gate::And, &[]);
-        assert!(empty.outputs.is_empty());
-        assert_eq!(empty.gates_per_second, 0.0);
+        assert!(pool.run_tasks(&[]).is_empty());
         // The pool is still usable for real work afterwards.
         let (plain, enc) = inputs(&client, &mut rng, 2);
-        let result = pool.run(Gate::And, &enc);
-        for ((a, b), out) in plain.iter().zip(result.outputs.iter()) {
-            assert_eq!(client.decrypt(out), a & b);
-        }
+        dispatch_and_check(&pool, &client, Gate::And, &plain, &enc);
     }
 
     #[test]
@@ -1000,8 +818,8 @@ mod tests {
     fn zero_threads_rejected() {
         let mut rng = StdRng::seed_from_u64(84);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = ServerKey::new(&client, F64Fft::new(256), &mut rng);
-        let _ = run_gate_batch(&server, Gate::And, &[], 0);
+        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
+        let _ = GateBatchPool::new(server, 0);
     }
 
     #[test]
@@ -1011,49 +829,10 @@ mod tests {
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 8);
         let pool = GateBatchPool::new(Arc::clone(&server), 3);
-        // Two batches over the same persistent workers.
-        let nand = pool.run(Gate::Nand, &enc);
-        let or = pool.run(Gate::Or, &enc);
-        for ((a, b), (n, o)) in plain.iter().zip(nand.outputs.iter().zip(or.outputs.iter())) {
-            assert_eq!(client.decrypt(n), !(a & b), "nand({a},{b})");
-            assert_eq!(client.decrypt(o), a | b, "or({a},{b})");
-        }
+        // Two dispatches over the same persistent workers.
+        dispatch_and_check(&pool, &client, Gate::Nand, &plain, &enc);
+        dispatch_and_check(&pool, &client, Gate::Or, &plain, &enc);
         assert_eq!(pool.threads(), 3);
-    }
-
-    #[test]
-    fn pool_matches_spawn_per_batch_outputs() {
-        let mut rng = StdRng::seed_from_u64(86);
-        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = Arc::new(ServerKey::with_unrolling(
-            &client,
-            F64Fft::new(256),
-            2,
-            &mut rng,
-        ));
-        let (_, enc) = inputs(&client, &mut rng, 5);
-        let pool = GateBatchPool::new(Arc::clone(&server), 2);
-        let pooled = pool.run(Gate::Xor, &enc);
-        let scoped = run_gate_batch(server.as_ref(), Gate::Xor, &enc, 2);
-        // Bootstrapping is deterministic given the same keys, so the two
-        // paths must agree exactly.
-        assert_eq!(pooled.outputs, scoped.outputs);
-    }
-
-    #[test]
-    fn throughput_zero_elapsed_is_finite() {
-        // Sub-tick batches clamp to the 1 ns Instant resolution instead of
-        // reporting f64::INFINITY.
-        let r = BatchResult::throughput(5, 0.0);
-        assert!(r.is_finite(), "zero-elapsed throughput must be finite");
-        assert_eq!(r, 5.0e9);
-        // Empty batches are 0 gates/s whatever the clock says.
-        assert_eq!(BatchResult::throughput(0, 0.0), 0.0);
-        assert_eq!(BatchResult::throughput(0, 1.0), 0.0);
-        // The ordinary case is untouched.
-        assert_eq!(BatchResult::throughput(10, 2.0), 5.0);
-        // Clamping is monotone: a faster batch never reports lower.
-        assert!(BatchResult::throughput(5, 1e-12) >= BatchResult::throughput(5, 1e-3));
     }
 
     #[test]
@@ -1061,9 +840,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(90);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let (_, enc) = inputs(&client, &mut rng, 3);
+        let (plain, enc) = inputs(&client, &mut rng, 3);
         let pool = GateBatchPool::new(Arc::clone(&server), 3);
-        let _ = pool.run(Gate::Or, &enc);
+        dispatch_and_check(&pool, &client, Gate::Or, &plain, &enc);
         drop(pool);
         // Every worker held a clone of the Arc; all of them having exited
         // (joined, not leaked or detached) leaves ours as the only one.
@@ -1079,24 +858,18 @@ mod tests {
         let (plain, enc) = inputs(&client, &mut rng, 4);
 
         // One malformed operand (wrong LWE dimension) makes its task panic
-        // inside a worker; the panic must be re-raised on this thread…
+        // inside a worker; the panic comes back as that task's failure…
         let mut bad = enc.clone();
         bad[1].0 = crate::LweCiphertext::trivial(Torus32::ZERO, 3);
-        let raised = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(Gate::And, &bad)));
-        let msg = panic_message(raised.expect_err("malformed batch must panic"));
-        assert!(
-            msg.contains("panicked in a worker"),
-            "panic must identify the failing task: {msg}"
-        );
+        let (_, batch) = staged_and_batch(Gate::And, &bad);
+        let failures = pool.run_tasks(&batch);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!(failures[0].0, 1, "the failure names the malformed task");
 
         // …while the workers stay alive and unpoisoned: the same pool runs
         // the healthy batch to completion, twice, with correct outputs.
         for _ in 0..2 {
-            let result = pool.run(Gate::And, &enc);
-            assert_eq!(result.outputs.len(), enc.len());
-            for ((a, b), out) in plain.iter().zip(result.outputs.iter()) {
-                assert_eq!(client.decrypt(out), a & b);
-            }
+            dispatch_and_check(&pool, &client, Gate::And, &plain, &enc);
         }
         drop(pool);
         assert_eq!(
@@ -1143,8 +916,8 @@ mod tests {
             })
             .collect();
         let expected = [false, true, false, true, true];
-        let result = pool.run_tasks(&batch);
-        assert!(result.failures.is_empty());
+        let failures = pool.run_tasks(&batch);
+        assert!(failures.is_empty());
         for (i, want) in expected.into_iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 + i)), want, "task {i}");
         }
@@ -1199,28 +972,20 @@ mod tests {
             task,
         })
         .collect();
-        let result = pool.run_tasks(&batch);
-        assert_eq!(result.failures.len(), 1, "exactly the bad task fails");
-        assert_eq!(result.failures[0].0, 1, "failure carries its batch index");
+        let failures = pool.run_tasks(&batch);
+        assert_eq!(failures.len(), 1, "exactly the bad task fails");
+        assert_eq!(failures[0].0, 1, "failure carries its batch index");
         assert!(!client.decrypt(slab.get(3)), "true AND false");
         assert!(slab.try_get(4).is_none(), "failed task stores nothing");
         assert!(client.decrypt(slab.get(5)), "true XOR false");
         // The pool survives for the next dispatch.
-        let healthy = pool.run(
-            Gate::And,
-            &[(
-                client.encrypt_with(true, &mut rng),
-                client.encrypt_with(true, &mut rng),
-            )],
-        );
-        assert!(client.decrypt(&healthy.outputs[0]));
+        let (plain, enc) = inputs(&client, &mut rng, 2);
+        dispatch_and_check(&pool, &client, Gate::And, &plain, &enc);
     }
 
     #[test]
     fn slab_set_twice_is_rejected() {
         let slab = ValueSlab::new(2);
-        assert_eq!(slab.len(), 2);
-        assert!(!slab.is_empty());
         slab.set(0, crate::LweCiphertext::trivial(Torus32::ZERO, 3));
         assert!(slab.try_get(0).is_some());
         assert!(slab.try_get(1).is_none());
@@ -1245,64 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn run_delegates_to_tasks_identically() {
-        let mut rng = StdRng::seed_from_u64(93);
-        let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-        let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let pool = GateBatchPool::new(Arc::clone(&server), 2);
-        let (_, enc) = inputs(&client, &mut rng, 5);
-        let via_run = pool.run(Gate::Xnor, &enc);
-        // The same batch staged by hand on an explicit slab.
-        let n = enc.len();
-        let slab = Arc::new(ValueSlab::new(3 * n));
-        for (i, (a, b)) in enc.iter().enumerate() {
-            slab.set(i, a.clone());
-            slab.set(n + i, b.clone());
-        }
-        let batch: Vec<SlabTask> = (0..n)
-            .map(|i| SlabTask {
-                slab: Arc::clone(&slab),
-                node: 2 * n + i,
-                task: GateTask::Binary {
-                    gate: Gate::Xnor,
-                    a: i,
-                    b: n + i,
-                },
-            })
-            .collect();
-        let dispatch = pool.run_tasks(&batch);
-        assert!(dispatch.failures.is_empty());
-        // Bootstrapping is deterministic given the keys: exact equality.
-        for (i, out) in via_run.outputs.iter().enumerate() {
-            assert_eq!(out, slab.get(2 * n + i), "task {i}");
-        }
-    }
-
-    /// Stages `pairs` as a manual `Gate::And` batch on a tag-0 slab and
-    /// returns `(slab, tasks)`; output for pair `i` lands at node
-    /// `2 * len + i` — the node fault sites target.
-    fn staged_and_batch(enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
-        let n = enc.len();
-        let slab = Arc::new(ValueSlab::new(3 * n));
-        for (i, (a, b)) in enc.iter().enumerate() {
-            slab.set(i, a.clone());
-            slab.set(n + i, b.clone());
-        }
-        let batch = (0..n)
-            .map(|i| SlabTask {
-                slab: Arc::clone(&slab),
-                node: 2 * n + i,
-                task: GateTask::Binary {
-                    gate: Gate::And,
-                    a: i,
-                    b: n + i,
-                },
-            })
-            .collect();
-        (slab, batch)
-    }
-
-    #[test]
     fn worker_death_heals_and_batch_completes() {
         // A scripted worker death mid-batch: the pool must notice the
         // lost reply, respawn the worker, retry the lost task, and still
@@ -1311,21 +1018,18 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 4);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len() + 1, FaultAction::KillWorker));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, Arc::clone(&plan));
-        let result = pool.run_tasks(&batch);
-        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        let failures = pool.run_tasks(&batch);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1, "exactly the killed worker respawned");
         assert!(plan.is_spent(), "the death fired");
         for (i, (a, b)) in plain.iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
         }
         // The healed pool keeps serving.
-        let again = pool.run(Gate::Or, &enc);
-        for ((a, b), out) in plain.iter().zip(again.outputs.iter()) {
-            assert_eq!(client.decrypt(out), a | b);
-        }
+        dispatch_and_check(&pool, &client, Gate::Or, &plain, &enc);
         drop(pool);
         assert_eq!(Arc::strong_count(&server), 1, "healed workers join too");
     }
@@ -1342,12 +1046,12 @@ mod tests {
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         // One worker: chunks of MAX_LANES, MAX_LANES and 2 tasks.
         let (plain, enc) = inputs(&client, &mut rng, 2 * MAX_LANES + 2);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         // Kill in the *first* chunk so the other two are still queued.
         let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len(), FaultAction::KillWorker));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, plan);
-        let result = pool.run_tasks(&batch);
-        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        let failures = pool.run_tasks(&batch);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1);
         for (i, (a, b)) in plain.iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
@@ -1363,7 +1067,7 @@ mod tests {
         action: FaultAction,
     ) -> (
         GateBatchPool<F64Fft>,
-        DispatchResult,
+        Failures,
         Vec<Option<LweCiphertext>>,
         Vec<LweCiphertext>,
     ) {
@@ -1371,24 +1075,24 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (_, enc) = inputs(&client, &mut rng, MAX_LANES);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         let plan = Arc::new(FaultPlan::new().inject(0, 2 * MAX_LANES + 7, action));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
-        let result = pool.run_tasks(&batch);
+        let failures = pool.run_tasks(&batch);
         assert!(plan.is_spent(), "the fault fired");
         let outputs = (0..MAX_LANES)
             .map(|i| slab.try_get(2 * MAX_LANES + i).cloned())
             .collect();
         let alone = enc.iter().map(|(a, b)| server.apply(Gate::And, a, b));
-        (pool, result, outputs, alone.collect())
+        (pool, failures, outputs, alone.collect())
     }
 
     #[test]
     fn panic_mid_chunk_fails_its_task_and_spares_its_fifteen_chunk_mates() {
-        let (pool, result, outputs, alone) = mid_chunk_fault(99, FaultAction::Panic);
-        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
-        assert_eq!(result.failures[0].0, 7);
-        assert!(result.failures[0].1.contains("injected fault"));
+        let (pool, failures, outputs, alone) = mid_chunk_fault(99, FaultAction::Panic);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!(failures[0].0, 7);
+        assert!(failures[0].1.contains("injected fault"));
         assert_eq!(pool.restarts(), 0, "a caught panic is not a death");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
             if i == 7 {
@@ -1403,8 +1107,8 @@ mod tests {
 
     #[test]
     fn kill_mid_chunk_loses_the_chunk_once_and_the_retry_completes_it() {
-        let (pool, result, outputs, alone) = mid_chunk_fault(100, FaultAction::KillWorker);
-        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        let (pool, failures, outputs, alone) = mid_chunk_fault(100, FaultAction::KillWorker);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1, "one death, one respawn");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
             assert_eq!(out.as_ref(), Some(want), "task {i}");
@@ -1414,8 +1118,8 @@ mod tests {
     #[test]
     fn delay_mid_chunk_completes_the_chunk() {
         let delay = FaultAction::Delay(Duration::from_millis(40));
-        let (pool, result, outputs, alone) = mid_chunk_fault(101, delay);
-        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        let (pool, failures, outputs, alone) = mid_chunk_fault(101, delay);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 0, "slow is not dead");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
             assert_eq!(out.as_ref(), Some(want), "task {i}");
@@ -1431,11 +1135,11 @@ mod tests {
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, mut enc) = inputs(&client, &mut rng, 5);
         enc[2].1 = LweCiphertext::trivial(Torus32::ZERO, 3);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         let pool = GateBatchPool::new(Arc::clone(&server), 1);
-        let result = pool.run_tasks(&batch);
-        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
-        assert_eq!(result.failures[0].0, 2);
+        let failures = pool.run_tasks(&batch);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!(failures[0].0, 2);
         for (i, (a, b)) in plain.iter().enumerate() {
             match slab.try_get(2 * enc.len() + i) {
                 Some(out) => assert_eq!(client.decrypt(out), a & b, "task {i}"),
@@ -1452,11 +1156,7 @@ mod tests {
         seed: u64,
         fault: Option<FaultAction>,
         malformed: bool,
-    ) -> (
-        DispatchResult,
-        Vec<Option<LweCiphertext>>,
-        Vec<LweCiphertext>,
-    ) {
+    ) -> (Failures, Vec<Option<LweCiphertext>>, Vec<LweCiphertext>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
@@ -1466,7 +1166,7 @@ mod tests {
             slab.set(slot, client.encrypt_with(slot != 1, &mut rng));
         }
         let reference = [
-            server.and(slab.get(0), slab.get(1)),
+            server.apply(Gate::And, slab.get(0), slab.get(1)),
             server.cell(slab.get(0), slab.get(1), slab.get(2))[0].clone(),
             server.cell(slab.get(0), slab.get(1), slab.get(2))[1].clone(),
             server.xor(slab.get(1), slab.get(2)),
@@ -1509,17 +1209,17 @@ mod tests {
             None => plan,
         });
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
-        let result = pool.run_tasks(&batch);
+        let failures = pool.run_tasks(&batch);
         assert!(plan.is_spent());
         let outputs = [(&slab, 3), (&cell_slab, 4), (&cell_slab, 5), (&slab, 6)]
             .map(|(slab, node)| slab.try_get(node).cloned());
-        (result, outputs.to_vec(), reference.to_vec())
+        (failures, outputs.to_vec(), reference.to_vec())
     }
 
     #[test]
     fn a_cell_task_stores_both_its_results() {
-        let (result, outputs, alone) = cell_mid_chunk(104, None, false);
-        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        let (failures, outputs, alone) = cell_mid_chunk(104, None, false);
+        assert!(failures.is_empty(), "{failures:?}");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
             assert_eq!(out.as_ref(), Some(want), "result {i}");
         }
@@ -1528,9 +1228,9 @@ mod tests {
     #[test]
     fn a_cell_that_fails_in_staging_stores_neither_result_and_spares_its_wave_mates() {
         for (fault, malformed) in [(Some(FaultAction::Panic), false), (None, true)] {
-            let (result, outputs, alone) = cell_mid_chunk(105, fault, malformed);
-            assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
-            assert_eq!(result.failures[0].0, 1, "the cell's batch index");
+            let (failures, outputs, alone) = cell_mid_chunk(105, fault, malformed);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert_eq!(failures[0].0, 1, "the cell's batch index");
             for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
                 if i == 1 || i == 2 {
                     assert!(out.is_none(), "neither the carry nor the sum is stored");
@@ -1556,7 +1256,7 @@ mod tests {
         let other_client = ClientKey::generate(small, &mut rng);
         let other = ServerKey::new(&other_client, F64Fft::new(128), &mut rng);
         let (_, enc) = inputs(&client, &mut rng, 3);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         let tasks: Vec<(usize, SlabTask)> = batch.into_iter().enumerate().collect();
         let mut replies = Vec::new();
         run_chunk(
@@ -1582,16 +1282,16 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 3);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len() + 2, FaultAction::Panic));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, plan);
-        let result = pool.run_tasks(&batch);
-        assert_eq!(result.failures.len(), 1);
-        assert_eq!(result.failures[0].0, 2);
+        let failures = pool.run_tasks(&batch);
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, 2);
         assert!(
-            result.failures[0].1.contains("injected fault"),
+            failures[0].1.contains("injected fault"),
             "{}",
-            result.failures[0].1
+            failures[0].1
         );
         assert_eq!(pool.restarts(), 0, "a caught panic is not a death");
         for (i, (a, b)) in plain.iter().enumerate().take(2) {
@@ -1606,7 +1306,7 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 2);
-        let (slab, batch) = staged_and_batch(&enc);
+        let (slab, batch) = staged_and_batch(Gate::And, &enc);
         // A slow task is not mistaken for a dead worker: however long the
         // drain waits, only a death notice triggers a respawn.
         let plan = Arc::new(FaultPlan::new().inject(
@@ -1615,8 +1315,8 @@ mod tests {
             FaultAction::Delay(Duration::from_millis(80)),
         ));
         let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, plan);
-        let result = pool.run_tasks(&batch);
-        assert!(result.failures.is_empty());
+        let failures = pool.run_tasks(&batch);
+        assert!(failures.is_empty());
         assert_eq!(pool.restarts(), 0, "slow is not dead");
         for (i, (a, b)) in plain.iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
@@ -1628,10 +1328,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(87);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let (_, enc) = inputs(&client, &mut rng, 2);
+        let (plain, enc) = inputs(&client, &mut rng, 2);
         {
             let pool = GateBatchPool::new(Arc::clone(&server), 2);
-            let _ = pool.run(Gate::And, &enc);
+            dispatch_and_check(&pool, &client, Gate::And, &plain, &enc);
         } // drop joins workers; reaching here without hanging is the test
     }
 }

@@ -183,7 +183,7 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
     }
 
     /// The unroll factor `m`.
-    pub fn unroll(&self) -> usize {
+    pub(crate) fn unroll(&self) -> usize {
         self.unroll
     }
 

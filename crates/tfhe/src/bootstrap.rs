@@ -71,7 +71,7 @@ impl<E: FftEngine> BootstrapKit<E> {
     }
 
     /// The BKU factor `m`.
-    pub fn unroll(&self) -> usize {
+    pub(crate) fn unroll(&self) -> usize {
         self.bk.unroll()
     }
 
@@ -147,7 +147,12 @@ impl<E: FftEngine> BootstrapKit<E> {
     /// # Panics
     ///
     /// Panics if fewer than `lanes` lanes were ever staged.
-    pub fn blind_rotate_lanes(&self, engine: &E, lanes: usize, scratch: &mut BootstrapScratch<E>) {
+    pub(crate) fn blind_rotate_lanes(
+        &self,
+        engine: &E,
+        lanes: usize,
+        scratch: &mut BootstrapScratch<E>,
+    ) {
         let two_n = self.params.two_n();
         let BootstrapScratch {
             ep,

@@ -70,7 +70,7 @@ impl GateOp {
     }
 
     /// The same op over renamed operands (`f` maps each operand node).
-    pub fn map_operands(&self, f: impl Fn(usize) -> usize) -> Self {
+    pub(crate) fn map_operands(&self, f: impl Fn(usize) -> usize) -> Self {
         match *self {
             GateOp::Input(_) | GateOp::Constant(_) => *self,
             GateOp::Binary(g, a, b) => GateOp::Binary(g, f(a), f(b)),
@@ -87,7 +87,7 @@ impl GateOp {
 
     /// A one-bootstrap gate's record and operands (those past the record's
     /// arity are `0` and mean nothing); `None` for every other op.
-    pub fn gate(&self) -> Option<(&'static GateDesc, [usize; 3])> {
+    pub(crate) fn gate(&self) -> Option<(&'static GateDesc, [usize; 3])> {
         match *self {
             GateOp::Binary(g, a, b) => Some((g.desc(), [a, b, 0])),
             GateOp::Ternary(g, a, b, c) => Some((g.desc(), [a, b, c])),
@@ -98,7 +98,7 @@ impl GateOp {
     /// The op's plaintext value given its operands' (`v[i]` is the bit of
     /// `self.operands()[i]`); `None` for an input, whose value comes from
     /// outside the netlist.
-    pub fn eval(&self, v: [bool; 3]) -> Option<bool> {
+    pub(crate) fn eval(&self, v: [bool; 3]) -> Option<bool> {
         Some(match *self {
             GateOp::Constant(c) => c,
             GateOp::Not(_) => !v[0],
@@ -117,16 +117,14 @@ impl GateOp {
         }
     }
 
-    /// The op with the operands `value` knows substituted: [`eval`]
-    /// tabulated over the free operands, those the table ignores dropped.
-    /// No free operand left is a constant, one is that node or its free
+    /// The op with the operands `value` knows substituted: its plaintext
+    /// evaluation tabulated over the free operands, those the table
+    /// ignores dropped. No free operand left is a constant, one is that node or its free
     /// `NOT`, two are the two-input [`Gate`] with that table. Three come
     /// back as the op itself — so does a mux whose arms are one free node:
     /// the bootstraps that reset the arm's noise would be skipped by an
     /// alias of it. Sources and riding `Sum`s (computed by their host, not
     /// on their own) come back as they are, a constant as its value.
-    ///
-    /// [`eval`]: Self::eval
     pub fn restrict(&self, value: impl Fn(usize) -> Option<bool>) -> Restricted {
         let arity = match *self {
             GateOp::Constant(v) => return Restricted::Const(v),
@@ -334,7 +332,7 @@ impl CircuitNetlist {
     /// sources (and free `NOT`s of sources), `1 + max(operand levels)`
     /// otherwise. The structural signal `analyze::equiv` derives its
     /// static BDD variable order from.
-    pub fn levels(&self) -> &[usize] {
+    pub(crate) fn levels(&self) -> &[usize] {
         &self.level
     }
 
@@ -604,7 +602,7 @@ impl CircuitNetlist {
     /// gates of a level run in parallel on the warmed workers with **no
     /// per-wave operand clones**. Free `NOT`s are resolved inline between
     /// waves (they never cost a dispatch or a wave barrier). This is the
-    /// solo-circuit driver over [`CircuitFrontier`]; the multi-circuit
+    /// solo-circuit driver of the frontier; the multi-circuit
     /// interleaving driver is [`CircuitServer`](crate::server::CircuitServer).
     ///
     /// # Panics
@@ -624,8 +622,7 @@ impl CircuitNetlist {
             batch.clear();
             frontier.take_ready(&mut batch);
             debug_assert!(!batch.is_empty(), "unfinished circuit must have ready work");
-            let dispatch = pool.run_tasks(&batch);
-            if let Some((index, msg)) = dispatch.failures.first() {
+            if let Some((index, msg)) = pool.run_tasks(&batch).first() {
                 panic!("pool task {index} panicked in a worker: {msg}");
             }
             for st in &batch {
@@ -727,7 +724,7 @@ impl CircuitNetlist {
 /// value lands, so chains of negations add no waves and no dispatches. Nor
 /// do `Sum`s: a majority that hosts one is dispatched as an adder cell, its
 /// worker stores both values, and the sum resolves with its host.
-pub struct CircuitFrontier {
+pub(crate) struct CircuitFrontier {
     net: Arc<CircuitNetlist>,
     slab: Arc<ValueSlab>,
     /// Operand slots (with multiplicity) not yet available, per node.
@@ -753,28 +750,10 @@ impl CircuitFrontier {
     /// # Panics
     ///
     /// Panics if `inputs.len() != net.num_inputs()`.
-    pub fn new<E: FftEngine>(
+    fn new<E: FftEngine>(
         net: Arc<CircuitNetlist>,
         server: &ServerKey<E>,
         inputs: &[LweCiphertext],
-    ) -> Self {
-        Self::with_tag(net, server, inputs, 0)
-    }
-
-    /// Like [`CircuitFrontier::new`], but tagging the run's slab with a
-    /// circuit identity (see [`ValueSlab::tagged`]) so scripted
-    /// [`FaultPlan`](crate::faults::FaultPlan) sites can address this
-    /// run's nodes deterministically. The server tags each admitted
-    /// circuit with its admission sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != net.num_inputs()`.
-    pub fn with_tag<E: FftEngine>(
-        net: Arc<CircuitNetlist>,
-        server: &ServerKey<E>,
-        inputs: &[LweCiphertext],
-        tag: u64,
     ) -> Self {
         assert_eq!(
             inputs.len(),
@@ -783,20 +762,22 @@ impl CircuitFrontier {
             net.inputs,
             inputs.len()
         );
-        Self::with_tag_from(net, server, tag, |slot| inputs[slot].clone())
+        Self::with_tag_from(net, server, 0, |slot| inputs[slot].clone())
     }
 
-    /// Like [`CircuitFrontier::with_tag`], but sourcing each input slot
-    /// from `fill` instead of cloning out of a slice — the wire-ingest
-    /// path: a packed TRLWE submission sample-extracts each bit in `fill`
-    /// and the resulting sample lands in the slab
-    /// directly, with no intermediate ciphertext vector or clone. `fill`
-    /// is called exactly once per input slot, in node order.
+    /// Starts a run whose slab is tagged `tag` (see [`ValueSlab::tagged`]):
+    /// scripted [`FaultPlan`](crate::faults::FaultPlan) sites address
+    /// nodes by it, and the server tags each admitted circuit with its
+    /// admission sequence number. Each input slot is sourced from `fill`
+    /// rather than cloned out of a slice — the wire-ingest path, where a
+    /// packed TRLWE submission sample-extracts each bit in `fill` straight
+    /// into the slab. `fill` is called exactly once per input slot, in
+    /// node order.
     ///
     /// # Panics
     ///
     /// Panics if `fill` panics (a malformed slot count surfaces there).
-    pub fn with_tag_from<E: FftEngine, F>(
+    pub(crate) fn with_tag_from<E: FftEngine, F>(
         net: Arc<CircuitNetlist>,
         server: &ServerKey<E>,
         tag: u64,
@@ -887,7 +868,7 @@ impl CircuitFrontier {
     /// taken. Ops taken here count as one wave of this circuit; they must
     /// each be [`CircuitFrontier::complete`]d once their worker has
     /// stored the result.
-    pub fn take_ready(&mut self, batch: &mut Vec<SlabTask>) -> usize {
+    pub(crate) fn take_ready(&mut self, batch: &mut Vec<SlabTask>) -> usize {
         let taken = self.ready.len();
         if taken > 0 {
             self.waves += 1;
@@ -925,7 +906,7 @@ impl CircuitFrontier {
     ///
     /// Panics if `node`'s value is not in the slab (completing a task
     /// whose worker failed) or it was never taken from the ready set.
-    pub fn complete(&mut self, node: usize) {
+    pub(crate) fn complete(&mut self, node: usize) {
         assert!(
             self.slab.try_get(node).is_some(),
             "completed node {node} has no value in the slab"
@@ -936,19 +917,8 @@ impl CircuitFrontier {
     }
 
     /// `true` once every bootstrapped op has completed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.remaining == 0
-    }
-
-    /// Bootstrapped ops currently ready to dispatch.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Bootstrapped ops not yet completed — the work an
-    /// [`CircuitFrontier::abandon`] call walks away from.
-    pub fn remaining_ops(&self) -> usize {
-        self.remaining
     }
 
     /// Tears the run down mid-flight (deadline expiry, cancellation,
@@ -962,7 +932,7 @@ impl CircuitFrontier {
     /// frontier's taken tasks are awaiting [`CircuitFrontier::complete`];
     /// abandoning with a dispatch outstanding merely wastes that wave's
     /// bootstraps, it cannot corrupt other circuits.
-    pub fn abandon(self) -> usize {
+    pub(crate) fn abandon(self) -> usize {
         self.remaining
     }
 
@@ -971,7 +941,7 @@ impl CircuitFrontier {
     /// # Panics
     ///
     /// Panics if the circuit is not [`CircuitFrontier::is_done`].
-    pub fn finish(self) -> CircuitRun {
+    pub(crate) fn finish(self) -> CircuitRun {
         assert!(self.is_done(), "circuit still has unfinished work");
         let outputs = self
             .net

@@ -18,11 +18,14 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use matcha_tfhe::encode::BucketEncoding;
+/// use matcha_tfhe::{encode::BucketEncoding, ClientKey, ParameterSet};
+/// use rand::SeedableRng;
 ///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+/// let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
 /// let enc = BucketEncoding::new(2); // messages 0..4
-/// let phase = enc.phase_of(3);
-/// assert_eq!(enc.decode_phase(phase), 3);
+/// let c = enc.encrypt(&client, 3, &mut rng);
+/// assert_eq!(enc.decrypt(&client, &c), 3);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketEncoding {
@@ -41,13 +44,8 @@ impl BucketEncoding {
     }
 
     /// Number of messages `2^bits`.
-    pub fn message_count(&self) -> u32 {
+    fn message_count(&self) -> u32 {
         1 << self.bits
-    }
-
-    /// Message bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
     }
 
     /// The phase encoding message `msg`: `(2·msg + 1)/2^{bits+2}`.
@@ -55,14 +53,15 @@ impl BucketEncoding {
     /// # Panics
     ///
     /// Panics if `msg ≥ 2^bits`.
-    pub fn phase_of(&self, msg: u32) -> Torus32 {
+    fn phase_of(&self, msg: u32) -> Torus32 {
         assert!(msg < self.message_count(), "message {msg} out of range");
         Torus32::from_dyadic((2 * msg + 1) as i64, self.bits + 2)
     }
 
     /// Half the bucket spacing: the noise magnitude that still decodes
     /// correctly.
-    pub fn noise_margin(&self) -> f64 {
+    #[cfg(test)]
+    fn noise_margin(&self) -> f64 {
         0.5 / (1u64 << (self.bits + 2)) as f64
     }
 
@@ -70,7 +69,7 @@ impl BucketEncoding {
     ///
     /// Phases outside the positive half circle clamp to the nearest edge
     /// bucket (they indicate a protocol error upstream).
-    pub fn decode_phase(&self, phase: Torus32) -> u32 {
+    fn decode_phase(&self, phase: Torus32) -> u32 {
         let x = phase.to_f64();
         let buckets = self.message_count() as f64;
         let idx = (x * 2.0 * buckets - 0.5).round();

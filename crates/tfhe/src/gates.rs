@@ -64,7 +64,7 @@ impl Gate {
     ];
 
     /// The gate's record.
-    pub const fn desc(self) -> &'static GateDesc {
+    pub(crate) const fn desc(self) -> &'static GateDesc {
         &RECORDS[self as usize]
     }
 
@@ -74,12 +74,12 @@ impl Gate {
     }
 
     /// The gate with this wire code, if there is one.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|g| g.desc().code == code)
     }
 
     /// The gate with this truth table (bit `a | b << 1`), if there is one.
-    pub fn from_table(table: u8) -> Option<Self> {
+    pub(crate) fn from_table(table: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|g| g.desc().table == table)
     }
 }
@@ -120,7 +120,7 @@ impl Gate3 {
     }
 
     /// The gate with this wire code, if there is one.
-    pub fn from_code(code: u8) -> Option<Self> {
+    pub(crate) fn from_code(code: u8) -> Option<Self> {
         Self::ALL.into_iter().find(|g| g.desc().code == code)
     }
 }
@@ -158,7 +158,7 @@ pub struct GateDesc {
 
 impl GateDesc {
     /// The output on the operand bits `bits[..arity]`.
-    pub fn eval(&self, bits: [bool; 3]) -> bool {
+    pub(crate) fn eval(&self, bits: [bool; 3]) -> bool {
         let row = (0..self.arity).fold(0, |row, i| row | u8::from(bits[i]) << i);
         self.table >> row & 1 == 1
     }
@@ -166,7 +166,7 @@ impl GateDesc {
     /// `true` when every operand has the same weight: permuting the
     /// operands leaves the linear part — hence the output ciphertext, bit
     /// for bit — unchanged.
-    pub fn commutative(&self) -> bool {
+    pub(crate) fn commutative(&self) -> bool {
         let weights = &self.weights[..self.arity];
         weights.iter().all(|&w| w == weights[0])
     }
@@ -288,12 +288,12 @@ pub enum LaneGate<'a> {
 
 impl LaneGate<'_> {
     /// Blind rotations the gate runs, i.e. lanes it occupies in a wave.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.staged().lanes()
     }
 
     /// Ciphertexts the gate writes: one, or a cell's two.
-    pub fn outputs(&self) -> usize {
+    pub(crate) fn outputs(&self) -> usize {
         self.staged().outputs()
     }
 
@@ -462,7 +462,7 @@ impl<E: FftEngine> ServerKey<E> {
     /// coefficient-major key switch of all of them
     /// ([`KeySwitchKey::switch_slice_into`](crate::KeySwitchKey::switch_slice_into)),
     /// then **one pass over the bootstrapping key** carrying every lane
-    /// through each key group ([`BootstrapKit::blind_rotate_lanes`]), and
+    /// through each key group (`BootstrapKit::blind_rotate_lanes`), and
     /// sample extraction straight into `outs` (with the mux and cell
     /// recombinations).
     /// Each gate's arithmetic is what a one-gate call does for it alone,
@@ -472,7 +472,7 @@ impl<E: FftEngine> ServerKey<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `outs` is not [`LaneGate::outputs`] entries per gate, or
+    /// Panics if `outs` does not hold one entry per gate (two per cell), or
     /// on a mismatched operand dimension.
     pub fn apply_lanes_into(
         &self,
@@ -587,7 +587,7 @@ impl<E: FftEngine> ServerKey<E> {
 
     /// Applies a three-input gate in one bootstrap.
     /// [`ServerKey::apply3_into`] through a scratch built for the call.
-    pub fn apply3(
+    pub(crate) fn apply3(
         &self,
         gate: Gate3,
         a: &LweCiphertext,
@@ -599,9 +599,9 @@ impl<E: FftEngine> ServerKey<E> {
         out
     }
 
-    /// [`ServerKey::apply3`] into a caller-owned output through the
-    /// scratch, allocation-free once warmed. The one-gate call of
-    /// [`ServerKey::apply_lanes_into`].
+    /// Applies a three-input gate in one bootstrap, into a caller-owned
+    /// output through the scratch, allocation-free once warmed. The
+    /// one-gate call of [`ServerKey::apply_lanes_into`].
     pub fn apply3_into(
         &self,
         gate: Gate3,
@@ -616,7 +616,7 @@ impl<E: FftEngine> ServerKey<E> {
     /// An adder cell in one bootstrap: `[carry, sum]` of `a + b + c`
     /// ([`LaneGate::Cell`]). [`ServerKey::cell_into`] through a scratch
     /// built for the call.
-    pub fn cell(
+    pub(crate) fn cell(
         &self,
         a: &LweCiphertext,
         b: &LweCiphertext,
@@ -627,7 +627,8 @@ impl<E: FftEngine> ServerKey<E> {
         outs
     }
 
-    /// [`ServerKey::cell`] into caller-owned outputs through the scratch,
+    /// An adder cell in one bootstrap, `[carry, sum]` of `a + b + c`
+    /// ([`LaneGate::Cell`]), into caller-owned outputs through the scratch,
     /// allocation-free once warmed. The one-gate call of
     /// [`ServerKey::apply_lanes_into`].
     pub fn cell_into(
@@ -639,11 +640,6 @@ impl<E: FftEngine> ServerKey<E> {
         self.apply_lanes_into(&[LaneGate::Cell { ops }], outs, scratch);
     }
 
-    /// Logical AND.
-    pub fn and(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.apply(Gate::And, a, b)
-    }
-
     /// Logical OR.
     pub fn or(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         self.apply(Gate::Or, a, b)
@@ -652,11 +648,6 @@ impl<E: FftEngine> ServerKey<E> {
     /// Logical NAND (the gate the paper reports throughput for).
     pub fn nand(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         self.apply(Gate::Nand, a, b)
-    }
-
-    /// Logical NOR.
-    pub fn nor(&self, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
-        self.apply(Gate::Nor, a, b)
     }
 
     /// Logical XOR.
@@ -674,7 +665,7 @@ impl<E: FftEngine> ServerKey<E> {
 
     /// [`ServerKey::not`] into a caller-owned output — no allocation once
     /// `out`'s mask has capacity for `a`'s dimension.
-    pub fn not_into(&self, a: &LweCiphertext, out: &mut LweCiphertext) {
+    pub(crate) fn not_into(&self, a: &LweCiphertext, out: &mut LweCiphertext) {
         profile::timed(Phase::Other, || {
             out.copy_from(a);
             out.neg_assign();
@@ -684,7 +675,7 @@ impl<E: FftEngine> ServerKey<E> {
     /// Homomorphic multiplexer `sel ? a : b`: the outputs of two
     /// bootstraps, `AND(sel, a)` and `AND(¬sel, b)`, added, as in the TFHE
     /// reference library — each bootstrap switching its own linear part.
-    /// [`ServerKey::mux_into`] through a scratch built for the call.
+    /// `mux_into` through a scratch built for the call.
     pub fn mux(&self, sel: &LweCiphertext, a: &LweCiphertext, b: &LweCiphertext) -> LweCiphertext {
         let mut out = LweCiphertext::default();
         self.mux_into(sel, a, b, &mut out, &mut self.make_scratch());
@@ -696,7 +687,7 @@ impl<E: FftEngine> ServerKey<E> {
     /// one pass over the key) and the recombination run with zero heap
     /// allocations once warmed. The one-gate call of
     /// [`ServerKey::apply_lanes_into`].
-    pub fn mux_into(
+    fn mux_into(
         &self,
         sel: &LweCiphertext,
         a: &LweCiphertext,
@@ -916,7 +907,7 @@ mod tests {
             let [carry, sum] = server.cell(&ca, &cb, &no_carry);
             assert_eq!(
                 carry,
-                server.and(&ca, &cb),
+                server.apply(Gate::And, &ca, &cb),
                 "MAJ(a, b, 0) is AND, bit for bit"
             );
             assert_eq!(client.decrypt(&sum), a ^ b, "{a} ^ {b}");
@@ -1041,7 +1032,7 @@ mod tests {
         let (client, server, mut rng) = setup(1);
         let ct = server.trivial(true);
         let ca = client.encrypt_with(true, &mut rng);
-        assert!(client.decrypt(&server.and(&ca, &ct)));
+        assert!(client.decrypt(&server.apply(Gate::And, &ca, &ct)));
         assert!(!client.decrypt(&server.nand(&ca, &ct)));
     }
 

@@ -5,8 +5,7 @@
 //!
 //! # Architecture
 //!
-//! * [`params`] — parameter sets (the paper's §5 set, TFHE-library default,
-//!   fast test sets).
+//! * [`params`] — parameter sets (the paper's §5 set, fast test sets).
 //! * [`secret`] / [`lwe`] / [`tlwe`] / [`tgsw`] — the ciphertext tower:
 //!   scalar LWE samples for gates (under the key extracted from the ring
 //!   key), ring TRLWE samples for the accumulator,
@@ -81,10 +80,10 @@ pub use analyze::{
     analyze, demote_sums, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind,
     NetlistReport, NoiseModel, NoiseReport, OutputNoise, Severity, SimplifyReport,
 };
-pub use batch::{DispatchResult, GateBatchPool, GateTask, SlabTask, ValueSlab};
+pub use batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
 pub use bku::UnrolledBootstrappingKey;
 pub use bootstrap::BootstrapKit;
-pub use circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};
+pub use circuit::{CircuitNetlist, CircuitRun, GateOp};
 pub use codec::Codec;
 pub use encode::BucketEncoding;
 pub use faults::{FaultAction, FaultPlan};

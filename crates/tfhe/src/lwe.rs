@@ -76,7 +76,7 @@ impl LweCiphertext {
 
     /// Resets `self` to the trivial sample `(0, μ)` of dimension
     /// `dimension`, reusing the mask allocation when possible.
-    pub fn assign_trivial(&mut self, mu: Torus32, dimension: usize) {
+    pub(crate) fn assign_trivial(&mut self, mu: Torus32, dimension: usize) {
         self.a.clear();
         self.a.resize(dimension, Torus32::ZERO);
         self.b = mu;
@@ -90,7 +90,7 @@ impl LweCiphertext {
     }
 
     /// Adds `delta` to the body (plaintext offset of gate linear parts).
-    pub fn add_body(&mut self, delta: Torus32) {
+    pub(crate) fn add_body(&mut self, delta: Torus32) {
         self.b += delta;
     }
 
@@ -108,8 +108,7 @@ impl LweCiphertext {
     ///
     /// # Panics
     ///
-    /// Panics if the mask dimensions differ (see
-    /// [`LweCiphertext::add_scaled_assign`]).
+    /// Panics if the mask dimensions differ.
     pub fn add_assign(&mut self, other: &Self) {
         self.add_scaled_assign(other, 1);
     }
@@ -120,7 +119,7 @@ impl LweCiphertext {
     ///
     /// Panics if the mask dimensions differ (see
     /// [`LweCiphertext::add_scaled_assign`]).
-    pub fn sub_assign(&mut self, other: &Self) {
+    pub(crate) fn sub_assign(&mut self, other: &Self) {
         self.add_scaled_assign(other, -1);
     }
 
@@ -133,7 +132,7 @@ impl LweCiphertext {
     /// silently truncate the zip and corrupt the sample — and the batch
     /// pool's panic-isolation contract relies on misuse panicking
     /// identically in every build mode.)
-    pub fn add_scaled_assign(&mut self, other: &Self, k: i32) {
+    pub(crate) fn add_scaled_assign(&mut self, other: &Self, k: i32) {
         assert_eq!(self.a.len(), other.a.len(), "LWE dimension mismatch");
         for (x, &y) in self.a.iter_mut().zip(other.a.iter()) {
             *x += y * k;
@@ -142,7 +141,7 @@ impl LweCiphertext {
     }
 
     /// In-place negation (the free homomorphic NOT).
-    pub fn neg_assign(&mut self) {
+    pub(crate) fn neg_assign(&mut self) {
         for x in &mut self.a {
             *x = -*x;
         }
@@ -150,7 +149,8 @@ impl LweCiphertext {
     }
 
     /// Scales the ciphertext (and its plaintext) by a small integer.
-    pub fn scale(&self, k: i32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn scale(&self, k: i32) -> Self {
         Self {
             a: self.a.iter().map(|&x| x * k).collect(),
             b: self.b * k,

@@ -29,19 +29,13 @@ pub struct NoiseStats {
 
 impl NoiseStats {
     /// Builds the summary from raw signed errors.
-    pub fn from_errors(errors: &[f64]) -> Self {
+    fn from_errors(errors: &[f64]) -> Self {
         Self {
             mean: stats::mean(errors),
             stdev: stats::stdev(errors),
             max_abs: stats::max_abs(errors),
             samples: errors.len(),
         }
-    }
-
-    /// The stdev expressed in dB relative to the full torus scale
-    /// (`20·log10(stdev)`), comparable to Figure 8's axis.
-    pub fn stdev_db(&self) -> f64 {
-        stats::amplitude_db(self.stdev)
     }
 }
 
@@ -155,16 +149,5 @@ mod tests {
     fn no_failures_at_test_parameters() {
         let (client, kit, engine, mut rng) = setup();
         assert_eq!(failure_count(&client, &kit, &engine, 16, &mut rng), 0);
-    }
-
-    #[test]
-    fn stats_db_conversion() {
-        let s = NoiseStats {
-            mean: 0.0,
-            stdev: 0.001,
-            max_abs: 0.002,
-            samples: 10,
-        };
-        assert!((s.stdev_db() + 60.0).abs() < 1e-9);
     }
 }

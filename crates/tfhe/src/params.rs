@@ -55,13 +55,6 @@ impl ParameterSet {
         ks_levels: 8,
     };
 
-    /// The TFHE reference library's default gate-bootstrapping set
-    /// (`ℓ = 2`), for cross-checking against the upstream implementation.
-    pub const TFHE_DEFAULT: Self = Self {
-        decomp_levels: 2,
-        ..Self::MATCHA
-    };
-
     /// Fast, insecure parameters for unit tests: small dimensions, tiny
     /// noise, comfortable correctness margins.
     pub const TEST_FAST: Self = Self {
@@ -145,7 +138,6 @@ mod tests {
     fn presets_are_valid() {
         for p in [
             ParameterSet::MATCHA,
-            ParameterSet::TFHE_DEFAULT,
             ParameterSet::TEST_FAST,
             ParameterSet::TEST_MEDIUM,
         ] {

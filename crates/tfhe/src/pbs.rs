@@ -27,9 +27,10 @@ use matcha_math::{Torus32, TorusPolynomial};
 /// use matcha_tfhe::pbs::Lut;
 /// use matcha_math::Torus32;
 ///
-/// // The gate bootstrap's LUT: +1/8 on the positive half circle.
-/// let lut = Lut::from_fn(256, |_| Torus32::from_dyadic(1, 3));
-/// assert_eq!(lut.ring_degree(), 256);
+/// // The gate bootstrap's LUT: +1/8 on the positive half circle, which
+/// // `BootstrapKit::bootstrap_with_lut` applies to an input's phase.
+/// let sign = Lut::from_fn(256, |_| Torus32::from_dyadic(1, 3));
+/// assert_ne!(sign, Lut::from_fn(256, |_| Torus32::ZERO));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Lut {
@@ -63,7 +64,11 @@ impl Lut {
     /// # Panics
     ///
     /// Panics if `2^bits` exceeds the ring degree.
-    pub fn from_bucket_fn(ring_degree: usize, bits: u32, g: impl Fn(u32) -> Torus32) -> Self {
+    pub(crate) fn from_bucket_fn(
+        ring_degree: usize,
+        bits: u32,
+        g: impl Fn(u32) -> Torus32,
+    ) -> Self {
         let buckets = 1u32 << bits;
         assert!(
             (buckets as usize) <= ring_degree,
@@ -74,13 +79,8 @@ impl Lut {
     }
 
     /// Ring degree `N` of the underlying test vector.
-    pub fn ring_degree(&self) -> usize {
+    pub(crate) fn ring_degree(&self) -> usize {
         self.testv.len()
-    }
-
-    /// The raw test vector (for inspection and tests).
-    pub fn test_vector(&self) -> &TorusPolynomial {
-        &self.testv
     }
 }
 

@@ -59,13 +59,13 @@ pub fn stop() {
 }
 
 /// Returns `true` if profiling is active on this thread.
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     ENABLED.with(|e| *e.borrow())
 }
 
 /// Runs `f`, attributing its wall time to `phase` when profiling is active.
 #[inline]
-pub fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
+pub(crate) fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
     if !enabled() {
         return f();
     }
@@ -98,7 +98,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Total accounted time.
-    pub fn total(&self) -> Duration {
+    fn total(&self) -> Duration {
         self.ifft + self.fft + self.tgsw_scale + self.key_switch + self.other
     }
 

@@ -159,9 +159,4 @@ impl<E: FftEngine> BootstrapScratch<E> {
     pub fn accumulator(&self) -> &TrlweCiphertext {
         &self.lanes[0].acc
     }
-
-    /// The external-product workspace (for composing custom pipelines).
-    pub fn ep_mut(&mut self) -> &mut EpScratch<E> {
-        &mut self.ep
-    }
 }

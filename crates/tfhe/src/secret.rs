@@ -26,7 +26,7 @@ impl LweSecretKey {
     }
 
     /// Key dimension `n`.
-    pub fn dimension(&self) -> usize {
+    pub(crate) fn dimension(&self) -> usize {
         self.bits.len()
     }
 
@@ -36,7 +36,7 @@ impl LweSecretKey {
     }
 
     /// The inner product `⟨a, s⟩` over the torus.
-    pub fn dot(&self, a: &[Torus32]) -> Torus32 {
+    pub(crate) fn dot(&self, a: &[Torus32]) -> Torus32 {
         debug_assert_eq!(a.len(), self.bits.len());
         a.iter()
             .zip(self.bits.iter())
@@ -66,7 +66,7 @@ impl RingSecretKey {
     /// # Panics
     ///
     /// Panics if any coefficient is outside `{0, 1}`.
-    pub fn from_poly(poly: IntPolynomial) -> Self {
+    pub(crate) fn from_poly(poly: IntPolynomial) -> Self {
         assert!(
             poly.coeffs().iter().all(|&c| c == 0 || c == 1),
             "ring secret key must be binary"
@@ -75,7 +75,7 @@ impl RingSecretKey {
     }
 
     /// Ring degree `N`.
-    pub fn ring_degree(&self) -> usize {
+    pub(crate) fn ring_degree(&self) -> usize {
         self.poly.len()
     }
 
@@ -86,13 +86,8 @@ impl RingSecretKey {
 
     /// `KeyExtract`: reinterprets the `N` polynomial coefficients as an
     /// LWE key of dimension `N` (Algorithm 1's `s′ = KeyExtract(s″)`).
-    pub fn extract_lwe_key(&self) -> LweSecretKey {
+    pub(crate) fn extract_lwe_key(&self) -> LweSecretKey {
         LweSecretKey::from_bits(self.poly.coeffs().iter().map(|&c| c != 0).collect())
-    }
-
-    /// Secret-key bit `s_i` as a boolean.
-    pub fn bit(&self, i: usize) -> bool {
-        self.poly.coeffs()[i] != 0
     }
 }
 
@@ -164,7 +159,7 @@ impl ClientKey {
 
     /// The extracted key `s′` of dimension `N`: the key of every value
     /// between gates.
-    pub fn extracted_key(&self) -> &LweSecretKey {
+    pub(crate) fn extracted_key(&self) -> &LweSecretKey {
         &self.extracted_key
     }
 
@@ -182,7 +177,7 @@ impl ClientKey {
 
     /// Encrypts an arbitrary torus plaintext under the extracted key, at
     /// the noise of a fresh sample: the input of a programmable bootstrap.
-    pub fn encrypt_phase<R: Rng>(&self, mu: Torus32, rng: &mut R) -> LweCiphertext {
+    pub(crate) fn encrypt_phase<R: Rng>(&self, mu: Torus32, rng: &mut R) -> LweCiphertext {
         let mut sampler = TorusSampler::new(rng);
         LweCiphertext::encrypt(
             mu,
@@ -222,7 +217,7 @@ mod tests {
         let lwe = ring.extract_lwe_key();
         assert_eq!(lwe.dimension(), 64);
         for i in 0..64 {
-            assert_eq!(lwe.bits()[i], ring.bit(i));
+            assert_eq!(lwe.bits()[i], ring.as_poly().coeffs()[i] != 0);
         }
     }
 

@@ -270,28 +270,12 @@ impl CircuitOutcome {
         matches!(self, CircuitOutcome::Faulted(_))
     }
 
-    /// `true` when the circuit was turned away without running (any
-    /// [`RejectReason`]).
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, CircuitOutcome::Rejected(_))
-    }
-
     /// The structured rejection reason, if the circuit was rejected.
     pub fn reject_reason(&self) -> Option<RejectReason> {
         match self {
             CircuitOutcome::Rejected(reason) => Some(reason.clone()),
             _ => None,
         }
-    }
-
-    /// `true` when the circuit's deadline passed mid-flight.
-    pub fn is_expired(&self) -> bool {
-        matches!(self, CircuitOutcome::Expired)
-    }
-
-    /// `true` when the circuit was cancelled before finishing.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, CircuitOutcome::Cancelled)
     }
 }
 
@@ -378,7 +362,7 @@ pub struct SchedulerStats {
     /// Circuits that resolved [`CircuitOutcome::Cancelled`].
     pub cancelled: u64,
     /// Pool workers respawned after dying outside the per-task panic
-    /// isolation (mirrors [`GateBatchPool::restarts`]).
+    /// isolation (the pool's own tally).
     pub restarts: u64,
     /// Circuits whose rewrite was proven equivalent but missed
     /// [`AnalysisPolicy::max_failure_prob`] even with its sums demoted,
@@ -812,7 +796,7 @@ fn scheduler_loop<E>(
             fl.frontier.take_ready(&mut batch);
             owners.resize(batch.len(), ci);
         }
-        let dispatch = pool.run_tasks(&batch);
+        let failures = pool.run_tasks(&batch);
         if !batch.is_empty() {
             let p = pool.threads() as u64;
             stats.dispatches.fetch_add(1, Ordering::Relaxed);
@@ -826,7 +810,7 @@ fn scheduler_loop<E>(
         // Route failures to their owning circuits (first message wins);
         // propagate completions for everyone still healthy.
         let mut faulted: Vec<Option<String>> = vec![None; in_flight.len()];
-        for (index, msg) in dispatch.failures {
+        for (index, msg) in failures {
             let fault = &mut faulted[owners[index]];
             if fault.is_none() {
                 *fault = Some(msg);
@@ -1053,12 +1037,6 @@ pub struct CircuitClient {
 }
 
 impl CircuitClient {
-    /// This handle's client identity, as it appears in
-    /// [`SchedulerStats::per_client`].
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Submits a circuit with its encrypted inputs. Returns immediately
     /// with a ticket; the circuit joins the in-flight set at the
     /// scheduler's next dispatch boundary (subject to the server's
@@ -1127,7 +1105,8 @@ impl CircuitClient {
     /// inputs against the server key. A malformed submission here is not
     /// rejected: it faults its own circuit at admission or in a worker
     /// ([`CircuitOutcome::Faulted`]), with the server unaffected.
-    pub fn submit_unchecked(
+    #[cfg(test)]
+    fn submit_unchecked(
         &self,
         netlist: CircuitNetlist,
         inputs: Vec<LweCiphertext>,
@@ -1409,7 +1388,7 @@ mod tests {
             encrypt_bits(&client, &[true, false], &mut rng),
         );
         let outcome = late.wait();
-        assert!(outcome.is_rejected());
+        assert!(matches!(outcome, CircuitOutcome::Rejected(_)));
         assert_eq!(outcome.reject_reason(), Some(RejectReason::Shutdown));
     }
 
@@ -1665,7 +1644,10 @@ mod tests {
         let net = xor_chain(2);
         let bystander_inputs = encrypt_bits(&client, &[true, false, true], &mut rng);
         let bystander = bystander_client.submit(net.clone(), bystander_inputs.clone());
-        assert!(victim.wait().is_expired(), "the delayed circuit expires");
+        assert!(
+            matches!(victim.wait(), CircuitOutcome::Expired),
+            "the delayed circuit expires"
+        );
         let run = bystander
             .wait()
             .completed()
@@ -1697,7 +1679,7 @@ mod tests {
         // delayed first wave; the scheduler observes it at admission or
         // at the next reap — both resolve Cancelled before wave two.
         victim.cancel();
-        assert!(victim.wait().is_cancelled());
+        assert!(matches!(victim.wait(), CircuitOutcome::Cancelled));
         assert_eq!(server.stats().cancelled, 1);
         // The scheduler keeps serving afterwards.
         let bits = [true, true];
@@ -1810,8 +1792,8 @@ mod tests {
         let server = CircuitServer::start(Arc::clone(&key), 1);
         let a = server.client();
         let b = server.client();
-        assert_eq!(a.id(), 0);
-        assert_eq!(b.id(), 1);
+        assert_eq!(a.id, 0);
+        assert_eq!(b.id, 1);
         for _ in 0..2 {
             let bits = [true, false];
             let run = a

@@ -98,7 +98,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The protocol revision spoken by [`SessionClient`] and
 /// [`SessionServer`]. A mismatched hello fails the handshake.
-pub const PROTOCOL: u32 = 1;
+pub(crate) const PROTOCOL: u32 = 1;
 
 /// Largest frame either side accepts (DoS guard): comfortably above the
 /// largest legitimate submission (a `MAX_LEN`-input per-LWE circuit), far
@@ -162,9 +162,9 @@ fn read_frame_opt<R: Read, T: Codec>(mut r: R) -> io::Result<Option<T>> {
 
 /// The client's opening frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClientHello {
+pub(crate) struct ClientHello {
     /// Protocol revision the client speaks (must equal [`PROTOCOL`]).
-    pub protocol: u32,
+    pub(crate) protocol: u32,
 }
 
 impl Codec for ClientHello {
@@ -184,9 +184,9 @@ impl Codec for ClientHello {
 /// The server's handshake reply: the parameter set client-side
 /// encryption must target.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServerHello {
+pub(crate) struct ServerHello {
     /// The server key's parameter set.
-    pub params: ParameterSet,
+    pub(crate) params: ParameterSet,
 }
 
 impl Codec for ServerHello {
@@ -275,9 +275,9 @@ impl Codec for SubmitCircuit {
 
 /// The server's immediate acknowledgement of a submission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Ticket {
+pub(crate) struct Ticket {
     /// Submission sequence number on this session, starting at 0.
-    pub id: u64,
+    pub(crate) id: u64,
 }
 
 impl Codec for Ticket {
@@ -423,7 +423,7 @@ fn decode_reason<R: Read>(mut r: R) -> io::Result<RejectReason> {
 /// The server's final word on one submission.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OutcomeFrame {
-    /// The [`Ticket::id`] this outcome resolves.
+    /// The ticket id the submit call returned, which this outcome resolves.
     pub id: u64,
     /// How the circuit ended.
     pub outcome: CircuitOutcome,

@@ -29,7 +29,7 @@ impl TgswCiphertext {
     ///
     /// Blind rotation only ever encrypts `{0, 1}` messages (secret key bits
     /// and their products), but the type supports any small integers.
-    pub fn encrypt<E: FftEngine, R: Rng>(
+    pub(crate) fn encrypt<E: FftEngine, R: Rng>(
         message: &IntPolynomial,
         key: &RingSecretKey,
         params: &ParameterSet,
@@ -95,13 +95,8 @@ impl TgswCiphertext {
         Self { rows, levels }
     }
 
-    /// Decomposition length `ℓ`.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The TRLWE rows (mask rows first, then body rows).
-    pub fn rows(&self) -> &[TrlweCiphertext] {
+    pub(crate) fn rows(&self) -> &[TrlweCiphertext] {
         &self.rows
     }
 
@@ -144,7 +139,8 @@ impl<E: FftEngine> TgswSpectrum<E> {
     }
 
     /// Decomposition length `ℓ`.
-    pub fn levels(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> usize {
         self.levels
     }
 
@@ -168,7 +164,8 @@ impl<E: FftEngine> TgswSpectrum<E> {
     /// # Panics
     ///
     /// Panics if `decomp.levels()` differs from this sample's `ℓ`.
-    pub fn external_product(
+    #[cfg(test)]
+    pub(crate) fn external_product(
         &self,
         engine: &E,
         c: &TrlweCiphertext,

@@ -60,7 +60,7 @@ impl TrlweCiphertext {
     }
 
     /// Ring degree `N`.
-    pub fn ring_degree(&self) -> usize {
+    pub(crate) fn ring_degree(&self) -> usize {
         self.a.len()
     }
 
@@ -75,24 +75,18 @@ impl TrlweCiphertext {
     }
 
     /// Mutable access to the mask polynomial (in-place pipelines).
-    pub fn mask_mut(&mut self) -> &mut TorusPolynomial {
+    pub(crate) fn mask_mut(&mut self) -> &mut TorusPolynomial {
         &mut self.a
     }
 
     /// Mutable access to the body polynomial (in-place pipelines).
-    pub fn body_mut(&mut self) -> &mut TorusPolynomial {
+    pub(crate) fn body_mut(&mut self) -> &mut TorusPolynomial {
         &mut self.b
     }
 
     /// Both polynomials mutably (for split borrows in the hot path).
-    pub fn parts_mut(&mut self) -> (&mut TorusPolynomial, &mut TorusPolynomial) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut TorusPolynomial, &mut TorusPolynomial) {
         (&mut self.a, &mut self.b)
-    }
-
-    /// Copies `other` into `self` without allocating once capacity exists.
-    pub fn copy_from(&mut self, other: &Self) {
-        self.a.copy_from(&other.a);
-        self.b.copy_from(&other.b);
     }
 
     /// The phase `b − s″·a = μ + e`.
@@ -102,15 +96,10 @@ impl TrlweCiphertext {
     }
 
     /// In-place homomorphic addition.
-    pub fn add_assign(&mut self, other: &Self) {
+    #[cfg(test)]
+    pub(crate) fn add_assign(&mut self, other: &Self) {
         self.a += &other.a;
         self.b += &other.b;
-    }
-
-    /// In-place homomorphic subtraction.
-    pub fn sub_assign(&mut self, other: &Self) {
-        self.a -= &other.a;
-        self.b -= &other.b;
     }
 
     /// `SampleExtract` at an arbitrary coefficient index: the LWE
@@ -128,7 +117,7 @@ impl TrlweCiphertext {
 
     /// [`Self::sample_extract_at`] into a caller-owned ciphertext — no
     /// allocation once `out` has dimension `N`.
-    pub fn sample_extract_at_into(&self, index: usize, out: &mut LweCiphertext) {
+    pub(crate) fn sample_extract_at_into(&self, index: usize, out: &mut LweCiphertext) {
         let n = self.ring_degree();
         assert!(index < n, "coefficient index {index} out of range");
         let ac = self.a.coeffs();
@@ -154,7 +143,7 @@ impl TrlweCiphertext {
     }
 
     /// The spectral (Lagrange-domain) form of this ciphertext.
-    pub fn to_spectrum<E: FftEngine>(&self, engine: &E) -> TrlweSpectrum<E> {
+    pub(crate) fn to_spectrum<E: FftEngine>(&self, engine: &E) -> TrlweSpectrum<E> {
         TrlweSpectrum {
             a: engine.forward_torus(&self.a),
             b: engine.forward_torus(&self.b),
@@ -184,7 +173,8 @@ impl<E: FftEngine> Clone for TrlweSpectrum<E> {
 
 impl<E: FftEngine> TrlweSpectrum<E> {
     /// Transforms back to the coefficient domain.
-    pub fn to_ciphertext(&self, engine: &E) -> TrlweCiphertext {
+    #[cfg(test)]
+    pub(crate) fn to_ciphertext(&self, engine: &E) -> TrlweCiphertext {
         TrlweCiphertext {
             a: engine.backward_torus(&self.a),
             b: engine.backward_torus(&self.b),

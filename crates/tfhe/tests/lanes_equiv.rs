@@ -140,8 +140,8 @@ where
         // Chunked onto pool workers.
         for pool in &pools {
             let batch = deal(&inputs, count);
-            let dispatch = pool.run_tasks(&batch);
-            assert!(dispatch.failures.is_empty(), "{:?}", dispatch.failures);
+            let failures = pool.run_tasks(&batch);
+            assert!(failures.is_empty(), "{failures:?}");
             for (i, (st, want)) in batch.iter().zip(&alone).enumerate() {
                 assert_eq!(
                     stored(st),
@@ -189,7 +189,7 @@ where
     }
     // The waves computed the right thing, not just the same thing.
     let batch = deal(&inputs, MAX_LANES);
-    assert!(pools[0].run_tasks(&batch).failures.is_empty());
+    assert!(pools[0].run_tasks(&batch).is_empty());
     for st in &batch {
         let bit = |node| client.decrypt(st.slab.get(node));
         let want = match st.task {
