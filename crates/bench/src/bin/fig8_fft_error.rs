@@ -14,10 +14,10 @@ fn main() {
     println!("# Figure 8: error of approximate FFT & IFFT vs twiddle factor bits");
     println!("{:<14} {:>12}", "twiddle bits", "error (dB)");
     for bits in (10..=62).step_by(4) {
-        let db = poly_mul_error_db(&ApproxIntFft::new(n, bits), n, trials, seed);
+        let db = poly_mul_error_db(&ApproxIntFft::new(n, bits), trials, seed);
         println!("{bits:<14} {db:>12.1}");
     }
-    let double = poly_mul_error_db(&F64Fft::new(n), n, trials, seed);
+    let double = poly_mul_error_db(&F64Fft::new(n), trials, seed);
     // Our double-precision pipeline rounds to the bit-exact product at these
     // sizes, so its measured error can fall below the half-ulp floor of the
     // 32-bit torus (≈ -193 dB).

@@ -50,8 +50,8 @@ fn main() {
         );
     }
 
-    let fft_db = poly_mul_error_db(&approx, n, 4, 9);
-    let dbl_db = poly_mul_error_db(&exact, n, 4, 9);
+    let fft_db = poly_mul_error_db(&approx, 4, 9);
+    let dbl_db = poly_mul_error_db(&exact, 4, 9);
     println!(
         "\nI/FFT error: approx ({twiddle_bits}-bit DVQTF) {fft_db:.0} dB, double {dbl_db:.0} dB"
     );

@@ -2,11 +2,12 @@
 //!
 //! All data stays in 64-bit integers. Every twiddle rotation — including the
 //! negacyclic twist — is performed by a three-step lifting structure whose
-//! dyadic-value-quantized coefficients (`α/2^β`, `β =` [`ApproxIntFft::twiddle_bits`])
-//! need only adders and shifters. The approximation error this introduces is
-//! far below TFHE's noise threshold and is rounded off together with the
-//! ordinary ciphertext noise at decryption (paper's key observation), so
-//! ciphertexts processed with this engine still decrypt correctly.
+//! dyadic-value-quantized coefficients (`α/2^β`, `β` the `twiddle_bits` of
+//! [`ApproxIntFft::new`]) need only adders and shifters. The approximation
+//! error this introduces is far below TFHE's noise threshold and is rounded
+//! off together with the ordinary ciphertext noise at decryption (paper's
+//! key observation), so ciphertexts processed with this engine still
+//! decrypt correctly.
 //!
 //! Scaling scheme (`M = N/2` evaluation points, radix-2, `log2 M` stages):
 //!
@@ -16,7 +17,7 @@
 //!   the signal — twiddle quantization, not rounding, dominates the error;
 //! * forward transforms grow values by at most `×M·√2`;
 //! * pointwise products are exact 64×64-bit products that drop both
-//!   pre-scales ([`simd::i64_mul_acc`]);
+//!   pre-scales (`simd::i64_mul_acc`);
 //! * the inverse transform halves after every stage, realizing the `1/M`
 //!   normalization with one rounding shift per stage;
 //! * the final reduction mod `2^32` is an exact two's-complement truncation.
@@ -139,7 +140,6 @@ impl DirectionTable {
 #[derive(Clone, Debug)]
 pub struct ApproxIntFft {
     n: usize,
-    twiddle_bits: u32,
     /// Fractional pre-scale for integer (digit) polynomials.
     int_frac_bits: u32,
     /// Fractional pre-scale for torus polynomials.
@@ -151,8 +151,6 @@ pub struct ApproxIntFft {
     /// `rev[i]` for `i < M`: where the forward fold stores point `i`, and
     /// where the backward transform's working copy reads slot `i` from.
     rev: BitReversal,
-    /// Mean [`LiftingRotation::adder_ops`] over the full-size forward stage.
-    mean_rotation_adders: f64,
 }
 
 impl ApproxIntFft {
@@ -173,11 +171,6 @@ impl ApproxIntFft {
             "twiddle_bits {twiddle_bits} outside supported range 4..=62"
         );
         let m = n / 2;
-        let full_stage = (0..m / 2).map(|k| {
-            LiftingRotation::from_angle(std::f64::consts::TAU * k as f64 / m as f64, twiddle_bits)
-        });
-        let mean_rotation_adders =
-            full_stage.map(|r| r.adder_ops() as f64).sum::<f64>() / (m / 2).max(1) as f64;
         // Leave headroom so forward buffers stay below 2^61·√2: a signed
         // value of `b` bits grows to at most `b + frac + log2(M)` bits.
         // The vector legs of the kernels need that bound, not just `i64`
@@ -190,29 +183,12 @@ impl ApproxIntFft {
         let torus_frac_bits = (61 - 32 - log2m).min(26);
         Self {
             n,
-            twiddle_bits,
             int_frac_bits,
             torus_frac_bits,
             fwd: DirectionTable::new(1.0, n, twiddle_bits),
             inv: DirectionTable::new(-1.0, n, twiddle_bits),
             rev: BitReversal::new(m),
-            mean_rotation_adders,
         }
-    }
-
-    /// The dyadic quantization width `β`.
-    pub fn twiddle_bits(&self) -> u32 {
-        self.twiddle_bits
-    }
-
-    /// Total adder operations one forward transform needs in the shift-add
-    /// realization (feeds the accelerator energy model).
-    pub fn adder_ops_per_transform(&self) -> u64 {
-        let m = self.n as u64 / 2;
-        let stages = m.trailing_zeros() as u64;
-        // Each stage performs M/2 rotations; approximate with the mean cost
-        // over the full twiddle table plus 2 butterfly adds per butterfly.
-        ((m / 2) as f64 * stages as f64 * (self.mean_rotation_adders + 2.0)) as u64
     }
 
     /// The `log2 M` butterfly stages of one direction over a buffer already
@@ -372,7 +348,7 @@ impl FftEngine for ApproxIntFft {
         }
     }
 
-    /// [`simd::i64_mul_acc`] with one row.
+    /// `simd::i64_mul_acc` with one row.
     fn mul_accumulate(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum, b: &FixedSpectrum) {
         assert_eq!(acc.frac_bits, 0, "accumulator must be unscaled");
         simd::i64_mul_acc(
@@ -383,7 +359,7 @@ impl FftEngine for ApproxIntFft {
         );
     }
 
-    /// [`simd::i64_mul_acc`] with two rows.
+    /// `simd::i64_mul_acc` with two rows.
     fn mul_accumulate_pair(
         &self,
         acc_a: &mut FixedSpectrum,
@@ -404,15 +380,6 @@ impl FftEngine for ApproxIntFft {
             [(&a.re, &a.im), (&b.re, &b.im)],
             x.frac_bits + a.frac_bits,
         );
-    }
-
-    fn add_assign(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum) {
-        assert_eq!(acc.re.len(), a.re.len(), "spectrum size mismatch");
-        assert_eq!(acc.frac_bits, a.frac_bits, "fixed-point scale mismatch");
-        for k in 0..acc.re.len() {
-            acc.re[k] += a.re[k];
-            acc.im[k] += a.im[k];
-        }
     }
 
     /// TGSW-scale factor tables: `ε_k^e − 1` quantized to 30 fractional bits
@@ -511,7 +478,7 @@ impl FftEngine for ApproxIntFft {
         }
     }
 
-    /// The bundle row over a stored key ([`crate::simd::i64_bundle_row`]).
+    /// The bundle row over a stored key (`crate::simd::i64_bundle_row`).
     /// `h` first drops [`BUNDLE_DROP_BITS`] fractional bits (round half up)
     /// to make headroom for the sum, then every term adds its product of
     /// 32-bit mantissa and factor rounded back by
@@ -553,6 +520,7 @@ impl FftEngine for ApproxIntFft {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::stored_block;
 
     fn random_torus_poly(n: usize, seed: u32) -> TorusPolynomial {
         TorusPolynomial::from_coeffs(
@@ -679,7 +647,7 @@ mod tests {
             let mut factors = Vec::new();
             engine.monomial_factors_into([e].into_iter(), exp, &mut factors);
             let mut acc = engine.zero_spectrum();
-            let block = crate::engine::stored_block(&engine, &[engine.forward_torus(&src)], exp);
+            let block = stored_block(&engine, &[engine.forward_torus(&src)], exp);
             let key = KeyBlock {
                 stream: &block,
                 patterns: 1,

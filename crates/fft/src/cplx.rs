@@ -1,88 +1,65 @@
 //! A minimal double-precision complex number.
 //!
 //! The crate deliberately avoids external numeric dependencies; the handful
-//! of complex operations the FFTs need fit in this module.
+//! of complex operations the table builders need fit in this module. The
+//! transforms themselves never see it: they run on split `re[]`/`im[]`
+//! arrays (see [`crate::simd`]).
 
-use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, Mul, MulAssign, Sub};
 
 /// A complex number with `f64` components.
-///
-/// # Examples
-///
-/// ```
-/// use matcha_fft::Cplx;
-///
-/// let i = Cplx::new(0.0, 1.0);
-/// assert_eq!(i * i, Cplx::new(-1.0, 0.0));
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Cplx {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cplx {
     /// Real part.
-    pub re: f64,
+    pub(crate) re: f64,
     /// Imaginary part.
-    pub im: f64,
+    pub(crate) im: f64,
 }
 
 impl Cplx {
     /// The additive identity.
-    pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
-    pub const ONE: Self = Self { re: 1.0, im: 0.0 };
+    #[cfg(test)]
+    pub(crate) const ONE: Self = Self { re: 1.0, im: 0.0 };
 
     /// Creates `re + i·im`.
-    #[inline]
-    pub const fn new(re: f64, im: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
     /// The unit complex number `e^{iθ}`.
     #[inline]
-    pub fn from_angle(theta: f64) -> Self {
+    pub(crate) fn from_angle(theta: f64) -> Self {
         let (s, c) = theta.sin_cos();
         Self { re: c, im: s }
     }
 
     /// Complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Self {
             re: self.re,
             im: -self.im,
         }
     }
 
-    /// Squared modulus `re² + im²`.
-    #[inline]
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Modulus.
-    #[inline]
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
-    /// Scales both components by a real factor.
-    #[inline]
-    pub fn scale(self, k: f64) -> Self {
-        Self {
-            re: self.re * k,
-            im: self.im * k,
-        }
+    #[cfg(test)]
+    pub(crate) fn abs(self) -> f64 {
+        self.re.hypot(self.im)
     }
 
     /// Fused multiply-add `self + a·b`, computed with `f64::mul_add` on
     /// both components — each component carries a single rounding instead
-    /// of the three the expanded `self + a * b` performs, matching the FMA
-    /// contraction of the AVX2 kernels in [`crate::simd`].
+    /// of the three the expanded `self + a * b` performs, the contraction
+    /// the scalar and AVX2 kernels in [`crate::simd`] use.
     ///
     /// On rounding-sensitive inputs this *differs* from the expanded form
-    /// (see the `mul_add_is_fused` test); callers needing bit-compatibility
-    /// with separately rounded products must write `self + a * b`.
-    #[inline]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
+    /// (see the `mul_add_is_fused` test).
+    #[cfg(test)]
+    pub(crate) fn mul_add(self, a: Self, b: Self) -> Self {
         Self {
             re: a.re.mul_add(b.re, (-a.im).mul_add(b.im, self.re)),
             im: a.re.mul_add(b.im, a.im.mul_add(b.re, self.im)),
@@ -101,14 +78,6 @@ impl Add for Cplx {
     }
 }
 
-impl AddAssign for Cplx {
-    #[inline]
-    fn add_assign(&mut self, rhs: Self) {
-        self.re += rhs.re;
-        self.im += rhs.im;
-    }
-}
-
 impl Sub for Cplx {
     type Output = Self;
     #[inline]
@@ -117,14 +86,6 @@ impl Sub for Cplx {
             re: self.re - rhs.re,
             im: self.im - rhs.im,
         }
-    }
-}
-
-impl SubAssign for Cplx {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Self) {
-        self.re -= rhs.re;
-        self.im -= rhs.im;
     }
 }
 
@@ -143,23 +104,6 @@ impl MulAssign for Cplx {
     #[inline]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
-    }
-}
-
-impl Neg for Cplx {
-    type Output = Self;
-    #[inline]
-    fn neg(self) -> Self {
-        Self {
-            re: -self.re,
-            im: -self.im,
-        }
-    }
-}
-
-impl fmt::Display for Cplx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:+.6}{:+.6}i", self.re, self.im)
     }
 }
 
@@ -202,7 +146,8 @@ mod tests {
         let acc = Cplx::new(1.0, 1.0);
         let a = Cplx::new(2.0, -1.0);
         let b = Cplx::new(0.5, 0.5);
-        assert_eq!(acc.mul_add(a, b), acc + a * b);
+        let (fused, expanded) = (acc.mul_add(a, b), acc + a * b);
+        assert_eq!((fused.re, fused.im), (expanded.re, expanded.im));
     }
 
     #[test]
@@ -219,6 +164,6 @@ mod tests {
         let expanded = acc + a * b;
         assert_eq!(expanded.re, 0.0, "expanded form loses the 2⁻⁶⁰ tail");
         assert_eq!(fused.re, -(2.0f64).powi(-60), "fused form keeps it");
-        assert_ne!(fused, expanded);
+        assert_ne!((fused.re, fused.im), (expanded.re, expanded.im));
     }
 }

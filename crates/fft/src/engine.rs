@@ -199,9 +199,6 @@ pub trait FftEngine {
         b: &Self::Spectrum,
     );
 
-    /// `acc += a` (pointwise addition, used to fuse accumulator updates).
-    fn add_assign(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum);
-
     /// Writes the pointwise factor tables `ε_k^e − 1` (`k < N/2`), one per
     /// exponent in iteration order, back to back into `out`: at evaluation
     /// point `ε_k = e^{iπ(4k+1)/N}` the monomial `X^e` is the scalar
@@ -295,7 +292,7 @@ pub trait FftEngine {
 /// Points of one stored spectrum that lie side by side in a key block:
 /// eight `re` words, then the same points' eight `im` words — 64 bytes, a
 /// cache line, per pattern.
-pub const KEY_CHUNK: usize = 8;
+pub(crate) const KEY_CHUNK: usize = 8;
 
 /// The power of two a bootstrapping key's spectra are stored in units of,
 /// from the ring degree alone: the smallest `e` for which `8σ` of a uniform
@@ -400,116 +397,23 @@ pub(crate) fn split_key_row(
     (mask, body, patterns)
 }
 
-/// One key block holding `spectra` in slot order, each rounded as it
-/// stands to words of `2^exp` (no ring key for a mask's error to meet).
 #[cfg(test)]
-pub(crate) fn stored_block<E: FftEngine>(
-    engine: &E,
-    spectra: &[E::Spectrum],
-    exp: u32,
-) -> Vec<i32> {
-    let words = KeyBlock::words(engine.ring_degree() / 2, spectra.len());
-    let mut row = vec![0; 2 * words];
-    for (slot, s) in spectra.iter().enumerate() {
-        engine.store_key_row(s, s, &engine.zero_spectrum(), exp, slot, &mut row);
-    }
-    row.truncate(words);
-    row
-}
+pub(crate) mod tests {
+    use super::*;
 
-impl<E: FftEngine + ?Sized> FftEngine for &E {
-    type Spectrum = E::Spectrum;
-    type MonomialFactors = E::MonomialFactors;
-    type Scratch = E::Scratch;
-    fn ring_degree(&self) -> usize {
-        (**self).ring_degree()
-    }
-    fn zero_spectrum(&self) -> Self::Spectrum {
-        (**self).zero_spectrum()
-    }
-    fn clear_spectrum(&self, s: &mut Self::Spectrum) {
-        (**self).clear_spectrum(s)
-    }
-    fn make_scratch(&self) -> Self::Scratch {
-        (**self).make_scratch()
-    }
-    fn forward_int_into(
-        &self,
-        p: &IntPolynomial,
-        out: &mut Self::Spectrum,
-        scratch: &mut Self::Scratch,
-    ) {
-        (**self).forward_int_into(p, out, scratch)
-    }
-    fn forward_torus_into(
-        &self,
-        p: &TorusPolynomial,
-        out: &mut Self::Spectrum,
-        scratch: &mut Self::Scratch,
-    ) {
-        (**self).forward_torus_into(p, out, scratch)
-    }
-    fn forward_decomposed_into(
-        &self,
-        p: &TorusPolynomial,
-        decomp: &GadgetDecomposer,
-        level: usize,
-        out: &mut Self::Spectrum,
-        scratch: &mut Self::Scratch,
-    ) {
-        (**self).forward_decomposed_into(p, decomp, level, out, scratch)
-    }
-    fn backward_torus_into(
-        &self,
-        s: &Self::Spectrum,
-        out: &mut TorusPolynomial,
-        scratch: &mut Self::Scratch,
-    ) {
-        (**self).backward_torus_into(s, out, scratch)
-    }
-    fn mul_accumulate(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum, b: &Self::Spectrum) {
-        (**self).mul_accumulate(acc, a, b)
-    }
-    fn mul_accumulate_pair(
-        &self,
-        acc_a: &mut Self::Spectrum,
-        acc_b: &mut Self::Spectrum,
-        x: &Self::Spectrum,
-        a: &Self::Spectrum,
-        b: &Self::Spectrum,
-    ) {
-        (**self).mul_accumulate_pair(acc_a, acc_b, x, a, b)
-    }
-    fn add_assign(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum) {
-        (**self).add_assign(acc, a)
-    }
-    fn monomial_factors_into(
-        &self,
-        exponents: impl Iterator<Item = i64>,
-        key_exp: u32,
-        out: &mut Self::MonomialFactors,
-    ) {
-        (**self).monomial_factors_into(exponents, key_exp, out)
-    }
-    fn store_key_row(
-        &self,
-        a: &Self::Spectrum,
-        b: &Self::Spectrum,
-        key: &Self::Spectrum,
+    /// One key block holding `spectra` in slot order, each rounded as it
+    /// stands to words of `2^exp` (no ring key for a mask's error to meet).
+    pub(crate) fn stored_block<E: FftEngine>(
+        engine: &E,
+        spectra: &[E::Spectrum],
         exp: u32,
-        slot: usize,
-        row: &mut [i32],
-    ) {
-        (**self).store_key_row(a, b, key, exp, slot, row)
-    }
-    fn bundle_row_into(
-        &self,
-        h: &Self::Spectrum,
-        key: KeyBlock<'_>,
-        slots: &[u8],
-        factors: &Self::MonomialFactors,
-        out: &mut Self::Spectrum,
-    ) {
-        (**self).bundle_row_into(h, key, slots, factors, out)
+    ) -> Vec<i32> {
+        let words = KeyBlock::words(engine.ring_degree() / 2, spectra.len());
+        let mut row = vec![0; 2 * words];
+        for (slot, s) in spectra.iter().enumerate() {
+            engine.store_key_row(s, s, &engine.zero_spectrum(), exp, slot, &mut row);
+        }
+        row.truncate(words);
+        row
     }
 }

@@ -39,12 +39,13 @@ fn workload(n: usize, rng: &mut XorShift64) -> (TorusPolynomial, IntPolynomial) 
 }
 
 /// End-to-end polynomial multiplication error of `engine` in dB, over
-/// `trials` random products of ring degree `n`.
+/// `trials` random products at the engine's ring degree.
 ///
 /// The error is `20·log10(rms(err)/rms(signal))` where both are measured on
 /// the centered torus representatives of the result, exactly the relative
 /// error metric of Figure 8 (smaller/more negative is better).
-pub fn poly_mul_error_db<E: FftEngine>(engine: &E, n: usize, trials: usize, seed: u64) -> f64 {
+pub fn poly_mul_error_db<E: FftEngine>(engine: &E, trials: usize, seed: u64) -> f64 {
+    let n = engine.ring_degree();
     let mut rng = XorShift64::new(seed);
     let mut errs = Vec::with_capacity(trials * n);
     let mut signal = Vec::with_capacity(trials * n);
@@ -66,7 +67,8 @@ pub fn poly_mul_error_db<E: FftEngine>(engine: &E, n: usize, trials: usize, seed
 
 /// Forward/backward round-trip error of `engine` in dB (pure FFT+IFFT, no
 /// pointwise product), over `trials` random torus polynomials.
-pub fn fft_roundtrip_error_db<E: FftEngine>(engine: &E, n: usize, trials: usize, seed: u64) -> f64 {
+pub fn fft_roundtrip_error_db<E: FftEngine>(engine: &E, trials: usize, seed: u64) -> f64 {
+    let n = engine.ring_degree();
     let mut rng = XorShift64::new(seed);
     let mut errs = Vec::with_capacity(trials * n);
     let mut signal = Vec::with_capacity(trials * n);
@@ -97,7 +99,7 @@ mod tests {
     #[test]
     fn double_precision_error_is_small() {
         let engine = F64Fft::new(256);
-        let db = poly_mul_error_db(&engine, 256, 4, 42);
+        let db = poly_mul_error_db(&engine, 4, 42);
         assert!(
             db < -120.0,
             "double-precision error {db} dB unexpectedly large"
@@ -106,8 +108,8 @@ mod tests {
 
     #[test]
     fn approx_error_improves_with_bits() {
-        let coarse = poly_mul_error_db(&ApproxIntFft::new(256, 10), 256, 3, 7);
-        let fine = poly_mul_error_db(&ApproxIntFft::new(256, 40), 256, 3, 7);
+        let coarse = poly_mul_error_db(&ApproxIntFft::new(256, 10), 3, 7);
+        let fine = poly_mul_error_db(&ApproxIntFft::new(256, 40), 3, 7);
         assert!(
             fine < coarse - 20.0,
             "40-bit ({fine} dB) should be far better than 10-bit ({coarse} dB)"
@@ -116,8 +118,8 @@ mod tests {
 
     #[test]
     fn high_precision_approx_close_to_double() {
-        let double = poly_mul_error_db(&F64Fft::new(128), 128, 3, 11);
-        let approx = poly_mul_error_db(&ApproxIntFft::new(128, 55), 128, 3, 11);
+        let double = poly_mul_error_db(&F64Fft::new(128), 3, 11);
+        let approx = poly_mul_error_db(&ApproxIntFft::new(128, 55), 3, 11);
         // Figure 8: at high twiddle widths the approximate engine approaches
         // (without fully matching) the double-precision line.
         assert!(approx < -100.0, "55-bit approx error {approx} dB too large");
@@ -126,7 +128,7 @@ mod tests {
 
     #[test]
     fn roundtrip_error_reported() {
-        let db = fft_roundtrip_error_db(&ApproxIntFft::new(128, 40), 128, 3, 5);
+        let db = fft_roundtrip_error_db(&ApproxIntFft::new(128, 40), 3, 5);
         assert!(db < -80.0, "roundtrip error {db} dB too large");
     }
 }

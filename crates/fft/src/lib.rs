@@ -28,6 +28,17 @@
 //! the accelerator's twiddle-buffer reads, and is modelled there:
 //! `matcha_accel::banking`.
 //!
+//! # Public surface
+//!
+//! Bootstrapping needs the [`FftEngine`] trait and its two engines. The
+//! other public items are the ones another crate, a figure regenerator or
+//! this crate's equivalence suites call directly: the spectrum and key-block
+//! types, the Figure 8 error harness ([`error`]), the kernel legs and their
+//! override ([`simd`], [`force_simd`]), and the table and lifting types
+//! those kernels take. The table builders' complex-number helper and the
+//! kernels only the engines call are crate-private, and the twiddle tables
+//! store each factor once, split into the `re`/`im` arrays the kernels read.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,7 +59,7 @@
 //! ```
 
 pub mod approx;
-pub mod cplx;
+mod cplx;
 pub mod engine;
 pub mod error;
 pub mod lifting;
@@ -58,9 +69,7 @@ pub mod tables;
 pub mod twist;
 
 pub use approx::ApproxIntFft;
-pub use cplx::Cplx;
 pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
-pub use error::{fft_roundtrip_error_db, poly_mul_error_db};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};
 pub use simd::{active_leg, force_simd, simd_active, simd_detected, Leg};

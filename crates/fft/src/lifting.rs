@@ -31,7 +31,7 @@ use crate::simd::LiftSplit;
 ///
 /// // 9/128 from the paper's Figure 3(b): 9 = 2^3 + 2^0, β = 7.
 /// let c = DyadicCoeff::quantize(9.0 / 128.0, 7);
-/// assert_eq!(c.alpha(), 9);
+/// assert_eq!(c.apply(1 << 7), 9); // α = 9
 /// // round(9/128 · 1000) = round(70.3) = 70
 /// assert_eq!(c.apply(1000), 70);
 /// assert_eq!(c.apply_shift_add(1000), 70);
@@ -61,20 +61,8 @@ impl DyadicCoeff {
 
     /// The integer numerator `α`.
     #[inline]
-    pub fn alpha(self) -> i64 {
+    pub(crate) fn alpha(self) -> i64 {
         self.alpha
-    }
-
-    /// The number of fractional bits `β`.
-    #[inline]
-    pub fn beta(self) -> u32 {
-        self.beta
-    }
-
-    /// The represented real value `α/2^β`.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.alpha as f64 / (1i64 << self.beta) as f64
     }
 
     /// `round(x · α/2^β)`, computed with one wide multiply.
@@ -231,29 +219,18 @@ impl LiftingRotation {
     /// `Negation` come out as zero lifts: `⌊(x·0 + 2^{β−1}) / 2^β⌋ = 0`, so
     /// the three steps leave them unchanged and one loop with no case
     /// analysis serves every entry of a table.
-    pub fn lifts(self) -> (i64, i64, bool) {
+    pub(crate) fn lifts(self) -> (i64, i64, bool) {
         match self.kind {
             RotationKind::Identity => (0, 0, false),
             RotationKind::Negation => (0, 0, true),
             RotationKind::Lifting { t, s, negate } => (t.alpha(), s.alpha(), negate),
         }
     }
-
-    /// Number of adder operations the shift-add realization needs
-    /// (used by the accelerator cost model).
-    pub fn adder_ops(self) -> u32 {
-        match self.kind {
-            RotationKind::Identity | RotationKind::Negation => 0,
-            RotationKind::Lifting { t, s, .. } => {
-                2 * t.alpha().unsigned_abs().count_ones() + s.alpha().unsigned_abs().count_ones()
-            }
-        }
-    }
 }
 
 /// A run of rotations in struct-of-arrays layout — what the integer
 /// engine's kernels read. Entry `i` is `rotations[i]` taken apart by
-/// [`LiftingRotation::lifts`]: `t[i]`, `s[i]` are the numerators over
+/// `LiftingRotation::lifts`: `t[i]`, `s[i]` are the numerators over
 /// `2^β`, `neg[i]` is `0` or `−1` (all ones), so that `(v ^ neg) − neg`
 /// negates exactly the entries that ask for it. [`LiftingRotation`] stays
 /// the definition; this is its storage.
@@ -324,14 +301,8 @@ pub struct Lifts<'a> {
 impl Lifts<'_> {
     /// Number of rotations.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.t.len()
-    }
-
-    /// Whether the run is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.t.is_empty()
     }
 
     /// Rotation `k` applied to `(x, y)`: the three lifts and the masked
@@ -456,14 +427,6 @@ mod tests {
         let ex = ((1 << 20) as f64 * 1f64.cos()) as i64;
         let ey = ((1 << 20) as f64 * 1f64.sin()) as i64;
         assert!((x - ex).abs() < (1 << 17) && (y - ey).abs() < (1 << 17));
-    }
-
-    #[test]
-    fn adder_ops_counts_set_bits() {
-        let rot = LiftingRotation::from_angle(0.0, 10);
-        assert_eq!(rot.adder_ops(), 0);
-        let rot = LiftingRotation::from_angle(1.0, 20);
-        assert!(rot.adder_ops() > 0);
     }
 
     #[test]

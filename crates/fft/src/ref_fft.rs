@@ -13,7 +13,7 @@
 //! point at its bit-reversed slot in one pass — running the two narrow
 //! stages (`len = 2`, `4`) on the way, between the rows of the 4×4 blocks
 //! it stores — then the wide stages run two to a pass from
-//! [`simd::FIRST_WIDE_STAGE`] on ([`simd::radix2_stage_pair`]).
+//! `simd::FIRST_WIDE_STAGE` on ([`simd::radix2_stage_pair`]).
 //! Backward: the working copy of the caller's spectrum is made in
 //! bit-reversed order through the plan's table, with the same two narrow
 //! stages on the way ([`simd::bit_reverse_copy_pair`]), the same wide
@@ -81,7 +81,7 @@ pub enum Direction {
     Forward,
     /// Kernel `e^{-2πijk/M}`, *unnormalized*: the `1/M` belongs to the
     /// caller, which folds it into the multiply its next pass makes anyway
-    /// ([`twist::unfold_torus_into`]).
+    /// (`twist::unfold_torus_into`).
     Inverse,
 }
 
@@ -303,16 +303,6 @@ impl FftEngine for F64Fft {
         );
     }
 
-    fn add_assign(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum) {
-        assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
-        for (dst, &x) in acc.re.iter_mut().zip(a.re.iter()) {
-            *dst += x;
-        }
-        for (dst, &x) in acc.im.iter_mut().zip(a.im.iter()) {
-            *dst += x;
-        }
-    }
-
     /// Gathers the factors from the `2N`-th roots of unity:
     /// `ε_k = e^{iπ(4k+1)/N}`, so `ε_k^e` is root number `(4k+1)·e mod 2N`
     /// and consecutive points step the index by `4e`. Every factor is a
@@ -383,7 +373,7 @@ impl FftEngine for F64Fft {
         }
     }
 
-    /// One pass through [`simd::bundle_row`], the stored words' `2^exp`
+    /// One pass through `simd::bundle_row`, the stored words' `2^exp`
     /// being in the tables already.
     fn bundle_row_into(
         &self,
@@ -415,6 +405,7 @@ impl FftEngine for F64Fft {
 mod tests {
     use super::*;
     use crate::cplx::Cplx;
+    use crate::engine::tests::stored_block;
     use matcha_math::Torus32;
 
     fn random_torus_poly(n: usize, seed: u32) -> TorusPolynomial {
@@ -529,7 +520,7 @@ mod tests {
             let mut factors = SplitFactors::default();
             engine.monomial_factors_into([e].into_iter(), exp, &mut factors);
             let mut acc = engine.zero_spectrum();
-            let block = crate::engine::stored_block(&engine, &[engine.forward_torus(&src)], exp);
+            let block = stored_block(&engine, &[engine.forward_torus(&src)], exp);
             let key = KeyBlock {
                 stream: &block,
                 patterns: 1,

@@ -303,7 +303,7 @@ unsafe fn radix2_stage_pair_avx(
 /// `a`, the TGSW scale). The vector leg uses two FMAs per component; the
 /// scalar leg rounds each product before it adds it.
 #[inline]
-pub fn mul_acc(
+pub(crate) fn mul_acc(
     acc_re: &mut [f64],
     acc_im: &mut [f64],
     a_re: &[f64],
@@ -374,7 +374,7 @@ unsafe fn mul_acc_avx(
 /// fused call is bit-identical to two single calls on either path.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn mul_acc_pair(
+pub(crate) fn mul_acc_pair(
     acc1_re: &mut [f64],
     acc1_im: &mut [f64],
     acc2_re: &mut [f64],
@@ -478,7 +478,7 @@ unsafe fn mul_acc_pair_avx(
 /// the two narrow stages before it (`len = 2` and `4`, four neighbouring
 /// slots of bit-reversed data — one point from each quarter of the natural
 /// order) belong to the pass that produces the bit-reversed buffer.
-pub const FIRST_WIDE_STAGE: usize = 8;
+pub(crate) const FIRST_WIDE_STAGE: usize = 8;
 
 /// What the pass that feeds the breadth-first butterflies — a forward
 /// fold, or a backward transform's working copy — needs besides its data:
@@ -536,7 +536,7 @@ fn narrow_stages_avx(rows: [CplxLanes; 4], w4re: &[f64], w4im: &[f64]) -> [CplxL
 /// equivalence suites hold the reversed fold to, and what the vector leg
 /// folds to before it permutes a transform too small for a 4×4 block.
 /// `Some(..)` produces what the breadth-first stage loop consumes
-/// from [`FIRST_WIDE_STAGE`] on: every point at its bit-reversed slot and
+/// from `FIRST_WIDE_STAGE` on: every point at its bit-reversed slot and
 /// the two narrow stages done — no permutation pass follows, and the
 /// vector leg, which twists four coefficients at a time, runs those two
 /// stages between the rows of a 4×4 block before it transposes the block
@@ -655,7 +655,7 @@ unsafe fn fold_twist_avx(
 /// which reads the caller's spectrum exactly once: `dst[i] = src[rev[i]]`
 /// for both components, then the two narrow stages — on the vector leg
 /// between the rows of each 4×4 block, before it is stored. What the
-/// backward stage loop consumes from [`FIRST_WIDE_STAGE`] on.
+/// backward stage loop consumes from `FIRST_WIDE_STAGE` on.
 ///
 /// # Panics
 ///
@@ -748,7 +748,7 @@ pub(crate) fn round_half_away(y: f64) -> i64 {
 /// `roundpd` (ties to even) for it. No libm on either leg: the scalar
 /// roundings are an add and a truncating cast.
 #[inline]
-pub fn reduce_turns(t: f64) -> u32 {
+pub(crate) fn reduce_turns(t: f64) -> u32 {
     let y = (t - round_half_away(t) as f64) * TWO_32;
     round_half_away(y) as u32
 }
@@ -759,7 +759,7 @@ pub fn reduce_turns(t: f64) -> u32 {
 /// — real parts to `lo`, imaginary parts to `hi`.
 ///
 /// `inv_len` must be a power of two: it is folded into the `2⁻³²` multiply
-/// that [`reduce_turns`] needs anyway, which is exact, so the result equals
+/// that `reduce_turns` needs anyway, which is exact, so the result equals
 /// normalizing first, then untwisting, then reducing.
 ///
 /// # Panics
@@ -874,7 +874,7 @@ pub(super) unsafe fn untwist_to_torus_avx(
 ///
 /// Panics on mismatched slice lengths, on a key stream shorter than the
 /// block, and on a slot outside the block's patterns.
-pub fn bundle_row(
+pub(crate) fn bundle_row(
     out_re: &mut [f64],
     out_im: &mut [f64],
     (h_re, h_im): (&[f64], &[f64]),

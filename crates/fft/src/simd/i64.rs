@@ -32,7 +32,7 @@ use std::arch::x86_64::{__m128i, __m256i};
 /// value — so transforms of valid inputs stay inside on every stage. The
 /// scalar legs accept the full `i64` range; outside this bound the two
 /// legs may disagree (no memory unsafety, only different integers).
-pub const I64_LANE_BOUND: u64 = 1 << 62;
+pub(crate) const I64_LANE_BOUND: u64 = 1 << 62;
 
 /// `debug_assert`s the [`I64_LANE_BOUND`] precondition on kernel inputs.
 #[inline]
@@ -77,7 +77,7 @@ fn debug_assert_lane_bound(vs: &[i64]) {
 /// `((v + 2⁶³) ≫ k) − 2^{63−k}` with a logical shift; the `2⁶³` rides in
 /// the rounding constant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LiftSplit {
+pub(crate) struct LiftSplit {
     /// Width `c` of `α_l`.
     pub(super) c: u32,
     /// `31 + c − β`.
@@ -96,7 +96,7 @@ impl LiftSplit {
     /// The split for `beta`-bit coefficients, or `None` where the vector
     /// leg does not reach (`beta = 62`; anything outside `1..=62` is not a
     /// coefficient width at all).
-    pub fn new(beta: u32) -> Option<Self> {
+    pub(crate) fn new(beta: u32) -> Option<Self> {
         if !(1..=61).contains(&beta) {
             return None;
         }
@@ -254,14 +254,19 @@ unsafe fn i64_fold_rotate_avx(
 /// # Panics
 ///
 /// Panics on mismatched lengths.
-pub fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
+pub(crate) fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
     i64_stage::<false>(re, im, rots, len);
 }
 
 /// [`i64_radix2_stage`] with a round-half-up halving of every output —
 /// `log2(M)` of these realize the `1/M` inverse normalization without a
 /// multiplier.
-pub fn i64_radix2_stage_halving(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
+pub(crate) fn i64_radix2_stage_halving(
+    re: &mut [i64],
+    im: &mut [i64],
+    rots: Lifts<'_>,
+    len: usize,
+) {
     i64_stage::<true>(re, im, rots, len);
 }
 
@@ -638,7 +643,7 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 
 /// Exclusive magnitude bound on the operands of the integer engine's
 /// pointwise products on [`Leg::Avx512`](super::Leg::Avx512) — `x` and every
-/// row of [`i64_mul_acc`] — and how that leg computes them without a
+/// row of `i64_mul_acc` — and how that leg computes them without a
 /// 64×64-bit multiply.
 ///
 /// With every lane split at bit 31 (`v = v_h·2³¹ + v_l`, `0 ≤ v_l < 2³¹`), a
@@ -653,7 +658,7 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 /// ⌊(H·2⁶² + M·2³¹ + L + 2^{s−1}) / 2^s⌋ = (H ≪ (62 − s)) + (M + ⌊(L + 2^{s−1}) / 2³¹⌋) ≫ₐ (s − 31)
 /// ```
 ///
-/// For `|x|, |a| < 2⁶¹` and `31 ≤ s ≤ 61` ([`MAC_SHIFTS`]):
+/// For `|x|, |a| < 2⁶¹` and `31 ≤ s ≤ 61` (`MAC_SHIFTS`):
 ///
 /// * `v_h ∈ [−2³⁰, 2³⁰)` and `v_l ∈ [0, 2³¹)` are signed 32-bit operands,
 ///   and a product of a high and a low half lies in
@@ -688,7 +693,7 @@ pub const MAC_LANE_BOUND: u64 = 1 << 61;
 
 /// The shifts `s` whose products [`i64_mul_acc`]'s
 /// [`Leg::Avx512`](super::Leg::Avx512) leg computes ([`MAC_LANE_BOUND`]).
-pub const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
+pub(crate) const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
 
 /// The integer engine's pointwise multiply-accumulate, `ROWS` rows in one
 /// pass over `x`: `acc_r += ⌊(x ⊙ row_r + 2^{shift−1}) / 2^shift⌋` per
@@ -709,7 +714,7 @@ pub const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
 /// # Panics
 ///
 /// Panics on mismatched lengths or a zero `shift`.
-pub fn i64_mul_acc<const ROWS: usize>(
+pub(crate) fn i64_mul_acc<const ROWS: usize>(
     mut accs: [(&mut [i64], &mut [i64]); ROWS],
     (x_re, x_im): (&[i64], &[i64]),
     rows: [(&[i64], &[i64]); ROWS],
@@ -780,7 +785,7 @@ pub fn i64_mul_acc<const ROWS: usize>(
 /// Panics on mismatched lengths, on a key stream shorter than the block,
 /// on a slot outside the block's patterns, and on a `key.exp` that leaves
 /// no rounding shift (`S < 1`).
-pub fn i64_bundle_row(
+pub(crate) fn i64_bundle_row(
     out_re: &mut [i64],
     out_im: &mut [i64],
     (h_re, h_im): (&[i64], &[i64]),

@@ -27,11 +27,11 @@
 //!   — and the f64 ones run the two narrow stages (`len = 2` and `4`)
 //!   between a block's rows before transposing it, where they are
 //!   whole-vector butterflies and cost no shuffle ([`Reversed`]).
-//! * **Butterflies.** The f64 stage loop starts at [`FIRST_WIDE_STAGE`]
+//! * **Butterflies.** The f64 stage loop starts at `FIRST_WIDE_STAGE`
 //!   and runs two stages to a pass ([`radix2_stage_pair`]: a block's four
 //!   quarter-vectors stay in registers between stage `len` and `2·len`);
 //!   an odd stage count leaves the last to [`radix2_stage`]. The integer
-//!   loop runs [`i64_radix2_stage`] from `len = 2`, one stage a pass: its
+//!   loop runs `i64_radix2_stage` from `len = 2`, one stage a pass: its
 //!   stages are bound by the lifts, not by loads and stores, and pairing
 //!   them measured slower.
 //! * **Out.** Forward, nothing: the last stage leaves the spectrum.
@@ -49,9 +49,9 @@
 //! widest [`Leg`] the CPU runs, detected once and cached in an atomic:
 //!
 //! * [`Leg::Avx512`], where the CPU has AVX-512F (and AVX2+FMA): eight-lane
-//!   forms of the integer engine's kernels — [`i64_radix2_stage`] but for
+//!   forms of the integer engine's kernels — `i64_radix2_stage` but for
 //!   `len = 2`, [`i64_fold_rotate`]'s lifts, [`i64_rotate`],
-//!   [`i64_mul_acc`] and [`i64_bundle_row`] — and the AVX2 kernels for
+//!   `i64_mul_acc` and `i64_bundle_row` — and the AVX2 kernels for
 //!   everything else;
 //! * [`Leg::Avx2`], where it has AVX2+FMA: explicitly vectorized kernels
 //!   (`core::arch::x86_64` intrinsics behind `#[target_feature]`);
@@ -73,24 +73,24 @@
 //! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
 //!   [`radix2_stage_pair`]), the twist (inside [`fold_twist`]; the untwist
 //!   inside [`untwist_to_torus`]) and the pointwise accumulates
-//!   ([`mul_acc`], [`mul_acc_pair`]) — the vector leg contracts
+//!   (`mul_acc`, `mul_acc_pair`) — the vector leg contracts
 //!   `a·b ± c·d` into fused multiply-adds (one rounding instead of two).
 //! * **Bitwise:** the reduction mod `2^32` at the end of
 //!   [`untwist_to_torus`] — on identical untwisted values both legs store
-//!   the same `Torus32` ([`reduce_turns`] states the rule) — the narrow
+//!   the same `Torus32` (`reduce_turns` states the rule) — the narrow
 //!   `len = 2` butterfly stage, which has no multiplies, and the bundle row
-//!   over a stored key ([`bundle_row`]), whose scalar leg is written with
+//!   over a stored key (`bundle_row`), whose scalar leg is written with
 //!   the fused multiply-adds the vector leg makes.
-//! * **Within each leg** the fused pair kernel [`mul_acc_pair`] is
-//!   bit-identical to two [`mul_acc`] calls (the external product swaps
+//! * **Within each leg** the fused pair kernel `mul_acc_pair` is
+//!   bit-identical to two `mul_acc` calls (the external product swaps
 //!   freely between them).
 //!
 //! # Integer (i64) kernels
 //!
-//! The integer engine's rotations ([`i64_radix2_stage`],
-//! [`i64_radix2_stage_halving`], [`i64_rotate`], [`i64_fold_rotate`]), its
-//! pointwise products ([`i64_mul_acc`]) and its bundle row
-//! ([`i64_bundle_row`]) have vector legs too, and here every leg agrees
+//! The integer engine's rotations (`i64_radix2_stage`,
+//! `i64_radix2_stage_halving`, [`i64_rotate`], [`i64_fold_rotate`]), its
+//! pointwise products (`i64_mul_acc`) and its bundle row
+//! (`i64_bundle_row`) have vector legs too, and here every leg agrees
 //! **bitwise**, not within ulps: integer arithmetic has one right answer.
 //! The scalar leg is the definition — each lift
 //! `⌊(x·α + 2^{β−1}) / 2^β⌋`, each pointwise product and each bundle
@@ -99,18 +99,18 @@
 //! bit 31, form the signed 32×32→64-bit partial products `vpmuldq` does
 //! offer, and recombine them with nested floors; AVX2 also lacks a 64-bit
 //! arithmetic shift and shifts a value biased by `2⁶³` instead, AVX-512F
-//! has one (`vpsraq`). [`LiftSplit`] derives the lifts' recombination and
+//! has one (`vpsraq`). `LiftSplit` derives the lifts' recombination and
 //! the bounds that keep every partial sum exact; the one precondition it
-//! adds to the scalar leg's is [`I64_LANE_BOUND`] (`|v| < 2⁶²`), which the
+//! adds to the scalar leg's is `I64_LANE_BOUND` (`|v| < 2⁶²`), which the
 //! engine's scaling already guaranteed. Twiddle widths the split does not
 //! reach (`β = 62`) run the scalar loop on every leg. [`MAC_LANE_BOUND`]
 //! does the same for the pointwise products (16 partial products a
-//! complex product, operands below `2⁶¹`, shifts in [`MAC_SHIFTS`]); those
+//! complex product, operands below `2⁶¹`, shifts in `MAC_SHIFTS`); those
 //! run on [`Leg::Avx512`] only — on four lanes and sixteen registers the
 //! split measured no faster than the native `mul`. The bundle row needs no
 //! split: a stored key's mantissas and the factors are 32 bits each, one
-//! `vpmuldq` a product ([`i64_bundle_row`]). The bundle rows' vector legs
-//! (this one and [`bundle_row`]'s) are the kernels here that prefetch:
+//! `vpmuldq` a product (`i64_bundle_row`). The bundle rows' vector legs
+//! (this one and `bundle_row`'s) are the kernels here that prefetch:
 //! with the products in vector lanes a row is done before its key arrives,
 //! and the time the key takes is the part of a gate that a busy neighbour
 //! sets (`BUNDLE_PREFETCH_AHEAD`).
@@ -130,20 +130,22 @@ mod i64_512;
 mod movers;
 
 pub use self::dispatch::{active_leg, force_simd, simd_active, simd_detected, Leg};
-pub(crate) use self::f64::round_half_away;
 pub use self::f64::{
-    bit_reverse_copy_pair, bundle_row, fold_twist, mul_acc, mul_acc_pair, radix2_stage,
-    radix2_stage_pair, reduce_turns, untwist_to_torus, Reversed, FIRST_WIDE_STAGE,
+    bit_reverse_copy_pair, fold_twist, radix2_stage, radix2_stage_pair, untwist_to_torus, Reversed,
 };
-pub use self::i64::{
-    i64_bundle_row, i64_fold_rotate, i64_mul_acc, i64_radix2_stage, i64_radix2_stage_halving,
-    i64_rotate, LiftSplit, I64_LANE_BOUND, MAC_LANE_BOUND, MAC_SHIFTS,
+pub(crate) use self::f64::{
+    bundle_row, mul_acc, mul_acc_pair, reduce_turns, round_half_away, FIRST_WIDE_STAGE,
 };
+pub(crate) use self::i64::{
+    i64_bundle_row, i64_mul_acc, i64_radix2_stage, i64_radix2_stage_halving, LiftSplit,
+};
+pub use self::i64::{i64_fold_rotate, i64_rotate, MAC_LANE_BOUND};
 pub use self::movers::{bit_reverse_copy, int_words, torus_words, FoldDigit};
 
 #[cfg(test)]
 mod tests {
     use super::f64::{radix2_stage_scalar, TWO_32};
+    use super::i64::I64_LANE_BOUND;
     use super::*;
     #[cfg(target_arch = "x86_64")]
     use super::{f64::untwist_to_torus_avx, i64::LiftLanes};

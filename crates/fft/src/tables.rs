@@ -31,23 +31,14 @@ use crate::cplx::Cplx;
 ///
 /// Stage `s` serves butterflies of length `len = 2^{s+1}` and holds the
 /// `len/2` factors `w^{k·(M/len)}` (`w = e^{±2πi/M}`) in index order. The
-/// final stage (`len = M`) is exactly the classic strided table, so it
-/// doubles as the flat `roots` view.
+/// final stage (`len = M`) is exactly the classic strided table.
 #[derive(Clone, Debug)]
 pub struct StageTwiddles {
-    /// All stages back to back: `1 + 2 + … + M/2 = M − 1` entries.
-    ///
-    /// Kept alongside the split arrays below — the factors are stored
-    /// twice, deliberately: both views are built once from the same source
-    /// in the constructor and immutable after, the duplication is a few
-    /// tens of KB per plan at the paper's `N = 1024`, and the [`Cplx`] view
-    /// stays available to tests and external callers without a per-access
-    /// re-interleave.
-    flat: Vec<Cplx>,
-    /// The same entries with components split into separate arrays — the
-    /// layout the SIMD butterfly kernels consume (see [`crate::simd`]).
+    /// Real components of all stages back to back: `1 + 2 + … + M/2 =
+    /// M − 1` entries, split from the imaginary ones — the layout the SIMD
+    /// butterfly kernels consume (see [`crate::simd`]).
     flat_re: Vec<f64>,
-    /// Imaginary components of `flat`, split.
+    /// Imaginary components, in the same order.
     flat_im: Vec<f64>,
     /// `offsets[s]` = start of the stage for `len = 2^{s+1}`.
     offsets: Vec<usize>,
@@ -61,19 +52,20 @@ impl StageTwiddles {
     /// strided access `full[k * (m/len)]` it replaces.
     fn from_full(full: &[Cplx], m: usize) -> Self {
         debug_assert_eq!(full.len(), m / 2);
-        let mut flat = Vec::with_capacity(m.saturating_sub(1));
+        let mut flat_re = Vec::with_capacity(m.saturating_sub(1));
+        let mut flat_im = Vec::with_capacity(m.saturating_sub(1));
         let mut offsets = Vec::new();
         let mut len = 2;
         while len <= m {
-            offsets.push(flat.len());
+            offsets.push(flat_re.len());
             let step = m / len;
-            flat.extend((0..len / 2).map(|k| full[k * step]));
+            for w in (0..len / 2).map(|k| full[k * step]) {
+                flat_re.push(w.re);
+                flat_im.push(w.im);
+            }
             len *= 2;
         }
-        let flat_re = flat.iter().map(|w| w.re).collect();
-        let flat_im = flat.iter().map(|w| w.im).collect();
         Self {
-            flat,
             flat_re,
             flat_im,
             offsets,
@@ -81,22 +73,8 @@ impl StageTwiddles {
         }
     }
 
-    /// The contiguous factor slice for butterflies of length `len`
-    /// (`len/2` entries).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `len` is not a power of two in `[2, M]`.
-    #[inline]
-    pub fn stage(&self, len: usize) -> &[Cplx] {
-        debug_assert!(len.is_power_of_two() && len >= 2 && len <= self.m);
-        let s = len.trailing_zeros() as usize - 1;
-        let start = self.offsets[s];
-        &self.flat[start..start + len / 2]
-    }
-
-    /// [`StageTwiddles::stage`] in split-component form: `(re, im)` slices
-    /// of `len/2` entries each, bit-identical to the [`Cplx`] view.
+    /// The contiguous factors for butterflies of length `len`: `(re, im)`
+    /// slices of `len/2` entries each.
     ///
     /// # Panics
     ///
@@ -112,14 +90,8 @@ impl StageTwiddles {
 
     /// Transform size `M`.
     #[inline]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.m
-    }
-
-    /// The full-size table `w^k`, `k < M/2` (the last stage).
-    #[inline]
-    pub fn full(&self) -> &[Cplx] {
-        self.stage(self.m)
     }
 }
 
@@ -138,11 +110,10 @@ pub struct TwiddleTables {
     /// Inverse kernel `e^{-2πik/M}` (pre-conjugated so butterfly loops
     /// never branch on direction), per-stage contiguous.
     inv: StageTwiddles,
-    /// `twist[j] = e^{iπj/N}`, `j < M`.
-    twist: Vec<Cplx>,
-    /// Real components of `twist`, split for the SIMD fold kernels.
+    /// `e^{iπj/N}` for `j < M`, real components (split for the SIMD fold
+    /// kernels).
     twist_re: Vec<f64>,
-    /// Imaginary components of `twist`, split.
+    /// Imaginary components of the twist factors.
     twist_im: Vec<f64>,
     /// `e^{iπj/N}` for `j < 2N`, real parts: the monomial `X^e` evaluates
     /// to entry `(4k+1)·e mod 2N` at Lagrange point `k`.
@@ -191,7 +162,6 @@ impl TwiddleTables {
             rev: BitReversal::new(m),
             fwd: StageTwiddles::from_full(&roots, m),
             inv: StageTwiddles::from_full(&roots_conj, m),
-            twist,
             twist_re,
             twist_im,
             unit_re,
@@ -211,24 +181,6 @@ impl TwiddleTables {
         &self.rev
     }
 
-    /// `e^{2πik/M}` for `k < M/2`.
-    #[inline]
-    pub fn root(&self, k: usize) -> Cplx {
-        self.fwd.full()[k]
-    }
-
-    /// The forward twiddle table as a flat slice.
-    #[inline]
-    pub fn roots(&self) -> &[Cplx] {
-        self.fwd.full()
-    }
-
-    /// The conjugated (inverse-kernel) twiddle table as a flat slice.
-    #[inline]
-    pub fn roots_conj(&self) -> &[Cplx] {
-        self.inv.full()
-    }
-
     /// Forward twiddles in per-stage contiguous layout.
     #[inline]
     pub fn forward_stages(&self) -> &StageTwiddles {
@@ -241,14 +193,8 @@ impl TwiddleTables {
         &self.inv
     }
 
-    /// `e^{iπj/N}` for `j < M`.
-    #[inline]
-    pub fn twist(&self, j: usize) -> Cplx {
-        self.twist[j]
-    }
-
-    /// The twist table in split-component form: `(re, im)` slices of `M`
-    /// entries, bit-identical to the [`Cplx`] view.
+    /// The twist factors `e^{iπj/N}`, `j < M`, in split-component form:
+    /// `(re, im)` slices of `M` entries.
     #[inline]
     pub fn twist_split(&self) -> (&[f64], &[f64]) {
         (&self.twist_re, &self.twist_im)
@@ -258,7 +204,7 @@ impl TwiddleTables {
     /// each). At Lagrange point `ε_k = e^{iπ(4k+1)/N}` the monomial `X^e`
     /// evaluates to entry `(4k+1)·e mod 2N`.
     #[inline]
-    pub fn unit_roots_split(&self) -> (&[f64], &[f64]) {
+    pub(crate) fn unit_roots_split(&self) -> (&[f64], &[f64]) {
         (&self.unit_re, &self.unit_im)
     }
 }
@@ -308,19 +254,13 @@ impl BitReversal {
 
     /// Transform size `M`.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rev.len()
-    }
-
-    /// Whether the table is empty (never: `M ≥ 1`).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.rev.is_empty()
     }
 
     /// `index()[i]` = `i` bit-reversed; an involution on `0..M`.
     #[inline]
-    pub fn index(&self) -> &[u32] {
+    pub(crate) fn index(&self) -> &[u32] {
         &self.rev
     }
 
@@ -332,7 +272,7 @@ impl BitReversal {
     /// # Panics
     ///
     /// Panics if either slice's length is not the table's.
-    pub fn permute_pair<T, U>(&self, a: &mut [T], b: &mut [U]) {
+    pub(crate) fn permute_pair<T, U>(&self, a: &mut [T], b: &mut [U]) {
         assert_eq!(a.len(), self.len(), "buffer length is not the table's");
         assert_eq!(b.len(), self.len(), "buffer length is not the table's");
         for (i, &j) in self.rev.iter().enumerate() {
@@ -349,41 +289,64 @@ impl BitReversal {
 mod tests {
     use super::*;
 
+    /// Forward factor `k` of the full-size stage, `e^{2πik/M}`.
+    fn root(t: &TwiddleTables, k: usize) -> Cplx {
+        let (re, im) = t.forward_stages().stage_split(t.size());
+        Cplx::new(re[k], im[k])
+    }
+
+    /// Twist factor `j`, `e^{iπj/N}`.
+    fn twist(t: &TwiddleTables, j: usize) -> Cplx {
+        let (re, im) = t.twist_split();
+        Cplx::new(re[j], im[j])
+    }
+
     #[test]
     fn roots_are_on_unit_circle() {
         let t = TwiddleTables::new(32);
         for k in 0..t.size() / 2 {
-            assert!((t.root(k).abs() - 1.0).abs() < 1e-12);
+            assert!((root(&t, k).abs() - 1.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn root_zero_is_one() {
         let t = TwiddleTables::new(16);
-        assert!((t.root(0) - Cplx::ONE).abs() < 1e-15);
+        assert!((root(&t, 0) - Cplx::ONE).abs() < 1e-15);
     }
 
     #[test]
     fn quarter_root_is_i() {
         let t = TwiddleTables::new(32); // M = 16
-        assert!((t.root(4) - Cplx::new(0.0, 1.0)).abs() < 1e-12);
+        assert!((root(&t, 4) - Cplx::new(0.0, 1.0)).abs() < 1e-12);
     }
 
     #[test]
     fn stage_slices_match_strided_access() {
         let t = TwiddleTables::new(64); // M = 32
         let m = t.size();
-        let mut len = 2;
-        while len <= m {
-            let step = m / len;
-            let fwd = t.forward_stages().stage(len);
-            let inv = t.inverse_stages().stage(len);
-            assert_eq!(fwd.len(), len / 2, "len={len}");
-            for k in 0..len / 2 {
-                assert_eq!(fwd[k], t.roots()[k * step], "fwd len={len} k={k}");
-                assert_eq!(inv[k], t.roots_conj()[k * step], "inv len={len} k={k}");
+        for stages in [t.forward_stages(), t.inverse_stages()] {
+            let (full_re, full_im) = stages.stage_split(m);
+            let mut len = 2;
+            while len <= m {
+                let step = m / len;
+                let (re, im) = stages.stage_split(len);
+                assert_eq!(re.len(), len / 2, "len={len}");
+                assert_eq!(im.len(), len / 2, "len={len}");
+                for k in 0..len / 2 {
+                    assert_eq!(
+                        re[k].to_bits(),
+                        full_re[k * step].to_bits(),
+                        "len={len} k={k}"
+                    );
+                    assert_eq!(
+                        im[k].to_bits(),
+                        full_im[k * step].to_bits(),
+                        "len={len} k={k}"
+                    );
+                }
+                len *= 2;
             }
-            len *= 2;
         }
     }
 
@@ -396,55 +359,57 @@ mod tests {
             let mut sum = 0;
             let mut len = 2;
             while len <= m {
-                sum += t.forward_stages().stage(len).len();
+                sum += t.forward_stages().stage_split(len).0.len();
                 len *= 2;
             }
             sum
         };
         assert_eq!(total, m - 1);
         // Adjacent stages are back to back in memory.
-        let s2 = t.forward_stages().stage(2).as_ptr();
-        let s4 = t.forward_stages().stage(4).as_ptr();
-        assert_eq!(unsafe { s2.add(1) }, s4);
+        for view in [
+            |s: (&[f64], &[f64])| s.0.as_ptr(),
+            |s: (&[f64], &[f64])| s.1.as_ptr(),
+        ] {
+            let s2 = view(t.forward_stages().stage_split(2));
+            let s4 = view(t.forward_stages().stage_split(4));
+            assert_eq!(unsafe { s2.add(1) }, s4);
+        }
     }
 
     #[test]
     fn smallest_ring_has_single_stage() {
         let t = TwiddleTables::new(4); // M = 2
-        assert_eq!(t.forward_stages().stage(2).len(), 1);
-        assert_eq!(t.roots().len(), 1);
-        assert!((t.root(0) - Cplx::ONE).abs() < 1e-15);
+        assert_eq!(t.forward_stages().stage_split(2).0.len(), 1);
+        assert!((root(&t, 0) - Cplx::ONE).abs() < 1e-15);
     }
 
     #[test]
     fn split_views_match_cplx_views() {
-        let t = TwiddleTables::new(64); // M = 32
+        // Each factor is stored once, split: every entry matches, bit for
+        // bit, the `Cplx::from_angle` the constructor computed it from, and
+        // the inverse stages are the forward ones exactly conjugated.
+        let n = 64;
+        let t = TwiddleTables::new(n); // M = 32
         let m = t.size();
         let mut len = 2;
         while len <= m {
-            for (dir, stages) in [(0, t.forward_stages()), (1, t.inverse_stages())] {
-                let ws = stages.stage(len);
-                let (re, im) = stages.stage_split(len);
-                assert_eq!(re.len(), ws.len(), "dir={dir} len={len}");
-                for k in 0..ws.len() {
-                    assert_eq!(
-                        re[k].to_bits(),
-                        ws[k].re.to_bits(),
-                        "dir={dir} len={len} k={k}"
-                    );
-                    assert_eq!(
-                        im[k].to_bits(),
-                        ws[k].im.to_bits(),
-                        "dir={dir} len={len} k={k}"
-                    );
-                }
+            let (fre, fim) = t.forward_stages().stage_split(len);
+            let (ire, iim) = t.inverse_stages().stage_split(len);
+            for k in 0..len / 2 {
+                let w = Cplx::from_angle(std::f64::consts::TAU * (k * (m / len)) as f64 / m as f64);
+                assert_eq!(fre[k].to_bits(), w.re.to_bits(), "len={len} k={k}");
+                assert_eq!(fim[k].to_bits(), w.im.to_bits(), "len={len} k={k}");
+                assert_eq!(ire[k].to_bits(), fre[k].to_bits(), "len={len} k={k}");
+                assert_eq!(iim[k].to_bits(), (-fim[k]).to_bits(), "len={len} k={k}");
             }
             len *= 2;
         }
         let (twre, twim) = t.twist_split();
+        assert_eq!(twre.len(), m);
         for j in 0..m {
-            assert_eq!(twre[j].to_bits(), t.twist(j).re.to_bits(), "twist j={j}");
-            assert_eq!(twim[j].to_bits(), t.twist(j).im.to_bits(), "twist j={j}");
+            let w = Cplx::from_angle(std::f64::consts::PI * j as f64 / n as f64);
+            assert_eq!(twre[j].to_bits(), w.re.to_bits(), "twist j={j}");
+            assert_eq!(twim[j].to_bits(), w.im.to_bits(), "twist j={j}");
         }
     }
 
@@ -527,17 +492,18 @@ mod tests {
         assert_eq!((re[n / 2], im[n / 2]), (0.0, 1.0));
         assert_eq!((re[n], im[n]), (-1.0, 0.0));
         // ... and they agree with the twist table on the shared range.
+        let (twre, twim) = t.twist_split();
         for j in 0..n / 2 {
-            assert_eq!(re[j].to_bits(), t.twist(j).re.to_bits(), "j={j}");
-            assert_eq!(im[j].to_bits(), t.twist(j).im.to_bits(), "j={j}");
+            assert_eq!(re[j].to_bits(), twre[j].to_bits(), "j={j}");
+            assert_eq!(im[j].to_bits(), twim[j].to_bits(), "j={j}");
         }
     }
 
     #[test]
     fn twist_angles() {
         let t = TwiddleTables::new(8); // N = 8, M = 4
-        assert!((t.twist(0) - Cplx::ONE).abs() < 1e-15);
-        // twist(2) = e^{iπ/4}
-        assert!((t.twist(2) - Cplx::from_angle(std::f64::consts::FRAC_PI_4)).abs() < 1e-12);
+        assert!((twist(&t, 0) - Cplx::ONE).abs() < 1e-15);
+        // Twist factor 2 is e^{iπ/4}.
+        assert!((twist(&t, 2) - Cplx::from_angle(std::f64::consts::FRAC_PI_4)).abs() < 1e-12);
     }
 }

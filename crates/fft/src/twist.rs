@@ -21,7 +21,7 @@
 //! extract a gadget digit), multiply by the twist, and store every point
 //! straight to its bit-reversed slot of the plan's
 //! [`crate::tables::BitReversal`]. The breadth-first butterflies then start
-//! without a permutation pass, and at [`simd::FIRST_WIDE_STAGE`]: the fold
+//! without a permutation pass, and at `simd::FIRST_WIDE_STAGE`: the fold
 //! runs the two narrow stages (`len = 2` and `4`, which combine four
 //! neighbouring slots) on the way. The unfold is one fused pass too,
 //! [`crate::simd::untwist_to_torus`].
@@ -105,7 +105,7 @@ pub fn fold_torus(
 /// coefficients: normalizes by `inv_len` (the `1/M` of an unnormalized
 /// inverse DFT, or `1.0`; a power of two), untwists, and reduces each real
 /// coefficient modulo `2^32` (allocating wrapper over
-/// [`unfold_torus_into`]).
+/// `unfold_torus_into`).
 ///
 /// # Panics
 ///
@@ -130,7 +130,7 @@ pub fn unfold_torus(
 ///
 /// Panics if `re.len() != tables.size()`, `re.len() != im.len()`,
 /// `out.len() != 2 * re.len()`, or `inv_len` is not a power of two.
-pub fn unfold_torus_into(
+pub(crate) fn unfold_torus_into(
     re: &[f64],
     im: &[f64],
     inv_len: f64,
@@ -148,7 +148,7 @@ pub fn unfold_torus_into(
 
 /// Reduces a real value modulo `2^32` onto the torus: the centred residue
 /// `x − 2^32·round(x / 2^32)`, rounded to the nearest integer with ties of
-/// *the residue* away from zero (see [`simd::reduce_turns`], which this
+/// *the residue* away from zero (see `simd::reduce_turns`, which this
 /// wraps and which every backward transform applies per coefficient).
 ///
 /// Exact for `|x| < 2^62`. Values after a pointwise-product round trip

@@ -26,6 +26,15 @@ fn digit_poly_of(n: usize) -> impl Strategy<Value = IntPolynomial> {
     proptest::collection::vec(-512i32..512, n).prop_map(IntPolynomial::from_coeffs)
 }
 
+/// `acc += a`, point by point, on split `(re, im)` components.
+fn add_split<T: Copy + std::ops::AddAssign>(acc: (&mut [T], &mut [T]), a: (&[T], &[T])) {
+    assert_eq!(acc.0.len(), a.0.len(), "spectrum size mismatch");
+    let dst = acc.0.iter_mut().chain(acc.1.iter_mut());
+    for (d, &x) in dst.zip(a.0.iter().chain(a.1)) {
+        *d += x;
+    }
+}
+
 fn torus_poly() -> impl Strategy<Value = TorusPolynomial> {
     torus_poly_of(N)
 }
@@ -104,13 +113,17 @@ proptest! {
     fn forward_is_linear_modulo_one(p in torus_poly(), q in torus_poly()) {
         // Spectra of wrapped sums differ by multiples of 2^32, which the
         // backward reduction absorbs: backward(F(p) + F(q)) = p + q mod 1.
-        let engine = ApproxIntFft::new(N, 50);
-        let mut sum_spec = engine.forward_torus(&p);
-        let fq = engine.forward_torus(&q);
-        engine.add_assign(&mut sum_spec, &fq);
-        let roundtrip = engine.backward_torus(&sum_spec);
-        let direct = p + &q;
-        prop_assert!(roundtrip.max_distance(&direct) < 1e-6);
+        // The spectra are summed through their public fields.
+        let direct = p.clone() + &q;
+        let f = F64Fft::new(N);
+        let (mut sum, fq) = (f.forward_torus(&p), f.forward_torus(&q));
+        add_split((&mut sum.re, &mut sum.im), (&fq.re, &fq.im));
+        prop_assert!(f.backward_torus(&sum).max_distance(&direct) < 1e-6, "F64Fft");
+        let a = ApproxIntFft::new(N, 50);
+        let (mut sum, fq) = (a.forward_torus(&p), a.forward_torus(&q));
+        prop_assert_eq!(sum.frac_bits, fq.frac_bits);
+        add_split((&mut sum.re, &mut sum.im), (&fq.re, &fq.im));
+        prop_assert!(a.backward_torus(&sum).max_distance(&direct) < 1e-6, "ApproxIntFft");
     }
 
     #[test]

@@ -128,19 +128,8 @@ impl GadgetDecomposer {
     /// Decomposes one torus element into `ℓ` centered digits,
     /// most significant first.
     pub fn decompose(&self, x: Torus32) -> Vec<i32> {
-        let mut out = Vec::with_capacity(self.levels);
-        self.decompose_into(x, &mut out);
-        out
-    }
-
-    /// Decomposes into a caller-provided buffer (cleared first) to avoid
-    /// allocation in the external-product hot loop.
-    pub fn decompose_into(&self, x: Torus32, out: &mut Vec<i32>) {
-        out.clear();
         let t = self.shift(x);
-        for level in 0..self.levels {
-            out.push(self.digit(t, level));
-        }
+        (0..self.levels).map(|level| self.digit(t, level)).collect()
     }
 
     /// Recomposes digits into the closest representable torus element.

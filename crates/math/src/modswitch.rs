@@ -49,13 +49,6 @@ pub fn mod_switch_to_torus(k: u32, two_n: u32) -> Torus32 {
     Torus32::from_raw(((k as u64 % two_n as u64) * interval) as u32)
 }
 
-/// Worst-case rounding error of [`mod_switch_from_torus`] in torus units:
-/// `1/(4N)`.
-#[inline]
-pub fn mod_switch_error_bound(two_n: u32) -> f64 {
-    0.5 / two_n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,8 +60,9 @@ mod tests {
             let x = Torus32::from_raw(i.wrapping_mul(0x9e37_79b9).wrapping_add(3));
             let k = mod_switch_from_torus(x, two_n);
             let back = mod_switch_to_torus(k, two_n);
+            // Half a step of the `2N`-element grid: `1/(4N)`.
             assert!(
-                x.signed_diff(back).abs() <= mod_switch_error_bound(two_n) + 1e-12,
+                x.signed_diff(back).abs() <= 0.5 / two_n as f64 + 1e-12,
                 "rounding error too large for {x:?}"
             );
         }

@@ -177,7 +177,12 @@ impl TorusPolynomial {
 
     /// Maximum absolute centered distance between two polynomials, in torus
     /// units (`[0, 1/2]`). Used to bound FFT approximation error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ring degrees differ.
     pub fn max_distance(&self, other: &Self) -> f64 {
+        assert_eq!(self.len(), other.len(), "ring degree mismatch");
         self.coeffs
             .iter()
             .zip(other.coeffs.iter())
@@ -195,8 +200,11 @@ impl Add<&TorusPolynomial> for TorusPolynomial {
 }
 
 impl AddAssign<&TorusPolynomial> for TorusPolynomial {
+    /// # Panics
+    ///
+    /// Panics if the two ring degrees differ.
     fn add_assign(&mut self, rhs: &TorusPolynomial) {
-        debug_assert_eq!(self.len(), rhs.len());
+        assert_eq!(self.len(), rhs.len(), "ring degree mismatch");
         for (a, &b) in self.coeffs.iter_mut().zip(rhs.coeffs.iter()) {
             *a += b;
         }
@@ -212,8 +220,11 @@ impl Sub<&TorusPolynomial> for TorusPolynomial {
 }
 
 impl SubAssign<&TorusPolynomial> for TorusPolynomial {
+    /// # Panics
+    ///
+    /// Panics if the two ring degrees differ.
     fn sub_assign(&mut self, rhs: &TorusPolynomial) {
-        debug_assert_eq!(self.len(), rhs.len());
+        assert_eq!(self.len(), rhs.len(), "ring degree mismatch");
         for (a, &b) in self.coeffs.iter_mut().zip(rhs.coeffs.iter()) {
             *a -= b;
         }
@@ -297,26 +308,6 @@ impl IntPolynomial {
             .map(|&c| (c as i64).abs())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Naive `O(N²)` negacyclic product with another integer polynomial,
-    /// evaluated in `i64` (test reference only).
-    pub fn naive_mul(&self, rhs: &IntPolynomial) -> Vec<i64> {
-        let n = self.len();
-        debug_assert_eq!(n, rhs.len());
-        let mut out = vec![0i64; n];
-        for (i, &a) in self.coeffs.iter().enumerate() {
-            for (j, &b) in rhs.coeffs.iter().enumerate() {
-                let k = i + j;
-                let term = a as i64 * b as i64;
-                if k < n {
-                    out[k] += term;
-                } else {
-                    out[k - n] -= term;
-                }
-            }
-        }
-        out
     }
 }
 
@@ -405,5 +396,28 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let _ = TorusPolynomial::zero(3);
+    }
+
+    // The length checks below are real asserts: in a release build a
+    // mismatched ring degree must not add, subtract or compare a prefix.
+
+    #[test]
+    #[should_panic(expected = "ring degree mismatch")]
+    fn add_assign_rejects_another_ring_degree() {
+        let mut p = TorusPolynomial::zero(8);
+        p += &TorusPolynomial::zero(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring degree mismatch")]
+    fn sub_assign_rejects_another_ring_degree() {
+        let mut p = TorusPolynomial::zero(4);
+        p -= &TorusPolynomial::zero(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring degree mismatch")]
+    fn max_distance_rejects_another_ring_degree() {
+        let _ = TorusPolynomial::zero(8).max_distance(&TorusPolynomial::zero(4));
     }
 }

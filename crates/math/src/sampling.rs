@@ -36,16 +36,6 @@ impl<R: Rng> TorusSampler<R> {
         Self { rng }
     }
 
-    /// Returns the wrapped generator.
-    pub fn into_inner(self) -> R {
-        self.rng
-    }
-
-    /// Mutable access to the generator, for callers needing raw randomness.
-    pub fn rng_mut(&mut self) -> &mut R {
-        &mut self.rng
-    }
-
     /// A uniformly random torus element.
     #[inline]
     pub fn uniform(&mut self) -> Torus32 {
@@ -76,7 +66,7 @@ impl<R: Rng> TorusSampler<R> {
     /// silently saturate the NaN/∞ noise sample. A `[0, 1)` draw is
     /// reflected to `(0, 1]`, and a redraw guard keeps the invariant even
     /// for generators whose `f64` distribution can return exactly `1.0`.
-    pub fn gaussian_f64(&mut self, stdev: f64) -> f64 {
+    fn gaussian_f64(&mut self, stdev: f64) -> f64 {
         let u1: f64 = loop {
             let u = 1.0 - self.rng.gen::<f64>();
             if u > 0.0 {
@@ -90,7 +80,7 @@ impl<R: Rng> TorusSampler<R> {
     /// A torus element sampled from the centered Gaussian of standard
     /// deviation `stdev` (reduced mod 1).
     #[inline]
-    pub fn gaussian(&mut self, stdev: f64) -> Torus32 {
+    fn gaussian(&mut self, stdev: f64) -> Torus32 {
         Torus32::from_f64(self.gaussian_f64(stdev))
     }
 

@@ -10,7 +10,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance. Returns 0 for an empty slice.
-pub fn variance(xs: &[f64]) -> f64 {
+fn variance(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -61,8 +61,12 @@ pub fn amplitude_db(ratio: f64) -> f64 {
 /// overhead. Exact matches (and empty or all-zero references) report
 /// `-inf` dB, smaller-is-better as in the paper's Figure 8; NaN anywhere
 /// propagates to a NaN result, consistent with [`rms`].
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
 pub fn error_db(reference: &[f64], approx: &[f64]) -> f64 {
-    debug_assert_eq!(reference.len(), approx.len());
+    assert_eq!(reference.len(), approx.len(), "slice length mismatch");
     let mut err_sq = 0.0;
     let mut ref_sq = 0.0;
     for (&r, &a) in reference.iter().zip(approx.iter()) {
@@ -141,6 +145,13 @@ mod tests {
     fn error_db_exact_match_is_neg_inf() {
         let xs = [1.0, -2.0, 0.5];
         assert_eq!(error_db(&xs, &xs), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice length mismatch")]
+    fn error_db_rejects_mismatched_lengths() {
+        // A real assert: a release build must not compare a prefix.
+        let _ = error_db(&[1.0, 2.0], &[1.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn main() {
     let trials = 4;
     let seed = 2022;
 
-    let double = poly_mul_error_db(&F64Fft::new(n), n, trials, seed);
+    let double = poly_mul_error_db(&F64Fft::new(n), trials, seed);
     // Our double-precision pipeline rounds to the bit-exact product at these
     // sizes, so its measured error can fall below the half-ulp floor of the
     // 32-bit torus (≈ -193 dB).
@@ -25,8 +25,8 @@ fn main() {
     );
     for bits in [10u32, 16, 22, 28, 34, 38, 44, 50, 56, 62] {
         let engine = ApproxIntFft::new(n, bits);
-        let db = poly_mul_error_db(&engine, n, trials, seed);
-        let rt = fft_roundtrip_error_db(&engine, n, trials, seed);
+        let db = poly_mul_error_db(&engine, trials, seed);
+        let rt = fft_roundtrip_error_db(&engine, trials, seed);
         // Exact round trips fall below the half-ulp measurement floor.
         let rt = if rt.is_finite() { rt } else { -193.0 };
         println!("{bits:<14} {db:>12.1} {rt:>14.1}");
