@@ -47,12 +47,36 @@ impl Torus32 {
 
     /// Creates the torus element `x mod 1` from a real number.
     ///
-    /// The fractional part is rounded to the nearest multiple of `2^-32`.
+    /// The result is exact: the nearest multiple of `2^-32` to `x`, ties
+    /// away from zero, reduced mod 1. Non-finite inputs map to zero.
+    ///
+    /// For `|x·2^32| < 2^63` — every noise sample and every plaintext —
+    /// this is a scaling by a power of two, a truncating cast and a
+    /// comparison of the remainder against `±1/2`, all exact, with no libm
+    /// call (`floor` and `round` are calls unless the build targets
+    /// SSE4.1).
     #[inline]
     pub fn from_f64(x: f64) -> Self {
-        // Reduce to [0, 1) first so the cast is exact for any finite input.
-        let frac = x - x.floor();
-        Self((frac * 4294967296.0).round() as u64 as u32)
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+        let y = x * 4_294_967_296.0;
+        if y.abs() < TWO_63 {
+            // `t` is `y` truncated toward zero, and `y − t` is exact: an
+            // `f64` of magnitude `≥ 2^52` is already an integer.
+            let t = y as i64;
+            let rem = y - t as f64;
+            let nearest = t + i64::from(rem >= 0.5) - i64::from(rem <= -0.5);
+            Self(nearest as u32)
+        } else if y.is_finite() {
+            // `|y| ≥ 2^63`: an integer multiple of `2^11`, `±mant·2^exp`
+            // with `exp ≥ 11`; keep its low 32 bits.
+            let bits = y.to_bits();
+            let exp = ((bits >> 52) & 0x7ff) as u32 - 1075;
+            let mant = (bits & ((1 << 52) - 1)) | (1 << 52);
+            let low = if exp >= 32 { 0 } else { (mant << exp) as u32 };
+            Self(if y < 0.0 { low.wrapping_neg() } else { low })
+        } else {
+            Self::ZERO
+        }
     }
 
     /// Returns the centered real representative in `[-1/2, 1/2)`.
@@ -221,6 +245,95 @@ mod tests {
         for &x in &[0.0, 0.25, -0.25, 0.4999, -0.5, 0.125, -0.125] {
             let t = Torus32::from_f64(x);
             assert!((t.to_f64() - x).abs() < 1e-9 || (t.to_f64() - x).abs() > 0.999);
+        }
+    }
+
+    /// The nearest multiple of `2^-32` to `x` (ties away from zero) mod 1,
+    /// from the float's mantissa and exponent in `i128`: `x·2^32 =
+    /// ±mant·2^k` exactly, and rounding is integer arithmetic on `mant`.
+    fn exact_reference(x: f64) -> u32 {
+        if !x.is_finite() {
+            return 0;
+        }
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let fraction = (bits & ((1 << 52) - 1)) as i128;
+        let (mant, exp) = if biased == 0 {
+            (fraction, -1074)
+        } else {
+            (fraction | 1 << 52, biased - 1075)
+        };
+        let k = exp + 32;
+        let magnitude = if k >= 32 {
+            0
+        } else if k >= 0 {
+            mant << k
+        } else if k < -60 {
+            0 // below 2^-8 of a unit: rounds to zero
+        } else {
+            let shift = -k;
+            let (q, rem) = (mant >> shift, mant & ((1 << shift) - 1));
+            q + i128::from(rem >= 1 << (shift - 1))
+        };
+        let signed = if x < 0.0 { -magnitude } else { magnitude };
+        signed.rem_euclid(1 << 32) as u32
+    }
+
+    #[test]
+    fn from_f64_is_the_exact_nearest_multiple() {
+        let unit = 1.0 / 4_294_967_296.0;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            // The nearest multiple is −4 units: reducing mod 1 first
+            // rounded `1 − |x|` to 53 bits and returned −3.
+            -(3.5 + 2f64.powi(-25)) * unit,
+        ];
+        // Ties and their neighbours, both signs, near zero and near ±1.
+        for k in [0.5, 1.5, 2.5, 3.5, 1e6 + 0.5, 2f64.powi(31) - 0.5] {
+            for base in [0.0, 1.0, -1.0, 7.0] {
+                for v in [k, -k] {
+                    let x = base + v * unit;
+                    inputs.extend([x, x.next_up(), x.next_down()]);
+                }
+            }
+        }
+        // Tiny negatives: everything below half a unit rounds to zero.
+        for e in 33..80 {
+            inputs.extend([-(2f64.powi(-e)), -(2f64.powi(-e)).next_up()]);
+        }
+        // Random inputs across magnitudes and the `|x·2^32| ≥ 2^63` range.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..200_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let magnitude = 2f64.powi((state % 120) as i32 - 60);
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64;
+            let x = magnitude * mantissa;
+            inputs.extend([x, -x]);
+        }
+        for x in inputs {
+            assert_eq!(
+                Torus32::from_f64(x).raw(),
+                exact_reference(x),
+                "from_f64({x:e})"
+            );
         }
     }
 

@@ -35,14 +35,14 @@ impl LweSecretKey {
         &self.bits
     }
 
-    /// The inner product `⟨a, s⟩` over the torus.
+    /// The inner product `⟨a, s⟩` over the torus: a wrapping sum of the
+    /// entries masked by their key bits, with no branch on a bit.
     pub(crate) fn dot(&self, a: &[Torus32]) -> Torus32 {
         debug_assert_eq!(a.len(), self.bits.len());
-        a.iter()
-            .zip(self.bits.iter())
-            .filter(|(_, &s)| s)
-            .map(|(&ai, _)| ai)
-            .sum()
+        let sum = a.iter().zip(&self.bits).fold(0u32, |acc, (&ai, &s)| {
+            acc.wrapping_add(ai.raw() & u32::from(s).wrapping_neg())
+        });
+        Torus32::from_raw(sum)
     }
 }
 

@@ -29,6 +29,11 @@ impl TgswCiphertext {
     ///
     /// Blind rotation only ever encrypts `{0, 1}` messages (secret key bits
     /// and their products), but the type supports any small integers.
+    ///
+    /// Row `j` is a [`TrlweCiphertext::encrypt`] of zero — the same draws,
+    /// the same `a·s″` through the engine, bit for bit — plus the gadget
+    /// term. The ring key is transformed once for the sample, and every row
+    /// runs through one scratch.
     pub(crate) fn encrypt<E: FftEngine, R: Rng>(
         message: &IntPolynomial,
         key: &RingSecretKey,
@@ -40,24 +45,27 @@ impl TgswCiphertext {
         debug_assert_eq!(message.len(), n);
         let decomp = GadgetDecomposer::new(params.decomp_base_log, params.decomp_levels);
         let levels = params.decomp_levels;
-        let zero = TorusPolynomial::zero(n);
+        let key_spectrum = engine.forward_int(key.as_poly());
+        let mut scratch = engine.make_scratch();
+        let (mut mask_spectrum, mut product) = (engine.zero_spectrum(), engine.zero_spectrum());
         let mut rows = Vec::with_capacity(2 * levels);
         for j in 0..2 * levels {
-            let mut row =
-                TrlweCiphertext::encrypt(&zero, key, params.ring_noise_stdev, engine, sampler);
+            let mut a = sampler.uniform_poly(n);
+            engine.forward_torus_into(&a, &mut mask_spectrum, &mut scratch);
+            engine.clear_spectrum(&mut product);
+            engine.mul_accumulate(&mut product, &mask_spectrum, &key_spectrum);
+            let mut b = TorusPolynomial::zero(n);
+            engine.backward_torus_into(&product, &mut b, &mut scratch);
+            b += &sampler.gaussian_poly(n, params.ring_noise_stdev);
             let h = decomp.gadget(j % levels);
             let gadget_poly =
                 TorusPolynomial::from_coeffs(message.coeffs().iter().map(|&c| h * c).collect());
             if j < levels {
-                let mut a = row.mask().clone();
                 a += &gadget_poly;
-                row = TrlweCiphertext::from_parts(a, row.body().clone());
             } else {
-                let mut b = row.body().clone();
                 b += &gadget_poly;
-                row = TrlweCiphertext::from_parts(row.mask().clone(), b);
             }
-            rows.push(row);
+            rows.push(TrlweCiphertext::from_parts(a, b));
         }
         Self { rows, levels }
     }
@@ -263,6 +271,62 @@ mod tests {
                 .map(|i| Torus32::from_dyadic((i % 4) as i64, 3))
                 .collect(),
         )
+    }
+
+    /// The rows as [`TgswCiphertext::encrypt`] built them before it hoisted
+    /// the key transform: one [`TrlweCiphertext::encrypt`] of zero per row
+    /// (`engine.poly_mul`, the key transformed again each time), then the
+    /// gadget term.
+    fn encrypt_per_row<E: FftEngine>(
+        message: &IntPolynomial,
+        key: &RingSecretKey,
+        p: &ParameterSet,
+        engine: &E,
+        sampler: &mut TorusSampler<StdRng>,
+    ) -> Vec<TrlweCiphertext> {
+        let decomp = GadgetDecomposer::new(p.decomp_base_log, p.decomp_levels);
+        let zero = TorusPolynomial::zero(p.ring_degree);
+        (0..2 * p.decomp_levels)
+            .map(|j| {
+                let row = TrlweCiphertext::encrypt(&zero, key, p.ring_noise_stdev, engine, sampler);
+                let h = decomp.gadget(j % p.decomp_levels);
+                let gadget =
+                    TorusPolynomial::from_coeffs(message.coeffs().iter().map(|&c| h * c).collect());
+                let (mut a, mut b) = (row.mask().clone(), row.body().clone());
+                if j < p.decomp_levels {
+                    a += &gadget;
+                } else {
+                    b += &gadget;
+                }
+                TrlweCiphertext::from_parts(a, b)
+            })
+            .collect()
+    }
+
+    /// One key transform per sample gives the rows one transform per row
+    /// gave, bit for bit, on both engines at the paper's ring degree.
+    #[test]
+    fn hoisted_key_transform_is_bit_identical() {
+        fn check<E: FftEngine>(engine: &E, p: &ParameterSet) {
+            let mut sampler = TorusSampler::new(StdRng::seed_from_u64(29));
+            let key = RingSecretKey::generate(p.ring_degree, &mut sampler);
+            let mut message = IntPolynomial::zero(p.ring_degree);
+            message.coeffs_mut()[0] = 1;
+            message.coeffs_mut()[7] = -1;
+            let mut reference = sampler.clone();
+            let sample = TgswCiphertext::encrypt(&message, &key, p, engine, &mut sampler);
+            let want = encrypt_per_row(&message, &key, p, engine, &mut reference);
+            assert_eq!(sample.rows(), &want[..]);
+            // Both consumed the same draws, spare included.
+            assert_eq!(sampler.uniform_poly(8), reference.uniform_poly(8));
+            assert_eq!(
+                sampler.gaussian_poly(8, 1e-6),
+                reference.gaussian_poly(8, 1e-6)
+            );
+        }
+        let p = ParameterSet::MATCHA;
+        check(&F64Fft::new(p.ring_degree), &p);
+        check(&ApproxIntFft::new(p.ring_degree, 38), &p);
     }
 
     #[test]
