@@ -9,7 +9,7 @@ use crate::config::MatchaConfig;
 
 /// Power (W) and area (mm²) of one design component.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ComponentBudget {
+pub(crate) struct ComponentBudget {
     /// Component name as it appears in Table 2.
     pub name: &'static str,
     /// Power in watts.
@@ -22,7 +22,7 @@ pub struct ComponentBudget {
 #[derive(Clone, Debug, PartialEq)]
 pub struct DesignBudget {
     /// Per-component rows in Table 2 order.
-    pub components: Vec<ComponentBudget>,
+    pub(crate) components: Vec<ComponentBudget>,
 }
 
 impl DesignBudget {

@@ -15,10 +15,13 @@
 //! (§4.1): [`breadth_first_twiddle_reads`] and
 //! [`depth_first_twiddle_reads`] give the counts per transform in closed
 //! form.
+//!
+//! Nothing outside its own tests calls this module, so it is compiled for
+//! tests only: `cargo test -p matcha-accel banking` runs the checks.
 
 /// How addresses map to banks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BankMapping {
+enum BankMapping {
     /// `bank = addr mod banks` — simple interleaving.
     Interleaved,
     /// XOR-folds *every* `log2(banks)`-bit slice of the address into the
@@ -33,10 +36,13 @@ impl BankMapping {
     /// # Panics
     ///
     /// Panics if `banks` is not a power of two.
-    pub fn bank_of(self, addr: usize, banks: usize) -> usize {
+    fn bank_of(self, addr: usize, banks: usize) -> usize {
         assert!(banks.is_power_of_two(), "bank count must be a power of two");
         match self {
             BankMapping::Interleaved => addr % banks,
+            // One bank has no index bits to fold into (and a zero shift
+            // would never empty `rest`).
+            BankMapping::XorFold if banks == 1 => 0,
             BankMapping::XorFold => {
                 let shift = banks.trailing_zeros();
                 let mut folded = 0usize;
@@ -53,11 +59,11 @@ impl BankMapping {
 
 /// A cycle-by-cycle address trace: each inner vector holds the addresses
 /// issued in one cycle (one per lane).
-pub type Trace = Vec<Vec<usize>>;
+type Trace = Vec<Vec<usize>>;
 
 /// Counts stalls: each cycle, a bank serves `ports` accesses; every extra
 /// access beyond that adds one stall.
-pub fn conflict_cycles(trace: &Trace, banks: usize, ports: usize, mapping: BankMapping) -> usize {
+fn conflict_cycles(trace: &Trace, banks: usize, ports: usize, mapping: BankMapping) -> usize {
     assert!(ports > 0, "banks need at least one port");
     let mut stalls = 0;
     let mut hits = vec![0usize; banks];
@@ -73,7 +79,7 @@ pub fn conflict_cycles(trace: &Trace, banks: usize, ports: usize, mapping: BankM
 
 /// The sequential double-buffered trace of a TGSW scale operation:
 /// `lanes` consecutive reads per cycle walking a polynomial front to back.
-pub fn tgsw_stream_trace(poly_len: usize, lanes: usize) -> Trace {
+fn tgsw_stream_trace(poly_len: usize, lanes: usize) -> Trace {
     (0..poly_len.div_ceil(lanes))
         .map(|c| {
             (0..lanes.min(poly_len - c * lanes))
@@ -86,7 +92,7 @@ pub fn tgsw_stream_trace(poly_len: usize, lanes: usize) -> Trace {
 /// The breadth-first radix-2 FFT trace: for each stage, butterflies issue
 /// paired accesses `(i, i + half)` — power-of-two strides that collide on
 /// interleaved banks.
-pub fn breadth_first_fft_trace(m: usize, lanes: usize) -> Trace {
+fn breadth_first_fft_trace(m: usize, lanes: usize) -> Trace {
     assert!(m.is_power_of_two());
     let mut trace = Trace::new();
     let mut len = 2;
@@ -112,7 +118,7 @@ pub fn breadth_first_fft_trace(m: usize, lanes: usize) -> Trace {
 
 /// The depth-first trace: sub-transforms complete before moving on, so
 /// each cycle's accesses stay within one contiguous sub-block.
-pub fn depth_first_fft_trace(m: usize, lanes: usize) -> Trace {
+fn depth_first_fft_trace(m: usize, lanes: usize) -> Trace {
     assert!(m.is_power_of_two());
     let mut trace = Trace::new();
     depth_first_rec(0, m, lanes, &mut trace);
@@ -145,7 +151,7 @@ fn depth_first_rec(base: usize, len: usize, lanes: usize, trace: &mut Trace) {
 /// # Panics
 ///
 /// Panics if `m` is not a power of two.
-pub fn breadth_first_twiddle_reads(m: usize) -> usize {
+fn breadth_first_twiddle_reads(m: usize) -> usize {
     assert!(m.is_power_of_two());
     m / 2 * m.trailing_zeros() as usize
 }
@@ -161,23 +167,23 @@ pub fn breadth_first_twiddle_reads(m: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `m` is not a power of two of at least 2.
-pub fn depth_first_twiddle_reads(m: usize) -> usize {
+fn depth_first_twiddle_reads(m: usize) -> usize {
     assert!(m >= 2 && m.is_power_of_two());
     (m.trailing_zeros() as usize - 1) * m / 4 + m - 1
 }
 
 /// Summary of a kernel/bank-configuration pairing.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BankReport {
+struct BankReport {
     /// Total issue cycles in the trace.
-    pub cycles: usize,
+    cycles: usize,
     /// Stall cycles added by bank conflicts.
-    pub stalls: usize,
+    stalls: usize,
 }
 
 impl BankReport {
     /// Fractional slowdown from conflicts (0 = conflict-free).
-    pub fn overhead(&self) -> f64 {
+    fn overhead(&self) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
@@ -187,7 +193,7 @@ impl BankReport {
 
 /// Evaluates a trace against a banking configuration (dual-ported banks,
 /// as in the paper's "read a register bank while write the other").
-pub fn evaluate(trace: &Trace, banks: usize, mapping: BankMapping) -> BankReport {
+fn evaluate(trace: &Trace, banks: usize, mapping: BankMapping) -> BankReport {
     BankReport {
         cycles: trace.len(),
         stalls: conflict_cycles(trace, banks, 2, mapping),
@@ -339,8 +345,10 @@ mod tests {
     #[test]
     fn bank_mapping_is_total() {
         for mapping in [BankMapping::Interleaved, BankMapping::XorFold] {
-            for addr in 0..1024 {
-                assert!(mapping.bank_of(addr, 8) < 8);
+            for banks in [1, 2, 4, 8, 16] {
+                for addr in 0..1024 {
+                    assert!(mapping.bank_of(addr, banks) < banks, "{mapping:?}");
+                }
             }
         }
     }

@@ -77,12 +77,12 @@ impl MatchaConfig {
     }
 
     /// Clock period in nanoseconds.
-    pub fn clock_ns(&self) -> f64 {
+    pub(crate) fn clock_ns(&self) -> f64 {
         1.0 / self.clock_ghz
     }
 
     /// Cycles → seconds at this clock.
-    pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
+    pub(crate) fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles * self.clock_ns() * 1e-9
     }
 
@@ -97,7 +97,7 @@ impl MatchaConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.clock_ghz <= 0.0 {
             return Err("clock must be positive".into());
         }
@@ -151,23 +151,23 @@ impl WorkloadParams {
     }
 
     /// Transform size `M = N/2`.
-    pub fn transform_points(&self) -> usize {
+    pub(crate) fn transform_points(&self) -> usize {
         self.ring_degree / 2
     }
 
     /// Radix-2 butterflies per transform: `(M/2)·log2(M)`.
-    pub fn butterflies_per_transform(&self) -> usize {
+    pub(crate) fn butterflies_per_transform(&self) -> usize {
         let m = self.transform_points();
         (m / 2) * m.trailing_zeros() as usize
     }
 
     /// Polynomials per TGSW sample: `2ℓ` rows × 2 polynomials.
-    pub fn polys_per_tgsw(&self) -> usize {
+    pub(crate) fn polys_per_tgsw(&self) -> usize {
         4 * self.decomp_levels
     }
 
     /// Bytes of one spectral TGSW sample (64-bit complex pairs).
-    pub fn tgsw_bytes(&self) -> usize {
+    pub(crate) fn tgsw_bytes(&self) -> usize {
         self.polys_per_tgsw() * self.transform_points() * 16
     }
 

@@ -3,8 +3,8 @@
 //! The paper fixes one design point (8 pipelines, 128 butterfly cores,
 //! 640 GB/s). This module sweeps the structural parameters, evaluates each
 //! candidate with the pipeline simulator and the area/power model, and
-//! extracts Pareto-optimal designs — the ablation study DESIGN.md calls
-//! out for the paper's sizing choices.
+//! extracts Pareto-optimal designs — an ablation of the paper's sizing
+//! choices.
 
 use crate::area_power;
 use crate::config::{MatchaConfig, WorkloadParams};
@@ -37,7 +37,7 @@ impl DesignPoint {
     /// latency *and* throughput, strictly better on at least one.
     /// (Latency alone would discard every multi-pipeline design: extra
     /// pipelines buy throughput, not single-gate latency.)
-    pub fn dominates(&self, other: &DesignPoint) -> bool {
+    fn dominates(&self, other: &DesignPoint) -> bool {
         let no_worse = self.power_w <= other.power_w
             && self.latency_s <= other.latency_s
             && self.throughput >= other.throughput;

@@ -17,7 +17,7 @@ use crate::config::{MatchaConfig, WorkloadParams};
 
 /// Cycle costs of the per-step kernels at a given unroll factor.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StepCosts {
+pub(crate) struct StepCosts {
     /// TGSW-cluster cycles per step (bundle construction).
     pub tgsw_cycles: f64,
     /// EP-core cycles per step (external product).
@@ -27,7 +27,7 @@ pub struct StepCosts {
 }
 
 /// Cycles one FFT/IFFT core needs for a single transform.
-pub fn transform_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
+pub(crate) fn transform_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
     let butterflies = w.butterflies_per_transform() as f64;
     let stages = w.transform_points().trailing_zeros() as f64;
     butterflies / cfg.butterfly_cores as f64 + stages
@@ -37,7 +37,7 @@ pub fn transform_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
 /// `2ℓ` digit transforms in waves, the FFT core the 2 output transforms;
 /// pointwise MACs stream through `ep_mac_lanes` complex lanes and overlap
 /// with the transform waves).
-pub fn ep_core_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
+pub(crate) fn ep_core_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
     let t = transform_cycles(cfg, w);
     let ifft_waves = (2 * w.decomp_levels).div_ceil(cfg.ifft_cores_per_ep) as f64;
     let fft_waves = 2f64 / cfg.fft_cores_per_ep as f64;
@@ -59,7 +59,7 @@ pub fn tgsw_cluster_cycles(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> 
 }
 
 /// All per-step costs at unroll `m`.
-pub fn step_costs(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> StepCosts {
+pub(crate) fn step_costs(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> StepCosts {
     StepCosts {
         tgsw_cycles: tgsw_cluster_cycles(cfg, w, m),
         ep_cycles: ep_core_cycles(cfg, w),
@@ -75,7 +75,7 @@ pub fn step_costs(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> StepCosts
 /// key-switching key itself is shared by every concurrent gate, so its
 /// HBM traffic amortizes across the pipelines and prefetches during blind
 /// rotation — only the compute appears on the critical path.
-pub fn epilogue_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
+pub(crate) fn epilogue_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
     // Key switch: N coefficients × t levels of LWE-subtractions of width n.
     let ks_ops = (w.ring_degree * w.ks_levels * (w.lwe_dimension + 1)) as f64;
     ks_ops / (cfg.poly_unit_lanes as f64 * 8.0)

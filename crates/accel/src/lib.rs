@@ -2,7 +2,8 @@
 //! (paper §4.3–§6) and of the paper's CPU/GPU/FPGA/ASIC baselines.
 //!
 //! The crate answers the evaluation's questions without the authors' RTL
-//! and testbeds (see DESIGN.md for the substitution rationale):
+//! and testbeds: each hardware quantity is a closed-form cost or a small
+//! simulation calibrated to the paper's published numbers.
 //!
 //! * [`config`] — the Figure 7 microarchitecture as data.
 //! * [`kernels`] — per-kernel cycle costs (transforms, TGSW scales, MACs).
@@ -13,6 +14,14 @@
 //! * [`platforms`] — the baseline platform models and the MATCHA wrapper,
 //!   producing the series of Figures 9–11.
 //! * [`report`] — text renderers for those figures/tables.
+//! * [`dse`] — design-space exploration: sweeps the structural parameters
+//!   and keeps the Pareto-optimal designs.
+//! * [`schedule`] — list scheduling of a gate dependency graph onto the
+//!   bootstrapping pipelines.
+//!
+//! The register-file bank-conflict analysis behind §4.1's twiddle-read
+//! count and Figure 7's bank sizing is a test-only module:
+//! `cargo test -p matcha-accel banking`.
 //!
 //! # Examples
 //!
@@ -23,8 +32,11 @@
 //! assert!(r.latency_s < 1e-3); // sub-millisecond NAND gates
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod area_power;
-pub mod banking;
+#[cfg(test)]
+mod banking;
 pub mod config;
 pub mod dse;
 pub mod kernels;
@@ -33,6 +45,7 @@ pub mod platforms;
 pub mod report;
 pub mod schedule;
 
-pub use config::{MatchaConfig, WorkloadParams};
-pub use pipeline::{simulate_gate, Bottleneck, GateSimResult};
-pub use platforms::{evaluation_platforms, Platform};
+pub use config::MatchaConfig;
+pub use config::WorkloadParams;
+pub use platforms::evaluation_platforms;
+pub use platforms::Platform;

@@ -105,11 +105,6 @@ pub fn simulate_gate(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> GateSi
     }
 }
 
-/// Simulates a sweep over unroll factors.
-pub fn sweep(cfg: &MatchaConfig, w: &WorkloadParams, ms: &[usize]) -> Vec<GateSimResult> {
-    ms.iter().map(|&m| simulate_gate(cfg, w, m)).collect()
-}
-
 /// The unroll factor minimizing latency within `1..=max_m`.
 pub fn best_unroll(cfg: &MatchaConfig, w: &WorkloadParams, max_m: usize) -> usize {
     (1..=max_m)
@@ -222,7 +217,7 @@ mod tests {
     #[test]
     fn sweep_covers_requested_ms() {
         let (cfg, w) = paper();
-        let rs = sweep(&cfg, &w, &[1, 2, 3, 4]);
+        let rs = [1, 2, 3, 4].map(|m| simulate_gate(&cfg, &w, m));
         assert_eq!(rs.len(), 4);
         assert_eq!(rs[2].unroll, 3);
     }

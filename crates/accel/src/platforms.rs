@@ -85,21 +85,18 @@ impl Platform {
         }
     }
 
-    /// MATCHA, simulated with the Figure 6 pipeline model.
-    pub fn matcha(cfg: MatchaConfig, workload: WorkloadParams) -> Self {
+    /// MATCHA with the paper's configuration and workload, simulated with
+    /// the Figure 6 pipeline model.
+    pub fn matcha_paper() -> Self {
+        let cfg = MatchaConfig::paper();
         let power = crate::area_power::design_budget(&cfg).total_power_w();
         let concurrency = cfg.pipelines() as f64;
         Self {
             name: "MATCHA",
             power_w: power,
             concurrency,
-            kind: Kind::Matcha(Box::new(cfg), workload),
+            kind: Kind::Matcha(Box::new(cfg), WorkloadParams::MATCHA),
         }
-    }
-
-    /// MATCHA with the paper's configuration and workload.
-    pub fn matcha_paper() -> Self {
-        Self::matcha(MatchaConfig::paper(), WorkloadParams::MATCHA)
     }
 
     /// NAND gate latency (seconds) at unroll `m`, if supported.

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 /// Renders a per-platform, per-`m` metric table (one row per platform,
 /// columns m=1..=4), with `-` for unsupported points.
-pub fn metric_table(
+fn metric_table(
     title: &str,
     unit: &str,
     platforms: &[Platform],

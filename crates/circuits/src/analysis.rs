@@ -31,18 +31,8 @@ pub struct CircuitAnalysis {
     pub predicted: ScheduleResult,
 }
 
-/// Analyzes one netlist end to end:
-/// [`matcha_tfhe::analyze`](fn@matcha_tfhe::analyze) for
-/// lints/noise/cost, [`matcha_tfhe::simplify`] for the rewrite savings,
-/// and `matcha_accel::schedule` over
-/// [`CircuitNetlist::schedule_skeleton`] for the makespan a
-/// `pipelines`-wide pool at `gate_latency_s` per bootstrap should hit.
-///
-/// # Panics
-///
-/// Panics if `unroll` is outside `1..=8`, `pipelines == 0`, or
-/// `gate_latency_s <= 0` (the underlying analyzers' bounds).
-pub fn analyze_netlist(
+/// Analyzes one netlist end to end (see [`analyze_library`]).
+fn analyze_netlist(
     name: &'static str,
     net: &CircuitNetlist,
     params: &ParameterSet,
@@ -258,7 +248,17 @@ pub fn processor_cycle_spec(reg_count: usize, width: usize, instr: CycleInstruct
     })
 }
 
-/// Runs [`analyze_netlist`] over the whole [`library`].
+/// Analyzes every [`library`] lowering end to end:
+/// [`matcha_tfhe::analyze`](fn@matcha_tfhe::analyze) for
+/// lints/noise/cost, [`matcha_tfhe::simplify`] for the rewrite savings,
+/// and `matcha_accel::schedule` over
+/// [`CircuitNetlist::schedule_skeleton`] for the makespan a
+/// `pipelines`-wide pool at `gate_latency_s` per bootstrap should hit.
+///
+/// # Panics
+///
+/// Panics if `unroll` is outside `1..=8`, `pipelines == 0`, or
+/// `gate_latency_s <= 0` (the underlying analyzers' bounds).
 pub fn analyze_library(
     params: &ParameterSet,
     unroll: usize,

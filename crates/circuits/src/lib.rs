@@ -37,11 +37,14 @@
 //! assert_eq!(word::decrypt(&client, &sum.sum), 42);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod adder;
 pub mod alu;
 pub mod analysis;
 pub mod comparator;
-pub mod multiplier;
+#[cfg(test)]
+mod multiplier;
 pub mod mux;
 pub mod netlist;
 pub mod popcount;

@@ -5,6 +5,10 @@
 //! widths, which is exactly why the paper cares about gate *throughput*
 //! (Figure 10), not just latency.
 //!
+//! Test-only: nothing outside this module's tests multiplies words, so the
+//! module checks the [`netlist::mul`] and [`netlist::mul_low`] lowerings
+//! under encryption and is compiled for tests only.
+//!
 //! Both functions run their [`netlist`] lowering, whose
 //! additions only touch positions the shifted partial product can actually
 //! reach: each `width`-bit partial covers a window of the `2·width`-bit
@@ -24,11 +28,7 @@ use matcha_tfhe::ServerKey;
 /// # Panics
 ///
 /// Panics if the words have different widths or are empty.
-pub fn mul<E: FftEngine>(
-    server: &ServerKey<E>,
-    a: &EncryptedWord,
-    b: &EncryptedWord,
-) -> EncryptedWord {
+fn mul<E: FftEngine>(server: &ServerKey<E>, a: &EncryptedWord, b: &EncryptedWord) -> EncryptedWord {
     assert_eq!(a.len(), b.len(), "operand widths differ");
     assert!(!a.is_empty(), "empty operands");
     crate::run(server, &netlist::mul(a.len()), &[a, b])
@@ -43,7 +43,7 @@ pub fn mul<E: FftEngine>(
 /// # Panics
 ///
 /// Panics if the words have different widths or are empty.
-pub fn mul_low<E: FftEngine>(
+fn mul_low<E: FftEngine>(
     server: &ServerKey<E>,
     a: &EncryptedWord,
     b: &EncryptedWord,

@@ -25,12 +25,15 @@ pub fn select_word<E: FftEngine>(
 
 /// Selects one of `2^k` words by an encrypted `k`-bit index (LSB first):
 /// a balanced mux tree of `k` levels ([`netlist::mux_tree`]).
+/// Test-only: no caller outside this file's tests, which check that
+/// lowering at two index bits under encryption.
 ///
 /// # Panics
 ///
 /// Panics if `words.len() != 2^index.len()`, if the words have unequal
 /// widths, or if the index or the words are empty.
-pub fn select_one_of<E: FftEngine>(
+#[cfg(test)]
+fn select_one_of<E: FftEngine>(
     server: &ServerKey<E>,
     index: &[LweCiphertext],
     words: &[EncryptedWord],

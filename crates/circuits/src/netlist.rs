@@ -3,8 +3,7 @@
 //! Every word-level circuit is defined once, here, as a lowering to a
 //! [`CircuitNetlist`]. The functions in the word-level modules
 //! ([`adder`](crate::adder), [`comparator`](crate::comparator),
-//! [`mux`](crate::mux), [`multiplier`](crate::multiplier),
-//! [`alu`](crate::alu), [`popcount`](crate::popcount),
+//! [`mux`](crate::mux), [`alu`](crate::alu), [`popcount`](crate::popcount),
 //! [`shifter`](crate::shifter) and [`processor`](crate::processor)) build
 //! these netlists and run them gate by gate on the calling thread with
 //! [`CircuitNetlist::execute_sequential`]; the same netlists can be
@@ -80,13 +79,8 @@ impl NetWord {
     }
 
     /// Word width in bits.
-    pub fn width(&self) -> usize {
+    fn width(&self) -> usize {
         self.bits.len()
-    }
-
-    /// The wires, LSB first.
-    pub fn bits(&self) -> &[NetBit] {
-        &self.bits
     }
 }
 
@@ -429,9 +423,8 @@ pub fn eq_comparator(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A `2^index_bits`-way, `width`-bit-word selection tree, what
-/// [`mux::select_one_of`](crate::mux::select_one_of) runs (and
-/// [`mux::select_word`](crate::mux::select_word) at one index bit):
+/// A `2^index_bits`-way, `width`-bit-word selection tree (what
+/// [`mux::select_word`](crate::mux::select_word) runs at one index bit):
 /// `index_bits` levels of word-wise muxes, each index bit selecting the
 /// odd (higher-index) half.
 ///
@@ -451,8 +444,7 @@ pub fn mux_tree(index_bits: usize, width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// A full `width × width → 2·width` schoolbook multiplier, what
-/// [`multiplier::mul`](crate::multiplier::mul) runs: `width²`
+/// A full `width × width → 2·width` schoolbook multiplier: `width²`
 /// partial-product ANDs and `width−1` ripple adds. Constant-zero
 /// partial-product columns (the zero-extension outside each shifted
 /// window) never touch a full adder — the builder restricts them away as
@@ -498,8 +490,7 @@ pub fn mul(width: usize) -> CircuitNetlist {
     w.finish()
 }
 
-/// The low `width` bits of the schoolbook product, what
-/// [`multiplier::mul_low`](crate::multiplier::mul_low) runs: each partial
+/// The low `width` bits of the schoolbook product: each partial
 /// product is truncated to the bits that land below `width`, and the
 /// ripple chains drop their carry out.
 ///
@@ -647,8 +638,7 @@ pub fn shl(width: usize, amount_bits: usize) -> CircuitNetlist {
 }
 
 /// A `width`-bit logical right barrel shifter with an encrypted
-/// `amount_bits`-bit shift amount, what
-/// [`shifter::shr`](crate::shifter::shr) runs; same level structure and
+/// `amount_bits`-bit shift amount; same level structure and
 /// restricted zero-fill form as [`shl`]. Inputs: the amount bits, then the
 /// word.
 ///
@@ -701,7 +691,8 @@ pub enum CycleInstruction {
 }
 
 /// One full processor step as a single netlist, what
-/// [`Processor::step`](crate::processor::Processor::step) runs. Inputs:
+/// [`Processor::run`](crate::processor::Processor::run) runs per
+/// instruction. Inputs:
 /// the entire register file `r0, r1, …` (each `width` bits, LSB first),
 /// then the instruction's encrypted control bits (2 opcode bits for
 /// [`CycleInstruction::Alu`], 1 flag bit for
@@ -887,7 +878,7 @@ mod tests {
         let a = w.input_word(4);
         let zero = NetWord::from_bits(vec![NetBit::Const(false); 4]);
         let (sums, carry) = w.ripple_add(&a, &zero, NetBit::Const(false));
-        assert_eq!(sums.bits(), a.bits(), "x + 0 aliases x");
+        assert_eq!(sums, a, "x + 0 aliases x");
         assert_eq!(carry, NetBit::Const(false));
         assert_eq!(w.finish().bootstraps(), 0);
     }

@@ -90,16 +90,6 @@ impl Processor {
         Self { registers, width }
     }
 
-    /// Number of registers.
-    pub fn register_count(&self) -> usize {
-        self.registers.len()
-    }
-
-    /// Register word width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Read-only view of a register.
     ///
     /// # Panics
@@ -116,7 +106,7 @@ impl Processor {
     /// # Panics
     ///
     /// Panics if any register index is out of range.
-    pub fn step<E: FftEngine>(&mut self, server: &ServerKey<E>, instr: &Instruction) {
+    fn step<E: FftEngine>(&mut self, server: &ServerKey<E>, instr: &Instruction) {
         let (shape, control) = match *instr {
             Instruction::Alu {
                 ref op,

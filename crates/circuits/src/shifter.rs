@@ -4,8 +4,8 @@
 //! classic barrel construction. Positions whose shifted source falls off
 //! the word would mux in a known zero, so the two-bootstrap MUX collapses
 //! to a single `¬bit ∧ cur` there — in particular a whole level collapses
-//! once `2^j ≥ width`. Both functions run their
-//! [`netlist::shl`]/[`shr`](netlist::shr) lowering.
+//! once `2^j ≥ width`. [`shl`] runs the [`netlist::shl`] lowering; the
+//! test-only `shr` runs [`netlist::shr`] under encryption.
 
 use crate::netlist;
 use crate::word::EncryptedWord;
@@ -29,11 +29,14 @@ pub fn shl<E: FftEngine>(
 }
 
 /// Barrel right shift by an encrypted amount (LSB-first index bits).
+/// Test-only: no caller outside this file's tests, which check the
+/// [`netlist::shr`] lowering under encryption.
 ///
 /// # Panics
 ///
 /// Panics if the word or the amount is empty.
-pub fn shr<E: FftEngine>(
+#[cfg(test)]
+fn shr<E: FftEngine>(
     server: &ServerKey<E>,
     a: &EncryptedWord,
     amount: &[LweCiphertext],

@@ -41,6 +41,8 @@
 //! assert!(client.decrypt(&c));
 //! ```
 
+#![warn(missing_docs)]
+
 pub use matcha_accel as accel;
 pub use matcha_circuits as circuits;
 pub use matcha_fft as fft;

@@ -202,7 +202,7 @@ impl ApproxIntFft {
     /// One stage a pass, unlike the f64 engine's two: an integer stage is
     /// bound by its lifts (~70 vector operations per four butterflies), not
     /// by its loads and stores, and a two-stage kernel measured slower
-    /// (README, "Where the approx38 gate's time goes").
+    /// (README, "Measured and rejected").
     fn stages<const HALVE: bool>(table: &DirectionTable, re: &mut [i64], im: &mut [i64]) {
         let mut len = 2;
         while len <= table.m {

@@ -25,8 +25,9 @@
 //! (runtime-detected, [`active_leg`]; `MATCHA_SIMD=0` or [`force_simd`] pin
 //! the scalar leg).
 //! The depth-first conjugate-pair flow of §4.1 (Figure 2b) is a claim about
-//! the accelerator's twiddle-buffer reads, and is modelled there:
-//! `matcha_accel::banking`.
+//! the accelerator's twiddle-buffer reads, and is modelled there, in the
+//! test-only `banking` module of `matcha-accel`
+//! (`cargo test -p matcha-accel banking`).
 //!
 //! # Public surface
 //!
@@ -57,6 +58,8 @@
 //! let b = approx.poly_mul(&t, &d);
 //! assert!(a.max_distance(&b) < 1e-6);
 //! ```
+
+#![warn(missing_docs)]
 
 pub mod approx;
 mod cplx;

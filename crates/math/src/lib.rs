@@ -21,6 +21,8 @@
 //! assert!(((a + b).to_f64() - (-0.25)).abs() < 1e-9);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod decomp;
 pub mod modswitch;
 pub mod poly;

@@ -524,14 +524,12 @@ impl CircuitNetlist {
     }
 
     /// The dependency skeleton of the *bootstrapped* work, for
-    /// [`accel::schedule`]-style analytical models: entry `i` lists the
+    /// `matcha_accel::schedule`-style analytical models: entry `i` lists the
     /// unit indices unit `i` consumes. Binary and ternary gates are one
     /// unit; a mux is two chained units (it occupies a worker for two
     /// back-to-back bootstraps); `NOT` is free and transparent (consumers
     /// depend directly on its operand's unit) and so is a `Sum` (consumers
     /// depend on its host's unit); inputs and constants cost nothing.
-    ///
-    /// [`accel::schedule`]: https://docs.rs/matcha-accel
     pub fn schedule_skeleton(&self) -> Vec<Vec<usize>> {
         let mut units: Vec<Vec<usize>> = Vec::new();
         // The unit whose completion makes each node's value available

@@ -58,7 +58,6 @@ pub mod bku;
 pub mod bootstrap;
 pub mod circuit;
 pub mod codec;
-pub mod encode;
 pub mod faults;
 pub mod gates;
 pub mod keyswitch;
@@ -66,7 +65,6 @@ pub mod lwe;
 pub mod noise;
 pub mod packing;
 pub mod params;
-pub mod pbs;
 pub mod profile;
 pub mod scratch;
 pub mod secret;
@@ -85,13 +83,11 @@ pub use bku::UnrolledBootstrappingKey;
 pub use bootstrap::BootstrapKit;
 pub use circuit::{CircuitNetlist, CircuitRun, GateOp};
 pub use codec::Codec;
-pub use encode::BucketEncoding;
 pub use faults::{FaultAction, FaultPlan};
 pub use gates::{Gate, Gate3, GateDesc, LaneGate, ServerKey};
 pub use keyswitch::KeySwitchKey;
 pub use lwe::LweCiphertext;
 pub use params::ParameterSet;
-pub use pbs::Lut;
 pub use scratch::{BootstrapScratch, EpScratch, MAX_LANES};
 pub use secret::{ClientKey, LweSecretKey, RingSecretKey};
 pub use server::{

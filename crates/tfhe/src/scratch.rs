@@ -61,8 +61,8 @@ impl<E: FftEngine> EpScratch<E> {
 
 /// The most blind rotations one pass over the bootstrapping key carries.
 ///
-/// Sixteen is the wave the batching gain was measured on (README "…and a
-/// wave's"): a key group, the bundle and 16 × 8 KB accumulators are
+/// Sixteen is the widest wave the batching gain was measured at: a key
+/// group, the bundle and 16 × 8 KB accumulators are
 /// ≈ 0.55 MB on the f64 engine at `m = 2` and ≈ 1 MB on the integer engine
 /// at `m = 3`, inside L2, so every lane after the first finds the group's
 /// key cache-resident. Callers with more work cut it into passes.

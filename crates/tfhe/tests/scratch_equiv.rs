@@ -253,27 +253,3 @@ fn warmed_scratch_keeps_decrypting_correctly() {
         assert!(noise < 0.03, "iteration {i}: noise {noise}");
     }
 }
-
-#[test]
-fn lut_bootstrap_into_is_bit_identical() {
-    let _leg = current_leg();
-    use matcha_tfhe::pbs::Lut;
-    let mut rng = StdRng::seed_from_u64(161);
-    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-    let engine = F64Fft::new(256);
-    let kit = BootstrapKit::generate(&client, &engine, 2, &mut rng);
-    let eighth = Torus32::from_dyadic(1, 3);
-    let lut = Lut::from_fn(256, |k| if k < 128 { eighth } else { -eighth });
-    let mut scratch = kit.make_scratch(&engine);
-    let mut out = LweCiphertext::default();
-    // The scratch arrives dirty with a gate bootstrap's test vector.
-    let c = client.encrypt_with(true, &mut rng);
-    kit.bootstrap_into(&engine, &c, eighth, &mut out, &mut scratch);
-    let mut cold = LweCiphertext::default();
-    for message in [true, false, true] {
-        let c = client.encrypt_with(message, &mut rng);
-        kit.bootstrap_with_lut_into(&engine, &c, &lut, &mut cold, &mut kit.make_scratch(&engine));
-        kit.bootstrap_with_lut_into(&engine, &c, &lut, &mut out, &mut scratch);
-        assert_eq!(cold, out);
-    }
-}

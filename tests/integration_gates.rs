@@ -1,6 +1,9 @@
 //! End-to-end gate correctness across FFT engines and unroll factors.
 
-use matcha::{ApproxIntFft, ClientKey, F64Fft, Gate, ParameterSet, ServerKey};
+use matcha::tfhe::{BootstrapKit, Codec};
+use matcha::{
+    ApproxIntFft, ClientKey, F64Fft, Gate, LweCiphertext, ParameterSet, ServerKey, Torus32,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,4 +98,28 @@ fn engines_agree_on_the_same_ciphertext() {
             "engines disagree on NAND({a},{b})"
         );
     }
+}
+
+#[test]
+fn wire_roundtrip_through_evaluation() {
+    // Client serializes inputs; "server" deserializes, evaluates, and
+    // serializes the result back.
+    let (client, mut rng) = client(64);
+    let engine = F64Fft::new(256);
+    let kit = BootstrapKit::generate(&client, &engine, 1, &mut rng);
+    let a_wire = client.encrypt_with(true, &mut rng).to_bytes();
+    let b_wire = client.encrypt_with(true, &mut rng).to_bytes();
+
+    // Server side.
+    let a = LweCiphertext::from_bytes(&a_wire).unwrap();
+    let b = LweCiphertext::from_bytes(&b_wire).unwrap();
+    let n = client.params().ring_degree;
+    let lin = LweCiphertext::trivial(Torus32::from_dyadic(1, 3), n) - &a - &b;
+    let out_wire = kit
+        .bootstrap(&engine, &lin, Torus32::from_dyadic(1, 3))
+        .to_bytes();
+
+    // Client side.
+    let out = LweCiphertext::from_bytes(&out_wire).unwrap();
+    assert!(!client.decrypt(&out), "NAND(true, true) = false");
 }
