@@ -64,7 +64,7 @@ impl ValueSlab {
     }
 
     /// The circuit tag fault sites are keyed by.
-    fn tag(&self) -> u64 {
+    pub(crate) fn tag(&self) -> u64 {
         self.tag
     }
 

@@ -614,7 +614,8 @@ impl CircuitNetlist {
         // The netlist clone is O(nodes) of plain indices — noise next to
         // the O(nodes) gate bootstraps the run performs; it buys the
         // frontier the same owned form the interleaving server uses.
-        let mut frontier = CircuitFrontier::new(Arc::new(self.clone()), pool.server(), inputs);
+        let net = Arc::new(self.clone());
+        let mut frontier = CircuitFrontier::new(net, pool.server(), inputs, Instant::now());
         let mut batch: Vec<SlabTask> = Vec::new();
         while !frontier.is_done() {
             batch.clear();
@@ -627,7 +628,7 @@ impl CircuitNetlist {
                 frontier.complete(st.node);
             }
         }
-        frontier.finish()
+        frontier.finish(Instant::now())
     }
 
     /// Eager sequential reference evaluation: every op runs in netlist
@@ -722,6 +723,11 @@ impl CircuitNetlist {
 /// value lands, so chains of negations add no waves and no dispatches. Nor
 /// do `Sum`s: a majority that hosts one is dispatched as an adder cell, its
 /// worker stores both values, and the sum resolves with its host.
+///
+/// Dropping a frontier abandons its run (deadline expiry, cancellation):
+/// a worker still evaluating one of its tasks holds its own `Arc` on the
+/// slab, so the write stays safe and the slab is freed with the last such
+/// task. The server drops one only between dispatches, when none is.
 pub(crate) struct CircuitFrontier {
     net: Arc<CircuitNetlist>,
     slab: Arc<ValueSlab>,
@@ -737,13 +743,14 @@ pub(crate) struct CircuitFrontier {
     remaining: usize,
     scheduled_ops: usize,
     waves: usize,
+    /// When the run started, as its caller read the clock.
     t0: Instant,
 }
 
 impl CircuitFrontier {
-    /// Starts a run: clones the encrypted inputs into a fresh slab,
-    /// resolves constants and source-level `NOT`s, and seeds the ready
-    /// set with every bootstrapped op that depends only on sources.
+    /// Starts a run at `now`: clones the encrypted inputs into a fresh
+    /// slab, resolves constants and source-level `NOT`s, and seeds the
+    /// ready set with every bootstrapped op that depends only on sources.
     ///
     /// # Panics
     ///
@@ -752,6 +759,7 @@ impl CircuitFrontier {
         net: Arc<CircuitNetlist>,
         server: &ServerKey<E>,
         inputs: &[LweCiphertext],
+        now: Instant,
     ) -> Self {
         assert_eq!(
             inputs.len(),
@@ -760,13 +768,14 @@ impl CircuitFrontier {
             net.inputs,
             inputs.len()
         );
-        Self::with_tag_from(net, server, 0, |slot| inputs[slot].clone())
+        Self::with_tag_from(net, server, 0, now, |slot| inputs[slot].clone())
     }
 
-    /// Starts a run whose slab is tagged `tag` (see [`ValueSlab::tagged`]):
-    /// scripted [`FaultPlan`](crate::faults::FaultPlan) sites address
-    /// nodes by it, and the server tags each admitted circuit with its
-    /// admission sequence number. Each input slot is sourced from `fill`
+    /// Starts a run at `now` whose slab is tagged `tag` (see
+    /// [`ValueSlab::tagged`]): scripted
+    /// [`FaultPlan`](crate::faults::FaultPlan) sites address nodes by it,
+    /// and the server tags each admitted circuit with its admission
+    /// sequence number. Each input slot is sourced from `fill`
     /// rather than cloned out of a slice — the wire-ingest path, where a
     /// packed TRLWE submission sample-extracts each bit in `fill` straight
     /// into the slab. `fill` is called exactly once per input slot, in
@@ -779,6 +788,7 @@ impl CircuitFrontier {
         net: Arc<CircuitNetlist>,
         server: &ServerKey<E>,
         tag: u64,
+        now: Instant,
         mut fill: F,
     ) -> Self
     where
@@ -809,7 +819,7 @@ impl CircuitFrontier {
             remaining,
             scheduled_ops: 0,
             waves: 0,
-            t0: Instant::now(),
+            t0: now,
         };
         for id in 0..n {
             match frontier.net.ops[id] {
@@ -919,27 +929,13 @@ impl CircuitFrontier {
         self.remaining == 0
     }
 
-    /// Tears the run down mid-flight (deadline expiry, cancellation,
-    /// shutdown), returning how many bootstrapped ops were never
-    /// dispatched or completed. Consuming `self` drops the ready set,
-    /// the dependency bookkeeping, and this side's slab handle; any
-    /// worker still evaluating a previously dispatched task holds its own
-    /// `Arc` on the slab, so in-flight writes stay safe and the slab's
-    /// memory is freed when the last such task replies. Safe to call at
-    /// any point **between** dispatches — i.e. when none of this
-    /// frontier's taken tasks are awaiting [`CircuitFrontier::complete`];
-    /// abandoning with a dispatch outstanding merely wastes that wave's
-    /// bootstraps, it cannot corrupt other circuits.
-    pub(crate) fn abandon(self) -> usize {
-        self.remaining
-    }
-
-    /// Finishes the run: collects the marked outputs.
+    /// Finishes the run at `now`: collects the marked outputs, timed from
+    /// the start the frontier was built with.
     ///
     /// # Panics
     ///
     /// Panics if the circuit is not [`CircuitFrontier::is_done`].
-    pub(crate) fn finish(self) -> CircuitRun {
+    pub(crate) fn finish(self, now: Instant) -> CircuitRun {
         assert!(self.is_done(), "circuit still has unfinished work");
         let outputs = self
             .net
@@ -952,7 +948,7 @@ impl CircuitFrontier {
             waves: self.waves,
             scheduled_ops: self.scheduled_ops,
             bootstraps: self.net.bootstraps(),
-            elapsed_s: self.t0.elapsed().as_secs_f64(),
+            elapsed_s: now.saturating_duration_since(self.t0).as_secs_f64(),
         }
     }
 }

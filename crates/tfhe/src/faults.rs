@@ -50,9 +50,9 @@ pub enum FaultAction {
 /// `circuit` is the tag of the [`ValueSlab`](crate::batch::ValueSlab) the
 /// task reads from — the [`CircuitServer`](crate::server::CircuitServer)
 /// tags each admitted circuit with its admission sequence number (0, 1,
-/// 2, … in queue order), and standalone slabs default to tag 0. `node` is
-/// the slot the task writes. Each site fires at most once: the action is
-/// *consumed* when triggered, so a task retried after a
+/// 2, … in admission order), and standalone slabs default to tag 0.
+/// `node` is the slot the task writes. Each site fires at most once: the
+/// action is *consumed* when triggered, so a task retried after a
 /// [`FaultAction::KillWorker`] runs clean.
 ///
 /// # Examples

@@ -13,6 +13,14 @@
 //! other clients queue behind it — the utilization gap the paper's
 //! 8-pipeline scheduler closes with dependent-gate interleaving.
 //!
+//! The scheduler thread only moves messages: it receives, reads the clock,
+//! hands that time to one step of a state machine that owns no thread,
+//! channel or clock, and sends the outcomes the step resolved. The steps
+//! are **admit** (per submission: reap the dead, check the bounds, build
+//! the frontier), **fill** (per dispatch: reap the dead, take every ready
+//! frontier, oldest admission first) and **complete** (after the pool ran
+//! the batch: route failures, complete tasks, resolve the finished).
+//!
 //! Any number of [`CircuitClient`] handles (cheaply cloneable, `Send`)
 //! can submit concurrently over the mpsc job queue; each submission
 //! yields a [`PendingCircuit`] ticket resolving to a [`CircuitOutcome`].
@@ -29,7 +37,7 @@
 //!   instead of unbounded queueing behind a heavy client.
 //! * **Deadlines and cancellation**: [`CircuitClient::submit_with_deadline`]
 //!   bounds a circuit's wall-clock; the scheduler checks deadlines and
-//!   [`PendingCircuit::cancel`] flags between dispatches, resolves the
+//!   [`PendingCircuit::cancel`] flags at every step, resolves the
 //!   circuit to [`CircuitOutcome::Expired`] / [`CircuitOutcome::Cancelled`]
 //!   and abandons its remaining frontier so dead work stops consuming
 //!   bootstrap slots.
@@ -46,10 +54,11 @@
 //!   [`GateBatchPool::run_tasks`]) and surfaced in
 //!   [`SchedulerStats::restarts`].
 //!
-//! Every guarantee above is pinned by deterministic tests driving the
+//! The guarantees above are pinned by tests that drive the state machine
+//! with a scripted clock, and by tests driving the
 //! [`faults`](crate::faults) module through
 //! [`CircuitServer::start_with_faults`]: each admitted circuit's slab is
-//! tagged with its admission sequence number (0, 1, 2, … in queue
+//! tagged with its admission sequence number (0, 1, 2, … in admission
 //! order), so a [`FaultPlan`] can script a
 //! panic, delay, or worker death at an exact `(circuit, node)` point.
 //!
@@ -68,17 +77,16 @@ use crate::packing;
 use crate::params::ParameterSet;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Admission-control knobs for a [`CircuitServer`]. The default is the
-/// pre-robustness behavior: unbounded in-flight set, unbounded per-client
-/// share, no deadline.
+/// Admission-control knobs for a [`CircuitServer`]. The default admits
+/// everything: unbounded in-flight set, unbounded per-client share, no
+/// deadline, no analysis.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Maximum circuits admitted (in flight) at once; an admission past
@@ -211,10 +219,9 @@ enum CircuitInputs {
     Packed(Vec<TrlweCiphertext>),
 }
 
-/// One queued circuit execution request.
-struct CircuitJob {
-    netlist: CircuitNetlist,
-    inputs: CircuitInputs,
+/// What a submission carries from its queueing to its outcome: where the
+/// outcome goes, whose it is, and what may end it early.
+struct Ticket {
     reply: mpsc::Sender<CircuitOutcome>,
     /// Submitting client handle's identity, for quotas and tallies.
     client: u64,
@@ -223,6 +230,13 @@ struct CircuitJob {
     /// Set by [`PendingCircuit::cancel`]; checked at admission and
     /// between dispatches.
     cancel: Arc<AtomicBool>,
+}
+
+/// One queued circuit execution request.
+struct CircuitJob {
+    netlist: CircuitNetlist,
+    inputs: CircuitInputs,
+    ticket: Ticket,
 }
 
 enum Msg {
@@ -289,50 +303,6 @@ pub struct ClientTally {
     pub rejected: u64,
 }
 
-/// Live scheduler counters, shared with [`CircuitServer::stats`] readers.
-#[derive(Default)]
-struct StatsCells {
-    dispatches: AtomicU64,
-    tasks: AtomicU64,
-    slots: AtomicU64,
-    max_in_flight: AtomicU64,
-    completed: AtomicU64,
-    faulted: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    restarts: AtomicU64,
-    rewrites_refused: AtomicU64,
-    sums_demoted: AtomicU64,
-    per_client: Mutex<BTreeMap<u64, ClientTally>>,
-}
-
-impl StatsCells {
-    fn tally_completed(&self, client: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.per_client
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(client)
-            .or_default()
-            .completed += 1;
-    }
-
-    /// Counts a structured rejection against `client` and resolves the
-    /// ticket. Used by the scheduler at admission and by the client
-    /// handle for boundary (`InvalidInput`) rejections.
-    fn reject(&self, client: u64, reason: RejectReason, reply: &mpsc::Sender<CircuitOutcome>) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.per_client
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(client)
-            .or_default()
-            .rejected += 1;
-        let _ = reply.send(CircuitOutcome::Rejected(reason));
-    }
-}
-
 /// A snapshot of the scheduler's monotone counters.
 ///
 /// `slots` models each non-empty dispatch of `t` tasks on `P` workers as
@@ -390,10 +360,11 @@ impl SchedulerStats {
 
     /// Counter deltas since an `earlier` snapshot, for measuring one
     /// phase of traffic. `max_in_flight` is a high-water mark, not a
-    /// counter: the later snapshot's value is kept as-is. Every field
-    /// saturates at zero, so feeding snapshots in the wrong order (or
-    /// racing a snapshot against a concurrent update) yields zeros, never
-    /// an underflow panic.
+    /// counter: the later snapshot's value is kept as-is. A snapshot is
+    /// read under the lock the scheduler counts under, so its counters
+    /// never mix two dispatches; every field saturates at zero, so feeding
+    /// snapshots in the wrong order yields zeros, never an underflow
+    /// panic.
     pub fn since(&self, earlier: &SchedulerStats) -> SchedulerStats {
         let per_client = self
             .per_client
@@ -432,6 +403,32 @@ impl SchedulerStats {
             per_client,
         }
     }
+
+    /// Counts one resolved ticket of `client`.
+    fn record(&mut self, client: u64, outcome: &CircuitOutcome) {
+        let (completed, rejected) = match outcome {
+            CircuitOutcome::Completed(_) => (1, 0),
+            CircuitOutcome::Rejected(_) => (0, 1),
+            CircuitOutcome::Faulted(_) => return self.faulted += 1,
+            CircuitOutcome::Expired => return self.expired += 1,
+            CircuitOutcome::Cancelled => return self.cancelled += 1,
+        };
+        self.completed += completed;
+        self.rejected += rejected;
+        let at = self.per_client.partition_point(|&(id, _)| id < client);
+        if self.per_client.get(at).is_none_or(|&(id, _)| id != client) {
+            self.per_client.insert(at, (client, ClientTally::default()));
+        }
+        let tally = &mut self.per_client[at].1;
+        tally.completed += completed;
+        tally.rejected += rejected;
+    }
+}
+
+/// Locks the live stats. Each update leaves them valid, so a lock a
+/// panicking holder poisoned is read through.
+fn lock(stats: &Mutex<SchedulerStats>) -> MutexGuard<'_, SchedulerStats> {
+    stats.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A request server executing encrypted circuits on a persistent worker
@@ -468,7 +465,7 @@ impl SchedulerStats {
 pub struct CircuitServer {
     tx: mpsc::Sender<Msg>,
     scheduler: Option<JoinHandle<()>>,
-    stats: Arc<StatsCells>,
+    stats: Arc<Mutex<SchedulerStats>>,
     params: ParameterSet,
     default_deadline: Option<Duration>,
     next_client: AtomicU64,
@@ -477,167 +474,278 @@ pub struct CircuitServer {
 /// One circuit in flight on the scheduler.
 struct InFlight {
     frontier: CircuitFrontier,
-    reply: mpsc::Sender<CircuitOutcome>,
-    client: u64,
-    deadline: Option<Instant>,
-    cancel: Arc<AtomicBool>,
+    ticket: Ticket,
 }
 
-/// Admission: applies the [`ServerConfig`] bounds, then builds a frontier
-/// for the job, tagging its slab with the admission sequence number
-/// (`next_tag`) fault plans key on. Admission-time panics (malformed
-/// netlists or inputs that slipped past submit-side validation) fault
-/// only this circuit, not the scheduler.
-fn admit<E>(
-    in_flight: &mut Vec<InFlight>,
-    job: CircuitJob,
-    pool: &GateBatchPool<E>,
-    stats: &StatsCells,
-    config: &ServerConfig,
+/// The tickets one [`Scheduler`] step resolved, as `(reply, outcome)`
+/// pairs for the scheduler thread to send.
+type Resolved = Vec<(mpsc::Sender<CircuitOutcome>, CircuitOutcome)>;
+
+/// The scheduling policy as a state machine over every circuit in flight:
+/// admission, the fill of each dispatch, its completion, and the reaping of
+/// dead circuits. It owns no thread, channel, pool or clock: each step
+/// takes `now` from its caller and returns the tickets it resolved instead
+/// of sending them.
+struct Scheduler {
+    config: ServerConfig,
     rewrite: RewritePass,
-    next_tag: &mut u64,
-) where
-    E: FftEngine + Send + Sync + 'static,
-{
-    let CircuitJob {
-        mut netlist,
-        inputs,
-        reply,
-        client,
-        deadline,
-        cancel,
-    } = job;
-    // A cancel that raced ahead of admission: honor it without running.
-    if cancel.load(Ordering::Relaxed) {
-        stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        let _ = reply.send(CircuitOutcome::Cancelled);
-        return;
+    /// Pool workers, for the task-slots each dispatch offers.
+    threads: u64,
+    /// In admission order.
+    in_flight: Vec<InFlight>,
+    /// Parallel to the last filled batch: index into `in_flight` owning
+    /// each task.
+    owners: Vec<usize>,
+    /// Admission sequence number — the slab tag fault plans key on.
+    next_tag: u64,
+    stats: Arc<Mutex<SchedulerStats>>,
+}
+
+impl Scheduler {
+    fn new(config: ServerConfig, rewrite: RewritePass, threads: usize) -> Self {
+        Self {
+            config,
+            rewrite,
+            threads: threads as u64,
+            in_flight: Vec::new(),
+            owners: Vec::new(),
+            next_tag: 0,
+            stats: Arc::default(),
+        }
     }
-    if in_flight.len() >= config.queue_depth {
-        stats.reject(client, RejectReason::QueueFull, &reply);
-        return;
+
+    fn is_idle(&self) -> bool {
+        self.in_flight.is_empty()
     }
-    if in_flight.iter().filter(|fl| fl.client == client).count() >= config.per_client_quota {
-        stats.reject(client, RejectReason::QuotaExceeded, &reply);
-        return;
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        stats.reject(client, RejectReason::DeadlineUnmeetable, &reply);
-        return;
-    }
-    // Static-analysis admission: certify structure and noise budget
-    // before a single bootstrap is spent on this circuit.
-    if let Some(policy) = config.analysis {
-        let certify = |net: &CircuitNetlist| {
-            analyze::analyze(net, pool.server().params(), pool.server().unroll())
+
+    /// Admission at `now`: resolves the dead first, so they hold no slot
+    /// against the bounds, then [vets](Scheduler::vet) the job and builds
+    /// its frontier, the slab tagged with the next admission sequence
+    /// number. An admission-time panic (a malformed netlist or inputs that
+    /// slipped past submit-side validation) faults only this circuit.
+    fn admit<E: FftEngine>(
+        &mut self,
+        job: CircuitJob,
+        server: &ServerKey<E>,
+        now: Instant,
+    ) -> Resolved {
+        let mut resolved = self.resolve(Vec::new(), now);
+        let ticket = job.ticket;
+        let outcome = match self.vet(job.netlist, server, &ticket, now) {
+            Ok(netlist) => {
+                let tag = self.next_tag;
+                match catch_unwind(AssertUnwindSafe(|| {
+                    build_frontier(netlist, job.inputs, server, tag, now)
+                })) {
+                    Ok(frontier) => {
+                        self.next_tag += 1;
+                        self.in_flight.push(InFlight { frontier, ticket });
+                        let mut stats = lock(&self.stats);
+                        stats.max_in_flight = stats.max_in_flight.max(self.in_flight.len() as u64);
+                        return resolved;
+                    }
+                    Err(payload) => CircuitOutcome::Faulted(panic_message(payload)),
+                }
+            }
+            Err(outcome) => outcome,
         };
-        let report = certify(&netlist);
-        if let Some(l) = report.worst_lint_at_least(policy.deny) {
-            let reason = RejectReason::Lint {
-                kind: l.kind,
-                node: l.node,
-            };
-            stats.reject(client, reason, &reply);
-            return;
+        lock(&self.stats).record(ticket.client, &outcome);
+        resolved.push((ticket.reply, outcome));
+        resolved
+    }
+
+    /// The admission checks, in order: a cancel that raced ahead of
+    /// admission, the [`ServerConfig`] bounds, the deadline, then the
+    /// analysis policy and its rewrite ladder. Returns the netlist to
+    /// schedule, or the outcome that turns the job away.
+    fn vet<E: FftEngine>(
+        &self,
+        mut netlist: CircuitNetlist,
+        server: &ServerKey<E>,
+        ticket: &Ticket,
+        now: Instant,
+    ) -> Result<CircuitNetlist, CircuitOutcome> {
+        use CircuitOutcome::Rejected;
+        if ticket.cancel.load(Ordering::Relaxed) {
+            return Err(CircuitOutcome::Cancelled);
         }
-        if let Some((output, o)) = report
-            .noise
-            .outputs
-            .iter()
-            .enumerate()
-            .find(|(_, o)| o.failure_prob > policy.max_failure_prob)
-        {
-            let reason = RejectReason::NoiseBudget {
-                output,
-                bound: o.failure_prob,
-                budget: policy.max_failure_prob,
-            };
-            stats.reject(client, reason, &reply);
-            return;
+        if self.in_flight.len() >= self.config.queue_depth {
+            return Err(Rejected(RejectReason::QueueFull));
         }
-        // Formal-equivalence gate: run the rewrite pass and schedule its
-        // output only under a BDD proof that it computes the submitted
-        // function, and only if it too is inside the noise budget — a
-        // rewrite may trade noise resets for bootstraps (a fused
-        // three-input gate decides on three operands' noise, a riding sum
-        // keeps its operands'), so the certificate above does not carry
-        // over. A refuted rewrite is rejected with the distinguishing
-        // input; one over budget steps down — its sums demoted to gates
-        // (the same functions node for node, so the proof stands), then the
-        // submission — and an unprovable one (`EquivUnknown`, fatal under a
-        // strict `deny`) leaves the submission to run unrewritten.
-        if let Some(budget) = policy.require_equivalence {
-            let (rewritten, _) = rewrite(&netlist);
-            match equiv::check(&netlist, &rewritten, budget).verdict {
-                Verdict::Equivalent => {
-                    let within = |net: &CircuitNetlist| {
-                        certify(net).max_failure_prob() <= policy.max_failure_prob
-                    };
-                    if within(&rewritten) {
-                        netlist = rewritten;
-                    } else {
-                        let riders = |op: &GateOp| matches!(op, GateOp::Sum(..));
-                        let demoted = rewritten.ops().iter().any(riders).then(|| {
-                            stats.sums_demoted.fetch_add(1, Ordering::Relaxed);
-                            analyze::demote_sums(&rewritten)
-                        });
-                        match demoted.filter(within) {
-                            Some(demoted) => netlist = demoted,
-                            None => {
-                                stats.rewrites_refused.fetch_add(1, Ordering::Relaxed);
+        let held = |fl: &&InFlight| fl.ticket.client == ticket.client;
+        if self.in_flight.iter().filter(held).count() >= self.config.per_client_quota {
+            return Err(Rejected(RejectReason::QuotaExceeded));
+        }
+        if ticket.deadline.is_some_and(|d| now >= d) {
+            return Err(Rejected(RejectReason::DeadlineUnmeetable));
+        }
+        // Static-analysis admission: certify structure and noise budget
+        // before a single bootstrap is spent on this circuit.
+        if let Some(policy) = self.config.analysis {
+            let certify =
+                |net: &CircuitNetlist| analyze::analyze(net, server.params(), server.unroll());
+            let report = certify(&netlist);
+            if let Some(l) = report.worst_lint_at_least(policy.deny) {
+                return Err(Rejected(RejectReason::Lint {
+                    kind: l.kind,
+                    node: l.node,
+                }));
+            }
+            if let Some((output, o)) = report
+                .noise
+                .outputs
+                .iter()
+                .enumerate()
+                .find(|(_, o)| o.failure_prob > policy.max_failure_prob)
+            {
+                return Err(Rejected(RejectReason::NoiseBudget {
+                    output,
+                    bound: o.failure_prob,
+                    budget: policy.max_failure_prob,
+                }));
+            }
+            // Formal-equivalence gate: run the rewrite pass and schedule its
+            // output only under a BDD proof that it computes the submitted
+            // function, and only if it too is inside the noise budget — a
+            // rewrite may trade noise resets for bootstraps (a fused
+            // three-input gate decides on three operands' noise, a riding sum
+            // keeps its operands'), so the certificate above does not carry
+            // over. A refuted rewrite is rejected with the distinguishing
+            // input; one over budget steps down — its sums demoted to gates
+            // (the same functions node for node, so the proof stands), then the
+            // submission — and an unprovable one (`EquivUnknown`, fatal under a
+            // strict `deny`) leaves the submission to run unrewritten.
+            if let Some(budget) = policy.require_equivalence {
+                let (rewritten, _) = (self.rewrite)(&netlist);
+                match equiv::check(&netlist, &rewritten, budget).verdict {
+                    Verdict::Equivalent => {
+                        let within = |net: &CircuitNetlist| {
+                            certify(net).max_failure_prob() <= policy.max_failure_prob
+                        };
+                        if within(&rewritten) {
+                            netlist = rewritten;
+                        } else {
+                            let riders = |op: &GateOp| matches!(op, GateOp::Sum(..));
+                            let demoted = rewritten.ops().iter().any(riders).then(|| {
+                                lock(&self.stats).sums_demoted += 1;
+                                analyze::demote_sums(&rewritten)
+                            });
+                            match demoted.filter(within) {
+                                Some(demoted) => netlist = demoted,
+                                None => lock(&self.stats).rewrites_refused += 1,
                             }
                         }
                     }
-                }
-                Verdict::NotEquivalent {
-                    output,
-                    counterexample,
-                } => {
-                    let reason = RejectReason::NotEquivalent {
+                    Verdict::NotEquivalent {
                         output,
                         counterexample,
-                    };
-                    stats.reject(client, reason, &reply);
-                    return;
-                }
-                Verdict::Unknown { .. } => {
-                    if LintKind::EquivUnknown.severity() >= policy.deny {
-                        let reason = RejectReason::Lint {
-                            kind: LintKind::EquivUnknown,
-                            node: 0,
-                        };
-                        stats.reject(client, reason, &reply);
-                        return;
+                    } => {
+                        return Err(Rejected(RejectReason::NotEquivalent {
+                            output,
+                            counterexample,
+                        }));
+                    }
+                    Verdict::Unknown { .. } => {
+                        if LintKind::EquivUnknown.severity() >= policy.deny {
+                            return Err(Rejected(RejectReason::Lint {
+                                kind: LintKind::EquivUnknown,
+                                node: 0,
+                            }));
+                        }
                     }
                 }
             }
         }
+        Ok(netlist)
     }
-    match catch_unwind(AssertUnwindSafe(|| {
-        build_frontier(netlist, inputs, pool.server(), *next_tag)
-    })) {
-        Ok(frontier) => {
-            *next_tag += 1;
-            in_flight.push(InFlight {
-                frontier,
-                reply,
-                client,
-                deadline,
-                cancel,
-            });
-            stats
-                .max_in_flight
-                .fetch_max(in_flight.len() as u64, Ordering::Relaxed);
+
+    /// Fills `batch` with one interleaved super-wave at `now`: resolves
+    /// the dead, so dead work stops consuming bootstrap slots, then takes
+    /// every survivor's ready frontier, oldest admission first — FIFO-fair,
+    /// and no circuit can monopolize the dispatch because every other
+    /// circuit's ready tasks ride along.
+    fn fill(&mut self, batch: &mut Vec<SlabTask>, now: Instant) -> Resolved {
+        let resolved = self.resolve(Vec::new(), now);
+        batch.clear();
+        self.owners.clear();
+        for (ci, fl) in self.in_flight.iter_mut().enumerate() {
+            fl.frontier.take_ready(batch);
+            self.owners.resize(batch.len(), ci);
         }
-        Err(payload) => {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(CircuitOutcome::Faulted(panic_message(payload)));
+        resolved
+    }
+
+    /// Completes the dispatch of the last [`Scheduler::fill`]'s `batch`
+    /// at `now`, given the per-task `failures` it returned and the pool's
+    /// worker `restarts` so far: counts the dispatch, routes each failure
+    /// to the circuit owning the task (first message wins), completes the
+    /// tasks of every healthy circuit, and resolves.
+    fn complete(
+        &mut self,
+        batch: &[SlabTask],
+        failures: Vec<(usize, String)>,
+        restarts: u64,
+        now: Instant,
+    ) -> Resolved {
+        let mut stats = lock(&self.stats);
+        if !batch.is_empty() {
+            let (tasks, p) = (batch.len() as u64, self.threads);
+            stats.dispatches += 1;
+            stats.tasks += tasks;
+            stats.slots += tasks.div_ceil(p) * p;
         }
+        stats.restarts = restarts;
+        drop(stats);
+        let mut faults: Vec<Option<String>> = vec![None; self.in_flight.len()];
+        for (index, msg) in failures {
+            faults[self.owners[index]].get_or_insert(msg);
+        }
+        for (st, &ci) in batch.iter().zip(&self.owners) {
+            if faults[ci].is_none() {
+                self.in_flight[ci].frontier.complete(st.node);
+            }
+        }
+        self.resolve(faults, now)
+    }
+
+    /// The one resolution pass: resolves every in-flight circuit that ends
+    /// at `now` — Faulted (its entry of `faults`, indexed like `in_flight`;
+    /// a short list faults nothing past its end) over Completed over
+    /// Cancelled over Expired — dropping each resolved frontier, and keeps
+    /// the rest in admission order.
+    fn resolve(&mut self, faults: Vec<Option<String>>, now: Instant) -> Resolved {
+        let mut stats = lock(&self.stats);
+        let mut faults = faults.into_iter();
+        let mut resolved = Vec::new();
+        let mut keep = Vec::with_capacity(self.in_flight.len());
+        for fl in self.in_flight.drain(..) {
+            let outcome = match faults.next().flatten() {
+                Some(msg) => CircuitOutcome::Faulted(msg),
+                None if fl.frontier.is_done() => CircuitOutcome::Completed(fl.frontier.finish(now)),
+                None if fl.ticket.cancel.load(Ordering::Relaxed) => CircuitOutcome::Cancelled,
+                None if fl.ticket.deadline.is_some_and(|d| now >= d) => CircuitOutcome::Expired,
+                None => {
+                    keep.push(fl);
+                    continue;
+                }
+            };
+            stats.record(fl.ticket.client, &outcome);
+            resolved.push((fl.ticket.reply, outcome));
+        }
+        self.in_flight = keep;
+        resolved
+    }
+
+    /// Turns away a job still queued when the server shut down.
+    fn refuse(&self, job: CircuitJob) -> (mpsc::Sender<CircuitOutcome>, CircuitOutcome) {
+        let outcome = CircuitOutcome::Rejected(RejectReason::Shutdown);
+        lock(&self.stats).record(job.ticket.client, &outcome);
+        (job.ticket.reply, outcome)
     }
 }
 
-/// Builds the frontier for an admitted job, moving or unpacking its
-/// inputs straight into the run's [`ValueSlab`](crate::batch::ValueSlab):
+/// Builds the frontier for an admitted job, started at `now`, moving or
+/// unpacking its inputs straight into the run's [`ValueSlab`](crate::batch::ValueSlab):
 /// per-LWE inputs are *moved* out of the submission (no clone), and
 /// packed TRLWE inputs are unpacked ([`packing::extract_bits`]: slot `s` is
 /// coefficient `s % N` of sample `s / N`, sample-extracted and nothing
@@ -650,6 +758,7 @@ fn build_frontier<E: FftEngine>(
     inputs: CircuitInputs,
     server: &ServerKey<E>,
     tag: u64,
+    now: Instant,
 ) -> CircuitFrontier {
     let net = Arc::new(netlist);
     match inputs {
@@ -662,7 +771,7 @@ fn build_frontier<E: FftEngine>(
                 inputs.len()
             );
             let mut inputs: Vec<Option<LweCiphertext>> = inputs.into_iter().map(Some).collect();
-            CircuitFrontier::with_tag_from(net, server, tag, |slot| {
+            CircuitFrontier::with_tag_from(net, server, tag, now, |slot| {
                 inputs[slot].take().expect("input slots fill exactly once")
             })
         }
@@ -678,173 +787,67 @@ fn build_frontier<E: FftEngine>(
                 net.num_inputs()
             );
             let mut bits = packing::extract_bits(&samples, net.num_inputs(), &params);
-            CircuitFrontier::with_tag_from(net, server, tag, |slot| std::mem::take(&mut bits[slot]))
+            CircuitFrontier::with_tag_from(net, server, tag, now, |slot| {
+                std::mem::take(&mut bits[slot])
+            })
         }
     }
 }
 
-/// The between-dispatches reap: resolves every in-flight circuit whose
-/// cancel flag is set or whose deadline has passed, abandoning its
-/// remaining frontier so dead work stops consuming bootstrap slots.
-/// Order of the survivors is preserved (admission order).
-fn reap(in_flight: &mut Vec<InFlight>, stats: &StatsCells) {
-    let now = Instant::now();
-    let doomed =
-        |fl: &InFlight| fl.cancel.load(Ordering::Relaxed) || fl.deadline.is_some_and(|d| now >= d);
-    if !in_flight.iter().any(doomed) {
-        return;
+/// Sends each resolved ticket's outcome. A client that dropped its
+/// ticket no longer listens; that is not an error.
+fn send(resolved: impl IntoIterator<Item = (mpsc::Sender<CircuitOutcome>, CircuitOutcome)>) {
+    for (reply, outcome) in resolved {
+        let _ = reply.send(outcome);
     }
-    let mut keep = Vec::with_capacity(in_flight.len());
-    for fl in in_flight.drain(..) {
-        if fl.cancel.load(Ordering::Relaxed) {
-            stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            fl.frontier.abandon();
-            let _ = fl.reply.send(CircuitOutcome::Cancelled);
-        } else if fl.deadline.is_some_and(|d| now >= d) {
-            stats.expired.fetch_add(1, Ordering::Relaxed);
-            fl.frontier.abandon();
-            let _ = fl.reply.send(CircuitOutcome::Expired);
-        } else {
-            keep.push(fl);
-        }
-    }
-    *in_flight = keep;
 }
 
-/// The scheduler: admits circuits from the queue (applying the admission
-/// bounds), reaps expired/cancelled circuits between dispatches, fills
-/// every pool dispatch with the ready frontier of all in-flight circuits
-/// (oldest first), routes per-task failures to the owning circuit, and
-/// resolves tickets as circuits complete, fault, expire or are cancelled.
-fn scheduler_loop<E>(
-    key: Arc<ServerKey<E>>,
-    threads: usize,
-    rx: mpsc::Receiver<Msg>,
-    stats: Arc<StatsCells>,
-    config: ServerConfig,
-    rewrite: RewritePass,
-    faults: Option<Arc<FaultPlan>>,
-) where
+/// The scheduler thread: receive → step → send. It keeps the pool (and
+/// through it the key), and it is the only code that reads the clock (once
+/// per [`Scheduler`] step) and the only code that sends a scheduled
+/// ticket's outcome; every decision is the [`Scheduler`]'s.
+fn scheduler_loop<E>(pool: GateBatchPool<E>, rx: mpsc::Receiver<Msg>, mut scheduler: Scheduler)
+where
     E: FftEngine + Send + Sync + 'static,
 {
-    let pool = match faults {
-        Some(plan) => GateBatchPool::with_faults(key, threads, plan),
-        None => GateBatchPool::new(key, threads),
-    };
-    let mut in_flight: Vec<InFlight> = Vec::new();
     // Saw Shutdown: finish what is admitted, admit nothing more.
     let mut draining = false;
-    // Admission sequence number — the slab tag fault plans key on.
-    let mut next_tag: u64 = 0;
     let mut batch: Vec<SlabTask> = Vec::new();
-    // Parallel to `batch`: index into `in_flight` owning each task.
-    let mut owners: Vec<usize> = Vec::new();
     loop {
-        // Admission. Block only when idle; with work in flight, drain
+        // Receive. Block only when idle; with work in flight, drain
         // whatever has queued up between dispatches so new circuits join
         // the very next super-wave.
-        if in_flight.is_empty() && !draining {
-            match rx.recv() {
-                Ok(Msg::Job(job)) => admit(
-                    &mut in_flight,
-                    *job,
-                    &pool,
-                    &stats,
-                    &config,
-                    rewrite,
-                    &mut next_tag,
-                ),
+        while !draining {
+            let msg = if scheduler.is_idle() {
+                rx.recv().ok()
+            } else {
+                match rx.try_recv() {
+                    Ok(msg) => Some(msg),
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => None,
+                }
+            };
+            match msg {
+                Some(Msg::Job(job)) => send(scheduler.admit(*job, pool.server(), Instant::now())),
                 // Graceful by FIFO: every job submitted before the
                 // Shutdown message was enqueued ahead of it and already
                 // admitted; anything racing in after it is explicitly
                 // rejected below.
-                Ok(Msg::Shutdown) | Err(_) => draining = true,
+                Some(Msg::Shutdown) | None => draining = true,
             }
         }
-        while !draining {
-            match rx.try_recv() {
-                Ok(Msg::Job(job)) => admit(
-                    &mut in_flight,
-                    *job,
-                    &pool,
-                    &stats,
-                    &config,
-                    rewrite,
-                    &mut next_tag,
-                ),
-                Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => draining = true,
-                Err(TryRecvError::Empty) => break,
-            }
-        }
-        // Deadlines and cancellations are honored between dispatches —
-        // including for circuits that expired while queued.
-        reap(&mut in_flight, &stats);
-        if in_flight.is_empty() {
-            if draining {
-                break;
-            }
-            continue;
-        }
-
-        // One interleaved super-wave: every in-flight circuit's ready
-        // frontier, admission order first — FIFO-fair, and no circuit
-        // can monopolize the dispatch because every other circuit's
-        // ready tasks ride along.
-        batch.clear();
-        owners.clear();
-        for (ci, fl) in in_flight.iter_mut().enumerate() {
-            fl.frontier.take_ready(&mut batch);
-            owners.resize(batch.len(), ci);
+        send(scheduler.fill(&mut batch, Instant::now()));
+        if draining && scheduler.is_idle() {
+            break;
         }
         let failures = pool.run_tasks(&batch);
-        if !batch.is_empty() {
-            let p = pool.threads() as u64;
-            stats.dispatches.fetch_add(1, Ordering::Relaxed);
-            stats.tasks.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            stats
-                .slots
-                .fetch_add((batch.len() as u64).div_ceil(p) * p, Ordering::Relaxed);
-        }
-        stats.restarts.store(pool.restarts(), Ordering::Relaxed);
-
-        // Route failures to their owning circuits (first message wins);
-        // propagate completions for everyone still healthy.
-        let mut faulted: Vec<Option<String>> = vec![None; in_flight.len()];
-        for (index, msg) in failures {
-            let fault = &mut faulted[owners[index]];
-            if fault.is_none() {
-                *fault = Some(msg);
-            }
-        }
-        for (index, st) in batch.iter().enumerate() {
-            let ci = owners[index];
-            if faulted[ci].is_none() {
-                in_flight[ci].frontier.complete(st.node);
-            }
-        }
-
-        // Resolve tickets; keep the rest in flight, order preserved.
-        let mut keep: Vec<InFlight> = Vec::with_capacity(in_flight.len());
-        for (fl, fault) in in_flight.drain(..).zip(faulted) {
-            if let Some(msg) = fault {
-                stats.faulted.fetch_add(1, Ordering::Relaxed);
-                let _ = fl.reply.send(CircuitOutcome::Faulted(msg));
-            } else if fl.frontier.is_done() {
-                stats.tally_completed(fl.client);
-                let _ = fl
-                    .reply
-                    .send(CircuitOutcome::Completed(fl.frontier.finish()));
-            } else {
-                keep.push(fl);
-            }
-        }
-        in_flight = keep;
+        send(scheduler.complete(&batch, failures, pool.restarts(), Instant::now()));
     }
     // Explicitly reject everything still queued so those tickets resolve
     // with a structured reason (the dropped-sender fallback in `wait` is
     // only a backstop for abrupt scheduler death).
     while let Ok(Msg::Job(job)) = rx.try_recv() {
-        stats.reject(job.client, RejectReason::Shutdown, &job.reply);
+        send([scheduler.refuse(*job)]);
     }
 }
 
@@ -879,9 +882,9 @@ impl CircuitServer {
     /// default [`analyze::simplify`]. Under
     /// [`AnalysisPolicy::require_equivalence`] the pass's output is only
     /// ever scheduled behind a BDD proof of function identity with the
-    /// submission — this is the hook a future optimization pass (e.g.
-    /// multi-input gate fusion) plugs into, and the hook the equivalence
-    /// tests drive with a deliberately broken pass.
+    /// submission — the hook a pass other than the default's fusion and
+    /// riding sums plugs into, and the one the equivalence tests drive
+    /// with a deliberately broken pass.
     ///
     /// # Panics
     ///
@@ -901,7 +904,8 @@ impl CircuitServer {
     /// Starts the scheduler with a scripted [`FaultPlan`] wired into the
     /// pool workers — the deterministic fault-injection harness. Fault
     /// sites are keyed `(admission sequence number, node)`; admission
-    /// numbers are assigned 0, 1, 2, … in queue order. Intended for
+    /// numbers are assigned 0, 1, 2, … in admission order (a circuit
+    /// rejected or faulted at admission takes none). Intended for
     /// robustness tests; a production server uses
     /// [`CircuitServer::start`] / [`CircuitServer::start_with`].
     ///
@@ -934,11 +938,13 @@ impl CircuitServer {
         let params = *key.params();
         let default_deadline = config.default_deadline;
         let (tx, rx) = mpsc::channel::<Msg>();
-        let stats = Arc::new(StatsCells::default());
-        let cells = Arc::clone(&stats);
-        let scheduler = std::thread::spawn(move || {
-            scheduler_loop(key, threads, rx, cells, config, rewrite, faults)
-        });
+        let pool = match faults {
+            Some(plan) => GateBatchPool::with_faults(key, threads, plan),
+            None => GateBatchPool::new(key, threads),
+        };
+        let state = Scheduler::new(config, rewrite, threads);
+        let stats = Arc::clone(&state.stats);
+        let scheduler = std::thread::spawn(move || scheduler_loop(pool, rx, state));
         Self {
             tx,
             scheduler: Some(scheduler),
@@ -977,28 +983,7 @@ impl CircuitServer {
     /// Counters are monotone; use [`SchedulerStats::since`] to measure
     /// one phase of traffic.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            dispatches: self.stats.dispatches.load(Ordering::Relaxed),
-            tasks: self.stats.tasks.load(Ordering::Relaxed),
-            slots: self.stats.slots.load(Ordering::Relaxed),
-            max_in_flight: self.stats.max_in_flight.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            faulted: self.stats.faulted.load(Ordering::Relaxed),
-            rejected: self.stats.rejected.load(Ordering::Relaxed),
-            expired: self.stats.expired.load(Ordering::Relaxed),
-            cancelled: self.stats.cancelled.load(Ordering::Relaxed),
-            restarts: self.stats.restarts.load(Ordering::Relaxed),
-            rewrites_refused: self.stats.rewrites_refused.load(Ordering::Relaxed),
-            sums_demoted: self.stats.sums_demoted.load(Ordering::Relaxed),
-            per_client: self
-                .stats
-                .per_client
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(&id, &tally)| (id, tally))
-                .collect(),
-        }
+        lock(&self.stats).clone()
     }
 
     /// Graceful shutdown: circuits admitted before this call run to
@@ -1032,7 +1017,7 @@ pub struct CircuitClient {
     tx: mpsc::Sender<Msg>,
     params: ParameterSet,
     id: u64,
-    stats: Arc<StatsCells>,
+    stats: Arc<Mutex<SchedulerStats>>,
     default_deadline: Option<Duration>,
 }
 
@@ -1051,8 +1036,7 @@ impl CircuitClient {
         if !self.valid(&netlist, &inputs) {
             return self.reject_invalid();
         }
-        let deadline = self.default_deadline.map(|d| Instant::now() + d);
-        self.enqueue(netlist, CircuitInputs::Lwe(inputs), deadline)
+        self.enqueue(netlist, CircuitInputs::Lwe(inputs), self.default_deadline)
     }
 
     /// Submits a circuit whose inputs arrive as packed TRLWE transport
@@ -1074,8 +1058,11 @@ impl CircuitClient {
         if !self.valid_packed(&netlist, &samples) {
             return self.reject_invalid();
         }
-        let deadline = self.default_deadline.map(|d| Instant::now() + d);
-        self.enqueue(netlist, CircuitInputs::Packed(samples), deadline)
+        self.enqueue(
+            netlist,
+            CircuitInputs::Packed(samples),
+            self.default_deadline,
+        )
     }
 
     /// Like [`CircuitClient::submit`], but bounding the circuit's
@@ -1093,26 +1080,7 @@ impl CircuitClient {
         if !self.valid(&netlist, &inputs) {
             return self.reject_invalid();
         }
-        self.enqueue(
-            netlist,
-            CircuitInputs::Lwe(inputs),
-            Some(Instant::now() + deadline),
-        )
-    }
-
-    /// [`CircuitClient::submit`] without the boundary validation — the
-    /// hot path for trusted in-process callers that constructed their
-    /// inputs against the server key. A malformed submission here is not
-    /// rejected: it faults its own circuit at admission or in a worker
-    /// ([`CircuitOutcome::Faulted`]), with the server unaffected.
-    #[cfg(test)]
-    fn submit_unchecked(
-        &self,
-        netlist: CircuitNetlist,
-        inputs: Vec<LweCiphertext>,
-    ) -> PendingCircuit {
-        let deadline = self.default_deadline.map(|d| Instant::now() + d);
-        self.enqueue(netlist, CircuitInputs::Lwe(inputs), deadline)
+        self.enqueue(netlist, CircuitInputs::Lwe(inputs), Some(deadline))
     }
 
     fn valid(&self, netlist: &CircuitNetlist, inputs: &[LweCiphertext]) -> bool {
@@ -1132,31 +1100,37 @@ impl CircuitClient {
     /// against this client without touching the scheduler queue.
     fn reject_invalid(&self) -> PendingCircuit {
         let (reply, rx) = mpsc::channel();
-        self.stats
-            .reject(self.id, RejectReason::InvalidInput, &reply);
+        let outcome = CircuitOutcome::Rejected(RejectReason::InvalidInput);
+        lock(&self.stats).record(self.id, &outcome);
+        let _ = reply.send(outcome);
         PendingCircuit {
             rx,
             cancel: Arc::new(AtomicBool::new(false)),
         }
     }
 
+    /// Queues a job due `deadline` from now; one past the last
+    /// representable instant bounds nothing and is dropped.
     fn enqueue(
         &self,
         netlist: CircuitNetlist,
         inputs: CircuitInputs,
-        deadline: Option<Instant>,
+        deadline: Option<Duration>,
     ) -> PendingCircuit {
         let (reply, rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
+        let ticket = Ticket {
+            reply,
+            client: self.id,
+            deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
+            cancel: Arc::clone(&cancel),
+        };
         // A send to a shut-down server is not an error here; the ticket
         // resolves through the dropped-sender backstop in `wait`.
         let _ = self.tx.send(Msg::Job(Box::new(CircuitJob {
             netlist,
             inputs,
-            reply,
-            client: self.id,
-            deadline,
-            cancel: Arc::clone(&cancel),
+            ticket,
         })));
         PendingCircuit { rx, cancel }
     }
@@ -1221,6 +1195,21 @@ mod tests {
     use matcha_fft::F64Fft;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl CircuitClient {
+        /// [`CircuitClient::submit`] without the boundary validation — the
+        /// hot path for trusted in-process callers that constructed their
+        /// inputs against the server key. A malformed submission here is not
+        /// rejected: it faults its own circuit at admission or in a worker
+        /// ([`CircuitOutcome::Faulted`]), with the server unaffected.
+        fn submit_unchecked(
+            &self,
+            netlist: CircuitNetlist,
+            inputs: Vec<LweCiphertext>,
+        ) -> PendingCircuit {
+            self.enqueue(netlist, CircuitInputs::Lwe(inputs), self.default_deadline)
+        }
+    }
 
     fn setup(seed: u64) -> (ClientKey, Arc<ServerKey<F64Fft>>, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2160,6 +2149,278 @@ mod tests {
             .expect("unknown equivalence is only a warning by default");
         assert_eq!(client.decrypt(&run.outputs[0]), xor_all(&bits));
         assert_eq!(run.bootstraps, 2, "the submitted netlist ran unrewritten");
+        server.shutdown();
+    }
+
+    /// A job of `client` on `net`, with its ticket's receiving end and
+    /// cancel flag — what a [`CircuitClient`] would queue.
+    fn job(
+        net: CircuitNetlist,
+        inputs: Vec<LweCiphertext>,
+        client: u64,
+        deadline: Option<Instant>,
+    ) -> (CircuitJob, mpsc::Receiver<CircuitOutcome>, Arc<AtomicBool>) {
+        let (reply, rx) = mpsc::channel();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let ticket = Ticket {
+            reply,
+            client,
+            deadline,
+            cancel: Arc::clone(&cancel),
+        };
+        let inputs = CircuitInputs::Lwe(inputs);
+        let job = CircuitJob {
+            netlist: net,
+            inputs,
+            ticket,
+        };
+        (job, rx, cancel)
+    }
+
+    fn scheduler(config: ServerConfig) -> Scheduler {
+        Scheduler::new(config, analyze::simplify, 1)
+    }
+
+    /// One dispatch as the scheduler thread runs it, with the clock read
+    /// as `filled` before the pool runs and as `done` after; returns the
+    /// batch.
+    fn dispatch(
+        s: &mut Scheduler,
+        pool: &GateBatchPool<F64Fft>,
+        filled: Instant,
+        done: Instant,
+    ) -> Vec<SlabTask> {
+        let mut batch = Vec::new();
+        send(s.fill(&mut batch, filled));
+        let failures = pool.run_tasks(&batch);
+        send(s.complete(&batch, failures, pool.restarts(), done));
+        batch
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn scheduler_dead_circuits_free_their_admission_slots() {
+        let (client, key, mut rng) = setup(190);
+        let pool = GateBatchPool::new(Arc::clone(&key), 1);
+        let config = ServerConfig {
+            per_client_quota: 1,
+            ..ServerConfig::default()
+        };
+        let mut s = scheduler(config);
+        let t0 = Instant::now();
+        // A needs two waves by t0 + 10 ms, and the clock passes its
+        // deadline during wave one; A2 arrives after that wave.
+        let (a, a_rx, _) = job(
+            xor_chain(2),
+            encrypt_bits(&client, &[true; 3], &mut rng),
+            0,
+            Some(t0 + 10 * MS),
+        );
+        send(s.admit(a, pool.server(), t0));
+        dispatch(&mut s, &pool, t0, t0 + 20 * MS);
+        let bits = [true, false];
+        let (a2, a2_rx, _) = job(
+            xor_chain(1),
+            encrypt_bits(&client, &bits, &mut rng),
+            0,
+            None,
+        );
+        send(s.admit(a2, pool.server(), t0 + 21 * MS));
+        assert_eq!(a_rx.try_recv().ok(), Some(CircuitOutcome::Expired));
+        assert!(a2_rx.try_recv().is_err(), "A2 holds the slot A gave up");
+        // B's wave one ends just inside its deadline, which has passed by
+        // the time B2 arrives: admitting B2 reaps B first.
+        let (b, b_rx, _) = job(
+            xor_chain(2),
+            encrypt_bits(&client, &[true; 3], &mut rng),
+            1,
+            Some(t0 + 40 * MS),
+        );
+        send(s.admit(b, pool.server(), t0 + 30 * MS));
+        dispatch(&mut s, &pool, t0 + 30 * MS, t0 + 39 * MS);
+        let run = a2_rx
+            .try_recv()
+            .ok()
+            .and_then(CircuitOutcome::completed)
+            .expect("A2 ran");
+        assert_eq!(client.decrypt(&run.outputs[0]), xor_all(&bits));
+        assert!(b_rx.try_recv().is_err(), "B is alive after wave one");
+        let (b2, b2_rx, _) = job(
+            xor_chain(1),
+            encrypt_bits(&client, &bits, &mut rng),
+            1,
+            None,
+        );
+        send(s.admit(b2, pool.server(), t0 + 40 * MS));
+        assert_eq!(b_rx.try_recv().ok(), Some(CircuitOutcome::Expired));
+        dispatch(&mut s, &pool, t0 + 40 * MS, t0 + 50 * MS);
+        assert!(b2_rx.try_recv().is_ok_and(|o| o.is_completed()));
+        let stats = lock(&s.stats).clone();
+        assert_eq!((stats.expired, stats.completed, stats.rejected), (2, 2, 0));
+    }
+
+    #[test]
+    fn scheduler_admits_until_the_deadline_instant() {
+        let (client, key, mut rng) = setup(191);
+        let mut s = scheduler(ServerConfig::default());
+        let deadline = Instant::now() + 10 * MS;
+        let inputs = encrypt_bits(&client, &[true, false], &mut rng);
+        let (at, at_rx, _) = job(xor_chain(1), inputs.clone(), 0, Some(deadline));
+        send(s.admit(at, &key, deadline));
+        assert_eq!(
+            at_rx.try_recv().ok().and_then(|o| o.reject_reason()),
+            Some(RejectReason::DeadlineUnmeetable)
+        );
+        assert!(s.is_idle());
+        let (before, before_rx, _) = job(xor_chain(1), inputs, 0, Some(deadline));
+        send(s.admit(before, &key, deadline - Duration::from_nanos(1)));
+        assert!(before_rx.try_recv().is_err(), "admitted, not resolved");
+        assert!(!s.is_idle());
+    }
+
+    #[test]
+    fn scheduler_last_wave_at_the_deadline_completes() {
+        let (client, key, mut rng) = setup(192);
+        let pool = GateBatchPool::new(Arc::clone(&key), 1);
+        let mut s = scheduler(ServerConfig::default());
+        let t0 = Instant::now();
+        let deadline = t0 + 10 * MS;
+        let bits = [false, true, true];
+        let (j, rx, _) = job(
+            xor_chain(2),
+            encrypt_bits(&client, &bits, &mut rng),
+            0,
+            Some(deadline),
+        );
+        send(s.admit(j, pool.server(), t0));
+        dispatch(&mut s, &pool, t0, t0 + 5 * MS);
+        // The last wave lands in the step where the deadline passes.
+        dispatch(&mut s, &pool, t0 + 5 * MS, deadline);
+        let run = rx
+            .try_recv()
+            .ok()
+            .and_then(CircuitOutcome::completed)
+            .expect("completed");
+        assert_eq!(client.decrypt(&run.outputs[0]), xor_all(&bits));
+        assert_eq!(
+            run.elapsed_s,
+            (deadline - t0).as_secs_f64(),
+            "timed by the scripted clock"
+        );
+        assert!(s.is_idle());
+        let stats = lock(&s.stats).clone();
+        assert_eq!(
+            (stats.completed, stats.expired, stats.dispatches),
+            (1, 0, 2)
+        );
+    }
+
+    #[test]
+    fn scheduler_cancel_outranks_expiry() {
+        let (client, key, mut rng) = setup(193);
+        let pool = GateBatchPool::new(Arc::clone(&key), 1);
+        let mut s = scheduler(ServerConfig::default());
+        let t0 = Instant::now();
+        let inputs = encrypt_bits(&client, &[true, false, true], &mut rng);
+        let (j, rx, cancel) = job(xor_chain(2), inputs, 0, Some(t0 + 10 * MS));
+        send(s.admit(j, pool.server(), t0));
+        dispatch(&mut s, &pool, t0, t0 + 5 * MS);
+        cancel.store(true, Ordering::Relaxed);
+        let mut batch = Vec::new();
+        send(s.fill(&mut batch, t0 + 20 * MS));
+        assert_eq!(rx.try_recv().ok(), Some(CircuitOutcome::Cancelled));
+        assert!(
+            batch.is_empty() && s.is_idle(),
+            "its second wave never runs"
+        );
+        let stats = lock(&s.stats).clone();
+        assert_eq!((stats.cancelled, stats.expired, stats.tasks), (1, 0, 1));
+    }
+
+    #[test]
+    fn scheduler_fill_takes_oldest_circuit_first() {
+        let (client, key, mut rng) = setup(194);
+        let mut s = scheduler(ServerConfig::default());
+        let t0 = Instant::now();
+        // Two independent gates: a wave of two.
+        let mut pair = CircuitNetlist::new();
+        let (a, b) = (pair.input(), pair.input());
+        for gate in [Gate::And, Gate::Or] {
+            let g = pair.gate(gate, a, b);
+            pair.mark_output(g);
+        }
+        for net in [xor_chain(1), pair, xor_chain(3)] {
+            let inputs = encrypt_bits(&client, &vec![true; net.num_inputs()], &mut rng);
+            send(s.admit(job(net, inputs, 0, None).0, &key, t0));
+        }
+        let mut batch = Vec::new();
+        send(s.fill(&mut batch, t0));
+        let taken: Vec<(u64, usize)> = batch.iter().map(|t| (t.slab.tag(), t.node)).collect();
+        assert_eq!(taken, [(0, 2), (1, 2), (1, 3), (2, 2)]);
+    }
+
+    #[test]
+    fn scheduler_tags_only_admitted_circuits() {
+        let (client, key, mut rng) = setup(195);
+        let config = ServerConfig {
+            per_client_quota: 1,
+            ..ServerConfig::default()
+        };
+        let mut s = scheduler(config);
+        let t0 = Instant::now();
+        let inputs = encrypt_bits(&client, &[true, false], &mut rng);
+        let mut submit = |client: u64, inputs: Vec<LweCiphertext>, deadline, cancelled: bool| {
+            let (j, rx, cancel) = job(xor_chain(1), inputs, client, deadline);
+            cancel.store(cancelled, Ordering::Relaxed);
+            send(s.admit(j, &key, t0));
+            rx.try_recv().ok()
+        };
+        // Cancelled before admission, deadline already passed, one input
+        // short (faults at admission): none is admitted, none takes a tag.
+        assert_eq!(
+            submit(0, inputs.clone(), None, true),
+            Some(CircuitOutcome::Cancelled)
+        );
+        let unmeetable = Some(RejectReason::DeadlineUnmeetable);
+        assert_eq!(
+            submit(0, inputs.clone(), Some(t0), false).and_then(|o| o.reject_reason()),
+            unmeetable
+        );
+        assert!(submit(0, inputs[..1].to_vec(), None, false).is_some_and(|o| o.is_faulted()));
+        assert_eq!(submit(0, inputs.clone(), None, false), None);
+        let quota = Some(RejectReason::QuotaExceeded);
+        assert_eq!(
+            submit(0, inputs.clone(), None, false).and_then(|o| o.reject_reason()),
+            quota
+        );
+        assert_eq!(submit(1, inputs, None, false), None);
+        let mut batch = Vec::new();
+        send(s.fill(&mut batch, t0));
+        let tags: Vec<u64> = batch.iter().map(|t| t.slab.tag()).collect();
+        assert_eq!(tags, [0, 1], "the two admitted circuits are 0 and 1");
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let (client, key, mut rng) = setup(196);
+        let config = ServerConfig {
+            default_deadline: Some(Duration::MAX),
+            ..ServerConfig::default()
+        };
+        let server = CircuitServer::start_with(Arc::clone(&key), 1, config);
+        let handle = server.client();
+        let bits = [true, false];
+        let by_default = handle.submit(xor_chain(1), encrypt_bits(&client, &bits, &mut rng));
+        let explicit = handle.submit_with_deadline(
+            xor_chain(1),
+            encrypt_bits(&client, &bits, &mut rng),
+            Duration::MAX,
+        );
+        for ticket in [by_default, explicit] {
+            let run = ticket.wait().completed().expect("runs unbounded");
+            assert_eq!(client.decrypt(&run.outputs[0]), xor_all(&bits));
+        }
         server.shutdown();
     }
 }
