@@ -151,11 +151,19 @@ pub struct ApproxIntFft {
     /// `rev[i]` for `i < M`: where the forward fold stores point `i`, and
     /// where the backward transform's working copy reads slot `i` from.
     rev: BitReversal,
+    /// The quantized `2N`-th roots, `[q(cos θ_r − 1), q(sin θ_r)]` for
+    /// `θ_r = (π/N)·r`, `r < 2N`: every bundle factor is one entry.
+    roots: Vec<[i32; 2]>,
 }
 
 impl ApproxIntFft {
     /// Creates an engine for ring degree `n` with `twiddle_bits`-bit
     /// dyadic-value-quantized twiddle factors.
+    ///
+    /// It also builds the table the bundle factors are gathered from (8·2N
+    /// bytes, 16 KB at `N = 1024`): entry `r < 2N` is
+    /// `[q(cos θ_r − 1), q(sin θ_r)]` with `θ_r = (π/N)·r` in doubles and
+    /// `q(v) = round_half_away(v·2^MONO_FRAC_BITS)`.
     ///
     /// # Panics
     ///
@@ -181,6 +189,16 @@ impl ApproxIntFft {
         let log2m = m.trailing_zeros();
         let int_frac_bits = (61 - 11 - log2m).min(42);
         let torus_frac_bits = (61 - 32 - log2m).min(26);
+        let base = std::f64::consts::PI / n as f64;
+        let quant = (1i64 << MONO_FRAC_BITS) as f64;
+        // `e^{iπ} − 1 = −2` lands on `i32::MIN` exactly; nothing is larger.
+        let quantize = |v: f64| simd::round_half_away(v * quant) as i32;
+        let roots = (0..2 * n)
+            .map(|r| {
+                let w = Cplx::from_angle(base * r as f64);
+                [quantize(w.re - 1.0), quantize(w.im)]
+            })
+            .collect();
         Self {
             n,
             int_frac_bits,
@@ -188,6 +206,7 @@ impl ApproxIntFft {
             fwd: DirectionTable::new(1.0, n, twiddle_bits),
             inv: DirectionTable::new(-1.0, n, twiddle_bits),
             rev: BitReversal::new(m),
+            roots,
         }
     }
 
@@ -387,47 +406,26 @@ impl FftEngine for ApproxIntFft {
     /// TGSW clusters (§4.3) — the FFT butterflies stay multiplication-less,
     /// but TGSW scaling legitimately uses the cluster's multipliers.
     ///
-    /// Each table is a serial chain `ε_{k+1}^e = ε_k^e · ε^{4e}` in doubles;
-    /// up to eight chains advance side by side (they are independent, so
-    /// every value is what one chain alone computes) to hide the complex
-    /// multiply's latency.
+    /// Gathered from the quantized `2N`-th roots [`ApproxIntFft::new`]
+    /// builds: `ε_k = e^{iπ(4k+1)/N}`, so the factor of `X^e` at point `k`
+    /// is entry `(4k+1)·e mod 2N`, `[q(cos θ − 1), q(sin θ)]` at
+    /// `θ = (π/N)·((4k+1)·e mod 2N)` — whatever `k`, no accumulated error.
     ///
     /// `key_exp` changes nothing here: the quantized factors have no bits to
     /// spare for it, and the bundle row's rounding shift takes it for free.
     fn monomial_factors_into(
         &self,
-        mut exponents: impl Iterator<Item = i64>,
+        exponents: impl Iterator<Item = i64>,
         _key_exp: u32,
         out: &mut Vec<[i32; 2]>,
     ) {
         let m = self.n / 2;
-        let base = std::f64::consts::PI / self.n as f64;
-        let quant = (1i64 << MONO_FRAC_BITS) as f64;
-        // `ε^N − 1 = −2` lands on `i32::MIN` exactly; nothing is larger.
-        let quantize = |v: f64| simd::round_half_away(v * quant) as i32;
+        // 2N is a power of two: `& mask` is `mod 2N`, also for negative `e`.
+        let mask = self.roots.len() - 1;
         out.clear();
-        const CHAINS: usize = 8;
-        let mut chains = [(Cplx::ZERO, Cplx::ZERO); CHAINS];
-        loop {
-            let mut n = 0;
-            // A full set stops the zip before it pulls an exponent it has
-            // no chain for.
-            for (chain, exponent) in chains.iter_mut().zip(exponents.by_ref()) {
-                let e = exponent.rem_euclid(2 * self.n as i64) as f64;
-                *chain = (Cplx::from_angle(base * e), Cplx::from_angle(4.0 * base * e));
-                n += 1;
-            }
-            let start = out.len();
-            out.resize(start + n * m, [0; 2]);
-            for k in 0..m {
-                for (p, (cur, step)) in chains[..n].iter_mut().enumerate() {
-                    out[start + p * m + k] = [quantize(cur.re - 1.0), quantize(cur.im)];
-                    *cur *= *step;
-                }
-            }
-            if n < CHAINS {
-                return;
-            }
+        for e in exponents {
+            let e = e as usize & mask;
+            out.extend((0..m).map(|k| self.roots[(4 * k + 1).wrapping_mul(e) & mask]));
         }
     }
 
@@ -668,35 +666,62 @@ mod tests {
     #[test]
     fn factor_quantizer_matches_round_for_every_exponent() {
         // The factor chain as it was written with libm's `round`, one
-        // exponent at a time: the interleaved, libm-free chains must
-        // produce the same tables for every exponent mod 2N — `e = N`
-        // included, where `ε^N − 1 = −2` quantizes to exactly `i32::MIN`.
-        let n = 256usize;
+        // exponent at a time: the gathered tables must equal it for every
+        // exponent mod 2N — `e = N` included, where `ε^N − 1 = −2`
+        // quantizes to exactly `i32::MIN` — at every ring degree up to the
+        // paper's (above it the chain drifts; see the next test).
+        for n in (2..=10).map(|b| 1usize << b) {
+            let m = n / 2;
+            let engine = ApproxIntFft::new(n, 38);
+            let base = std::f64::consts::PI / n as f64;
+            let quant = (1i64 << MONO_FRAC_BITS) as f64;
+            let exponents = -3..2 * n as i64 + 3;
+            let mut factors = Vec::new();
+            engine.monomial_factors_into(exponents.clone(), 0, &mut factors);
+            assert_eq!(factors.len(), exponents.clone().count() * m);
+            for (p, e) in exponents.enumerate() {
+                let e = e.rem_euclid(2 * n as i64) as f64;
+                let step = Cplx::from_angle(4.0 * base * e);
+                let mut cur = Cplx::from_angle(base * e);
+                for k in 0..m {
+                    let expected = [
+                        ((cur.re - 1.0) * quant).round() as i32,
+                        (cur.im * quant).round() as i32,
+                    ];
+                    assert_eq!(factors[p * m + k], expected, "n={n} e={e} k={k}");
+                    cur *= step;
+                }
+            }
+            assert_eq!(factors[(n + 3) * m], [i32::MIN, 0], "n={n}");
+        }
+    }
+
+    #[test]
+    fn factors_are_the_quantized_roots_above_the_paper_degree() {
+        // At N = 2048 a chain `ε_{k+1}^e = ε_k^e · ε^{4e}` in doubles drifts
+        // one 2⁻³⁰ step off the quantized root for 257 of the 8.4 M values;
+        // a gathered factor is the root itself, wherever it sits.
+        let n = 2048usize;
         let m = n / 2;
         let engine = ApproxIntFft::new(n, 38);
-        let base = std::f64::consts::PI / n as f64;
         let quant = (1i64 << MONO_FRAC_BITS) as f64;
+        let roots: Vec<[i32; 2]> = (0..2 * n)
+            .map(|r| {
+                let w = Cplx::from_angle(std::f64::consts::PI / n as f64 * r as f64);
+                [
+                    ((w.re - 1.0) * quant).round() as i32,
+                    (w.im * quant).round() as i32,
+                ]
+            })
+            .collect();
         let mut factors = Vec::new();
         engine.monomial_factors_into(0..2 * n as i64, 0, &mut factors);
-        assert_eq!(factors.len(), 2 * n * m);
         for e in 0..2 * n {
-            let step = Cplx::from_angle(4.0 * base * e as f64);
-            let mut cur = Cplx::from_angle(base * e as f64);
             for k in 0..m {
-                let expected = [
-                    ((cur.re - 1.0) * quant).round() as i32,
-                    (cur.im * quant).round() as i32,
-                ];
-                assert_eq!(factors[e * m + k], expected, "e={e} k={k}");
-                cur *= step;
+                let r = (4 * k + 1) * e % (2 * n);
+                assert_eq!(factors[e * m + k], roots[r], "e={e} k={k}");
             }
         }
-        assert_eq!(factors[n * m], [i32::MIN, 0]);
-        // Exponents are taken mod 2N, negative ones too.
-        let mut wrapped = vec![[1, 1]; 3];
-        engine.monomial_factors_into([-3, 2 * n as i64 + 5].into_iter(), 0, &mut wrapped);
-        assert_eq!(wrapped[..m], factors[(2 * n - 3) * m..(2 * n - 2) * m]);
-        assert_eq!(wrapped[m..], factors[5 * m..6 * m]);
     }
 
     #[test]

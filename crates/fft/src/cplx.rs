@@ -17,8 +17,6 @@ pub(crate) struct Cplx {
 }
 
 impl Cplx {
-    /// The additive identity.
-    pub(crate) const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     #[cfg(test)]
     pub(crate) const ONE: Self = Self { re: 1.0, im: 0.0 };

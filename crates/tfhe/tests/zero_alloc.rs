@@ -333,6 +333,7 @@ fn assert_zero_alloc_bundle<E: FftEngine>(engine: &E, unroll: usize, seed: u64) 
 fn warmed_bundle_build_allocates_nothing() {
     assert_zero_alloc_bundle(&F64Fft::new(256), 3, 81);
     assert_zero_alloc_bundle(&ApproxIntFft::new(256, 45), 2, 82);
+    assert_zero_alloc_bundle(&ApproxIntFft::new(256, 45), 3, 84);
 }
 
 #[test]
