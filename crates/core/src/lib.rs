@@ -53,8 +53,8 @@ pub use matcha_accel::{MatchaConfig, WorkloadParams};
 pub use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 pub use matcha_math::Torus32;
 pub use matcha_tfhe::{
-    CircuitNetlist, CircuitOutcome, CircuitServer, ClientKey, Gate, GateBatchPool, GateTask,
-    LweCiphertext, ParameterSet, ServerKey, ValueSlab,
+    CircuitNetlist, CircuitOutcome, CircuitServer, ClientKey, Gate, GateBatchPool, LweCiphertext,
+    ParameterSet, ServerKey, ValueSlab,
 };
 
 #[cfg(test)]

@@ -10,18 +10,20 @@
 //! [`ServerKey::apply_lanes_into`] (a wave of gates key-switched together,
 //! then carried through each key group together).
 //!
-//! Tasks pass operands **by index** into a shared [`ValueSlab`]
-//! rather than cloning ciphertexts into every task: a [`SlabTask`] binds a
-//! [`GateTask`] (node indices only) to the slab it reads from and the slot
-//! it writes to, and one [`GateBatchPool::run_tasks`] dispatch may mix
-//! tasks over several circuits' slabs — which is how the circuit server
-//! interleaves every in-flight circuit's ready wave into one batch. A
-//! dispatch is cut into contiguous **chunks** of at most [`MAX_LANES`]
-//! blind rotations, one queued job per chunk: a worker streams the
-//! bootstrapping key once per chunk, not once per task.
+//! A task is a **node of a netlist**: a [`SlabTask`] names a bootstrapped
+//! node of the [`CircuitNetlist`] its [`ValueSlab`] holds, and the worker
+//! reads the node's op and its operands from the slab and stores the
+//! result there — nothing is cloned per operand. One
+//! [`GateBatchPool::run_tasks`] dispatch may mix tasks over several
+//! circuits' slabs, which is how the circuit server interleaves every
+//! in-flight circuit's ready wave into one batch. A dispatch is cut into
+//! contiguous **chunks** of at most [`MAX_LANES`] blind rotations, one
+//! queued job per chunk: a worker streams the bootstrapping key once per
+//! chunk, not once per task.
 
+use crate::circuit::{CircuitNetlist, GateOp};
 use crate::faults::{FaultAction, FaultPlan};
-use crate::gates::{lane_prefix, Gate, Gate3, LaneGate, ServerKey, Staged};
+use crate::gates::{lane_prefix, LaneGate, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::scratch::{BootstrapScratch, MAX_LANES};
 use matcha_fft::FftEngine;
@@ -32,13 +34,16 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// A write-once slab of ciphertext values shared between a dispatcher and
-/// the pool workers — one slot per circuit node. Operands are passed **by
-/// index** into the slab instead of being cloned into every task, so a
-/// wave of gates reading the same value shares one ciphertext. Each slot
-/// is set exactly once (by the dispatcher for sources and free `NOT`s, by
-/// the worker that evaluated the node otherwise) and read only after the
-/// dependency order guarantees it is present.
+/// the pool workers — one slot per node of the netlist it holds. Operands
+/// are passed **by index** into the slab instead of being cloned into
+/// every task, so a wave of gates reading the same value shares one
+/// ciphertext. Each slot is set exactly once (by the dispatcher for
+/// sources and free `NOT`s, by the worker that evaluated the node
+/// otherwise) and read only after the dependency order guarantees it is
+/// present.
 pub struct ValueSlab {
+    /// The netlist the slots are numbered by.
+    net: Arc<CircuitNetlist>,
     slots: Box<[OnceLock<LweCiphertext>]>,
     /// Circuit identity for fault scripting: the
     /// [`CircuitServer`](crate::server::CircuitServer) tags each admitted
@@ -49,18 +54,24 @@ pub struct ValueSlab {
 }
 
 impl ValueSlab {
-    /// A slab of `len` empty slots, tagged 0.
-    pub fn new(len: usize) -> Self {
-        Self::tagged(len, 0)
+    /// An empty slot per node of `net`, tagged 0.
+    pub fn new(net: Arc<CircuitNetlist>) -> Self {
+        Self::tagged(net, 0)
     }
 
-    /// A slab of `len` empty slots carrying a circuit `tag` — the key
+    /// An empty slot per node of `net`, carrying a circuit `tag` — the key
     /// [`FaultPlan`] sites match on.
-    pub(crate) fn tagged(len: usize, tag: u64) -> Self {
+    pub(crate) fn tagged(net: Arc<CircuitNetlist>, tag: u64) -> Self {
         Self {
-            slots: (0..len).map(|_| OnceLock::new()).collect(),
+            slots: (0..net.len()).map(|_| OnceLock::new()).collect(),
+            net,
             tag,
         }
+    }
+
+    /// The netlist the slots are numbered by.
+    pub(crate) fn net(&self) -> &CircuitNetlist {
+        &self.net
     }
 
     /// The circuit tag fault sites are keyed by.
@@ -72,8 +83,8 @@ impl ValueSlab {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= self.len()`, or if the slot was already
-    /// written — every node's value is computed exactly once.
+    /// Panics if `index` is not a node of the netlist, or if the slot was
+    /// already written — every node's value is computed exactly once.
     pub fn set(&self, index: usize, value: LweCiphertext) {
         assert!(
             self.slots[index].set(value).is_ok(),
@@ -85,8 +96,8 @@ impl ValueSlab {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= self.len()`, or if the slot has not been
-    /// written — an operand referenced before its wave completed.
+    /// Panics if `index` is not a node of the netlist, or if the slot has
+    /// not been written — an operand referenced before its wave completed.
     pub fn get(&self, index: usize) -> &LweCiphertext {
         self.slots[index]
             .get()
@@ -97,141 +108,64 @@ impl ValueSlab {
     pub(crate) fn try_get(&self, index: usize) -> Option<&LweCiphertext> {
         self.slots[index].get()
     }
-}
 
-/// One heterogeneous unit of pool work: any gate the circuit layer emits,
-/// with **by-index operands** — the fields are node indices into the
-/// [`ValueSlab`] the task is dispatched against, not owned ciphertexts.
-/// A wave of a [`CircuitNetlist`](crate::circuit::CircuitNetlist) is a
-/// mixed batch of these, dispatched with [`GateBatchPool::run_tasks`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateTask {
-    /// A two-input bootstrapped gate (one bootstrap).
-    Binary {
-        /// The gate to evaluate.
-        gate: Gate,
-        /// Left operand node.
-        a: usize,
-        /// Right operand node.
-        b: usize,
-    },
-    /// Free negation — no bootstrap.
-    Not {
-        /// The operand node.
-        a: usize,
-    },
-    /// `sel ? a : b` — two bootstraps, their outputs added.
-    Mux {
-        /// The selector node.
-        sel: usize,
-        /// Node taken when `sel` is true.
-        a: usize,
-        /// Node taken when `sel` is false.
-        b: usize,
-    },
-    /// A three-input bootstrapped gate (one bootstrap).
-    Ternary {
-        /// The gate to evaluate.
-        gate: Gate3,
-        /// The operand nodes.
-        ops: [usize; 3],
-    },
-    /// An adder cell ([`LaneGate::Cell`]): one bootstrap, two results — the
-    /// majority, stored at the task's own node, and the parity.
-    Cell {
-        /// The operand nodes.
-        ops: [usize; 3],
-        /// Slot the parity is stored at.
-        sum: usize,
-    },
-}
-
-impl GateTask {
-    /// Blind rotations the task runs: the lanes it takes in a chunk.
-    fn lanes(&self) -> usize {
-        match self {
-            GateTask::Binary { .. } | GateTask::Ternary { .. } | GateTask::Cell { .. } => 1,
-            GateTask::Not { .. } => 0,
-            GateTask::Mux { .. } => 2,
-        }
-    }
-
-    /// Ciphertexts the task produces: one, or a cell's two.
-    pub fn outputs(&self) -> usize {
-        match self {
-            GateTask::Cell { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    /// Evaluates the one task into `outs` ([`GateTask::outputs`] entries: a
-    /// cell's carry, then its sum) through `scratch`, reading operands from
-    /// `slab` by index — what a pool worker does for every task of a chunk
-    /// at once, and the reference the chunked path is tested against.
-    /// Allocation-free once the scratch and `outs` are warmed, for every
-    /// variant: operands are borrowed from the slab, never cloned.
+    /// Node `node` as a gate of a wave, operands borrowed from the slab: a
+    /// majority that hosts a riding `Sum` is an adder cell.
     ///
     /// # Panics
     ///
-    /// Panics if an operand slot has not been computed yet, or `outs` is
-    /// not [`GateTask::outputs`] long.
-    pub fn apply_into<E: FftEngine>(
-        &self,
-        server: &ServerKey<E>,
-        slab: &ValueSlab,
-        outs: &mut [LweCiphertext],
-        scratch: &mut BootstrapScratch<E>,
-    ) {
-        assert_eq!(outs.len(), self.outputs(), "one output, or a cell's two");
-        match self.lane_gate(slab) {
-            Some(gate) => server.apply_lanes_into(&[gate], outs, scratch),
-            None => {
-                let GateTask::Not { a } = *self else {
-                    unreachable!("every task but a negation bootstraps");
-                };
-                server.not_into(slab.get(a), &mut outs[0]);
+    /// Panics, naming the node, if it is past the netlist or bootstraps
+    /// nothing; panics if an operand has not been computed.
+    fn lane_gate(&self, node: usize) -> LaneGate<'_> {
+        let Some(&op) = self.net.ops().get(node) else {
+            panic!("node {node} is past its {}-node netlist", self.net.len());
+        };
+        let v = |i| self.get(i);
+        match op {
+            GateOp::Binary(gate, a, b) => LaneGate::Binary {
+                gate,
+                a: v(a),
+                b: v(b),
+            },
+            GateOp::Mux { sel, a, b } => LaneGate::Mux {
+                sel: v(sel),
+                a: v(a),
+                b: v(b),
+            },
+            GateOp::Ternary(gate, a, b, c) => {
+                let ops = [a, b, c].map(v);
+                match self.net.rider_of(node) {
+                    Some(_) => LaneGate::Cell { ops },
+                    None => LaneGate::Ternary { gate, ops },
+                }
             }
+            _ => panic!("node {node} ({op:?}) is not a bootstrapped gate"),
         }
     }
 
-    /// The task as a gate of a wave, operands borrowed from `slab`; `None`
-    /// for a free negation.
-    fn lane_gate<'a>(&self, slab: &'a ValueSlab) -> Option<LaneGate<'a>> {
-        Some(match *self {
-            GateTask::Binary { gate, a, b } => LaneGate::Binary {
-                gate,
-                a: slab.get(a),
-                b: slab.get(b),
-            },
-            GateTask::Mux { sel, a, b } => LaneGate::Mux {
-                sel: slab.get(sel),
-                a: slab.get(a),
-                b: slab.get(b),
-            },
-            GateTask::Ternary { gate, ops } => LaneGate::Ternary {
-                gate,
-                ops: ops.map(|i| slab.get(i)),
-            },
-            GateTask::Cell { ops, .. } => LaneGate::Cell {
-                ops: ops.map(|i| slab.get(i)),
-            },
-            GateTask::Not { .. } => return None,
-        })
+    /// Lanes node `node` takes in a chunk: its bootstraps, and one for a
+    /// node that is no bootstrapped gate — its task fails in the worker,
+    /// not while the dispatcher cuts chunks.
+    fn lanes(&self, node: usize) -> usize {
+        self.net
+            .ops()
+            .get(node)
+            .map_or(1, |op| op.bootstraps().max(1))
     }
 }
 
-/// One dispatchable task: a by-index [`GateTask`] bound to the slab its
-/// indices refer to, plus the node slot its result is stored at. Batches
-/// may freely mix tasks over *different* slabs — that is how the server
-/// interleaves waves of several in-flight circuits into one dispatch.
+/// One dispatchable task: a bootstrapped node of the netlist its slab
+/// holds. The worker reads the node's op and operands from the slab and
+/// stores the result at `node` (an adder cell's sum at its riding `Sum`).
+/// Batches may freely mix tasks over *different* slabs — that is how the
+/// server interleaves waves of several in-flight circuits into one
+/// dispatch.
 #[derive(Clone)]
 pub struct SlabTask {
-    /// The value slab `task`'s indices point into.
+    /// The value slab holding the node's netlist and values.
     pub slab: Arc<ValueSlab>,
-    /// Slot the result is stored at ([`ValueSlab::set`] by the worker).
+    /// The node to evaluate; its result is stored at this slot.
     pub node: usize,
-    /// The gate work itself.
-    pub task: GateTask,
 }
 
 /// Renders a worker panic payload for re-raising on the submitter's thread.
@@ -311,7 +245,7 @@ impl Drop for InFlight {
 /// # Examples
 ///
 /// ```no_run
-/// use matcha_tfhe::{ClientKey, Gate, GateBatchPool, GateTask, ParameterSet, ServerKey};
+/// use matcha_tfhe::{CircuitNetlist, ClientKey, Gate, GateBatchPool, ParameterSet, ServerKey};
 /// use matcha_tfhe::{SlabTask, ValueSlab};
 /// use matcha_fft::F64Fft;
 /// use rand::SeedableRng;
@@ -321,17 +255,17 @@ impl Drop for InFlight {
 /// let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
 /// let server = Arc::new(ServerKey::new(&client, F64Fft::new(1024), &mut rng));
 /// let pool = GateBatchPool::new(server, 8);
-/// // Slots 0 and 1 hold the operands, 2 and 3 receive a NAND and an XOR.
-/// let slab = Arc::new(ValueSlab::new(4));
-/// slab.set(0, client.encrypt_with(true, &mut rng));
-/// slab.set(1, client.encrypt_with(false, &mut rng));
-/// let tasks: Vec<SlabTask> = [(2, Gate::Nand), (3, Gate::Xor)]
-///     .map(|(node, gate)| SlabTask {
-///         slab: Arc::clone(&slab),
-///         node,
-///         task: GateTask::Binary { gate, a: 0, b: 1 },
-///     })
-///     .to_vec();
+/// // Nodes 0 and 1 are the inputs, 2 and 3 a NAND and an XOR of them.
+/// let mut net = CircuitNetlist::new();
+/// let (a, b) = (net.input(), net.input());
+/// let nodes = [net.gate(Gate::Nand, a, b), net.gate(Gate::Xor, a, b)];
+/// let slab = Arc::new(ValueSlab::new(Arc::new(net)));
+/// slab.set(a, client.encrypt_with(true, &mut rng));
+/// slab.set(b, client.encrypt_with(false, &mut rng));
+/// let tasks = nodes.map(|node| SlabTask {
+///     slab: Arc::clone(&slab),
+///     node,
+/// });
 /// assert!(pool.run_tasks(&tasks).is_empty(), "no task failed");
 /// assert!(client.decrypt(slab.get(2)) && client.decrypt(slab.get(3)));
 /// ```
@@ -413,23 +347,23 @@ where
     })
 }
 
-/// Runs one chunk on the calling worker: every bootstrapped task becomes
-/// one or two lanes of a single [`ServerKey`] wave, a `Not` is answered on
-/// the spot, and `done` hears about each task exactly once.
+/// Runs one chunk on the calling worker: every task's node becomes one or
+/// two lanes of a single [`ServerKey`] wave, and `done` hears about each
+/// task exactly once.
 ///
-/// Panic isolation is per task wherever the work is: fetching operands,
-/// the dimension checks, the linear part and staging the lane all run
-/// under the task's own `catch_unwind`, so a malformed task (e.g. a
-/// mismatched-dimension operand, or a scripted [`FaultAction::Panic`])
-/// fails only its own index and its lane is dropped from the wave, and so
-/// does storing its result. The key switch, blind rotation and extraction
-/// are shared loops: a panic there fails every task staged in the chunk,
-/// each reported. Either way the worker keeps serving and nothing is
-/// poisoned. The scratch stays structurally valid across an unwind —
-/// every wave re-sizes its buffers — hence the AssertUnwindSafe; the one
-/// cost is that a buffer mem::take'n by the panicking call is left empty,
-/// so this worker's next chunk re-warms it (an allocation, correctness
-/// unaffected).
+/// Panic isolation is per task wherever the work is: reading the node and
+/// its operands, the dimension checks, the linear part and staging the
+/// lane all run under the task's own `catch_unwind`, so a malformed task
+/// (e.g. a mismatched-dimension operand, a node that bootstraps nothing,
+/// or a scripted [`FaultAction::Panic`]) fails only its own index and its
+/// lane is dropped from the wave, and so does storing its result. The key
+/// switch, blind rotation and extraction are shared loops: a panic there
+/// fails every task staged in the chunk, each reported. Either way the
+/// worker keeps serving and nothing is poisoned. The scratch stays
+/// structurally valid across an unwind — every wave re-sizes its buffers —
+/// hence the AssertUnwindSafe; the one cost is that a buffer mem::take'n by
+/// the panicking call is left empty, so this worker's next chunk re-warms
+/// it (an allocation, correctness unaffected).
 fn run_chunk<E: FftEngine>(
     server: &ServerKey<E>,
     tasks: &[(usize, SlabTask)],
@@ -438,57 +372,47 @@ fn run_chunk<E: FftEngine>(
     outs: &mut Vec<LweCiphertext>,
     mut done: impl FnMut(usize, Result<(), String>),
 ) {
-    let outputs = tasks.iter().map(|(_, st)| st.task.outputs()).sum();
-    if outs.len() < outputs {
-        outs.resize_with(outputs, LweCiphertext::default);
-    }
-    // The staged gates, in lane order: (position in `tasks`, how the wave
-    // reads it back). Their outputs are switched into `outs` in this order.
-    let mut staged: Vec<(usize, Staged)> = Vec::with_capacity(tasks.len());
+    // The staged gates in lane order, and where in `tasks` each came from.
+    // Their outputs are switched into `outs` in this order.
+    let mut gates: Vec<LaneGate<'_>> = Vec::with_capacity(tasks.len());
+    let mut positions: Vec<usize> = Vec::with_capacity(tasks.len());
     let mut lanes = 0;
     for (position, ((index, st), fault)) in tasks.iter().zip(injected).enumerate() {
         if let Some(FaultAction::Delay(d)) = fault {
             std::thread::sleep(*d);
         }
-        let SlabTask { slab, node, task } = st;
+        let SlabTask { slab, node } = st;
         let stage = catch_unwind(AssertUnwindSafe(|| {
             if matches!(fault, Some(FaultAction::Panic)) {
                 panic!("injected fault: task for node {node} panicked in its worker");
             }
-            let Some(gate) = task.lane_gate(slab) else {
-                // A free negation takes no lane: stored on the spot.
-                let mut out = LweCiphertext::default();
-                task.apply_into(server, slab, std::slice::from_mut(&mut out), scratch);
-                slab.set(*node, out);
-                return None;
-            };
+            let gate = slab.lane_gate(*node);
             server.stage_lanes(&gate, lanes, scratch);
-            Some(gate.staged())
+            gate
         }));
         match stage {
-            Ok(None) => done(*index, Ok(())),
-            Ok(Some(gate)) => {
-                staged.push((position, gate));
+            Ok(gate) => {
                 lanes += gate.lanes();
+                gates.push(gate);
+                positions.push(position);
             }
             Err(payload) => done(*index, Err(panic_message(payload))),
         }
     }
-    let outputs = staged.iter().map(|&(_, gate)| gate.outputs()).sum();
+    let outputs = gates.iter().map(LaneGate::outputs).sum();
+    if outs.len() < outputs {
+        outs.resize_with(outputs, LweCiphertext::default);
+    }
     let outs = &mut outs[..outputs];
-    let gates = staged.iter().map(|&(_, gate)| gate);
     let shared = catch_unwind(AssertUnwindSafe(|| {
-        server.finish_lanes(gates, outs, scratch)
+        server.finish_lanes(&gates, outs, scratch)
     }))
     .map_err(panic_message);
     let mut outs = outs.iter();
-    for &(position, gate) in &staged {
-        let (index, SlabTask { slab, node, task }) = &tasks[position];
-        // A cell's second result goes to the slot its task names.
-        let nodes = match *task {
-            GateTask::Cell { sum, .. } => [Some(*node), Some(sum)],
-            _ => [Some(*node), None],
-        };
+    for (gate, &position) in gates.iter().zip(&positions) {
+        let (index, SlabTask { slab, node }) = &tasks[position];
+        // A cell's second result goes to the sum riding on its node.
+        let nodes = [Some(*node), slab.net().rider_of(*node)];
         let results = outs.by_ref().take(gate.outputs());
         let stored = shared.clone().and_then(|()| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -585,19 +509,19 @@ where
         &self.server
     }
 
-    /// Dispatches a heterogeneous batch — any mix of binary gates, free
-    /// negations and muxes, possibly spanning **several circuits' slabs**
-    /// — onto the persistent workers, blocking until every task has been
-    /// answered. Each task reads its operands from its slab by index and
-    /// stores its result at `node`; nothing is cloned per operand. This is
-    /// the form circuit waves are dispatched in: the server fills one
-    /// `run_tasks` call with the ready frontier of every in-flight
-    /// circuit.
+    /// Dispatches a batch of netlist nodes — any mix of bootstrapped ops
+    /// (binary and three-input gates, muxes, adder cells), possibly
+    /// spanning **several circuits' slabs** — onto the persistent workers,
+    /// blocking until every task has been answered. Each task reads its
+    /// node's operands from its slab by index and stores its result at
+    /// `node`; nothing is cloned per operand. This is the form circuit
+    /// waves are dispatched in: the server fills one `run_tasks` call with
+    /// the ready frontier of every in-flight circuit.
     ///
     /// The batch is cut into contiguous **chunks**, one queued job each,
-    /// of at most `min(MAX_LANES, ⌈lanes / threads⌉)` blind rotations (a
-    /// binary gate is one, a mux two, a `Not` none — for a wave of binary
-    /// gates that is so many tasks): every worker gets a share, and a
+    /// of at most `min(MAX_LANES, ⌈lanes / threads⌉)` blind rotations
+    /// ([`GateOp::bootstraps`]: a mux is two, every other gate one — for a
+    /// wave of binary gates that is so many tasks): every worker gets a share, and a
     /// worker key-switches its chunk together and carries it through each
     /// key group together ([`ServerKey::apply_lanes_into`]), so the
     /// keys stream once per chunk rather than once per task, with each
@@ -609,7 +533,8 @@ where
     /// Returns `(batch index, panic message)` for every task that failed in
     /// a worker, ascending by index; a task not listed has stored its
     /// result in its slab slot. A task that panics in a worker on its own
-    /// (e.g. mismatched operand dimensions) is reported there rather than
+    /// (e.g. mismatched operand dimensions, or a node that is past its
+    /// netlist or bootstraps nothing) is reported there rather than
     /// raised: workers survive, nothing is poisoned, the rest of its chunk
     /// and of the batch still completes, and the dispatcher decides which
     /// circuit the failure faults. Only a panic inside the loops a chunk
@@ -668,7 +593,7 @@ where
     ) {
         let (reply_tx, reply_rx) = mpsc::channel();
         let tx = self.tx.as_ref().expect("pool is live");
-        let lanes = |&index: &usize| tasks[index].task.lanes();
+        let lanes = |&index: &usize| tasks[index].slab.lanes(tasks[index].node);
         let total: usize = indices.iter().map(lanes).sum();
         let cap = MAX_LANES.min(total.div_ceil(self.threads));
         let mut rest = indices;
@@ -713,6 +638,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::{Gate, Gate3};
     use crate::params::ParameterSet;
     use crate::secret::ClientKey;
     use matcha_fft::F64Fft;
@@ -738,12 +664,25 @@ mod tests {
         (plain, enc)
     }
 
-    /// Stages `pairs` as a manual batch of `gate` on a tag-0 slab and
-    /// returns `(slab, tasks)`; output for pair `i` lands at node
-    /// `2 * len + i` — the node fault sites target.
-    fn staged_and_batch(gate: Gate, enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
+    /// A netlist of `n` pairs: nodes `0..n` and `n..2 * n` are inputs,
+    /// node `2 * n + i` is `gate` of inputs `i` and `n + i`.
+    fn pairs_net(gate: Gate, n: usize) -> CircuitNetlist {
+        let mut net = CircuitNetlist::new();
+        for _ in 0..2 * n {
+            net.input();
+        }
+        for i in 0..n {
+            net.gate(gate, i, n + i);
+        }
+        net
+    }
+
+    /// A tag-0 slab over `net` holding `enc` at the [`pairs_net`] inputs,
+    /// and a task per pair: pair `i`'s output lands at node `2 * len + i` —
+    /// the node fault sites target.
+    fn pairs_batch(net: CircuitNetlist, enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
         let n = enc.len();
-        let slab = Arc::new(ValueSlab::new(3 * n));
+        let slab = Arc::new(ValueSlab::new(Arc::new(net)));
         for (i, (a, b)) in enc.iter().enumerate() {
             slab.set(i, a.clone());
             slab.set(n + i, b.clone());
@@ -752,14 +691,33 @@ mod tests {
             .map(|i| SlabTask {
                 slab: Arc::clone(&slab),
                 node: 2 * n + i,
-                task: GateTask::Binary {
-                    gate,
-                    a: i,
-                    b: n + i,
-                },
             })
             .collect();
         (slab, batch)
+    }
+
+    /// Stages `pairs` as a batch of `gate` ([`pairs_net`], [`pairs_batch`])
+    /// and returns `(slab, tasks)`.
+    fn staged_and_batch(gate: Gate, enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
+        pairs_batch(pairs_net(gate, enc.len()), enc)
+    }
+
+    /// A slab over a netlist of `n` inputs.
+    fn input_slab(n: usize) -> ValueSlab {
+        let mut net = CircuitNetlist::new();
+        for _ in 0..n {
+            net.input();
+        }
+        ValueSlab::new(Arc::new(net))
+    }
+
+    /// A task per node, all on `slab`.
+    fn tasks_on(slab: &Arc<ValueSlab>, nodes: impl IntoIterator<Item = usize>) -> Vec<SlabTask> {
+        let task = |node| SlabTask {
+            slab: Arc::clone(slab),
+            node,
+        };
+        nodes.into_iter().map(task).collect()
     }
 
     /// Dispatches `gate` over `enc` on `pool` and checks every output
@@ -885,42 +843,29 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let pool = GateBatchPool::new(Arc::clone(&server), 2);
-        // Slots 0/1 hold the shared operands; 2..7 receive the outputs.
+        // Nodes 0/1 are the shared operands; 2..8 the bootstrapped nodes.
         // Every task reads the *same* two ciphertexts by index — nothing
         // is cloned per task.
-        let slab = Arc::new(ValueSlab::new(7));
-        slab.set(0, client.encrypt_with(true, &mut rng));
-        slab.set(1, client.encrypt_with(false, &mut rng));
-        let tasks = [
-            GateTask::Binary {
-                gate: Gate::Nand,
-                a: 0,
-                b: 0,
-            },
-            GateTask::Not { a: 1 },
-            GateTask::Mux { sel: 0, a: 1, b: 0 },
-            GateTask::Binary {
-                gate: Gate::Xor,
-                a: 0,
-                b: 1,
-            },
-            GateTask::Mux { sel: 1, a: 1, b: 0 },
-        ];
-        let batch: Vec<SlabTask> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, &task)| SlabTask {
-                slab: Arc::clone(&slab),
-                node: 2 + i,
-                task,
-            })
-            .collect();
-        let expected = [false, true, false, true, true];
+        let mut net = CircuitNetlist::new();
+        let (t, f) = (net.input(), net.input());
+        net.gate(Gate::Nand, t, t);
+        net.mux(t, f, t);
+        net.gate(Gate::Xor, t, f);
+        net.mux(f, f, t);
+        net.ternary(Gate3::Xor3, t, f, t);
+        net.ternary(Gate3::Maj, t, f, f);
+        let sum = net.sum(t, f, f);
+        let slab = Arc::new(ValueSlab::new(Arc::new(net)));
+        slab.set(t, client.encrypt_with(true, &mut rng));
+        slab.set(f, client.encrypt_with(false, &mut rng));
+        let batch = tasks_on(&slab, 2..8);
+        let expected = [false, false, true, true, false, false];
         let failures = pool.run_tasks(&batch);
         assert!(failures.is_empty());
         for (i, want) in expected.into_iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 + i)), want, "task {i}");
         }
+        assert!(client.decrypt(slab.get(sum)), "the cell's sum: 1 ^ 0 ^ 0");
     }
 
     #[test]
@@ -933,45 +878,18 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let pool = GateBatchPool::new(Arc::clone(&server), 2);
-        let slab = Arc::new(ValueSlab::new(6));
-        slab.set(0, client.encrypt_with(true, &mut rng));
-        slab.set(1, client.encrypt_with(false, &mut rng));
+        let mut net = CircuitNetlist::new();
+        let [a, b, bad] = [(); 3].map(|()| net.input());
+        net.gate(Gate::And, a, b);
+        net.gate(Gate::Or, a, bad);
+        net.gate(Gate::Xor, a, b);
+        let slab = Arc::new(ValueSlab::new(Arc::new(net)));
+        slab.set(a, client.encrypt_with(true, &mut rng));
+        slab.set(b, client.encrypt_with(false, &mut rng));
         // Slot 2: right count of coefficients for nothing — wrong LWE
         // dimension, so any gate reading it panics in its worker.
-        slab.set(2, crate::LweCiphertext::trivial(Torus32::ZERO, 3));
-        let batch: Vec<SlabTask> = [
-            (
-                3,
-                GateTask::Binary {
-                    gate: Gate::And,
-                    a: 0,
-                    b: 1,
-                },
-            ),
-            (
-                4,
-                GateTask::Binary {
-                    gate: Gate::Or,
-                    a: 0,
-                    b: 2,
-                },
-            ),
-            (
-                5,
-                GateTask::Binary {
-                    gate: Gate::Xor,
-                    a: 0,
-                    b: 1,
-                },
-            ),
-        ]
-        .into_iter()
-        .map(|(node, task)| SlabTask {
-            slab: Arc::clone(&slab),
-            node,
-            task,
-        })
-        .collect();
+        slab.set(bad, crate::LweCiphertext::trivial(Torus32::ZERO, 3));
+        let batch = tasks_on(&slab, 3..6);
         let failures = pool.run_tasks(&batch);
         assert_eq!(failures.len(), 1, "exactly the bad task fails");
         assert_eq!(failures[0].0, 1, "failure carries its batch index");
@@ -985,7 +903,7 @@ mod tests {
 
     #[test]
     fn slab_set_twice_is_rejected() {
-        let slab = ValueSlab::new(2);
+        let slab = input_slab(2);
         slab.set(0, crate::LweCiphertext::trivial(Torus32::ZERO, 3));
         assert!(slab.try_get(0).is_some());
         assert!(slab.try_get(1).is_none());
@@ -998,14 +916,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn slab_set_out_of_range_rejected() {
-        let slab = ValueSlab::new(2);
+        let slab = input_slab(2);
         slab.set(2, crate::LweCiphertext::trivial(Torus32::ZERO, 3));
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn slab_get_out_of_range_rejected() {
-        let slab = ValueSlab::new(1);
+        let slab = input_slab(1);
         let _ = slab.get(5);
     }
 
@@ -1128,22 +1046,43 @@ mod tests {
 
     #[test]
     fn malformed_task_mid_chunk_fails_alone() {
-        // Not a scripted panic but a real one, in the task's own linear
-        // part: a wrong-dimension operand in the middle of a chunk.
+        // Not a scripted panic but a real one, in the middle of a chunk:
+        // in the task's own linear part (a wrong-dimension operand), or in
+        // reading its node (one past the netlist, or one that bootstraps
+        // nothing: an input, a constant, a free NOT, a riding sum).
         let mut rng = StdRng::seed_from_u64(102);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let (plain, mut enc) = inputs(&client, &mut rng, 5);
-        enc[2].1 = LweCiphertext::trivial(Torus32::ZERO, 3);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
+        let (plain, enc) = inputs(&client, &mut rng, 5);
+        let mut net = pairs_net(Gate::And, enc.len());
+        let constant = net.constant(true);
+        let not = net.not(0);
+        net.ternary(Gate3::Maj, 0, 1, 2);
+        let sum = net.sum(0, 1, 2);
+        let past = net.len() + 7;
+        let mut wrong_dimension = enc.clone();
+        wrong_dimension[2].1 = LweCiphertext::trivial(Torus32::ZERO, 3);
+        let cases = [(&wrong_dimension, None)]
+            .into_iter()
+            .chain([past, 0, constant, not, sum].map(|node| (&enc, Some(node))));
         let pool = GateBatchPool::new(Arc::clone(&server), 1);
-        let failures = pool.run_tasks(&batch);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert_eq!(failures[0].0, 2);
-        for (i, (a, b)) in plain.iter().enumerate() {
-            match slab.try_get(2 * enc.len() + i) {
-                Some(out) => assert_eq!(client.decrypt(out), a & b, "task {i}"),
-                None => assert_eq!(i, 2, "only the malformed task stores nothing"),
+        for (enc, bad_node) in cases {
+            let (slab, mut batch) = pairs_batch(net.clone(), enc);
+            if let Some(node) = bad_node {
+                batch[2].node = node;
+            }
+            let failures = pool.run_tasks(&batch);
+            assert_eq!(failures.len(), 1, "{bad_node:?}: {failures:?}");
+            assert_eq!(failures[0].0, 2);
+            if let Some(node) = bad_node {
+                let msg = &failures[0].1;
+                assert!(msg.contains(&format!("node {node} ")), "{msg}");
+            }
+            for (i, (a, b)) in plain.iter().enumerate() {
+                match slab.try_get(2 * enc.len() + i) {
+                    Some(out) => assert_eq!(client.decrypt(out), a & b, "task {i}"),
+                    None => assert_eq!(i, 2, "only the malformed task stores nothing"),
+                }
             }
         }
     }
@@ -1160,8 +1099,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        // Slots 0..3 hold the operands; 3, 4, 6 the tasks' nodes, 5 the sum.
-        let slab = Arc::new(ValueSlab::new(7));
+        // Nodes 0..3 are the operands; 3, 4, 6 the tasks' nodes, 5 the sum.
+        let mut net = CircuitNetlist::new();
+        let [a, b, c] = [(); 3].map(|()| net.input());
+        net.gate(Gate::And, a, b);
+        net.ternary(Gate3::Maj, a, b, c);
+        net.sum(a, b, c);
+        net.gate(Gate::Xor, b, c);
+        let net = Arc::new(net);
+        let slab = Arc::new(ValueSlab::new(Arc::clone(&net)));
         for slot in 0..3 {
             slab.set(slot, client.encrypt_with(slot != 1, &mut rng));
         }
@@ -1173,7 +1119,7 @@ mod tests {
         ];
         let cell_slab = if malformed {
             // The same slab, but for a second operand of the wrong dimension.
-            let bad = ValueSlab::new(7);
+            let bad = ValueSlab::new(net);
             bad.set(0, slab.get(0).clone());
             bad.set(1, LweCiphertext::trivial(Torus32::ZERO, 3));
             bad.set(2, slab.get(2).clone());
@@ -1181,26 +1127,11 @@ mod tests {
         } else {
             Arc::clone(&slab)
         };
-        let and = GateTask::Binary {
-            gate: Gate::And,
-            a: 0,
-            b: 1,
-        };
-        let cell = GateTask::Cell {
-            ops: [0, 1, 2],
-            sum: 5,
-        };
-        let xor = GateTask::Binary {
-            gate: Gate::Xor,
-            a: 1,
-            b: 2,
-        };
-        let batch: Vec<SlabTask> = [(&slab, 3, and), (&cell_slab, 4, cell), (&slab, 6, xor)]
+        let batch: Vec<SlabTask> = [(&slab, 3), (&cell_slab, 4), (&slab, 6)]
             .into_iter()
-            .map(|(slab, node, task)| SlabTask {
+            .map(|(slab, node)| SlabTask {
                 slab: Arc::clone(slab),
                 node,
-                task,
             })
             .collect();
         let plan = FaultPlan::new();

@@ -17,7 +17,7 @@
 //! of the bootstrapped work back to the analytical model, so predicted
 //! makespan/utilization can be cross-checked against measured wall-clock.
 
-use crate::batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
+use crate::batch::{GateBatchPool, SlabTask, ValueSlab};
 use crate::gates::{Gate, Gate3, GateDesc, ServerKey};
 use crate::lwe::LweCiphertext;
 use matcha_fft::FftEngine;
@@ -595,11 +595,11 @@ impl CircuitNetlist {
     }
 
     /// Executes the circuit wave-by-wave on a persistent pool: each ready
-    /// frontier of bootstrapped gates becomes one heterogeneous by-index
-    /// [`GateTask`] batch over the run's [`ValueSlab`], so independent
-    /// gates of a level run in parallel on the warmed workers with **no
-    /// per-wave operand clones**. Free `NOT`s are resolved inline between
-    /// waves (they never cost a dispatch or a wave barrier). This is the
+    /// frontier of bootstrapped nodes becomes one [`SlabTask`] batch over
+    /// the run's [`ValueSlab`], so independent gates of a level run in
+    /// parallel on the warmed workers with **no per-wave operand clones**.
+    /// Free `NOT`s are resolved inline between waves, and a `Sum` is stored
+    /// with its host (neither costs a dispatch or a wave barrier). This is the
     /// solo-circuit driver of the frontier; the multi-circuit
     /// interleaving driver is [`CircuitServer`](crate::server::CircuitServer).
     ///
@@ -612,8 +612,8 @@ impl CircuitNetlist {
         E: FftEngine + Send + Sync + 'static,
     {
         // The netlist clone is O(nodes) of plain indices — noise next to
-        // the O(nodes) gate bootstraps the run performs; it buys the
-        // frontier the same owned form the interleaving server uses.
+        // the O(nodes) gate bootstraps the run performs; it buys the slab
+        // the same owned form the interleaving server uses.
         let net = Arc::new(self.clone());
         let mut frontier = CircuitFrontier::new(net, pool.server(), inputs, Instant::now());
         let mut batch: Vec<SlabTask> = Vec::new();
@@ -710,7 +710,7 @@ impl CircuitNetlist {
 
 /// The ready-frontier of one in-flight circuit execution: which
 /// bootstrapped ops can be dispatched *right now*, backed by the run's
-/// shared [`ValueSlab`].
+/// shared [`ValueSlab`], which holds the netlist.
 ///
 /// This is the unit the interleaving scheduler juggles: it keeps one
 /// `CircuitFrontier` per in-flight circuit and fills every pool dispatch
@@ -729,7 +729,6 @@ impl CircuitNetlist {
 /// slab, so the write stays safe and the slab is freed with the last such
 /// task. The server drops one only between dispatches, when none is.
 pub(crate) struct CircuitFrontier {
-    net: Arc<CircuitNetlist>,
     slab: Arc<ValueSlab>,
     /// Operand slots (with multiplicity) not yet available, per node.
     pending: Vec<usize>,
@@ -794,7 +793,9 @@ impl CircuitFrontier {
     where
         F: FnMut(usize) -> LweCiphertext,
     {
-        let n = net.ops.len();
+        let slab = Arc::new(ValueSlab::tagged(net, tag));
+        let net = slab.net();
+        let n = net.len();
         let mut pending = vec![0usize; n];
         let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut remaining = 0;
@@ -811,8 +812,7 @@ impl CircuitFrontier {
             remaining += usize::from(op.bootstraps() > 0);
         }
         let mut frontier = Self {
-            slab: Arc::new(ValueSlab::tagged(n, tag)),
-            net,
+            slab,
             pending,
             consumers,
             ready: Vec::new(),
@@ -822,7 +822,7 @@ impl CircuitFrontier {
             t0: now,
         };
         for id in 0..n {
-            match frontier.net.ops[id] {
+            match frontier.slab.net().ops[id] {
                 GateOp::Input(slot) => {
                     frontier.slab.set(id, fill(slot));
                     frontier.mark_available(id);
@@ -849,7 +849,7 @@ impl CircuitFrontier {
             for c in std::mem::take(&mut self.consumers[id]) {
                 self.pending[c] -= 1;
                 if self.pending[c] == 0 {
-                    match self.net.ops[c] {
+                    match self.slab.net().ops[c] {
                         GateOp::Not(a) => {
                             let mut v = self.slab.get(a).clone();
                             v.neg_assign();
@@ -871,38 +871,21 @@ impl CircuitFrontier {
         }
     }
 
-    /// Drains every currently-ready bootstrapped op into `batch` as
-    /// by-index tasks over this run's slab, returning how many were
-    /// taken. Ops taken here count as one wave of this circuit; they must
-    /// each be [`CircuitFrontier::complete`]d once their worker has
-    /// stored the result.
+    /// Drains every currently-ready bootstrapped node into `batch` as
+    /// tasks over this run's slab, returning how many were taken. Nodes
+    /// taken here count as one wave of this circuit; they must each be
+    /// [`CircuitFrontier::complete`]d once their worker has stored the
+    /// result.
     pub(crate) fn take_ready(&mut self, batch: &mut Vec<SlabTask>) -> usize {
         let taken = self.ready.len();
         if taken > 0 {
             self.waves += 1;
         }
-        for id in self.ready.drain(..) {
-            let task = match self.net.ops[id] {
-                GateOp::Binary(gate, a, b) => GateTask::Binary { gate, a, b },
-                GateOp::Mux { sel, a, b } => GateTask::Mux { sel, a, b },
-                GateOp::Ternary(gate, a, b, c) => match self.net.rider_of(id) {
-                    Some(sum) => GateTask::Cell {
-                        ops: [a, b, c],
-                        sum,
-                    },
-                    None => GateTask::Ternary {
-                        gate,
-                        ops: [a, b, c],
-                    },
-                },
-                _ => unreachable!("only bootstrapped ops enter the ready set"),
-            };
-            batch.push(SlabTask {
-                slab: Arc::clone(&self.slab),
-                node: id,
-                task,
-            });
-        }
+        let slab = &self.slab;
+        batch.extend(self.ready.drain(..).map(|node| SlabTask {
+            slab: Arc::clone(slab),
+            node,
+        }));
         taken
     }
 
@@ -937,8 +920,8 @@ impl CircuitFrontier {
     /// Panics if the circuit is not [`CircuitFrontier::is_done`].
     pub(crate) fn finish(self, now: Instant) -> CircuitRun {
         assert!(self.is_done(), "circuit still has unfinished work");
-        let outputs = self
-            .net
+        let net = self.slab.net();
+        let outputs = net
             .outputs
             .iter()
             .map(|&id| self.slab.get(id).clone())
@@ -947,7 +930,7 @@ impl CircuitFrontier {
             outputs,
             waves: self.waves,
             scheduled_ops: self.scheduled_ops,
-            bootstraps: self.net.bootstraps(),
+            bootstraps: net.bootstraps(),
             elapsed_s: now.saturating_duration_since(self.t0).as_secs_f64(),
         }
     }

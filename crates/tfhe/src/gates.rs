@@ -289,48 +289,17 @@ pub enum LaneGate<'a> {
 impl LaneGate<'_> {
     /// Blind rotations the gate runs, i.e. lanes it occupies in a wave.
     pub(crate) fn lanes(&self) -> usize {
-        self.staged().lanes()
+        match self {
+            LaneGate::Mux { .. } => 2,
+            _ => 1,
+        }
     }
 
     /// Ciphertexts the gate writes: one, or a cell's two.
     pub(crate) fn outputs(&self) -> usize {
-        self.staged().outputs()
-    }
-
-    pub(crate) fn staged(&self) -> Staged {
         match self {
-            LaneGate::Binary { .. } | LaneGate::Ternary { .. } => Staged::Gate,
-            LaneGate::Mux { .. } => Staged::Mux,
-            LaneGate::Cell { .. } => Staged::Cell,
-        }
-    }
-}
-
-/// What a staged gate holds of its wave: how [`ServerKey::finish_lanes`]
-/// reads its lanes back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Staged {
-    /// One lane, one output: coefficient 0.
-    Gate,
-    /// Two lanes, one output: both coefficient 0s and `1/8`.
-    Mux,
-    /// One lane, two outputs: coefficient 0, and coefficients 1 + 2 taken
-    /// off the kept linear part.
-    Cell,
-}
-
-impl Staged {
-    pub(crate) fn lanes(self) -> usize {
-        match self {
-            Staged::Gate | Staged::Cell => 1,
-            Staged::Mux => 2,
-        }
-    }
-
-    pub(crate) fn outputs(self) -> usize {
-        match self {
-            Staged::Gate | Staged::Mux => 1,
-            Staged::Cell => 2,
+            LaneGate::Cell { .. } => 2,
+            _ => 1,
         }
     }
 }
@@ -496,7 +465,7 @@ impl<E: FftEngine> ServerKey<E> {
                 self.stage_lanes(gate, lane, scratch);
                 lane += gate.lanes();
             }
-            self.finish_lanes(wave.iter().map(LaneGate::staged), wave_outs, scratch);
+            self.finish_lanes(wave, wave_outs, scratch);
             (gates, outs) = (rest, rest_outs);
         }
     }
@@ -532,15 +501,16 @@ impl<E: FftEngine> ServerKey<E> {
     /// The shared half of a wave: key-switches every staged lane's linear
     /// part in one walk through the key-switching key, blind-rotates the
     /// lanes in one pass over the bootstrapping key, and extracts each
-    /// output into `outs` (`staged` says how each staged gate reads its
-    /// lanes, in lane order).
+    /// output into `outs` (`gates` are the staged gates, in lane order:
+    /// one lane read at coefficient 0, a mux's two added to `1/8`, a cell's
+    /// one read at coefficient 0 and taken off its kept linear part).
     pub(crate) fn finish_lanes(
         &self,
-        staged: impl Iterator<Item = Staged> + Clone,
+        gates: &[LaneGate<'_>],
         outs: &mut [LweCiphertext],
         scratch: &mut BootstrapScratch<E>,
     ) {
-        let lanes = staged.clone().map(Staged::lanes).sum();
+        let lanes = gates.iter().map(LaneGate::lanes).sum();
         self.kit
             .key_switch_key()
             .switch_slice_into(&scratch.lin[..lanes], &mut scratch.switched[..lanes]);
@@ -556,18 +526,18 @@ impl<E: FftEngine> ServerKey<E> {
         } = scratch;
         profile::timed(Phase::Other, || {
             let (mut lane, mut out) = (0, 0);
-            for gate in staged {
+            for gate in gates {
                 let acc = &rotated[lane].acc;
                 acc.sample_extract_into(&mut outs[out]);
                 match gate {
-                    Staged::Gate => {}
-                    Staged::Mux => {
+                    LaneGate::Binary { .. } | LaneGate::Ternary { .. } => {}
+                    LaneGate::Mux { .. } => {
                         // sel ? a : b = u1 + u2 + (0, 1/8).
                         rotated[lane + 1].acc.sample_extract_into(spare);
                         outs[out].add_assign(spare);
                         outs[out].add_body(GATE_MU);
                     }
-                    Staged::Cell => {
+                    LaneGate::Cell { .. } => {
                         // sum = (a + b + c) − 2·carry, twice the carry being
                         // two coefficients the carry did not use: the
                         // rotated test vector is constant.
@@ -658,17 +628,10 @@ impl<E: FftEngine> ServerKey<E> {
     /// Logical NOT — a free negation, no bootstrap (paper §5: "NOT has no
     /// bootstrapping at all").
     pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {
-        let mut out = LweCiphertext::default();
-        self.not_into(a, &mut out);
-        out
-    }
-
-    /// [`ServerKey::not`] into a caller-owned output — no allocation once
-    /// `out`'s mask has capacity for `a`'s dimension.
-    pub(crate) fn not_into(&self, a: &LweCiphertext, out: &mut LweCiphertext) {
         profile::timed(Phase::Other, || {
-            out.copy_from(a);
+            let mut out = a.clone();
             out.neg_assign();
+            out
         })
     }
 
@@ -1011,20 +974,7 @@ mod tests {
         assert_eq!(lane_prefix([1, 2, 1].into_iter(), 2), 1);
         assert_eq!(lane_prefix([1, 0, 0, 1].into_iter(), 1), 3);
         assert_eq!(lane_prefix([2, 1].into_iter(), 1), 1, "a mux alone");
-        assert_eq!(lane_prefix([0, 0].into_iter(), 0), 2, "negations are free");
         assert_eq!(lane_prefix([1; 40].into_iter(), MAX_LANES), MAX_LANES);
-    }
-
-    #[test]
-    fn not_into_matches_not() {
-        let (client, server, mut rng) = setup(1);
-        let mut out = LweCiphertext::trivial(Torus32::ZERO, 1);
-        for v in [true, false] {
-            let c = client.encrypt_with(v, &mut rng);
-            server.not_into(&c, &mut out);
-            assert_eq!(out, server.not(&c));
-            assert_eq!(client.decrypt(&out), !v);
-        }
     }
 
     #[test]

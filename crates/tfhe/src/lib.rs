@@ -78,7 +78,7 @@ pub use analyze::{
     analyze, demote_sums, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind,
     NetlistReport, NoiseModel, NoiseReport, OutputNoise, Severity, SimplifyReport,
 };
-pub use batch::{GateBatchPool, GateTask, SlabTask, ValueSlab};
+pub use batch::{GateBatchPool, SlabTask, ValueSlab};
 pub use bku::UnrolledBootstrappingKey;
 pub use bootstrap::BootstrapKit;
 pub use circuit::{CircuitNetlist, CircuitRun, GateOp};

@@ -1,15 +1,15 @@
 //! A wave is its gates, one at a time: key-switching B linear parts
 //! coefficient-major and carrying them through each key group together
-//! must give, for every gate, the bits `apply_into` / `mux_into` /
-//! `apply3_into` / `cell_into` give it alone — an adder cell's carry *and*
-//! sum, the carry being the `MAJ3` gate's — whatever B is against the lane
-//! cap, whichever engine and unroll factor, however a dispatch mixes task
-//! kinds and slabs, on one worker or two.
+//! must give, for every netlist node, the bits the sequential executor's
+//! one-gate calls give it alone — an adder cell's carry *and* sum, the
+//! carry being the `MAJ3` gate's — whatever B is against the lane cap,
+//! whichever engine and unroll factor, however a dispatch mixes gate kinds
+//! and slabs, on one worker or two.
 
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::{
-    ClientKey, Gate, Gate3, GateBatchPool, GateTask, KeySwitchKey, LaneGate, LweCiphertext,
+    CircuitNetlist, ClientKey, Gate, Gate3, GateBatchPool, GateOp, KeySwitchKey, LweCiphertext,
     LweSecretKey, ParameterSet, ServerKey, SlabTask, ValueSlab, MAX_LANES,
 };
 use rand::rngs::StdRng;
@@ -20,74 +20,96 @@ use std::sync::Arc;
 /// one-gate tail.
 const BATCHES: [usize; 6] = [1, 2, 3, MAX_LANES, MAX_LANES + 1, 2 * MAX_LANES + 1];
 
-/// Input slots per slab; a slab's outputs follow them.
+/// Input nodes per netlist; its bootstrapped nodes follow them.
 const INPUTS: usize = 4;
 const SLABS: usize = 3;
 
-/// Task `i` of a batch: every gate of `Gate::ALL` in turn, every fourth
-/// task a mux, every fifth a three-input gate, every seventh a free
-/// negation, every ninth an adder cell (its sum stored at `sum`), operands
-/// walking the slab's inputs.
-fn task(i: usize, sum: usize) -> GateTask {
+/// Adds node `i` of a dispatch to `net`: every seventh an adder cell (a
+/// `MAJ3` and the `Sum` riding on it), every fourth a mux, every fifth a
+/// three-input gate — plain `MAJ3`s among them — and the rest walking
+/// `Gate::ALL`, a place further on each round so that every gate comes up;
+/// operands walk the netlist's inputs.
+fn add_node(net: &mut CircuitNetlist, i: usize) {
     let (a, b, sel) = (i % INPUTS, (i / 2 + 1) % INPUTS, (i + 2) % INPUTS);
     if i % 7 == 5 {
-        GateTask::Not { a }
-    } else if i % 9 == 2 {
-        GateTask::Cell {
-            ops: [a, sel, b],
-            sum,
-        }
+        let carry = net.ternary(Gate3::Maj, a, sel, b);
+        let sum = net.sum(a, sel, b);
+        assert_eq!(net.rider_of(carry), Some(sum), "a cell, not a plain MAJ3");
     } else if i % 4 == 3 {
-        GateTask::Mux { sel, a, b }
+        net.mux(sel, a, b);
     } else if i % 5 == 1 {
-        GateTask::Ternary {
-            gate: Gate3::ALL[i / 5 % Gate3::ALL.len()],
-            ops: [sel, a, b],
-        }
+        net.ternary(Gate3::ALL[i / 5 % Gate3::ALL.len()], sel, a, b);
     } else {
-        GateTask::Binary {
-            gate: Gate::ALL[i % Gate::ALL.len()],
-            a,
-            b,
-        }
+        let g = Gate::ALL.len();
+        net.gate(Gate::ALL[(i + i / g) % g], a, b);
     }
 }
 
-/// `count` tasks dealt round-robin over `SLABS` fresh slabs holding
-/// `inputs`; task `i` writes node `INPUTS + i / SLABS` of slab `i % SLABS`,
-/// and a cell its sum as far again past the slab's last task.
-fn deal(inputs: &[Vec<LweCiphertext>], count: usize) -> Vec<SlabTask> {
-    let per_slab = count.div_ceil(SLABS);
-    let slabs: Vec<Arc<ValueSlab>> = inputs
+/// `count` nodes of a dispatch dealt round-robin over `SLABS` netlists:
+/// netlist `s` holds node `i` of the dispatch for every `i ≡ s` below
+/// `count`. Every node is an output, so a run's outputs are its slots.
+fn netlists(count: usize) -> Vec<Arc<CircuitNetlist>> {
+    (0..SLABS)
+        .map(|s| {
+            let mut net = CircuitNetlist::new();
+            for _ in 0..INPUTS {
+                net.input();
+            }
+            for i in (s..count).step_by(SLABS) {
+                add_node(&mut net, i);
+            }
+            for node in 0..net.len() {
+                net.mark_output(node);
+            }
+            Arc::new(net)
+        })
+        .collect()
+}
+
+/// The bootstrapped nodes of `net`, in node order.
+fn bootstrapped(net: &CircuitNetlist) -> Vec<usize> {
+    (0..net.len())
+        .filter(|&node| net.ops()[node].bootstraps() > 0)
+        .collect()
+}
+
+/// Fresh slabs over `nets` holding `inputs`, and the dispatch's tasks in
+/// order: task `i` is bootstrapped node `i / SLABS` of slab `i % SLABS`.
+fn deal(
+    nets: &[Arc<CircuitNetlist>],
+    inputs: &[Vec<LweCiphertext>],
+) -> (Vec<Arc<ValueSlab>>, Vec<SlabTask>) {
+    let slabs: Vec<Arc<ValueSlab>> = nets
         .iter()
-        .map(|values| {
-            let slab = ValueSlab::new(INPUTS + 2 * per_slab);
+        .zip(inputs)
+        .map(|(net, values)| {
+            let slab = ValueSlab::new(Arc::clone(net));
             for (slot, v) in values.iter().enumerate() {
                 slab.set(slot, v.clone());
             }
             Arc::new(slab)
         })
         .collect();
-    (0..count)
+    let nodes: Vec<Vec<usize>> = nets.iter().map(|net| bootstrapped(net)).collect();
+    let count: usize = nodes.iter().map(Vec::len).sum();
+    let tasks = (0..count)
         .map(|i| SlabTask {
             slab: Arc::clone(&slabs[i % SLABS]),
-            node: INPUTS + i / SLABS,
-            task: task(i, INPUTS + per_slab + i / SLABS),
+            node: nodes[i % SLABS][i / SLABS],
         })
-        .collect()
+        .collect();
+    (slabs, tasks)
 }
 
-/// Where a dispatched task left its results: its node, and a cell's sum.
-fn stored(st: &SlabTask) -> Vec<&LweCiphertext> {
-    let sum = match st.task {
-        GateTask::Cell { sum, .. } => Some(sum),
-        _ => None,
-    };
-    [Some(st.node), sum]
-        .into_iter()
-        .flatten()
-        .map(|node| st.slab.get(node))
-        .collect()
+/// The plaintext value of `node`, its operands read through `bit`.
+fn eval(net: &CircuitNetlist, node: usize, bit: impl Fn(usize) -> bool) -> bool {
+    match net.ops()[node] {
+        GateOp::Binary(gate, a, b) => gate.eval(bit(a), bit(b)),
+        GateOp::Mux { sel, a, b } => bit(if bit(sel) { a } else { b }),
+        GateOp::Ternary(gate, a, b, c) => gate.eval(bit(a), bit(b), bit(c)),
+        GateOp::Sum(a, b, c) => Gate3::Xor3.eval(bit(a), bit(b), bit(c)),
+        op => unreachable!("{op:?} is not built here"),
+    }
 }
 
 fn check_waves<E>(engine: E, unroll: usize, seed: u64)
@@ -115,101 +137,55 @@ where
         GateBatchPool::new(Arc::clone(&server), 2),
     ];
     let mut scratch = server.make_scratch();
-    let mut wave_scratch = server.make_scratch();
 
     for count in BATCHES {
-        // One at a time, through a scratch that never sees a second lane
-        // (but for the mux's own two).
-        let reference = deal(&inputs, count);
-        let alone: Vec<Vec<LweCiphertext>> = reference
+        // One gate at a time, each through a scratch of its own.
+        let nets = netlists(count);
+        let alone: Vec<Vec<LweCiphertext>> = nets
             .iter()
-            .map(|st| {
-                let mut outs = vec![LweCiphertext::default(); st.task.outputs()];
-                st.task
-                    .apply_into(&server, &st.slab, &mut outs, &mut scratch);
-                if let GateTask::Cell { ops, .. } = st.task {
-                    let mut majority = LweCiphertext::default();
-                    let ops = ops.map(|node| st.slab.get(node));
-                    server.apply3_into(Gate3::Maj, ops, &mut majority, &mut scratch);
-                    assert_eq!(outs[0], majority, "a cell's carry is the MAJ3 gate's");
-                }
-                outs
-            })
+            .zip(&inputs)
+            .map(|(net, inputs)| net.execute_sequential(&server, inputs).outputs)
             .collect();
+        for (net, values) in nets.iter().zip(&alone) {
+            for node in 0..net.len() {
+                let (GateOp::Ternary(_, a, b, c), Some(_)) = (net.ops()[node], net.rider_of(node))
+                else {
+                    continue;
+                };
+                let mut majority = LweCiphertext::default();
+                let ops = [a, b, c].map(|operand| &values[operand]);
+                server.apply3_into(Gate3::Maj, ops, &mut majority, &mut scratch);
+                assert_eq!(values[node], majority, "a cell's carry is the MAJ3 gate's");
+            }
+        }
 
-        // Chunked onto pool workers.
+        // Chunked onto pool workers: every slot bit for bit.
         for pool in &pools {
-            let batch = deal(&inputs, count);
+            let (slabs, batch) = deal(&nets, &inputs);
+            assert_eq!(batch.len(), count);
             let failures = pool.run_tasks(&batch);
             assert!(failures.is_empty(), "{failures:?}");
-            for (i, (st, want)) in batch.iter().zip(&alone).enumerate() {
-                assert_eq!(
-                    stored(st),
-                    want.iter().collect::<Vec<_>>(),
-                    "unroll={unroll} count={count} threads={} task {i} ({:?})",
-                    pool.threads(),
-                    st.task
-                );
+            for (s, (net, (slab, want))) in nets.iter().zip(slabs.iter().zip(&alone)).enumerate() {
+                for (node, want) in want.iter().enumerate() {
+                    assert_eq!(
+                        slab.get(node),
+                        want,
+                        "unroll={unroll} count={count} threads={} slab {s} node {node} ({:?})",
+                        pool.threads(),
+                        net.ops()[node]
+                    );
+                }
             }
         }
 
-        // The batched entry itself, on the bootstrapped tasks.
-        let (gates, wanted): (Vec<LaneGate<'_>>, Vec<&Vec<LweCiphertext>>) = reference
-            .iter()
-            .zip(&alone)
-            .filter_map(|(st, want)| {
-                let v = |node| st.slab.get(node);
-                let gate = match st.task {
-                    GateTask::Binary { gate, a, b } => LaneGate::Binary {
-                        gate,
-                        a: v(a),
-                        b: v(b),
-                    },
-                    GateTask::Mux { sel, a, b } => LaneGate::Mux {
-                        sel: v(sel),
-                        a: v(a),
-                        b: v(b),
-                    },
-                    GateTask::Ternary { gate, ops } => LaneGate::Ternary {
-                        gate,
-                        ops: ops.map(v),
-                    },
-                    GateTask::Cell { ops, .. } => LaneGate::Cell { ops: ops.map(v) },
-                    GateTask::Not { .. } => return None,
-                };
-                Some((gate, want))
-            })
-            .unzip();
-        let wanted: Vec<&LweCiphertext> = wanted.into_iter().flatten().collect();
-        let mut outs = vec![LweCiphertext::default(); wanted.len()];
-        server.apply_lanes_into(&gates, &mut outs, &mut wave_scratch);
-        for (i, (out, want)) in outs.iter().zip(wanted).enumerate() {
-            assert_eq!(out, want, "unroll={unroll} count={count} output {i}");
+        // The waves computed the right thing, not just the same thing.
+        for (net, values) in nets.iter().zip(&alone) {
+            let bit = |node: usize| client.decrypt(&values[node]);
+            for node in INPUTS..net.len() {
+                let op = net.ops()[node];
+                assert_eq!(bit(node), eval(net, node, bit), "count={count} {op:?}");
+            }
         }
-    }
-    // The waves computed the right thing, not just the same thing.
-    let batch = deal(&inputs, MAX_LANES);
-    assert!(pools[0].run_tasks(&batch).is_empty());
-    for st in &batch {
-        let bit = |node| client.decrypt(st.slab.get(node));
-        let want = match st.task {
-            GateTask::Binary { gate, a, b } => gate.eval(bit(a), bit(b)),
-            GateTask::Not { a } => !bit(a),
-            GateTask::Mux { sel, a, b } => {
-                if bit(sel) {
-                    bit(a)
-                } else {
-                    bit(b)
-                }
-            }
-            GateTask::Ternary { gate, ops } => gate.eval(bit(ops[0]), bit(ops[1]), bit(ops[2])),
-            GateTask::Cell { ops, sum } => {
-                let [a, b, c] = ops.map(bit);
-                assert_eq!(bit(sum), a ^ b ^ c, "{:?}", st.task);
-                Gate3::Maj.eval(a, b, c)
-            }
-        };
-        assert_eq!(bit(st.node), want, "{:?}", st.task);
     }
 }
 

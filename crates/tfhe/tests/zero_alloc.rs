@@ -359,74 +359,6 @@ fn warmed_key_switch_allocates_nothing() {
     assert_eq!(out.dimension(), ksk.to_dimension());
 }
 
-#[test]
-fn warmed_heterogeneous_tasks_allocate_nothing() {
-    // The pool's worker inner loop is the by-index `GateTask::apply_into`:
-    // a warmed scratch must make every task kind — binary gate, free NOT,
-    // the two-bootstrap MUX, the three-input gate and the two-output adder
-    // cell — allocation-free,
-    // operands *borrowed* from the shared value slab rather than cloned
-    // into the task, so the heterogeneous interleaved circuit waves keep
-    // the zero-alloc property of the homogeneous batch path.
-    use matcha_tfhe::{Gate3, GateTask, ValueSlab};
-    let mut rng = StdRng::seed_from_u64(79);
-    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-    let server = ServerKey::with_unrolling(&client, F64Fft::new(256), 2, &mut rng);
-    // Slot 0 holds `true`, slot 1 holds `false`; the tasks reference the
-    // operands purely by index.
-    let slab = ValueSlab::new(2);
-    slab.set(0, client.encrypt_with(true, &mut rng));
-    slab.set(1, client.encrypt_with(false, &mut rng));
-    let tasks = [
-        GateTask::Binary {
-            gate: Gate::Nand,
-            a: 0,
-            b: 1,
-        },
-        GateTask::Not { a: 0 },
-        GateTask::Mux { sel: 0, a: 1, b: 0 },
-        GateTask::Ternary {
-            gate: Gate3::Xor3,
-            ops: [0, 1, 0],
-        },
-        GateTask::Cell {
-            ops: [0, 1, 0],
-            sum: usize::MAX, // where a pool worker would store it
-        },
-    ];
-    let mut outs = [
-        matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1),
-        matcha_tfhe::LweCiphertext::trivial(Torus32::ZERO, 1),
-    ];
-    let mut scratch = server.make_scratch();
-
-    // Warm-up: two passes over every task kind size all buffers (the mux
-    // warms a second lane and the extraction buffer the binary path never
-    // touches, the cell its second output).
-    for _ in 0..2 {
-        for task in &tasks {
-            task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
-        }
-    }
-
-    let before = allocations();
-    for task in &tasks {
-        task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
-    }
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "warmed by-index task batch allocated {delta} times"
-    );
-    // And the results are still right: the cell's carry and its sum last.
-    let expected = [true, false, false, false, true];
-    for (task, want) in tasks.iter().zip(expected) {
-        task.apply_into(&server, &slab, &mut outs[..task.outputs()], &mut scratch);
-        assert_eq!(client.decrypt(&outs[0]), want);
-    }
-    assert!(!client.decrypt(&outs[1]), "1 ^ 0 ^ 1");
-}
-
 /// A wave through the batched entry: once a scratch has held
 /// `MAX_LANES` lanes it keeps them, so full waves, a narrower wave in
 /// between, a mux's two lanes, a three-input gate's one and an adder
