@@ -251,14 +251,6 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                 });
             }
         }
-        if let GateOp::Not(a) = op {
-            if matches!(net.ops()[a], GateOp::Not(_)) {
-                lints.push(Lint {
-                    kind: LintKind::DoubleNot,
-                    node: id,
-                });
-            }
-        }
         if !matches!(op, GateOp::Input(_) | GateOp::Constant(_))
             && seen.insert(canonical(op), id).is_some()
         {
@@ -266,6 +258,14 @@ pub fn lint(net: &CircuitNetlist) -> Vec<Lint> {
                 kind: LintKind::DuplicateGate,
                 node: id,
             });
+        }
+        if let GateOp::Not(a) = op {
+            if matches!(net.ops()[a], GateOp::Not(_)) {
+                lints.push(Lint {
+                    kind: LintKind::DoubleNot,
+                    node: id,
+                });
+            }
         }
     }
     lints
@@ -1545,6 +1545,21 @@ mod tests {
         assert!(k.contains(&LintKind::DoubleNot));
         assert!(k.contains(&LintKind::MuxIdenticalArms));
         assert_eq!(l.iter().map(Lint::severity).max(), Some(Severity::Warning));
+        // A double negation that duplicates an earlier one: the warning
+        // comes before the info at the same node.
+        let mut net = CircuitNetlist::new();
+        let a = net.input();
+        let n1 = net.not(a);
+        let n2 = net.not(n1);
+        let n3 = net.not(n1);
+        net.mark_output(n2);
+        net.mark_output(n3);
+        let at_n3: Vec<LintKind> = lint(&net)
+            .into_iter()
+            .filter(|l| l.node == n3)
+            .map(|l| l.kind)
+            .collect();
+        assert_eq!(at_n3, [LintKind::DuplicateGate, LintKind::DoubleNot]);
     }
 
     #[test]
