@@ -8,7 +8,9 @@
 //! `CircuitNetlist::schedule_skeleton()` of a `matcha-circuits` netlist,
 //! through [`Netlist::from_deps`] — list-schedules it onto a platform's
 //! pipelines, and reports circuit-level latency: the per-gate numbers of
-//! Figures 9/10 turned into end-to-end application estimates.
+//! Figures 9/10 turned into end-to-end application estimates. Its
+//! [`Netlist::critical_path`] over the skeleton is the circuit's critical
+//! path in bootstrap units; nothing else in the workspace recomputes it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,25 +87,6 @@ impl Netlist {
         }
         best
     }
-
-    /// Critical-path priority rank per gate: `ranks()[i]` is the length
-    /// (in gates, counting gate `i` itself) of the longest dependency
-    /// chain from `i` to any sink. A list scheduler dispatching
-    /// highest-rank-first among ready gates is the classic
-    /// critical-path-first heuristic; `ranks().max() == critical_path()`.
-    pub fn ranks(&self) -> Vec<usize> {
-        let n = self.deps.len();
-        let mut rank = vec![1usize; n];
-        // Single backward sweep: topological order means every consumer
-        // has a higher index than its dependencies.
-        for i in (0..n).rev() {
-            let r = rank[i];
-            for &d in &self.deps[i] {
-                rank[d] = rank[d].max(r + 1);
-            }
-        }
-        rank
-    }
 }
 
 /// The outcome of scheduling a netlist.
@@ -171,17 +154,6 @@ mod tests {
         let r = schedule(&Netlist::new(), 4, 1.0);
         assert_eq!(r.gates, 0);
         assert_eq!(r.makespan_s, 0.0);
-    }
-
-    #[test]
-    fn ranks_of_chain_descend() {
-        let mut net = Netlist::new();
-        let a = net.add_gate(&[]);
-        let b = net.add_gate(&[a]);
-        let c = net.add_gate(&[b]);
-        let lone = net.add_gate(&[]);
-        assert_eq!(net.ranks(), vec![3, 2, 1, 1]);
-        let _ = (c, lone);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Lints every shipped circuit lowering and prints its pre-execution
 //! certificate: structural findings, per-output failure-probability
-//! bounds, critical-path ranks, and what `simplify` would save.
+//! bounds, the critical path and makespan `matcha_accel::schedule`
+//! predicts over the netlist's schedule skeleton, and what `simplify`
+//! would save.
 //!
 //! Exits non-zero if any lowering carries an `Error`-severity lint — the
 //! CI `netlist-lint` job runs this binary to keep the library admissible
@@ -16,15 +18,14 @@ fn main() {
     let reports = analysis::analyze_library(&ParameterSet::MATCHA, 2, 4, 1e-3);
     let mut errors = 0usize;
 
-    for a in &reports {
-        let cost = &a.report.cost;
+    for (a, (_, net)) in reports.iter().zip(analysis::library()) {
         println!(
             "{:<12} bootstraps {:>3}  depth {:>2}  critical path {:>2} units  \
              predicted {:>8.3} ms  simplify {} -> {} bootstraps",
             a.name,
-            cost.bootstraps,
-            cost.depth,
-            cost.critical_path_units,
+            a.predicted.gates,
+            net.depth(),
+            a.predicted.critical_path,
             a.predicted.makespan_s * 1e3,
             a.simplified.bootstraps_before,
             a.simplified.bootstraps_after,

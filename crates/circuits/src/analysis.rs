@@ -1,9 +1,9 @@
 //! The static-analysis driver for the circuit library: runs
-//! `matcha_tfhe::analyze` over every shipped lowering and bridges the
-//! cost section to `matcha_accel::schedule`'s list scheduler for a
-//! predicted makespan — the pre-execution certificate (lints, noise
-//! bounds, priority ranks, latency estimate) for a whole netlist, with
-//! zero bootstraps spent.
+//! `matcha_tfhe::analyze` over every shipped lowering and hands its
+//! `schedule_skeleton` to `matcha_accel::schedule`'s list scheduler for a
+//! predicted makespan and critical path — the pre-execution certificate
+//! (lints, noise bounds, latency estimate) for a whole netlist, with zero
+//! bootstraps spent.
 //!
 //! The CI `netlist-lint` job runs [`analyze_library`] (via the
 //! `netlist_lint` example) and fails on any `Error`-severity finding, so
@@ -23,11 +23,13 @@ use matcha_tfhe::{analyze, simplify, NetlistReport, SimplifyReport};
 pub struct CircuitAnalysis {
     /// Which lowering this is (e.g. `"adder8"`).
     pub name: &'static str,
-    /// Lints, per-output noise certificates, and cost ranks.
+    /// Lints and per-output noise certificates.
     pub report: NetlistReport,
     /// What [`matcha_tfhe::simplify`] would save on this netlist.
     pub simplified: SimplifyReport,
-    /// List-scheduled latency prediction over the bootstrap-unit skeleton.
+    /// List-scheduled latency prediction over the bootstrap-unit skeleton:
+    /// its `gates` are the netlist's bootstraps, its `critical_path` the
+    /// longest chain of them.
     pub predicted: ScheduleResult,
 }
 
@@ -44,11 +46,6 @@ fn analyze_netlist(
     let (_, simplified) = simplify(net);
     let dag = schedule::Netlist::from_deps(&net.schedule_skeleton());
     let predicted = schedule::schedule(&dag, pipelines, gate_latency_s);
-    debug_assert_eq!(
-        report.cost.critical_path_units,
-        dag.critical_path(),
-        "analyze and accel::schedule must agree on the critical path"
-    );
     CircuitAnalysis {
         name,
         report,
@@ -249,11 +246,11 @@ pub fn processor_cycle_spec(reg_count: usize, width: usize, instr: CycleInstruct
 }
 
 /// Analyzes every [`library`] lowering end to end:
-/// [`matcha_tfhe::analyze`](fn@matcha_tfhe::analyze) for
-/// lints/noise/cost, [`matcha_tfhe::simplify`] for the rewrite savings,
-/// and `matcha_accel::schedule` over
-/// [`CircuitNetlist::schedule_skeleton`] for the makespan a
-/// `pipelines`-wide pool at `gate_latency_s` per bootstrap should hit.
+/// [`matcha_tfhe::analyze`](fn@matcha_tfhe::analyze) for lints and
+/// noise, [`matcha_tfhe::simplify`] for the rewrite savings, and
+/// `matcha_accel::schedule` over [`CircuitNetlist::schedule_skeleton`] for
+/// the critical path and the makespan a `pipelines`-wide pool at
+/// `gate_latency_s` per bootstrap should hit.
 ///
 /// # Panics
 ///
@@ -289,33 +286,15 @@ mod tests {
     }
 
     #[test]
-    fn ranks_are_consistent_with_the_accel_list_scheduler() {
-        for (name, net) in library() {
-            let skeleton = net.schedule_skeleton();
-            let dag = schedule::Netlist::from_deps(&skeleton);
-            let report = analyze(&net, &ParameterSet::MATCHA, 2);
-            assert_eq!(
-                report.cost.critical_path_units,
-                dag.critical_path(),
-                "{name}"
-            );
-            assert_eq!(
-                report.cost.node_ranks.iter().copied().max().unwrap_or(0),
-                dag.ranks().iter().copied().max().unwrap_or(0),
-                "{name}"
-            );
-            assert_eq!(report.cost.bootstraps, dag.len(), "{name}");
-        }
-    }
-
-    #[test]
     fn predicted_makespan_respects_the_classic_bounds() {
-        for a in analyze_library(&ParameterSet::MATCHA, 2, 4, 1.0) {
-            let cp = a.report.cost.critical_path_units as f64;
-            let work = a.report.cost.bootstraps as f64 / 4.0;
+        let analyses = analyze_library(&ParameterSet::MATCHA, 2, 4, 1.0);
+        for (a, (_, net)) in analyses.iter().zip(library()) {
+            assert_eq!(a.predicted.gates, net.bootstraps(), "{}", a.name);
+            let cp = a.predicted.critical_path as f64;
+            let work = a.predicted.gates as f64 / 4.0;
             assert!(a.predicted.makespan_s >= cp.max(work) - 1e-9, "{}", a.name);
             assert!(
-                a.predicted.makespan_s <= a.report.cost.bootstraps as f64 + 1e-9,
+                a.predicted.makespan_s <= a.predicted.gates as f64 + 1e-9,
                 "{}",
                 a.name
             );

@@ -1,12 +1,11 @@
 //! Static analysis of executable netlists: structural lints, a safe
-//! simplification rewriter, analytic worst-case noise certification, and
-//! critical-path cost analysis — all computed from the DAG alone, before a
-//! single bootstrap is spent.
+//! simplification rewriter and analytic worst-case noise certification —
+//! all computed from the DAG alone, before a single bootstrap is spent.
 //!
 //! Bootstraps are the only expensive resource in gate-level TFHE, and a
 //! malformed or noise-over-budget circuit wastes them (or worse, silently
 //! decrypts wrong). [`analyze`] walks a [`CircuitNetlist`] once and
-//! produces a machine-readable [`NetlistReport`] with three sections:
+//! produces a machine-readable [`NetlistReport`] with two sections:
 //!
 //! * **Lints** ([`lint`]) — structural findings with [`Severity`] levels:
 //!   dead bootstrapped nodes, netlists with work but no outputs
@@ -20,10 +19,6 @@
 //!   decryption-failure probability bound via Gaussian tails and a union
 //!   bound over the output's backward cone. Tests cross-validate the
 //!   bound against the empirical [`noise`](crate::noise) harness.
-//! * **Cost** — bootstrap counts, wave depth, and per-node critical-path
-//!   priority ranks in bootstrap units, consistent with
-//!   `accel::schedule`'s list scheduler over
-//!   [`CircuitNetlist::schedule_skeleton`].
 //!
 //! [`simplify`] applies the safe subset of the lint findings as rewrites —
 //! constant folding, double-`NOT` collapse, common-subexpression
@@ -1287,78 +1282,6 @@ fn noise_report(net: &CircuitNetlist, model: NoiseModel) -> NoiseReport {
     }
 }
 
-/// The cost section of a [`NetlistReport`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CostReport {
-    /// Total gate bootstraps (the schedule-skeleton unit count).
-    pub bootstraps: usize,
-    /// Wave depth (free `NOT`s add none).
-    pub depth: usize,
-    /// Longest dependency chain in bootstrap units — equals
-    /// `accel::schedule::Netlist::from_deps(skeleton).critical_path()`.
-    pub critical_path_units: usize,
-    /// Critical-path priority rank per *node*, in bootstrap units: the
-    /// length of the longest downstream chain including the node's own
-    /// bootstraps (binary and ternary 1, mux 2, free ops 0). A frontier scheduler
-    /// dispatching highest-rank-first is critical-path-first; sources and
-    /// `NOT`s carry the rank of their longest consumer chain.
-    pub node_ranks: Vec<usize>,
-}
-
-fn cost_report(net: &CircuitNetlist) -> CostReport {
-    let units = net.schedule_skeleton();
-    // Unit-level ranks: longest chain (in units, inclusive) to any sink.
-    let mut unit_rank = vec![1usize; units.len()];
-    for u in (0..units.len()).rev() {
-        let r = unit_rank[u];
-        for &d in &units[u] {
-            unit_rank[d] = unit_rank[d].max(r + 1);
-        }
-    }
-    // Re-derive the node → unit mapping the skeleton used (mirrors
-    // `CircuitNetlist::schedule_skeleton`'s construction order: one unit per
-    // bootstrap, a mux's two chained).
-    let mut next_unit = 0usize;
-    let mut node_units: Vec<Option<(usize, usize)>> = Vec::with_capacity(net.len());
-    for op in net.ops() {
-        node_units.push(match op.bootstraps() {
-            0 => None,
-            units => {
-                next_unit += units;
-                Some((next_unit - units, next_unit - 1))
-            }
-        });
-    }
-    debug_assert_eq!(next_unit, units.len());
-    let mut ranks = vec![0usize; net.len()];
-    for (id, &op) in net.ops().iter().enumerate().rev() {
-        if let Some((first, _)) = node_units[id] {
-            ranks[id] = ranks[id].max(unit_rank[first]);
-        }
-        let own = ranks[id];
-        // What reads a sum waits for the bootstrap it rides on.
-        if let Some(host) = net.host_of(id) {
-            ranks[host] = ranks[host].max(own);
-        }
-        for (pos, operand) in op.operands().into_iter().enumerate() {
-            let Some(o) = operand else { continue };
-            // A mux's `b` arm only feeds its second unit; everything else
-            // chains through the node's full rank.
-            let contribution = match (op, pos) {
-                (GateOp::Mux { .. }, 2) => unit_rank[node_units[id].expect("mux has units").1],
-                _ => own,
-            };
-            ranks[o] = ranks[o].max(contribution);
-        }
-    }
-    CostReport {
-        bootstraps: net.bootstraps(),
-        depth: net.depth(),
-        critical_path_units: unit_rank.iter().copied().max().unwrap_or(0),
-        node_ranks: ranks,
-    }
-}
-
 /// The full machine-readable result of [`analyze`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct NetlistReport {
@@ -1366,8 +1289,6 @@ pub struct NetlistReport {
     pub lints: Vec<Lint>,
     /// Per-output analytic noise certificates.
     pub noise: NoiseReport,
-    /// Bootstrap counts, depth, and priority ranks.
-    pub cost: CostReport,
 }
 
 impl NetlistReport {
@@ -1391,9 +1312,9 @@ impl NetlistReport {
     }
 }
 
-/// Analyzes `net` in one pass: structural [`lint`]s, analytic per-output
-/// noise certification under `params` at bootstrapping-key unroll
-/// `unroll`, and critical-path cost analysis.
+/// Analyzes `net` in one pass: structural [`lint`]s and analytic
+/// per-output noise certification under `params` at bootstrapping-key
+/// unroll `unroll`.
 ///
 /// # Panics
 ///
@@ -1403,7 +1324,6 @@ pub fn analyze(net: &CircuitNetlist, params: &ParameterSet, unroll: usize) -> Ne
     NetlistReport {
         lints: lint(net),
         noise: noise_report(net, model),
-        cost: cost_report(net),
     }
 }
 
@@ -2013,9 +1933,7 @@ mod tests {
             kind: LintKind::DeadNode,
             node: dead
         }));
-        let c = cost_report(&net);
-        assert_eq!((c.bootstraps, c.critical_path_units), (4, 2));
-        assert_eq!(c.node_ranks[m1], 2);
+        assert_eq!((net.bootstraps(), net.depth()), (4, 2));
         let (s, r) = simplify(&net);
         assert_eq!((r.deduplicated, r.dead_removed, r.fused), (1, 1, 0));
         assert!(r.exact);
@@ -2121,10 +2039,8 @@ mod tests {
         let want = model.decrypt_failure(model.v_bootstrapped()) + and + host + extractions;
         let got = r.outputs[1].failure_prob;
         assert!((got - want).abs() <= 1e-12 * want, "{got:e} vs {want:e}");
-        // Ranks and units: the sum costs none, its readers wait for its host.
-        let cost = cost_report(&net);
-        assert_eq!((cost.bootstraps, cost.critical_path_units), (2, 2));
-        assert_eq!((cost.node_ranks[m], cost.node_ranks[s]), (2, 1));
+        // The sum costs no bootstrap and no wave: its reader waits for its host.
+        assert_eq!((net.bootstraps(), net.depth()), (2, 2));
     }
 
     #[test]
@@ -2148,57 +2064,6 @@ mod tests {
         assert!(r.exact);
         assert_eq!(s.outputs().len(), 3);
         assert_eq!(s.outputs()[0], s.outputs()[2]);
-    }
-
-    #[test]
-    fn cost_ranks_match_units() {
-        // XOR → AND chain: ranks descend along the chain.
-        let mut net = CircuitNetlist::new();
-        let a = net.input();
-        let b = net.input();
-        let g1 = net.gate(Gate::Xor, a, b);
-        let g2 = net.gate(Gate::And, g1, b);
-        let g3 = net.gate(Gate::Or, g2, a);
-        net.mark_output(g3);
-        let c = cost_report(&net);
-        assert_eq!(c.bootstraps, 3);
-        assert_eq!(c.critical_path_units, 3);
-        assert_eq!(c.node_ranks[g1], 3);
-        assert_eq!(c.node_ranks[g2], 2);
-        assert_eq!(c.node_ranks[g3], 1);
-        assert_eq!(c.node_ranks[a], 3, "source rank = longest chain below");
-    }
-
-    #[test]
-    fn cost_ranks_charge_mux_as_two_units() {
-        let mut net = CircuitNetlist::new();
-        let s = net.input();
-        let a = net.input();
-        let b = net.input();
-        let m = net.mux(s, a, b);
-        let g = net.gate(Gate::And, m, a);
-        net.mark_output(g);
-        let c = cost_report(&net);
-        assert_eq!(c.critical_path_units, 3);
-        assert_eq!(c.node_ranks[m], 3, "two mux units + the AND");
-        assert_eq!(c.node_ranks[s], 3);
-        assert_eq!(c.node_ranks[a], 3, "a feeds the first mux unit");
-        assert_eq!(c.node_ranks[b], 2, "b only feeds the second mux unit");
-    }
-
-    #[test]
-    fn cost_ranks_not_is_transparent() {
-        let mut net = CircuitNetlist::new();
-        let a = net.input();
-        let b = net.input();
-        let g1 = net.gate(Gate::And, a, b);
-        let n = net.not(g1);
-        let g2 = net.gate(Gate::Or, n, b);
-        net.mark_output(g2);
-        let c = cost_report(&net);
-        assert_eq!(c.node_ranks[n], 1, "NOT carries its consumer's rank");
-        assert_eq!(c.node_ranks[g1], 2);
-        assert_eq!(c.critical_path_units, 2);
     }
 
     #[test]
@@ -2250,7 +2115,6 @@ mod tests {
         let report = analyze(&net, &ParameterSet::TEST_FAST, 2);
         assert!(report.is_clean(Severity::Info));
         assert_eq!(report.lints.iter().map(Lint::severity).max(), None);
-        assert_eq!(report.cost.bootstraps, 2);
         assert_eq!(report.noise.outputs.len(), 2);
         assert!(report.max_failure_prob() < DEFAULT_FAILURE_BUDGET);
     }

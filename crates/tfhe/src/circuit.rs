@@ -1066,13 +1066,23 @@ mod tests {
         let n = net.not(g); // free: transparent
         let h = net.gate(Gate::Or, n, b); // unit 1, depends on unit 0 via NOT
         let m = net.mux(h, a, g); // units 2 and 3 (chained)
-        net.mark_output(m);
+        let t = net.ternary(Gate3::Xor3, a, b, g); // unit 4: three inputs, one unit
+        let host = net.ternary(Gate3::Maj, a, b, h); // unit 5: the cell's one bootstrap
+        let s = net.sum(a, b, h); // rides on unit 5: no unit of its own
+        let r = net.gate(Gate::And, s, t); // unit 6, waits for the host
+        for out in [m, host, r] {
+            net.mark_output(out);
+        }
         let skeleton = net.schedule_skeleton();
-        assert_eq!(skeleton.len(), 4); // 2 binary + 2 for the mux
+        assert_eq!(skeleton.len(), 7); // 2 binary + 2 for the mux + 1 + 1 + 1
+        assert_eq!(skeleton.len(), net.bootstraps());
         assert!(skeleton[0].is_empty());
         assert_eq!(skeleton[1], vec![0]);
         assert_eq!(skeleton[2], vec![1]); // mux's first bootstrap: sel=h(1), a=input
         assert_eq!(skeleton[3], vec![2, 1, 0]); // second: chained + sel + g
+        assert_eq!(skeleton[4], vec![0]);
+        assert_eq!(skeleton[5], vec![1]);
+        assert_eq!(skeleton[6], vec![5, 4]); // the sum's reader depends on its host
     }
 
     /// Every op form over nodes `0, 1, 2`, each node free, `false` or

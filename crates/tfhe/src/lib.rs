@@ -24,9 +24,8 @@
 //!   (2 torus words per bit instead of `N + 1`), and framed sessions
 //!   serving whole circuits over any `Read + Write` transport.
 //! * [`analyze`](mod@analyze) — netlist static analysis: structural lints, the
-//!   `simplify` rewriter, analytic worst-case noise certification, and
-//!   critical-path cost ranks — run at server admission via
-//!   [`AnalysisPolicy`].
+//!   `simplify` rewriter and analytic worst-case noise certification — run
+//!   at server admission via [`AnalysisPolicy`].
 //! * [`noise`] / [`profile`] — the measurement harnesses behind the paper's
 //!   Table 3 and Figure 1.
 //!
@@ -75,8 +74,8 @@ pub mod tlwe;
 
 pub use analyze::equiv::{Counterexample, EquivBudget, EquivReport, Spec, Verdict};
 pub use analyze::{
-    analyze, demote_sums, lint, simplify, AnalysisPolicy, CostReport, Lint, LintKind,
-    NetlistReport, NoiseModel, NoiseReport, OutputNoise, Severity, SimplifyReport,
+    analyze, demote_sums, lint, simplify, AnalysisPolicy, Lint, LintKind, NetlistReport,
+    NoiseModel, NoiseReport, OutputNoise, Severity, SimplifyReport,
 };
 pub use batch::{GateBatchPool, SlabTask, ValueSlab};
 pub use bku::UnrolledBootstrappingKey;

@@ -222,24 +222,6 @@ fn saturating_pipelines_hits_critical_path() {
 }
 
 #[test]
-fn ranks_match_critical_path() {
-    for net in lowerings() {
-        let ranks = net.ranks();
-        assert_eq!(ranks.len(), net.len());
-        assert_eq!(
-            ranks.iter().copied().max().unwrap_or(0),
-            net.critical_path()
-        );
-        // A gate's rank strictly exceeds every consumer's rank.
-        for (i, deps) in (0..net.len()).map(|i| (i, net.dependencies(i))) {
-            for &d in deps {
-                assert!(ranks[d] > ranks[i], "dep {d} of {i}");
-            }
-        }
-    }
-}
-
-#[test]
 fn from_deps_roundtrips() {
     for orig in lowerings() {
         let deps: Vec<Vec<usize>> = (0..orig.len())
