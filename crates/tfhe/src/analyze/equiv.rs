@@ -1,6 +1,6 @@
 //! Formal combinational equivalence checking for [`CircuitNetlist`]s on a
 //! small reduced-ordered BDD engine — the proof layer every netlist
-//! rewrite ([`simplify`](super::simplify), its three-input gate fusion
+//! rewrite ([`simplify`](fn@super::simplify), its three-input gate fusion
 //! included) must pass through before the server schedules its output.
 //!
 //! # BDD representation
