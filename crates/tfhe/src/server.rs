@@ -75,6 +75,7 @@ use crate::gates::ServerKey;
 use crate::lwe::LweCiphertext;
 use crate::packing;
 use crate::params::ParameterSet;
+use crate::session::SessionInputs;
 use crate::tlwe::TrlweCiphertext;
 use matcha_fft::FftEngine;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -211,14 +212,6 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// The input payload of one queued circuit: extracted-key samples per
-/// slot, or packed TRLWE transport samples the scheduler unpacks at
-/// admission (sample-extracted straight into the run's slab).
-enum CircuitInputs {
-    Lwe(Vec<LweCiphertext>),
-    Packed(Vec<TrlweCiphertext>),
-}
-
 /// What a submission carries from its queueing to its outcome: where the
 /// outcome goes, whose it is, and what may end it early.
 struct Ticket {
@@ -235,7 +228,7 @@ struct Ticket {
 /// One queued circuit execution request.
 struct CircuitJob {
     netlist: CircuitNetlist,
-    inputs: CircuitInputs,
+    inputs: SessionInputs,
     ticket: Ticket,
 }
 
@@ -755,14 +748,14 @@ impl Scheduler {
 /// validated submissions never hit them.
 fn build_frontier<E: FftEngine>(
     netlist: CircuitNetlist,
-    inputs: CircuitInputs,
+    inputs: SessionInputs,
     server: &ServerKey<E>,
     tag: u64,
     now: Instant,
 ) -> CircuitFrontier {
     let net = Arc::new(netlist);
     match inputs {
-        CircuitInputs::Lwe(inputs) => {
+        SessionInputs::Lwe(inputs) => {
             assert_eq!(
                 inputs.len(),
                 net.num_inputs(),
@@ -775,7 +768,7 @@ fn build_frontier<E: FftEngine>(
                 inputs[slot].take().expect("input slots fill exactly once")
             })
         }
-        CircuitInputs::Packed(samples) => {
+        SessionInputs::Packed(samples) => {
             let params = *server.params();
             let n = params.ring_degree;
             assert_eq!(
@@ -1033,10 +1026,7 @@ impl CircuitClient {
     /// able to panic a library caller. The server's
     /// [`ServerConfig::default_deadline`], if any, applies.
     pub fn submit(&self, netlist: CircuitNetlist, inputs: Vec<LweCiphertext>) -> PendingCircuit {
-        if !self.valid(&netlist, &inputs) {
-            return self.reject_invalid();
-        }
-        self.enqueue(netlist, CircuitInputs::Lwe(inputs), self.default_deadline)
+        self.submit_inputs(netlist, SessionInputs::Lwe(inputs), None)
     }
 
     /// Submits a circuit whose inputs arrive as packed TRLWE transport
@@ -1055,14 +1045,7 @@ impl CircuitClient {
         netlist: CircuitNetlist,
         samples: Vec<TrlweCiphertext>,
     ) -> PendingCircuit {
-        if !self.valid_packed(&netlist, &samples) {
-            return self.reject_invalid();
-        }
-        self.enqueue(
-            netlist,
-            CircuitInputs::Packed(samples),
-            self.default_deadline,
-        )
+        self.submit_inputs(netlist, SessionInputs::Packed(samples), None)
     }
 
     /// Like [`CircuitClient::submit`], but bounding the circuit's
@@ -1077,23 +1060,37 @@ impl CircuitClient {
         inputs: Vec<LweCiphertext>,
         deadline: Duration,
     ) -> PendingCircuit {
+        self.submit_inputs(netlist, SessionInputs::Lwe(inputs), Some(deadline))
+    }
+
+    /// Every submission's path: a malformed payload is rejected at once,
+    /// a valid one queued due `deadline`, or the server's default deadline
+    /// when that is `None`.
+    pub(crate) fn submit_inputs(
+        &self,
+        netlist: CircuitNetlist,
+        inputs: SessionInputs,
+        deadline: Option<Duration>,
+    ) -> PendingCircuit {
         if !self.valid(&netlist, &inputs) {
             return self.reject_invalid();
         }
-        self.enqueue(netlist, CircuitInputs::Lwe(inputs), Some(deadline))
+        self.enqueue(netlist, inputs, deadline.or(self.default_deadline))
     }
 
-    fn valid(&self, netlist: &CircuitNetlist, inputs: &[LweCiphertext]) -> bool {
-        inputs.len() == netlist.num_inputs()
-            && inputs
-                .iter()
-                .all(|i| i.dimension() == self.params.ring_degree)
-    }
-
-    fn valid_packed(&self, netlist: &CircuitNetlist, samples: &[TrlweCiphertext]) -> bool {
+    /// One LWE sample of the extracted key's dimension per input slot, or
+    /// `ceil(num_inputs / N)` packed samples of ring degree `N`.
+    fn valid(&self, netlist: &CircuitNetlist, inputs: &SessionInputs) -> bool {
         let n = self.params.ring_degree;
-        samples.len() == netlist.num_inputs().div_ceil(n)
-            && samples.iter().all(|s| s.ring_degree() == n)
+        match inputs {
+            SessionInputs::Lwe(inputs) => {
+                inputs.len() == netlist.num_inputs() && inputs.iter().all(|i| i.dimension() == n)
+            }
+            SessionInputs::Packed(samples) => {
+                samples.len() == netlist.num_inputs().div_ceil(n)
+                    && samples.iter().all(|s| s.ring_degree() == n)
+            }
+        }
     }
 
     /// Resolves an `InvalidInput` rejection immediately, tallying it
@@ -1114,7 +1111,7 @@ impl CircuitClient {
     fn enqueue(
         &self,
         netlist: CircuitNetlist,
-        inputs: CircuitInputs,
+        inputs: SessionInputs,
         deadline: Option<Duration>,
     ) -> PendingCircuit {
         let (reply, rx) = mpsc::channel();
@@ -1207,7 +1204,7 @@ mod tests {
             netlist: CircuitNetlist,
             inputs: Vec<LweCiphertext>,
         ) -> PendingCircuit {
-            self.enqueue(netlist, CircuitInputs::Lwe(inputs), self.default_deadline)
+            self.enqueue(netlist, SessionInputs::Lwe(inputs), self.default_deadline)
         }
     }
 
@@ -2168,7 +2165,7 @@ mod tests {
             deadline,
             cancel: Arc::clone(&cancel),
         };
-        let inputs = CircuitInputs::Lwe(inputs);
+        let inputs = SessionInputs::Lwe(inputs);
         let job = CircuitJob {
             netlist: net,
             inputs,

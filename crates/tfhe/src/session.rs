@@ -203,7 +203,9 @@ impl Codec for ServerHello {
     }
 }
 
-/// The input payload of one wire submission.
+/// The input payload of one submission, from the wire frame to the
+/// scheduler, which unpacks packed samples at admission (sample-extracted
+/// straight into the run's slab).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SessionInputs {
     /// One LWE sample under the extracted key per input slot — `(N + 1)`
@@ -548,12 +550,9 @@ impl SessionServer {
                 Some(msg) => msg,
                 None => return Ok(served),
             };
-            let pending = match submit.inputs {
-                SessionInputs::Lwe(inputs) => self.client.submit(submit.netlist, inputs),
-                SessionInputs::Packed(samples) => {
-                    self.client.submit_packed(submit.netlist, samples)
-                }
-            };
+            let pending = self
+                .client
+                .submit_inputs(submit.netlist, submit.inputs, None);
             let id = served;
             write_frame(&mut conn, &Ticket { id })?;
             let outcome = pending.wait();
