@@ -110,10 +110,10 @@ fn unrolling_does_not_blow_the_noise_budget() {
 ///
 /// 200 NANDs, 50 MUXes, 2048 noise trials, eight 8-bit and four 32-bit
 /// additions, eight packed 8-bit additions and 512 chained cells in an
-/// optimized build (CI's release step); an unoptimized build, where a
-/// bootstrap at these parameters takes most of a second, runs a
-/// twenty-fifth of the gates and cells, one 4-bit addition of each kind,
-/// and leaves the noise and correlation readings out.
+/// release build (CI's release step); a build with debug assertions
+/// (tier-1's test profile) runs a twenty-fifth of the gates and cells, one
+/// 4-bit addition of each kind, and leaves the noise and correlation
+/// readings out.
 fn decrypt_failure_sweep<E>(engine: E, unroll: usize, seed: u64, recorded: f64)
 where
     E: matcha::FftEngine + Send + Sync + 'static,
