@@ -7,11 +7,11 @@
 //! decrypts wrong). [`analyze`] walks a [`CircuitNetlist`] once and
 //! produces a machine-readable [`NetlistReport`] with two sections:
 //!
-//! * **Lints** ([`lint`](fn@lint)) — structural findings with [`Severity`] levels:
-//!   dead bootstrapped nodes, netlists with work but no outputs
-//!   ([`Severity::Error`]), unused inputs, constant-foldable gates,
-//!   duplicate gates, muxes with identical arms ([`Severity::Warning`]),
-//!   and double negations ([`Severity::Info`]).
+//! * **Lints** ([`lint`](fn@lint)) — structural findings with
+//!   [`Severity`] levels: dead bootstrapped nodes, netlists with work but
+//!   no outputs ([`Severity::Error`]), unused inputs, constant-foldable
+//!   gates, duplicate gates, muxes with identical arms
+//!   ([`Severity::Warning`]), and double negations ([`Severity::Info`]).
 //! * **Noise** — per-node worst-case error variance propagated through
 //!   each gate's linear combination and reset at every bootstrap (the
 //!   [`NoiseModel`] mirrors this crate's blind-rotate / key-switch /
@@ -20,12 +20,13 @@
 //!   bound over the output's backward cone. Tests cross-validate the
 //!   bound against the empirical [`noise`](crate::noise) harness.
 //!
-//! [`simplify`](fn@simplify) applies the safe subset of the lint findings as rewrites —
-//! constant folding, double-`NOT` collapse, common-subexpression
-//! elimination, and dead-code removal — then fuses every cone over two
-//! leaves into the one [`Gate`](crate::gates::Gate) that computes it and every cone that
-//! computes a three-input majority or parity into one [`Gate3`](crate::gates::Gate3) bootstrap,
-//! lets each parity ride on the majority over the same leaves as the free
+//! [`simplify`](fn@simplify) applies the safe subset of the lint findings
+//! as rewrites — constant folding, double-`NOT` collapse,
+//! common-subexpression elimination, and dead-code removal — then fuses
+//! every cone over two leaves into the one [`Gate`](crate::gates::Gate)
+//! that computes it and every cone that computes a three-input majority
+//! or parity into one [`Gate3`](crate::gates::Gate3) bootstrap, lets each
+//! parity ride on the majority over the same leaves as the free
 //! `Sum` of an adder cell, and reports whether the result is bit-identical
 //! to the original (CSE/`NOT` rewrites are; folding a bootstrapped gate
 //! into a trivial constant or an alias, fusing a cone or riding a sum is
@@ -113,9 +114,9 @@ pub struct AnalysisPolicy {
     /// this probability.
     pub max_failure_prob: f64,
     /// When set, the server runs its rewrite pass (by default
-    /// [`simplify`](fn@simplify)) on every admitted netlist and **proves** the result
-    /// function-identical to the submission with the [`equiv`] BDD engine
-    /// under this budget, then certifies the result against
+    /// [`simplify`](fn@simplify)) on every admitted netlist and **proves**
+    /// the result function-identical to the submission with the [`equiv`]
+    /// BDD engine under this budget, then certifies the result against
     /// `max_failure_prob`, before scheduling it. A refuted rewrite is
     /// rejected with a structured counterexample
     /// (`RejectReason::NotEquivalent`); a check that exhausts the budget
