@@ -7,17 +7,16 @@
 //! per-type magic tag and a version byte; it deliberately has no external
 //! dependencies.
 //!
-//! Secret keys get `encode`/`decode` too (for client-side storage);
-//! bootstrapping keys are engine-specific spectra and are regenerated via
-//! [`crate::BootstrapKit::generate`] instead of shipped.
+//! Only values that cross the wire have a codec: secret keys stay with
+//! the client, and bootstrapping keys are engine-specific spectra
+//! regenerated via [`crate::BootstrapKit::generate`] instead of shipped.
 
 use crate::circuit::{CircuitNetlist, GateOp};
 use crate::gates::{Gate, Gate3};
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
-use crate::secret::{LweSecretKey, RingSecretKey};
 use crate::tlwe::TrlweCiphertext;
-use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
+use matcha_math::{Torus32, TorusPolynomial};
 use std::io::{self, Read, Write};
 
 const VERSION: u8 = 1;
@@ -248,66 +247,6 @@ impl Codec for TrlweCiphertext {
     }
 }
 
-impl Codec for LweSecretKey {
-    const MAGIC: [u8; 4] = *b"MLSK";
-
-    fn encode_body<W: Write>(&self, mut w: W) -> io::Result<()> {
-        write_u32(&mut w, self.dimension() as u32)?;
-        // Bit-packed key.
-        let mut byte = 0u8;
-        for (i, &bit) in self.bits().iter().enumerate() {
-            if bit {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                w.write_all(&[byte])?;
-                byte = 0;
-            }
-        }
-        if !self.dimension().is_multiple_of(8) {
-            w.write_all(&[byte])?;
-        }
-        Ok(())
-    }
-
-    fn decode_body<R: Read>(mut r: R) -> io::Result<Self> {
-        let n = read_len(&mut r, MAX_LEN)?;
-        let bytes = read_bytes_exact(&mut r, n.div_ceil(8))?;
-        // Canonical-form check: padding bits past `n` must be zero, so a
-        // key has exactly one accepted encoding.
-        if !n.is_multiple_of(8) && bytes[n / 8] >> (n % 8) != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "nonzero padding bits in packed key",
-            ));
-        }
-        let bits = (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect();
-        Ok(LweSecretKey::from_bits(bits))
-    }
-}
-
-impl Codec for RingSecretKey {
-    const MAGIC: [u8; 4] = *b"MRSK";
-
-    fn encode_body<W: Write>(&self, mut w: W) -> io::Result<()> {
-        LweSecretKey::from_bits(self.as_poly().coeffs().iter().map(|&c| c != 0).collect())
-            .encode_body(&mut w)
-    }
-
-    fn decode_body<R: Read>(r: R) -> io::Result<Self> {
-        let bits = LweSecretKey::decode_body(r)?;
-        let n = bits.dimension();
-        if !n.is_power_of_two() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "ring degree must be a power of two",
-            ));
-        }
-        let coeffs = bits.bits().iter().map(|&b| i32::from(b)).collect();
-        Ok(RingSecretKey::from_poly(IntPolynomial::from_coeffs(coeffs)))
-    }
-}
-
 impl Codec for ParameterSet {
     const MAGIC: [u8; 4] = *b"MPAR";
 
@@ -443,6 +382,7 @@ impl Codec for CircuitNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secret::LweSecretKey;
     use matcha_math::TorusSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -471,19 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn secret_keys_roundtrip() {
-        let mut s = sampler();
-        for n in [8usize, 63, 500] {
-            let key = LweSecretKey::generate(n, &mut s);
-            let back = LweSecretKey::from_bytes(&key.to_bytes()).unwrap();
-            assert_eq!(back, key, "n={n}");
-        }
-        let ring = RingSecretKey::generate(128, &mut s);
-        let back = RingSecretKey::from_bytes(&ring.to_bytes()).unwrap();
-        assert_eq!(back, ring);
-    }
-
-    #[test]
     fn parameter_set_roundtrip() {
         for p in [ParameterSet::MATCHA, ParameterSet::TEST_FAST] {
             let back = ParameterSet::from_bytes(&p.to_bytes()).unwrap();
@@ -493,10 +420,8 @@ mod tests {
 
     #[test]
     fn wrong_magic_rejected() {
-        let mut s = sampler();
-        let key = LweSecretKey::generate(16, &mut s);
-        let bytes = key.to_bytes();
-        // Feeding an LWE-secret-key blob to the ciphertext decoder fails.
+        let bytes = ParameterSet::TEST_FAST.to_bytes();
+        // Feeding a parameter-set blob to the ciphertext decoder fails.
         let err = LweCiphertext::from_bytes(&bytes).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -546,8 +471,6 @@ mod tests {
             &mut s,
         );
         let trlwe = TrlweCiphertext::from_parts(s.uniform_poly(32), s.uniform_poly(32));
-        let lsk = LweSecretKey::generate(19, &mut s);
-        let rsk = RingSecretKey::generate(32, &mut s);
         let mut net = CircuitNetlist::new();
         let a = net.input();
         let b = net.input();
@@ -572,8 +495,6 @@ mod tests {
         }
         check(&lwe);
         check(&trlwe);
-        check(&lsk);
-        check(&rsk);
         check(&ParameterSet::MATCHA);
         check(&net);
     }

@@ -21,7 +21,7 @@ impl LweSecretKey {
     }
 
     /// Builds a key from explicit bits (used by `KeyExtract`).
-    pub fn from_bits(bits: Vec<bool>) -> Self {
+    fn from_bits(bits: Vec<bool>) -> Self {
         Self { bits }
     }
 
@@ -59,19 +59,6 @@ impl RingSecretKey {
         Self {
             poly: IntPolynomial::from_coeffs(coeffs),
         }
-    }
-
-    /// Builds a key from an explicit binary polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coefficient is outside `{0, 1}`.
-    pub(crate) fn from_poly(poly: IntPolynomial) -> Self {
-        assert!(
-            poly.coeffs().iter().all(|&c| c == 0 || c == 1),
-            "ring secret key must be binary"
-        );
-        Self { poly }
     }
 
     /// Ring degree `N`.
@@ -241,11 +228,5 @@ mod tests {
             assert_eq!(key.decrypt(&c), msg);
             assert!(key.noise_of(&c, msg).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "binary")]
-    fn non_binary_ring_key_rejected() {
-        let _ = RingSecretKey::from_poly(IntPolynomial::from_coeffs(vec![0, 2, 1, 0]));
     }
 }

@@ -25,14 +25,16 @@
 //!                                             kind:u8 (0 = per-LWE MLWE*,
 //!                                                      1 = packed MRLW*),
 //!                                             count:u32, ciphertexts… }
-//! server→client: MSTK ticket                { id:u64 }
 //! server→client: MSOC outcome               { id:u64, outcome }
 //! ```
 //!
 //! A session is a hello/welcome handshake followed by any number of
-//! submit → ticket → outcome exchanges; the client closing its end
-//! between frames ends the session cleanly. Every arm of the
-//! [`CircuitOutcome`] taxonomy survives the wire as a structured frame
+//! submit → outcome exchanges; the client closing its end between frames
+//! ends the session cleanly. Both ends count submissions, so the `k`-th
+//! submit of a session (from 0) is resolved by the outcome frame with
+//! `id = k`; a client may queue submissions ahead of its waits (as far as
+//! the transport buffers) and reads the outcomes in order. Every arm of
+//! the [`CircuitOutcome`] taxonomy survives the wire as a structured frame
 //! ([`SessionOutcome`]), including the full
 //! [`RejectReason`] detail — `Lint` sites, `NoiseBudget` bounds — so a
 //! remote client sees exactly what an in-process caller would.
@@ -98,7 +100,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The protocol revision spoken by [`SessionClient`] and
 /// [`SessionServer`]. A mismatched hello fails the handshake.
-pub(crate) const PROTOCOL: u32 = 1;
+pub(crate) const PROTOCOL: u32 = 2;
 
 /// Largest frame either side accepts (DoS guard): comfortably above the
 /// largest legitimate submission (a `MAX_LEN`-input per-LWE circuit), far
@@ -120,21 +122,15 @@ fn write_frame<W: Write, T: Codec>(mut w: W, msg: &T) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame and decodes it as exactly one `T` (trailing bytes in
-/// the frame are rejected by [`Codec::from_bytes`]).
-fn read_frame<R: Read, T: Codec>(mut r: R) -> io::Result<T> {
-    match read_frame_opt(&mut r)? {
-        Some(msg) => Ok(msg),
-        None => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed",
-        )),
-    }
+/// The error for a transport closed where a frame was due.
+fn closed() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed")
 }
 
-/// Like [`read_frame`], but a transport that is cleanly closed *between*
-/// frames (EOF before any length byte) yields `Ok(None)`; EOF anywhere
-/// inside a frame is still an error.
+/// Reads one frame and decodes it as exactly one `T` (trailing bytes in
+/// the frame are rejected by [`Codec::from_bytes`]). A transport that is
+/// cleanly closed *between* frames (EOF before any length byte) yields
+/// `Ok(None)`; EOF anywhere inside a frame is an error.
 fn read_frame_opt<R: Read, T: Codec>(mut r: R) -> io::Result<Option<T>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -275,25 +271,6 @@ impl Codec for SubmitCircuit {
     }
 }
 
-/// The server's immediate acknowledgement of a submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Ticket {
-    /// Submission sequence number on this session, starting at 0.
-    pub(crate) id: u64,
-}
-
-impl Codec for Ticket {
-    const MAGIC: [u8; 4] = *b"MSTK";
-
-    fn encode_body<W: Write>(&self, w: W) -> io::Result<()> {
-        write_u64(w, self.id)
-    }
-
-    fn decode_body<R: Read>(r: R) -> io::Result<Self> {
-        Ok(Self { id: read_u64(r)? })
-    }
-}
-
 /// A completed run as it crosses the wire: the scheduler's own
 /// [`CircuitRun`], under the name wire callers know it by.
 pub type SessionRun = CircuitRun;
@@ -425,7 +402,8 @@ fn decode_reason<R: Read>(mut r: R) -> io::Result<RejectReason> {
 /// The server's final word on one submission.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OutcomeFrame {
-    /// The ticket id the submit call returned, which this outcome resolves.
+    /// The id the submit call returned — the number of submissions before
+    /// it on the session — which this outcome resolves.
     pub id: u64,
     /// How the circuit ended.
     pub outcome: CircuitOutcome,
@@ -516,22 +494,24 @@ impl SessionServer {
     }
 
     /// Drives one connection to completion: handshake, then
-    /// submit → ticket → outcome exchanges until the peer closes its end
+    /// submit → outcome exchanges until the peer closes its end
     /// between frames. Returns how many circuits the session served.
     /// Packed submissions are unpacked by the scheduler at admission —
     /// sample-extracted straight into the run's slab.
     ///
-    /// Each connection serves one circuit at a time (the protocol is
-    /// synchronous); run one `serve` per connection — on its own thread —
-    /// and the [`CircuitServer`](crate::server::CircuitServer) interleaves
-    /// the circuits of all live sessions.
+    /// Each connection serves one circuit at a time (the next submission is
+    /// read only after the previous outcome is written; a client's queued
+    /// submissions wait in the transport); run one `serve` per connection —
+    /// on its own thread — and the
+    /// [`CircuitServer`](crate::server::CircuitServer) interleaves the
+    /// circuits of all live sessions.
     ///
     /// # Errors
     ///
     /// Returns transport I/O errors, malformed frames (`InvalidData`),
     /// and mid-frame disconnects (`UnexpectedEof`).
     pub fn serve<S: Read + Write>(&self, mut conn: S) -> io::Result<u64> {
-        let hello: ClientHello = read_frame(&mut conn)?;
+        let hello: ClientHello = read_frame_opt(&mut conn)?.ok_or_else(closed)?;
         if hello.protocol != PROTOCOL {
             return Err(bad(format!(
                 "peer speaks protocol {}, this server speaks {PROTOCOL}",
@@ -544,21 +524,14 @@ impl SessionServer {
                 params: self.params,
             },
         )?;
-        let mut served = 0u64;
-        loop {
-            let submit: SubmitCircuit = match read_frame_opt(&mut conn)? {
-                Some(msg) => msg,
-                None => return Ok(served),
-            };
-            let pending = self
-                .client
-                .submit_inputs(submit.netlist, submit.inputs, None);
-            let id = served;
-            write_frame(&mut conn, &Ticket { id })?;
-            let outcome = pending.wait();
+        // The next submission's id: the count of those served so far.
+        let mut id = 0;
+        while let Some(SubmitCircuit { netlist, inputs }) = read_frame_opt(&mut conn)? {
+            let outcome = self.client.submit_inputs(netlist, inputs, None).wait();
             write_frame(&mut conn, &OutcomeFrame { id, outcome })?;
-            served += 1;
+            id += 1;
         }
+        Ok(id)
     }
 }
 
@@ -567,6 +540,8 @@ impl SessionServer {
 pub struct SessionClient<S: Read + Write> {
     conn: S,
     params: ParameterSet,
+    /// Submissions written so far: the id of the next one.
+    submitted: u64,
 }
 
 impl<S: Read + Write> SessionClient<S> {
@@ -578,10 +553,11 @@ impl<S: Read + Write> SessionClient<S> {
     /// welcome (`InvalidData`).
     pub fn connect(mut conn: S) -> io::Result<Self> {
         write_frame(&mut conn, &ClientHello { protocol: PROTOCOL })?;
-        let welcome: ServerHello = read_frame(&mut conn)?;
+        let welcome: ServerHello = read_frame_opt(&mut conn)?.ok_or_else(closed)?;
         Ok(Self {
             conn,
             params: welcome.params,
+            submitted: 0,
         })
     }
 
@@ -590,11 +566,11 @@ impl<S: Read + Write> SessionClient<S> {
         &self.params
     }
 
-    /// Submits a circuit with per-LWE inputs; returns its ticket id.
+    /// Submits a circuit with per-LWE inputs; returns its id.
     ///
     /// # Errors
     ///
-    /// Returns transport errors (including a malformed ticket frame).
+    /// Returns transport errors.
     pub fn submit(
         &mut self,
         netlist: &CircuitNetlist,
@@ -607,11 +583,11 @@ impl<S: Read + Write> SessionClient<S> {
     }
 
     /// Submits a circuit with already-packed TRLWE transport samples;
-    /// returns its ticket id.
+    /// returns its id.
     ///
     /// # Errors
     ///
-    /// Returns transport errors (including a malformed ticket frame).
+    /// Returns transport errors.
     pub fn submit_packed(
         &mut self,
         netlist: &CircuitNetlist,
@@ -630,7 +606,7 @@ impl<S: Read + Write> SessionClient<S> {
     ///
     /// # Errors
     ///
-    /// Returns transport errors (including a malformed ticket frame).
+    /// Returns transport errors.
     ///
     /// # Panics
     ///
@@ -659,20 +635,23 @@ impl<S: Read + Write> SessionClient<S> {
         self.submit_packed(netlist, samples)
     }
 
+    /// Writes the submission frame; the server answers it with an outcome
+    /// only, so nothing is read here.
     fn send(&mut self, msg: SubmitCircuit) -> io::Result<u64> {
         write_frame(&mut self.conn, &msg)?;
-        let ticket: Ticket = read_frame(&mut self.conn)?;
-        Ok(ticket.id)
+        self.submitted += 1;
+        Ok(self.submitted - 1)
     }
 
-    /// Blocks for the next outcome frame, returning the ticket id it
-    /// resolves and the structured outcome.
+    /// Blocks for the next outcome frame, returning the id of the
+    /// submission it resolves and the structured outcome. Outcomes arrive
+    /// in submission order.
     ///
     /// # Errors
     ///
     /// Returns transport errors and malformed outcome frames.
     pub fn wait(&mut self) -> io::Result<(u64, SessionOutcome)> {
-        let frame: OutcomeFrame = read_frame(&mut self.conn)?;
+        let frame: OutcomeFrame = read_frame_opt(&mut self.conn)?.ok_or_else(closed)?;
         Ok((frame.id, frame.outcome))
     }
 }
@@ -1057,23 +1036,49 @@ mod tests {
         let mut wire = SessionClient::connect(near).unwrap();
 
         let net = xor_chain(1);
-        for (i, bits) in [[true, true], [true, false], [false, false]]
-            .iter()
-            .enumerate()
-        {
-            let inputs: Vec<LweCiphertext> = bits
-                .iter()
+        let rounds = [[true, true], [true, false], [false, false]];
+        let mut encrypt = |bits: &[bool; 2]| -> Vec<LweCiphertext> {
+            bits.iter()
                 .map(|&b| client.encrypt_with(b, &mut rng))
-                .collect();
-            let id = wire.submit(&net, inputs).unwrap();
-            assert_eq!(id, i as u64, "tickets count submissions");
+                .collect()
+        };
+        // Lockstep: each submission waited for before the next.
+        for (i, bits) in rounds.iter().enumerate() {
+            let id = wire.submit(&net, encrypt(bits)).unwrap();
+            assert_eq!(id, i as u64, "ids count submissions");
             let (oid, outcome) = wire.wait().unwrap();
             assert_eq!(oid, id);
             let run = outcome.completed().expect("completed");
             assert_eq!(client.decrypt(&run.outputs[0]), bits[0] ^ bits[1]);
         }
+        // Queued ahead: all three submitted before the first wait, the
+        // outcomes read back in submission order.
+        for (i, bits) in rounds.iter().enumerate() {
+            let id = wire.submit(&net, encrypt(bits)).unwrap();
+            assert_eq!(id, 3 + i as u64, "ids keep counting on the session");
+        }
+        for (i, bits) in rounds.iter().enumerate() {
+            let (oid, outcome) = wire.wait().unwrap();
+            assert_eq!(oid, 3 + i as u64);
+            let run = outcome.completed().expect("completed");
+            assert_eq!(client.decrypt(&run.outputs[0]), bits[0] ^ bits[1]);
+        }
         drop(wire);
-        assert_eq!(handle.join().unwrap().unwrap(), 3);
+        assert_eq!(handle.join().unwrap().unwrap(), 6);
+    }
+
+    #[test]
+    fn malformed_frame_after_handshake_fails_both_ends() {
+        let (_, key) = keys(12);
+        let server = CircuitServer::start(key, 1);
+        let (near, handle) = serve_on_thread(&server);
+        let mut wire = SessionClient::connect(near).unwrap();
+        // A second hello where a submission is due.
+        write_frame(&mut wire.conn, &ClientHello { protocol: PROTOCOL }).unwrap();
+        let err = handle.join().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = wire.wait().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -1167,7 +1172,7 @@ mod tests {
         // Claim a frame bigger than the cap; send nothing else.
         write_u32(&mut a, FRAME_MAX + 1).unwrap();
         drop(a);
-        let err = read_frame::<_, Ticket>(&mut b).unwrap_err();
+        let err = read_frame_opt::<_, OutcomeFrame>(&mut b).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -11,8 +11,7 @@
 
 use matcha_tfhe::session::{OutcomeFrame, SessionOutcome};
 use matcha_tfhe::{
-    CircuitNetlist, Codec, Counterexample, LweCiphertext, LweSecretKey, RejectReason,
-    TrlweCiphertext,
+    CircuitNetlist, Codec, Counterexample, LweCiphertext, RejectReason, TrlweCiphertext,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,13 +102,6 @@ fn huge_trlwe_claim_fails_without_large_allocation() {
     let sample = TrlweCiphertext::zero(16);
     let bytes = truncated_huge_claim(&sample);
     assert_bounded_failure::<TrlweCiphertext>(bytes);
-}
-
-#[test]
-fn huge_secret_key_claim_fails_without_large_allocation() {
-    let sample = LweSecretKey::from_bits(vec![true; 16]);
-    let bytes = truncated_huge_claim(&sample);
-    assert_bounded_failure::<LweSecretKey>(bytes);
 }
 
 #[test]

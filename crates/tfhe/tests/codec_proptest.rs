@@ -13,8 +13,8 @@
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::session::{OutcomeFrame, SessionOutcome};
 use matcha_tfhe::{
-    CircuitNetlist, Codec, Counterexample, Gate, Gate3, GateOp, LweCiphertext, LweSecretKey,
-    ParameterSet, RejectReason, RingSecretKey, TrlweCiphertext,
+    CircuitNetlist, Codec, Counterexample, Gate, Gate3, GateOp, LweCiphertext, ParameterSet,
+    RejectReason, TrlweCiphertext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -164,15 +164,6 @@ proptest! {
     }
 
     #[test]
-    fn secret_keys_roundtrip(dim in 1usize..96, log in 2u32..9, seed in any::<u64>()) {
-        let mut s = TorusSampler::new(StdRng::seed_from_u64(seed));
-        assert_roundtrip(&LweSecretKey::generate(dim, &mut s));
-        let ring = RingSecretKey::generate(1 << log, &mut s);
-        let back = RingSecretKey::from_bytes(&ring.to_bytes()).unwrap();
-        prop_assert_eq!(back.as_poly(), ring.as_poly());
-    }
-
-    #[test]
     fn params_roundtrip(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_roundtrip(&arb_params(&mut rng));
@@ -194,7 +185,7 @@ proptest! {
 
     #[test]
     fn corruption_never_panics_and_stays_canonical(
-        which in 0usize..6,
+        which in 0usize..5,
         seed in any::<u64>(),
         index in any::<usize>(),
         flip in 1u8..=255,
@@ -211,15 +202,9 @@ proptest! {
                 assert_corruption_contained::<TrlweCiphertext>(
                     &arb_trlwe(&mut rng, degree).to_bytes(), index, flip);
             }
-            2 => {
-                let mut s = TorusSampler::new(rng.clone());
-                let dim = 1 + pick(&mut rng, 48);
-                assert_corruption_contained::<LweSecretKey>(
-                    &LweSecretKey::generate(dim, &mut s).to_bytes(), index, flip);
-            }
-            3 => assert_corruption_contained::<ParameterSet>(
+            2 => assert_corruption_contained::<ParameterSet>(
                 &arb_params(&mut rng).to_bytes(), index, flip),
-            4 => assert_corruption_contained::<OutcomeFrame>(
+            3 => assert_corruption_contained::<OutcomeFrame>(
                 &arb_notequiv_frame(&mut rng).to_bytes(), index, flip),
             _ => {
                 let nodes = 1 + pick(&mut rng, 24);
@@ -230,7 +215,7 @@ proptest! {
     }
 
     #[test]
-    fn truncation_rejected_at_every_prefix(which in 0usize..6, seed in any::<u64>()) {
+    fn truncation_rejected_at_every_prefix(which in 0usize..5, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         match which {
             0 => {
@@ -242,15 +227,9 @@ proptest! {
                 assert_truncation_rejected::<TrlweCiphertext>(
                     &arb_trlwe(&mut rng, degree).to_bytes());
             }
-            2 => {
-                let mut s = TorusSampler::new(rng.clone());
-                let dim = 1 + pick(&mut rng, 24);
-                assert_truncation_rejected::<LweSecretKey>(
-                    &LweSecretKey::generate(dim, &mut s).to_bytes());
-            }
-            3 => assert_truncation_rejected::<ParameterSet>(
+            2 => assert_truncation_rejected::<ParameterSet>(
                 &arb_params(&mut rng).to_bytes()),
-            4 => assert_truncation_rejected::<OutcomeFrame>(
+            3 => assert_truncation_rejected::<OutcomeFrame>(
                 &arb_notequiv_frame(&mut rng).to_bytes()),
             _ => {
                 let nodes = 1 + pick(&mut rng, 12);

@@ -2,7 +2,7 @@
 //! the paper over an actual byte stream. A `SessionServer` drives a
 //! `CircuitServer` behind an in-memory duplex pipe (stand-in for a
 //! socket); the client handshakes, packs its input bits into TRLWE
-//! transport samples — 2 torus words per bit instead of `n + 1` — ships
+//! transport samples — 2 torus words per bit instead of `N + 1` — ships
 //! an 8-bit adder netlist, and decrypts the result. Along the way the
 //! example counts actual bytes on the wire for both upload encodings.
 //!
@@ -87,17 +87,17 @@ fn main() {
     );
     if !fast {
         // At the paper's parameters a full packed sample carries N = 1024
-        // bits at 2 words each vs (n + 1) = 501 words per LWE bit: ~251x.
+        // bits at 2 words each vs (N + 1) = 1025 words per LWE bit: ~512x.
         println!(
-            "(a full {}-bit packed payload amortizes to ~251x)",
+            "(a full {}-bit packed payload amortizes to ~512x)",
             params.ring_degree
         );
     }
 
-    let ticket = wire
+    let id = wire
         .submit_bits(&client_key, &net, &bits, &engine, &mut rng)
         .expect("submit");
-    println!("submitted adder as ticket {ticket}");
+    println!("submitted adder as submission {id}");
 
     let (_, outcome) = wire.wait().expect("outcome");
     let run = match outcome {
