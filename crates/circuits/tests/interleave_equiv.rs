@@ -135,7 +135,7 @@ fn long_circuit_does_not_starve_a_short_one() {
     let server = CircuitServer::start(Arc::clone(&f.server), 1);
     let handle = server.client();
     let long_bits: Vec<bool> = (0..25).map(|i| i % 3 == 0).collect();
-    let long = {
+    let mut long = {
         let mut net = CircuitNetlist::new();
         let mut acc = net.input();
         for _ in 0..24 {
@@ -197,7 +197,7 @@ fn mul8_interleaves_without_starving_short_circuits() {
         .outputs;
 
     let heavy_client = server.client();
-    let mul_ticket = heavy_client.submit(mul_net, mul_inputs);
+    let mut mul_ticket = heavy_client.submit(mul_net, mul_inputs);
 
     // Two other clients with short circuits behind the deep DAG.
     let light_client = server.client();

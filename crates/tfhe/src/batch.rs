@@ -22,7 +22,7 @@
 //! chunk, not once per task.
 
 use crate::circuit::{CircuitNetlist, GateOp};
-use crate::faults::{FaultAction, FaultPlan};
+use crate::faults::FaultAction;
 use crate::gates::{lane_prefix, LaneGate, ServerKey};
 use crate::lwe::LweCiphertext;
 use crate::scratch::{BootstrapScratch, MAX_LANES};
@@ -45,38 +45,20 @@ pub struct ValueSlab {
     /// The netlist the slots are numbered by.
     net: Arc<CircuitNetlist>,
     slots: Box<[OnceLock<LweCiphertext>]>,
-    /// Circuit identity for fault scripting: the
-    /// [`CircuitServer`](crate::server::CircuitServer) tags each admitted
-    /// circuit's slab with its admission sequence number, so a
-    /// [`FaultPlan`] can address "node `n` of the `k`-th admitted
-    /// circuit" deterministically. Standalone slabs are tag 0.
-    tag: u64,
 }
 
 impl ValueSlab {
-    /// An empty slot per node of `net`, tagged 0.
+    /// An empty slot per node of `net`.
     pub fn new(net: Arc<CircuitNetlist>) -> Self {
-        Self::tagged(net, 0)
-    }
-
-    /// An empty slot per node of `net`, carrying a circuit `tag` — the key
-    /// [`FaultPlan`] sites match on.
-    pub(crate) fn tagged(net: Arc<CircuitNetlist>, tag: u64) -> Self {
         Self {
             slots: (0..net.len()).map(|_| OnceLock::new()).collect(),
             net,
-            tag,
         }
     }
 
     /// The netlist the slots are numbered by.
     pub(crate) fn net(&self) -> &CircuitNetlist {
         &self.net
-    }
-
-    /// The circuit tag fault sites are keyed by.
-    pub(crate) fn tag(&self) -> u64 {
-        self.tag
     }
 
     /// Stores the value of node `index`.
@@ -166,6 +148,9 @@ pub struct SlabTask {
     pub slab: Arc<ValueSlab>,
     /// The node to evaluate; its result is stored at this slot.
     pub node: usize,
+    /// The scripted fault the worker acts out on this task: `None` except
+    /// under a [`FaultPlan`](crate::faults::FaultPlan) or in a pool test.
+    pub fault: Option<FaultAction>,
 }
 
 /// Renders a worker panic payload for re-raising on the submitter's thread.
@@ -265,6 +250,7 @@ impl Drop for InFlight {
 /// let tasks = nodes.map(|node| SlabTask {
 ///     slab: Arc::clone(&slab),
 ///     node,
+///     fault: None,
 /// });
 /// assert!(pool.run_tasks(&tasks).is_empty(), "no task failed");
 /// assert!(client.decrypt(slab.get(2)) && client.decrypt(slab.get(3)));
@@ -283,7 +269,6 @@ where
     workers: Mutex<Vec<JoinHandle<()>>>,
     threads: usize,
     server: Arc<ServerKey<E>>,
-    faults: Option<Arc<FaultPlan>>,
     restarts: AtomicU64,
 }
 
@@ -296,7 +281,6 @@ fn spawn_worker<E>(
     slot: usize,
     server: Arc<ServerKey<E>>,
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    faults: Option<Arc<FaultPlan>>,
 ) -> JoinHandle<()>
 where
     E: FftEngine + Send + Sync + 'static,
@@ -315,29 +299,20 @@ where
                 worker: slot,
                 reply: Some(reply),
             };
-            // Scripted fault sites, consumed one-shot per (tag, node) —
-            // the whole chunk's before any of it runs, so that a death
-            // takes the chunk with nothing stored and nothing answered.
-            let injected: Vec<Option<FaultAction>> = tasks
-                .iter()
-                .map(|(_, st)| faults.as_ref()?.take(st.slab.tag(), st.node))
-                .collect();
-            // Death *outside* every catch_unwind: the thread exits holding
-            // the job, as a panic in this loop itself would make it.
+            // A scripted death anywhere in the chunk exits the thread before
+            // any of the chunk runs, *outside* every catch_unwind, as a panic
+            // in this loop itself would: nothing stored, nothing answered.
             // `in_flight` reports the death on its way out; run_tasks
-            // respawns the slot and retries the chunk, whose sites are all
-            // spent, so the retry runs clean.
-            if injected.contains(&Some(FaultAction::KillWorker)) {
+            // respawns the slot and retries the chunk without its faults.
+            if tasks
+                .iter()
+                .any(|(_, st)| st.fault == Some(FaultAction::KillWorker))
+            {
                 return;
             }
-            run_chunk(
-                &server,
-                &tasks,
-                &injected,
-                &mut scratch,
-                &mut outs,
-                |i, r| in_flight.done(i, r),
-            );
+            run_chunk(&server, &tasks, &mut scratch, &mut outs, |i, r| {
+                in_flight.done(i, r)
+            });
             // Drop our slab handles *before* letting go of the job: once
             // the dispatcher sees the round's reply channel close, its own
             // Arc over each slab is unique again.
@@ -367,7 +342,6 @@ where
 fn run_chunk<E: FftEngine>(
     server: &ServerKey<E>,
     tasks: &[(usize, SlabTask)],
-    injected: &[Option<FaultAction>],
     scratch: &mut BootstrapScratch<E>,
     outs: &mut Vec<LweCiphertext>,
     mut done: impl FnMut(usize, Result<(), String>),
@@ -377,13 +351,12 @@ fn run_chunk<E: FftEngine>(
     let mut gates: Vec<LaneGate<'_>> = Vec::with_capacity(tasks.len());
     let mut positions: Vec<usize> = Vec::with_capacity(tasks.len());
     let mut lanes = 0;
-    for (position, ((index, st), fault)) in tasks.iter().zip(injected).enumerate() {
+    for (position, (index, SlabTask { slab, node, fault })) in tasks.iter().enumerate() {
         if let Some(FaultAction::Delay(d)) = fault {
             std::thread::sleep(*d);
         }
-        let SlabTask { slab, node } = st;
         let stage = catch_unwind(AssertUnwindSafe(|| {
-            if matches!(fault, Some(FaultAction::Panic)) {
+            if *fault == Some(FaultAction::Panic) {
                 panic!("injected fault: task for node {node} panicked in its worker");
             }
             let gate = slab.lane_gate(*node);
@@ -410,7 +383,7 @@ fn run_chunk<E: FftEngine>(
     .map_err(panic_message);
     let mut outs = outs.iter();
     for (gate, &position) in gates.iter().zip(&positions) {
-        let (index, SlabTask { slab, node }) = &tasks[position];
+        let (index, SlabTask { slab, node, .. }) = &tasks[position];
         // A cell's second result goes to the sum riding on its node.
         let nodes = [Some(*node), slab.net().rider_of(*node)];
         let results = outs.by_ref().take(gate.outputs());
@@ -436,32 +409,11 @@ where
     ///
     /// Panics if `threads` is 0.
     pub fn new(server: Arc<ServerKey<E>>, threads: usize) -> Self {
-        Self::build(server, threads, None)
-    }
-
-    /// Like [`GateBatchPool::new`], but with a scripted [`FaultPlan`]
-    /// wired into every worker — the deterministic fault-injection
-    /// harness the robustness tests drive. Production pools use
-    /// [`GateBatchPool::new`]; a faultless plan behaves identically
-    /// either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    pub(crate) fn with_faults(
-        server: Arc<ServerKey<E>>,
-        threads: usize,
-        faults: Arc<FaultPlan>,
-    ) -> Self {
-        Self::build(server, threads, Some(faults))
-    }
-
-    fn build(server: Arc<ServerKey<E>>, threads: usize, faults: Option<Arc<FaultPlan>>) -> Self {
         assert!(threads > 0, "need at least one worker");
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..threads)
-            .map(|slot| spawn_worker(slot, Arc::clone(&server), Arc::clone(&rx), faults.clone()))
+            .map(|slot| spawn_worker(slot, Arc::clone(&server), Arc::clone(&rx)))
             .collect();
         Self {
             tx: Some(tx),
@@ -469,7 +421,6 @@ where
             workers: Mutex::new(workers),
             threads,
             server,
-            faults,
             restarts: AtomicU64::new(0),
         }
     }
@@ -492,12 +443,7 @@ where
     /// silently loses capacity. Bumps [`GateBatchPool::restarts`].
     fn respawn(&self, slot: usize) {
         let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        let replacement = spawn_worker(
-            slot,
-            Arc::clone(&self.server),
-            Arc::clone(&self.rx),
-            self.faults.clone(),
-        );
+        let replacement = spawn_worker(slot, Arc::clone(&self.server), Arc::clone(&self.rx));
         // The announcement is the last thing the dying thread does with the
         // job; all that is left of it is unwinding its own stack.
         let _ = std::mem::replace(&mut workers[slot], replacement).join();
@@ -543,7 +489,8 @@ where
     /// A worker that *dies* mid-batch (exit outside the panic isolation)
     /// announces it on the reply channel as its last act; the dispatcher
     /// respawns it on the spot and retries the lost chunk's tasks once on
-    /// the healed pool; only a task lost twice is reported as a failure.
+    /// the healed pool, each with its [`SlabTask::fault`] cleared; only a
+    /// task lost twice is reported as a failure.
     /// The batch therefore still completes after any single worker death,
     /// and every death has been counted in the pool's restart tally (what
     /// [`SchedulerStats::restarts`](crate::server::SchedulerStats::restarts)
@@ -558,12 +505,14 @@ where
         self.dispatch_round(tasks, &all, &mut done, &mut failures);
         // An index with no reply was lost with its chunk inside a dying
         // worker, which the round has already replaced. Retry those tasks
-        // once: a scripted KillWorker was consumed when it fired, so the
-        // retry runs clean, and a genuine repeat offender is reported
+        // once and without their scripted faults, so the retry of a
+        // scripted death runs clean; a genuine repeat offender is reported
         // instead of retried forever.
         let missing: Vec<usize> = (0..tasks.len()).filter(|&i| !done[i]).collect();
         if !missing.is_empty() {
-            self.dispatch_round(tasks, &missing, &mut done, &mut failures);
+            let mut clean = tasks.to_vec();
+            clean.iter_mut().for_each(|st| st.fault = None);
+            self.dispatch_round(&clean, &missing, &mut done, &mut failures);
             for index in (0..tasks.len()).filter(|&i| !done[i]) {
                 failures.push((
                     index,
@@ -677,9 +626,9 @@ mod tests {
         net
     }
 
-    /// A tag-0 slab over `net` holding `enc` at the [`pairs_net`] inputs,
-    /// and a task per pair: pair `i`'s output lands at node `2 * len + i` —
-    /// the node fault sites target.
+    /// A slab over `net` holding `enc` at the [`pairs_net`] inputs, and a
+    /// faultless task per pair: pair `i`'s output lands at node
+    /// `2 * len + i`.
     fn pairs_batch(net: CircuitNetlist, enc: &EncryptedPairs) -> (Arc<ValueSlab>, Vec<SlabTask>) {
         let n = enc.len();
         let slab = Arc::new(ValueSlab::new(Arc::new(net)));
@@ -691,6 +640,7 @@ mod tests {
             .map(|i| SlabTask {
                 slab: Arc::clone(&slab),
                 node: 2 * n + i,
+                fault: None,
             })
             .collect();
         (slab, batch)
@@ -711,11 +661,12 @@ mod tests {
         ValueSlab::new(Arc::new(net))
     }
 
-    /// A task per node, all on `slab`.
+    /// A faultless task per node, all on `slab`.
     fn tasks_on(slab: &Arc<ValueSlab>, nodes: impl IntoIterator<Item = usize>) -> Vec<SlabTask> {
         let task = |node| SlabTask {
             slab: Arc::clone(slab),
             node,
+            fault: None,
         };
         nodes.into_iter().map(task).collect()
     }
@@ -936,13 +887,12 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 4);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
-        let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len() + 1, FaultAction::KillWorker));
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, Arc::clone(&plan));
+        let (slab, mut batch) = staged_and_batch(Gate::And, &enc);
+        batch[1].fault = Some(FaultAction::KillWorker);
+        let pool = GateBatchPool::new(Arc::clone(&server), 2);
         let failures = pool.run_tasks(&batch);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1, "exactly the killed worker respawned");
-        assert!(plan.is_spent(), "the death fired");
         for (i, (a, b)) in plain.iter().enumerate() {
             assert_eq!(client.decrypt(slab.get(2 * enc.len() + i)), a & b);
         }
@@ -964,10 +914,10 @@ mod tests {
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         // One worker: chunks of MAX_LANES, MAX_LANES and 2 tasks.
         let (plain, enc) = inputs(&client, &mut rng, 2 * MAX_LANES + 2);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
+        let (slab, mut batch) = staged_and_batch(Gate::And, &enc);
         // Kill in the *first* chunk so the other two are still queued.
-        let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len(), FaultAction::KillWorker));
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, plan);
+        batch[0].fault = Some(FaultAction::KillWorker);
+        let pool = GateBatchPool::new(Arc::clone(&server), 1);
         let failures = pool.run_tasks(&batch);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1);
@@ -976,13 +926,13 @@ mod tests {
         }
     }
 
-    /// One full chunk on a one-worker pool with `action` scripted at task
-    /// 7, in the middle of it. Returns the pool, the dispatch result and
-    /// each output slot as the dispatch left it; the references are the
-    /// one-at-a-time results.
+    /// One full chunk on a one-worker pool with each `(task, action)` of
+    /// `faults` scripted on its task. Returns the pool, the dispatch result
+    /// and each output slot as the dispatch left it; the references are
+    /// the one-at-a-time results.
     fn mid_chunk_fault(
         seed: u64,
-        action: FaultAction,
+        faults: &[(usize, FaultAction)],
     ) -> (
         GateBatchPool<F64Fft>,
         Failures,
@@ -993,11 +943,12 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (_, enc) = inputs(&client, &mut rng, MAX_LANES);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
-        let plan = Arc::new(FaultPlan::new().inject(0, 2 * MAX_LANES + 7, action));
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
+        let (slab, mut batch) = staged_and_batch(Gate::And, &enc);
+        for &(task, action) in faults {
+            batch[task].fault = Some(action);
+        }
+        let pool = GateBatchPool::new(Arc::clone(&server), 1);
         let failures = pool.run_tasks(&batch);
-        assert!(plan.is_spent(), "the fault fired");
         let outputs = (0..MAX_LANES)
             .map(|i| slab.try_get(2 * MAX_LANES + i).cloned())
             .collect();
@@ -1007,7 +958,7 @@ mod tests {
 
     #[test]
     fn panic_mid_chunk_fails_its_task_and_spares_its_fifteen_chunk_mates() {
-        let (pool, failures, outputs, alone) = mid_chunk_fault(99, FaultAction::Panic);
+        let (pool, failures, outputs, alone) = mid_chunk_fault(99, &[(7, FaultAction::Panic)]);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert_eq!(failures[0].0, 7);
         assert!(failures[0].1.contains("injected fault"));
@@ -1025,7 +976,21 @@ mod tests {
 
     #[test]
     fn kill_mid_chunk_loses_the_chunk_once_and_the_retry_completes_it() {
-        let (pool, failures, outputs, alone) = mid_chunk_fault(100, FaultAction::KillWorker);
+        let (pool, failures, outputs, alone) =
+            mid_chunk_fault(100, &[(7, FaultAction::KillWorker)]);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert_eq!(pool.restarts(), 1, "one death, one respawn");
+        for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
+            assert_eq!(out.as_ref(), Some(want), "task {i}");
+        }
+    }
+
+    #[test]
+    fn a_retried_chunk_runs_without_its_faults() {
+        // The death takes the chunk before the panic can fire; the retry
+        // carries neither, so the task scripted to panic completes too.
+        let faults = [(3, FaultAction::KillWorker), (9, FaultAction::Panic)];
+        let (pool, failures, outputs, alone) = mid_chunk_fault(106, &faults);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 1, "one death, one respawn");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
@@ -1036,7 +1001,7 @@ mod tests {
     #[test]
     fn delay_mid_chunk_completes_the_chunk() {
         let delay = FaultAction::Delay(Duration::from_millis(40));
-        let (pool, failures, outputs, alone) = mid_chunk_fault(101, delay);
+        let (pool, failures, outputs, alone) = mid_chunk_fault(101, &[(7, delay)]);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(pool.restarts(), 0, "slow is not dead");
         for (i, (out, want)) in outputs.iter().zip(&alone).enumerate() {
@@ -1127,21 +1092,17 @@ mod tests {
         } else {
             Arc::clone(&slab)
         };
-        let batch: Vec<SlabTask> = [(&slab, 3), (&cell_slab, 4), (&slab, 6)]
+        let mut batch: Vec<SlabTask> = [(&slab, 3), (&cell_slab, 4), (&slab, 6)]
             .into_iter()
             .map(|(slab, node)| SlabTask {
                 slab: Arc::clone(slab),
                 node,
+                fault: None,
             })
             .collect();
-        let plan = FaultPlan::new();
-        let plan = Arc::new(match fault {
-            Some(action) => plan.inject(0, 4, action),
-            None => plan,
-        });
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 1, Arc::clone(&plan));
+        batch[1].fault = fault;
+        let pool = GateBatchPool::new(Arc::clone(&server), 1);
         let failures = pool.run_tasks(&batch);
-        assert!(plan.is_spent());
         let outputs = [(&slab, 3), (&cell_slab, 4), (&cell_slab, 5), (&slab, 6)]
             .map(|(slab, node)| slab.try_get(node).cloned());
         (failures, outputs.to_vec(), reference.to_vec())
@@ -1193,7 +1154,6 @@ mod tests {
         run_chunk(
             &server,
             &tasks,
-            &[None; 3],
             &mut other.make_scratch(),
             &mut Vec::new(),
             |index, result| replies.push((index, result)),
@@ -1213,9 +1173,9 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 3);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
-        let plan = Arc::new(FaultPlan::new().inject(0, 2 * enc.len() + 2, FaultAction::Panic));
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, plan);
+        let (slab, mut batch) = staged_and_batch(Gate::And, &enc);
+        batch[2].fault = Some(FaultAction::Panic);
+        let pool = GateBatchPool::new(Arc::clone(&server), 2);
         let failures = pool.run_tasks(&batch);
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, 2);
@@ -1237,15 +1197,11 @@ mod tests {
         let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
         let server = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
         let (plain, enc) = inputs(&client, &mut rng, 2);
-        let (slab, batch) = staged_and_batch(Gate::And, &enc);
+        let (slab, mut batch) = staged_and_batch(Gate::And, &enc);
         // A slow task is not mistaken for a dead worker: however long the
         // drain waits, only a death notice triggers a respawn.
-        let plan = Arc::new(FaultPlan::new().inject(
-            0,
-            2 * enc.len(),
-            FaultAction::Delay(Duration::from_millis(80)),
-        ));
-        let pool = GateBatchPool::with_faults(Arc::clone(&server), 2, plan);
+        batch[0].fault = Some(FaultAction::Delay(Duration::from_millis(80)));
+        let pool = GateBatchPool::new(Arc::clone(&server), 2);
         let failures = pool.run_tasks(&batch);
         assert!(failures.is_empty());
         assert_eq!(pool.restarts(), 0, "slow is not dead");

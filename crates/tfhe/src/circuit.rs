@@ -767,14 +767,10 @@ impl CircuitFrontier {
             net.inputs,
             inputs.len()
         );
-        Self::with_tag_from(net, server, 0, now, |slot| inputs[slot].clone())
+        Self::with_inputs_from(net, server, now, |slot| inputs[slot].clone())
     }
 
-    /// Starts a run at `now` whose slab is tagged `tag` (see
-    /// [`ValueSlab::tagged`]): scripted
-    /// [`FaultPlan`](crate::faults::FaultPlan) sites address nodes by it,
-    /// and the server tags each admitted circuit with its admission
-    /// sequence number. Each input slot is sourced from `fill`
+    /// Starts a run at `now` with each input slot sourced from `fill`
     /// rather than cloned out of a slice — the wire-ingest path, where a
     /// packed TRLWE submission sample-extracts each bit in `fill` straight
     /// into the slab. `fill` is called exactly once per input slot, in
@@ -783,17 +779,16 @@ impl CircuitFrontier {
     /// # Panics
     ///
     /// Panics if `fill` panics (a malformed slot count surfaces there).
-    pub(crate) fn with_tag_from<E: FftEngine, F>(
+    pub(crate) fn with_inputs_from<E: FftEngine, F>(
         net: Arc<CircuitNetlist>,
         server: &ServerKey<E>,
-        tag: u64,
         now: Instant,
         mut fill: F,
     ) -> Self
     where
         F: FnMut(usize) -> LweCiphertext,
     {
-        let slab = Arc::new(ValueSlab::tagged(net, tag));
+        let slab = Arc::new(ValueSlab::new(net));
         let net = slab.net();
         let n = net.len();
         let mut pending = vec![0usize; n];
@@ -872,7 +867,7 @@ impl CircuitFrontier {
     }
 
     /// Drains every currently-ready bootstrapped node into `batch` as
-    /// tasks over this run's slab, returning how many were taken. Nodes
+    /// faultless tasks over this run's slab, returning how many were taken. Nodes
     /// taken here count as one wave of this circuit; they must each be
     /// [`CircuitFrontier::complete`]d once their worker has stored the
     /// result.
@@ -885,6 +880,7 @@ impl CircuitFrontier {
         batch.extend(self.ready.drain(..).map(|node| SlabTask {
             slab: Arc::clone(slab),
             node,
+            fault: None,
         }));
         taken
     }

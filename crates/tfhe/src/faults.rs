@@ -5,24 +5,26 @@
 //! isolation, worker self-healing, deadline expiry mid-flight — are only
 //! worth claiming if they are *pinned by deterministic tests*, not by
 //! hoping a timing-dependent stress run happens to hit the failure path.
-//! A [`FaultPlan`] scripts faults at exact `(circuit, node)` points: when
-//! a pool worker picks up the task computing node `node` of the circuit
-//! tagged `circuit` (the server tags each admitted circuit with its
-//! admission sequence number), the planned [`FaultAction`] fires — once —
-//! regardless of which worker got the task or how the batch was
-//! interleaved. That makes "the worker died mid-batch" or "this wave took
-//! 500 ms" reproducible statements a test can schedule around.
+//! A [`FaultPlan`] scripts faults at exact `(circuit, node)` points, where
+//! `circuit` is the admission number the server's scheduler gives each
+//! circuit it admits (0, 1, 2, … in admission order). The scheduler owns
+//! the plan: when it fills a dispatch it moves the planned
+//! [`FaultAction`] of each task it takes onto the task itself
+//! ([`SlabTask::fault`](crate::batch::SlabTask::fault)), and the worker
+//! that gets the task acts it out — regardless of which worker that is or
+//! how the batch was chunked. That makes "the worker died mid-batch" or
+//! "this wave took 500 ms" reproducible statements a test can schedule
+//! around. Code that drives the pool directly sets `fault` itself.
 //!
 //! The module is compiled unconditionally (no test-only `cfg` — the types
 //! appear in the public constructor
 //! [`CircuitServer::start_with_faults`](crate::server::CircuitServer::start_with_faults)),
-//! but a pool built without a plan pays a single `Option` check per task.
+//! and a task without a fault costs its worker one `Option` check.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// What happens when a scripted fault site is reached.
+/// What a worker does with a task that carries a scripted fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// The task panics inside the worker's per-task `catch_unwind` — the
@@ -37,38 +39,41 @@ pub enum FaultAction {
     /// The worker thread exits *without* executing or answering the task —
     /// death outside the per-task `catch_unwind` (a stack overflow, an
     /// abort in foreign code, an OS kill) — and with it the rest of the
-    /// chunk the task was dispatched in, none of it stored or answered.
-    /// The pool must detect the lost replies, respawn the worker, and
-    /// retry the chunk's tasks. A worker takes a chunk's sites together
-    /// before running any of it, so the retry finds them all spent and
-    /// runs clean.
+    /// chunk the task was dispatched in: the worker exits before running
+    /// any of it, so none of it is stored or answered. The pool must
+    /// detect the lost replies, respawn the worker, and retry the chunk's
+    /// tasks, which it sends without their faults: the retry runs clean.
     KillWorker,
 }
 
 /// A scripted set of one-shot fault sites, keyed by `(circuit, node)`.
 ///
-/// `circuit` is the tag of the [`ValueSlab`](crate::batch::ValueSlab) the
-/// task reads from — the [`CircuitServer`](crate::server::CircuitServer)
-/// tags each admitted circuit with its admission sequence number (0, 1,
-/// 2, … in admission order), and standalone slabs default to tag 0.
-/// `node` is the slot the task writes. Each site fires at most once: the
-/// action is *consumed* when triggered, so a task retried after a
-/// [`FaultAction::KillWorker`] runs clean.
+/// `circuit` is the admission number the
+/// [`CircuitServer`](crate::server::CircuitServer)'s scheduler keeps for
+/// each admitted circuit (0, 1, 2, … in admission order; a circuit turned
+/// away at admission takes none), and `node` is the slot the task writes.
+/// The scheduler takes a site off the plan as it fills the site's task
+/// into a dispatch, so each site fires at most once.
 ///
 /// # Examples
 ///
 /// ```
 /// use matcha_tfhe::faults::{FaultAction, FaultPlan};
+/// use matcha_tfhe::{CircuitServer, ServerConfig, ServerKey};
 /// use std::time::Duration;
+/// # fn serve(key: std::sync::Arc<ServerKey<matcha_fft::F64Fft>>) -> CircuitServer {
 ///
+/// // Node 2 of the first admitted circuit runs 50 ms late; the worker
+/// // that takes node 4 of the second dies before running its chunk.
 /// let plan = FaultPlan::new()
 ///     .inject(0, 2, FaultAction::Delay(Duration::from_millis(50)))
 ///     .inject(1, 4, FaultAction::KillWorker);
-/// assert!(!plan.is_spent(), "no site has fired yet");
+/// CircuitServer::start_with_faults(key, 2, ServerConfig::default(), plan)
+/// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    sites: Mutex<HashMap<(u64, usize), FaultAction>>,
+    sites: HashMap<(u64, usize), FaultAction>,
 }
 
 impl FaultPlan {
@@ -77,38 +82,19 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Adds a fault site: when the task computing `node` of the circuit
-    /// tagged `circuit` is picked up by a worker, `action` fires. Builder
-    /// style; later injections at the same site replace earlier ones.
-    pub fn inject(self, circuit: u64, node: usize, action: FaultAction) -> Self {
-        self.sites
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((circuit, node), action);
+    /// Adds a fault site: the task computing `node` of the circuit
+    /// admitted `circuit`-th carries `action` to its worker. Builder style;
+    /// later injections at the same site replace earlier ones.
+    pub fn inject(mut self, circuit: u64, node: usize, action: FaultAction) -> Self {
+        self.sites.insert((circuit, node), action);
         self
     }
 
     /// Consumes and returns the action scripted for `(circuit, node)`, if
-    /// any. Called by pool workers as they pick up each task; the site is
-    /// removed so it fires exactly once.
-    pub(crate) fn take(&self, circuit: u64, node: usize) -> Option<FaultAction> {
-        self.sites
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&(circuit, node))
-    }
-
-    /// Number of sites that have not fired yet.
-    pub(crate) fn remaining(&self) -> usize {
-        self.sites
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// `true` when every scripted site has fired (or none was scripted).
-    pub fn is_spent(&self) -> bool {
-        self.remaining() == 0
+    /// any. Called by the scheduler as it fills each task into a dispatch;
+    /// the site is removed so it fires exactly once.
+    pub(crate) fn take(&mut self, circuit: u64, node: usize) -> Option<FaultAction> {
+        self.sites.remove(&(circuit, node))
     }
 }
 
@@ -118,13 +104,12 @@ mod tests {
 
     #[test]
     fn sites_fire_exactly_once_and_by_key() {
-        let plan = FaultPlan::new().inject(3, 7, FaultAction::Panic).inject(
+        let mut plan = FaultPlan::new().inject(3, 7, FaultAction::Panic).inject(
             3,
             8,
             FaultAction::Delay(Duration::from_millis(1)),
         );
-        assert_eq!(plan.remaining(), 2);
-        assert!(!plan.is_spent());
+        assert_eq!(plan.sites.len(), 2);
         assert_eq!(plan.take(3, 9), None, "unscripted site");
         assert_eq!(plan.take(4, 7), None, "wrong circuit");
         assert_eq!(plan.take(3, 7), Some(FaultAction::Panic));
@@ -133,16 +118,16 @@ mod tests {
             plan.take(3, 8),
             Some(FaultAction::Delay(Duration::from_millis(1)))
         );
-        assert!(plan.is_spent());
+        assert!(plan.sites.is_empty());
     }
 
     #[test]
     fn later_injections_replace_earlier_ones() {
-        let plan =
+        let mut plan =
             FaultPlan::new()
                 .inject(0, 0, FaultAction::Panic)
                 .inject(0, 0, FaultAction::KillWorker);
-        assert_eq!(plan.remaining(), 1);
+        assert_eq!(plan.sites.len(), 1);
         assert_eq!(plan.take(0, 0), Some(FaultAction::KillWorker));
     }
 }

@@ -57,10 +57,10 @@
 //! The guarantees above are pinned by tests that drive the state machine
 //! with a scripted clock, and by tests driving the
 //! [`faults`](crate::faults) module through
-//! [`CircuitServer::start_with_faults`]: each admitted circuit's slab is
-//! tagged with its admission sequence number (0, 1, 2, … in admission
-//! order), so a [`FaultPlan`] can script a
-//! panic, delay, or worker death at an exact `(circuit, node)` point.
+//! [`CircuitServer::start_with_faults`]: the scheduler keeps each admitted
+//! circuit's admission number (0, 1, 2, …) and, as it fills a dispatch,
+//! hands the panic, delay or worker death a [`FaultPlan`] scripts at
+//! `(circuit, node)` to that node's task, for its worker to act out.
 //!
 //! Shutdown is graceful: circuits admitted before [`CircuitServer::shutdown`]
 //! still run to completion, later submissions resolve to
@@ -468,6 +468,8 @@ pub struct CircuitServer {
 struct InFlight {
     frontier: CircuitFrontier,
     ticket: Ticket,
+    /// Admission number, the `circuit` of the fault sites its tasks take.
+    tag: u64,
 }
 
 /// The tickets one [`Scheduler`] step resolved, as `(reply, outcome)`
@@ -489,13 +491,16 @@ struct Scheduler {
     /// Parallel to the last filled batch: index into `in_flight` owning
     /// each task.
     owners: Vec<usize>,
-    /// Admission sequence number — the slab tag fault plans key on.
+    /// The next admission number.
     next_tag: u64,
+    /// Scripted faults, attached to their tasks as [`Scheduler::fill`]
+    /// takes them; empty outside fault-injection tests.
+    faults: FaultPlan,
     stats: Arc<Mutex<SchedulerStats>>,
 }
 
 impl Scheduler {
-    fn new(config: ServerConfig, rewrite: RewritePass, threads: usize) -> Self {
+    fn new(config: ServerConfig, rewrite: RewritePass, threads: usize, faults: FaultPlan) -> Self {
         Self {
             config,
             rewrite,
@@ -503,6 +508,7 @@ impl Scheduler {
             in_flight: Vec::new(),
             owners: Vec::new(),
             next_tag: 0,
+            faults,
             stats: Arc::default(),
         }
     }
@@ -513,9 +519,8 @@ impl Scheduler {
 
     /// Admission at `now`: resolves the dead first, so they hold no slot
     /// against the bounds, then [vets](Scheduler::vet) the job and builds
-    /// its frontier, the slab tagged with the next admission sequence
-    /// number. An admission-time panic (a malformed netlist or inputs that
-    /// slipped past submit-side validation) faults only this circuit.
+    /// its frontier. An admission-time panic (a malformed netlist or inputs
+    /// that slipped past submit-side validation) faults only this circuit.
     fn admit<E: FftEngine>(
         &mut self,
         job: CircuitJob,
@@ -526,13 +531,17 @@ impl Scheduler {
         let ticket = job.ticket;
         let outcome = match self.vet(job.netlist, server, &ticket, now) {
             Ok(netlist) => {
-                let tag = self.next_tag;
                 match catch_unwind(AssertUnwindSafe(|| {
-                    build_frontier(netlist, job.inputs, server, tag, now)
+                    build_frontier(netlist, job.inputs, server, now)
                 })) {
                     Ok(frontier) => {
+                        let tag = self.next_tag;
                         self.next_tag += 1;
-                        self.in_flight.push(InFlight { frontier, ticket });
+                        self.in_flight.push(InFlight {
+                            frontier,
+                            ticket,
+                            tag,
+                        });
                         let mut stats = lock(&self.stats);
                         stats.max_in_flight = stats.max_in_flight.max(self.in_flight.len() as u64);
                         return resolved;
@@ -656,7 +665,8 @@ impl Scheduler {
     /// the dead, so dead work stops consuming bootstrap slots, then takes
     /// every survivor's ready frontier, oldest admission first — FIFO-fair,
     /// and no circuit can monopolize the dispatch because every other
-    /// circuit's ready tasks ride along.
+    /// circuit's ready tasks ride along. Each task taken carries the fault
+    /// scripted at its `(admission number, node)`, if any.
     fn fill(&mut self, batch: &mut Vec<SlabTask>, now: Instant) -> Resolved {
         let resolved = self.resolve(Vec::new(), now);
         batch.clear();
@@ -664,6 +674,9 @@ impl Scheduler {
         for (ci, fl) in self.in_flight.iter_mut().enumerate() {
             fl.frontier.take_ready(batch);
             self.owners.resize(batch.len(), ci);
+        }
+        for (task, &ci) in batch.iter_mut().zip(&self.owners) {
+            task.fault = self.faults.take(self.in_flight[ci].tag, task.node);
         }
         resolved
     }
@@ -750,7 +763,6 @@ fn build_frontier<E: FftEngine>(
     netlist: CircuitNetlist,
     inputs: SessionInputs,
     server: &ServerKey<E>,
-    tag: u64,
     now: Instant,
 ) -> CircuitFrontier {
     let net = Arc::new(netlist);
@@ -764,7 +776,7 @@ fn build_frontier<E: FftEngine>(
                 inputs.len()
             );
             let mut inputs: Vec<Option<LweCiphertext>> = inputs.into_iter().map(Some).collect();
-            CircuitFrontier::with_tag_from(net, server, tag, now, |slot| {
+            CircuitFrontier::with_inputs_from(net, server, now, |slot| {
                 inputs[slot].take().expect("input slots fill exactly once")
             })
         }
@@ -780,7 +792,7 @@ fn build_frontier<E: FftEngine>(
                 net.num_inputs()
             );
             let mut bits = packing::extract_bits(&samples, net.num_inputs(), &params);
-            CircuitFrontier::with_tag_from(net, server, tag, now, |slot| {
+            CircuitFrontier::with_inputs_from(net, server, now, |slot| {
                 std::mem::take(&mut bits[slot])
             })
         }
@@ -868,7 +880,7 @@ impl CircuitServer {
     where
         E: FftEngine + Send + Sync + 'static,
     {
-        Self::launch(key, threads, config, analyze::simplify, None)
+        Self::launch(key, threads, config, analyze::simplify, FaultPlan::new())
     }
 
     /// Starts the scheduler with a custom [`RewritePass`] in place of the
@@ -891,14 +903,15 @@ impl CircuitServer {
     where
         E: FftEngine + Send + Sync + 'static,
     {
-        Self::launch(key, threads, config, rewrite, None)
+        Self::launch(key, threads, config, rewrite, FaultPlan::new())
     }
 
-    /// Starts the scheduler with a scripted [`FaultPlan`] wired into the
-    /// pool workers — the deterministic fault-injection harness. Fault
-    /// sites are keyed `(admission sequence number, node)`; admission
-    /// numbers are assigned 0, 1, 2, … in admission order (a circuit
-    /// rejected or faulted at admission takes none). Intended for
+    /// Starts the scheduler with a scripted [`FaultPlan`] — the
+    /// deterministic fault-injection harness. Fault sites are keyed
+    /// `(admission number, node)`; admission numbers are assigned 0, 1,
+    /// 2, … in admission order (a circuit rejected or faulted at admission
+    /// takes none), and each site rides to its worker on the task it names
+    /// ([`SlabTask::fault`]). Intended for
     /// robustness tests; a production server uses
     /// [`CircuitServer::start`] / [`CircuitServer::start_with`].
     ///
@@ -909,12 +922,12 @@ impl CircuitServer {
         key: Arc<ServerKey<E>>,
         threads: usize,
         config: ServerConfig,
-        faults: Arc<FaultPlan>,
+        faults: FaultPlan,
     ) -> Self
     where
         E: FftEngine + Send + Sync + 'static,
     {
-        Self::launch(key, threads, config, analyze::simplify, Some(faults))
+        Self::launch(key, threads, config, analyze::simplify, faults)
     }
 
     fn launch<E>(
@@ -922,7 +935,7 @@ impl CircuitServer {
         threads: usize,
         config: ServerConfig,
         rewrite: RewritePass,
-        faults: Option<Arc<FaultPlan>>,
+        faults: FaultPlan,
     ) -> Self
     where
         E: FftEngine + Send + Sync + 'static,
@@ -931,11 +944,8 @@ impl CircuitServer {
         let params = *key.params();
         let default_deadline = config.default_deadline;
         let (tx, rx) = mpsc::channel::<Msg>();
-        let pool = match faults {
-            Some(plan) => GateBatchPool::with_faults(key, threads, plan),
-            None => GateBatchPool::new(key, threads),
-        };
-        let state = Scheduler::new(config, rewrite, threads);
+        let pool = GateBatchPool::new(key, threads);
+        let state = Scheduler::new(config, rewrite, threads, faults);
         let stats = Arc::clone(&state.stats);
         let scheduler = std::thread::spawn(move || scheduler_loop(pool, rx, state));
         Self {
@@ -1096,13 +1106,12 @@ impl CircuitClient {
     /// Resolves an `InvalidInput` rejection immediately, tallying it
     /// against this client without touching the scheduler queue.
     fn reject_invalid(&self) -> PendingCircuit {
-        let (reply, rx) = mpsc::channel();
         let outcome = CircuitOutcome::Rejected(RejectReason::InvalidInput);
         lock(&self.stats).record(self.id, &outcome);
-        let _ = reply.send(outcome);
         PendingCircuit {
-            rx,
+            rx: mpsc::channel().1,
             cancel: Arc::new(AtomicBool::new(false)),
+            outcome: Some(outcome),
         }
     }
 
@@ -1129,15 +1138,24 @@ impl CircuitClient {
             inputs,
             ticket,
         })));
-        PendingCircuit { rx, cancel }
+        PendingCircuit {
+            rx,
+            cancel,
+            outcome: None,
+        }
     }
 }
+
+/// What a ticket whose reply sender was dropped resolves to.
+const SHUTDOWN: CircuitOutcome = CircuitOutcome::Rejected(RejectReason::Shutdown);
 
 /// A ticket for one submitted circuit. Every ticket resolves to exactly
 /// one [`CircuitOutcome`].
 pub struct PendingCircuit {
     rx: mpsc::Receiver<CircuitOutcome>,
     cancel: Arc<AtomicBool>,
+    /// The outcome, once received: a resolved ticket stays resolved.
+    outcome: Option<CircuitOutcome>,
 }
 
 impl PendingCircuit {
@@ -1151,23 +1169,23 @@ impl PendingCircuit {
     /// always means "the server went away", never "the queue was full"
     /// (that is [`RejectReason::QueueFull`]).
     pub fn wait(self) -> CircuitOutcome {
-        self.rx
-            .recv()
-            .unwrap_or(CircuitOutcome::Rejected(RejectReason::Shutdown))
+        let Self { rx, outcome, .. } = self;
+        outcome.unwrap_or_else(|| rx.recv().unwrap_or(SHUTDOWN))
     }
 
     /// Non-blocking probe: `None` while the circuit is still queued or
-    /// in flight, `Some` once it has resolved. A disconnected reply
-    /// channel maps to [`RejectReason::Shutdown`] exactly as in
+    /// in flight, `Some` once it has resolved — the same outcome on every
+    /// probe after that, and from [`PendingCircuit::wait`]. A disconnected
+    /// reply channel maps to [`RejectReason::Shutdown`] exactly as in
     /// [`PendingCircuit::wait`].
-    pub fn try_wait(&self) -> Option<CircuitOutcome> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                Some(CircuitOutcome::Rejected(RejectReason::Shutdown))
-            }
+    pub fn try_wait(&mut self) -> Option<CircuitOutcome> {
+        if self.outcome.is_none() {
+            self.outcome = match self.rx.try_recv() {
+                Err(TryRecvError::Empty) => None,
+                received => Some(received.unwrap_or(SHUTDOWN)),
+            };
         }
+        self.outcome.clone()
     }
 
     /// Requests cancellation: the scheduler checks the flag at admission
@@ -1259,6 +1277,27 @@ mod tests {
     }
 
     #[test]
+    fn a_resolved_ticket_stays_resolved() {
+        let (client, key, mut rng) = setup(158);
+        let server = CircuitServer::start(Arc::clone(&key), 1);
+        let bits = [true, false, true];
+        let mut ticket = server
+            .client()
+            .submit(xor_chain(2), encrypt_bits(&client, &bits, &mut rng));
+        let first = loop {
+            match ticket.try_wait() {
+                Some(outcome) => break outcome,
+                None => std::thread::sleep(MS),
+            }
+        };
+        assert!(first.is_completed(), "{first:?}");
+        let second = ticket.try_wait();
+        assert_eq!(second.as_ref(), Some(&first), "a second probe");
+        assert_eq!(ticket.wait(), first, "wait after the probes");
+        server.shutdown();
+    }
+
+    #[test]
     fn concurrent_clients_get_ordered_results() {
         let (client, key, mut rng) = setup(141);
         let server = CircuitServer::start(Arc::clone(&key), 2);
@@ -1314,12 +1353,8 @@ mod tests {
         // while it is still in flight — without the delay this races the
         // scheduler under a loaded test host.
         let faults = FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(100)));
-        let server = CircuitServer::start_with_faults(
-            Arc::clone(&key),
-            2,
-            ServerConfig::default(),
-            Arc::new(faults),
-        );
+        let server =
+            CircuitServer::start_with_faults(Arc::clone(&key), 2, ServerConfig::default(), faults);
         let handle = server.client();
         // A deep chain first: while its first wave runs, the two short
         // circuits are admitted and ride the subsequent super-waves.
@@ -1525,8 +1560,7 @@ mod tests {
         // Hold the first circuit in flight across several admission
         // drains by delaying its first gate (tag 0, node 2): any circuit
         // admitted meanwhile sees a full queue.
-        let plan =
-            Arc::new(FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(150))));
+        let plan = FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(150)));
         let config = ServerConfig {
             queue_depth: 1,
             ..ServerConfig::default()
@@ -1554,8 +1588,7 @@ mod tests {
     #[test]
     fn quota_breach_rejects_heavy_client_and_spares_light_one() {
         let (client, key, mut rng) = setup(152);
-        let plan =
-            Arc::new(FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(150))));
+        let plan = FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(150)));
         let config = ServerConfig {
             per_client_quota: 1,
             ..ServerConfig::default()
@@ -1616,8 +1649,7 @@ mod tests {
         // that wave resolves it Expired. The bystander shares the
         // super-waves and must complete bit-identical to the eager
         // sequential execution.
-        let plan =
-            Arc::new(FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(400))));
+        let plan = FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(400)));
         let server =
             CircuitServer::start_with_faults(Arc::clone(&key), 2, ServerConfig::default(), plan);
         let victim_client = server.client();
@@ -1652,8 +1684,7 @@ mod tests {
     #[test]
     fn cancel_resolves_cancelled_and_server_keeps_serving() {
         let (client, key, mut rng) = setup(155);
-        let plan =
-            Arc::new(FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(250))));
+        let plan = FaultPlan::new().inject(0, 2, FaultAction::Delay(Duration::from_millis(250)));
         let server =
             CircuitServer::start_with_faults(Arc::clone(&key), 1, ServerConfig::default(), plan);
         let handle = server.client();
@@ -1684,7 +1715,7 @@ mod tests {
         // Kill the worker picking up the first gate: the pool must
         // respawn it, retry the task, and the circuit still completes —
         // with the restart surfaced in the scheduler stats.
-        let plan = Arc::new(FaultPlan::new().inject(0, 2, FaultAction::KillWorker));
+        let plan = FaultPlan::new().inject(0, 2, FaultAction::KillWorker);
         let server =
             CircuitServer::start_with_faults(Arc::clone(&key), 2, ServerConfig::default(), plan);
         let bits = [true, false, true];
@@ -2175,7 +2206,7 @@ mod tests {
     }
 
     fn scheduler(config: ServerConfig) -> Scheduler {
-        Scheduler::new(config, analyze::simplify, 1)
+        Scheduler::new(config, analyze::simplify, 1, FaultPlan::new())
     }
 
     /// One dispatch as the scheduler thread runs it, with the clock read
@@ -2353,7 +2384,9 @@ mod tests {
         }
         let mut batch = Vec::new();
         send(s.fill(&mut batch, t0));
-        let taken: Vec<(u64, usize)> = batch.iter().map(|t| (t.slab.tag(), t.node)).collect();
+        let taken: Vec<(u64, usize)> = (s.owners.iter().zip(&batch))
+            .map(|(&ci, t)| (s.in_flight[ci].tag, t.node))
+            .collect();
         assert_eq!(taken, [(0, 2), (1, 2), (1, 3), (2, 2)]);
     }
 
@@ -2394,8 +2427,54 @@ mod tests {
         assert_eq!(submit(1, inputs, None, false), None);
         let mut batch = Vec::new();
         send(s.fill(&mut batch, t0));
-        let tags: Vec<u64> = batch.iter().map(|t| t.slab.tag()).collect();
+        let tags: Vec<u64> = s.owners.iter().map(|&ci| s.in_flight[ci].tag).collect();
         assert_eq!(tags, [0, 1], "the two admitted circuits are 0 and 1");
+    }
+
+    #[test]
+    fn scheduler_attaches_each_site_to_its_task_at_fill() {
+        let (client, key, mut rng) = setup(197);
+        let pool = GateBatchPool::new(Arc::clone(&key), 1);
+        // Node 4 is a chain's second XOR: the site waits for the second
+        // wave of the second admitted circuit.
+        let plan = FaultPlan::new().inject(1, 4, FaultAction::Panic);
+        let mut s = Scheduler::new(ServerConfig::default(), analyze::simplify, 1, plan);
+        let t0 = Instant::now();
+        let bits = [true, false, true];
+        let mut submit = |s: &mut Scheduler, deadline| {
+            let inputs = encrypt_bits(&client, &bits, &mut rng);
+            let (j, rx, _) = job(xor_chain(2), inputs, 0, deadline);
+            send(s.admit(j, &key, t0));
+            rx
+        };
+        let a = submit(&mut s, None);
+        // Turned away at admission, so it takes no admission number: the
+        // next circuit is still the second admitted.
+        let turned_away = submit(&mut s, Some(t0));
+        let b = submit(&mut s, None);
+        let unmeetable = Some(RejectReason::DeadlineUnmeetable);
+        assert!(turned_away
+            .try_recv()
+            .is_ok_and(|o| o.reject_reason() == unmeetable));
+        let sites = |batch: &[SlabTask]| -> Vec<(usize, Option<FaultAction>)> {
+            batch.iter().map(|t| (t.node, t.fault)).collect()
+        };
+        let wave = dispatch(&mut s, &pool, t0, t0);
+        assert_eq!(sites(&wave), [(2, None), (2, None)]);
+        let wave = dispatch(&mut s, &pool, t0, t0);
+        assert_eq!(sites(&wave), [(4, None), (4, Some(FaultAction::Panic))]);
+        assert!(a.try_recv().is_ok_and(|o| o.is_completed()));
+        let faulted = b.try_recv().ok();
+        assert!(
+            matches!(&faulted, Some(CircuitOutcome::Faulted(msg)) if msg.contains("injected fault")),
+            "{faulted:?}"
+        );
+        // The site is spent: the next fill attaches nothing.
+        let c = submit(&mut s, None);
+        let wave = dispatch(&mut s, &pool, t0, t0);
+        let wave = [wave, dispatch(&mut s, &pool, t0, t0)].concat();
+        assert_eq!(sites(&wave), [(2, None), (4, None)]);
+        assert!(c.try_recv().is_ok_and(|o| o.is_completed()));
     }
 
     #[test]

@@ -929,8 +929,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(70);
         // Admission tag 0, node 2 (the XOR gate) panics.
         let faults = FaultPlan::new().inject(0, 2, FaultAction::Panic);
-        let server =
-            CircuitServer::start_with_faults(key, 1, ServerConfig::default(), Arc::new(faults));
+        let server = CircuitServer::start_with_faults(key, 1, ServerConfig::default(), faults);
         let (near, handle) = serve_on_thread(&server);
         let mut wire = SessionClient::connect(near).unwrap();
 

@@ -96,6 +96,7 @@ fn deal(
         .map(|i| SlabTask {
             slab: Arc::clone(&slabs[i % SLABS]),
             node: nodes[i % SLABS][i / SLABS],
+            fault: None,
         })
         .collect();
     (slabs, tasks)
