@@ -256,6 +256,32 @@ mod tests {
     }
 
     #[test]
+    fn key_switch_digits_exhaustive() {
+        // The key switch's (γ, t) = (2, 8): a coefficient's digits depend
+        // only on its 16-bit rounded prefix, so the lowest, middle and
+        // highest value rounding to each of the 2^16 prefixes covers every
+        // case. Digits lie in [−2, 1] — magnitudes 1 and 2 are all a
+        // key-switching key stores — and recompose to the prefix exactly,
+        // within 2^-17 of the value.
+        let d = GadgetDecomposer::new(2, 8);
+        assert_eq!(d.precision(), 2f64.powi(-17));
+        for prefix in 0..1u32 << 16 {
+            let center = prefix << 16;
+            for raw in [center.wrapping_sub(1 << 15), center, center + (1 << 15) - 1] {
+                let x = Torus32::from_raw(raw);
+                let digits = d.decompose(x);
+                assert!(
+                    digits.iter().all(|digit| (-2..=1).contains(digit)),
+                    "{raw:#x}: {digits:?}"
+                );
+                let back = d.recompose(&digits);
+                assert_eq!(back.raw(), center, "{raw:#x}");
+                assert!(x.signed_diff(back).abs() <= d.precision(), "{raw:#x}");
+            }
+        }
+    }
+
+    #[test]
     fn precision_formula() {
         let d = GadgetDecomposer::new(10, 2);
         assert!((d.precision() - 0.5 / 1024.0f64.powi(2)).abs() < 1e-18);

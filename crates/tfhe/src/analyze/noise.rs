@@ -26,10 +26,11 @@ use crate::params::ParameterSet;
 ///   the worst-case magnitude `Bg/2`, and the gadget's `ℓ`-level
 ///   approximation contributes `(1 + N)·(2^{-ℓ·log Bg})²` per product.
 /// * **Key switch** (`v_key_switch`) — digit multiples are
-///   pre-encrypted (`KeySwitchKey` stores `v·s′_i/2^{(j+1)γ}` entries), so
-///   each of the `N·t` digits subtracts exactly one fresh-noise sample;
-///   rounding each coefficient to `t·γ` bits adds a half-step per
-///   coefficient, all `N` charged.
+///   pre-encrypted (`KeySwitchKey` stores `v·s′_i/2^{(j+1)γ}` entries for
+///   the balanced digits' magnitudes `v`), so each of the `N·t` digits
+///   subtracts or adds at most one fresh-noise sample, every position
+///   charged; rounding each coefficient to `t·γ` bits adds a half-step
+///   per coefficient, all `N` charged.
 /// * **Mod switch** (`v_mod_switch`) — rounding `n + 1`
 ///   torus coefficients to multiples of `1/2N`, uniform within a step.
 ///
@@ -47,7 +48,7 @@ use crate::params::ParameterSet;
 pub struct NoiseModel {
     pub(super) v_fresh: f64,
     pub(super) v_blind_rotate: f64,
-    pub(super) v_key_switch: f64,
+    pub(crate) v_key_switch: f64,
     pub(super) v_mod_switch: f64,
     /// `1/2N`: how far the decision of accumulator coefficient `j` sits
     /// from coefficient 0's, per `j`.
@@ -95,6 +96,12 @@ impl NoiseModel {
         let eps_bg = (-(params.decomp_base_log as f64 * params.decomp_levels as f64)).exp2();
         let v_blind_rotate = groups
             * (2.0 * ell * big_n * (bg * bg / 4.0) * v_bundle + (1.0 + big_n) * eps_bg * eps_bg);
+        // σ² for every digit position bounds the balanced-digit switch: a
+        // digit is zero with probability 1/4 (at γ = 2), so across keys a
+        // position carries 3/4·σ², and within one key — where `d = ±1`
+        // share one sample with opposite signs — the variance over the
+        // digits is 11/16·σ². Distinct positions use distinct, independent
+        // samples, so the positions' variances add.
         let eps_ks = (-(params.ks_base_log as f64 * params.ks_levels as f64)).exp2();
         let v_key_switch =
             big_n * params.ks_levels as f64 * params.lwe_noise_stdev * params.lwe_noise_stdev

@@ -462,6 +462,31 @@ mod tests {
     }
 
     #[test]
+    fn full_width_base_rejected() {
+        // A `2^32` base with one level passes `γ·t ≤ 32`, but no
+        // `GadgetDecomposer` takes it: key generation would panic.
+        let ks = ParameterSet {
+            ks_base_log: 32,
+            ks_levels: 1,
+            ..ParameterSet::MATCHA
+        };
+        let tgsw = ParameterSet {
+            decomp_base_log: 32,
+            decomp_levels: 1,
+            ..ParameterSet::MATCHA
+        };
+        for p in [ks, tgsw] {
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("exceeds the 32-bit torus"), "{err}");
+            let mut bytes = b"MPAR".to_vec();
+            bytes.push(1);
+            p.encode_body(&mut bytes).unwrap();
+            let err = ParameterSet::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{p:?}");
+        }
+    }
+
+    #[test]
     fn trailing_garbage_rejected_for_every_impl() {
         let mut s = sampler();
         let lwe = LweCiphertext::encrypt(

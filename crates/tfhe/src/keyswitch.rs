@@ -4,34 +4,39 @@
 //! dimension `N` (what sample extraction leaves). A bootstrap's blind
 //! rotation reads a sample under the LWE key `s` of dimension `n`, so it
 //! starts by switching its input — the gate's linear part — from `s′` to
-//! `s`: every mask coefficient is decomposed in base `2^γ` over `t` levels
-//! and pre-encrypted multiples of the `s′` bits are subtracted. The paper's
-//! Algorithm 1 draws the same switch as the bootstrap's final step; the
-//! work per bootstrap is the same either way, one switch per blind
-//! rotation.
+//! `s`: every mask coefficient is decomposed into `t` balanced digits in
+//! base `2^γ` by the same [`GadgetDecomposer`] the external product uses,
+//! and pre-encrypted multiples of the `s′` bits are subtracted for positive
+//! digits and added for negative ones. The paper's Algorithm 1 draws the
+//! same switch as the bootstrap's final step; the work per bootstrap is the
+//! same either way, one switch per blind rotation.
 
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
 use crate::secret::LweSecretKey;
-use matcha_math::{Torus32, TorusSampler};
+use matcha_math::{GadgetDecomposer, Torus32, TorusSampler};
 use rand::Rng;
 
 /// A key-switching key `KS_{s′→s}`.
 ///
-/// Holds `N × t × (2^γ − 1)` LWE samples: entry `(i, j, v)` encrypts
-/// `v · s′_i / 2^{(j+1)γ}` under the target key. The samples live in one
-/// flat array, `n + 1` torus elements each (mask, then body), in `(i, j, v)`
-/// order — a switch subtracts up to `N·t` of them, and one allocation with
-/// computable addresses is what lets it prefetch the next coefficient's
-/// picks while it subtracts the current ones.
+/// A switch decomposes every source coefficient into `t` balanced digits
+/// `d ∈ [−2^{γ−1}, 2^{γ−1})` (base `2^γ`, gadget `h_j = 1/2^{(j+1)γ}`), so
+/// only the magnitudes `1..=2^{γ−1}` need a sample: the key holds
+/// `N × t × 2^{γ−1}` LWE samples, and entry `(i, j, v)` encrypts
+/// `v · s′_i · h_j` under the target key. A digit `d > 0` subtracts entry
+/// `(i, j, d)`, a digit `d < 0` adds entry `(i, j, −d)` and `d = 0` touches
+/// nothing — two samples per `(i, j)` at the paper's `γ = 2`. The samples
+/// live in one flat array, `n + 1` torus elements each (mask, then body),
+/// in `(i, j, v)` order — a switch applies up to `N·t` of them, and one
+/// allocation with computable addresses is what lets it prefetch the next
+/// coefficient's picks while it applies the current ones.
 #[derive(Clone, Debug)]
 pub struct KeySwitchKey {
     entries: Vec<Torus32>,
     from_dimension: usize,
     to_dimension: usize,
-    base_log: u32,
-    levels: usize,
+    decomp: GadgetDecomposer,
 }
 
 impl KeySwitchKey {
@@ -42,40 +47,26 @@ impl KeySwitchKey {
     ///
     /// # Panics
     ///
-    /// Panics if `ks_base_log` or `ks_levels` is zero, if
-    /// `ks_base_log ≥ 32` (the base `2^γ` itself must fit a `u32`), or if
-    /// `ks_base_log · ks_levels > 32`: the decomposition shifts
-    /// `32 − (j+1)·γ` (here and in [`KeySwitchKey::switch_into`]) would
-    /// underflow past the 32-bit torus — a debug-build panic and a silent
-    /// release-build wraparound before this constructor-time check.
+    /// Panics where [`GadgetDecomposer::new`] does for
+    /// `(ks_base_log, ks_levels)`: either is zero, `ks_base_log ≥ 32`, or
+    /// `ks_base_log · ks_levels > 32`.
     pub fn generate<R: Rng>(
         from_key: &LweSecretKey,
         to_key: &LweSecretKey,
         params: &ParameterSet,
         sampler: &mut TorusSampler<R>,
     ) -> Self {
-        let base_log = params.ks_base_log;
-        let levels = params.ks_levels;
-        assert!(
-            base_log > 0 && levels > 0,
-            "key-switch decomposition parameters must be nonzero"
-        );
-        // base_log = 32 would already overflow `1u32 << base_log` below
-        // even with a single level, so the base itself must fit too.
-        assert!(
-            base_log < 32 && base_log as usize * levels <= 32,
-            "ks_base_log {base_log} × ks_levels {levels} exceeds the 32-bit torus"
-        );
-        let base = 1u32 << base_log;
+        let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
+        let magnitudes = (decomp.base() / 2) as i32;
         let n_from = from_key.dimension();
         let n_to = to_key.dimension();
-        let mut entries = Vec::with_capacity(n_from * levels * (base as usize - 1) * (n_to + 1));
+        let mut entries =
+            Vec::with_capacity(n_from * decomp.levels() * magnitudes as usize * (n_to + 1));
         for i in 0..n_from {
-            let s_bit = u32::from(from_key.bits()[i]);
-            for j in 0..levels {
-                let unit = Torus32::from_raw(1u32 << (32 - (j as u32 + 1) * base_log));
-                for v in 1..base {
-                    let mu = unit * (v * s_bit) as i32;
+            let s_bit = i32::from(from_key.bits()[i]);
+            for j in 0..decomp.levels() {
+                for v in 1..=magnitudes {
+                    let mu = decomp.gadget(j) * (v * s_bit);
                     // `LweCiphertext::encrypt`, in place: same draws in the
                     // same order (mask, then the body's noise).
                     let start = entries.len();
@@ -90,8 +81,7 @@ impl KeySwitchKey {
             entries,
             from_dimension: n_from,
             to_dimension: n_to,
-            base_log,
-            levels,
+            decomp,
         }
     }
 
@@ -125,9 +115,9 @@ impl KeySwitchKey {
     /// `outs`, **coefficient-major**: coefficient `i` of all samples before
     /// coefficient `i + 1` of any, so the samples share one walk through
     /// the key's `N` coefficient blocks instead of taking one each. Every
-    /// sample sees the wrapping subtractions [`KeySwitchKey::switch_into`]
-    /// makes for it alone, in the same order, so the outputs are
-    /// bit-identical.
+    /// sample sees the wrapping additions and subtractions
+    /// [`KeySwitchKey::switch_into`] makes for it alone, in the same order,
+    /// so the outputs are bit-identical.
     /// No allocation once every output's mask has capacity `n`.
     ///
     /// # Panics
@@ -141,23 +131,21 @@ impl KeySwitchKey {
     fn switch_inner(&self, inputs: &[LweCiphertext], outs: &mut [LweCiphertext]) {
         assert_eq!(inputs.len(), outs.len(), "one output per input");
         let n = self.to_dimension;
-        let base = 1u32 << self.base_log;
-        let per_level = base as usize - 1;
-        // Round each coefficient to t·γ bits before decomposing.
-        let precision_bits = self.base_log * self.levels as u32;
-        let round_bump = if precision_bits < 32 {
-            1u32 << (31 - precision_bits)
-        } else {
-            0
-        };
-        // The entries coefficient `i` selects, one per nonzero digit.
+        let levels = self.decomp.levels();
+        let magnitudes = self.decomp.base() as usize / 2;
+        // The entries coefficient `i` selects, one per nonzero digit, each
+        // with whether its digit is positive (the entry is subtracted) or
+        // negative (added).
         let selected = |i: usize, ai: Torus32| {
-            let t = ai.raw().wrapping_add(round_bump);
-            (0..self.levels).filter_map(move |j| {
-                let shift = 32 - (j as u32 + 1) * self.base_log;
-                let digit = ((t >> shift) & (base - 1)) as usize;
-                let index = (i * self.levels + j) * per_level + digit.checked_sub(1)?;
-                Some(&self.entries[index * (n + 1)..(index + 1) * (n + 1)])
+            let shifted = self.decomp.shift(ai);
+            (0..levels).filter_map(move |j| {
+                let digit = self.decomp.digit(shifted, j);
+                let v = (digit.unsigned_abs() as usize).checked_sub(1)?;
+                let index = (i * levels + j) * magnitudes + v;
+                Some((
+                    digit > 0,
+                    &self.entries[index * (n + 1)..(index + 1) * (n + 1)],
+                ))
             })
         };
         for (c, out) in inputs.iter().zip(outs.iter_mut()) {
@@ -169,19 +157,26 @@ impl KeySwitchKey {
             // the walk through the key is a random one the hardware cannot
             // predict: ask for the next coefficient's entries now, for
             // every sample, and they arrive while this coefficient's are
-            // being subtracted.
+            // being applied.
             if i + 1 < self.from_dimension {
                 for c in inputs {
-                    selected(i + 1, c.mask()[i + 1]).for_each(prefetch);
+                    selected(i + 1, c.mask()[i + 1]).for_each(|(_, entry)| prefetch(entry));
                 }
             }
             for (c, out) in inputs.iter().zip(outs.iter_mut()) {
                 let (mask, body) = out.parts_mut();
-                for entry in selected(i, c.mask()[i]) {
-                    for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
-                        *x -= y;
+                for (positive, entry) in selected(i, c.mask()[i]) {
+                    if positive {
+                        for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
+                            *x -= y;
+                        }
+                        *body -= entry[n];
+                    } else {
+                        for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
+                            *x += y;
+                        }
+                        *body += entry[n];
                     }
-                    *body -= entry[n];
                 }
             }
         }
@@ -262,17 +257,31 @@ mod tests {
     #[test]
     fn entry_count_matches_formula() {
         let (_, to, ksk, _) = setup();
-        assert_eq!(ksk.entry_count(), 128 * 8 * 3);
+        assert_eq!(ksk.entry_count(), 128 * 8 * 2);
         assert_eq!(ksk.to_dimension(), to.dimension());
         assert_eq!(ksk.from_dimension(), 128);
+        // One entry per digit magnitude `1..=2^{γ−1}`: γ = 1 (digits −1
+        // and 0) still needs one entry per level.
+        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(5));
+        let from = LweSecretKey::generate(128, &mut sampler);
+        for (base_log, per_level) in [(1, 1), (3, 4), (4, 8)] {
+            let params = ParameterSet {
+                ks_base_log: base_log,
+                ..ParameterSet::TEST_FAST
+            };
+            let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+            assert_eq!(ksk.entry_count(), 128 * 8 * per_level, "γ = {base_log}");
+        }
     }
 
     #[test]
     fn flat_key_matches_per_entry_reference() {
-        // The same sampler stream through the per-entry construction the
-        // flat layout replaced (one `LweCiphertext::encrypt` per entry, a
-        // `sub_assign` per nonzero digit) must give the same key material
-        // and bit-identical switches.
+        // The same sampler stream through a per-entry construction (one
+        // `LweCiphertext::encrypt` per `(i, j, v)`, `v ≤ 2^{γ−1}`) must give
+        // the same key material, and a switch must equal applying those
+        // entries by hand: subtract entry `(i, j, d)` for every digit
+        // `d > 0` of `GadgetDecomposer::decompose`, add `(i, j, −d)` for
+        // `d < 0`.
         let params = ParameterSet::TEST_FAST;
         let keys = |sampler: &mut TorusSampler<StdRng>| {
             let from = LweSecretKey::generate(128, sampler);
@@ -286,17 +295,15 @@ mod tests {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
         let (from_again, to_again) = keys(&mut sampler);
         assert_eq!(from.bits(), from_again.bits());
-        let (base_log, levels) = (params.ks_base_log, params.ks_levels);
-        let base = 1u32 << base_log;
+        let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
+        let (levels, magnitudes) = (decomp.levels(), decomp.base() as usize / 2);
         let mut reference = Vec::new();
         for i in 0..128 {
-            let s_bit = u32::from(from.bits()[i]);
+            let s_bit = i32::from(from.bits()[i]);
             for j in 0..levels {
-                let unit = Torus32::from_raw(1u32 << (32 - (j as u32 + 1) * base_log));
-                for v in 1..base {
-                    let mu = unit * (v * s_bit) as i32;
+                for v in 1..=magnitudes as i32 {
                     reference.push(LweCiphertext::encrypt(
-                        mu,
+                        decomp.gadget(j) * (v * s_bit),
                         &to_again,
                         params.lwe_noise_stdev,
                         &mut sampler,
@@ -315,21 +322,97 @@ mod tests {
         for message in [0.125, -0.25, 0.0] {
             let c = LweCiphertext::encrypt(Torus32::from_f64(message), &from, 1e-8, &mut sampler);
             let mut expected = LweCiphertext::trivial(c.body(), n);
-            let round_bump = 1u32 << (31 - base_log * levels as u32);
             for (i, &ai) in c.mask().iter().enumerate() {
-                let t = ai.raw().wrapping_add(round_bump);
-                for j in 0..levels {
-                    let digit = (t >> (32 - (j as u32 + 1) * base_log)) & (base - 1);
-                    if digit != 0 {
-                        let per_i = levels * (base as usize - 1);
-                        let idx = i * per_i + j * (base as usize - 1) + digit as usize - 1;
-                        expected.sub_assign(&reference[idx]);
+                for (j, d) in decomp.decompose(ai).into_iter().enumerate() {
+                    if d == 0 {
+                        continue;
+                    }
+                    let entry =
+                        &reference[(i * levels + j) * magnitudes + d.unsigned_abs() as usize - 1];
+                    if d > 0 {
+                        expected.sub_assign(entry);
+                    } else {
+                        expected.add_assign(entry);
                     }
                 }
             }
             ksk.switch_into(&c, &mut out);
             assert_eq!(out, expected, "message {message}");
         }
+    }
+
+    /// The switch's error over `keys` keys of `from_dim → to_dim` at
+    /// `MATCHA`'s `(γ, t, σ)`, `switches` noiseless inputs each (uniform
+    /// masks, zero message): the largest within-key variance (each key's
+    /// noise fixed, only the digits vary) and the second moment across
+    /// keys, as shares of `NoiseModel`'s key-switch term at `N = from_dim`.
+    fn switch_noise_shares(
+        from_dim: usize,
+        to_dim: usize,
+        keys: usize,
+        switches: usize,
+    ) -> (f64, f64) {
+        let params = ParameterSet {
+            ring_degree: from_dim,
+            lwe_dimension: to_dim,
+            ..ParameterSet::MATCHA
+        };
+        let model = crate::analyze::NoiseModel::new(&params, 2).v_key_switch;
+        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(71));
+        let (mut worst_in_key, mut second_moment) = (0.0f64, 0.0);
+        let mut outs = vec![LweCiphertext::default(); 16];
+        for _ in 0..keys {
+            let from = LweSecretKey::generate(from_dim, &mut sampler);
+            let to = LweSecretKey::generate(to_dim, &mut sampler);
+            let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+            let mut errors = Vec::with_capacity(switches);
+            while errors.len() < switches {
+                let inputs: Vec<_> = (0..outs.len())
+                    .map(|_| {
+                        let mask: Vec<_> = (0..from_dim).map(|_| sampler.uniform()).collect();
+                        let body = from.dot(&mask);
+                        LweCiphertext::from_parts(mask, body)
+                    })
+                    .collect();
+                ksk.switch_slice_into(&inputs, &mut outs);
+                errors.extend(outs.iter().map(|o| o.phase(&to).signed_diff(Torus32::ZERO)));
+            }
+            let count = errors.len() as f64;
+            let mean = errors.iter().sum::<f64>() / count;
+            let in_key = errors.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / count;
+            worst_in_key = worst_in_key.max(in_key);
+            second_moment += errors.iter().map(|e| e * e).sum::<f64>() / count / keys as f64;
+        }
+        (worst_in_key / model, second_moment / model)
+    }
+
+    #[test]
+    fn switch_noise_within_the_model() {
+        // A balanced digit is zero with probability 1/4, so across keys
+        // each digit position carries 3/4·σ²; within a key ±1 share one
+        // sample and the position's variance is 11/16·σ². The model
+        // charges σ² to every position. At full size (1024 → 500, what the release build runs)
+        // the shares read 0.69 and 0.67: the across-key figure swings with
+        // each key's mean over the digits, one χ²₁-like draw per key.
+        let (from_dim, to_dim) = if cfg!(debug_assertions) {
+            (128, 32)
+        } else {
+            (1024, 500)
+        };
+        let (in_key, across_keys) = switch_noise_shares(from_dim, to_dim, 4, 1500);
+        assert!(
+            in_key <= 1.0,
+            "within-key variance {in_key} of the model term"
+        );
+        assert!(
+            across_keys <= 1.0,
+            "second moment {across_keys} of the model term"
+        );
+        // The measurement sees the key's noise at all.
+        assert!(
+            across_keys >= 0.5,
+            "second moment {across_keys} of the model term"
+        );
     }
 
     #[test]
@@ -388,8 +471,9 @@ mod tests {
 
     #[test]
     fn full_precision_32_bits_accepted() {
-        // γ·t = 32 exactly is legal: the finest level's shift is 0 and the
-        // rounding bump is skipped (precision_bits == 32).
+        // γ·t = 32 exactly is legal: every bit of a coefficient is a digit
+        // bit, so the decomposer adds no rounding half-ulp and the finest
+        // digit is extracted with a shift of 0.
         let params = ParameterSet {
             ks_base_log: 8,
             ks_levels: 4,

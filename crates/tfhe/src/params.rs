@@ -94,7 +94,8 @@ impl ParameterSet {
     ///
     /// Returns a description of the first violated constraint:
     /// non-power-of-two ring degree, zero dimensions, decompositions that
-    /// exceed the 32-bit torus, or non-positive noise rates.
+    /// exceed the 32-bit torus (a base `2^γ` must itself fit a `u32`, so
+    /// `γ ≥ 32` fails even with one level), or non-positive noise rates.
     pub fn validate(&self) -> Result<(), String> {
         if !self.ring_degree.is_power_of_two() || self.ring_degree < 4 {
             return Err(format!(
@@ -108,7 +109,7 @@ impl ParameterSet {
         if self.decomp_levels == 0 || self.decomp_base_log == 0 {
             return Err("TGSW decomposition must be nonzero".into());
         }
-        if self.decomp_base_log as usize * self.decomp_levels > 32 {
+        if self.decomp_base_log >= 32 || self.decomp_base_log as usize * self.decomp_levels > 32 {
             return Err(format!(
                 "TGSW decomposition {}×{} exceeds the 32-bit torus",
                 self.decomp_base_log, self.decomp_levels
@@ -117,7 +118,7 @@ impl ParameterSet {
         if self.ks_levels == 0 || self.ks_base_log == 0 {
             return Err("key-switch decomposition must be nonzero".into());
         }
-        if self.ks_base_log as usize * self.ks_levels > 32 {
+        if self.ks_base_log >= 32 || self.ks_base_log as usize * self.ks_levels > 32 {
             return Err(format!(
                 "key-switch decomposition {}×{} exceeds the 32-bit torus",
                 self.ks_base_log, self.ks_levels
