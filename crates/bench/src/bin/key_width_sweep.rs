@@ -63,7 +63,7 @@ impl Width for F64Fft {
     }
 
     fn carry(&self, body: &mut CplxSpectrum, delta: &CplxSpectrum, key: &CplxSpectrum) {
-        self.mul_accumulate(body, delta, key);
+        self.mul_accumulate([body], delta, [key]);
     }
 }
 
@@ -84,7 +84,7 @@ impl Width for ApproxIntFft {
         // The product comes out in whole torus units; the body counts in
         // `2^-frac_bits` of one.
         let mut product = self.zero_spectrum();
-        self.mul_accumulate(&mut product, delta, key);
+        self.mul_accumulate([&mut product], delta, [key]);
         for (b, p) in
             (body.re.iter_mut().zip(&product.re)).chain(body.im.iter_mut().zip(&product.im))
         {
@@ -152,7 +152,7 @@ fn generate_key<E: Width>(
 /// external product meets it.
 fn phase<E: FftEngine>(engine: &E, row: &TrlweSpectrum<E>, key: &E::Spectrum) -> TorusPolynomial {
     let mut mask_times_key = engine.zero_spectrum();
-    engine.mul_accumulate(&mut mask_times_key, &row.a, key);
+    engine.mul_accumulate([&mut mask_times_key], &row.a, [key]);
     engine.backward_torus(&row.b) - &engine.backward_torus(&mask_times_key)
 }
 
@@ -260,8 +260,8 @@ fn blind_rotation_sigma<E: FftEngine>(
                         b: engine.zero_spectrum(),
                     };
                     for (sample, factor) in &terms {
-                        engine.mul_accumulate(&mut row.a, &sample.rows()[r].a, factor);
-                        engine.mul_accumulate(&mut row.b, &sample.rows()[r].b, factor);
+                        engine.mul_accumulate([&mut row.a], &sample.rows()[r].a, [factor]);
+                        engine.mul_accumulate([&mut row.b], &sample.rows()[r].b, [factor]);
                     }
                     row
                 })

@@ -367,37 +367,27 @@ impl FftEngine for ApproxIntFft {
         }
     }
 
-    /// `simd::i64_mul_acc` with one row.
-    fn mul_accumulate(&self, acc: &mut FixedSpectrum, a: &FixedSpectrum, b: &FixedSpectrum) {
-        assert_eq!(acc.frac_bits, 0, "accumulator must be unscaled");
-        simd::i64_mul_acc(
-            [(&mut acc.re, &mut acc.im)],
-            (&a.re, &a.im),
-            [(&b.re, &b.im)],
-            a.frac_bits + b.frac_bits,
-        );
-    }
-
-    /// `simd::i64_mul_acc` with two rows.
-    fn mul_accumulate_pair(
+    /// `simd::i64_mul_acc`, shifting by the operands' fractional bits.
+    fn mul_accumulate<const R: usize>(
         &self,
-        acc_a: &mut FixedSpectrum,
-        acc_b: &mut FixedSpectrum,
+        accs: [&mut FixedSpectrum; R],
         x: &FixedSpectrum,
-        a: &FixedSpectrum,
-        b: &FixedSpectrum,
+        rows: [&FixedSpectrum; R],
     ) {
-        assert_eq!(acc_a.frac_bits, 0, "accumulator must be unscaled");
-        assert_eq!(acc_b.frac_bits, 0, "accumulator must be unscaled");
-        assert_eq!(a.frac_bits, b.frac_bits, "row spectra must share a scale");
+        let row_bits = rows.first().map_or(0, |row| row.frac_bits);
+        assert!(
+            accs.iter().all(|acc| acc.frac_bits == 0),
+            "accumulator must be unscaled"
+        );
+        assert!(
+            rows.iter().all(|row| row.frac_bits == row_bits),
+            "row spectra must share a scale"
+        );
         simd::i64_mul_acc(
-            [
-                (&mut acc_a.re, &mut acc_a.im),
-                (&mut acc_b.re, &mut acc_b.im),
-            ],
+            accs.map(|acc| (&mut acc.re[..], &mut acc.im[..])),
             (&x.re, &x.im),
-            [(&a.re, &a.im), (&b.re, &b.im)],
-            x.frac_bits + a.frac_bits,
+            rows.map(|row| (&row.re[..], &row.im[..])),
+            x.frac_bits + row_bits,
         );
     }
 
@@ -469,7 +459,7 @@ impl FftEngine for ApproxIntFft {
             delta.im[k] = (i64::from(mask[at(k) + im]) << shift) - a.im[k];
         }
         let mut carry = self.zero_spectrum();
-        self.mul_accumulate(&mut carry, &delta, key);
+        self.mul_accumulate([&mut carry], &delta, [key]);
         for k in 0..m {
             body[at(k)] = narrow(b.re[k] + (carry.re[k] << frac));
             body[at(k) + im] = narrow(b.im[k] + (carry.im[k] << frac));
@@ -609,8 +599,8 @@ mod tests {
         let q = random_digit_poly(n, 3);
         let fq = engine.forward_int(&q);
         let mut acc = engine.zero_spectrum();
-        engine.mul_accumulate(&mut acc, &engine.forward_torus(&p1), &fq);
-        engine.mul_accumulate(&mut acc, &engine.forward_torus(&p2), &fq);
+        engine.mul_accumulate([&mut acc], &engine.forward_torus(&p1), [&fq]);
+        engine.mul_accumulate([&mut acc], &engine.forward_torus(&p2), [&fq]);
         let combined = engine.backward_torus(&acc);
         let expected = exact_mul(&(p1 + &p2), &q);
         assert!(combined.max_distance(&expected) < 1e-6);

@@ -61,7 +61,7 @@ pub trait Spectrum: Clone + Debug + Send + Sync {
 /// let mut q = IntPolynomial::zero(8);
 /// q.coeffs_mut()[0] = 2;
 /// let mut acc = engine.zero_spectrum();
-/// engine.mul_accumulate(&mut acc, &engine.forward_torus(&p), &engine.forward_int(&q));
+/// engine.mul_accumulate([&mut acc], &engine.forward_torus(&p), [&engine.forward_int(&q)]);
 /// let r = engine.backward_torus(&acc);
 /// assert!(r.coeffs()[0].signed_diff(Torus32::from_f64(0.5)).abs() < 1e-6);
 /// ```
@@ -176,27 +176,24 @@ pub trait FftEngine {
         out
     }
 
-    /// `acc += a ⊙ b` (pointwise complex multiply-accumulate).
+    /// `accs[r] += x ⊙ rows[r]` for each of `R` rows (pointwise complex
+    /// multiply-accumulate), in one pass that reads `x` once.
+    ///
+    /// One row is a plain product (key generation,
+    /// [`FftEngine::poly_mul`]). Two are the external product's inner loop:
+    /// each transformed digit multiplies the mask and body rows of a TGSW
+    /// sample. A row's result does not depend on `R`, so one call with two
+    /// rows is bit-identical to two calls with one.
     ///
     /// # Panics
     ///
     /// Implementations may panic if the spectra come from incompatible
     /// transforms (mismatched sizes or scales).
-    fn mul_accumulate(&self, acc: &mut Self::Spectrum, a: &Self::Spectrum, b: &Self::Spectrum);
-
-    /// `acc_a += x ⊙ a` and `acc_b += x ⊙ b` in one logical step.
-    ///
-    /// This is the external product's inner loop: each transformed digit
-    /// multiplies both the mask and body rows of a TGSW sample, in a single
-    /// pass that reads `x` once. Results must be bit-identical to two
-    /// [`FftEngine::mul_accumulate`] calls.
-    fn mul_accumulate_pair(
+    fn mul_accumulate<const R: usize>(
         &self,
-        acc_a: &mut Self::Spectrum,
-        acc_b: &mut Self::Spectrum,
+        accs: [&mut Self::Spectrum; R],
         x: &Self::Spectrum,
-        a: &Self::Spectrum,
-        b: &Self::Spectrum,
+        rows: [&Self::Spectrum; R],
     );
 
     /// Writes the pointwise factor tables `ε_k^e − 1` (`k < N/2`), one per
@@ -284,7 +281,7 @@ pub trait FftEngine {
     /// Convenience: the full negacyclic product `p · q`.
     fn poly_mul(&self, p: &TorusPolynomial, q: &IntPolynomial) -> TorusPolynomial {
         let mut acc = self.zero_spectrum();
-        self.mul_accumulate(&mut acc, &self.forward_torus(p), &self.forward_int(q));
+        self.mul_accumulate([&mut acc], &self.forward_torus(p), [&self.forward_int(q)]);
         self.backward_torus(&acc)
     }
 }

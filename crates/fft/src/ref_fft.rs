@@ -270,36 +270,17 @@ impl FftEngine for F64Fft {
         twist::unfold_torus_into(buf_re, buf_im, 1.0 / m as f64, &self.tables, out);
     }
 
-    fn mul_accumulate(&self, acc: &mut CplxSpectrum, a: &CplxSpectrum, b: &CplxSpectrum) {
-        assert_eq!(acc.len(), a.len(), "spectrum size mismatch");
-        assert_eq!(a.len(), b.len(), "spectrum size mismatch");
-        simd::mul_acc(&mut acc.re, &mut acc.im, &a.re, &a.im, &b.re, &b.im);
-    }
-
-    fn mul_accumulate_pair(
+    /// `simd::mul_acc` over the spectra's components.
+    fn mul_accumulate<const R: usize>(
         &self,
-        acc_a: &mut CplxSpectrum,
-        acc_b: &mut CplxSpectrum,
+        accs: [&mut CplxSpectrum; R],
         x: &CplxSpectrum,
-        a: &CplxSpectrum,
-        b: &CplxSpectrum,
+        rows: [&CplxSpectrum; R],
     ) {
-        let m = x.len();
-        assert_eq!(acc_a.len(), m, "spectrum size mismatch");
-        assert_eq!(acc_b.len(), m, "spectrum size mismatch");
-        assert_eq!(a.len(), m, "spectrum size mismatch");
-        assert_eq!(b.len(), m, "spectrum size mismatch");
-        simd::mul_acc_pair(
-            &mut acc_a.re,
-            &mut acc_a.im,
-            &mut acc_b.re,
-            &mut acc_b.im,
-            &x.re,
-            &x.im,
-            &a.re,
-            &a.im,
-            &b.re,
-            &b.im,
+        simd::mul_acc(
+            accs.map(|acc| (&mut acc.re[..], &mut acc.im[..])),
+            (&x.re, &x.im),
+            rows.map(|row| (&row.re[..], &row.im[..])),
         );
     }
 
@@ -366,7 +347,7 @@ impl FftEngine for F64Fft {
             (mask[at(k) + im], delta.im[k]) = narrow(a.im[k]);
         }
         let mut body_for_stored_mask = b.clone();
-        self.mul_accumulate(&mut body_for_stored_mask, &delta, key);
+        self.mul_accumulate([&mut body_for_stored_mask], &delta, [key]);
         for k in 0..m {
             body[at(k)] = narrow(body_for_stored_mask.re[k]).0;
             body[at(k) + im] = narrow(body_for_stored_mask.im[k]).0;
@@ -502,8 +483,8 @@ mod tests {
         let q = random_int_poly(n, 3, 100);
         let fq = engine.forward_int(&q);
         let mut acc = engine.zero_spectrum();
-        engine.mul_accumulate(&mut acc, &engine.forward_torus(&p1), &fq);
-        engine.mul_accumulate(&mut acc, &engine.forward_torus(&p2), &fq);
+        engine.mul_accumulate([&mut acc], &engine.forward_torus(&p1), [&fq]);
+        engine.mul_accumulate([&mut acc], &engine.forward_torus(&p2), [&fq]);
         let sum_first = engine.poly_mul(&(p1.clone() + &p2), &q);
         let acc_result = engine.backward_torus(&acc);
         assert!(acc_result.max_distance(&sum_first) < 1e-6);

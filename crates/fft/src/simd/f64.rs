@@ -298,174 +298,94 @@ unsafe fn radix2_stage_pair_avx(
 // f64 pointwise kernels
 // ---------------------------------------------------------------------------
 
-/// `acc += a ⊙ b` over split-complex slices — the pointwise
-/// multiply-accumulate of the external product (and, with a factor table as
-/// `a`, the TGSW scale). The vector leg uses two FMAs per component; the
-/// scalar leg rounds each product before it adds it.
+/// The double-precision engine's pointwise multiply-accumulate, `ROWS` rows
+/// in one pass over `x`: `acc_r += x ⊙ row_r` over split-complex slices. One
+/// row is key generation's and `poly_mul`'s product, two the external
+/// product's (each transformed digit times a mask row and a body row).
+///
+/// Each row meets the same element operations in the same order whatever
+/// `ROWS` is, so what a row gets does not depend on `ROWS`: on either leg a
+/// two-row call is bit-identical to two one-row calls. The scalar leg rounds
+/// each product before it adds it (`acc += x·a − x′·a′`); the vector leg
+/// contracts with two FMAs per component (`fmadd`, then `fnmadd` or
+/// `fmadd`), its tail with the same `mul_add`s.
+///
+/// # Panics
+///
+/// Panics on mismatched lengths.
 #[inline]
-pub(crate) fn mul_acc(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
+pub(crate) fn mul_acc<const ROWS: usize>(
+    mut accs: [(&mut [f64], &mut [f64]); ROWS],
+    (x_re, x_im): (&[f64], &[f64]),
+    rows: [(&[f64], &[f64]); ROWS],
 ) {
-    let m = acc_re.len();
-    assert_eq!(acc_im.len(), m, "component length mismatch");
-    assert_eq!(a_re.len(), m, "component length mismatch");
-    assert_eq!(a_im.len(), m, "component length mismatch");
-    assert_eq!(b_re.len(), m, "component length mismatch");
-    assert_eq!(b_im.len(), m, "component length mismatch");
+    let m = x_re.len();
+    assert_eq!(x_im.len(), m, "component length mismatch");
+    for ((acc_re, acc_im), (a_re, a_im)) in accs.iter().zip(rows) {
+        for len in [acc_re.len(), acc_im.len(), a_re.len(), a_im.len()] {
+            assert_eq!(len, m, "component length mismatch");
+        }
+    }
     #[cfg(target_arch = "x86_64")]
     if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe { mul_acc_avx(acc_re, acc_im, a_re, a_im, b_re, b_im) };
+        // SAFETY: simd_active() implies AVX2+FMA are present; the lengths
+        // were checked.
+        unsafe { mul_acc_avx(accs, (x_re, x_im), rows) };
         return;
     }
     for k in 0..m {
-        acc_re[k] += a_re[k] * b_re[k] - a_im[k] * b_im[k];
-        acc_im[k] += a_re[k] * b_im[k] + a_im[k] * b_re[k];
+        let (xr, xi) = (x_re[k], x_im[k]);
+        for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
+            acc_re[k] += xr * a_re[k] - xi * a_im[k];
+            acc_im[k] += xr * a_im[k] + xi * a_re[k];
+        }
     }
 }
 
+/// [`mul_acc`]'s AVX2+FMA leg.
+///
+/// # Safety
+///
+/// AVX2 and FMA must be present; every slice must hold `x.0.len()`
+/// elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn mul_acc_avx(
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
+unsafe fn mul_acc_avx<const ROWS: usize>(
+    mut accs: [(&mut [f64], &mut [f64]); ROWS],
+    (x_re, x_im): (&[f64], &[f64]),
+    rows: [(&[f64], &[f64]); ROWS],
 ) {
     use std::arch::x86_64::*;
-    let m = acc_re.len();
+    let m = x_re.len();
     let mut k = 0;
     while k + 4 <= m {
+        // SAFETY: `k + 4 <= m`, every slice's length.
         unsafe {
-            let ar = _mm256_loadu_pd(a_re.as_ptr().add(k));
-            let ai = _mm256_loadu_pd(a_im.as_ptr().add(k));
-            let br = _mm256_loadu_pd(b_re.as_ptr().add(k));
-            let bi = _mm256_loadu_pd(b_im.as_ptr().add(k));
-            let mut cr = _mm256_loadu_pd(acc_re.as_ptr().add(k));
-            let mut ci = _mm256_loadu_pd(acc_im.as_ptr().add(k));
-            cr = _mm256_fmadd_pd(ar, br, cr);
-            cr = _mm256_fnmadd_pd(ai, bi, cr);
-            ci = _mm256_fmadd_pd(ar, bi, ci);
-            ci = _mm256_fmadd_pd(ai, br, ci);
-            _mm256_storeu_pd(acc_re.as_mut_ptr().add(k), cr);
-            _mm256_storeu_pd(acc_im.as_mut_ptr().add(k), ci);
+            let xr = _mm256_loadu_pd(x_re.as_ptr().add(k));
+            let xi = _mm256_loadu_pd(x_im.as_ptr().add(k));
+            for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
+                let ar = _mm256_loadu_pd(a_re.as_ptr().add(k));
+                let ai = _mm256_loadu_pd(a_im.as_ptr().add(k));
+                let mut cr = _mm256_loadu_pd(acc_re.as_ptr().add(k));
+                let mut ci = _mm256_loadu_pd(acc_im.as_ptr().add(k));
+                cr = _mm256_fmadd_pd(xr, ar, cr);
+                cr = _mm256_fnmadd_pd(xi, ai, cr);
+                ci = _mm256_fmadd_pd(xr, ai, ci);
+                ci = _mm256_fmadd_pd(xi, ar, ci);
+                _mm256_storeu_pd(acc_re.as_mut_ptr().add(k), cr);
+                _mm256_storeu_pd(acc_im.as_mut_ptr().add(k), ci);
+            }
         }
         k += 4;
     }
     while k < m {
         // Scalar tail uses the same FMA contraction as the vector body so
         // the SIMD leg is uniform regardless of lane alignment.
-        acc_re[k] = (-a_im[k]).mul_add(b_im[k], a_re[k].mul_add(b_re[k], acc_re[k]));
-        acc_im[k] = a_im[k].mul_add(b_re[k], a_re[k].mul_add(b_im[k], acc_im[k]));
-        k += 1;
-    }
-}
-
-/// `acc1 += c ⊙ u` and `acc2 += c ⊙ v` in one pass over `c` — the fused
-/// external-product / bundle-update inner loop. Per accumulator the
-/// element operations match [`mul_acc`] exactly (in both legs), so one
-/// fused call is bit-identical to two single calls on either path.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn mul_acc_pair(
-    acc1_re: &mut [f64],
-    acc1_im: &mut [f64],
-    acc2_re: &mut [f64],
-    acc2_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    u_re: &[f64],
-    u_im: &[f64],
-    v_re: &[f64],
-    v_im: &[f64],
-) {
-    let m = acc1_re.len();
-    assert_eq!(acc1_im.len(), m, "component length mismatch");
-    assert_eq!(acc2_re.len(), m, "component length mismatch");
-    assert_eq!(acc2_im.len(), m, "component length mismatch");
-    assert_eq!(c_re.len(), m, "component length mismatch");
-    assert_eq!(c_im.len(), m, "component length mismatch");
-    assert_eq!(u_re.len(), m, "component length mismatch");
-    assert_eq!(u_im.len(), m, "component length mismatch");
-    assert_eq!(v_re.len(), m, "component length mismatch");
-    assert_eq!(v_im.len(), m, "component length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
-        unsafe {
-            mul_acc_pair_avx(
-                acc1_re, acc1_im, acc2_re, acc2_im, c_re, c_im, u_re, u_im, v_re, v_im,
-            )
-        };
-        return;
-    }
-    for k in 0..m {
-        let (cr, ci) = (c_re[k], c_im[k]);
-        acc1_re[k] += cr * u_re[k] - ci * u_im[k];
-        acc1_im[k] += cr * u_im[k] + ci * u_re[k];
-        acc2_re[k] += cr * v_re[k] - ci * v_im[k];
-        acc2_im[k] += cr * v_im[k] + ci * v_re[k];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mul_acc_pair_avx(
-    acc1_re: &mut [f64],
-    acc1_im: &mut [f64],
-    acc2_re: &mut [f64],
-    acc2_im: &mut [f64],
-    c_re: &[f64],
-    c_im: &[f64],
-    u_re: &[f64],
-    u_im: &[f64],
-    v_re: &[f64],
-    v_im: &[f64],
-) {
-    use std::arch::x86_64::*;
-    let m = acc1_re.len();
-    let mut k = 0;
-    while k + 4 <= m {
-        unsafe {
-            let cr = _mm256_loadu_pd(c_re.as_ptr().add(k));
-            let ci = _mm256_loadu_pd(c_im.as_ptr().add(k));
-            let ur = _mm256_loadu_pd(u_re.as_ptr().add(k));
-            let ui = _mm256_loadu_pd(u_im.as_ptr().add(k));
-            let mut x = _mm256_loadu_pd(acc1_re.as_ptr().add(k));
-            let mut y = _mm256_loadu_pd(acc1_im.as_ptr().add(k));
-            x = _mm256_fmadd_pd(cr, ur, x);
-            x = _mm256_fnmadd_pd(ci, ui, x);
-            y = _mm256_fmadd_pd(cr, ui, y);
-            y = _mm256_fmadd_pd(ci, ur, y);
-            _mm256_storeu_pd(acc1_re.as_mut_ptr().add(k), x);
-            _mm256_storeu_pd(acc1_im.as_mut_ptr().add(k), y);
-            let vr = _mm256_loadu_pd(v_re.as_ptr().add(k));
-            let vi = _mm256_loadu_pd(v_im.as_ptr().add(k));
-            let mut x = _mm256_loadu_pd(acc2_re.as_ptr().add(k));
-            let mut y = _mm256_loadu_pd(acc2_im.as_ptr().add(k));
-            x = _mm256_fmadd_pd(cr, vr, x);
-            x = _mm256_fnmadd_pd(ci, vi, x);
-            y = _mm256_fmadd_pd(cr, vi, y);
-            y = _mm256_fmadd_pd(ci, vr, y);
-            _mm256_storeu_pd(acc2_re.as_mut_ptr().add(k), x);
-            _mm256_storeu_pd(acc2_im.as_mut_ptr().add(k), y);
+        let (xr, xi) = (x_re[k], x_im[k]);
+        for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
+            acc_re[k] = (-xi).mul_add(a_im[k], xr.mul_add(a_re[k], acc_re[k]));
+            acc_im[k] = xi.mul_add(a_re[k], xr.mul_add(a_im[k], acc_im[k]));
         }
-        k += 4;
-    }
-    while k < m {
-        let (cr, ci) = (c_re[k], c_im[k]);
-        acc1_re[k] = (-ci).mul_add(u_im[k], cr.mul_add(u_re[k], acc1_re[k]));
-        acc1_im[k] = ci.mul_add(u_re[k], cr.mul_add(u_im[k], acc1_im[k]));
-        acc2_re[k] = (-ci).mul_add(v_im[k], cr.mul_add(v_re[k], acc2_re[k]));
-        acc2_im[k] = ci.mul_add(v_re[k], cr.mul_add(v_im[k], acc2_im[k]));
         k += 1;
     }
 }

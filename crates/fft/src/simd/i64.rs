@@ -698,10 +698,9 @@ pub(crate) const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
 /// The integer engine's pointwise multiply-accumulate, `ROWS` rows in one
 /// pass over `x`: `acc_r += ⌊(x ⊙ row_r + 2^{shift−1}) / 2^shift⌋` per
 /// component, the complex product taken exactly and the quotient truncated
-/// to 64 bits. One row is [`crate::FftEngine::mul_accumulate`], two the
-/// external product's [`crate::FftEngine::mul_accumulate_pair`]; what a row
-/// gets does not depend on `ROWS`, so on every leg a pair call is
-/// bit-identical to two single calls.
+/// to 64 bits: [`crate::FftEngine::mul_accumulate`] with `ROWS` rows, two
+/// in the external product. What a row gets does not depend on `ROWS`, so
+/// on every leg a two-row call is bit-identical to two one-row calls.
 ///
 /// The scalar leg is the definition: one `i128` product per term. The
 /// [`Leg::Avx512`](super::Leg::Avx512) leg builds the products from 32-bit

@@ -72,18 +72,20 @@
 //!
 //! * **Bounded ulp, not bitwise:** the butterflies ([`radix2_stage`],
 //!   [`radix2_stage_pair`]), the twist (inside [`fold_twist`]; the untwist
-//!   inside [`untwist_to_torus`]) and the pointwise accumulates
-//!   (`mul_acc`, `mul_acc_pair`) — the vector leg contracts
-//!   `a·b ± c·d` into fused multiply-adds (one rounding instead of two).
+//!   inside [`untwist_to_torus`]) and the pointwise accumulate (`mul_acc`)
+//!   — the vector leg contracts `a·b ± c·d` into fused multiply-adds (one
+//!   rounding instead of two).
 //! * **Bitwise:** the reduction mod `2^32` at the end of
 //!   [`untwist_to_torus`] — on identical untwisted values both legs store
 //!   the same `Torus32` (`reduce_turns` states the rule) — the narrow
 //!   `len = 2` butterfly stage, which has no multiplies, and the bundle row
 //!   over a stored key (`bundle_row`), whose scalar leg is written with
 //!   the fused multiply-adds the vector leg makes.
-//! * **Within each leg** the fused pair kernel `mul_acc_pair` is
-//!   bit-identical to two `mul_acc` calls (the external product swaps
-//!   freely between them).
+//! * **Within each leg** a row's result does not depend on `R`: the one
+//!   pointwise kernel, `mul_acc::<R>` (and the integer engine's
+//!   `i64_mul_acc::<R>`), gives each of its `R` rows the same element
+//!   operations in the same order, so the external product's two-row call
+//!   is bit-identical to two one-row calls.
 //!
 //! # Integer (i64) kernels
 //!
@@ -133,9 +135,7 @@ pub use self::dispatch::{active_leg, force_simd, simd_active, simd_detected, Leg
 pub use self::f64::{
     bit_reverse_copy_pair, fold_twist, radix2_stage, radix2_stage_pair, untwist_to_torus, Reversed,
 };
-pub(crate) use self::f64::{
-    bundle_row, mul_acc, mul_acc_pair, reduce_turns, round_half_away, FIRST_WIDE_STAGE,
-};
+pub(crate) use self::f64::{bundle_row, mul_acc, reduce_turns, round_half_away, FIRST_WIDE_STAGE};
 pub(crate) use self::i64::{
     i64_bundle_row, i64_mul_acc, i64_radix2_stage, i64_radix2_stage_halving, LiftSplit,
 };
@@ -427,15 +427,17 @@ mod tests {
         let mut p2 = vec![-0.5; m];
         let mut p3 = vec![1.0; m];
         let mut p4 = vec![2.0; m];
-        mul_acc_pair(
-            &mut p1, &mut p2, &mut p3, &mut p4, &c_re, &c_im, &u_re, &u_im, &v_re, &v_im,
+        mul_acc(
+            [(&mut p1, &mut p2), (&mut p3, &mut p4)],
+            (&c_re, &c_im),
+            [(&u_re, &u_im), (&v_re, &v_im)],
         );
         let mut s1 = vec![0.25; m];
         let mut s2 = vec![-0.5; m];
         let mut s3 = vec![1.0; m];
         let mut s4 = vec![2.0; m];
-        mul_acc(&mut s1, &mut s2, &c_re, &c_im, &u_re, &u_im);
-        mul_acc(&mut s3, &mut s4, &c_re, &c_im, &v_re, &v_im);
+        mul_acc([(&mut s1, &mut s2)], (&c_re, &c_im), [(&u_re, &u_im)]);
+        mul_acc([(&mut s3, &mut s4)], (&c_re, &c_im), [(&v_re, &v_im)]);
         assert_eq!(p1, s1);
         assert_eq!(p2, s2);
         assert_eq!(p3, s3);

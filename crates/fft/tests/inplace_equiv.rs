@@ -44,10 +44,10 @@ fn check_engine<E: FftEngine>(engine: &E, p: &TorusPolynomial, q: &IntPolynomial
 
     // accumulate identically on both sides
     let mut alloc_acc = engine.zero_spectrum();
-    engine.mul_accumulate(&mut alloc_acc, &alloc_fp, &alloc_fq);
+    engine.mul_accumulate([&mut alloc_acc], &alloc_fp, [&alloc_fq]);
     let mut into_acc = engine.zero_spectrum();
     engine.clear_spectrum(&mut into_acc);
-    engine.mul_accumulate(&mut into_acc, &into_fp, &into_fq);
+    engine.mul_accumulate([&mut into_acc], &into_fp, [&into_fq]);
 
     // backward: allocating vs into
     let alloc_out = engine.backward_torus(&alloc_acc);
@@ -55,14 +55,15 @@ fn check_engine<E: FftEngine>(engine: &E, p: &TorusPolynomial, q: &IntPolynomial
     engine.backward_torus_into(&into_acc, &mut into_out, &mut scratch);
     prop_assert_eq!(&alloc_out, &into_out);
 
-    // mul_accumulate_pair must equal two mul_accumulate calls exactly
+    // Two rows in one mul_accumulate must equal two one-row calls exactly
+    let other_fp = engine.forward_torus(&p.mul_by_monomial(1));
     let mut pair_a = engine.zero_spectrum();
     let mut pair_b = engine.zero_spectrum();
-    engine.mul_accumulate_pair(&mut pair_a, &mut pair_b, &into_fq, &into_fp, &into_fp);
+    engine.mul_accumulate([&mut pair_a, &mut pair_b], &into_fq, [&into_fp, &other_fp]);
     let mut seq_a = engine.zero_spectrum();
     let mut seq_b = engine.zero_spectrum();
-    engine.mul_accumulate(&mut seq_a, &into_fq, &into_fp);
-    engine.mul_accumulate(&mut seq_b, &into_fq, &into_fp);
+    engine.mul_accumulate([&mut seq_a], &into_fq, [&into_fp]);
+    engine.mul_accumulate([&mut seq_b], &into_fq, [&other_fp]);
     let mut back_pair = TorusPolynomial::zero(N);
     let mut back_seq = TorusPolynomial::zero(N);
     engine.backward_torus_into(&pair_a, &mut back_pair, &mut scratch);

@@ -109,7 +109,7 @@ fn pipeline<E: FftEngine>(engine: &E, seed: u32) -> (TorusPolynomial, TorusPolyn
     let mut fd = engine.zero_spectrum();
     for level in 0..decomp.levels() {
         engine.forward_decomposed_into(&p, &decomp, level, &mut fd, &mut scratch);
-        engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, &fd, &fq, &fq);
+        engine.mul_accumulate([&mut acc_a, &mut acc_b], &fd, [&fq, &fq]);
     }
     // Bundle path: one row `fq + Σ (X^e − 1)·fq` over three patterns of a
     // stored key.
@@ -735,8 +735,8 @@ fn approx_worst_case_magnitudes_agree_and_do_not_overflow() {
     }
 }
 
-/// `mul_accumulate_pair(x, a, −a)` and `mul_accumulate(x, a)` on every leg,
-/// against the `i128` definition.
+/// `mul_accumulate` of `x` with the rows `[a, −a]` and with `[a]` alone, on
+/// every leg, against the `i128` definition.
 fn check_products(engine: &ApproxIntFft, x: &FixedSpectrum, a: &FixedSpectrum) {
     let negated = FixedSpectrum {
         re: a.re.iter().map(|v| -v).collect(),
@@ -765,9 +765,9 @@ fn check_products(engine: &ApproxIntFft, x: &FixedSpectrum, a: &FixedSpectrum) {
     };
     let outs = on_each_leg(|| {
         let (mut acc_a, mut acc_b) = (zeros(), zeros());
-        engine.mul_accumulate_pair(&mut acc_a, &mut acc_b, x, a, &negated);
+        engine.mul_accumulate([&mut acc_a, &mut acc_b], x, [a, &negated]);
         let mut single = zeros();
-        engine.mul_accumulate(&mut single, x, a);
+        engine.mul_accumulate([&mut single], x, [a]);
         [acc_a, acc_b, single].map(|s| (s.re, s.im))
     });
     for (leg, [pair_a, pair_b, single]) in Leg::ALL.iter().zip(&outs) {
@@ -867,7 +867,7 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
     // term, by the fused complex multiply-accumulate of factor table and
     // widened key — `mul_accumulate`'s vector-leg element order, which the
     // row keeps on its scalar leg too. On the vector leg that *is* one
-    // `mul_accumulate` per term.
+    // one-row `mul_accumulate` per term.
     let _g = ForceGuard::lock();
     for leg in Leg::ALL {
         force_simd(Some(leg));
@@ -898,7 +898,7 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
             };
             // The stored words as they stand: their `2^exp` is in the table.
             let words = common::widened_cplx(KeyBlock { exp: 0, ..key }, 128, p);
-            engine.mul_accumulate(&mut singles, &table, &words);
+            engine.mul_accumulate([&mut singles], &table, [&words]);
             for k in 0..128 {
                 let (fr, fi, sr, si) = (table.re[k], table.im[k], words.re[k], words.im[k]);
                 fused.re[k] = (-fi).mul_add(si, fr.mul_add(sr, fused.re[k]));
@@ -914,8 +914,9 @@ fn bundle_row_matches_copy_then_singles_on_either_leg() {
 
 #[test]
 fn pair_calls_match_singles_on_active_leg() {
-    // Whatever leg is active: one fused pair call must be bit-identical to
-    // two single calls — the external product swaps between them freely.
+    // Whatever leg is active: one two-row call must be bit-identical to two
+    // one-row calls — a row's result does not depend on how many rows ride
+    // with it.
     // The integer engine at N = 1024 multiplies a digit spectrum by torus
     // spectra at a shift the AVX-512 products cover (41 + 20).
     let _g = ForceGuard::lock();
@@ -933,19 +934,19 @@ fn pair_calls_match_singles_on_active_leg() {
     }
 }
 
-/// `mul_accumulate_pair(x, a, b)` against two `mul_accumulate` calls, for
-/// `a` and `b` the spectra of two uniform torus polynomials.
+/// `mul_accumulate` of `x` with the rows `[a, b]` against one call per row,
+/// for `a` and `b` the spectra of two uniform torus polynomials.
 fn check_pair_against_singles<E: FftEngine>(engine: &E, x: &E::Spectrum, seed: u32, ctx: &str) {
     let n = engine.ring_degree();
     let a = engine.forward_torus(&uniform_torus_poly(n, seed));
     let b = engine.forward_torus(&uniform_torus_poly(n, seed + 1));
     let mut pair_a = engine.zero_spectrum();
     let mut pair_b = engine.zero_spectrum();
-    engine.mul_accumulate_pair(&mut pair_a, &mut pair_b, x, &a, &b);
+    engine.mul_accumulate([&mut pair_a, &mut pair_b], x, [&a, &b]);
     let mut single_a = engine.zero_spectrum();
     let mut single_b = engine.zero_spectrum();
-    engine.mul_accumulate(&mut single_a, x, &a);
-    engine.mul_accumulate(&mut single_b, x, &b);
+    engine.mul_accumulate([&mut single_a], x, [&a]);
+    engine.mul_accumulate([&mut single_b], x, [&b]);
     // Spectra print every component exactly: equal text, equal values.
     assert_eq!(format!("{pair_a:?}"), format!("{single_a:?}"), "{ctx}");
     assert_eq!(format!("{pair_b:?}"), format!("{single_b:?}"), "{ctx}");

@@ -561,8 +561,11 @@ mod tests {
                     im: factor.im,
                 };
                 for (row, key_row) in expected.rows_mut().iter_mut().zip(key.rows()) {
-                    engine.mul_accumulate(&mut row.a, &factor, &key_row.a);
-                    engine.mul_accumulate(&mut row.b, &factor, &key_row.b);
+                    engine.mul_accumulate(
+                        [&mut row.a, &mut row.b],
+                        &factor,
+                        [&key_row.a, &key_row.b],
+                    );
                 }
             }
             for (r, (row, want)) in bundle.rows().iter().zip(expected.rows()).enumerate() {
@@ -638,7 +641,7 @@ mod tests {
     ) {
         let phase = |row: &TrlweSpectrum<E>| {
             let mut mask_times_key = engine.zero_spectrum();
-            engine.mul_accumulate(&mut mask_times_key, &row.a, key);
+            engine.mul_accumulate([&mut mask_times_key], &row.a, [key]);
             engine.backward_torus(&row.b) - &engine.backward_torus(&mask_times_key)
         };
         for (row, gadget_row) in sample.iter().zip(gadget.rows()) {

@@ -53,7 +53,7 @@ impl TgswCiphertext {
             let mut a = sampler.uniform_poly(n);
             engine.forward_torus_into(&a, &mut mask_spectrum, &mut scratch);
             engine.clear_spectrum(&mut product);
-            engine.mul_accumulate(&mut product, &mask_spectrum, &key_spectrum);
+            engine.mul_accumulate([&mut product], &mask_spectrum, [&key_spectrum]);
             let mut b = TorusPolynomial::zero(n);
             engine.backward_torus_into(&product, &mut b, &mut scratch);
             b += &sampler.gaussian_poly(n, params.ring_noise_stdev);
@@ -195,8 +195,10 @@ impl<E: FftEngine> TgswSpectrum<E> {
     /// split-complex AVX2+FMA kernels with no code here changing. The
     /// eight transforms are most of this kernel's cost (a backward
     /// transform, fused untwist-and-reduce tail included, costs what a
-    /// forward one does) and the six pair accumulates most of the rest;
-    /// the benchmark ledger's `tgsw.nonfft_share.*` rows measure the split.
+    /// forward one does) and the six multiply-accumulates most of the rest:
+    /// one [`FftEngine::mul_accumulate`] per digit with two rows, the mask
+    /// and body rows the digit multiplies. The benchmark ledger's
+    /// `tgsw.nonfft_share.*` rows measure the split.
     ///
     /// # Panics
     ///
@@ -233,7 +235,7 @@ impl<E: FftEngine> TgswSpectrum<E> {
                 });
                 let row = &self.rows[half * levels + level];
                 profile::timed(Phase::Other, || {
-                    engine.mul_accumulate_pair(acc_a, acc_b, fd, &row.a, &row.b);
+                    engine.mul_accumulate([&mut *acc_a, &mut *acc_b], fd, [&row.a, &row.b]);
                 });
             }
         }

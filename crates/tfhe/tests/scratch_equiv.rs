@@ -71,8 +71,8 @@ fn textbook_external_product<E: FftEngine>(
     let mut acc_b = engine.zero_spectrum();
     for (digit, row) in digits.iter().zip(tgsw.rows()) {
         let fd = engine.forward_int(digit);
-        engine.mul_accumulate(&mut acc_a, &fd, &row.a);
-        engine.mul_accumulate(&mut acc_b, &fd, &row.b);
+        engine.mul_accumulate([&mut acc_a], &fd, [&row.a]);
+        engine.mul_accumulate([&mut acc_b], &fd, [&row.b]);
     }
     TrlweCiphertext::from_parts(engine.backward_torus(&acc_a), engine.backward_torus(&acc_b))
 }
