@@ -157,7 +157,29 @@ mod tests {
         assert!(snap.fft >= Duration::from_millis(1));
         assert_eq!(snap.ifft_calls, 1);
         assert_eq!(snap.fft_calls, 1);
-        assert!(snap.fraction(Phase::Ifft) > snap.fraction(Phase::Fft));
+        // A live sleep overruns by whatever the host's scheduler adds, so
+        // the ratio of two is not a test: the fractions are read off fixed
+        // durations.
+        let ms = Duration::from_millis;
+        let fixed = Breakdown {
+            ifft: ms(2),
+            fft: ms(1),
+            key_switch: ms(1),
+            ..Breakdown::default()
+        };
+        assert!(fixed.fraction(Phase::Ifft) > fixed.fraction(Phase::Fft));
+        assert_eq!(fixed.fraction(Phase::Ifft), 0.5);
+        let sum: f64 = [
+            Phase::Ifft,
+            Phase::Fft,
+            Phase::TgswScale,
+            Phase::KeySwitch,
+            Phase::Other,
+        ]
+        .map(|p| fixed.fraction(p))
+        .iter()
+        .sum();
+        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]
