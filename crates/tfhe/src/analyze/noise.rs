@@ -30,7 +30,10 @@ use crate::params::ParameterSet;
 ///   the balanced digits' magnitudes `v`), so each of the `N·t` digits
 ///   subtracts or adds at most one fresh-noise sample, every position
 ///   charged; rounding each coefficient to `t·γ` bits adds a half-step
-///   per coefficient, all `N` charged.
+///   per coefficient, all `N` charged. The key keeps its mask words in 24
+///   bits, but every entry is an exact LWE sample (its body computed for
+///   the stored mask), so its phase error is its drawn Gaussian alone and
+///   the narrow masks add nothing to the term.
 /// * **Mod switch** (`v_mod_switch`) — rounding `n + 1`
 ///   torus coefficients to multiples of `1/2N`, uniform within a step.
 ///

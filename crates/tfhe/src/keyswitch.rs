@@ -10,13 +10,42 @@
 //! digits and added for negative ones. The paper's Algorithm 1 draws the
 //! same switch as the bootstrap's final step; the work per bootstrap is the
 //! same either way, one switch per blind rotation.
+//!
+//! The key stores every mask word in 24 bits. Each is the uniform `u32`
+//! drawn for it with the low byte cleared, kept as its top three bytes, and
+//! the body (32 bits) is computed for that stored mask, so every entry is
+//! an **exact** LWE sample whose phase error is its drawn Gaussian: the
+//! narrow masks add no noise to the switch. Nor do they help an attacker,
+//! who could switch 32-bit samples to any modulus `q′` for free at the
+//! cost of `√(n/24)` units of rounding at `q′`, against the key's `α·q′` —
+//! the two meet at `q′ ≈ 2^17.5` (about 4.5 units each at `MATCHA`). Masks
+//! of 19 or more bits therefore give an attacker nothing new; 24 bits is
+//! byte-aligned with margin, while 16 bits (σ = 1.6 units at `2^16`,
+//! against ≈ 4.8 reachable from 32-bit samples) would weaken the key.
 
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
 use crate::secret::LweSecretKey;
+use matcha_fft::simd_active;
 use matcha_math::{GadgetDecomposer, Torus32, TorusSampler};
 use rand::Rng;
+
+/// Bytes a stored mask word keeps: the top three of its 32 bits.
+const MASK_WORD_BYTES: usize = 3;
+
+/// The low byte every stored mask word has cleared.
+const DROPPED_BITS: u32 = 0xff;
+
+/// Zero bytes after the last entry: the vector leg's last 32-byte load of
+/// an entry may reach this far past its body.
+const TAIL_PAD: usize = 4;
+
+/// Bytes of one stored entry of dimension `n`: its mask words, then its
+/// body as a little-endian `u32`.
+const fn entry_bytes(n: usize) -> usize {
+    n * MASK_WORD_BYTES + 4
+}
 
 /// A key-switching key `KS_{s′→s}`.
 ///
@@ -26,14 +55,19 @@ use rand::Rng;
 /// `N × t × 2^{γ−1}` LWE samples, and entry `(i, j, v)` encrypts
 /// `v · s′_i · h_j` under the target key. A digit `d > 0` subtracts entry
 /// `(i, j, d)`, a digit `d < 0` adds entry `(i, j, −d)` and `d = 0` touches
-/// nothing — two samples per `(i, j)` at the paper's `γ = 2`. The samples
-/// live in one flat array, `n + 1` torus elements each (mask, then body),
-/// in `(i, j, v)` order — a switch applies up to `N·t` of them, and one
-/// allocation with computable addresses is what lets it prefetch the next
-/// coefficient's picks while it applies the current ones.
+/// nothing — two samples per `(i, j)` at the paper's `γ = 2`.
+///
+/// The samples live in one flat byte array in `(i, j, v)` order, each
+/// `3n + 4` bytes: `n` mask words as the top three bytes of their 32 bits,
+/// little-endian (the low byte is zero, see the module docs), then the body
+/// as a little-endian `u32` — 1 504 B an entry and 23.5 MiB at `MATCHA`.
+/// A switch applies up to `N·t` entries, and one allocation with computable addresses is what
+/// lets it prefetch the next coefficient's picks while it applies the
+/// current ones. Four zero bytes follow the last entry for the vector
+/// leg's loads.
 #[derive(Clone, Debug)]
 pub struct KeySwitchKey {
-    entries: Vec<Torus32>,
+    bytes: Vec<u8>,
     from_dimension: usize,
     to_dimension: usize,
     decomp: GadgetDecomposer,
@@ -60,25 +94,34 @@ impl KeySwitchKey {
         let magnitudes = (decomp.base() / 2) as i32;
         let n_from = from_key.dimension();
         let n_to = to_key.dimension();
-        let mut entries =
-            Vec::with_capacity(n_from * decomp.levels() * magnitudes as usize * (n_to + 1));
+        let count = n_from * decomp.levels() * magnitudes as usize;
+        let mut bytes = Vec::with_capacity(count * entry_bytes(n_to) + TAIL_PAD);
+        let mut mask = vec![Torus32::ZERO; n_to];
         for i in 0..n_from {
             let s_bit = i32::from(from_key.bits()[i]);
             for j in 0..decomp.levels() {
                 for v in 1..=magnitudes {
                     let mu = decomp.gadget(j) * (v * s_bit);
-                    // `LweCiphertext::encrypt`, in place: same draws in the
-                    // same order (mask, then the body's noise).
-                    let start = entries.len();
-                    entries.extend((0..n_to).map(|_| sampler.uniform()));
-                    let body = to_key.dot(&entries[start..])
-                        + sampler.gaussian_around(mu, params.lwe_noise_stdev);
-                    entries.push(body);
+                    // `LweCiphertext::encrypt` of the stored mask: the same
+                    // draws in the same order (mask, then the body's noise).
+                    for a in &mut mask {
+                        *a = Torus32::from_raw(sampler.uniform().raw() & !DROPPED_BITS);
+                    }
+                    let body =
+                        to_key.dot(&mask) + sampler.gaussian_around(mu, params.lwe_noise_stdev);
+                    let start = bytes.len();
+                    bytes.resize(start + entry_bytes(n_to), 0);
+                    let (words, body_bytes) = bytes[start..].split_at_mut(n_to * MASK_WORD_BYTES);
+                    for (word, a) in words.chunks_exact_mut(MASK_WORD_BYTES).zip(&mask) {
+                        word.copy_from_slice(&a.raw().to_le_bytes()[1..]);
+                    }
+                    body_bytes.copy_from_slice(&body.raw().to_le_bytes());
                 }
             }
         }
+        bytes.resize(bytes.len() + TAIL_PAD, 0);
         Self {
-            entries,
+            bytes,
             from_dimension: n_from,
             to_dimension: n_to,
             decomp,
@@ -97,7 +140,19 @@ impl KeySwitchKey {
 
     /// Size of the key in LWE samples (for memory-traffic models).
     pub fn entry_count(&self) -> usize {
-        self.entries.len() / (self.to_dimension + 1)
+        self.from_dimension * self.decomp.levels() * (self.decomp.base() as usize / 2)
+    }
+
+    /// Bytes the key holds: every entry's mask words and body, and the
+    /// zero bytes the vector leg may read past the last one.
+    pub fn stored_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Entry `index` and the bytes a vector load may read past its body.
+    fn entry(&self, index: usize) -> &[u8] {
+        let stride = entry_bytes(self.to_dimension);
+        &self.bytes[index * stride..(index + 1) * stride + TAIL_PAD]
     }
 
     /// Switches `c` (under the source key) to the target key, into a
@@ -133,6 +188,7 @@ impl KeySwitchKey {
         let n = self.to_dimension;
         let levels = self.decomp.levels();
         let magnitudes = self.decomp.base() as usize / 2;
+        let vector = simd_active();
         // The entries coefficient `i` selects, one per nonzero digit, each
         // with whether its digit is positive (the entry is subtracted) or
         // negative (added).
@@ -141,11 +197,7 @@ impl KeySwitchKey {
             (0..levels).filter_map(move |j| {
                 let digit = self.decomp.digit(shifted, j);
                 let v = (digit.unsigned_abs() as usize).checked_sub(1)?;
-                let index = (i * levels + j) * magnitudes + v;
-                Some((
-                    digit > 0,
-                    &self.entries[index * (n + 1)..(index + 1) * (n + 1)],
-                ))
+                Some((digit > 0, self.entry((i * levels + j) * magnitudes + v)))
             })
         };
         for (c, out) in inputs.iter().zip(outs.iter_mut()) {
@@ -160,44 +212,136 @@ impl KeySwitchKey {
             // being applied.
             if i + 1 < self.from_dimension {
                 for c in inputs {
-                    selected(i + 1, c.mask()[i + 1]).for_each(|(_, entry)| prefetch(entry));
+                    selected(i + 1, c.mask()[i + 1])
+                        .for_each(|(_, entry)| prefetch(&entry[..entry_bytes(n)]));
                 }
             }
             for (c, out) in inputs.iter().zip(outs.iter_mut()) {
                 let (mask, body) = out.parts_mut();
-                for (positive, entry) in selected(i, c.mask()[i]) {
-                    if positive {
-                        for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
-                            *x -= y;
-                        }
-                        *body -= entry[n];
-                    } else {
-                        for (x, &y) in mask.iter_mut().zip(&entry[..n]) {
-                            *x += y;
-                        }
-                        *body += entry[n];
-                    }
+                for (subtract, entry) in selected(i, c.mask()[i]) {
+                    apply(vector, mask, body, entry, subtract);
                 }
             }
         }
     }
 }
 
+/// Subtracts (`subtract`) or adds the stored entry `entry` to the sample
+/// `(mask, body)`, on the AVX2 leg when `vector` (which the caller takes
+/// from [`simd_active`]), else on the scalar one. Both give the same bits.
+#[inline]
+fn apply(vector: bool, mask: &mut [Torus32], body: &mut Torus32, entry: &[u8], subtract: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if vector {
+        // SAFETY: a vector leg is active only where the CPU has AVX2.
+        return unsafe { apply_avx2(mask, body, entry, subtract) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = vector;
+    apply_scalar(mask, body, entry, subtract)
+}
+
+/// The scalar leg, and the definition: word `k` of the mask is bytes
+/// `3k..3k + 3` as the top three bytes of a `u32`, and the body follows the
+/// last word.
+fn apply_scalar(mask: &mut [Torus32], body: &mut Torus32, entry: &[u8], subtract: bool) {
+    let n = mask.len();
+    let entry = &entry[..entry_bytes(n)];
+    // The `u32` at byte `3k` shifted up a byte is word `k` (the next
+    // word's first byte falls off the top).
+    let words = entry
+        .windows(4)
+        .step_by(MASK_WORD_BYTES)
+        .map(|w| Torus32::from_raw(u32::from_le_bytes([w[0], w[1], w[2], w[3]]) << 8));
+    let stored_body = Torus32::from_raw(u32::from_le_bytes(
+        entry[n * MASK_WORD_BYTES..]
+            .try_into()
+            .expect("four body bytes"),
+    ));
+    if subtract {
+        mask.iter_mut().zip(words).for_each(|(x, y)| *x -= y);
+        *body -= stored_body;
+    } else {
+        mask.iter_mut().zip(words).for_each(|(x, y)| *x += y);
+        *body += stored_body;
+    }
+}
+
+/// The AVX2 leg of [`apply_scalar`]: eight mask words a step, widened from
+/// one 32-byte load by a `vpermd` that gives each 128-bit lane its four
+/// words' twelve bytes and a `vpshufb` that moves every three bytes to the
+/// top of a 32-bit lane over a zero low byte. The words past the last full
+/// eight and the body go through the scalar leg.
+///
+/// # Panics
+///
+/// Panics if `entry` is shorter than the entry and the [`TAIL_PAD`] bytes
+/// after it (the last load reads up to four bytes past the body).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn apply_avx2(mask: &mut [Torus32], body: &mut Torus32, entry: &[u8], subtract: bool) {
+    use std::arch::x86_64::*;
+    let n = mask.len();
+    assert!(entry.len() >= entry_bytes(n) + TAIL_PAD, "entry too short");
+    let groups = n / 8;
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 3, 4, 5, 6);
+    #[rustfmt::skip]
+    let widen = _mm256_setr_epi8(
+        -1, 0, 1, 2, -1, 3, 4, 5, -1, 6, 7, 8, -1, 9, 10, 11,
+        -1, 0, 1, 2, -1, 3, 4, 5, -1, 6, 7, 8, -1, 9, 10, 11,
+    );
+    let src = entry.as_ptr();
+    let dst = mask.as_mut_ptr().cast::<__m256i>();
+    for g in 0..groups {
+        // SAFETY: the load reads bytes `24g..24g + 32` of `entry`, at most
+        // `3n + 8` — inside it by the assert; word group `g` is inside
+        // `mask`. `Torus32` is a transparent `u32`.
+        unsafe {
+            let raw = _mm256_loadu_si256(src.add(8 * MASK_WORD_BYTES * g).cast());
+            let words = _mm256_shuffle_epi8(_mm256_permutevar8x32_epi32(raw, lanes), widen);
+            let acc = _mm256_loadu_si256(dst.add(g));
+            let acc = if subtract {
+                _mm256_sub_epi32(acc, words)
+            } else {
+                _mm256_add_epi32(acc, words)
+            };
+            _mm256_storeu_si256(dst.add(g), acc);
+        }
+    }
+    let done = 8 * groups;
+    apply_scalar(
+        &mut mask[done..],
+        body,
+        &entry[done * MASK_WORD_BYTES..],
+        subtract,
+    );
+}
+
 /// Bytes per cache line on every x86_64 part this runs on.
 #[cfg(target_arch = "x86_64")]
 const CACHE_LINE: usize = 64;
 
-/// Hints the cache to fetch all of `entry` (a no-op where there is no such
-/// hint).
+/// Hints the cache to fetch every line `entry` touches (a no-op where
+/// there is no such hint).
 #[inline]
-fn prefetch(entry: &[Torus32]) {
+fn prefetch(entry: &[u8]) {
     #[cfg(target_arch = "x86_64")]
-    for line in entry.chunks(CACHE_LINE / std::mem::size_of::<Torus32>()) {
-        // SAFETY: prefetching has no architectural effect, and the address
-        // is inside a live slice anyway.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast());
+    {
+        // Entries are not line-aligned: start from the line holding the
+        // first byte so that the one holding the last is fetched too.
+        let offset = entry.as_ptr() as usize % CACHE_LINE;
+        for line in (0..offset + entry.len()).step_by(CACHE_LINE) {
+            // SAFETY: prefetching has no architectural effect, and every
+            // address is in a line that holds a byte of a live slice.
+            unsafe {
+                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+                let address = entry.as_ptr().wrapping_sub(offset).wrapping_add(line);
+                _mm_prefetch::<_MM_HINT_T0>(address.cast());
+            }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -223,11 +367,9 @@ mod tests {
         KeySwitchKey,
         TorusSampler<StdRng>,
     ) {
-        let params = ParameterSet::TEST_FAST;
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(31));
-        let from = LweSecretKey::generate(128, &mut sampler);
-        let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let (from, to) = keys(&mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &ParameterSet::TEST_FAST, &mut sampler);
         (from, to, ksk, sampler)
     }
 
@@ -274,50 +416,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_key_matches_per_entry_reference() {
-        // The same sampler stream through a per-entry construction (one
-        // `LweCiphertext::encrypt` per `(i, j, v)`, `v ≤ 2^{γ−1}`) must give
-        // the same key material, and a switch must equal applying those
-        // entries by hand: subtract entry `(i, j, d)` for every digit
-        // `d > 0` of `GadgetDecomposer::decompose`, add `(i, j, −d)` for
-        // `d < 0`.
-        let params = ParameterSet::TEST_FAST;
-        let keys = |sampler: &mut TorusSampler<StdRng>| {
-            let from = LweSecretKey::generate(128, sampler);
-            let to = LweSecretKey::generate(params.lwe_dimension, sampler);
-            (from, to)
+    /// Stored entry `index` as a sample, decoded byte by byte.
+    fn stored_sample(ksk: &KeySwitchKey, index: usize) -> LweCiphertext {
+        let n = ksk.to_dimension();
+        let entry = ksk.entry(index);
+        let word = |b: &[u8]| {
+            b.iter()
+                .rev()
+                .fold(0u32, |w, &byte| w << 8 | u32::from(byte))
         };
+        let mask = entry[..3 * n]
+            .chunks(3)
+            .map(|b| Torus32::from_raw(word(b) << 8))
+            .collect();
+        LweCiphertext::from_parts(mask, Torus32::from_raw(word(&entry[3 * n..3 * n + 4])))
+    }
+
+    /// The keys of a `128 → n` switch at `TEST_FAST`.
+    fn keys(sampler: &mut TorusSampler<StdRng>) -> (LweSecretKey, LweSecretKey) {
+        let from = LweSecretKey::generate(128, sampler);
+        let to = LweSecretKey::generate(ParameterSet::TEST_FAST.lwe_dimension, sampler);
+        (from, to)
+    }
+
+    #[test]
+    fn stored_entries_are_exact_lwe_samples() {
+        // Replaying the generator's draws: every stored mask word is the
+        // word drawn for it with its low byte cleared, and the body minus
+        // `⟨mask, s⟩` and the message `v·s′_i·h_j` is the Gaussian drawn
+        // after the mask, bit for bit — the entry's whole phase error.
+        let params = ParameterSet::TEST_FAST;
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
         let (from, to) = keys(&mut sampler);
         let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
 
-        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
-        let (from_again, to_again) = keys(&mut sampler);
-        assert_eq!(from.bits(), from_again.bits());
+        let mut replay = TorusSampler::new(StdRng::seed_from_u64(57));
+        let _ = keys(&mut replay);
         let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
-        let (levels, magnitudes) = (decomp.levels(), decomp.base() as usize / 2);
-        let mut reference = Vec::new();
+        let mut index = 0;
         for i in 0..128 {
             let s_bit = i32::from(from.bits()[i]);
-            for j in 0..levels {
-                for v in 1..=magnitudes as i32 {
-                    reference.push(LweCiphertext::encrypt(
-                        decomp.gadget(j) * (v * s_bit),
-                        &to_again,
-                        params.lwe_noise_stdev,
-                        &mut sampler,
-                    ));
+            for j in 0..decomp.levels() {
+                for v in 1..=decomp.base() as i32 / 2 {
+                    let stored = stored_sample(&ksk, index);
+                    for &a in stored.mask() {
+                        assert_eq!(a.raw(), replay.uniform().raw() & !0xff, "entry {index}");
+                    }
+                    let noise = replay.gaussian_around(Torus32::ZERO, params.lwe_noise_stdev);
+                    let mu = decomp.gadget(j) * (v * s_bit);
+                    assert_eq!(
+                        stored.body() - to.dot(stored.mask()) - mu,
+                        noise,
+                        "entry {index}"
+                    );
+                    index += 1;
                 }
             }
         }
-        assert_eq!(ksk.entry_count(), reference.len());
+        assert_eq!(index, ksk.entry_count());
         let n = to.dimension();
-        for (entry, lwe) in ksk.entries.chunks(n + 1).zip(&reference) {
-            assert_eq!(&entry[..n], lwe.mask());
-            assert_eq!(entry[n], lwe.body());
-        }
+        assert_eq!(ksk.stored_bytes(), index * (3 * n + 4) + TAIL_PAD);
+        assert!(ksk.bytes[index * (3 * n + 4)..].iter().all(|&b| b == 0));
+    }
 
+    #[test]
+    fn flat_key_matches_per_entry_reference() {
+        // A switch must equal applying the stored samples by hand: subtract
+        // entry `(i, j, d)` for every digit `d > 0` of
+        // `GadgetDecomposer::decompose`, add `(i, j, −d)` for `d < 0`.
+        let params = ParameterSet::TEST_FAST;
+        let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
+        let (from, to) = keys(&mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
+        let (levels, magnitudes) = (decomp.levels(), decomp.base() as usize / 2);
+        let reference: Vec<_> = (0..ksk.entry_count())
+            .map(|index| stored_sample(&ksk, index))
+            .collect();
+
+        let n = to.dimension();
         let mut out = LweCiphertext::default();
         for message in [0.125, -0.25, 0.0] {
             let c = LweCiphertext::encrypt(Torus32::from_f64(message), &from, 1e-8, &mut sampler);
@@ -338,6 +515,45 @@ mod tests {
             }
             ksk.switch_into(&c, &mut out);
             assert_eq!(out, expected, "message {message}");
+        }
+    }
+
+    #[test]
+    fn vector_leg_matches_scalar_leg() {
+        // Both kernels called directly, whatever leg the process runs:
+        // dimensions with and without a tail past the last eight words,
+        // both signs, random bytes in the padding (which neither may use).
+        let mut rng = StdRng::seed_from_u64(0x24b);
+        for n in [8, 16, 500, 503] {
+            for subtract in [true, false] {
+                let entry: Vec<u8> = (0..entry_bytes(n) + TAIL_PAD).map(|_| rng.gen()).collect();
+                let start: Vec<_> = (0..n).map(|_| Torus32::from_raw(rng.gen())).collect();
+                let start_body = Torus32::from_raw(rng.gen());
+                let (mut mask, mut body) = (start.clone(), start_body);
+                apply_scalar(&mut mask, &mut body, &entry, subtract);
+                let stored = |k: usize| {
+                    Torus32::from_raw(
+                        u32::from(entry[k]) << 8
+                            | u32::from(entry[k + 1]) << 16
+                            | u32::from(entry[k + 2]) << 24,
+                    )
+                };
+                let stored_body =
+                    Torus32::from_raw(u32::from_le_bytes(entry[3 * n..][..4].try_into().unwrap()));
+                let sign = |x: Torus32| if subtract { -x } else { x };
+                for k in 0..n {
+                    assert_eq!(mask[k], start[k] + sign(stored(3 * k)), "n={n} word {k}");
+                }
+                assert_eq!(body, start_body + sign(stored_body), "n={n} body");
+                #[cfg(target_arch = "x86_64")]
+                if is_x86_feature_detected!("avx2") {
+                    let (mut vector_mask, mut vector_body) = (start.clone(), start_body);
+                    // SAFETY: the CPU has AVX2.
+                    unsafe { apply_avx2(&mut vector_mask, &mut vector_body, &entry, subtract) };
+                    assert_eq!(vector_mask, mask, "n={n} subtract={subtract}");
+                    assert_eq!(vector_body, body, "n={n} subtract={subtract}");
+                }
+            }
         }
     }
 

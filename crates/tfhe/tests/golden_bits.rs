@@ -116,9 +116,9 @@ fn runnable_legs() -> Vec<Leg> {
 #[test]
 fn gate_outputs_match_golden_hashes() {
     /// `F64Fft` at m = 2: the scalar leg's hash, then the vector legs'.
-    const F64_M2: [u64; 2] = [0x714d_f8cb_b3cf_2b6c, 0xb87c_072f_67e4_fe7d];
+    const F64_M2: [u64; 2] = [0x67aa_6746_b7b2_80c0, 0x3555_957d_85d9_07a4];
     /// `ApproxIntFft(38)` at m = 3, every leg.
-    const APPROX38_M3: u64 = 0x01cf_b333_cdbf_4adb;
+    const APPROX38_M3: u64 = 0xaf9e_e06f_93fd_cb44;
     let n = ParameterSet::MATCHA.ring_degree;
     let mut wrong = Vec::new();
     for leg in runnable_legs() {

@@ -8,8 +8,9 @@
 use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
-    BootstrapKit, ClientKey, EpScratch, Gate, LaneGate, LweCiphertext, LweSecretKey, ParameterSet,
-    RingSecretKey, ServerKey, TgswCiphertext, TrlweCiphertext, UnrolledBootstrappingKey, MAX_LANES,
+    BootstrapKit, ClientKey, EpScratch, Gate, KeySwitchKey, LaneGate, LweCiphertext, LweSecretKey,
+    ParameterSet, RingSecretKey, ServerKey, TgswCiphertext, TrlweCiphertext,
+    UnrolledBootstrappingKey, MAX_LANES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,6 +122,33 @@ fn assert_generation_holds_one_sample_beside_the_key<E: FftEngine>(engine: &E, s
 fn key_generation_holds_one_sample_beside_the_key() {
     assert_generation_holds_one_sample_beside_the_key(&F64Fft::new(1024), 31);
     assert_generation_holds_one_sample_beside_the_key(&ApproxIntFft::new(1024, 38), 32);
+}
+
+/// The key-switching key is written into one allocation of its final size:
+/// at the paper's `N = 1024 → n = 500` generation never has more live than
+/// the key and one sample's mask — no `Vec` doubling, no second copy — and
+/// the key stores 1 504 B an entry (three-byte mask words, a four-byte
+/// body).
+#[test]
+fn key_switching_key_generation_holds_only_the_key() {
+    let params = ParameterSet::MATCHA;
+    let mut sampler = TorusSampler::new(StdRng::seed_from_u64(33));
+    let from = LweSecretKey::generate(params.ring_degree, &mut sampler);
+    let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
+    let (ksk, peak) =
+        live_bytes_peak_of(|| KeySwitchKey::generate(&from, &to, &params, &mut sampler));
+    assert_eq!(ksk.entry_count(), 16_384);
+    let entries = ksk.entry_count() * 1_504;
+    assert!(
+        (entries..=entries + 32).contains(&ksk.stored_bytes()),
+        "the key stores {} bytes",
+        ksk.stored_bytes()
+    );
+    assert!(
+        peak <= ksk.stored_bytes() + (64 << 10),
+        "generation had {peak} bytes live; the key is {}",
+        ksk.stored_bytes()
+    );
 }
 
 /// The fused decompose→twist external product stays allocation-free once
