@@ -12,9 +12,9 @@
 //! verdict, never a blowup) under a starved budget.
 //!
 //! This is the suite the CI `netlist-equiv` job runs. All but one test
-//! spend zero bootstraps — plaintext static analysis, and servers that
-//! reject their submission at admission; the admission ladder's runs the
-//! 4-bit adder six times at test parameters.
+//! spend zero bootstraps — plaintext static analysis, and `server::admit`
+//! called without keys; the admission ladder's runs the 4-bit adder six
+//! times at test parameters.
 
 use matcha_circuits::analysis::{
     adder_spec, alu_spec, eq_comparator_spec, library, library_specs, mul_low_spec, mul_spec,
@@ -27,10 +27,10 @@ use matcha_tfhe::analyze::equiv::{
 };
 use matcha_tfhe::analyze::DEFAULT_FAILURE_BUDGET;
 use matcha_tfhe::circuit::{CircuitNetlist, GateOp};
-use matcha_tfhe::server::{CircuitServer, RejectReason, RewritePass, ServerConfig};
+use matcha_tfhe::server::{admit, CircuitServer, RejectReason, Rung, ServerConfig};
 use matcha_tfhe::{
     analyze, demote_sums, lint, simplify, AnalysisPolicy, ClientKey, Gate, Gate3, LintKind,
-    ParameterSet, ServerKey, SimplifyReport,
+    NoiseModel, ParameterSet, ServerKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,27 +167,16 @@ fn simplify_is_idempotent_on_the_whole_library() {
     }
 }
 
-/// Which rung of admission's ladder a lowering runs on at a budget: its
-/// `simplify` rewrite as it is, that with every sum demoted to an `XOR3` of
-/// its own, or the lowering as submitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Rung {
-    Riding,
-    Fused,
-    Submitted,
-    /// Not even that: the submission is over budget before any rewrite.
-    Rejected,
-}
-
 /// Bootstraps and waves of every library lowering as lowered (constant
 /// carry-ins restricted away: the adder's first position is its XOR and
 /// AND, the subtractor's its XOR, AND and their OR) and as the fusion stage of
 /// `simplify` leaves it (`demote_sums` of the result: full adders as
 /// `XOR3` + `MAJ`, two-leaf cones as one gate), bootstraps with
 /// every sum riding on its carry's bootstrap (the waves are the fused
-/// form's), and the rung of the admission ladder that certifies inside the
-/// default `2⁻²⁰` budget at the paper's parameters with unroll 2 and 3 (the
-/// README's table). A full adder is one bootstrap where it was five and
+/// form's), and the rung [`admit`] takes inside the default `2⁻²⁰` budget
+/// at the paper's parameters with unroll 2 and 3 (the README's table:
+/// riding, fused, as submitted after a refusal, or rejected). A full adder
+/// is one bootstrap where it was five and
 /// one wave where it was three, wherever one occurs — in the adder, the
 /// subtractor, the ALU's two chains, the multipliers' and the popcount's
 /// cells; the two-leaf cuts took the subtractor's and the ALU's first
@@ -201,7 +190,11 @@ enum Rung {
 /// — `mul8`'s own 320 decisions are over it before any rewrite.
 #[test]
 fn fusion_count_table() {
-    let table: Vec<(&str, [usize; 5], [Rung; 2])> = library()
+    let policy = AnalysisPolicy {
+        require_equivalence: Some(EquivBudget::default()),
+        ..AnalysisPolicy::default()
+    };
+    let table: Vec<_> = library()
         .iter()
         .map(|(name, raw)| {
             let (riding, report) = simplify(raw);
@@ -219,37 +212,31 @@ fn fusion_count_table() {
                 riding.bootstraps(),
             ];
             let rung = [2, 3].map(|unroll| {
-                let within = |net: &CircuitNetlist| {
-                    analyze(net, &ParameterSet::MATCHA, unroll).max_failure_prob()
-                        <= DEFAULT_FAILURE_BUDGET
-                };
-                if within(&riding) {
-                    Rung::Riding
-                } else if within(&fused) {
-                    Rung::Fused
-                } else if within(raw) {
-                    Rung::Submitted
-                } else {
-                    Rung::Rejected
+                let model = NoiseModel::new(&ParameterSet::MATCHA, unroll);
+                match admit(raw.clone(), &model, &policy, |n| simplify(n).0) {
+                    Ok(admitted) => Some(admitted.rung),
+                    Err(RejectReason::NoiseBudget { .. }) => None,
+                    Err(other) => panic!("{name} at m = {unroll}: {other}"),
                 }
             });
             (*name, counts, rung)
         })
         .collect();
-    use Rung::{Fused, Rejected, Riding, Submitted};
+    let [riding, fused] = [Rung::Rewritten, Rung::SumsDemoted].map(Some);
+    let (submitted, rejected) = (Some(Rung::Refused { demoted: true }), None);
     assert_eq!(
         table,
         vec![
-            ("adder8", [37, 15, 16, 8, 8], [Riding, Fused]),
-            ("subtractor8", [38, 16, 16, 8, 8], [Riding, Fused]),
-            ("comparator8", [15, 4, 15, 4, 15], [Riding, Riding]),
-            ("mux4x4", [24, 2, 24, 2, 24], [Riding, Riding]),
-            ("mul8", [320, 40, 197, 21, 147], [Fused, Rejected]),
-            ("mul_low8", [136, 24, 100, 13, 84], [Fused, Submitted]),
-            ("alu8", [133, 17, 91, 10, 71], [Riding, Fused]),
-            ("popcount16", [63, 26, 41, 15, 29], [Fused, Submitted]),
-            ("shifter8", [49, 4, 49, 4, 49], [Riding, Riding]),
-            ("processor_cycle8", [133, 17, 91, 10, 71], [Riding, Fused]),
+            ("adder8", [37, 15, 16, 8, 8], [riding, fused]),
+            ("subtractor8", [38, 16, 16, 8, 8], [riding, fused]),
+            ("comparator8", [15, 4, 15, 4, 15], [riding, riding]),
+            ("mux4x4", [24, 2, 24, 2, 24], [riding, riding]),
+            ("mul8", [320, 40, 197, 21, 147], [fused, rejected]),
+            ("mul_low8", [136, 24, 100, 13, 84], [fused, submitted]),
+            ("alu8", [133, 17, 91, 10, 71], [riding, fused]),
+            ("popcount16", [63, 26, 41, 15, 29], [fused, submitted]),
+            ("shifter8", [49, 4, 49, 4, 49], [riding, riding]),
+            ("processor_cycle8", [133, 17, 91, 10, 71], [riding, fused]),
         ]
     );
 }
@@ -334,8 +321,8 @@ fn subtractor_chain_fuses_through_its_free_nots() {
 /// A pairing pass gone wrong: `simplify`, its sums demoted, then the
 /// second cell's parity riding on the *first* cell's majority — a valid
 /// netlist (the host is there, and free), and the wrong function.
-fn ride_on_the_wrong_carry(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
-    let (riding, report) = simplify(net);
+fn ride_on_the_wrong_carry(net: &CircuitNetlist) -> CircuitNetlist {
+    let (riding, _) = simplify(net);
     let mut ops = demote_sums(&riding).ops().to_vec();
     let leaves = |op: &GateOp| {
         let mut operands = op.operands();
@@ -356,9 +343,8 @@ fn ride_on_the_wrong_carry(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyRep
         unreachable!("a majority");
     };
     ops[parity] = GateOp::Sum(a, b, c);
-    let broken = CircuitNetlist::from_parts(ops, riding.outputs().to_vec())
-        .expect("a sum over a free majority's operands is a valid netlist");
-    (broken, report)
+    CircuitNetlist::from_parts(ops, riding.outputs().to_vec())
+        .expect("a sum over a free majority's operands is a valid netlist")
 }
 
 #[test]
@@ -383,7 +369,7 @@ fn a_sum_without_its_host_is_no_netlist_and_one_on_the_wrong_host_is_refuted() {
 
     // On a majority over other leaves: a netlist, and not this adder.
     let adder = netlist::ripple_adder(4);
-    let (broken, _) = ride_on_the_wrong_carry(&adder);
+    let broken = ride_on_the_wrong_carry(&adder);
     assert_eq!(broken.bootstraps(), 7, "it would even be cheaper");
     match equiv::check(&adder, &broken, EquivBudget::default()).verdict {
         Verdict::NotEquivalent {
@@ -481,8 +467,8 @@ fn admission_runs_the_adder_riding_or_demoted_by_its_budget() {
 /// A fusion pass gone wrong: `simplify` (its sums demoted: a majority that
 /// hosts one could not change), then the first majority it fused turned
 /// into a three-input XOR.
-fn fuse_carry_as_parity(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
-    let (riding, report) = simplify(net);
+fn fuse_carry_as_parity(net: &CircuitNetlist) -> CircuitNetlist {
+    let (riding, _) = simplify(net);
     let fused = demote_sums(&riding);
     let mut ops = fused.ops().to_vec();
     let carry = ops
@@ -492,46 +478,31 @@ fn fuse_carry_as_parity(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport
     if let GateOp::Ternary(_, a, b, c) = *carry {
         *carry = GateOp::Ternary(Gate3::Xor3, a, b, c);
     }
-    let broken = CircuitNetlist::from_parts(ops, fused.outputs().to_vec())
-        .expect("mutated netlist keeps the canonical shape");
-    (broken, report)
+    CircuitNetlist::from_parts(ops, fused.outputs().to_vec())
+        .expect("mutated netlist keeps the canonical shape")
 }
 
 #[test]
 fn a_wrong_fusion_is_rejected_at_admission_with_a_counterexample() {
-    let mut rng = StdRng::seed_from_u64(0xF05E);
-    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
-    let engine = F64Fft::new(client.params().ring_degree);
-    let key = Arc::new(ServerKey::with_unrolling(&client, engine, 2, &mut rng));
-    let config = ServerConfig {
-        analysis: Some(AnalysisPolicy {
-            require_equivalence: Some(EquivBudget::default()),
-            ..AnalysisPolicy::default()
-        }),
-        ..ServerConfig::default()
+    let policy = AnalysisPolicy {
+        require_equivalence: Some(EquivBudget::default()),
+        ..AnalysisPolicy::default()
     };
-    for pass in [fuse_carry_as_parity as RewritePass, ride_on_the_wrong_carry] {
-        let server = CircuitServer::start_with_rewrite(Arc::clone(&key), 1, config, pass);
-        let adder = netlist::ripple_adder(4);
-        let inputs = (0..8)
-            .map(|i| client.encrypt_with(i % 3 == 0, &mut rng))
-            .collect();
-        let ticket = server.client().submit(adder.clone(), inputs);
-        match ticket.wait().reject_reason() {
-            Some(RejectReason::NotEquivalent {
+    let model = NoiseModel::new(&ParameterSet::TEST_FAST, 2);
+    let adder = netlist::ripple_adder(4);
+    for pass in [fuse_carry_as_parity, ride_on_the_wrong_carry] {
+        match admit(adder.clone(), &model, &policy, pass) {
+            Err(RejectReason::NotEquivalent {
                 output,
                 counterexample,
             }) => {
-                let (broken, _) = pass(&adder);
+                let broken = pass(&adder);
                 let want = eval_netlist(&adder, &counterexample.bits);
                 let got = eval_netlist(&broken, &counterexample.bits);
                 assert_ne!(want[output], got[output], "on {counterexample}");
             }
             other => panic!("expected NotEquivalent, got {other:?}"),
         }
-        let stats = server.stats();
-        assert_eq!((stats.rejected, stats.dispatches), (1, 0));
-        server.shutdown();
     }
 }
 

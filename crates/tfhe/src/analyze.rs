@@ -90,10 +90,14 @@ impl NetlistReport {
 ///
 /// Panics if `unroll` is outside `1..=8` (the `ServerKey` bound).
 pub fn analyze(net: &CircuitNetlist, params: &ParameterSet, unroll: usize) -> NetlistReport {
-    let model = NoiseModel::new(params, unroll);
+    report(net, &NoiseModel::new(params, unroll))
+}
+
+/// [`analyze`] under a model built once: what admission certifies with.
+pub(crate) fn report(net: &CircuitNetlist, model: &NoiseModel) -> NetlistReport {
     NetlistReport {
         lints: lint(net),
-        noise: noise_report(net, model),
+        noise: noise_report(net, *model),
     }
 }
 
@@ -113,10 +117,11 @@ pub struct AnalysisPolicy {
     /// Reject circuits whose analytic per-output failure bound exceeds
     /// this probability.
     pub max_failure_prob: f64,
-    /// When set, the server runs its rewrite pass (by default
-    /// [`simplify`](fn@simplify)) on every admitted netlist and **proves**
-    /// the result function-identical to the submission with the [`equiv`]
-    /// BDD engine under this budget, then certifies the result against
+    /// When set, admission (`server::admit`) rewrites every submission
+    /// with [`simplify`](fn@simplify) — the one rewrite a server runs;
+    /// there is no pluggable pass — and **proves** the result
+    /// function-identical to the submission with the [`equiv`] BDD engine
+    /// under this budget, then certifies the result against
     /// `max_failure_prob`, before scheduling it. A refuted rewrite is
     /// rejected with a structured counterexample
     /// (`RejectReason::NotEquivalent`); a check that exhausts the budget

@@ -91,7 +91,7 @@ pub use scratch::{BootstrapScratch, EpScratch, MAX_LANES};
 pub use secret::{ClientKey, LweSecretKey, RingSecretKey};
 pub use server::{
     CircuitClient, CircuitOutcome, CircuitServer, ClientTally, PendingCircuit, RejectReason,
-    RewritePass, SchedulerStats, ServerConfig,
+    SchedulerStats, ServerConfig,
 };
 pub use session::{SessionClient, SessionOutcome, SessionRun, SessionServer};
 pub use tgsw::{TgswCiphertext, TgswSpectrum};

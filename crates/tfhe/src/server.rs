@@ -65,11 +65,15 @@
 //! Shutdown is graceful: circuits admitted before [`CircuitServer::shutdown`]
 //! still run to completion, later submissions resolve to
 //! [`CircuitOutcome::Rejected`] with [`RejectReason::Shutdown`].
+//!
+//! Under a [`ServerConfig::analysis`] policy, admission's analysis is the
+//! pure [`admit`] over the [`NoiseModel`] built once from the server's key.
+//! Its rewrite is [`analyze::simplify`]; there is no pluggable pass.
 
 use crate::analyze::equiv::{self, Counterexample, Verdict};
-use crate::analyze::{self, AnalysisPolicy, LintKind, SimplifyReport};
+use crate::analyze::{self, AnalysisPolicy, LintKind, NoiseModel};
 use crate::batch::{panic_message, GateBatchPool, SlabTask};
-use crate::circuit::{CircuitFrontier, CircuitNetlist, CircuitRun, GateOp};
+use crate::circuit::{CircuitFrontier, CircuitNetlist, CircuitRun};
 use crate::faults::FaultPlan;
 use crate::gates::ServerKey;
 use crate::lwe::LweCiphertext;
@@ -101,10 +105,8 @@ pub struct ServerConfig {
     /// Deadline applied by [`CircuitClient::submit`] when the caller does
     /// not pick one; `None` means submissions run unbounded.
     pub default_deadline: Option<Duration>,
-    /// Static-analysis admission policy: when set, every submission is
-    /// [`analyze`](crate::analyze::analyze)d before admission and rejected
-    /// with [`RejectReason::Lint`] or [`RejectReason::NoiseBudget`] when it
-    /// trips the policy's lint-severity or failure-probability knob.
+    /// Static-analysis admission policy: when set, every submission goes
+    /// through [`admit`], which may turn it away with a [`RejectReason`].
     /// `None` (the default) admits without analysis.
     pub analysis: Option<AnalysisPolicy>,
 }
@@ -119,21 +121,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// A netlist rewrite pass the scheduler may substitute for a submission
-/// at admission, returning the rewritten netlist and what it changed.
-/// The default pass is [`analyze::simplify`], gate fusion and riding sums
-/// included; the point of the type is that **any** pass plugged in here is
-/// automatically subject to the [`AnalysisPolicy::require_equivalence`]
-/// BDD proof and to the policy's noise budget: the server only schedules a
-/// rewrite it has proven function-identical to the submission and
-/// certified within [`AnalysisPolicy::max_failure_prob`] *as it runs*; an
-/// unproven one is either rejected (strict policies) or ignored in favor
-/// of the submitted netlist, and one over budget steps down a ladder, each
-/// step counted: its sums back on bootstraps of their own
-/// ([`analyze::demote_sums`], [`SchedulerStats::sums_demoted`]), then the
-/// submission ([`SchedulerStats::rewrites_refused`]).
-pub type RewritePass = fn(&CircuitNetlist) -> (CircuitNetlist, SimplifyReport);
 
 /// Why a circuit was turned away without running.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,11 +155,11 @@ pub enum RejectReason {
         /// The [`AnalysisPolicy::max_failure_prob`] budget it exceeded.
         budget: f64,
     },
-    /// The admission-time equivalence proof **refuted** the server's
-    /// rewrite pass on this circuit: the rewrite and the submission
-    /// disagree on an output, and the counterexample is an input
-    /// assignment on which they differ. Scheduling either would be
-    /// gambling, so the circuit is turned away with the evidence.
+    /// The admission-time equivalence proof **refuted** the rewrite of
+    /// this circuit: the rewrite and the submission disagree on an output,
+    /// and the counterexample is an input assignment on which they differ.
+    /// Scheduling either would be gambling, so the circuit is turned away
+    /// with the evidence.
     NotEquivalent {
         /// Index into the netlist's output list (marking order) of the
         /// first output the BDD diff refuted.
@@ -209,6 +196,101 @@ impl std::fmt::Display for RejectReason {
             ),
             RejectReason::Shutdown => f.write_str("server shut down"),
         }
+    }
+}
+
+/// The rung of admission's ladder an [`Admitted`] netlist came from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rung {
+    /// The submission: no proof was asked, or a lenient `Unknown` came back.
+    Submitted,
+    /// The rewrite, proven equivalent and certified within the budget.
+    Rewritten,
+    /// The proven rewrite with its sums demoted ([`analyze::demote_sums`]):
+    /// with them riding it missed the budget.
+    SumsDemoted,
+    /// The submission: the proven rewrite missed the budget.
+    Refused {
+        /// Whether it had sums, so that their demotion missed it too.
+        demoted: bool,
+    },
+}
+
+/// A netlist [`admit`] cleared to run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Admitted {
+    /// What to schedule: the submission or its proven rewrite.
+    pub netlist: CircuitNetlist,
+    /// The rung of the ladder it came from.
+    pub rung: Rung,
+}
+
+/// Admission's analysis: the netlist to run for `net` under `policy` and
+/// the server's noise `model`, or why not. It reads no lock, clock or
+/// stats. The severest lint at or above `deny` rejects, then the first
+/// output over `max_failure_prob`. Without `require_equivalence` the
+/// submission runs; with it `rewrite(net)` is proven equivalent first: a
+/// refutation rejects with its counterexample, and an `Unknown` verdict
+/// rejects as a [`LintKind::EquivUnknown`] lint if `deny` reaches it, else
+/// the submission runs. A proven rewrite must certify in turn — a fused gate
+/// decides on three operands' noise, a riding sum keeps its operands' —
+/// else its sums are demoted (the same functions node for node, so the
+/// proof stands), else the submission runs.
+pub fn admit(
+    net: CircuitNetlist,
+    model: &NoiseModel,
+    policy: &AnalysisPolicy,
+    rewrite: fn(&CircuitNetlist) -> CircuitNetlist,
+) -> Result<Admitted, RejectReason> {
+    let report = analyze::report(&net, model);
+    if let Some(l) = report.worst_lint_at_least(policy.deny) {
+        return Err(RejectReason::Lint {
+            kind: l.kind,
+            node: l.node,
+        });
+    }
+    let budget = policy.max_failure_prob;
+    let mut outputs = report.noise.outputs.iter().enumerate();
+    if let Some((output, o)) = outputs.find(|(_, o)| o.failure_prob > budget) {
+        return Err(RejectReason::NoiseBudget {
+            output,
+            bound: o.failure_prob,
+            budget,
+        });
+    }
+    let run = |netlist, rung| Ok(Admitted { netlist, rung });
+    let Some(proof_budget) = policy.require_equivalence else {
+        return run(net, Rung::Submitted);
+    };
+    let rewritten = rewrite(&net);
+    match equiv::check(&net, &rewritten, proof_budget).verdict {
+        Verdict::Equivalent => {
+            let within =
+                |n: &CircuitNetlist| analyze::report(n, model).max_failure_prob() <= budget;
+            if within(&rewritten) {
+                return run(rewritten, Rung::Rewritten);
+            }
+            let fused = analyze::demote_sums(&rewritten);
+            let demoted = fused != rewritten;
+            if demoted && within(&fused) {
+                return run(fused, Rung::SumsDemoted);
+            }
+            run(net, Rung::Refused { demoted })
+        }
+        Verdict::NotEquivalent {
+            output,
+            counterexample,
+        } => Err(RejectReason::NotEquivalent {
+            output,
+            counterexample,
+        }),
+        Verdict::Unknown { .. } if LintKind::EquivUnknown.severity() >= policy.deny => {
+            Err(RejectReason::Lint {
+                kind: LintKind::EquivUnknown,
+                node: 0,
+            })
+        }
+        Verdict::Unknown { .. } => run(net, Rung::Submitted),
     }
 }
 
@@ -483,7 +565,8 @@ type Resolved = Vec<(mpsc::Sender<CircuitOutcome>, CircuitOutcome)>;
 /// of sending them.
 struct Scheduler {
     config: ServerConfig,
-    rewrite: RewritePass,
+    /// The served key's noise model, what [`admit`] certifies under.
+    model: NoiseModel,
     /// Pool workers, for the task-slots each dispatch offers.
     threads: u64,
     /// In admission order.
@@ -500,10 +583,10 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(config: ServerConfig, rewrite: RewritePass, threads: usize, faults: FaultPlan) -> Self {
+    fn new(config: ServerConfig, model: NoiseModel, threads: usize, faults: FaultPlan) -> Self {
         Self {
             config,
-            rewrite,
+            model,
             threads: threads as u64,
             in_flight: Vec::new(),
             owners: Vec::new(),
@@ -529,7 +612,7 @@ impl Scheduler {
     ) -> Resolved {
         let mut resolved = self.resolve(Vec::new(), now);
         let ticket = job.ticket;
-        let outcome = match self.vet(job.netlist, server, &ticket, now) {
+        let outcome = match self.vet(job.netlist, &ticket, now) {
             Ok(netlist) => {
                 match catch_unwind(AssertUnwindSafe(|| {
                     build_frontier(netlist, job.inputs, server, now)
@@ -558,12 +641,11 @@ impl Scheduler {
 
     /// The admission checks, in order: a cancel that raced ahead of
     /// admission, the [`ServerConfig`] bounds, the deadline, then the
-    /// analysis policy and its rewrite ladder. Returns the netlist to
-    /// schedule, or the outcome that turns the job away.
-    fn vet<E: FftEngine>(
+    /// analysis policy through [`admit`], whose rung is counted. Returns
+    /// the netlist to schedule, or the outcome that turns the job away.
+    fn vet(
         &self,
-        mut netlist: CircuitNetlist,
-        server: &ServerKey<E>,
+        netlist: CircuitNetlist,
         ticket: &Ticket,
         now: Instant,
     ) -> Result<CircuitNetlist, CircuitOutcome> {
@@ -581,84 +663,20 @@ impl Scheduler {
         if ticket.deadline.is_some_and(|d| now >= d) {
             return Err(Rejected(RejectReason::DeadlineUnmeetable));
         }
-        // Static-analysis admission: certify structure and noise budget
-        // before a single bootstrap is spent on this circuit.
-        if let Some(policy) = self.config.analysis {
-            let certify =
-                |net: &CircuitNetlist| analyze::analyze(net, server.params(), server.unroll());
-            let report = certify(&netlist);
-            if let Some(l) = report.worst_lint_at_least(policy.deny) {
-                return Err(Rejected(RejectReason::Lint {
-                    kind: l.kind,
-                    node: l.node,
-                }));
-            }
-            if let Some((output, o)) = report
-                .noise
-                .outputs
-                .iter()
-                .enumerate()
-                .find(|(_, o)| o.failure_prob > policy.max_failure_prob)
-            {
-                return Err(Rejected(RejectReason::NoiseBudget {
-                    output,
-                    bound: o.failure_prob,
-                    budget: policy.max_failure_prob,
-                }));
-            }
-            // Formal-equivalence gate: run the rewrite pass and schedule its
-            // output only under a BDD proof that it computes the submitted
-            // function, and only if it too is inside the noise budget — a
-            // rewrite may trade noise resets for bootstraps (a fused
-            // three-input gate decides on three operands' noise, a riding sum
-            // keeps its operands'), so the certificate above does not carry
-            // over. A refuted rewrite is rejected with the distinguishing
-            // input; one over budget steps down — its sums demoted to gates
-            // (the same functions node for node, so the proof stands), then the
-            // submission — and an unprovable one (`EquivUnknown`, fatal under a
-            // strict `deny`) leaves the submission to run unrewritten.
-            if let Some(budget) = policy.require_equivalence {
-                let (rewritten, _) = (self.rewrite)(&netlist);
-                match equiv::check(&netlist, &rewritten, budget).verdict {
-                    Verdict::Equivalent => {
-                        let within = |net: &CircuitNetlist| {
-                            certify(net).max_failure_prob() <= policy.max_failure_prob
-                        };
-                        if within(&rewritten) {
-                            netlist = rewritten;
-                        } else {
-                            let riders = |op: &GateOp| matches!(op, GateOp::Sum(..));
-                            let demoted = rewritten.ops().iter().any(riders).then(|| {
-                                lock(&self.stats).sums_demoted += 1;
-                                analyze::demote_sums(&rewritten)
-                            });
-                            match demoted.filter(within) {
-                                Some(demoted) => netlist = demoted,
-                                None => lock(&self.stats).rewrites_refused += 1,
-                            }
-                        }
-                    }
-                    Verdict::NotEquivalent {
-                        output,
-                        counterexample,
-                    } => {
-                        return Err(Rejected(RejectReason::NotEquivalent {
-                            output,
-                            counterexample,
-                        }));
-                    }
-                    Verdict::Unknown { .. } => {
-                        if LintKind::EquivUnknown.severity() >= policy.deny {
-                            return Err(Rejected(RejectReason::Lint {
-                                kind: LintKind::EquivUnknown,
-                                node: 0,
-                            }));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(netlist)
+        let Some(policy) = &self.config.analysis else {
+            return Ok(netlist);
+        };
+        let admitted =
+            admit(netlist, &self.model, policy, |n| analyze::simplify(n).0).map_err(Rejected)?;
+        let (demoted, refused) = match admitted.rung {
+            Rung::Submitted | Rung::Rewritten => (false, false),
+            Rung::SumsDemoted => (true, false),
+            Rung::Refused { demoted } => (demoted, true),
+        };
+        let mut stats = lock(&self.stats);
+        stats.sums_demoted += u64::from(demoted);
+        stats.rewrites_refused += u64::from(refused);
+        Ok(admitted.netlist)
     }
 
     /// Fills `batch` with one interleaved super-wave at `now`: resolves
@@ -880,30 +898,7 @@ impl CircuitServer {
     where
         E: FftEngine + Send + Sync + 'static,
     {
-        Self::launch(key, threads, config, analyze::simplify, FaultPlan::new())
-    }
-
-    /// Starts the scheduler with a custom [`RewritePass`] in place of the
-    /// default [`analyze::simplify`]. Under
-    /// [`AnalysisPolicy::require_equivalence`] the pass's output is only
-    /// ever scheduled behind a BDD proof of function identity with the
-    /// submission — the hook a pass other than the default's fusion and
-    /// riding sums plugs into, and the one the equivalence tests drive
-    /// with a deliberately broken pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0.
-    pub fn start_with_rewrite<E>(
-        key: Arc<ServerKey<E>>,
-        threads: usize,
-        config: ServerConfig,
-        rewrite: RewritePass,
-    ) -> Self
-    where
-        E: FftEngine + Send + Sync + 'static,
-    {
-        Self::launch(key, threads, config, rewrite, FaultPlan::new())
+        Self::launch(key, threads, config, FaultPlan::new())
     }
 
     /// Starts the scheduler with a scripted [`FaultPlan`] — the
@@ -927,14 +922,13 @@ impl CircuitServer {
     where
         E: FftEngine + Send + Sync + 'static,
     {
-        Self::launch(key, threads, config, analyze::simplify, faults)
+        Self::launch(key, threads, config, faults)
     }
 
     fn launch<E>(
         key: Arc<ServerKey<E>>,
         threads: usize,
         config: ServerConfig,
-        rewrite: RewritePass,
         faults: FaultPlan,
     ) -> Self
     where
@@ -942,10 +936,11 @@ impl CircuitServer {
     {
         assert!(threads > 0, "need at least one worker");
         let params = *key.params();
+        let model = NoiseModel::new(&params, key.unroll());
         let default_deadline = config.default_deadline;
         let (tx, rx) = mpsc::channel::<Msg>();
         let pool = GateBatchPool::new(key, threads);
-        let state = Scheduler::new(config, rewrite, threads, faults);
+        let state = Scheduler::new(config, model, threads, faults);
         let stats = Arc::clone(&state.stats);
         let scheduler = std::thread::spawn(move || scheduler_loop(pool, rx, state));
         Self {
@@ -1877,27 +1872,15 @@ mod tests {
     fn analysis_policy_rejects_over_budget_circuit_with_noise_bound() {
         // Deliberately noisy gate-level samples: the key-switching key's
         // N·t fresh-noise contributions push the analytic per-output
-        // failure bound far past any sane budget. Keys still generate —
-        // the point is that admission rejects before a bootstrap runs.
+        // failure bound far past any sane budget.
         let params = ParameterSet {
             lwe_noise_stdev: 5e-3,
             ..ParameterSet::TEST_FAST
         };
-        let mut rng = StdRng::seed_from_u64(171);
-        let client = ClientKey::generate(params, &mut rng);
-        let key = Arc::new(ServerKey::new(&client, F64Fft::new(256), &mut rng));
-        let config = ServerConfig {
-            analysis: Some(AnalysisPolicy::default()),
-            ..ServerConfig::default()
-        };
-        let server = CircuitServer::start_with(Arc::clone(&key), 1, config);
-        let handle = server.client();
-        let ticket = handle.submit(
-            xor_chain(2),
-            encrypt_bits(&client, &[true, false, true], &mut rng),
-        );
-        match ticket.wait().reject_reason() {
-            Some(RejectReason::NoiseBudget {
+        let model = NoiseModel::new(&params, 1);
+        let policy = AnalysisPolicy::default();
+        match admit(xor_chain(2), &model, &policy, |n| analyze::simplify(n).0) {
+            Err(RejectReason::NoiseBudget {
                 output,
                 bound,
                 budget,
@@ -1908,7 +1891,6 @@ mod tests {
             }
             other => panic!("expected a noise-budget rejection, got {other:?}"),
         }
-        server.shutdown();
     }
 
     #[test]
@@ -1957,14 +1939,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// A [`RewritePass`] that runs the real [`analyze::simplify`] and then
-    /// turns the first XOR it finds into something else (XNOR, or a
-    /// majority where the XORs were fused) — a deliberately unsound rewrite
-    /// the equivalence gate must refute.
-    fn broken_pass(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
+    /// A rewrite that runs the real [`analyze::simplify`] and then turns
+    /// the first XOR it finds into something else (XNOR, or a majority
+    /// where the XORs were fused) — a deliberately unsound rewrite the
+    /// equivalence gate must refute.
+    fn broken_pass(net: &CircuitNetlist) -> CircuitNetlist {
         use crate::circuit::GateOp;
         use crate::gates::Gate3;
-        let (simplified, report) = analyze::simplify(net);
+        let (simplified, _) = analyze::simplify(net);
         let mut ops = simplified.ops().to_vec();
         for op in ops.iter_mut() {
             *op = match *op {
@@ -1974,9 +1956,8 @@ mod tests {
             };
             break;
         }
-        let broken = CircuitNetlist::from_parts(ops, simplified.outputs().to_vec())
-            .expect("mutated netlist keeps the canonical shape");
-        (broken, report)
+        CircuitNetlist::from_parts(ops, simplified.outputs().to_vec())
+            .expect("mutated netlist keeps the canonical shape")
     }
 
     fn equiv_policy(deny: crate::analyze::Severity, budget: equiv::EquivBudget) -> ServerConfig {
@@ -2097,21 +2078,63 @@ mod tests {
     }
 
     #[test]
+    fn admit_walks_the_ladder_by_budget() {
+        // `rewrite_over_the_noise_budget…`'s multiplier cell and model,
+        // without its keys or a server.
+        let mut net = CircuitNetlist::new();
+        let ins: Vec<usize> = (0..6).map(|_| net.input()).collect();
+        let [x, y, z] = [0, 2, 4].map(|i| net.gate(Gate::And, ins[i], ins[i + 1]));
+        let xy = net.gate(Gate::Xor, x, y);
+        let sum = net.gate(Gate::Xor, xy, z);
+        let generate = net.gate(Gate::And, x, y);
+        let propagate = net.gate(Gate::And, xy, z);
+        let carry = net.gate(Gate::Or, generate, propagate);
+        net.mark_output(sum);
+        net.mark_output(carry);
+        let params = ParameterSet {
+            ring_noise_stdev: 2.5e-7,
+            ..ParameterSet::TEST_FAST
+        };
+        let model = NoiseModel::new(&params, 1);
+        let bound = |n: &CircuitNetlist| analyze::report(n, &model).max_failure_prob();
+        let (riding, _) = analyze::simplify(&net);
+        let fused = analyze::demote_sums(&riding);
+        let (as_submitted, as_fused, as_riding) = (bound(&net), bound(&fused), bound(&riding));
+        let admit_within = |max_failure_prob| {
+            let policy = AnalysisPolicy {
+                max_failure_prob,
+                require_equivalence: Some(equiv::EquivBudget::default()),
+                ..AnalysisPolicy::default()
+            };
+            admit(net.clone(), &model, &policy, |n| analyze::simplify(n).0)
+        };
+        let refused = Rung::Refused { demoted: true };
+        for (budget, rung, ran) in [
+            ((as_submitted * as_fused).sqrt(), refused, 8),
+            ((as_fused * as_riding).sqrt(), Rung::SumsDemoted, 5),
+            (crate::analyze::DEFAULT_FAILURE_BUDGET, Rung::Rewritten, 4),
+        ] {
+            let admitted = admit_within(budget).expect("every rung is inside its budget");
+            assert_eq!((admitted.rung, admitted.netlist.bootstraps()), (rung, ran));
+        }
+        // Below the submission's own bound no rewrite is tried.
+        let below = as_submitted / 2.0;
+        assert!(matches!(
+            admit_within(below),
+            Err(RejectReason::NoiseBudget { bound, budget, .. }) if bound > budget && budget == below
+        ));
+    }
+
+    #[test]
     fn broken_rewrite_pass_is_refuted_with_a_replayable_counterexample() {
-        let (client, key, mut rng) = setup(181);
-        let config = equiv_policy(
-            crate::analyze::Severity::Error,
-            equiv::EquivBudget::default(),
-        );
-        let server = CircuitServer::start_with_rewrite(Arc::clone(&key), 1, config, broken_pass);
-        let handle = server.client();
+        let policy = AnalysisPolicy {
+            require_equivalence: Some(equiv::EquivBudget::default()),
+            ..AnalysisPolicy::default()
+        };
+        let model = NoiseModel::new(&ParameterSet::TEST_FAST, 1);
         let submitted = xor_chain(2);
-        let ticket = handle.submit(
-            submitted.clone(),
-            encrypt_bits(&client, &[true, false, true], &mut rng),
-        );
-        match ticket.wait().reject_reason() {
-            Some(RejectReason::NotEquivalent {
+        match admit(submitted.clone(), &model, &policy, broken_pass) {
+            Err(RejectReason::NotEquivalent {
                 output,
                 counterexample,
             }) => {
@@ -2119,7 +2142,7 @@ mod tests {
                 // Replay the counterexample through eager evaluation: it
                 // must actually distinguish the submission from what the
                 // broken pass produced.
-                let (broken, _) = broken_pass(&submitted);
+                let broken = broken_pass(&submitted);
                 let want = equiv::eval_netlist(&submitted, &counterexample.bits);
                 let got = equiv::eval_netlist(&broken, &counterexample.bits);
                 assert_ne!(
@@ -2129,55 +2152,38 @@ mod tests {
             }
             other => panic!("expected NotEquivalent, got {other:?}"),
         }
-        assert_eq!(server.stats().rejected, 1);
-        server.shutdown();
     }
 
     #[test]
     fn equiv_unknown_rejects_strict_policies_and_admits_lenient_ones() {
-        let (client, key, mut rng) = setup(182);
         // An input budget of 1 makes every 3-input check come back
         // Unknown without spending any BDD work.
         let tiny = equiv::EquivBudget {
             max_nodes: 1 << 20,
             max_inputs: 1,
         };
+        let model = NoiseModel::new(&ParameterSet::TEST_FAST, 1);
+        let admit_under = |deny| {
+            let policy = equiv_policy(deny, tiny).analysis.expect("a policy");
+            admit(xor_chain(2), &model, &policy, |n| analyze::simplify(n).0)
+        };
         // Strict (deny: Warning): the unproven rewrite is fatal.
-        let server = CircuitServer::start_with(
-            Arc::clone(&key),
-            1,
-            equiv_policy(crate::analyze::Severity::Warning, tiny),
-        );
-        let handle = server.client();
-        let ticket = handle.submit(
-            xor_chain(2),
-            encrypt_bits(&client, &[true, false, true], &mut rng),
-        );
         assert_eq!(
-            ticket.wait().reject_reason(),
-            Some(RejectReason::Lint {
+            admit_under(crate::analyze::Severity::Warning),
+            Err(RejectReason::Lint {
                 kind: LintKind::EquivUnknown,
                 node: 0
             })
         );
-        server.shutdown();
-
         // Lenient (deny: Error): the submission runs unrewritten.
-        let server = CircuitServer::start_with(
-            Arc::clone(&key),
-            1,
-            equiv_policy(crate::analyze::Severity::Error, tiny),
+        let lenient = admit_under(crate::analyze::Severity::Error);
+        assert_eq!(
+            lenient,
+            Ok(Admitted {
+                netlist: xor_chain(2),
+                rung: Rung::Submitted
+            })
         );
-        let handle = server.client();
-        let bits = [true, false, true];
-        let run = handle
-            .submit(xor_chain(2), encrypt_bits(&client, &bits, &mut rng))
-            .wait()
-            .completed()
-            .expect("unknown equivalence is only a warning by default");
-        assert_eq!(client.decrypt(&run.outputs[0]), xor_all(&bits));
-        assert_eq!(run.bootstraps, 2, "the submitted netlist ran unrewritten");
-        server.shutdown();
     }
 
     /// A job of `client` on `net`, with its ticket's receiving end and
@@ -2206,7 +2212,12 @@ mod tests {
     }
 
     fn scheduler(config: ServerConfig) -> Scheduler {
-        Scheduler::new(config, analyze::simplify, 1, FaultPlan::new())
+        Scheduler::new(
+            config,
+            NoiseModel::new(&ParameterSet::TEST_FAST, 1),
+            1,
+            FaultPlan::new(),
+        )
     }
 
     /// One dispatch as the scheduler thread runs it, with the clock read
@@ -2438,7 +2449,8 @@ mod tests {
         // Node 4 is a chain's second XOR: the site waits for the second
         // wave of the second admitted circuit.
         let plan = FaultPlan::new().inject(1, 4, FaultAction::Panic);
-        let mut s = Scheduler::new(ServerConfig::default(), analyze::simplify, 1, plan);
+        let model = NoiseModel::new(&ParameterSet::TEST_FAST, 1);
+        let mut s = Scheduler::new(ServerConfig::default(), model, 1, plan);
         let t0 = Instant::now();
         let bits = [true, false, true];
         let mut submit = |s: &mut Scheduler, deadline| {

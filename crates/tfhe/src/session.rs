@@ -946,81 +946,53 @@ mod tests {
     }
 
     #[test]
-    fn refuted_rewrite_crosses_the_wire_with_its_counterexample() {
-        use crate::analyze::equiv::EquivBudget;
-        use crate::analyze::{AnalysisPolicy, SimplifyReport};
-        use crate::circuit::GateOp;
-        use crate::gates::Gate3;
+    fn noise_rejection_crosses_the_wire_with_its_bound() {
+        use crate::analyze::{analyze, AnalysisPolicy};
 
-        /// An unsound rewrite pass: simplify, then turn the first XOR into
-        /// something else (XNOR, or a majority where the XORs were fused)
-        /// — the equivalence gate must refute it at admission.
-        fn broken_pass(net: &CircuitNetlist) -> (CircuitNetlist, SimplifyReport) {
-            let (simplified, report) = crate::analyze::simplify(net);
-            let mut ops = simplified.ops().to_vec();
-            for op in ops.iter_mut() {
-                *op = match *op {
-                    GateOp::Binary(Gate::Xor, a, b) => GateOp::Binary(Gate::Xnor, a, b),
-                    GateOp::Ternary(Gate3::Xor3, a, b, c) => GateOp::Ternary(Gate3::Maj, a, b, c),
-                    _ => continue,
-                };
-                break;
-            }
-            let broken = CircuitNetlist::from_parts(ops, simplified.outputs().to_vec())
-                .expect("mutated netlist keeps the canonical shape");
-            (broken, report)
-        }
-
-        let (client, key) = keys(11);
+        // Ring noise large enough for a gate output's bound not to
+        // underflow to zero (as it does at `TEST_FAST`).
+        let params = ParameterSet {
+            ring_noise_stdev: 2.5e-7,
+            ..ParameterSet::TEST_FAST
+        };
         let mut rng = StdRng::seed_from_u64(110);
+        let client = ClientKey::generate(params, &mut rng);
+        let engine = F64Fft::new(params.ring_degree);
+        let key = Arc::new(ServerKey::new(&client, engine, &mut rng));
+        let net = xor_chain(2);
+        let bound = analyze(&net, &params, 1).max_failure_prob();
+        assert!(bound > 0.0);
+        // A budget under the bound, with a mantissa a lossy codec would
+        // round.
+        let budget = bound / 3.0;
         let config = ServerConfig {
             analysis: Some(AnalysisPolicy {
-                require_equivalence: Some(EquivBudget::default()),
+                max_failure_prob: budget,
                 ..AnalysisPolicy::default()
             }),
             ..ServerConfig::default()
         };
-        let server = CircuitServer::start_with_rewrite(key, 1, config, broken_pass);
+        let server = CircuitServer::start_with(key, 1, config);
         let (near, handle) = serve_on_thread(&server);
         let mut wire = SessionClient::connect(near).unwrap();
 
-        let net = xor_chain(2);
-        let inputs = vec![
-            client.encrypt_with(true, &mut rng),
-            client.encrypt_with(false, &mut rng),
-            client.encrypt_with(true, &mut rng),
-        ];
+        let inputs = [true, false, true]
+            .map(|bit| client.encrypt_with(bit, &mut rng))
+            .to_vec();
         wire.submit(&net, inputs).unwrap();
         let (_, outcome) = wire.wait().unwrap();
-        let reason = match &outcome {
-            SessionOutcome::Rejected(reason) => reason.clone(),
-            other => panic!("expected a rejection, got {other:?}"),
-        };
-        match &reason {
-            RejectReason::NotEquivalent {
+        match &outcome {
+            SessionOutcome::Rejected(RejectReason::NoiseBudget {
                 output,
-                counterexample,
-            } => {
+                bound: got,
+                budget: over,
+            }) => {
+                // The certificate crossed the wire bit-exactly.
                 assert_eq!(*output, 0);
-                assert_eq!(counterexample.bits.len(), 3, "one bit per input slot");
-                // The structured reason survived the wire bit-exactly:
-                // re-framing it reproduces the received frame.
-                let frame = OutcomeFrame {
-                    id: 0,
-                    outcome: outcome.clone(),
-                };
-                let back = OutcomeFrame::from_bytes(&frame.to_bytes()).unwrap();
-                assert_eq!(back, frame);
-                // And the replayed counterexample distinguishes the
-                // submission from the broken rewrite.
-                let (broken, _) = broken_pass(&net);
-                let want = crate::analyze::equiv::eval_netlist(&net, &counterexample.bits);
-                let got = crate::analyze::equiv::eval_netlist(&broken, &counterexample.bits);
-                assert_ne!(want[*output], got[*output]);
-                // The human-readable reason renders per-word hex.
-                assert!(reason.to_string().contains("in[0]=0x"), "display: {reason}");
+                assert_eq!(got.to_bits(), bound.to_bits());
+                assert_eq!(over.to_bits(), budget.to_bits());
             }
-            other => panic!("expected NotEquivalent over the wire, got {other:?}"),
+            other => panic!("expected NoiseBudget over the wire, got {other:?}"),
         }
         drop(wire);
         assert_eq!(handle.join().unwrap().unwrap(), 1);
