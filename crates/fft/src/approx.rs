@@ -25,7 +25,7 @@
 use crate::cplx::Cplx;
 use crate::engine::{split_key_row, FftEngine, KeyBlock, Spectrum};
 use crate::lifting::{LiftingRotation, LiftingTable, Lifts};
-use crate::simd::{self, FoldDigit};
+use crate::simd::{self, FoldDigit, Leg};
 use crate::tables::BitReversal;
 use matcha_math::{IntPolynomial, Torus32, TorusPolynomial};
 
@@ -154,11 +154,20 @@ pub struct ApproxIntFft {
     /// The quantized `2N`-th roots, `[q(cos θ_r − 1), q(sin θ_r)]` for
     /// `θ_r = (π/N)·r`, `r < 2N`: every bundle factor is one entry.
     roots: Vec<[i32; 2]>,
+    /// The kernel leg, narrowed to what the CPU runs.
+    leg: Leg,
 }
 
 impl ApproxIntFft {
     /// Creates an engine for ring degree `n` with `twiddle_bits`-bit
-    /// dyadic-value-quantized twiddle factors.
+    /// dyadic-value-quantized twiddle factors, on the host's kernel leg
+    /// ([`Leg::host`]); panics where [`ApproxIntFft::with_leg`] does.
+    pub fn new(n: usize, twiddle_bits: u32) -> Self {
+        Self::with_leg(n, twiddle_bits, Leg::host())
+    }
+
+    /// [`ApproxIntFft::new`] on kernel leg `leg`, narrowed to the widest
+    /// leg this CPU runs ([`Leg::narrowed`]).
     ///
     /// It also builds the table the bundle factors are gathered from (8·2N
     /// bytes, 16 KB at `N = 1024`): entry `r < 2N` is
@@ -169,7 +178,7 @@ impl ApproxIntFft {
     ///
     /// Panics if `n < 4`, `n` is not a power of two, or
     /// `twiddle_bits ∉ [4, 62]`.
-    pub fn new(n: usize, twiddle_bits: u32) -> Self {
+    pub fn with_leg(n: usize, twiddle_bits: u32, leg: Leg) -> Self {
         assert!(
             n >= 4 && n.is_power_of_two(),
             "ring degree {n} must be a power of two ≥ 4"
@@ -207,6 +216,7 @@ impl ApproxIntFft {
             inv: DirectionTable::new(-1.0, n, twiddle_bits),
             rev: BitReversal::new(m),
             roots,
+            leg: leg.narrowed(),
         }
     }
 
@@ -222,14 +232,10 @@ impl ApproxIntFft {
     /// bound by its lifts (~70 vector operations per four butterflies), not
     /// by its loads and stores, and a two-stage kernel measured slower
     /// (README, "Measured and rejected").
-    fn stages<const HALVE: bool>(table: &DirectionTable, re: &mut [i64], im: &mut [i64]) {
+    fn stages<const HALVE: bool>(table: &DirectionTable, re: &mut [i64], im: &mut [i64], leg: Leg) {
         let mut len = 2;
         while len <= table.m {
-            if HALVE {
-                simd::i64_radix2_stage_halving(re, im, table.stage(len), len);
-            } else {
-                simd::i64_radix2_stage(re, im, table.stage(len), len);
-            }
+            simd::i64_radix2_stage::<HALVE>(re, im, table.stage(len), len, leg);
             len *= 2;
         }
     }
@@ -257,8 +263,9 @@ impl ApproxIntFft {
             &self.rev,
             re,
             im,
+            self.leg,
         );
-        Self::stages::<false>(&self.fwd, re, im);
+        Self::stages::<false>(&self.fwd, re, im, self.leg);
     }
 }
 
@@ -269,6 +276,10 @@ impl FftEngine for ApproxIntFft {
 
     fn ring_degree(&self) -> usize {
         self.n
+    }
+
+    fn leg(&self) -> Leg {
+        self.leg
     }
 
     fn zero_spectrum(&self) -> FixedSpectrum {
@@ -347,10 +358,11 @@ impl FftEngine for ApproxIntFft {
         // in-place permutation.
         scratch.re.resize(m, 0);
         scratch.im.resize(m, 0);
-        simd::bit_reverse_copy(&s.re, &mut scratch.re, &self.rev);
-        simd::bit_reverse_copy(&s.im, &mut scratch.im, &self.rev);
-        Self::stages::<true>(&self.inv, &mut scratch.re, &mut scratch.im);
-        simd::i64_rotate(&mut scratch.re, &mut scratch.im, self.inv.twist());
+        let leg = self.leg;
+        simd::bit_reverse_copy(&s.re, &mut scratch.re, &self.rev, leg);
+        simd::bit_reverse_copy(&s.im, &mut scratch.im, &self.rev, leg);
+        Self::stages::<true>(&self.inv, &mut scratch.re, &mut scratch.im, leg);
+        simd::i64_rotate(&mut scratch.re, &mut scratch.im, self.inv.twist(), leg);
         let frac = s.frac_bits;
         let descale = |v: i64| -> i64 {
             if frac == 0 {
@@ -388,6 +400,7 @@ impl FftEngine for ApproxIntFft {
             (&x.re, &x.im),
             rows.map(|row| (&row.re[..], &row.im[..])),
             x.frac_bits + row_bits,
+            self.leg,
         );
     }
 
@@ -501,6 +514,7 @@ impl FftEngine for ApproxIntFft {
             key,
             slots,
             factors,
+            self.leg,
         );
     }
 }

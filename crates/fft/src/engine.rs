@@ -22,12 +22,14 @@
 //! # SIMD
 //!
 //! Both engines store spectra split-complex and execute their butterfly
-//! stages and pointwise accumulates through the [`crate::simd`] kernels,
-//! which runtime-detect AVX2+FMA and fall back to a scalar leg elsewhere.
-//! Generic callers (the external product, bootstrapping) pick the
-//! vectorized kernels up for free through this trait — nothing
-//! SIMD-specific leaks into the API.
+//! stages and pointwise accumulates through the [`crate::simd`] kernels, on
+//! the kernel leg the engine was built with ([`FftEngine::leg`]). Generic
+//! callers (the external product, bootstrapping) pick the vectorized
+//! kernels up for free through this trait; what they see of the legs is
+//! that one accessor, which key generation reads so that the
+//! key-switching key runs on its engine's leg.
 
+use crate::simd::Leg;
 use matcha_math::{GadgetDecomposer, IntPolynomial, TorusPolynomial};
 use std::fmt::Debug;
 
@@ -81,6 +83,10 @@ pub trait FftEngine {
 
     /// Ring degree `N`.
     fn ring_degree(&self) -> usize;
+
+    /// The kernel leg every transform and product of this engine runs on,
+    /// fixed when the engine was built and never wider than the CPU runs.
+    fn leg(&self) -> Leg;
 
     /// The zero spectrum, ready for [`FftEngine::mul_accumulate`].
     fn zero_spectrum(&self) -> Self::Spectrum;

@@ -20,10 +20,11 @@
 //!
 //! Both engines store spectra *split-complex* (separate `re[]`/`im[]`
 //! arrays) and run their butterfly stages and pointwise accumulates through
-//! the [`simd`] kernels, which use AVX2+FMA when the CPU supports it and
-//! AVX-512F for the integer engine's widest kernels where it has that too
-//! (runtime-detected, [`active_leg`]; `MATCHA_SIMD=0` or [`force_simd`] pin
-//! the scalar leg).
+//! the [`simd`] kernels, which have an AVX2+FMA leg and, for the integer
+//! engine's widest kernels, an AVX-512F one. The leg is a value each engine
+//! holds ([`FftEngine::leg`]): `new` takes [`Leg::host`], the widest leg
+//! the CPU runs unless `MATCHA_SIMD=0` asks for the scalar one, and
+//! `with_leg` any other, narrowed to what the CPU runs.
 //! The depth-first conjugate-pair flow of §4.1 (Figure 2b) is a claim about
 //! the accelerator's twiddle-buffer reads, and is modelled there, in the
 //! test-only `banking` module of `matcha-accel`
@@ -34,8 +35,8 @@
 //! Bootstrapping needs the [`FftEngine`] trait and its two engines. The
 //! other public items are the ones another crate, a figure regenerator or
 //! this crate's equivalence suites call directly: the spectrum and key-block
-//! types, the Figure 8 error harness ([`error`]), the kernel legs and their
-//! override ([`simd`], [`force_simd`]), and the table and lifting types
+//! types, the Figure 8 error harness ([`error`]), the kernels and their
+//! legs ([`simd`], [`Leg`]), and the table and lifting types
 //! those kernels take. The table builders' complex-number helper and the
 //! kernels only the engines call are crate-private, and the twiddle tables
 //! store each factor once, split into the `re`/`im` arrays the kernels read.
@@ -75,5 +76,5 @@ pub use approx::ApproxIntFft;
 pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};
-pub use simd::{active_leg, force_simd, simd_active, simd_detected, Leg};
+pub use simd::{simd_detected, Leg};
 pub use tables::{StageTwiddles, TwiddleTables};

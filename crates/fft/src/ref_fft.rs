@@ -4,8 +4,8 @@
 //!
 //! Spectra are stored *split-complex* (separate `re[]`/`im[]` vectors) and
 //! every stage loop and pointwise accumulate runs through the
-//! [`crate::simd`] kernels, which take an AVX2+FMA leg when the CPU has one
-//! and a scalar leg, every product rounded on its own, otherwise.
+//! [`crate::simd`] kernels, on the engine's leg: AVX2+FMA, or the scalar
+//! leg, every product rounded on its own.
 //!
 //! # The flow of one transform
 //!
@@ -24,7 +24,7 @@
 //! transform follows with its pass out).
 
 use crate::engine::{split_key_row, FftEngine, KeyBlock, Spectrum};
-use crate::simd;
+use crate::simd::{self, FoldDigit, Leg};
 use crate::tables::TwiddleTables;
 use crate::twist;
 use matcha_math::{IntPolynomial, TorusPolynomial};
@@ -86,7 +86,8 @@ pub enum Direction {
 }
 
 /// Iterative radix-2 transform with the requested kernel sign, on
-/// split-complex data, in place, natural order in and out.
+/// split-complex data, in place, natural order in and out, on kernel leg
+/// `leg`.
 ///
 /// The engine itself never calls this: its folds and its working copy
 /// deliver bit-reversed data to the butterfly stages directly. Exposed as
@@ -96,9 +97,15 @@ pub enum Direction {
 /// # Panics
 ///
 /// Panics if either component's length is not `tables.size()`.
-pub fn dft_in_place(re: &mut [f64], im: &mut [f64], tables: &TwiddleTables, dir: Direction) {
+pub fn dft_in_place(
+    re: &mut [f64],
+    im: &mut [f64],
+    tables: &TwiddleTables,
+    dir: Direction,
+    leg: Leg,
+) {
     tables.bit_reversal().permute_pair(re, im);
-    butterfly_stages(re, im, tables, dir, 2);
+    butterfly_stages(re, im, tables, dir, 2, leg);
 }
 
 /// The `log2 M` butterfly stages over bit-reversed data.
@@ -118,6 +125,7 @@ fn butterfly_stages(
     tables: &TwiddleTables,
     dir: Direction,
     first: usize,
+    leg: Leg,
 ) {
     let m = tables.size();
     assert_eq!(re.len(), m, "buffer length is not the tables'");
@@ -130,12 +138,12 @@ fn butterfly_stages(
     while 2 * len <= m {
         let (w1re, w1im) = stages.stage_split(len);
         let (w2re, w2im) = stages.stage_split(2 * len);
-        simd::radix2_stage_pair(re, im, w1re, w1im, w2re, w2im, len);
+        simd::radix2_stage_pair(re, im, w1re, w1im, w2re, w2im, len, leg);
         len *= 4;
     }
     if len <= m {
         let (wre, wim) = stages.stage_split(len);
-        simd::radix2_stage(re, im, wre, wim, len);
+        simd::radix2_stage(re, im, wre, wim, len, leg);
     }
 }
 
@@ -158,18 +166,27 @@ fn butterfly_stages(
 pub struct F64Fft {
     n: usize,
     tables: TwiddleTables,
+    leg: Leg,
 }
 
 impl F64Fft {
-    /// Creates an engine for ring degree `n`.
+    /// Creates an engine for ring degree `n` on the host's kernel leg
+    /// ([`Leg::host`]); panics where [`F64Fft::with_leg`] does.
+    pub fn new(n: usize) -> Self {
+        Self::with_leg(n, Leg::host())
+    }
+
+    /// Creates an engine for ring degree `n` on kernel leg `leg`, narrowed
+    /// to the widest leg this CPU runs ([`Leg::narrowed`]).
     ///
     /// # Panics
     ///
     /// Panics if `n < 4` or `n` is not a power of two.
-    pub fn new(n: usize) -> Self {
+    pub fn with_leg(n: usize, leg: Leg) -> Self {
         Self {
             n,
             tables: TwiddleTables::new(n),
+            leg: leg.narrowed(),
         }
     }
 
@@ -178,16 +195,13 @@ impl F64Fft {
         &self.tables
     }
 
-    /// What follows every forward fold: the stages the fold has not run.
-    fn wide_stages_forward(&self, out: &mut CplxSpectrum) {
+    /// One forward transform: the fold of `words` ([`twist::fold`]), then
+    /// the stages it has not run.
+    fn forward(&self, words: &[u32], digit: FoldDigit, out: &mut CplxSpectrum) {
+        let (re, im) = (&mut out.re, &mut out.im);
+        twist::fold(words, digit, &self.tables, re, im, self.leg);
         let first = simd::FIRST_WIDE_STAGE;
-        butterfly_stages(
-            &mut out.re,
-            &mut out.im,
-            &self.tables,
-            Direction::Forward,
-            first,
-        );
+        butterfly_stages(re, im, &self.tables, Direction::Forward, first, self.leg);
     }
 }
 
@@ -198,6 +212,10 @@ impl FftEngine for F64Fft {
 
     fn ring_degree(&self) -> usize {
         self.n
+    }
+
+    fn leg(&self) -> Leg {
+        self.leg
     }
 
     fn zero_spectrum(&self) -> CplxSpectrum {
@@ -221,8 +239,7 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_int(p, &self.tables, &mut out.re, &mut out.im);
-        self.wide_stages_forward(out);
+        self.forward(simd::int_words(p.coeffs()), FoldDigit::WHOLE, out);
     }
 
     fn forward_torus_into(
@@ -231,8 +248,7 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus(p, &self.tables, &mut out.re, &mut out.im);
-        self.wide_stages_forward(out);
+        self.forward(simd::torus_words(p.coeffs()), FoldDigit::WHOLE, out);
     }
 
     fn forward_decomposed_into(
@@ -243,8 +259,8 @@ impl FftEngine for F64Fft {
         out: &mut CplxSpectrum,
         _scratch: &mut CplxScratch,
     ) {
-        twist::fold_torus_digit(p, decomp, level, &self.tables, &mut out.re, &mut out.im);
-        self.wide_stages_forward(out);
+        let digit = FoldDigit::level(decomp, level);
+        self.forward(simd::torus_words(p.coeffs()), digit, out);
     }
 
     fn backward_torus_into(
@@ -264,10 +280,10 @@ impl FftEngine for F64Fft {
             order: self.tables.bit_reversal(),
             stages: self.tables.inverse_stages(),
         };
-        simd::bit_reverse_copy_pair(&s.re, &s.im, reversed, buf_re, buf_im);
-        let first = simd::FIRST_WIDE_STAGE;
-        butterfly_stages(buf_re, buf_im, &self.tables, Direction::Inverse, first);
-        twist::unfold_torus_into(buf_re, buf_im, 1.0 / m as f64, &self.tables, out);
+        simd::bit_reverse_copy_pair(&s.re, &s.im, reversed, buf_re, buf_im, self.leg);
+        let (first, leg) = (simd::FIRST_WIDE_STAGE, self.leg);
+        butterfly_stages(buf_re, buf_im, &self.tables, Direction::Inverse, first, leg);
+        twist::unfold_torus_into(buf_re, buf_im, 1.0 / m as f64, &self.tables, out, leg);
     }
 
     /// `simd::mul_acc` over the spectra's components.
@@ -281,6 +297,7 @@ impl FftEngine for F64Fft {
             accs.map(|acc| (&mut acc.re[..], &mut acc.im[..])),
             (&x.re, &x.im),
             rows.map(|row| (&row.re[..], &row.im[..])),
+            self.leg,
         );
     }
 
@@ -378,6 +395,7 @@ impl FftEngine for F64Fft {
             key,
             slots,
             (&factors.re, &factors.im),
+            self.leg,
         );
     }
 }
@@ -415,8 +433,8 @@ mod tests {
         let mut re: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let mut im: Vec<f64> = (0..16).map(|i| (i * i % 7) as f64).collect();
         let (orig_re, orig_im) = (re.clone(), im.clone());
-        dft_in_place(&mut re, &mut im, &tables, Direction::Forward);
-        dft_in_place(&mut re, &mut im, &tables, Direction::Inverse);
+        dft_in_place(&mut re, &mut im, &tables, Direction::Forward, Leg::host());
+        dft_in_place(&mut re, &mut im, &tables, Direction::Inverse, Leg::host());
         for k in 0..16 {
             // The inverse kernel is unnormalized: divide by M here.
             let d = Cplx::new(re[k] / 16.0 - orig_re[k], im[k] / 16.0 - orig_im[k]);
@@ -430,7 +448,7 @@ mod tests {
         let mut re = vec![0.0; 8];
         let mut im = vec![0.0; 8];
         re[0] = 1.0;
-        dft_in_place(&mut re, &mut im, &tables, Direction::Forward);
+        dft_in_place(&mut re, &mut im, &tables, Direction::Forward, Leg::host());
         for k in 0..8 {
             assert!((Cplx::new(re[k], im[k]) - Cplx::ONE).abs() < 1e-12);
         }
@@ -442,7 +460,7 @@ mod tests {
         let mut re: Vec<f64> = (0..32).map(|i| (i as f64).sin()).collect();
         let mut im: Vec<f64> = (0..32).map(|i| (i as f64).cos()).collect();
         let e_time: f64 = re.iter().zip(im.iter()).map(|(&r, &i)| r * r + i * i).sum();
-        dft_in_place(&mut re, &mut im, &tables, Direction::Forward);
+        dft_in_place(&mut re, &mut im, &tables, Direction::Forward, Leg::host());
         let e_freq: f64 = re.iter().zip(im.iter()).map(|(&r, &i)| r * r + i * i).sum();
         assert!((e_freq - 32.0 * e_time).abs() / (32.0 * e_time) < 1e-12);
     }

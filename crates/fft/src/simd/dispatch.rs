@@ -1,6 +1,5 @@
-//! Which kernel leg runs: CPU detection, `MATCHA_SIMD` and the test override.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Kernel legs: what the CPU runs, what `MATCHA_SIMD` allows, and the
+//! narrowing that keeps every kernel call on a leg the CPU has.
 
 /// A kernel leg, narrowest first: each vector leg needs the CPU features of
 /// the one before it and adds its own.
@@ -22,37 +21,39 @@ impl Leg {
     /// Every leg, narrowest first.
     pub const ALL: [Leg; 3] = [Leg::Scalar, Leg::Avx2, Leg::Avx512];
 
-    /// The widest leg this CPU runs (cached by the standard library's
-    /// detection: a handful of atomic loads).
-    fn widest() -> Leg {
+    /// The leg [`crate::F64Fft::new`] and [`crate::ApproxIntFft::new`]
+    /// build with: the widest this CPU runs, or [`Leg::Scalar`] where
+    /// `MATCHA_SIMD` is `0` (or `off`). Reads the environment on every
+    /// call; an engine reads it once, when it is built.
+    pub fn host() -> Leg {
+        let scalar = matches!(
+            std::env::var("MATCHA_SIMD").as_deref(),
+            Ok("0") | Ok("off") | Ok("OFF")
+        );
+        if scalar {
+            Leg::Scalar
+        } else {
+            Leg::Avx512.narrowed()
+        }
+    }
+
+    /// `self`, or the widest leg this CPU runs where that is narrower: a
+    /// leg the CPU lacks gives way to the widest one it has. Detection is
+    /// cached by the standard library, so this is a handful of atomic
+    /// loads.
+    #[inline]
+    pub fn narrowed(self) -> Leg {
         #[cfg(target_arch = "x86_64")]
         if simd_detected() {
             return if is_x86_feature_detected!("avx512f") {
-                Leg::Avx512
+                self
             } else {
-                Leg::Avx2
+                self.min(Leg::Avx2)
             };
         }
         Leg::Scalar
     }
-
-    /// `0` is kept for "not set" in the atomics below.
-    fn code(self) -> u8 {
-        self as u8 + 1
-    }
-
-    fn from_code(code: u8) -> Option<Leg> {
-        Leg::ALL.get(usize::from(code).checked_sub(1)?).copied()
-    }
 }
-
-/// Explicit override: `0` = auto, otherwise [`Leg::code`] of the pinned leg
-/// (already narrowed to what the CPU runs).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Cached auto decision (detection ∧ environment): `0` = unknown,
-/// otherwise [`Leg::code`].
-static AUTO: AtomicU8 = AtomicU8::new(0);
 
 /// Whether this CPU supports the AVX2+FMA kernels.
 ///
@@ -68,56 +69,4 @@ pub fn simd_detected() -> bool {
     {
         false
     }
-}
-
-/// `MATCHA_SIMD=0` (or `off`) disables the vector legs for the whole
-/// process; anything else — including unset — leaves the widest detected
-/// leg on.
-fn env_allows_simd() -> bool {
-    !matches!(
-        std::env::var("MATCHA_SIMD").as_deref(),
-        Ok("0") | Ok("off") | Ok("OFF")
-    )
-}
-
-fn auto_leg() -> Leg {
-    Leg::from_code(AUTO.load(Ordering::Relaxed)).unwrap_or_else(|| {
-        let leg = if env_allows_simd() {
-            Leg::widest()
-        } else {
-            Leg::Scalar
-        };
-        AUTO.store(leg.code(), Ordering::Relaxed);
-        leg
-    })
-}
-
-/// The leg the kernels take right now: the widest the CPU runs, unless
-/// `MATCHA_SIMD` says `0` (scalar) or a [`force_simd`] override pins a
-/// narrower one. The first call caches the environment lookup; warmed calls
-/// are two relaxed atomic loads and never allocate.
-#[inline]
-pub fn active_leg() -> Leg {
-    Leg::from_code(OVERRIDE.load(Ordering::Relaxed)).unwrap_or_else(auto_leg)
-}
-
-/// Whether the kernels will take a vector leg right now
-/// (`active_leg() != Leg::Scalar`).
-#[inline]
-pub fn simd_active() -> bool {
-    active_leg() != Leg::Scalar
-}
-
-/// Process-global override used by the equivalence tests to pin one leg:
-/// `Some(leg)` pins `leg`, narrowed to the widest leg the CPU runs (the
-/// kernels never execute unsupported instructions, so pinning
-/// [`Leg::Avx512`] on a CPU without AVX-512F runs [`Leg::Avx2`], and
-/// either vector leg on a CPU without AVX2+FMA runs [`Leg::Scalar`]);
-/// `None` restores auto selection.
-///
-/// Affects every engine in the process; callers that toggle it from tests
-/// must serialize themselves around it.
-pub fn force_simd(mode: Option<Leg>) {
-    let code = mode.map_or(0, |leg| leg.min(Leg::widest()).code());
-    OVERRIDE.store(code, Ordering::Relaxed);
 }

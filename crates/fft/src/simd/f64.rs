@@ -1,7 +1,7 @@
 //! The double-precision engine's kernels: butterflies, pointwise
 //! accumulates, the fold, the backward tail and the bundle row.
 
-use super::dispatch::simd_active;
+use super::dispatch::Leg;
 use super::movers::{bit_reverse_copy, FoldDigit};
 #[cfg(target_arch = "x86_64")]
 use super::movers::{key_lines_of_chunk, store_columns_avx, MIN_BLOCKED, REV2};
@@ -25,7 +25,14 @@ use std::arch::x86_64::__m256d;
 /// loops, so every public kernel checks its invariants with real asserts —
 /// a handful of integer compares against `O(m)` work).
 #[inline]
-pub fn radix2_stage(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64], len: usize) {
+pub fn radix2_stage(
+    re: &mut [f64],
+    im: &mut [f64],
+    wre: &[f64],
+    wim: &[f64],
+    len: usize,
+    leg: Leg,
+) {
     let half = len / 2;
     assert_eq!(re.len(), im.len(), "component length mismatch");
     assert_eq!(
@@ -36,8 +43,8 @@ pub fn radix2_stage(re: &mut [f64], im: &mut [f64], wre: &[f64], wim: &[f64], le
     assert_eq!(wre.len(), half, "twiddle table length mismatch");
     assert_eq!(wim.len(), half, "twiddle table length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY (all three calls): simd_active() implies AVX2+FMA.
+    if leg.narrowed() != Leg::Scalar {
+        // SAFETY (all three calls): a narrowed vector leg implies AVX2+FMA.
         if half >= 4 {
             unsafe { radix2_stage_avx(re, im, wre, wim, len) };
             return;
@@ -226,6 +233,7 @@ pub fn radix2_stage_pair(
     w2re: &[f64],
     w2im: &[f64],
     len: usize,
+    leg: Leg,
 ) {
     assert_eq!(re.len(), im.len(), "component length mismatch");
     assert_eq!(
@@ -238,13 +246,14 @@ pub fn radix2_stage_pair(
     assert_eq!(w2re.len(), len, "twiddle table length mismatch");
     assert_eq!(w2im.len(), len, "twiddle table length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if len >= 8 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA; the lengths were checked.
+    if len >= 8 && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; the lengths were
+        // checked.
         unsafe { radix2_stage_pair_avx(re, im, w1re, w1im, w2re, w2im, len) };
         return;
     }
-    radix2_stage(re, im, w1re, w1im, len);
-    radix2_stage(re, im, w2re, w2im, 2 * len);
+    radix2_stage(re, im, w1re, w1im, len, leg);
+    radix2_stage(re, im, w2re, w2im, 2 * len, leg);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -318,6 +327,7 @@ pub(crate) fn mul_acc<const ROWS: usize>(
     mut accs: [(&mut [f64], &mut [f64]); ROWS],
     (x_re, x_im): (&[f64], &[f64]),
     rows: [(&[f64], &[f64]); ROWS],
+    leg: Leg,
 ) {
     let m = x_re.len();
     assert_eq!(x_im.len(), m, "component length mismatch");
@@ -327,9 +337,9 @@ pub(crate) fn mul_acc<const ROWS: usize>(
         }
     }
     #[cfg(target_arch = "x86_64")]
-    if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present; the lengths
-        // were checked.
+    if m >= 4 && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; the lengths were
+        // checked.
         unsafe { mul_acc_avx(accs, (x_re, x_im), rows) };
         return;
     }
@@ -416,11 +426,11 @@ impl Reversed<'_> {
     /// The two narrow stages over a buffer already in bit-reversed order:
     /// what the blocked vector legs do in registers, for the legs that do
     /// not block.
-    fn narrow_stages(&self, re: &mut [f64], im: &mut [f64]) {
+    fn narrow_stages(&self, re: &mut [f64], im: &mut [f64], leg: Leg) {
         let mut len = 2;
         while len < FIRST_WIDE_STAGE && len <= re.len() {
             let (wre, wim) = self.stages.stage_split(len);
-            radix2_stage(re, im, wre, wim, len);
+            radix2_stage(re, im, wre, wim, len, leg);
             len *= 2;
         }
     }
@@ -476,6 +486,7 @@ pub fn fold_twist(
     reversed: Option<Reversed<'_>>,
     re: &mut [f64],
     im: &mut [f64],
+    leg: Leg,
 ) {
     let m = re.len();
     assert_eq!(im.len(), m, "component length mismatch");
@@ -488,16 +499,17 @@ pub fn fold_twist(
         assert_eq!(reversed.stages.size(), m, "tables built for another size");
     }
     #[cfg(target_arch = "x86_64")]
-    if m >= 4 && simd_active() {
+    if m >= 4 && leg.narrowed() != Leg::Scalar {
         // A transform too small for a 4×4 block folds in natural order and
         // is permuted through the table.
         let blocked = reversed.filter(|_| m >= MIN_BLOCKED);
-        // SAFETY: simd_active() implies AVX2+FMA; the lengths were checked,
-        // and a `BitReversal` of length `m` holds the reversal of `0..m`.
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; the lengths were
+        // checked, and a `BitReversal` of length `m` holds the reversal of
+        // `0..m`.
         unsafe { fold_twist_avx(lo, hi, digit, twre, twim, blocked, re, im) };
         if let (Some(reversed), None) = (reversed, blocked) {
             reversed.order.permute_pair(re, im);
-            reversed.narrow_stages(re, im);
+            reversed.narrow_stages(re, im, leg);
         }
         return;
     }
@@ -508,7 +520,7 @@ pub fn fold_twist(
         im[slot] = r * twim[k] + i * twre[k];
     }
     if let Some(reversed) = reversed {
-        reversed.narrow_stages(re, im);
+        reversed.narrow_stages(re, im, leg);
     }
 }
 
@@ -586,6 +598,7 @@ pub fn bit_reverse_copy_pair(
     reversed: Reversed<'_>,
     dst_re: &mut [f64],
     dst_im: &mut [f64],
+    leg: Leg,
 ) {
     let m = reversed.order.len();
     assert_eq!(reversed.stages.size(), m, "tables built for another size");
@@ -594,15 +607,15 @@ pub fn bit_reverse_copy_pair(
     assert_eq!(dst_re.len(), m, "buffer length is not the table's");
     assert_eq!(dst_im.len(), m, "buffer length is not the table's");
     #[cfg(target_arch = "x86_64")]
-    if m >= MIN_BLOCKED && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA; all four buffers hold `m`
-        // elements and `order` holds the reversal of `0..m`.
+    if m >= MIN_BLOCKED && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; all four buffers
+        // hold `m` elements and `order` holds the reversal of `0..m`.
         unsafe { bit_reverse_copy_pair_avx(src_re, src_im, reversed, dst_re, dst_im) };
         return;
     }
-    bit_reverse_copy(src_re, dst_re, reversed.order);
-    bit_reverse_copy(src_im, dst_im, reversed.order);
-    reversed.narrow_stages(dst_re, dst_im);
+    bit_reverse_copy(src_re, dst_re, reversed.order, leg);
+    bit_reverse_copy(src_im, dst_im, reversed.order, leg);
+    reversed.narrow_stages(dst_re, dst_im, leg);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -686,6 +699,7 @@ pub(crate) fn reduce_turns(t: f64) -> u32 {
 ///
 /// Panics on mismatched slice lengths or an `inv_len` that is not a power
 /// of two.
+#[allow(clippy::too_many_arguments)]
 pub fn untwist_to_torus(
     re: &[f64],
     im: &[f64],
@@ -694,6 +708,7 @@ pub fn untwist_to_torus(
     inv_len: f64,
     lo: &mut [Torus32],
     hi: &mut [Torus32],
+    leg: Leg,
 ) {
     let m = re.len();
     assert_eq!(im.len(), m, "component length mismatch");
@@ -707,8 +722,8 @@ pub fn untwist_to_torus(
     );
     let to_turns = inv_len / TWO_32;
     #[cfg(target_arch = "x86_64")]
-    if m >= 4 && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present.
+    if m >= 4 && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA.
         unsafe { untwist_to_torus_avx(re, im, twre, twim, to_turns, lo, hi) };
         return;
     }
@@ -801,6 +816,7 @@ pub(crate) fn bundle_row(
     key: KeyBlock<'_>,
     slots: &[u8],
     (f_re, f_im): (&[f64], &[f64]),
+    leg: Leg,
 ) {
     let m = out_re.len();
     assert_eq!(out_im.len(), m, "component length mismatch");
@@ -810,9 +826,9 @@ pub(crate) fn bundle_row(
     assert_eq!(f_im.len(), slots.len() * m, "one factor table per slot");
     key.assert_holds(m, slots);
     #[cfg(target_arch = "x86_64")]
-    if m.is_multiple_of(KEY_CHUNK) && simd_active() {
-        // SAFETY: simd_active() implies AVX2+FMA are present; the lengths,
-        // the block and the slots were checked above.
+    if m.is_multiple_of(KEY_CHUNK) && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; the lengths, the
+        // block and the slots were checked above.
         unsafe { bundle_row_avx(out_re, out_im, h_re, h_im, key, slots, f_re, f_im) };
         return;
     }

@@ -2,7 +2,7 @@
 //! pointwise products and the bundle row, bit-identical across legs.
 
 #[cfg(target_arch = "x86_64")]
-use super::dispatch::{active_leg, Leg};
+use super::dispatch::Leg;
 #[cfg(target_arch = "x86_64")]
 use super::i64_512;
 use super::movers::FoldDigit;
@@ -121,18 +121,18 @@ impl LiftSplit {
 /// # Panics
 ///
 /// Panics on mismatched lengths.
-pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>) {
+pub fn i64_rotate(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, leg: Leg) {
     let m = re.len();
     assert_eq!(im.len(), m, "component length mismatch");
     assert_eq!(rots.len(), m, "rotation table length mismatch");
     #[cfg(target_arch = "x86_64")]
     if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) =
-        (rots.split, active_leg(), m.is_multiple_of(4))
+        (rots.split, leg.narrowed(), m.is_multiple_of(4))
     {
         debug_assert_lane_bound(re);
         debug_assert_lane_bound(im);
-        // SAFETY (both): a vector leg implies AVX2, `Leg::Avx512` AVX-512F
-        // too; the lengths were checked.
+        // SAFETY (both): a narrowed vector leg implies AVX2, a narrowed
+        // `Leg::Avx512` AVX-512F too; the lengths were checked.
         if leg == Leg::Avx512 && m.is_multiple_of(8) {
             unsafe { i64_512::i64_rotate(re, im, rots, split) };
         } else {
@@ -165,6 +165,7 @@ pub fn i64_fold_rotate(
     order: &BitReversal,
     re: &mut [i64],
     im: &mut [i64],
+    leg: Leg,
 ) {
     let m = re.len();
     assert_eq!(im.len(), m, "component length mismatch");
@@ -175,12 +176,12 @@ pub fn i64_fold_rotate(
     assert!(frac_bits < 64, "pre-scale wider than a lane");
     #[cfg(target_arch = "x86_64")]
     if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) =
-        (rots.split, active_leg(), m >= MIN_BLOCKED)
+        (rots.split, leg.narrowed(), m >= MIN_BLOCKED)
     {
         let rev = order.index();
-        // SAFETY (both): a vector leg implies AVX2, `Leg::Avx512` AVX-512F
-        // too; the lengths were checked, and a `BitReversal` of length `m`
-        // holds the reversal of `0..m`.
+        // SAFETY (both): a narrowed vector leg implies AVX2, a narrowed
+        // `Leg::Avx512` AVX-512F too; the lengths were checked, and a
+        // `BitReversal` of length `m` holds the reversal of `0..m`.
         if leg == Leg::Avx512 && m >= 2 * MIN_BLOCKED {
             unsafe { i64_512::i64_fold_rotate(lo, hi, digit, frac_bits, rots, split, rev, re, im) };
         } else {
@@ -251,26 +252,19 @@ unsafe fn i64_fold_rotate_avx(
 /// on eight on [`Leg::Avx512`](super::Leg::Avx512) for every stage but the
 /// multiply-free `len = 2`.
 ///
+/// `HALVE` halves every output, rounding half up — `log2(M)` halving
+/// stages realize the `1/M` inverse normalization without a multiplier.
+///
 /// # Panics
 ///
 /// Panics on mismatched lengths.
-pub(crate) fn i64_radix2_stage(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
-    i64_stage::<false>(re, im, rots, len);
-}
-
-/// [`i64_radix2_stage`] with a round-half-up halving of every output —
-/// `log2(M)` of these realize the `1/M` inverse normalization without a
-/// multiplier.
-pub(crate) fn i64_radix2_stage_halving(
+pub(crate) fn i64_radix2_stage<const HALVE: bool>(
     re: &mut [i64],
     im: &mut [i64],
     rots: Lifts<'_>,
     len: usize,
+    leg: Leg,
 ) {
-    i64_stage::<true>(re, im, rots, len);
-}
-
-fn i64_stage<const HALVE: bool>(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>, len: usize) {
     let m = re.len();
     let half = len / 2;
     assert_eq!(im.len(), m, "component length mismatch");
@@ -280,16 +274,17 @@ fn i64_stage<const HALVE: bool>(re: &mut [i64], im: &mut [i64], rots: Lifts<'_>,
     );
     assert_eq!(rots.len(), half, "rotation table length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) = (rots.split, active_leg(), m >= 8)
+    if let (Some(split), leg @ (Leg::Avx2 | Leg::Avx512), true) =
+        (rots.split, leg.narrowed(), m >= 8)
     {
         debug_assert_lane_bound(re);
         debug_assert_lane_bound(im);
-        // SAFETY (every call below): a vector leg implies AVX2,
-        // `Leg::Avx512` AVX-512F too; the lengths were checked, and `m` is a
-        // multiple of 8 (a multiple of `len`, a power of two, and at least
-        // 8). The eight-lane kernels also need `len` a power of two (so
-        // `half` is a multiple of 8 from `len = 16` on) and `m` a multiple
-        // of 16.
+        // SAFETY (every call below): a narrowed vector leg implies AVX2, a
+        // narrowed `Leg::Avx512` AVX-512F too; the lengths were checked,
+        // and `m` is a multiple of 8 (a multiple of `len`, a power of two,
+        // and at least 8). The eight-lane kernels also need `len` a power
+        // of two (so `half` is a multiple of 8 from `len = 16` on) and `m`
+        // a multiple of 16.
         //
         // On eight lanes every stage but the multiply-free `len = 2`: the
         // narrow ones two or four blocks to a vector, the wide ones as on
@@ -718,6 +713,7 @@ pub(crate) fn i64_mul_acc<const ROWS: usize>(
     (x_re, x_im): (&[i64], &[i64]),
     rows: [(&[i64], &[i64]); ROWS],
     shift: u32,
+    leg: Leg,
 ) {
     let m = x_re.len();
     assert_eq!(x_im.len(), m, "component length mismatch");
@@ -731,14 +727,14 @@ pub(crate) fn i64_mul_acc<const ROWS: usize>(
         "at least one operand must be an integer-side spectrum"
     );
     #[cfg(target_arch = "x86_64")]
-    if active_leg() == Leg::Avx512 && MAC_SHIFTS.contains(&shift) && m.is_multiple_of(8) {
+    if leg.narrowed() == Leg::Avx512 && MAC_SHIFTS.contains(&shift) && m.is_multiple_of(8) {
         let within = |v: &[i64]| v.iter().all(|v| v.unsigned_abs() < MAC_LANE_BOUND);
         debug_assert!(
             within(x_re) && within(x_im) && rows.iter().all(|(re, im)| within(re) && within(im)),
             "pointwise product operand outside ±2^61"
         );
-        // SAFETY: `Leg::Avx512` implies AVX-512F; the lengths and the shift
-        // were checked.
+        // SAFETY: a narrowed `Leg::Avx512` implies AVX-512F; the lengths and
+        // the shift were checked.
         unsafe { i64_512::i64_mul_acc(accs, (x_re, x_im), rows, shift) };
         return;
     }
@@ -791,6 +787,7 @@ pub(crate) fn i64_bundle_row(
     key: KeyBlock<'_>,
     slots: &[u8],
     factors: &[[i32; 2]],
+    leg: Leg,
 ) {
     let m = out_re.len();
     assert_eq!(out_im.len(), m, "component length mismatch");
@@ -805,9 +802,10 @@ pub(crate) fn i64_bundle_row(
     );
     let shift = BUNDLE_SHIFT - key.exp;
     #[cfg(target_arch = "x86_64")]
-    if let (leg @ (Leg::Avx2 | Leg::Avx512), true) = (active_leg(), m.is_multiple_of(KEY_CHUNK)) {
-        // SAFETY: a vector leg implies AVX2, `Leg::Avx512` AVX-512F too;
-        // the lengths, the block and the slots were checked above.
+    if let (leg @ (Leg::Avx2 | Leg::Avx512), true) = (leg.narrowed(), m.is_multiple_of(KEY_CHUNK)) {
+        // SAFETY: a narrowed vector leg implies AVX2, a narrowed
+        // `Leg::Avx512` AVX-512F too; the lengths, the block and the slots
+        // were checked above.
         if leg == Leg::Avx512 {
             unsafe {
                 i64_512::i64_bundle_row(out_re, out_im, h_re, h_im, key, slots, factors, shift)

@@ -1,5 +1,5 @@
-//! Split-complex butterfly and pointwise kernels with runtime-detected
-//! AVX2+FMA and AVX-512F vectorization.
+//! Split-complex butterfly and pointwise kernels with AVX2+FMA and
+//! AVX-512F legs, the leg a value every kernel takes.
 //!
 //! # Layout
 //!
@@ -45,8 +45,10 @@
 //!
 //! # Dispatch
 //!
-//! Each public kernel picks its leg per call from [`active_leg`] — the
-//! widest [`Leg`] the CPU runs, detected once and cached in an atomic:
+//! Every kernel takes the [`Leg`] it runs on as its last argument, and an
+//! engine passes the one it was built with ([`crate::FftEngine::leg`]):
+//! which instruction set a transform uses is a property of its engine,
+//! not of the process.
 //!
 //! * [`Leg::Avx512`], where the CPU has AVX-512F (and AVX2+FMA): eight-lane
 //!   forms of the integer engine's kernels — `i64_radix2_stage` but for
@@ -55,14 +57,24 @@
 //!   everything else;
 //! * [`Leg::Avx2`], where it has AVX2+FMA: explicitly vectorized kernels
 //!   (`core::arch::x86_64` intrinsics behind `#[target_feature]`);
-//! * [`Leg::Scalar`] everywhere else (non-x86_64 targets, older CPUs),
-//!   under `MATCHA_SIMD=0`, or under a [`force_simd`] override: loops that
-//!   round every product before they add it (no contraction) and are the
-//!   definition the vector legs reproduce.
+//! * [`Leg::Scalar`] everywhere: loops that round every product before
+//!   they add it (no contraction) and are the definition the vector legs
+//!   reproduce.
+//!
+//! **Narrowing.** A kernel's `leg` is a request: before it picks a path,
+//! every kernel narrows it to the widest leg the CPU runs
+//! ([`Leg::narrowed`], a few loads of the standard library's cached
+//! detection), and every `unsafe` vector call sits behind that narrowed
+//! leg. So no safe call runs an instruction the CPU lacks, whatever leg its
+//! caller names. The engines' `with_leg` constructors and
+//! `KeySwitchKey::generate` narrow once more when they store a leg, so what
+//! an engine reports is what runs.
 //!
 //! `MATCHA_SIMD` has two values, `0` (scalar) and anything else (the widest
-//! leg); only the test hook [`force_simd`] pins [`Leg::Avx2`] on a CPU that
-//! has AVX-512F, so that one machine runs all three legs.
+//! leg): it decides [`Leg::host`], the leg `F64Fft::new` and
+//! `ApproxIntFft::new` build with, read once per engine. `with_leg` builds
+//! an engine for any other leg — [`Leg::Avx2`] on a CPU that has AVX-512F,
+//! say — so that one process runs all three legs side by side.
 //!
 //! # What the legs agree on
 //!
@@ -89,8 +101,8 @@
 //!
 //! # Integer (i64) kernels
 //!
-//! The integer engine's rotations (`i64_radix2_stage`,
-//! `i64_radix2_stage_halving`, [`i64_rotate`], [`i64_fold_rotate`]), its
+//! The integer engine's rotations (`i64_radix2_stage`, halving or not,
+//! [`i64_rotate`], [`i64_fold_rotate`]), its
 //! pointwise products (`i64_mul_acc`) and its bundle row
 //! (`i64_bundle_row`) have vector legs too, and here every leg agrees
 //! **bitwise**, not within ulps: integer arithmetic has one right answer.
@@ -124,6 +136,9 @@
 //! 1.23 µs, a forward transform of one gadget digit 10.7 / 5.26 / 3.61 µs,
 //! a backward transform 11.4 / 5.81 / 3.91 µs.
 
+// Off x86_64 the kernels never read their `leg`: every path is scalar.
+#![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+
 mod dispatch;
 mod f64;
 mod i64;
@@ -131,14 +146,12 @@ mod i64;
 mod i64_512;
 mod movers;
 
-pub use self::dispatch::{active_leg, force_simd, simd_active, simd_detected, Leg};
+pub use self::dispatch::{simd_detected, Leg};
 pub use self::f64::{
     bit_reverse_copy_pair, fold_twist, radix2_stage, radix2_stage_pair, untwist_to_torus, Reversed,
 };
 pub(crate) use self::f64::{bundle_row, mul_acc, reduce_turns, round_half_away, FIRST_WIDE_STAGE};
-pub(crate) use self::i64::{
-    i64_bundle_row, i64_mul_acc, i64_radix2_stage, i64_radix2_stage_halving, LiftSplit,
-};
+pub(crate) use self::i64::{i64_bundle_row, i64_mul_acc, i64_radix2_stage, LiftSplit};
 pub use self::i64::{i64_fold_rotate, i64_rotate, MAC_LANE_BOUND};
 pub use self::movers::{bit_reverse_copy, int_words, torus_words, FoldDigit};
 
@@ -153,20 +166,21 @@ mod tests {
 
     #[test]
     fn force_override_wins() {
-        force_simd(Some(Leg::Scalar));
-        assert!(!simd_active());
-        force_simd(Some(Leg::Avx2));
-        assert_eq!(simd_active(), simd_detected());
+        // A leg the caller names wins where the CPU runs it.
+        assert_eq!(Leg::Scalar.narrowed(), Leg::Scalar);
+        assert_eq!(Leg::Avx2.narrowed() == Leg::Avx2, simd_detected());
         // A leg the CPU lacks narrows to the widest one it has.
-        force_simd(Some(Leg::Avx512));
         #[cfg(target_arch = "x86_64")]
         assert_eq!(
-            active_leg() == Leg::Avx512,
+            Leg::Avx512.narrowed() == Leg::Avx512,
             simd_detected() && is_x86_feature_detected!("avx512f")
         );
-        force_simd(None);
-        let _ = simd_active(); // auto path must not panic
-        force_simd(None);
+        assert!(
+            Leg::Avx2.narrowed() <= Leg::Avx2,
+            "naming AVX2 runs no wider leg"
+        );
+        // The host leg is one the CPU runs.
+        assert_eq!(Leg::host().narrowed(), Leg::host());
     }
 
     #[test]
@@ -190,8 +204,7 @@ mod tests {
 
     /// Both legs of the reduction on `xs`: the scalar one through
     /// `twist::f64_to_torus_mod`, the vector one (where the CPU has it) by
-    /// calling the AVX tail directly with an identity twist, so no
-    /// process-global override is touched.
+    /// calling the AVX tail directly with an identity twist.
     fn assert_reduction_matches_reference(xs: &[f64]) {
         for &x in xs {
             assert_eq!(
@@ -320,8 +333,8 @@ mod tests {
         );
     }
 
-    /// The vector lift against the `i128` definition, lane by lane, with no
-    /// process-global override: every covered `β`, coefficients at and
+    /// The vector lift against the `i128` definition, lane by lane: every
+    /// covered `β`, coefficients at and
     /// around `0`, `±1` and `±2^β` (the lifting range's ends), inputs at and
     /// around `0`, `±2³¹` (the split point) and `±(2⁶² − 1)` (the bound).
     #[test]
@@ -414,8 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn pair_kernel_matches_two_singles_scalar_leg() {
-        force_simd(Some(Leg::Scalar));
+    fn pair_kernel_matches_two_singles_on_every_leg() {
+        for leg in Leg::ALL {
+            pair_kernel_matches_two_singles(leg);
+        }
+    }
+
+    fn pair_kernel_matches_two_singles(leg: Leg) {
         let m = 8;
         let c_re: Vec<f64> = (0..m).map(|k| 0.3 + k as f64).collect();
         let c_im: Vec<f64> = (0..m).map(|k| -0.7 * k as f64).collect();
@@ -431,17 +449,17 @@ mod tests {
             [(&mut p1, &mut p2), (&mut p3, &mut p4)],
             (&c_re, &c_im),
             [(&u_re, &u_im), (&v_re, &v_im)],
+            leg,
         );
         let mut s1 = vec![0.25; m];
         let mut s2 = vec![-0.5; m];
         let mut s3 = vec![1.0; m];
         let mut s4 = vec![2.0; m];
-        mul_acc([(&mut s1, &mut s2)], (&c_re, &c_im), [(&u_re, &u_im)]);
-        mul_acc([(&mut s3, &mut s4)], (&c_re, &c_im), [(&v_re, &v_im)]);
-        assert_eq!(p1, s1);
-        assert_eq!(p2, s2);
-        assert_eq!(p3, s3);
-        assert_eq!(p4, s4);
-        force_simd(None);
+        mul_acc([(&mut s1, &mut s2)], (&c_re, &c_im), [(&u_re, &u_im)], leg);
+        mul_acc([(&mut s3, &mut s4)], (&c_re, &c_im), [(&v_re, &v_im)], leg);
+        assert_eq!(p1, s1, "{leg:?}");
+        assert_eq!(p2, s2, "{leg:?}");
+        assert_eq!(p3, s3, "{leg:?}");
+        assert_eq!(p4, s4, "{leg:?}");
     }
 }

@@ -1,7 +1,7 @@
 //! Buffer movers: the words a fold reads, bit-reversed copies and 4×4
 //! transposes, and the key lines a bundle row streams.
 
-use super::dispatch::simd_active;
+use super::dispatch::Leg;
 #[cfg(target_arch = "x86_64")]
 use super::f64::CplxLanes;
 use crate::engine::{KeyBlock, KEY_CHUNK};
@@ -151,15 +151,15 @@ pub(super) unsafe fn store_columns_avx(
 /// # Panics
 ///
 /// Panics if either slice's length is not the table's.
-pub fn bit_reverse_copy<T: Copy>(src: &[T], dst: &mut [T], order: &BitReversal) {
+pub fn bit_reverse_copy<T: Copy>(src: &[T], dst: &mut [T], order: &BitReversal, leg: Leg) {
     let m = order.len();
     assert_eq!(src.len(), m, "buffer length is not the table's");
     assert_eq!(dst.len(), m, "buffer length is not the table's");
     #[cfg(target_arch = "x86_64")]
-    if std::mem::size_of::<T>() == 8 && m >= MIN_BLOCKED && simd_active() {
-        // SAFETY: simd_active() implies AVX2; both buffers hold `m` 64-bit
-        // elements, moved as bit patterns by unaligned loads, shuffles and
-        // stores; `order` holds the reversal of `0..m`.
+    if std::mem::size_of::<T>() == 8 && m >= MIN_BLOCKED && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2; both buffers hold
+        // `m` 64-bit elements, moved as bit patterns by unaligned loads,
+        // shuffles and stores; `order` holds the reversal of `0..m`.
         unsafe {
             bit_reverse_copy_avx(src.as_ptr().cast(), dst.as_mut_ptr().cast(), order.index())
         };

@@ -24,16 +24,35 @@
 //! without a permutation pass, and at `simd::FIRST_WIDE_STAGE`: the fold
 //! runs the two narrow stages (`len = 2` and `4`, which combine four
 //! neighbouring slots) on the way. The unfold is one fused pass too,
-//! [`crate::simd::untwist_to_torus`].
+//! [`crate::simd::untwist_to_torus`]. Both take the kernel leg they run
+//! on, the last argument.
 
-use crate::simd::{self, FoldDigit, Reversed};
+use crate::simd::{self, FoldDigit, Leg, Reversed};
 use crate::tables::TwiddleTables;
-use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
+use matcha_math::{Torus32, TorusPolynomial};
 
-/// The fold every entry point below is: coefficient words `c` and what to
-/// make of each (`digit`), twisted into bit-reversed slots with the two
-/// narrow forward stages done.
-fn fold(c: &[u32], digit: FoldDigit, tables: &TwiddleTables, re: &mut Vec<f64>, im: &mut Vec<f64>) {
+/// Folds coefficient words `c` ([`simd::int_words`] or
+/// [`simd::torus_words`] of a polynomial) into the twisted split-complex
+/// buffer the forward stage loop starts from: bit-reversed, the two narrow
+/// stages done. `digit` says what to make of each word: all of it
+/// ([`FoldDigit::WHOLE`]), or one gadget digit ([`FoldDigit::level`]) —
+/// the fused decompose→twist input stage, which extracts each centered
+/// digit as its coefficient is loaded, never writes the digit polynomial
+/// to memory, and is bit-identical to
+/// [`matcha_math::GadgetDecomposer::decompose_poly_into`] followed by a
+/// whole-word fold of the digits.
+///
+/// # Panics
+///
+/// Panics if `c.len() != 2 * tables.size()`.
+pub fn fold(
+    c: &[u32],
+    digit: FoldDigit,
+    tables: &TwiddleTables,
+    re: &mut Vec<f64>,
+    im: &mut Vec<f64>,
+    leg: Leg,
+) {
     let m = tables.size();
     assert_eq!(c.len(), 2 * m, "polynomial length mismatch");
     // Every slot is written: the resize only ever fills a buffer's first
@@ -46,83 +65,14 @@ fn fold(c: &[u32], digit: FoldDigit, tables: &TwiddleTables, re: &mut Vec<f64>, 
         order: tables.bit_reversal(),
         stages: tables.forward_stages(),
     };
-    simd::fold_twist(lo, hi, digit, twre, twim, Some(reversed), re, im);
-}
-
-/// Folds an integer polynomial into the twisted split-complex buffer the
-/// forward stage loop starts from (bit-reversed, the narrow stages done).
-///
-/// # Panics
-///
-/// Panics if `p.len() != 2 * tables.size()`.
-pub fn fold_int(p: &IntPolynomial, tables: &TwiddleTables, re: &mut Vec<f64>, im: &mut Vec<f64>) {
-    let words = simd::int_words(p.coeffs());
-    fold(words, FoldDigit::WHOLE, tables, re, im);
-}
-
-/// Folds one gadget-digit level of a torus polynomial into the twisted
-/// split-complex buffer — the fused decompose→twist input stage.
-///
-/// Each coefficient's centered digit is extracted on the fly while it is
-/// loaded for the twist, so the digit polynomial is never written to
-/// memory. Bit-identical to
-/// [`GadgetDecomposer::decompose_poly_into`] followed by [`fold_int`] on
-/// the requested level.
-///
-/// # Panics
-///
-/// Panics if `p.len() != 2 * tables.size()` or `level` is not one of
-/// `decomp`'s.
-pub fn fold_torus_digit(
-    p: &TorusPolynomial,
-    decomp: &GadgetDecomposer,
-    level: usize,
-    tables: &TwiddleTables,
-    re: &mut Vec<f64>,
-    im: &mut Vec<f64>,
-) {
-    let words = simd::torus_words(p.coeffs());
-    fold(words, FoldDigit::level(decomp, level), tables, re, im);
-}
-
-/// Folds a torus polynomial (centered representatives) into the twisted
-/// split-complex buffer the forward stage loop starts from.
-///
-/// # Panics
-///
-/// Panics if `p.len() != 2 * tables.size()`.
-pub fn fold_torus(
-    p: &TorusPolynomial,
-    tables: &TwiddleTables,
-    re: &mut Vec<f64>,
-    im: &mut Vec<f64>,
-) {
-    let words = simd::torus_words(p.coeffs());
-    fold(words, FoldDigit::WHOLE, tables, re, im);
+    simd::fold_twist(lo, hi, digit, twre, twim, Some(reversed), re, im, leg);
 }
 
 /// Unfolds an inverse-transformed split buffer back into torus
-/// coefficients: normalizes by `inv_len` (the `1/M` of an unnormalized
-/// inverse DFT, or `1.0`; a power of two), untwists, and reduces each real
-/// coefficient modulo `2^32` (allocating wrapper over
-/// `unfold_torus_into`).
-///
-/// # Panics
-///
-/// Panics if `re.len() != tables.size()` or `re.len() != im.len()`.
-pub fn unfold_torus(
-    re: &[f64],
-    im: &[f64],
-    inv_len: f64,
-    tables: &TwiddleTables,
-) -> TorusPolynomial {
-    let mut out = TorusPolynomial::zero(2 * tables.size());
-    unfold_torus_into(re, im, inv_len, tables, &mut out);
-    out
-}
-
-/// [`unfold_torus`] into a caller-owned polynomial — the zero-allocation
-/// tail of every backward transform, a single pass
+/// coefficients, into a caller-owned polynomial: normalizes by `inv_len`
+/// (the `1/M` of an unnormalized inverse DFT, or `1.0`; a power of two),
+/// untwists, and reduces each real coefficient modulo `2^32`. The
+/// zero-allocation tail of every backward transform, a single pass
 /// ([`simd::untwist_to_torus`]) that reads the buffer once and stores
 /// torus coefficients.
 ///
@@ -130,12 +80,13 @@ pub fn unfold_torus(
 ///
 /// Panics if `re.len() != tables.size()`, `re.len() != im.len()`,
 /// `out.len() != 2 * re.len()`, or `inv_len` is not a power of two.
-pub(crate) fn unfold_torus_into(
+pub fn unfold_torus_into(
     re: &[f64],
     im: &[f64],
     inv_len: f64,
     tables: &TwiddleTables,
     out: &mut TorusPolynomial,
+    leg: Leg,
 ) {
     let m = tables.size();
     assert_eq!(re.len(), m, "buffer length mismatch");
@@ -143,7 +94,7 @@ pub(crate) fn unfold_torus_into(
     assert_eq!(out.len(), 2 * m, "output polynomial length mismatch");
     let (twre, twim) = tables.twist_split();
     let (lo, hi) = out.coeffs_mut().split_at_mut(m);
-    simd::untwist_to_torus(re, im, twre, twim, inv_len, lo, hi);
+    simd::untwist_to_torus(re, im, twre, twim, inv_len, lo, hi, leg);
 }
 
 /// Reduces a real value modulo `2^32` onto the torus: the centred residue
@@ -165,6 +116,7 @@ pub fn f64_to_torus_mod(x: f64) -> Torus32 {
 mod tests {
     use super::*;
     use crate::cplx::Cplx;
+    use matcha_math::{GadgetDecomposer, IntPolynomial};
 
     #[test]
     fn f64_mod_small_values() {
@@ -185,13 +137,14 @@ mod tests {
     }
 
     /// The fold in natural order with no stages run: what
-    /// [`unfold_torus`] inverts when no transform comes between.
+    /// [`unfold_torus_into`] inverts when no transform comes between.
     fn fold_natural(c: &[u32], tables: &TwiddleTables) -> (Vec<f64>, Vec<f64>) {
         let m = tables.size();
         let (mut re, mut im) = (vec![0.0; m], vec![0.0; m]);
         let (twre, twim) = tables.twist_split();
         let (lo, hi) = c.split_at(m);
-        simd::fold_twist(lo, hi, FoldDigit::WHOLE, twre, twim, None, &mut re, &mut im);
+        let (digit, leg) = (FoldDigit::WHOLE, Leg::host());
+        simd::fold_twist(lo, hi, digit, twre, twim, None, &mut re, &mut im, leg);
         (re, im)
     }
 
@@ -204,7 +157,8 @@ mod tests {
                 .collect(),
         );
         let (re, im) = fold_natural(simd::torus_words(p.coeffs()), &tables);
-        let q = unfold_torus(&re, &im, 1.0, &tables);
+        let mut q = TorusPolynomial::zero(8);
+        unfold_torus_into(&re, &im, 1.0, &tables, &mut q, Leg::host());
         assert_eq!(p, q);
     }
 
@@ -224,11 +178,23 @@ mod tests {
             let digits = decomp.decompose_poly(&p);
             let (mut fre, mut fim) = (Vec::new(), Vec::new());
             let (mut ure, mut uim) = (Vec::new(), Vec::new());
-            for (level, digit_poly) in digits.iter().enumerate() {
-                fold_torus_digit(&p, &decomp, level, &tables, &mut fre, &mut fim);
-                fold_int(digit_poly, &tables, &mut ure, &mut uim);
-                assert_eq!(fre, ure, "n={n} level {level}");
-                assert_eq!(fim, uim, "n={n} level {level}");
+            let words = simd::torus_words(p.coeffs());
+            for leg in Leg::ALL {
+                for (level, digit_poly) in digits.iter().enumerate() {
+                    let digit = FoldDigit::level(&decomp, level);
+                    fold(words, digit, &tables, &mut fre, &mut fim, leg);
+                    let digit_words = simd::int_words(digit_poly.coeffs());
+                    fold(
+                        digit_words,
+                        FoldDigit::WHOLE,
+                        &tables,
+                        &mut ure,
+                        &mut uim,
+                        leg,
+                    );
+                    assert_eq!(fre, ure, "n={n} level {level} {leg:?}");
+                    assert_eq!(fim, uim, "n={n} level {level} {leg:?}");
+                }
             }
         }
     }
@@ -250,7 +216,7 @@ mod tests {
         // builds reject mis-sized buffers too.
         let tables = TwiddleTables::new(8);
         let mut out = TorusPolynomial::zero(8);
-        unfold_torus_into(&[0.0; 3], &[0.0; 3], 1.0, &tables, &mut out);
+        unfold_torus_into(&[0.0; 3], &[0.0; 3], 1.0, &tables, &mut out, Leg::Scalar);
     }
 
     #[test]
@@ -259,6 +225,14 @@ mod tests {
         let tables = TwiddleTables::new(8);
         let p = TorusPolynomial::zero(16);
         let (mut re, mut im) = (Vec::new(), Vec::new());
-        fold_torus(&p, &tables, &mut re, &mut im);
+        let words = simd::torus_words(p.coeffs());
+        fold(
+            words,
+            FoldDigit::WHOLE,
+            &tables,
+            &mut re,
+            &mut im,
+            Leg::Scalar,
+        );
     }
 }

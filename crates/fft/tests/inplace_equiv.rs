@@ -7,7 +7,6 @@ use matcha_fft::ref_fft::{dft_in_place, Direction};
 use matcha_fft::simd::{self, FoldDigit};
 use matcha_fft::{
     key_exponent, twist, ApproxIntFft, CplxSpectrum, F64Fft, FftEngine, KeyBlock, SplitFactors,
-    TwiddleTables,
 };
 use matcha_math::{GadgetDecomposer, IntPolynomial, Torus32, TorusPolynomial};
 use proptest::prelude::*;
@@ -219,48 +218,41 @@ fn check_bundle_row_approx(h: &TorusPolynomial, src: &TorusPolynomial, e: i64) {
     }
 }
 
-/// The natural-order fold of `words` into `out`: [`simd::fold_twist`] with
-/// no reversal and no stages.
-fn fold_natural(words: &[u32], digit: FoldDigit, tables: &TwiddleTables, out: &mut CplxSpectrum) {
+/// The pass-by-pass forward transform of `words` on `engine`'s tables and
+/// leg: [`simd::fold_twist`] in natural order, then `dft_in_place`.
+fn plain_forward(words: &[u32], digit: FoldDigit, engine: &F64Fft) -> CplxSpectrum {
+    let (tables, leg) = (engine.tables(), engine.leg());
     let m = tables.size();
-    out.re.resize(m, 0.0);
-    out.im.resize(m, 0.0);
+    let (mut re, mut im) = (vec![0.0; m], vec![0.0; m]);
     let (twre, twim) = tables.twist_split();
     let (lo, hi) = words.split_at(m);
-    simd::fold_twist(lo, hi, digit, twre, twim, None, &mut out.re, &mut out.im);
+    simd::fold_twist(lo, hi, digit, twre, twim, None, &mut re, &mut im, leg);
+    dft_in_place(&mut re, &mut im, tables, Direction::Forward, leg);
+    CplxSpectrum { re, im }
 }
 
 /// The engine's forward transforms — fold to bit-reversed slots with the
 /// narrow stages on the way, wide stages two to a pass — against the
 /// pass-by-pass flow, one pass per step: natural-order fold, then
 /// `dft_in_place` (a permutation pass, then the stage loop from `len = 2`).
-/// Bit-identical on whatever leg is active.
+/// Bit-identical on the engine's leg.
 fn check_f64_forward_flow(p: &TorusPolynomial, q: &IntPolynomial) {
     let engine = F64Fft::new(N);
-    let tables = engine.tables();
+    let (tables, leg) = (engine.tables(), engine.leg());
     let decomp = GadgetDecomposer::new(8, 3);
     let mut scratch = engine.make_scratch();
     let mut got = engine.zero_spectrum();
-    let mut want = CplxSpectrum::default();
-    let forward = |s: &mut CplxSpectrum| {
-        dft_in_place(&mut s.re, &mut s.im, tables, Direction::Forward);
-    };
 
     let (torus, int) = (simd::torus_words(p.coeffs()), simd::int_words(q.coeffs()));
     engine.forward_torus_into(p, &mut got, &mut scratch);
-    fold_natural(torus, FoldDigit::WHOLE, tables, &mut want);
-    forward(&mut want);
-    prop_assert_eq!(&got, &want);
+    prop_assert_eq!(&got, &plain_forward(torus, FoldDigit::WHOLE, &engine));
 
     engine.forward_int_into(q, &mut got, &mut scratch);
-    fold_natural(int, FoldDigit::WHOLE, tables, &mut want);
-    forward(&mut want);
-    prop_assert_eq!(&got, &want);
+    prop_assert_eq!(&got, &plain_forward(int, FoldDigit::WHOLE, &engine));
 
     for level in 0..decomp.levels() {
         engine.forward_decomposed_into(p, &decomp, level, &mut got, &mut scratch);
-        fold_natural(torus, FoldDigit::level(&decomp, level), tables, &mut want);
-        forward(&mut want);
+        let want = plain_forward(torus, FoldDigit::level(&decomp, level), &engine);
         prop_assert_eq!(&got, &want, "level {}", level);
     }
 
@@ -269,8 +261,9 @@ fn check_f64_forward_flow(p: &TorusPolynomial, q: &IntPolynomial) {
     let mut out = TorusPolynomial::zero(N);
     engine.backward_torus_into(&got, &mut out, &mut scratch);
     let mut work = got.clone();
-    dft_in_place(&mut work.re, &mut work.im, tables, Direction::Inverse);
-    let plain = twist::unfold_torus(&work.re, &work.im, 2.0 / N as f64, tables);
+    dft_in_place(&mut work.re, &mut work.im, tables, Direction::Inverse, leg);
+    let mut plain = TorusPolynomial::zero(N);
+    twist::unfold_torus_into(&work.re, &work.im, 2.0 / N as f64, tables, &mut plain, leg);
     prop_assert_eq!(&out, &plain);
 }
 

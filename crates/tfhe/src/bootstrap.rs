@@ -38,7 +38,8 @@ impl<E: FftEngine> BootstrapKit<E> {
     ///
     /// `unroll` is the BKU factor `m` (paper §4.2): 1 reproduces classic
     /// TFHE; larger values trade `2^m − 1` stored keys per group for
-    /// `⌈n/m⌉` instead of `n` external products per bootstrap.
+    /// `⌈n/m⌉` instead of `n` external products per bootstrap. The
+    /// key-switching key runs on `engine`'s kernel leg.
     pub fn generate<R: Rng>(client: &ClientKey, engine: &E, unroll: usize, rng: &mut R) -> Self {
         let params = *client.params();
         let mut sampler = TorusSampler::new(rng);
@@ -54,6 +55,7 @@ impl<E: FftEngine> BootstrapKit<E> {
             client.extracted_key(),
             client.lwe_key(),
             &params,
+            engine.leg(),
             &mut sampler,
         );
         let decomp = GadgetDecomposer::new(params.decomp_base_log, params.decomp_levels);

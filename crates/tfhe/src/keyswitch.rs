@@ -27,7 +27,7 @@ use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
 use crate::profile::{self, Phase};
 use crate::secret::LweSecretKey;
-use matcha_fft::simd_active;
+use matcha_fft::Leg;
 use matcha_math::{GadgetDecomposer, Torus32, TorusSampler};
 use rand::Rng;
 
@@ -65,16 +65,23 @@ const fn entry_bytes(n: usize) -> usize {
 /// lets it prefetch the next coefficient's picks while it applies the
 /// current ones. Four zero bytes follow the last entry for the vector
 /// leg's loads.
+///
+/// The key holds the kernel leg it switches on, the one it was generated
+/// for (`BootstrapKit::generate` passes its engine's): any vector leg runs
+/// the AVX2 unpack, [`Leg::Scalar`] the scalar one, with the same bits.
 #[derive(Clone, Debug)]
 pub struct KeySwitchKey {
     bytes: Vec<u8>,
     from_dimension: usize,
     to_dimension: usize,
     decomp: GadgetDecomposer,
+    /// Narrowed to what the CPU runs when the key was generated.
+    leg: Leg,
 }
 
 impl KeySwitchKey {
-    /// Generates a key-switching key from `from_key` to `to_key`, every
+    /// Generates a key-switching key from `from_key` to `to_key` that
+    /// switches on kernel leg `leg` (narrowed to what the CPU runs), every
     /// sample encrypted straight into its place in the flat array (the key
     /// is the largest object a server holds after the bootstrapping key;
     /// it is never held twice).
@@ -88,6 +95,7 @@ impl KeySwitchKey {
         from_key: &LweSecretKey,
         to_key: &LweSecretKey,
         params: &ParameterSet,
+        leg: Leg,
         sampler: &mut TorusSampler<R>,
     ) -> Self {
         let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
@@ -125,6 +133,7 @@ impl KeySwitchKey {
             from_dimension: n_from,
             to_dimension: n_to,
             decomp,
+            leg: leg.narrowed(),
         }
     }
 
@@ -188,7 +197,7 @@ impl KeySwitchKey {
         let n = self.to_dimension;
         let levels = self.decomp.levels();
         let magnitudes = self.decomp.base() as usize / 2;
-        let vector = simd_active();
+        let vector = self.leg != Leg::Scalar;
         // The entries coefficient `i` selects, one per nonzero digit, each
         // with whether its digit is positive (the entry is subtracted) or
         // negative (added).
@@ -228,12 +237,14 @@ impl KeySwitchKey {
 
 /// Subtracts (`subtract`) or adds the stored entry `entry` to the sample
 /// `(mask, body)`, on the AVX2 leg when `vector` (which the caller takes
-/// from [`simd_active`]), else on the scalar one. Both give the same bits.
+/// from the key's narrowed leg), else on the scalar one. Both give the
+/// same bits.
 #[inline]
 fn apply(vector: bool, mask: &mut [Torus32], body: &mut Torus32, entry: &[u8], subtract: bool) {
     #[cfg(target_arch = "x86_64")]
     if vector {
-        // SAFETY: a vector leg is active only where the CPU has AVX2.
+        // SAFETY: `vector` says the key's leg is a vector one, and that leg
+        // was narrowed to what the CPU runs: the CPU has AVX2.
         return unsafe { apply_avx2(mask, body, entry, subtract) };
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -369,7 +380,8 @@ mod tests {
     ) {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(31));
         let (from, to) = keys(&mut sampler);
-        let ksk = KeySwitchKey::generate(&from, &to, &ParameterSet::TEST_FAST, &mut sampler);
+        let params = ParameterSet::TEST_FAST;
+        let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
         (from, to, ksk, sampler)
     }
 
@@ -411,7 +423,7 @@ mod tests {
                 ks_base_log: base_log,
                 ..ParameterSet::TEST_FAST
             };
-            let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+            let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
             assert_eq!(ksk.entry_count(), 128 * 8 * per_level, "γ = {base_log}");
         }
     }
@@ -448,7 +460,7 @@ mod tests {
         let params = ParameterSet::TEST_FAST;
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
         let (from, to) = keys(&mut sampler);
-        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
 
         let mut replay = TorusSampler::new(StdRng::seed_from_u64(57));
         let _ = keys(&mut replay);
@@ -487,7 +499,7 @@ mod tests {
         let params = ParameterSet::TEST_FAST;
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
         let (from, to) = keys(&mut sampler);
-        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
         let decomp = GadgetDecomposer::new(params.ks_base_log, params.ks_levels);
         let (levels, magnitudes) = (decomp.levels(), decomp.base() as usize / 2);
         let reference: Vec<_> = (0..ksk.entry_count())
@@ -519,8 +531,37 @@ mod tests {
     }
 
     #[test]
+    fn scalar_and_host_keys_switch_to_the_same_bits() {
+        // One key generated for the scalar leg and one for the host's, from
+        // the same draws, switching the same samples through
+        // `switch_slice_into`: each runs the leg it holds (the AVX2 unpack
+        // for the host's where the CPU has it), and the bits agree.
+        let params = ParameterSet::TEST_FAST;
+        let generate = |leg| {
+            let mut sampler = TorusSampler::new(StdRng::seed_from_u64(57));
+            let (from, to) = keys(&mut sampler);
+            let ksk = KeySwitchKey::generate(&from, &to, &params, leg, &mut sampler);
+            (from, to, ksk, sampler)
+        };
+        let (from, to, scalar, mut sampler) = generate(Leg::Scalar);
+        let (_, _, host, _) = generate(Leg::host());
+        assert_eq!((scalar.leg, host.leg), (Leg::Scalar, Leg::host()));
+        let messages = [0.125, -0.25, 0.0, 0.375, -0.5].map(Torus32::from_f64);
+        let inputs = messages.map(|mu| LweCiphertext::encrypt(mu, &from, 1e-8, &mut sampler));
+        let [on_scalar, on_host] = [scalar, host].map(|ksk| {
+            let mut outs = vec![LweCiphertext::default(); inputs.len()];
+            ksk.switch_slice_into(&inputs, &mut outs);
+            outs
+        });
+        assert_eq!(on_scalar, on_host, "scalar key against the host's");
+        for (out, mu) in on_host.iter().zip(messages) {
+            assert!(out.phase(&to).signed_diff(mu).abs() < 1e-3);
+        }
+    }
+
+    #[test]
     fn vector_leg_matches_scalar_leg() {
-        // Both kernels called directly, whatever leg the process runs:
+        // Both kernels called directly:
         // dimensions with and without a tail past the last eight words,
         // both signs, random bytes in the padding (which neither may use).
         let mut rng = StdRng::seed_from_u64(0x24b);
@@ -580,7 +621,7 @@ mod tests {
         for _ in 0..keys {
             let from = LweSecretKey::generate(from_dim, &mut sampler);
             let to = LweSecretKey::generate(to_dim, &mut sampler);
-            let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+            let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
             let mut errors = Vec::with_capacity(switches);
             while errors.len() < switches {
                 let inputs: Vec<_> = (0..outs.len())
@@ -653,7 +694,7 @@ mod tests {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(1));
         let from = LweSecretKey::generate(16, &mut sampler);
         let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-        let _ = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let _ = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
     }
 
     #[test]
@@ -669,7 +710,7 @@ mod tests {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(4));
         let from = LweSecretKey::generate(16, &mut sampler);
         let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-        let _ = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let _ = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
     }
 
     #[test]
@@ -682,7 +723,7 @@ mod tests {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(2));
         let from = LweSecretKey::generate(16, &mut sampler);
         let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-        let _ = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let _ = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
     }
 
     #[test]
@@ -698,7 +739,7 @@ mod tests {
         let mut sampler = TorusSampler::new(StdRng::seed_from_u64(3));
         let from = LweSecretKey::generate(16, &mut sampler);
         let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-        let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+        let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
         let c = LweCiphertext::encrypt(Torus32::from_f64(0.25), &from, 1e-9, &mut sampler);
         let err = switch(&ksk, &c)
             .phase(&to)

@@ -10,8 +10,11 @@
 //! against its plaintext too.
 //!
 //! It runs the benchmark's two configurations, `F64Fft` at m = 2 and
-//! `ApproxIntFft::new(1024, 38)` at m = 3, on every kernel leg this CPU
-//! runs, each leg pinned with `force_simd` before its keys are generated.
+//! `ApproxIntFft(38)` at m = 3, on each kernel leg, one test per
+//! configuration and leg, each engine built for its leg (`with_leg`)
+//! before its keys are generated. A leg this CPU does not run prints
+//! "not run" and passes: its engine would run a narrower leg, whose hash
+//! another test already checks.
 //! `ApproxIntFft` computes the same integers on every leg, so it has one
 //! golden. `F64Fft`'s vector legs contract products into FMAs where the
 //! scalar leg rounds each one, so it has one golden for the scalar leg and
@@ -22,11 +25,8 @@
 //! constants and lists old → new with its noise evidence. The twiddle tables
 //! come from the platform's `f64::sin_cos`: a host whose libm rounds one
 //! entry differently fails here, and that is a finding, not a re-pin.
-//!
-//! The leg override is process-global, so this binary holds one test; the
-//! two configurations of a leg run side by side on two threads.
 
-use matcha_fft::{active_leg, force_simd, ApproxIntFft, F64Fft, FftEngine, Leg};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
 use matcha_math::Torus32;
 use matcha_tfhe::{ClientKey, Gate, Gate3, LweCiphertext, ParameterSet, ServerKey};
 use rand::rngs::StdRng;
@@ -55,8 +55,7 @@ impl Fnv {
     }
 }
 
-/// The hash of one configuration's outputs, keys generated under the leg
-/// active at the call.
+/// The hash of one configuration's outputs, on the engine's leg.
 fn pipeline_hash<E: FftEngine>(engine: E, unroll: usize, seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
@@ -95,52 +94,64 @@ fn pipeline_hash<E: FftEngine>(engine: E, unroll: usize, seed: u64) -> u64 {
     hash.0
 }
 
-/// The legs `force_simd` pins on this CPU, printing the ones it narrows.
-fn runnable_legs() -> Vec<Leg> {
-    let mut ran = Vec::new();
-    for leg in Leg::ALL {
-        force_simd(Some(leg));
-        if active_leg() == leg {
-            ran.push(leg);
-        } else {
-            println!(
-                "leg {leg:?} not run: this CPU runs {:?} for it",
-                active_leg()
-            );
-        }
+/// `F64Fft` at m = 2: the scalar leg's hash, then the vector legs'.
+const F64_M2: [u64; 2] = [0x67aa_6746_b7b2_80c0, 0x3555_957d_85d9_07a4];
+
+/// `ApproxIntFft(38)` at m = 3, every leg.
+const APPROX38_M3: u64 = 0xaf9e_e06f_93fd_cb44;
+
+/// Hashes one configuration, `engine` (built for `leg`) at `unroll` with
+/// keys from `seed`, against `golden`; prints "not run" instead where this
+/// CPU lacks `leg`.
+fn check_golden<E: FftEngine>(engine: E, leg: Leg, unroll: usize, seed: u64, golden: u64) {
+    let config = format!("{} m={unroll}", std::any::type_name::<E>());
+    let runs = engine.leg();
+    if runs != leg {
+        println!("{leg:?} {config}: not run, this CPU runs {runs:?}");
+        return;
     }
-    force_simd(None);
-    ran
+    let hash = pipeline_hash(engine, unroll, seed);
+    println!("{leg:?} {config}: {hash:#018x} (golden {golden:#018x})");
+    assert_eq!(hash, golden, "{leg:?} {config}: off its golden");
+}
+
+fn f64_m2(leg: Leg) {
+    let engine = F64Fft::with_leg(ParameterSet::MATCHA.ring_degree, leg);
+    let golden = F64_M2[usize::from(leg != Leg::Scalar)];
+    check_golden(engine, leg, 2, 0x601d_0002, golden);
+}
+
+fn approx38_m3(leg: Leg) {
+    let engine = ApproxIntFft::with_leg(ParameterSet::MATCHA.ring_degree, 38, leg);
+    check_golden(engine, leg, 3, 0x601d_3803, APPROX38_M3);
 }
 
 #[test]
-fn gate_outputs_match_golden_hashes() {
-    /// `F64Fft` at m = 2: the scalar leg's hash, then the vector legs'.
-    const F64_M2: [u64; 2] = [0x67aa_6746_b7b2_80c0, 0x3555_957d_85d9_07a4];
-    /// `ApproxIntFft(38)` at m = 3, every leg.
-    const APPROX38_M3: u64 = 0xaf9e_e06f_93fd_cb44;
-    let n = ParameterSet::MATCHA.ring_degree;
-    let mut wrong = Vec::new();
-    for leg in runnable_legs() {
-        force_simd(Some(leg));
-        let (f64_m2, approx38_m3) = std::thread::scope(|s| {
-            let f64_m2 = s.spawn(|| pipeline_hash(F64Fft::new(n), 2, 0x601d_0002));
-            let approx38_m3 = pipeline_hash(ApproxIntFft::new(n, 38), 3, 0x601d_3803);
-            (f64_m2.join().expect("F64Fft m=2 panicked"), approx38_m3)
-        });
-        let f64_golden = F64_M2[usize::from(leg != Leg::Scalar)];
-        for (config, hash, golden) in [
-            ("F64Fft m=2", f64_m2, f64_golden),
-            ("ApproxIntFft(38) m=3", approx38_m3, APPROX38_M3),
-        ] {
-            println!("{leg:?} {config}: {hash:#018x} (golden {golden:#018x})");
-            if hash != golden {
-                wrong.push(format!(
-                    "{leg:?} {config}: {hash:#018x}, golden {golden:#018x}"
-                ));
-            }
-        }
-    }
-    force_simd(None);
-    assert!(wrong.is_empty(), "hashes off their goldens: {wrong:#?}");
+fn f64_m2_scalar() {
+    f64_m2(Leg::Scalar);
+}
+
+#[test]
+fn f64_m2_avx2() {
+    f64_m2(Leg::Avx2);
+}
+
+#[test]
+fn f64_m2_avx512() {
+    f64_m2(Leg::Avx512);
+}
+
+#[test]
+fn approx38_m3_scalar() {
+    approx38_m3(Leg::Scalar);
+}
+
+#[test]
+fn approx38_m3_avx2() {
+    approx38_m3(Leg::Avx2);
+}
+
+#[test]
+fn approx38_m3_avx512() {
+    approx38_m3(Leg::Avx512);
 }

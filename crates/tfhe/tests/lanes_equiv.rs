@@ -6,7 +6,7 @@
 //! whichever engine and unroll factor, however a dispatch mixes gate kinds
 //! and slabs, on one worker or two.
 
-use matcha_fft::{ApproxIntFft, F64Fft, FftEngine};
+use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
 use matcha_math::{Torus32, TorusSampler};
 use matcha_tfhe::{
     CircuitNetlist, ClientKey, Gate, Gate3, GateBatchPool, GateOp, KeySwitchKey, LweCiphertext,
@@ -206,7 +206,7 @@ fn key_switch_slice_matches_single_switches() {
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(0x5117CE));
     let from = LweSecretKey::generate(params.ring_degree, &mut sampler);
     let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-    let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+    let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
     let n = ksk.from_dimension();
     // Random samples, and around them masks whose coefficients decompose
     // to no digit at all: everywhere, on the even coefficients (so a
@@ -255,7 +255,7 @@ fn key_switch_slice_rejects_mismatched_lengths() {
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(3));
     let from = LweSecretKey::generate(16, &mut sampler);
     let to = LweSecretKey::generate(params.lwe_dimension, &mut sampler);
-    let ksk = KeySwitchKey::generate(&from, &to, &params, &mut sampler);
+    let ksk = KeySwitchKey::generate(&from, &to, &params, Leg::host(), &mut sampler);
     let inputs = [LweCiphertext::trivial(Torus32::ZERO, 16)];
     ksk.switch_slice_into(&inputs, &mut []);
 }

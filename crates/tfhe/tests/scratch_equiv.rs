@@ -16,37 +16,8 @@ use matcha_tfhe::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{RwLock, RwLockReadGuard};
 
 const MU: f64 = 0.125;
-
-/// `force_simd` is process-global and the f64 transforms differ by ulps
-/// between the legs, so a test that compares two of its own runs must not
-/// have the leg change under it: such tests hold this lock shared, the
-/// bundle tests, which pin each leg in turn, exclusively.
-static LEG: RwLock<()> = RwLock::new(());
-
-fn current_leg() -> RwLockReadGuard<'static, ()> {
-    LEG.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` on each kernel leg in turn (scalar, AVX2, AVX-512; a leg the
-/// CPU lacks runs the widest one it has), holding the lock exclusively and
-/// restoring auto selection afterwards.
-fn on_each_leg<T>(mut f: impl FnMut(Leg) -> T) -> [T; 3] {
-    let _legs = LEG.write().unwrap_or_else(|e| e.into_inner());
-    struct Auto;
-    impl Drop for Auto {
-        fn drop(&mut self) {
-            matcha_fft::force_simd(None);
-        }
-    }
-    let _auto = Auto;
-    Leg::ALL.map(|leg| {
-        matcha_fft::force_simd(Some(leg));
-        f(leg)
-    })
-}
 
 fn params() -> ParameterSet {
     ParameterSet {
@@ -79,7 +50,7 @@ fn textbook_external_product<E: FftEngine>(
 
 /// The fused decompose→twist external product must match the textbook one
 /// bit for bit, through a cold scratch and through a warmed one, on any
-/// engine, on the current leg (the caller holds [`LEG`]). Returns it.
+/// engine, on the engine's leg. Returns it.
 fn check_external_product<E: FftEngine>(engine: &E, seed: u64) -> TrlweCiphertext {
     let p = params();
     let mut sampler = TorusSampler::new(StdRng::seed_from_u64(seed));
@@ -102,7 +73,6 @@ fn check_external_product<E: FftEngine>(engine: &E, seed: u64) -> TrlweCiphertex
 
 #[test]
 fn external_product_assign_is_bit_identical() {
-    let _leg = current_leg();
     for seed in [3u64, 17, 99] {
         check_external_product(&F64Fft::new(params().ring_degree), seed);
     }
@@ -112,14 +82,16 @@ fn external_product_assign_is_bit_identical() {
 /// leg: its transforms and pointwise products agree bit for bit.
 #[test]
 fn external_product_assign_matches_on_integer_engine() {
-    let engine = ApproxIntFft::new(params().ring_degree, 45);
-    let [scalar, avx2, avx512] = on_each_leg(|_| check_external_product(&engine, 23));
+    let n = params().ring_degree;
+    let [scalar, avx2, avx512] =
+        Leg::ALL.map(|leg| check_external_product(&ApproxIntFft::with_leg(n, 45, leg), 23));
     assert_eq!(scalar, avx2, "scalar against AVX2");
     assert_eq!(scalar, avx512, "scalar against AVX-512");
 }
 
-/// `build_bundle_into` through fresh buffers on each kernel leg (scalar,
-/// AVX2, AVX-512), and through one bundle buffer
+/// `build_bundle_into` of one key through fresh buffers on each kernel
+/// leg's engine (scalar, AVX2, AVX-512; `engine_on(leg)` builds one), and
+/// through one bundle buffer
 /// and one factor buffer carried, dirty, from group to group — at unroll
 /// 1, 2 and 3, where 16 = 5·3 + 1 ends in a short group (and the last
 /// row of the last group in the last words of the key, where the rows'
@@ -128,7 +100,11 @@ fn external_product_assign_matches_on_integer_engine() {
 /// close ranks) and one that zeroes them all (the bundle is `H`). Spectra
 /// are engine-specific types without `PartialEq`; their `Debug` output
 /// prints every component exactly, so equal strings mean equal bundles.
-fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u64) {
+fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(
+    engine_on: impl Fn(Leg) -> E,
+    seed: u64,
+) {
+    let (engine, engines) = (&engine_on(Leg::host()), Leg::ALL.map(&engine_on));
     let p = params();
     let two_n = p.two_n();
     let gadget = TgswCiphertext::trivial_one(&p).to_spectrum(engine);
@@ -153,7 +129,7 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
             }
             let zeros = vec![0; group.len()];
             for exponents in [&spread, &cancelling, &zeros] {
-                let [scalar, avx2, avx512] = on_each_leg(|_| {
+                let [scalar, avx2, avx512] = engines.each_ref().map(|engine| {
                     let (mut fresh, mut fresh_factors) = (gadget.clone(), Default::default());
                     bk.build_bundle_into(
                         engine,
@@ -177,16 +153,18 @@ fn check_bundle_equivalence<E: FftEngine + std::fmt::Debug>(engine: &E, seed: u6
 
 #[test]
 fn build_bundle_into_is_bit_identical_f64() {
-    check_bundle_equivalence(&F64Fft::new(params().ring_degree), 171);
+    check_bundle_equivalence(|leg| F64Fft::with_leg(params().ring_degree, leg), 171);
 }
 
 #[test]
 fn build_bundle_into_is_bit_identical_approx() {
-    check_bundle_equivalence(&ApproxIntFft::new(params().ring_degree, 45), 174);
+    check_bundle_equivalence(
+        |leg| ApproxIntFft::with_leg(params().ring_degree, 45, leg),
+        174,
+    );
 }
 
 fn check_bootstrap_equivalence<E: FftEngine>(engine: &E, unroll: usize, seed: u64) {
-    let _leg = current_leg();
     let mut rng = StdRng::seed_from_u64(seed);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
     let kit = BootstrapKit::generate(&client, engine, unroll, &mut rng);
@@ -236,7 +214,6 @@ fn warmed_scratch_bootstrap_is_bit_identical_approx() {
 /// healthy noise margins.
 #[test]
 fn warmed_scratch_keeps_decrypting_correctly() {
-    let _leg = current_leg();
     let mut rng = StdRng::seed_from_u64(151);
     let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
     let engine = F64Fft::new(256);
