@@ -26,6 +26,34 @@ pub(crate) struct StepCosts {
     pub hbm_bytes: f64,
 }
 
+/// The kernel calls of one blind-rotation step, per lane, in the units a
+/// software engine counts them (`matcha_fft::Counting`): what the cycle
+/// costs below charge, before any of it is spread over cores and lanes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepWork {
+    /// Forward (coefficient → Lagrange, the paper's IFFT) transforms, one
+    /// per decomposed digit: `2ℓ`.
+    pub forward: usize,
+    /// Backward (Lagrange → coefficient, FFT) transforms, mask and body: 2.
+    pub backward: usize,
+    /// Multiply-accumulate rows of the external product, each digit times
+    /// a TGSW row's mask and body: `4ℓ`.
+    pub mac_rows: usize,
+    /// Bundle rows, one per polynomial of the bundled TGSW sample: `4ℓ`,
+    /// each summing the `2^m − 1` scaled pattern keys of its group.
+    pub bundle_rows: usize,
+}
+
+/// The kernel calls of one blind-rotation step.
+pub fn step_work(w: &WorkloadParams) -> StepWork {
+    StepWork {
+        forward: 2 * w.decomp_levels,
+        backward: 2,
+        mac_rows: w.polys_per_tgsw(),
+        bundle_rows: w.polys_per_tgsw(),
+    }
+}
+
 /// Cycles one FFT/IFFT core needs for a single transform.
 pub(crate) fn transform_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
     let butterflies = w.butterflies_per_transform() as f64;
@@ -39,10 +67,11 @@ pub(crate) fn transform_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
 /// with the transform waves).
 pub(crate) fn ep_core_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
     let t = transform_cycles(cfg, w);
-    let ifft_waves = (2 * w.decomp_levels).div_ceil(cfg.ifft_cores_per_ep) as f64;
-    let fft_waves = 2f64 / cfg.fft_cores_per_ep as f64;
+    let work = step_work(w);
+    let ifft_waves = work.forward.div_ceil(cfg.ifft_cores_per_ep) as f64;
+    let fft_waves = work.backward as f64 / cfg.fft_cores_per_ep as f64;
     let transform_total = (ifft_waves + fft_waves.ceil()) * t;
-    let macs = (w.polys_per_tgsw() * w.transform_points()) as f64;
+    let macs = (work.mac_rows * w.transform_points()) as f64;
     let mac_cycles = macs / cfg.ep_mac_lanes as f64;
     // MACs overlap with transform streaming: the longer of the two paths
     // bounds the stage, plus the decomposition handled by the sequential
@@ -54,7 +83,7 @@ pub(crate) fn ep_core_cycles(cfg: &MatchaConfig, w: &WorkloadParams) -> f64 {
 /// `(2^m − 1)` scale-and-accumulate passes over the sample's polynomials.
 pub fn tgsw_cluster_cycles(cfg: &MatchaConfig, w: &WorkloadParams, m: usize) -> f64 {
     let terms = ((1usize << m) - 1) as f64;
-    let macs_per_term = (w.polys_per_tgsw() * w.transform_points()) as f64;
+    let macs_per_term = (step_work(w).bundle_rows * w.transform_points()) as f64;
     terms * macs_per_term / cfg.tgsw_mac_lanes as f64
 }
 

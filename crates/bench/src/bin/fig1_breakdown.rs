@@ -1,54 +1,93 @@
 //! Figure 1: latency breakdown of TFHE gates into IFFT / FFT / bundle /
-//! key switch / other, measured with the built-in phase profiler at the
-//! paper's parameters on the path every caller runs: `apply_into` through a
-//! warmed scratch. Two configurations: the classic `F64Fft` flow (m = 1)
-//! and the benchmark's paper configuration, `ApproxIntFft` with 38-bit
-//! twiddles at m = 3, where the bundle `H + Σ_p (X^{e_p} − 1)·K_p` is a
-//! phase of its own.
+//! key switch / other at the paper's parameters, on the path every caller
+//! runs: `apply_into` through a warmed scratch. The server key is built over
+//! a `Counting` engine, which counts and times the transforms and the bundle
+//! rows as they run; the gate's wall time is the denominator, the key switch
+//! is the median of five stand-alone switches of one of the gate's
+//! operands, and "other" is what is left. Two configurations: the classic
+//! `F64Fft` flow (m = 1) and the benchmark's paper configuration,
+//! `ApproxIntFft` with 38-bit twiddles at m = 3, where the bundle
+//! `H + Σ_p (X^{e_p} − 1)·K_p` is a column of its own. Exits non-zero if a
+//! gate decrypts wrong or its transform counts are not `2ℓ·⌈n/m⌉` and
+//! `2·⌈n/m⌉`.
 //!
 //! Run with: `cargo run --release -p matcha-bench --bin fig1_breakdown`
 
-use matcha::tfhe::profile::{self, Phase};
+use matcha::fft::{Counting, Counts};
 use matcha::{
     ApproxIntFft, ClientKey, F64Fft, FftEngine, Gate, LweCiphertext, ParameterSet, ServerKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
-/// Prints one row per gate for `server`, labelled `config`.
+/// Prints one row per gate for `server`, labelled `config`, and returns the
+/// last gate's counts.
 fn breakdown<E: FftEngine>(
     config: &str,
     client: &ClientKey,
-    server: &ServerKey<E>,
+    server: &ServerKey<Counting<E>>,
     rng: &mut StdRng,
-) {
+) -> Counts {
     let mut scratch = server.make_scratch();
     let mut out = LweCiphertext::default();
     // Size every buffer first: the figure is of a gate, not of the first
     // call's allocations.
     let warm = server.trivial(true);
     server.apply_into(Gate::Nand, &warm, &warm, &mut out, &mut scratch);
+    let ksk = server.kit().key_switch_key();
+    let mut switched = LweCiphertext::default();
+    ksk.switch_into(&warm, &mut switched);
+
+    let params = server.params();
+    let steps = params.lwe_dimension.div_ceil(server.unroll()) as u64;
+    let mut counted = Counts::default();
     for gate in [Gate::And, Gate::Or, Gate::Nand, Gate::Xor, Gate::Xnor] {
         let a = client.encrypt_with(true, rng);
         let b = client.encrypt_with(false, rng);
-        profile::start();
+        let before = server.engine().counts();
+        let t0 = Instant::now();
         server.apply_into(gate, &a, &b, &mut out, &mut scratch);
-        let snap = profile::snapshot();
-        profile::stop();
+        let wall = t0.elapsed();
+        counted = server.engine().counts() - before;
         assert_eq!(client.decrypt(&out), gate.eval(true, false));
+        assert_eq!(
+            (counted.forward, counted.backward),
+            (2 * params.decomp_levels as u64 * steps, 2 * steps),
+            "{config} {gate}: transform calls"
+        );
+
+        let mut switches: Vec<Duration> = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                ksk.switch_into(&a, &mut switched);
+                t0.elapsed()
+            })
+            .collect();
+        switches.sort();
+        let share = |d: Duration| d.as_secs_f64() / wall.as_secs_f64() * 100.0;
+        let ns = Duration::from_nanos;
+        let [ifft, fft, bundle, ks] = [
+            ns(counted.forward_ns),
+            ns(counted.backward_ns),
+            ns(counted.bundle_ns),
+            switches[2],
+        ]
+        .map(share);
         println!(
             "{:<13} {:<6} {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}% {:>7.1}% {:>10} {:>10}",
             config,
             gate.to_string(),
-            snap.fraction(Phase::Ifft) * 100.0,
-            snap.fraction(Phase::Fft) * 100.0,
-            snap.fraction(Phase::TgswScale) * 100.0,
-            snap.fraction(Phase::KeySwitch) * 100.0,
-            snap.fraction(Phase::Other) * 100.0,
-            snap.ifft_calls,
-            snap.fft_calls,
+            ifft,
+            fft,
+            bundle,
+            ks,
+            100.0 - ifft - fft - bundle - ks,
+            counted.forward,
+            counted.backward,
         );
     }
+    counted
 }
 
 fn main() {
@@ -56,19 +95,20 @@ fn main() {
     let client = ClientKey::generate(ParameterSet::MATCHA, &mut rng);
     let n = client.params().ring_degree;
 
-    println!("# Figure 1: TFHE gate latency breakdown (%)");
+    println!("# Figure 1: TFHE gate latency breakdown (% of the gate's wall time)");
     println!(
         "{:<13} {:<6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>10}",
         "config", "gate", "IFFT", "FFT", "bundle", "KS", "other", "IFFT calls", "FFT calls"
     );
-    let server = ServerKey::new(&client, F64Fft::new(n), &mut rng);
-    breakdown("f64 m=1", &client, &server, &mut rng);
-    let server = ServerKey::with_unrolling(&client, ApproxIntFft::new(n, 38), 3, &mut rng);
+    let server = ServerKey::new(&client, Counting::new(F64Fft::new(n)), &mut rng);
+    let counted = breakdown("f64 m=1", &client, &server, &mut rng);
+    let engine = Counting::new(ApproxIntFft::new(n, 38));
+    let server = ServerKey::with_unrolling(&client, engine, 3, &mut rng);
     breakdown("approx38 m=3", &client, &server, &mut rng);
 
     println!("\npaper: bootstrapping ≈ 99% of gate latency; FFT+IFFT ≈ 80% of the bootstrap;");
     println!(
         "IFFT (coefficient→Lagrange) is invoked ~{}x more often than FFT.",
-        6 / 2
+        counted.forward / counted.backward
     );
 }

@@ -8,7 +8,8 @@
 //! kernel that dominates bootstrapping latency (paper Figure 1), and the
 //! kernel MATCHA approximates.
 //!
-//! Two interchangeable engines implement the [`FftEngine`] trait:
+//! Two interchangeable engines implement the [`FftEngine`] trait (and one
+//! wrapper, [`Counting`], that counts what either runs):
 //!
 //! * [`F64Fft`] — breadth-first Cooley–Tukey in double precision; this is the
 //!   TFHE reference library's choice and the paper's accuracy baseline
@@ -32,12 +33,15 @@
 //!
 //! # Public surface
 //!
-//! Bootstrapping needs the [`FftEngine`] trait and its two engines. The
-//! other public items are the ones another crate, a figure regenerator or
-//! this crate's equivalence suites call directly: the spectrum and key-block
-//! types, the Figure 8 error harness ([`error`]), the kernels and their
-//! legs ([`simd`], [`Leg`]), and the table and lifting types
-//! those kernels take. The table builders' complex-number helper and the
+//! Bootstrapping needs the [`FftEngine`] trait and its two engines.
+//! [`Counting`] measures them: it forwards to either and tallies the
+//! transforms, multiply-accumulate rows and bundle rows with their time
+//! ([`Counts`]), and the count tests and the Figure 1 regenerator build
+//! their keys over it. The other public items are the ones another crate,
+//! a figure regenerator or this crate's equivalence suites call directly:
+//! the spectrum and key-block types, the Figure 8 error harness
+//! ([`error`]), the kernels and their legs ([`simd`], [`Leg`]), and the
+//! table and lifting types those kernels take. The table builders' complex-number helper and the
 //! kernels only the engines call are crate-private, and the twiddle tables
 //! store each factor once, split into the `re`/`im` arrays the kernels read.
 //!
@@ -63,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod approx;
+mod counting;
 mod cplx;
 pub mod engine;
 pub mod error;
@@ -73,6 +78,7 @@ pub mod tables;
 pub mod twist;
 
 pub use approx::ApproxIntFft;
+pub use counting::{Counting, Counts};
 pub use engine::{key_exponent, FftEngine, KeyBlock, Spectrum};
 pub use lifting::{DyadicCoeff, LiftingRotation};
 pub use ref_fft::{CplxSpectrum, F64Fft, SplitFactors};

@@ -57,7 +57,6 @@
 //! beside it.
 
 use crate::params::ParameterSet;
-use crate::profile::{self, Phase};
 use crate::secret::{LweSecretKey, RingSecretKey};
 use crate::tgsw::{TgswCiphertext, TgswSpectrum};
 use matcha_fft::{key_exponent, FftEngine, KeyBlock, Spectrum};
@@ -254,35 +253,33 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
             self.h.rows().len(),
             "bundle buffer has the wrong row count"
         );
-        profile::timed(Phase::TgswScale, || {
-            // The patterns with a nonzero factor, in pattern order: the
-            // order of the factor tables and of every row's sum.
-            let patterns = group.patterns();
-            let active = (0..patterns).filter_map(|slot| {
-                let e = pattern_exponent(slot as u32 + 1, exponents, two_n)?;
-                Some((slot as u8, e))
-            });
-            let mut slots = [0u8; (1 << MAX_UNROLL) - 1];
-            let mut count = 0;
-            for (slot, _) in active.clone() {
-                slots[count] = slot;
-                count += 1;
+        // The patterns with a nonzero factor, in pattern order: the
+        // order of the factor tables and of every row's sum.
+        let patterns = group.patterns();
+        let active = (0..patterns).filter_map(|slot| {
+            let e = pattern_exponent(slot as u32 + 1, exponents, two_n)?;
+            Some((slot as u8, e))
+        });
+        let mut slots = [0u8; (1 << MAX_UNROLL) - 1];
+        let mut count = 0;
+        for (slot, _) in active.clone() {
+            slots[count] = slot;
+            count += 1;
+        }
+        engine.monomial_factors_into(active.map(|(_, e)| e), self.exp, factors);
+        let block = KeyBlock::words(self.h.rows()[0].a.len(), patterns);
+        let mut stream = &self.slab[group.offset..];
+        for (row, h_row) in bundle.rows_mut().iter_mut().zip(self.h.rows()) {
+            for (h, out) in [(&h_row.a, &mut row.a), (&h_row.b, &mut row.b)] {
+                let key = KeyBlock {
+                    stream,
+                    patterns,
+                    exp: self.exp,
+                };
+                engine.bundle_row_into(h, key, &slots[..count], factors, out);
+                stream = &stream[block..];
             }
-            engine.monomial_factors_into(active.map(|(_, e)| e), self.exp, factors);
-            let block = KeyBlock::words(self.h.rows()[0].a.len(), patterns);
-            let mut stream = &self.slab[group.offset..];
-            for (row, h_row) in bundle.rows_mut().iter_mut().zip(self.h.rows()) {
-                for (h, out) in [(&h_row.a, &mut row.a), (&h_row.b, &mut row.b)] {
-                    let key = KeyBlock {
-                        stream,
-                        patterns,
-                        exp: self.exp,
-                    };
-                    engine.bundle_row_into(h, key, &slots[..count], factors, out);
-                    stream = &stream[block..];
-                }
-            }
-        })
+        }
     }
 }
 

@@ -16,7 +16,6 @@ use crate::bku::UnrolledBootstrappingKey;
 use crate::keyswitch::KeySwitchKey;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
-use crate::profile::{self, Phase};
 use crate::scratch::{BootstrapScratch, Lane};
 use crate::secret::ClientKey;
 use matcha_fft::FftEngine;
@@ -119,20 +118,18 @@ impl<E: FftEngine> BootstrapKit<E> {
             testv,
             ..
         } = scratch;
-        profile::timed(Phase::Other, || {
-            for (Lane { acc, exponents }, input) in staged[..lanes].iter_mut().zip(&*switched) {
-                acc.mask_mut().fill_zero();
-                let b_bar = mod_switch_from_torus(input.body(), two_n);
-                acc.body_mut().rotate_from(testv, b_bar as i64);
-                exponents.clear();
-                exponents.extend(
-                    input
-                        .mask()
-                        .iter()
-                        .map(|&a| mod_switch_from_torus(a, two_n)),
-                );
-            }
-        });
+        for (Lane { acc, exponents }, input) in staged[..lanes].iter_mut().zip(&*switched) {
+            acc.mask_mut().fill_zero();
+            let b_bar = mod_switch_from_torus(input.body(), two_n);
+            acc.body_mut().rotate_from(testv, b_bar as i64);
+            exponents.clear();
+            exponents.extend(
+                input
+                    .mask()
+                    .iter()
+                    .map(|&a| mod_switch_from_torus(a, two_n)),
+            );
+        }
     }
 
     /// Blind-rotates the staged lanes `0..lanes` in **one pass over the
@@ -210,9 +207,7 @@ impl<E: FftEngine> BootstrapKit<E> {
         // wraps the top coefficient negacyclically into +μ at position 0.
         scratch.testv.coeffs_mut().fill(-mu);
         self.blind_rotate_assign(engine, input, scratch);
-        profile::timed(Phase::Other, || {
-            scratch.lanes[0].acc.sample_extract_into(out)
-        });
+        scratch.lanes[0].acc.sample_extract_into(out);
     }
 }
 

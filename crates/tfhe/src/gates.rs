@@ -14,7 +14,6 @@
 use crate::bootstrap::BootstrapKit;
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
-use crate::profile::{self, Phase};
 use crate::scratch::{BootstrapScratch, MAX_LANES};
 use crate::secret::ClientKey;
 use matcha_fft::FftEngine;
@@ -228,12 +227,10 @@ fn linear_part_into(
     n: usize,
     out: &mut LweCiphertext,
 ) {
-    profile::timed(Phase::Other, || {
-        out.assign_trivial(desc.offset, n);
-        for (&weight, operand) in desc.weights.iter().zip(operands) {
-            out.add_scaled_assign(operand, weight);
-        }
-    })
+    out.assign_trivial(desc.offset, n);
+    for (&weight, operand) in desc.weights.iter().zip(operands) {
+        out.add_scaled_assign(operand, weight);
+    }
 }
 
 /// One bootstrapped gate of a wave, operands by reference: what
@@ -524,35 +521,33 @@ impl<E: FftEngine> ServerKey<E> {
             spare,
             ..
         } = scratch;
-        profile::timed(Phase::Other, || {
-            let (mut lane, mut out) = (0, 0);
-            for gate in gates {
-                let acc = &rotated[lane].acc;
-                acc.sample_extract_into(&mut outs[out]);
-                match gate {
-                    LaneGate::Binary { .. } | LaneGate::Ternary { .. } => {}
-                    LaneGate::Mux { .. } => {
-                        // sel ? a : b = u1 + u2 + (0, 1/8).
-                        rotated[lane + 1].acc.sample_extract_into(spare);
-                        outs[out].add_assign(spare);
-                        outs[out].add_body(GATE_MU);
-                    }
-                    LaneGate::Cell { .. } => {
-                        // sum = (a + b + c) − 2·carry, twice the carry being
-                        // two coefficients the carry did not use: the
-                        // rotated test vector is constant.
-                        let sum = &mut outs[out + 1];
-                        sum.copy_from(&lin[lane]);
-                        for coefficient in [1, 2] {
-                            acc.sample_extract_at_into(coefficient, spare);
-                            sum.sub_assign(spare);
-                        }
+        let (mut lane, mut out) = (0, 0);
+        for gate in gates {
+            let acc = &rotated[lane].acc;
+            acc.sample_extract_into(&mut outs[out]);
+            match gate {
+                LaneGate::Binary { .. } | LaneGate::Ternary { .. } => {}
+                LaneGate::Mux { .. } => {
+                    // sel ? a : b = u1 + u2 + (0, 1/8).
+                    rotated[lane + 1].acc.sample_extract_into(spare);
+                    outs[out].add_assign(spare);
+                    outs[out].add_body(GATE_MU);
+                }
+                LaneGate::Cell { .. } => {
+                    // sum = (a + b + c) − 2·carry, twice the carry being
+                    // two coefficients the carry did not use: the
+                    // rotated test vector is constant.
+                    let sum = &mut outs[out + 1];
+                    sum.copy_from(&lin[lane]);
+                    for coefficient in [1, 2] {
+                        acc.sample_extract_at_into(coefficient, spare);
+                        sum.sub_assign(spare);
                     }
                 }
-                lane += gate.lanes();
-                out += gate.outputs();
             }
-        });
+            lane += gate.lanes();
+            out += gate.outputs();
+        }
     }
 
     /// Applies a three-input gate in one bootstrap.
@@ -628,11 +623,9 @@ impl<E: FftEngine> ServerKey<E> {
     /// Logical NOT — a free negation, no bootstrap (paper §5: "NOT has no
     /// bootstrapping at all").
     pub fn not(&self, a: &LweCiphertext) -> LweCiphertext {
-        profile::timed(Phase::Other, || {
-            let mut out = a.clone();
-            out.neg_assign();
-            out
-        })
+        let mut out = a.clone();
+        out.neg_assign();
+        out
     }
 
     /// Homomorphic multiplexer `sel ? a : b`: the outputs of two

@@ -25,7 +25,6 @@
 
 use crate::lwe::LweCiphertext;
 use crate::params::ParameterSet;
-use crate::profile::{self, Phase};
 use crate::secret::LweSecretKey;
 use matcha_fft::Leg;
 use matcha_math::{GadgetDecomposer, Torus32, TorusSampler};
@@ -189,10 +188,6 @@ impl KeySwitchKey {
     /// Panics if the slices differ in length or an input's dimension does
     /// not match the source key.
     pub fn switch_slice_into(&self, inputs: &[LweCiphertext], outs: &mut [LweCiphertext]) {
-        profile::timed(Phase::KeySwitch, || self.switch_inner(inputs, outs))
-    }
-
-    fn switch_inner(&self, inputs: &[LweCiphertext], outs: &mut [LweCiphertext]) {
         assert_eq!(inputs.len(), outs.len(), "one output per input");
         let n = self.to_dimension;
         let levels = self.decomp.levels();

@@ -26,8 +26,10 @@
 //! * [`analyze`](mod@analyze) — netlist static analysis: structural lints, the
 //!   `simplify` rewriter and analytic worst-case noise certification — run
 //!   at server admission via [`AnalysisPolicy`].
-//! * [`noise`] / [`profile`] — the measurement harnesses behind the paper's
-//!   Table 3 and Figure 1.
+//! * [`noise`] — the measurement harness behind the paper's Table 3.
+//!   Figure 1 is measured at the engine boundary: a server key built over
+//!   `matcha_fft::Counting` counts and times the transforms and bundle
+//!   rows that run through it, so the gate path carries no timers.
 //!
 //! # Examples
 //!
@@ -64,7 +66,6 @@ pub mod lwe;
 pub mod noise;
 pub mod packing;
 pub mod params;
-pub mod profile;
 pub mod scratch;
 pub mod secret;
 pub mod server;

@@ -9,7 +9,6 @@
 //! the kernel mix MATCHA's EP cores implement (1 FFT core : 4 IFFT cores).
 
 use crate::params::ParameterSet;
-use crate::profile::{self, Phase};
 use crate::scratch::EpScratch;
 use crate::secret::RingSecretKey;
 use crate::tlwe::{TrlweCiphertext, TrlweSpectrum};
@@ -230,18 +229,14 @@ impl<E: FftEngine> TgswSpectrum<E> {
         // of the result (floating-point engines round at every add).
         for (half, poly) in [c.mask(), c.body()].into_iter().enumerate() {
             for level in 0..levels {
-                profile::timed(Phase::Ifft, || {
-                    engine.forward_decomposed_into(poly, decomp, level, fd, es)
-                });
+                engine.forward_decomposed_into(poly, decomp, level, fd, es);
                 let row = &self.rows[half * levels + level];
-                profile::timed(Phase::Other, || {
-                    engine.mul_accumulate([&mut *acc_a, &mut *acc_b], fd, [&row.a, &row.b]);
-                });
+                engine.mul_accumulate([&mut *acc_a, &mut *acc_b], fd, [&row.a, &row.b]);
             }
         }
         let (mask, body) = c.parts_mut();
-        profile::timed(Phase::Fft, || engine.backward_torus_into(acc_a, mask, es));
-        profile::timed(Phase::Fft, || engine.backward_torus_into(acc_b, body, es));
+        engine.backward_torus_into(acc_a, mask, es);
+        engine.backward_torus_into(acc_b, body, es);
     }
 }
 

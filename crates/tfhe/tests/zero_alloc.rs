@@ -5,7 +5,7 @@
 //! allocator keeps the bytes a thread has live, which is how key
 //! generation is held to "the key and one sample".
 
-use matcha_fft::{ApproxIntFft, F64Fft, FftEngine, Leg};
+use matcha_fft::{ApproxIntFft, Counting, F64Fft, FftEngine, Leg};
 use matcha_math::{GadgetDecomposer, Torus32, TorusPolynomial, TorusSampler};
 use matcha_tfhe::{
     BootstrapKit, ClientKey, EpScratch, Gate, KeySwitchKey, LaneGate, LweCiphertext, LweSecretKey,
@@ -461,8 +461,9 @@ fn allocating_gates_cost_one_scratch_whatever_the_group_count() {
     // `apply` and `mux` are the `_into` forms through a scratch built for
     // the call: what they allocate is that scratch and the output, so the
     // count is the same over four key groups and over eight, and the
-    // transforms they run are the ones a warmed `apply_into` runs.
-    use matcha_tfhe::profile;
+    // transforms they run are the ones a warmed `apply_into` runs. The
+    // engine counts them, so this also holds the counting wrapper to
+    // allocating nothing of its own.
     let counts = [8usize, 16].map(|lwe_dimension| {
         let params = ParameterSet {
             lwe_dimension,
@@ -470,7 +471,8 @@ fn allocating_gates_cost_one_scratch_whatever_the_group_count() {
         };
         let mut rng = StdRng::seed_from_u64(89);
         let client = ClientKey::generate(params, &mut rng);
-        let server = ServerKey::with_unrolling(&client, F64Fft::new(256), 2, &mut rng);
+        let engine = Counting::new(F64Fft::new(256));
+        let server = ServerKey::with_unrolling(&client, engine, 2, &mut rng);
         let bits = [true, false, true].map(|b| client.encrypt_with(b, &mut rng));
 
         let before = allocations();
@@ -489,16 +491,16 @@ fn allocating_gates_cost_one_scratch_whatever_the_group_count() {
         let mut out = LweCiphertext::default();
         let mut scratch = server.make_scratch();
         server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut out, &mut scratch);
-        profile::start();
+        let counts = || server.engine().counts();
+        let before = counts();
         server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut out, &mut scratch);
-        let warmed = profile::snapshot();
-        profile::start();
+        let warmed = counts() - before;
+        let before = counts();
         let _ = server.apply(Gate::Nand, &bits[0], &bits[1]);
-        let cold = profile::snapshot();
-        profile::stop();
-        for snap in [warmed, cold] {
+        let cold = counts() - before;
+        for counted in [warmed, cold] {
             assert_eq!(
-                (snap.ifft_calls, snap.fft_calls),
+                (counted.forward, counted.backward),
                 transforms,
                 "n={lwe_dimension}"
             );

@@ -2,9 +2,16 @@
 //! (§6 and Table 2).
 
 use matcha::accel::schedule::{schedule, Netlist};
-use matcha::accel::{area_power, pipeline, platforms::Platform, report};
+use matcha::accel::{area_power, kernels, pipeline, platforms::Platform, report};
 use matcha::circuits::netlist;
-use matcha::{MatchaConfig, WorkloadParams};
+use matcha::fft::Counting;
+use matcha::tfhe::{LaneGate, MAX_LANES};
+use matcha::{
+    ApproxIntFft, ClientKey, F64Fft, FftEngine, Gate, LweCiphertext, MatchaConfig, ParameterSet,
+    ServerKey, Torus32, WorkloadParams,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn table2_budget_matches_paper_totals() {
@@ -99,32 +106,118 @@ fn reports_render_every_series() {
     assert!(t2.contains("EP cores") && t2.contains("SPM"));
 }
 
+/// Runs `work` and asserts that it counted `lanes` times `per_lane`
+/// (`[forward, backward, MAC rows, bundle rows]`), to the call.
+fn assert_counted<E: FftEngine>(
+    engine: &Counting<E>,
+    per_lane: [u64; 4],
+    lanes: u64,
+    what: &str,
+    work: impl FnOnce(),
+) {
+    let before = engine.counts();
+    work();
+    let c = engine.counts() - before;
+    assert_eq!(
+        [c.forward, c.backward, c.mac_rows, c.bundle_rows],
+        per_lane.map(|calls| calls * lanes),
+        "{what}: [forward, backward, MAC rows, bundle rows]"
+    );
+}
+
+/// At each unroll factor, counts one `apply_into` gate through a server
+/// key over a [`Counting`] engine against what the cycle model charges a
+/// lane, `kernels::step_work` × ⌈n/m⌉. On `every_path` it also counts one
+/// bootstrap and one 16-lane wave, and holds the gate's bits to a key
+/// built over the bare engine from the same draws (at the paper's
+/// parameters the extra keys would cost more than the rest of the test).
+fn assert_counts_match_the_model<E: FftEngine>(
+    params: ParameterSet,
+    engine: impl Fn() -> E,
+    unrolls: &[usize],
+    every_path: bool,
+) {
+    let w = WorkloadParams {
+        lwe_dimension: params.lwe_dimension,
+        ring_degree: params.ring_degree,
+        decomp_levels: params.decomp_levels,
+        ks_levels: params.ks_levels,
+    };
+    let step = kernels::step_work(&w);
+    for &m in unrolls {
+        let per_lane = [step.forward, step.backward, step.mac_rows, step.bundle_rows]
+            .map(|calls| (calls * w.steps(m)) as u64);
+        let mut rng = StdRng::seed_from_u64(73 + m as u64);
+        let client = ClientKey::generate(params, &mut rng);
+        let mut draws = rng.clone();
+        let server = ServerKey::with_unrolling(&client, Counting::new(engine()), m, &mut rng);
+        let counting = server.engine();
+        let bits = [true, false].map(|b| client.encrypt_with(b, &mut rng));
+        let mut out = LweCiphertext::default();
+        let mut scratch = server.make_scratch();
+        assert_counted(counting, per_lane, 1, &format!("gate, m={m}"), || {
+            server.apply_into(Gate::Nand, &bits[0], &bits[1], &mut out, &mut scratch);
+        });
+        assert!(client.decrypt(&out));
+        if !every_path {
+            continue;
+        }
+        let bare = ServerKey::with_unrolling(&client, engine(), m, &mut draws);
+        assert_eq!(out, bare.apply(Gate::Nand, &bits[0], &bits[1]), "m={m}");
+        let mu = Torus32::from_dyadic(1, 3);
+        assert_counted(counting, per_lane, 1, &format!("bootstrap, m={m}"), || {
+            out = server.kit().bootstrap(counting, &bits[0], mu);
+        });
+        assert!(client.decrypt(&out));
+        let gates = [Gate::And, Gate::Or, Gate::Xor, Gate::Nand].map(|gate| LaneGate::Binary {
+            gate,
+            a: &bits[0],
+            b: &bits[1],
+        });
+        let wave: Vec<_> = gates.iter().copied().cycle().take(MAX_LANES).collect();
+        let mut outs = vec![LweCiphertext::default(); MAX_LANES];
+        let lanes = MAX_LANES as u64;
+        assert_counted(counting, per_lane, lanes, &format!("wave, m={m}"), || {
+            server.apply_lanes_into(&wave, &mut outs, &mut scratch);
+        });
+        for (gate, out) in gates.iter().cycle().zip(&outs) {
+            let LaneGate::Binary { gate, .. } = gate else {
+                unreachable!("the wave holds binary gates")
+            };
+            assert_eq!(client.decrypt(out), gate.eval(true, false), "{gate}, m={m}");
+        }
+    }
+}
+
 #[test]
 fn model_transform_counts_match_software_instrumentation() {
-    // The cycle model charges (2ℓ + 2) transforms per blind-rotation step.
-    // The software implementation's profiler must agree — this pins the
+    // The cycle model charges every blind-rotation step 2ℓ forward and 2
+    // backward transforms, 4ℓ MAC rows and 4ℓ bundle rows. The software
+    // must run exactly that, per lane, on every path — this pins the
     // performance model to the functional implementation.
-    use matcha::tfhe::{profile, BootstrapKit};
-    use matcha::{ClientKey, F64Fft, Torus32};
-    use rand::SeedableRng;
+    let params = ParameterSet::TEST_FAST;
+    let engine = || F64Fft::new(params.ring_degree);
+    assert_counts_match_the_model(params, engine, &[1, 2, 3, 4], true);
+}
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(73);
-    let params = matcha::ParameterSet::TEST_FAST;
-    let client = ClientKey::generate(params, &mut rng);
-    let engine = F64Fft::new(params.ring_degree);
-    for m in [1usize, 2, 4] {
-        let kit = BootstrapKit::generate(&client, &engine, m, &mut rng);
-        let c = client.encrypt_with(true, &mut rng);
-        profile::start();
-        let _ = kit.bootstrap(&engine, &c, Torus32::from_dyadic(1, 3));
-        let snap = profile::snapshot();
-        profile::stop();
-        let steps = params.lwe_dimension.div_ceil(m) as u64;
-        let expected_ifft = steps * 2 * params.decomp_levels as u64;
-        let expected_fft = steps * 2;
-        assert_eq!(snap.ifft_calls, expected_ifft, "m={m} IFFT count");
-        assert_eq!(snap.fft_calls, expected_fft, "m={m} FFT count");
-    }
+#[test]
+fn model_counts_match_the_integer_engine() {
+    let params = ParameterSet::TEST_FAST;
+    let engine = || ApproxIntFft::new(params.ring_degree, 38);
+    assert_counts_match_the_model(params, engine, &[1, 2, 3, 4], true);
+}
+
+#[test]
+fn model_counts_match_paper_parameters_on_f64_at_m2() {
+    let params = ParameterSet::MATCHA;
+    assert_counts_match_the_model(params, || F64Fft::new(params.ring_degree), &[2], false);
+}
+
+#[test]
+fn model_counts_match_paper_parameters_on_approx38_at_m3() {
+    let params = ParameterSet::MATCHA;
+    let engine = || ApproxIntFft::new(params.ring_degree, 38);
+    assert_counts_match_the_model(params, engine, &[3], false);
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! unroll factors, key-size scaling, and FFT-count reduction (the property
 //! the whole MATCHA pipeline is designed around).
 
-use matcha::tfhe::{profile, BootstrapKit};
+use matcha::fft::Counting;
+use matcha::tfhe::BootstrapKit;
 use matcha::{ApproxIntFft, ClientKey, F64Fft, ParameterSet, ServerKey, Torus32};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,27 +58,25 @@ fn key_material_grows_exponentially_with_m() {
 
 #[test]
 fn unrolling_reduces_transform_count() {
-    // The point of BKU (§4.2): FFT/IFFT invocations scale with ⌈n/m⌉.
+    // The point of BKU (§4.2): FFT/IFFT invocations scale with ⌈n/m⌉,
+    // 2ℓ + 2 of them a step.
     let (client, mut rng) = client(23);
-    let engine = F64Fft::new(256);
+    let engine = Counting::new(F64Fft::new(256));
     let mu = Torus32::from_dyadic(1, 3);
-    let mut counts = Vec::new();
+    let params = client.params();
     for m in [1usize, 2, 4] {
         let kit = BootstrapKit::generate(&client, &engine, m, &mut rng);
         let c = client.encrypt_with(true, &mut rng);
-        profile::start();
+        let before = engine.counts();
         let _ = kit.bootstrap(&engine, &c, mu);
-        let snap = profile::snapshot();
-        profile::stop();
-        counts.push((m, snap.ifft_calls + snap.fft_calls));
+        let counted = engine.counts() - before;
+        let steps = params.lwe_dimension.div_ceil(m) as u64;
+        assert_eq!(
+            counted.forward + counted.backward,
+            steps * (2 * params.decomp_levels as u64 + 2),
+            "m={m}"
+        );
     }
-    let (_, t1) = counts[0];
-    let (_, t2) = counts[1];
-    let (_, t4) = counts[2];
-    assert!(
-        t2 * 2 <= t1 + 16 && t4 * 4 <= t1 + 64,
-        "transform counts do not scale ~1/m: m1={t1} m2={t2} m4={t4}"
-    );
 }
 
 #[test]
