@@ -14,8 +14,6 @@
 //! * [`platforms`] — the baseline platform models and the MATCHA wrapper,
 //!   producing the series of Figures 9–11.
 //! * [`report`] — text renderers for those figures/tables.
-//! * [`dse`] — design-space exploration: sweeps the structural parameters
-//!   and keeps the Pareto-optimal designs.
 //! * [`schedule`] — list scheduling of a gate dependency graph onto the
 //!   bootstrapping pipelines.
 //!
@@ -38,7 +36,6 @@ pub mod area_power;
 #[cfg(test)]
 mod banking;
 pub mod config;
-pub mod dse;
 pub mod kernels;
 pub mod pipeline;
 pub mod platforms;

@@ -44,7 +44,7 @@ pub const MONO_FRAC_BITS: u32 = 30;
 pub const BUNDLE_DROP_BITS: u32 = 4;
 
 /// Integer Lagrange half-complex spectrum with a fixed-point scale.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FixedSpectrum {
     /// Real parts.
     pub re: Vec<i64>,
@@ -60,13 +60,15 @@ impl Spectrum for FixedSpectrum {
     }
 }
 
-/// Reusable workspace for the integer engine's backward transform: a
-/// mutable copy of the spectrum being inverse-transformed. Sized on first
-/// use, reused afterwards.
+/// Reusable workspace of the integer engine: the backward transform's
+/// mutable copy of the spectrum being inverse-transformed, and the two
+/// bundle rows (mask and body) a fused bundle product holds at a time.
+/// Sized on first use, reused afterwards.
 #[derive(Debug, Default)]
 pub struct FixedScratch {
     re: Vec<i64>,
     im: Vec<i64>,
+    rows: [FixedSpectrum; 2],
 }
 
 /// One direction's rotations in struct-of-arrays layout, in the order the
@@ -516,6 +518,37 @@ impl FftEngine for ApproxIntFft {
             factors,
             self.leg,
         );
+    }
+
+    /// [`FftEngine::bundle_row_into`] and [`FftEngine::mul_accumulate`]
+    /// composed, digit by digit: a digit's mask and body rows are built
+    /// into the scratch and multiplied at once, so only two rows of the
+    /// bundle exist at a time.
+    fn bundle_product_into(
+        &self,
+        h: &[FixedSpectrum],
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &Vec<[i32; 2]>,
+        digits: &[FixedSpectrum],
+        [acc_a, acc_b]: [&mut FixedSpectrum; 2],
+        scratch: &mut FixedScratch,
+    ) {
+        assert_eq!(h.len(), 2 * digits.len(), "two gadget spectra per digit");
+        let m = self.n / 2;
+        key.assert_holds_blocks(m, h.len(), slots);
+        let block = KeyBlock::words(m, key.patterns);
+        self.clear_spectrum(acc_a);
+        self.clear_spectrum(acc_b);
+        let [row_a, row_b] = &mut scratch.rows;
+        for (r, digit) in digits.iter().enumerate() {
+            for (j, row) in [(2 * r, &mut *row_a), (2 * r + 1, &mut *row_b)] {
+                // The rest of the stream, as the row's lookahead expects.
+                let stream = &key.stream[j * block..];
+                self.bundle_row_into(&h[j], KeyBlock { stream, ..key }, slots, factors, row);
+            }
+            self.mul_accumulate([&mut *acc_a, &mut *acc_b], digit, [&*row_a, &*row_b]);
+        }
     }
 }
 

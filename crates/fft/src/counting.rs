@@ -23,16 +23,19 @@ pub struct Counts {
     pub forward: u64,
     /// Backward transforms: `backward_torus_into` calls.
     pub backward: u64,
-    /// Rows of pointwise multiply-accumulate: `R` per `mul_accumulate`.
+    /// Rows of pointwise multiply-accumulate: `R` per `mul_accumulate`,
+    /// and one per bundle row a `bundle_product_into` multiplies.
     pub mac_rows: u64,
-    /// Bundle rows: `bundle_row_into` calls.
+    /// Bundle rows: `bundle_row_into` calls, and the `h.len()` rows of
+    /// every `bundle_product_into`.
     pub bundle_rows: u64,
     /// Nanoseconds spent in forward transforms.
     pub forward_ns: u64,
     /// Nanoseconds spent in backward transforms.
     pub backward_ns: u64,
-    /// Nanoseconds spent building bundles: `monomial_factors_into` and
-    /// `bundle_row_into`.
+    /// Nanoseconds spent building bundles: `monomial_factors_into`,
+    /// `bundle_row_into`, and `bundle_product_into` with the products it
+    /// makes of them.
     pub bundle_ns: u64,
 }
 
@@ -235,6 +238,25 @@ impl<E: FftEngine> FftEngine for Counting<E> {
         self.tally.bundle_rows.fetch_add(1, Relaxed);
         timed(&self.tally.bundle_ns, || {
             self.engine.bundle_row_into(h, key, slots, factors, out)
+        })
+    }
+
+    fn bundle_product_into(
+        &self,
+        h: &[E::Spectrum],
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &E::MonomialFactors,
+        digits: &[E::Spectrum],
+        accs: [&mut E::Spectrum; 2],
+        scratch: &mut E::Scratch,
+    ) {
+        let rows = h.len() as u64;
+        self.tally.bundle_rows.fetch_add(rows, Relaxed);
+        self.tally.mac_rows.fetch_add(rows, Relaxed);
+        timed(&self.tally.bundle_ns, || {
+            self.engine
+                .bundle_product_into(h, key, slots, factors, digits, accs, scratch)
         })
     }
 }

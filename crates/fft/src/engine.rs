@@ -284,6 +284,40 @@ pub trait FftEngine {
         out: &mut Self::Spectrum,
     );
 
+    /// A bundle streamed straight into the external product, the bundle
+    /// never stored:
+    /// `acc_a = Σ_r d_r ⊙ B_{2r}`, `acc_b = Σ_r d_r ⊙ B_{2r+1}`, where
+    /// `B_j = h[j] + Σ_p factors[p] ⊙ 2^exp·K_j[slots[p]]` is the bundle
+    /// row [`FftEngine::bundle_row_into`] makes of gadget spectrum `h[j]`
+    /// and the `j`-th block of `key`, and `d_r = digits[r]`.
+    ///
+    /// `h` holds a TGSW sample's `2·2ℓ` spectra row by row, mask before
+    /// body; `key.stream` the group's `2·2ℓ` blocks back to back in the
+    /// same order (a bootstrapping key group, [`KeyBlock`]); `digits` the
+    /// `2ℓ` gadget-digit spectra, mask levels first. The accumulators are
+    /// overwritten. The result is bit-identical to building every row with
+    /// `bundle_row_into` and then, from cleared accumulators, calling
+    /// [`FftEngine::mul_accumulate`] with two rows once per digit in order
+    /// — what the external product does with a stored bundle — on every
+    /// leg. The TGSW cluster of MATCHA's pipeline (Figure 6a) feeds its
+    /// bundle to the EP cores the same way.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic where `bundle_row_into` or `mul_accumulate`
+    /// would, and if `h` does not hold two spectra per digit.
+    #[allow(clippy::too_many_arguments)]
+    fn bundle_product_into(
+        &self,
+        h: &[Self::Spectrum],
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &Self::MonomialFactors,
+        digits: &[Self::Spectrum],
+        accs: [&mut Self::Spectrum; 2],
+        scratch: &mut Self::Scratch,
+    );
+
     /// Convenience: the full negacyclic product `p · q`.
     fn poly_mul(&self, p: &TorusPolynomial, q: &IntPolynomial) -> TorusPolynomial {
         let mut acc = self.zero_spectrum();
@@ -362,12 +396,18 @@ impl KeyBlock<'_> {
     /// The checks every bundle-row kernel makes before its loops: the
     /// block is all there and every slot is one of its patterns.
     pub(crate) fn assert_holds(&self, m: usize, slots: &[u8]) {
+        self.assert_holds_blocks(m, 1, slots);
+    }
+
+    /// [`KeyBlock::assert_holds`] for `blocks` blocks back to back, the
+    /// checks of the fused bundle product.
+    pub(crate) fn assert_holds_blocks(&self, m: usize, blocks: usize, slots: &[u8]) {
+        let words = blocks * Self::words(m, self.patterns);
         assert!(
-            self.stream.len() >= Self::words(m, self.patterns),
-            "key block of {} words, {} patterns of {m} points need {}",
+            self.stream.len() >= words,
+            "key stream of {} words: {blocks} × {} patterns of {m} points need {words}",
             self.stream.len(),
             self.patterns,
-            Self::words(m, self.patterns)
         );
         assert!(
             slots.iter().all(|&s| (s as usize) < self.patterns),

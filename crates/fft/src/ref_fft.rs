@@ -398,6 +398,41 @@ impl FftEngine for F64Fft {
             self.leg,
         );
     }
+
+    /// One pass through `simd::bundle_product`: the bundle entries go from
+    /// the key straight into the accumulators.
+    fn bundle_product_into(
+        &self,
+        h: &[CplxSpectrum],
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &SplitFactors,
+        digits: &[CplxSpectrum],
+        [acc_a, acc_b]: [&mut CplxSpectrum; 2],
+        _scratch: &mut CplxScratch,
+    ) {
+        assert_eq!(
+            factors.exp, key.exp,
+            "factor tables made for a key of another unit"
+        );
+        let m = self.n / 2;
+        for acc in [&mut *acc_a, &mut *acc_b] {
+            acc.re.resize(m, 0.0);
+            acc.im.resize(m, 0.0);
+        }
+        simd::bundle_product(
+            [
+                (&mut acc_a.re, &mut acc_a.im),
+                (&mut acc_b.re, &mut acc_b.im),
+            ],
+            h,
+            key,
+            slots,
+            (&factors.re, &factors.im),
+            digits,
+            self.leg,
+        );
+    }
 }
 
 #[cfg(test)]

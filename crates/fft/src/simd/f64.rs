@@ -6,6 +6,7 @@ use super::movers::{bit_reverse_copy, FoldDigit};
 #[cfg(target_arch = "x86_64")]
 use super::movers::{key_lines_of_chunk, store_columns_avx, MIN_BLOCKED, REV2};
 use crate::engine::{KeyBlock, KEY_CHUNK};
+use crate::ref_fft::CplxSpectrum;
 use crate::tables::{BitReversal, StageTwiddles};
 use matcha_math::Torus32;
 #[cfg(target_arch = "x86_64")]
@@ -803,7 +804,10 @@ pub(super) unsafe fn untwist_to_torus_avx(
 /// [`f64::mul_add`]; the AVX2 leg widens four words at a time with
 /// `vcvtdq2pd` and makes the same FMAs in the same order, so the two
 /// agree bit for bit, and it prefetches down the key
-/// (`BUNDLE_PREFETCH_AHEAD`): a row is a wait for the key.
+/// (`BUNDLE_PREFETCH_AHEAD`): a row walks its one block and waits for it.
+/// Blind rotation streams its bundles through [`bundle_product`] instead,
+/// which walks a group's blocks side by side; this row is what that
+/// product is held to.
 ///
 /// # Panics
 ///
@@ -893,6 +897,178 @@ unsafe fn bundle_row_avx(
             for half in 0..2 {
                 _mm256_storeu_pd(out_re.as_mut_ptr().add(k + 4 * half), x[half]);
                 _mm256_storeu_pd(out_im.as_mut_ptr().add(k + 4 * half), y[half]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// f64 fused bundle product
+// ---------------------------------------------------------------------------
+
+/// A bundle streamed straight into the external product, one pass over
+/// the group's key: `acc_a = Σ_r d_r ⊙ B_{2r}` and `acc_b = Σ_r d_r ⊙
+/// B_{2r+1}`, where `B_j` is [`bundle_row`] of `h[j]` over the `j`-th block
+/// of `key` and `d_r = digits[r]`. The accumulators are overwritten.
+///
+/// Each element meets exactly the operations of [`bundle_row`] followed by
+/// [`mul_acc`] with two rows, digit by digit from cleared accumulators: a
+/// bundle entry is built in term order with fused multiply-adds, and goes
+/// into the product with `mul_acc`'s element operations on the same leg
+/// (rounded products on the scalar leg, its two fused multiply-adds per
+/// component on a vector leg). So the result is bit-identical to storing
+/// the bundle and multiplying it, on every leg.
+///
+/// The AVX2 leg makes one pass per 8-point chunk over all `h.len()` blocks
+/// — the group's row blocks read as concurrent streams, each with
+/// [`bundle_row`]'s lookahead, the chunk's factor entries reused from L1 by
+/// every block — and keeps the bundle entries and the accumulators in
+/// vector registers: the bundle is never written. Any number of slots runs
+/// this way.
+///
+/// # Panics
+///
+/// Panics if there is no digit or `h` does not hold two spectra per digit,
+/// on mismatched lengths, on a key stream shorter than `h.len()` blocks,
+/// and on a slot outside the blocks' patterns.
+pub(crate) fn bundle_product(
+    [(a_re, a_im), (b_re, b_im)]: [(&mut [f64], &mut [f64]); 2],
+    h: &[CplxSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    (f_re, f_im): (&[f64], &[f64]),
+    digits: &[CplxSpectrum],
+    leg: Leg,
+) {
+    assert!(!digits.is_empty(), "a product needs at least one digit");
+    assert_eq!(h.len(), 2 * digits.len(), "two gadget spectra per digit");
+    let m = digits[0].re.len();
+    let spectra = h.iter().chain(digits);
+    for len in spectra.flat_map(|s| [s.re.len(), s.im.len()]) {
+        assert_eq!(len, m, "component length mismatch");
+    }
+    for len in [a_re.len(), a_im.len(), b_re.len(), b_im.len()] {
+        assert_eq!(len, m, "component length mismatch");
+    }
+    assert_eq!(f_re.len(), slots.len() * m, "one factor table per slot");
+    assert_eq!(f_im.len(), slots.len() * m, "one factor table per slot");
+    key.assert_holds_blocks(m, h.len(), slots);
+    let accs = [(a_re, a_im), (b_re, b_im)];
+    #[cfg(target_arch = "x86_64")]
+    if m.is_multiple_of(KEY_CHUNK) && leg.narrowed() != Leg::Scalar {
+        // SAFETY: a narrowed vector leg implies AVX2+FMA; the lengths, the
+        // blocks and the slots were checked above.
+        unsafe { bundle_product_avx(accs, h, key, slots, (f_re, f_im), digits) };
+        return;
+    }
+    // `mul_acc`'s element operations on this leg: contracted wherever its
+    // vector leg runs.
+    let contract = m >= 4 && leg.narrowed() != Leg::Scalar;
+    let block = KeyBlock::words(m, key.patterns);
+    let [(a_re, a_im), (b_re, b_im)] = accs;
+    for k in 0..m {
+        let mut acc = [[0.0f64; 2]; 2];
+        for (r, d) in digits.iter().enumerate() {
+            let (xr, xi) = (d.re[k], d.im[k]);
+            for (side, [cr, ci]) in acc.iter_mut().enumerate() {
+                let j = 2 * r + side;
+                let (mut sr, mut si) = (h[j].re[k], h[j].im[k]);
+                let stream = &key.stream[j * block..];
+                for (p, &slot) in slots.iter().enumerate() {
+                    let at = KeyBlock::word_index(m, key.patterns, slot as usize, k);
+                    let (wr, wi) = (
+                        f64::from(stream[at]),
+                        f64::from(stream[at + KeyBlock::chunk(m)]),
+                    );
+                    let (fr, fi) = (f_re[p * m + k], f_im[p * m + k]);
+                    sr = (-fi).mul_add(wi, fr.mul_add(wr, sr));
+                    si = fi.mul_add(wr, fr.mul_add(wi, si));
+                }
+                if contract {
+                    *cr = (-xi).mul_add(si, xr.mul_add(sr, *cr));
+                    *ci = xi.mul_add(sr, xr.mul_add(si, *ci));
+                } else {
+                    *cr += xr * sr - xi * si;
+                    *ci += xr * si + xi * sr;
+                }
+            }
+        }
+        [a_re[k], a_im[k]] = acc[0];
+        [b_re[k], b_im[k]] = acc[1];
+    }
+}
+
+/// # Safety
+///
+/// AVX2 and FMA must be present; every spectrum and accumulator must hold
+/// `m = digits[0].re.len()` points per component, `m` a multiple of
+/// [`KEY_CHUNK`], the factor tables `m` per slot, `h` two spectra per
+/// digit; `key.stream` must hold `h.len()` blocks and every slot be one of
+/// `key.patterns` ([`KeyBlock::assert_holds_blocks`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn bundle_product_avx(
+    mut accs: [(&mut [f64], &mut [f64]); 2],
+    h: &[CplxSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    (f_re, f_im): (&[f64], &[f64]),
+    digits: &[CplxSpectrum],
+) {
+    use std::arch::x86_64::*;
+    let m = digits[0].re.len();
+    let block = KeyBlock::words(m, key.patterns);
+    // SAFETY: every call below reads four points from `at`, a multiple of
+    // four with `at + 4 ≤ m` in an `m`-point spectrum component, or in
+    // table `p < slots.len()` of the `slots.len()·m`-point factor tables
+    // (`k + 8 ≤ m`; the caller checked every length).
+    let load = |v: &[f64], at: usize| unsafe { _mm256_loadu_pd(v.as_ptr().add(at)) };
+    for k in (0..m).step_by(KEY_CHUNK) {
+        // `acc[side][half]`: the real and imaginary lanes of points
+        // `k + 4·half ..` of the mask (`side = 0`) or body accumulator.
+        let mut acc = [[(_mm256_setzero_pd(), _mm256_setzero_pd()); 2]; 2];
+        for (r, d) in digits.iter().enumerate() {
+            for (side, acc) in acc.iter_mut().enumerate() {
+                let j = 2 * r + side;
+                let mut x = [load(&h[j].re, k), load(&h[j].re, k + 4)];
+                let mut y = [load(&h[j].im, k), load(&h[j].im, k + 4)];
+                let row = KeyBlock {
+                    // SAFETY: block `j < h.len()` lies inside the stream.
+                    stream: unsafe { key.stream.get_unchecked(j * block..) },
+                    ..key
+                };
+                // SAFETY: block `j` holds chunk `k / 8` and every slot is one
+                // of its patterns (`assert_holds_blocks`); a line holds the
+                // chunk's 8 `re` words, then its 8 `im` words.
+                unsafe {
+                    key_lines_of_chunk(row, k / KEY_CHUNK, slots, |p, line| {
+                        for half in 0..2 {
+                            let words = |at: usize| {
+                                _mm256_cvtepi32_pd(_mm_loadu_si128(line.add(at + 4 * half).cast()))
+                            };
+                            let (sr, si) = (words(0), words(KEY_CHUNK));
+                            let fr = load(f_re, p * m + k + 4 * half);
+                            let fi = load(f_im, p * m + k + 4 * half);
+                            x[half] = _mm256_fnmadd_pd(fi, si, _mm256_fmadd_pd(fr, sr, x[half]));
+                            y[half] = _mm256_fmadd_pd(fi, sr, _mm256_fmadd_pd(fr, si, y[half]));
+                        }
+                    })
+                };
+                for (half, (cr, ci)) in acc.iter_mut().enumerate() {
+                    let (xr, xi) = (load(&d.re, k + 4 * half), load(&d.im, k + 4 * half));
+                    let (ar, ai) = (x[half], y[half]);
+                    *cr = _mm256_fnmadd_pd(xi, ai, _mm256_fmadd_pd(xr, ar, *cr));
+                    *ci = _mm256_fmadd_pd(xi, ar, _mm256_fmadd_pd(xr, ai, *ci));
+                }
+            }
+        }
+        for ((re, im), acc) in accs.iter_mut().zip(acc) {
+            for (half, (cr, ci)) in acc.into_iter().enumerate() {
+                // SAFETY: `k + 8 ≤ m`, the accumulators' length.
+                unsafe {
+                    _mm256_storeu_pd(re.as_mut_ptr().add(k + 4 * half), cr);
+                    _mm256_storeu_pd(im.as_mut_ptr().add(k + 4 * half), ci);
+                }
             }
         }
     }

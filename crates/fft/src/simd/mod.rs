@@ -124,10 +124,22 @@
 //! split measured no faster than the native `mul`. The bundle row needs no
 //! split: a stored key's mantissas and the factors are 32 bits each, one
 //! `vpmuldq` a product (`i64_bundle_row`). The bundle rows' vector legs
-//! (this one and `bundle_row`'s) are the kernels here that prefetch:
-//! with the products in vector lanes a row is done before its key arrives,
-//! and the time the key takes is the part of a gate that a busy neighbour
-//! sets (`BUNDLE_PREFETCH_AHEAD`).
+//! (this one and `bundle_row`'s) and the f64 fused bundle product
+//! (`bundle_product`) are the kernels here that prefetch: with the
+//! products in vector lanes a row is done before its key arrives, and the
+//! time the key takes is the part of a gate that a busy neighbour sets
+//! (`BUNDLE_PREFETCH_AHEAD`).
+//!
+//! # The fused bundle product
+//!
+//! A blind-rotation step never stores its bundle. On the f64 engine
+//! `bundle_product` makes one pass per 8-point chunk over all `2·2ℓ` key
+//! blocks of a group: each bundle entry is summed in registers as
+//! `bundle_row` sums it and goes straight into the two accumulators with
+//! `mul_acc`'s element operations, so it is bit-identical, on every leg,
+//! to `bundle_row` for every row followed by `mul_acc::<2>` per digit. The
+//! integer engine composes `i64_bundle_row` and `i64_mul_acc` a digit at
+//! a time, through two rows of its scratch.
 //!
 //! At `N = 1024` on a Xeon with AVX-512F (minimum of 20 rounds of 1000–2000
 //! calls; scalar / AVX2 / AVX-512): a pair of pointwise products 2.35 /
@@ -150,7 +162,9 @@ pub use self::dispatch::{simd_detected, Leg};
 pub use self::f64::{
     bit_reverse_copy_pair, fold_twist, radix2_stage, radix2_stage_pair, untwist_to_torus, Reversed,
 };
-pub(crate) use self::f64::{bundle_row, mul_acc, reduce_turns, round_half_away, FIRST_WIDE_STAGE};
+pub(crate) use self::f64::{
+    bundle_product, bundle_row, mul_acc, reduce_turns, round_half_away, FIRST_WIDE_STAGE,
+};
 pub(crate) use self::i64::{i64_bundle_row, i64_mul_acc, i64_radix2_stage, LiftSplit};
 pub use self::i64::{i64_fold_rotate, i64_rotate, MAC_LANE_BOUND};
 pub use self::movers::{bit_reverse_copy, int_words, torus_words, FoldDigit};

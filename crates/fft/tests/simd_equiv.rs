@@ -481,6 +481,134 @@ fn f64_bundle_row_is_bit_identical_across_legs() {
     }
 }
 
+/// `bundle_product_into` against its definition on the same engine: each
+/// of the `4ℓ` rows built with `bundle_row_into`, then one two-row
+/// `mul_accumulate` per digit, mask levels first, from cleared
+/// accumulators. `h` and the digits are spectra of uniform polynomials,
+/// each block stores its own `patterns` keys, the stream runs on past the
+/// last block once, and the accumulators arrive dirty. Blocks of 15
+/// patterns or more are asked for every slot count from 0 to 15.
+fn check_bundle_product<E: FftEngine>(engine: &E, patterns: usize, ctx: &str) {
+    let n = engine.ring_degree();
+    let m = n / 2;
+    let exp = key_exponent(n);
+    let decomp = GadgetDecomposer::new(10, 3);
+    let levels = decomp.levels();
+    let seed = |i: usize| 1000 + i as u32;
+    let h: Vec<_> = (0..4 * levels)
+        .map(|j| engine.forward_torus(&uniform_torus_poly(n, seed(j))))
+        .collect();
+    let mut stream = Vec::new();
+    for j in 0..4 * levels {
+        let keys: Vec<_> = (0..patterns)
+            .map(|p| engine.forward_torus(&uniform_torus_poly(n, seed(100 * j + p + 50))))
+            .collect();
+        stream.extend(stored_block(engine, &keys, exp));
+    }
+    let mut scratch = engine.make_scratch();
+    let digits: Vec<_> = (0..2 * levels)
+        .map(|r| {
+            let mut digit = engine.zero_spectrum();
+            let poly = uniform_torus_poly(n, seed(r / levels + 10));
+            engine.forward_decomposed_into(&poly, &decomp, r % levels, &mut digit, &mut scratch);
+            digit
+        })
+        .collect();
+    let mut slot_sets = slot_lists(patterns);
+    if patterns >= 15 {
+        slot_sets.extend((1..15).map(|count| (0..count).collect()));
+    }
+    let block = KeyBlock::words(m, patterns);
+    for tail in [0, 5000] {
+        stream.resize(4 * levels * block + tail, 77);
+        let key = KeyBlock {
+            stream: &stream,
+            patterns,
+            exp,
+        };
+        for slots in &slot_sets {
+            let exponents = (0..slots.len() as i64).map(|p| 19 * p * p - 40 * p + 1);
+            let mut factors = Default::default();
+            engine.monomial_factors_into(exponents, exp, &mut factors);
+            let rows: Vec<_> = h
+                .iter()
+                .enumerate()
+                .map(|(j, h)| {
+                    let mut row = engine.zero_spectrum();
+                    let key = KeyBlock {
+                        stream: &stream[j * block..],
+                        ..key
+                    };
+                    engine.bundle_row_into(h, key, slots, &factors, &mut row);
+                    row
+                })
+                .collect();
+            let (mut want_a, mut want_b) = (engine.zero_spectrum(), engine.zero_spectrum());
+            for (digit, pair) in digits.iter().zip(rows.chunks(2)) {
+                engine.mul_accumulate([&mut want_a, &mut want_b], digit, [&pair[0], &pair[1]]);
+            }
+            let (mut got_a, mut got_b) = (h[1].clone(), h[2].clone());
+            let accs = [&mut got_a, &mut got_b];
+            engine.bundle_product_into(&h, key, slots, &factors, &digits, accs, &mut scratch);
+            // Spectra print every component exactly: equal text, equal values.
+            let ctx = format!("{ctx}, n={n} patterns={patterns} slots={slots:?} tail={tail}");
+            assert_eq!(format!("{got_a:?}"), format!("{want_a:?}"), "mask, {ctx}");
+            assert_eq!(format!("{got_b:?}"), format!("{want_b:?}"), "body, {ctx}");
+        }
+    }
+}
+
+#[test]
+fn bundle_product_is_its_rows_then_products_on_every_leg() {
+    // Below a chunk (`M = 2`, where the f64 product is not contracted
+    // even on a vector leg, and `M = 4`), a few chunks, and the paper's
+    // ring; blocks of up to 255 patterns (unroll 8) on the f64 engine, up
+    // to 31 on the integer engine, whose row headroom stops at unroll 5.
+    for leg in Leg::ALL {
+        for n in [4, 8, 16, 64, 1024] {
+            let f64_engine = F64Fft::with_leg(n, leg);
+            let approx = ApproxIntFft::with_leg(n, 38, leg);
+            for patterns in [1, 3, 7, 15] {
+                check_bundle_product(&f64_engine, patterns, &format!("f64 {leg:?}"));
+                check_bundle_product(&approx, patterns, &format!("approx {leg:?}"));
+            }
+            if n <= 64 {
+                check_bundle_product(&f64_engine, 255, &format!("f64 {leg:?}"));
+                check_bundle_product(&approx, 31, &format!("approx {leg:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "12 × 3 patterns of 512 points need 36864")]
+fn bundle_product_rejects_a_short_stream() {
+    let engine = F64Fft::with_leg(1024, widest_leg());
+    let exp = key_exponent(1024);
+    let h = engine.forward_torus(&uniform_torus_poly(1024, 61));
+    let block = stored_block(&engine, &[h.clone(), h.clone(), h.clone()], exp);
+    let stream = block.repeat(12);
+    let key = KeyBlock {
+        stream: &stream[..stream.len() - 1],
+        patterns: 3,
+        exp,
+    };
+    let mut factors = Default::default();
+    engine.monomial_factors_into([5].into_iter(), exp, &mut factors);
+    let (mut a, mut b) = (engine.zero_spectrum(), engine.zero_spectrum());
+    let (hs, digits) = (vec![h.clone(); 12], vec![h; 6]);
+    let mut scratch = engine.make_scratch();
+    engine.bundle_product_into(
+        &hs,
+        key,
+        &[0],
+        &factors,
+        &digits,
+        [&mut a, &mut b],
+        &mut scratch,
+    );
+}
+
 /// A bundle row over a key stream one word short of its block, on the
 /// engine's leg.
 fn bundle_row_over_a_short_block<E: FftEngine>(engine: &E) {

@@ -20,9 +20,9 @@
 //! # The stored key
 //!
 //! Blind rotation reads the whole key once per gate (once per wave), front
-//! to back, and that stream — not arithmetic — is what a bundle build
-//! waits for. So the key is one slab of 32-bit words in exactly the order
-//! the bundle rows consume it:
+//! to back, and that stream — not arithmetic — is what a step waits for.
+//! So the key is one slab of 32-bit words in exactly the order the bundle
+//! rows consume it:
 //!
 //! ```text
 //! slab   = group 0 | group 1 | … | group ⌈n/m⌉−1
@@ -55,12 +55,32 @@
 //! [`NoiseModel`](crate::analyze::NoiseModel) charges it. Rows go into the
 //! slab as they are produced; nothing but one TGSW sample is ever held
 //! beside it.
+//!
+//! # A step
+//!
+//! Blind rotation never stores a bundle. A step
+//! ([`UnrolledBootstrappingKey::bundle_product_assign`]) transforms the
+//! accumulator's `2ℓ` gadget digits first, then makes one pass over its
+//! group ([`FftEngine::bundle_product_into`]): on the f64 engine's vector
+//! leg, chunk by chunk, the group's `2·2ℓ` blocks are read side by side,
+//! each bundle entry is summed in registers and multiplied into the two
+//! accumulators there and then — MATCHA's TGSW cluster feeding the EP
+//! cores (Figure 6a) with no bundle buffer between them. Building the
+//! bundle first ([`UnrolledBootstrappingKey::build_bundle_into`], 96 KB at
+//! `MATCHA`) and taking its [`TgswSpectrum::external_product_assign`] is
+//! the definition the step is held to, bit for bit on every kernel leg.
+//! Dropping the store and the reload took a blind rotation of `F64Fft` at
+//! `m = 2` to 0.73–0.84 of its time on a 2-vCPU Xeon (whole rotations
+//! alternated in one process), and its gates a second up 6–20 % (medians
+//! of three batches of ten alternating benchmark pairs, CHANGES.md).
 
 use crate::params::ParameterSet;
+use crate::scratch::EpScratch;
 use crate::secret::{LweSecretKey, RingSecretKey};
 use crate::tgsw::{TgswCiphertext, TgswSpectrum};
+use crate::tlwe::TrlweCiphertext;
 use matcha_fft::{key_exponent, FftEngine, KeyBlock, Spectrum};
-use matcha_math::TorusSampler;
+use matcha_math::{GadgetDecomposer, TorusSampler};
 use rand::Rng;
 
 /// Largest unroll factor a key is generated for: `2^m − 1` keys per group
@@ -102,7 +122,9 @@ pub struct UnrolledBootstrappingKey<E: FftEngine> {
     /// A stored word `w` stands for `w·2^exp` torus units.
     exp: u32,
     groups: Vec<KeyGroup>,
-    h: TgswSpectrum<E>,
+    /// `H`'s `2·2ℓ` spectra row by row, mask before body: the order of a
+    /// group's blocks in the slab.
+    h: Vec<E::Spectrum>,
     unroll: usize,
 }
 
@@ -172,11 +194,15 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
                 }
             }
         }
+        let h = TgswCiphertext::trivial_one(params).to_spectrum(engine);
         Self {
             slab,
             exp,
             groups,
-            h: TgswCiphertext::trivial_one(params).to_spectrum(engine),
+            h: h.rows()
+                .iter()
+                .flat_map(|row| [row.a.clone(), row.b.clone()])
+                .collect(),
             unroll,
         }
     }
@@ -200,15 +226,54 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
     /// Bytes the key holds: the slab of pattern keys and the full-width
     /// gadget `H`.
     pub fn stored_bytes(&self) -> usize {
-        let h_rows = self.h.rows();
-        let h_words = h_rows.len() * 2 * 2 * h_rows[0].a.len();
+        let h_words = self.h.len() * 2 * self.points();
         std::mem::size_of_val(&self.slab[..]) + h_words * std::mem::size_of::<u64>()
     }
 
-    /// The gadget TGSW `H` in spectral form (the `1 +` term of every
-    /// bundle) — also the shape template for bundle scratch buffers.
-    pub(crate) fn gadget_spectrum(&self) -> &TgswSpectrum<E> {
-        &self.h
+    /// Points of every spectrum, `N/2`.
+    fn points(&self) -> usize {
+        self.h[0].len()
+    }
+
+    /// The patterns of `group` whose factor is not zero, in pattern order
+    /// (the order of the factor tables and of every row's sum), as slots
+    /// into the group's blocks — the first `count` of the returned array —
+    /// with their factor tables written into `factors`.
+    fn active_slots(
+        &self,
+        engine: &E,
+        group: &KeyGroup,
+        exponents: &[u32],
+        two_n: u32,
+        factors: &mut E::MonomialFactors,
+    ) -> ([u8; (1 << MAX_UNROLL) - 1], usize) {
+        assert_eq!(
+            exponents.len(),
+            group.len,
+            "one exponent per grouped secret bit"
+        );
+        let active = (0..group.patterns()).filter_map(|slot| {
+            let e = pattern_exponent(slot as u32 + 1, exponents, two_n)?;
+            Some((slot as u8, e))
+        });
+        let mut slots = [0u8; (1 << MAX_UNROLL) - 1];
+        let mut count = 0;
+        for (slot, _) in active.clone() {
+            slots[count] = slot;
+            count += 1;
+        }
+        engine.monomial_factors_into(active.map(|(_, e)| e), self.exp, factors);
+        (slots, count)
+    }
+
+    /// The slab from `group`'s first block on: its `2·2ℓ` blocks, then the
+    /// rest of the key, which the rows' lookahead runs into.
+    fn key_stream(&self, group: &KeyGroup) -> KeyBlock<'_> {
+        KeyBlock {
+            stream: &self.slab[group.offset..],
+            patterns: group.patterns(),
+            exp: self.exp,
+        }
     }
 
     /// Builds the bootstrapping-key bundle for one group (Figure 5) into a
@@ -229,6 +294,9 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
     /// patterns whose exponent is `0` (factor identically zero) are
     /// skipped, their slots left out of the rows' list.
     ///
+    /// It is the definition [`UnrolledBootstrappingKey::bundle_product_assign`]
+    /// is held to; blind rotation itself never stores a bundle.
+    ///
     /// # Panics
     ///
     /// Panics if `exponents.len()` differs from the group length, the
@@ -244,42 +312,89 @@ impl<E: FftEngine> UnrolledBootstrappingKey<E> {
         factors: &mut E::MonomialFactors,
     ) {
         assert_eq!(
-            exponents.len(),
-            group.len,
-            "one exponent per grouped secret bit"
-        );
-        assert_eq!(
-            bundle.rows().len(),
-            self.h.rows().len(),
+            2 * bundle.rows().len(),
+            self.h.len(),
             "bundle buffer has the wrong row count"
         );
-        // The patterns with a nonzero factor, in pattern order: the
-        // order of the factor tables and of every row's sum.
-        let patterns = group.patterns();
-        let active = (0..patterns).filter_map(|slot| {
-            let e = pattern_exponent(slot as u32 + 1, exponents, two_n)?;
-            Some((slot as u8, e))
-        });
-        let mut slots = [0u8; (1 << MAX_UNROLL) - 1];
-        let mut count = 0;
-        for (slot, _) in active.clone() {
-            slots[count] = slot;
-            count += 1;
+        let (slots, count) = self.active_slots(engine, group, exponents, two_n, factors);
+        let mut key = self.key_stream(group);
+        let block = KeyBlock::words(self.points(), key.patterns);
+        let outs = bundle
+            .rows_mut()
+            .iter_mut()
+            .flat_map(|row| [&mut row.a, &mut row.b]);
+        for (h, out) in self.h.iter().zip(outs) {
+            engine.bundle_row_into(h, key, &slots[..count], factors, out);
+            key.stream = &key.stream[block..];
         }
-        engine.monomial_factors_into(active.map(|(_, e)| e), self.exp, factors);
-        let block = KeyBlock::words(self.h.rows()[0].a.len(), patterns);
-        let mut stream = &self.slab[group.offset..];
-        for (row, h_row) in bundle.rows_mut().iter_mut().zip(self.h.rows()) {
-            for (h, out) in [(&h_row.a, &mut row.a), (&h_row.b, &mut row.b)] {
-                let key = KeyBlock {
-                    stream,
-                    patterns,
-                    exp: self.exp,
-                };
-                engine.bundle_row_into(h, key, &slots[..count], factors, out);
-                stream = &stream[block..];
+    }
+
+    /// One blind-rotation step, `acc ← BKB ⊡ acc` with `BKB` the bundle
+    /// [`UnrolledBootstrappingKey::build_bundle_into`] builds for `group`
+    /// and `exponents` (`2N` from the engine's ring degree), the bundle
+    /// never stored: the factor tables, the `2ℓ` fused decompose→forward
+    /// transforms of `acc` into the scratch's digit spectra (mask levels
+    /// first), one [`FftEngine::bundle_product_into`] over the group's key
+    /// — every bundle entry built and multiplied while its key line is in
+    /// hand, as MATCHA's TGSW cluster streams bundles into the EP cores —
+    /// and the two backward transforms. Bit-identical to `build_bundle_into`
+    /// followed by [`TgswSpectrum::external_product_assign`]; zero
+    /// allocations once `scratch` is warmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exponents.len()` differs from the group length, if
+    /// `decomp.levels()` is not the key's `ℓ`, if `scratch` was built for
+    /// fewer levels, or if `group` is not one of this key's.
+    pub fn bundle_product_assign(
+        &self,
+        engine: &E,
+        group: &KeyGroup,
+        exponents: &[u32],
+        decomp: &GadgetDecomposer,
+        acc: &mut TrlweCiphertext,
+        scratch: &mut EpScratch<E>,
+    ) {
+        let levels = decomp.levels();
+        assert_eq!(
+            4 * levels,
+            self.h.len(),
+            "decomposer levels must match the key's ℓ"
+        );
+        let two_n = 2 * engine.ring_degree() as u32;
+        let EpScratch {
+            engine: es,
+            digits,
+            acc_a,
+            acc_b,
+            factors,
+        } = scratch;
+        let (slots, count) = self.active_slots(engine, group, exponents, two_n, factors);
+        let digits = &mut digits[..2 * levels];
+        for (half, poly) in [acc.mask(), acc.body()].into_iter().enumerate() {
+            for level in 0..levels {
+                engine.forward_decomposed_into(
+                    poly,
+                    decomp,
+                    level,
+                    &mut digits[half * levels + level],
+                    es,
+                );
             }
         }
+        let key = self.key_stream(group);
+        engine.bundle_product_into(
+            &self.h,
+            key,
+            &slots[..count],
+            factors,
+            digits,
+            [acc_a, acc_b],
+            es,
+        );
+        let (mask, body) = acc.parts_mut();
+        engine.backward_torus_into(acc_a, mask, es);
+        engine.backward_torus_into(acc_b, body, es);
     }
 }
 
@@ -305,7 +420,7 @@ mod tests {
     use super::*;
     use crate::tlwe::{TrlweCiphertext, TrlweSpectrum};
     use matcha_fft::approx::FixedSpectrum;
-    use matcha_fft::{ApproxIntFft, CplxSpectrum, F64Fft};
+    use matcha_fft::{ApproxIntFft, CplxSpectrum, F64Fft, Leg};
     use matcha_math::{stats, GadgetDecomposer, Torus32, TorusPolynomial};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -350,6 +465,16 @@ mod tests {
         }
     }
 
+    /// The gadget TGSW `H` the key holds, as a sample: also the shape of a
+    /// bundle buffer.
+    fn gadget<E: FftEngine>(bk: &UnrolledBootstrappingKey<E>) -> TgswSpectrum<E> {
+        let rows = bk.h.chunks(2).map(|row| TrlweSpectrum {
+            a: row[0].clone(),
+            b: row[1].clone(),
+        });
+        TgswSpectrum::from_rows(rows.collect(), bk.h.len() / 4)
+    }
+
     /// The key of bit pattern `pattern ∈ [1, 2^len)` of group `group`,
     /// widened: the TGSW sample blind rotation computes with.
     fn key_spectrum<E: StoredWords>(
@@ -359,7 +484,7 @@ mod tests {
         pattern: u32,
     ) -> TgswSpectrum<E> {
         let group = bk.groups[group];
-        let (points, patterns) = (bk.h.rows()[0].a.len(), group.patterns());
+        let (points, patterns) = (bk.points(), group.patterns());
         let block = KeyBlock::words(points, patterns);
         let spectrum = |at: usize| {
             let words = &bk.slab[group.offset + at * block..][..block];
@@ -371,13 +496,13 @@ mod tests {
                 bk.exp,
             )
         };
-        let rows = (0..bk.h.rows().len())
+        let rows = (0..bk.h.len() / 2)
             .map(|r| TrlweSpectrum {
                 a: spectrum(2 * r),
                 b: spectrum(2 * r + 1),
             })
             .collect();
-        TgswSpectrum::from_rows(rows, bk.h.levels())
+        TgswSpectrum::from_rows(rows, bk.h.len() / 4)
     }
 
     /// A small key on any engine, the secrets it encrypts, and the sampler
@@ -431,7 +556,7 @@ mod tests {
         exponents: &[u32],
         two_n: u32,
     ) -> TgswSpectrum<F64Fft> {
-        let mut bundle = bk.gadget_spectrum().clone();
+        let mut bundle = gadget(bk);
         let mut factors = Default::default();
         bk.build_bundle_into(engine, group, exponents, two_n, &mut bundle, &mut factors);
         bundle
@@ -545,7 +670,7 @@ mod tests {
             // The middle bit's exponent is 0: patterns of it alone vanish.
             let exponents: Vec<u32> = [11, 0, 40][..group.len()].to_vec();
             let bundle = build_bundle(&bk, &engine, group, &exponents, p.two_n());
-            let mut expected = bk.gadget_spectrum().clone();
+            let mut expected = gadget(&bk);
             for pattern in 1u32..(1 << group.len()) {
                 let Some(e) = pattern_exponent(pattern, &exponents, p.two_n()) else {
                     continue;
@@ -574,6 +699,95 @@ mod tests {
                 assert!(dist < 1e-7, "group {g} row {r}: distance {dist}");
             }
         }
+    }
+
+    /// The fused step against its definition, the stored bundle's external
+    /// product, bit for bit: every group of a key built at unroll `unroll`
+    /// (the short last one too), under exponents that leave every pattern
+    /// active, one bit's patterns out (a zero exponent), pairs of bits
+    /// cancelling, and none — on every kernel leg (`make`).
+    fn fused_step_is_bundle_then_product<E: FftEngine>(
+        params: ParameterSet,
+        unroll: usize,
+        make: impl Fn(Leg) -> E,
+    ) {
+        let Setup {
+            bk,
+            before: mut sampler,
+            ..
+        } = setup_with(params, make(Leg::host()), unroll);
+        let (n, two_n) = (params.ring_degree, params.two_n());
+        let decomp = GadgetDecomposer::new(params.decomp_base_log, params.decomp_levels);
+        let acc = TrlweCiphertext::from_parts(sampler.uniform_poly(n), sampler.uniform_poly(n));
+        let bits = 0..unroll as u32;
+        let exponent_sets: [Vec<u32>; 4] = [
+            bits.clone().map(|i| (37 + 101 * i) % two_n).collect(),
+            bits.clone()
+                .map(|i| [5 + 211 * i, 0][(i == 1) as usize] % two_n)
+                .collect(),
+            bits.clone()
+                .map(|i| [300 + i, two_n + 1 - 300 - i][(i % 2) as usize])
+                .collect(),
+            vec![0; unroll],
+        ];
+        for leg in Leg::ALL {
+            let engine = make(leg);
+            let mut bundle = gadget(&bk);
+            let mut factors = Default::default();
+            let mut reference = EpScratch::new(&engine, &params);
+            let mut fused = EpScratch::new(&engine, &params);
+            for exponents in &exponent_sets {
+                for (g, group) in bk.groups().iter().enumerate() {
+                    let exponents = &exponents[..group.len()];
+                    let mut want = acc.clone();
+                    bk.build_bundle_into(
+                        &engine,
+                        group,
+                        exponents,
+                        two_n,
+                        &mut bundle,
+                        &mut factors,
+                    );
+                    bundle.external_product_assign(&engine, &mut want, &decomp, &mut reference);
+                    let mut got = acc.clone();
+                    bk.bundle_product_assign(
+                        &engine, group, exponents, &decomp, &mut got, &mut fused,
+                    );
+                    assert!(
+                        got == want,
+                        "{leg:?}, N={n} m={unroll}, group {g}, exponents {exponents:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_at_test_fast() {
+        // Seven bits: a short last group at every unroll factor above 1.
+        let params = ParameterSet {
+            lwe_dimension: 7,
+            ..ParameterSet::TEST_FAST
+        };
+        let n = params.ring_degree;
+        for unroll in 1..=4 {
+            fused_step_is_bundle_then_product(params, unroll, |leg| F64Fft::with_leg(n, leg));
+            let approx = |leg| ApproxIntFft::with_leg(n, 38, leg);
+            fused_step_is_bundle_then_product(params, unroll, approx);
+        }
+    }
+
+    #[test]
+    fn fused_step_is_bit_identical_at_paper_parameters() {
+        // The benchmark's configurations at the paper's ring and gadget,
+        // with five key bits: groups of 2, 2, 1 and of 3, 2.
+        let params = ParameterSet {
+            lwe_dimension: 5,
+            ..ParameterSet::MATCHA
+        };
+        let n = params.ring_degree;
+        fused_step_is_bundle_then_product(params, 2, |leg| F64Fft::with_leg(n, leg));
+        fused_step_is_bundle_then_product(params, 3, |leg| ApproxIntFft::with_leg(n, 38, leg));
     }
 
     #[test]
@@ -680,7 +894,7 @@ mod tests {
         let exp = key_exponent(params.ring_degree);
         let points = params.ring_degree / 2;
         let key = engine.forward_int(ring_key.as_poly());
-        let gadget = bk.gadget_spectrum();
+        let gadget = &gadget(&bk);
         let (mut fresh, mut stored, mut plain) = (Vec::new(), Vec::new(), Vec::new());
         for (g, bits) in lwe_key.bits().chunks(2).enumerate() {
             for pattern in 1u32..(1 << bits.len()) {

@@ -2,15 +2,15 @@
 //!
 //! The pipeline per gate: key-switch the input from the extracted key `s′`
 //! (dimension `N`) to the LWE key `s` (dimension `n`), round it to
-//! `Z_{2N}`, blind-rotate a test vector by the encrypted phase (one bundle
-//! build + external product per key group), and extract the constant
-//! coefficient — a sample under `s′` again, so an output feeds the next
-//! gate as it is. The paper's Algorithm 1 switches after the extraction
-//! instead; either way a bootstrap runs one key switch and one blind
-//! rotation, but switching first leaves nothing to switch that did not
-//! come out of a bootstrap's own input. Every TFHE Boolean gate is a cheap
-//! linear combination followed by this procedure, which is why
-//! bootstrapping is 99% of gate latency (paper Figure 1).
+//! `Z_{2N}`, blind-rotate a test vector by the encrypted phase (one step,
+//! a bundle streamed into an external product, per key group), and
+//! extract the constant coefficient — a sample under `s′` again, so an
+//! output feeds the next gate as it is. The paper's Algorithm 1 switches
+//! after the extraction instead; either way a bootstrap runs one key
+//! switch and one blind rotation, but switching first leaves nothing to
+//! switch that did not come out of a bootstrap's own input. Every TFHE
+//! Boolean gate is a cheap linear combination followed by this procedure,
+//! which is why bootstrapping is 99% of gate latency (paper Figure 1).
 
 use crate::bku::UnrolledBootstrappingKey;
 use crate::keyswitch::KeySwitchKey;
@@ -102,7 +102,7 @@ impl<E: FftEngine> BootstrapKit<E> {
     /// One scratch per worker thread; the first bootstrap through it warms
     /// the buffers, every later one allocates nothing.
     pub fn make_scratch(&self, engine: &E) -> BootstrapScratch<E> {
-        BootstrapScratch::with_bundle(engine, &self.params, self.bk.gadget_spectrum().clone())
+        BootstrapScratch::new(engine, &self.params)
     }
 
     /// Stages lanes `0..lanes` of a blind rotation from their key-switched
@@ -134,14 +134,14 @@ impl<E: FftEngine> BootstrapKit<E> {
 
     /// Blind-rotates the staged lanes `0..lanes` in **one pass over the
     /// key**: the key groups are walked once, and inside each group every
-    /// lane builds its bundle and takes its external product while that
-    /// group's keys are cache-resident (Figure 6a's two pipeline steps,
-    /// with the key stream shared by the bootstraps in flight as MATCHA's
-    /// pipelines share it). The bundle buffer, factor table and
-    /// external-product workspace are shared across lanes exactly as they
-    /// are shared across steps, so each lane's arithmetic — and every
-    /// output bit — is what a one-lane call computes for it alone. Zero
-    /// allocations once warmed.
+    /// lane takes its step — its bundle streamed straight into its external
+    /// product ([`UnrolledBootstrappingKey::bundle_product_assign`], Figure
+    /// 6a's two pipeline steps fused) — while that group's keys are
+    /// cache-resident, the key stream shared by the bootstraps in flight as
+    /// MATCHA's pipelines share it. The step workspace is shared across
+    /// lanes exactly as it is shared across steps, so each lane's
+    /// arithmetic — and every output bit — is what a one-lane call computes
+    /// for it alone. Zero allocations once warmed.
     ///
     /// # Panics
     ///
@@ -152,13 +152,8 @@ impl<E: FftEngine> BootstrapKit<E> {
         lanes: usize,
         scratch: &mut BootstrapScratch<E>,
     ) {
-        let two_n = self.params.two_n();
         let BootstrapScratch {
-            ep,
-            bundle,
-            factors,
-            lanes: staged,
-            ..
+            ep, lanes: staged, ..
         } = scratch;
         let mut index = 0;
         for group in self.bk.groups() {
@@ -166,8 +161,7 @@ impl<E: FftEngine> BootstrapKit<E> {
             for Lane { acc, exponents } in &mut staged[..lanes] {
                 let exponents = &exponents[bits.clone()];
                 self.bk
-                    .build_bundle_into(engine, group, exponents, two_n, bundle, factors);
-                bundle.external_product_assign(engine, acc, &self.decomp, ep);
+                    .bundle_product_assign(engine, group, exponents, &self.decomp, acc, ep);
             }
             index = bits.end;
         }

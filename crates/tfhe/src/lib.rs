@@ -11,8 +11,9 @@
 //!   key), ring TRLWE samples for the accumulator,
 //!   TGSW samples for the bootstrapping keys, and the external product.
 //! * [`bku`] — bootstrapping key unrolling: `2^m − 1` pattern keys per
-//!   group of `m` secret bits, bundles built with Lagrange-domain TGSW
-//!   scale operations (no extra FFTs).
+//!   group of `m` secret bits, bundles made with Lagrange-domain TGSW
+//!   scale operations (no extra FFTs) and streamed straight into each
+//!   step's external product.
 //! * [`bootstrap`] — Algorithm 1, key switch first: key switch,
 //!   mod-switch, blind rotation, sample extraction.
 //! * [`gates`] — the Boolean gate API ([`ServerKey`]).
@@ -29,7 +30,7 @@
 //! * [`noise`] — the measurement harness behind the paper's Table 3.
 //!   Figure 1 is measured at the engine boundary: a server key built over
 //!   `matcha_fft::Counting` counts and times the transforms and bundle
-//!   rows that run through it, so the gate path carries no timers.
+//!   products that run through it, so the gate path carries no timers.
 //!
 //! # Examples
 //!

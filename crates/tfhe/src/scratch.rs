@@ -1,7 +1,7 @@
 //! Reusable workspaces for the zero-allocation bootstrap hot path.
 //!
 //! A bootstrap touches one key switch, `~2ℓ·⌈n/m⌉` transforms and one
-//! bundle build per key group. These scratch types own every spectrum,
+//! bundle product per key group. These scratch types own every spectrum,
 //! accumulator and FFT buffer those need: construct once (per worker
 //! thread), warm up with one call, and every subsequent bootstrap performs
 //! zero heap allocations — the software counterpart of MATCHA's statically
@@ -9,52 +9,63 @@
 //! (`ServerKey::apply`, `BootstrapKit::bootstrap`, …) run the same code
 //! through a scratch built for the one call.
 //!
-//! [`EpScratch`] covers a bare external product; [`BootstrapScratch`] adds
-//! the key-switch buffers, blind-rotation lanes and bundle buffers needed
-//! by a full gate bootstrap — or by a wave of them: a bootstrap is a slice
-//! operation over lanes, and the one bundle buffer, factor table and
-//! [`EpScratch`] are shared by every lane. Both are created from
+//! [`EpScratch`] covers an external product or a blind-rotation step;
+//! [`BootstrapScratch`] adds the key-switch buffers and blind-rotation
+//! lanes needed by a full gate bootstrap — or by a wave of them: a
+//! bootstrap is a slice operation over lanes, and the one [`EpScratch`] is
+//! shared by every lane. No scratch holds a bundle: blind rotation streams
+//! each bundle into its product
+//! ([`UnrolledBootstrappingKey::bundle_product_assign`]). Both are created
+//! from
 //! [`BootstrapKit::make_scratch`](crate::bootstrap::BootstrapKit::make_scratch)
 //! or their `new` constructors.
 
+#[cfg(doc)]
+use crate::bku::UnrolledBootstrappingKey;
 use crate::params::ParameterSet;
-use crate::tgsw::TgswSpectrum;
 use crate::tlwe::TrlweCiphertext;
 use crate::LweCiphertext;
 use matcha_fft::FftEngine;
 use matcha_math::{Torus32, TorusPolynomial};
 
-/// Workspace for one in-place external product: the digit spectrum, the
-/// two spectral accumulators and the engine scratch.
+/// Workspace for one in-place external product or blind-rotation step:
+/// the digit spectra, the two spectral accumulators, the bundle factor
+/// tables and the engine scratch.
 ///
-/// Since the fused decompose→twist path, digit polynomials are extracted
-/// inside the forward transforms and never materialized, so the workspace
-/// no longer carries `2ℓ` digit-polynomial buffers.
+/// Digit polynomials are extracted inside the forward transforms and
+/// never materialized; their spectra are: an external product reuses the
+/// first for every digit, a blind-rotation step holds all `2ℓ` for its
+/// one pass over the key group.
 #[derive(Debug)]
 pub struct EpScratch<E: FftEngine> {
     /// Engine-level FFT workspace.
     pub(crate) engine: E::Scratch,
-    /// Spectrum of the digit level currently being accumulated.
-    pub(crate) fd: E::Spectrum,
+    /// Digit spectra, mask levels first (`2ℓ`).
+    pub(crate) digits: Vec<E::Spectrum>,
     /// Mask-row spectral accumulator.
     pub(crate) acc_a: E::Spectrum,
     /// Body-row spectral accumulator.
     pub(crate) acc_b: E::Spectrum,
+    /// Factor tables `ε_k^e − 1` of the current key group's patterns,
+    /// concatenated; refilled once per blind-rotation step.
+    pub(crate) factors: E::MonomialFactors,
 }
 
 impl<E: FftEngine> EpScratch<E> {
-    /// Builds a workspace sized for `params` (ring degree).
-    pub fn new(engine: &E, _params: &ParameterSet) -> Self {
-        Self::for_engine(engine)
+    /// Builds a workspace sized for `params` (ring degree, `2ℓ` digits).
+    pub fn new(engine: &E, params: &ParameterSet) -> Self {
+        Self::with_levels(engine, params.decomp_levels)
     }
 
-    /// Builds a workspace sized for `engine`'s ring degree.
-    pub(crate) fn for_engine(engine: &E) -> Self {
+    /// Builds a workspace for `engine`'s ring degree and `levels` digit
+    /// levels.
+    pub(crate) fn with_levels(engine: &E, levels: usize) -> Self {
         Self {
             engine: engine.make_scratch(),
-            fd: engine.zero_spectrum(),
+            digits: (0..2 * levels).map(|_| engine.zero_spectrum()).collect(),
             acc_a: engine.zero_spectrum(),
             acc_b: engine.zero_spectrum(),
+            factors: E::MonomialFactors::default(),
         }
     }
 }
@@ -62,7 +73,7 @@ impl<E: FftEngine> EpScratch<E> {
 /// The most blind rotations one pass over the bootstrapping key carries.
 ///
 /// Sixteen is the widest wave the batching gain was measured at: a key
-/// group, the bundle and 16 × 8 KB accumulators are
+/// group, the digit spectra and 16 × 8 KB accumulators are
 /// ≈ 0.55 MB on the f64 engine at `m = 2` and ≈ 1 MB on the integer engine
 /// at `m = 3`, inside L2, so every lane after the first finds the group's
 /// key cache-resident. Callers with more work cut it into passes.
@@ -80,17 +91,11 @@ pub(crate) struct Lane {
 }
 
 /// Workspace for gate bootstraps (key switch + blind rotation + sample
-/// extraction), one at a time or a wave at once, including the per-group
-/// bundle buffers.
+/// extraction), one at a time or a wave at once.
 #[derive(Debug)]
 pub struct BootstrapScratch<E: FftEngine> {
-    /// External-product workspace.
+    /// Blind-rotation step workspace, shared by the lanes.
     pub(crate) ep: EpScratch<E>,
-    /// Reusable bundle (initialized to the gadget TGSW's shape).
-    pub(crate) bundle: TgswSpectrum<E>,
-    /// Factor tables `ε_k^e − 1` of the current key group's patterns,
-    /// concatenated; refilled once per blind-rotation step.
-    pub(crate) factors: E::MonomialFactors,
     /// The blind rotations in flight. Lane 0 is built with the scratch;
     /// the others on first use, so a one-gate caller holds one.
     pub(crate) lanes: Vec<Lane>,
@@ -109,19 +114,11 @@ pub struct BootstrapScratch<E: FftEngine> {
 }
 
 impl<E: FftEngine> BootstrapScratch<E> {
-    /// Builds a workspace for `params`, seeding the bundle buffer with a
-    /// correctly-shaped TGSW (`bundle_seed`, typically the gadget `H` in
-    /// spectral form).
-    pub(crate) fn with_bundle(
-        engine: &E,
-        params: &ParameterSet,
-        bundle_seed: TgswSpectrum<E>,
-    ) -> Self {
+    /// Builds a workspace for `params`.
+    pub(crate) fn new(engine: &E, params: &ParameterSet) -> Self {
         let n = params.ring_degree;
         let mut scratch = Self {
             ep: EpScratch::new(engine, params),
-            bundle: bundle_seed,
-            factors: E::MonomialFactors::default(),
             lanes: Vec::new(),
             testv: TorusPolynomial::zero(n),
             lin: Vec::new(),

@@ -145,12 +145,6 @@ impl<E: FftEngine> TgswSpectrum<E> {
         Self { rows, levels }
     }
 
-    /// Decomposition length `ℓ`.
-    #[cfg(test)]
-    pub(crate) fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The pre-transformed rows.
     pub fn rows(&self) -> &[TrlweSpectrum<E>] {
         &self.rows
@@ -179,7 +173,8 @@ impl<E: FftEngine> TgswSpectrum<E> {
         decomp: &GadgetDecomposer,
     ) -> TrlweCiphertext {
         let mut out = c.clone();
-        self.external_product_assign(engine, &mut out, decomp, &mut EpScratch::for_engine(engine));
+        let mut scratch = EpScratch::with_levels(engine, self.levels);
+        self.external_product_assign(engine, &mut out, decomp, &mut scratch);
         out
     }
 
@@ -198,6 +193,11 @@ impl<E: FftEngine> TgswSpectrum<E> {
     /// one [`FftEngine::mul_accumulate`] per digit with two rows, the mask
     /// and body rows the digit multiplies. The benchmark ledger's
     /// `tgsw.nonfft_share.*` rows measure the split.
+    ///
+    /// Blind rotation does not call this: its steps stream each bundle
+    /// into the product without storing it
+    /// ([`UnrolledBootstrappingKey::bundle_product_assign`](crate::UnrolledBootstrappingKey::bundle_product_assign)),
+    /// and are held bit for bit to this product of a stored bundle.
     ///
     /// # Panics
     ///
@@ -219,10 +219,12 @@ impl<E: FftEngine> TgswSpectrum<E> {
         let levels = self.levels;
         let EpScratch {
             engine: es,
-            fd,
+            digits,
             acc_a,
             acc_b,
+            ..
         } = scratch;
+        let fd = &mut digits[0];
         engine.clear_spectrum(acc_a);
         engine.clear_spectrum(acc_b);
         // Mask rows first, then body rows: the accumulation order is part

@@ -339,6 +339,41 @@ fn warmed_bundle_build_allocates_nothing() {
     assert_zero_alloc_bundle(&ApproxIntFft::new(256, 45), 3, 84);
 }
 
+/// The fused blind-rotation step on its own at unroll 4: exponents whose
+/// fifteen pattern sums are all nonzero, so every group's step takes all
+/// fifteen slots. Once the scratch has held a group's factor tables (and,
+/// on the integer engine, its two bundle rows), walking every group
+/// allocates nothing.
+fn assert_zero_alloc_step<E: FftEngine>(engine: &E, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let client = ClientKey::generate(ParameterSet::TEST_FAST, &mut rng);
+    let kit = BootstrapKit::generate(&client, engine, 4, &mut rng);
+    let params = *kit.params();
+    let bk = kit.bootstrapping_key();
+    let decomp = GadgetDecomposer::new(params.decomp_base_log, params.decomp_levels);
+    let mu = TorusPolynomial::constant(Torus32::from_f64(0.25), params.ring_degree);
+    let mut acc = TrlweCiphertext::trivial(mu);
+    let mut scratch = EpScratch::new(engine, &params);
+    let exponents = [3u32, 41, 170, 7];
+    let walk = |acc: &mut _, scratch: &mut _| {
+        for group in bk.groups() {
+            let e = &exponents[..group.len()];
+            bk.bundle_product_assign(engine, group, e, &decomp, acc, scratch);
+        }
+    };
+    walk(&mut acc, &mut scratch);
+    let before = allocations();
+    walk(&mut acc, &mut scratch);
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "warmed fused step allocated {delta} times");
+}
+
+#[test]
+fn warmed_fused_step_allocates_nothing_at_unroll_4() {
+    assert_zero_alloc_step(&F64Fft::new(256), 87);
+    assert_zero_alloc_step(&ApproxIntFft::new(256, 38), 88);
+}
+
 #[test]
 fn warmed_key_switch_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(83);
