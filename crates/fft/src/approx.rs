@@ -61,14 +61,13 @@ impl Spectrum for FixedSpectrum {
 }
 
 /// Reusable workspace of the integer engine: the backward transform's
-/// mutable copy of the spectrum being inverse-transformed, and the two
-/// bundle rows (mask and body) a fused bundle product holds at a time.
-/// Sized on first use, reused afterwards.
+/// mutable copy of the spectrum being inverse-transformed. Sized on first
+/// use, reused afterwards. A fused bundle product needs none: its bundle
+/// lives in registers, a chunk at a time.
 #[derive(Debug, Default)]
 pub struct FixedScratch {
     re: Vec<i64>,
     im: Vec<i64>,
-    rows: [FixedSpectrum; 2],
 }
 
 /// One direction's rotations in struct-of-arrays layout, in the order the
@@ -520,10 +519,11 @@ impl FftEngine for ApproxIntFft {
         );
     }
 
-    /// [`FftEngine::bundle_row_into`] and [`FftEngine::mul_accumulate`]
-    /// composed, digit by digit: a digit's mask and body rows are built
-    /// into the scratch and multiplied at once, so only two rows of the
-    /// bundle exist at a time.
+    /// One pass over the group's key (`crate::simd::i64_bundle_product`):
+    /// each bundle entry built as [`FftEngine::bundle_row_into`] builds it
+    /// and multiplied as [`FftEngine::mul_accumulate`] multiplies it, by
+    /// the digits' and the rows' fractional bits together. The
+    /// accumulators come out unscaled.
     fn bundle_product_into(
         &self,
         h: &[FixedSpectrum],
@@ -532,23 +532,26 @@ impl FftEngine for ApproxIntFft {
         factors: &Vec<[i32; 2]>,
         digits: &[FixedSpectrum],
         [acc_a, acc_b]: [&mut FixedSpectrum; 2],
-        scratch: &mut FixedScratch,
+        _scratch: &mut FixedScratch,
     ) {
-        assert_eq!(h.len(), 2 * digits.len(), "two gadget spectra per digit");
         let m = self.n / 2;
-        key.assert_holds_blocks(m, h.len(), slots);
-        let block = KeyBlock::words(m, key.patterns);
-        self.clear_spectrum(acc_a);
-        self.clear_spectrum(acc_b);
-        let [row_a, row_b] = &mut scratch.rows;
-        for (r, digit) in digits.iter().enumerate() {
-            for (j, row) in [(2 * r, &mut *row_a), (2 * r + 1, &mut *row_b)] {
-                // The rest of the stream, as the row's lookahead expects.
-                let stream = &key.stream[j * block..];
-                self.bundle_row_into(&h[j], KeyBlock { stream, ..key }, slots, factors, row);
-            }
-            self.mul_accumulate([&mut *acc_a, &mut *acc_b], digit, [&*row_a, &*row_b]);
+        for acc in [&mut *acc_a, &mut *acc_b] {
+            acc.re.resize(m, 0);
+            acc.im.resize(m, 0);
+            acc.frac_bits = 0;
         }
+        simd::i64_bundle_product(
+            [
+                (&mut acc_a.re, &mut acc_a.im),
+                (&mut acc_b.re, &mut acc_b.im),
+            ],
+            h,
+            key,
+            slots,
+            factors,
+            digits,
+            self.leg,
+        );
     }
 }
 

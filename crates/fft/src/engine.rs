@@ -305,7 +305,8 @@ pub trait FftEngine {
     /// # Panics
     ///
     /// Implementations panic where `bundle_row_into` or `mul_accumulate`
-    /// would, and if `h` does not hold two spectra per digit.
+    /// would, if there is no digit, and if `h` does not hold two spectra
+    /// per digit.
     #[allow(clippy::too_many_arguments)]
     fn bundle_product_into(
         &self,

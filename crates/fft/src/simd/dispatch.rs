@@ -12,8 +12,10 @@ pub enum Leg {
     Avx2,
     /// AVX-512F on eight lanes for the integer engine: its butterfly stages
     /// (all but the multiply-free `len = 2`), twist, untwist, pointwise
-    /// products and bundle row. The double-precision kernels and the
-    /// buffer movers run as on [`Leg::Avx2`].
+    /// products, bundle row and fused bundle product (its products in
+    /// lanes at the shifts of [`crate::simd::MAC_SHIFTS`]). The
+    /// double-precision kernels and the buffer movers run as on
+    /// [`Leg::Avx2`].
     Avx512,
 }
 

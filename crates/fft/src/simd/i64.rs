@@ -1,5 +1,6 @@
 //! The integer engine's kernels: lifting rotations, butterfly stages,
-//! pointwise products and the bundle row, bit-identical across legs.
+//! pointwise products, the bundle row and the fused bundle product,
+//! bit-identical across legs.
 
 #[cfg(target_arch = "x86_64")]
 use super::dispatch::Leg;
@@ -8,7 +9,7 @@ use super::i64_512;
 use super::movers::FoldDigit;
 #[cfg(target_arch = "x86_64")]
 use super::movers::{key_lines_of_chunk, store_columns_avx, MIN_BLOCKED, REV2};
-use crate::approx::{BUNDLE_DROP_BITS, MONO_FRAC_BITS};
+use crate::approx::{FixedSpectrum, BUNDLE_DROP_BITS, MONO_FRAC_BITS};
 use crate::engine::{KeyBlock, KEY_CHUNK};
 use crate::lifting::Lifts;
 use crate::tables::BitReversal;
@@ -686,9 +687,12 @@ unsafe fn i64_stage4_avx<const HALVE: bool>(
 /// pre-scales are wider (`s ≥ 63`).
 pub const MAC_LANE_BOUND: u64 = 1 << 61;
 
-/// The shifts `s` whose products [`i64_mul_acc`]'s
-/// [`Leg::Avx512`](super::Leg::Avx512) leg computes ([`MAC_LANE_BOUND`]).
-pub(crate) const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
+/// The shifts `s` whose products the integer engine's
+/// [`Leg::Avx512`](super::Leg::Avx512) leg computes in its lanes, in
+/// `mul_accumulate` and in the fused bundle product alike
+/// ([`MAC_LANE_BOUND`]); other shifts take the scalar leg's `i128`
+/// products.
+pub const MAC_SHIFTS: std::ops::RangeInclusive<u32> = 31..=61;
 
 /// The integer engine's pointwise multiply-accumulate, `ROWS` rows in one
 /// pass over `x`: `acc_r += ⌊(x ⊙ row_r + 2^{shift−1}) / 2^shift⌋` per
@@ -738,15 +742,24 @@ pub(crate) fn i64_mul_acc<const ROWS: usize>(
         unsafe { i64_512::i64_mul_acc(accs, (x_re, x_im), rows, shift) };
         return;
     }
-    let round = 1i128 << (shift - 1);
     for k in 0..m {
-        let (xr, xi) = (i128::from(x_re[k]), i128::from(x_im[k]));
         for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
-            let (ar, ai) = (i128::from(a_re[k]), i128::from(a_im[k]));
-            acc_re[k] += ((xr * ar - xi * ai + round) >> shift) as i64;
-            acc_im[k] += ((xr * ai + xi * ar + round) >> shift) as i64;
+            let mut acc = [acc_re[k], acc_im[k]];
+            mac_element(&mut acc, [x_re[k], x_im[k]], [a_re[k], a_im[k]], shift);
+            [acc_re[k], acc_im[k]] = acc;
         }
     }
+}
+
+/// One point of [`i64_mul_acc`]'s scalar leg, its definition:
+/// `acc += ⌊(x·a + 2^{shift−1}) / 2^shift⌋` per component, the complex
+/// product taken exactly in `i128` and the quotient truncated to 64 bits.
+#[inline(always)]
+pub(super) fn mac_element(acc: &mut [i64; 2], [xr, xi]: [i64; 2], [ar, ai]: [i64; 2], shift: u32) {
+    let round = 1i128 << (shift - 1);
+    let [xr, xi, ar, ai] = [xr, xi, ar, ai].map(i128::from);
+    acc[0] += ((xr * ar - xi * ai + round) >> shift) as i64;
+    acc[1] += ((xr * ai + xi * ar + round) >> shift) as i64;
 }
 
 /// One bundle row of the integer engine in a single pass:
@@ -774,6 +787,9 @@ pub(crate) fn i64_mul_acc<const ROWS: usize>(
 /// The vector legs also prefetch down the key (`BUNDLE_PREFETCH_AHEAD`):
 /// once the products are vector work, fetching the key is what a row waits
 /// for, and how long that takes is the neighbours' doing, not the code's.
+/// Blind rotation streams its bundles through [`i64_bundle_product`]
+/// instead, which walks a group's blocks side by side; this row is what
+/// that product is held to.
 ///
 /// # Panics
 ///
@@ -815,22 +831,52 @@ pub(crate) fn i64_bundle_row(
         }
         return;
     }
+    let w = KeyBlock::chunk(m);
+    for k in (0..m).step_by(w) {
+        let [re, im] = bundle_chunk((h_re, h_im), key, slots, factors, m, k, shift);
+        out_re[k..k + w].copy_from_slice(&re[..w]);
+        out_im[k..k + w].copy_from_slice(&im[..w]);
+    }
+}
+
+/// Points `k..k + w` (`w = KeyBlock::chunk(m)`, the first `w` entries of
+/// each component returned) of [`i64_bundle_row`]'s scalar leg, its
+/// definition: per point, `h`'s components rounded down by
+/// [`BUNDLE_DROP_BITS`], then every term's rounded product added in slot
+/// order. The block holds spectra of `m` points, `k` a multiple of `w`.
+#[inline(always)]
+fn bundle_chunk(
+    (h_re, h_im): (&[i64], &[i64]),
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    factors: &[[i32; 2]],
+    m: usize,
+    k: usize,
+    shift: u32,
+) -> [[i64; KEY_CHUNK]; 2] {
+    let w = KeyBlock::chunk(m);
     let half = 1i64 << (BUNDLE_DROP_BITS - 1);
     let round = 1i64 << (shift - 1);
-    for k in 0..m {
-        let mut acc_re = (h_re[k] + half) >> BUNDLE_DROP_BITS;
-        let mut acc_im = (h_im[k] + half) >> BUNDLE_DROP_BITS;
-        for (p, &slot) in slots.iter().enumerate() {
-            let at = KeyBlock::word_index(m, key.patterns, slot as usize, k);
-            let sr = i64::from(key.stream[at]);
-            let si = i64::from(key.stream[at + KeyBlock::chunk(m)]);
-            let [fr, fi] = factors[p * m + k].map(i64::from);
-            acc_re += (sr * fr - si * fi + round) >> shift;
-            acc_im += (sr * fi + si * fr + round) >> shift;
+    let mut out = [[0i64; KEY_CHUNK]; 2];
+    for (out, h) in out.iter_mut().zip([h_re, h_im]) {
+        for (o, &v) in out.iter_mut().zip(&h[k..k + w]) {
+            *o = (v + half) >> BUNDLE_DROP_BITS;
         }
-        out_re[k] = acc_re;
-        out_im[k] = acc_im;
     }
+    let [x, y] = &mut out;
+    for (p, &slot) in slots.iter().enumerate() {
+        // The chunk's `w` re words of the slot, then its `w` im words.
+        let at = KeyBlock::word_index(m, key.patterns, slot as usize, k);
+        let (re, im) = key.stream[at..at + 2 * w].split_at(w);
+        let f = &factors[p * m + k..p * m + k + w];
+        for i in 0..w {
+            let (sr, si) = (i64::from(re[i]), i64::from(im[i]));
+            let [fr, fi] = f[i].map(i64::from);
+            x[i] += (sr * fr - si * fi + round) >> shift;
+            y[i] += (sr * fi + si * fr + round) >> shift;
+        }
+    }
+    out
 }
 
 /// Bits a bundle term's product is rounded back by, before the stored
@@ -860,23 +906,81 @@ unsafe fn i64_bundle_row_avx(
     shift: u32,
 ) {
     use std::arch::x86_64::*;
-    const DROP: i32 = BUNDLE_DROP_BITS as i32;
     let m = out_re.len();
-    // Every `v ≫ₐ k` below is `((v + 2⁶³) ≫ k) − 2^{63−k}`; the constants
-    // fold what can be folded. `h`: round, then undo the bias.
-    let drop_round = _mm256_set1_epi64x((1i64 << (DROP - 1)).wrapping_add(i64::MIN));
-    let drop_bias = _mm256_set1_epi64x(1 << (63 - DROP));
-    // A term: its rounding constant carries the `2⁶³`; the `−2^{63−shift}`
-    // is the same for every term, so the row takes it off once per slot.
-    let round = _mm256_set1_epi64x((1i64 << (shift - 1)).wrapping_add(i64::MIN));
-    let bias = _mm256_set1_epi64x((1i64 << (63 - shift)).wrapping_mul(slots.len() as i64));
-    let count = _mm_cvtsi32_si128(shift as i32);
-    let term = |d: __m256i| _mm256_srl_epi64(_mm256_add_epi64(d, round), count);
+    let lanes = RowLanes::new(shift, slots.len());
     for k in (0..m).step_by(KEY_CHUNK) {
+        // SAFETY: as the caller guarantees; `k + 8 <= m` for the outputs.
+        unsafe {
+            let [x, y] = lanes.chunk((h_re, h_im), key, slots, factors, m, k);
+            for half in 0..2 {
+                _mm256_storeu_si256(out_re.as_mut_ptr().add(k + 4 * half).cast(), x[half]);
+                _mm256_storeu_si256(out_im.as_mut_ptr().add(k + 4 * half).cast(), y[half]);
+            }
+        }
+    }
+}
+
+/// [`i64_bundle_row`]'s AVX2 leg for one row: its constants, broadcast
+/// once per kernel call, and its chunk.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct RowLanes {
+    drop_round: __m256i,
+    drop_bias: __m256i,
+    round: __m256i,
+    bias: __m256i,
+    count: __m128i,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl RowLanes {
+    /// The constants of a row of `terms` terms rounded back by `shift`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn new(shift: u32, terms: usize) -> Self {
+        use std::arch::x86_64::*;
+        const DROP: i32 = BUNDLE_DROP_BITS as i32;
+        // Every `v ≫ₐ k` below is `((v + 2⁶³) ≫ k) − 2^{63−k}`; the constants
+        // fold what can be folded. `h`: round, then undo the bias. A term:
+        // its rounding constant carries the `2⁶³`; the `−2^{63−shift}` is
+        // the same for every term, so the row takes it off once per slot.
+        Self {
+            drop_round: _mm256_set1_epi64x((1i64 << (DROP - 1)).wrapping_add(i64::MIN)),
+            drop_bias: _mm256_set1_epi64x(1 << (63 - DROP)),
+            round: _mm256_set1_epi64x((1i64 << (shift - 1)).wrapping_add(i64::MIN)),
+            bias: _mm256_set1_epi64x((1i64 << (63 - shift)).wrapping_mul(terms as i64)),
+            count: _mm_cvtsi32_si128(shift as i32),
+        }
+    }
+
+    /// Points `k..k + 8` of the row of `h` over `key`, four to a vector:
+    /// `[re, im]`.
+    ///
+    /// # Safety
+    ///
+    /// `h`'s components must hold `m` elements, `m` a multiple of
+    /// [`KEY_CHUNK`] above `k`, a multiple of it, and `factors` `m` per
+    /// slot; `key.stream` must hold the block and every slot be one of
+    /// `key.patterns` ([`KeyBlock::assert_holds`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn chunk(
+        &self,
+        (h_re, h_im): (&[i64], &[i64]),
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &[[i32; 2]],
+        m: usize,
+        k: usize,
+    ) -> [[__m256i; 2]; 2] {
+        use std::arch::x86_64::*;
+        const DROP: i32 = BUNDLE_DROP_BITS as i32;
+        let term = |d: __m256i| _mm256_srl_epi64(_mm256_add_epi64(d, self.round), self.count);
+        // SAFETY: as the caller guarantees.
         unsafe {
             let dropped = |p: *const i64| {
-                let v = _mm256_add_epi64(_mm256_loadu_si256(p.cast()), drop_round);
-                _mm256_sub_epi64(_mm256_srli_epi64::<DROP>(v), drop_bias)
+                let v = _mm256_add_epi64(_mm256_loadu_si256(p.cast()), self.drop_round);
+                _mm256_sub_epi64(_mm256_srli_epi64::<DROP>(v), self.drop_bias)
             };
             let mut x = [
                 dropped(h_re.as_ptr().add(k)),
@@ -904,16 +1008,207 @@ unsafe fn i64_bundle_row_avx(
                     y[half] = _mm256_add_epi64(y[half], term(im));
                 }
             });
-            for half in 0..2 {
-                _mm256_storeu_si256(
-                    out_re.as_mut_ptr().add(k + 4 * half).cast(),
-                    _mm256_sub_epi64(x[half], bias),
-                );
-                _mm256_storeu_si256(
-                    out_im.as_mut_ptr().add(k + 4 * half).cast(),
-                    _mm256_sub_epi64(y[half], bias),
-                );
+            [x, y].map(|v| v.map(|v| _mm256_sub_epi64(v, self.bias)))
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// i64 fused bundle product
+// ---------------------------------------------------------------------------
+
+/// A bundle streamed straight into the external product, one pass over
+/// the group's key: `acc_a = Σ_r d_r ⊙ B_{2r}` and `acc_b = Σ_r d_r ⊙
+/// B_{2r+1}`, where `B_j` is [`i64_bundle_row`] of `h[j]` over the `j`-th
+/// block of `key` and `d_r = digits[r]`, and `⊙` is [`i64_mul_acc`]'s
+/// product. The accumulators are overwritten. `key.exp` is the engine's
+/// own: the kernel counts it in `h`'s words as `i64_bundle_row` does, and
+/// the products shift by the digits' and the rows' fractional bits
+/// together, as the engine's `mul_accumulate` would.
+///
+/// Each element meets exactly the operations of [`i64_bundle_row`]
+/// followed by [`i64_mul_acc`] with two rows, digit by digit from cleared
+/// accumulators, so the result is bit-identical to storing the bundle and
+/// multiplying it, on every leg. The scalar leg is the definition: per
+/// point, each bundle entry as the row's scalar leg sums it in `i64`, then
+/// its `i128` product. The vector legs make one pass per 8-point chunk
+/// over all `h.len()` blocks — read side by side as concurrent streams,
+/// each with the row's lookahead (`BUNDLE_PREFETCH_AHEAD`), the chunk's
+/// factor entries reused from L1 by every block — and build each chunk's
+/// bundle entries in vector registers as the row's vector legs do. Where
+/// the products' shift lies in [`MAC_SHIFTS`], the
+/// [`Leg::Avx512`](super::Leg::Avx512) leg feeds the entries straight into
+/// the accumulators with `i64_mul_acc`'s eight-lane recombination and
+/// stores each accumulator once per chunk: the bundle is never written.
+/// That recombination needs every digit and every bundle entry below
+/// [`MAC_LANE_BOUND`] — the engine's operands are (see there), and the
+/// dev profile checks both. The AVX2 leg, which the AVX-512 leg runs at
+/// other shifts, spills a chunk's entries to the stack and multiplies them
+/// with the scalar leg's `i128` products, as `i64_mul_acc` does there.
+///
+/// # Panics
+///
+/// Panics if there is no digit or `h` does not hold two spectra per digit,
+/// if the `h` spectra, or the digits, do not share one `frac_bits`, on
+/// mismatched lengths, on a key stream shorter than `h.len()` blocks, on a
+/// slot outside the blocks' patterns, and where [`i64_bundle_row`] or
+/// [`i64_mul_acc`] would on a shift.
+pub(crate) fn i64_bundle_product(
+    accs: [(&mut [i64], &mut [i64]); 2],
+    h: &[FixedSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    factors: &[[i32; 2]],
+    digits: &[FixedSpectrum],
+    leg: Leg,
+) {
+    assert!(!digits.is_empty(), "a product needs at least one digit");
+    assert_eq!(h.len(), 2 * digits.len(), "two gadget spectra per digit");
+    let m = digits[0].re.len();
+    let spectra = h.iter().chain(digits);
+    for len in spectra.flat_map(|s| [s.re.len(), s.im.len()]) {
+        assert_eq!(len, m, "component length mismatch");
+    }
+    for len in accs.iter().flat_map(|(re, im)| [re.len(), im.len()]) {
+        assert_eq!(len, m, "component length mismatch");
+    }
+    assert_eq!(factors.len(), slots.len() * m, "one factor table per slot");
+    key.assert_holds_blocks(m, h.len(), slots);
+    let (h_bits, d_bits) = (h[0].frac_bits, digits[0].frac_bits);
+    assert!(
+        h.iter().all(|s| s.frac_bits == h_bits),
+        "gadget spectra must share a scale"
+    );
+    assert!(
+        digits.iter().all(|d| d.frac_bits == d_bits),
+        "digit spectra must share a scale"
+    );
+    assert!(
+        h_bits >= BUNDLE_DROP_BITS,
+        "source spectrum lacks fractional headroom"
+    );
+    // The rows' rounding shift, the mantissas' exponent counted in `h`'s
+    // words as `i64_bundle_row` counts it; then the products'.
+    let exp = key.exp + h_bits;
+    assert!(
+        exp < BUNDLE_SHIFT,
+        "stored words of 2^{exp} leave no rounding shift"
+    );
+    let shifts @ [row_shift, mac_shift] = [BUNDLE_SHIFT - exp, d_bits + h_bits - BUNDLE_DROP_BITS];
+    assert!(
+        mac_shift > 0,
+        "at least one operand must be an integer-side spectrum"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if let (leg @ (Leg::Avx2 | Leg::Avx512), true) = (leg.narrowed(), m.is_multiple_of(KEY_CHUNK)) {
+        // SAFETY (every call): a narrowed vector leg implies AVX2, a
+        // narrowed `Leg::Avx512` AVX-512F too; the lengths, the blocks, the
+        // slots and the shifts were checked above.
+        if leg == Leg::Avx512 && MAC_SHIFTS.contains(&mac_shift) {
+            let within = |v: &[i64]| v.iter().all(|v| v.unsigned_abs() < MAC_LANE_BOUND);
+            debug_assert!(
+                digits.iter().all(|d| within(&d.re) && within(&d.im)),
+                "pointwise product operand outside ±2^61"
+            );
+            unsafe { i64_512::i64_bundle_product(accs, h, key, slots, factors, digits, shifts) };
+        } else {
+            unsafe { i64_bundle_product_avx(accs, h, key, slots, factors, digits, shifts) };
+        }
+        return;
+    }
+    // Chunk by chunk, as the vector legs go; each entry and product is the
+    // point's own.
+    let block = KeyBlock::words(m, key.patterns);
+    spilled_product(accs, digits, KeyBlock::chunk(m), mac_shift, |j, k| {
+        let row = KeyBlock {
+            stream: &key.stream[j * block..],
+            ..key
+        };
+        bundle_chunk((&h[j].re, &h[j].im), row, slots, factors, m, k, row_shift)
+    });
+}
+
+/// The fused bundle product with the scalar leg's products: one pass per
+/// `w`-point chunk (`w ≤ 8` dividing `m`, every accumulator's length),
+/// `entries(j, k)` giving points `k..k + w` of bundle row `j` spilled to
+/// the stack as `[re, im]`, each multiplied with [`mac_element`] as it
+/// comes. Both accumulators are stored once per chunk. `digits` must hold
+/// `m`-point spectra.
+#[inline(always)]
+fn spilled_product(
+    [(a_re, a_im), (b_re, b_im)]: [(&mut [i64], &mut [i64]); 2],
+    digits: &[FixedSpectrum],
+    w: usize,
+    mac_shift: u32,
+    mut entries: impl FnMut(usize, usize) -> [[i64; KEY_CHUNK]; 2],
+) {
+    for k in (0..a_re.len()).step_by(w) {
+        // `acc[side][i]`: point `k + i` of the mask (`side = 0`) or body
+        // accumulator.
+        let mut acc = [[[0i64; 2]; KEY_CHUNK]; 2];
+        for (r, d) in digits.iter().enumerate() {
+            let (d_re, d_im) = (&d.re[k..k + w], &d.im[k..k + w]);
+            for (side, acc) in acc.iter_mut().enumerate() {
+                let [re, im] = entries(2 * r + side, k);
+                for i in 0..w {
+                    mac_element(&mut acc[i], [d_re[i], d_im[i]], [re[i], im[i]], mac_shift);
+                }
+            }
+        }
+        for ((re, im), acc) in [(&mut *a_re, &mut *a_im), (&mut *b_re, &mut *b_im)]
+            .into_iter()
+            .zip(acc)
+        {
+            for (i, [cr, ci]) in acc.into_iter().take(w).enumerate() {
+                re[k + i] = cr;
+                im[k + i] = ci;
             }
         }
     }
+}
+
+/// [`i64_bundle_product`] with [`i64_bundle_row`]'s AVX2 chunks and the
+/// scalar leg's products ([`spilled_product`]).
+///
+/// # Safety
+///
+/// AVX2 must be present; every spectrum and accumulator must hold
+/// `m = digits[0].re.len()` points per component, `m` a multiple of
+/// [`KEY_CHUNK`], the factor tables `m` per slot, `h` two spectra per
+/// digit; `key.stream` must hold `h.len()` blocks and every slot be one of
+/// `key.patterns` ([`KeyBlock::assert_holds_blocks`]); `1 ≤ row_shift ≤
+/// 62` and `mac_shift ≥ 1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn i64_bundle_product_avx(
+    accs: [(&mut [i64], &mut [i64]); 2],
+    h: &[FixedSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    factors: &[[i32; 2]],
+    digits: &[FixedSpectrum],
+    [row_shift, mac_shift]: [u32; 2],
+) {
+    use std::arch::x86_64::*;
+    let m = digits[0].re.len();
+    let block = KeyBlock::words(m, key.patterns);
+    let lanes = RowLanes::new(row_shift, slots.len());
+    spilled_product(accs, digits, KEY_CHUNK, mac_shift, |j, k| {
+        let mut spill = [[0i64; KEY_CHUNK]; 2];
+        // SAFETY: block `j < h.len()` lies inside the stream and holds
+        // chunk `k / 8`, every slot one of its patterns; `k + 8 ≤ m`.
+        unsafe {
+            let row = KeyBlock {
+                stream: key.stream.get_unchecked(j * block..),
+                ..key
+            };
+            let entries = lanes.chunk((&h[j].re, &h[j].im), row, slots, factors, m, k);
+            for (out, halves) in spill.iter_mut().zip(entries) {
+                for (half, v) in halves.into_iter().enumerate() {
+                    _mm256_storeu_si256(out.as_mut_ptr().add(4 * half).cast(), v);
+                }
+            }
+        }
+        spill
+    });
 }

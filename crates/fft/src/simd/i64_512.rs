@@ -1,7 +1,9 @@
 //! The integer engine's [`Leg::Avx512`](super::Leg::Avx512) kernels on
 //! eight 64-bit lanes — the butterfly stages but `len = 2`, the twist in
-//! the fold, the untwist, the pointwise products and the bundle row —
-//! bit-identical to the scalar `i128` definitions.
+//! the fold, the untwist, the pointwise products, the bundle row and the
+//! fused bundle product at the shifts of [`MAC_SHIFTS`](super::MAC_SHIFTS)
+//! (entries and accumulators in registers; other shifts run the AVX2
+//! leg's) — bit-identical to the scalar `i128` definitions.
 //!
 //! AVX-512F still has no 64×64-bit multiply with a high half, so the
 //! kernels take their operands apart at bit 31 for `vpmuldq` as the AVX2
@@ -16,7 +18,7 @@
 
 use super::i64::LiftSplit;
 use super::movers::{key_lines_of_chunk, store_columns_avx, FoldDigit, REV2};
-use crate::approx::BUNDLE_DROP_BITS;
+use crate::approx::{FixedSpectrum, BUNDLE_DROP_BITS};
 use crate::engine::{KeyBlock, KEY_CHUNK};
 use crate::lifting::Lifts;
 use std::arch::x86_64::*;
@@ -366,8 +368,67 @@ fn partials((p_h, p_l): Halves, (q_h, q_l): Halves) -> [__m512i; 3] {
     ]
 }
 
-/// [`super::i64_mul_acc`] on eight points a step: 16 `vpmuldq` per complex
-/// product, recombined as [`MAC_LANE_BOUND`](super::MAC_LANE_BOUND) derives.
+/// [`super::i64_mul_acc`]'s product on eight lanes, its constants broadcast
+/// once per kernel call: 16 `vpmuldq` per complex product, recombined as
+/// [`MAC_LANE_BOUND`](super::MAC_LANE_BOUND) derives.
+#[derive(Clone, Copy)]
+struct MacLanes {
+    low31: __m512i,
+    round: __m512i,
+    to_hh: __m128i,
+    to_out: __m128i,
+}
+
+impl MacLanes {
+    /// The constants of products rounded back by `shift`, one of
+    /// [`MAC_SHIFTS`](super::MAC_SHIFTS).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn new(shift: u32) -> Self {
+        Self {
+            low31: _mm512_set1_epi64((1 << 31) - 1),
+            round: _mm512_set1_epi64(1 << (shift - 1)),
+            to_hh: _mm_cvtsi32_si128((62 - shift) as i32),
+            to_out: _mm_cvtsi32_si128((shift - 31) as i32),
+        }
+    }
+
+    /// `(v_h, v_l)`, `v` split at bit 31.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn halves(&self, v: __m512i) -> Halves {
+        (_mm512_srli_epi64::<31>(v), _mm512_and_si512(v, self.low31))
+    }
+
+    /// `⌊(x·a + 2^{s−1}) / 2^s⌋` per component, `x` and `a` split: `(re,
+    /// im)`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn product(
+        &self,
+        (xr, xi): (Halves, Halves),
+        (ar, ai): (Halves, Halves),
+    ) -> (__m512i, __m512i) {
+        // `(H ≪ (62 − s)) + (M + q) ≫ₐ (s − 31)`, `q` the rounded quotient
+        // of the low sum by 2³¹ (arithmetic or logical: see
+        // `MAC_LANE_BOUND`).
+        let recombine = |[h, mid, _]: [__m512i; 3], q: __m512i| {
+            _mm512_add_epi64(
+                _mm512_sll_epi64(h, self.to_hh),
+                _mm512_sra_epi64(_mm512_add_epi64(mid, q), self.to_out),
+            )
+        };
+        let (rr, ii) = (partials(xr, ar), partials(xi, ai));
+        let (ri, ir) = (partials(xr, ai), partials(xi, ar));
+        let re = [0, 1, 2].map(|j| _mm512_sub_epi64(rr[j], ii[j]));
+        let im = [0, 1, 2].map(|j| _mm512_add_epi64(ri[j], ir[j]));
+        let q_re = _mm512_srai_epi64::<31>(_mm512_add_epi64(re[2], self.round));
+        let q_im = _mm512_srli_epi64::<31>(_mm512_add_epi64(im[2], self.round));
+        (recombine(re, q_re), recombine(im, q_im))
+    }
+}
+
+/// [`super::i64_mul_acc`] on eight points a step ([`MacLanes`]).
 ///
 /// # Safety
 ///
@@ -381,37 +442,16 @@ pub(super) unsafe fn i64_mul_acc<const ROWS: usize>(
     rows: [(&[i64], &[i64]); ROWS],
     shift: u32,
 ) {
-    let low31 = _mm512_set1_epi64((1 << 31) - 1);
-    let round = _mm512_set1_epi64(1 << (shift - 1));
-    let to_hh = _mm_cvtsi32_si128((62 - shift) as i32);
-    let to_out = _mm_cvtsi32_si128((shift - 31) as i32);
-    let halves = |v: __m512i| (_mm512_srli_epi64::<31>(v), _mm512_and_si512(v, low31));
-    // `(H ≪ (62 − s)) + (M + q) ≫ₐ (s − 31)`, `q` the rounded quotient of
-    // the low sum by 2³¹ (arithmetic or logical: see `MAC_LANE_BOUND`).
-    let recombine = |[h, mid, _]: [__m512i; 3], q: __m512i| {
-        _mm512_add_epi64(
-            _mm512_sll_epi64(h, to_hh),
-            _mm512_sra_epi64(_mm512_add_epi64(mid, q), to_out),
-        )
-    };
+    let mac = MacLanes::new(shift);
     for k in (0..x_re.len()).step_by(8) {
         // SAFETY: `k + 8 <= m`, every slice's length.
         let load = |v: &[i64]| unsafe { _mm512_loadu_epi64(v.as_ptr().add(k)) };
-        let (xr, xi) = (halves(load(x_re)), halves(load(x_im)));
+        let x = (mac.halves(load(x_re)), mac.halves(load(x_im)));
         for ((acc_re, acc_im), (a_re, a_im)) in accs.iter_mut().zip(rows) {
-            let (ar, ai) = (halves(load(a_re)), halves(load(a_im)));
-            let (rr, ii) = (partials(xr, ar), partials(xi, ai));
-            let (ri, ir) = (partials(xr, ai), partials(xi, ar));
-            let re = [0, 1, 2].map(|j| _mm512_sub_epi64(rr[j], ii[j]));
-            let im = [0, 1, 2].map(|j| _mm512_add_epi64(ri[j], ir[j]));
-            let q_re = _mm512_srai_epi64::<31>(_mm512_add_epi64(re[2], round));
-            let q_im = _mm512_srli_epi64::<31>(_mm512_add_epi64(im[2], round));
+            let (re, im) = mac.product(x, (mac.halves(load(a_re)), mac.halves(load(a_im))));
             // SAFETY: as the loads.
             unsafe {
-                for (acc, sum) in [
-                    (&mut **acc_re, recombine(re, q_re)),
-                    (&mut **acc_im, recombine(im, q_im)),
-                ] {
+                for (acc, sum) in [(&mut **acc_re, re), (&mut **acc_im, im)] {
                     let at = acc.as_mut_ptr().add(k);
                     _mm512_storeu_epi64(at, _mm512_add_epi64(_mm512_loadu_epi64(at), sum));
                 }
@@ -441,20 +481,66 @@ pub(super) unsafe fn i64_bundle_row(
     factors: &[[i32; 2]],
     shift: u32,
 ) {
-    const DROP: u32 = BUNDLE_DROP_BITS;
     let m = out_re.len();
-    let drop_round = _mm512_set1_epi64(1 << (DROP - 1));
-    let round = _mm512_set1_epi64(1 << (shift - 1));
-    let count = _mm_cvtsi32_si128(shift as i32);
-    let term = |d: __m512i| _mm512_sra_epi64(_mm512_add_epi64(d, round), count);
+    let lanes = RowLanes::new(shift);
     for k in (0..m).step_by(KEY_CHUNK) {
-        // SAFETY: `k + 8 <= m` for `h` and the outputs; the key lines and
-        // factor entries as the caller guarantees.
+        // SAFETY: as the caller guarantees; `k + 8 <= m` for the outputs.
+        unsafe {
+            let (x, y) = lanes.chunk((h_re, h_im), key, slots, factors, m, k);
+            _mm512_storeu_epi64(out_re.as_mut_ptr().add(k), x);
+            _mm512_storeu_epi64(out_im.as_mut_ptr().add(k), y);
+        }
+    }
+}
+
+/// [`super::i64_bundle_row`] on eight lanes for one row: its constants,
+/// broadcast once per kernel call, and its chunk.
+#[derive(Clone, Copy)]
+struct RowLanes {
+    drop_round: __m512i,
+    round: __m512i,
+    count: __m128i,
+}
+
+impl RowLanes {
+    /// The constants of a row's terms rounded back by `shift`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn new(shift: u32) -> Self {
+        Self {
+            drop_round: _mm512_set1_epi64(1 << (BUNDLE_DROP_BITS - 1)),
+            round: _mm512_set1_epi64(1 << (shift - 1)),
+            count: _mm_cvtsi32_si128(shift as i32),
+        }
+    }
+
+    /// Points `k..k + 8` of the row of `h` over `key`: `(re, im)`.
+    ///
+    /// # Safety
+    ///
+    /// `h`'s components must hold `m` elements, `m` a multiple of
+    /// [`KEY_CHUNK`] above `k`, a multiple of it, and `factors` `m` per
+    /// slot; `key.stream` must hold the block and every slot be one of
+    /// `key.patterns` ([`KeyBlock::assert_holds`]).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn chunk(
+        &self,
+        (h_re, h_im): (&[i64], &[i64]),
+        key: KeyBlock<'_>,
+        slots: &[u8],
+        factors: &[[i32; 2]],
+        m: usize,
+        k: usize,
+    ) -> (__m512i, __m512i) {
+        const DROP: u32 = BUNDLE_DROP_BITS;
+        let term = |d: __m512i| _mm512_sra_epi64(_mm512_add_epi64(d, self.round), self.count);
+        // SAFETY: as the caller guarantees.
         unsafe {
             let dropped = |h: &[i64]| {
                 _mm512_srai_epi64::<DROP>(_mm512_add_epi64(
                     _mm512_loadu_epi64(h.as_ptr().add(k)),
-                    drop_round,
+                    self.drop_round,
                 ))
             };
             let (mut x, mut y) = (dropped(h_re), dropped(h_im));
@@ -470,8 +556,76 @@ pub(super) unsafe fn i64_bundle_row(
                 x = _mm512_add_epi64(x, term(re));
                 y = _mm512_add_epi64(y, term(im));
             });
-            _mm512_storeu_epi64(out_re.as_mut_ptr().add(k), x);
-            _mm512_storeu_epi64(out_im.as_mut_ptr().add(k), y);
+            (x, y)
+        }
+    }
+}
+
+/// [`super::i64_bundle_product`] with everything in registers: per 8-point
+/// chunk, each block's bundle entries built as [`i64_bundle_row`] builds
+/// them ([`RowLanes`]) and fed straight into the two accumulators with
+/// [`i64_mul_acc`]'s products ([`MacLanes`]), the digit split once for
+/// both; each accumulator stored once per chunk.
+///
+/// # Safety
+///
+/// AVX-512F must be present; every spectrum and accumulator must hold
+/// `m = digits[0].re.len()` points per component, `m` a multiple of
+/// [`KEY_CHUNK`], the factor tables `m` per slot, `h` two spectra per
+/// digit; `key.stream` must hold `h.len()` blocks and every slot be one of
+/// `key.patterns` ([`KeyBlock::assert_holds_blocks`]); `1 ≤ row_shift ≤
+/// 62` and `mac_shift` in [`MAC_SHIFTS`](super::MAC_SHIFTS).
+#[target_feature(enable = "avx512f")]
+pub(super) unsafe fn i64_bundle_product(
+    mut accs: [(&mut [i64], &mut [i64]); 2],
+    h: &[FixedSpectrum],
+    key: KeyBlock<'_>,
+    slots: &[u8],
+    factors: &[[i32; 2]],
+    digits: &[FixedSpectrum],
+    [row_shift, mac_shift]: [u32; 2],
+) {
+    let m = digits[0].re.len();
+    let block = KeyBlock::words(m, key.patterns);
+    let (lanes, mac) = (RowLanes::new(row_shift), MacLanes::new(mac_shift));
+    // The dev profile's check of `MAC_LANE_BOUND` on the entries, which
+    // never reach memory.
+    let bound = _mm512_set1_epi64(super::MAC_LANE_BOUND as i64);
+    let within = |v: __m512i| _mm512_cmpge_epu64_mask(_mm512_abs_epi64(v), bound) == 0;
+    for k in (0..m).step_by(KEY_CHUNK) {
+        // SAFETY: `k + 8 ≤ m`, every spectrum's length.
+        let load = |v: &[i64]| unsafe { _mm512_loadu_epi64(v.as_ptr().add(k)) };
+        // `acc[side]`: the real and imaginary lanes of points `k..k + 8`
+        // of the mask (`side = 0`) or body accumulator.
+        let mut acc = [(_mm512_setzero_si512(), _mm512_setzero_si512()); 2];
+        for (r, d) in digits.iter().enumerate() {
+            let x = (mac.halves(load(&d.re)), mac.halves(load(&d.im)));
+            for (side, (cr, ci)) in acc.iter_mut().enumerate() {
+                let j = 2 * r + side;
+                // SAFETY: block `j < h.len()` lies inside the stream and
+                // holds chunk `k / 8`, every slot one of its patterns.
+                let (ar, ai) = unsafe {
+                    let row = KeyBlock {
+                        stream: key.stream.get_unchecked(j * block..),
+                        ..key
+                    };
+                    lanes.chunk((&h[j].re, &h[j].im), row, slots, factors, m, k)
+                };
+                debug_assert!(
+                    within(ar) && within(ai),
+                    "pointwise product operand outside ±2^61"
+                );
+                let (re, im) = mac.product(x, (mac.halves(ar), mac.halves(ai)));
+                *cr = _mm512_add_epi64(*cr, re);
+                *ci = _mm512_add_epi64(*ci, im);
+            }
+        }
+        for ((re, im), (cr, ci)) in accs.iter_mut().zip(acc) {
+            // SAFETY: `k + 8 ≤ m`, the accumulators' length.
+            unsafe {
+                _mm512_storeu_epi64(re.as_mut_ptr().add(k), cr);
+                _mm512_storeu_epi64(im.as_mut_ptr().add(k), ci);
+            }
         }
     }
 }

@@ -124,29 +124,38 @@
 //! split measured no faster than the native `mul`. The bundle row needs no
 //! split: a stored key's mantissas and the factors are 32 bits each, one
 //! `vpmuldq` a product (`i64_bundle_row`). The bundle rows' vector legs
-//! (this one and `bundle_row`'s) and the f64 fused bundle product
-//! (`bundle_product`) are the kernels here that prefetch: with the
-//! products in vector lanes a row is done before its key arrives, and the
-//! time the key takes is the part of a gate that a busy neighbour sets
+//! (this one and `bundle_row`'s) and the fused bundle products built on
+//! them are the kernels here that prefetch: with the products in vector
+//! lanes a row is done before its key arrives, and the time the key takes
+//! is the part of a gate that a busy neighbour sets
 //! (`BUNDLE_PREFETCH_AHEAD`).
 //!
 //! # The fused bundle product
 //!
-//! A blind-rotation step never stores its bundle. On the f64 engine
-//! `bundle_product` makes one pass per 8-point chunk over all `2·2ℓ` key
-//! blocks of a group: each bundle entry is summed in registers as
-//! `bundle_row` sums it and goes straight into the two accumulators with
-//! `mul_acc`'s element operations, so it is bit-identical, on every leg,
-//! to `bundle_row` for every row followed by `mul_acc::<2>` per digit. The
-//! integer engine composes `i64_bundle_row` and `i64_mul_acc` a digit at
-//! a time, through two rows of its scratch.
+//! A blind-rotation step never stores its bundle. Each engine's vector
+//! legs make one pass per 8-point chunk over all `2·2ℓ` key blocks of a
+//! group, read side by side: each bundle entry is summed in registers as
+//! the engine's bundle row sums it and goes straight into the two
+//! accumulators with the engine's pointwise product's element operations,
+//! so the result is bit-identical, on every leg, to the row for every
+//! block followed by the two-row product per digit. On the f64 engine that
+//! is `bundle_product` (`bundle_row`, then `mul_acc::<2>`), on the integer
+//! engine `i64_bundle_product` (`i64_bundle_row`, then `i64_mul_acc::<2>`).
+//! The integer engine's [`Leg::Avx512`] keeps entries and accumulators in
+//! registers where the products' shift lies in [`MAC_SHIFTS`] (`MATCHA`'s
+//! 57 does); other shifts and [`Leg::Avx2`] spill a chunk's entries to the
+//! stack for the scalar leg's `i128` products, as `i64_mul_acc` runs them
+//! there.
 //!
 //! At `N = 1024` on a Xeon with AVX-512F (minimum of 20 rounds of 1000–2000
 //! calls; scalar / AVX2 / AVX-512): a pair of pointwise products 2.35 /
 //! 2.35 / 1.16 µs, a wide stage 1.07–1.22 / 0.55–0.59 / 0.33–0.38 µs, the
 //! fold 2.42 / 1.21 / 0.84 µs, a 7-term bundle row in L1 7.08 / 1.51 /
 //! 1.23 µs, a forward transform of one gadget digit 10.7 / 5.26 / 3.61 µs,
-//! a backward transform 11.4 / 5.81 / 3.91 µs.
+//! a backward transform 11.4 / 5.81 / 3.91 µs. The integer engine's fused
+//! bundle product over one `m = 3` group (12 blocks of 7 patterns, 344 KB
+//! of key in L2; minimum of 20 rounds of 1000 calls) 140.3 / 54.0 /
+//! 29.9 µs.
 
 // Off x86_64 the kernels never read their `leg`: every path is scalar.
 #![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
@@ -165,8 +174,10 @@ pub use self::f64::{
 pub(crate) use self::f64::{
     bundle_product, bundle_row, mul_acc, reduce_turns, round_half_away, FIRST_WIDE_STAGE,
 };
-pub(crate) use self::i64::{i64_bundle_row, i64_mul_acc, i64_radix2_stage, LiftSplit};
-pub use self::i64::{i64_fold_rotate, i64_rotate, MAC_LANE_BOUND};
+pub(crate) use self::i64::{
+    i64_bundle_product, i64_bundle_row, i64_mul_acc, i64_radix2_stage, LiftSplit,
+};
+pub use self::i64::{i64_fold_rotate, i64_rotate, MAC_LANE_BOUND, MAC_SHIFTS};
 pub use self::movers::{bit_reverse_copy, int_words, torus_words, FoldDigit};
 
 #[cfg(test)]

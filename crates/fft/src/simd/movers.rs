@@ -189,15 +189,16 @@ unsafe fn bit_reverse_copy_avx(src: *const f64, dst: *mut f64, rev: &[u32]) {
 }
 
 /// Bytes the vector bundle rows (both engines', both vector legs) and the
-/// f64 fused bundle product prefetch ahead of their loads: one
-/// `prefetcht0` per 64-byte line consumed, of the line this far down the
-/// key. A bootstrapping key is one slab in the order the bundle rows read
-/// it ([`KeyBlock`]), 35 MB at `m = 2` and 55 MB at `m = 3`, so the line
+/// fused bundle products prefetch ahead of their loads: one `prefetcht0`
+/// per 64-byte line consumed, of the line this far down the key. A
+/// bootstrapping key is one slab in the order the bundle rows read it
+/// ([`KeyBlock`]), 35 MB at `m = 2` and 55 MB at `m = 3`, so the line
 /// 4 KB ahead is the line the row — or the next row, or the next group's
 /// first row: the lookahead runs off a block's end into whatever the key
 /// holds next, which hides the wait at the head of each row where rows
-/// run one after another, as the integer engine's steps run them — reads
-/// 64 lines from now, and the hint stops only at the key's last word. What it buys depends on how busy memory is. Measured
+/// run one after another — reads 64 lines from now, and the hint stops
+/// only at the key's last word. What it buys depends on how busy memory
+/// is. Measured
 /// on a quiet host (gate time in one process, minimum / median of 150):
 /// the integer engine at `m = 3`, whose rows have arithmetic to hide a
 /// fetch behind, 22.6–24.3 / 26 ms with no hint, 20.9–22.7 / 23.5–25 at
@@ -207,12 +208,13 @@ unsafe fn bit_reverse_copy_avx(src: *const f64, dst: *mut f64, rev: &[u32]) {
 /// host it kept up by itself. The change that introduced the slab measured
 /// a busier one (4 KB against none: −26 % on the f64 gate's median).
 ///
-/// The f64 fused bundle product (`bundle_product`) reads a group's `2·2ℓ`
-/// blocks side by side, a chunk of each in turn, and gives every line it
-/// consumes the same hint. A block is longer than the lookahead (12 KB at
-/// `m = 2`), so each block's hint lands further down that block; only the
-/// last block's reaches the next group, and the heads of the others are
-/// the hardware prefetcher's, which follows the dozen streams. Running
+/// The fused bundle products (`bundle_product`, `i64_bundle_product`) read
+/// a group's `2·2ℓ` blocks side by side, a chunk of each in turn, and give
+/// every line they consume the same hint. A block is longer than the
+/// lookahead (12 KB at `m = 2`, 28 KB at `m = 3`), so each block's hint
+/// lands further down that block; only the last block's reaches the next
+/// group, and the heads of the others are the hardware prefetcher's, which
+/// follows the dozen streams. On the f64 engine, running
 /// each block's lookahead on into the same block of the next group read
 /// −14 … +15 % a pair against this in alternated benchmark runs on a
 /// 2-vCPU Xeon (16 or 6 chunks ahead), and 1.03–1.05 of this at the median

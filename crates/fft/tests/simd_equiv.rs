@@ -558,14 +558,42 @@ fn check_bundle_product<E: FftEngine>(engine: &E, patterns: usize, ctx: &str) {
     }
 }
 
+/// The shift of the integer engine's fused products at ring degree `n`:
+/// the digits' fractional bits and the bundle rows' (`h`'s less
+/// `BUNDLE_DROP_BITS`) together.
+fn fused_mac_shift(n: usize) -> u32 {
+    use matcha_fft::approx::BUNDLE_DROP_BITS;
+    let engine = ApproxIntFft::new(n, 38);
+    let poly = uniform_torus_poly(n, 1);
+    let (mut digit, mut scratch) = (engine.zero_spectrum(), engine.make_scratch());
+    let decomp = GadgetDecomposer::new(10, 3);
+    engine.forward_decomposed_into(&poly, &decomp, 0, &mut digit, &mut scratch);
+    digit.frac_bits + engine.forward_torus(&poly).frac_bits - BUNDLE_DROP_BITS
+}
+
+/// Ring degrees of the fused-product checks: below a chunk (`M = 2`, where
+/// the f64 product is not contracted even on a vector leg, and `M = 4`), a
+/// few chunks, the top of `MAC_SHIFTS` (`N = 128`, shift 61, where the
+/// eight-lane recombination's bounds are tightest) and the paper's ring.
+const PRODUCT_DEGREES: [usize; 7] = [4, 8, 16, 64, 128, 256, 1024];
+
+#[test]
+fn product_degrees_reach_both_sides_of_the_mac_shifts() {
+    // The AVX-512 leg multiplies in its lanes inside `MAC_SHIFTS` and
+    // spills its bundle entries to the scalar products outside: both must
+    // stay covered by the degrees below (`M < 8` runs the scalar leg).
+    let shifts = PRODUCT_DEGREES.map(fused_mac_shift);
+    assert_eq!(shifts, [64, 64, 64, 62, 61, 60, 57]);
+    let inside = shifts.map(|s| simd::MAC_SHIFTS.contains(&s));
+    assert_eq!(inside, [false, false, false, false, true, true, true]);
+}
+
 #[test]
 fn bundle_product_is_its_rows_then_products_on_every_leg() {
-    // Below a chunk (`M = 2`, where the f64 product is not contracted
-    // even on a vector leg, and `M = 4`), a few chunks, and the paper's
-    // ring; blocks of up to 255 patterns (unroll 8) on the f64 engine, up
-    // to 31 on the integer engine, whose row headroom stops at unroll 5.
+    // Blocks of up to 255 patterns (unroll 8) on the f64 engine, up to 31
+    // on the integer engine, whose row headroom stops at unroll 5.
     for leg in Leg::ALL {
-        for n in [4, 8, 16, 64, 1024] {
+        for n in PRODUCT_DEGREES {
             let f64_engine = F64Fft::with_leg(n, leg);
             let approx = ApproxIntFft::with_leg(n, 38, leg);
             for patterns in [1, 3, 7, 15] {

@@ -12,9 +12,11 @@
 //! It runs the benchmark's two configurations, `F64Fft` at m = 2 and
 //! `ApproxIntFft(38)` at m = 3, on each kernel leg, one test per
 //! configuration and leg, each engine built for its leg (`with_leg`)
-//! before its keys are generated. A leg this CPU does not run prints
-//! "not run" and passes: its engine would run a narrower leg, whose hash
-//! another test already checks.
+//! before its keys are generated, and `ApproxIntFft(38)` at m = 2 (three
+//! patterns a key block where m = 3 has seven) on the host leg
+//! (`Leg::host`, so `MATCHA_SIMD=0` runs it scalar). A leg this CPU does
+//! not run prints "not run" and passes: its engine would run a narrower
+//! leg, whose hash another test already checks.
 //! `ApproxIntFft` computes the same integers on every leg, so it has one
 //! golden. `F64Fft`'s vector legs contract products into FMAs where the
 //! scalar leg rounds each one, so it has one golden for the scalar leg and
@@ -100,6 +102,10 @@ const F64_M2: [u64; 2] = [0x67aa_6746_b7b2_80c0, 0x3555_957d_85d9_07a4];
 /// `ApproxIntFft(38)` at m = 3, every leg.
 const APPROX38_M3: u64 = 0xaf9e_e06f_93fd_cb44;
 
+/// `ApproxIntFft(38)` at m = 2 (three patterns a block), every leg; held
+/// on the host leg only, the m = 3 tests covering each leg's kernels.
+const APPROX38_M2: u64 = 0xb286_4984_cbe7_4e70;
+
 /// Hashes one configuration, `engine` (built for `leg`) at `unroll` with
 /// keys from `seed`, against `golden`; prints "not run" instead where this
 /// CPU lacks `leg`.
@@ -154,4 +160,11 @@ fn approx38_m3_avx2() {
 #[test]
 fn approx38_m3_avx512() {
     approx38_m3(Leg::Avx512);
+}
+
+#[test]
+fn approx38_m2_host() {
+    let leg = Leg::host();
+    let engine = ApproxIntFft::with_leg(ParameterSet::MATCHA.ring_degree, 38, leg);
+    check_golden(engine, leg, 2, 0x601d_3802, APPROX38_M2);
 }
